@@ -441,7 +441,7 @@ class NodeStagingRouter:
         buf = self._pending.pop(key, None)
         timer = self._timers.pop(key, None)
         if timer is not None:
-            timer.cancelled = True  # type: ignore[attr-defined]
+            self.cluster.engine.cancel(timer)
         if buf is None or buf.payload <= 0:
             return None
         self.flushes += 1

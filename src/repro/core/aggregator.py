@@ -113,7 +113,7 @@ class AsyncAggregator:
         self._oldest.pop(key, None)
         timer = self._timers.pop(key, None)
         if timer is not None:
-            timer.cancelled = True  # type: ignore[attr-defined]
+            self.cluster.engine.cancel(timer)
         if payload <= 0:
             return None
         self.flushes += 1

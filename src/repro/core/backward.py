@@ -53,7 +53,7 @@ from .calibration import (
 )
 from .functional import ShardedEmbeddingTables
 from .sharding import minibatch_bounds
-from .workload import DeviceWorkload, alltoall_split_bytes
+from .workload import DeviceWorkload, alltoall_split_bytes, unpack_bytes_received
 
 __all__ = [
     "table_row_gradients",
@@ -242,10 +242,10 @@ class BaselineBackward:
         # Pack: rearrange (B_g, F, d) grads into per-owner contiguous buffers.
         if G > 1:
             ops = []
-            for dev, wl in zip(cluster.devices, workloads):
-                to_pack = 2.0 * sum(
-                    w.output_bytes_by_dst[dev.id] for w in workloads if w.device_id != dev.id
-                )
+            for dev in cluster.devices:
+                # Remote grads mirror the forward's received outputs; the
+                # pack reads and writes each of them once.
+                to_pack = 2.0 * unpack_bytes_received(workloads, dev.id)
                 ops.append(
                     dev.default_stream.submit_delay(
                         dev.spec.kernel_launch_overhead_ns + to_pack / self.pack_bandwidth,

@@ -52,9 +52,14 @@ def lengths_from_batch(batch: SparseBatch) -> Dict[str, np.ndarray]:
     return {name: field.lengths for name, field in batch}
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeviceWorkload:
     """One device's share of an EMB forward pass, in byte terms.
+
+    Frozen because the per-destination totals are derived once at
+    construction: a workload with different bytes is a new instance
+    (``dataclasses.replace``), never an in-place edit, so the cached
+    totals cannot go stale.
 
     Attributes
     ----------
@@ -91,6 +96,13 @@ class DeviceWorkload:
     block_weights: np.ndarray
     block_dst_bytes: np.ndarray
 
+    def __post_init__(self) -> None:
+        # Read O(G²) times per batch (all-to-all splits, unpack sizes, the
+        # PGAS drag model), so reduce the (num_blocks, G) matrix only once.
+        by_dst = self.block_dst_bytes.sum(axis=0)
+        by_dst.flags.writeable = False
+        object.__setattr__(self, "_output_bytes_by_dst", by_dst)
+
     # -- totals ------------------------------------------------------------------
 
     @property
@@ -115,8 +127,11 @@ class DeviceWorkload:
 
     @property
     def output_bytes_by_dst(self) -> np.ndarray:
-        """Total output bytes destined to each device, ``(n_devices,)``."""
-        return self.block_dst_bytes.sum(axis=0)
+        """Total output bytes destined to each device, ``(n_devices,)``.
+
+        Computed once per instance; the returned vector is read-only.
+        """
+        return self._output_bytes_by_dst
 
     @property
     def remote_output_bytes(self) -> float:
@@ -142,15 +157,24 @@ class DeviceWorkload:
         Wave *w* executes blocks ``[w*C, (w+1)*C)``; summing their
         ``block_dst_bytes`` rows gives the bytes that become sendable when
         that wave retires.
+
+        Full waves are one ``(waves, C, G)`` reshape summed over blocks, the
+        ragged last wave one more row sum: the same row-by-row additions as
+        a per-wave loop, so the result is bit-identical to it for any
+        values (``np.add.reduceat`` would sum pairwise, and is several
+        times slower along this strided axis).
         """
         if concurrent_blocks <= 0:
             raise ValueError("concurrent_blocks must be positive")
-        n_waves = math.ceil(self.num_blocks / concurrent_blocks) if self.num_blocks else 0
-        out = np.zeros((n_waves, self.n_devices), dtype=np.float64)
-        for w in range(n_waves):
-            lo = w * concurrent_blocks
-            hi = min(lo + concurrent_blocks, self.num_blocks)
-            out[w] = self.block_dst_bytes[lo:hi].sum(axis=0)
+        n, C, G = self.num_blocks, concurrent_blocks, self.n_devices
+        if n == 0:
+            return np.zeros((0, G), dtype=np.float64)
+        full = n // C
+        out = np.empty((math.ceil(n / C), G), dtype=np.float64)
+        dst = self.block_dst_bytes
+        out[:full] = dst[: full * C].reshape(full, C, G).sum(axis=1)
+        if full < len(out):
+            out[full] = dst[full * C : n].sum(axis=0)
         return out
 
 
@@ -183,6 +207,7 @@ def build_device_workloads(
     chunk_dst_counts = np.zeros((n_chunks, G), dtype=np.int64)
     chunk_ids = np.arange(B) // samples_per_block
     np.add.at(chunk_dst_counts, (chunk_ids, owners), 1)
+    chunk_starts = np.arange(n_chunks) * samples_per_block
 
     workloads: List[DeviceWorkload] = []
     for dev in range(G):
@@ -208,19 +233,21 @@ def build_device_workloads(
             raise ValueError("mixed embedding dims/dtypes on one device are unsupported")
         rb = row_bytes.pop()
         num_blocks = len(tables) * n_chunks
-        # Per-block lookup counts: reduceat of each table's lengths over chunks.
-        starts = np.arange(n_chunks) * samples_per_block
-        weights = np.concatenate(
+        # Per-block lookup counts: reduceat of each table's lengths over
+        # chunks (cheaper than stacking the tables' lengths first); the
+        # device's nnz is their total, so the lengths are read only once.
+        counts = np.concatenate(
             [
                 np.add.reduceat(
-                    np.asarray(lengths_by_feature[t.name], dtype=np.int64), starts
+                    np.asarray(lengths_by_feature[t.name], dtype=np.int64), chunk_starts
                 )
                 for t in tables
             ]
-        ).astype(np.float64)
-        nnz = int(sum(int(np.sum(lengths_by_feature[t.name])) for t in tables))
-        # Destination bytes: the chunk→device sample counts, tiled per table.
-        block_dst = np.tile(chunk_dst_counts, (len(tables), 1)).astype(np.float64) * rb
+        )
+        weights = counts.astype(np.float64)
+        nnz = int(counts.sum())
+        # Destination bytes: the chunk→device byte counts, tiled per table.
+        block_dst = np.tile(chunk_dst_counts * float(rb), (len(tables), 1))
         workloads.append(
             DeviceWorkload(
                 device_id=dev,

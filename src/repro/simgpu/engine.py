@@ -16,16 +16,15 @@ Design notes
   for ``dt`` simulated nanoseconds; ``yield event`` suspends until the event
   succeeds.  A process may also ``yield AllOf([...])`` / ``yield AnyOf([...])``
   to wait on several events.
-* The engine is deliberately single-threaded and allocation-light: one run of
-  the paper-scale weak-scaling experiment schedules a few thousand events, so
-  a heap of tuples is more than fast enough (see the hpc guides: profile
-  first; the hot path of this package is numpy, not the event loop).
+* The engine is deliberately single-threaded and allocation-light: heap
+  entries are plain ``[time, seq, fn]`` lists that ``heapq`` compares in C
+  (a 64-GPU batch schedules about 58k of them), and cancelling one only
+  clears its ``fn`` slot.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
@@ -297,12 +296,10 @@ class Process(Event):
         target.add_callback(self._on_event)
 
 
-@dataclass(order=True)
-class _QueueEntry:
-    time: float
-    seq: int
-    fn: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+#: A scheduled callback: ``[time, seq, fn]``.  ``heapq`` orders these lists
+#: in C by ``(time, seq)``; ``seq`` is unique, so ``fn`` is never compared.
+#: :meth:`Engine.cancel` sets ``fn`` to ``None`` and the run loops skip it.
+Handle = List[Any]
 
 
 class Engine:
@@ -323,7 +320,7 @@ class Engine:
 
     def __init__(self) -> None:
         self._now: float = 0.0
-        self._queue: List[_QueueEntry] = []
+        self._queue: List[Handle] = []
         self._seq = 0
         self._running = False
 
@@ -360,15 +357,27 @@ class Engine:
         """Create a re-armable :class:`Notifier` bound to this engine."""
         return Notifier(self, name)
 
-    def call_at(self, time: float, fn: Callable[[], None]) -> _QueueEntry:
-        """Schedule ``fn()`` at absolute simulated ``time``."""
+    def call_at(self, time: float, fn: Callable[[], None]) -> Handle:
+        """Schedule ``fn()`` at absolute simulated ``time``.
+
+        Returns a handle that :meth:`cancel` accepts.
+        """
         if time < self._now:
             raise SimulationError(f"cannot schedule at {time} < now {self._now}")
         return self._schedule(time, fn)
 
-    def call_in(self, delay: float, fn: Callable[[], None]) -> _QueueEntry:
+    def call_in(self, delay: float, fn: Callable[[], None]) -> Handle:
         """Schedule ``fn()`` after ``delay`` ns."""
         return self.call_at(self._now + delay, fn)
+
+    def cancel(self, handle: Handle) -> None:
+        """Drop a scheduled callback so it never runs.
+
+        The entry stays queued until the run loop pops and skips it, so a
+        cancel costs O(1).  Cancelling a callback that already ran (or was
+        already cancelled) is a no-op.
+        """
+        handle[2] = None
 
     # -- run loop ------------------------------------------------------------
 
@@ -380,18 +389,19 @@ class Engine:
         if self._running:
             raise SimulationError("engine is already running (re-entrant run())")
         self._running = True
+        queue = self._queue
         try:
-            while self._queue:
-                entry = self._queue[0]
-                if entry.cancelled:
-                    heapq.heappop(self._queue)
+            while queue:
+                time, _, fn = queue[0]
+                if fn is None:
+                    heapq.heappop(queue)
                     continue
-                if until is not None and entry.time > until:
+                if until is not None and time > until:
                     self._now = until
                     return self._now
-                heapq.heappop(self._queue)
-                self._now = entry.time
-                entry.fn()
+                heapq.heappop(queue)
+                self._now = time
+                fn()
             if until is not None and until > self._now:
                 self._now = until
         finally:
@@ -404,20 +414,21 @@ class Engine:
         ``limit`` caps the simulated time; exceeding it raises
         :class:`SimulationError` (catches accidentally-unbounded models).
         """
+        queue = self._queue
         while not event.triggered or self._pending_at_now():
-            if not self._queue:
+            if not queue:
                 if event.triggered:
                     break
                 raise SimulationError(
                     f"event queue drained at t={self._now} but {event!r} never triggered"
                 )
-            entry = heapq.heappop(self._queue)
-            if entry.cancelled:
+            time, _, fn = heapq.heappop(queue)
+            if fn is None:
                 continue
-            if limit is not None and entry.time > limit:
+            if limit is not None and time > limit:
                 raise SimulationError(f"simulation exceeded limit {limit} ns")
-            self._now = entry.time
-            entry.fn()
+            self._now = time
+            fn()
         if not event.ok:
             raise event.value
         return event.value
@@ -425,15 +436,15 @@ class Engine:
     def _pending_at_now(self) -> bool:
         """True if there are still queued callbacks at the current instant."""
         q = self._queue
-        while q and q[0].cancelled:
+        while q and q[0][2] is None:
             heapq.heappop(q)
-        return bool(q) and q[0].time <= self._now
+        return bool(q) and q[0][0] <= self._now
 
     # -- internals -----------------------------------------------------------
 
-    def _schedule(self, time: float, fn: Callable[[], None]) -> _QueueEntry:
+    def _schedule(self, time: float, fn: Callable[[], None]) -> Handle:
         self._seq += 1
-        entry = _QueueEntry(time, self._seq, fn)
+        entry = [time, self._seq, fn]
         heapq.heappush(self._queue, entry)
         return entry
 

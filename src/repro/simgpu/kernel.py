@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
+import numpy as np
+
 from .device import Device, DeviceSpec
 from .engine import ProcessGenerator
 
@@ -119,29 +121,25 @@ def roofline_time(bytes_total: float, flops: float, spec: DeviceSpec) -> float:
 
 
 def _wave_fractions(kspec: KernelSpec, device_spec: DeviceSpec) -> List[float]:
-    """Work fraction per wave, honouring per-block weights when present."""
-    conc = device_spec.concurrent_blocks
-    if kspec.num_blocks == 0:
+    """Work fraction per wave, honouring per-block weights when present.
+
+    ``reduceat`` sums each wave pairwise rather than left to right; the two
+    agree exactly on integer-valued weights (lookup counts), which is what
+    every workload passes.
+    """
+    n = kspec.num_blocks
+    if n == 0:
         return []
-    n_waves = math.ceil(kspec.num_blocks / conc)
+    wave_starts = np.arange(0, n, device_spec.concurrent_blocks)
     if kspec.block_weights is None:
         # Uniform blocks: each wave does (#blocks in wave) / num_blocks.
-        fracs = []
-        for w in range(n_waves):
-            lo = w * conc
-            hi = min(lo + conc, kspec.num_blocks)
-            fracs.append((hi - lo) / kspec.num_blocks)
-        return fracs
-    weights = [float(w) for w in kspec.block_weights]
-    total = sum(weights)
+        wave_blocks = np.diff(np.append(wave_starts, n))
+        return (wave_blocks / n).tolist()
+    weights = np.asarray(kspec.block_weights, dtype=np.float64)
+    total = float(weights.sum())
     if total <= 0:
-        return [1.0 / n_waves] * n_waves
-    fracs = []
-    for w in range(n_waves):
-        lo = w * conc
-        hi = min(lo + conc, kspec.num_blocks)
-        fracs.append(sum(weights[lo:hi]) / total)
-    return fracs
+        return [1.0 / len(wave_starts)] * len(wave_starts)
+    return (np.add.reduceat(weights, wave_starts) / total).tolist()
 
 
 def _occupancy_derate(kspec: KernelSpec, device_spec: DeviceSpec) -> float:

@@ -70,6 +70,76 @@ class TestClock:
         assert fired == [1] and eng.now == 100.0
 
 
+class TestCancel:
+    def test_cancelled_timer_never_fires(self):
+        eng = Engine()
+        fired = []
+        timer = eng.call_at(10.0, lambda: fired.append("cancelled"))
+        eng.call_at(20.0, lambda: fired.append("kept"))
+        eng.cancel(timer)
+        eng.run()
+        assert fired == ["kept"] and eng.now == 20.0
+
+    def test_cancel_from_a_same_time_callback(self):
+        eng = Engine()
+        fired = []
+        later = []
+        eng.call_at(5.0, lambda: eng.cancel(later[0]))
+        later.append(eng.call_at(5.0, lambda: fired.append(1)))
+        eng.run()
+        assert fired == []
+
+    def test_only_cancelled_entries_leave_clock_alone(self):
+        eng = Engine()
+        eng.cancel(eng.call_at(40.0, lambda: None))
+        assert eng.run() == 0.0
+
+    def test_not_counted_as_pending_now(self):
+        eng = Engine()
+        eng.cancel(eng.call_at(0.0, lambda: None))
+        assert not eng._pending_at_now()
+        eng.call_at(0.0, lambda: None)
+        assert eng._pending_at_now()
+
+    def test_does_not_stall_run_until_event(self):
+        eng = Engine()
+        ev = eng.event()
+        eng.call_at(10.0, lambda: ev.succeed("done"))
+        same_instant = eng.call_at(10.0, lambda: pytest.fail("cancelled timer fired"))
+        far_future = eng.call_at(1e9, lambda: pytest.fail("cancelled timer fired"))
+        eng.cancel(same_instant)
+        eng.cancel(far_future)
+        assert eng.run_until_event(ev, limit=100.0) == "done"
+        assert eng.now == 10.0
+
+    def test_does_not_stall_run_until(self):
+        eng = Engine()
+        fired = []
+        eng.cancel(eng.call_at(30.0, lambda: fired.append("early")))
+        eng.cancel(eng.call_at(80.0, lambda: fired.append("late")))
+        assert eng.run(until=50.0) == 50.0
+        assert eng.run(until=100.0) == 100.0
+        assert fired == []
+
+    def test_cancel_after_firing_is_a_noop(self):
+        eng = Engine()
+        fired = []
+        timer = eng.call_at(1.0, lambda: fired.append(1))
+        eng.run()
+        eng.cancel(timer)
+        eng.cancel(timer)
+        eng.run()
+        assert fired == [1]
+
+    def test_cancel_keeps_the_event_count(self):
+        eng = Engine()
+        timer = eng.call_in(5.0, lambda: None)
+        eng.call_in(6.0, lambda: None)
+        eng.cancel(timer)
+        eng.run()
+        assert eng._seq == 2
+
+
 class TestEvent:
     def test_succeed_delivers_value(self):
         eng = Engine()
