@@ -47,13 +47,35 @@ from .simgpu.units import to_ms
 __all__ = ["main", "build_parser"]
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (bad values exit 2 naming the flag)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _zipf_alpha(text: str) -> float:
+    """argparse type: a zipf exponent, which must exceed 1."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value > 1.0:
+        raise argparse.ArgumentTypeError(f"zipf alpha must be > 1, got {value}")
+    return value
+
+
 def _workload_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tables", type=int, default=64, help="number of embedding tables")
-    p.add_argument("--rows", type=int, default=1_000_000, help="rows per table")
-    p.add_argument("--dim", type=int, default=64, help="embedding dimension")
-    p.add_argument("--batch", type=int, default=16_384, help="batch size")
+    p.add_argument("--tables", type=_positive_int, default=64, help="number of embedding tables")
+    p.add_argument("--rows", type=_positive_int, default=1_000_000, help="rows per table")
+    p.add_argument("--dim", type=_positive_int, default=64, help="embedding dimension")
+    p.add_argument("--batch", type=_positive_int, default=16_384, help="batch size")
     p.add_argument("--pooling", type=int, default=128, help="max pooling factor")
-    p.add_argument("--gpus", type=int, default=2, help="simulated GPU count")
+    p.add_argument("--gpus", type=_positive_int, default=2, help="simulated GPU count")
     p.add_argument("--seed", type=int, default=2024)
 
 
@@ -93,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     cs = sub.add_parser("cachesweep", help="hot-row cache sweep (skew x capacity)")
     _workload_args(cs)
     cs.set_defaults(tables=8, rows=4096, dim=32, batch=1024, pooling=4)
-    cs.add_argument("--alphas", type=float, nargs="+", default=[1.05, 1.1, 1.2],
+    cs.add_argument("--alphas", type=_zipf_alpha, nargs="+", default=[1.05, 1.1, 1.2],
                     help="zipf skew values")
     cs.add_argument("--capacities", type=float, nargs="+", default=[0.05, 0.1, 0.2],
                     help="cache capacity as a fraction of remote rows")
@@ -124,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="continuous-batching goodput sweep + BENCH_serving.json")
     ss.add_argument("--preset", choices=PRESETS, default="tiny",
                     help="workload preset (resolved via preset_runspec)")
-    ss.add_argument("--gpus", type=int, default=2, help="simulated GPU count")
+    ss.add_argument("--gpus", type=_positive_int, default=2, help="simulated GPU count")
     ss.add_argument("--backends", nargs="+", default=["pgas", "baseline"],
                     help="backends to compare")
     ss.add_argument("--qps", type=float, nargs="+", default=[200_000.0],
@@ -147,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="codec x backend compression sweep + BENCH_compression.json")
     cp.add_argument("--preset", choices=PRESETS, default="tiny",
                     help="workload preset (resolved via preset_runspec)")
-    cp.add_argument("--gpus", type=int, default=2, help="simulated GPU count")
+    cp.add_argument("--gpus", type=_positive_int, default=2, help="simulated GPU count")
     cp.add_argument("--codecs", nargs="+", choices=CODEC_NAMES,
                     default=list(CODEC_NAMES), help="wire codecs to measure")
     cp.add_argument("--backends", nargs="+", choices=("pgas", "baseline"),
@@ -169,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "BENCH_availability.json")
     ch.add_argument("--preset", choices=PRESETS, default="tiny",
                     help="workload preset (resolved via preset_runspec)")
-    ch.add_argument("--gpus", type=int, default=4, help="simulated GPU count")
+    ch.add_argument("--gpus", type=_positive_int, default=4, help="simulated GPU count")
     ch.add_argument("--k", type=int, nargs="+", default=[1, 2],
                     help="replication factors to measure")
     ch.add_argument("--failures", type=int, nargs="+", default=[0, 1],
@@ -194,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "BENCH_reshard.json")
     sk.add_argument("--preset", choices=PRESETS, default="tiny",
                     help="workload preset (resolved via preset_runspec)")
-    sk.add_argument("--gpus", type=int, default=4, help="simulated GPU count")
+    sk.add_argument("--gpus", type=_positive_int, default=4, help="simulated GPU count")
     sk.add_argument("--backends", nargs="+",
                     default=["pgas", "pgas+reshard", "baseline",
                              "baseline+reshard"],
@@ -239,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="traced critical-path attribution + BENCH_critpath.json")
     cr.add_argument("--preset", choices=PRESETS, default="tiny",
                     help="workload preset (resolved via preset_runspec)")
-    cr.add_argument("--gpus", type=int, default=2, help="simulated GPU count")
+    cr.add_argument("--gpus", type=_positive_int, default=2, help="simulated GPU count")
     cr.add_argument("--backends", nargs="+", default=["pgas", "baseline"],
                     help="backends to trace")
     cr.add_argument("--batches", type=int, default=2, help="batches per backend")
@@ -262,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("plan", help="capacity-aware table placement")
     pl.add_argument("--criteo-tables", type=int, default=26)
     pl.add_argument("--dim", type=int, default=64)
-    pl.add_argument("--gpus", type=int, default=None,
+    pl.add_argument("--gpus", type=_positive_int, default=None,
                     help="force a device count (default: minimal feasible)")
     pl.add_argument("--reserve", type=float, default=0.1,
                     help="HBM fraction reserved for activations")
@@ -276,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr = sub.add_parser("trace", help="write a chrome://tracing timeline of one batch")
     _workload_args(tr)
     tr.add_argument("--backend", choices=tuple(available_backends()), default="pgas")
-    tr.add_argument("--zipf", type=float, default=None,
+    tr.add_argument("--zipf", type=_zipf_alpha, default=None,
                     help="zipf skew for the traced batch (cached backends profit)")
     tr.add_argument("--output", default="repro_trace.json")
     tr.add_argument("--counters", action=argparse.BooleanOptionalAction, default=True,
@@ -288,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="pgas-vs-baseline telemetry metrics + BENCH_metrics.json")
     mt.add_argument("--preset", choices=PRESETS, default="weak",
                     help="workload preset (weak = paper §IV-A per-GPU rule)")
-    mt.add_argument("--gpus", type=int, default=2, help="simulated GPU count")
+    mt.add_argument("--gpus", type=_positive_int, default=2, help="simulated GPU count")
     mt.add_argument("--batches", type=int, default=1, help="batches per backend")
     mt.add_argument("--scale", type=float, default=1.0,
                     help="batch-size scale factor (1.0 = paper size)")

@@ -17,7 +17,9 @@ This module models that with three pieces:
   kernel wave retires*, which is what produces the fine-grained overlap.
 * :meth:`PGASContext.quiet` / :meth:`PGASContext.barrier_all` — NVSHMEM
   completion semantics: ``quiet`` drains a PE's outstanding puts,
-  ``barrier_all`` synchronises everyone.
+  ``barrier_all`` synchronises everyone.  A put is one scheduled delivery
+  callback, not an event: the PE keeps an in-flight count and the latest
+  delivery instant it has booked, which is all ``quiet`` needs.
 
 ``atomic_add`` models the backward-pass extension (§V): gradient
 contributions scatter-added into remote tables without rounds of
@@ -27,6 +29,7 @@ collectives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -137,18 +140,26 @@ class PGASContext:
         self.cluster = cluster
         self.spec = spec or PGASSpec()
         self.heap = SymmetricHeap(cluster)
-        self._outstanding: Dict[int, List[Event]] = {d.id: [] for d in cluster.devices}
+        ids = [d.id for d in cluster.devices]
+        # Completion state per PE.  A put is one booked delivery callback,
+        # not an Event: quiet only needs "every earlier put has landed",
+        # i.e. the latest delivery instant booked so far.
+        self._in_flight: Dict[int, int] = dict.fromkeys(ids, 0)
+        self._last_done: Dict[int, float] = dict.fromkeys(ids, float("-inf"))
+        self._on_delivered = {pe: partial(self._delivered, pe) for pe in ids}
+        # Externally-created transfers (aggregator flushes, hier chains).
+        self._outstanding: Dict[int, List[Event]] = {pe: [] for pe in ids}
         self.puts_issued = 0
         self.payload_bytes_issued = 0.0
 
     # -- one-sided ops ---------------------------------------------------------
 
-    def put(self, src: int, dst: int, payload_bytes: float) -> Event:
+    def put(self, src: int, dst: int, payload_bytes: float) -> None:
         """Non-blocking one-sided write of ``payload_bytes`` from src to dst.
 
         The payload is carried as ``ceil(payload / message_bytes)`` small
-        messages injected into the interconnect *now*.  Returns the delivery
-        event; :meth:`quiet` waits on all of a PE's outstanding puts.
+        messages injected into the interconnect *now*; :meth:`quiet` waits
+        for it.  An empty put is a no-op.
 
         Requires peer access (NVLink-mapped memory), as on the testbed.
         """
@@ -159,41 +170,19 @@ class PGASContext:
         if not self.cluster.device(src).can_access_peer(dst):
             raise PermissionError(f"device {src} has no peer access to device {dst}")
         if payload_bytes == 0:
-            ev = self.cluster.engine.event("pgas_put_empty")
-            ev.succeed()
-            return ev
-        ev = self.cluster.interconnect.transfer(
-            src,
-            dst,
-            payload_bytes,
-            message_bytes=self.spec.message_bytes,
-            header_bytes=self.spec.header_bytes,
-            counter=self.COUNTER,
-        )
-        self._outstanding[src].append(ev)
+            return
+        self._send(src, dst, payload_bytes, self.spec.message_bytes)
         self.puts_issued += 1
         self.payload_bytes_issued += payload_bytes
-        return ev
 
-    def atomic_add(self, src: int, dst: int, n_elements: int) -> Event:
+    def atomic_add(self, src: int, dst: int, n_elements: int) -> None:
         """``n_elements`` remote atomic adds (backward-pass gradient scatter)."""
         if n_elements < 0:
             raise ValueError("n_elements must be non-negative")
         payload = float(n_elements * self.spec.atomic_payload_bytes)
         if payload == 0:
-            ev = self.cluster.engine.event("pgas_atomic_empty")
-            ev.succeed()
-            return ev
-        ev = self.cluster.interconnect.transfer(
-            src,
-            dst,
-            payload,
-            message_bytes=self.spec.atomic_payload_bytes,
-            header_bytes=self.spec.header_bytes,
-            counter=self.COUNTER,
-        )
-        self._outstanding[src].append(ev)
-        return ev
+            return
+        self._send(src, dst, payload, self.spec.atomic_payload_bytes)
 
     def register_outstanding(self, src: int, ev: Event) -> None:
         """Track an externally-created transfer so :meth:`quiet` drains it.
@@ -203,6 +192,23 @@ class PGASContext:
         """
         self._outstanding[src].append(ev)
 
+    def _send(self, src: int, dst: int, payload: float, message_bytes: int) -> None:
+        done_at = self.cluster.interconnect.send(
+            src,
+            dst,
+            payload,
+            message_bytes=message_bytes,
+            header_bytes=self.spec.header_bytes,
+            counter=self.COUNTER,
+            on_delivered=self._on_delivered[src],
+        )
+        self._in_flight[src] += 1
+        if done_at > self._last_done[src]:
+            self._last_done[src] = done_at
+
+    def _delivered(self, pe: int, t: float) -> None:
+        self._in_flight[pe] -= 1
+
     def issue_cost(self, n_batches: int = 1) -> float:
         """GPU-side time charged inside the kernel for issuing writes."""
         return self.spec.issue_overhead_ns * n_batches
@@ -210,22 +216,33 @@ class PGASContext:
     # -- completion --------------------------------------------------------------
 
     def pending_puts(self, device_id: int) -> int:
-        """Outstanding (undelivered) puts from one PE."""
+        """Outstanding (undelivered) one-sided ops from one PE.
+
+        In-flight puts and atomics plus still-pending registered events.
+        """
         self._gc(device_id)
-        return len(self._outstanding[device_id])
+        return self._in_flight[device_id] + len(self._outstanding[device_id])
 
     def quiet(self, device_id: int) -> ProcessGenerator:
         """Process generator: drain all outstanding puts from ``device_id``.
 
         NVSHMEM ``nvshmem_quiet`` semantics: returns when every previously
-        issued one-sided op from this PE is complete at its target.
+        issued one-sided op from this PE is complete at its target.  The
+        snapshot is taken at entry, so ops issued after ``quiet`` starts
+        are not waited for.  Puts drain at the latest delivery instant
+        booked so far; the wake-up is scheduled at that absolute instant
+        (``now + (last - now)`` could round past it).
         """
         engine = self.cluster.engine
         self._gc(device_id)
-        pending = list(self._outstanding[device_id])
-        if pending:
-            yield engine.all_of(pending)
-            self._gc(device_id)
+        waits = list(self._outstanding[device_id])
+        last = self._last_done[device_id]
+        if last > engine.now:
+            wake = Event(engine, "quiet")
+            engine.call_at(last, wake.succeed)
+            waits.append(wake)
+        if waits:
+            yield waits[0] if len(waits) == 1 else engine.all_of(waits)
         yield engine.timeout(self.spec.quiet_overhead_ns)
 
     def barrier_all(self) -> ProcessGenerator:

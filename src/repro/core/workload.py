@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -208,6 +208,10 @@ def build_device_workloads(
     chunk_ids = np.arange(B) // samples_per_block
     np.add.at(chunk_dst_counts, (chunk_ids, owners), 1)
     chunk_starts = np.arange(n_chunks) * samples_per_block
+    # Destination bytes depend only on (tables on the device, row bytes), so
+    # devices with the same pair share one read-only tile.  Nothing writes
+    # into block_dst_bytes: transforms copy or build a new array.
+    tiles: Dict[Tuple[int, int], np.ndarray] = {}
 
     workloads: List[DeviceWorkload] = []
     for dev in range(G):
@@ -247,7 +251,11 @@ def build_device_workloads(
         weights = counts.astype(np.float64)
         nnz = int(counts.sum())
         # Destination bytes: the chunk→device byte counts, tiled per table.
-        block_dst = np.tile(chunk_dst_counts * float(rb), (len(tables), 1))
+        block_dst = tiles.get((len(tables), rb))
+        if block_dst is None:
+            block_dst = np.tile(chunk_dst_counts * float(rb), (len(tables), 1))
+            block_dst.flags.writeable = False
+            tiles[len(tables), rb] = block_dst
         workloads.append(
             DeviceWorkload(
                 device_id=dev,

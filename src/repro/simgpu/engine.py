@@ -18,8 +18,10 @@ Design notes
   to wait on several events.
 * The engine is deliberately single-threaded and allocation-light: heap
   entries are plain ``[time, seq, fn]`` lists that ``heapq`` compares in C
-  (a 64-GPU batch schedules about 58k of them), and cancelling one only
-  clears its ``fn`` slot.
+  (a 64-GPU pgas batch schedules about 29k of them), and cancelling one
+  only clears its ``fn`` slot.  Code run once per callback builds no
+  strings and no closures: events schedule their bound
+  ``_run_callbacks``.
 """
 
 from __future__ import annotations
@@ -121,6 +123,13 @@ class Event:
         else:
             self.callbacks.append(fn)
 
+    def _run_callbacks(self) -> None:
+        """Mark triggered and wake every waiter (the engine schedules this)."""
+        self._triggered = True
+        callbacks, self.callbacks = self.callbacks, []
+        for fn in callbacks:
+            fn(self)
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "triggered" if self._triggered else "pending"
         return f"<Event {self.name or hex(id(self))} {state}>"
@@ -134,17 +143,12 @@ class Timeout(Event):
     def __init__(self, engine: "Engine", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout: {delay}")
-        super().__init__(engine, name=f"timeout({delay:.1f}ns)")
+        super().__init__(engine, name="timeout")
         self.delay = delay
         self._value = value
-        engine._schedule(engine.now + delay, self._fire)
-
-    def _fire(self) -> None:
-        self._triggered = True
-        self._ok = True
-        callbacks, self.callbacks = self.callbacks, []
-        for fn in callbacks:
-            fn(self)
+        # _run_callbacks sets _triggered at the firing instant; _ok is
+        # already True from Event.__init__.
+        engine._schedule(engine.now + delay, self._run_callbacks)
 
 
 class AllOf(Event):
@@ -245,7 +249,7 @@ class Process(Event):
         self.generator = generator
         self._waiting_on: Optional[Event] = None
         # Kick off at the current time, after already-queued same-time work.
-        engine._schedule(engine.now, lambda: self._resume(None, None))
+        engine._schedule(engine.now, self._start)
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
@@ -264,6 +268,9 @@ class Process(Event):
         self.engine._schedule(self.engine.now, lambda: self._resume(None, exc))
 
     # -- internal machinery -------------------------------------------------
+
+    def _start(self) -> None:
+        self._resume(None, None)
 
     def _on_event(self, ev: Event) -> None:
         self._waiting_on = None
@@ -415,7 +422,7 @@ class Engine:
         :class:`SimulationError` (catches accidentally-unbounded models).
         """
         queue = self._queue
-        while not event.triggered or self._pending_at_now():
+        while not event._triggered or self._pending_at_now():
             if not queue:
                 if event.triggered:
                     break
@@ -450,13 +457,7 @@ class Engine:
 
     def _schedule_event(self, event: Event) -> None:
         """Queue an event's callbacks to run at the current instant."""
-
-        def fire() -> None:
-            callbacks, event.callbacks = event.callbacks, []
-            for fn in callbacks:
-                fn(event)
-
-        self._schedule(self._now, fire)
+        self._schedule(self._now, event._run_callbacks)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Engine t={self._now:.1f}ns queued={len(self._queue)}>"

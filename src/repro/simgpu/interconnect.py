@@ -155,6 +155,33 @@ class Link:
         """Bandwidth after the current fault derate."""
         return self.spec.bandwidth * self.bandwidth_scale
 
+    def reserve(
+        self, payload_bytes: float, message_bytes: int, header_bytes: int
+    ) -> Tuple[float, float]:
+        """Book the link for a payload; returns ``(start, done_at)``.
+
+        Pure bookkeeping: advances the link's FIFO horizon and statistics
+        but schedules nothing.  The payload occupies the wire from
+        ``start`` and has landed at ``done_at``.
+        """
+        wire = wire_bytes(payload_bytes, message_bytes, header_bytes)
+        if payload_bytes <= 0:
+            n_messages = 0
+        elif message_bytes <= 0:
+            n_messages = 1
+        else:
+            n_messages = math.ceil(payload_bytes / message_bytes)
+        # A downed link queues traffic until it comes back up.
+        start = max(self.engine.now, self._free_at, self.down_until)
+        busy = wire / self.effective_bandwidth + n_messages * self.spec.per_message_ns
+        done_at = start + busy + self.spec.latency_ns + self.extra_latency_ns
+        self._free_at = start + busy
+        self.busy_time += busy
+        self.bytes_carried += wire
+        self.transfer_count += 1
+        self.messages_sent += n_messages
+        return start, done_at
+
     def transfer(
         self,
         payload_bytes: float,
@@ -173,25 +200,10 @@ class Link:
         records traced link spans from it without perturbing the schedule.
         """
         engine = self.engine
-        wire = wire_bytes(payload_bytes, message_bytes, header_bytes)
-        if payload_bytes <= 0:
-            n_messages = 0
-        elif message_bytes <= 0:
-            n_messages = 1
-        else:
-            n_messages = math.ceil(payload_bytes / message_bytes)
-        # A downed link queues traffic until it comes back up.
-        start = max(engine.now, self._free_at, self.down_until)
-        busy = wire / self.effective_bandwidth + n_messages * self.spec.per_message_ns
-        done_at = start + busy + self.spec.latency_ns + self.extra_latency_ns
-        self._free_at = start + busy
+        start, done_at = self.reserve(payload_bytes, message_bytes, header_bytes)
         if on_schedule is not None:
             on_schedule(start, done_at)
-        self.busy_time += busy
-        self.bytes_carried += wire
-        self.transfer_count += 1
-        self.messages_sent += n_messages
-        ev = engine.event(f"xfer{self.src}->{self.dst}")
+        ev = Event(engine, "xfer")
 
         def fire() -> None:
             if on_complete is not None:
@@ -280,6 +292,8 @@ class Interconnect:
         self.topology = topology
         self.profiler = profiler
         self._links: Dict[Tuple[int, int], Link] = {}
+        # (counter, src, dst) -> per-pair sub-counter name, formatted once.
+        self._pair_counters: Dict[Tuple[str, int, int], str] = {}
 
     def link(self, src: int, dst: int) -> Link:
         """The directed link for ``(src, dst)``; raises if unreachable."""
@@ -304,6 +318,48 @@ class Interconnect:
         """
         return self._links.get((src, dst))
 
+    def send(
+        self,
+        src: int,
+        dst: int,
+        payload_bytes: float,
+        *,
+        message_bytes: int,
+        header_bytes: int,
+        counter: str,
+        on_delivered: Optional[Callable[[float], None]] = None,
+    ) -> float:
+        """Move payload from ``src`` to ``dst``; returns the delivery instant.
+
+        Books the link and schedules exactly one callback at delivery, which
+        credits ``counter`` (and its ``.devS->devD`` per-pair sub-counter)
+        with the *payload* bytes — matching the paper's instrument, which
+        counts RDMA-write payload in 256-byte units — and then calls
+        ``on_delivered(t)``.  No :class:`Event` is created: one-sided puts
+        track completion themselves, :meth:`transfer` wraps this in one.
+        """
+        start, done_at = self.link(src, dst).reserve(payload_bytes, message_bytes, header_bytes)
+        prof = self.profiler
+        if prof is not None and prof.active_trace is not None:
+            # Traced transfers additionally record a link-occupancy span so
+            # the critical-path analyser sees individual wire time.  Guarded
+            # on an active trace: untraced runs stay span-for-span identical.
+            prof.record_span(f"xfer.dev{src}->dev{dst}", "link", src, start, done_at)
+        key = (counter, src, dst)
+        pair = self._pair_counters.get(key)
+        if pair is None:
+            pair = self._pair_counters[key] = f"{counter}.dev{src}->dev{dst}"
+
+        def deliver() -> None:
+            if prof is not None:
+                prof.add_count(counter, done_at, payload_bytes)
+                prof.add_count(pair, done_at, payload_bytes)
+            if on_delivered is not None:
+                on_delivered(done_at)
+
+        self.engine.call_at(done_at, deliver)
+        return done_at
+
     def transfer(
         self,
         src: int,
@@ -314,35 +370,22 @@ class Interconnect:
         header_bytes: int = 0,
         counter: Optional[str] = None,
     ) -> Event:
-        """Move payload from ``src`` to ``dst``; stamps the comm counter.
+        """:meth:`send` with an :class:`Event` that succeeds at delivery.
 
-        The counter (default :data:`COUNTER`) is credited with the *payload*
-        bytes at delivery time — matching the paper's instrument, which
-        counts RDMA-write payload in 256-byte units.
+        The counter defaults to :data:`COUNTER`; the event's value is the
+        delivery instant.
         """
-        name = counter or self.COUNTER
-        prof = self.profiler
-
-        def on_complete(t: float) -> None:
-            if prof is not None:
-                prof.add_count(name, t, payload_bytes)
-                prof.add_count(f"{name}.dev{src}->dev{dst}", t, payload_bytes)
-
-        on_schedule = None
-        if prof is not None and prof.active_trace is not None:
-            # Traced transfers additionally record a link-occupancy span so
-            # the critical-path analyser sees individual wire time.  Guarded
-            # on an active trace: untraced runs stay span-for-span identical.
-            def on_schedule(start: float, done_at: float) -> None:
-                prof.record_span(f"xfer.dev{src}->dev{dst}", "link", src, start, done_at)
-
-        return self.link(src, dst).transfer(
+        ev = Event(self.engine, "xfer")
+        self.send(
+            src,
+            dst,
             payload_bytes,
             message_bytes=message_bytes,
             header_bytes=header_bytes,
-            on_complete=on_complete,
-            on_schedule=on_schedule,
+            counter=counter or self.COUNTER,
+            on_delivered=ev.succeed,
         )
+        return ev
 
     # -- statistics -------------------------------------------------------------
 

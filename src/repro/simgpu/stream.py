@@ -67,11 +67,11 @@ class Stream:
         ``factory`` is called (lazily, when the op reaches the head of the
         queue) to produce the process generator that performs the work.
         """
-        op = StreamOp(name, self.engine.event(f"{self}:{name}"), self.engine.now)
+        op = StreamOp(name, Event(self.engine, name), self.engine.now)
         self._queue.append((op, factory))
         if not self._busy:
             self._busy = True
-            self.engine.process(self._dispatch(), name=f"stream{self.device.id}:{self.name}")
+            self.engine.process(self._dispatch(), name=self.name)
         return op
 
     def submit_delay(self, delay_ns: float, name: str = "delay") -> StreamOp:
@@ -86,7 +86,7 @@ class Stream:
 
     def drained(self) -> Event:
         """Event that fires when the stream has no queued or running work."""
-        ev = self.engine.event(f"{self}:drained")
+        ev = Event(self.engine, "drained")
         if not self._busy and not self._queue:
             ev.succeed()
         else:
@@ -129,7 +129,7 @@ class Stream:
             op.started_at = self.engine.now
             gen = factory()
             if gen is not None:
-                result = yield self.engine.process(gen, name=f"{self.name}:{op.name}")
+                result = yield self.engine.process(gen, name=op.name)
             else:
                 result = None
             op.finished_at = self.engine.now

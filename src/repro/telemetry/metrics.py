@@ -27,13 +27,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..simgpu.interconnect import Topology
-from ..simgpu.profiler import Profiler
+from ..simgpu.profiler import Counter, Profiler
 from .timeline import (
     COMM_COUNTER_NAMES,
     COMPUTE_CATEGORIES,
+    _link_series,
     comm_rate_series,
     compute_occupancy_series,
-    link_utilization_series,
     merged_intervals,
     per_pair_comm_counters,
     run_window,
@@ -150,6 +150,46 @@ def _stab_counts(
     return inside > 0
 
 
+def _overlap_sums(
+    profiler: Profiler, pairs: Dict[Tuple[int, int], List[Counter]]
+) -> Tuple[List[float], Dict[int, List[float]]]:
+    """``[hidden, total]`` bytes overall and per source device, in one pass.
+
+    Each counter's sums are added to both accumulators in pair order, so
+    every per-source figure is bit-identical to a pass over that source's
+    pairs alone.
+    """
+    overall = [0.0, 0.0]
+    per_src: Dict[int, List[float]] = {}
+    intervals_of: Dict[int, List[Tuple[float, float]]] = {}
+    for (src, _dst), counters in pairs.items():
+        intervals = intervals_of.get(src)
+        if intervals is None:
+            intervals = merged_intervals(profiler, COMPUTE_CATEGORIES, src)
+            intervals_of[src] = intervals
+            per_src[src] = [0.0, 0.0]
+        sums = per_src[src]
+        for counter in counters:
+            evs = counter.events()
+            if not evs:
+                continue
+            times = np.array([t for t, _ in evs])
+            deltas = np.array([d for _, d in evs])
+            total = float(deltas.sum())
+            hidden = float(deltas[_stab_counts(intervals, times)].sum())
+            overall[0] += hidden
+            overall[1] += total
+            sums[0] += hidden
+            sums[1] += total
+    return overall, per_src
+
+
+def _fraction(hidden: float, total: float) -> Tuple[float, float, float]:
+    if total <= 0:
+        return 0.0, 0.0, 0.0
+    return hidden / total, hidden, total
+
+
 def overlap_fraction(
     profiler: Profiler, device_id: Optional[int] = None
 ) -> Tuple[float, float, float]:
@@ -157,32 +197,16 @@ def overlap_fraction(
 
     A delivered payload byte counts as *hidden* when its delivery instant
     falls inside a merged compute interval on its **source** device (or on
-    any device when ``device_id`` is None — any compute counts).  Because
-    hidden bytes are a subset of delivered bytes, the fraction is bounded
-    by 1.0 by construction.  Returns fraction 0.0 when no traffic moved.
+    a device-less span).  ``device_id`` restricts the sums to traffic that
+    device sourced.  Because hidden bytes are a subset of delivered bytes,
+    the fraction is bounded by 1.0 by construction.  Returns fraction 0.0
+    when no traffic moved.
     """
     pairs = per_pair_comm_counters(profiler)
-    hidden = 0.0
-    total = 0.0
-    cache: Dict[int, List[Tuple[float, float]]] = {}
-    for (src, _dst), counters in pairs.items():
-        if device_id is not None and src != device_id:
-            continue
-        intervals = cache.get(src)
-        if intervals is None:
-            intervals = merged_intervals(profiler, COMPUTE_CATEGORIES, src)
-            cache[src] = intervals
-        for counter in counters:
-            evs = counter.events()
-            if not evs:
-                continue
-            times = np.array([t for t, _ in evs])
-            deltas = np.array([d for _, d in evs])
-            total += float(deltas.sum())
-            hidden += float(deltas[_stab_counts(intervals, times)].sum())
-    if total <= 0:
-        return 0.0, 0.0, 0.0
-    return hidden / total, hidden, total
+    if device_id is not None:
+        pairs = {key: counters for key, counters in pairs.items() if key[0] == device_id}
+    (hidden, total), _ = _overlap_sums(profiler, pairs)
+    return _fraction(hidden, total)
 
 
 def exposed_comm_ns(profiler: Profiler, edges: np.ndarray) -> float:
@@ -249,9 +273,8 @@ def link_stats(
     a topology is supplied, bytes/ns otherwise).
     """
     out: Dict[str, Dict[str, float]] = {}
-    series = link_utilization_series(profiler, edges, topology=topology)
     pairs = per_pair_comm_counters(profiler)
-    for (src, dst), ts in series.items():
+    for (src, dst), ts in _link_series(pairs, edges, topology).items():
         total = sum(c.total for c in pairs.get((src, dst), []))
         out[f"dev{src}->dev{dst}"] = {
             "bytes": float(total),
@@ -283,7 +306,10 @@ def compute_metrics(
 
     reg.record("run_wall_ns", wall, "ns", "end-to-end run window")
 
-    frac, hidden, total = overlap_fraction(profiler)
+    # One walk over the per-pair counters yields the run-wide and every
+    # per-device overlap (the same numbers as overlap_fraction(profiler, d)).
+    overall, per_src = _overlap_sums(profiler, per_pair_comm_counters(profiler))
+    frac, hidden, total = _fraction(*overall)
     reg.record(
         "overlap_fraction", frac, "fraction",
         "share of delivered comm bytes hidden under compute",
@@ -291,7 +317,7 @@ def compute_metrics(
     reg.record("comm_bytes_total", total, "bytes", "delivered comm payload")
     reg.record("comm_bytes_hidden", hidden, "bytes", "payload delivered during compute")
     for dev in range(n_devices):
-        dfrac, _, dtotal = overlap_fraction(profiler, dev)
+        dfrac, _, dtotal = _fraction(*per_src.get(dev, (0.0, 0.0)))
         if dtotal > 0:
             reg.record(
                 f"overlap_fraction.dev{dev}", dfrac, "fraction",

@@ -54,7 +54,7 @@ COMM_COUNTER_NAMES = (Interconnect.COUNTER, PGASContext.COUNTER)
 #: phases at once)
 COMPUTE_CATEGORIES = ("compute", "fused")
 
-#: per-pair sub-counter names stamped by :meth:`Interconnect.transfer`
+#: per-pair sub-counter names stamped by :meth:`Interconnect.send`
 _PAIR_RE = re.compile(r"^(?P<base>[a-z_]+)\.dev(?P<src>\d+)->dev(?P<dst>\d+)$")
 
 
@@ -196,9 +196,18 @@ def link_utilization_series(
     excluded, so a saturated link reads slightly below 1).  Without a
     topology the raw rate in bytes/ns is returned.
     """
+    return _link_series(per_pair_comm_counters(profiler), edges, topology)
+
+
+def _link_series(
+    pairs: Dict[Tuple[int, int], List[Counter]],
+    edges: np.ndarray,
+    topology: Optional[Topology],
+) -> Dict[Tuple[int, int], TimeSeries]:
+    """:func:`link_utilization_series` over already-parsed per-pair counters."""
     widths = np.diff(edges)
     out: Dict[Tuple[int, int], TimeSeries] = {}
-    for (src, dst), counters in sorted(per_pair_comm_counters(profiler).items()):
+    for (src, dst), counters in sorted(pairs.items()):
         vols = np.zeros(len(edges) - 1, dtype=np.float64)
         for counter in counters:
             vols += _bin_volumes(counter, edges)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.comm.pgas import PGASContext, PGASSpec, SymmetricHeap
 from repro.simgpu import dgx_v100
+from repro.simgpu.profiler import TraceRef
 from repro.simgpu.units import us
 
 
@@ -70,10 +71,19 @@ class TestPut:
     def test_basic_put_delivers(self):
         cl = dgx_v100(2)
         ctx = PGASContext(cl)
-        ev = ctx.put(0, 1, 1024.0)
+        assert ctx.put(0, 1, 1024.0) is None
+        assert ctx.pending_puts(0) == 1
         cl.engine.run()
-        assert ev.triggered
+        assert ctx.pending_puts(0) == 0
         assert cl.profiler.counter(PGASContext.COUNTER).total == pytest.approx(1024.0)
+        assert cl.profiler.counter(f"{PGASContext.COUNTER}.dev0->dev1").total == 1024.0
+
+    def test_put_is_one_callback(self):
+        cl = dgx_v100(2)
+        ctx = PGASContext(cl)
+        seq0 = cl.engine._seq
+        ctx.put(0, 1, 1024.0)
+        assert cl.engine._seq == seq0 + 1
 
     def test_put_wire_includes_headers(self):
         cl = dgx_v100(2)
@@ -97,8 +107,35 @@ class TestPut:
     def test_empty_put_is_immediate(self):
         cl = dgx_v100(2)
         ctx = PGASContext(cl)
-        ev = ctx.put(0, 1, 0.0)
-        assert ev.triggered
+        seq0 = cl.engine._seq
+        ctx.put(0, 1, 0.0)
+        assert cl.engine._seq == seq0  # schedules nothing
+        assert cl.interconnect.links() == []
+        assert ctx.pending_puts(0) == 0
+        assert ctx.puts_issued == 0
+
+    def test_traced_put_records_link_span(self):
+        cl = dgx_v100(2)
+        ctx = PGASContext(cl)
+        ref = TraceRef(trace_id=1, batch_id=0)
+        cl.profiler.active_trace = ref
+        ctx.put(0, 1, 1024.0)
+        cl.profiler.active_trace = None
+        cl.engine.run()
+        (span,) = cl.profiler.spans_by_category("link")
+        assert span.name == "xfer.dev0->dev1"
+        assert span.device_id == 0
+        assert span.trace == ref
+        assert span.t_start == 0.0
+        (delivered, _), = cl.profiler.counter(PGASContext.COUNTER).events()
+        assert span.t_end == delivered
+
+    def test_untraced_put_records_no_span(self):
+        cl = dgx_v100(2)
+        ctx = PGASContext(cl)
+        ctx.put(0, 1, 1024.0)
+        cl.engine.run()
+        assert cl.profiler.spans == []
 
     def test_negative_put_rejected(self):
         ctx = PGASContext(dgx_v100(2))
@@ -122,9 +159,27 @@ class TestAtomics:
         cl.engine.run()
         assert cl.profiler.counter(PGASContext.COUNTER).total == pytest.approx(800.0)
 
+    def test_atomic_add_is_awaited_by_quiet(self):
+        cl = dgx_v100(2)
+        ctx = PGASContext(cl, PGASSpec(atomic_payload_bytes=8, quiet_overhead_ns=0.0))
+        assert ctx.atomic_add(0, 1, 1_000_000) is None
+        assert ctx.pending_puts(0) == 1
+
+        def host(cluster):
+            yield from ctx.quiet(0)
+
+        elapsed = cl.run(host)
+        (delivered, _), = cl.profiler.counter(PGASContext.COUNTER).events()
+        assert elapsed == delivered
+        assert ctx.pending_puts(0) == 0
+
     def test_zero_atomics_immediate(self):
-        ctx = PGASContext(dgx_v100(2))
-        assert ctx.atomic_add(0, 1, 0).triggered
+        cl = dgx_v100(2)
+        ctx = PGASContext(cl)
+        seq0 = cl.engine._seq
+        assert ctx.atomic_add(0, 1, 0) is None
+        assert cl.engine._seq == seq0
+        assert ctx.pending_puts(0) == 0
 
     def test_negative_rejected(self):
         ctx = PGASContext(dgx_v100(2))
@@ -199,6 +254,71 @@ class TestCompletion:
 
         cl.run(host)
         assert ev.triggered
+
+    def test_pending_puts_counts_in_flight_and_external(self):
+        cl = dgx_v100(3)
+        ctx = PGASContext(cl)
+        ctx.put(0, 1, 100.0)
+        ctx.put(0, 2, 100.0)
+        ctx.atomic_add(0, 1, 4)
+        external = cl.interconnect.transfer(0, 2, 1000.0)
+        ctx.register_outstanding(0, external)
+        delivered = cl.engine.event()
+        delivered.succeed()
+        ctx.register_outstanding(0, delivered)  # already triggered: not pending
+        assert ctx.pending_puts(0) == 4
+        assert ctx.pending_puts(1) == 0
+        cl.engine.run()
+        assert ctx.pending_puts(0) == 0
+
+    def test_quiet_wakes_at_exactly_the_last_delivery(self):
+        cl = dgx_v100(3)
+        ctx = PGASContext(cl, PGASSpec(quiet_overhead_ns=0.0))
+        woke = []
+
+        def host(cluster):
+            # Chosen so that ``now + (last - now)`` rounds to a float other
+            # than ``last``: a relative timeout would wake at the wrong time.
+            yield cluster.engine.timeout(1000.0 / 3.0)
+            ctx.put(0, 1, 1e4 / 7.0)
+            yield cluster.engine.timeout(0.1)
+            ctx.put(0, 2, 98e3 / 7.0)
+            ctx.put(0, 1, 10.0)
+            yield cluster.engine.timeout(0.7)
+            woke.append(cluster.engine.now)
+            yield from ctx.quiet(0)
+            woke.append(cluster.engine.now)
+
+        cl.run(host)
+        cl.engine.run()
+        prof = cl.profiler
+        deliveries = [t for t, _ in prof.counter(PGASContext.COUNTER).events()]
+        assert len(deliveries) == 3
+        entered, last = woke[0], max(deliveries)
+        assert entered + (last - entered) != last  # the rounding case
+        assert woke[1] == last
+
+    def test_put_issued_after_quiet_starts_is_not_awaited(self):
+        cl = dgx_v100(2)
+        ctx = PGASContext(cl, PGASSpec(quiet_overhead_ns=0.0))
+        seen = {}
+
+        def host(cluster):
+            engine = cluster.engine
+            ctx.put(0, 1, 4800.0)  # ~100 ns of wire
+            q = engine.process(ctx.quiet(0))
+            yield engine.timeout(1.0)  # quiet has taken its snapshot
+            ctx.put(0, 1, 48.0 * 1e6)  # ~1 ms, queued behind the first
+            yield q
+            seen["quiet_done"] = engine.now
+            seen["pending"] = ctx.pending_puts(0)
+
+        cl.run(host)
+        cl.engine.run()  # deliver the late put too
+        first, second = (t for t, _ in cl.profiler.counter(PGASContext.COUNTER).events())
+        assert seen["quiet_done"] == first
+        assert seen["pending"] == 1
+        assert second > 1e6
 
 
 class TestOverlapSemantics:

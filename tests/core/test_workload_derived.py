@@ -159,6 +159,77 @@ class TestOutputBytesByDst:
         assert isinstance(DeviceWorkload.__dict__["output_bytes_by_dst"], property)
 
 
+# -- one read-only destination tile per (tables, row bytes) --------------------
+
+
+class TestSharedTile:
+    def test_same_shape_devices_share_one_read_only_tile(self):
+        _, _, wls = built()
+        assert {wl.num_local_tables for wl in wls} == {3}
+        tile = wls[0].block_dst_bytes
+        assert all(wl.block_dst_bytes is tile for wl in wls)
+        assert not tile.flags.writeable
+        with pytest.raises(ValueError):
+            tile[0, 0] = 1.0
+
+    def test_different_table_counts_get_their_own_tile(self):
+        cfg = dataclasses.replace(CFG, num_tables=13)
+        plan = TableWiseSharding(cfg.table_configs(), G)
+        wls = build_device_workloads(plan, SyntheticDataGenerator(cfg).lengths_batch())
+        by_shape = {}
+        for wl in wls:
+            by_shape.setdefault(wl.num_local_tables, set()).add(id(wl.block_dst_bytes))
+        assert len(by_shape) == 2
+        assert all(len(ids) == 1 for ids in by_shape.values())
+        assert_totals_fresh(wls)
+
+    def tile_snapshot(self, wls):
+        tile = wls[0].block_dst_bytes
+        return tile, tile.copy(), [wl.output_bytes_by_dst.copy() for wl in wls]
+
+    def assert_tile_untouched(self, wls, snapshot):
+        tile, before, totals = snapshot
+        np.testing.assert_array_equal(tile, before)
+        assert_totals_fresh(wls)
+        for wl, total in zip(wls, totals):
+            np.testing.assert_array_equal(wl.output_bytes_by_dst, total)
+
+    def test_rehome_leaves_tile_and_totals_intact(self):
+        plan, _, wls = built()
+        snap = self.tile_snapshot(wls)
+        owners = {t.name: (plan.owner_of(t.name) + 1) % G for t in plan.table_configs}
+        moved = rehome_workloads(plan, wls, owners)
+        assert_totals_fresh(moved)
+        assert all(m.block_dst_bytes.flags.writeable for m in moved)
+        self.assert_tile_untouched(wls, snap)
+
+    def test_compress_leaves_tile_and_totals_intact(self):
+        emb = DistributedEmbedding(
+            CFG, G, backend="pgas+compress",
+            features=FeatureSpec(compression=CompressionSpec(codec="int8")),
+        )
+        wls = emb.build_workloads(SyntheticDataGenerator(CFG).lengths_batch())
+        snap = self.tile_snapshot(wls)
+        scaled = emb.backend_adapter()._scaled_workloads(wls)
+        assert_totals_fresh(scaled)
+        assert all(s.block_dst_bytes is not snap[0] for s in scaled)
+        self.assert_tile_untouched(wls, snap)
+
+    def test_resilience_leaves_tile_and_totals_intact(self):
+        emb = DistributedEmbedding(
+            CFG, G, backend="pgas+resilient",
+            features=FeatureSpec(resilience=ResilienceSpec()),
+        )
+        wls = emb.build_workloads(SyntheticDataGenerator(CFG).lengths_batch())
+        snap = self.tile_snapshot(wls)
+        # Strip only the first device: the others keep sharing the tile.
+        stripped = emb.backend_adapter()._strip_remote(wls[:1]) + wls[1:]
+        assert stripped[0].remote_output_bytes == 0
+        assert all(s.block_dst_bytes is snap[0] for s in stripped[1:])
+        assert_totals_fresh(stripped)
+        self.assert_tile_untouched(wls, snap)
+
+
 # -- build_device_workloads against the per-table formulas ---------------------
 
 

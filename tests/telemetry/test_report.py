@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.retrieval import DistributedEmbedding
 from repro.dlrm.data import SyntheticDataGenerator, WorkloadConfig
+from repro.simgpu.cluster import pcie_node
 from repro.simgpu.profiler import Profiler
 from repro.telemetry import (
     QUEUE_DEPTH_COUNTER,
     ReportValidationError,
     RunReport,
     collect_run_report,
+    compute_metrics,
+    overlap_fraction,
     validate_report,
 )
 
@@ -201,3 +206,41 @@ class TestCollection:
         p.record_span("k", "compute", 0, 0.0, 100.0)
         with pytest.raises(TypeError):
             collect_run_report(p, backend="pgas", n_devices=1, workload=object())
+
+
+class TestSinglePassOverlap:
+    """The metrics walk the per-pair counters once; nothing may move."""
+
+    @pytest.fixture(scope="class")
+    def mixed_run(self):
+        # A pgas batch (hidden under its fused span) around a smaller
+        # baseline batch (exposed all-to-all) on one profiler, so every
+        # overlap figure is a non-trivial sum over both kinds of counter.
+        cfg = WorkloadConfig(num_tables=32, dim=64, batch_size=1024, max_pooling=2, seed=3)
+        emb = DistributedEmbedding(cfg, 8, backend="pgas", cluster=pcie_node(8))
+        gen = SyntheticDataGenerator(cfg)
+        emb.forward_timed(gen.lengths_batch())
+        small = SyntheticDataGenerator(replace(cfg, batch_size=600, seed=4))
+        emb.forward_timed(small.lengths_batch(), backend="baseline")
+        emb.forward_timed(gen.lengths_batch())
+        return emb.cluster
+
+    def test_report_json_matches_the_per_device_implementation(self, mixed_run):
+        # Digest of the report as produced when compute_metrics called
+        # overlap_fraction once per device (G + 1 parses of the counters).
+        report = collect_run_report(
+            mixed_run.profiler, backend="pgas", n_devices=8, topology=mixed_run.topology
+        )
+        digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+        assert digest == "d42e58d2d613fc66cdc43633ab6cd2382e9b39704e9ec7265ed611d11502e445"
+        assert report.metric("overlap_fraction") == 0.7734138972809668
+
+    def test_metrics_equal_public_overlap_fraction(self, mixed_run):
+        prof = mixed_run.profiler
+        reg = compute_metrics(prof, 8, topology=mixed_run.topology)
+        frac, hidden, total = overlap_fraction(prof)
+        assert (reg.value("overlap_fraction"), reg.value("comm_bytes_hidden"),
+                reg.value("comm_bytes_total")) == (frac, hidden, total)
+        for dev in range(8):
+            assert reg.value(f"overlap_fraction.dev{dev}") == overlap_fraction(prof, dev)[0]
+        assert overlap_fraction(prof, 99) == (0.0, 0.0, 0.0)

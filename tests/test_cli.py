@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -31,6 +36,51 @@ class TestParser:
     def test_defaults(self):
         args = build_parser().parse_args(["run"])
         assert args.tables == 64 and args.gpus == 2
+
+
+class TestTypedErrors:
+    """Bad inputs exit 2 with one argparse ``error:`` line, no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["cachesweep", "--alphas", "0.9"], "--alphas"),
+            (["cachesweep", "--alphas", "1.1", "1.0"], "--alphas"),
+            (["cachesweep", "--alphas", "nan"], "--alphas"),
+            (["cachesweep", "--alphas", "steep"], "--alphas"),
+            (["trace", "--zipf", "0.5"], "--zipf"),
+            (["run", "--tables", "0"], "--tables"),
+            (["run", "--gpus", "0"], "--gpus"),
+            (["run", "--gpus", "-3"], "--gpus"),
+            (["run", "--batch", "two"], "--batch"),
+            (["metrics", "--gpus", "0"], "--gpus"),
+        ],
+    )
+    def test_exits_2_naming_the_flag(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert f"argument {flag}" in errors[0]
+        assert "Traceback" not in err
+
+    def test_valid_values_still_parse(self):
+        args = build_parser().parse_args(["cachesweep", "--alphas", "1.05", "2"])
+        assert args.alphas == [1.05, 2.0]
+        assert build_parser().parse_args(["run", "--gpus", "1"]).gpus == 1
+
+    def test_module_entry_point(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "cachesweep", "--alphas", "0.9"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "argument --alphas: zipf alpha must be > 1, got 0.9" in proc.stderr
 
 
 class TestRun:
