@@ -17,7 +17,7 @@ Run:  python examples/fault_tolerant_serving.py
 
 from __future__ import annotations
 
-from repro import FaultInjector, FaultPlan, ResilienceSpec, WorkloadConfig
+from repro import FaultInjector, FaultPlan, FeatureSpec, ResilienceSpec, WorkloadConfig
 from repro.bench.faultsweep import run_fault_sweep
 from repro.core.pipeline import DLRMInferencePipeline, PipelineConfig
 from repro.core.serving import InferenceServer, ServingSpec
@@ -57,7 +57,7 @@ def main() -> None:
     for label, sev in (("healthy", 0.0), ("faulty", severity)):
         pipeline = DLRMInferencePipeline(
             PipelineConfig(workload=config), n_gpus,
-            backend="pgas+resilient", resilience=resilience,
+            backend="pgas+resilient", features=FeatureSpec(resilience=resilience),
         )
         plan = FaultPlan.generate(n_gpus, 2 * ms, severity=sev, seed=7)
         FaultInjector(pipeline.cluster, plan).install()

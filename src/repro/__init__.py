@@ -25,7 +25,8 @@ Packages
     paced shard streaming — the ``"+reshard"`` backends.
 :mod:`repro.hier`
     Topology-aware hierarchical communication: two-level all-to-all and
-    node-leader PGAS staging — the ``"+hier"`` backends.
+    node-leader PGAS staging — the routing layer of the ``"+hier"``
+    backends.
 :mod:`repro.dlrm`
     Numpy DLRM: embedding tables, jagged batches, MLPs, interaction,
     synthetic data.
@@ -101,9 +102,8 @@ from .replication import ReplicatedRetrieval, ReplicationSpec
 from . import reshard
 from .reshard import ReshardRetrieval, ReshardSpec
 
-# Importing repro.hier registers the "+hier" backends; keep it after core.
 from . import hier
-from .hier import HierRetrieval, HierSpec
+from .hier import HierSpec
 from .dlrm import (
     DLRM,
     DLRMConfig,
@@ -145,7 +145,6 @@ __all__ = [
     "FaultPlan",
     "FeatureSpec",
     "ForwardResult",
-    "HierRetrieval",
     "HierSpec",
     "JaggedField",
     "MetricsRegistry",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.baseline import PhaseTiming
-from ..core.retrieval import DistributedEmbedding
+from ..core.factory import build_backend
 from ..core.runspec import RunSpec, preset_runspec
 from ..dlrm.data import SyntheticDataGenerator
 from ..obs import TraceSpec
@@ -232,7 +232,7 @@ def run_critpath(
 
     result = CritPathResult(preset=preset, n_devices=n_devices, n_batches=n_batches)
     for backend in backends:
-        emb = DistributedEmbedding.from_spec(spec, backend=backend)
+        emb = build_backend(spec, backend=backend)
         gen = SyntheticDataGenerator(cfg)
         timing = PhaseTiming()
         for _ in range(n_batches):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.baseline import PhaseTiming
-from ..core.retrieval import DistributedEmbedding
+from ..core.factory import build_backend
 from ..core.runspec import PRESETS, RunSpec, preset_runspec
 from ..dlrm.data import SyntheticDataGenerator, WorkloadConfig
 from ..simgpu.units import to_ms
@@ -156,7 +156,7 @@ def run_metrics(
         preset=preset, workload=cfg, n_devices=n_devices, n_batches=n_batches
     )
     for backend in backends:
-        emb = DistributedEmbedding.from_spec(spec, backend=backend)
+        emb = build_backend(spec, backend=backend)
         gen = SyntheticDataGenerator(cfg)
         total = PhaseTiming()
         for _ in range(n_batches):

@@ -56,10 +56,10 @@ __all__ = [
 
 
 def cached_retrieval_for(emb, base: str) -> CachedRetrieval:
-    """Build a :class:`CachedRetrieval` bound to a
-    :class:`~repro.core.retrieval.DistributedEmbedding` (the registry
+    """Build a :class:`CachedRetrieval` bound to an
+    :class:`~repro.core.retrieval.EmbeddingHost` (the registry
     factories' shared implementation)."""
-    config = emb.cache_config
+    config = emb.features.cache
     if config is not None and not isinstance(config, CacheConfig):
         raise TypeError(
             f"DistributedEmbedding cache must be a CacheConfig, got {type(config).__name__}"

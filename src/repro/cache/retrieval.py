@@ -44,11 +44,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.baseline import BaselineRetrieval, PhaseTiming
+from ..core.baseline import PhaseTiming
 from ..core.calibration import EMB_SAMPLES_PER_BLOCK
 from ..core.functional import ShardedEmbeddingTables
-from ..core.pgas_retrieval import PGASFusedRetrieval
-from ..core.retrieval import RetrievalBackend
+from ..core.retrieval import RetrievalBackend, base_engine
 from ..core.sharding import TableWiseSharding, minibatch_bounds, sample_owner
 from ..core.workload import DeviceWorkload
 from ..dlrm.batch import SparseBatch
@@ -133,12 +132,7 @@ class CachedRetrieval(RetrievalBackend):
         pgas_spec=None,
         sharded: Optional[ShardedEmbeddingTables] = None,
     ):
-        if base == "pgas":
-            self.base = PGASFusedRetrieval(cluster, pgas_spec)
-        elif base == "baseline":
-            self.base = BaselineRetrieval(cluster, collective_spec)
-        else:
-            raise ValueError(f"unknown base backend {base!r} (use 'pgas' or 'baseline')")
+        self.base = base_engine(base, cluster, collective_spec, pgas_spec)
         if cluster.n_devices != plan.n_devices:
             raise ValueError(
                 f"cluster has {cluster.n_devices} devices, plan has {plan.n_devices}"
@@ -345,14 +339,26 @@ class CachedRetrieval(RetrievalBackend):
     def batch_process(
         self,
         cluster: Cluster,
-        cplan: CacheBatchPlan,
+        workloads: Sequence[DeviceWorkload],
         timing: PhaseTiming,
+        *,
+        batch: Optional[SparseBatch] = None,
         stream_suffix: str = "",
     ):
-        """Process generator for one planned batch — composable into larger
-        host programs (the inference pipeline's EMB stage).
-        ``stream_suffix`` passes through to the wrapped backend's per-batch
-        stream set."""
+        """Process generator for one batch — composable into larger host
+        programs (the inference pipeline's EMB stage).
+
+        The cache pass runs now, before the generator is returned, so cache
+        state advances at batch submission: interleaved batches (serving
+        with several in flight) see it in submission order.  ``workloads``
+        is ignored — the adjusted workloads come from ``batch``."""
+        if batch is None:
+            raise ValueError("cached backends need the SparseBatch (index values)")
+        return self._plan_process(cluster, self.plan_batch(batch), timing, stream_suffix)
+
+    def _plan_process(
+        self, cluster: Cluster, cplan: CacheBatchPlan, timing: PhaseTiming, stream_suffix: str
+    ):
         yield from self.base.batch_process(
             cluster, cplan.workloads, timing, stream_suffix=stream_suffix
         )

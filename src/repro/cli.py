@@ -618,19 +618,7 @@ def _cmd_backends(args: argparse.Namespace) -> int:
 
     rows = []
     for info in available_backends():
-        flags = [info.base]
-        if info.cached:
-            flags.append("cache")
-        if info.resilient:
-            flags.append("resilient")
-        if info.compressed:
-            flags.append("compress")
-        if info.replicated:
-            flags.append("replication")
-        if info.resharded:
-            flags.append("reshard")
-        if info.hierarchical:
-            flags.append("hier")
+        flags = [info.base, *info.features]
         if info.requires_indices:
             flags.append("indices")
         if info.traceable:

@@ -84,10 +84,10 @@ __all__ = [
 
 
 def compressed_retrieval_for(emb, base: str) -> CompressedRetrieval:
-    """Build a :class:`CompressedRetrieval` bound to a
-    :class:`~repro.core.retrieval.DistributedEmbedding` (the registry
+    """Build a :class:`CompressedRetrieval` bound to an
+    :class:`~repro.core.retrieval.EmbeddingHost` (the registry
     factories' shared implementation)."""
-    spec = emb.compression_config
+    spec = emb.features.compression
     if spec is not None and not isinstance(spec, CompressionSpec):
         raise TypeError(
             f"DistributedEmbedding compression must be a CompressionSpec, "

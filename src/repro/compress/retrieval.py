@@ -43,10 +43,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..comm.pgas import PGASSpec
-from ..core.baseline import BaselineRetrieval, PhaseTiming
-from ..core.functional import ShardedEmbeddingTables
-from ..core.pgas_retrieval import PGASFusedRetrieval
-from ..core.retrieval import RetrievalBackend
+from ..core.baseline import PhaseTiming
+from ..core.functional import ShardedEmbeddingTables, functional_forward
+from ..core.retrieval import RetrievalBackend, base_engine
 from ..core.sharding import TableWiseSharding, minibatch_bounds
 from ..core.workload import DeviceWorkload, unpack_bytes_received
 from ..dlrm.batch import SparseBatch
@@ -147,8 +146,6 @@ class CompressedRetrieval(RetrievalBackend):
         pgas_spec=None,
         sharded: Optional[ShardedEmbeddingTables] = None,
     ):
-        if base not in ("pgas", "baseline"):
-            raise ValueError(f"unknown base backend {base!r} (use 'pgas' or 'baseline')")
         if cluster.n_devices != plan.n_devices:
             raise ValueError(
                 f"cluster has {cluster.n_devices} devices, plan has {plan.n_devices}"
@@ -178,10 +175,7 @@ class CompressedRetrieval(RetrievalBackend):
                 eff_pgas_spec = dataclasses.replace(
                     pgas_spec or PGASSpec(), message_bytes=self._row_wire_bytes
                 )
-        if base == "pgas":
-            self.base = PGASFusedRetrieval(cluster, eff_pgas_spec)
-        else:
-            self.base = BaselineRetrieval(cluster, collective_spec)
+        self.base = base_engine(base, cluster, collective_spec, eff_pgas_spec)
         #: lifetime error accumulation across functional batches
         self.errors = CompressionErrorStats()
         #: error stats of the most recent functional batch (None before one)
@@ -229,30 +223,20 @@ class CompressedRetrieval(RetrievalBackend):
 
     # -- timed path ---------------------------------------------------------------
 
-    def run_timed(
-        self,
-        workloads: Sequence[DeviceWorkload],
-        batch: Optional[SparseBatch] = None,
-    ) -> PhaseTiming:
-        """Simulate one batch; decode is charged on the destinations."""
-        if self.passthrough:
-            # Zero-overhead passthrough: same events, spans, counters, and
-            # timing as the bare base backend.
-            return self.base.run_batch(workloads)
-        timing = PhaseTiming(batches=1)
-        self.cluster.run(lambda cl: self.batch_process(cl, workloads, timing))
-        return timing
-
     def batch_process(
         self,
         cluster: Cluster,
         workloads: Sequence[DeviceWorkload],
         timing: PhaseTiming,
+        *,
+        batch: Optional[SparseBatch] = None,
         stream_suffix: str = "",
     ):
         """Process generator for one batch — composable into larger host
-        programs.  ``stream_suffix`` passes through to the wrapped backend's
-        per-batch stream set."""
+        programs; decode is charged on the destinations.  The ``fp32``
+        passthrough is the bare base engine's generator (same events,
+        spans, counters and timing).  ``stream_suffix`` passes through to
+        the wrapped backend's per-batch stream set."""
         if self.passthrough:
             yield from self.base.batch_process(
                 cluster, workloads, timing, stream_suffix=stream_suffix
@@ -340,15 +324,7 @@ class CompressedRetrieval(RetrievalBackend):
         if self.sharded is None:
             raise ValueError("functional forward needs materialize=True weights")
         if self.passthrough:
-            from ..core.functional import (
-                baseline_functional_forward,
-                pgas_functional_forward,
-            )
-
-            if self.base_name == "pgas":
-                return pgas_functional_forward(self.sharded, batch)
-            outputs, _blocks = baseline_functional_forward(self.sharded, batch)
-            return outputs
+            return functional_forward(self.base_name, self.sharded, batch)
 
         plan = self.table_plan
         G = plan.n_devices

@@ -1,25 +1,21 @@
-"""Unified backend factory: one canonical way to compose feature stacks.
+"""Unified backend factory: the one place a backend name becomes an adapter.
 
-Historically every call site composed its own wrapper stack: ``cli.py``
-picked constructor kwargs by hand, each ``bench/*sweep`` built its
-``DistributedEmbedding`` with the one feature kwarg it cared about, and
-the registry entries in each feature package duplicated the
-``<feature>_retrieval_for(emb, base)`` plumbing.  This module is the
-single place that knows how a backend name decomposes and how the
-feature wrappers attach:
+This module is the single place that knows how a backend name
+decomposes and how the feature wrappers attach:
 
 * :class:`FeatureSpec` — the one bag of per-feature configs
   (cache / resilience / compression / replication / reshard / hier /
-  obs) that
-  :class:`~repro.core.retrieval.DistributedEmbedding` now takes as its
+  obs) that :class:`~repro.core.retrieval.DistributedEmbedding` and
+  :class:`~repro.core.pipeline.DLRMInferencePipeline` take as their
   ``features=`` keyword;
 * :func:`parse_backend_name` — splits ``"<base>+<feature>"`` names and
   rejects malformed stacks (empty segments, unknown features, duplicate
   features, multi-feature stacks) with errors that name the offending
   stack;
 * :func:`build_adapter` — builds the adapter for any registered backend
-  name from the parsed form; the per-package registry entries are thin
-  aliases over this function;
+  name from the parsed form; every registry entry is a thin alias over
+  this function, so the embedding module, the inference pipeline, the
+  serving loop and the training step all build their EMB stage here;
 * :func:`build_backend` — the top-level entry: a fully-composed
   :class:`~repro.core.retrieval.DistributedEmbedding` from a
   :class:`~repro.core.runspec.RunSpec` alone, adapter pre-built so
@@ -57,11 +53,12 @@ CANONICAL_FEATURE_ORDER: Tuple[str, ...] = (
     "reshard",
 )
 
-#: feature suffix → (defining module, adapter-builder function).  The
-#: module import is deferred to adapter build time so ``repro.core`` never
-#: imports the feature packages (they import *it* to register themselves).
+#: wrapper feature suffix → (defining module, adapter-builder function).
+#: ``hier`` has no wrapper: a ``"+hier"`` name builds the base adapter
+#: with its HierSpec attached.  The module import is deferred to adapter
+#: build time so ``repro.core`` never imports the feature packages (they
+#: import *it* to register themselves).
 _FEATURE_BUILDERS: Dict[str, Tuple[str, str]] = {
-    "hier": ("repro.hier", "hier_retrieval_for"),
     "cache": ("repro.cache", "cached_retrieval_for"),
     "compress": ("repro.compress", "compressed_retrieval_for"),
     "resilient": ("repro.faults", "resilient_retrieval_for"),
@@ -71,15 +68,15 @@ _FEATURE_BUILDERS: Dict[str, Tuple[str, str]] = {
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """Per-feature configuration bundle of one ``DistributedEmbedding``.
+    """Per-feature configuration bundle of one EMB host.
 
     Each field configures the wrapper the matching ``+<feature>`` backend
     suffix selects; fields for features the chosen backend does not use
     are ignored (a spec can be shared across A/B backend comparisons).
     Field types are validated where they are consumed — the ``obs``
-    section at :class:`~repro.core.retrieval.DistributedEmbedding`
-    construction, each feature config when its adapter is built — so a
-    ``FeatureSpec`` never imports feature packages it does not mention.
+    section at host construction, each feature config when its adapter
+    is built — so a ``FeatureSpec`` never imports feature packages it
+    does not mention.
 
     Attributes
     ----------
@@ -133,7 +130,7 @@ def parse_backend_name(name: str) -> Tuple[str, Tuple[str, ...]]:
             f"(expected '<base>' or '<base>+<feature>')"
         )
     base, features = parts[0], tuple(parts[1:])
-    unknown = [f for f in features if f not in _FEATURE_BUILDERS]
+    unknown = [f for f in features if f not in CANONICAL_FEATURE_ORDER]
     if unknown:
         raise ValueError(
             f"malformed backend stack {name!r}: unknown feature(s) "
@@ -157,22 +154,25 @@ def parse_backend_name(name: str) -> Tuple[str, Tuple[str, ...]]:
     return base, features
 
 
-def build_adapter(emb, name: str):
-    """Build the retrieval adapter for backend ``name`` bound to ``emb``.
+def build_adapter(host, name: str):
+    """Build the retrieval adapter for backend ``name`` bound to ``host``.
 
-    The shared implementation behind every registered feature backend:
-    registry entries are thin ``lambda emb: build_adapter(emb, name)``
-    aliases, so composition lives in exactly one place.  Bare base names
-    fall through to the registry's own factories.
+    ``host`` is a :class:`~repro.core.retrieval.EmbeddingHost` — a
+    ``DistributedEmbedding`` or an inference pipeline.  The shared
+    implementation behind every registered backend: registry entries are
+    thin ``lambda host: build_adapter(host, name)`` aliases, so
+    composition lives in exactly one place.  Bare base names and
+    ``"+hier"`` build the base adapter; every other feature builds its
+    wrapper around the same base engine.
     """
     base, features = parse_backend_name(name)
-    if not features:
-        from .retrieval import backend_spec
+    if not features or features == ("hier",):
+        from .retrieval import BaseRetrieval
 
-        return backend_spec(base).factory(emb)
+        return BaseRetrieval(host, base, hierarchical=bool(features))
     module_name, builder_name = _FEATURE_BUILDERS[features[0]]
     builder = getattr(importlib.import_module(module_name), builder_name)
-    return builder(emb, base)
+    return builder(host, base)
 
 
 def build_backend(
@@ -186,27 +186,18 @@ def build_backend(
     """A fully-composed :class:`~repro.core.retrieval.DistributedEmbedding`
     from a :class:`~repro.core.runspec.RunSpec` alone.
 
-    Every feature section the spec carries (cache, resilience,
-    compression, replication, reshard, obs) lands in the instance's
-    :class:`FeatureSpec`; the backend adapter is built eagerly, so a
-    malformed stack or a bad config fails here, loudly, instead of at the
-    first forward.  ``overrides`` pass through to the constructor (e.g.
-    ``backend=...`` for A/B runs on one spec).
+    Every feature section the spec carries lands in the instance's
+    :class:`FeatureSpec` (:meth:`~repro.core.runspec.RunSpec.feature_spec`);
+    the backend adapter is built eagerly, so a malformed stack or a bad
+    config fails here, loudly, instead of at the first forward.
+    ``overrides`` pass through to the constructor (e.g. ``backend=...``
+    for A/B runs on one spec).
     """
     from .retrieval import DistributedEmbedding
 
-    features = FeatureSpec(
-        cache=runspec.cache,
-        resilience=runspec.resilience,
-        compression=runspec.compression,
-        replication=runspec.replication,
-        reshard=runspec.reshard,
-        hier=runspec.hier,
-        obs=runspec.obs,
-    )
     kwargs = dict(
         backend=runspec.backend,
-        features=features,
+        features=runspec.feature_spec(),
         materialize=materialize,
         cluster=cluster,
         rng=rng,

@@ -39,6 +39,7 @@ __all__ = [
     "ShardedEmbeddingTables",
     "reference_forward",
     "baseline_functional_forward",
+    "functional_forward",
     "pgas_functional_forward",
     "SendBlock",
 ]
@@ -175,6 +176,22 @@ def baseline_functional_forward(
             final[:, cols, :] = block.data
         outputs.append(final)
     return outputs, blocks
+
+
+def functional_forward(
+    base: str, sharded: ShardedEmbeddingTables, batch: SparseBatch
+) -> List[np.ndarray]:
+    """Per-device ``(B_g, F, d)`` outputs of base strategy ``base``.
+
+    The one dispatch from a backend's base name to its numpy forward;
+    every adapter's functional path goes through here.
+    """
+    if base == "pgas":
+        return pgas_functional_forward(sharded, batch)
+    if base == "baseline":
+        outputs, _blocks = baseline_functional_forward(sharded, batch)
+        return outputs
+    raise ValueError(f"unknown base backend {base!r} (use 'pgas' or 'baseline')")
 
 
 def pgas_functional_forward(

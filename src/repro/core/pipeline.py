@@ -14,9 +14,13 @@ EMB layer:
    mini-batch;
 4. device synchronisation.
 
-The EMB step is the pluggable part: either retrieval backend's
-``batch_process`` composes here unchanged, so the pipeline quantifies what
-the paper's EMB-layer speedups mean for whole-model latency (Amdahl).
+The EMB step is the pluggable part: the pipeline is an
+:class:`~repro.core.retrieval.EmbeddingHost`, so it gets its EMB adapter
+for any registered backend from the same factory call a
+:class:`~repro.core.retrieval.DistributedEmbedding` uses, and that
+adapter's ``batch_process`` composes here unchanged.  The pipeline thus
+quantifies what the paper's EMB-layer speedups (and every feature
+transform's) mean for whole-model latency (Amdahl).
 """
 
 from __future__ import annotations
@@ -32,15 +36,15 @@ from ..dlrm.batch import SparseBatch
 from ..dlrm.data import WorkloadConfig
 from ..dlrm.interaction import interaction_output_dim
 from ..obs import traced, trace_scope
-from ..simgpu.cluster import Cluster, dgx_v100
+from ..simgpu.cluster import Cluster
 from ..simgpu.engine import ProcessGenerator
 from ..simgpu.kernel import KernelSpec, execute_kernel
 from ..simgpu.profiler import TraceRef
 from ..simgpu.units import gbps
-from .baseline import BaselineRetrieval, PhaseTiming
+from .baseline import PhaseTiming
 from .calibration import INDEX_BYTES, OFFSET_BYTES
-from .pgas_retrieval import PGASFusedRetrieval
-from .retrieval import BackendName, backend_spec
+from .factory import FeatureSpec
+from .retrieval import BackendName, EmbeddingHost, backend_spec
 from .sharding import TableWiseSharding, minibatch_bounds
 from .workload import DeviceWorkload, build_device_workloads, lengths_from_batch
 
@@ -129,7 +133,7 @@ class PipelineTiming:
         return out
 
 
-class DLRMInferencePipeline:
+class DLRMInferencePipeline(EmbeddingHost):
     """Full-model timed inference with a pluggable EMB backend."""
 
     def __init__(
@@ -144,9 +148,7 @@ class DLRMInferencePipeline:
         h2d_bandwidth: float = H2D_BANDWIDTH,
         overlap_input_staging: bool = False,
         staging_chunks: int = 8,
-        cache: Optional[object] = None,
-        resilience: Optional[object] = None,
-        obs: Optional[object] = None,
+        features: Optional[FeatureSpec] = None,
     ):
         """``overlap_input_staging`` enables the paper's §V input-pipelining
         proposal: instead of waiting for the whole CPU-partitioned input to
@@ -155,44 +157,24 @@ class DLRMInferencePipeline:
         immediately when the corresponding sparse input is picked out"),
         the copy is cut into ``staging_chunks`` pieces and the compute
         paths start after the first chunk, overlapping the rest.
-        ``cache`` is a :class:`repro.cache.CacheConfig` consumed by the
-        ``"+cache"`` backends; ``resilience`` is a
-        :class:`repro.faults.ResilienceSpec` consumed by the
-        ``"+resilient"`` backends; ``obs`` is a
-        :class:`repro.obs.TraceSpec` enabling per-batch trace context
-        (None or disabled keeps runs bit-identical to untraced ones)."""
-        backend_spec(backend)  # unknown names raise here
-        if obs is not None:
-            from ..obs import TraceSpec
 
-            if not isinstance(obs, TraceSpec):
-                raise TypeError(f"obs must be a repro.obs.TraceSpec, got {type(obs).__name__}")
+        ``features`` is the :class:`~repro.core.factory.FeatureSpec` the
+        EMB adapters are built from, exactly as for
+        :class:`~repro.core.retrieval.DistributedEmbedding` (its ``obs``
+        section enables per-batch trace context; None or disabled keeps
+        runs bit-identical to untraced ones).  Table weights are registered
+        with device memory only when an adapter asks for
+        :meth:`weight_buffer_map` (the ``"+reshard"`` backends do)."""
+        super().__init__(backend, n_devices, cluster, features, collective_spec, pgas_spec)
         if h2d_bandwidth <= 0:
             raise ValueError("h2d_bandwidth must be positive")
         if staging_chunks <= 0:
             raise ValueError("staging_chunks must be positive")
         self.config = config
-        self.backend: BackendName = backend
-        self.cluster = cluster or dgx_v100(n_devices)
-        if self.cluster.n_devices != n_devices:
-            raise ValueError(
-                f"cluster has {self.cluster.n_devices} devices, asked for {n_devices}"
-            )
         self.plan = TableWiseSharding(config.workload.table_configs(), n_devices)
         self.h2d_bandwidth = h2d_bandwidth
         self.overlap_input_staging = overlap_input_staging
         self.staging_chunks = staging_chunks
-        self.collective_spec = collective_spec
-        self.pgas_spec = pgas_spec
-        self.cache_config = cache
-        self.resilience_config = resilience
-        self.obs_config = obs
-        # Monotone batch counter for trace refs (one per traced batch).
-        self._trace_seq = 0
-        self._baseline = BaselineRetrieval(self.cluster, collective_spec)
-        self._pgas = PGASFusedRetrieval(self.cluster, pgas_spec)
-        self._cached: Dict[str, object] = {}
-        self._resilient: Dict[str, object] = {}
 
     @classmethod
     def from_spec(cls, spec, *, cluster: Optional[Cluster] = None, **overrides):
@@ -201,84 +183,17 @@ class DLRMInferencePipeline:
         ``overrides`` pass straight to the keyword constructor (e.g. a
         different ``backend`` for A/B runs on the same spec).
         """
-        kwargs = dict(
-            backend=spec.backend,
-            cluster=cluster,
-            cache=spec.cache,
-            resilience=spec.resilience,
-            obs=spec.obs,
-        )
+        kwargs = dict(backend=spec.backend, cluster=cluster, features=spec.feature_spec())
         kwargs.update(overrides)
         return cls(spec.pipeline_config(), spec.n_devices, **kwargs)
 
-    # -- cached EMB engines -------------------------------------------------------
-
-    def set_cache_config(self, cache: Optional[object]) -> None:
-        """Swap the cache config; existing cache engines are released."""
-        for engine in self._cached.values():
-            engine.release()
-        self._cached.clear()
-        self.cache_config = cache
-
-    def _cached_retrieval(self, backend: BackendName):
-        """The persistent cached EMB engine for a ``"+cache"`` backend."""
-        engine = self._cached.get(backend)
-        if engine is None:
-            from ..cache import CacheConfig, CachedRetrieval  # lazy: avoid cycle
-
-            if not backend.endswith("+cache"):
-                raise ValueError(f"backend {backend!r} is not a cached backend")
-            base = backend[: -len("+cache")]
-            engine = CachedRetrieval(
-                self.cluster,
-                self.plan,
-                self.cache_config or CacheConfig(),
-                base=base,
-                collective_spec=self.collective_spec,
-                pgas_spec=self.pgas_spec,
-            )
-            self._cached[backend] = engine
-        return engine
-
-    # -- resilient EMB engines ----------------------------------------------------
-
-    def set_resilience(self, resilience: Optional[object]) -> None:
-        """Swap the resilience spec; existing resilient engines are dropped."""
-        for engine in self._resilient.values():
-            engine.release()
-        self._resilient.clear()
-        self.resilience_config = resilience
-
-    def _resilient_retrieval(self, backend: BackendName):
-        """The persistent resilient EMB engine for a ``"+resilient"`` backend."""
-        engine = self._resilient.get(backend)
-        if engine is None:
-            from ..faults import ResilienceSpec, ResilientRetrieval  # lazy: avoid cycle
-
-            if not backend.endswith("+resilient"):
-                raise ValueError(f"backend {backend!r} is not a resilient backend")
-            base = backend[: -len("+resilient")]
-            engine = ResilientRetrieval(
-                self.cluster,
-                self.plan,
-                self.resilience_config or ResilienceSpec(),
-                base=base,
-                collective_spec=self.collective_spec,
-                pgas_spec=self.pgas_spec,
-            )
-            self._resilient[backend] = engine
-        return engine
-
-    def pop_resilient_outcome(self, backend: Optional[BackendName] = None):
-        """The last batch's :class:`~repro.faults.BatchOutcome`, consumed.
-
-        ``None`` when the backend is not resilient or no batch ran since
-        the previous pop."""
-        be = backend or self.backend
-        engine = self._resilient.get(be)
-        if engine is None:
-            return None
-        return engine.pop_outcome()
+    def set_features(self, features: FeatureSpec) -> None:
+        """Swap the feature configs; adapters built so far are released and
+        rebuilt from the new configs on next use."""
+        for adapter in self._adapters.values():
+            adapter.release()
+        self._adapters.clear()
+        self.features = features
 
     # -- cost helpers -----------------------------------------------------------
 
@@ -331,43 +246,47 @@ class DLRMInferencePipeline:
 
     # -- running ----------------------------------------------------------------
 
-    def _next_trace_ref(self) -> Optional[TraceRef]:
-        """The next batch's trace ref, or None when tracing is off."""
-        obs = self.obs_config
-        if obs is None or not obs.enabled:
-            return None
-        ref = TraceRef(obs.trace_id, self._trace_seq)
-        self._trace_seq += 1
-        return ref
-
-    def _plan_emb(
+    def _workloads(
         self,
         lengths_by_feature: Optional[Mapping[str, np.ndarray]],
         backend: BackendName,
         batch: Optional[SparseBatch],
-    ):
-        """Resolve one batch's (staging workloads, cached plan or None).
+    ) -> List[DeviceWorkload]:
+        """One batch's per-device workloads (input staging reads them too).
 
-        Cached backends need the actual index values (``batch``); their
-        cache pass runs here — once — and the input staging still accounts
-        the full uncached indices (the cache lives on-device, the host
-        ships everything).
+        Index-dependent backends also need the batch itself; their input
+        staging still accounts the full indices (a device-side cache does
+        not shrink what the host ships).
         """
-        if backend_spec(backend).requires_indices:
-            if batch is None:
-                raise ValueError(
-                    f"backend {backend!r} needs index values; pass batch=<SparseBatch>"
-                )
-            if lengths_by_feature is None:
-                lengths_by_feature = lengths_from_batch(batch)
-            workloads = build_device_workloads(self.plan, lengths_by_feature)
-            cplan = self._cached_retrieval(backend).plan_batch(batch)
-            return workloads, cplan
+        if batch is None and backend_spec(backend).requires_indices:
+            raise ValueError(
+                f"backend {backend!r} needs index values; pass batch=<SparseBatch>"
+            )
         if lengths_by_feature is None:
             if batch is None:
                 raise ValueError("need lengths_by_feature or batch")
             lengths_by_feature = lengths_from_batch(batch)
-        return build_device_workloads(self.plan, lengths_by_feature), None
+        return build_device_workloads(self.plan, lengths_by_feature)
+
+    def _emb_process(
+        self,
+        workloads: Sequence[DeviceWorkload],
+        timing: PipelineTiming,
+        backend: BackendName,
+        batch: Optional[SparseBatch] = None,
+        stream_suffix: str = "",
+    ) -> ProcessGenerator:
+        """The EMB stage's process generator, built at batch submission.
+
+        A stateful adapter's per-batch pass runs here (the cache pass
+        runs when ``batch_process`` is called, not when the generator
+        starts), so interleaved batches advance its state in submission
+        order.
+        """
+        timing.emb.batches = 1
+        return self.backend_adapter(backend).batch_process(
+            self.cluster, workloads, timing.emb, batch=batch, stream_suffix=stream_suffix
+        )
 
     def run_batch(
         self, lengths_by_feature: Optional[Mapping[str, np.ndarray]] = None,
@@ -381,17 +300,15 @@ class DLRMInferencePipeline:
         index values); the uncached ones only need the jagged lengths.
         """
         be = backend or self.backend
-        workloads, cplan = self._plan_emb(lengths_by_feature, be, batch)
+        workloads = self._workloads(lengths_by_feature, be, batch)
         timing = PipelineTiming(batches=1)
+        emb_gen = self._emb_process(workloads, timing, be, batch)
         ref = self._next_trace_ref()
         # The whole synchronous run is one batch: scoping the trace ref
         # around it attributes every span the engine records to this batch.
         with trace_scope(self.cluster.profiler if ref is not None else None, ref):
             self.cluster.run(
-                lambda cl: self._process(
-                    cl, workloads, timing, be,
-                    cached_plan=cplan, batch=batch, trace_ref=ref,
-                )
+                lambda cl: self._process(cl, workloads, timing, emb_gen, trace_ref=ref)
             )
         return timing
 
@@ -431,12 +348,12 @@ class DLRMInferencePipeline:
         wrapped so its frames (and the EMB/dense sub-processes it spawns)
         run under the ref, while engine work of *other* batches does not."""
         be = backend or self.backend
-        workloads, cplan = self._plan_emb(lengths_by_feature, be, batch)
+        workloads = self._workloads(lengths_by_feature, be, batch)
         timing.batches = 1
+        emb_gen = self._emb_process(workloads, timing, be, batch, stream_suffix)
         gen = self._process(
-            self.cluster, workloads, timing, be,
-            cached_plan=cplan, batch=batch, stream_suffix=stream_suffix,
-            trace_ref=trace,
+            self.cluster, workloads, timing, emb_gen,
+            stream_suffix=stream_suffix, trace_ref=trace,
         )
         if trace is None:
             return gen
@@ -487,7 +404,7 @@ class DLRMInferencePipeline:
                 per_batch = PipelineTiming(batches=1)
                 yield engine.process(
                     self._process(
-                        cluster, wls, per_batch, be,
+                        cluster, wls, per_batch, self._emb_process(wls, per_batch, be),
                         copy_ops=copy_ops_per_batch[i],
                     ),
                     name=f"pipelined_batch{i}",
@@ -508,13 +425,13 @@ class DLRMInferencePipeline:
         cluster: Cluster,
         workloads: Sequence[DeviceWorkload],
         timing: PipelineTiming,
-        backend: BackendName,
+        emb_gen: ProcessGenerator,
         copy_ops: Optional[list] = None,
-        cached_plan=None,
-        batch: Optional[SparseBatch] = None,
         stream_suffix: str = "",
         trace_ref: Optional[TraceRef] = None,
     ) -> ProcessGenerator:
+        """One batch's host program; ``emb_gen`` is its EMB stage
+        (:meth:`_emb_process`), run beside the dense path."""
         engine = cluster.engine
         prof = cluster.profiler
         t0 = engine.now
@@ -560,22 +477,7 @@ class DLRMInferencePipeline:
             return engine.now
 
         emb_timing = timing.emb
-        emb_timing.batches = 1
         dense_gen = dense_path()
-        if cached_plan is not None:
-            emb_gen = self._cached_retrieval(backend).batch_process(
-                cluster, cached_plan, emb_timing, stream_suffix=stream_suffix
-            )
-        elif backend.endswith("+resilient"):
-            emb_gen = self._resilient_retrieval(backend).batch_process(
-                cluster, workloads, emb_timing, batch=batch,
-                stream_suffix=stream_suffix,
-            )
-        else:
-            retrieval = self._baseline if backend == "baseline" else self._pgas
-            emb_gen = retrieval.batch_process(
-                cluster, workloads, emb_timing, stream_suffix=stream_suffix
-            )
         if trace_ref is not None:
             # The EMB and dense paths run as sibling engine processes, so
             # the context must ride into their frames explicitly — this is

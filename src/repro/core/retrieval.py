@@ -13,21 +13,22 @@ backend name, then call :meth:`forward` with a jagged batch.  It
   the **functional** path, returning per-device output tensors that are
   bit-identical across backends.
 
-Backends are *registered*, not hard-coded: ``"pgas"`` and ``"baseline"``
-are built in here, and other packages add their own via
-:func:`register_backend` (``repro.cache`` registers ``"pgas+cache"`` and
-``"baseline+cache"``) without any call-site edits.  A backend is a factory
-producing a :class:`RetrievalBackend` adapter bound to one
-:class:`DistributedEmbedding`; adapters are created lazily per instance and
-kept alive across batches (which is what lets stateful backends, like the
-hot-row cache, stay warm between calls).
+Backends are *registered*, not hard-coded: ``"pgas"``, ``"baseline"`` and
+their ``"+hier"`` variants are built in here, and other packages add their
+own via :func:`register_backend` (``repro.cache`` registers
+``"pgas+cache"`` and ``"baseline+cache"``) without any call-site edits.  A
+backend is a factory producing a :class:`RetrievalBackend` adapter bound to
+one :class:`EmbeddingHost` — a :class:`DistributedEmbedding` or a
+:class:`~repro.core.pipeline.DLRMInferencePipeline`; adapters are created
+lazily per host and kept alive across batches (which is what lets stateful
+backends, like the hot-row cache, stay warm between calls).
 
 Backend-name contract
 ---------------------
 A backend name is ``<base>`` or ``<base>+<feature>`` where ``<base>`` is a
 communication strategy (``"pgas"`` — fused one-sided writes — or
-``"baseline"`` — NCCL-style collectives) and ``<feature>`` is a wrapper
-layered on top of it.  Consumers dispatch on the suffix:
+``"baseline"`` — NCCL-style collectives) and ``<feature>`` is a transform
+layered on top of it:
 
 * ``"+cache"`` marks a backend whose EMB pass consults the hot-row cache;
   it is configured by a :class:`repro.cache.CacheConfig` and *requires
@@ -45,18 +46,17 @@ layered on top of it.  Consumers dispatch on the suffix:
   balancer: observed per-table traffic drives background table
   migrations with serve-from-old-owner cutover, configured by a
   :class:`repro.reshard.ReshardSpec`.
-* ``"+hier"`` marks a backend with topology-aware hierarchical routing:
-  cross-node traffic stages intra-node to a leader and crosses the NIC
-  as one coalesced stream per node pair, configured by a
+* ``"+hier"`` marks the base adapter with topology-aware hierarchical
+  routing attached: cross-node traffic stages intra-node to a leader and
+  crosses the NIC as one coalesced stream per node pair, configured by a
   :class:`repro.comm.hier.HierSpec` (routing changes timing only —
   functional outputs stay bit-identical to the flat backend).
 * A bare base name is the plain timed retrieval.
 
-Code that needs the base strategy (e.g. to pick the functional forward)
-takes ``name.split("+", 1)[0]``; code that needs a capability checks the
-suffix — or, better, the :class:`BackendInfo` flags that
-:func:`available_backends` returns.  Registering a name that is already
-taken raises (pass ``overwrite=True`` to replace deliberately).
+Code that needs the base strategy or a capability reads the
+:class:`BackendInfo` that :func:`available_backends` returns
+(``info.base``, ``"cache" in info.features``).  Registering a name that is
+already taken raises (pass ``overwrite=True`` to replace deliberately).
 
 Stacking wrappers (two or more ``+<feature>`` suffixes, e.g.
 ``"pgas+compress+resilient"``) has no defined semantics unless someone
@@ -64,9 +64,8 @@ registers that composed backend explicitly: looking up an unregistered
 composition raises a ``ValueError`` naming the unsupported combination
 rather than silently picking one wrapper order.  The mechanical side of
 the contract — parsing names, attaching feature wrappers, the canonical
-composition order — lives in :mod:`repro.core.factory`; the feature
-packages' registry entries are thin aliases over its
-:func:`~repro.core.factory.build_adapter`.
+composition order — lives in :mod:`repro.core.factory`; every registry
+entry is a thin alias over its :func:`~repro.core.factory.build_adapter`.
 
 Example
 -------
@@ -82,7 +81,6 @@ Example
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -99,19 +97,19 @@ from typing import (
 import numpy as np
 
 from ..comm.collective import CollectiveSpec
+from ..comm.hier import HierSpec
 from ..comm.pgas import PGASSpec
 from ..dlrm.batch import SparseBatch
 from ..dlrm.data import WorkloadConfig
 from ..dlrm.embedding import EmbeddingBagCollection, EmbeddingTableConfig
-from ..simgpu.cluster import Cluster, dgx_v100
+from ..obs import TraceSpec, trace_scope
+from ..simgpu.cluster import Cluster, dgx_v100, multinode
+from ..simgpu.engine import ProcessGenerator
 from ..simgpu.memory import Buffer
+from ..simgpu.profiler import TraceRef
 from .baseline import BaselineRetrieval, PhaseTiming
-from .factory import FeatureSpec
-from .functional import (
-    ShardedEmbeddingTables,
-    baseline_functional_forward,
-    pgas_functional_forward,
-)
+from .factory import FeatureSpec, build_adapter
+from .functional import ShardedEmbeddingTables, functional_forward
 from .pgas_retrieval import PGASFusedRetrieval
 from .sharding import TableWiseSharding
 from .workload import DeviceWorkload, build_device_workloads, lengths_from_batch
@@ -120,11 +118,14 @@ __all__ = [
     "BackendInfo",
     "BackendName",
     "BackendSpec",
+    "BaseRetrieval",
     "DistributedEmbedding",
+    "EmbeddingHost",
     "ForwardResult",
     "RetrievalBackend",
     "available_backends",
     "backend_spec",
+    "base_engine",
     "register_backend",
 ]
 
@@ -133,25 +134,72 @@ __all__ = [
 BackendName = str
 
 
+def base_engine(
+    base: str,
+    cluster: Cluster,
+    collective_spec: Optional[CollectiveSpec] = None,
+    pgas_spec: Optional[PGASSpec] = None,
+    hier_spec: Optional[HierSpec] = None,
+) -> Union[PGASFusedRetrieval, BaselineRetrieval]:
+    """The timed engine of one base communication strategy.
+
+    The only place a backend's base name turns into an engine: the base
+    adapter and every feature wrapper build theirs here, so an unknown
+    base fails the same way everywhere.
+    """
+    if base == "pgas":
+        return PGASFusedRetrieval(cluster, pgas_spec, hier_spec=hier_spec)
+    if base == "baseline":
+        return BaselineRetrieval(cluster, collective_spec, hier_spec=hier_spec)
+    raise ValueError(f"unknown base backend {base!r} (use 'pgas' or 'baseline')")
+
+
 class RetrievalBackend:
     """Adapter contract one registered backend implements.
 
-    An adapter is bound to a single :class:`DistributedEmbedding` and lives
-    as long as it does, so backends may keep cross-batch state (the hot-row
+    An adapter is bound to a single :class:`EmbeddingHost` and lives as
+    long as it does, so backends may keep cross-batch state (the hot-row
     cache relies on this).  ``requires_indices`` marks backends whose cost
     model depends on the actual index values, not just the jagged lengths —
     those cannot serve :meth:`DistributedEmbedding.forward_timed`.
+
+    :meth:`batch_process` is the one timed entry point: a host's own
+    forward runs it alone on the cluster (:meth:`run_timed`), and the
+    inference pipeline runs it beside the dense MLP.
     """
 
     requires_indices: bool = False
+    cluster: Cluster
+
+    def batch_process(
+        self,
+        cluster: Cluster,
+        workloads: Sequence[DeviceWorkload],
+        timing: PhaseTiming,
+        *,
+        batch: Optional[SparseBatch] = None,
+        stream_suffix: str = "",
+    ) -> ProcessGenerator:
+        """Process generator for one batch, composable into host programs.
+
+        ``timing`` is filled at completion; ``batch`` carries the index
+        values (index-dependent and fault-tolerant backends read them);
+        ``stream_suffix`` selects a per-batch stream set so concurrent
+        batches don't serialise on one FIFO queue.
+        """
+        raise NotImplementedError
 
     def run_timed(
         self,
         workloads: Sequence[DeviceWorkload],
         batch: Optional[SparseBatch] = None,
     ) -> PhaseTiming:
-        """Simulate one batch on the cluster; returns its phase timing."""
-        raise NotImplementedError
+        """Simulate one batch alone on the cluster; returns its phase timing."""
+        timing = PhaseTiming(batches=1)
+        self.cluster.run(
+            lambda cl: self.batch_process(cl, workloads, timing, batch=batch)
+        )
+        return timing
 
     def functional_forward(self, batch: SparseBatch) -> List[np.ndarray]:
         """Numpy forward: per-device ``(B_g, F, d)`` output tensors."""
@@ -172,13 +220,16 @@ class RetrievalBackend:
         outputs = self.functional_forward(batch) if functional and batch is not None else None
         return timing, outputs
 
+    def release(self) -> None:
+        """Free device memory the adapter holds (the default holds none)."""
+
 
 @dataclass(frozen=True)
 class BackendSpec:
     """One registry entry: how to build a named backend's adapter."""
 
     name: str
-    factory: Callable[["DistributedEmbedding"], RetrievalBackend]
+    factory: Callable[["EmbeddingHost"], RetrievalBackend]
     requires_indices: bool = False
     description: str = ""
     functional: bool = True  #: supports the materialised numpy forward
@@ -191,10 +242,15 @@ class BackendInfo(str):
     A ``str`` subclass, so everything that treats backend names as strings
     (argparse ``choices``, ``", ".join(...)``, dict keys, equality against
     a plain name) keeps working; the extra attributes ride along for
-    introspection (``repro backends``, docs, capability checks).
+    introspection (``repro backends``, docs, capability checks).  ``base``
+    is the communication strategy and ``features`` the ``+<feature>``
+    suffixes in name order, so ``"cache" in info.features`` asks whether
+    a backend runs the hot-row cache.
     """
 
-    __slots__ = ("description", "requires_indices", "functional", "traceable")
+    __slots__ = (
+        "description", "requires_indices", "functional", "traceable", "base", "features",
+    )
 
     def __new__(cls, spec: BackendSpec) -> "BackendInfo":
         info = super().__new__(cls, spec.name)
@@ -202,42 +258,9 @@ class BackendInfo(str):
         info.requires_indices = spec.requires_indices
         info.functional = spec.functional
         info.traceable = spec.traceable
+        info.base, *features = spec.name.split("+")
+        info.features = tuple(features)
         return info
-
-    @property
-    def base(self) -> str:
-        """The communication strategy under any feature suffixes."""
-        return self.split("+", 1)[0]
-
-    @property
-    def cached(self) -> bool:
-        """True for ``"+cache"`` backends (hot-row cache in the EMB path)."""
-        return "+cache" in self
-
-    @property
-    def resilient(self) -> bool:
-        """True for ``"+resilient"`` backends (fault-tolerant wrapper)."""
-        return "+resilient" in self
-
-    @property
-    def compressed(self) -> bool:
-        """True for ``"+compress"`` backends (quantized wire payloads)."""
-        return "+compress" in self
-
-    @property
-    def replicated(self) -> bool:
-        """True for ``"+replicated"`` backends (shard replicas + failover)."""
-        return "+replicated" in self
-
-    @property
-    def resharded(self) -> bool:
-        """True for ``"+reshard"`` backends (skew-aware online migration)."""
-        return "+reshard" in self
-
-    @property
-    def hierarchical(self) -> bool:
-        """True for ``"+hier"`` backends (node-leader staged routing)."""
-        return "+hier" in self
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<BackendInfo {str(self)!r}: {self.description}>"
@@ -248,7 +271,7 @@ _BACKENDS: Dict[str, BackendSpec] = {}
 
 def register_backend(
     name: str,
-    factory: Callable[["DistributedEmbedding"], RetrievalBackend],
+    factory: Callable[["EmbeddingHost"], RetrievalBackend],
     *,
     requires_indices: bool = False,
     description: str = "",
@@ -258,12 +281,12 @@ def register_backend(
 ) -> BackendSpec:
     """Register a retrieval backend under ``name``.
 
-    ``factory(emb)`` must return a :class:`RetrievalBackend` bound to the
-    given :class:`DistributedEmbedding`.  ``name`` must follow the
-    backend-name contract (see the module docstring): a base strategy,
-    optionally extended with ``+<feature>`` suffixes.  Registering an
-    existing name raises unless ``overwrite=True`` — a loud duplicate
-    beats two packages silently fighting over one name.
+    ``factory(host)`` must return a :class:`RetrievalBackend` bound to the
+    given :class:`EmbeddingHost`.  ``name`` must follow the backend-name
+    contract (see the module docstring): a base strategy, optionally
+    extended with ``+<feature>`` suffixes.  Registering an existing name
+    raises unless ``overwrite=True`` — a loud duplicate beats two packages
+    silently fighting over one name.
     """
     if not name:
         raise ValueError("backend name must be non-empty")
@@ -319,8 +342,8 @@ def available_backends() -> List[BackendInfo]:
     """Every registered backend, sorted by name.
 
     Each entry is a :class:`BackendInfo` — usable anywhere a plain name
-    string is (the historical return type), but carrying the description
-    and the ``cached`` / ``resilient`` / ``functional`` capability flags.
+    string is (the historical return type), but carrying the description,
+    the base strategy, the feature suffixes and the capability flags.
     """
     return [BackendInfo(_BACKENDS[name]) for name in sorted(_BACKENDS)]
 
@@ -342,62 +365,178 @@ class ForwardResult:
         return self.timing.total_ns / 1e6
 
 
-class _PGASBackend(RetrievalBackend):
-    """Built-in adapter for the fused one-sided backend."""
+def _hier_spec(features: FeatureSpec) -> Optional[HierSpec]:
+    """``features.hier``, type-checked (None when unset)."""
+    hier = features.hier
+    if hier is not None and not isinstance(hier, HierSpec):
+        raise TypeError(
+            f"hier must be a repro.comm.hier.HierSpec, got {type(hier).__name__}"
+        )
+    return hier
 
-    def __init__(self, emb: "DistributedEmbedding"):
-        self._emb = emb
-        self._engine = PGASFusedRetrieval(emb.cluster, emb.pgas_spec)
 
-    def run_timed(
+class BaseRetrieval(RetrievalBackend):
+    """A base strategy's timed engine, optionally hierarchically routed.
+
+    The adapter behind ``"pgas"`` and ``"baseline"`` and, with
+    ``hierarchical=True``, behind their ``"+hier"`` variants: the engine is
+    built with the host's :class:`~repro.comm.hier.HierSpec` attached
+    (``devices_per_node=1`` — flat routing, valid for any device count —
+    when none is configured).  An inactive spec leaves the flat path
+    event-identical, and routing never touches payloads, so the
+    functional path is the base strategy's numpy forward either way.
+    """
+
+    def __init__(self, host: "EmbeddingHost", base: str, hierarchical: bool = False):
+        self.base_name = base
+        self.cluster = host.cluster
+        self.sharded = host.sharded
+        self.hier_spec = (
+            (_hier_spec(host.features) or HierSpec(devices_per_node=1))
+            if hierarchical
+            else None
+        )
+        self.engine = base_engine(
+            base, host.cluster, host.collective_spec, host.pgas_spec, self.hier_spec
+        )
+
+    def batch_process(
         self,
+        cluster: Cluster,
         workloads: Sequence[DeviceWorkload],
+        timing: PhaseTiming,
+        *,
         batch: Optional[SparseBatch] = None,
-    ) -> PhaseTiming:
-        """Run the fused kernel simulation for one batch."""
-        return self._engine.run_batch(workloads)
+        stream_suffix: str = "",
+    ) -> ProcessGenerator:
+        """The engine's process generator for one batch."""
+        return self.engine.batch_process(
+            cluster, workloads, timing, stream_suffix=stream_suffix
+        )
 
     def functional_forward(self, batch: SparseBatch) -> List[np.ndarray]:
-        """One-sided-path numpy forward."""
-        assert self._emb.sharded is not None
-        return pgas_functional_forward(self._emb.sharded, batch)
+        """The base strategy's numpy forward (routing never changes it)."""
+        if self.sharded is None:
+            raise ValueError("functional forward needs materialize=True weights")
+        return functional_forward(self.base_name, self.sharded, batch)
 
 
-class _BaselineBackend(RetrievalBackend):
-    """Built-in adapter for the NCCL-collective baseline."""
+for _name, _description in (
+    ("pgas", "fused one-sided PGAS-style writes (compute/comm overlapped)"),
+    ("baseline", "NCCL-style collective: compute, all-to-all, unpack"),
+    (
+        "pgas+hier",
+        "PGAS retrieval with node-leader staging: off-node writes cross the "
+        "NIC as one aggregated stream per node pair",
+    ),
+    (
+        "baseline+hier",
+        "collective retrieval with a two-level all-to-all: NVLink "
+        "gather/scatter around one coalesced NIC transfer per node pair",
+    ),
+):
+    register_backend(
+        _name, lambda host, name=_name: build_adapter(host, name), description=_description
+    )
 
-    def __init__(self, emb: "DistributedEmbedding"):
-        self._emb = emb
-        self._engine = BaselineRetrieval(emb.cluster, emb.collective_spec)
 
-    def run_timed(
+class EmbeddingHost:
+    """What backend adapters are built from, plus the per-host adapter cache.
+
+    :class:`DistributedEmbedding` and
+    :class:`~repro.core.pipeline.DLRMInferencePipeline` both derive from
+    it, so every registered backend builds for either through one registry
+    call.  Adapter factories read ``cluster``, ``plan``, ``features``,
+    ``collective_spec``, ``pgas_spec``, ``sharded`` and
+    :meth:`weight_buffer_map`.
+    """
+
+    plan: TableWiseSharding
+    #: materialised per-device tables (None on a timing-only host)
+    sharded: Optional[ShardedEmbeddingTables] = None
+
+    def __init__(
         self,
-        workloads: Sequence[DeviceWorkload],
-        batch: Optional[SparseBatch] = None,
-    ) -> PhaseTiming:
-        """Run the compute → all-to-all → unpack simulation for one batch."""
-        return self._engine.run_batch(workloads)
+        backend: BackendName,
+        n_devices: int,
+        cluster: Optional[Cluster],
+        features: Optional[FeatureSpec],
+        collective_spec: Optional[CollectiveSpec],
+        pgas_spec: Optional[PGASSpec],
+    ):
+        """Validate the backend name and feature bundle; resolve the cluster.
 
-    def functional_forward(self, batch: SparseBatch) -> List[np.ndarray]:
-        """Collective-path numpy forward (send blocks + unpack)."""
-        assert self._emb.sharded is not None
-        outputs, _blocks = baseline_functional_forward(self._emb.sharded, batch)
-        return outputs
+        For a ``"+hier"`` backend with a configured node geometry and no
+        explicit ``cluster``, a matching multi-node cluster (NVLink within
+        nodes, NIC across) is built.
+        """
+        info = BackendInfo(backend_spec(backend))  # unknown names raise here
+        self.features: FeatureSpec = features or FeatureSpec()
+        obs = self.features.obs
+        if obs is not None and not isinstance(obs, TraceSpec):
+            raise TypeError(f"obs must be a repro.obs.TraceSpec, got {type(obs).__name__}")
+        if cluster is None and "hier" in info.features:
+            hier = _hier_spec(self.features)
+            if hier is not None:
+                hier.validate_for(n_devices)
+                if hier.devices_per_node > 1:
+                    cluster = multinode(
+                        n_devices // hier.devices_per_node, hier.devices_per_node
+                    )
+        self.backend: BackendName = backend
+        self.cluster = cluster or dgx_v100(n_devices)
+        if self.cluster.n_devices != n_devices:
+            raise ValueError(
+                f"cluster has {self.cluster.n_devices} devices, asked for {n_devices}"
+            )
+        self.collective_spec = collective_spec
+        self.pgas_spec = pgas_spec
+        self._adapters: Dict[str, RetrievalBackend] = {}
+        self._weight_buffers: Optional[Dict[str, Buffer]] = None
+        # Monotone batch counter for trace refs (one per traced batch).
+        self._trace_seq = 0
+
+    def backend_adapter(self, name: Optional[BackendName] = None) -> RetrievalBackend:
+        """The (lazily created, then persistent) adapter for a backend."""
+        be = name or self.backend
+        adapter = self._adapters.get(be)
+        if adapter is None:
+            adapter = self._adapters[be] = backend_spec(be).factory(self)
+        return adapter
+
+    def weight_buffer_map(self) -> Dict[str, Buffer]:
+        """Live table-name → weight :class:`~repro.simgpu.memory.Buffer` map.
+
+        The first call registers every table's weights with its owner's
+        memory accountant.  The reshard executor mutates this map at
+        migration cutover (frees the old owner's buffer, installs the
+        destination's), so it always reflects where each table's weights
+        are accounted *right now*.
+        """
+        if self._weight_buffers is None:
+            self._weight_buffers = {
+                cfg.name: dev.memory.alloc(
+                    (cfg.num_rows, cfg.dim),
+                    cfg.dtype,
+                    materialize=False,
+                    label=f"weights.{cfg.name}",
+                )
+                for dev in self.cluster.devices
+                for cfg in self.plan.tables_on(dev.id)
+            }
+        return self._weight_buffers
+
+    def _next_trace_ref(self) -> Optional[TraceRef]:
+        """The next batch's trace ref, or None when tracing is off."""
+        obs = self.features.obs
+        if obs is None or not obs.enabled:
+            return None
+        ref = TraceRef(obs.trace_id, self._trace_seq)
+        self._trace_seq += 1
+        return ref
 
 
-register_backend(
-    "pgas",
-    _PGASBackend,
-    description="fused one-sided PGAS-style writes (compute/comm overlapped)",
-)
-register_backend(
-    "baseline",
-    _BaselineBackend,
-    description="NCCL-style collective: compute, all-to-all, unpack",
-)
-
-
-class DistributedEmbedding:
+class DistributedEmbedding(EmbeddingHost):
     """Multi-GPU embedding retrieval with a pluggable communication backend."""
 
     def __init__(
@@ -422,99 +561,24 @@ class DistributedEmbedding:
         ignored by the other backends), and ``obs`` — a
         :class:`repro.obs.TraceSpec` enabling trace-context propagation
         for any backend (None or ``enabled=False`` keeps every backend
-        bit-identical to an untraced run).  It is the only way to pass
-        feature configs — the legacy per-feature keywords (``cache=``,
-        ``resilience=``, ``compression=``, ``replication=``, ``obs=``)
-        completed their deprecation cycle and were removed.
+        bit-identical to an untraced run).
 
         For a ``"+hier"`` backend with a configured node geometry and no
-        explicit ``cluster``, a matching multi-node cluster (NVLink
-        within nodes, NIC across) is built automatically."""
-        backend_spec(backend)  # unknown names raise here
-        self.features: FeatureSpec = features or FeatureSpec()
-        if self.features.obs is not None:
-            from ..obs import TraceSpec
-
-            if not isinstance(self.features.obs, TraceSpec):
-                raise TypeError(
-                    f"obs must be a repro.obs.TraceSpec, "
-                    f"got {type(self.features.obs).__name__}"
-                )
+        explicit ``cluster``, a matching multi-node cluster (NVLink within
+        nodes, NIC across) is built automatically."""
+        super().__init__(backend, n_devices, cluster, features, collective_spec, pgas_spec)
         if isinstance(tables, WorkloadConfig):
             table_configs = tables.table_configs()
         else:
             table_configs = list(tables)
-        self.backend: BackendName = backend
-        if cluster is None and "+hier" in backend and self.features.hier is not None:
-            from ..comm.hier import HierSpec
-
-            hier = self.features.hier
-            if not isinstance(hier, HierSpec):
-                raise TypeError(
-                    f"hier must be a repro.comm.hier.HierSpec, "
-                    f"got {type(hier).__name__}"
-                )
-            hier.validate_for(n_devices)
-            if hier.devices_per_node > 1:
-                from ..simgpu.cluster import multinode
-
-                cluster = multinode(
-                    n_devices // hier.devices_per_node, hier.devices_per_node
-                )
-        self.cluster = cluster or dgx_v100(n_devices)
-        if self.cluster.n_devices != n_devices:
-            raise ValueError(
-                f"cluster has {self.cluster.n_devices} devices, asked for {n_devices}"
-            )
         self.plan = TableWiseSharding(table_configs, n_devices, strategy=sharding_strategy)
         self.plan.validate()
-        self.collective_spec = collective_spec
-        self.pgas_spec = pgas_spec
-        # Monotone batch counter for trace refs (one per traced forward).
-        self._trace_seq = 0
-
-        # Register weight storage with the per-device memory accountants.
-        self._weight_buffers: Dict[str, Buffer] = {}
-        for dev in self.cluster.devices:
-            for cfg in self.plan.tables_on(dev.id):
-                self._weight_buffers[cfg.name] = dev.memory.alloc(
-                    (cfg.num_rows, cfg.dim),
-                    cfg.dtype,
-                    materialize=False,
-                    label=f"weights.{cfg.name}",
-                )
-
-        self.sharded: Optional[ShardedEmbeddingTables] = None
+        # Account every table's weights up front, so paper-scale shapes hit
+        # the real per-device capacity wall at construction.
+        self.weight_buffer_map()
         if materialize:
             ebc = EmbeddingBagCollection.from_configs(table_configs, rng=rng)
             self.sharded = ShardedEmbeddingTables.from_collection(ebc, self.plan)
-
-        self._adapters: Dict[str, RetrievalBackend] = {}
-
-    @classmethod
-    def from_spec(cls, spec, **overrides) -> "DistributedEmbedding":
-        """Build from a :class:`~repro.core.runspec.RunSpec`.
-
-        ``overrides`` pass straight to the keyword constructor (e.g.
-        ``backend=...`` for A/B runs or ``materialize=True`` for the
-        functional path on the same spec).  Prefer
-        :func:`repro.core.factory.build_backend`, which also pre-builds
-        the adapter so composition errors surface immediately.
-        """
-        kwargs = dict(
-            backend=spec.backend,
-            features=FeatureSpec(
-                cache=spec.cache,
-                resilience=spec.resilience,
-                compression=spec.compression,
-                replication=spec.replication,
-                reshard=spec.reshard,
-                hier=spec.hier,
-                obs=spec.obs,
-            ),
-        )
-        kwargs.update(overrides)
-        return cls(spec.workload, spec.n_devices, **kwargs)
 
     # -- properties -------------------------------------------------------------
 
@@ -522,50 +586,6 @@ class DistributedEmbedding:
     def n_devices(self) -> int:
         """Device count."""
         return self.cluster.n_devices
-
-    @property
-    def cache_config(self) -> Optional[object]:
-        """The ``features.cache`` section (legacy accessor, read-only)."""
-        return self.features.cache
-
-    @property
-    def resilience_config(self) -> Optional[object]:
-        """The ``features.resilience`` section (legacy accessor, read-only)."""
-        return self.features.resilience
-
-    @property
-    def compression_config(self) -> Optional[object]:
-        """The ``features.compression`` section (legacy accessor, read-only)."""
-        return self.features.compression
-
-    @property
-    def replication_config(self) -> Optional[object]:
-        """The ``features.replication`` section (legacy accessor, read-only)."""
-        return self.features.replication
-
-    @property
-    def reshard_config(self) -> Optional[object]:
-        """The ``features.reshard`` section."""
-        return self.features.reshard
-
-    @property
-    def hier_config(self) -> Optional[object]:
-        """The ``features.hier`` section."""
-        return self.features.hier
-
-    @property
-    def obs_config(self) -> Optional[object]:
-        """The ``features.obs`` section (legacy accessor, read-only)."""
-        return self.features.obs
-
-    def weight_buffer_map(self) -> Dict[str, Buffer]:
-        """Live table-name → weight :class:`~repro.simgpu.memory.Buffer` map.
-
-        The reshard executor mutates this map at migration cutover (frees
-        the old owner's buffer, installs the destination's), so it always
-        reflects where each table's weights are accounted *right now*.
-        """
-        return self._weight_buffers
 
     @property
     def materialized(self) -> bool:
@@ -582,17 +602,6 @@ class DistributedEmbedding:
         adapter = self.backend_adapter(self.backend)
         return adapter if getattr(adapter, "caches", None) is not None else None
 
-    # -- backend dispatch --------------------------------------------------------
-
-    def backend_adapter(self, name: Optional[BackendName] = None) -> RetrievalBackend:
-        """The (lazily created, then persistent) adapter for a backend."""
-        be = name or self.backend
-        adapter = self._adapters.get(be)
-        if adapter is None:
-            adapter = backend_spec(be).factory(self)
-            self._adapters[be] = adapter
-        return adapter
-
     # -- forward ----------------------------------------------------------------
 
     def _batch_trace_scope(self):
@@ -603,15 +612,8 @@ class DistributedEmbedding:
         every span the engine records — phase spans, kernel waves, link
         transfers — to that batch's :class:`~repro.simgpu.profiler.TraceRef`.
         """
-        obs = self.obs_config
-        if obs is None or not obs.enabled:
-            return contextlib.nullcontext()
-        from ..obs import trace_scope
-        from ..simgpu.profiler import TraceRef
-
-        ref = TraceRef(obs.trace_id, self._trace_seq)
-        self._trace_seq += 1
-        return trace_scope(self.cluster.profiler, ref)
+        ref = self._next_trace_ref()
+        return trace_scope(self.cluster.profiler if ref is not None else None, ref)
 
     def build_workloads(
         self, lengths_by_feature: Mapping[str, np.ndarray]

@@ -7,12 +7,12 @@ layer (:class:`~repro.core.pipeline.PipelineConfig`), the hot-row cache
 (:class:`repro.faults.ResilienceSpec`), the serving load
 (:class:`~repro.core.serving.ServingSpec`) and the continuous-batching
 scheduler (:class:`~repro.core.serving.SchedulerSpec`).  :class:`RunSpec`
-composes them into a single validated, serialisable value with one
-``from_spec`` constructor on each entry point:
+composes them into a single validated, serialisable value that every
+entry point builds from:
 
->>> from repro import RunSpec, preset_runspec
+>>> from repro import RunSpec, build_backend, preset_runspec
 >>> spec = preset_runspec("tiny", n_devices=2)
->>> emb = DistributedEmbedding.from_spec(spec)          # doctest: +SKIP
+>>> emb = build_backend(spec)                           # doctest: +SKIP
 >>> pipe = DLRMInferencePipeline.from_spec(spec)        # doctest: +SKIP
 >>> srv = InferenceServer.from_spec(spec)               # doctest: +SKIP
 
@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Literal, Optional, Tuple
 
 from ..dlrm.data import STRONG_SCALING_TOTAL, WEAK_SCALING_BASE, WorkloadConfig
+from .factory import FeatureSpec
 from .pipeline import PipelineConfig
 from .retrieval import BackendName, backend_spec
 from .serving import SchedulerSpec, ServingSpec
@@ -166,6 +167,11 @@ class RunSpec:
             top_mlp=self.top_mlp,
             interaction=self.interaction,
         )
+
+    def feature_spec(self) -> FeatureSpec:
+        """The per-feature sections as the :class:`FeatureSpec` every EMB
+        host (embedding module, inference pipeline) is built from."""
+        return FeatureSpec(**{f.name: getattr(self, f.name) for f in fields(FeatureSpec)})
 
     def serving_spec(self) -> ServingSpec:
         """The serving section, with the top-level scheduler merged in.

@@ -49,7 +49,7 @@ degraded under fault.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Literal, Optional
 
 import numpy as np
@@ -67,8 +67,9 @@ from ..telemetry.report import (
     QUEUE_DEPTH_COUNTER,
 )
 from ..telemetry.timeline import sample_edges
+from .functional import functional_forward
 from .pipeline import DLRMInferencePipeline, PipelineTiming
-from .retrieval import BackendName, backend_spec
+from .retrieval import BackendInfo, BackendName, backend_spec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, annotations only
     from ..cache import CacheConfig
@@ -415,10 +416,13 @@ class InferenceServer:
     def __init__(self, pipeline: DLRMInferencePipeline, spec: ServingSpec):
         self.pipeline = pipeline
         self.spec = spec
-        if spec.cache is not None:
-            pipeline.set_cache_config(spec.cache)
-        if spec.resilience is not None:
-            pipeline.set_resilience(spec.resilience)
+        sections = {
+            name: value
+            for name, value in (("cache", spec.cache), ("resilience", spec.resilience))
+            if value is not None
+        }
+        if sections:
+            pipeline.set_features(replace(pipeline.features, **sections))
         self._sharded = None  # lazily materialised weights (functional path)
 
     @classmethod
@@ -486,9 +490,9 @@ class InferenceServer:
         workload = pipeline.config.workload
         gen = SyntheticDataGenerator(workload)
         be = backend or pipeline.backend
-        needs_indices = backend_spec(be).requires_indices
-        resilient = be.endswith("+resilient")
-        obs = getattr(pipeline, "obs_config", None)
+        info = BackendInfo(backend_spec(be))
+        resilient = "resilient" in info.features
+        obs = pipeline.features.obs
         tracing = obs is not None and obs.enabled
 
         # Pre-draw every request's features once: request r's inputs (and
@@ -496,9 +500,9 @@ class InferenceServer:
         # cuts batches, which is what makes continuous batching
         # bit-identical to sequential serving.
         needs_sparse = (
-            needs_indices
+            info.requires_indices
             or materialize
-            or (resilient and pipeline.resilience_config is not None)
+            or (resilient and pipeline.features.resilience is not None)
         )
         if needs_sparse:
             pool = gen.sparse_batch(batch_size=n_requests)
@@ -509,17 +513,10 @@ class InferenceServer:
 
         functional = None
         if materialize:
-            from .functional import baseline_functional_forward, pgas_functional_forward
-
             sharded = self._materialized_tables()
-            base = be.split("+", 1)[0]
-            if base == "baseline":
-                def functional(b):
-                    outputs, _blocks = baseline_functional_forward(sharded, b)
-                    return outputs
-            else:
-                def functional(b):
-                    return pgas_functional_forward(sharded, b)
+
+            def functional(b):
+                return functional_forward(info.base, sharded, b)
 
         # Per-request timestamps (NaN = not applicable / not served).
         arrival_t = np.full(n_requests, np.nan)
@@ -542,8 +539,9 @@ class InferenceServer:
         wake = engine.notifier("scheduler")
         t_start = engine.now
         if resilient:
-            # Force-build the engine now so the outcome ledger exists.
-            outcome_start = len(pipeline._resilient_retrieval(be).outcomes)
+            # Build the adapter now so the outcome ledger exists.
+            adapter = pipeline.backend_adapter(be)
+            outcome_start = len(adapter.outcomes)
 
         def arrivals() -> ProcessGenerator:
             nonlocal arrived, n_shed
@@ -618,7 +616,7 @@ class InferenceServer:
                         f"serve.batch{batch_seq}", "serve", -1, t_dispatch, done
                     )
             if resilient:
-                outcome = pipeline.pop_resilient_outcome(be)
+                outcome = adapter.pop_outcome()
                 frac = outcome.degraded_fraction if outcome is not None else 0.0
                 degraded_t[rows_np] = frac
             if functional is not None:
@@ -735,7 +733,7 @@ class InferenceServer:
         )
         if resilient:
             # Ledger totals include hedge losers that finished late.
-            outcomes = pipeline._resilient_retrieval(be).outcomes[outcome_start:]
+            outcomes = adapter.outcomes[outcome_start:]
             result.emb_retries = sum(o.retries for o in outcomes)
             result.emb_reroutes = sum(o.rerouted_pairs for o in outcomes)
             result.emb_rerouted_bytes = sum(o.rerouted_bytes for o in outcomes)

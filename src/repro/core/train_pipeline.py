@@ -16,7 +16,9 @@ This module composes the timed pieces into one step:
 
 ``run_step`` returns a :class:`TrainStepTiming` with forward, backward,
 and total times per backend — the bench shows the PGAS advantage roughly
-doubles when both directions are counted.
+doubles when both directions are counted.  The EMB backward is modelled
+for the two base strategies only, so a ``+<feature>`` backend name is
+rejected rather than trained as its base.
 """
 
 from __future__ import annotations
@@ -32,12 +34,30 @@ from ..simgpu.engine import ProcessGenerator
 from ..simgpu.kernel import KernelSpec, execute_kernel
 from .backward import BaselineBackward, PGASFusedBackward
 from .baseline import PhaseTiming
+from .factory import parse_backend_name
 from .pipeline import DLRMInferencePipeline, PipelineConfig, PipelineTiming
-from .retrieval import BackendName
+from .retrieval import BackendName, backend_spec
 from .sharding import minibatch_bounds
 from .workload import build_device_workloads
 
 __all__ = ["TrainStepTiming", "DLRMTrainingPipeline"]
+
+
+def _emb_base(backend: BackendName) -> str:
+    """The base strategy whose EMB backward ``backend`` trains with.
+
+    Only ``pgas`` and ``baseline`` have a modelled backward; a feature
+    stack would silently train as its base, so it raises instead.
+    """
+    backend_spec(backend)  # unknown names raise here
+    base, features = parse_backend_name(backend)
+    if features:
+        raise ValueError(
+            f"backend {backend!r} cannot train: the EMB backward is modelled "
+            f"only for the base strategies (pgas, baseline), not "
+            f"'+{'+'.join(features)}'"
+        )
+    return base
 
 
 @dataclass
@@ -71,6 +91,9 @@ class DLRMTrainingPipeline:
         cluster: Optional[Cluster] = None,
         collective_spec: Optional[CollectiveSpec] = None,
     ):
+        """``backend`` must be a base strategy (``"pgas"`` or
+        ``"baseline"``); feature stacks raise ``ValueError``."""
+        _emb_base(backend)
         self.config = config
         self.backend: BackendName = backend
         self.forward_pipeline = DLRMInferencePipeline(
@@ -118,8 +141,10 @@ class DLRMTrainingPipeline:
     ) -> TrainStepTiming:
         """Simulate one forward + backward training step."""
         be = backend or self.backend
+        bwd = self._bwd_baseline if _emb_base(be) == "baseline" else self._bwd_pgas
         timing = TrainStepTiming(steps=1)
         workloads = build_device_workloads(self.plan, lengths_by_feature)
+        fwd = self.forward_pipeline
 
         def step(cluster: Cluster) -> ProcessGenerator:
             engine = cluster.engine
@@ -127,7 +152,10 @@ class DLRMTrainingPipeline:
             # ---- forward -------------------------------------------------------
             timing.forward.batches = 1
             yield engine.process(
-                self.forward_pipeline._process(cluster, workloads, timing.forward, be),
+                fwd._process(
+                    cluster, workloads, timing.forward,
+                    fwd._emb_process(workloads, timing.forward, be),
+                ),
                 name="train_forward",
             )
             t1 = engine.now
@@ -148,7 +176,6 @@ class DLRMTrainingPipeline:
                     yield from handle.wait()
                 return engine.now
 
-            bwd = self._bwd_baseline if be == "baseline" else self._bwd_pgas
             timing.emb_backward.batches = 1
             dense_proc = engine.process(dense_backward(), name="dense_bwd")
             emb_proc = engine.process(

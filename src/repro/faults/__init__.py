@@ -55,10 +55,10 @@ __all__ = [
 
 
 def resilient_retrieval_for(emb, base: str) -> ResilientRetrieval:
-    """Build a :class:`ResilientRetrieval` bound to a
-    :class:`~repro.core.retrieval.DistributedEmbedding` (the registry
+    """Build a :class:`ResilientRetrieval` bound to an
+    :class:`~repro.core.retrieval.EmbeddingHost` (the registry
     factories' shared implementation)."""
-    spec = getattr(emb, "resilience_config", None)
+    spec = emb.features.resilience
     if spec is not None and not isinstance(spec, ResilienceSpec):
         raise TypeError(
             f"DistributedEmbedding resilience must be a ResilienceSpec, "

@@ -33,14 +33,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..cache.hotrow import CacheConfig, HotRowCache
-from ..core.baseline import BaselineRetrieval, PhaseTiming
-from ..core.functional import (
-    ShardedEmbeddingTables,
-    baseline_functional_forward,
-    pgas_functional_forward,
-)
-from ..core.pgas_retrieval import PGASFusedRetrieval
-from ..core.retrieval import RetrievalBackend
+from ..core.baseline import PhaseTiming
+from ..core.functional import ShardedEmbeddingTables, functional_forward
+from ..core.retrieval import RetrievalBackend, base_engine
 from ..core.sharding import TableWiseSharding, minibatch_bounds
 from ..core.workload import DeviceWorkload
 from ..dlrm.batch import SparseBatch
@@ -172,12 +167,7 @@ class ResilientRetrieval(RetrievalBackend):
         pgas_spec=None,
         sharded: Optional[ShardedEmbeddingTables] = None,
     ):
-        if base == "pgas":
-            self.base = PGASFusedRetrieval(cluster, pgas_spec)
-        elif base == "baseline":
-            self.base = BaselineRetrieval(cluster, collective_spec)
-        else:
-            raise ValueError(f"unknown base backend {base!r} (use 'pgas' or 'baseline')")
+        self.base = base_engine(base, cluster, collective_spec, pgas_spec)
         if cluster.n_devices != plan.n_devices:
             raise ValueError(
                 f"cluster has {cluster.n_devices} devices, plan has {plan.n_devices}"
@@ -366,7 +356,7 @@ class ResilientRetrieval(RetrievalBackend):
 
     def _message_params(self) -> Tuple[int, int]:
         """Wire framing of forwarded payloads, matching the base backend."""
-        if isinstance(self.base, PGASFusedRetrieval):
+        if self.base_name == "pgas":
             pspec = self.base.pgas.spec
             return pspec.message_bytes, pspec.header_bytes
         cspec = self.base.collectives.spec
@@ -420,6 +410,7 @@ class ResilientRetrieval(RetrievalBackend):
         cluster: Cluster,
         workloads: Sequence[DeviceWorkload],
         timing: PhaseTiming,
+        *,
         batch: Optional[SparseBatch] = None,
         stream_suffix: str = "",
     ):
@@ -503,18 +494,6 @@ class ResilientRetrieval(RetrievalBackend):
                 CACHE_SERVED_COUNTER, t, float(outcome.cache_served_bags), unit="bags"
             )
 
-    def run_timed(
-        self,
-        workloads: Sequence[DeviceWorkload],
-        batch: Optional[SparseBatch] = None,
-    ) -> PhaseTiming:
-        """Simulate one batch through the state machine on the cluster."""
-        timing = PhaseTiming(batches=1)
-        self.cluster.run(
-            lambda cl: self.batch_process(cl, workloads, timing, batch=batch)
-        )
-        return timing
-
     def pop_outcome(self) -> Optional[BatchOutcome]:
         """The most recent batch's outcome, consumed (None if already read)."""
         outcome, self.last_outcome = self.last_outcome, None
@@ -553,10 +532,7 @@ class ResilientRetrieval(RetrievalBackend):
         """
         if self.sharded is None:
             raise ValueError("functional forward needs materialize=True weights")
-        if self.base_name == "pgas":
-            outputs = pgas_functional_forward(self.sharded, batch)
-        else:
-            outputs, _blocks = baseline_functional_forward(self.sharded, batch)
+        outputs = functional_forward(self.base_name, self.sharded, batch)
         state = self._last_state
         if state is None or (not state.degraded_pairs and not state.fully_degraded):
             return outputs

@@ -2,9 +2,8 @@
 
 Flat routing sends every device→device payload point-to-point, so a
 multi-node cluster of ``N`` nodes × ``P`` GPUs pays ``(N·P)²`` NIC message
-streams where ``N²`` coalesced ones would do.  This package wraps either
-base backend with the two-level routing layer of
-:mod:`repro.comm.hier`:
+streams where ``N²`` coalesced ones would do.  The two-level routing
+layer of :mod:`repro.comm.hier` plugs into either base engine:
 
 * ``baseline+hier`` — the all-to-all runs through
   :class:`~repro.comm.hier.TwoLevelAllToAll`: intra-node gather of
@@ -21,15 +20,17 @@ to the flat backends, and an inactive
 :class:`~repro.comm.hier.HierSpec` (``devices_per_node == 1`` or a
 single node) leaves the flat path event-identical.
 
-Importing this package registers the ``"pgas+hier"`` and
-``"baseline+hier"`` backends with the core registry, so
+A ``"+hier"`` backend is the base adapter
+(:class:`~repro.core.retrieval.BaseRetrieval`) with a
+:class:`~repro.comm.hier.HierSpec` attached, registered by
+:mod:`repro.core.retrieval` itself, so
 
 >>> emb = DistributedEmbedding(cfg, n_devices=8, backend="pgas+hier",
 ...                            features=FeatureSpec(hier=HierSpec(devices_per_node=4)))
 
-works exactly like the flat backends (``repro`` imports it for you); with
-no cluster given, a matching multi-node cluster is built from the spec's
-node geometry.
+works exactly like the flat backends; with no cluster given, a matching
+multi-node cluster is built from the spec's node geometry.  This package
+re-exports the routing layer's public names.
 """
 
 from __future__ import annotations
@@ -44,32 +45,14 @@ from ..comm.hier import (
     inter_node_message_count,
     inter_node_wire_bytes,
 )
-from ..core.factory import build_adapter
-from ..core.retrieval import register_backend
-from .retrieval import HierRetrieval, hier_retrieval_for
 
 __all__ = [
     "FWD_COUNTER",
-    "HierRetrieval",
     "HierSpec",
     "NIC_COUNTER",
     "NodeStagingRouter",
     "SCATTER_COUNTER",
     "TwoLevelAllToAll",
-    "hier_retrieval_for",
     "inter_node_message_count",
     "inter_node_wire_bytes",
 ]
-
-
-# Thin aliases: composition lives in repro.core.factory.build_adapter.
-register_backend(
-    "pgas+hier",
-    lambda emb: build_adapter(emb, "pgas+hier"),
-    description="PGAS retrieval with node-leader staging: off-node writes cross the NIC as one aggregated stream per node pair",
-)
-register_backend(
-    "baseline+hier",
-    lambda emb: build_adapter(emb, "baseline+hier"),
-    description="collective retrieval with a two-level all-to-all: NVLink gather/scatter around one coalesced NIC transfer per node pair",
-)

@@ -6,8 +6,8 @@ which request or batch a span belongs to.  This module adds it without
 touching the engine:
 
 * :class:`TraceSpec` — the user-facing switch.  Attach one to a
-  :class:`~repro.core.runspec.RunSpec` (or pass ``obs=`` to
-  ``DistributedEmbedding`` / ``DLRMInferencePipeline``) and every forward
+  :class:`~repro.core.runspec.RunSpec` (or pass ``features=FeatureSpec(obs=...)``
+  to ``DistributedEmbedding`` / ``DLRMInferencePipeline``) and every forward
   call / dispatched serving batch gets a :class:`~repro.simgpu.profiler.TraceRef`.
 * :func:`trace_scope` — context manager that sets ``profiler.active_trace``
   for the dynamic extent of a block.  Used around synchronous

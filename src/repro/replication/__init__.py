@@ -61,10 +61,10 @@ __all__ = [
 
 
 def replicated_retrieval_for(emb, base: str) -> ReplicatedRetrieval:
-    """Build a :class:`ReplicatedRetrieval` bound to a
-    :class:`~repro.core.retrieval.DistributedEmbedding` (the registry
+    """Build a :class:`ReplicatedRetrieval` bound to an
+    :class:`~repro.core.retrieval.EmbeddingHost` (the registry
     factories' shared implementation)."""
-    spec = emb.replication_config
+    spec = emb.features.replication
     if spec is not None and not isinstance(spec, ReplicationSpec):
         raise TypeError(
             f"DistributedEmbedding replication must be a ReplicationSpec, "

@@ -46,14 +46,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..core.baseline import BaselineRetrieval, PhaseTiming
-from ..core.functional import (
-    ShardedEmbeddingTables,
-    baseline_functional_forward,
-    pgas_functional_forward,
-)
-from ..core.pgas_retrieval import PGASFusedRetrieval
-from ..core.retrieval import RetrievalBackend
+from ..core.baseline import PhaseTiming
+from ..core.functional import ShardedEmbeddingTables, functional_forward
+from ..core.retrieval import RetrievalBackend, base_engine
 from ..core.sharding import TableWiseSharding
 from ..core.workload import DeviceWorkload, rehome_workloads, table_segments
 from ..dlrm.batch import SparseBatch
@@ -144,8 +139,6 @@ class ReplicatedRetrieval(RetrievalBackend):
         pgas_spec=None,
         sharded: Optional[ShardedEmbeddingTables] = None,
     ):
-        if base not in ("pgas", "baseline"):
-            raise ValueError(f"unknown base backend {base!r} (use 'pgas' or 'baseline')")
         if cluster.n_devices != plan.n_devices:
             raise ValueError(
                 f"cluster has {cluster.n_devices} devices, plan has {plan.n_devices}"
@@ -160,10 +153,7 @@ class ReplicatedRetrieval(RetrievalBackend):
                 f"{cluster.n_devices}-device cluster"
             )
         self.sharded = sharded
-        if base == "pgas":
-            self.base = PGASFusedRetrieval(cluster, pgas_spec)
-        else:
-            self.base = BaselineRetrieval(cluster, collective_spec)
+        self.base = base_engine(base, cluster, collective_spec, pgas_spec)
         G = cluster.n_devices
         #: per-table holder device lists, primary first; recovery appends
         self._holders: List[List[int]] = [
@@ -367,26 +357,19 @@ class ReplicatedRetrieval(RetrievalBackend):
 
     # -- timed path --------------------------------------------------------------
 
-    def run_timed(
-        self,
-        workloads: Sequence[DeviceWorkload],
-        batch: Optional[SparseBatch] = None,
-    ) -> PhaseTiming:
-        """Simulate one batch, failing over around any detected failures."""
-        timing = PhaseTiming(batches=1)
-        self.cluster.run(lambda cl: self.batch_process(cl, workloads, timing))
-        return timing
-
     def batch_process(
         self,
         cluster: Cluster,
         workloads: Sequence[DeviceWorkload],
         timing: PhaseTiming,
+        *,
+        batch: Optional[SparseBatch] = None,
         stream_suffix: str = "",
     ):
-        """Process generator for one batch — composable into larger host
-        programs.  With no detected failures this is the wrapped backend's
-        generator, event for event."""
+        """Process generator for one batch, failing over around any
+        detected failures — composable into larger host programs.  With no
+        detected failures this is the wrapped backend's generator, event
+        for event."""
         if not self._failed:
             yield from self.base.batch_process(
                 cluster, workloads, timing, stream_suffix=stream_suffix
@@ -442,10 +425,7 @@ class ReplicatedRetrieval(RetrievalBackend):
         if self.sharded is None:
             raise ValueError("functional forward needs materialize=True weights")
         if not self._failed:
-            if self.base_name == "pgas":
-                return pgas_functional_forward(self.sharded, batch)
-            outputs, _blocks = baseline_functional_forward(self.sharded, batch)
-            return outputs
+            return functional_forward(self.base_name, self.sharded, batch)
         plan = self.table_plan
         owners = self.effective_owners()
         # The re-shard must stay an exact partition, so tables with no live
@@ -463,10 +443,7 @@ class ReplicatedRetrieval(RetrievalBackend):
             for d in range(plan.n_devices)
         ]
         failover_sharded = ShardedEmbeddingTables(failover_plan, per_device)
-        if self.base_name == "pgas":
-            outputs = pgas_functional_forward(failover_sharded, batch)
-        else:
-            outputs, _blocks = baseline_functional_forward(failover_sharded, batch)
+        outputs = functional_forward(self.base_name, failover_sharded, batch)
         for name, dev in owners.items():
             if dev is None:
                 fidx = plan.feature_index(name)

@@ -73,10 +73,10 @@ __all__ = [
 
 
 def reshard_retrieval_for(emb, base: str) -> ReshardRetrieval:
-    """Build a :class:`ReshardRetrieval` bound to a
-    :class:`~repro.core.retrieval.DistributedEmbedding` (the registry
+    """Build a :class:`ReshardRetrieval` bound to an
+    :class:`~repro.core.retrieval.EmbeddingHost` (the registry
     factories' shared implementation)."""
-    spec = emb.reshard_config
+    spec = emb.features.reshard
     if spec is not None and not isinstance(spec, ReshardSpec):
         raise TypeError(
             f"DistributedEmbedding reshard must be a ReshardSpec, "

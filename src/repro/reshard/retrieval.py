@@ -35,14 +35,9 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..core.baseline import BaselineRetrieval, PhaseTiming
-from ..core.functional import (
-    ShardedEmbeddingTables,
-    baseline_functional_forward,
-    pgas_functional_forward,
-)
-from ..core.pgas_retrieval import PGASFusedRetrieval
-from ..core.retrieval import RetrievalBackend
+from ..core.baseline import PhaseTiming
+from ..core.functional import ShardedEmbeddingTables, functional_forward
+from ..core.retrieval import RetrievalBackend, base_engine
 from ..core.sharding import ShardingError, TableWiseSharding
 from ..core.workload import DeviceWorkload, rehome_workloads, table_segments
 from ..dlrm.batch import SparseBatch
@@ -102,8 +97,6 @@ class ReshardRetrieval(RetrievalBackend):
         sharded: Optional[ShardedEmbeddingTables] = None,
         weight_buffers: Optional[Dict[str, object]] = None,
     ):
-        if base not in ("pgas", "baseline"):
-            raise ValueError(f"unknown base backend {base!r} (use 'pgas' or 'baseline')")
         if cluster.n_devices != plan.n_devices:
             raise ValueError(
                 f"cluster has {cluster.n_devices} devices, plan has {plan.n_devices}"
@@ -113,10 +106,7 @@ class ReshardRetrieval(RetrievalBackend):
         self.base_name = base
         self.spec = spec or ReshardSpec()
         self.sharded = sharded
-        if base == "pgas":
-            self.base = PGASFusedRetrieval(cluster, pgas_spec)
-        else:
-            self.base = BaselineRetrieval(cluster, collective_spec)
+        self.base = base_engine(base, cluster, collective_spec, pgas_spec)
         self._static_owners: Dict[str, int] = {
             cfg.name: plan.owner_of(cfg.name) for cfg in plan.table_configs
         }
@@ -174,25 +164,18 @@ class ReshardRetrieval(RetrievalBackend):
 
     # -- timed path --------------------------------------------------------------
 
-    def run_timed(
-        self,
-        workloads: Sequence[DeviceWorkload],
-        batch: Optional[SparseBatch] = None,
-    ) -> PhaseTiming:
-        """Simulate one batch under the current ownership, then observe it."""
-        timing = PhaseTiming(batches=1)
-        self.cluster.run(lambda cl: self.batch_process(cl, workloads, timing))
-        return timing
-
     def batch_process(
         self,
         cluster: Cluster,
         workloads: Sequence[DeviceWorkload],
         timing: PhaseTiming,
+        *,
+        batch: Optional[SparseBatch] = None,
         stream_suffix: str = "",
     ):
-        """Process generator for one batch — composable into larger host
-        programs.  Ownership is snapshotted here, at generator start: a
+        """Process generator for one batch under the current ownership,
+        observed on completion — composable into larger host programs.
+        Ownership is snapshotted here, at generator start: a
         cutover that fires mid-batch (in simulated time) only affects the
         *next* batch.  While ownership still matches the static plan this
         is the wrapped backend's generator, event for event."""
@@ -274,10 +257,7 @@ class ReshardRetrieval(RetrievalBackend):
         if self.sharded is None:
             raise ValueError("functional forward needs materialize=True weights")
         if self._owners == self._static_owners:
-            if self.base_name == "pgas":
-                return pgas_functional_forward(self.sharded, batch)
-            outputs, _blocks = baseline_functional_forward(self.sharded, batch)
-            return outputs
+            return functional_forward(self.base_name, self.sharded, batch)
         plan = self.table_plan
         current_plan = TableWiseSharding.from_assignment(
             plan.table_configs, plan.n_devices, dict(self._owners)
@@ -288,10 +268,7 @@ class ReshardRetrieval(RetrievalBackend):
             for d in range(plan.n_devices)
         ]
         current_sharded = ShardedEmbeddingTables(current_plan, per_device)
-        if self.base_name == "pgas":
-            return pgas_functional_forward(current_sharded, batch)
-        outputs, _blocks = baseline_functional_forward(current_sharded, batch)
-        return outputs
+        return functional_forward(self.base_name, current_sharded, batch)
 
     # -- reporting ---------------------------------------------------------------
 

@@ -263,5 +263,5 @@ class TestConstruction:
 
         by_name = {str(b): b for b in available_backends()}
         info = by_name["pgas+compress"]
-        assert info.compressed and not info.cached and not info.resilient
-        assert by_name["pgas"].compressed is False
+        assert info.features == ("compress",)
+        assert "compress" not in by_name["pgas"].features

@@ -72,14 +72,14 @@ class TestRunSpecIntegration:
             preset_runspec("tiny", compression={"codec": "int8"})
 
     def test_from_spec_passes_compression_through(self):
-        from repro import DistributedEmbedding
+        from repro import build_backend
 
         spec = preset_runspec(
             "tiny",
             backend="pgas+compress",
             compression=CompressionSpec(codec="int8"),
         )
-        emb = DistributedEmbedding.from_spec(spec)
-        assert emb.compression_config is spec.compression
+        emb = build_backend(spec)
+        assert emb.features.compression is spec.compression
         adapter = emb.backend_adapter("pgas+compress")
         assert adapter.codec.name == "int8"

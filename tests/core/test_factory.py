@@ -158,11 +158,12 @@ class TestRemovedLegacyKwargs:
             w for w in caught if issubclass(w.category, DeprecationWarning)
         ]
 
-    def test_config_accessors_read_from_features(self):
+    def test_configs_read_from_features(self):
         spec = FeatureSpec(reshard=ReshardSpec(), replication=ReplicationSpec())
         emb = DistributedEmbedding(
             small_cfg(), 2, backend="pgas+reshard", features=spec,
         )
-        assert emb.reshard_config is spec.reshard
-        assert emb.replication_config is spec.replication
-        assert emb.cache_config is None
+        assert emb.features is spec
+        assert emb.backend_adapter().spec is spec.reshard
+        for legacy in ("cache_config", "reshard_config", "replication_config"):
+            assert not hasattr(emb, legacy)

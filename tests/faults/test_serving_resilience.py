@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.factory import FeatureSpec
 from repro.core.pipeline import DLRMInferencePipeline, PipelineConfig
 from repro.core.serving import InferenceServer, ServingResult, ServingSpec
 from repro.dlrm.data import WorkloadConfig
@@ -30,7 +31,7 @@ def serve_under_faults(severity=0.8, *, n_requests=24, backend="pgas+resilient",
         PipelineConfig(workload=small_cfg()),
         2,
         backend=backend,
-        resilience=ResilienceSpec(deadline_ns=0.25 * ms, seed=0),
+        features=FeatureSpec(resilience=ResilienceSpec(deadline_ns=0.25 * ms, seed=0)),
     )
     plan = FaultPlan.generate(2, 2 * ms, severity=severity, seed=7)
     FaultInjector(pipeline.cluster, plan).install()

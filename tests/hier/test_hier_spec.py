@@ -89,8 +89,8 @@ class TestFactoryWiring:
     def test_unconfigured_hier_defaults_to_flat_routing(self):
         emb = DistributedEmbedding(small_cfg(), 2, backend="pgas+hier")
         adapter = emb.backend_adapter()
-        assert adapter.spec.devices_per_node == 1
-        assert not adapter.active
+        assert adapter.hier_spec.devices_per_node == 1
+        assert not adapter.hier_spec.active(emb.n_devices)
 
     def test_wrong_hier_config_type_rejected(self):
         with pytest.raises(TypeError, match="HierSpec"):
@@ -109,7 +109,7 @@ class TestFactoryWiring:
     def test_backend_info_flags_hierarchical(self):
         from repro.core.retrieval import available_backends
 
-        flags = {str(b): b.hierarchical for b in available_backends()}
+        flags = {str(b): "hier" in b.features for b in available_backends()}
         assert flags["pgas+hier"] and flags["baseline+hier"]
         assert not flags["pgas"] and not flags["baseline"]
 

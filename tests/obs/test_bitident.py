@@ -78,7 +78,7 @@ def test_tracing_changes_attribution_not_timing(backend):
 def _serve(obs):
     cfg = WorkloadConfig(**WL)
     pipe = DLRMInferencePipeline(PipelineConfig(workload=cfg), 2,
-                                 backend="pgas", obs=obs)
+                                 backend="pgas", features=FeatureSpec(obs=obs))
     server = InferenceServer(
         pipe, ServingSpec(arrival_qps=50_000, max_batch=16,
                           batch_window_ns=0.5 * ms, seed=5)

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.factory import build_backend
 from repro.core.retrieval import (
-    DistributedEmbedding,
     available_backends,
     backend_spec,
     register_backend,
@@ -25,9 +25,9 @@ class TestCompositionContract:
 
     def test_replicated_backends_listed_with_flag(self):
         infos = {str(i): i for i in available_backends()}
-        assert infos["pgas+replicated"].replicated
-        assert infos["baseline+replicated"].replicated
-        assert not infos["pgas"].replicated
+        assert "replicated" in infos["pgas+replicated"].features
+        assert "replicated" in infos["baseline+replicated"].features
+        assert "replicated" not in infos["pgas"].features
 
     @pytest.mark.parametrize("name", [
         "pgas+compress+replicated",
@@ -82,8 +82,8 @@ class TestRunSpecReplication:
             "tiny", 2, backend="pgas+replicated",
             replication=ReplicationSpec(k=2),
         )
-        emb = DistributedEmbedding.from_spec(spec)
-        assert emb.replication_config == spec.replication
+        emb = build_backend(spec)
+        assert emb.features.replication == spec.replication
         adapter = emb.backend_adapter("pgas+replicated")
         assert adapter.spec == spec.replication
 

@@ -50,10 +50,10 @@ class TestBackendInfoFlags:
         assert by_name["pgas"].base == "pgas"
         assert by_name["pgas+cache"].base == "pgas"
         assert by_name["baseline+resilient"].base == "baseline"
-        assert by_name["pgas+cache"].cached
-        assert not by_name["pgas"].cached
-        assert by_name["baseline+resilient"].resilient
-        assert not by_name["baseline+cache"].resilient
+        assert "cache" in by_name["pgas+cache"].features
+        assert by_name["pgas"].features == ()
+        assert "resilient" in by_name["baseline+resilient"].features
+        assert "resilient" not in by_name["baseline+cache"].features
 
     def test_requires_indices_flags(self):
         by_name = {str(i): i for i in available_backends()}

@@ -157,11 +157,11 @@ class TestPresets:
 
 
 class TestFromSpecConstructors:
-    def test_distributed_embedding_from_spec(self):
-        from repro.core.retrieval import DistributedEmbedding
+    def test_build_backend_from_spec(self):
+        from repro.core.factory import build_backend
 
         spec = RunSpec(workload=WL, n_devices=2, backend="baseline")
-        emb = DistributedEmbedding.from_spec(spec)
+        emb = build_backend(spec)
         assert emb.backend == "baseline"
         assert emb.n_devices == 2
 

@@ -163,7 +163,7 @@ class TestFormationPolicies:
 
 
 class TestMaterializedEquivalence:
-    @pytest.mark.parametrize("backend", ["pgas", "baseline"])
+    @pytest.mark.parametrize("backend", ["pgas", "baseline", "pgas+cache"])
     def test_outputs_bit_identical_across_k(self, backend):
         """Continuous batching must not change what is computed, only when."""
         outs = {}

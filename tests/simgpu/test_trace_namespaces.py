@@ -131,12 +131,12 @@ class TestRoundTrip:
 
     def test_end_to_end_traced_run_export(self, tmp_path):
         """A real traced run exports spans + flows with disjoint namespaces."""
-        from repro.core.retrieval import DistributedEmbedding
+        from repro.core.factory import build_backend
         from repro.core.runspec import preset_runspec
         from repro.dlrm.data import SyntheticDataGenerator
 
         spec = preset_runspec("tiny", n_devices=2, obs=TraceSpec())
-        emb = DistributedEmbedding.from_spec(spec)
+        emb = build_backend(spec)
         gen = SyntheticDataGenerator(spec.workload)
         emb.forward_timed(gen.lengths_batch())
         trace = chrome_trace(emb.cluster.profiler)
