@@ -42,6 +42,11 @@ from ..simgpu.units import us
 __all__ = ["PGASSpec", "SymmetricHeap", "PGASContext"]
 
 
+def _delivered(in_flight: Dict[int, int], pe: int, t: float) -> None:
+    """One put or atomic from ``pe`` landed at ``t``."""
+    in_flight[pe] -= 1
+
+
 @dataclass(frozen=True)
 class PGASSpec:
     """Tunables of the one-sided messaging layer.
@@ -146,7 +151,9 @@ class PGASContext:
         # i.e. the latest delivery instant booked so far.
         self._in_flight: Dict[int, int] = dict.fromkeys(ids, 0)
         self._last_done: Dict[int, float] = dict.fromkeys(ids, float("-inf"))
-        self._on_delivered = {pe: partial(self._delivered, pe) for pe in ids}
+        # Delivery callbacks close over the count only: a bound method here
+        # would tie the context into a cycle through the interconnect.
+        self._on_delivered = {pe: partial(_delivered, self._in_flight, pe) for pe in ids}
         # Externally-created transfers (aggregator flushes, hier chains).
         self._outstanding: Dict[int, List[Event]] = {pe: [] for pe in ids}
         self.puts_issued = 0
@@ -205,9 +212,6 @@ class PGASContext:
         self._in_flight[src] += 1
         if done_at > self._last_done[src]:
             self._last_done[src] = done_at
-
-    def _delivered(self, pe: int, t: float) -> None:
-        self._in_flight[pe] -= 1
 
     def issue_cost(self, n_batches: int = 1) -> float:
         """GPU-side time charged inside the kernel for issuing writes."""

@@ -8,11 +8,13 @@ communication sits directly on the tail.
 
 :class:`InferenceServer` runs that loop on the simulator:
 
-* requests arrive as a Poisson process at ``arrival_qps``;
+* requests arrive as a Poisson process at ``arrival_qps``, drawn up front
+  and admitted lazily whenever the scheduler wakes;
 * a batch former seals batches per the :class:`SchedulerSpec` policy —
   ``"size"`` (wait for ``max_batch``), ``"timeout"`` (wait
   ``batch_window_ns`` after the head request), or ``"hybrid"``
-  (whichever fires first);
+  (whichever fires first).  It sleeps until the instant its trigger
+  fires, so serving costs engine events per batch, not per request;
 * a continuous-batching dispatcher keeps up to ``max_in_flight`` batches
   executing concurrently, each on its own per-batch stream set (see
   :class:`~repro.simgpu.stream.StreamPool`): while batch k's EMB output
@@ -49,6 +51,7 @@ degraded under fault.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Literal, Optional
 
@@ -528,7 +531,7 @@ class InferenceServer:
         outputs_t: List[Optional[np.ndarray]] = [None] * n_requests
 
         queue: List[int] = []  # admitted request ids awaiting dispatch
-        arrived = 0
+        arrived = 0  # arrivals admitted or shed so far
         n_shed = 0
         n_hedged = 0
         n_done = 0
@@ -536,31 +539,91 @@ class InferenceServer:
         batch_sizes: List[int] = []
         formed_by: Dict[str, int] = {reason: 0 for reason in FORMATION_REASONS}
         slots = StreamPool(sched.max_in_flight)
-        wake = engine.notifier("scheduler")
+        wake = engine.notifier("scheduler")  # kicked by batch completions
         t_start = engine.now
         if resilient:
             # Build the adapter now so the outcome ledger exists.
             adapter = pipeline.backend_adapter(be)
             outcome_start = len(adapter.outcomes)
 
-        def arrivals() -> ProcessGenerator:
+        # Poisson arrivals, pre-drawn: one vectorized draw equals the
+        # per-request scalar draws, and the running sum from t_start equals
+        # a chain of ``now + gap`` timeouts bit for bit.
+        gaps = rng.exponential(spec.mean_interarrival_ns, size=n_requests)
+        arrivals = np.cumsum(np.concatenate(([t_start], gaps)))[1:].tolist()
+        sized = sched.policy != "timeout"
+        timed = sched.policy != "size"
+        max_batch = spec.max_batch
+        window = spec.batch_window_ns
+
+        def admit(now: float) -> None:
+            """Admit or shed, in order, every arrival at or before ``now``.
+
+            Each sample is stamped at the arrival's own instant, so the
+            queue-depth counter sees what an admission per arrival would
+            have recorded.
+            """
             nonlocal arrived, n_shed
-            for rid in range(n_requests):
-                gap = rng.exponential(spec.mean_interarrival_ns)
-                yield engine.timeout(gap)
-                arrived += 1
+            while arrived < n_requests and arrivals[arrived] <= now:
+                t = arrivals[arrived]
                 if queue_limit is not None and len(queue) >= queue_limit:
                     # Admission control: reject instead of growing the tail.
                     n_shed += 1
                 else:
-                    arrival_t[rid] = engine.now
-                    queue.append(rid)
-                    profiler.add_count(
-                        QUEUE_DEPTH_COUNTER, engine.now, 1.0, unit="requests"
-                    )
-                # A shed arrival still kicks the scheduler so its loop
-                # condition (served + shed == offered) is re-checked.
-                wake.notify()
+                    arrival_t[arrived] = t
+                    queue.append(arrived)
+                    profiler.add_count(QUEUE_DEPTH_COUNTER, t, 1.0, unit="requests")
+                arrived += 1
+
+        def trigger(t: float, depth: int, seen: int, deadline: float) -> Optional[str]:
+            """The batch former's check at ``t``: what seals the head batch, if
+            anything, with ``depth`` queued, ``seen`` arrivals so far and the
+            head's window ending at ``deadline``."""
+            if sized and depth >= max_batch:
+                return "size"
+            if seen >= n_requests:
+                return "exhausted"
+            if timed and t >= deadline:
+                return "timeout"
+            return None
+
+        def formation_instant(now: float, deadline: float) -> float:
+            """The next instant :func:`trigger` fires, absent a completion.
+
+            Walks the pending arrivals the way a batch former woken by every
+            arrival (admitted or shed) would see them.  That former re-armed
+            its window timer at each wake as ``t + (deadline - t)``, which
+            can land an ulp either side of ``deadline``: short, it re-arms;
+            past, the batch forms at that later instant.  The walk replays
+            the chain; an arrival tied with the timer is seen first.
+            """
+            depth = len(queue)
+            i = arrived
+            t = now
+            timer = t + (deadline - t) if timed else math.inf
+            while True:
+                if i < n_requests and arrivals[i] <= timer:
+                    t = arrivals[i]
+                    i += 1
+                    if queue_limit is None or depth < queue_limit:
+                        depth += 1
+                else:
+                    t = timer
+                if trigger(t, depth, i, deadline) is not None:
+                    return t
+                if timed:
+                    timer = t + (deadline - t)
+
+        def sleep_until(t: Optional[float]) -> ProcessGenerator:
+            """Wait for a batch completion or, when given, the instant ``t``."""
+            if t is None:
+                yield wake.wait()
+                return
+            alarm = engine.event("scheduler.alarm")
+            handle = engine.call_at(t, alarm.succeed)
+            yield engine.any_of([wake.wait(), alarm])
+            # After a completion the caller re-plans from the new instant.
+            engine.cancel(handle)
 
         def run_batch(rows: List[int], lease, batch_seq: int) -> ProcessGenerator:
             """Execute one dispatched batch on its leased stream set."""
@@ -635,45 +698,32 @@ class InferenceServer:
             nonlocal in_flight
             n_launched = 0
             while n_done + n_shed < n_requests:
+                now = engine.now
+                admit(now)
                 if not queue:
-                    yield wake.wait()
+                    yield from sleep_until(
+                        arrivals[arrived] if arrived < n_requests else None
+                    )
                     continue
-                # Batch former: wait until the policy declares the head
-                # batch ready.
-                reason = None
-                while reason is None:
-                    if sched.policy != "timeout" and len(queue) >= spec.max_batch:
-                        reason = "size"
-                    elif arrived >= n_requests:
-                        reason = "exhausted"
-                    elif (
-                        sched.policy != "size"
-                        and engine.now
-                        >= arrival_t[queue[0]] + spec.batch_window_ns
-                    ):
-                        reason = "timeout"
-                    else:
-                        ev = wake.wait()
-                        if sched.policy != "size":
-                            remaining = (
-                                arrival_t[queue[0]]
-                                + spec.batch_window_ns
-                                - engine.now
-                            )
-                            yield engine.any_of([ev, engine.timeout(remaining)])
-                        else:
-                            yield ev
-                t_ready = engine.now
+                # Batch former: sleep until the policy declares the head
+                # batch ready; a completion wakes it early to re-plan.
+                deadline = arrivals[queue[0]] + window
+                reason = trigger(now, len(queue), arrived, deadline)
+                if reason is None:
+                    yield from sleep_until(formation_instant(now, deadline))
+                    continue
+                t_ready = now
                 # Dispatcher: wait for a free in-flight slot, then seal.
                 while in_flight >= sched.max_in_flight:
                     yield wake.wait()
                 # Seal at dispatch: absorb everything waiting now (late
                 # arrivals ride along, with a zero form segment).
-                k = min(len(queue), spec.max_batch)
+                now = engine.now
+                admit(now)
+                k = min(len(queue), max_batch)
                 rows = queue[:k]
                 del queue[:k]
                 rows_np = np.asarray(rows, dtype=np.int64)
-                now = engine.now
                 ready_t[rows_np] = np.maximum(t_ready, arrival_t[rows_np])
                 dispatch_t[rows_np] = now
                 profiler.add_count(
@@ -690,7 +740,6 @@ class InferenceServer:
                 engine.process(run_batch(rows, lease, n_launched), name=f"batch{n_launched}")
                 n_launched += 1
 
-        engine.process(arrivals(), name="arrivals")
         sched_proc = engine.process(scheduler(), name="scheduler")
         engine.run_until_event(sched_proc)
         t_end = engine.now

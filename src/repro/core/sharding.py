@@ -149,6 +149,11 @@ class TableWiseSharding(ShardingPlan):
                     raise ValueError(f"no owner for table {cfg.name!r}")
                 self._owner[cfg.name] = int(owners[cfg.name])
             self.validate()
+        # Per-device table lists in global feature order, built once: the
+        # workload builder asks for every device on every batch.
+        self._tables_on: Dict[int, List[EmbeddingTableConfig]] = {}
+        for cfg in self.table_configs:
+            self._tables_on.setdefault(self._owner[cfg.name], []).append(cfg)
 
     @classmethod
     def from_assignment(
@@ -165,8 +170,8 @@ class TableWiseSharding(ShardingPlan):
         return self._owner[table_name]
 
     def tables_on(self, device_id: int) -> List[EmbeddingTableConfig]:
-        """Tables owned by ``device_id``, in global feature order."""
-        return [t for t in self.table_configs if self._owner[t.name] == device_id]
+        """Tables owned by ``device_id``, in global feature order (a fresh list)."""
+        return list(self._tables_on.get(device_id, ()))
 
     def feature_indices_on(self, device_id: int) -> np.ndarray:
         """Global feature positions of a device's tables."""

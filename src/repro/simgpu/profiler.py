@@ -16,6 +16,7 @@ Two instruments matter for the paper's evaluation:
 from __future__ import annotations
 
 import bisect
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -64,35 +65,43 @@ class Counter:
 
     ``add(t, delta)`` must be called with non-decreasing ``t`` *per caller*;
     out-of-order stamps from independent devices are merged on read.
+    Samples live in two ``array('d')`` columns, 16 bytes per sample instead
+    of a tuple object each; a read sorts both by time with one stable
+    permutation.
     """
 
     def __init__(self, name: str, unit: str = "bytes"):
         self.name = name
         self.unit = unit
-        self._events: List[Tuple[float, float]] = []  # (time, delta)
+        self._times = array("d")
+        self._deltas = array("d")
         self._sorted = True
 
     def add(self, t: float, delta: float) -> None:
         """Record ``delta`` units at simulation time ``t``."""
-        if self._events and t < self._events[-1][0]:
+        times = self._times
+        if times and t < times[-1]:
             self._sorted = False
-        self._events.append((t, delta))
+        times.append(t)
+        self._deltas.append(delta)
 
     @property
     def total(self) -> float:
-        """Grand total accumulated."""
-        return sum(d for _, d in self._events)
+        """Grand total accumulated (summed in storage order)."""
+        return sum(self._deltas)
 
     def _ensure_sorted(self) -> None:
         if not self._sorted:
-            self._events.sort(key=lambda e: e[0])
+            order = np.argsort(np.frombuffer(self._times), kind="stable")
+            self._times = array("d", np.frombuffer(self._times)[order].tobytes())
+            self._deltas = array("d", np.frombuffer(self._deltas)[order].tobytes())
             self._sorted = True
 
     def value_at(self, t: float) -> float:
         """Cumulative value at time ``t`` (inclusive)."""
         self._ensure_sorted()
         total = 0.0
-        for et, d in self._events:
+        for et, d in zip(self._times, self._deltas):
             if et > t:
                 break
             total += d
@@ -101,16 +110,18 @@ class Counter:
     def events(self) -> List[Tuple[float, float]]:
         """Time-sorted ``(time, delta)`` events (a copy; safe to iterate)."""
         self._ensure_sorted()
-        return list(self._events)
+        return list(zip(self._times, self._deltas))
 
     def values_at(self, times: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`value_at` over an array of sample instants."""
         times = np.asarray(times, dtype=np.float64)
         self._ensure_sorted()
-        if not self._events:
+        if not self._times:
             return np.zeros_like(times)
-        ev_t = np.array([e[0] for e in self._events])
-        ev_c = np.cumsum([e[1] for e in self._events])
+        # Views on the columns; none outlives this call (an exported buffer
+        # would block the next append).
+        ev_t = np.frombuffer(self._times)
+        ev_c = np.cumsum(np.frombuffer(self._deltas))
         idx = np.searchsorted(ev_t, times, side="right") - 1
         return np.where(idx >= 0, ev_c[np.maximum(idx, 0)], 0.0)
 
@@ -131,7 +142,7 @@ class Counter:
         if t_end < t_start:
             raise ValueError("t_end < t_start")
         self._ensure_sorted()
-        if t_end == t_start or not self._events:
+        if t_end == t_start or not self._times:
             return np.array([t_start], dtype=np.float64), np.array([0.0])
         times = np.arange(t_start, t_end, period, dtype=np.float64)
         times = np.append(times, t_end)

@@ -47,10 +47,16 @@ class StreamOp:
 
 
 class Stream:
-    """An in-order execution queue on one device."""
+    """An in-order execution queue on one device.
+
+    A stream keeps its device's id and spec, not the device itself: the
+    device owns its streams, and a back-reference would make every
+    cluster a reference cycle that only the cyclic GC can free.
+    """
 
     def __init__(self, device: "Device", name: str = "default"):
-        self.device = device
+        self.device_id = device.id
+        self.spec = device.spec
         self.name = name
         self.engine: Engine = device.engine
         self._queue: List[tuple] = []  # (op, factory)
@@ -96,7 +102,7 @@ class Stream:
     def synchronize(self) -> ProcessGenerator:
         """Process generator: block until drained, charging host sync cost."""
         yield self.drained()
-        yield self.engine.timeout(self.device.spec.sync_overhead_ns)
+        yield self.engine.timeout(self.spec.sync_overhead_ns)
 
     # -- events (cudaEvent analogue) -------------------------------------------------
 
@@ -140,7 +146,7 @@ class Stream:
             ev.succeed()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Stream dev={self.device.id} {self.name!r}>"
+        return f"<Stream dev={self.device_id} {self.name!r}>"
 
 
 class StreamLease:

@@ -119,8 +119,9 @@ class TestAllToAll:
         run_collective(cl, lambda: ctx.all_to_all_single(split))
         counter = cl.profiler.counter(Interconnect.COUNTER)
         # 4 chunks → 4 distinct delivery stamps
-        assert len(counter._events) == 4
-        times = sorted(t for t, _ in counter._events)
+        events = counter.events()
+        assert len(events) == 4
+        times = [t for t, _ in events]
         assert times[0] < times[-1]
 
     def test_handle_completion_flags(self):
@@ -227,7 +228,7 @@ class TestAlltoallAlgorithms:
         ctx = CollectiveContext(cl, fast_spec(alltoall_algorithm="pairwise"))
         run_collective(cl, lambda: ctx.all_to_all_single(split))
         counter = cl.profiler.counter(Interconnect.COUNTER)
-        stamps = sorted({t for t, _ in counter._events})
+        stamps = sorted({t for t, _ in counter.events()})
         assert len(stamps) == 2  # G-1 = 2 rounds, uniform sizes
 
     def test_pairwise_two_gpus_equals_direct(self):

@@ -1,0 +1,67 @@
+"""A finished simulation is freed by reference counting alone.
+
+The simulator's object graph holds no back-references (a stream keeps
+its device's id and spec, PGAS delivery callbacks close over a count),
+so dropping the last reference to an embedding, a pipeline or a server
+frees the whole cluster at once instead of leaving it for the cyclic GC.
+Each case builds and runs one object with automatic collection off, drops
+it, and checks that a full collection finds nothing unreachable.
+"""
+
+from __future__ import annotations
+
+import gc
+
+import pytest
+
+from repro.core.pipeline import DLRMInferencePipeline, PipelineConfig
+from repro.core.retrieval import DistributedEmbedding
+from repro.core.serving import InferenceServer, SchedulerSpec, ServingSpec
+from repro.core.train_pipeline import DLRMTrainingPipeline
+from repro.dlrm.data import SyntheticDataGenerator, WorkloadConfig
+from repro.simgpu.units import ms
+
+WL = WorkloadConfig(
+    num_tables=8, rows_per_table=2048, dim=16, batch_size=64, max_pooling=4, seed=2
+)
+
+
+def _unreachable_after(run) -> int:
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+    finally:
+        gc.enable()
+    return gc.collect()
+
+
+@pytest.mark.parametrize(
+    "backend", ["pgas", "baseline", "pgas+hier", "pgas+compress", "pgas+reshard"]
+)
+def test_distributed_embedding_leaves_no_cycles(backend):
+    def run():
+        emb = DistributedEmbedding(WL, 4, backend=backend)
+        emb.forward_timed(SyntheticDataGenerator(WL).lengths_batch())
+
+    assert _unreachable_after(run) == 0
+
+
+def test_training_pipeline_leaves_no_cycles():
+    def run():
+        pipe = DLRMTrainingPipeline(PipelineConfig(workload=WL), 2, backend="pgas")
+        pipe.run_step(SyntheticDataGenerator(WL).lengths_batch())
+
+    assert _unreachable_after(run) == 0
+
+
+def test_inference_server_leaves_no_cycles():
+    def run():
+        pipe = DLRMInferencePipeline(PipelineConfig(workload=WL), 2, backend="pgas")
+        spec = ServingSpec(
+            arrival_qps=200_000.0, max_batch=8, batch_window_ns=0.1 * ms,
+            scheduler=SchedulerSpec(max_in_flight=2),
+        )
+        InferenceServer(pipe, spec).simulate(40)
+
+    assert _unreachable_after(run) == 0

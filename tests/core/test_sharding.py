@@ -109,6 +109,11 @@ class TestTableWise:
         with pytest.raises(ValueError, match="duplicate"):
             TableWiseSharding(cfgs, 2)
 
+    def test_tables_on_returns_a_fresh_list(self):
+        plan = TableWiseSharding(configs(4), 2)
+        plan.tables_on(0).clear()  # callers may mutate what they get
+        assert [t.name for t in plan.tables_on(0)] == ["t0", "t1"]
+
     def test_more_devices_than_tables(self):
         plan = TableWiseSharding(configs(2), 4)
         plan.validate()

@@ -1,0 +1,131 @@
+"""Serving results are pinned: scheduler rewrites must not move them.
+
+Each case serves a short Poisson stream on the tiny preset and hashes
+everything the run simulated about serving: per-request latencies and
+their form/queue/execute segments, batch sizes, the formation triggers,
+sheds and hedges, the run duration, the interconnect idle time, and every
+``serving.*`` counter sample.  The digests were captured while the
+scheduler still ran one engine process per arrival stream and re-ran the
+batch former at every arrival; the event-per-batch scheduler must
+reproduce them bit for bit.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import struct
+
+import pytest
+
+from repro.core.pipeline import DLRMInferencePipeline
+from repro.core.runspec import preset_runspec
+from repro.core.serving import InferenceServer, SchedulerSpec, ServingSpec
+from repro.simgpu.units import ms, us
+
+N_REQUESTS = 48
+
+#: (queue_limit, batch_window_ns, arrival_qps, seed) per load shape; a
+#: tiny-preset batch of 8 executes in about 46 us
+LOADS = {
+    "window": (None, 50 * us, 100_000.0, 5),  # the window and max_batch race
+    "shed": (4, 20 * us, 400_000.0, 5),  # formation outpaces execution
+    "nowindow": (None, 0.0, 100_000.0, 5),  # batch_window_ns=0
+    "idle": (None, 1 * ms, 5_000.0, 5),  # the queue drains between batches
+    # The first head arrives before the window is one window old, and the
+    # last arrival before its deadline re-arms the timer one ulp late
+    # (``t + (deadline - t) > deadline``): the batch forms at that instant,
+    # not at the deadline.
+    "rounding": (None, 3 * ms, 1_000.0, 552),
+}
+
+
+def _serve(policy, k, queue_limit, window, qps, seed, hedge_after_ns=None):
+    spec = ServingSpec(
+        arrival_qps=qps, max_batch=8, batch_window_ns=window, deadline_ns=5 * ms,
+        hedge_after_ns=hedge_after_ns, seed=seed,
+        scheduler=SchedulerSpec(max_in_flight=k, policy=policy, queue_limit=queue_limit),
+    )
+    pipe = DLRMInferencePipeline.from_spec(preset_runspec("tiny", n_devices=2))
+    server = InferenceServer(pipe, spec)
+    return server.simulate(N_REQUESTS), pipe
+
+
+def _digest(result, pipe) -> str:
+    h = hashlib.sha256()
+
+    def floats(values):
+        values = [float(v) for v in values]
+        h.update(struct.pack(f"<{len(values)}d", *values))
+
+    for segment in (result.latencies_ns, result.form_ns, result.queue_ns, result.execute_ns):
+        floats(segment)
+    floats(result.batch_sizes)
+    floats([result.n_shed, result.n_hedged, result.sim_duration_ns,
+            result.interconnect_idle_ns])
+    h.update(repr(sorted(result.formed_by.items())).encode())
+    for name, counter in sorted(pipe.cluster.profiler.counters.items()):
+        if name.startswith("serving."):
+            h.update(name.encode())
+            floats(v for sample in counter.events() for v in sample)
+    return h.hexdigest()[:16]
+
+
+DIGESTS = {
+    "size-k1-window": "c61b7a0336a0717d",
+    "size-k1-shed": "636d2c1833f4966d",
+    "size-k1-nowindow": "c61b7a0336a0717d",
+    "size-k1-idle": "4d8a32cd9dde7d89",
+    "size-k1-rounding": "894f882072b1c8a7",
+    "size-k2-window": "c61b7a0336a0717d",
+    "size-k2-shed": "636d2c1833f4966d",
+    "size-k2-nowindow": "c61b7a0336a0717d",
+    "size-k2-idle": "4d8a32cd9dde7d89",
+    "size-k2-rounding": "894f882072b1c8a7",
+    "timeout-k1-window": "6979400fb511e262",
+    "timeout-k1-shed": "96ba8b08e2603005",
+    "timeout-k1-nowindow": "fe202405bb037290",
+    "timeout-k1-idle": "31ad003d5f93dc1e",
+    "timeout-k1-rounding": "9bbce7bcfeef4518",
+    "timeout-k2-window": "efa9ee0acc268897",
+    "timeout-k2-shed": "9bf553caf61bddb1",
+    "timeout-k2-nowindow": "f99baa5237948e5a",
+    "timeout-k2-idle": "31ad003d5f93dc1e",
+    "timeout-k2-rounding": "9bbce7bcfeef4518",
+    "hybrid-k1-window": "cd9c86b2fb291270",
+    "hybrid-k1-shed": "96ba8b08e2603005",
+    "hybrid-k1-nowindow": "fe202405bb037290",
+    "hybrid-k1-idle": "1e81482c96fc8923",
+    "hybrid-k1-rounding": "9bbce7bcfeef4518",
+    "hybrid-k2-window": "2e5cfc2fe3132044",
+    "hybrid-k2-shed": "9bf553caf61bddb1",
+    "hybrid-k2-nowindow": "f99baa5237948e5a",
+    "hybrid-k2-idle": "1e81482c96fc8923",
+    "hybrid-k2-rounding": "9bbce7bcfeef4518",
+}
+HEDGED_DIGEST = "a69d16bc1a22c6ad"
+
+
+@pytest.mark.parametrize("case", sorted(DIGESTS))
+def test_serving_digest_is_pinned(case):
+    policy, k, load = case.split("-")
+    result, pipe = _serve(policy, int(k[1:]), *LOADS[load])
+    assert _digest(result, pipe) == DIGESTS[case]
+
+
+def test_hedged_serving_digest_is_pinned():
+    result, pipe = _serve("hybrid", 2, *LOADS["window"], hedge_after_ns=20 * us)
+    assert result.n_hedged > 0
+    assert _digest(result, pipe) == HEDGED_DIGEST
+
+
+def test_engine_event_count_is_pinned():
+    """``Engine._seq`` after one hybrid K=2 run: 1,092 in the per-arrival design.
+
+    That design scheduled an arrival timeout per request, woke the
+    scheduler at every arrival, and re-armed a window timer and an
+    ``any_of`` at each wake.  None of those callbacks carried simulated
+    state: the scheduler now wakes only when a batch can form, a slot
+    frees, or (with an empty queue) at the next arrival.
+    """
+    _, pipe = _serve("hybrid", 2, *LOADS["window"])
+    assert pipe.cluster.engine._seq == 950

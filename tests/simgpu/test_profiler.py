@@ -117,6 +117,24 @@ class TestCounter:
         evs.append((99.0, 1.0))  # mutating the copy must not leak back
         assert c.total == 12.0
 
+    def test_equal_stamps_keep_insertion_order(self):
+        c = Counter("bytes")
+        for t, d in ((20.0, 1.0), (10.0, 2.0), (10.0, 3.0), (20.0, 4.0)):
+            c.add(t, d)
+        evs = c.events()
+        assert evs == [(10.0, 2.0), (10.0, 3.0), (20.0, 1.0), (20.0, 4.0)]
+        assert all(type(v) is float for e in evs for v in e)
+
+    def test_add_after_vectorized_read(self):
+        # The read looks at the columns through numpy views; none may
+        # outlive it and block the next append.
+        c = Counter("bytes")
+        c.add(20.0, 5.0)
+        c.add(10.0, 7.0)
+        c.values_at(np.array([15.0]))
+        c.add(30.0, 1.0)
+        assert c.values_at(np.array([30.0])).tolist() == [13.0]
+
     def test_values_at_vectorized(self):
         c = Counter("bytes")
         c.add(10.0, 100.0)
