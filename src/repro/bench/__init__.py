@@ -5,26 +5,11 @@ paper's evaluation section (see DESIGN.md §4 for the index).
 """
 
 from .breakdown import BreakdownBar, BreakdownResult, breakdown_from_scaling
-from .cachesweep import (
-    CacheSweepPoint,
-    CacheSweepResult,
-    run_cache_sweep,
-    serving_cache_comparison,
-)
+from .cachesweep import CacheSweepPoint, run_cache_sweep
 from .capacity import CapacityPoint, CapacityStudy, run_capacity_study
-from .chaossweep import (
-    ChaosSweepPoint,
-    ChaosSweepResult,
-    run_chaos_sweep,
-    validate_chaossweep_json,
-)
-from .critpath import (
-    CritPathPoint,
-    CritPathResult,
-    run_critpath,
-    validate_critpath_json,
-)
-from .faultsweep import FaultSweepPoint, FaultSweepResult, run_fault_sweep
+from .chaossweep import ChaosSweepPoint, run_chaos_sweep, validate_chaossweep_json
+from .critpath import CritPathPoint, run_critpath, validate_critpath_json
+from .faultsweep import FaultSweepPoint, run_fault_sweep, validate_faultsweep_json
 from .commvolume import CommVolumeTrace, UNIT_BYTES, trace_comm_volume
 from .reporting import (
     ascii_series,
@@ -53,46 +38,26 @@ from .scaling import (
     run_strong_scaling,
     run_weak_scaling,
 )
-from .servesweep import (
-    ServeSweepPoint,
-    ServeSweepResult,
-    run_serve_sweep,
-    validate_servesweep_json,
-)
-from .skewsweep import (
-    SkewSweepPoint,
-    SkewSweepResult,
-    run_skew_sweep,
-    validate_skewsweep_json,
-)
-from .telemetry import (
-    MetricsComparison,
-    preset_workload,
-    run_metrics,
-    validate_metrics_json,
-)
+from .servesweep import ServeSweepPoint, run_serve_sweep, validate_servesweep_json
+from .skewsweep import SkewSweepPoint, run_skew_sweep, validate_skewsweep_json
+from .telemetry import preset_workload, run_metrics, validate_metrics_json
 
 __all__ = [
     "BreakdownBar",
     "CacheSweepPoint",
-    "CacheSweepResult",
     "run_cache_sweep",
-    "serving_cache_comparison",
     "CapacityPoint",
     "CapacityStudy",
     "run_capacity_study",
     "ChaosSweepPoint",
-    "ChaosSweepResult",
     "run_chaos_sweep",
     "validate_chaossweep_json",
     "CritPathPoint",
-    "CritPathResult",
     "run_critpath",
     "validate_critpath_json",
     "FaultSweepPoint",
-    "FaultSweepResult",
     "run_fault_sweep",
-    "MetricsComparison",
+    "validate_faultsweep_json",
     "preset_workload",
     "run_metrics",
     "validate_metrics_json",
@@ -112,11 +77,9 @@ __all__ = [
     "table_count_sweep",
     "ScalingResult",
     "ServeSweepPoint",
-    "ServeSweepResult",
     "run_serve_sweep",
     "validate_servesweep_json",
     "SkewSweepPoint",
-    "SkewSweepResult",
     "run_skew_sweep",
     "validate_skewsweep_json",
     "UNIT_BYTES",

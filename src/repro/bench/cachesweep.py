@@ -7,33 +7,23 @@ and the cache's hit rate.  The expected shape — and what the acceptance
 tests assert — is that once the workload is skewed (alpha ≳ 1.05) and the
 cache holds a few percent of the remote rows, both the comm volume and
 the forward time drop strictly below the uncached backend.
-
-:func:`serving_cache_comparison` closes the serving loop: tail latency
-vs offered load with and without the cache, same arrival stream.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence
 
 from ..cache import CacheConfig
 from ..core.baseline import PhaseTiming
 from ..core.factory import FeatureSpec
-from ..core.pipeline import DLRMInferencePipeline, PipelineConfig
 from ..core.retrieval import DistributedEmbedding
-from ..core.serving import InferenceServer, ServingResult, ServingSpec
 from ..core.workload import lengths_from_batch
 from ..dlrm.data import SyntheticDataGenerator, WorkloadConfig
-from .reporting import format_table
+from .sweeps import SweepResult
 
-__all__ = [
-    "CacheSweepPoint",
-    "CacheSweepResult",
-    "run_cache_sweep",
-    "serving_cache_comparison",
-]
+__all__ = ["CacheSweepPoint", "run_cache_sweep"]
 
 
 @dataclass(frozen=True)
@@ -62,57 +52,17 @@ class CacheSweepPoint:
         return 1.0 - self.cached_comm_bytes / self.uncached_comm_bytes
 
 
-@dataclass
-class CacheSweepResult:
-    """A finished cache sweep."""
-
-    base: str
-    policy: str
-    n_devices: int
-    n_batches: int
-    points: List[CacheSweepPoint] = field(default_factory=list)
-
-    def point(self, zipf_alpha: float, capacity_fraction: float) -> CacheSweepPoint:
-        """Look up one measured grid point."""
-        for p in self.points:
-            if p.zipf_alpha == zipf_alpha and p.capacity_fraction == capacity_fraction:
-                return p
-        raise KeyError(f"no point ({zipf_alpha}, {capacity_fraction})")
-
-    def render(self) -> str:
-        """Text table of the sweep."""
-        rows = [
-            [
-                f"{p.zipf_alpha:g}",
-                f"{p.capacity_fraction:.0%}",
-                f"{p.hit_rate:.1%}",
-                f"{p.uncached_comm_bytes / 1e6:.3f}",
-                f"{p.cached_comm_bytes / 1e6:.3f}",
-                f"{p.comm_reduction:.1%}",
-                f"{p.uncached.total_ns / 1e6:.3f}",
-                f"{p.cached.total_ns / 1e6:.3f}",
-                f"{p.speedup:.3f}x",
-            ]
-            for p in self.points
-        ]
-        return (
-            f"[cache sweep: {self.base} vs {self.base}+cache ({self.policy}) "
-            f"@ {self.n_devices} GPUs, {self.n_batches} batches]\n"
-            + format_table(
-                [
-                    "alpha",
-                    "capacity",
-                    "hit rate",
-                    "comm (MB)",
-                    "comm+$ (MB)",
-                    "comm cut",
-                    "EMB (ms)",
-                    "EMB+$ (ms)",
-                    "speedup",
-                ],
-                rows,
-            )
-        )
+_COLUMNS = (
+    ("alpha", lambda p: f"{p.zipf_alpha:g}"),
+    ("capacity", lambda p: f"{p.capacity_fraction:.0%}"),
+    ("hit rate", lambda p: f"{p.hit_rate:.1%}"),
+    ("comm (MB)", lambda p: f"{p.uncached_comm_bytes / 1e6:.3f}"),
+    ("comm+$ (MB)", lambda p: f"{p.cached_comm_bytes / 1e6:.3f}"),
+    ("comm cut", lambda p: f"{p.comm_reduction:.1%}"),
+    ("EMB (ms)", lambda p: f"{p.uncached.total_ns / 1e6:.3f}"),
+    ("EMB+$ (ms)", lambda p: f"{p.cached.total_ns / 1e6:.3f}"),
+    ("speedup", lambda p: f"{p.speedup:.3f}x"),
+)
 
 
 def run_cache_sweep(
@@ -125,7 +75,7 @@ def run_cache_sweep(
     n_devices: int = 2,
     n_batches: int = 4,
     warm_batches: int = 1,
-) -> CacheSweepResult:
+) -> SweepResult:
     """Measure cached vs uncached over an (alpha × capacity) grid.
 
     Each point replays the *same* batch stream through both variants on
@@ -137,8 +87,13 @@ def run_cache_sweep(
         raise ValueError("sweep needs at least one alpha and one capacity")
     if n_batches <= 0:
         raise ValueError("n_batches must be positive")
-    result = CacheSweepResult(
-        base=base, policy=policy, n_devices=n_devices, n_batches=n_batches
+    result = SweepResult(
+        title=(
+            f"[cache sweep: {base} vs {base}+cache ({policy}) "
+            f"@ {n_devices} GPUs, {n_batches} batches]"
+        ),
+        columns=_COLUMNS,
+        keys=("zipf_alpha", "capacity_fraction"),
     )
     for alpha in alphas:
         cfg = dataclasses.replace(
@@ -195,37 +150,3 @@ def run_cache_sweep(
                 )
             )
     return result
-
-
-def serving_cache_comparison(
-    pipeline_config: PipelineConfig,
-    qps_values: Sequence[float],
-    *,
-    backend: str = "pgas",
-    cache: Optional[CacheConfig] = None,
-    n_devices: int = 2,
-    n_requests: int = 400,
-    max_batch: int = 128,
-    seed: int = 0,
-) -> List[Tuple[float, ServingResult, ServingResult]]:
-    """Tail latency vs offered load, with and without the hot-row cache.
-
-    Returns ``(qps, uncached_result, cached_result)`` per load point; both
-    variants see the same Poisson arrival stream (same seed) on fresh
-    clusters, so any latency gap is the EMB stage's.
-    """
-    cache = cache or CacheConfig()
-    out: List[Tuple[float, ServingResult, ServingResult]] = []
-    for qps in qps_values:
-        plain = InferenceServer(
-            DLRMInferencePipeline(pipeline_config, n_devices, backend=backend),
-            ServingSpec(arrival_qps=float(qps), max_batch=max_batch, seed=seed),
-        ).simulate(n_requests)
-        cached = InferenceServer(
-            DLRMInferencePipeline(pipeline_config, n_devices, backend=f"{backend}+cache"),
-            ServingSpec(
-                arrival_qps=float(qps), max_batch=max_batch, seed=seed, cache=cache
-            ),
-        ).simulate(n_requests)
-        out.append((float(qps), plain, cached))
-    return out

@@ -15,21 +15,20 @@ the *identical* synthetic batch stream, and records:
 * **recovery** — re-replication bytes, detection latency, and the
   down-edge → re-protected latency of the background recovery stream.
 
-``write_json`` emits ``BENCH_availability.json`` for the CI chaos-smoke
-gate; :func:`validate_chaossweep_json` is the self-check — it enforces
+``write_json`` emits ``BENCH_availability.json``;
+:func:`validate_chaossweep_json` is the self-check — it enforces
 the invariants the artifact exists to witness: zero failures ⇒ perfect
 availability and no failover/recovery traffic, and for every (backend,
 failure count) pair, ``k = 2`` availability at least matching ``k = 1``
-under the same fault plan.
+under the same fault plan, and exactly 1.0 when one device failed.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Sequence
 
 from ..core.baseline import PhaseTiming
 from ..core.factory import FeatureSpec
@@ -38,17 +37,11 @@ from ..dlrm.data import SyntheticDataGenerator
 from ..faults import FaultEvent, FaultInjector, FaultPlan
 from ..replication import ReplicationSpec
 from ..simgpu.units import to_ms, us
-from .reporting import format_table
-from .runner import scaled_config
+from .sweeps import SweepResult
 from .telemetry import preset_workload
 from .validate import check_artifact, check_point
 
-__all__ = [
-    "ChaosSweepPoint",
-    "ChaosSweepResult",
-    "run_chaos_sweep",
-    "validate_chaossweep_json",
-]
+__all__ = ["ChaosSweepPoint", "run_chaos_sweep", "validate_chaossweep_json"]
 
 #: heartbeat cadence used by the sweep: fast enough that failures are
 #: detected within a tiny-preset batch or two
@@ -87,76 +80,19 @@ class ChaosSweepPoint:
         return payload
 
 
-@dataclass
-class ChaosSweepResult:
-    """A finished chaos sweep."""
-
-    preset: str
-    n_devices: int
-    n_batches: int
-    points: List[ChaosSweepPoint] = field(default_factory=list)
-
-    def point(self, backend: str, k: int, n_failures: int) -> ChaosSweepPoint:
-        """Look up one measured grid point."""
-        for p in self.points:
-            if p.backend == backend and p.k == k and p.n_failures == n_failures:
-                return p
-        raise KeyError(f"no point ({backend}, k={k}, failures={n_failures})")
-
-    def render(self) -> str:
-        """Text table of the sweep."""
-        rows = []
-        for p in self.points:
-            rows.append(
-                [
-                    p.backend,
-                    f"{p.k}",
-                    f"{p.n_failures}",
-                    f"{to_ms(p.total_ns):.3f}",
-                    f"{p.availability:.4f}",
-                    f"{p.goodput_lookups_per_s / 1e6:.2f}",
-                    f"{int(p.failover_lookups)}",
-                    f"{p.recovery_bytes / 1e6:.3f}",
-                    (
-                        f"{p.time_to_reprotect_ns / us:.1f}"
-                        if p.time_to_reprotect_ns > 0
-                        else "-"
-                    ),
-                ]
-            )
-        title = (
-            f"[chaos sweep: {self.preset} preset, {self.n_devices} GPUs, "
-            f"{self.n_batches} batches/point]"
-        )
-        return title + "\n" + format_table(
-            [
-                "backend",
-                "k",
-                "fails",
-                "total (ms)",
-                "availability",
-                "goodput (M/s)",
-                "failover",
-                "recovery (MB)",
-                "reprotect (us)",
-            ],
-            rows,
-        )
-
-    def as_dict(self) -> Dict[str, Any]:
-        """The ``BENCH_availability.json`` payload."""
-        return {
-            "schema_version": 1,
-            "preset": self.preset,
-            "n_devices": self.n_devices,
-            "n_batches": self.n_batches,
-            "points": [p.as_dict() for p in self.points],
-        }
-
-    def write_json(self, path: str, *, indent: int = 1) -> None:
-        """Write the canonical artifact (sorted keys, schema-valid)."""
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, sort_keys=True, indent=indent)
+_COLUMNS = (
+    ("backend", lambda p: p.backend),
+    ("k", lambda p: f"{p.k}"),
+    ("fails", lambda p: f"{p.n_failures}"),
+    ("total (ms)", lambda p: f"{to_ms(p.total_ns):.3f}"),
+    ("availability", lambda p: f"{p.availability:.4f}"),
+    ("goodput (M/s)", lambda p: f"{p.goodput_lookups_per_s / 1e6:.2f}"),
+    ("failover", lambda p: f"{int(p.failover_lookups)}"),
+    ("recovery (MB)", lambda p: f"{p.recovery_bytes / 1e6:.3f}"),
+    ("reprotect (us)", lambda p: (
+        f"{p.time_to_reprotect_ns / us:.1f}" if p.time_to_reprotect_ns > 0 else "-"
+    )),
+)
 
 
 _POINT_KEYS = (
@@ -175,7 +111,8 @@ def validate_chaossweep_json(data: Any) -> None:
     zero failover/recovery traffic with no failures, detection plus
     finite positive re-protect latency (and real recovery bytes) whenever
     a replica existed to recover to, and — for every (backend, failure
-    count) pair where both ran — ``k = 2`` availability ≥ ``k = 1``.
+    count) pair where both ran — ``k = 2`` availability ≥ ``k = 1``, and
+    exactly 1.0 under a single failure (one replica masks it fully).
     """
     points = check_artifact(
         data,
@@ -225,6 +162,12 @@ def validate_chaossweep_json(data: Any) -> None:
                 f"({backend}, failures={fails}): k=2 availability "
                 f"{k2['availability']} below k=1 {k1['availability']}"
             )
+    for (backend, fails), by_k in groups.items():
+        if fails == 1 and 2 in by_k and by_k[2]["availability"] != 1.0:
+            raise ValueError(
+                f"({backend}, failures=1): one replica must fully mask a "
+                f"single failure, got k=2 availability {by_k[2]['availability']}"
+            )
 
 
 def run_chaos_sweep(
@@ -239,7 +182,7 @@ def run_chaos_sweep(
     recovery_bandwidth_share: float = 0.25,
     scale: float = 1.0,
     seed: Optional[int] = None,
-) -> ChaosSweepResult:
+) -> SweepResult:
     """Measure every (base backend, k, failure count) grid point.
 
     Every point gets a fresh embedding (its own cluster and heartbeat
@@ -258,13 +201,17 @@ def run_chaos_sweep(
         raise ValueError("need >= 2 batches (one healthy warm-up, then chaos)")
     if max(failure_counts) >= n_devices:
         raise ValueError("cannot fail every device in the cluster")
-    cfg = preset_workload(preset, n_devices)
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=seed)
-    if scale != 1.0:
-        cfg = scaled_config(cfg, scale)
+    cfg = preset_workload(preset, n_devices, seed=seed, scale=scale)
 
-    sweep = ChaosSweepResult(preset=preset, n_devices=n_devices, n_batches=n_batches)
+    sweep = SweepResult(
+        title=(
+            f"[chaos sweep: {preset} preset, {n_devices} GPUs, "
+            f"{n_batches} batches/point]"
+        ),
+        columns=_COLUMNS,
+        keys=("backend", "k", "n_failures"),
+        header={"preset": preset, "n_devices": n_devices, "n_batches": n_batches},
+    )
     for base in bases:
         for k in ks:
             for n_failures in failure_counts:

@@ -14,8 +14,8 @@ stream through the timed path, and records:
   (:func:`~repro.compress.roundtrip_error_report`): ``max_abs_error``,
   ``rmse``, the per-row bound, and whether the measurement respects it.
 
-``write_json`` emits ``BENCH_compression.json`` for the CI
-compress-smoke gate; :func:`validate_compsweep_json` is the self-check —
+``write_json`` emits ``BENCH_compression.json``;
+:func:`validate_compsweep_json` is the self-check —
 it enforces the physical invariants (wire ≤ uncompressed, fp32 exact and
 byte-identical, every point within its error bound, ``int8`` beating
 ``fp32`` on wire bytes and on baseline comm time wherever both ran).
@@ -24,9 +24,8 @@ byte-identical, every point within its error bound, ``int8`` beating
 from __future__ import annotations
 
 import dataclasses
-import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -36,17 +35,11 @@ from ..core.factory import FeatureSpec
 from ..core.retrieval import DistributedEmbedding
 from ..dlrm.data import SyntheticDataGenerator
 from ..simgpu.units import to_ms, us
-from .reporting import format_table
-from .runner import scaled_config
+from .sweeps import SweepResult
 from .telemetry import preset_workload
 from .validate import check_artifact, check_point
 
-__all__ = [
-    "CompSweepPoint",
-    "CompSweepResult",
-    "run_comp_sweep",
-    "validate_compsweep_json",
-]
+__all__ = ["CompSweepPoint", "run_comp_sweep", "validate_compsweep_json"]
 
 
 @dataclass(frozen=True)
@@ -83,78 +76,20 @@ class CompSweepPoint:
         return payload
 
 
-@dataclass
-class CompSweepResult:
-    """A finished compression sweep."""
-
-    preset: str
-    n_devices: int
-    n_batches: int
-    points: List[CompSweepPoint] = field(default_factory=list)
-
-    def point(self, codec: str, backend: str, batch_size: int) -> CompSweepPoint:
-        """Look up one measured grid point."""
-        for p in self.points:
-            if p.codec == codec and p.backend == backend and p.batch_size == batch_size:
-                return p
-        raise KeyError(f"no point ({codec}, {backend}, B={batch_size})")
-
-    def render(self) -> str:
-        """Text table of the sweep."""
-        rows = []
-        for p in self.points:
-            rows.append(
-                [
-                    p.codec,
-                    p.backend,
-                    f"{p.batch_size}",
-                    f"{to_ms(p.total_ns):.3f}",
-                    f"{to_ms(p.compute_ns):.3f}",
-                    f"{to_ms(p.comm_ns):.3f}",
-                    f"{to_ms(p.sync_unpack_ns):.3f}",
-                    f"{p.encode_ns / us:.1f}",
-                    f"{p.decode_ns / us:.1f}",
-                    f"{p.wire_bytes / 1e6:.3f}",
-                    f"{p.compression_ratio:.2f}x",
-                    f"{p.max_abs_error:.2e}" if p.codec != "fp32" else "exact",
-                ]
-            )
-        title = (
-            f"[compression sweep: {self.preset} preset, {self.n_devices} GPUs, "
-            f"{self.n_batches} batches/point]"
-        )
-        return title + "\n" + format_table(
-            [
-                "codec",
-                "backend",
-                "batch",
-                "total (ms)",
-                "compute",
-                "comm",
-                "sync+unpack",
-                "enc (us)",
-                "dec (us)",
-                "wire (MB)",
-                "ratio",
-                "max err",
-            ],
-            rows,
-        )
-
-    def as_dict(self) -> Dict[str, Any]:
-        """The ``BENCH_compression.json`` payload."""
-        return {
-            "schema_version": 1,
-            "preset": self.preset,
-            "n_devices": self.n_devices,
-            "n_batches": self.n_batches,
-            "points": [p.as_dict() for p in self.points],
-        }
-
-    def write_json(self, path: str, *, indent: int = 1) -> None:
-        """Write the canonical artifact (sorted keys, schema-valid)."""
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, sort_keys=True, indent=indent)
+_COLUMNS = (
+    ("codec", lambda p: p.codec),
+    ("backend", lambda p: p.backend),
+    ("batch", lambda p: f"{p.batch_size}"),
+    ("total (ms)", lambda p: f"{to_ms(p.total_ns):.3f}"),
+    ("compute", lambda p: f"{to_ms(p.compute_ns):.3f}"),
+    ("comm", lambda p: f"{to_ms(p.comm_ns):.3f}"),
+    ("sync+unpack", lambda p: f"{to_ms(p.sync_unpack_ns):.3f}"),
+    ("enc (us)", lambda p: f"{p.encode_ns / us:.1f}"),
+    ("dec (us)", lambda p: f"{p.decode_ns / us:.1f}"),
+    ("wire (MB)", lambda p: f"{p.wire_bytes / 1e6:.3f}"),
+    ("ratio", lambda p: f"{p.compression_ratio:.2f}x"),
+    ("max err", lambda p: f"{p.max_abs_error:.2e}" if p.codec != "fp32" else "exact"),
+)
 
 
 _POINT_KEYS = (
@@ -235,7 +170,7 @@ def run_comp_sweep(
     scale: float = 1.0,
     error_rows: int = 512,
     seed: Optional[int] = None,
-) -> CompSweepResult:
+) -> SweepResult:
     """Measure every (codec, base backend, batch size) grid point.
 
     Every point gets a fresh embedding (its own cluster) but an identical
@@ -250,11 +185,7 @@ def run_comp_sweep(
     for base in bases:
         if base not in ("pgas", "baseline"):
             raise ValueError(f"unknown base backend {base!r}")
-    base_cfg = preset_workload(preset, n_devices)
-    if seed is not None:
-        base_cfg = dataclasses.replace(base_cfg, seed=seed)
-    if scale != 1.0:
-        base_cfg = scaled_config(base_cfg, scale)
+    base_cfg = preset_workload(preset, n_devices, seed=seed, scale=scale)
     sizes = list(batch_sizes) if batch_sizes else [base_cfg.batch_size]
 
     # Measured round-trip error per codec on synthetic pooled vectors with
@@ -269,7 +200,15 @@ def run_comp_sweep(
         codec: roundtrip_error_report(make_codec(codec), rows) for codec in codecs
     }
 
-    sweep = CompSweepResult(preset=preset, n_devices=n_devices, n_batches=n_batches)
+    sweep = SweepResult(
+        title=(
+            f"[compression sweep: {preset} preset, {n_devices} GPUs, "
+            f"{n_batches} batches/point]"
+        ),
+        columns=_COLUMNS,
+        keys=("codec", "backend", "batch_size"),
+        header={"preset": preset, "n_devices": n_devices, "n_batches": n_batches},
+    )
     for bs in sizes:
         cfg = base_cfg.with_batch_size(bs) if bs != base_cfg.batch_size else base_cfg
         for base in bases:

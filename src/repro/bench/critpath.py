@@ -10,27 +10,21 @@ against its committed baseline.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.baseline import PhaseTiming
 from ..core.factory import build_backend
-from ..core.runspec import RunSpec, preset_runspec
+from ..core.runspec import RunSpec
 from ..dlrm.data import SyntheticDataGenerator
 from ..obs import TraceSpec
 from ..obs.critpath import critical_path_report
 from ..simgpu.units import to_ms
-from .reporting import format_table
-from .runner import scaled_config
+from .sweeps import Column, SweepResult
+from .telemetry import preset_workload
 from .validate import check_artifact, check_point
 
-__all__ = [
-    "CritPathPoint",
-    "CritPathResult",
-    "run_critpath",
-    "validate_critpath_json",
-]
+__all__ = ["CritPathPoint", "run_critpath", "validate_critpath_json"]
 
 #: wall == path, by_category sums to path, per-batch wall == path: the
 #: tiling is exact by construction, so only float summation noise is allowed
@@ -67,60 +61,29 @@ class CritPathPoint:
         }
 
 
-@dataclass
-class CritPathResult:
-    """All backends' points for one preset, plus the artifact form."""
+def _top_whatif(p: CritPathPoint) -> str:
+    if not p.whatif:
+        return "-"
+    name, wall = min(p.whatif.items(), key=lambda kv: kv[1])
+    return f"-{name[len('zero_'):-len('_wall_ns')]}: {to_ms(wall):.3f}"
 
-    preset: str
-    n_devices: int
-    n_batches: int
-    points: List[CritPathPoint] = field(default_factory=list)
 
-    def point(self, backend: str) -> CritPathPoint:
-        for p in self.points:
-            if p.backend == backend:
-                return p
-        raise KeyError(f"no critpath point for backend {backend!r}")
+def _category(name: str) -> Column:
+    def cell(p: CritPathPoint) -> str:
+        ns = p.by_category.get(name, 0.0)
+        return f"{to_ms(ns):.3f}" if ns else "-"
 
-    def render(self) -> str:
-        """Per-backend path breakdown as a text table (times in ms)."""
-        categories = sorted({c for p in self.points for c in p.by_category})
-        headers = ["backend", "wall (ms)"] + [f"{c} (ms)" for c in categories] + [
-            "top what-if"
-        ]
-        rows: List[List[str]] = []
-        for p in self.points:
-            row = [p.backend, f"{to_ms(p.wall_ns):.3f}"]
-            for c in categories:
-                ns = p.by_category.get(c, 0.0)
-                row.append(f"{to_ms(ns):.3f}" if ns else "-")
-            if p.whatif:
-                best = min(p.whatif.items(), key=lambda kv: kv[1])
-                label = best[0][len("zero_"):-len("_wall_ns")]
-                row.append(f"-{label}: {to_ms(best[1]):.3f}")
-            else:
-                row.append("-")
-            rows.append(row)
-        title = (
-            f"[critpath: {self.preset} preset, {self.n_devices} GPUs, "
-            f"{self.n_batches} batch(es)]"
-        )
-        return f"{title}\n{format_table(headers, rows)}"
+    return (f"{name} (ms)", cell)
 
-    def as_dict(self) -> Dict[str, Any]:
-        """The ``BENCH_critpath.json`` payload."""
-        return {
-            "schema_version": 1,
-            "preset": self.preset,
-            "n_devices": self.n_devices,
-            "n_batches": self.n_batches,
-            "points": [p.as_dict() for p in self.points],
-        }
 
-    def write_json(self, path: str, *, indent: int = 1) -> None:
-        """Write the canonical artifact (sorted keys, schema-valid)."""
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, sort_keys=True, indent=indent)
+def _columns(categories: Sequence[str]) -> List[Column]:
+    """Path breakdown columns (ms), one per category on any backend's path."""
+    return [
+        ("backend", lambda p: p.backend),
+        ("wall (ms)", lambda p: f"{to_ms(p.wall_ns):.3f}"),
+        *(_category(c) for c in categories),
+        ("top what-if", _top_whatif),
+    ]
 
 
 _POINT_KEYS = (
@@ -210,7 +173,7 @@ def run_critpath(
     n_batches: int = 2,
     scale: float = 1.0,
     seed: Optional[int] = None,
-) -> CritPathResult:
+) -> SweepResult:
     """Trace every backend over the same batches and extract its paths.
 
     Each backend gets a fresh cluster (so profiler records never mix) with
@@ -221,16 +184,10 @@ def run_critpath(
         raise ValueError("need at least one backend")
     if n_batches < 1:
         raise ValueError("n_batches must be >= 1")
-    cfg = preset_runspec(preset, n_devices).workload
-    if seed is not None:
-        import dataclasses
-
-        cfg = dataclasses.replace(cfg, seed=seed)
-    if scale != 1.0:
-        cfg = scaled_config(cfg, scale)
+    cfg = preset_workload(preset, n_devices, seed=seed, scale=scale)
     spec = RunSpec(workload=cfg, n_devices=n_devices, name=preset, obs=TraceSpec())
 
-    result = CritPathResult(preset=preset, n_devices=n_devices, n_batches=n_batches)
+    points = []
     for backend in backends:
         emb = build_backend(spec, backend=backend)
         gen = SyntheticDataGenerator(cfg)
@@ -238,7 +195,7 @@ def run_critpath(
         for _ in range(n_batches):
             timing.add(emb.forward_timed(gen.lengths_batch()))
         report = critical_path_report(emb.cluster.profiler)
-        result.points.append(
+        points.append(
             CritPathPoint(
                 backend=backend,
                 n_batches=n_batches,
@@ -252,4 +209,13 @@ def run_critpath(
                 batches=report["batches"],
             )
         )
-    return result
+    return SweepResult(
+        title=(
+            f"[critpath: {preset} preset, {n_devices} GPUs, "
+            f"{n_batches} batch(es)]"
+        ),
+        columns=_columns(sorted({c for p in points for c in p.by_category})),
+        keys=("backend",),
+        points=points,
+        header={"preset": preset, "n_devices": n_devices, "n_batches": n_batches},
+    )

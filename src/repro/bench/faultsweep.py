@@ -11,13 +11,17 @@ empty plan, where the wrapper reproduces the base backend exactly.
 The rendered table answers the deployment question the robustness work
 exists for: how do goodput, shed/degraded fractions, and tail latency
 decay as the fabric gets sicker — and does the PGAS backend keep its
-healthy-path advantage under fault?
+healthy-path advantage under fault?  ``write_json`` emits
+``BENCH_faults.json``; :func:`validate_faultsweep_json` is its self-check:
+every offered request is served or shed, every point ran the
+``+resilient`` wrapper of its base, and the severity-0 reference is
+healthy (no faults, retries, reroutes or degraded rows).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from ..core.pipeline import DLRMInferencePipeline
 from ..core.runspec import RunSpec
@@ -25,9 +29,10 @@ from ..core.serving import InferenceServer, SchedulerSpec, ServingResult, Servin
 from ..dlrm.data import WorkloadConfig
 from ..faults import FaultInjector, FaultPlan, ResilienceSpec
 from ..simgpu.units import ms
-from .reporting import format_table
+from .sweeps import SweepResult
+from .validate import check_artifact, check_point
 
-__all__ = ["FaultSweepPoint", "FaultSweepResult", "run_fault_sweep"]
+__all__ = ["FaultSweepPoint", "run_fault_sweep", "validate_faultsweep_json"]
 
 
 @dataclass(frozen=True)
@@ -44,74 +49,61 @@ class FaultSweepPoint:
         """The resilient backend name the point ran."""
         return self.result.backend
 
+    def as_dict(self) -> Dict[str, Any]:
+        """Grid coordinates plus the full result payload."""
+        return {
+            "severity": float(self.severity),
+            "base": self.base,
+            "n_faults": self.n_faults,
+            "result": self.result.as_dict(),
+        }
 
-@dataclass
-class FaultSweepResult:
-    """A finished fault sweep."""
 
-    n_devices: int
-    n_requests: int
-    arrival_qps: float
-    deadline_ns: Optional[float]
-    points: List[FaultSweepPoint] = field(default_factory=list)
+def _served(cell: Callable[[ServingResult], str]) -> Callable[[FaultSweepPoint], str]:
+    """A cell shown only when the point served at least one request."""
+    return lambda p: cell(p.result) if p.result.n_requests > 0 else "-"
 
-    def point(self, severity: float, base: str) -> FaultSweepPoint:
-        """Look up one measured grid point."""
-        for p in self.points:
-            if p.severity == severity and p.base == base:
-                return p
-        raise KeyError(f"no point ({severity}, {base})")
 
-    def render(self) -> str:
-        """Text table of the sweep."""
-        rows = []
-        for p in self.points:
-            r = p.result
-            served = r.n_requests > 0
-            rows.append(
-                [
-                    f"{p.severity:g}",
-                    p.base,
-                    f"{p.n_faults}",
-                    f"{r.n_requests}/{r.n_offered}",
-                    f"{r.shed_fraction:.1%}",
-                    f"{r.degraded_fraction:.2%}",
-                    f"{r.emb_retries}",
-                    f"{r.emb_reroutes}",
-                    f"{r.n_hedged}",
-                    f"{r.deadline_hit_rate:.1%}" if served else "-",
-                    f"{r.p50_ms:.2f}" if served else "-",
-                    f"{r.p99_ms:.2f}" if served else "-",
-                    f"{r.goodput_qps:,.0f}" if served else "-",
-                ]
-            )
-        deadline = (
-            f"deadline {self.deadline_ns / ms:.2f} ms"
-            if self.deadline_ns is not None
-            else "no deadline"
-        )
-        return (
-            f"[fault sweep @ {self.n_devices} GPUs, {self.n_requests} requests, "
-            f"{self.arrival_qps:,.0f} qps, {deadline}]\n"
-            + format_table(
-                [
-                    "severity",
-                    "backend",
-                    "faults",
-                    "served",
-                    "shed",
-                    "degraded",
-                    "retries",
-                    "reroutes",
-                    "hedged",
-                    "hit rate",
-                    "p50 (ms)",
-                    "p99 (ms)",
-                    "goodput",
-                ],
-                rows,
-            )
-        )
+_COLUMNS = (
+    ("severity", lambda p: f"{p.severity:g}"),
+    ("backend", lambda p: p.base),
+    ("faults", lambda p: f"{p.n_faults}"),
+    ("served", lambda p: f"{p.result.n_requests}/{p.result.n_offered}"),
+    ("shed", lambda p: f"{p.result.shed_fraction:.1%}"),
+    ("degraded", lambda p: f"{p.result.degraded_fraction:.2%}"),
+    ("retries", lambda p: f"{p.result.emb_retries}"),
+    ("reroutes", lambda p: f"{p.result.emb_reroutes}"),
+    ("hedged", lambda p: f"{p.result.n_hedged}"),
+    ("hit rate", _served(lambda r: f"{r.deadline_hit_rate:.1%}")),
+    ("p50 (ms)", _served(lambda r: f"{r.p50_ms:.2f}")),
+    ("p99 (ms)", _served(lambda r: f"{r.p99_ms:.2f}")),
+    ("goodput", _served(lambda r: f"{r.goodput_qps:,.0f}")),
+)
+
+
+def validate_faultsweep_json(data: Any) -> None:
+    """Validate a ``BENCH_faults.json`` payload (raises ``ValueError``)."""
+    points = check_artifact(
+        data,
+        kind="faults",
+        schema_version=1,
+        required_keys=(
+            "schema_version", "n_devices", "n_requests", "arrival_qps", "deadline_ns",
+        ),
+    )
+    for i, point in enumerate(points):
+        check_point(point, i, ("severity", "base", "n_faults", "result"))
+        r = point["result"]
+        label = f"point {i} (severity {point['severity']}, {point['base']})"
+        if r["backend"] != f"{point['base']}+resilient":
+            raise ValueError(f"{label}: ran {r['backend']!r}, not its +resilient wrapper")
+        if r["n_requests"] + r["n_shed"] != r["n_offered"]:
+            raise ValueError(f"{label}: served + shed != offered requests")
+        if point["severity"] == 0 and (
+            point["n_faults"] or r["emb_retries"] or r["emb_reroutes"]
+            or r["degraded_fraction"]
+        ):
+            raise ValueError(f"{label}: the healthy reference saw faults")
 
 
 def run_fault_sweep(
@@ -130,7 +122,7 @@ def run_fault_sweep(
     batch_window_ns: float = 0.2 * ms,
     seed: int = 0,
     scheduler: Optional[SchedulerSpec] = None,
-) -> FaultSweepResult:
+) -> SweepResult:
     """Serve a request stream at each fault severity with each base backend.
 
     Every point gets a *fresh* pipeline (its own cluster: fault state
@@ -144,11 +136,24 @@ def run_fault_sweep(
         raise ValueError("need at least one severity")
     if not bases:
         raise ValueError("need at least one base backend")
-    sweep = FaultSweepResult(
-        n_devices=n_devices,
-        n_requests=n_requests,
-        arrival_qps=arrival_qps,
-        deadline_ns=deadline_ns,
+    deadline = (
+        f"deadline {deadline_ns / ms:.2f} ms"
+        if deadline_ns is not None
+        else "no deadline"
+    )
+    sweep = SweepResult(
+        title=(
+            f"[fault sweep @ {n_devices} GPUs, {n_requests} requests, "
+            f"{arrival_qps:,.0f} qps, {deadline}]"
+        ),
+        columns=_COLUMNS,
+        keys=("severity", "base"),
+        header={
+            "n_devices": n_devices,
+            "n_requests": n_requests,
+            "arrival_qps": float(arrival_qps),
+            "deadline_ns": deadline_ns,
+        },
     )
     # Plan horizon: a little past the expected arrival span, so windows
     # land inside the run instead of after it.

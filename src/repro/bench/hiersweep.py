@@ -35,10 +35,9 @@ shows a wall-time win.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, Sequence
 
 from ..comm.collective import CollectiveSpec
 from ..comm.hier import HierSpec, inter_node_message_count, inter_node_wire_bytes
@@ -49,17 +48,11 @@ from ..dlrm.data import SyntheticDataGenerator
 from ..simgpu.cluster import multinode
 from ..simgpu.interconnect import NIC_SPEC
 from ..simgpu.units import to_ms
-from .reporting import format_table
-from .runner import scaled_config
+from .sweeps import SweepResult
 from .telemetry import preset_workload
 from .validate import check_artifact, check_point
 
-__all__ = [
-    "HierSweepPoint",
-    "HierSweepResult",
-    "run_hiersweep",
-    "validate_hiersweep_json",
-]
+__all__ = ["HierSweepPoint", "run_hiersweep", "validate_hiersweep_json"]
 
 _BASES = ("pgas", "baseline")
 
@@ -130,80 +123,18 @@ class HierSweepPoint:
         return payload
 
 
-@dataclass
-class HierSweepResult:
-    """A finished hierarchy sweep."""
-
-    preset: str
-    n_batches: int
-    scale: float = 1.0  #: batch-size scale factor the sweep ran at
-    points: List[HierSweepPoint] = field(default_factory=list)
-
-    def point(self, backend: str, n_nodes: int, devices_per_node: int,
-              message_bytes: int) -> HierSweepPoint:
-        """Look up one measured grid point."""
-        for p in self.points:
-            if (p.backend == backend and p.n_nodes == n_nodes
-                    and p.devices_per_node == devices_per_node
-                    and p.message_bytes == message_bytes):
-                return p
-        raise KeyError(
-            f"no point ({backend}, {n_nodes}x{devices_per_node}, "
-            f"msg={message_bytes})"
-        )
-
-    def render(self) -> str:
-        """Text table of the sweep."""
-        rows = []
-        for p in self.points:
-            rows.append(
-                [
-                    p.backend,
-                    f"{p.n_nodes}x{p.devices_per_node}",
-                    f"{p.message_bytes}",
-                    f"{to_ms(p.flat_total_ns):.3f}",
-                    f"{to_ms(p.hier_total_ns):.3f}",
-                    f"{p.speedup:.3f}x",
-                    f"{p.flat_inter_messages}",
-                    f"{p.hier_inter_messages}",
-                    f"{100.0 * p.message_reduction:.1f}%",
-                    "yes" if p.message_rate_bound else "-",
-                ]
-            )
-        title = (
-            f"[hier sweep: {self.preset} preset, "
-            f"{self.n_batches} batches/point]"
-        )
-        return title + "\n" + format_table(
-            [
-                "backend",
-                "nodes",
-                "msg (B)",
-                "flat (ms)",
-                "hier (ms)",
-                "speedup",
-                "flat msgs",
-                "hier msgs",
-                "reduction",
-                "rate-bound",
-            ],
-            rows,
-        )
-
-    def as_dict(self) -> Dict[str, Any]:
-        """The ``BENCH_hier.json`` payload."""
-        return {
-            "schema_version": 1,
-            "preset": self.preset,
-            "n_batches": self.n_batches,
-            "scale": self.scale,
-            "points": [p.as_dict() for p in self.points],
-        }
-
-    def write_json(self, path: str, *, indent: int = 1) -> None:
-        """Write the canonical artifact (sorted keys, schema-valid)."""
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, sort_keys=True, indent=indent)
+_COLUMNS = (
+    ("backend", lambda p: p.backend),
+    ("nodes", lambda p: f"{p.n_nodes}x{p.devices_per_node}"),
+    ("msg (B)", lambda p: f"{p.message_bytes}"),
+    ("flat (ms)", lambda p: f"{to_ms(p.flat_total_ns):.3f}"),
+    ("hier (ms)", lambda p: f"{to_ms(p.hier_total_ns):.3f}"),
+    ("speedup", lambda p: f"{p.speedup:.3f}x"),
+    ("flat msgs", lambda p: f"{p.flat_inter_messages}"),
+    ("hier msgs", lambda p: f"{p.hier_inter_messages}"),
+    ("reduction", lambda p: f"{100.0 * p.message_reduction:.1f}%"),
+    ("rate-bound", lambda p: "yes" if p.message_rate_bound else "-"),
+)
 
 
 _POINT_KEYS = (
@@ -315,7 +246,7 @@ def run_hiersweep(
     n_batches: int = 2,
     scale: float = 1.0,
     seed: int | None = None,
-) -> HierSweepResult:
+) -> SweepResult:
     """Measure every (backend, geometry, message size) grid point.
 
     Each point builds two embeddings on identical fresh
@@ -333,18 +264,19 @@ def run_hiersweep(
     if n_batches < 1:
         raise ValueError("need at least one batch per point")
 
-    sweep = HierSweepResult(preset=preset, n_batches=n_batches, scale=scale)
+    sweep = SweepResult(
+        title=f"[hier sweep: {preset} preset, {n_batches} batches/point]",
+        columns=_COLUMNS,
+        keys=("backend", "n_nodes", "devices_per_node", "message_bytes"),
+        header={"preset": preset, "n_batches": n_batches, "scale": scale},
+    )
     for base in bases:
         for n_nodes in nodes:
             for dpn in devices_per_node:
                 n_devices = n_nodes * dpn
                 if n_devices < 2:
                     continue  # a 1x1 system has no communication at all
-                cfg = preset_workload(preset, n_devices)
-                if seed is not None:
-                    cfg = dataclasses.replace(cfg, seed=seed)
-                if scale != 1.0:
-                    cfg = scaled_config(cfg, scale)
+                cfg = preset_workload(preset, n_devices, seed=seed, scale=scale)
                 for msg in message_sizes:
                     collective = CollectiveSpec(chunk_bytes=msg)
                     pgas = PGASSpec(message_bytes=msg)

@@ -11,27 +11,21 @@ The rendered table answers the scheduler's motivating question directly:
 at a saturating arrival rate, does keeping K=2 batches in flight raise
 goodput and shrink the inter-batch interconnect bubble relative to the
 sequential K=1 server — and by how much per backend?  ``write_json``
-emits ``BENCH_serving.json`` for the CI serve-smoke gate.
+emits ``BENCH_serving.json``.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Sequence
 
 from ..core.runspec import RunSpec, preset_runspec
 from ..core.serving import InferenceServer, SchedulerSpec, ServingResult, ServingSpec
 from ..simgpu.units import ms
-from .reporting import format_table
+from .sweeps import SweepResult
 from .validate import check_artifact, check_point
 
-__all__ = [
-    "ServeSweepPoint",
-    "ServeSweepResult",
-    "run_serve_sweep",
-    "validate_servesweep_json",
-]
+__all__ = ["ServeSweepPoint", "run_serve_sweep", "validate_servesweep_json"]
 
 
 @dataclass(frozen=True)
@@ -63,98 +57,30 @@ class ServeSweepPoint:
         }
 
 
-@dataclass
-class ServeSweepResult:
-    """A finished serving sweep."""
-
-    preset: str
-    n_devices: int
-    n_requests: int
-    max_batch: int
-    batch_window_ns: float
-    points: List[ServeSweepPoint] = field(default_factory=list)
-
-    def point(
-        self, backend: str, qps: float, k: int, policy: str = "hybrid"
-    ) -> ServeSweepPoint:
-        """Look up one measured grid point."""
-        for p in self.points:
-            if (
-                p.backend == backend
-                and p.arrival_qps == qps
-                and p.max_in_flight == k
-                and p.policy == policy
-            ):
-                return p
-        raise KeyError(f"no point ({backend}, {qps}, K={k}, {policy})")
-
-    def render(self) -> str:
-        """Text table of the sweep."""
-        rows = []
-        for p in self.points:
-            r = p.result
-            served = r.n_requests > 0
-            rows.append(
-                [
-                    p.backend,
-                    f"{p.arrival_qps:,.0f}",
-                    f"{p.max_in_flight}",
-                    p.policy,
-                    f"{r.n_requests}/{r.n_offered}",
-                    f"{r.mean_batch_size:.1f}",
-                    f"{r.p50_ms:.3f}" if served else "-",
-                    f"{r.p99_ms:.3f}" if served else "-",
-                    f"{r.mean_form_ns / ms:.3f}",
-                    f"{r.mean_queue_ns / ms:.3f}",
-                    f"{r.mean_execute_ns / ms:.3f}",
-                    f"{r.goodput_qps:,.0f}",
-                    f"{p.idle_share:.1%}",
-                ]
-            )
-        title = (
-            f"[serve sweep: {self.preset} preset, {self.n_devices} GPUs, "
-            f"{self.n_requests} requests/point, max batch {self.max_batch}, "
-            f"window {self.batch_window_ns / ms:.2f} ms]"
-        )
-        return title + "\n" + format_table(
-            [
-                "backend",
-                "qps",
-                "K",
-                "policy",
-                "served",
-                "batch",
-                "p50 (ms)",
-                "p99 (ms)",
-                "form",
-                "queue",
-                "exec",
-                "goodput",
-                "net idle",
-            ],
-            rows,
-        )
-
-    def as_dict(self) -> Dict[str, Any]:
-        """The ``BENCH_serving.json`` payload."""
-        return {
-            "schema_version": 1,
-            "preset": self.preset,
-            "n_devices": self.n_devices,
-            "n_requests": self.n_requests,
-            "max_batch": self.max_batch,
-            "batch_window_ns": float(self.batch_window_ns),
-            "points": [p.as_dict() for p in self.points],
-        }
-
-    def write_json(self, path: str, *, indent: int = 1) -> None:
-        """Write the canonical artifact (sorted keys, schema-valid)."""
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, sort_keys=True, indent=indent)
+_COLUMNS = (
+    ("backend", lambda p: p.backend),
+    ("qps", lambda p: f"{p.arrival_qps:,.0f}"),
+    ("K", lambda p: f"{p.max_in_flight}"),
+    ("policy", lambda p: p.policy),
+    ("served", lambda p: f"{p.result.n_requests}/{p.result.n_offered}"),
+    ("batch", lambda p: f"{p.result.mean_batch_size:.1f}"),
+    ("p50 (ms)", lambda p: f"{p.result.p50_ms:.3f}" if p.result.n_requests else "-"),
+    ("p99 (ms)", lambda p: f"{p.result.p99_ms:.3f}" if p.result.n_requests else "-"),
+    ("form", lambda p: f"{p.result.mean_form_ns / ms:.3f}"),
+    ("queue", lambda p: f"{p.result.mean_queue_ns / ms:.3f}"),
+    ("exec", lambda p: f"{p.result.mean_execute_ns / ms:.3f}"),
+    ("goodput", lambda p: f"{p.result.goodput_qps:,.0f}"),
+    ("net idle", lambda p: f"{p.idle_share:.1%}"),
+)
 
 
 def validate_servesweep_json(data: Any) -> None:
-    """Validate a ``BENCH_serving.json`` payload (raises ``ValueError``)."""
+    """Validate a ``BENCH_serving.json`` payload (raises ``ValueError``).
+
+    Beyond shape, every point's ``max_in_flight`` must match its result,
+    and wherever pgas ran at K=1 and K=2 under the same rate and policy,
+    keeping two batches in flight must not lose goodput.
+    """
     points = check_artifact(
         data,
         kind="serving",
@@ -164,6 +90,7 @@ def validate_servesweep_json(data: Any) -> None:
             "max_batch", "batch_window_ns",
         ),
     )
+    pgas_goodput: Dict[tuple, Dict[int, float]] = {}
     for i, point in enumerate(points):
         check_point(
             point, i, ("backend", "arrival_qps", "max_in_flight", "policy", "result")
@@ -176,6 +103,17 @@ def validate_servesweep_json(data: Any) -> None:
                 raise ValueError(f"point {i} result missing key {key!r}")
         if point["max_in_flight"] != result["max_in_flight"]:
             raise ValueError(f"point {i}: max_in_flight disagrees with its result")
+        if point["backend"] == "pgas":
+            key = (point["arrival_qps"], point["policy"])
+            pgas_goodput.setdefault(key, {})[point["max_in_flight"]] = (
+                result["goodput_qps"]
+            )
+    for (qps, policy), by_k in pgas_goodput.items():
+        if 1 in by_k and 2 in by_k and by_k[2] < by_k[1]:
+            raise ValueError(
+                f"(pgas, {qps:,.0f} qps, {policy}): K=2 goodput {by_k[2]} "
+                f"below K=1 {by_k[1]}"
+            )
 
 
 def run_serve_sweep(
@@ -192,7 +130,7 @@ def run_serve_sweep(
     deadline_ns: Optional[float] = None,
     queue_limit: Optional[int] = None,
     seed: int = 0,
-) -> ServeSweepResult:
+) -> SweepResult:
     """Serve a request stream at every (backend, QPS, K, policy) point.
 
     Every point gets a *fresh* pipeline (its own cluster, so profiler
@@ -203,12 +141,21 @@ def run_serve_sweep(
     if not backends or not qps or not max_in_flight or not policies:
         raise ValueError("every sweep axis needs at least one value")
     base_spec = preset_runspec(preset, n_devices)
-    sweep = ServeSweepResult(
-        preset=preset,
-        n_devices=n_devices,
-        n_requests=n_requests,
-        max_batch=max_batch,
-        batch_window_ns=batch_window_ns,
+    sweep = SweepResult(
+        title=(
+            f"[serve sweep: {preset} preset, {n_devices} GPUs, "
+            f"{n_requests} requests/point, max batch {max_batch}, "
+            f"window {batch_window_ns / ms:.2f} ms]"
+        ),
+        columns=_COLUMNS,
+        keys=("backend", "arrival_qps", "max_in_flight", "policy"),
+        header={
+            "preset": preset,
+            "n_devices": n_devices,
+            "n_requests": n_requests,
+            "max_batch": max_batch,
+            "batch_window_ns": float(batch_window_ns),
+        },
     )
     for backend in backends:
         for rate in qps:

@@ -15,8 +15,8 @@ synthetic batch stream, and records:
 * **migration traffic** — plans adopted, tables moved, migrated bytes
   and busy time from the ``reshard.*`` counters.
 
-``write_json`` emits ``BENCH_reshard.json`` for the CI reshard-smoke
-gate; :func:`validate_skewsweep_json` is the self-check — it enforces
+``write_json`` emits ``BENCH_reshard.json``;
+:func:`validate_skewsweep_json` is the self-check — it enforces
 the invariants the artifact exists to witness: static placement never
 migrates, resharding never *worsens* the imbalance it observed, and
 migration counters are self-consistent (moves ⇔ bytes ⇔ time).
@@ -25,10 +25,9 @@ migration counters are self-consistent (moves ⇔ bytes ⇔ time).
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -42,17 +41,11 @@ from ..obs import TraceSpec
 from ..obs.critpath import critical_path_report
 from ..reshard import ReshardSpec
 from ..simgpu.units import to_ms
-from .reporting import format_table
-from .runner import scaled_config
+from .sweeps import SweepResult
 from .telemetry import preset_workload
 from .validate import check_artifact, check_point
 
-__all__ = [
-    "SkewSweepPoint",
-    "SkewSweepResult",
-    "run_skew_sweep",
-    "validate_skewsweep_json",
-]
+__all__ = ["SkewSweepPoint", "run_skew_sweep", "validate_skewsweep_json"]
 
 
 def _device_traffic(
@@ -106,76 +99,19 @@ class SkewSweepPoint:
         return payload
 
 
-@dataclass
-class SkewSweepResult:
-    """A finished skew sweep."""
-
-    preset: str
-    n_devices: int
-    n_batches: int
-    points: List[SkewSweepPoint] = field(default_factory=list)
-
-    def point(self, backend: str, skew_alpha: float) -> SkewSweepPoint:
-        """Look up one measured grid point."""
-        for p in self.points:
-            if p.backend == backend and p.skew_alpha == skew_alpha:
-                return p
-        raise KeyError(f"no point ({backend}, skew={skew_alpha})")
-
-    def render(self) -> str:
-        """Text table of the sweep."""
-        rows = []
-        for p in self.points:
-            rows.append(
-                [
-                    p.backend,
-                    f"{p.skew_alpha:g}",
-                    f"{to_ms(p.total_ns):.3f}",
-                    f"{to_ms(p.p99_batch_ns):.4f}",
-                    f"{to_ms(p.comm_ns):.3f}",
-                    f"{to_ms(p.critpath_comm_ns):.3f}",
-                    f"{p.imbalance_before:.3f}",
-                    f"{p.imbalance_after:.3f}",
-                    f"{100.0 * p.imbalance_reduction:.1f}%",
-                    f"{int(p.tables_moved)}",
-                    f"{p.migration_bytes / 1e6:.3f}",
-                ]
-            )
-        title = (
-            f"[skew sweep: {self.preset} preset, {self.n_devices} GPUs, "
-            f"{self.n_batches} batches/point]"
-        )
-        return title + "\n" + format_table(
-            [
-                "backend",
-                "skew",
-                "total (ms)",
-                "p99 (ms)",
-                "comm (ms)",
-                "cp comm (ms)",
-                "imb before",
-                "imb after",
-                "reduction",
-                "moved",
-                "migrated (MB)",
-            ],
-            rows,
-        )
-
-    def as_dict(self) -> Dict[str, Any]:
-        """The ``BENCH_reshard.json`` payload."""
-        return {
-            "schema_version": 1,
-            "preset": self.preset,
-            "n_devices": self.n_devices,
-            "n_batches": self.n_batches,
-            "points": [p.as_dict() for p in self.points],
-        }
-
-    def write_json(self, path: str, *, indent: int = 1) -> None:
-        """Write the canonical artifact (sorted keys, schema-valid)."""
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, sort_keys=True, indent=indent)
+_COLUMNS = (
+    ("backend", lambda p: p.backend),
+    ("skew", lambda p: f"{p.skew_alpha:g}"),
+    ("total (ms)", lambda p: f"{to_ms(p.total_ns):.3f}"),
+    ("p99 (ms)", lambda p: f"{to_ms(p.p99_batch_ns):.4f}"),
+    ("comm (ms)", lambda p: f"{to_ms(p.comm_ns):.3f}"),
+    ("cp comm (ms)", lambda p: f"{to_ms(p.critpath_comm_ns):.3f}"),
+    ("imb before", lambda p: f"{p.imbalance_before:.3f}"),
+    ("imb after", lambda p: f"{p.imbalance_after:.3f}"),
+    ("reduction", lambda p: f"{100.0 * p.imbalance_reduction:.1f}%"),
+    ("moved", lambda p: f"{int(p.tables_moved)}"),
+    ("migrated (MB)", lambda p: f"{p.migration_bytes / 1e6:.3f}"),
+)
 
 
 _POINT_KEYS = (
@@ -260,7 +196,7 @@ def run_skew_sweep(
     reshard_spec: Optional[ReshardSpec] = None,
     scale: float = 1.0,
     seed: Optional[int] = None,
-) -> SkewSweepResult:
+) -> SweepResult:
     """Measure every (backend, table skew) grid point.
 
     Every point gets a fresh embedding built through
@@ -276,11 +212,7 @@ def run_skew_sweep(
         parse_backend_name(str(name))
     if n_batches < 1:
         raise ValueError("need at least one batch per point")
-    base_cfg = preset_workload(preset, n_devices)
-    if seed is not None:
-        base_cfg = dataclasses.replace(base_cfg, seed=seed)
-    if scale != 1.0:
-        base_cfg = scaled_config(base_cfg, scale)
+    base_cfg = preset_workload(preset, n_devices, seed=seed, scale=scale)
     if reshard_spec is None:
         # Tuned for short sweeps: plan early and often, keep the default
         # migration pacing so foreground batches still see the link.
@@ -291,7 +223,15 @@ def run_skew_sweep(
             imbalance_threshold=1.1,
         )
 
-    sweep = SkewSweepResult(preset=preset, n_devices=n_devices, n_batches=n_batches)
+    sweep = SweepResult(
+        title=(
+            f"[skew sweep: {preset} preset, {n_devices} GPUs, "
+            f"{n_batches} batches/point]"
+        ),
+        columns=_COLUMNS,
+        keys=("backend", "skew_alpha"),
+        header={"preset": preset, "n_devices": n_devices, "n_batches": n_batches},
+    )
     for backend in backends:
         resharded = "+reshard" in backend
         for skew in skews:

@@ -10,24 +10,22 @@ machine-readable artifact a CI perf gate can diff across commits.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+import dataclasses
+from typing import Any, Callable, Optional, Sequence
 
 from ..core.baseline import PhaseTiming
 from ..core.factory import build_backend
 from ..core.runspec import PRESETS, RunSpec, preset_runspec
 from ..dlrm.data import SyntheticDataGenerator, WorkloadConfig
 from ..simgpu.units import to_ms
-from ..telemetry import RunReport, validate_report
-from .reporting import format_table
+from ..telemetry import ReportValidationError, RunReport, validate_report
 from .runner import scaled_config
+from .sweeps import SweepResult
 from .validate import check_artifact
 
 __all__ = [
     "METRIC_ROWS",
     "PRESETS",
-    "MetricsComparison",
     "preset_workload",
     "run_metrics",
     "validate_metrics_json",
@@ -47,68 +45,45 @@ METRIC_ROWS = (
 )
 
 
-def preset_workload(preset: str, n_devices: int) -> WorkloadConfig:
+def preset_workload(
+    preset: str, n_devices: int, *, seed: Optional[int] = None, scale: float = 1.0
+) -> WorkloadConfig:
     """Resolve a named preset to a workload for ``n_devices`` GPUs.
 
     Thin shim over :func:`repro.core.runspec.preset_runspec` — the preset
-    definitions live there so every entry point (run/metrics/faultsweep/
-    servesweep) resolves the same shapes.
+    definitions live there so every entry point resolves the same shapes.
+    ``seed`` overrides the preset's workload seed and ``scale`` shrinks
+    its batch dimension (1.0 = preset size).
     """
-    return preset_runspec(preset, n_devices).workload
+    cfg = preset_runspec(preset, n_devices).workload
+    if seed is not None:
+        cfg = dataclasses.replace(cfg, seed=seed)
+    if scale != 1.0:
+        cfg = scaled_config(cfg, scale)
+    return cfg
 
 
-@dataclass
-class MetricsComparison:
-    """Per-backend run reports over one shared workload."""
+def _metric_cell(name: str, fmt: Callable[[float], str]) -> Callable[[RunReport], str]:
+    def cell(report: RunReport) -> str:
+        value = report.metric(name)
+        return fmt(value) if value == value else "-"
 
-    preset: str
-    workload: WorkloadConfig
-    n_devices: int
-    n_batches: int
-    reports: Dict[str, RunReport] = field(default_factory=dict)
+    return cell
 
-    def metric(self, backend: str, name: str) -> float:
-        """One backend's metric value (NaN when absent)."""
-        return self.reports[backend].metric(name)
 
-    def render(self) -> str:
-        """Side-by-side metric table, one column per backend."""
-        backends = list(self.reports)
-        headers = ["metric"] + backends
-        rows: List[List[str]] = []
-        for name, label, fmt in METRIC_ROWS:
-            row = [label]
-            for be in backends:
-                value = self.metric(be, name)
-                row.append(fmt(value) if value == value else "-")
-            rows.append(row)
-        title = (
-            f"[telemetry: {self.preset} preset, {self.workload.num_tables} tables, "
-            f"batch {self.workload.batch_size}, {self.n_devices} GPUs, "
-            f"{self.n_batches} batch(es)]"
-        )
-        return f"{title}\n{format_table(headers, rows)}"
-
-    def as_dict(self) -> Dict[str, Any]:
-        """The ``BENCH_metrics.json`` payload."""
-        return {
-            "schema_version": 1,
-            "preset": self.preset,
-            "n_devices": self.n_devices,
-            "n_batches": self.n_batches,
-            "reports": {be: r.as_dict() for be, r in self.reports.items()},
-        }
-
-    def write_json(self, path: str, *, indent: int = 1) -> None:
-        """Write the canonical artifact (sorted keys, schema-valid)."""
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, sort_keys=True, indent=indent)
+#: the comparison table: one row per metric, one column per backend report
+_COLUMNS = (("metric", lambda r: r.backend),) + tuple(
+    (label, _metric_cell(name, fmt)) for name, label, fmt in METRIC_ROWS
+)
 
 
 def validate_metrics_json(data: Any) -> None:
-    """Validate a ``BENCH_metrics.json`` payload (raises on violation)."""
-    from ..telemetry.report import ReportValidationError
+    """Validate a ``BENCH_metrics.json`` payload (raises on violation).
 
+    Every backend report must pass the RunReport schema, and when both
+    pgas and baseline ran, pgas must hide more of its communication
+    (a strictly higher ``overlap_fraction``) — the paper's core claim.
+    """
     reports = check_artifact(
         data,
         kind="metrics",
@@ -124,6 +99,16 @@ def validate_metrics_json(data: Any) -> None:
             validate_report(report)
         except ReportValidationError as exc:
             raise ReportValidationError(f"report {backend!r}: {exc}") from None
+    overlap = {
+        backend: reports[backend]["metrics"]["overlap_fraction"]["value"]
+        for backend in ("pgas", "baseline")
+        if "overlap_fraction" in reports.get(backend, {}).get("metrics", {})
+    }
+    if len(overlap) == 2 and not overlap["pgas"] > overlap["baseline"]:
+        raise ReportValidationError(
+            f"pgas overlap_fraction {overlap['pgas']} must exceed the "
+            f"baseline's {overlap['baseline']}"
+        )
 
 
 def run_metrics(
@@ -136,24 +121,26 @@ def run_metrics(
     n_bins: int = 240,
     include_series: bool = True,
     seed: Optional[int] = None,
-) -> MetricsComparison:
+) -> SweepResult:
     """Run every backend over the same batches and derive its report.
 
     Each backend gets a fresh cluster (so profiler records don't mix) but
     the identical batch stream; ``scale`` shrinks the batch dimension for
     quick runs (1.0 = paper size).
     """
-    cfg = preset_workload(preset, n_devices)
-    if seed is not None:
-        import dataclasses
-
-        cfg = dataclasses.replace(cfg, seed=seed)
-    if scale != 1.0:
-        cfg = scaled_config(cfg, scale)
+    cfg = preset_workload(preset, n_devices, seed=seed, scale=scale)
     spec = RunSpec(workload=cfg, n_devices=n_devices, name=preset)
 
-    comparison = MetricsComparison(
-        preset=preset, workload=cfg, n_devices=n_devices, n_batches=n_batches
+    comparison = SweepResult(
+        title=(
+            f"[telemetry: {preset} preset, {cfg.num_tables} tables, "
+            f"batch {cfg.batch_size}, {n_devices} GPUs, {n_batches} batch(es)]"
+        ),
+        columns=_COLUMNS,
+        keys=("backend",),
+        header={"preset": preset, "n_devices": n_devices, "n_batches": n_batches},
+        collection="reports",
+        keyed=True,
     )
     for backend in backends:
         emb = build_backend(spec, backend=backend)
@@ -161,11 +148,11 @@ def run_metrics(
         total = PhaseTiming()
         for _ in range(n_batches):
             total.add(emb.forward_timed(gen.lengths_batch()))
-        comparison.reports[backend] = emb.telemetry_report(
+        comparison.points.append(emb.telemetry_report(
             timing=total,
             workload=cfg,
             n_bins=n_bins,
             include_series=include_series,
             meta={"preset": preset, "scale": scale, "n_batches": n_batches},
-        )
+        ))
     return comparison

@@ -5,22 +5,14 @@ Commands
 ``reproduce``   regenerate the paper's tables/figures (all or one id)
 ``report``      write the paper-vs-measured markdown report to a file
 ``run``         time one workload on both backends and print the phases
-``sweep``       sweep a workload knob and print speedups per point
-``cachesweep``  hot-row cache hit rate / comm / speedup vs skew and capacity
-``faultsweep``  serving SLOs (shed/degraded/p99/goodput) vs fault severity
-``servesweep``  continuous-batching goodput vs in-flight depth K + BENCH_serving.json
-``compsweep``   codec x backend wire/time/error grid + BENCH_compression.json
-``chaossweep``  availability/goodput vs replication k x failures + BENCH_availability.json
-``skewsweep``   online resharding vs static placement under skew + BENCH_reshard.json
-``hiersweep``   flat vs hierarchical routing across node geometries + BENCH_hier.json
-``critpath``    traced critical-path attribution + BENCH_critpath.json (and
-                an optional regression gate against a committed baseline)
+``sweep``       ``sweep <knob> <values>`` sweeps a workload knob and prints
+                speedups per point; ``sweep <name>`` runs a named sweep
+                (see :data:`SWEEPS`) and writes its ``BENCH_*.json``
 ``backends``    list the registered backends with their capability flags
 ``plan``        capacity-aware table placement for a Criteo-like table set
 ``trace``       run one batch and write a chrome://tracing JSON timeline
-``metrics``     pgas-vs-baseline telemetry metrics + BENCH_metrics.json
 
-The preset names accepted by ``metrics``/``servesweep`` resolve through
+The preset names accepted by the sweeps resolve through
 :func:`repro.core.runspec.preset_runspec`, so the CLI and the library see
 identical workloads.
 """
@@ -29,22 +21,33 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from .bench.cachesweep import run_cache_sweep
+from .bench.chaossweep import run_chaos_sweep, validate_chaossweep_json
+from .bench.compsweep import run_comp_sweep, validate_compsweep_json
+from .bench.critpath import run_critpath, validate_critpath_json
+from .bench.faultsweep import run_fault_sweep, validate_faultsweep_json
+from .bench.hiersweep import run_hiersweep, validate_hiersweep_json
 from .bench.runner import EXPERIMENT_IDS, ExperimentRunner
-from .bench.sweeps import batch_size_sweep, pooling_sweep, table_count_sweep
+from .bench.servesweep import run_serve_sweep, validate_servesweep_json
+from .bench.skewsweep import run_skew_sweep, validate_skewsweep_json
+from .bench.sweeps import SweepResult, batch_size_sweep, pooling_sweep, table_count_sweep
+from .bench.telemetry import run_metrics, validate_metrics_json
 from .compress import CODEC_NAMES
 from .core.planner import plan_table_wise
 from .core.retrieval import DistributedEmbedding, available_backends, backend_spec
 from .core.runspec import PRESETS
-from .dlrm.data import SyntheticDataGenerator, WEAK_SCALING_BASE, WorkloadConfig
+from .dlrm.data import SyntheticDataGenerator, WorkloadConfig
 from .dlrm.heterogeneous import criteo_like
 from .simgpu.device import V100_SPEC
 from .simgpu.trace import summarize_spans, write_chrome_trace
-from .simgpu.units import to_ms
+from .simgpu.units import ms, to_ms
 
-__all__ = ["main", "build_parser"]
+__all__ = ["SWEEPS", "main", "build_parser"]
 
 
 def _positive_int(text: str) -> int:
@@ -69,14 +72,42 @@ def _zipf_alpha(text: str) -> float:
     return value
 
 
-def _workload_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tables", type=_positive_int, default=64, help="number of embedding tables")
-    p.add_argument("--rows", type=_positive_int, default=1_000_000, help="rows per table")
-    p.add_argument("--dim", type=_positive_int, default=64, help="embedding dimension")
-    p.add_argument("--batch", type=_positive_int, default=16_384, help="batch size")
-    p.add_argument("--pooling", type=int, default=128, help="max pooling factor")
-    p.add_argument("--gpus", type=_positive_int, default=2, help="simulated GPU count")
-    p.add_argument("--seed", type=int, default=2024)
+_BASES = ("pgas", "baseline")
+
+#: one flag declaration: the flag and its argparse kwargs
+Flag = Tuple[str, Dict[str, Any]]
+
+#: flags several commands take, declared once.  Each command passes its
+#: own defaults to :func:`_flags`.
+_FLAGS: Dict[str, Flag] = {
+    "tables": ("--tables", dict(type=_positive_int, help="number of embedding tables")),
+    "rows": ("--rows", dict(type=_positive_int, help="rows per table")),
+    "dim": ("--dim", dict(type=_positive_int, help="embedding dimension")),
+    "batch": ("--batch", dict(type=_positive_int, help="batch size")),
+    "pooling": ("--pooling", dict(type=int, help="max pooling factor")),
+    "preset": ("--preset", dict(choices=PRESETS,
+                                help="workload preset (resolved via preset_runspec)")),
+    "gpus": ("--gpus", dict(type=_positive_int, help="simulated GPU count")),
+    "backends": ("--backends", dict(nargs="+", help="backends to compare")),
+    "bases": ("--backends", dict(dest="backends", nargs="+", choices=_BASES,
+                                 help="base backends to wrap")),
+    "batches": ("--batches", dict(type=int, help="batches per point")),
+    "scale": ("--scale", dict(type=float,
+                              help="batch-size scale factor (1.0 = preset size)")),
+    "seed": ("--seed", dict(type=int, help="workload seed (None: the preset's)")),
+    "output": ("--output", dict(help="machine-readable artifact path ('' to skip)")),
+}
+
+#: the paper-scale workload shape of ``run``, ``trace`` and the knob sweeps
+_WORKLOAD = dict(tables=64, rows=1_000_000, dim=64, batch=16_384, pooling=128,
+                 gpus=2, seed=2024)
+
+
+def _flags(p: argparse.ArgumentParser, **defaults: Any) -> None:
+    """Declare the named :data:`_FLAGS` on ``p`` with these defaults."""
+    for name, default in defaults.items():
+        flag, kwargs = _FLAGS[name]
+        p.add_argument(flag, default=default, **kwargs)
 
 
 def _workload_from(args: argparse.Namespace) -> WorkloadConfig:
@@ -88,6 +119,189 @@ def _workload_from(args: argparse.Namespace) -> WorkloadConfig:
         max_pooling=args.pooling,
         seed=args.seed,
     )
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """One ``repro sweep <name>`` entry.
+
+    ``shared`` names the :data:`_FLAGS` the sweep takes, with its
+    defaults; ``flags`` are its own.  ``validate`` re-checks the artifact
+    the sweep just wrote, and ``gate`` (critpath only) compares the
+    fresh result against a committed one and returns the exit code.
+    """
+
+    help: str
+    run: Callable[[argparse.Namespace], SweepResult]
+    shared: Dict[str, Any]
+    flags: Sequence[Flag] = ()
+    validate: Optional[Callable[[Any], None]] = None
+    gate: Optional[Callable[[argparse.Namespace, SweepResult], int]] = None
+
+
+def _knob(factory: Callable[..., Any]) -> _Sweep:
+    # Workload flags may follow the knob too; SUPPRESS keeps the values
+    # given before it (on the ``sweep`` parser) from being reset.
+    return _Sweep(
+        "sweep this workload knob over both backends",
+        run=lambda a: factory(_workload_from(a), n_devices=a.gpus).run(a.values),
+        shared=dict.fromkeys(_WORKLOAD, argparse.SUPPRESS),
+        flags=[("values", dict(type=float, nargs="+", help="knob values to sweep"))],
+    )
+
+
+def _critpath_gate(args: argparse.Namespace, result: SweepResult) -> int:
+    if not args.gate:
+        return 0
+    from .obs.regress import Tolerance, compare_critpath
+
+    with open(args.gate) as fh:
+        baseline = json.load(fh)
+    gate = compare_critpath(
+        baseline, result.as_dict(), tolerance=Tolerance(abs_ns=args.gate_abs_ns)
+    )
+    print(gate.render())
+    return 0 if gate.passed else 1
+
+
+#: every ``repro sweep`` verb: the three workload knobs, then the named sweeps
+SWEEPS: Dict[str, _Sweep] = {
+    "batch_size": _knob(batch_size_sweep),
+    "max_pooling": _knob(pooling_sweep),
+    "num_tables": _knob(table_count_sweep),
+    "cache": _Sweep(
+        "hot-row cache hit rate / comm / speedup vs skew and capacity",
+        run=lambda a: run_cache_sweep(
+            _workload_from(a), a.alphas, a.capacities, policy=a.policy,
+            n_devices=a.gpus, n_batches=a.batches,
+        ),
+        shared=dict(_WORKLOAD, tables=8, rows=4096, dim=32, batch=1024, pooling=4,
+                    batches=4),
+        flags=[
+            ("--alphas", dict(type=_zipf_alpha, nargs="+", default=[1.05, 1.1, 1.2],
+                              help="zipf skew values")),
+            ("--capacities", dict(type=float, nargs="+", default=[0.05, 0.1, 0.2],
+                                  help="cache capacity as a fraction of remote rows")),
+            ("--policy", dict(choices=("lru", "lfu", "static-topk"), default="lru")),
+        ],
+    ),
+    "faults": _Sweep(
+        "serving SLOs (shed/degraded/p99/goodput) vs fault severity",
+        run=lambda a: run_fault_sweep(
+            _workload_from(a), a.severities, bases=a.backends, n_devices=a.gpus,
+            n_requests=a.requests, arrival_qps=a.qps, deadline_ns=2.0 * ms,
+            emb_deadline_ns=0.25 * ms, queue_limit=a.queue_limit,
+            hedge_after_ns=a.hedge_ms * ms if a.hedge_ms is not None else None,
+            seed=a.seed,
+        ),
+        shared=dict(_WORKLOAD, tables=8, rows=4096, dim=16, batch=512, pooling=4,
+                    gpus=4, bases=_BASES, output=""),
+        flags=[
+            ("--severities", dict(type=float, nargs="+", default=[0.0, 0.3, 0.6, 0.9],
+                                  help="fault severities in [0, 1] (0 = healthy)")),
+            ("--requests", dict(type=int, default=48, help="requests per point")),
+            ("--qps", dict(type=float, default=50_000.0, help="offered load")),
+            ("--queue-limit", dict(type=int, default=512,
+                                   help="shed arrivals beyond this queue depth")),
+            ("--hedge-ms", dict(type=float, default=None,
+                                help="hedge batches running longer than this (ms)")),
+        ],
+        validate=validate_faultsweep_json,
+    ),
+    "serve": _Sweep(
+        "continuous-batching goodput vs in-flight depth K + BENCH_serving.json",
+        run=lambda a: run_serve_sweep(
+            a.preset, n_devices=a.gpus, backends=a.backends, qps=a.qps,
+            max_in_flight=a.k, n_requests=a.requests, seed=a.seed,
+        ),
+        shared=dict(preset="tiny", gpus=2, backends=_BASES, seed=0,
+                    output="BENCH_serving.json"),
+        flags=[
+            ("--qps", dict(type=float, nargs="+", default=[200_000.0],
+                           help="offered arrival rates")),
+            ("--k", dict(type=int, nargs="+", default=[1, 2],
+                         help="max in-flight batches (scheduler depth) values")),
+            ("--requests", dict(type=int, default=32, help="requests per point")),
+        ],
+        validate=validate_servesweep_json,
+    ),
+    "compress": _Sweep(
+        "codec x backend wire/time/error grid + BENCH_compression.json",
+        run=lambda a: run_comp_sweep(
+            a.preset, n_devices=a.gpus, codecs=a.codecs, bases=a.backends,
+            n_batches=a.batches, scale=a.scale, seed=a.seed,
+        ),
+        shared=dict(preset="tiny", gpus=2, bases=_BASES, batches=2, scale=1.0,
+                    seed=None, output="BENCH_compression.json"),
+        flags=[("--codecs", dict(nargs="+", choices=CODEC_NAMES, default=list(CODEC_NAMES),
+                                 help="wire codecs to measure"))],
+        validate=validate_compsweep_json,
+    ),
+    "chaos": _Sweep(
+        "availability/goodput vs replication k x failures + BENCH_availability.json",
+        run=lambda a: run_chaos_sweep(
+            a.preset, n_devices=a.gpus, ks=a.k, bases=a.backends, n_batches=a.batches,
+            scale=a.scale, seed=a.seed,
+        ),
+        shared=dict(preset="tiny", gpus=4, bases=_BASES, batches=6, scale=1.0,
+                    seed=None, output="BENCH_availability.json"),
+        flags=[("--k", dict(type=int, nargs="+", default=[1, 2],
+                            help="replication factors to measure"))],
+        validate=validate_chaossweep_json,
+    ),
+    "skew": _Sweep(
+        "online resharding vs static placement under skew + BENCH_reshard.json",
+        run=lambda a: run_skew_sweep(
+            a.preset, n_devices=a.gpus, backends=a.backends, skews=a.skews,
+            n_batches=a.batches, scale=a.scale, seed=a.seed,
+        ),
+        shared=dict(preset="tiny", gpus=4,
+                    backends=["pgas", "pgas+reshard", "baseline", "baseline+reshard"],
+                    batches=10, scale=1.0, seed=None, output="BENCH_reshard.json"),
+        flags=[("--skews", dict(type=float, nargs="+", default=[0.0, 1.05],
+                                help="table traffic skew exponents (0 = uniform)"))],
+        validate=validate_skewsweep_json,
+    ),
+    "hier": _Sweep(
+        "flat vs hierarchical routing across node geometries + BENCH_hier.json",
+        run=lambda a: run_hiersweep(
+            a.preset, n_batches=a.batches, scale=a.scale, seed=a.seed
+        ),
+        shared=dict(preset="tiny", batches=2, scale=1.0, seed=None,
+                    output="BENCH_hier.json"),
+        validate=validate_hiersweep_json,
+    ),
+    "critpath": _Sweep(
+        "traced critical-path attribution + BENCH_critpath.json, optionally gated",
+        run=lambda a: run_critpath(
+            a.preset, n_devices=a.gpus, backends=a.backends, n_batches=a.batches,
+            scale=a.scale, seed=a.seed,
+        ),
+        shared=dict(preset="tiny", gpus=2, backends=_BASES, batches=2, scale=1.0,
+                    seed=None, output="BENCH_critpath.json"),
+        flags=[
+            ("--gate", dict(default=None, metavar="BASELINE_JSON",
+                            help="compare against this committed artifact; "
+                                 "exit 1 on breach")),
+            ("--gate-abs-ns", dict(type=float, default=1000.0,
+                                   help="absolute tolerance floor for the gate (ns)")),
+        ],
+        validate=validate_critpath_json,
+        gate=_critpath_gate,
+    ),
+    "metrics": _Sweep(
+        "pgas-vs-baseline telemetry metrics + BENCH_metrics.json",
+        run=lambda a: run_metrics(
+            a.preset, n_devices=a.gpus, backends=a.backends, n_batches=a.batches,
+            scale=a.scale, include_series=a.series, seed=a.seed,
+        ),
+        shared=dict(preset="weak", gpus=2, backends=_BASES, batches=1, scale=1.0,
+                    seed=None, output="BENCH_metrics.json"),
+        flags=[("--series", dict(action=argparse.BooleanOptionalAction, default=True,
+                                 help="include per-bin gauge series in the artifact"))],
+        validate=validate_metrics_json,
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,179 +318,17 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--only", choices=EXPERIMENT_IDS, default=None)
 
     rn = sub.add_parser("run", help="time one workload on both backends")
-    _workload_args(rn)
+    _flags(rn, **_WORKLOAD)
     rn.add_argument("--batches", type=int, default=1)
 
-    sw = sub.add_parser("sweep", help="sweep one workload knob")
-    _workload_args(sw)
-    sw.add_argument("knob", choices=("batch_size", "max_pooling", "num_tables"))
-    sw.add_argument("values", type=float, nargs="+", help="knob values to sweep")
-
-    cs = sub.add_parser("cachesweep", help="hot-row cache sweep (skew x capacity)")
-    _workload_args(cs)
-    cs.set_defaults(tables=8, rows=4096, dim=32, batch=1024, pooling=4)
-    cs.add_argument("--alphas", type=_zipf_alpha, nargs="+", default=[1.05, 1.1, 1.2],
-                    help="zipf skew values")
-    cs.add_argument("--capacities", type=float, nargs="+", default=[0.05, 0.1, 0.2],
-                    help="cache capacity as a fraction of remote rows")
-    cs.add_argument("--policy", choices=("lru", "lfu", "static-topk"), default="lru")
-    cs.add_argument("--batches", type=int, default=4, help="measured batches per point")
-    cs.add_argument("--base", choices=("pgas", "baseline"), default="pgas",
-                    help="underlying backend to wrap")
-
-    fs = sub.add_parser("faultsweep", help="serving SLOs vs fault severity")
-    _workload_args(fs)
-    fs.set_defaults(tables=8, rows=4096, dim=16, batch=512, pooling=4, gpus=4)
-    fs.add_argument("--severities", type=float, nargs="+", default=[0.0, 0.3, 0.6, 0.9],
-                    help="fault severities in [0, 1] (0 = healthy reference)")
-    fs.add_argument("--backends", nargs="+", choices=("pgas", "baseline"),
-                    default=["pgas", "baseline"], help="base backends to wrap")
-    fs.add_argument("--requests", type=int, default=48, help="requests per point")
-    fs.add_argument("--qps", type=float, default=50_000.0, help="offered load")
-    fs.add_argument("--deadline-ms", type=float, default=2.0,
-                    help="request SLO deadline (ms)")
-    fs.add_argument("--emb-deadline-ms", type=float, default=0.25,
-                    help="per-attempt EMB deadline driving retries (ms)")
-    fs.add_argument("--queue-limit", type=int, default=512,
-                    help="shed arrivals beyond this queue depth")
-    fs.add_argument("--hedge-ms", type=float, default=None,
-                    help="hedge batches running longer than this (ms)")
-
-    ss = sub.add_parser("servesweep",
-                        help="continuous-batching goodput sweep + BENCH_serving.json")
-    ss.add_argument("--preset", choices=PRESETS, default="tiny",
-                    help="workload preset (resolved via preset_runspec)")
-    ss.add_argument("--gpus", type=_positive_int, default=2, help="simulated GPU count")
-    ss.add_argument("--backends", nargs="+", default=["pgas", "baseline"],
-                    help="backends to compare")
-    ss.add_argument("--qps", type=float, nargs="+", default=[200_000.0],
-                    help="offered arrival rates")
-    ss.add_argument("--k", type=int, nargs="+", default=[1, 2],
-                    help="max in-flight batches (scheduler depth) values")
-    ss.add_argument("--policies", nargs="+", choices=("size", "timeout", "hybrid"),
-                    default=["hybrid"], help="batch-formation policies")
-    ss.add_argument("--requests", type=int, default=32, help="requests per point")
-    ss.add_argument("--max-batch", type=int, default=8, help="batcher's size cap")
-    ss.add_argument("--window-ms", type=float, default=0.1,
-                    help="batch-formation window (ms)")
-    ss.add_argument("--deadline-ms", type=float, default=None,
-                    help="request SLO deadline (ms); goodput counts hits only")
-    ss.add_argument("--seed", type=int, default=0)
-    ss.add_argument("--output", default="BENCH_serving.json",
-                    help="machine-readable artifact path ('' to skip)")
-
-    cp = sub.add_parser("compsweep",
-                        help="codec x backend compression sweep + BENCH_compression.json")
-    cp.add_argument("--preset", choices=PRESETS, default="tiny",
-                    help="workload preset (resolved via preset_runspec)")
-    cp.add_argument("--gpus", type=_positive_int, default=2, help="simulated GPU count")
-    cp.add_argument("--codecs", nargs="+", choices=CODEC_NAMES,
-                    default=list(CODEC_NAMES), help="wire codecs to measure")
-    cp.add_argument("--backends", nargs="+", choices=("pgas", "baseline"),
-                    default=["pgas", "baseline"], help="base backends to wrap")
-    cp.add_argument("--batches", type=int, default=2, help="batches per point")
-    cp.add_argument("--batch-sizes", type=int, nargs="+", default=None,
-                    help="batch sizes to sweep (default: the preset's)")
-    cp.add_argument("--scale", type=float, default=1.0,
-                    help="batch-size scale factor (1.0 = preset size)")
-    cp.add_argument("--error-rows", type=int, default=512,
-                    help="synthetic vectors per codec for the error measurement")
-    cp.add_argument("--seed", type=int, default=None,
-                    help="workload seed override (default: preset's)")
-    cp.add_argument("--output", default="BENCH_compression.json",
-                    help="machine-readable artifact path ('' to skip)")
-
-    ch = sub.add_parser("chaossweep",
-                        help="replication/failover availability sweep + "
-                             "BENCH_availability.json")
-    ch.add_argument("--preset", choices=PRESETS, default="tiny",
-                    help="workload preset (resolved via preset_runspec)")
-    ch.add_argument("--gpus", type=_positive_int, default=4, help="simulated GPU count")
-    ch.add_argument("--k", type=int, nargs="+", default=[1, 2],
-                    help="replication factors to measure")
-    ch.add_argument("--failures", type=int, nargs="+", default=[0, 1],
-                    help="permanent device_down counts per point")
-    ch.add_argument("--backends", nargs="+", choices=("pgas", "baseline"),
-                    default=["pgas", "baseline"], help="base backends to wrap")
-    ch.add_argument("--placement", choices=("spread", "ring"), default="spread",
-                    help="replica placement policy")
-    ch.add_argument("--batches", type=int, default=6,
-                    help="batches per point (first is the healthy warm-up)")
-    ch.add_argument("--recovery-share", type=float, default=0.25,
-                    help="link bandwidth share granted to recovery streams")
-    ch.add_argument("--scale", type=float, default=1.0,
-                    help="batch-size scale factor (1.0 = preset size)")
-    ch.add_argument("--seed", type=int, default=None,
-                    help="workload seed override (default: preset's)")
-    ch.add_argument("--output", default="BENCH_availability.json",
-                    help="machine-readable artifact path ('' to skip)")
-
-    sk = sub.add_parser("skewsweep",
-                        help="online resharding vs static placement sweep + "
-                             "BENCH_reshard.json")
-    sk.add_argument("--preset", choices=PRESETS, default="tiny",
-                    help="workload preset (resolved via preset_runspec)")
-    sk.add_argument("--gpus", type=_positive_int, default=4, help="simulated GPU count")
-    sk.add_argument("--backends", nargs="+",
-                    default=["pgas", "pgas+reshard", "baseline",
-                             "baseline+reshard"],
-                    help="backends to compare (mix static and +reshard)")
-    sk.add_argument("--skews", type=float, nargs="+", default=[0.0, 1.05],
-                    help="table traffic skew exponents (0 = uniform)")
-    sk.add_argument("--batches", type=int, default=10, help="batches per point")
-    sk.add_argument("--threshold", type=float, default=1.1,
-                    help="planner max/mean imbalance trigger")
-    sk.add_argument("--migration-share", type=float, default=0.25,
-                    help="link bandwidth share granted to migration streams")
-    sk.add_argument("--scale", type=float, default=1.0,
-                    help="batch-size scale factor (1.0 = preset size)")
-    sk.add_argument("--seed", type=int, default=None,
-                    help="workload seed override (default: preset's)")
-    sk.add_argument("--output", default="BENCH_reshard.json",
-                    help="machine-readable artifact path ('' to skip)")
-
-    hs = sub.add_parser("hiersweep",
-                        help="flat vs hierarchical routing sweep + "
-                             "BENCH_hier.json")
-    hs.add_argument("--preset", choices=PRESETS, default="tiny",
-                    help="workload preset (resolved via preset_runspec)")
-    hs.add_argument("--bases", nargs="+", default=["pgas", "baseline"],
-                    help="base backends to route (pgas / baseline)")
-    hs.add_argument("--nodes", type=int, nargs="+", default=[1, 2, 3],
-                    help="simulated node counts")
-    hs.add_argument("--gpus-per-node", type=int, nargs="+", default=[1, 2, 4],
-                    help="simulated GPUs per node")
-    hs.add_argument("--message-bytes", type=int, nargs="+",
-                    default=[32, 256, 4096],
-                    help="PGAS message size / collective chunk size per point")
-    hs.add_argument("--batches", type=int, default=2, help="batches per point")
-    hs.add_argument("--scale", type=float, default=1.0,
-                    help="batch-size scale factor (1.0 = preset size)")
-    hs.add_argument("--seed", type=int, default=None,
-                    help="workload seed override (default: preset's)")
-    hs.add_argument("--output", default="BENCH_hier.json",
-                    help="machine-readable artifact path ('' to skip)")
-
-    cr = sub.add_parser("critpath",
-                        help="traced critical-path attribution + BENCH_critpath.json")
-    cr.add_argument("--preset", choices=PRESETS, default="tiny",
-                    help="workload preset (resolved via preset_runspec)")
-    cr.add_argument("--gpus", type=_positive_int, default=2, help="simulated GPU count")
-    cr.add_argument("--backends", nargs="+", default=["pgas", "baseline"],
-                    help="backends to trace")
-    cr.add_argument("--batches", type=int, default=2, help="batches per backend")
-    cr.add_argument("--scale", type=float, default=1.0,
-                    help="batch-size scale factor (1.0 = preset size)")
-    cr.add_argument("--seed", type=int, default=None,
-                    help="workload seed override (default: preset's)")
-    cr.add_argument("--output", default="BENCH_critpath.json",
-                    help="machine-readable artifact path ('' to skip)")
-    cr.add_argument("--gate", default=None, metavar="BASELINE_JSON",
-                    help="compare against this committed artifact; exit 1 on breach")
-    cr.add_argument("--gate-rel", type=float, default=0.05,
-                    help="relative tolerance for the regression gate")
-    cr.add_argument("--gate-abs-ns", type=float, default=1000.0,
-                    help="absolute tolerance floor for the regression gate (ns)")
+    sw = sub.add_parser("sweep", help="sweep a workload knob, or run a named sweep")
+    _flags(sw, **_WORKLOAD)
+    names = sw.add_subparsers(dest="sweep", required=True)
+    for name, entry in SWEEPS.items():
+        sp = names.add_parser(name, help=entry.help)
+        _flags(sp, **entry.shared)
+        for flag, kwargs in entry.flags:
+            sp.add_argument(flag, **kwargs)
 
     sub.add_parser("backends",
                    help="list registered backends and their capability flags")
@@ -296,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     rm.add_argument("--output", default="REPORT.md")
 
     tr = sub.add_parser("trace", help="write a chrome://tracing timeline of one batch")
-    _workload_args(tr)
+    _flags(tr, **_WORKLOAD)
     tr.add_argument("--backend", choices=tuple(available_backends()), default="pgas")
     tr.add_argument("--zipf", type=_zipf_alpha, default=None,
                     help="zipf skew for the traced batch (cached backends profit)")
@@ -305,25 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="include raw counter tracks (--no-counters for spans only)")
     tr.add_argument("--telemetry", action="store_true",
                     help="also export derived telemetry.* gauge tracks")
-
-    mt = sub.add_parser("metrics",
-                        help="pgas-vs-baseline telemetry metrics + BENCH_metrics.json")
-    mt.add_argument("--preset", choices=PRESETS, default="weak",
-                    help="workload preset (weak = paper §IV-A per-GPU rule)")
-    mt.add_argument("--gpus", type=_positive_int, default=2, help="simulated GPU count")
-    mt.add_argument("--batches", type=int, default=1, help="batches per backend")
-    mt.add_argument("--scale", type=float, default=1.0,
-                    help="batch-size scale factor (1.0 = paper size)")
-    mt.add_argument("--backends", nargs="+", default=["pgas", "baseline"],
-                    help="backends to compare")
-    mt.add_argument("--bins", type=int, default=240,
-                    help="sample-grid resolution for the derived gauges")
-    mt.add_argument("--output", default="BENCH_metrics.json",
-                    help="machine-readable artifact path ('' to skip)")
-    mt.add_argument("--series", action=argparse.BooleanOptionalAction, default=True,
-                    help="include per-bin gauge series in the artifact")
-    mt.add_argument("--seed", type=int, default=None,
-                    help="workload seed override (default: preset's)")
 
     return ap
 
@@ -362,18 +395,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _workload_from(args)
-    factory = {
-        "batch_size": batch_size_sweep,
-        "max_pooling": pooling_sweep,
-        "num_tables": table_count_sweep,
-    }[args.knob]
-    sweep = factory(cfg, n_devices=args.gpus)
-    print(sweep.run(args.values).render())
-    return 0
-
-
 def _cmd_plan(args: argparse.Namespace) -> int:
     workload = criteo_like(num_tables=args.criteo_tables, dim=args.dim, seed=args.seed)
     report = plan_table_wise(
@@ -395,221 +416,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         fh.write(text)
     print(f"wrote {args.output} ({len(text.splitlines())} lines, "
           f"{args.batches} batches at scale {args.scale:g})")
-    return 0
-
-
-def _cmd_cachesweep(args: argparse.Namespace) -> int:
-    from .bench.cachesweep import run_cache_sweep
-
-    cfg = _workload_from(args)
-    result = run_cache_sweep(
-        cfg,
-        alphas=args.alphas,
-        capacity_fractions=args.capacities,
-        base=args.base,
-        policy=args.policy,
-        n_devices=args.gpus,
-        n_batches=args.batches,
-    )
-    print(result.render())
-    return 0
-
-
-def _cmd_faultsweep(args: argparse.Namespace) -> int:
-    from .bench.faultsweep import run_fault_sweep
-    from .simgpu.units import ms
-
-    cfg = _workload_from(args)
-    result = run_fault_sweep(
-        cfg,
-        severities=args.severities,
-        bases=args.backends,
-        n_devices=args.gpus,
-        n_requests=args.requests,
-        arrival_qps=args.qps,
-        deadline_ns=args.deadline_ms * ms,
-        emb_deadline_ns=args.emb_deadline_ms * ms,
-        queue_limit=args.queue_limit,
-        hedge_after_ns=args.hedge_ms * ms if args.hedge_ms is not None else None,
-        seed=args.seed,
-    )
-    print(result.render())
-    return 0
-
-
-def _cmd_servesweep(args: argparse.Namespace) -> int:
-    import json
-
-    from .bench.servesweep import run_serve_sweep, validate_servesweep_json
-    from .simgpu.units import ms
-
-    sweep = run_serve_sweep(
-        args.preset,
-        n_devices=args.gpus,
-        backends=args.backends,
-        qps=args.qps,
-        max_in_flight=args.k,
-        policies=args.policies,
-        n_requests=args.requests,
-        max_batch=args.max_batch,
-        batch_window_ns=args.window_ms * ms,
-        deadline_ns=args.deadline_ms * ms if args.deadline_ms is not None else None,
-        seed=args.seed,
-    )
-    print(sweep.render())
-    if args.output:
-        sweep.write_json(args.output)
-        # Self-check: the artifact we just wrote must round-trip the schema.
-        with open(args.output) as fh:
-            validate_servesweep_json(json.load(fh))
-        print(f"wrote {args.output} (schema-valid, {len(sweep.points)} points)")
-    return 0
-
-
-def _cmd_compsweep(args: argparse.Namespace) -> int:
-    import json
-
-    from .bench.compsweep import run_comp_sweep, validate_compsweep_json
-
-    sweep = run_comp_sweep(
-        args.preset,
-        n_devices=args.gpus,
-        codecs=args.codecs,
-        bases=args.backends,
-        batch_sizes=args.batch_sizes,
-        n_batches=args.batches,
-        scale=args.scale,
-        error_rows=args.error_rows,
-        seed=args.seed,
-    )
-    print(sweep.render())
-    if args.output:
-        sweep.write_json(args.output)
-        # Self-check: the artifact we just wrote must round-trip the schema.
-        with open(args.output) as fh:
-            validate_compsweep_json(json.load(fh))
-        print(f"wrote {args.output} (schema-valid, {len(sweep.points)} points)")
-    return 0
-
-
-def _cmd_chaossweep(args: argparse.Namespace) -> int:
-    import json
-
-    from .bench.chaossweep import run_chaos_sweep, validate_chaossweep_json
-
-    sweep = run_chaos_sweep(
-        args.preset,
-        n_devices=args.gpus,
-        ks=args.k,
-        failure_counts=args.failures,
-        bases=args.backends,
-        placement=args.placement,
-        n_batches=args.batches,
-        recovery_bandwidth_share=args.recovery_share,
-        scale=args.scale,
-        seed=args.seed,
-    )
-    print(sweep.render())
-    if args.output:
-        sweep.write_json(args.output)
-        # Self-check: the artifact we just wrote must round-trip the schema.
-        with open(args.output) as fh:
-            validate_chaossweep_json(json.load(fh))
-        print(f"wrote {args.output} (schema-valid, {len(sweep.points)} points)")
-    return 0
-
-
-def _cmd_skewsweep(args: argparse.Namespace) -> int:
-    import json
-
-    from .bench.skewsweep import run_skew_sweep, validate_skewsweep_json
-    from .reshard import ReshardSpec
-
-    spec = ReshardSpec(
-        window_batches=max(4, args.batches // 2),
-        min_batches=2,
-        check_interval_batches=2,
-        imbalance_threshold=args.threshold,
-        migration_bandwidth_share=args.migration_share,
-    )
-    sweep = run_skew_sweep(
-        args.preset,
-        n_devices=args.gpus,
-        backends=args.backends,
-        skews=args.skews,
-        n_batches=args.batches,
-        reshard_spec=spec,
-        scale=args.scale,
-        seed=args.seed,
-    )
-    print(sweep.render())
-    if args.output:
-        sweep.write_json(args.output)
-        # Self-check: the artifact we just wrote must round-trip the schema.
-        with open(args.output) as fh:
-            validate_skewsweep_json(json.load(fh))
-        print(f"wrote {args.output} (schema-valid, {len(sweep.points)} points)")
-    return 0
-
-
-def _cmd_hiersweep(args: argparse.Namespace) -> int:
-    import json
-
-    from .bench.hiersweep import run_hiersweep, validate_hiersweep_json
-
-    sweep = run_hiersweep(
-        args.preset,
-        bases=args.bases,
-        nodes=args.nodes,
-        devices_per_node=args.gpus_per_node,
-        message_sizes=args.message_bytes,
-        n_batches=args.batches,
-        scale=args.scale,
-        seed=args.seed,
-    )
-    print(sweep.render())
-    if args.output:
-        sweep.write_json(args.output)
-        # Self-check: the artifact we just wrote must round-trip the schema.
-        with open(args.output) as fh:
-            validate_hiersweep_json(json.load(fh))
-        print(f"wrote {args.output} (schema-valid, {len(sweep.points)} points)")
-    return 0
-
-
-def _cmd_critpath(args: argparse.Namespace) -> int:
-    import json
-
-    from .bench.critpath import run_critpath, validate_critpath_json
-
-    result = run_critpath(
-        args.preset,
-        n_devices=args.gpus,
-        backends=args.backends,
-        n_batches=args.batches,
-        scale=args.scale,
-        seed=args.seed,
-    )
-    print(result.render())
-    if args.output:
-        result.write_json(args.output)
-        # Self-check: the artifact we just wrote must round-trip the schema.
-        with open(args.output) as fh:
-            validate_critpath_json(json.load(fh))
-        print(f"wrote {args.output} (schema-valid, {len(result.points)} points)")
-    if args.gate:
-        from .obs.regress import Tolerance, compare_critpath
-
-        with open(args.gate) as fh:
-            baseline = json.load(fh)
-        gate = compare_critpath(
-            baseline,
-            result.as_dict(),
-            tolerance=Tolerance(rel=args.gate_rel, abs_ns=args.gate_abs_ns),
-        )
-        print(gate.render())
-        if not gate.passed:
-            return 1
     return 0
 
 
@@ -656,30 +462,18 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    import json
-
-    from .bench.telemetry import run_metrics, validate_metrics_json
-
-    comparison = run_metrics(
-        args.preset,
-        n_devices=args.gpus,
-        backends=args.backends,
-        n_batches=args.batches,
-        scale=args.scale,
-        n_bins=args.bins,
-        include_series=args.series,
-        seed=args.seed,
-    )
-    print(comparison.render())
-    if args.output:
-        comparison.write_json(args.output)
-        # Self-check: the artifact we just wrote must round-trip the schema.
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    entry = SWEEPS[args.sweep]
+    result = entry.run(args)
+    print(result.render())
+    if getattr(args, "output", ""):
+        result.write_json(args.output)
+        # Self-check: the artifact just written must pass its own validator.
         with open(args.output) as fh:
-            validate_metrics_json(json.load(fh))
+            entry.validate(json.load(fh))
         print(f"wrote {args.output} (schema-valid, "
-              f"{len(comparison.reports)} backend reports)")
-    return 0
+              f"{len(result.points)} {result.collection})")
+    return entry.gate(args, result) if entry.gate else 0
 
 
 _COMMANDS = {
@@ -687,18 +481,9 @@ _COMMANDS = {
     "report": _cmd_report,
     "run": _cmd_run,
     "sweep": _cmd_sweep,
-    "cachesweep": _cmd_cachesweep,
-    "faultsweep": _cmd_faultsweep,
-    "servesweep": _cmd_servesweep,
-    "compsweep": _cmd_compsweep,
-    "chaossweep": _cmd_chaossweep,
-    "skewsweep": _cmd_skewsweep,
-    "hiersweep": _cmd_hiersweep,
-    "critpath": _cmd_critpath,
     "backends": _cmd_backends,
     "plan": _cmd_plan,
     "trace": _cmd_trace,
-    "metrics": _cmd_metrics,
 }
 
 

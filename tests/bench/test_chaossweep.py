@@ -6,15 +6,12 @@ import json
 
 import pytest
 
-from repro.bench.chaossweep import (
-    ChaosSweepResult,
-    run_chaos_sweep,
-    validate_chaossweep_json,
-)
+from repro.bench.chaossweep import run_chaos_sweep, validate_chaossweep_json
+from repro.bench.sweeps import SweepResult
 
 
 @pytest.fixture(scope="module")
-def sweep() -> ChaosSweepResult:
+def sweep() -> SweepResult:
     return run_chaos_sweep("tiny", n_devices=4, n_batches=3, bases=("pgas",))
 
 
@@ -75,6 +72,17 @@ class TestValidator:
             if p["k"] == 2 and p["n_failures"] == 1:
                 p["availability"] = 0.1
         with pytest.raises(ValueError, match="below k=1"):
+            validate_chaossweep_json(data)
+
+    def test_rejects_unmasked_single_failure(self, sweep):
+        # k=2 may beat k=1 and still fail: one replica must mask one
+        # failure completely.
+        data = self.payload(sweep)
+        k1 = sweep.point("pgas", 1, 1).availability
+        for p in data["points"]:
+            if p["k"] == 2 and p["n_failures"] == 1:
+                p["availability"] = (1.0 + k1) / 2
+        with pytest.raises(ValueError, match="single failure"):
             validate_chaossweep_json(data)
 
     def test_rejects_imperfect_healthy_run(self, sweep):

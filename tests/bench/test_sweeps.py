@@ -21,8 +21,8 @@ def base_cfg():
 class TestSweepMachinery:
     def test_points_in_order(self):
         result = batch_size_sweep(base_cfg()).run([256, 512, 1024])
-        assert result.values == [256.0, 512.0, 1024.0]
-        assert len(result.speedups) == 3
+        assert [p.value for p in result.points] == [256.0, 512.0, 1024.0]
+        assert result.point(512.0).value == 512.0
 
     def test_empty_values_rejected(self):
         with pytest.raises(ValueError):
@@ -70,4 +70,4 @@ class TestSweepSemantics:
 
     def test_speedup_above_one_everywhere(self):
         result = pooling_sweep(base_cfg()).run([4, 16])
-        assert all(s > 1.0 for s in result.speedups)
+        assert all(p.speedup > 1.0 for p in result.points)

@@ -6,17 +6,13 @@ import json
 
 import pytest
 
-from repro.bench.telemetry import (
-    MetricsComparison,
-    preset_workload,
-    run_metrics,
-    validate_metrics_json,
-)
+from repro.bench.sweeps import SweepResult
+from repro.bench.telemetry import preset_workload, run_metrics, validate_metrics_json
 from repro.telemetry.report import ReportValidationError
 
 
 @pytest.fixture(scope="module")
-def comparison() -> MetricsComparison:
+def comparison() -> SweepResult:
     return run_metrics("tiny", n_devices=2, include_series=False)
 
 
@@ -40,17 +36,16 @@ class TestPresets:
 
 class TestRunMetrics:
     def test_both_backends_reported(self, comparison):
-        assert set(comparison.reports) == {"pgas", "baseline"}
-        for backend, report in comparison.reports.items():
-            assert report.backend == backend
+        assert [r.backend for r in comparison.points] == ["pgas", "baseline"]
+        for report in comparison.points:
             assert report.n_devices == 2
             assert report.metric("comm_bytes_total") > 0
 
     def test_acceptance_invariant_on_tiny(self, comparison):
         # pgas must hide more comm than the synchronous baseline
-        assert comparison.metric("pgas", "overlap_fraction") > comparison.metric(
-            "baseline", "overlap_fraction"
-        )
+        assert comparison.point("pgas").metric("overlap_fraction") > comparison.point(
+            "baseline"
+        ).metric("overlap_fraction")
 
     def test_render_table(self, comparison):
         text = comparison.render()
@@ -64,7 +59,7 @@ class TestRunMetrics:
         # seed-dependent pooling lengths
         a = run_metrics("tiny", backends=("pgas",), include_series=False, seed=1)
         b = run_metrics("tiny", backends=("pgas",), include_series=False, seed=2)
-        assert a.metric("pgas", "run_wall_ns") != b.metric("pgas", "run_wall_ns")
+        assert a.point("pgas").metric("run_wall_ns") != b.point("pgas").metric("run_wall_ns")
 
 
 class TestArtifact:
@@ -81,6 +76,14 @@ class TestArtifact:
         comparison.write_json(str(path))
         data = json.loads(path.read_text())
         assert list(data) == sorted(data)
+
+    def test_rejects_pgas_not_hiding_more_comm(self, comparison):
+        data = json.loads(json.dumps(comparison.as_dict()))
+        overlap = {be: r["metrics"]["overlap_fraction"]
+                   for be, r in data["reports"].items()}
+        overlap["pgas"]["value"] = overlap["baseline"]["value"]
+        with pytest.raises(ReportValidationError, match="overlap_fraction"):
+            validate_metrics_json(data)
 
     def test_invalid_payloads_rejected(self, comparison):
         with pytest.raises(ReportValidationError):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.bench.faultsweep import run_fault_sweep
+from repro.bench.faultsweep import run_fault_sweep, validate_faultsweep_json
 from repro.cli import build_parser, main
 from repro.dlrm.data import WorkloadConfig
 from repro.simgpu.units import ms
@@ -66,6 +68,15 @@ class TestRunFaultSweep:
         with pytest.raises(KeyError):
             sweep.point(0.5, "pgas")
 
+    def test_artifact_validates_and_rejects_lost_requests(self, sweep, tmp_path):
+        path = tmp_path / "BENCH_faults.json"
+        sweep.write_json(str(path))
+        data = json.loads(path.read_text())
+        validate_faultsweep_json(data)
+        data["points"][1]["result"]["n_shed"] += 1
+        with pytest.raises(ValueError, match="served \\+ shed"):
+            validate_faultsweep_json(data)
+
     def test_input_validation(self):
         with pytest.raises(ValueError, match="severity"):
             run_fault_sweep(tiny_cfg(), severities=[])
@@ -76,15 +87,15 @@ class TestRunFaultSweep:
 class TestCLI:
     def test_parser_accepts_faultsweep(self):
         args = build_parser().parse_args(
-            ["faultsweep", "--severities", "0.0", "0.5", "--backends", "pgas"]
+            ["sweep", "faults", "--severities", "0.0", "0.5", "--backends", "pgas"]
         )
-        assert args.command == "faultsweep"
+        assert (args.command, args.sweep) == ("sweep", "faults")
         assert args.severities == [0.0, 0.5]
         assert args.backends == ["pgas"]
 
     def test_main_runs_and_prints_table(self, capsys):
         rc = main([
-            "faultsweep",
+            "sweep", "faults",
             "--tables", "4", "--rows", "512", "--dim", "8", "--batch", "64",
             "--pooling", "2", "--gpus", "2",
             "--severities", "0.0", "0.7",

@@ -7,15 +7,12 @@ import json
 
 import pytest
 
-from repro.bench.hiersweep import (
-    HierSweepResult,
-    run_hiersweep,
-    validate_hiersweep_json,
-)
+from repro.bench.hiersweep import run_hiersweep, validate_hiersweep_json
+from repro.bench.sweeps import SweepResult
 
 
 @pytest.fixture(scope="module")
-def sweep() -> HierSweepResult:
+def sweep() -> SweepResult:
     return run_hiersweep(
         "tiny",
         nodes=(1, 2),

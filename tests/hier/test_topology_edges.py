@@ -168,7 +168,7 @@ class TestDegradedInterNodeLink:
 
 
 class TestInterNodeAccounting:
-    """The helpers the sweep and CI smoke job measure with."""
+    """The helpers the hier sweep and its validator measure with."""
 
     def make(self, n_nodes=2, dpn=2):
         eng = Engine()

@@ -6,15 +6,12 @@ import json
 
 import pytest
 
-from repro.bench.skewsweep import (
-    SkewSweepResult,
-    run_skew_sweep,
-    validate_skewsweep_json,
-)
+from repro.bench.skewsweep import run_skew_sweep, validate_skewsweep_json
+from repro.bench.sweeps import SweepResult
 
 
 @pytest.fixture(scope="module")
-def sweep() -> SkewSweepResult:
+def sweep() -> SweepResult:
     return run_skew_sweep(
         "tiny", n_devices=4, backends=("pgas", "pgas+reshard"),
         skews=(0.0, 1.05), n_batches=10,

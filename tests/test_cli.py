@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli import build_parser, main
+from repro.cli import SWEEPS, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -44,16 +44,16 @@ class TestTypedErrors:
     @pytest.mark.parametrize(
         "argv,flag",
         [
-            (["cachesweep", "--alphas", "0.9"], "--alphas"),
-            (["cachesweep", "--alphas", "1.1", "1.0"], "--alphas"),
-            (["cachesweep", "--alphas", "nan"], "--alphas"),
-            (["cachesweep", "--alphas", "steep"], "--alphas"),
+            (["sweep", "cache", "--alphas", "0.9"], "--alphas"),
+            (["sweep", "cache", "--alphas", "1.1", "1.0"], "--alphas"),
+            (["sweep", "cache", "--alphas", "nan"], "--alphas"),
+            (["sweep", "cache", "--alphas", "steep"], "--alphas"),
             (["trace", "--zipf", "0.5"], "--zipf"),
             (["run", "--tables", "0"], "--tables"),
             (["run", "--gpus", "0"], "--gpus"),
             (["run", "--gpus", "-3"], "--gpus"),
             (["run", "--batch", "two"], "--batch"),
-            (["metrics", "--gpus", "0"], "--gpus"),
+            (["sweep", "metrics", "--gpus", "0"], "--gpus"),
         ],
     )
     def test_exits_2_naming_the_flag(self, capsys, argv, flag):
@@ -67,14 +67,14 @@ class TestTypedErrors:
         assert "Traceback" not in err
 
     def test_valid_values_still_parse(self):
-        args = build_parser().parse_args(["cachesweep", "--alphas", "1.05", "2"])
+        args = build_parser().parse_args(["sweep", "cache", "--alphas", "1.05", "2"])
         assert args.alphas == [1.05, 2.0]
         assert build_parser().parse_args(["run", "--gpus", "1"]).gpus == 1
 
     def test_module_entry_point(self):
         src = str(Path(repro.__file__).resolve().parents[1])
         proc = subprocess.run(
-            [sys.executable, "-m", "repro", "cachesweep", "--alphas", "0.9"],
+            [sys.executable, "-m", "repro", "sweep", "cache", "--alphas", "0.9"],
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": src},
         )
@@ -106,6 +106,50 @@ class TestSweep:
     def test_invalid_knob(self):
         with pytest.raises(SystemExit):
             main(["sweep", "learning_rate", "1"])
+
+
+#: every ``repro sweep`` verb at its smallest settings
+SMALLEST = {
+    "batch_size": ["256", *SMALL],
+    "max_pooling": ["4", *SMALL],
+    "num_tables": ["4", *SMALL],
+    "cache": ["--tables", "4", "--rows", "512", "--dim", "8", "--batch", "64",
+              "--pooling", "2", "--alphas", "1.1", "--capacities", "0.1",
+              "--batches", "1"],
+    "faults": ["--tables", "4", "--rows", "512", "--dim", "8", "--batch", "64",
+               "--pooling", "2", "--gpus", "2", "--severities", "0.0",
+               "--backends", "pgas", "--requests", "8"],
+    "serve": ["--preset", "tiny", "--requests", "16"],
+    "compress": ["--preset", "tiny", "--batches", "1", "--codecs", "fp32", "int8"],
+    "chaos": ["--preset", "tiny", "--batches", "2"],
+    "skew": ["--preset", "tiny", "--batches", "2"],
+    "hier": ["--preset", "tiny", "--batches", "1"],
+    "critpath": ["--preset", "tiny", "--batches", "1", "--scale", "0.25"],
+    "metrics": ["--preset", "tiny", "--no-series"],
+}
+
+
+class TestSweepRegistry:
+    """One handler drives every sweep: run, render, write, self-validate."""
+
+    def test_every_sweep_has_smallest_settings(self):
+        assert set(SMALLEST) == set(SWEEPS)
+
+    @pytest.mark.parametrize("name", sorted(SWEEPS))
+    def test_runs_and_writes_a_valid_artifact(self, capsys, tmp_path, name):
+        entry = SWEEPS[name]
+        argv = ["sweep", name, *SMALLEST[name]]
+        path = tmp_path / f"BENCH_{name}.json"
+        if entry.validate is not None:
+            argv += ["--output", str(path)]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.startswith("[")
+        if entry.validate is None:
+            assert not path.exists()
+            return
+        assert f"wrote {path} (schema-valid" in out
+        entry.validate(json.loads(path.read_text()))
 
 
 class TestPlan:
@@ -165,7 +209,7 @@ class TestMetrics:
 
         out_path = tmp_path / "BENCH_metrics.json"
         code, out = run_cli(
-            capsys, "metrics", "--preset", "tiny", "--no-series",
+            capsys, "sweep", "metrics", "--preset", "tiny", "--no-series",
             "--output", str(out_path),
         )
         assert code == 0
@@ -176,7 +220,7 @@ class TestMetrics:
 
     def test_skip_output(self, capsys):
         code, out = run_cli(
-            capsys, "metrics", "--preset", "tiny", "--no-series", "--output", ""
+            capsys, "sweep", "metrics", "--preset", "tiny", "--no-series", "--output", ""
         )
         assert code == 0
         assert "wrote" not in out
@@ -204,7 +248,7 @@ class TestCritpath:
 
         out_path = tmp_path / "BENCH_critpath.json"
         code, out = run_cli(
-            capsys, "critpath", "--preset", "tiny", "--scale", "0.25",
+            capsys, "sweep", "critpath", "--preset", "tiny", "--scale", "0.25",
             "--seed", "3", "--output", str(out_path),
         )
         assert code == 0
@@ -214,7 +258,7 @@ class TestCritpath:
 
     def test_gate_passes_against_own_artifact(self, capsys, tmp_path):
         out_path = tmp_path / "BENCH_critpath.json"
-        args = ("critpath", "--preset", "tiny", "--scale", "0.25",
+        args = ("sweep", "critpath", "--preset", "tiny", "--scale", "0.25",
                 "--seed", "3", "--output", str(out_path))
         code, _ = run_cli(capsys, *args)
         assert code == 0
@@ -225,7 +269,7 @@ class TestCritpath:
     def test_gate_breach_fails_with_explanation(self, capsys, tmp_path):
         out_path = tmp_path / "BENCH_critpath.json"
         code, _ = run_cli(
-            capsys, "critpath", "--preset", "tiny", "--scale", "0.25",
+            capsys, "sweep", "critpath", "--preset", "tiny", "--scale", "0.25",
             "--seed", "3", "--output", str(out_path),
         )
         assert code == 0
@@ -237,7 +281,7 @@ class TestCritpath:
         gate_path = tmp_path / "baseline.json"
         gate_path.write_text(json.dumps(baseline))
         code, out = run_cli(
-            capsys, "critpath", "--preset", "tiny", "--scale", "0.25",
+            capsys, "sweep", "critpath", "--preset", "tiny", "--scale", "0.25",
             "--seed", "3", "--output", "", "--gate", str(gate_path),
             "--gate-abs-ns", "0",
         )
@@ -247,7 +291,7 @@ class TestCritpath:
 
     def test_skip_output(self, capsys):
         code, out = run_cli(
-            capsys, "critpath", "--preset", "tiny", "--scale", "0.25",
+            capsys, "sweep", "critpath", "--preset", "tiny", "--scale", "0.25",
             "--output", "",
         )
         assert code == 0
@@ -260,7 +304,7 @@ class TestCompsweep:
 
         out_path = tmp_path / "BENCH_compression.json"
         code, out = run_cli(
-            capsys, "compsweep", "--preset", "tiny", "--batches", "1",
+            capsys, "sweep", "compress", "--preset", "tiny", "--batches", "1",
             "--codecs", "fp32", "int8", "--output", str(out_path),
         )
         assert code == 0
@@ -274,7 +318,7 @@ class TestCompsweep:
 
     def test_skip_output(self, capsys):
         code, out = run_cli(
-            capsys, "compsweep", "--preset", "tiny", "--batches", "1",
+            capsys, "sweep", "compress", "--preset", "tiny", "--batches", "1",
             "--codecs", "fp32", "--backends", "pgas", "--output", "",
         )
         assert code == 0
@@ -282,7 +326,7 @@ class TestCompsweep:
 
     def test_unknown_codec_rejected(self):
         with pytest.raises(SystemExit):
-            main(["compsweep", "--codecs", "zstd"])
+            main(["sweep", "compress", "--codecs", "zstd"])
 
 
 class TestReproduce:
