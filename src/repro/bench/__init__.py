@@ -5,7 +5,7 @@ paper's evaluation section (see DESIGN.md §4 for the index).
 """
 
 from .breakdown import BreakdownBar, BreakdownResult, breakdown_from_scaling
-from .cachesweep import CacheSweepPoint, run_cache_sweep
+from .cachesweep import CacheSweepPoint, run_cache_sweep, validate_cachesweep_json
 from .capacity import CapacityPoint, CapacityStudy, run_capacity_study
 from .chaossweep import ChaosSweepPoint, run_chaos_sweep, validate_chaossweep_json
 from .critpath import CritPathPoint, run_critpath, validate_critpath_json
@@ -51,6 +51,7 @@ __all__ = [
     "run_capacity_study",
     "ChaosSweepPoint",
     "run_chaos_sweep",
+    "validate_cachesweep_json",
     "validate_chaossweep_json",
     "CritPathPoint",
     "run_critpath",

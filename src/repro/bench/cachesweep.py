@@ -7,13 +7,16 @@ and the cache's hit rate.  The expected shape — and what the acceptance
 tests assert — is that once the workload is skewed (alpha ≳ 1.05) and the
 cache holds a few percent of the remote rows, both the comm volume and
 the forward time drop strictly below the uncached backend.
+
+:func:`validate_cachesweep_json` re-checks the committed
+``BENCH_cache.json`` against the invariants the sweep implies.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Dict, Sequence
 
 from ..cache import CacheConfig
 from ..core.baseline import PhaseTiming
@@ -22,8 +25,9 @@ from ..core.retrieval import DistributedEmbedding
 from ..core.workload import lengths_from_batch
 from ..dlrm.data import SyntheticDataGenerator, WorkloadConfig
 from .sweeps import SweepResult
+from .validate import check_artifact, check_point
 
-__all__ = ["CacheSweepPoint", "run_cache_sweep"]
+__all__ = ["CacheSweepPoint", "run_cache_sweep", "validate_cachesweep_json"]
 
 
 @dataclass(frozen=True)
@@ -51,6 +55,14 @@ class CacheSweepPoint:
             return 0.0
         return 1.0 - self.cached_comm_bytes / self.uncached_comm_bytes
 
+    def as_dict(self) -> Dict[str, Any]:
+        payload = dataclasses.asdict(self)
+        payload["uncached"] = self.uncached.as_dict()
+        payload["cached"] = self.cached.as_dict()
+        payload["speedup"] = self.speedup
+        payload["comm_reduction"] = self.comm_reduction
+        return payload
+
 
 _COLUMNS = (
     ("alpha", lambda p: f"{p.zipf_alpha:g}"),
@@ -63,6 +75,42 @@ _COLUMNS = (
     ("EMB+$ (ms)", lambda p: f"{p.cached.total_ns / 1e6:.3f}"),
     ("speedup", lambda p: f"{p.speedup:.3f}x"),
 )
+
+_POINT_KEYS = (
+    "zipf_alpha", "capacity_fraction", "base", "uncached", "cached",
+    "uncached_comm_bytes", "cached_comm_bytes", "hit_rate", "speedup",
+    "comm_reduction",
+)
+
+
+def validate_cachesweep_json(data: Any) -> None:
+    """Validate a ``BENCH_cache.json`` payload (raises ``ValueError``).
+
+    Beyond shape, this enforces what the sweep's construction implies:
+    hit rates in ``[0, 1]``, the cache never adding wire bytes, one
+    uncached reference timing per alpha (it does not depend on the
+    capacity), and ``speedup`` equal to uncached over cached total time.
+    """
+    points = check_artifact(
+        data,
+        kind="cache",
+        schema_version=1,
+        required_keys=("schema_version", "base", "policy", "n_devices", "n_batches"),
+    )
+    reference: Dict[float, Dict[str, Any]] = {}
+    for i, point in enumerate(points):
+        check_point(point, i, _POINT_KEYS)
+        label = f"point {i} (alpha={point['zipf_alpha']}, " \
+                f"capacity={point['capacity_fraction']})"
+        if not (0.0 <= point["hit_rate"] <= 1.0):
+            raise ValueError(f"{label}: hit rate outside [0, 1]")
+        if point["cached_comm_bytes"] > point["uncached_comm_bytes"]:
+            raise ValueError(f"{label}: the cache added wire bytes")
+        uncached = reference.setdefault(point["zipf_alpha"], point["uncached"])
+        if point["uncached"] != uncached:
+            raise ValueError(f"{label}: uncached timing differs across capacities")
+        if point["speedup"] != uncached["total_ns"] / point["cached"]["total_ns"]:
+            raise ValueError(f"{label}: speedup is not uncached over cached time")
 
 
 def run_cache_sweep(
@@ -94,6 +142,10 @@ def run_cache_sweep(
         ),
         columns=_COLUMNS,
         keys=("zipf_alpha", "capacity_fraction"),
+        header={
+            "base": base, "policy": policy, "n_devices": n_devices,
+            "n_batches": n_batches,
+        },
     )
     for alpha in alphas:
         cfg = dataclasses.replace(

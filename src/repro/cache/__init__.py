@@ -25,8 +25,6 @@ works exactly like the uncached backends (``repro`` imports it for you).
 
 from __future__ import annotations
 
-from ..core.factory import build_adapter
-from ..core.retrieval import register_backend
 from .hotrow import CacheAccess, CacheConfig, CacheStats, HotRowCache
 from .policy import (
     CacheKey,
@@ -50,41 +48,11 @@ __all__ = [
     "LFUPolicy",
     "LRUPolicy",
     "StaticTopKPolicy",
-    "cached_retrieval_for",
     "make_policy",
 ]
 
 
-def cached_retrieval_for(emb, base: str) -> CachedRetrieval:
-    """Build a :class:`CachedRetrieval` bound to an
-    :class:`~repro.core.retrieval.EmbeddingHost` (the registry
-    factories' shared implementation)."""
-    config = emb.features.cache
-    if config is not None and not isinstance(config, CacheConfig):
-        raise TypeError(
-            f"DistributedEmbedding cache must be a CacheConfig, got {type(config).__name__}"
-        )
-    return CachedRetrieval(
-        emb.cluster,
-        emb.plan,
-        config or CacheConfig(),
-        base=base,
-        collective_spec=emb.collective_spec,
-        pgas_spec=emb.pgas_spec,
-        sharded=emb.sharded,
-    )
-
-
-# Thin aliases: composition lives in repro.core.factory.build_adapter.
-register_backend(
-    "pgas+cache",
-    lambda emb: build_adapter(emb, "pgas+cache"),
-    requires_indices=True,
-    description="PGAS retrieval with the hot-row cache short-circuiting remote reads",
-)
-register_backend(
-    "baseline+cache",
-    lambda emb: build_adapter(emb, "baseline+cache"),
-    requires_indices=True,
-    description="collective retrieval with the hot-row cache shrinking the all-to-all",
-)
+CachedRetrieval.register({
+    "pgas": "PGAS retrieval with the hot-row cache short-circuiting remote reads",
+    "baseline": "collective retrieval with the hot-row cache shrinking the all-to-all",
+})

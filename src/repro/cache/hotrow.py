@@ -21,11 +21,15 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.sharding import TableWiseSharding
 from ..dlrm.embedding import EmbeddingTableConfig
+from ..simgpu.cluster import Cluster
 from ..simgpu.device import Device
 from .policy import CacheKey, CachePolicy, make_policy
 
-__all__ = ["CacheConfig", "CacheStats", "CacheAccess", "HotRowCache"]
+__all__ = [
+    "CacheConfig", "CacheStats", "CacheAccess", "HotRowCache", "remote_row_caches",
+]
 
 
 @dataclass(frozen=True)
@@ -140,6 +144,19 @@ class CacheAccess:
     def misses(self) -> int:
         """Lookups forwarded to the owner."""
         return int(self.hit_mask.size - self.hits)
+
+    def coverage(self, lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-bag ``(hits, covered)`` of the looked-up slice.
+
+        ``lengths`` are the slice's per-sample bag lengths (its lookups in
+        walk order); ``covered`` flags the non-empty bags every lookup of
+        which hit.
+        """
+        hits = np.zeros(len(lengths), dtype=np.int64)
+        if self.hit_mask.size:
+            sample_ids = np.repeat(np.arange(len(lengths)), lengths)
+            np.add.at(hits, sample_ids[self.hit_mask], 1)
+        return hits, (hits == lengths) & (lengths > 0)
 
 
 class HotRowCache:
@@ -326,3 +343,18 @@ class HotRowCache:
             f"<HotRowCache dev={self.device.id} {self.policy.name} "
             f"{self.resident_rows}/{self.capacity_rows} rows d={self.dim}>"
         )
+
+
+def remote_row_caches(
+    cluster: Cluster, plan: TableWiseSharding, config: CacheConfig, *, materialize: bool
+) -> List[HotRowCache]:
+    """One cache per device over the tables that device does not own."""
+    return [
+        HotRowCache(
+            dev,
+            [t for t in plan.table_configs if plan.owner_of(t.name) != dev.id],
+            config,
+            materialize=materialize,
+        )
+        for dev in cluster.devices
+    ]

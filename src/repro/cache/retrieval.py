@@ -40,21 +40,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.baseline import PhaseTiming
 from ..core.calibration import EMB_SAMPLES_PER_BLOCK
-from ..core.functional import ShardedEmbeddingTables
-from ..core.retrieval import RetrievalBackend, base_engine
+from ..core.retrieval import BaseRetrieval
 from ..core.sharding import TableWiseSharding, minibatch_bounds, sample_owner
 from ..core.workload import DeviceWorkload
 from ..dlrm.batch import SparseBatch
 from ..dlrm.embedding import segment_pool
 from ..dlrm.hashing import hash_indices
 from ..simgpu.cluster import Cluster
-from .hotrow import CacheConfig, CacheStats, HotRowCache
+from .hotrow import CacheConfig, CacheStats, HotRowCache, remote_row_caches
 
 __all__ = ["CacheBatchPlan", "CachedRetrieval", "HIT_COUNTER", "MISS_COUNTER", "EVICT_COUNTER"]
 
@@ -109,57 +108,31 @@ class CacheBatchPlan:
         return self.hits / total if total else 0.0
 
 
-class CachedRetrieval(RetrievalBackend):
+class CachedRetrieval(BaseRetrieval):
     """A base retrieval backend fronted by per-device hot-row caches.
 
-    Standalone use takes a cluster plus sharding plan; as a registered
-    backend (``"pgas+cache"``, ``"baseline+cache"``) it is built from a
-    :class:`~repro.core.retrieval.DistributedEmbedding` and its
-    ``cache`` config.  All tables must share one ``(dim, dtype)`` (one
-    cache slab per device).
+    All tables must share one ``(dim, dtype)`` (one cache slab per device).
     """
 
+    suffix = "cache"
+    config_field = "cache"
+    spec_type = CacheConfig
     requires_indices = True
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        plan: TableWiseSharding,
-        config: Optional[CacheConfig] = None,
-        *,
-        base: str = "pgas",
-        collective_spec=None,
-        pgas_spec=None,
-        sharded: Optional[ShardedEmbeddingTables] = None,
-    ):
-        self.base = base_engine(base, cluster, collective_spec, pgas_spec)
-        if cluster.n_devices != plan.n_devices:
-            raise ValueError(
-                f"cluster has {cluster.n_devices} devices, plan has {plan.n_devices}"
-            )
-        row_bytes = {t.row_bytes for t in plan.table_configs}
+    def __init__(self, cluster: Cluster, plan: TableWiseSharding,
+                 config: Optional[CacheConfig] = None, **kwargs):
+        super().__init__(cluster, plan, config, **kwargs)
+
+    def _attach(self) -> None:
+        row_bytes = {t.row_bytes for t in self.table_plan.table_configs}
         if len(row_bytes) != 1:
             raise ValueError("cached retrieval needs tables sharing one (dim, dtype)")
-        self.cluster = cluster
-        self.table_plan = plan
-        self.base_name = base
-        self.config = config or CacheConfig()
-        self.sharded = sharded
+        self.config: CacheConfig = self.spec
         self._row_bytes = row_bytes.pop()
-        self._tables = {}
-        if sharded is not None:
-            for tables in sharded.per_device:
-                for t in tables:
-                    self._tables[t.name] = t
-        self.caches: List[HotRowCache] = [
-            HotRowCache(
-                dev,
-                [t for t in plan.table_configs if plan.owner_of(t.name) != dev.id],
-                self.config,
-                materialize=sharded is not None,
-            )
-            for dev in cluster.devices
-        ]
+        self.caches: List[HotRowCache] = remote_row_caches(
+            self.cluster, self.table_plan, self.config,
+            materialize=self.sharded is not None,
+        )
 
     # -- queries -----------------------------------------------------------------
 
@@ -170,10 +143,6 @@ class CachedRetrieval(RetrievalBackend):
             total.add(cache.stats)
         return total
 
-    def _weights_of(self, table_name: str) -> Optional[np.ndarray]:
-        table = self._tables.get(table_name)
-        return table.weights if table is not None else None
-
     # -- the per-batch cache pass -------------------------------------------------
 
     def plan_batch(self, batch: SparseBatch) -> CacheBatchPlan:
@@ -183,6 +152,8 @@ class CachedRetrieval(RetrievalBackend):
         install per policy) — call it once per batch and reuse the plan for
         both the timed and the functional path.
         """
+        if batch is None:
+            raise ValueError("cached backends need the SparseBatch (index values)")
         plan = self.table_plan
         G = plan.n_devices
         B = batch.batch_size
@@ -191,7 +162,6 @@ class CachedRetrieval(RetrievalBackend):
         spb = EMB_SAMPLES_PER_BLOCK
         n_chunks = math.ceil(B / spb)
         chunk_ids = np.arange(B) // spb
-        materialized = self.sharded is not None
 
         before = [cache.stats.copy() for cache in self.caches]
         hit_values: Dict[Tuple[int, str], np.ndarray] = {}
@@ -207,7 +177,7 @@ class CachedRetrieval(RetrievalBackend):
             adj = lengths.astype(np.int64).copy()
             snt = np.ones(B, dtype=bool)
             hps = np.zeros(B, dtype=np.int64)
-            source = self._weights_of(t.name) if materialized else None
+            source = self._weights_of(t.name)
             for g in range(G):
                 if g == owner:
                     continue
@@ -217,12 +187,9 @@ class CachedRetrieval(RetrievalBackend):
                 acc = self.caches[g].lookup_rows(t.name, rows, source=source)
                 if acc.values is not None:
                     hit_values[(g, t.name)] = acc.values
-                if sl.nnz:
-                    sample_ids = np.repeat(np.arange(lo, hi), lengths[lo:hi])
-                    np.add.at(hps, sample_ids[acc.hit_mask], 1)
-                h = hps[lo:hi]
+                h, covered = acc.coverage(lengths[lo:hi])
+                hps[lo:hi] = h
                 adj[lo:hi] = lengths[lo:hi] - h
-                covered = (h == lengths[lo:hi]) & (lengths[lo:hi] > 0)
                 snt[lo:hi] = ~covered
                 saved_vectors += int(np.count_nonzero(covered))
             adj_lengths[t.name] = adj
@@ -318,18 +285,6 @@ class CachedRetrieval(RetrievalBackend):
 
     # -- timed path ---------------------------------------------------------------
 
-    def run_timed(
-        self,
-        workloads: Sequence[DeviceWorkload],
-        batch: Optional[SparseBatch] = None,
-    ) -> PhaseTiming:
-        """Cache pass + base-backend simulation (``workloads`` is ignored —
-        the cost model depends on the index values, so the adjusted
-        workloads are derived from ``batch``)."""
-        if batch is None:
-            raise ValueError("cached backends need the SparseBatch (index values)")
-        return self.run_plan(self.plan_batch(batch))
-
     def run_plan(self, cplan: CacheBatchPlan) -> PhaseTiming:
         """Simulate an already-planned batch and stamp the cache counters."""
         timing = self.base.run_batch(cplan.workloads)
@@ -352,8 +307,6 @@ class CachedRetrieval(RetrievalBackend):
         state advances at batch submission: interleaved batches (serving
         with several in flight) see it in submission order.  ``workloads``
         is ignored — the adjusted workloads come from ``batch``."""
-        if batch is None:
-            raise ValueError("cached backends need the SparseBatch (index values)")
         return self._plan_process(cluster, self.plan_batch(batch), timing, stream_suffix)
 
     def _plan_process(
@@ -365,12 +318,10 @@ class CachedRetrieval(RetrievalBackend):
         self._stamp_counters(cplan)
 
     def _stamp_counters(self, cplan: CacheBatchPlan) -> None:
-        prof = self.cluster.profiler
-        t = self.cluster.engine.now
         for g, delta in enumerate(cplan.stats):
-            prof.add_count(f"{HIT_COUNTER}.dev{g}", t, float(delta.hits), unit="rows")
-            prof.add_count(f"{MISS_COUNTER}.dev{g}", t, float(delta.misses), unit="rows")
-            prof.add_count(f"{EVICT_COUNTER}.dev{g}", t, float(delta.evictions), unit="rows")
+            self._count(f"{HIT_COUNTER}.dev{g}", delta.hits, "rows")
+            self._count(f"{MISS_COUNTER}.dev{g}", delta.misses, "rows")
+            self._count(f"{EVICT_COUNTER}.dev{g}", delta.evictions, "rows")
 
     # -- functional path ------------------------------------------------------------
 
@@ -379,29 +330,33 @@ class CachedRetrieval(RetrievalBackend):
     ) -> List[np.ndarray]:
         """Numpy forward, bit-identical to the uncached backends.
 
-        Local features pool on the owner and slice, exactly like the
-        uncached paths; remote features pool the per-lookup gather captured
-        by the cache pass (hits from replicas, misses from owner weights)
-        with the same ``segment_pool`` kernel over the same index order.
+        With the batch's cache ``plan``, local features pool on the owner
+        and slice, exactly like the uncached paths; remote features pool
+        the per-lookup gather captured by the cache pass (hits from
+        replicas, misses from owner weights) with the same
+        ``segment_pool`` kernel over the same index order.  Without one —
+        the timed path already ran this batch's cache pass — every feature
+        gathers from its owner: the replicas hold the same weights, and a
+        second pass would advance cache state twice.
         """
-        if self.sharded is None:
-            raise ValueError("functional forward needs materialize=True weights")
-        cplan = plan if plan is not None else self.plan_batch(batch)
+        if plan is None:
+            return super().functional_forward(batch)
+        sharded = self._materialized()
         splan = self.table_plan
         G = splan.n_devices
         bounds = minibatch_bounds(batch.batch_size, G)
         F = splan.num_tables
-        dim = self.sharded.dim
+        dim = sharded.dim
         outputs: List[np.ndarray] = []
         for g, (lo, hi) in enumerate(bounds):
-            out = np.zeros((hi - lo, F, dim), dtype=self.sharded.dtype)
+            out = np.zeros((hi - lo, F, dim), dtype=sharded.dtype)
             for f, t in enumerate(splan.table_configs):
                 fld = batch.field(t.name)
                 if splan.owner_of(t.name) == g:
                     pooled = self._tables[t.name].forward(fld)
                     out[:, f, :] = pooled[lo:hi]
                 else:
-                    vectors = cplan.hit_values[(g, t.name)]
+                    vectors = plan.hit_values[(g, t.name)]
                     sl = fld.slice_samples(lo, hi)
                     out[:, f, :] = segment_pool(vectors, sl.offsets, t.pooling)
             outputs.append(out)
@@ -414,8 +369,6 @@ class CachedRetrieval(RetrievalBackend):
         functional: bool = False,
     ) -> Tuple[PhaseTiming, Optional[List[np.ndarray]]]:
         """One cache pass feeding both the timed and the functional path."""
-        if batch is None:
-            raise ValueError("cached backends need the SparseBatch (index values)")
         cplan = self.plan_batch(batch)
         timing = self.run_plan(cplan)
         outputs = self.functional_forward(batch, plan=cplan) if functional else None
@@ -453,9 +406,7 @@ class CachedRetrieval(RetrievalBackend):
                     for r, c in zip(vals.tolist(), counts.tolist()):
                         key = (t.name, r)
                         table_freq[key] = table_freq.get(key, 0) + c
-        source_of: Optional[Callable[[str], np.ndarray]] = None
-        if self.sharded is not None:
-            source_of = lambda name: self._tables[name].weights  # noqa: E731
+        source_of = self._weights_of if self.sharded is not None else None
         seeded = []
         for g in range(G):
             ranked = sorted(freq[g].items(), key=lambda kv: (-kv[1], kv[0]))
@@ -478,10 +429,3 @@ class CachedRetrieval(RetrievalBackend):
         """Free every device's cache slab back to its memory pool."""
         for cache in self.caches:
             cache.release()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        s = self.stats()
-        return (
-            f"<CachedRetrieval base={self.base_name} policy={self.config.policy} "
-            f"G={len(self.caches)} hit_rate={s.hit_rate:.2f}>"
-        )

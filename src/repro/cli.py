@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .bench.cachesweep import run_cache_sweep
+from .bench.cachesweep import run_cache_sweep, validate_cachesweep_json
 from .bench.chaossweep import run_chaos_sweep, validate_chaossweep_json
 from .bench.compsweep import run_comp_sweep, validate_compsweep_json
 from .bench.critpath import run_critpath, validate_critpath_json
@@ -176,7 +176,7 @@ SWEEPS: Dict[str, _Sweep] = {
             n_devices=a.gpus, n_batches=a.batches,
         ),
         shared=dict(_WORKLOAD, tables=8, rows=4096, dim=32, batch=1024, pooling=4,
-                    batches=4),
+                    batches=4, output="BENCH_cache.json"),
         flags=[
             ("--alphas", dict(type=_zipf_alpha, nargs="+", default=[1.05, 1.1, 1.2],
                               help="zipf skew values")),
@@ -184,6 +184,7 @@ SWEEPS: Dict[str, _Sweep] = {
                                   help="cache capacity as a fraction of remote rows")),
             ("--policy", dict(choices=("lru", "lfu", "static-topk"), default="lru")),
         ],
+        validate=validate_cachesweep_json,
     ),
     "faults": _Sweep(
         "serving SLOs (shed/degraded/p99/goodput) vs fault severity",

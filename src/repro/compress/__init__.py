@@ -32,8 +32,6 @@ you).
 
 from __future__ import annotations
 
-from ..core.factory import build_adapter
-from ..core.retrieval import register_backend
 from .codec import (
     CODEC_NAMES,
     Codec,
@@ -77,41 +75,12 @@ __all__ = [
     "SQ_ERROR_COUNTER",
     "WIRE_COUNTER",
     "compress_cost_model",
-    "compressed_retrieval_for",
     "make_codec",
     "roundtrip_error_report",
 ]
 
 
-def compressed_retrieval_for(emb, base: str) -> CompressedRetrieval:
-    """Build a :class:`CompressedRetrieval` bound to an
-    :class:`~repro.core.retrieval.EmbeddingHost` (the registry
-    factories' shared implementation)."""
-    spec = emb.features.compression
-    if spec is not None and not isinstance(spec, CompressionSpec):
-        raise TypeError(
-            f"DistributedEmbedding compression must be a CompressionSpec, "
-            f"got {type(spec).__name__}"
-        )
-    return CompressedRetrieval(
-        emb.cluster,
-        emb.plan,
-        spec or CompressionSpec(),
-        base=base,
-        collective_spec=emb.collective_spec,
-        pgas_spec=emb.pgas_spec,
-        sharded=emb.sharded,
-    )
-
-
-# Thin aliases: composition lives in repro.core.factory.build_adapter.
-register_backend(
-    "pgas+compress",
-    lambda emb: build_adapter(emb, "pgas+compress"),
-    description="PGAS retrieval with quantized one-sided writes (fp32/fp16/int8/int4 row codecs)",
-)
-register_backend(
-    "baseline+compress",
-    lambda emb: build_adapter(emb, "baseline+compress"),
-    description="collective retrieval with quantized all-to-all payloads and a destination-side decode pass",
-)
+CompressedRetrieval.register({
+    "pgas": "PGAS retrieval with quantized one-sided writes (fp32/fp16/int8/int4 row codecs)",
+    "baseline": "collective retrieval with quantized all-to-all payloads and a destination-side decode pass",
+})

@@ -44,9 +44,8 @@ import numpy as np
 
 from ..comm.pgas import PGASSpec
 from ..core.baseline import PhaseTiming
-from ..core.functional import ShardedEmbeddingTables, functional_forward
-from ..core.retrieval import RetrievalBackend, base_engine
-from ..core.sharding import TableWiseSharding, minibatch_bounds
+from ..core.retrieval import BaseRetrieval
+from ..core.sharding import minibatch_bounds
 from ..core.workload import DeviceWorkload, unpack_bytes_received
 from ..dlrm.batch import SparseBatch
 from ..simgpu.cluster import Cluster
@@ -122,64 +121,46 @@ class _EncodeChargedWorkload(DeviceWorkload):
         return DeviceWorkload.bytes_written.fget(self) + self.codec_write_bytes
 
 
-class CompressedRetrieval(RetrievalBackend):
+class CompressedRetrieval(BaseRetrieval):
     """A base retrieval backend with codec-compressed remote transfers.
 
-    Standalone use takes a cluster plus sharding plan; as a registered
-    backend (``"pgas+compress"``, ``"baseline+compress"``) it is built
-    from a :class:`~repro.core.retrieval.DistributedEmbedding` and its
-    ``compression`` config.  Lossy codecs require all tables to share one
-    float32 ``dim`` (one wire-row shape per cluster); the ``fp32``
-    passthrough accepts anything the base backend does.
+    Lossy codecs require all tables to share one float32 ``dim`` (one
+    wire-row shape per cluster); the ``fp32`` passthrough accepts anything
+    the base backend does.
     """
 
-    requires_indices = False
+    suffix = "compress"
+    config_field = "compression"
+    spec_type = CompressionSpec
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        plan: TableWiseSharding,
-        spec: Optional[CompressionSpec] = None,
-        *,
-        base: str = "pgas",
-        collective_spec=None,
-        pgas_spec=None,
-        sharded: Optional[ShardedEmbeddingTables] = None,
-    ):
-        if cluster.n_devices != plan.n_devices:
-            raise ValueError(
-                f"cluster has {cluster.n_devices} devices, plan has {plan.n_devices}"
-            )
-        self.cluster = cluster
-        self.table_plan = plan
-        self.base_name = base
-        self.spec = spec or CompressionSpec()
+    def _attach(self) -> None:
         self.codec: Codec = self.spec.codec_obj()
         self.passthrough = self.spec.codec == "fp32"
-        self.sharded = sharded
         self._row_wire_bytes: Optional[int] = None
-        eff_pgas_spec = pgas_spec
         if not self.passthrough:
-            dims = {t.dim for t in plan.table_configs}
-            dtypes = {np.dtype(t.dtype) for t in plan.table_configs}
+            configs = self.table_plan.table_configs
+            dims = {t.dim for t in configs}
+            dtypes = {np.dtype(t.dtype) for t in configs}
             if len(dims) != 1 or dtypes != {np.dtype(np.float32)}:
                 raise ValueError(
                     "lossy compression needs tables sharing one dim with float32 weights"
                 )
             self._dim = dims.pop()
             self._row_wire_bytes = self.codec.row_wire_bytes(self._dim)
-            if base == "pgas":
-                # One compressed vector per one-sided message: the per-row
-                # scale rides in the same message and every vector still
-                # pays exactly one wire header.
-                eff_pgas_spec = dataclasses.replace(
-                    pgas_spec or PGASSpec(), message_bytes=self._row_wire_bytes
-                )
-        self.base = base_engine(base, cluster, collective_spec, eff_pgas_spec)
         #: lifetime error accumulation across functional batches
         self.errors = CompressionErrorStats()
         #: error stats of the most recent functional batch (None before one)
         self.last_batch_errors: Optional[CompressionErrorStats] = None
+
+    def _engine(self, collective_spec, pgas_spec):
+        if self._row_wire_bytes is not None and self.base_name == "pgas":
+            # One compressed vector per one-sided message: the per-row
+            # scale rides in the same message and every vector still pays
+            # exactly one wire header.
+            pgas_spec = dataclasses.replace(
+                pgas_spec or PGASSpec(), message_bytes=self._row_wire_bytes
+            )
+        return super()._engine(collective_spec, pgas_spec)
 
     # -- workload scaling ---------------------------------------------------------
 
@@ -238,7 +219,7 @@ class CompressedRetrieval(RetrievalBackend):
         spans, counters and timing).  ``stream_suffix`` passes through to
         the wrapped backend's per-batch stream set."""
         if self.passthrough:
-            yield from self.base.batch_process(
+            yield from super().batch_process(
                 cluster, workloads, timing, stream_suffix=stream_suffix
             )
             return
@@ -292,23 +273,10 @@ class CompressedRetrieval(RetrievalBackend):
             # extra staging on top of them.
             timing.sync_unpack_ns += t3 - t2
             timing.total_ns += t3 - t2
-        self._stamp_counters(workloads, scaled, encode_ns, decode_ns)
-
-    def _stamp_counters(
-        self,
-        workloads: Sequence[DeviceWorkload],
-        scaled: Sequence[DeviceWorkload],
-        encode_ns: float,
-        decode_ns: float,
-    ) -> None:
-        prof = self.cluster.profiler
-        t = self.cluster.engine.now
-        raw = sum(wl.remote_output_bytes for wl in workloads)
-        wire = sum(swl.remote_output_bytes for swl in scaled)
-        prof.add_count(WIRE_COUNTER, t, float(wire), unit="bytes")
-        prof.add_count(RAW_COUNTER, t, float(raw), unit="bytes")
-        prof.add_count(ENCODE_NS_COUNTER, t, float(encode_ns), unit="ns")
-        prof.add_count(DECODE_NS_COUNTER, t, float(decode_ns), unit="ns")
+        self._count(WIRE_COUNTER, sum(swl.remote_output_bytes for swl in scaled))
+        self._count(RAW_COUNTER, sum(wl.remote_output_bytes for wl in workloads))
+        self._count(ENCODE_NS_COUNTER, encode_ns, "ns")
+        self._count(DECODE_NS_COUNTER, decode_ns, "ns")
 
     # -- functional path ----------------------------------------------------------
 
@@ -321,23 +289,21 @@ class CompressedRetrieval(RetrievalBackend):
         :attr:`last_batch_errors` and are stamped as ``compress.*``
         counters; a configured ``error_bound`` is enforced here.
         """
-        if self.sharded is None:
-            raise ValueError("functional forward needs materialize=True weights")
         if self.passthrough:
-            return functional_forward(self.base_name, self.sharded, batch)
-
+            return super().functional_forward(batch)
+        sharded = self._materialized()
         plan = self.table_plan
         G = plan.n_devices
         bounds = minibatch_bounds(batch.batch_size, G)
         F = plan.num_tables
-        dim = self.sharded.dim
+        dim = sharded.dim
         stats = CompressionErrorStats()
         outputs = [
-            np.zeros((hi - lo, F, dim), dtype=self.sharded.dtype) for lo, hi in bounds
+            np.zeros((hi - lo, F, dim), dtype=sharded.dtype) for lo, hi in bounds
         ]
         for src in range(G):
             cols = plan.feature_indices_on(src)
-            for j, table in enumerate(self.sharded.per_device[src]):
+            for j, table in enumerate(sharded.per_device[src]):
                 pooled = table.forward(batch.field(table.name))  # (B, d)
                 for dst, (lo, hi) in enumerate(bounds):
                     rows = pooled[lo:hi]
@@ -361,18 +327,7 @@ class CompressedRetrieval(RetrievalBackend):
             )
         self.errors.merge(stats)
         self.last_batch_errors = stats
-        self._stamp_error_counters(stats)
+        self._count(MAX_ERROR_COUNTER, stats.max_abs_error, "abs")
+        self._count(SQ_ERROR_COUNTER, stats.sq_error, "abs^2")
+        self._count(ERROR_ELEMS_COUNTER, stats.n_elements, "elems")
         return outputs
-
-    def _stamp_error_counters(self, stats: CompressionErrorStats) -> None:
-        prof = self.cluster.profiler
-        t = self.cluster.engine.now
-        prof.add_count(MAX_ERROR_COUNTER, t, float(stats.max_abs_error), unit="abs")
-        prof.add_count(SQ_ERROR_COUNTER, t, float(stats.sq_error), unit="abs^2")
-        prof.add_count(ERROR_ELEMS_COUNTER, t, float(stats.n_elements), unit="elems")
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<CompressedRetrieval base={self.base_name} codec={self.codec.name} "
-            f"G={self.cluster.n_devices}>"
-        )

@@ -1,21 +1,22 @@
 """Unified backend factory: the one place a backend name becomes an adapter.
 
 This module is the single place that knows how a backend name
-decomposes and how the feature wrappers attach:
+decomposes and how an adapter is built for it:
 
 * :class:`FeatureSpec` — the one bag of per-feature configs
   (cache / resilience / compression / replication / reshard / hier /
   obs) that :class:`~repro.core.retrieval.DistributedEmbedding` and
   :class:`~repro.core.pipeline.DLRMInferencePipeline` take as their
   ``features=`` keyword;
-* :func:`parse_backend_name` — splits ``"<base>+<feature>"`` names and
-  rejects malformed stacks (empty segments, unknown features, duplicate
-  features, multi-feature stacks) with errors that name the offending
-  stack;
+* :func:`parse_backend_name` — the one backend-name parser: splits
+  ``"<base>+<feature>"`` names and rejects malformed stacks (empty
+  segments, unknown features, duplicate features, multi-feature stacks)
+  with errors that name the offending stack;
 * :func:`build_adapter` — builds the adapter for any registered backend
-  name from the parsed form; every registry entry is a thin alias over
-  this function, so the embedding module, the inference pipeline, the
-  serving loop and the training step all build their EMB stage here;
+  name.  Each adapter class registers its own backends and builds from a
+  host with :meth:`~repro.core.retrieval.BaseRetrieval.from_host`, so
+  the embedding module, the inference pipeline, the serving loop and the
+  training step all build their EMB stage through one classmethod;
 * :func:`build_backend` — the top-level entry: a fully-composed
   :class:`~repro.core.retrieval.DistributedEmbedding` from a
   :class:`~repro.core.runspec.RunSpec` alone, adapter pre-built so
@@ -29,9 +30,8 @@ constant makes the refusal principled instead of arbitrary.
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass, fields
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 __all__ = [
     "CANONICAL_FEATURE_ORDER",
@@ -53,18 +53,6 @@ CANONICAL_FEATURE_ORDER: Tuple[str, ...] = (
     "reshard",
 )
 
-#: wrapper feature suffix → (defining module, adapter-builder function).
-#: ``hier`` has no wrapper: a ``"+hier"`` name builds the base adapter
-#: with its HierSpec attached.  The module import is deferred to adapter
-#: build time so ``repro.core`` never imports the feature packages (they
-#: import *it* to register themselves).
-_FEATURE_BUILDERS: Dict[str, Tuple[str, str]] = {
-    "cache": ("repro.cache", "cached_retrieval_for"),
-    "compress": ("repro.compress", "compressed_retrieval_for"),
-    "resilient": ("repro.faults", "resilient_retrieval_for"),
-    "replicated": ("repro.replication", "replicated_retrieval_for"),
-    "reshard": ("repro.reshard", "reshard_retrieval_for"),
-}
 
 @dataclass(frozen=True)
 class FeatureSpec:
@@ -112,14 +100,19 @@ class FeatureSpec:
         return tuple(f.name for f in fields(self) if getattr(self, f.name) is not None)
 
 
-def parse_backend_name(name: str) -> Tuple[str, Tuple[str, ...]]:
+def parse_backend_name(name: str, *, strict: bool = True) -> Tuple[str, Tuple[str, ...]]:
     """Split a backend name into ``(base, features)`` per the contract.
 
-    Enforces the backend-name contract mechanically: non-empty segments,
-    known feature suffixes, no duplicates, and at most one feature (a
-    longer stack has no registered composition — the error names the
-    offending stack and the canonical order a registered composition
-    would have to follow).
+    The one backend-name parser: registration, lookup, the
+    :class:`~repro.core.retrieval.BackendInfo` view and every caller that
+    needs a name's base or features go through it.  It always rejects an
+    empty name and empty segments.  ``strict`` (the default) also
+    enforces the rest of the contract — known feature suffixes, no
+    duplicates, and at most one feature: a longer stack has no defined
+    composition order unless registered explicitly, and the error names
+    the stack and the canonical order a registered composition would have
+    to follow.  Registration and the view of registered names pass
+    ``strict=False``, since a registered name defines its own stack.
     """
     if not name:
         raise ValueError("backend name must be non-empty")
@@ -127,9 +120,11 @@ def parse_backend_name(name: str) -> Tuple[str, Tuple[str, ...]]:
     if any(not part for part in parts):
         raise ValueError(
             f"malformed backend name {name!r}: empty base or feature segment "
-            f"(expected '<base>' or '<base>+<feature>')"
+            f"(expected '<base>' or '<base>+<feature>[+<feature>...]')"
         )
     base, features = parts[0], tuple(parts[1:])
+    if not strict:
+        return base, features
     unknown = [f for f in features if f not in CANONICAL_FEATURE_ORDER]
     if unknown:
         raise ValueError(
@@ -147,9 +142,10 @@ def parse_backend_name(name: str) -> Tuple[str, Tuple[str, ...]]:
     if len(features) >= 2:
         raise ValueError(
             f"backend stack {name!r} composes {len(features)} features "
-            f"({' + '.join(features)}); multi-feature stacks are only valid "
-            f"when registered explicitly, wrapping in canonical order "
-            f"{' -> '.join(CANONICAL_FEATURE_ORDER)} (innermost first)"
+            f"({' + '.join(features)}), which have no defined composition "
+            f"order unless the composed backend is registered explicitly, "
+            f"wrapping in canonical order {' -> '.join(CANONICAL_FEATURE_ORDER)} "
+            f"(innermost first)"
         )
     return base, features
 
@@ -158,21 +154,16 @@ def build_adapter(host, name: str):
     """Build the retrieval adapter for backend ``name`` bound to ``host``.
 
     ``host`` is a :class:`~repro.core.retrieval.EmbeddingHost` — a
-    ``DistributedEmbedding`` or an inference pipeline.  The shared
-    implementation behind every registered backend: registry entries are
-    thin ``lambda host: build_adapter(host, name)`` aliases, so
-    composition lives in exactly one place.  Bare base names and
-    ``"+hier"`` build the base adapter; every other feature builds its
-    wrapper around the same base engine.
+    ``DistributedEmbedding`` or an inference pipeline.  Every registered
+    backend is one adapter class's
+    :meth:`~repro.core.retrieval.BaseRetrieval.from_host`, registered by
+    the class itself, so this is the registry entry's factory; the
+    embedding module, the inference pipeline, the serving loop and the
+    training step all build their EMB stage through it.
     """
-    base, features = parse_backend_name(name)
-    if not features or features == ("hier",):
-        from .retrieval import BaseRetrieval
+    from .retrieval import backend_spec
 
-        return BaseRetrieval(host, base, hierarchical=bool(features))
-    module_name, builder_name = _FEATURE_BUILDERS[features[0]]
-    builder = getattr(importlib.import_module(module_name), builder_name)
-    return builder(host, base)
+    return backend_spec(name).factory(host)
 
 
 def build_backend(

@@ -27,7 +27,7 @@ reference collection's weight arrays, so no extra memory and exact parity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,6 +92,22 @@ class ShardedEmbeddingTables:
             for dev in range(plan.n_devices)
         ]
         return cls(plan, per_device)
+
+    def rehomed(self, owners: Mapping[str, int]) -> "ShardedEmbeddingTables":
+        """The same tables (weights aliased) under a new table → device map.
+
+        Failover and migration serve tables from devices other than their
+        planned owner; outputs partition by sample, so the forward over
+        the re-homed view is bit-identical to the original one.
+        """
+        plan = TableWiseSharding.from_assignment(
+            self.plan.table_configs, self.plan.n_devices, owners
+        )
+        tables = {t.name: t for per in self.per_device for t in per}
+        return ShardedEmbeddingTables(
+            plan,
+            [[tables[cfg.name] for cfg in plan.tables_on(d)] for d in range(plan.n_devices)],
+        )
 
     @classmethod
     def build(

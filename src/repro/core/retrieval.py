@@ -13,12 +13,9 @@ backend name, then call :meth:`forward` with a jagged batch.  It
   the **functional** path, returning per-device output tensors that are
   bit-identical across backends.
 
-Backends are *registered*, not hard-coded: ``"pgas"``, ``"baseline"`` and
-their ``"+hier"`` variants are built in here, and other packages add their
-own via :func:`register_backend` (``repro.cache`` registers
-``"pgas+cache"`` and ``"baseline+cache"``) without any call-site edits.  A
-backend is a factory producing a :class:`RetrievalBackend` adapter bound to
-one :class:`EmbeddingHost` — a :class:`DistributedEmbedding` or a
+Backends are *registered*, not hard-coded.  A backend is a factory
+producing a :class:`RetrievalBackend` adapter bound to one
+:class:`EmbeddingHost` — a :class:`DistributedEmbedding` or a
 :class:`~repro.core.pipeline.DLRMInferencePipeline`; adapters are created
 lazily per host and kept alive across batches (which is what lets stateful
 backends, like the hot-row cache, stay warm between calls).
@@ -28,44 +25,37 @@ Backend-name contract
 A backend name is ``<base>`` or ``<base>+<feature>`` where ``<base>`` is a
 communication strategy (``"pgas"`` — fused one-sided writes — or
 ``"baseline"`` — NCCL-style collectives) and ``<feature>`` is a transform
-layered on top of it:
+layered on top of it.  Every adapter is a :class:`BaseRetrieval`: the bare
+bases build it directly, and each feature is a subclass that names its
+suffix, its :class:`~repro.core.factory.FeatureSpec` field and its config
+type, and registers its ``pgas``/``baseline`` pair from the class
+(:meth:`BaseRetrieval.register`, built by :meth:`BaseRetrieval.from_host`):
 
-* ``"+cache"`` marks a backend whose EMB pass consults the hot-row cache;
-  it is configured by a :class:`repro.cache.CacheConfig` and *requires
-  index values* (its cost depends on which rows hit).
-* ``"+resilient"`` marks a backend wrapped in the fault-tolerant retry /
-  reroute / degrade layer, configured by a
-  :class:`repro.faults.ResilienceSpec`.
-* ``"+compress"`` marks a backend whose remote payloads are quantised by
-  a row codec before crossing the wire, configured by a
-  :class:`repro.compress.CompressionSpec`.
-* ``"+replicated"`` marks a backend with k-way shard replicas, heartbeat
-  failure detection, failover routing, and online re-replication,
-  configured by a :class:`repro.replication.ReplicationSpec`.
-* ``"+reshard"`` marks a backend with the skew-aware online load
-  balancer: observed per-table traffic drives background table
-  migrations with serve-from-old-owner cutover, configured by a
-  :class:`repro.reshard.ReshardSpec`.
-* ``"+hier"`` marks the base adapter with topology-aware hierarchical
-  routing attached: cross-node traffic stages intra-node to a leader and
-  crosses the NIC as one coalesced stream per node pair, configured by a
-  :class:`repro.comm.hier.HierSpec` (routing changes timing only —
-  functional outputs stay bit-identical to the flat backend).
-* A bare base name is the plain timed retrieval.
+* ``+hier`` — :class:`HierRetrieval`, ``hier``: a
+  :class:`repro.comm.hier.HierSpec`;
+* ``+cache`` — :class:`repro.cache.CachedRetrieval`, ``cache``: a
+  ``CacheConfig`` (the only feature that *requires index values*);
+* ``+compress`` — :class:`repro.compress.CompressedRetrieval`,
+  ``compression``: a ``CompressionSpec``;
+* ``+resilient`` — :class:`repro.faults.ResilientRetrieval`,
+  ``resilience``: a ``ResilienceSpec``;
+* ``+replicated`` — :class:`repro.replication.ReplicatedRetrieval`,
+  ``replication``: a ``ReplicationSpec``;
+* ``+reshard`` — :class:`repro.reshard.ReshardRetrieval`, ``reshard``: a
+  ``ReshardSpec``.
 
 Code that needs the base strategy or a capability reads the
 :class:`BackendInfo` that :func:`available_backends` returns
 (``info.base``, ``"cache" in info.features``).  Registering a name that is
 already taken raises (pass ``overwrite=True`` to replace deliberately).
 
-Stacking wrappers (two or more ``+<feature>`` suffixes, e.g.
+Stacking features (two or more ``+<feature>`` suffixes, e.g.
 ``"pgas+compress+resilient"``) has no defined semantics unless someone
 registers that composed backend explicitly: looking up an unregistered
 composition raises a ``ValueError`` naming the unsupported combination
-rather than silently picking one wrapper order.  The mechanical side of
-the contract — parsing names, attaching feature wrappers, the canonical
-composition order — lives in :mod:`repro.core.factory`; every registry
-entry is a thin alias over its :func:`~repro.core.factory.build_adapter`.
+rather than silently picking one wrapper order.  Names are parsed, and
+the canonical composition order is kept, by
+:func:`~repro.core.factory.parse_backend_name`.
 
 Example
 -------
@@ -101,14 +91,14 @@ from ..comm.hier import HierSpec
 from ..comm.pgas import PGASSpec
 from ..dlrm.batch import SparseBatch
 from ..dlrm.data import WorkloadConfig
-from ..dlrm.embedding import EmbeddingBagCollection, EmbeddingTableConfig
+from ..dlrm.embedding import EmbeddingBagCollection, EmbeddingTable, EmbeddingTableConfig
 from ..obs import TraceSpec, trace_scope
 from ..simgpu.cluster import Cluster, dgx_v100, multinode
 from ..simgpu.engine import ProcessGenerator
 from ..simgpu.memory import Buffer
 from ..simgpu.profiler import TraceRef
 from .baseline import BaselineRetrieval, PhaseTiming
-from .factory import FeatureSpec, build_adapter
+from .factory import FeatureSpec, build_adapter, parse_backend_name
 from .functional import ShardedEmbeddingTables, functional_forward
 from .pgas_retrieval import PGASFusedRetrieval
 from .sharding import TableWiseSharding
@@ -122,6 +112,7 @@ __all__ = [
     "DistributedEmbedding",
     "EmbeddingHost",
     "ForwardResult",
+    "HierRetrieval",
     "RetrievalBackend",
     "available_backends",
     "backend_spec",
@@ -258,8 +249,7 @@ class BackendInfo(str):
         info.requires_indices = spec.requires_indices
         info.functional = spec.functional
         info.traceable = spec.traceable
-        info.base, *features = spec.name.split("+")
-        info.features = tuple(features)
+        info.base, info.features = parse_backend_name(spec.name, strict=False)
         return info
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -288,13 +278,7 @@ def register_backend(
     raises unless ``overwrite=True`` — a loud duplicate beats two packages
     silently fighting over one name.
     """
-    if not name:
-        raise ValueError("backend name must be non-empty")
-    if any(not part for part in name.split("+")):
-        raise ValueError(
-            f"malformed backend name {name!r}: empty base or feature segment "
-            f"(expected '<base>' or '<base>+<feature>[+<feature>...]')"
-        )
+    parse_backend_name(name, strict=False)
     if name in _BACKENDS and not overwrite:
         raise ValueError(
             f"backend {name!r} is already registered "
@@ -325,14 +309,7 @@ def backend_spec(name: str) -> BackendSpec:
         return _BACKENDS[name]
     except KeyError:
         pass
-    features = name.split("+")[1:]
-    if len(features) >= 2:
-        raise ValueError(
-            f"backend {name!r} is not registered: stacking the wrapper "
-            f"features {' + '.join(features)} has no defined composition "
-            f"order; register the composed backend explicitly with "
-            f"register_backend() to support it"
-        )
+    parse_backend_name(name)  # malformed names and unregistered stacks raise here
     raise ValueError(
         f"unknown backend {name!r}; available: {', '.join(available_backends())}"
     )
@@ -365,40 +342,121 @@ class ForwardResult:
         return self.timing.total_ns / 1e6
 
 
-def _hier_spec(features: FeatureSpec) -> Optional[HierSpec]:
-    """``features.hier``, type-checked (None when unset)."""
-    hier = features.hier
-    if hier is not None and not isinstance(hier, HierSpec):
-        raise TypeError(
-            f"hier must be a repro.comm.hier.HierSpec, got {type(hier).__name__}"
-        )
-    return hier
-
-
 class BaseRetrieval(RetrievalBackend):
-    """A base strategy's timed engine, optionally hierarchically routed.
+    """A base strategy's timed engine, and the base of every feature adapter.
 
-    The adapter behind ``"pgas"`` and ``"baseline"`` and, with
-    ``hierarchical=True``, behind their ``"+hier"`` variants: the engine is
-    built with the host's :class:`~repro.comm.hier.HierSpec` attached
-    (``devices_per_node=1`` — flat routing, valid for any device count —
-    when none is configured).  An inactive spec leaves the flat path
-    event-identical, and routing never touches payloads, so the
-    functional path is the base strategy's numpy forward either way.
+    The adapter behind ``"pgas"`` and ``"baseline"``.  A ``+<feature>``
+    adapter subclasses it, sets the class attributes below and overrides
+    only what its feature changes; standalone use takes a cluster plus
+    sharding plan, a registered backend is built by :meth:`from_host`.
+    The shared plumbing: the device-count check, the config default and
+    type check, the engine, the table-name → weights map, the
+    materialised-weights guard and the pass-through timed and functional
+    paths.
     """
 
-    def __init__(self, host: "EmbeddingHost", base: str, hierarchical: bool = False):
+    #: backend-name suffix this class serves (None: the bare base strategies)
+    suffix: Optional[str] = None
+    #: the FeatureSpec field carrying this adapter's config
+    config_field: Optional[str] = None
+    #: that config's type (None: the adapter takes no config)
+    spec_type: Optional[type] = None
+
+    def __init__(
+        self,
+        cluster: Cluster,
+        plan: TableWiseSharding,
+        spec: Optional[object] = None,
+        *,
+        base: str = "pgas",
+        collective_spec: Optional[CollectiveSpec] = None,
+        pgas_spec: Optional[PGASSpec] = None,
+        sharded: Optional[ShardedEmbeddingTables] = None,
+    ):
+        if cluster.n_devices != plan.n_devices:
+            raise ValueError(
+                f"cluster has {cluster.n_devices} devices, plan has {plan.n_devices}"
+            )
+        self.cluster = cluster
+        self.table_plan = plan
         self.base_name = base
-        self.cluster = host.cluster
-        self.sharded = host.sharded
-        self.hier_spec = (
-            (_hier_spec(host.features) or HierSpec(devices_per_node=1))
-            if hierarchical
-            else None
+        self.spec = self.checked_spec(spec)
+        self.sharded = sharded
+        self._tables: Dict[str, EmbeddingTable] = (
+            {t.name: t for tables in sharded.per_device for t in tables}
+            if sharded is not None
+            else {}
         )
-        self.engine = base_engine(
-            base, host.cluster, host.collective_spec, host.pgas_spec, self.hier_spec
+        self._attach()
+        self.base = self._engine(collective_spec, pgas_spec)  # the timed engine
+
+    @classmethod
+    def checked_spec(cls, spec: Optional[object]) -> Optional[object]:
+        """``spec``, or the config's default when None; a config of the
+        wrong type raises ``TypeError`` naming the expected class."""
+        if cls.spec_type is None:
+            return None
+        if spec is None:
+            return cls.spec_type()
+        if not isinstance(spec, cls.spec_type):
+            raise TypeError(
+                f"{cls.config_field} must be a {cls.spec_type.__module__}."
+                f"{cls.spec_type.__name__}, got {type(spec).__name__}"
+            )
+        return spec
+
+    @classmethod
+    def from_host(cls, host: "EmbeddingHost", base: str, **kwargs) -> "BaseRetrieval":
+        """The adapter bound to ``host``: its cluster, plan, comm specs,
+        weights and this class's config; ``kwargs`` pass to the constructor."""
+        return cls(
+            host.cluster,
+            host.plan,
+            getattr(host.features, cls.config_field) if cls.config_field else None,
+            base=base,
+            collective_spec=host.collective_spec,
+            pgas_spec=host.pgas_spec,
+            sharded=host.sharded,
+            **kwargs,
         )
+
+    @classmethod
+    def register(cls, descriptions: Mapping[str, str]) -> None:
+        """Register ``<base>+<suffix>`` (or the bare base) for each base
+        strategy in ``descriptions``, built by :meth:`from_host`."""
+        for base, description in descriptions.items():
+            register_backend(
+                f"{base}+{cls.suffix}" if cls.suffix else base,
+                lambda host, base=base: cls.from_host(host, base),
+                requires_indices=cls.requires_indices,
+                description=description,
+            )
+
+    def _attach(self) -> None:
+        """A feature's own setup, run once the shared state is set and
+        before the engine is built (:meth:`_engine` may depend on it)."""
+
+    def _engine(
+        self, collective_spec: Optional[CollectiveSpec], pgas_spec: Optional[PGASSpec]
+    ) -> Union[PGASFusedRetrieval, BaselineRetrieval]:
+        return base_engine(self.base_name, self.cluster, collective_spec, pgas_spec)
+
+    def _weights_of(self, table_name: str) -> Optional[np.ndarray]:
+        """A table's weights (None on a timing-only adapter)."""
+        table = self._tables.get(table_name)
+        return table.weights if table is not None else None
+
+    def _materialized(
+        self, owners: Optional[Mapping[str, int]] = None
+    ) -> ShardedEmbeddingTables:
+        """The materialised tables, re-homed under ``owners`` when given."""
+        if self.sharded is None:
+            raise ValueError("functional forward needs materialize=True weights")
+        return self.sharded if owners is None else self.sharded.rehomed(owners)
+
+    def _count(self, name: str, value: float, unit: str = "bytes") -> None:
+        """Stamp ``value`` on profiler counter ``name`` at the current instant."""
+        self.cluster.profiler.add_count(name, self.cluster.engine.now, float(value), unit=unit)
 
     def batch_process(
         self,
@@ -410,34 +468,59 @@ class BaseRetrieval(RetrievalBackend):
         stream_suffix: str = "",
     ) -> ProcessGenerator:
         """The engine's process generator for one batch."""
-        return self.engine.batch_process(
+        return self.base.batch_process(
             cluster, workloads, timing, stream_suffix=stream_suffix
         )
 
     def functional_forward(self, batch: SparseBatch) -> List[np.ndarray]:
-        """The base strategy's numpy forward (routing never changes it)."""
-        if self.sharded is None:
-            raise ValueError("functional forward needs materialize=True weights")
-        return functional_forward(self.base_name, self.sharded, batch)
+        """The base strategy's numpy forward."""
+        return functional_forward(self.base_name, self._materialized(), batch)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"<{type(self).__name__} base={self.base_name} spec={self.spec!r}>"
 
 
-for _name, _description in (
-    ("pgas", "fused one-sided PGAS-style writes (compute/comm overlapped)"),
-    ("baseline", "NCCL-style collective: compute, all-to-all, unpack"),
-    (
-        "pgas+hier",
+class HierRetrieval(BaseRetrieval):
+    """The base adapter with hierarchical routing: ``"+hier"``.
+
+    The engine runs with the host's :class:`~repro.comm.hier.HierSpec`
+    (``devices_per_node=1`` — flat routing, valid for any device count —
+    when none is configured).  An inactive spec leaves the flat path
+    event-identical, and routing never touches payloads, so the
+    functional path is the base strategy's either way.
+    """
+
+    suffix = "hier"
+    config_field = "hier"
+    spec_type = HierSpec
+
+    @classmethod
+    def checked_spec(cls, spec: Optional[object]) -> HierSpec:
+        return super().checked_spec(HierSpec(devices_per_node=1) if spec is None else spec)
+
+    @property
+    def hier_spec(self) -> HierSpec:
+        """The routing spec the engine runs with."""
+        return self.spec
+
+    def _engine(self, collective_spec, pgas_spec):
+        return base_engine(self.base_name, self.cluster, collective_spec, pgas_spec, self.spec)
+
+
+BaseRetrieval.register({
+    "pgas": "fused one-sided PGAS-style writes (compute/comm overlapped)",
+    "baseline": "NCCL-style collective: compute, all-to-all, unpack",
+})
+HierRetrieval.register({
+    "pgas": (
         "PGAS retrieval with node-leader staging: off-node writes cross the "
-        "NIC as one aggregated stream per node pair",
+        "NIC as one aggregated stream per node pair"
     ),
-    (
-        "baseline+hier",
+    "baseline": (
         "collective retrieval with a two-level all-to-all: NVLink "
-        "gather/scatter around one coalesced NIC transfer per node pair",
+        "gather/scatter around one coalesced NIC transfer per node pair"
     ),
-):
-    register_backend(
-        _name, lambda host, name=_name: build_adapter(host, name), description=_description
-    )
+})
 
 
 class EmbeddingHost:
@@ -476,13 +559,12 @@ class EmbeddingHost:
         if obs is not None and not isinstance(obs, TraceSpec):
             raise TypeError(f"obs must be a repro.obs.TraceSpec, got {type(obs).__name__}")
         if cluster is None and "hier" in info.features:
-            hier = _hier_spec(self.features)
-            if hier is not None:
-                hier.validate_for(n_devices)
-                if hier.devices_per_node > 1:
-                    cluster = multinode(
-                        n_devices // hier.devices_per_node, hier.devices_per_node
-                    )
+            hier = HierRetrieval.checked_spec(self.features.hier)
+            hier.validate_for(n_devices)
+            if hier.devices_per_node > 1:
+                cluster = multinode(
+                    n_devices // hier.devices_per_node, hier.devices_per_node
+                )
         self.backend: BackendName = backend
         self.cluster = cluster or dgx_v100(n_devices)
         if self.cluster.n_devices != n_devices:
@@ -501,7 +583,7 @@ class EmbeddingHost:
         be = name or self.backend
         adapter = self._adapters.get(be)
         if adapter is None:
-            adapter = self._adapters[be] = backend_spec(be).factory(self)
+            adapter = self._adapters[be] = build_adapter(self, be)
         return adapter
 
     def weight_buffer_map(self) -> Dict[str, Buffer]:

@@ -426,7 +426,6 @@ class InferenceServer:
         }
         if sections:
             pipeline.set_features(replace(pipeline.features, **sections))
-        self._sharded = None  # lazily materialised weights (functional path)
 
     @classmethod
     def from_spec(cls, spec: "RunSpec", *, pipeline: Optional[DLRMInferencePipeline] = None):
@@ -442,24 +441,27 @@ class InferenceServer:
     # -- functional path ---------------------------------------------------------
 
     def _materialized_tables(self):
-        """Real embedding weights, built once, seeded by the workload seed.
+        """Real embedding weights, seeded by the workload seed and built
+        once per pipeline, whose adapters then compute the outputs with them.
 
         Two servers over the same workload materialise identical weights,
         so cross-server output comparisons (sequential vs. continuous
         batching) are meaningful bit-for-bit.
         """
-        if self._sharded is None:
+        pipeline = self.pipeline
+        if pipeline.sharded is None:
             from ..dlrm.embedding import EmbeddingBagCollection
             from .functional import ShardedEmbeddingTables
 
-            cfg = self.pipeline.config.workload
+            cfg = pipeline.config.workload
             ebc = EmbeddingBagCollection.from_configs(
                 cfg.table_configs(), rng=np.random.default_rng(cfg.seed)
             )
-            self._sharded = ShardedEmbeddingTables.from_collection(
-                ebc, self.pipeline.plan
-            )
-        return self._sharded
+            pipeline.sharded = ShardedEmbeddingTables.from_collection(ebc, pipeline.plan)
+            # Adapters read the host's weights when built: rebuild any
+            # built without them.
+            pipeline.set_features(pipeline.features)
+        return pipeline.sharded
 
     # -- simulation --------------------------------------------------------------
 
@@ -519,7 +521,14 @@ class InferenceServer:
             sharded = self._materialized_tables()
 
             def functional(b):
-                return functional_forward(info.base, sharded, b)
+                if resilient:
+                    # The adapter zero-fills the partition of the last batch
+                    # to *finish*, which with several batches in flight need
+                    # not be this one; serve the base outputs and report
+                    # degradation through ``degraded_fraction`` instead.
+                    return functional_forward(info.base, sharded, b)
+                # Looked up at completion: the timed path built the adapter.
+                return pipeline.backend_adapter(be).functional_forward(b)
 
         # Per-request timestamps (NaN = not applicable / not served).
         arrival_t = np.full(n_requests, np.nan)

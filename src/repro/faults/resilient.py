@@ -32,11 +32,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..cache.hotrow import CacheConfig, HotRowCache
+from ..cache.hotrow import CacheConfig, HotRowCache, remote_row_caches
 from ..core.baseline import PhaseTiming
-from ..core.functional import ShardedEmbeddingTables, functional_forward
-from ..core.retrieval import RetrievalBackend, base_engine
-from ..core.sharding import TableWiseSharding, minibatch_bounds
+from ..core.retrieval import BaseRetrieval
+from ..core.sharding import minibatch_bounds
 from ..core.workload import DeviceWorkload
 from ..dlrm.batch import SparseBatch
 from ..dlrm.embedding import segment_pool
@@ -145,44 +144,15 @@ class _BatchState:
     fully_degraded: bool = False
 
 
-class ResilientRetrieval(RetrievalBackend):
-    """A base retrieval backend wrapped in the fault-handling state machine.
+class ResilientRetrieval(BaseRetrieval):
+    """A base retrieval backend wrapped in the fault-handling state machine."""
 
-    Standalone use takes a cluster plus sharding plan; as a registered
-    backend (``"pgas+resilient"``, ``"baseline+resilient"``) it is built
-    from a :class:`~repro.core.retrieval.DistributedEmbedding` and its
-    ``resilience`` config.
-    """
+    suffix = "resilient"
+    config_field = "resilience"
+    spec_type = ResilienceSpec
 
-    requires_indices = False
-
-    def __init__(
-        self,
-        cluster: Cluster,
-        plan: TableWiseSharding,
-        spec: Optional[ResilienceSpec] = None,
-        *,
-        base: str = "pgas",
-        collective_spec=None,
-        pgas_spec=None,
-        sharded: Optional[ShardedEmbeddingTables] = None,
-    ):
-        self.base = base_engine(base, cluster, collective_spec, pgas_spec)
-        if cluster.n_devices != plan.n_devices:
-            raise ValueError(
-                f"cluster has {cluster.n_devices} devices, plan has {plan.n_devices}"
-            )
-        self.cluster = cluster
-        self.table_plan = plan
-        self.base_name = base
-        self.spec = spec or ResilienceSpec()
-        self.sharded = sharded
+    def _attach(self) -> None:
         self._rng = np.random.default_rng(self.spec.seed)
-        self._tables = {}
-        if sharded is not None:
-            for tables in sharded.per_device:
-                for t in tables:
-                    self._tables[t.name] = t
         self._fallback: Optional[List[HotRowCache]] = None
         self._last_state: Optional[_BatchState] = None
         self.last_outcome: Optional[BatchOutcome] = None
@@ -194,16 +164,10 @@ class ResilientRetrieval(RetrievalBackend):
         if self.spec.fallback_cache is None:
             return None
         if self._fallback is None:
-            plan = self.table_plan
-            self._fallback = [
-                HotRowCache(
-                    dev,
-                    [t for t in plan.table_configs if plan.owner_of(t.name) != dev.id],
-                    self.spec.fallback_cache,
-                    materialize=self.sharded is not None,
-                )
-                for dev in self.cluster.devices
-            ]
+            self._fallback = remote_row_caches(
+                self.cluster, self.table_plan, self.spec.fallback_cache,
+                materialize=self.sharded is not None,
+            )
         return self._fallback
 
     def warm_fallback(self, batches: Sequence[SparseBatch]) -> None:
@@ -227,10 +191,6 @@ class ResilientRetrieval(RetrievalBackend):
                         continue
                     rows = hash_indices(sl.indices, t.num_rows, t.hash_kind)
                     caches[g].lookup_rows(t.name, rows, source=source)
-
-    def _weights_of(self, table_name: str) -> Optional[np.ndarray]:
-        table = self._tables.get(table_name)
-        return table.weights if table is not None else None
 
     # -- partition ---------------------------------------------------------------
 
@@ -321,12 +281,7 @@ class ResilientRetrieval(RetrievalBackend):
                 sl = fld.slice_samples(lo, hi)
                 rows = hash_indices(sl.indices, t.num_rows, t.hash_kind)
                 acc = caches[g].lookup_rows(t.name, rows, source=self._weights_of(t.name))
-                lengths = fld.lengths[lo:hi].astype(np.int64)
-                hits = np.zeros(hi - lo, dtype=np.int64)
-                if sl.nnz:
-                    sample_ids = np.repeat(np.arange(hi - lo), lengths)
-                    np.add.at(hits, sample_ids[acc.hit_mask], 1)
-                covered = (hits == lengths) & (lengths > 0)
+                _, covered = acc.coverage(fld.lengths[lo:hi])
                 if not np.any(covered):
                     continue
                 pooled = None
@@ -473,26 +428,19 @@ class ResilientRetrieval(RetrievalBackend):
         timing.sync_unpack_ns = sub.sync_unpack_ns
         timing.total_ns = engine.now - t0
         outcome.emb_ns = timing.total_ns
-        self._stamp_counters(outcome)
         self._last_state = state
         self.last_outcome = outcome
         self.outcomes.append(outcome)
-
-    def _stamp_counters(self, outcome: BatchOutcome) -> None:
-        prof = self.cluster.profiler
-        t = self.cluster.engine.now
         # Only stamp non-zero deltas: a healthy batch leaves the profiler
         # byte-identical to the wrapped backend's.
         if outcome.retries:
-            prof.add_count(RETRY_COUNTER, t, float(outcome.retries), unit="retries")
+            self._count(RETRY_COUNTER, outcome.retries, "retries")
         if outcome.rerouted_bytes:
-            prof.add_count(REROUTE_COUNTER + ".delivered", t, outcome.rerouted_bytes)
+            self._count(REROUTE_COUNTER + ".delivered", outcome.rerouted_bytes)
         if outcome.degraded_bags:
-            prof.add_count(DEGRADED_COUNTER, t, float(outcome.degraded_bags), unit="bags")
+            self._count(DEGRADED_COUNTER, outcome.degraded_bags, "bags")
         if outcome.cache_served_bags:
-            prof.add_count(
-                CACHE_SERVED_COUNTER, t, float(outcome.cache_served_bags), unit="bags"
-            )
+            self._count(CACHE_SERVED_COUNTER, outcome.cache_served_bags, "bags")
 
     def pop_outcome(self) -> Optional[BatchOutcome]:
         """The most recent batch's outcome, consumed (None if already read)."""
@@ -530,9 +478,7 @@ class ResilientRetrieval(RetrievalBackend):
         (owner, dst) pairs are zero-filled except bags fully served from
         the fallback cache.
         """
-        if self.sharded is None:
-            raise ValueError("functional forward needs materialize=True weights")
-        outputs = functional_forward(self.base_name, self.sharded, batch)
+        outputs = super().functional_forward(batch)
         state = self._last_state
         if state is None or (not state.degraded_pairs and not state.fully_degraded):
             return outputs
@@ -561,9 +507,3 @@ class ResilientRetrieval(RetrievalBackend):
             for cache in self._fallback:
                 cache.release()
             self._fallback = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<ResilientRetrieval base={self.base_name} "
-            f"deadline={self.spec.deadline_ns} batches={len(self.outcomes)}>"
-        )

@@ -41,15 +41,15 @@ Counter names are module constants (also read by
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..core.baseline import PhaseTiming
-from ..core.functional import ShardedEmbeddingTables, functional_forward
-from ..core.retrieval import RetrievalBackend, base_engine
-from ..core.sharding import TableWiseSharding
+from ..core.functional import functional_forward
+from ..core.retrieval import BaseRetrieval
 from ..core.workload import DeviceWorkload, rehome_workloads, table_segments
 from ..dlrm.batch import SparseBatch
 from ..simgpu.cluster import Cluster
@@ -117,43 +117,20 @@ class AvailabilityLedger:
         }
 
 
-class ReplicatedRetrieval(RetrievalBackend):
-    """A base retrieval backend with k-way shard replication and failover.
+class ReplicatedRetrieval(BaseRetrieval):
+    """A base retrieval backend with k-way shard replication and failover."""
 
-    Standalone use takes a cluster plus sharding plan; as a registered
-    backend (``"pgas+replicated"``, ``"baseline+replicated"``) it is
-    built from a :class:`~repro.core.retrieval.DistributedEmbedding` and
-    its ``replication`` config.
-    """
+    suffix = "replicated"
+    config_field = "replication"
+    spec_type = ReplicationSpec
 
-    requires_indices = False
-
-    def __init__(
-        self,
-        cluster: Cluster,
-        plan: TableWiseSharding,
-        spec: Optional[ReplicationSpec] = None,
-        *,
-        base: str = "pgas",
-        collective_spec=None,
-        pgas_spec=None,
-        sharded: Optional[ShardedEmbeddingTables] = None,
-    ):
-        if cluster.n_devices != plan.n_devices:
-            raise ValueError(
-                f"cluster has {cluster.n_devices} devices, plan has {plan.n_devices}"
-            )
-        self.cluster = cluster
-        self.table_plan = plan
-        self.base_name = base
-        self.spec = spec or ReplicationSpec()
+    def _attach(self) -> None:
+        cluster, plan = self.cluster, self.table_plan
         if self.spec.k > cluster.n_devices:
             raise ValueError(
                 f"replication factor k={self.spec.k} exceeds the "
                 f"{cluster.n_devices}-device cluster"
             )
-        self.sharded = sharded
-        self.base = base_engine(base, cluster, collective_spec, pgas_spec)
         G = cluster.n_devices
         #: per-table holder device lists, primary first; recovery appends
         self._holders: List[List[int]] = [
@@ -187,7 +164,19 @@ class ReplicatedRetrieval(RetrievalBackend):
         # and consume no simulated time: healthy traces, timings, and
         # outputs stay bit-identical to the bare base backend.
         if G > 1:
-            cluster.engine.call_in(self.spec.heartbeat_interval_ns, self._heartbeat)
+            # The engine holds the heartbeat and this adapter holds the
+            # engine (through its cluster), so the heartbeat refers to the
+            # adapter weakly: dropping the host frees the whole simulation
+            # by refcount, and the monitor stops with it.
+            ref = weakref.ref(self)
+
+            def beat() -> None:
+                adapter = ref()
+                if adapter is not None:
+                    adapter._heartbeat()
+
+            self._beat = beat
+            cluster.engine.call_in(self.spec.heartbeat_interval_ns, beat)
 
     # -- failure detection -------------------------------------------------------
 
@@ -207,7 +196,7 @@ class ReplicatedRetrieval(RetrievalBackend):
                     self._declare_failed(dev)
             else:
                 self._misses[dev.id] = 0
-        engine.call_in(self.spec.heartbeat_interval_ns, self._heartbeat)
+        engine.call_in(self.spec.heartbeat_interval_ns, self._beat)
 
     def _declare_failed(self, dev: Device) -> None:
         engine = self.cluster.engine
@@ -217,8 +206,8 @@ class ReplicatedRetrieval(RetrievalBackend):
         prof.record_span(
             f"availability.detect.dev{dev.id}", SPAN_CATEGORY, dev.id, dev.down_since, now
         )
-        prof.add_count(FAILURES_COUNTER, now, 1.0, unit="failures")
-        prof.add_count(DETECTION_COUNTER, now, now - dev.down_since, unit="ns")
+        self._count(FAILURES_COUNTER, 1.0, "failures")
+        self._count(DETECTION_COUNTER, now - dev.down_since, "ns")
         jobs = self._plan_recovery(dev.id)
         if jobs:
             proc = engine.process(
@@ -290,11 +279,10 @@ class ReplicatedRetrieval(RetrievalBackend):
         now = engine.now
         elapsed = now - dev.down_since
         self.reprotect_ns[dev.id] = elapsed
-        prof = self.cluster.profiler
-        prof.record_span(
+        self.cluster.profiler.record_span(
             f"availability.reprotect.dev{dev.id}", SPAN_CATEGORY, dev.id, dev.down_since, now
         )
-        prof.add_count(REPROTECT_COUNTER, now, elapsed, unit="ns")
+        self._count(REPROTECT_COUNTER, elapsed, "ns")
 
     def wait_for_reprotect(self, limit_ns: Optional[float] = None) -> None:
         """Run the simulated clock forward until pending recoveries finish.
@@ -370,48 +358,29 @@ class ReplicatedRetrieval(RetrievalBackend):
         detected failures — composable into larger host programs.  With no
         detected failures this is the wrapped backend's generator, event
         for event."""
-        if not self._failed:
-            yield from self.base.batch_process(
-                cluster, workloads, timing, stream_suffix=stream_suffix
-            )
-            self._ledger_batch(workloads, moved=0, unavailable=0, impaired=False)
-            return
-        adjusted, moved, unavailable = self._failover_workloads(list(workloads))
-        yield from self.base.batch_process(
-            cluster, adjusted, timing, stream_suffix=stream_suffix
+        impaired = bool(self._failed)
+        served, moved, unavailable = workloads, 0, 0
+        if impaired:
+            served, moved, unavailable = self._failover_workloads(list(workloads))
+        yield from super().batch_process(
+            cluster, served, timing, stream_suffix=stream_suffix
         )
-        self._ledger_batch(workloads, moved=moved, unavailable=unavailable, impaired=True)
-        self._stamp_counters(workloads, moved, unavailable)
-
-    def _ledger_batch(
-        self,
-        workloads: Sequence[DeviceWorkload],
-        *,
-        moved: int,
-        unavailable: int,
-        impaired: bool,
-    ) -> None:
+        total = sum(wl.nnz for wl in workloads)
         led = self.ledger
         led.batches += 1
-        led.lookups_total += int(sum(wl.nnz for wl in workloads))
+        led.lookups_total += int(total)
         led.failover_lookups += moved
         led.unavailable_lookups += unavailable
-        if impaired:
-            led.impaired_batches += 1
-
-    def _stamp_counters(
-        self, workloads: Sequence[DeviceWorkload], moved: int, unavailable: int
-    ) -> None:
+        if not impaired:
+            return
         # Only impaired batches stamp anything (and only non-zero deltas),
         # so healthy traces stay byte-identical to the bare backend.
-        prof = self.cluster.profiler
-        t = self.cluster.engine.now
-        total = float(sum(wl.nnz for wl in workloads))
-        prof.add_count(BATCH_LOOKUPS_COUNTER, t, total, unit="lookups")
+        led.impaired_batches += 1
+        self._count(BATCH_LOOKUPS_COUNTER, total, "lookups")
         if moved:
-            prof.add_count(FAILOVER_COUNTER, t, float(moved), unit="lookups")
+            self._count(FAILOVER_COUNTER, moved, "lookups")
         if unavailable:
-            prof.add_count(UNAVAILABLE_COUNTER, t, float(unavailable), unit="lookups")
+            self._count(UNAVAILABLE_COUNTER, unavailable, "lookups")
 
     # -- functional path ---------------------------------------------------------
 
@@ -422,10 +391,8 @@ class ReplicatedRetrieval(RetrievalBackend):
         has a live holder the outputs are bit-identical to the healthy
         reference; tables with no live holder are zero-filled.
         """
-        if self.sharded is None:
-            raise ValueError("functional forward needs materialize=True weights")
         if not self._failed:
-            return functional_forward(self.base_name, self.sharded, batch)
+            return super().functional_forward(batch)
         plan = self.table_plan
         owners = self.effective_owners()
         # The re-shard must stay an exact partition, so tables with no live
@@ -434,16 +401,9 @@ class ReplicatedRetrieval(RetrievalBackend):
             name: (dev if dev is not None else plan.owner_of(name))
             for name, dev in owners.items()
         }
-        failover_plan = TableWiseSharding.from_assignment(
-            plan.table_configs, plan.n_devices, assignment
+        outputs = functional_forward(
+            self.base_name, self._materialized(assignment), batch
         )
-        tables = {t.name: t for per in self.sharded.per_device for t in per}
-        per_device = [
-            [tables[cfg.name] for cfg in failover_plan.tables_on(d)]
-            for d in range(plan.n_devices)
-        ]
-        failover_sharded = ShardedEmbeddingTables(failover_plan, per_device)
-        outputs = functional_forward(self.base_name, failover_sharded, batch)
         for name, dev in owners.items():
             if dev is None:
                 fidx = plan.feature_index(name)
@@ -461,9 +421,3 @@ class ReplicatedRetrieval(RetrievalBackend):
             max(self.reprotect_ns.values()) if self.reprotect_ns else 0.0
         )
         return d
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<ReplicatedRetrieval base={self.base_name} k={self.spec.k} "
-            f"placement={self.spec.placement} failed={sorted(self._failed)}>"
-        )

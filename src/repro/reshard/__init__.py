@@ -36,8 +36,6 @@ works exactly like the static backends (``repro`` imports it for you).
 
 from __future__ import annotations
 
-from ..core.factory import build_adapter
-from ..core.retrieval import register_backend
 from .executor import (
     ADVISORIES_COUNTER,
     MIGRATION_BYTES_COUNTER,
@@ -68,40 +66,10 @@ __all__ = [
     "ReshardSpec",
     "RowSplitAdvisory",
     "TableMove",
-    "reshard_retrieval_for",
 ]
 
 
-def reshard_retrieval_for(emb, base: str) -> ReshardRetrieval:
-    """Build a :class:`ReshardRetrieval` bound to an
-    :class:`~repro.core.retrieval.EmbeddingHost` (the registry
-    factories' shared implementation)."""
-    spec = emb.features.reshard
-    if spec is not None and not isinstance(spec, ReshardSpec):
-        raise TypeError(
-            f"DistributedEmbedding reshard must be a ReshardSpec, "
-            f"got {type(spec).__name__}"
-        )
-    return ReshardRetrieval(
-        emb.cluster,
-        emb.plan,
-        spec or ReshardSpec(),
-        base=base,
-        collective_spec=emb.collective_spec,
-        pgas_spec=emb.pgas_spec,
-        sharded=emb.sharded,
-        weight_buffers=emb.weight_buffer_map(),
-    )
-
-
-# Thin aliases: composition lives in repro.core.factory.build_adapter.
-register_backend(
-    "pgas+reshard",
-    lambda emb: build_adapter(emb, "pgas+reshard"),
-    description="PGAS retrieval with skew-aware online table migration and serve-from-old-owner cutover",
-)
-register_backend(
-    "baseline+reshard",
-    lambda emb: build_adapter(emb, "baseline+reshard"),
-    description="collective retrieval with skew-aware online table migration and serve-from-old-owner cutover",
-)
+ReshardRetrieval.register({
+    "pgas": "PGAS retrieval with skew-aware online table migration and serve-from-old-owner cutover",
+    "baseline": "collective retrieval with skew-aware online table migration and serve-from-old-owner cutover",
+})

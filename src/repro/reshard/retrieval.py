@@ -36,8 +36,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from ..core.baseline import PhaseTiming
-from ..core.functional import ShardedEmbeddingTables, functional_forward
-from ..core.retrieval import RetrievalBackend, base_engine
+from ..core.functional import functional_forward
+from ..core.retrieval import BaseRetrieval
 from ..core.sharding import ShardingError, TableWiseSharding
 from ..core.workload import DeviceWorkload, rehome_workloads, table_segments
 from ..dlrm.batch import SparseBatch
@@ -74,39 +74,19 @@ class ReshardLedger:
         }
 
 
-class ReshardRetrieval(RetrievalBackend):
-    """A base retrieval backend with skew-aware online table migration.
+class ReshardRetrieval(BaseRetrieval):
+    """A base retrieval backend with skew-aware online table migration."""
 
-    Standalone use takes a cluster plus sharding plan; as a registered
-    backend (``"pgas+reshard"``, ``"baseline+reshard"``) it is built from
-    a :class:`~repro.core.retrieval.DistributedEmbedding` and its
-    ``reshard`` config.
-    """
+    suffix = "reshard"
+    config_field = "reshard"
+    spec_type = ReshardSpec
 
-    requires_indices = False
-
-    def __init__(
-        self,
-        cluster: Cluster,
-        plan: TableWiseSharding,
-        spec: Optional[ReshardSpec] = None,
-        *,
-        base: str = "pgas",
-        collective_spec=None,
-        pgas_spec=None,
-        sharded: Optional[ShardedEmbeddingTables] = None,
-        weight_buffers: Optional[Dict[str, object]] = None,
-    ):
-        if cluster.n_devices != plan.n_devices:
-            raise ValueError(
-                f"cluster has {cluster.n_devices} devices, plan has {plan.n_devices}"
-            )
-        self.cluster = cluster
-        self.table_plan = plan
-        self.base_name = base
-        self.spec = spec or ReshardSpec()
-        self.sharded = sharded
-        self.base = base_engine(base, cluster, collective_spec, pgas_spec)
+    def __init__(self, cluster: Cluster, plan: TableWiseSharding,
+                 spec: Optional[ReshardSpec] = None, *,
+                 weight_buffers: Optional[Dict[str, object]] = None, **kwargs):
+        """``weight_buffers`` is the host's live table → weight-buffer map,
+        which migration cutover updates (see :class:`ReshardExecutor`)."""
+        super().__init__(cluster, plan, spec, **kwargs)
         self._static_owners: Dict[str, int] = {
             cfg.name: plan.owner_of(cfg.name) for cfg in plan.table_configs
         }
@@ -124,6 +104,11 @@ class ReshardRetrieval(RetrievalBackend):
         #: most recent planner verdict (None until the first planning round)
         self.last_plan: Optional[MigrationPlan] = None
         self.ledger = ReshardLedger()
+
+    @classmethod
+    def from_host(cls, host, base: str) -> "ReshardRetrieval":
+        """Bound to ``host``; cutover updates the host's weight buffers."""
+        return super().from_host(host, base, weight_buffers=host.weight_buffer_map())
 
     # -- ownership ---------------------------------------------------------------
 
@@ -180,15 +165,12 @@ class ReshardRetrieval(RetrievalBackend):
         *next* batch.  While ownership still matches the static plan this
         is the wrapped backend's generator, event for event."""
         owners = dict(self._owners)
-        if owners == self._static_owners:
-            yield from self.base.batch_process(
-                cluster, workloads, timing, stream_suffix=stream_suffix
-            )
-        else:
-            adjusted = rehome_workloads(self.table_plan, list(workloads), owners)
-            yield from self.base.batch_process(
-                cluster, adjusted, timing, stream_suffix=stream_suffix
-            )
+        served = workloads
+        if owners != self._static_owners:
+            served = rehome_workloads(self.table_plan, list(workloads), owners)
+        yield from super().batch_process(
+            cluster, served, timing, stream_suffix=stream_suffix
+        )
         self._after_batch(list(workloads))
 
     # -- observe / plan loop -----------------------------------------------------
@@ -224,13 +206,9 @@ class ReshardRetrieval(RetrievalBackend):
             return
         # Only rounds that actually act stamp counters, so balanced runs
         # stay byte-identical to the bare base backend.
-        prof = self.cluster.profiler
-        now = self.cluster.engine.now
         if plan.advisories:
             self.ledger.advisories += len(plan.advisories)
-            prof.add_count(
-                ADVISORIES_COUNTER, now, float(len(plan.advisories)), unit="advisories"
-            )
+            self._count(ADVISORIES_COUNTER, len(plan.advisories), "advisories")
         if plan.empty:
             return
         started = self.executor.submit(plan, self._on_cutover)
@@ -238,8 +216,8 @@ class ReshardRetrieval(RetrievalBackend):
             return
         self.ledger.plans_adopted += 1
         self.ledger.moves_submitted += len(started)
-        prof.add_count(PLANS_COUNTER, now, 1.0, unit="plans")
-        prof.add_count(MOVES_COUNTER, now, float(len(started)), unit="moves")
+        self._count(PLANS_COUNTER, 1.0, "plans")
+        self._count(MOVES_COUNTER, len(started), "moves")
 
     def wait_for_migrations(self, limit_ns: Optional[float] = None) -> None:
         """Run the simulated clock until in-flight migrations cut over."""
@@ -254,21 +232,9 @@ class ReshardRetrieval(RetrievalBackend):
         outputs partition by sample, so results are bit-identical to the
         static-plan reference regardless of how many tables have moved.
         """
-        if self.sharded is None:
-            raise ValueError("functional forward needs materialize=True weights")
-        if self._owners == self._static_owners:
-            return functional_forward(self.base_name, self.sharded, batch)
-        plan = self.table_plan
-        current_plan = TableWiseSharding.from_assignment(
-            plan.table_configs, plan.n_devices, dict(self._owners)
-        )
-        tables = {t.name: t for per in self.sharded.per_device for t in per}
-        per_device = [
-            [tables[cfg.name] for cfg in current_plan.tables_on(d)]
-            for d in range(plan.n_devices)
-        ]
-        current_sharded = ShardedEmbeddingTables(current_plan, per_device)
-        return functional_forward(self.base_name, current_sharded, batch)
+        moved = self._owners != self._static_owners
+        sharded = self._materialized(dict(self._owners) if moved else None)
+        return functional_forward(self.base_name, sharded, batch)
 
     # -- reporting ---------------------------------------------------------------
 
@@ -279,10 +245,3 @@ class ReshardRetrieval(RetrievalBackend):
         d["tables_moved"] = float(len(self.moved_tables()))
         d["imbalance"] = self.imbalance()
         return d
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<ReshardRetrieval base={self.base_name} "
-            f"moved={sorted(self.moved_tables())} "
-            f"in_flight={sorted(self.executor.in_flight)}>"
-        )

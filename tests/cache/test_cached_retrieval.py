@@ -119,6 +119,21 @@ class TestBitIdentity:
                 for got, ref in zip(outs[b], outs["pgas"]):
                     assert np.array_equal(got, ref), f"{b} diverged"
 
+    def test_functional_forward_without_plan_runs_no_cache_pass(self):
+        """After the timed pass, outputs gather from the owners: the cache
+        state advances once per batch, and the values stay bit-identical."""
+        cfg = zipf_cfg()
+        cached = make_emb(cfg, "pgas+cache")
+        engine = cached.backend_adapter()
+        batch = SyntheticDataGenerator(cfg).sparse_batch()
+        engine.run_timed([], batch)
+        before = engine.stats()
+        got = engine.functional_forward(batch)
+        assert engine.stats() == before
+        ref = make_emb(cfg, "pgas").forward(batch).outputs
+        for a, r in zip(got, ref):
+            assert np.array_equal(a, r)
+
     def test_mean_pooling_and_empty_bags(self):
         tables = [
             EmbeddingTableConfig("sparse_0", num_rows=40, dim=8, pooling="mean"),
@@ -212,6 +227,32 @@ class TestCacheWinsUnderSkew:
         assert p.speedup > 1.0 and p.comm_reduction > 0.0
         assert 0.0 < p.hit_rate < 1.0
         assert "speedup" in res.render()
+
+    def test_artifact_validates_and_rejects_broken_invariants(self):
+        import copy
+        import json
+
+        from repro.bench import run_cache_sweep, validate_cachesweep_json
+
+        cfg = zipf_cfg(rows_per_table=4096, dim=32, batch_size=256)
+        res = run_cache_sweep(cfg, [1.05], [0.05, 0.2], n_batches=2)
+        data = json.loads(json.dumps(res.as_dict()))
+        validate_cachesweep_json(data)
+        breaks = {
+            "hit rate": lambda pts: pts[0].update(hit_rate=1.5),
+            "added wire bytes": lambda pts: pts[0].update(
+                cached_comm_bytes=pts[0]["uncached_comm_bytes"] + 1.0
+            ),
+            "differs across capacities": lambda pts: pts[1]["uncached"].update(
+                total_ns=pts[1]["uncached"]["total_ns"] + 1.0
+            ),
+            "speedup": lambda pts: pts[0].update(speedup=pts[0]["speedup"] * 2),
+        }
+        for message, corrupt in breaks.items():
+            bad = copy.deepcopy(data)
+            corrupt(bad["points"])
+            with pytest.raises(ValueError, match=message):
+                validate_cachesweep_json(bad)
 
 
 class TestInvalidation:

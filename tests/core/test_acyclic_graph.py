@@ -4,7 +4,8 @@ The simulator's object graph holds no back-references (a stream keeps
 its device's id and spec, PGAS delivery callbacks close over a count),
 so dropping the last reference to an embedding, a pipeline or a server
 frees the whole cluster at once instead of leaving it for the cyclic GC.
-Each case builds and runs one object with automatic collection off, drops
+That holds for every registered backend: a feature adapter's
+self-rescheduling engine callbacks refer to it only weakly.  Each case builds and runs one object with automatic collection off, drops
 it, and checks that a full collection finds nothing unreachable.
 """
 
@@ -15,7 +16,7 @@ import gc
 import pytest
 
 from repro.core.pipeline import DLRMInferencePipeline, PipelineConfig
-from repro.core.retrieval import DistributedEmbedding
+from repro.core.retrieval import DistributedEmbedding, available_backends
 from repro.core.serving import InferenceServer, SchedulerSpec, ServingSpec
 from repro.core.train_pipeline import DLRMTrainingPipeline
 from repro.dlrm.data import SyntheticDataGenerator, WorkloadConfig
@@ -36,13 +37,15 @@ def _unreachable_after(run) -> int:
     return gc.collect()
 
 
-@pytest.mark.parametrize(
-    "backend", ["pgas", "baseline", "pgas+hier", "pgas+compress", "pgas+reshard"]
-)
+@pytest.mark.parametrize("backend", available_backends(), ids=str)
 def test_distributed_embedding_leaves_no_cycles(backend):
     def run():
         emb = DistributedEmbedding(WL, 4, backend=backend)
-        emb.forward_timed(SyntheticDataGenerator(WL).lengths_batch())
+        gen = SyntheticDataGenerator(WL)
+        if backend.requires_indices:
+            emb.forward(gen.sparse_batch())
+        else:
+            emb.forward_timed(gen.lengths_batch())
 
     assert _unreachable_after(run) == 0
 

@@ -17,7 +17,7 @@ from repro.core.factory import (
     build_backend,
     parse_backend_name,
 )
-from repro.core.retrieval import DistributedEmbedding, available_backends
+from repro.core.retrieval import BaseRetrieval, DistributedEmbedding, available_backends
 from repro.core.runspec import RunSpec
 from repro.dlrm.data import WorkloadConfig
 from repro.faults import ResilienceSpec
@@ -111,6 +111,7 @@ class TestBuildBackend:
         emb = build_backend(runspec_for(backend))
         adapter = emb.backend_adapter()
         assert adapter is emb.backend_adapter()  # cached, built eagerly
+        assert isinstance(adapter, BaseRetrieval)  # one base class for all
 
     def test_override_backend_for_ab_runs(self):
         spec = runspec_for("pgas")

@@ -15,23 +15,40 @@ one-sided put used to schedule two callbacks (delivery, then its event's
 wake-up) and now schedules one, while each ``quiet`` that waits now books
 one absolute-instant wake-up in place of an ``AllOf`` over every put.
 The baseline counts never moved.
+
+The feature cases (``pgas+cache`` through ``pgas+reshard``) also pin the
+total of every profiler counter, so a refactor of the feature adapters
+cannot move a counter sample either.  They were captured before the
+adapters shared one base class.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.cache import CacheConfig
 from repro.comm.hier import HierSpec
+from repro.compress import CompressionSpec
+from repro.core.baseline import PhaseTiming
 from repro.core.factory import FeatureSpec
 from repro.core.pipeline import PipelineConfig
 from repro.core.retrieval import DistributedEmbedding
 from repro.core.train_pipeline import DLRMTrainingPipeline
 from repro.dlrm.data import SyntheticDataGenerator, WorkloadConfig
+from repro.faults import FaultEvent, FaultInjector, FaultPlan, ResilienceSpec
+from repro.replication import ReplicationSpec
+from repro.reshard import ReshardSpec
 from repro.simgpu.cluster import multinode
+from repro.simgpu.units import us
 
 FLAT_G16 = WorkloadConfig(num_tables=256, dim=64, batch_size=4096, max_pooling=32, seed=11)
 HIER_2X4 = WorkloadConfig(num_tables=64, dim=64, batch_size=1024, max_pooling=32, seed=11)
 TRAIN_G4 = WorkloadConfig(num_tables=64, dim=64, batch_size=2048, max_pooling=32, seed=11)
+FEATURE_G4 = WorkloadConfig(
+    num_tables=16, rows_per_table=4096, dim=32, batch_size=1024, max_pooling=8, seed=11
+)
 
 
 def _run(cfg, n_devices, backend, **kwargs):
@@ -49,6 +66,73 @@ def _train(cfg, n_devices, backend):
     got.update({f"emb_backward.{k}": v for k, v in t.emb_backward.as_dict().items()})
     got["total_ns"] = t.total_ns
     return got, pipe.cluster.engine._seq
+
+
+def _counter_totals(emb):
+    return {name: c.total for name, c in sorted(emb.cluster.profiler.counters.items())}
+
+
+def _feature(backend, cfg=FEATURE_G4, **features):
+    return DistributedEmbedding(cfg, 4, backend=backend, features=FeatureSpec(**features))
+
+
+def _cache():
+    """A zipf stream through an LRU cache warmed by one earlier batch."""
+    cfg = dataclasses.replace(FEATURE_G4, index_distribution="zipf", zipf_alpha=1.2)
+    emb = _feature("pgas+cache", cfg, cache=CacheConfig(capacity_fraction=0.1, policy="lru"))
+    gen = SyntheticDataGenerator(cfg)
+    emb.forward(gen.sparse_batch())
+    timing = emb.forward(gen.sparse_batch()).timing
+    return timing.as_dict(), emb.cluster.engine._seq, _counter_totals(emb)
+
+
+def _compress():
+    emb = _feature("baseline+compress", compression=CompressionSpec(codec="int8"))
+    timing = emb.forward_timed(SyntheticDataGenerator(FEATURE_G4).lengths_batch())
+    return timing.as_dict(), emb.cluster.engine._seq, _counter_totals(emb)
+
+
+def _resilient():
+    """A downed link forces a reroute; a degraded one misses the first
+    attempt's deadline, so the batch retries once and then completes."""
+    spec = ResilienceSpec(deadline_ns=200 * us, max_retries=2, backoff_base_ns=5 * us)
+    emb = _feature("pgas+resilient", resilience=spec)
+    FaultInjector(emb.cluster, FaultPlan((
+        FaultEvent("link_down", 0.0, 1e9, src=1, dst=0),
+        FaultEvent("link_degrade", 0.0, 150 * us, src=2, dst=3, severity=0.05),
+    ))).install()
+    timing = emb.forward_timed(SyntheticDataGenerator(FEATURE_G4).lengths_batch())
+    return timing.as_dict(), emb.cluster.engine._seq, _counter_totals(emb)
+
+
+def _replicated():
+    """k=2; device 1 dies after a healthy batch and is detected during the
+    next, so the pinned third batch fails over to replicas."""
+    spec = ReplicationSpec(k=2, heartbeat_interval_ns=5 * us)
+    emb = _feature("pgas+replicated", replication=spec)
+    gen = SyntheticDataGenerator(FEATURE_G4)
+    emb.forward_timed(gen.lengths_batch())
+    FaultInjector(emb.cluster, FaultPlan((
+        FaultEvent("device_down", 1.0, 1e9, device=1),
+    ))).install()
+    emb.forward_timed(gen.lengths_batch())
+    assert emb.backend_adapter().failed_devices == (1,)
+    timing = emb.forward_timed(gen.lengths_batch())
+    return timing.as_dict(), emb.cluster.engine._seq, _counter_totals(emb)
+
+
+def _reshard():
+    """Six batches of a skewed stream; two planning rounds migrate tables."""
+    cfg = dataclasses.replace(FEATURE_G4, table_skew_alpha=1.05)
+    spec = ReshardSpec(
+        window_batches=4, min_batches=2, check_interval_batches=2, imbalance_threshold=1.1
+    )
+    emb = _feature("pgas+reshard", cfg, reshard=spec)
+    gen = SyntheticDataGenerator(cfg)
+    total = PhaseTiming()
+    for _ in range(6):
+        total.add(emb.forward_timed(gen.lengths_batch()))
+    return total.as_dict(), emb.cluster.engine._seq, _counter_totals(emb)
 
 
 CASES = {
@@ -139,10 +223,191 @@ CASES = {
     ),
 }
 
+FEATURE_CASES = {
+    "pgas+cache": (
+        _cache,
+        {
+            "compute_ns": 155571.40935672517,
+            "comm_ns": 0.0,
+            "sync_unpack_ns": 0.0,
+            "total_ns": 155571.40935672517,
+            "batches": 1.0,
+        },
+        150,
+        {
+            "cache.evictions.dev0": 3791.0,
+            "cache.evictions.dev1": 4313.0,
+            "cache.evictions.dev2": 4312.0,
+            "cache.evictions.dev3": 4175.0,
+            "cache.hits.dev0": 15732.0,
+            "cache.hits.dev1": 15408.0,
+            "cache.hits.dev2": 15572.0,
+            "cache.hits.dev3": 15501.0,
+            "cache.misses.dev0": 8706.0,
+            "cache.misses.dev1": 9228.0,
+            "cache.misses.dev2": 9227.0,
+            "cache.misses.dev3": 9090.0,
+            "pgas_bytes": 2535808.0,
+            "pgas_bytes.dev0->dev1": 209920.0,
+            "pgas_bytes.dev0->dev2": 211328.0,
+            "pgas_bytes.dev0->dev3": 206592.0,
+            "pgas_bytes.dev1->dev0": 206592.0,
+            "pgas_bytes.dev1->dev2": 217728.0,
+            "pgas_bytes.dev1->dev3": 212608.0,
+            "pgas_bytes.dev2->dev0": 209152.0,
+            "pgas_bytes.dev2->dev1": 213632.0,
+            "pgas_bytes.dev2->dev3": 215040.0,
+            "pgas_bytes.dev3->dev0": 208512.0,
+            "pgas_bytes.dev3->dev1": 212992.0,
+            "pgas_bytes.dev3->dev2": 211712.0,
+        },
+    ),
+    "baseline+compress-int8": (
+        _compress,
+        {
+            "compute_ns": 168658.43274853803,
+            "comm_ns": 4806.666666666657,
+            "sync_unpack_ns": 79270.08187134503,
+            "total_ns": 252735.18128654972,
+            "batches": 1.0,
+        },
+        124,
+        {
+            "comm_bytes": 442368.0,
+            "comm_bytes.dev0->dev1": 36864.0,
+            "comm_bytes.dev0->dev2": 36864.0,
+            "comm_bytes.dev0->dev3": 36864.0,
+            "comm_bytes.dev1->dev0": 36864.0,
+            "comm_bytes.dev1->dev2": 36864.0,
+            "comm_bytes.dev1->dev3": 36864.0,
+            "comm_bytes.dev2->dev0": 36864.0,
+            "comm_bytes.dev2->dev1": 36864.0,
+            "comm_bytes.dev2->dev3": 36864.0,
+            "comm_bytes.dev3->dev0": 36864.0,
+            "comm_bytes.dev3->dev1": 36864.0,
+            "comm_bytes.dev3->dev2": 36864.0,
+            "compress.bytes_on_wire": 442368.0,
+            "compress.bytes_uncompressed": 1572864.0,
+            "compress.decode_ns": 3928.3274853801167,
+            "compress.encode_ns": 3928.3274853801167,
+        },
+    ),
+    "pgas+resilient": (
+        _resilient,
+        {
+            "compute_ns": 154902.19883040938,
+            "comm_ns": 0.0,
+            "sync_unpack_ns": 0.0,
+            "total_ns": 360698.4009395612,
+            "batches": 1.0,
+        },
+        180,
+        {
+            "faults.rerouted_bytes": 524288.0,
+            "faults.rerouted_bytes.delivered": 262144.0,
+            "faults.rerouted_bytes.dev1->dev2": 262144.0,
+            "faults.rerouted_bytes.dev2->dev0": 262144.0,
+            "faults.retries": 1.0,
+            "faults.windows": 2.0,
+            "pgas_bytes": 2883584.0,
+            "pgas_bytes.dev0->dev1": 262144.0,
+            "pgas_bytes.dev0->dev2": 262144.0,
+            "pgas_bytes.dev0->dev3": 262144.0,
+            "pgas_bytes.dev1->dev2": 262144.0,
+            "pgas_bytes.dev1->dev3": 262144.0,
+            "pgas_bytes.dev2->dev0": 262144.0,
+            "pgas_bytes.dev2->dev1": 262144.0,
+            "pgas_bytes.dev2->dev3": 262144.0,
+            "pgas_bytes.dev3->dev0": 262144.0,
+            "pgas_bytes.dev3->dev1": 262144.0,
+            "pgas_bytes.dev3->dev2": 262144.0,
+        },
+    ),
+    "pgas+replicated-k2": (
+        _replicated,
+        {
+            "compute_ns": 223557.73099415202,
+            "comm_ns": 0.0,
+            "sync_unpack_ns": 0.0,
+            "total_ns": 223557.73099415202,
+            "batches": 1.0,
+        },
+        355,
+        {
+            "availability.batch_lookups": 65752.0,
+            "availability.detection_ns": 9530.532163742697,
+            "availability.failover_lookups": 16695.0,
+            "availability.failures": 1.0,
+            "availability.recovery_bytes": 4194304.0,
+            "availability.recovery_bytes.dev0->dev2": 1572864.0,
+            "availability.recovery_bytes.dev2->dev3": 1572864.0,
+            "availability.recovery_bytes.dev3->dev2": 1048576.0,
+            "faults.windows": 1.0,
+            "pgas_bytes": 4718592.0,
+            "pgas_bytes.dev0->dev1": 425984.0,
+            "pgas_bytes.dev0->dev2": 425984.0,
+            "pgas_bytes.dev0->dev3": 425984.0,
+            "pgas_bytes.dev1->dev0": 262144.0,
+            "pgas_bytes.dev1->dev2": 262144.0,
+            "pgas_bytes.dev1->dev3": 262144.0,
+            "pgas_bytes.dev2->dev0": 425984.0,
+            "pgas_bytes.dev2->dev1": 425984.0,
+            "pgas_bytes.dev2->dev3": 425984.0,
+            "pgas_bytes.dev3->dev0": 458752.0,
+            "pgas_bytes.dev3->dev1": 458752.0,
+            "pgas_bytes.dev3->dev2": 458752.0,
+        },
+    ),
+    "pgas+reshard": (
+        _reshard,
+        {
+            "compute_ns": 1512684.8654970762,
+            "comm_ns": 0.0,
+            "sync_unpack_ns": 0.0,
+            "total_ns": 1512684.8654970762,
+            "batches": 6.0,
+        },
+        456,
+        {
+            "pgas_bytes": 9437184.0,
+            "pgas_bytes.dev0->dev1": 655360.0,
+            "pgas_bytes.dev0->dev2": 655360.0,
+            "pgas_bytes.dev0->dev3": 655360.0,
+            "pgas_bytes.dev1->dev0": 786432.0,
+            "pgas_bytes.dev1->dev2": 786432.0,
+            "pgas_bytes.dev1->dev3": 786432.0,
+            "pgas_bytes.dev2->dev0": 1146880.0,
+            "pgas_bytes.dev2->dev1": 1146880.0,
+            "pgas_bytes.dev2->dev3": 1146880.0,
+            "pgas_bytes.dev3->dev0": 557056.0,
+            "pgas_bytes.dev3->dev1": 557056.0,
+            "pgas_bytes.dev3->dev2": 557056.0,
+            "reshard.advisories": 2.0,
+            "reshard.migration_bytes": 3145728.0,
+            "reshard.migration_bytes.dev0->dev2": 524288.0,
+            "reshard.migration_bytes.dev0->dev3": 524288.0,
+            "reshard.migration_bytes.dev3->dev2": 2097152.0,
+            "reshard.migration_ns": 410015.99999999953,
+            "reshard.migrations": 6.0,
+            "reshard.moves": 6.0,
+            "reshard.plans": 2.0,
+        },
+    ),
+}
+
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_phase_timing_and_event_count_are_pinned(case):
     run, timing, events = CASES[case]
-    got_timing, got_events = run()
+    got_timing, got_events = run()[:2]
     assert got_timing == timing
     assert got_events == events
+
+
+@pytest.mark.parametrize("case", sorted(FEATURE_CASES))
+def test_feature_timing_events_and_counters_are_pinned(case):
+    run, timing, events, counters = FEATURE_CASES[case]
+    got_timing, got_events, got_counters = run()
+    assert got_timing == timing
+    assert got_events == events
+    assert got_counters == counters

@@ -191,6 +191,35 @@ class TestMaterializedEquivalence:
         )
         assert np.array_equal(res.request_outputs, expected)
 
+    def test_outputs_come_from_the_backend_adapter(self):
+        """A lossy codec changes what a ``+compress`` server returns: the
+        outputs run the adapter's functional path, not the base strategy's."""
+        from repro.compress import CompressedRetrieval, CompressionSpec
+        from repro.core.factory import FeatureSpec
+        from repro.core.functional import pgas_functional_forward
+        from repro.dlrm.data import SyntheticDataGenerator
+        from repro.simgpu.cluster import dgx_v100
+
+        codec = CompressionSpec(codec="int4")
+        pipe = DLRMInferencePipeline(
+            PipelineConfig(workload=WL), 2, backend="pgas+compress",
+            features=FeatureSpec(compression=codec),
+        )
+        # One batch of all 16 requests, so it splits across the GPUs
+        # exactly like the reference forward over the whole pool.
+        server = InferenceServer(
+            pipe, ServingSpec(arrival_qps=200_000.0, max_batch=16, batch_window_ns=1 * ms)
+        )
+        res = server.simulate(16, materialize=True)
+        assert res.n_batches == 1
+        pool = SyntheticDataGenerator(WL).sparse_batch(batch_size=16)
+        sharded = server._materialized_tables()
+        reference = CompressedRetrieval(dgx_v100(2), pipe.plan, codec, sharded=sharded)
+        expected = np.concatenate(reference.functional_forward(pool), axis=0)
+        assert np.array_equal(res.request_outputs, expected)
+        uncompressed = np.concatenate(pgas_functional_forward(sharded, pool), axis=0)
+        assert not np.array_equal(res.request_outputs, uncompressed)
+
 
 class TestFromSpec:
     def test_server_from_runspec(self):

@@ -77,7 +77,6 @@ class TestReshardSurface:
             "ReshardSpec",
             "RowSplitAdvisory",
             "TableMove",
-            "reshard_retrieval_for",
         }
 
     def test_core_factory_surface(self):
