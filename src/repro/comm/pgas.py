@@ -17,9 +17,12 @@ This module models that with three pieces:
   kernel wave retires*, which is what produces the fine-grained overlap.
 * :meth:`PGASContext.quiet` / :meth:`PGASContext.barrier_all` — NVSHMEM
   completion semantics: ``quiet`` drains a PE's outstanding puts,
-  ``barrier_all`` synchronises everyone.  A put is one scheduled delivery
-  callback, not an event: the PE keeps an in-flight count and the latest
-  delivery instant it has booked, which is all ``quiet`` needs.
+  ``barrier_all`` synchronises everyone.  A put is *booked* at issue, not
+  scheduled: :meth:`~repro.simgpu.interconnect.Interconnect.book` reserves
+  the link and stamps the byte counters at the delivery instant, and the
+  PE keeps its booked instants and the latest of them, which is all
+  ``quiet`` needs.  The engine sees a put only when it extends its PE's
+  horizon, as one no-op at the new latest instant.
 
 ``atomic_add`` models the backward-pass extension (§V): gradient
 contributions scatter-added into remote tables without rounds of
@@ -28,8 +31,8 @@ collectives.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -42,9 +45,16 @@ from ..simgpu.units import us
 __all__ = ["PGASSpec", "SymmetricHeap", "PGASContext"]
 
 
-def _delivered(in_flight: Dict[int, int], pe: int, t: float) -> None:
-    """One put or atomic from ``pe`` landed at ``t``."""
-    in_flight[pe] -= 1
+_INF = float("inf")
+
+
+def _horizon() -> None:
+    """Engine no-op at a PE's new latest delivery instant.
+
+    Booked puts schedule nothing themselves; this keeps the clock running
+    until the last of them has landed, so ``Engine.run()`` still ends at
+    the final delivery.
+    """
 
 
 @dataclass(frozen=True)
@@ -146,14 +156,12 @@ class PGASContext:
         self.spec = spec or PGASSpec()
         self.heap = SymmetricHeap(cluster)
         ids = [d.id for d in cluster.devices]
-        # Completion state per PE.  A put is one booked delivery callback,
-        # not an Event: quiet only needs "every earlier put has landed",
-        # i.e. the latest delivery instant booked so far.
-        self._in_flight: Dict[int, int] = dict.fromkeys(ids, 0)
+        # Completion state per PE.  A put is booked, not scheduled: quiet
+        # only needs "every earlier put has landed", i.e. the latest
+        # delivery instant booked so far, and pending_puts the booked
+        # instants still ahead of the clock.
+        self._booked: Dict[int, List[float]] = {pe: [] for pe in ids}
         self._last_done: Dict[int, float] = dict.fromkeys(ids, float("-inf"))
-        # Delivery callbacks close over the count only: a bound method here
-        # would tie the context into a cycle through the interconnect.
-        self._on_delivered = {pe: partial(_delivered, self._in_flight, pe) for pe in ids}
         # Externally-created transfers (aggregator flushes, hier chains).
         self._outstanding: Dict[int, List[Event]] = {pe: [] for pe in ids}
         self.puts_issued = 0
@@ -170,26 +178,36 @@ class PGASContext:
 
         Requires peer access (NVLink-mapped memory), as on the testbed.
         """
-        if payload_bytes < 0:
-            raise ValueError("payload must be non-negative")
-        if src == dst:
-            raise ValueError("put to self: write locally instead (no wire cost)")
-        if not self.cluster.device(src).can_access_peer(dst):
-            raise PermissionError(f"device {src} has no peer access to device {dst}")
+        self._check_route("put", src, dst)
+        try:
+            in_range = 0 <= payload_bytes < _INF  # False for NaN
+        except TypeError:
+            raise TypeError(
+                f"payload_bytes must be a real number, got {type(payload_bytes).__name__}"
+            ) from None
+        if not in_range:
+            raise ValueError(
+                f"payload_bytes must be finite and non-negative, got {payload_bytes!r}"
+            )
         if payload_bytes == 0:
             return
-        self._send(src, dst, payload_bytes, self.spec.message_bytes)
+        self._book(src, dst, payload_bytes, self.spec.message_bytes)
         self.puts_issued += 1
         self.payload_bytes_issued += payload_bytes
 
     def atomic_add(self, src: int, dst: int, n_elements: int) -> None:
         """``n_elements`` remote atomic adds (backward-pass gradient scatter)."""
+        self._check_route("atomic_add", src, dst)
+        try:
+            n_elements = operator.index(n_elements)
+        except TypeError:
+            raise TypeError(f"n_elements must be an integer, got {n_elements!r}") from None
         if n_elements < 0:
-            raise ValueError("n_elements must be non-negative")
-        payload = float(n_elements * self.spec.atomic_payload_bytes)
-        if payload == 0:
+            raise ValueError(f"n_elements must be non-negative, got {n_elements}")
+        if n_elements == 0:
             return
-        self._send(src, dst, payload, self.spec.atomic_payload_bytes)
+        size = self.spec.atomic_payload_bytes
+        self._book(src, dst, float(n_elements * size), size)
 
     def register_outstanding(self, src: int, ev: Event) -> None:
         """Track an externally-created transfer so :meth:`quiet` drains it.
@@ -199,19 +217,31 @@ class PGASContext:
         """
         self._outstanding[src].append(ev)
 
-    def _send(self, src: int, dst: int, payload: float, message_bytes: int) -> None:
-        done_at = self.cluster.interconnect.send(
+    def _check_route(self, op: str, src: int, dst: int) -> None:
+        """Raise unless ``src`` may write one-sidedly into ``dst``."""
+        pes = self._booked
+        if src not in pes:
+            raise ValueError(f"{op}: src must be a device id in [0, {len(pes)}), got {src!r}")
+        if dst not in pes:
+            raise ValueError(f"{op}: dst must be a device id in [0, {len(pes)}), got {dst!r}")
+        if src == dst:
+            raise ValueError(f"{op} to self: write locally instead (no wire cost)")
+        if not self.cluster.device(src).can_access_peer(dst):
+            raise PermissionError(f"device {src} has no peer access to device {dst}")
+
+    def _book(self, src: int, dst: int, payload: float, message_bytes: int) -> None:
+        done_at = self.cluster.interconnect.book(
             src,
             dst,
             payload,
             message_bytes=message_bytes,
             header_bytes=self.spec.header_bytes,
             counter=self.COUNTER,
-            on_delivered=self._on_delivered[src],
         )
-        self._in_flight[src] += 1
+        self._booked[src].append(done_at)
         if done_at > self._last_done[src]:
             self._last_done[src] = done_at
+            self.cluster.engine.call_at(done_at, _horizon)
 
     def issue_cost(self, n_batches: int = 1) -> float:
         """GPU-side time charged inside the kernel for issuing writes."""
@@ -222,10 +252,13 @@ class PGASContext:
     def pending_puts(self, device_id: int) -> int:
         """Outstanding (undelivered) one-sided ops from one PE.
 
-        In-flight puts and atomics plus still-pending registered events.
+        Puts and atomics whose delivery instant is still ahead of the clock,
+        plus still-pending registered events.
         """
         self._gc(device_id)
-        return self._in_flight[device_id] + len(self._outstanding[device_id])
+        now = self.cluster.engine.now
+        ahead = sum(1 for t in self._booked[device_id] if t > now)
+        return ahead + len(self._outstanding[device_id])
 
     def quiet(self, device_id: int) -> ProcessGenerator:
         """Process generator: drain all outstanding puts from ``device_id``.
@@ -239,9 +272,12 @@ class PGASContext:
         """
         engine = self.cluster.engine
         self._gc(device_id)
+        now = engine.now
+        # Instants already reached no longer count as pending.
+        self._booked[device_id] = [t for t in self._booked[device_id] if t > now]
         waits = list(self._outstanding[device_id])
         last = self._last_done[device_id]
-        if last > engine.now:
+        if last > now:
             wake = Event(engine, "quiet")
             engine.call_at(last, wake.succeed)
             waits.append(wake)

@@ -333,18 +333,20 @@ class PGASFusedBackward:
                 )
 
             def on_wave(
-                info: WaveInfo, dev_id: int = dev.id, row: np.ndarray = split[dev.id]
+                info: WaveInfo,
+                dev_id: int = dev.id,
+                row: List[float] = split[dev.id].tolist(),
+                atomic_bytes: int = self.pgas.spec.atomic_payload_bytes,
+                add=self.pgas.atomic_add,
             ) -> None:
-                for dst in range(G):
-                    if dst == dev_id or row[dst] <= 0:
+                for dst, nbytes in enumerate(row):
+                    if dst == dev_id or nbytes <= 0:
                         continue
                     # Each wave ships its share of the gradient atomics:
                     # one remote atomic per atomic_payload_bytes of gradient.
-                    payload_elems = int(
-                        round(row[dst] * info.fraction / self.pgas.spec.atomic_payload_bytes)
-                    )
+                    payload_elems = int(round(nbytes * info.fraction / atomic_bytes))
                     if payload_elems > 0:
-                        self.pgas.atomic_add(dev_id, dst, payload_elems)
+                        add(dev_id, dst, payload_elems)
 
             dev.default_stream.submit_delay(dev.spec.kernel_launch_overhead_ns, name="launch")
             ops.append(

@@ -179,6 +179,24 @@ class PGASFusedRetrieval:
         G = cluster.n_devices
         t0 = engine.now
 
+        # Where a remote write goes: one-sided small messages (Listing 2's
+        # sum.store(..., pe)), the aggregator in the multi-node variant, or
+        # the staging router for off-node writes.
+        pgas_put = self.pgas.put
+        if self.router is not None:
+            router_put, same_node = self.router.put, self.router.hier.same_node
+
+            def send(src: int, dst: int, payload: float) -> None:
+                if same_node(src, dst):
+                    pgas_put(src, dst, payload)
+                else:
+                    router_put(src, dst, payload)
+
+        elif self.aggregator is not None:
+            send = self.aggregator.store
+        else:
+            send = pgas_put
+
         ops = []
         for dev, wl in zip(cluster.devices, workloads):
             waves_dst = wl.wave_dst_bytes(dev.spec.concurrent_blocks)
@@ -199,23 +217,10 @@ class PGASFusedRetrieval:
             )
 
             def on_wave(info: WaveInfo, dev_id: int = dev.id, wdst: np.ndarray = waves_dst) -> None:
-                # Each retiring wave's remote vectors leave immediately as
-                # one-sided small messages (Listing 2's sum.store(..., pe)),
-                # or via the aggregator in the multi-node variant.
-                for dst in range(G):
-                    if dst == dev_id:
-                        continue
-                    payload = float(wdst[info.index, dst])
-                    if payload <= 0:
-                        continue
-                    if self.router is not None and not self.router.hier.same_node(
-                        dev_id, dst
-                    ):
-                        self.router.put(dev_id, dst, payload)
-                    elif self.aggregator is not None:
-                        self.aggregator.store(dev_id, dst, payload)
-                    else:
-                        self.pgas.put(dev_id, dst, payload)
+                # Each retiring wave's remote vectors leave immediately.
+                for dst, payload in enumerate(wdst[info.index].tolist()):
+                    if dst != dev_id and payload > 0:
+                        send(dev_id, dst, payload)
 
             stream = dev.stream("default" + stream_suffix)
             stream.submit_delay(dev.spec.kernel_launch_overhead_ns, name="launch")

@@ -377,13 +377,10 @@ class RowWisePGASRetrieval:
                 min_waves_for_peak=base.min_waves_for_peak,
             )
 
-            def on_wave(info: WaveInfo, dev_id=dev.id, wdst=waves_dst) -> None:
-                for dst in range(G):
-                    if dst == dev_id:
-                        continue
-                    payload = float(wdst[info.index, dst])
-                    if payload > 0:
-                        self.pgas.put(dev_id, dst, payload)
+            def on_wave(info: WaveInfo, dev_id=dev.id, wdst=waves_dst, put=self.pgas.put) -> None:
+                for dst, payload in enumerate(wdst[info.index].tolist()):
+                    if dst != dev_id and payload > 0:
+                        put(dev_id, dst, payload)
 
             dev.default_stream.submit_delay(dev.spec.kernel_launch_overhead_ns, "launch")
             ops.append(dev.default_stream.submit(
@@ -578,15 +575,17 @@ class RowWisePGASBackward:
                 remote_total / n_waves / max(G - 1, 1) if G > 1 else 0.0
             )
 
-            def on_wave(info: WaveInfo, dev_id=dev.id, per_peer=per_wave_per_peer) -> None:
-                if per_peer <= 0:
+            n_elems = (
+                int(round(per_wave_per_peer / self.pgas.spec.atomic_payload_bytes))
+                if per_wave_per_peer > 0 else 0
+            )
+
+            def on_wave(info: WaveInfo, dev_id=dev.id, n=n_elems, add=self.pgas.atomic_add) -> None:
+                if n <= 0:
                     return
                 for dst in range(G):
-                    if dst == dev_id:
-                        continue
-                    n_elems = int(round(per_peer / self.pgas.spec.atomic_payload_bytes))
-                    if n_elems > 0:
-                        self.pgas.atomic_add(dev_id, dst, n_elems)
+                    if dst != dev_id:
+                        add(dev_id, dst, n)
 
             dev.default_stream.submit_delay(dev.spec.kernel_launch_overhead_ns, "launch")
             ops.append(dev.default_stream.submit(

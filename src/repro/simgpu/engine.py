@@ -17,11 +17,12 @@ Design notes
   succeeds.  A process may also ``yield AllOf([...])`` / ``yield AnyOf([...])``
   to wait on several events.
 * The engine is deliberately single-threaded and allocation-light: heap
-  entries are plain ``[time, seq, fn]`` lists that ``heapq`` compares in C
-  (a 64-GPU pgas batch schedules about 29k of them), and cancelling one
-  only clears its ``fn`` slot.  Code run once per callback builds no
-  strings and no closures: events schedule their bound
-  ``_run_callbacks``.
+  entries are plain ``[time, seq, fn]`` lists that ``heapq`` compares in C,
+  and cancelling one only clears its ``fn`` slot.  Work that only decides
+  *when* something lands is not scheduled at all: a one-sided put is
+  booked at issue, so a 64-GPU pgas batch schedules about 1.9k entries.
+  Code run once per callback builds no strings and no closures: events
+  schedule their bound ``_run_callbacks``.
 """
 
 from __future__ import annotations

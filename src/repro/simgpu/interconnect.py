@@ -164,13 +164,14 @@ class Link:
         but schedules nothing.  The payload occupies the wire from
         ``start`` and has landed at ``done_at``.
         """
-        wire = wire_bytes(payload_bytes, message_bytes, header_bytes)
-        if payload_bytes <= 0:
-            n_messages = 0
-        elif message_bytes <= 0:
-            n_messages = 1
+        if payload_bytes < 0:
+            raise ValueError(f"negative payload: {payload_bytes}")
+        if payload_bytes == 0:
+            n_messages, wire = 0, 0.0
         else:
-            n_messages = math.ceil(payload_bytes / message_bytes)
+            # wire_bytes() inlined: the message count is needed twice.
+            n_messages = 1 if message_bytes <= 0 else math.ceil(payload_bytes / message_bytes)
+            wire = payload_bytes + n_messages * header_bytes
         # A downed link queues traffic until it comes back up.
         start = max(self.engine.now, self._free_at, self.down_until)
         busy = wire / self.effective_bandwidth + n_messages * self.spec.per_message_ns
@@ -318,7 +319,28 @@ class Interconnect:
         """
         return self._links.get((src, dst))
 
-    def send(
+    def _pair_counter(self, counter: str, src: int, dst: int) -> str:
+        """The ``counter.devS->devD`` per-pair sub-counter name, formatted once."""
+        key = (counter, src, dst)
+        pair = self._pair_counters.get(key)
+        if pair is None:
+            pair = self._pair_counters[key] = f"{counter}.dev{src}->dev{dst}"
+        return pair
+
+    def _reserve(
+        self, src: int, dst: int, payload_bytes: float, message_bytes: int, header_bytes: int
+    ) -> float:
+        """Book the ``(src, dst)`` link; returns the delivery instant."""
+        start, done_at = self.link(src, dst).reserve(payload_bytes, message_bytes, header_bytes)
+        prof = self.profiler
+        if prof is not None and prof.active_trace is not None:
+            # Traced transfers additionally record a link-occupancy span so
+            # the critical-path analyser sees individual wire time.  Guarded
+            # on an active trace: untraced runs stay span-for-span identical.
+            prof.record_span(f"xfer.dev{src}->dev{dst}", "link", src, start, done_at)
+        return done_at
+
+    def book(
         self,
         src: int,
         dst: int,
@@ -327,37 +349,24 @@ class Interconnect:
         message_bytes: int,
         header_bytes: int,
         counter: str,
-        on_delivered: Optional[Callable[[float], None]] = None,
     ) -> float:
-        """Move payload from ``src`` to ``dst``; returns the delivery instant.
+        """Move payload from ``src`` to ``dst`` and schedule nothing.
 
-        Books the link and schedules exactly one callback at delivery, which
-        credits ``counter`` (and its ``.devS->devD`` per-pair sub-counter)
-        with the *payload* bytes — matching the paper's instrument, which
-        counts RDMA-write payload in 256-byte units — and then calls
-        ``on_delivered(t)``.  No :class:`Event` is created: one-sided puts
-        track completion themselves, :meth:`transfer` wraps this in one.
+        Returns the delivery instant.  Everything is done now, at issue:
+        the link is reserved, a traced run records the ``xfer`` span, and
+        ``counter`` and its ``.devS->devD`` per-pair sub-counter are stamped
+        with the *payload* bytes at the delivery instant — the paper's
+        instrument counts RDMA-write payload in 256-byte units.  Counters
+        read back in time order, so once the clock has passed the instant
+        the sample reads as if it had been stamped on arrival.  One-sided puts
+        use this: nothing waits on an individual put, and ``quiet`` only
+        needs the latest delivery instant its PE has booked.
         """
-        start, done_at = self.link(src, dst).reserve(payload_bytes, message_bytes, header_bytes)
+        done_at = self._reserve(src, dst, payload_bytes, message_bytes, header_bytes)
         prof = self.profiler
-        if prof is not None and prof.active_trace is not None:
-            # Traced transfers additionally record a link-occupancy span so
-            # the critical-path analyser sees individual wire time.  Guarded
-            # on an active trace: untraced runs stay span-for-span identical.
-            prof.record_span(f"xfer.dev{src}->dev{dst}", "link", src, start, done_at)
-        key = (counter, src, dst)
-        pair = self._pair_counters.get(key)
-        if pair is None:
-            pair = self._pair_counters[key] = f"{counter}.dev{src}->dev{dst}"
-
-        def deliver() -> None:
-            if prof is not None:
-                prof.add_count(counter, done_at, payload_bytes)
-                prof.add_count(pair, done_at, payload_bytes)
-            if on_delivered is not None:
-                on_delivered(done_at)
-
-        self.engine.call_at(done_at, deliver)
+        if prof is not None:
+            prof.add_count(counter, done_at, payload_bytes)
+            prof.add_count(self._pair_counter(counter, src, dst), done_at, payload_bytes)
         return done_at
 
     def transfer(
@@ -370,21 +379,27 @@ class Interconnect:
         header_bytes: int = 0,
         counter: Optional[str] = None,
     ) -> Event:
-        """:meth:`send` with an :class:`Event` that succeeds at delivery.
+        """Move payload from ``src`` to ``dst``; returns an event firing at delivery.
 
-        The counter defaults to :data:`COUNTER`; the event's value is the
-        delivery instant.
+        Books the link like :meth:`book`, but the counters (``counter``,
+        default :data:`COUNTER`, and its per-pair sub-counter) are stamped by
+        the one delivery callback, which then succeeds the event with the
+        delivery instant.  The event needs that callback anyway, so stamping
+        there costs nothing.
         """
+        done_at = self._reserve(src, dst, payload_bytes, message_bytes, header_bytes)
+        prof = self.profiler
+        counter = counter or self.COUNTER
+        pair = self._pair_counter(counter, src, dst)
         ev = Event(self.engine, "xfer")
-        self.send(
-            src,
-            dst,
-            payload_bytes,
-            message_bytes=message_bytes,
-            header_bytes=header_bytes,
-            counter=counter or self.COUNTER,
-            on_delivered=ev.succeed,
-        )
+
+        def deliver() -> None:
+            if prof is not None:
+                prof.add_count(counter, done_at, payload_bytes)
+                prof.add_count(pair, done_at, payload_bytes)
+            ev.succeed(done_at)
+
+        self.engine.call_at(done_at, deliver)
         return ev
 
     # -- statistics -------------------------------------------------------------

@@ -63,11 +63,13 @@ class Span:
 class Counter:
     """A time-stamped cumulative counter.
 
-    ``add(t, delta)`` must be called with non-decreasing ``t`` *per caller*;
-    out-of-order stamps from independent devices are merged on read.
-    Samples live in two ``array('d')`` columns, 16 bytes per sample instead
-    of a tuple object each; a read sorts both by time with one stable
-    permutation.
+    ``add(t, delta)`` may be called in any time order: one-sided puts stamp
+    their delivery instant when they are issued, so samples arrive in issue
+    order.  Every read — :attr:`total` included — first sorts the samples by
+    time with one stable permutation, so ties keep their insertion order and
+    sums run in time order whatever order the samples came in.  Samples live
+    in two ``array('d')`` columns, 16 bytes per sample instead of a tuple
+    object each.
     """
 
     def __init__(self, name: str, unit: str = "bytes"):
@@ -87,7 +89,8 @@ class Counter:
 
     @property
     def total(self) -> float:
-        """Grand total accumulated (summed in storage order)."""
+        """Grand total accumulated, summed in time order."""
+        self._ensure_sorted()
         return sum(self._deltas)
 
     def _ensure_sorted(self) -> None:

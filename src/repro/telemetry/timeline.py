@@ -54,7 +54,8 @@ COMM_COUNTER_NAMES = (Interconnect.COUNTER, PGASContext.COUNTER)
 #: phases at once)
 COMPUTE_CATEGORIES = ("compute", "fused")
 
-#: per-pair sub-counter names stamped by :meth:`Interconnect.send`
+#: per-pair sub-counter names stamped by :meth:`Interconnect.book` and
+#: :meth:`Interconnect.transfer`
 _PAIR_RE = re.compile(r"^(?P<base>[a-z_]+)\.dev(?P<src>\d+)->dev(?P<dst>\d+)$")
 
 

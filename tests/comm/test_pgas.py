@@ -85,6 +85,23 @@ class TestPut:
         ctx.put(0, 1, 1024.0)
         assert cl.engine._seq == seq0 + 1
 
+    def test_callbacks_only_when_the_horizon_rises(self):
+        """63 puts at one instant schedule one no-op per rise of ``_last_done``."""
+        cl = dgx_v100(64)
+        ctx = PGASContext(cl)
+        payloads = [256.0 * (1 + (dst * 7) % 5) for dst in range(1, 64)]
+        rises, last = 0, float("-inf")
+        seq0 = cl.engine._seq
+        for dst, payload in zip(range(1, 64), payloads):
+            ctx.put(0, dst, payload)
+            if ctx._last_done[0] > last:
+                rises, last = rises + 1, ctx._last_done[0]
+        assert cl.engine._seq - seq0 == rises
+        assert rises < 63
+        assert ctx.pending_puts(0) == 63
+        assert cl.engine.run() == last
+        assert ctx.pending_puts(0) == 0
+
     def test_put_wire_includes_headers(self):
         cl = dgx_v100(2)
         ctx = PGASContext(cl, PGASSpec(message_bytes=256, header_bytes=32))
@@ -142,6 +159,41 @@ class TestPut:
         with pytest.raises(ValueError):
             ctx.put(0, 1, -5.0)
 
+    @pytest.mark.parametrize(
+        "payload, match",
+        [(float("nan"), "payload_bytes"), (float("inf"), "payload_bytes")],
+        ids=["nan", "inf"],
+    )
+    def test_non_finite_payload_rejected(self, payload, match):
+        ctx = PGASContext(dgx_v100(2))
+        with pytest.raises(ValueError, match=match):
+            ctx.put(0, 1, payload)
+
+    def test_non_numeric_payload_rejected(self):
+        ctx = PGASContext(dgx_v100(2))
+        with pytest.raises(TypeError, match="payload_bytes"):
+            ctx.put(0, 1, "256")
+
+    def test_out_of_range_src_rejected(self):
+        ctx = PGASContext(dgx_v100(2))
+        with pytest.raises(ValueError, match="src"):
+            ctx.put(5, 1, 100.0)
+
+    def test_out_of_range_dst_rejected(self):
+        ctx = PGASContext(dgx_v100(2))
+        with pytest.raises(ValueError, match="dst"):
+            ctx.put(0, 5, 100.0)
+
+    def test_rejected_put_books_nothing(self):
+        cl = dgx_v100(2)
+        ctx = PGASContext(cl)
+        for args in [(0, 1, float("nan")), (0, 5, 1.0), (-1, 1, 1.0)]:
+            with pytest.raises(ValueError):
+                ctx.put(*args)
+        assert cl.engine._seq == 0
+        assert cl.interconnect.links() == []
+        assert ctx.puts_issued == 0
+
     def test_put_statistics(self):
         cl = dgx_v100(2)
         ctx = PGASContext(cl)
@@ -185,6 +237,39 @@ class TestAtomics:
         ctx = PGASContext(dgx_v100(2))
         with pytest.raises(ValueError):
             ctx.atomic_add(0, 1, -1)
+
+    def test_atomic_to_self_rejected(self):
+        ctx = PGASContext(dgx_v100(2))
+        with pytest.raises(ValueError, match="atomic_add to self"):
+            ctx.atomic_add(0, 0, 4)
+
+    def test_fractional_count_rejected(self):
+        cl = dgx_v100(2)
+        ctx = PGASContext(cl)
+        with pytest.raises(TypeError, match="n_elements"):
+            ctx.atomic_add(0, 1, 2.5)
+        assert cl.interconnect.links() == []
+
+    def test_numpy_integer_count_accepted(self):
+        cl = dgx_v100(2)
+        ctx = PGASContext(cl, PGASSpec(atomic_payload_bytes=8))
+        ctx.atomic_add(0, 1, np.int64(3))
+        cl.engine.run()
+        assert cl.profiler.counter(PGASContext.COUNTER).total == 24.0
+
+    def test_out_of_range_devices_rejected(self):
+        ctx = PGASContext(dgx_v100(2))
+        with pytest.raises(ValueError, match="src"):
+            ctx.atomic_add(2, 1, 4)
+        with pytest.raises(ValueError, match="dst"):
+            ctx.atomic_add(0, 7, 4)
+
+    def test_atomic_without_peer_access_rejected(self):
+        cl = dgx_v100(2)
+        cl.device(0)._peers.clear()
+        ctx = PGASContext(cl)
+        with pytest.raises(PermissionError):
+            ctx.atomic_add(0, 1, 4)
 
 
 class TestCompletion:
@@ -319,6 +404,60 @@ class TestCompletion:
         assert seen["quiet_done"] == first
         assert seen["pending"] == 1
         assert second > 1e6
+
+
+class TestCounterOrder:
+    """Counter samples read back in delivery order, ties in issue order.
+
+    PE 0's put to device 2 and PE 1's later, smaller put land at the same
+    instant; PE 1 issues while PE 0's large put to device 1 is still in
+    flight, and its put to device 0 lands before every earlier one.  The
+    payloads are chosen so that summing in issue order would round
+    differently.  The literals were captured when every put stamped its
+    counters from a delivery callback.
+    """
+
+    TIE = 723.5020833333333
+    SAMPLES = np.array([700.0, 710.0, TIE, 724.0, 2000.0])
+
+    def _run(self):
+        cl = dgx_v100(3)
+        ctx = PGASContext(cl)
+
+        def host(cluster):
+            ctx.put(0, 1, 48000.3)
+            ctx.put(0, 2, 1000.1)
+            yield cluster.engine.timeout(0.5)
+            ctx.put(1, 2, 976.1)
+            ctx.put(1, 0, 100.7)
+            ctx.put(1, 2, 10.1)
+
+        cl.run(host)
+        cl.engine.run()
+        return cl.profiler
+
+    def test_total_counter(self):
+        c = self._run().counter(PGASContext.COUNTER)
+        assert c.total == 50087.3  # before any read has sorted the samples
+        assert c.events() == [
+            (703.2645833333333, 100.7),
+            (self.TIE, 1000.1),
+            (self.TIE, 976.1),
+            (724.3791666666667, 10.1),
+            (1825.3395833333334, 48000.3),
+        ]
+        assert c.values_at(self.SAMPLES).tolist() == [0.0, 100.7, 2076.9, 2076.9, 50087.3]
+
+    def test_pair_counters(self):
+        prof = self._run()
+        c02 = prof.counter(f"{PGASContext.COUNTER}.dev0->dev2")
+        assert c02.events() == [(self.TIE, 1000.1)]
+        assert c02.values_at(self.SAMPLES).tolist() == [0.0, 0.0, 1000.1, 1000.1, 1000.1]
+        assert c02.total == 1000.1
+        c12 = prof.counter(f"{PGASContext.COUNTER}.dev1->dev2")
+        assert c12.events() == [(self.TIE, 976.1), (724.3791666666667, 10.1)]
+        assert c12.values_at(self.SAMPLES).tolist() == [0.0, 0.0, 976.1, 976.1, 986.2]
+        assert c12.total == 986.2
 
 
 class TestOverlapSemantics:

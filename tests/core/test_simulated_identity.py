@@ -10,11 +10,16 @@ that only buys host time must leave them bit-for-bit unchanged.  A
 deliberate change to the cost model re-captures them.
 
 Event counts may drop only when the removed callbacks carry no simulated
-state.  The pgas counts were re-captured once for that reason: a
+state.  The pgas counts were re-captured twice for that reason.  First, a
 one-sided put used to schedule two callbacks (delivery, then its event's
-wake-up) and now schedules one, while each ``quiet`` that waits now books
+wake-up) and came to schedule one, while each ``quiet`` that waits books
 one absolute-instant wake-up in place of an ``AllOf`` over every put.
-The baseline counts never moved.
+Then puts stopped scheduling that delivery callback too: a put is booked
+at issue (link reserved, counters stamped at its delivery instant) and
+the engine only sees a no-op when a put extends its PE's latest delivery
+instant, which keeps the clock running to the last delivery.  The
+``*-g64`` cases were added at that point, their timings captured before
+it and their event counts after.  The baseline counts never moved.
 
 The feature cases (``pgas+cache`` through ``pgas+reshard``) also pin the
 total of every profiler counter, so a refactor of the feature adapters
@@ -44,6 +49,8 @@ from repro.simgpu.cluster import multinode
 from repro.simgpu.units import us
 
 FLAT_G16 = WorkloadConfig(num_tables=256, dim=64, batch_size=4096, max_pooling=32, seed=11)
+# The benchmark's scale-g64 shape at a batch small enough for tier 1.
+SCALE_G64 = WorkloadConfig(num_tables=1024, dim=64, batch_size=2048, max_pooling=32, seed=11)
 HIER_2X4 = WorkloadConfig(num_tables=64, dim=64, batch_size=1024, max_pooling=32, seed=11)
 TRAIN_G4 = WorkloadConfig(num_tables=64, dim=64, batch_size=2048, max_pooling=32, seed=11)
 FEATURE_G4 = WorkloadConfig(
@@ -145,7 +152,7 @@ CASES = {
             "total_ns": 7107540.327485381,
             "batches": 1.0,
         },
-        721,
+        273,
     ),
     "baseline-g16": (
         lambda: _run(FLAT_G16, 16, "baseline"),
@@ -157,6 +164,28 @@ CASES = {
             "batches": 1.0,
         },
         762,
+    ),
+    "pgas-g64": (
+        lambda: _run(SCALE_G64, 64, "pgas"),
+        {
+            "compute_ns": 7042233.005847954,
+            "comm_ns": 0.0,
+            "sync_unpack_ns": 0.0,
+            "total_ns": 7042233.005847954,
+            "batches": 1.0,
+        },
+        903,
+    ),
+    "baseline-g64": (
+        lambda: _run(SCALE_G64, 64, "baseline"),
+        {
+            "compute_ns": 6939693.005847954,
+            "comm_ns": 15274.208333333023,
+            "sync_unpack_ns": 969504.0,
+            "total_ns": 7924471.214181287,
+            "batches": 1.0,
+        },
+        9098,
     ),
     # Exercises the staging router's flush timers, which are cancelled.
     "pgas+hier-2x4": (
@@ -171,7 +200,7 @@ CASES = {
             "total_ns": 2156333.8989898977,
             "batches": 1.0,
         },
-        487,
+        471,
     ),
     "train-pgas-g4": (
         lambda: _train(TRAIN_G4, 4, "pgas"),
@@ -195,7 +224,7 @@ CASES = {
             "emb_backward.batches": 1.0,
             "total_ns": 13084190.559565937,
         },
-        385,
+        369,
     ),
     "train-baseline-g4": (
         lambda: _train(TRAIN_G4, 4, "baseline"),
@@ -233,7 +262,7 @@ FEATURE_CASES = {
             "total_ns": 155571.40935672517,
             "batches": 1.0,
         },
-        150,
+        140,
         {
             "cache.evictions.dev0": 3791.0,
             "cache.evictions.dev1": 4313.0,
@@ -301,7 +330,7 @@ FEATURE_CASES = {
             "total_ns": 360698.4009395612,
             "batches": 1.0,
         },
-        180,
+        167,
         {
             "faults.rerouted_bytes": 524288.0,
             "faults.rerouted_bytes.delivered": 262144.0,
@@ -332,7 +361,7 @@ FEATURE_CASES = {
             "total_ns": 223557.73099415202,
             "batches": 1.0,
         },
-        355,
+        333,
         {
             "availability.batch_lookups": 65752.0,
             "availability.detection_ns": 9530.532163742697,
@@ -367,7 +396,7 @@ FEATURE_CASES = {
             "total_ns": 1512684.8654970762,
             "batches": 6.0,
         },
-        456,
+        408,
         {
             "pgas_bytes": 9437184.0,
             "pgas_bytes.dev0->dev1": 655360.0,
