@@ -392,10 +392,13 @@ class NodeStagingRouter:
     # -- the Listing-2 replacement call ---------------------------------------
 
     def put(self, src: int, dst: int, payload_bytes: float) -> None:
-        """Stage an off-node one-sided write (same-node writes stay direct)."""
+        """Stage an off-node one-sided write (same-node writes stay direct).
+
+        Raises the typed errors of :meth:`PGASContext.put
+        <repro.comm.pgas.PGASContext.put>`, through its validator.
+        """
         hier = self.hier
-        if payload_bytes < 0:
-            raise ValueError("payload must be non-negative")
+        self.pgas.check_put("put", src, dst, payload_bytes)
         if hier.same_node(src, dst):
             raise ValueError(
                 f"devices {src} and {dst} share a node; use a direct put"

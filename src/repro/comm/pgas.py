@@ -15,14 +15,25 @@ This module models that with three pieces:
   embedding vector per message, the paper's counter unit) each paying a
   header; injected into the interconnect *at the simulated instant the
   kernel wave retires*, which is what produces the fine-grained overlap.
+  A retiring wave writes to every peer at once, and ``put`` takes it that
+  way: parallel ``dst`` and ``payload_bytes`` lists are exactly the
+  same writes issued one at a time, in order, at one instant.  A scalar
+  call is a wave of one.  The whole wave is validated before anything is
+  booked, with one screen over the wave and element-by-element checks
+  only when it fails, so a bad element raises its typed error by
+  position and books nothing.
 * :meth:`PGASContext.quiet` / :meth:`PGASContext.barrier_all` — NVSHMEM
   completion semantics: ``quiet`` drains a PE's outstanding puts,
   ``barrier_all`` synchronises everyone.  A put is *booked* at issue, not
-  scheduled: :meth:`~repro.simgpu.interconnect.Interconnect.book` reserves
-  the link and stamps the byte counters at the delivery instant, and the
-  PE keeps its booked instants and the latest of them, which is all
-  ``quiet`` needs.  The engine sees a put only when it extends its PE's
-  horizon, as one no-op at the new latest instant.
+  scheduled: :meth:`~repro.simgpu.interconnect.Interconnect.book_wave`
+  reserves each write's link and stamps the byte counters at its delivery
+  instant, and the PE keeps its booked instants and the latest of them,
+  which is all ``quiet`` needs.  The engine sees a write only when it
+  extends its PE's horizon, as one no-op at the new latest instant.
+
+The aggregator and the hierarchical staging router carry one-sided writes
+their own way, but validate each through :meth:`PGASContext.check_put`, so
+they raise the same typed errors as ``put``.
 
 ``atomic_add`` models the backward-pass extension (§V): gradient
 contributions scatter-added into remote tables without rounds of
@@ -46,6 +57,28 @@ __all__ = ["PGASSpec", "SymmetricHeap", "PGASContext"]
 
 
 _INF = float("inf")
+
+
+#: What makes a ``dst`` argument a wave rather than one device id.
+_WAVE = (list, tuple)
+
+
+def _check_payload(name: str, value) -> None:
+    try:
+        in_range = 0 <= value < _INF  # False for NaN
+    except TypeError:
+        raise TypeError(f"{name} must be a real number, got {type(value).__name__}") from None
+    if not in_range:
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+
+
+def _check_count(name: str, value) -> None:
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
 
 
 def _horizon() -> None:
@@ -156,6 +189,12 @@ class PGASContext:
         self.spec = spec or PGASSpec()
         self.heap = SymmetricHeap(cluster)
         ids = [d.id for d in cluster.devices]
+        # PE -> its device's can_access_peers: one lookup checks a source,
+        # one call screens a wave's destinations.
+        self._reach = {d.id: d.can_access_peers for d in cluster.devices}
+        # Bound once: every put call uses both.
+        self._book_wave = cluster.interconnect.book_wave
+        self._call_at = cluster.engine.call_at
         # Completion state per PE.  A put is booked, not scheduled: quiet
         # only needs "every earlier put has landed", i.e. the latest
         # delivery instant booked so far, and pending_puts the booked
@@ -169,45 +208,74 @@ class PGASContext:
 
     # -- one-sided ops ---------------------------------------------------------
 
-    def put(self, src: int, dst: int, payload_bytes: float) -> None:
+    def put(self, src: int, dst, payload_bytes) -> None:
         """Non-blocking one-sided write of ``payload_bytes`` from src to dst.
 
         The payload is carried as ``ceil(payload / message_bytes)`` small
         messages injected into the interconnect *now*; :meth:`quiet` waits
         for it.  An empty put is a no-op.
 
+        ``dst`` and ``payload_bytes`` may instead be parallel lists or
+        tuples: a *wave*, exactly the same writes issued one at a time, in
+        order, at the current instant (a retiring kernel wave's remote
+        vectors).  A scalar call is a wave of one.  Every element is
+        validated before any is booked.
+
         Requires peer access (NVLink-mapped memory), as on the testbed.
         """
-        self._check_route("put", src, dst)
+        wave = isinstance(dst, _WAVE)
+        if not wave:
+            dst, payload_bytes = (dst,), (payload_bytes,)
         try:
-            in_range = 0 <= payload_bytes < _INF  # False for NaN
-        except TypeError:
-            raise TypeError(
-                f"payload_bytes must be a real number, got {type(payload_bytes).__name__}"
-            ) from None
-        if not in_range:
-            raise ValueError(
-                f"payload_bytes must be finite and non-negative, got {payload_bytes!r}"
+            # One screen of the whole wave: a known source whose every
+            # destination is a remote peer, and payloads with a finite sum
+            # (a NaN or an infinity fails it; an overflow only costs the
+            # element checks) and a non-negative minimum.
+            total = sum(payload_bytes)
+            ok = (
+                self._reach[src](dst)
+                and total < _INF
+                and min(payload_bytes) >= 0
+                and (not wave or len(payload_bytes) == len(dst))
             )
-        if payload_bytes == 0:
-            return
-        self._book(src, dst, payload_bytes, self.spec.message_bytes)
-        self.puts_issued += 1
-        self.payload_bytes_issued += payload_bytes
+        except (KeyError, TypeError, ValueError):
+            ok = False
+        if not ok:
+            self._check_wave("put", src, dst, payload_bytes, wave, "payload_bytes", _check_payload)
+            total = sum(payload_bytes)
+        done = self._book(src, dst, payload_bytes, self.spec.message_bytes)
+        if done:
+            self.puts_issued += len(done)
+            self.payload_bytes_issued += total
 
-    def atomic_add(self, src: int, dst: int, n_elements: int) -> None:
-        """``n_elements`` remote atomic adds (backward-pass gradient scatter)."""
-        self._check_route("atomic_add", src, dst)
+    def atomic_add(self, src: int, dst, n_elements) -> None:
+        """``n_elements`` remote atomic adds (backward-pass gradient scatter).
+
+        Takes a wave like :meth:`put`: parallel ``dst`` and ``n_elements``
+        lists or tuples.
+        """
+        wave = isinstance(dst, _WAVE)
+        if not wave:
+            dst, n_elements = (dst,), (n_elements,)
         try:
-            n_elements = operator.index(n_elements)
-        except TypeError:
-            raise TypeError(f"n_elements must be an integer, got {n_elements!r}") from None
-        if n_elements < 0:
-            raise ValueError(f"n_elements must be non-negative, got {n_elements}")
-        if n_elements == 0:
-            return
+            counts = list(map(operator.index, n_elements))
+            ok = self._reach[src](dst) and min(counts) >= 0 and len(counts) == len(dst)
+        except (KeyError, TypeError, ValueError):
+            ok = False
+        if not ok:
+            self._check_wave("atomic_add", src, dst, n_elements, wave, "n_elements", _check_count)
+            counts = list(map(operator.index, n_elements))
         size = self.spec.atomic_payload_bytes
-        self._book(src, dst, float(n_elements * size), size)
+        self._book(src, dst, [float(n * size) for n in counts], size)
+
+    def check_put(self, op: str, src: int, dst: int, payload_bytes: float) -> None:
+        """Raise unless one write of ``payload_bytes`` from src to dst is valid.
+
+        The typed errors of :meth:`put`, for callers that carry a one-sided
+        write some other way (the aggregator's ``store``, the staging
+        router's ``put``); ``op`` names the caller in the message.
+        """
+        self._check_wave(op, src, (dst,), (payload_bytes,), False, "payload_bytes", _check_payload)
 
     def register_outstanding(self, src: int, ev: Event) -> None:
         """Track an externally-created transfer so :meth:`quiet` drains it.
@@ -217,31 +285,46 @@ class PGASContext:
         """
         self._outstanding[src].append(ev)
 
-    def _check_route(self, op: str, src: int, dst: int) -> None:
-        """Raise unless ``src`` may write one-sidedly into ``dst``."""
-        pes = self._booked
+    def _check_wave(self, op, src, dsts, values, wave, name, check) -> None:
+        """Raise the typed error of a wave's first bad argument, if any.
+
+        Checks the source, the shape, then each element in order; a wave's
+        elements are named by position (``dst[3]``).
+        """
+        pes = self._reach
         if src not in pes:
             raise ValueError(f"{op}: src must be a device id in [0, {len(pes)}), got {src!r}")
-        if dst not in pes:
-            raise ValueError(f"{op}: dst must be a device id in [0, {len(pes)}), got {dst!r}")
-        if src == dst:
-            raise ValueError(f"{op} to self: write locally instead (no wire cost)")
-        if not self.cluster.device(src).can_access_peer(dst):
-            raise PermissionError(f"device {src} has no peer access to device {dst}")
+        if not isinstance(values, _WAVE) or len(values) != len(dsts):
+            raise ValueError(f"{op}: a wave needs one {name} per dst")
+        can_access_peer = self.cluster.device(src).can_access_peer
+        for i, (dst, value) in enumerate(zip(dsts, values)):
+            at = f"[{i}]" if wave else ""
+            if dst not in pes:
+                raise ValueError(
+                    f"{op}: dst{at} must be a device id in [0, {len(pes)}), got {dst!r}"
+                )
+            if src == dst:
+                raise ValueError(f"{op} to self: a local store needs no wire, write it locally")
+            if not can_access_peer(dst):
+                raise PermissionError(f"device {src} has no peer access to device {dst}")
+            check(name + at, value)
 
-    def _book(self, src: int, dst: int, payload: float, message_bytes: int) -> None:
-        done_at = self.cluster.interconnect.book(
-            src,
-            dst,
-            payload,
-            message_bytes=message_bytes,
-            header_bytes=self.spec.header_bytes,
-            counter=self.COUNTER,
+    def _book(self, src: int, dsts, payloads, message_bytes: int) -> List[float]:
+        """Book a validated wave; returns its delivery instants."""
+        done = self._book_wave(
+            src, dsts, payloads, message_bytes, self.spec.header_bytes, self.COUNTER
         )
-        self._booked[src].append(done_at)
-        if done_at > self._last_done[src]:
-            self._last_done[src] = done_at
-            self.cluster.engine.call_at(done_at, _horizon)
+        if done:
+            self._booked[src].extend(done)
+            # One no-op per rise of the horizon, in issue order: the entries
+            # a put-at-a-time loop would schedule.
+            last = self._last_done[src]
+            for t in done:
+                if t > last:
+                    last = t
+                    self._call_at(t, _horizon)
+            self._last_done[src] = last
+        return done
 
     def issue_cost(self, n_batches: int = 1) -> float:
         """GPU-side time charged inside the kernel for issuing writes."""

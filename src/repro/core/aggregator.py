@@ -84,13 +84,13 @@ class AsyncAggregator:
     def store(self, src: int, dst: int, payload_bytes: float) -> None:
         """Buffer a one-sided write (``aggregator.store(..., pe)``).
 
-        Local destinations are rejected — local stores never needed
-        aggregation in the first place.
+        Raises the typed errors of :meth:`PGASContext.put
+        <repro.comm.pgas.PGASContext.put>`, through its validator: local
+        destinations (local stores never needed aggregation in the first
+        place), out-of-range devices, and negative, NaN or infinite
+        payloads.
         """
-        if src == dst:
-            raise ValueError("aggregating a local store makes no sense")
-        if payload_bytes < 0:
-            raise ValueError("payload must be non-negative")
+        self.pgas.check_put("store", src, dst, payload_bytes)
         if payload_bytes == 0:
             return
         key = (src, dst)

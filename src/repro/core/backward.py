@@ -332,21 +332,22 @@ class PGASFusedBackward:
                     min_waves_for_peak=kspec.min_waves_for_peak,
                 )
 
+            row = split[dev.id].tolist()
+            dsts = [dst for dst, nbytes in enumerate(row) if dst != dev.id and nbytes > 0]
+
             def on_wave(
                 info: WaveInfo,
                 dev_id: int = dev.id,
-                row: List[float] = split[dev.id].tolist(),
+                dsts: List[int] = dsts,
+                remote: List[float] = [row[dst] for dst in dsts],
                 atomic_bytes: int = self.pgas.spec.atomic_payload_bytes,
                 add=self.pgas.atomic_add,
             ) -> None:
-                for dst, nbytes in enumerate(row):
-                    if dst == dev_id or nbytes <= 0:
-                        continue
-                    # Each wave ships its share of the gradient atomics:
-                    # one remote atomic per atomic_payload_bytes of gradient.
-                    payload_elems = int(round(nbytes * info.fraction / atomic_bytes))
-                    if payload_elems > 0:
-                        add(dev_id, dst, payload_elems)
+                # Each wave ships its share of the gradient atomics: one
+                # remote atomic per atomic_payload_bytes of gradient.
+                counts = [int(round(nbytes * info.fraction / atomic_bytes)) for nbytes in remote]
+                if any(counts):
+                    add(dev_id, dsts, counts)
 
             dev.default_stream.submit_delay(dev.spec.kernel_launch_overhead_ns, name="launch")
             ops.append(

@@ -180,22 +180,22 @@ class PGASFusedRetrieval:
         t0 = engine.now
 
         # Where a remote write goes: one-sided small messages (Listing 2's
-        # sum.store(..., pe)), the aggregator in the multi-node variant, or
-        # the staging router for off-node writes.
-        pgas_put = self.pgas.put
+        # sum.store(..., pe)), one put per retiring wave; or, one write at a
+        # time, the aggregator in the multi-node variant or the staging
+        # router for off-node writes.
+        put = self.pgas.put
+        send = None
         if self.router is not None:
             router_put, same_node = self.router.put, self.router.hier.same_node
 
             def send(src: int, dst: int, payload: float) -> None:
                 if same_node(src, dst):
-                    pgas_put(src, dst, payload)
+                    put(src, dst, payload)
                 else:
                     router_put(src, dst, payload)
 
         elif self.aggregator is not None:
             send = self.aggregator.store
-        else:
-            send = pgas_put
 
         ops = []
         for dev, wl in zip(cluster.devices, workloads):
@@ -216,11 +216,27 @@ class PGASFusedRetrieval:
                 min_waves_for_peak=base.min_waves_for_peak,
             )
 
-            def on_wave(info: WaveInfo, dev_id: int = dev.id, wdst: np.ndarray = waves_dst) -> None:
-                # Each retiring wave's remote vectors leave immediately.
-                for dst, payload in enumerate(wdst[info.index].tolist()):
-                    if dst != dev_id and payload > 0:
-                        send(dev_id, dst, payload)
+            if send is None:
+                others = [d for d in range(G) if d != dev.id]
+
+                def on_wave(
+                    info: WaveInfo, dev_id: int = dev.id, wdst: np.ndarray = waves_dst,
+                    others: List[int] = others,
+                ) -> None:
+                    # Each retiring wave's remote vectors leave at once.
+                    payloads = wdst[info.index].tolist()
+                    del payloads[dev_id]
+                    if any(payloads):
+                        put(dev_id, others, payloads)
+
+            else:
+
+                def on_wave(
+                    info: WaveInfo, dev_id: int = dev.id, wdst: np.ndarray = waves_dst
+                ) -> None:
+                    for dst, payload in enumerate(wdst[info.index].tolist()):
+                        if dst != dev_id and payload > 0:
+                            send(dev_id, dst, payload)
 
             stream = dev.stream("default" + stream_suffix)
             stream.submit_delay(dev.spec.kernel_launch_overhead_ns, name="launch")

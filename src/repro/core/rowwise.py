@@ -377,10 +377,14 @@ class RowWisePGASRetrieval:
                 min_waves_for_peak=base.min_waves_for_peak,
             )
 
-            def on_wave(info: WaveInfo, dev_id=dev.id, wdst=waves_dst, put=self.pgas.put) -> None:
-                for dst, payload in enumerate(wdst[info.index].tolist()):
-                    if dst != dev_id and payload > 0:
-                        put(dev_id, dst, payload)
+            def on_wave(
+                info: WaveInfo, dev_id=dev.id, wdst=waves_dst, put=self.pgas.put,
+                others=[d for d in range(G) if d != dev.id],
+            ) -> None:
+                payloads = wdst[info.index].tolist()
+                del payloads[dev_id]
+                if any(payloads):
+                    put(dev_id, others, payloads)
 
             dev.default_stream.submit_delay(dev.spec.kernel_launch_overhead_ns, "launch")
             ops.append(dev.default_stream.submit(
@@ -580,12 +584,13 @@ class RowWisePGASBackward:
                 if per_wave_per_peer > 0 else 0
             )
 
-            def on_wave(info: WaveInfo, dev_id=dev.id, n=n_elems, add=self.pgas.atomic_add) -> None:
-                if n <= 0:
-                    return
-                for dst in range(G):
-                    if dst != dev_id:
-                        add(dev_id, dst, n)
+            def on_wave(
+                info: WaveInfo, dev_id=dev.id, add=self.pgas.atomic_add,
+                others=[d for d in range(G) if d != dev.id],
+                counts=[n_elems] * (G - 1) if n_elems > 0 else None,
+            ) -> None:
+                if counts:
+                    add(dev_id, others, counts)
 
             dev.default_stream.submit_delay(dev.spec.kernel_launch_overhead_ns, "launch")
             ops.append(dev.default_stream.submit(

@@ -15,7 +15,7 @@ throughput, 38% compute throughput).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Set
 
 from .engine import Engine
 from .memory import MemoryPool
@@ -142,7 +142,7 @@ class Device:
         self.spec = spec
         self.memory = MemoryPool(capacity=spec.mem_bytes, device_id=device_id)
         self._streams: Dict[str, "Stream"] = {}
-        self._peers: Dict[int, bool] = {}
+        self._peers: Set[int] = set()
         #: multiplicative kernel service-time factor (>= 1 while a
         #: "straggler" fault window is active; exactly 1.0 when healthy)
         self.slowdown = 1.0
@@ -209,11 +209,17 @@ class Device:
         """Allow direct load/store to ``other_id``'s memory (NVLink peer map)."""
         if other_id == self.id:
             raise ValueError("a device is always its own peer")
-        self._peers[other_id] = True
+        self._peers.add(other_id)
 
     def can_access_peer(self, other_id: int) -> bool:
         """True if one-sided access to ``other_id`` has been enabled."""
-        return other_id == self.id or self._peers.get(other_id, False)
+        return other_id == self.id or other_id in self._peers
+
+    def can_access_peers(self, other_ids: Iterable[int]) -> bool:
+        """True if one-sided access to every *other* device in ``other_ids``
+        has been enabled; unlike :meth:`can_access_peer`, this device's own
+        id counts as no access (a remote write to self is not remote)."""
+        return self._peers.issuperset(other_ids)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Device {self.id} {self.spec.name} {self.memory.used / GiB:.2f}GiB used>"

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .engine import Engine, Event
 from .profiler import Profiler
@@ -172,10 +172,12 @@ class Link:
             # wire_bytes() inlined: the message count is needed twice.
             n_messages = 1 if message_bytes <= 0 else math.ceil(payload_bytes / message_bytes)
             wire = payload_bytes + n_messages * header_bytes
+        spec = self.spec
         # A downed link queues traffic until it comes back up.
         start = max(self.engine.now, self._free_at, self.down_until)
-        busy = wire / self.effective_bandwidth + n_messages * self.spec.per_message_ns
-        done_at = start + busy + self.spec.latency_ns + self.extra_latency_ns
+        # effective_bandwidth, inlined: this runs once per put.
+        busy = wire / (spec.bandwidth * self.bandwidth_scale) + n_messages * spec.per_message_ns
+        done_at = start + busy + spec.latency_ns + self.extra_latency_ns
         self._free_at = start + busy
         self.busy_time += busy
         self.bytes_carried += wire
@@ -295,6 +297,9 @@ class Interconnect:
         self._links: Dict[Tuple[int, int], Link] = {}
         # (counter, src, dst) -> per-pair sub-counter name, formatted once.
         self._pair_counters: Dict[Tuple[str, int, int], str] = {}
+        # (counter, src) -> {dst: (link.reserve, per-pair counter name)},
+        # filled by book_wave as destinations first appear.
+        self._routes: Dict[Tuple[str, int], Dict[int, Tuple[Callable, str]]] = {}
 
     def link(self, src: int, dst: int) -> Link:
         """The directed link for ``(src, dst)``; raises if unreachable."""
@@ -340,34 +345,67 @@ class Interconnect:
             prof.record_span(f"xfer.dev{src}->dev{dst}", "link", src, start, done_at)
         return done_at
 
-    def book(
+    def book_wave(
         self,
         src: int,
-        dst: int,
-        payload_bytes: float,
-        *,
+        dsts: Sequence[int],
+        payloads: Sequence[float],
         message_bytes: int,
         header_bytes: int,
         counter: str,
-    ) -> float:
-        """Move payload from ``src`` to ``dst`` and schedule nothing.
+    ) -> List[float]:
+        """Move a wave of payloads out of ``src`` and schedule nothing.
 
-        Returns the delivery instant.  Everything is done now, at issue:
-        the link is reserved, a traced run records the ``xfer`` span, and
-        ``counter`` and its ``.devS->devD`` per-pair sub-counter are stamped
-        with the *payload* bytes at the delivery instant — the paper's
-        instrument counts RDMA-write payload in 256-byte units.  Counters
-        read back in time order, so once the clock has passed the instant
-        the sample reads as if it had been stamped on arrival.  One-sided puts
-        use this: nothing waits on an individual put, and ``quiet`` only
-        needs the latest delivery instant its PE has booked.
+        Element ``i`` moves ``payloads[i]`` bytes to ``dsts[i]``.  The wave
+        is booked in order, exactly as the same writes issued one at a time
+        at the current instant; a zero payload books nothing.  Returns the
+        delivery instants of the booked elements, in order.  Each write's
+        whole job is done now, at issue: its link is reserved, a traced run
+        records the ``xfer`` span, and ``counter`` and its ``.devS->devD``
+        per-pair sub-counter are stamped with the *payload* bytes at the
+        delivery instant — the paper's instrument counts RDMA-write payload
+        in 256-byte units.  Counters read back in time order, so once the
+        clock has passed an instant its sample reads as if it had been
+        stamped on arrival.  One-sided puts use this: nothing waits on an
+        individual put, and ``quiet`` only needs the latest delivery
+        instant its PE has booked.
+
+        The caller validates the wave.  Each destination's link and
+        per-pair counter name are resolved once per ``(counter, src)`` and
+        kept; the ``counter`` samples go in with one bulk extend.
         """
-        done_at = self._reserve(src, dst, payload_bytes, message_bytes, header_bytes)
+        routes = self._routes.get((counter, src))
+        if routes is None:
+            routes = self._routes[(counter, src)] = {}
         prof = self.profiler
-        if prof is not None:
-            prof.add_count(counter, done_at, payload_bytes)
-            prof.add_count(self._pair_counter(counter, src, dst), done_at, payload_bytes)
-        return done_at
+        stamp = prof is not None and prof.enabled
+        trace = stamp and prof.active_trace is not None
+        counters = prof.counters if stamp else None
+        done: List[float] = []
+        skipped = False
+        for dst, payload in zip(dsts, payloads):
+            if not payload:
+                skipped = True
+                continue
+            route = routes.get(dst)
+            if route is None:
+                route = routes[dst] = (
+                    self.link(src, dst).reserve,
+                    self._pair_counter(counter, src, dst),
+                )
+            reserve, pair = route
+            start, done_at = reserve(payload, message_bytes, header_bytes)
+            done.append(done_at)
+            if stamp:
+                if trace:
+                    # Same guarded link span as _reserve records.
+                    prof.record_span(f"xfer.dev{src}->dev{dst}", "link", src, start, done_at)
+                (counters.get(pair) or prof.counter(pair)).add(done_at, payload)
+        if stamp and done:
+            if skipped:
+                payloads = [p for p in payloads if p]
+            (counters.get(counter) or prof.counter(counter)).extend(done, payloads)
+        return done
 
     def transfer(
         self,
@@ -381,7 +419,7 @@ class Interconnect:
     ) -> Event:
         """Move payload from ``src`` to ``dst``; returns an event firing at delivery.
 
-        Books the link like :meth:`book`, but the counters (``counter``,
+        Books the link like :meth:`book_wave`, but the counters (``counter``,
         default :data:`COUNTER`, and its per-pair sub-counter) are stamped by
         the one delivery callback, which then succeeds the event with the
         delivery instant.  The event needs that callback anyway, so stamping

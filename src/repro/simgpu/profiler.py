@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,9 +63,11 @@ class Span:
 class Counter:
     """A time-stamped cumulative counter.
 
-    ``add(t, delta)`` may be called in any time order: one-sided puts stamp
-    their delivery instant when they are issued, so samples arrive in issue
-    order.  Every read — :attr:`total` included — first sorts the samples by
+    ``add(t, delta)`` and ``extend`` may be called in any time order:
+    one-sided puts stamp their delivery instant when they are issued, so
+    samples arrive in issue order.  Writes only append.  Every read —
+    :attr:`total` included — first checks the samples written since the
+    previous read and, if any is out of time order, sorts all samples by
     time with one stable permutation, so ties keep their insertion order and
     sums run in time order whatever order the samples came in.  Samples live
     in two ``array('d')`` columns, 16 bytes per sample instead of a tuple
@@ -77,15 +79,18 @@ class Counter:
         self.unit = unit
         self._times = array("d")
         self._deltas = array("d")
-        self._sorted = True
+        # The first _in_order samples are known to be in time order.
+        self._in_order = 0
 
     def add(self, t: float, delta: float) -> None:
         """Record ``delta`` units at simulation time ``t``."""
-        times = self._times
-        if times and t < times[-1]:
-            self._sorted = False
-        times.append(t)
+        self._times.append(t)
         self._deltas.append(delta)
+
+    def extend(self, times: Sequence[float], deltas: Sequence[float]) -> None:
+        """Record ``deltas[i]`` at ``times[i]`` for every i, as :meth:`add` in order."""
+        self._times.extend(times)
+        self._deltas.extend(deltas)
 
     @property
     def total(self) -> float:
@@ -94,11 +99,18 @@ class Counter:
         return sum(self._deltas)
 
     def _ensure_sorted(self) -> None:
-        if not self._sorted:
-            order = np.argsort(np.frombuffer(self._times), kind="stable")
-            self._times = array("d", np.frombuffer(self._times)[order].tobytes())
+        n = len(self._times)
+        k = self._in_order
+        if k == n:
+            return
+        # Only samples added since the last read can be out of order.
+        times = np.frombuffer(self._times)
+        new = times[max(k - 1, 0):]
+        if (new[1:] < new[:-1]).any():
+            order = np.argsort(times, kind="stable")
+            self._times = array("d", times[order].tobytes())
             self._deltas = array("d", np.frombuffer(self._deltas)[order].tobytes())
-            self._sorted = True
+        self._in_order = n
 
     def value_at(self, t: float) -> float:
         """Cumulative value at time ``t`` (inclusive)."""

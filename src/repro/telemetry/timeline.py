@@ -54,7 +54,7 @@ COMM_COUNTER_NAMES = (Interconnect.COUNTER, PGASContext.COUNTER)
 #: phases at once)
 COMPUTE_CATEGORIES = ("compute", "fused")
 
-#: per-pair sub-counter names stamped by :meth:`Interconnect.book` and
+#: per-pair sub-counter names stamped by :meth:`Interconnect.book_wave` and
 #: :meth:`Interconnect.transfer`
 _PAIR_RE = re.compile(r"^(?P<base>[a-z_]+)\.dev(?P<src>\d+)->dev(?P<dst>\d+)$")
 

@@ -459,6 +459,194 @@ class TestCounterOrder:
         assert c12.values_at(self.SAMPLES).tolist() == [0.0, 0.0, 976.1, 976.1, 986.2]
         assert c12.total == 986.2
 
+    def test_waves_read_back_the_same(self):
+        """The same writes issued as two waves read back as the pinned ones."""
+        cl = dgx_v100(3)
+        ctx = PGASContext(cl)
+
+        def host(cluster):
+            ctx.put(0, [1, 2], [48000.3, 1000.1])
+            yield cluster.engine.timeout(0.5)
+            ctx.put(1, [2, 0, 2], [976.1, 100.7, 10.1])
+
+        cl.run(host)
+        cl.engine.run()
+        pinned = self._run()
+        for name in (
+            PGASContext.COUNTER,
+            f"{PGASContext.COUNTER}.dev0->dev2",
+            f"{PGASContext.COUNTER}.dev1->dev2",
+        ):
+            got, want = cl.profiler.counter(name), pinned.counter(name)
+            assert got.total == want.total
+            assert got.events() == want.events()
+            assert got.values_at(self.SAMPLES).tolist() == want.values_at(self.SAMPLES).tolist()
+
+
+def _state(cl, ctx):
+    """Everything a booked write touches: links, counter samples in
+    insertion order, the PE completion state and the engine's entries."""
+    links = {
+        (lk.src, lk.dst): (
+            lk.busy_time, lk.bytes_carried, lk.messages_sent, lk.transfer_count, lk._free_at
+        )
+        for lk in cl.interconnect.links()
+    }
+    counters = {
+        name: (c._times.tolist(), c._deltas.tolist())
+        for name, c in sorted(cl.profiler.counters.items())
+    }
+    heap = sorted((t, seq) for t, seq, fn in cl.engine._queue if fn is not None)
+    return {
+        "links": links,
+        "counters": counters,
+        "spans": list(cl.profiler.spans),
+        "booked": {pe: list(ts) for pe, ts in ctx._booked.items()},
+        "last_done": dict(ctx._last_done),
+        "seq": cl.engine._seq,
+        "heap": heap,
+        "puts_issued": ctx.puts_issued,
+    }
+
+
+class TestWave:
+    """A wave is the same writes issued one at a time, in order, at one instant."""
+
+    #: (delay before, src, dsts, values): duplicate destinations, zero
+    #: payloads, ties across PEs and writes queued behind earlier ones.
+    WAVES = [
+        (0.0, 0, [1, 2, 3], [48000.3, 1000.1, 256.0]),
+        (0.0, 0, [2, 2, 1], [10.5, 0.0, 700.25]),
+        (0.5, 1, [2, 0, 2, 3], [976.1, 100.7, 10.1, 0.0]),
+        (0.0, 3, [0], [4096.0]),
+        (0.25, 2, [3, 1, 0, 3], [1e5, 333.3, 1.0, 2e4]),
+    ]
+    COUNTS = [
+        (0.0, 0, [1, 2, 1], [100, 0, 7]),
+        (0.5, 2, [0, 3], [1, 50_000]),
+        (0.0, 0, [3, 3], [5, 5]),
+    ]
+
+    def _run(self, op, waves, as_wave, traced=False):
+        cl = dgx_v100(4)
+        ctx = PGASContext(cl)
+        write = getattr(ctx, op)
+        if traced:
+            cl.profiler.active_trace = TraceRef(trace_id=1, batch_id=0)
+
+        def host(cluster):
+            for delay, src, dsts, values in waves:
+                if delay:
+                    yield cluster.engine.timeout(delay)
+                if as_wave:
+                    write(src, dsts, values)
+                else:
+                    for dst, value in zip(dsts, values):
+                        write(src, dst, value)
+
+        cl.run(host)
+        issued = _state(cl, ctx)
+        cl.engine.run()
+        return issued, _state(cl, ctx), ctx
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_put_wave_equals_puts_one_at_a_time(self, traced):
+        one_issued, one_done, one = self._run("put", self.WAVES, False, traced)
+        wave_issued, wave_done, wave = self._run("put", self.WAVES, True, traced)
+        assert wave_issued == one_issued
+        assert wave_done == one_done
+        assert wave.payload_bytes_issued == pytest.approx(one.payload_bytes_issued)
+        assert one_issued["puts_issued"] == 13  # the zero payloads book nothing
+
+    def test_atomic_wave_equals_atomics_one_at_a_time(self):
+        one_issued, one_done, _ = self._run("atomic_add", self.COUNTS, False)
+        wave_issued, wave_done, _ = self._run("atomic_add", self.COUNTS, True)
+        assert wave_issued == one_issued
+        assert wave_done == one_done
+        assert sum(len(ts) for ts in one_issued["booked"].values()) == 6
+
+    def test_one_call_per_wave(self):
+        cl = dgx_v100(4)
+        ctx = PGASContext(cl)
+        ctx.put(0, [1, 2, 3], [256.0, 0.0, 512.0])
+        assert ctx.puts_issued == 2
+        assert ctx.payload_bytes_issued == 768.0
+        assert ctx.pending_puts(0) == 2
+
+    def test_empty_wave_books_nothing(self):
+        cl = dgx_v100(4)
+        ctx = PGASContext(cl)
+        ctx.put(0, [], [])
+        ctx.atomic_add(0, (), ())
+        assert cl.engine._seq == 0
+        assert cl.interconnect.links() == []
+        assert cl.profiler.counters == {}
+        assert ctx.puts_issued == 0 and ctx.pending_puts(0) == 0
+        with pytest.raises(ValueError, match="src"):
+            ctx.put(9, [], [])
+
+    BAD_PUTS = [
+        ("dst", 7, 256.0, ValueError, r"put: dst\[{i}\] must be a device id"),
+        ("dst", -1, 256.0, ValueError, r"put: dst\[{i}\] must be a device id"),
+        ("self", 0, 256.0, ValueError, "put to self"),
+        ("nan", 1, float("nan"), ValueError, r"payload_bytes\[{i}\] must be finite"),
+        ("inf", 1, float("inf"), ValueError, r"payload_bytes\[{i}\] must be finite"),
+        ("negative", 1, -5.0, ValueError, r"payload_bytes\[{i}\] must be finite"),
+        ("non-numeric", 1, "256", TypeError, r"payload_bytes\[{i}\] must be a real"),
+    ]
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "kind, dst, payload, error, match", BAD_PUTS, ids=[b[0] for b in BAD_PUTS]
+    )
+    def test_bad_put_element_books_nothing(self, position, kind, dst, payload, error, match):
+        cl = dgx_v100(4)
+        ctx = PGASContext(cl)
+        dsts, payloads = [1, 2, 3], [256.0, 512.0, 768.0]
+        dsts[position], payloads[position] = dst, payload
+        with pytest.raises(error, match=match.format(i=position)):
+            ctx.put(0, dsts, payloads)
+        assert cl.engine._seq == 0
+        assert cl.interconnect.links() == []
+        assert cl.profiler.counters == {}
+        assert ctx.puts_issued == 0 and ctx._booked[0] == []
+
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_bad_put_element_without_peer_access_books_nothing(self, position):
+        cl = dgx_v100(4)
+        cl.device(0)._peers.discard(position + 1)
+        ctx = PGASContext(cl)
+        with pytest.raises(PermissionError, match=f"to device {position + 1}"):
+            ctx.put(0, [1, 2, 3], [256.0, 512.0, 768.0])
+        assert cl.interconnect.links() == [] and cl.engine._seq == 0
+
+    BAD_COUNTS = [
+        ("fractional", 2.5, TypeError, r"n_elements\[{i}\] must be an integer"),
+        ("negative", -1, ValueError, r"n_elements\[{i}\] must be non-negative"),
+    ]
+
+    @pytest.mark.parametrize("position", [0, 1])
+    @pytest.mark.parametrize(
+        "kind, count, error, match", BAD_COUNTS, ids=[b[0] for b in BAD_COUNTS]
+    )
+    def test_bad_atomic_element_books_nothing(self, position, kind, count, error, match):
+        cl = dgx_v100(4)
+        ctx = PGASContext(cl)
+        counts = [4, 4]
+        counts[position] = count
+        with pytest.raises(error, match=match.format(i=position)):
+            ctx.atomic_add(0, [1, 2], counts)
+        assert cl.engine._seq == 0 and cl.interconnect.links() == []
+
+    def test_mismatched_lengths_rejected(self):
+        cl = dgx_v100(4)
+        ctx = PGASContext(cl)
+        with pytest.raises(ValueError, match="one payload_bytes per dst"):
+            ctx.put(0, [1, 2], [256.0])
+        with pytest.raises(ValueError, match="one n_elements per dst"):
+            ctx.atomic_add(0, [1, 2], 4)
+        assert cl.engine._seq == 0 and cl.interconnect.links() == []
+
 
 class TestOverlapSemantics:
     def test_puts_overlap_with_compute(self):

@@ -69,6 +69,27 @@ class TestStore:
         with pytest.raises(ValueError):
             agg.store(0, 1, -5)
 
+    @pytest.mark.parametrize(
+        "args, error, match",
+        [
+            ((0, 1, float("nan")), ValueError, "payload_bytes"),
+            ((0, 1, float("inf")), ValueError, "payload_bytes"),
+            ((0, 1, "256"), TypeError, "payload_bytes"),
+            ((0, 7, 100.0), ValueError, "dst"),
+            ((0, -1, 100.0), ValueError, "dst"),
+            ((4, 1, 100.0), ValueError, "src"),
+        ],
+        ids=["nan", "inf", "non-numeric", "dst-past-end", "dst-negative", "src-past-end"],
+    )
+    def test_put_typed_errors_store_nothing(self, args, error, match):
+        """``store`` raises what ``PGASContext.put`` raises, and buffers nothing."""
+        cl, _, agg = make(n_devices=4)
+        with pytest.raises(error, match=match):
+            agg.store(*args)
+        assert agg.stores == 0
+        assert agg._pending == {} and agg._timers == {}
+        assert cl.engine._seq == 0
+
 
 class TestTimeTrigger:
     def test_max_wait_flushes_stale_buffer(self):

@@ -21,6 +21,10 @@ instant, which keeps the clock running to the last delivery.  The
 ``*-g64`` cases were added at that point, their timings captured before
 it and their event counts after.  The baseline counts never moved.
 
+``pgas-g64`` also pins how its writes are issued: one ``PGASContext.put``
+call per device-wave, next to the unchanged number of writes, so a return
+to one call per destination fails here.
+
 The feature cases (``pgas+cache`` through ``pgas+reshard``) also pin the
 total of every profiler counter, so a refactor of the feature adapters
 cannot move a counter sample either.  They were captured before the
@@ -440,3 +444,22 @@ def test_feature_timing_events_and_counters_are_pinned(case):
     assert got_timing == timing
     assert got_events == events
     assert got_counters == counters
+
+
+def test_pgas_g64_issues_one_put_call_per_wave():
+    """The ``pgas-g64`` forward issues one ``PGASContext.put`` call per
+    device-wave with remote bytes (64 devices, one wave each at this
+    batch), carrying the same 4032 writes a call per destination issued."""
+    emb = DistributedEmbedding(SCALE_G64, 64, backend="pgas")
+    pgas = emb.backend_adapter().base.pgas
+    calls = []
+    put = pgas.put
+
+    def counted(src, dst, payload_bytes):
+        calls.append(src)
+        put(src, dst, payload_bytes)
+
+    pgas.put = counted
+    emb.forward_timed(SyntheticDataGenerator(SCALE_G64).lengths_batch())
+    assert len(calls) == 64
+    assert pgas.puts_issued == 4032
