@@ -647,9 +647,7 @@ class InferenceServer:
                 sub_lengths = None
             else:
                 sub_batch = None
-                sub_lengths = {
-                    name: arr[rows_np] for name, arr in pool_lengths.items()
-                }
+                sub_lengths = pool_lengths.take(rows_np)
 
             def launch():
                 timing = PipelineTiming()

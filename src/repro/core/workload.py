@@ -15,17 +15,26 @@ Timing never needs the index values themselves, only the jagged *lengths*
 (pooling factors): byte counts are fully determined by them.  That is what
 lets the benchmarks run the paper-scale configuration (17 GB of simulated
 reads per GPU per batch) without allocating any of it.
+
+Each build derives only what changes per batch.  Per-table chunk lookup
+counts come from the batch's :class:`~repro.dlrm.data.LengthsBatch`, which
+memoizes them, so backends running the same batch derive them once.  The
+destination tile and its reductions depend only on the batch *shape*, so a
+small module cache (:func:`_dst_tile`) builds each shape once and hands the
+same read-only arrays to every device and every batch of that shape.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import InitVar, dataclass
+from functools import lru_cache
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..dlrm.batch import SparseBatch
+from ..dlrm.data import LengthsBatch
 from ..simgpu.device import DeviceSpec
 from ..simgpu.kernel import KernelSpec
 from .calibration import (
@@ -52,6 +61,73 @@ def lengths_from_batch(batch: SparseBatch) -> Dict[str, np.ndarray]:
     return {name: field.lengths for name, field in batch}
 
 
+def _wave_sums(block_dst_bytes: np.ndarray, concurrent_blocks: int) -> np.ndarray:
+    """Per-wave sums of a ``(num_blocks, G)`` matrix, ``(n_waves, G)``.
+
+    Wave *w* is blocks ``[w*C, (w+1)*C)``.  Full waves are one
+    ``(waves, C, G)`` reshape summed over blocks, the ragged last wave one
+    more row sum: the same row-by-row additions as a per-wave loop, so the
+    result is bit-identical to it for any values (``np.add.reduceat`` would
+    sum pairwise, and is several times slower along this strided axis).
+    """
+    if concurrent_blocks <= 0:
+        raise ValueError("concurrent_blocks must be positive")
+    (n, G), C = block_dst_bytes.shape, concurrent_blocks
+    if n == 0:
+        return np.zeros((0, G), dtype=np.float64)
+    full = n // C
+    out = np.empty((math.ceil(n / C), G), dtype=np.float64)
+    out[:full] = block_dst_bytes[: full * C].reshape(full, C, G).sum(axis=1)
+    if full < len(out):
+        out[full] = block_dst_bytes[full * C : n].sum(axis=0)
+    return out
+
+
+class DstTile:
+    """One batch shape's destination bytes and their reductions, read-only.
+
+    ``block_dst_bytes`` is the chunk→device byte matrix tiled once per
+    local table; ``by_dst`` its per-destination totals; :meth:`waves` its
+    per-wave sums, reduced once per concurrency and then shared.
+    """
+
+    __slots__ = ("block_dst_bytes", "by_dst", "_waves")
+
+    def __init__(self, block_dst_bytes: np.ndarray):
+        block_dst_bytes.flags.writeable = False
+        by_dst = block_dst_bytes.sum(axis=0)
+        by_dst.flags.writeable = False
+        self.block_dst_bytes = block_dst_bytes
+        self.by_dst = by_dst
+        self._waves: Dict[int, np.ndarray] = {}
+
+    def waves(self, concurrent_blocks: int) -> np.ndarray:
+        """Per-wave destination bytes at ``concurrent_blocks`` (read-only)."""
+        out = self._waves.get(concurrent_blocks)
+        if out is None:
+            out = _wave_sums(self.block_dst_bytes, concurrent_blocks)
+            out.flags.writeable = False
+            self._waves[concurrent_blocks] = out
+        return out
+
+
+@lru_cache(maxsize=16)
+def _dst_tile(
+    batch_size: int, n_devices: int, samples_per_block: int, n_tables: int, row_bytes: int
+) -> DstTile:
+    """The destination tile of one batch shape, built once per shape.
+
+    Bounded: a serving run cuts sub-batches of many sizes, and a tile is
+    ``n_tables * n_chunks * G`` floats.
+    """
+    n_chunks = math.ceil(batch_size / samples_per_block)
+    # chunk_dst_counts[c, g] = samples of chunk c owned by device g.
+    chunk_dst_counts = np.zeros((n_chunks, n_devices), dtype=np.int64)
+    chunk_ids = np.arange(batch_size) // samples_per_block
+    np.add.at(chunk_dst_counts, (chunk_ids, sample_owner(batch_size, n_devices)), 1)
+    return DstTile(np.tile(chunk_dst_counts * float(row_bytes), (n_tables, 1)))
+
+
 @dataclass(frozen=True)
 class DeviceWorkload:
     """One device's share of an EMB forward pass, in byte terms.
@@ -59,7 +135,10 @@ class DeviceWorkload:
     Frozen because the per-destination totals are derived once at
     construction: a workload with different bytes is a new instance
     (``dataclasses.replace``), never an in-place edit, so the cached
-    totals cannot go stale.
+    totals cannot go stale.  ``tile`` (init-only) hands in totals and
+    per-wave sums already reduced for ``block_dst_bytes``;
+    ``dataclasses.replace`` drops it, so a replaced workload reduces its
+    own bytes again.
 
     Attributes
     ----------
@@ -95,13 +174,20 @@ class DeviceWorkload:
     samples_per_block: int
     block_weights: np.ndarray
     block_dst_bytes: np.ndarray
+    tile: InitVar[Optional[DstTile]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, tile: Optional[DstTile]) -> None:
         # Read O(G²) times per batch (all-to-all splits, unpack sizes, the
         # PGAS drag model), so reduce the (num_blocks, G) matrix only once.
-        by_dst = self.block_dst_bytes.sum(axis=0)
-        by_dst.flags.writeable = False
+        if tile is None:
+            by_dst = self.block_dst_bytes.sum(axis=0)
+            by_dst.flags.writeable = False
+        elif tile.block_dst_bytes is not self.block_dst_bytes:
+            raise ValueError("tile must reduce this workload's own block_dst_bytes")
+        else:
+            by_dst = tile.by_dst
         object.__setattr__(self, "_output_bytes_by_dst", by_dst)
+        object.__setattr__(self, "_tile", tile)
 
     # -- totals ------------------------------------------------------------------
 
@@ -156,26 +242,12 @@ class DeviceWorkload:
 
         Wave *w* executes blocks ``[w*C, (w+1)*C)``; summing their
         ``block_dst_bytes`` rows gives the bytes that become sendable when
-        that wave retires.
-
-        Full waves are one ``(waves, C, G)`` reshape summed over blocks, the
-        ragged last wave one more row sum: the same row-by-row additions as
-        a per-wave loop, so the result is bit-identical to it for any
-        values (``np.add.reduceat`` would sum pairwise, and is several
-        times slower along this strided axis).
+        that wave retires.  A built workload reads its shape's shared,
+        read-only sums; any other workload reduces its own bytes.
         """
-        if concurrent_blocks <= 0:
-            raise ValueError("concurrent_blocks must be positive")
-        n, C, G = self.num_blocks, concurrent_blocks, self.n_devices
-        if n == 0:
-            return np.zeros((0, G), dtype=np.float64)
-        full = n // C
-        out = np.empty((math.ceil(n / C), G), dtype=np.float64)
-        dst = self.block_dst_bytes
-        out[:full] = dst[: full * C].reshape(full, C, G).sum(axis=1)
-        if full < len(out):
-            out[full] = dst[full * C : n].sum(axis=0)
-        return out
+        if self._tile is not None:
+            return self._tile.waves(concurrent_blocks)
+        return _wave_sums(self.block_dst_bytes, concurrent_blocks)
 
 
 def build_device_workloads(
@@ -187,32 +259,25 @@ def build_device_workloads(
     """Derive every device's :class:`DeviceWorkload` for one batch.
 
     ``lengths_by_feature`` maps each table name to its per-sample pooling
-    factors (shape ``(B,)``); all features must agree on B.
+    factors (shape ``(B,)``); all features must agree on B.  Any mapping
+    other than a :class:`~repro.dlrm.data.LengthsBatch` is wrapped in one,
+    which validates it; a ``LengthsBatch`` shares its chunk counts with
+    every other build of the same batch.
     """
     missing = [t.name for t in plan.table_configs if t.name not in lengths_by_feature]
     if missing:
         raise KeyError(f"no lengths for features: {missing}")
-    sizes = {np.asarray(l).shape[0] for l in lengths_by_feature.values()}
-    if len(sizes) != 1:
-        raise ValueError(f"inconsistent batch sizes in lengths: {sorted(sizes)}")
-    B = sizes.pop()
+    lengths = (
+        lengths_by_feature
+        if isinstance(lengths_by_feature, LengthsBatch)
+        else LengthsBatch(lengths_by_feature)
+    )
+    B = lengths.batch_size
     G = plan.n_devices
     if samples_per_block <= 0:
         raise ValueError("samples_per_block must be positive")
 
-    # Grid geometry shared by all tables: chunks of contiguous samples.
-    n_chunks = math.ceil(B / samples_per_block)
-    owners = sample_owner(B, G)
-    # chunk_dst_counts[c, g] = samples of chunk c owned by device g.
-    chunk_dst_counts = np.zeros((n_chunks, G), dtype=np.int64)
-    chunk_ids = np.arange(B) // samples_per_block
-    np.add.at(chunk_dst_counts, (chunk_ids, owners), 1)
-    chunk_starts = np.arange(n_chunks) * samples_per_block
-    # Destination bytes depend only on (tables on the device, row bytes), so
-    # devices with the same pair share one read-only tile.  Nothing writes
-    # into block_dst_bytes: transforms copy or build a new array.
-    tiles: Dict[Tuple[int, int], np.ndarray] = {}
-
+    chunk_counts = lengths.chunk_counts(samples_per_block)
     workloads: List[DeviceWorkload] = []
     for dev in range(G):
         tables = plan.tables_on(dev)
@@ -236,26 +301,14 @@ def build_device_workloads(
         if len(row_bytes) != 1:
             raise ValueError("mixed embedding dims/dtypes on one device are unsupported")
         rb = row_bytes.pop()
-        num_blocks = len(tables) * n_chunks
-        # Per-block lookup counts: reduceat of each table's lengths over
-        # chunks (cheaper than stacking the tables' lengths first); the
-        # device's nnz is their total, so the lengths are read only once.
-        counts = np.concatenate(
-            [
-                np.add.reduceat(
-                    np.asarray(lengths_by_feature[t.name], dtype=np.int64), chunk_starts
-                )
-                for t in tables
-            ]
-        )
-        weights = counts.astype(np.float64)
-        nnz = int(counts.sum())
-        # Destination bytes: the chunk→device byte counts, tiled per table.
-        block_dst = tiles.get((len(tables), rb))
-        if block_dst is None:
-            block_dst = np.tile(chunk_dst_counts * float(rb), (len(tables), 1))
-            block_dst.flags.writeable = False
-            tiles[len(tables), rb] = block_dst
+        # Per-block lookup counts: each table's chunk counts, derived once
+        # per batch; the device's nnz is their total.
+        counts = np.concatenate([chunk_counts[t.name] for t in tables])
+        # Destination bytes: the chunk→device byte counts, tiled per table,
+        # shared read-only by every device and batch of the same shape.
+        # Nothing writes into block_dst_bytes: transforms copy or build a
+        # new array.
+        tile = _dst_tile(B, G, samples_per_block, len(tables), rb)
         workloads.append(
             DeviceWorkload(
                 device_id=dev,
@@ -263,11 +316,12 @@ def build_device_workloads(
                 batch_size=B,
                 row_bytes=rb,
                 num_local_tables=len(tables),
-                nnz=nnz,
-                num_blocks=num_blocks,
+                nnz=int(counts.sum()),
+                num_blocks=counts.shape[0],
                 samples_per_block=samples_per_block,
-                block_weights=weights,
-                block_dst_bytes=block_dst,
+                block_weights=counts.astype(np.float64),
+                block_dst_bytes=tile.block_dst_bytes,
+                tile=tile,
             )
         )
     return workloads

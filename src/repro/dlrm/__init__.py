@@ -9,6 +9,8 @@ from .batch import JaggedField, SparseBatch
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import (
     STRONG_SCALING_TOTAL,
+    InvalidLengthsError,
+    LengthsBatch,
     SyntheticDataGenerator,
     WEAK_SCALING_BASE,
     WorkloadConfig,
@@ -60,7 +62,9 @@ __all__ = [
     "TableProfile",
     "criteo_like",
     "InteractionMode",
+    "InvalidLengthsError",
     "JaggedField",
+    "LengthsBatch",
     "Linear",
     "MLP",
     "PoolingMode",

@@ -90,7 +90,9 @@ def load_checkpoint(
     not match the model's, and for truncated or otherwise corrupt files
     (instead of leaking raw ``zipfile``/numpy decode errors).
     """
-    with _wrap_corruption(path), np.load(path) as data:
+    # Open the file here: np.load leaks its own handle when a corrupt
+    # archive fails to parse.
+    with _wrap_corruption(path), open(path, "rb") as fh, np.load(fh) as data:
         if "__header__" not in data:
             raise CheckpointError(f"{path}: missing header — not a repro checkpoint")
         header = json.loads(bytes(data["__header__"]).decode())

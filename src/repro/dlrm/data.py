@@ -11,19 +11,45 @@ what makes the backward pass's gradient aggregation interesting).
 Generation is deterministic given a seed; the same seed produces the same
 batches on every device, which the distributed tests use to avoid
 broadcasting inputs.
+
+Timing-only runs draw just the pooling factors, as a :class:`LengthsBatch`:
+a read-only mapping whose arrays are frozen, so the per-chunk lookup counts
+each table derives (the only per-batch input to the simulated EMB kernel)
+can be memoized on the batch and shared by every backend that runs it.
+Building that memo also validates the lengths, once per batch: a negative,
+fractional or NaN pooling factor raises :class:`InvalidLengthsError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, List, Literal, Optional, Sequence
+from types import MappingProxyType
+from typing import (
+    Dict,
+    ItemsView,
+    Iterator,
+    KeysView,
+    List,
+    Literal,
+    Mapping,
+    Optional,
+    Sequence,
+    ValuesView,
+)
 
 import numpy as np
 
 from .batch import JaggedField, SparseBatch
 from .embedding import EmbeddingTableConfig, PoolingMode
 
-__all__ = ["WorkloadConfig", "SyntheticDataGenerator", "WEAK_SCALING_BASE", "STRONG_SCALING_TOTAL"]
+__all__ = [
+    "WorkloadConfig",
+    "SyntheticDataGenerator",
+    "LengthsBatch",
+    "InvalidLengthsError",
+    "WEAK_SCALING_BASE",
+    "STRONG_SCALING_TOTAL",
+]
 
 IndexDistribution = Literal["uniform", "zipf"]
 
@@ -140,6 +166,138 @@ STRONG_SCALING_TOTAL = WorkloadConfig(
 )
 
 
+class InvalidLengthsError(ValueError):
+    """A feature's pooling factors cannot be per-sample lookup counts."""
+
+
+#: Values reduced per ``reduceat`` call.  Features of a small batch are
+#: concatenated up to this many values (64 KiB of int64: heap memory, below
+#: malloc's mmap threshold), so one call serves many tables; a feature of
+#: this size or more is reduced on its own, without a copy.
+_GROUP_VALUES = 8192
+
+
+def _chunk_counts(names: List[str], arrays: List[np.ndarray], offsets: np.ndarray) -> np.ndarray:
+    """Validated per-chunk lookup counts of a group of features (int64).
+
+    Row *i* holds feature *i*'s counts: ``offsets`` are the chunk starts of
+    the features laid end to end.  The sign check runs first, on the same
+    values: its pass pulls them into cache for the sum.
+    """
+    flat = arrays[0] if len(arrays) == 1 else np.concatenate(arrays, dtype=np.int64)
+    if flat.dtype.kind == "i" and flat.size and flat.min() < 0:
+        bad = int(np.flatnonzero(flat < 0)[0])
+        raise InvalidLengthsError(
+            f"feature {names[bad // arrays[0].shape[0]]!r}: "
+            f"negative pooling factor {int(flat[bad])}"
+        )
+    return np.add.reduceat(flat, offsets, dtype=np.int64).reshape(len(arrays), -1)
+
+
+class LengthsBatch(Mapping[str, np.ndarray]):
+    """One batch's per-feature pooling factors, read-only.
+
+    Maps each feature to its ``(B,)`` integer lengths.  The arrays are
+    read-only, which is what makes :meth:`chunk_counts` safe to memoize:
+    nothing the batch hands out can change its counts, so every backend
+    that runs the batch reads the counts the first one derived.  Arrays
+    that arrive writeable are wrapped in read-only views; the caller must
+    not write through its own references afterwards.
+
+    Construction checks shapes and dtypes (1-D, integer, one batch size);
+    the first :meth:`chunk_counts` checks the values.
+    """
+
+    __slots__ = ("_lengths", "_counts", "batch_size")
+
+    def __init__(self, lengths_by_feature: Mapping[str, Sequence[int]]):
+        arrays: Dict[str, np.ndarray] = {}
+        for name, raw in lengths_by_feature.items():
+            arr = np.asarray(raw)
+            if arr.ndim != 1:
+                raise InvalidLengthsError(
+                    f"feature {name!r}: lengths must be 1-D, got shape {arr.shape}"
+                )
+            if arr.dtype.kind not in "iu":
+                raise InvalidLengthsError(
+                    f"feature {name!r}: lengths must be integers, got dtype {arr.dtype}"
+                )
+            if arr.flags.writeable:
+                arr = arr.view()
+                arr.setflags(write=False)
+            arrays[name] = arr
+        sizes = {arr.shape[0] for arr in arrays.values()}
+        if len(sizes) > 1:
+            raise ValueError(f"inconsistent batch sizes in lengths: {sorted(sizes)}")
+        self._lengths = arrays
+        #: samples_per_block -> feature -> per-chunk counts
+        self._counts: Dict[int, Mapping[str, np.ndarray]] = {}
+        #: samples per feature (0 for an empty batch)
+        self.batch_size = sizes.pop() if sizes else 0
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._lengths[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._lengths)
+
+    def __len__(self) -> int:
+        return len(self._lengths)
+
+    # The dict's own views: the Mapping defaults go through __getitem__.
+    def __contains__(self, name: object) -> bool:
+        return name in self._lengths
+
+    def keys(self) -> KeysView[str]:
+        return self._lengths.keys()
+
+    def values(self) -> ValuesView[np.ndarray]:
+        return self._lengths.values()
+
+    def items(self) -> ItemsView[str, np.ndarray]:
+        return self._lengths.items()
+
+    def take(self, rows: np.ndarray) -> "LengthsBatch":
+        """The samples ``rows`` of every feature, in that order (a new batch).
+
+        The selected arrays keep this batch's checked shape and dtype, so
+        the new batch skips the constructor's checks; its values are
+        checked when its own counts are derived.
+        """
+        out = {}
+        for name, arr in self._lengths.items():
+            sub = arr[rows]
+            sub.setflags(write=False)
+            out[name] = sub
+        batch = LengthsBatch.__new__(LengthsBatch)
+        batch._lengths, batch._counts, batch.batch_size = out, {}, len(rows)
+        return batch
+
+    def chunk_counts(self, samples_per_block: int) -> Mapping[str, np.ndarray]:
+        """Every feature's lookup counts per ``samples_per_block`` samples.
+
+        Derived, and the lengths validated, on the first call per block
+        size; later calls return the same read-only arrays.
+        """
+        counts = self._counts.get(samples_per_block)
+        if counts is None:
+            B = self.batch_size
+            names, arrays = list(self._lengths), list(self._lengths.values())
+            starts = np.arange(0, B, samples_per_block)
+            per_group = max(1, _GROUP_VALUES // max(B, 1))
+            offsets = (np.arange(per_group)[:, None] * B + starts).ravel()
+            by_name: Dict[str, np.ndarray] = {}
+            for lo in range(0, len(names), per_group):
+                group = names[lo : lo + per_group]
+                rows = _chunk_counts(
+                    group, arrays[lo : lo + per_group], offsets[: len(group) * len(starts)]
+                )
+                rows.flags.writeable = False
+                by_name.update(zip(group, rows))
+            counts = self._counts[samples_per_block] = MappingProxyType(by_name)
+        return counts
+
+
 def _skew_lengths(lengths: np.ndarray, scale: float) -> np.ndarray:
     """Scale a uniform per-sample length draw by one table's multiplier.
 
@@ -193,8 +351,8 @@ class SyntheticDataGenerator:
             return ((draws - 1) % cardinality).astype(np.int64)
         raise ValueError(f"unknown index distribution {cfg.index_distribution!r}")
 
-    def lengths_batch(self, batch_size: Optional[int] = None) -> dict:
-        """Pooling factors only: ``{feature: (B,) lengths}``.
+    def lengths_batch(self, batch_size: Optional[int] = None) -> LengthsBatch:
+        """Pooling factors only: ``{feature: (B,) lengths}``, read-only.
 
         Timing-only runs need just the jagged shape, not the indices — this
         draws exactly the lengths :meth:`sparse_batch` would (same marginal
@@ -211,8 +369,9 @@ class SyntheticDataGenerator:
             )
             if scales is not None:
                 lengths = _skew_lengths(lengths, scales[t])
+            lengths.flags.writeable = False
             out[name] = lengths
-        return out
+        return LengthsBatch(out)
 
     # -- dense ------------------------------------------------------------------
 

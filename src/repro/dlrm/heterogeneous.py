@@ -22,11 +22,12 @@ Heterogeneous tables are what make non-trivial placement matter — see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .batch import JaggedField, SparseBatch
+from .data import LengthsBatch
 from .embedding import EmbeddingTableConfig, PoolingMode
 
 __all__ = ["TableProfile", "HeterogeneousWorkload", "HeterogeneousDataGenerator", "criteo_like"]
@@ -127,14 +128,15 @@ class HeterogeneousDataGenerator:
         """Restart the stream."""
         self._rng = np.random.default_rng(self.workload.seed)
 
-    def lengths_batch(self, batch_size: Optional[int] = None) -> Dict[str, np.ndarray]:
-        """Per-feature pooling factors, each from its own range."""
+    def lengths_batch(self, batch_size: Optional[int] = None) -> LengthsBatch:
+        """Per-feature pooling factors, each from its own range (read-only)."""
         B = batch_size or self.workload.batch_size
-        return {
-            t.name: self._rng.integers(t.min_pooling, t.max_pooling + 1, size=B,
-                                       dtype=np.int64)
-            for t in self.workload.tables
-        }
+        out = {}
+        for t in self.workload.tables:
+            lengths = self._rng.integers(t.min_pooling, t.max_pooling + 1, size=B, dtype=np.int64)
+            lengths.flags.writeable = False
+            out[t.name] = lengths
+        return LengthsBatch(out)
 
     def sparse_batch(self, batch_size: Optional[int] = None) -> SparseBatch:
         """Full jagged batch with per-feature cardinalities."""

@@ -25,6 +25,12 @@ it and their event counts after.  The baseline counts never moved.
 call per device-wave, next to the unchanged number of writes, so a return
 to one call per destination fails here.
 
+``pgas-g64`` and ``baseline-g64`` run on one shared batch must also derive
+each table's chunk lookup counts once between them (1024 derivations; one
+set per backend would be 2048), and reduce the one destination tile shape's
+per-wave sums once per concurrency, so a return to per-backend or
+per-device reductions fails here.
+
 The feature cases (``pgas+cache`` through ``pgas+reshard``) also pin the
 total of every profiler counter, so a refactor of the feature adapters
 cannot move a counter sample either.  They were captured before the
@@ -40,11 +46,13 @@ import pytest
 from repro.cache import CacheConfig
 from repro.comm.hier import HierSpec
 from repro.compress import CompressionSpec
+from repro.core import workload as workload_mod
 from repro.core.baseline import PhaseTiming
 from repro.core.factory import FeatureSpec
 from repro.core.pipeline import PipelineConfig
 from repro.core.retrieval import DistributedEmbedding
 from repro.core.train_pipeline import DLRMTrainingPipeline
+from repro.dlrm import data as data_mod
 from repro.dlrm.data import SyntheticDataGenerator, WorkloadConfig
 from repro.faults import FaultEvent, FaultInjector, FaultPlan, ResilienceSpec
 from repro.replication import ReplicationSpec
@@ -463,3 +471,34 @@ def test_pgas_g64_issues_one_put_call_per_wave():
     emb.forward_timed(SyntheticDataGenerator(SCALE_G64).lengths_batch())
     assert len(calls) == 64
     assert pgas.puts_issued == 4032
+
+
+def test_g64_backends_share_one_derivation_per_table(monkeypatch):
+    """``pgas-g64`` then ``baseline-g64`` on one batch, then a second pgas
+    batch of the same shape: each table's chunk counts are derived once per
+    batch, and the one tile shape (16 tables x 32 chunks, 64 destinations)
+    reduces its per-wave sums once, for the V100's 640 concurrent blocks."""
+    derived, reduced = [], []
+    chunk_counts, wave_sums = data_mod._chunk_counts, workload_mod._wave_sums
+
+    def counting_chunk_counts(names, arrays, offsets):
+        derived.extend(names)
+        return chunk_counts(names, arrays, offsets)
+
+    def counting_wave_sums(block_dst_bytes, concurrent_blocks):
+        reduced.append((block_dst_bytes.shape, concurrent_blocks))
+        return wave_sums(block_dst_bytes, concurrent_blocks)
+
+    monkeypatch.setattr(data_mod, "_chunk_counts", counting_chunk_counts)
+    monkeypatch.setattr(workload_mod, "_wave_sums", counting_wave_sums)
+    workload_mod._dst_tile.cache_clear()
+    gen = SyntheticDataGenerator(SCALE_G64)
+    lengths = gen.lengths_batch()
+    for case in ("pgas-g64", "baseline-g64"):
+        emb = DistributedEmbedding(SCALE_G64, 64, backend=case.split("-")[0])
+        assert emb.forward_timed(lengths).as_dict() == CASES[case][1]
+        assert emb.cluster.engine._seq == CASES[case][2]
+    assert len(derived) == len(set(derived)) == 1024
+    DistributedEmbedding(SCALE_G64, 64, backend="pgas").forward_timed(gen.lengths_batch())
+    assert len(derived) == 2048
+    assert reduced == [((512, 64), 640)]

@@ -115,6 +115,11 @@ class TestOutputBytesByDst:
         halved = dataclasses.replace(wl, block_dst_bytes=wl.block_dst_bytes / 2)
         assert_totals_fresh([halved])
         np.testing.assert_array_equal(halved.output_bytes_by_dst * 2, wl.output_bytes_by_dst)
+        # replace drops the shape's cached sums: the new bytes are reduced again.
+        for conc in (5, 13, 640):
+            np.testing.assert_array_equal(
+                halved.wave_dst_bytes(conc), ref_wave_dst_bytes(halved, conc)
+            )
 
     @pytest.mark.parametrize("base", ["pgas", "baseline"])
     def test_compress_scaled(self, base):
@@ -295,9 +300,12 @@ class TestWaveDstBytes:
             workload(np.ones((2, G))).wave_dst_bytes(0)
 
     def test_built_workloads_exact(self):
+        # 39 blocks: C=5 leaves a ragged last wave, 13 divides evenly, 640
+        # exceeds the grid.  Built workloads read their shape's cached sums.
         _, _, wls = built()
         for wl in wls:
-            for conc in (1, 5, 640):
+            assert wl.num_blocks == 39
+            for conc in (1, 5, 13, 640):
                 np.testing.assert_array_equal(
                     wl.wave_dst_bytes(conc), ref_wave_dst_bytes(wl, conc)
                 )

@@ -123,15 +123,18 @@ class TestCorruption:
         model, _ = make_model(seed=7)
         path = str(tmp_path / "ckpt.npz")
         save_checkpoint(model, path)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[: len(blob) // 2])
+        with open(path, "rb") as f:
+            blob = f.read()
+        with open(path, "wb") as f:
+            f.write(blob[: len(blob) // 2])
         other, _ = make_model(seed=8)
         with pytest.raises(CheckpointError, match="corrupt or truncated"):
             load_checkpoint(other, path)
 
     def test_garbage_bytes_raise_checkpoint_error(self, tmp_path):
         path = str(tmp_path / "garbage.npz")
-        open(path, "wb").write(b"this is not a zip archive at all")
+        with open(path, "wb") as f:
+            f.write(b"this is not a zip archive at all")
         model, _ = make_model()
         with pytest.raises(CheckpointError, match="corrupt or truncated"):
             load_checkpoint(model, path)
