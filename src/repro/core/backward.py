@@ -43,7 +43,7 @@ from ..dlrm.batch import JaggedField, SparseBatch
 from ..dlrm.embedding import EmbeddingTable
 from ..simgpu.cluster import Cluster
 from ..simgpu.engine import ProcessGenerator
-from ..simgpu.kernel import KernelSpec, WaveInfo, execute_kernel
+from ..simgpu.kernel import KernelSpec, WaveInfo
 from .baseline import PhaseTiming
 from .calibration import (
     EMB_MIN_WAVES_FOR_PEAK,
@@ -266,11 +266,7 @@ class BaselineBackward:
         for dev, wl in zip(cluster.devices, workloads):
             kspec = _backward_kernel_spec(wl, "baseline_emb_bwd", owner_side=True)
             dev.default_stream.submit_delay(dev.spec.kernel_launch_overhead_ns, name="launch")
-            ops.append(
-                dev.default_stream.submit(
-                    lambda d=dev, k=kspec: execute_kernel(d, k), name=kspec.name
-                )
-            )
+            ops.append(dev.default_stream.launch(dev, kspec))
         yield engine.all_of([op.done for op in ops])
         yield engine.timeout(spec0.sync_overhead_ns)
         t3 = engine.now
@@ -350,12 +346,7 @@ class PGASFusedBackward:
                     add(dev_id, dsts, counts)
 
             dev.default_stream.submit_delay(dev.spec.kernel_launch_overhead_ns, name="launch")
-            ops.append(
-                dev.default_stream.submit(
-                    lambda d=dev, k=kspec, cb=on_wave: execute_kernel(d, k, on_wave=cb),
-                    name=kspec.name,
-                )
-            )
+            ops.append(dev.default_stream.launch(dev, kspec, on_wave))
 
         yield engine.all_of([op.done for op in ops])
         if G > 1:

@@ -35,7 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from ..comm.collective import CollectiveContext, CollectiveSpec
 from ..simgpu.cluster import Cluster
 from ..simgpu.engine import ProcessGenerator
-from ..simgpu.kernel import execute_kernel
 from .calibration import UNPACK_BANDWIDTH
 from .workload import DeviceWorkload, alltoall_split_bytes, unpack_bytes_received
 
@@ -163,7 +162,7 @@ class BaselineRetrieval:
             kspec = wl.kernel_spec("baseline_emb")
             stream = dev.stream("default" + stream_suffix)
             stream.submit_delay(dev.spec.kernel_launch_overhead_ns, name="launch")
-            ops.append(stream.submit(lambda d=dev, k=kspec: execute_kernel(d, k), name=kspec.name))
+            ops.append(stream.launch(dev, kspec))
         yield engine.all_of([op.done for op in ops])
         # Host observes completion via a device sync before the collective.
         yield engine.timeout(spec0.sync_overhead_ns)

@@ -34,7 +34,7 @@ from ..comm.pgas import PGASContext, PGASSpec
 from ..simgpu.cluster import Cluster
 from ..simgpu.engine import Event, ProcessGenerator
 from ..simgpu.interconnect import wire_bytes
-from ..simgpu.kernel import WaveInfo, execute_kernel
+from ..simgpu.kernel import WaveInfo
 from .baseline import PhaseTiming
 from .calibration import REMOTE_WRITE_KERNEL_DRAG
 from .workload import DeviceWorkload
@@ -240,12 +240,7 @@ class PGASFusedRetrieval:
 
             stream = dev.stream("default" + stream_suffix)
             stream.submit_delay(dev.spec.kernel_launch_overhead_ns, name="launch")
-            ops.append(
-                stream.submit(
-                    lambda d=dev, k=kspec, cb=on_wave: execute_kernel(d, k, on_wave=cb),
-                    name=kspec.name,
-                )
-            )
+            ops.append(stream.launch(dev, kspec, on_wave))
 
         yield engine.all_of([op.done for op in ops])
 

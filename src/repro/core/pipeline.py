@@ -38,7 +38,7 @@ from ..dlrm.interaction import interaction_output_dim
 from ..obs import traced, trace_scope
 from ..simgpu.cluster import Cluster
 from ..simgpu.engine import ProcessGenerator
-from ..simgpu.kernel import KernelSpec, execute_kernel
+from ..simgpu.kernel import KernelSpec
 from ..simgpu.profiler import TraceRef
 from ..simgpu.units import gbps
 from .baseline import PhaseTiming
@@ -472,7 +472,7 @@ class DLRMInferencePipeline(EmbeddingHost):
                 k = self._mlp_kernel("bottom_mlp", dev.id, self.config.bottom_sizes)
                 stream = dev.stream("dense" + stream_suffix)
                 stream.submit_delay(dev.spec.kernel_launch_overhead_ns, name="launch")
-                ops.append(stream.submit(lambda d=dev, ks=k: execute_kernel(d, ks), name=k.name))
+                ops.append(stream.launch(dev, k))
             yield engine.all_of([op.done for op in ops])
             return engine.now
 
@@ -505,8 +505,8 @@ class DLRMInferencePipeline(EmbeddingHost):
             ki = self._interaction_kernel(dev.id)
             kt = self._mlp_kernel("top_mlp", dev.id, self.config.top_sizes)
             stream.submit_delay(dev.spec.kernel_launch_overhead_ns, name="launch")
-            ops.append(stream.submit(lambda d=dev, ks=ki: execute_kernel(d, ks), name=ki.name))
-            ops.append(stream.submit(lambda d=dev, ks=kt: execute_kernel(d, ks), name=kt.name))
+            ops.append(stream.launch(dev, ki))
+            ops.append(stream.launch(dev, kt))
         yield engine.all_of([op.done for op in ops])
         yield engine.timeout(cluster.devices[0].spec.sync_overhead_ns)
         t3 = engine.now

@@ -34,7 +34,7 @@ from ..dlrm.batch import SparseBatch
 from ..dlrm.embedding import EmbeddingBagCollection, segment_pool
 from ..simgpu.cluster import Cluster
 from ..simgpu.engine import ProcessGenerator
-from ..simgpu.kernel import KernelSpec, WaveInfo, execute_kernel
+from ..simgpu.kernel import KernelSpec, WaveInfo
 from .baseline import PhaseTiming
 from .calibration import (
     EMB_MIN_WAVES_FOR_PEAK,
@@ -298,8 +298,7 @@ class RowWiseBaselineRetrieval:
         for dev, wl in zip(cluster.devices, workloads):
             dev.default_stream.submit_delay(dev.spec.kernel_launch_overhead_ns, "launch")
             k = wl.kernel_spec("rowwise_base_emb")
-            ops.append(dev.default_stream.submit(
-                lambda d=dev, ks=k: execute_kernel(d, ks), name=k.name))
+            ops.append(dev.default_stream.launch(dev, k))
         yield engine.all_of([op.done for op in ops])
         yield engine.timeout(spec0.sync_overhead_ns)
         t1 = engine.now
@@ -387,9 +386,7 @@ class RowWisePGASRetrieval:
                     put(dev_id, others, payloads)
 
             dev.default_stream.submit_delay(dev.spec.kernel_launch_overhead_ns, "launch")
-            ops.append(dev.default_stream.submit(
-                lambda d=dev, ks=kspec, cb=on_wave: execute_kernel(d, ks, on_wave=cb),
-                name=kspec.name))
+            ops.append(dev.default_stream.launch(dev, kspec, on_wave))
         yield engine.all_of([op.done for op in ops])
         if G > 1:
             quiets = [engine.process(self.pgas.quiet(dev.id), name=f"quiet{dev.id}")
@@ -452,8 +449,7 @@ class RowWiseBaselineBackward:
         for dev, wl in zip(cluster.devices, workloads):
             k = wl.kernel_spec("rowwise_bwd_contrib")
             dev.default_stream.submit_delay(dev.spec.kernel_launch_overhead_ns, "launch")
-            ops.append(dev.default_stream.submit(
-                lambda d=dev, ks=k: execute_kernel(d, ks), name=k.name))
+            ops.append(dev.default_stream.launch(dev, k))
         yield engine.all_of([op.done for op in ops])
         yield engine.timeout(spec0.sync_overhead_ns)
         t1 = engine.now
@@ -497,8 +493,7 @@ class RowWiseBaselineBackward:
                 min_waves_for_peak=EMB_MIN_WAVES_FOR_PEAK,
             )
             dev.default_stream.submit_delay(dev.spec.kernel_launch_overhead_ns, "launch")
-            ops.append(dev.default_stream.submit(
-                lambda d=dev, ks=k: execute_kernel(d, ks), name=k.name))
+            ops.append(dev.default_stream.launch(dev, k))
         yield engine.all_of([op.done for op in ops])
         yield engine.timeout(spec0.sync_overhead_ns)
         t3 = engine.now
@@ -593,9 +588,7 @@ class RowWisePGASBackward:
                     add(dev_id, others, counts)
 
             dev.default_stream.submit_delay(dev.spec.kernel_launch_overhead_ns, "launch")
-            ops.append(dev.default_stream.submit(
-                lambda d=dev, ks=kspec, cb=on_wave: execute_kernel(d, ks, on_wave=cb),
-                name=kspec.name))
+            ops.append(dev.default_stream.launch(dev, kspec, on_wave))
         yield engine.all_of([op.done for op in ops])
         if G > 1:
             quiets = [engine.process(self.pgas.quiet(dev.id), name=f"quiet{dev.id}")

@@ -31,7 +31,7 @@ import numpy as np
 from ..comm.collective import CollectiveContext, CollectiveSpec
 from ..simgpu.cluster import Cluster
 from ..simgpu.engine import ProcessGenerator
-from ..simgpu.kernel import KernelSpec, execute_kernel
+from ..simgpu.kernel import KernelSpec
 from .backward import BaselineBackward, PGASFusedBackward
 from .baseline import PhaseTiming
 from .factory import parse_backend_name
@@ -167,8 +167,7 @@ class DLRMTrainingPipeline:
                     k = self._dense_backward_kernel(dev.id)
                     stream = dev.stream("dense")
                     stream.submit_delay(dev.spec.kernel_launch_overhead_ns, "launch")
-                    ops.append(stream.submit(
-                        lambda d=dev, ks=k: execute_kernel(d, ks), name=k.name))
+                    ops.append(stream.launch(dev, k))
                 yield engine.all_of([op.done for op in ops])
                 # Data-parallel MLP weights: ring all-reduce of the grads.
                 if cluster.n_devices > 1:

@@ -76,6 +76,8 @@ class FaultInjector:
         engine = self.cluster.engine
         self.installed_at = engine.now
         for ev in self.plan.events:
+            if ev.kind in DEVICE_KINDS:
+                self.cluster.device(ev.device).fault_free = False
             engine.call_at(self.installed_at + ev.t_start, lambda e=ev: self._apply(e))
             if ev.kind in ("link_degrade", "link_latency", "device_slowdown"):
                 engine.call_at(self.installed_at + ev.t_end, lambda e=ev: self._revert(e))

@@ -152,6 +152,8 @@ class Device:
         #: absolute time of a permanent ``device_down`` failure (+inf when
         #: the device has never failed); unlike stalls this never reverts
         self.down_since = float("inf")
+        #: False once an installed fault plan targets it (kernels then step by wave)
+        self.fault_free = True
         #: cluster profiler, attached by Cluster so traced kernel launches
         #: can record per-kernel spans (None when running device-standalone)
         self.profiler = None

@@ -1,12 +1,12 @@
 """Discrete-event simulation engine.
 
-The engine is the clock of the whole GPU-system simulator.  Everything that
-takes simulated time — kernel waves, NVLink transfers, collective control
-paths, stream synchronisation — is expressed as a *process*: a Python
-generator that yields :class:`Timeout` or :class:`Event` objects.  The engine
-advances a single scalar clock (in nanoseconds) through a binary heap of
-scheduled callbacks, exactly in timestamp order, with FIFO tie-breaking so
-that runs are fully deterministic.
+The engine is the clock of the whole GPU-system simulator.  Host programs,
+collective control paths and stream synchronisation are *processes*: Python
+generators that yield :class:`Timeout` or :class:`Event` objects.  Stream
+ops and kernel waves are plain callbacks (:meth:`Engine.call_at`).  The
+engine advances a single scalar clock (in nanoseconds) through a binary
+heap of scheduled callbacks, exactly in timestamp order, with FIFO
+tie-breaking so that runs are fully deterministic.
 
 Design notes
 ------------
@@ -20,14 +20,17 @@ Design notes
   entries are plain ``[time, seq, fn]`` lists that ``heapq`` compares in C,
   and cancelling one only clears its ``fn`` slot.  Work that only decides
   *when* something lands is not scheduled at all: a one-sided put is
-  booked at issue, so a 64-GPU pgas batch schedules about 1.9k entries.
-  Code run once per callback builds no strings and no closures: events
-  schedule their bound ``_run_callbacks``.
+  booked at issue and a kernel nothing observes takes one entry, so a
+  64-GPU pgas batch schedules about 1.4k entries.  A time that is not
+  finite or lies in the past raises :class:`SimulationError` where it is
+  made.  Code run once per callback builds no strings and no closures:
+  events schedule their bound ``_run_callbacks``.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
@@ -142,8 +145,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, engine: "Engine", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout: {delay}")
+        if not 0.0 <= delay < math.inf:
+            raise SimulationError(f"timeout delay must be finite and >= 0, got {delay}")
         super().__init__(engine, name="timeout")
         self.delay = delay
         self._value = value
@@ -370,8 +373,8 @@ class Engine:
 
         Returns a handle that :meth:`cancel` accepts.
         """
-        if time < self._now:
-            raise SimulationError(f"cannot schedule at {time} < now {self._now}")
+        if not self._now <= time < math.inf:
+            raise SimulationError(f"cannot schedule at {time}: need finite time >= now {self._now}")
         return self._schedule(time, fn)
 
     def call_in(self, delay: float, fn: Callable[[], None]) -> Handle:

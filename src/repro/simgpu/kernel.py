@@ -10,6 +10,9 @@ not at kernel end.  That progressive availability is the mechanism behind
 the paper's fine-grained communication/computation overlap (§III-B) and the
 comm-volume-over-time curves of Figs. 7 and 10.
 
+A launch runs on engine callbacks: one per wave with a per-wave hook or on
+a device a fault plan targets, otherwise one at its end (:class:`_KernelRun`).
+
 Memory-bound kernels with an empty grid still cost ``min_kernel_ns``: the
 latency floor that makes the paper's strong-scaled partitions stop speeding
 up beyond 2 GPUs (§IV-B).
@@ -83,8 +86,9 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.num_blocks < 0:
             raise ValueError(f"num_blocks must be >= 0, got {self.num_blocks}")
-        if min(self.bytes_read, self.bytes_written, self.flops, self.tail_ns, self.stretch_ns) < 0:
-            raise ValueError("kernel costs must be non-negative")
+        for name in ("bytes_read", "bytes_written", "flops", "tail_ns", "stretch_ns"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"kernel {name} must be finite and >= 0, got {getattr(self, name)}")
         if self.block_weights is not None and len(self.block_weights) != self.num_blocks:
             raise ValueError(
                 f"block_weights length {len(self.block_weights)} != num_blocks {self.num_blocks}"
@@ -130,6 +134,8 @@ def _wave_fractions(kspec: KernelSpec, device_spec: DeviceSpec) -> List[float]:
     n = kspec.num_blocks
     if n == 0:
         return []
+    if n <= device_spec.concurrent_blocks:
+        return [1.0]  # exact: n / n and w.sum() / w.sum() are both 1.0
     wave_starts = np.arange(0, n, device_spec.concurrent_blocks)
     if kspec.block_weights is None:
         # Uniform blocks: each wave does (#blocks in wave) / num_blocks.
@@ -153,8 +159,8 @@ def _occupancy_derate(kspec: KernelSpec, device_spec: DeviceSpec) -> float:
 def kernel_time(kspec: KernelSpec, device_spec: DeviceSpec) -> float:
     """Closed-form duration of a kernel (excluding launch overhead).
 
-    Identical to what :func:`execute_kernel` charges; exposed for analytical
-    sanity checks in tests and for back-of-envelope calibration.
+    What a launch charges on a healthy device, up to float rounding;
+    exposed for analytical sanity checks and back-of-envelope calibration.
     """
     body = roofline_time(kspec.total_bytes, kspec.flops, device_spec)
     body /= _occupancy_derate(kspec, device_spec)
@@ -162,62 +168,89 @@ def kernel_time(kspec: KernelSpec, device_spec: DeviceSpec) -> float:
     return max(device_spec.min_kernel_ns, body + kspec.tail_ns)
 
 
-def execute_kernel(
-    device: Device,
-    kspec: KernelSpec,
-    on_wave: Optional[WaveCallback] = None,
-) -> ProcessGenerator:
-    """Process generator executing ``kspec`` on ``device``, wave by wave.
+class _KernelRun:
+    """One kernel launch in flight, driven by engine callbacks (DESIGN.md §17).
 
-    The kernel's roofline duration is split across waves proportionally to
-    per-wave work; ``on_wave`` (if given) runs at each wave's retirement —
-    the injection point for PGAS one-sided messages.  The ``min_kernel_ns``
-    floor and ``tail_ns`` are charged after the last wave.
-
-    Device fault state stretches the realised schedule: each wave's body
-    is scaled by ``device.slowdown`` *sampled at wave start* (a straggler
-    window that opens mid-kernel only slows the remaining waves), and a
-    ``device.stalled_until`` window freezes progress at wave boundaries.
-    :func:`kernel_time` reports the healthy duration, so it diverges from
-    the realised time only while a fault is active.
+    With ``on_wave``, or on a device a fault plan targets, it steps wave by
+    wave: ``device.slowdown`` is sampled at each wave start, ``on_wave`` runs
+    at each wave's retirement (where PGAS one-sided writes leave) and a
+    ``device.stalled_until`` window holds wave boundaries.  Otherwise it sums
+    the same terms in the same order up front and takes one callback, at its
+    end.  ``done`` receives the elapsed time, floor and tail included.
     """
-    spec = device.spec
-    engine = device.engine
-    t0 = engine.now
-    fracs = _wave_fractions(kspec, spec)
-    body = roofline_time(kspec.total_bytes, kspec.flops, spec)
-    body /= _occupancy_derate(kspec, spec)
-    body += kspec.stretch_ns
-    conc = spec.concurrent_blocks
-    n_waves = len(fracs)
-    for w, frac in enumerate(fracs):
-        if engine.now < device.stalled_until:
-            yield engine.timeout(device.stalled_until - engine.now)
-        t_start = engine.now
-        yield engine.timeout(body * frac * device.slowdown)
-        if on_wave is not None:
-            lo = w * conc
-            hi = min(lo + conc, kspec.num_blocks)
-            on_wave(
-                WaveInfo(
-                    index=w,
-                    count=n_waves,
-                    t_start=t_start,
-                    t_end=engine.now,
-                    fraction=frac,
-                    blocks=range(lo, hi),
-                )
-            )
-    # Epilogue: tail latency plus whatever is needed to respect the floor.
-    if engine.now < device.stalled_until:
-        yield engine.timeout(device.stalled_until - engine.now)
-    elapsed = engine.now - t0
-    remaining = max(spec.min_kernel_ns - elapsed, 0.0) + kspec.tail_ns
-    if remaining > 0:
-        yield engine.timeout(remaining)
-    prof = getattr(device, "profiler", None)
-    if prof is not None and prof.active_trace is not None:
-        # Traced launches record a per-kernel span for critical-path detail.
-        # Guarded on an active trace so untraced runs stay span-identical.
-        prof.record_span(kspec.name, "kernel", device.id, t0, engine.now)
-    return engine.now - t0
+
+    __slots__ = ("device", "kspec", "on_wave", "done", "fracs", "body", "t0", "t_start", "w")
+
+    def __init__(self, device: Device, kspec: KernelSpec, on_wave: Optional[WaveCallback],
+                 done: Callable[[float], object]):
+        spec = device.spec
+        self.device, self.kspec, self.on_wave, self.done = device, kspec, on_wave, done
+        self.t0 = t = device.engine.now
+        self.fracs = _wave_fractions(kspec, spec)  # module lookup: the perf tracer patches it
+        body = roofline_time(kspec.total_bytes, kspec.flops, spec)
+        body /= _occupancy_derate(kspec, spec)
+        self.body = body = body + kspec.stretch_ns
+        self.w = 0
+        if on_wave is None and device.fault_free:
+            for frac in self.fracs:
+                t = t + body * frac * device.slowdown
+            self._epilogue(t)
+        else:
+            self._boundary()
+
+    def _boundary(self) -> None:
+        """Sit out any stall, then run the next wave or the epilogue."""
+        engine = self.device.engine
+        now = engine.now
+        if now < self.device.stalled_until:
+            engine.call_at(now + (self.device.stalled_until - now), self._resume)
+        else:
+            self._resume()
+
+    def _resume(self) -> None:
+        engine = self.device.engine
+        if self.w == len(self.fracs):
+            return self._epilogue(engine.now)
+        self.t_start = now = engine.now
+        engine.call_at(now + self.body * self.fracs[self.w] * self.device.slowdown, self._wave_end)
+
+    def _wave_end(self) -> None:
+        if self.on_wave is not None:
+            w, conc = self.w, self.device.spec.concurrent_blocks
+            blocks = range(w * conc, min((w + 1) * conc, self.kspec.num_blocks))
+            now = self.device.engine.now
+            self.on_wave(WaveInfo(w, len(self.fracs), self.t_start, now, self.fracs[w], blocks))
+        self.w += 1
+        self._boundary()
+
+    def _epilogue(self, t: float) -> None:
+        """Charge the floor and the tail after the last wave, which ended at ``t``."""
+        remaining = max(self.device.spec.min_kernel_ns - (t - self.t0), 0.0) + self.kspec.tail_ns
+        if remaining > 0:
+            t = t + remaining
+        elif t == self.device.engine.now:
+            return self._finish()
+        self.device.engine.call_at(t, self._finish)
+
+    def _finish(self) -> None:
+        device = self.device
+        now = device.engine.now
+        prof = device.profiler
+        if prof is not None and prof.active_trace is not None:
+            # Traced launches record a per-kernel span for critical-path detail.
+            # Guarded on an active trace so untraced runs stay span-identical.
+            prof.record_span(self.kspec.name, "kernel", device.id, self.t0, now)
+        self.done(now - self.t0)
+
+
+def execute_kernel(
+    device: Device, kspec: KernelSpec, on_wave: Optional[WaveCallback] = None
+) -> ProcessGenerator:
+    """Process generator running ``kspec`` on ``device``; returns its duration.
+
+    A thin wrapper over :class:`_KernelRun` for host code outside a stream
+    (streams use :meth:`~repro.simgpu.stream.Stream.launch`).
+    """
+    done = device.engine.event(kspec.name)
+    _KernelRun(device, kspec, on_wave, done.succeed)
+    return (yield done)

@@ -1,11 +1,15 @@
 """CUDA-style streams and events.
 
 A :class:`Stream` executes submitted operations strictly in order, one at a
-time, mirroring CUDA stream semantics.  Operations are process generators
-(see :mod:`repro.simgpu.engine`); submitting returns a :class:`StreamOp`
-handle whose ``done`` event fires at completion, so host code (itself a
-process) can ``yield op.done`` — the analogue of ``cudaStreamSynchronize``
-on a single op — or ``yield stream.drained()`` for the whole stream.
+time, mirroring CUDA stream semantics.  Submitting returns a
+:class:`StreamOp` handle whose ``done`` event fires at completion, so host
+code (itself a process, see :mod:`repro.simgpu.engine`) can
+``yield op.done`` — the analogue of ``cudaStreamSynchronize`` on a single
+op — or ``yield stream.drained()`` for the whole stream.
+
+The FIFO runs on engine callbacks; the one that ends an op starts the next.
+Only generic :meth:`Stream.submit` ops are processes, and ``done`` is made
+on first read, so an op nobody waits on schedules no wake-up.
 
 :class:`CudaEvent` reproduces ``cudaEventRecord`` / ``cudaStreamWaitEvent``
 cross-stream ordering: recording enqueues a marker op; waiting enqueues an
@@ -14,9 +18,12 @@ op that blocks the stream until the marker has executed.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional
+import math
+from collections import deque
+from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional, Tuple
 
-from .engine import Engine, Event, ProcessGenerator
+from .engine import Engine, Event, ProcessGenerator, SimulationError
+from .kernel import KernelSpec, WaveCallback, _KernelRun
 
 if TYPE_CHECKING:  # pragma: no cover
     from .device import Device
@@ -27,19 +34,33 @@ __all__ = ["Stream", "StreamOp", "StreamLease", "StreamPool", "CudaEvent"]
 class StreamOp:
     """Handle for one operation enqueued on a stream."""
 
-    __slots__ = ("name", "done", "enqueued_at", "started_at", "finished_at")
+    __slots__ = ("name", "enqueued_at", "started_at", "finished_at", "_engine", "_done", "_value")
 
-    def __init__(self, name: str, done: Event, enqueued_at: float):
+    def __init__(self, name: str, engine: Engine):
         self.name = name
-        self.done = done
-        self.enqueued_at = enqueued_at
+        self.enqueued_at = engine.now
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
+        self._engine = engine
+        self._done: Optional[Event] = None
+        self._value: Any = None
+
+    @property
+    def done(self) -> Event:
+        """Event firing at completion with the op's result (made on first read)."""
+        ev = self._done
+        if ev is None:
+            ev = self._done = Event(self._engine, self.name)
+            if self.finished_at is not None:
+                # Triggered in the past: waiters added now run at once.
+                ev._triggered = True
+                ev._value = self._value
+        return ev
 
     @property
     def completed(self) -> bool:
         """True once the operation has run to completion."""
-        return self.done.triggered
+        return self.finished_at is not None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.completed else "pending"
@@ -59,8 +80,8 @@ class Stream:
         self.spec = device.spec
         self.name = name
         self.engine: Engine = device.engine
-        self._queue: List[tuple] = []  # (op, factory)
-        self._busy = False
+        self._queue: Deque[Tuple[StreamOp, Callable[..., None], tuple]] = deque()
+        self._running: Optional[StreamOp] = None
         self._idle_waiters: List[Event] = []
 
     # -- submission -------------------------------------------------------------
@@ -73,27 +94,28 @@ class Stream:
         ``factory`` is called (lazily, when the op reaches the head of the
         queue) to produce the process generator that performs the work.
         """
-        op = StreamOp(name, Event(self.engine, name), self.engine.now)
-        self._queue.append((op, factory))
-        if not self._busy:
-            self._busy = True
-            self.engine.process(self._dispatch(), name=self.name)
-        return op
+        return self._enqueue(StreamOp(name, self.engine), self._process, (factory,))
 
     def submit_delay(self, delay_ns: float, name: str = "delay") -> StreamOp:
         """Enqueue a fixed-duration operation (e.g. a modelled memcpy)."""
+        if not 0.0 <= delay_ns < math.inf:
+            raise SimulationError(f"stream delay must be finite and >= 0, got {delay_ns}")
+        return self._enqueue(StreamOp(name, self.engine), self.engine.call_in, (delay_ns,))
 
-        def factory() -> ProcessGenerator:
-            yield self.engine.timeout(delay_ns)
-
-        return self.submit(factory, name=name)
+    def launch(
+        self, device: "Device", kspec: KernelSpec, on_wave: Optional[WaveCallback] = None
+    ) -> StreamOp:
+        """Enqueue kernel ``kspec`` on this stream's ``device``; the result is its duration."""
+        if device.id != self.device_id:
+            raise ValueError(f"stream of device {self.device_id} cannot launch on device {device.id}")
+        return self._enqueue(StreamOp(kspec.name, self.engine), _KernelRun, (device, kspec, on_wave))
 
     # -- synchronisation -----------------------------------------------------------
 
     def drained(self) -> Event:
         """Event that fires when the stream has no queued or running work."""
         ev = Event(self.engine, "drained")
-        if not self._busy and not self._queue:
+        if self._running is None:
             ev.succeed()
         else:
             self._idle_waiters.append(ev)
@@ -127,20 +149,39 @@ class Stream:
 
         return self.submit(factory, name="event_wait")
 
-    # -- dispatcher -------------------------------------------------------------
+    # -- the FIFO ---------------------------------------------------------------
 
-    def _dispatch(self) -> ProcessGenerator:
-        while self._queue:
-            op, factory = self._queue.pop(0)
-            op.started_at = self.engine.now
-            gen = factory()
-            if gen is not None:
-                result = yield self.engine.process(gen, name=op.name)
-            else:
-                result = None
-            op.finished_at = self.engine.now
-            op.done.succeed(result)
-        self._busy = False
+    def _enqueue(self, op: StreamOp, start: Callable[..., None], args: tuple) -> StreamOp:
+        self._queue.append((op, start, args))
+        if self._running is None:
+            self._next()
+        return op
+
+    def _next(self) -> None:
+        op, start, args = self._queue.popleft()
+        self._running = op
+        op.started_at = self.engine.now
+        start(*args, self._finish)
+
+    def _process(self, factory: Callable[[], ProcessGenerator], done: Callable[[], None]) -> None:
+        gen = factory()
+        if gen is None:
+            return done()
+        self.engine.process(gen, name=self._running.name).add_callback(self._on_process)
+
+    def _on_process(self, proc: Event) -> None:
+        self._finish(proc.value)
+
+    def _finish(self, value: Any = None) -> None:
+        """Complete the running op, then start the next one at this instant."""
+        op = self._running
+        op.finished_at = self.engine.now
+        op._value = value
+        if op._done is not None:
+            op._done.succeed(value)
+        if self._queue:
+            return self._next()
+        self._running = None
         waiters, self._idle_waiters = self._idle_waiters, []
         for ev in waiters:
             ev.succeed()

@@ -19,7 +19,11 @@ at issue (link reserved, counters stamped at its delivery instant) and
 the engine only sees a no-op when a put extends its PE's latest delivery
 instant, which keeps the clock running to the last delivery.  The
 ``*-g64`` cases were added at that point, their timings captured before
-it and their event counts after.  The baseline counts never moved.
+it and their event counts after.  Then every count was re-captured once
+more when stream ops became engine callbacks: a kernel, copy or launch
+delay no longer starts a process, an op nobody waits on schedules no
+wake-up, and a kernel with no per-wave hook on a fault-free device takes
+one callback, at its end.  The baseline counts moved only then.
 
 ``pgas-g64`` also pins how its writes are issued: one ``PGASContext.put``
 call per device-wave, next to the unchanged number of writes, so a return
@@ -49,7 +53,7 @@ from repro.compress import CompressionSpec
 from repro.core import workload as workload_mod
 from repro.core.baseline import PhaseTiming
 from repro.core.factory import FeatureSpec
-from repro.core.pipeline import PipelineConfig
+from repro.core.pipeline import DLRMInferencePipeline, PipelineConfig
 from repro.core.retrieval import DistributedEmbedding
 from repro.core.train_pipeline import DLRMTrainingPipeline
 from repro.dlrm import data as data_mod
@@ -58,6 +62,7 @@ from repro.faults import FaultEvent, FaultInjector, FaultPlan, ResilienceSpec
 from repro.replication import ReplicationSpec
 from repro.reshard import ReshardSpec
 from repro.simgpu.cluster import multinode
+from repro.simgpu.engine import Engine
 from repro.simgpu.units import us
 
 FLAT_G16 = WorkloadConfig(num_tables=256, dim=64, batch_size=4096, max_pooling=32, seed=11)
@@ -164,7 +169,7 @@ CASES = {
             "total_ns": 7107540.327485381,
             "batches": 1.0,
         },
-        273,
+        161,
     ),
     "baseline-g16": (
         lambda: _run(FLAT_G16, 16, "baseline"),
@@ -175,7 +180,7 @@ CASES = {
             "total_ns": 8828150.098318715,
             "batches": 1.0,
         },
-        762,
+        570,
     ),
     "pgas-g64": (
         lambda: _run(SCALE_G64, 64, "pgas"),
@@ -186,7 +191,7 @@ CASES = {
             "total_ns": 7042233.005847954,
             "batches": 1.0,
         },
-        903,
+        455,
     ),
     "baseline-g64": (
         lambda: _run(SCALE_G64, 64, "baseline"),
@@ -197,7 +202,7 @@ CASES = {
             "total_ns": 7924471.214181287,
             "batches": 1.0,
         },
-        9098,
+        8394,
     ),
     # Exercises the staging router's flush timers, which are cancelled.
     "pgas+hier-2x4": (
@@ -212,7 +217,7 @@ CASES = {
             "total_ns": 2156333.8989898977,
             "batches": 1.0,
         },
-        471,
+        415,
     ),
     "train-pgas-g4": (
         lambda: _train(TRAIN_G4, 4, "pgas"),
@@ -236,7 +241,7 @@ CASES = {
             "emb_backward.batches": 1.0,
             "total_ns": 13084190.559565937,
         },
-        369,
+        205,
     ),
     "train-baseline-g4": (
         lambda: _train(TRAIN_G4, 4, "baseline"),
@@ -260,7 +265,7 @@ CASES = {
             "emb_backward.batches": 1.0,
             "total_ns": 29553909.85613539,
         },
-        427,
+        231,
     ),
 }
 
@@ -274,7 +279,7 @@ FEATURE_CASES = {
             "total_ns": 155571.40935672517,
             "batches": 1.0,
         },
-        140,
+        84,
         {
             "cache.evictions.dev0": 3791.0,
             "cache.evictions.dev1": 4313.0,
@@ -312,7 +317,7 @@ FEATURE_CASES = {
             "total_ns": 252735.18128654972,
             "batches": 1.0,
         },
-        124,
+        64,
         {
             "comm_bytes": 442368.0,
             "comm_bytes.dev0->dev1": 36864.0,
@@ -342,7 +347,7 @@ FEATURE_CASES = {
             "total_ns": 360698.4009395612,
             "batches": 1.0,
         },
-        167,
+        111,
         {
             "faults.rerouted_bytes": 524288.0,
             "faults.rerouted_bytes.delivered": 262144.0,
@@ -373,7 +378,7 @@ FEATURE_CASES = {
             "total_ns": 223557.73099415202,
             "batches": 1.0,
         },
-        333,
+        249,
         {
             "availability.batch_lookups": 65752.0,
             "availability.detection_ns": 9530.532163742697,
@@ -408,7 +413,7 @@ FEATURE_CASES = {
             "total_ns": 1512684.8654970762,
             "batches": 6.0,
         },
-        408,
+        240,
         {
             "pgas_bytes": 9437184.0,
             "pgas_bytes.dev0->dev1": 655360.0,
@@ -502,3 +507,36 @@ def test_g64_backends_share_one_derivation_per_table(monkeypatch):
     DistributedEmbedding(SCALE_G64, 64, backend="pgas").forward_timed(gen.lengths_batch())
     assert len(derived) == 2048
     assert reduced == [((512, 64), 640)]
+
+
+def _started_processes(monkeypatch):
+    """Record the name of every process the engine starts from now on."""
+    names = []
+    process = Engine.process
+
+    def recording(engine, generator, name=""):
+        names.append(name)
+        return process(engine, generator, name)
+
+    monkeypatch.setattr(Engine, "process", recording)
+    return names
+
+
+def test_stream_ops_start_no_process(monkeypatch):
+    """One G=8 inference batch runs 64 stream ops (input copies, launch
+    delays, kernels) and one G=4 training step 48, all as engine callbacks:
+    the only processes are host programs and the per-PE quiets, so a return
+    to one process per stream op fails here without any timing."""
+    started = _started_processes(monkeypatch)
+    pipe = DLRMInferencePipeline(PipelineConfig(workload=TRAIN_G4), 8, backend="pgas")
+    pipe.run_batch(SyntheticDataGenerator(TRAIN_G4).lengths_batch())
+    assert started == ["host", "dense_path", "emb_path"] + [f"quiet{d}" for d in range(8)]
+    assert pipe.cluster.engine._seq == 166
+
+    started.clear()
+    got, seq = _train(TRAIN_G4, 4, "pgas")
+    quiets = [f"quiet{d}" for d in range(4)]
+    assert started == (
+        ["host", "train_forward", "dense_path", "emb_path"] + quiets + ["dense_bwd", "emb_bwd"] + quiets
+    )
+    assert (got, seq) == (CASES["train-pgas-g4"][1], 205)

@@ -125,7 +125,8 @@ def test_engine_event_count_is_pinned():
     scheduler at every arrival, and re-armed a window timer and an
     ``any_of`` at each wake.  None of those callbacks carried simulated
     state: the scheduler now wakes only when a batch can form, a slot
-    frees, or (with an empty queue) at the next arrival.
+    frees, or (with an empty queue) at the next arrival.  The count fell
+    from 950 when stream ops stopped starting a process each.
     """
     _, pipe = _serve("hybrid", 2, *LOADS["window"])
-    assert pipe.cluster.engine._seq == 950
+    assert pipe.cluster.engine._seq == 502

@@ -60,6 +60,15 @@ class TestClock:
         with pytest.raises(SimulationError):
             eng.call_at(5.0, lambda: None)
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_time_rejected(self, time):
+        eng = Engine()
+        with pytest.raises(SimulationError, match="finite"):
+            eng.call_at(time, lambda: None)
+        with pytest.raises(SimulationError, match="finite"):
+            eng.call_in(time, lambda: None)
+        assert eng._seq == 0
+
     def test_run_until_stops_before_later_events(self):
         eng = Engine()
         fired = []
@@ -203,6 +212,13 @@ class TestTimeout:
         eng = Engine()
         with pytest.raises(SimulationError):
             eng.timeout(-1.0)
+
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+    def test_non_finite_delay_rejected(self, delay):
+        eng = Engine()
+        with pytest.raises(SimulationError, match="finite"):
+            eng.timeout(delay)
+        assert eng._seq == 0
 
     def test_zero_delay_fires_now(self):
         eng = Engine()

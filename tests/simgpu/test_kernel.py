@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import FaultEvent, FaultInjector, FaultPlan
+from repro.simgpu.cluster import dgx_v100
 from repro.simgpu.device import Device, DeviceSpec, V100_SPEC
 from repro.simgpu.engine import Engine
 from repro.simgpu.kernel import (
@@ -77,6 +79,12 @@ class TestKernelTime:
             KernelSpec("bad", num_blocks=1, bytes_read=-1.0)
         with pytest.raises(ValueError):
             KernelSpec("bad", num_blocks=-1)
+
+    @pytest.mark.parametrize("field", ["bytes_read", "bytes_written", "flops", "tail_ns", "stretch_ns"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_bad_cost_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            KernelSpec("bad", num_blocks=1, **{field: value})
 
     def test_block_weights_length_checked(self):
         with pytest.raises(ValueError, match="block_weights"):
@@ -176,3 +184,77 @@ def test_kernel_time_positive_and_monotone_in_bytes(num_blocks, bytes_read, flop
     assert t >= V100_SPEC.min_kernel_ns
     bigger = KernelSpec("p2", num_blocks=num_blocks, bytes_read=bytes_read * 2 + 1, flops=flops)
     assert kernel_time(bigger, V100_SPEC) >= t
+
+
+def launch_once(kspec, fault_targeted):
+    """Launch ``kspec`` on a fresh device's stream; return the finished op.
+
+    A targeted device gets a plan whose only window opens long after the
+    kernel ends, so the launch steps wave by wave through a healthy run.
+    """
+    cl = dgx_v100(1)
+    dev = cl.device(0)
+    if fault_targeted:
+        plan = FaultPlan((FaultEvent("device_slowdown", 1e12, 2e12, device=0, severity=2.0),))
+        FaultInjector(cl, plan).install()
+    assert dev.fault_free is not fault_targeted
+    op = dev.default_stream.launch(dev, kspec)
+    cl.engine.run_until_event(op.done)
+    return op
+
+
+C = V100_SPEC.concurrent_blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    waves=st.integers(min_value=0, max_value=6),
+    offset=st.integers(min_value=-2, max_value=2),
+    weight_seed=st.none() | st.integers(min_value=0, max_value=2**32 - 1),
+    integral=st.booleans(),
+    bytes_read=st.floats(min_value=0, max_value=1e10),
+    tail_ns=st.floats(min_value=0, max_value=1e5),
+    stretch_ns=st.floats(min_value=0, max_value=1e5),
+    min_waves_for_peak=st.floats(min_value=0, max_value=32),
+)
+def test_closed_form_equals_wave_stepping(
+    waves, offset, weight_seed, integral, bytes_read, tail_ns, stretch_ns, min_waves_for_peak
+):
+    """A fault-free device's one-callback launch ends bit-equal to the
+    per-wave steps a fault-targeted device takes through a healthy run."""
+    n = max(waves * C + offset, 0)
+    weights = None
+    if weight_seed is not None:
+        rng = np.random.default_rng(weight_seed)
+        weights = rng.integers(0, 64, n).astype(float) if integral else rng.random(n)
+    kspec = KernelSpec(
+        "k", num_blocks=n, bytes_read=bytes_read, block_weights=weights, tail_ns=tail_ns,
+        stretch_ns=stretch_ns, min_waves_for_peak=min_waves_for_peak,
+    )
+    closed, stepped = launch_once(kspec, False), launch_once(kspec, True)
+    assert closed.finished_at == stepped.finished_at
+    assert closed.done.value == stepped.done.value
+
+
+class TestFaultWindowMidKernel:
+    """Windows opening inside a kernel; the ends were captured from the
+    generator-based kernel model, one process per launch."""
+
+    KSPEC = KernelSpec("k", num_blocks=4 * C + 7, bytes_read=3e8, tail_ns=1.5e3)
+
+    def realised_end(self, event):
+        cl = dgx_v100(1)
+        dev = cl.device(0)
+        FaultInjector(cl, FaultPlan((event,))).install()
+        op = dev.default_stream.launch(dev, self.KSPEC)
+        cl.engine.run()
+        assert op.done.value == op.finished_at  # launched at t = 0
+        return op.finished_at
+
+    def test_slowdown_stretches_only_later_waves(self):
+        ev = FaultEvent("device_slowdown", 100e3, 1e6, device=0, severity=2.5)
+        assert self.realised_end(ev) == 1242396.0330966357
+
+    def test_stall_holds_a_wave_boundary(self):
+        ev = FaultEvent("device_stall", 140e3, 200e3, device=0)
+        assert self.realised_end(ev) == 640495.1635353805

@@ -6,7 +6,8 @@ import pytest
 
 from repro.simgpu.cluster import Cluster
 from repro.simgpu.device import Device, DeviceSpec
-from repro.simgpu.engine import Engine
+from repro.simgpu.engine import Engine, SimulationError
+from repro.simgpu.kernel import KernelSpec, kernel_time
 
 
 def make_device() -> Device:
@@ -169,6 +170,114 @@ class TestCudaEvents:
         op = s2.submit_delay(5.0)
         eng.run()
         assert op.finished_at == 5.0
+
+
+class TestCallbackOps:
+    """Delays and kernels run as engine callbacks; ``done`` is made on demand."""
+
+    KSPEC = KernelSpec("k", num_blocks=2000, bytes_read=1e9)
+
+    def test_done_read_before_completion(self):
+        dev = make_device()
+        op = dev.default_stream.submit_delay(10.0)
+        ev = op.done
+        assert ev is op.done and not ev.triggered and not op.completed
+        dev.engine.run()
+        assert ev.triggered and ev.ok and ev.value is None
+
+    def test_done_read_after_completion_holds_the_value(self):
+        dev = make_device()
+        eng = dev.engine
+        op = dev.default_stream.launch(dev, self.KSPEC)
+        eng.run()
+        seq = eng._seq
+        ev = op.done
+        assert ev.triggered and ev.value == op.finished_at
+        assert ev.value == pytest.approx(kernel_time(self.KSPEC, dev.spec))
+        assert eng._seq == seq  # reading it scheduled nothing
+
+        def waiter():
+            got = yield op.done
+            return got, eng.now
+
+        proc = eng.process(waiter())
+        assert eng.run_until_event(proc) == (ev.value, op.finished_at)
+
+    def test_timestamps_and_drained(self):
+        dev = make_device()
+        eng = dev.engine
+        st = dev.default_stream
+        eng.run(until=5.0)
+        first = st.submit_delay(10.0)
+        kernel = st.launch(dev, self.KSPEC)
+        drained = st.drained()
+        assert (first.enqueued_at, first.started_at) == (5.0, 5.0)
+        assert (kernel.enqueued_at, kernel.started_at) == (5.0, None)
+        assert not drained.triggered
+        eng.run()
+        assert first.completed and kernel.completed and drained.triggered
+        assert first.finished_at == kernel.started_at == 15.0
+        assert kernel.finished_at == 15.0 + kernel.done.value
+        assert st.drained().triggered
+
+    def test_exception_in_generator_op_propagates(self):
+        dev = make_device()
+        eng = dev.engine
+
+        def exploding():
+            yield eng.timeout(1.0)
+            raise ValueError("op fault")
+
+        dev.default_stream.submit(exploding)
+        after = dev.default_stream.submit_delay(1.0)
+        with pytest.raises(ValueError, match="op fault"):
+            eng.run()
+        assert not after.completed and after.started_at is None
+
+    def test_unwaited_ops_schedule_one_event_each(self):
+        dev = make_device()
+        eng = dev.engine
+        st = dev.default_stream
+        st.submit_delay(10.0, name="launch")
+        st.launch(dev, self.KSPEC)
+        eng.run()
+        assert eng._seq == 2
+
+    def test_launch_on_another_device_rejected(self):
+        dev = make_device()
+        other = Device(dev.engine, 1, DeviceSpec())
+        with pytest.raises(ValueError, match="device 1"):
+            dev.default_stream.launch(other, self.KSPEC)
+
+    @pytest.mark.parametrize("delay", [-1.0, float("nan"), float("inf")])
+    def test_bad_delay_fails_at_submit(self, delay):
+        dev = make_device()
+        with pytest.raises(SimulationError, match="finite"):
+            dev.default_stream.submit_delay(delay)
+        assert dev.engine._seq == 0
+
+    def test_nan_cannot_poison_later_ops(self):
+        dev = make_device()
+        with pytest.raises(ValueError, match="bytes_read"):
+            dev.default_stream.launch(dev, KernelSpec("nan", num_blocks=1, bytes_read=float("nan")))
+        op = dev.default_stream.submit_delay(5.0)
+        dev.engine.run()
+        assert op.finished_at == 5.0
+
+    def test_record_and_wait_order_across_streams(self):
+        dev = make_device()
+        eng = dev.engine
+        s1, s2 = dev.stream("s1"), dev.stream("s2")
+        s1.submit_delay(30.0)
+        k = s1.launch(dev, self.KSPEC)
+        marker = s1.record_event()
+        s2.submit_delay(10.0)
+        s2.wait_event(marker)
+        after = s2.submit_delay(5.0)
+        eng.run()
+        assert marker.timestamp == k.finished_at
+        assert after.started_at == k.finished_at
+        assert after.finished_at == k.finished_at + 5.0
 
 
 class TestDeviceBasics:
