@@ -15,13 +15,8 @@ from repro.bench.reporting import format_table
 from repro.bench.runner import scaled_config
 from repro.core.baseline import BaselineRetrieval
 from repro.core.pgas_retrieval import PGASFusedRetrieval
-from repro.core.rowwise import (
-    RowWiseBaselineRetrieval,
-    RowWisePGASRetrieval,
-    build_rowwise_workloads,
-)
 from repro.core.sharding import RowWiseSharding, TableWiseSharding
-from repro.core.workload import build_device_workloads
+from repro.core.workload import build_device_workloads, build_rowwise_workloads
 from repro.dlrm.data import SyntheticDataGenerator, WEAK_SCALING_BASE
 from repro.simgpu import dgx_v100
 
@@ -39,8 +34,8 @@ def sweep(runner_scale: float):
     return {
         ("table-wise", "baseline"): BaselineRetrieval(dgx_v100(G)).run_batch(tw_wls).total_ns,
         ("table-wise", "pgas"): PGASFusedRetrieval(dgx_v100(G)).run_batch(tw_wls).total_ns,
-        ("row-wise", "baseline"): RowWiseBaselineRetrieval(dgx_v100(G)).run_batch(rw_wls).total_ns,
-        ("row-wise", "pgas"): RowWisePGASRetrieval(dgx_v100(G)).run_batch(rw_wls).total_ns,
+        ("row-wise", "baseline"): BaselineRetrieval(dgx_v100(G)).run_batch(rw_wls).total_ns,
+        ("row-wise", "pgas"): PGASFusedRetrieval(dgx_v100(G)).run_batch(rw_wls).total_ns,
     }
 
 

@@ -3,16 +3,19 @@
 Distributed EMB retrieval with two interchangeable communication backends
 (NCCL-style collective baseline, PGAS fused one-sided), the sharding plans
 beneath them, derived simulator workloads, and the §V extensions (backward
-pass, message aggregator).
+pass, row-wise sharding, message aggregator).
 """
 
 from .aggregator import AggregatorSpec, AsyncAggregator
 from .backward import (
     BaselineBackward,
     PGASFusedBackward,
+    RowWiseBaselineBackward,
+    RowWisePGASBackward,
     baseline_functional_backward,
     pgas_functional_backward,
     reference_backward,
+    rowwise_functional_backward,
     table_row_gradients,
 )
 from .baseline import BaselineRetrieval, PhaseTiming
@@ -36,6 +39,9 @@ from .functional import (
     baseline_functional_forward,
     pgas_functional_forward,
     reference_forward,
+    rowwise_baseline_functional_forward,
+    rowwise_functional_forward_partials,
+    rowwise_pgas_functional_forward,
 )
 from .pgas_retrieval import PGASFusedRetrieval
 from .pipeline import DLRMInferencePipeline, PipelineConfig, PipelineTiming
@@ -62,24 +68,13 @@ from .sharding import (
     minibatch_bounds,
     sample_owner,
 )
-from .rowwise import (
-    RowWiseBaselineBackward,
-    RowWiseBaselineRetrieval,
-    RowWisePGASBackward,
-    RowWisePGASRetrieval,
-    RowWiseWorkload,
-    build_rowwise_workloads,
-    rowwise_baseline_functional_forward,
-    rowwise_functional_backward,
-    rowwise_functional_forward_partials,
-    rowwise_pgas_functional_forward,
-)
 from .train_pipeline import DLRMTrainingPipeline, TrainStepTiming
 from .verify import VerificationError, VerificationReport, verify_backend_equivalence
 from .workload import (
     DeviceWorkload,
     alltoall_split_bytes,
     build_device_workloads,
+    build_rowwise_workloads,
     lengths_from_batch,
     unpack_bytes_received,
 )
@@ -116,10 +111,7 @@ __all__ = [
     "PlacementError",
     "PlacementReport",
     "RowWiseBaselineBackward",
-    "RowWiseBaselineRetrieval",
     "RowWisePGASBackward",
-    "RowWisePGASRetrieval",
-    "RowWiseWorkload",
     "build_rowwise_workloads",
     "min_devices_required",
     "plan_table_wise",

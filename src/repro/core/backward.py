@@ -25,6 +25,16 @@ no collective rounds — completion is a ``quiet`` + rendezvous, exactly the
 mechanism the paper proposes ("replacing multiple rounds of collective
 calls with atomic PGAS direct-GPU remote writes").
 
+Under **row-wise** sharding (§V) every device's mini-batch holds gradient
+contributions for rows on *every* device.  The collective backward is the
+paper's shift rounds (:class:`RowWiseBaselineBackward`); the one-sided one
+sends remote atomic adds to every row-slice owner
+(:class:`RowWisePGASBackward`).  Both consume the row-wise
+:class:`~repro.core.workload.DeviceWorkload` the forward runs on, but they
+stay models of their own: the shift rounds are not the table-wise
+pack/all-to-all/scatter-add, and the row-wise atomics are spread evenly
+over peers rather than following the transposed forward split.
+
 The functional layer (:func:`reference_backward` et al.) really computes
 and applies the row gradients so tests can check the two schemes agree
 with a single-device oracle (to accumulation order).
@@ -32,6 +42,7 @@ with a single-device oracle (to accumulation order).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -40,7 +51,7 @@ import numpy as np
 from ..comm.collective import CollectiveContext, CollectiveSpec
 from ..comm.pgas import PGASContext, PGASSpec
 from ..dlrm.batch import JaggedField, SparseBatch
-from ..dlrm.embedding import EmbeddingTable
+from ..dlrm.embedding import EmbeddingBagCollection, EmbeddingTable
 from ..simgpu.cluster import Cluster
 from ..simgpu.engine import ProcessGenerator
 from ..simgpu.kernel import KernelSpec, WaveInfo
@@ -52,7 +63,7 @@ from .calibration import (
     UNPACK_BANDWIDTH,
 )
 from .functional import ShardedEmbeddingTables
-from .sharding import minibatch_bounds
+from .sharding import RowWiseSharding, minibatch_bounds
 from .workload import DeviceWorkload, alltoall_split_bytes, unpack_bytes_received
 
 __all__ = [
@@ -60,8 +71,11 @@ __all__ = [
     "reference_backward",
     "baseline_functional_backward",
     "pgas_functional_backward",
+    "rowwise_functional_backward",
     "BaselineBackward",
     "PGASFusedBackward",
+    "RowWiseBaselineBackward",
+    "RowWisePGASBackward",
 ]
 
 
@@ -176,6 +190,44 @@ def pgas_functional_backward(
                 field = batch.field(table.name).slice_samples(lo, hi)
                 rows, grads = table_row_gradients(table, field, grad_g[:, cols[j], :])
                 table.apply_row_gradients(rows, grads, lr=lr)
+
+
+def rowwise_functional_backward(
+    ebc: EmbeddingBagCollection,
+    plan: RowWiseSharding,
+    batch: SparseBatch,
+    grad_outputs: Sequence[np.ndarray],
+    lr: float = 1.0,
+) -> None:
+    """Apply EMB gradients under row-wise sharding (functional).
+
+    ``grad_outputs[g]`` is device g's ``(B_g, T, d)`` upstream gradient.
+    Every device applies, to its own row slice, the contributions arriving
+    from every mini-batch — the aggregation the timed schemes realise with
+    shift rounds (baseline) or remote atomics (PGAS).  Equivalent to the
+    single-device reference up to accumulation order.
+    """
+    G = plan.n_devices
+    bounds = minibatch_bounds(batch.batch_size, G)
+    if len(grad_outputs) != G:
+        raise ValueError(f"need {G} per-device gradients, got {len(grad_outputs)}")
+    for f, table in enumerate(ebc.tables):
+        field = batch.field(table.name)
+        for g, (lo, hi) in enumerate(bounds):
+            sub = field.slice_samples(lo, hi)
+            rows, grads = table_row_gradients(
+                table, sub, np.asarray(grad_outputs[g])[:, f, :]
+            )
+            if rows.size == 0:
+                continue
+            # Each row's update lands on its owning slice — ownership is a
+            # partition, so applying per (device, slice) covers each
+            # contribution exactly once.
+            owners = plan.row_owner(table.name, rows)
+            for dev in range(G):
+                mask = owners == dev
+                if mask.any():
+                    table.apply_row_gradients(rows[mask], grads[mask], lr=lr)
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +406,207 @@ class PGASFusedBackward:
                 engine.process(self.pgas.quiet(dev.id), name=f"quiet{dev.id}")
                 for dev in cluster.devices
             ]
+            yield engine.all_of(quiets)
+        yield engine.timeout(spec0.sync_overhead_ns)
+        t1 = engine.now
+        timing.compute_ns = t1 - t0
+        timing.total_ns = t1 - t0
+
+
+class RowWiseBaselineBackward:
+    """Timed collective backward under row-wise sharding — §V verbatim.
+
+    With rows spread over all devices, every device's mini-batch produces
+    gradient contributions for rows on *every* device, and contributions to
+    the same row from different devices must be summed.  The collective
+    pattern the paper describes: "multiple rounds of collective calls,
+    where embeddings are shifted to (received from) the next (previous)
+    GPU ... This process necessitates multiple synchronizations to ensure
+    all GPUs have consistent gradient information before shifting and
+    finally updating the embeddings."
+
+    We model exactly that: G-1 ring-shift rounds, each moving every
+    device's foreign-gradient buffer one hop, followed by a local
+    accumulate kernel and a barrier, then the final weight-update kernel.
+    """
+
+    def __init__(
+        self,
+        cluster: Cluster,
+        collective_spec: Optional[CollectiveSpec] = None,
+        accumulate_bandwidth: float = UNPACK_BANDWIDTH,
+    ):
+        self.cluster = cluster
+        self.collectives = CollectiveContext(cluster, collective_spec)
+        self.accumulate_bandwidth = accumulate_bandwidth
+
+    def run_batch(self, workloads: Sequence[DeviceWorkload]) -> PhaseTiming:
+        """Simulate one row-wise backward pass; returns its phase timing."""
+        timing = PhaseTiming(batches=1)
+        self.cluster.run(lambda cl: self._process(cl, workloads, timing))
+        return timing
+
+    def _process(
+        self, cluster: Cluster, workloads: Sequence[DeviceWorkload], timing: PhaseTiming
+    ) -> ProcessGenerator:
+        engine = cluster.engine
+        spec0 = cluster.devices[0].spec
+        G = cluster.n_devices
+        coll = self.collectives
+        t0 = engine.now
+
+        # Local gradient-contribution kernel: each device walks its
+        # mini-batch gradients for all tables (the partials, reversed).
+        ops = []
+        for dev, wl in zip(cluster.devices, workloads):
+            k = wl.kernel_spec("rowwise_bwd_contrib")
+            dev.default_stream.submit_delay(dev.spec.kernel_launch_overhead_ns, "launch")
+            ops.append(dev.default_stream.launch(dev, k))
+        yield engine.all_of([op.done for op in ops])
+        yield engine.timeout(spec0.sync_overhead_ns)
+        t1 = engine.now
+
+        # G-1 shift rounds: each device forwards its foreign-gradient
+        # buffer (its mini-batch's contributions to the next hop's rows;
+        # per hop volume = B_g x T x d / G expected under uniform rows).
+        comm_ns = 0.0
+        sync_rounds_ns = 0.0
+        for _round in range(G - 1):
+            r0 = engine.now
+            handle = coll.all_to_all_single(self._shift_split(workloads))
+            yield from handle.wait()
+            r1 = engine.now
+            # local accumulate of the received slice + round barrier
+            acc_ops = []
+            for dev, wl in zip(cluster.devices, workloads):
+                slice_bytes = wl.bytes_written / G
+                acc_ops.append(dev.default_stream.submit_delay(
+                    dev.spec.kernel_launch_overhead_ns
+                    + 2.0 * slice_bytes / self.accumulate_bandwidth,
+                    name=f"acc.dev{dev.id}",
+                ))
+            yield engine.all_of([op.done for op in acc_ops])
+            yield engine.timeout(spec0.sync_overhead_ns)
+            r2 = engine.now
+            control = coll.spec.launch_overhead_ns + coll.spec.wait_overhead_ns
+            comm_ns += max(r1 - r0 - control, 0.0)
+            sync_rounds_ns += (r2 - r1) + min(control, r1 - r0)
+        t2 = engine.now
+
+        # Final weight update over the local row slices.
+        ops = []
+        for dev, wl in zip(cluster.devices, workloads):
+            rmw = 3.0 * float(wl.nnz) * wl.row_bytes
+            k = KernelSpec(
+                name=f"rowwise_bwd_update.dev{dev.id}",
+                num_blocks=max(wl.num_blocks // max(G, 1), 1),
+                bytes_read=rmw * 2 / 3,
+                bytes_written=rmw / 3,
+                min_waves_for_peak=EMB_MIN_WAVES_FOR_PEAK,
+            )
+            dev.default_stream.submit_delay(dev.spec.kernel_launch_overhead_ns, "launch")
+            ops.append(dev.default_stream.launch(dev, k))
+        yield engine.all_of([op.done for op in ops])
+        yield engine.timeout(spec0.sync_overhead_ns)
+        t3 = engine.now
+
+        timing.compute_ns = (t1 - t0) + (t3 - t2)
+        timing.comm_ns = comm_ns
+        timing.sync_unpack_ns = sync_rounds_ns
+        timing.total_ns = t3 - t0
+
+    @staticmethod
+    def _shift_split(workloads: Sequence[DeviceWorkload]) -> np.ndarray:
+        """Ring-shift byte matrix: each device → next hop, 1/G of its grads."""
+        G = workloads[0].n_devices
+        split = np.zeros((G, G))
+        for wl in workloads:
+            split[wl.device_id, (wl.device_id + 1) % G] = wl.bytes_written / G
+        return split
+
+
+class RowWisePGASBackward:
+    """Timed one-sided backward under row-wise sharding.
+
+    The §V alternative: "replacing multiple rounds of collective calls
+    with atomic PGAS direct-GPU remote writes".  One fused kernel per
+    device; each wave's gradient contributions to remote row slices leave
+    as remote atomic adds, owner-side accumulation rides the memory
+    system, and a single quiet + rendezvous replaces the per-round
+    synchronisations.
+    """
+
+    def __init__(
+        self,
+        cluster: Cluster,
+        pgas_spec: Optional[PGASSpec] = None,
+        remote_write_drag: float = REMOTE_WRITE_KERNEL_DRAG,
+    ):
+        self.cluster = cluster
+        self.pgas = PGASContext(cluster, pgas_spec)
+        self.remote_write_drag = remote_write_drag
+
+    def run_batch(self, workloads: Sequence[DeviceWorkload]) -> PhaseTiming:
+        """Simulate one fused row-wise backward pass."""
+        timing = PhaseTiming(batches=1)
+        self.cluster.run(lambda cl: self._process(cl, workloads, timing))
+        return timing
+
+    def _process(
+        self, cluster: Cluster, workloads: Sequence[DeviceWorkload], timing: PhaseTiming
+    ) -> ProcessGenerator:
+        engine = cluster.engine
+        spec0 = cluster.devices[0].spec
+        G = cluster.n_devices
+        t0 = engine.now
+
+        ops = []
+        for dev, wl in zip(cluster.devices, workloads):
+            # Gradient bytes to each remote row-slice owner: uniform rows
+            # ⇒ (G-1)/G of this device's gradient volume leaves, split
+            # evenly across peers, spread over waves like the forward.
+            remote_total = wl.bytes_written * (G - 1) / G if G > 1 else 0.0
+            base = wl.kernel_spec("rowwise_pgas_bwd")
+            drag = 0.0
+            if G > 1 and remote_total > 0:
+                peer = (dev.id + 1) % G
+                bw = cluster.topology.link_spec(dev.id, peer).bandwidth
+                spec = self.pgas.spec
+                payload_per_atomic = spec.atomic_payload_bytes
+                wire = remote_total * (1 + spec.header_bytes / max(payload_per_atomic, 1))
+                drag = self.remote_write_drag * wire / bw
+            kspec = KernelSpec(
+                name=base.name, num_blocks=base.num_blocks,
+                bytes_read=base.bytes_read, bytes_written=base.bytes_written,
+                flops=base.flops, stretch_ns=drag,
+                min_waves_for_peak=base.min_waves_for_peak,
+            )
+            n_waves = max(
+                math.ceil(kspec.num_blocks / dev.spec.concurrent_blocks), 1
+            )
+            per_wave_per_peer = (
+                remote_total / n_waves / max(G - 1, 1) if G > 1 else 0.0
+            )
+
+            n_elems = (
+                int(round(per_wave_per_peer / self.pgas.spec.atomic_payload_bytes))
+                if per_wave_per_peer > 0 else 0
+            )
+
+            def on_wave(
+                info: WaveInfo, dev_id=dev.id, add=self.pgas.atomic_add,
+                others=[d for d in range(G) if d != dev.id],
+                counts=[n_elems] * (G - 1) if n_elems > 0 else None,
+            ) -> None:
+                if counts:
+                    add(dev_id, others, counts)
+
+            dev.default_stream.submit_delay(dev.spec.kernel_launch_overhead_ns, "launch")
+            ops.append(dev.default_stream.launch(dev, kspec, on_wave))
+        yield engine.all_of([op.done for op in ops])
+        if G > 1:
+            quiets = [engine.process(self.pgas.quiet(dev.id), name=f"quiet{dev.id}")
+                      for dev in cluster.devices]
             yield engine.all_of(quiets)
         yield engine.timeout(spec0.sync_overhead_ns)
         t1 = engine.now

@@ -36,7 +36,7 @@ from ..comm.collective import CollectiveContext, CollectiveSpec
 from ..simgpu.cluster import Cluster
 from ..simgpu.engine import ProcessGenerator
 from .calibration import UNPACK_BANDWIDTH
-from .workload import DeviceWorkload, alltoall_split_bytes, unpack_bytes_received
+from .workload import DeviceWorkload, alltoall_split_bytes
 
 __all__ = ["PhaseTiming", "BaselineRetrieval"]
 
@@ -186,10 +186,10 @@ class BaselineRetrieval:
         # ---- Phase 3: unpack + syncs -------------------------------------------------
         if G > 1:
             unpack_ops = []
-            for dev in cluster.devices:
-                received = unpack_bytes_received(workloads, dev.id)
-                # Read each received byte and write it to its final slot.
-                unpack_ns = 2.0 * received / self.unpack_bandwidth
+            for dev, wl in zip(cluster.devices, workloads):
+                # Table-wise: read each received byte and write it to its
+                # final slot.  Row-wise: read G partials, write their sum.
+                unpack_ns = wl.unpack_bytes(workloads) / self.unpack_bandwidth
                 stream = dev.stream("default" + stream_suffix)
                 unpack_ops.append(
                     stream.submit_delay(

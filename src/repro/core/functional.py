@@ -19,6 +19,13 @@ kernel (``EmbeddingTable.forward`` on the full batch), so their results are
 **bit-identical** to each other and to the reference — asserted by the
 equality tests in ``tests/core/``.
 
+Under row-wise sharding (§V) every device holds a row slice of every table,
+so it can only pool a *partial* per (table, sample):
+:func:`rowwise_baseline_functional_forward` exchanges the partials and
+reduces them at each sample's owner, :func:`rowwise_pgas_functional_forward`
+atomically adds them into the owner's tensor.  Both agree with the
+reference to float tolerance only: the reduction order necessarily differs.
+
 :class:`ShardedEmbeddingTables` holds the per-device table instances; built
 with :meth:`~ShardedEmbeddingTables.from_collection`, the shards *alias* the
 reference collection's weight arrays, so no extra memory and exact parity.
@@ -32,8 +39,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..dlrm.batch import SparseBatch
-from ..dlrm.embedding import EmbeddingBagCollection, EmbeddingTable, EmbeddingTableConfig
-from .sharding import TableWiseSharding, minibatch_bounds
+from ..dlrm.embedding import (
+    EmbeddingBagCollection,
+    EmbeddingTable,
+    EmbeddingTableConfig,
+    segment_pool,
+)
+from .sharding import RowWiseSharding, TableWiseSharding, minibatch_bounds
 
 __all__ = [
     "ShardedEmbeddingTables",
@@ -41,6 +53,9 @@ __all__ = [
     "baseline_functional_forward",
     "functional_forward",
     "pgas_functional_forward",
+    "rowwise_baseline_functional_forward",
+    "rowwise_functional_forward_partials",
+    "rowwise_pgas_functional_forward",
     "SendBlock",
 ]
 
@@ -238,4 +253,87 @@ def pgas_functional_forward(
             # (sample - lo, feature, :) slot on the owning device.
             for dst, (lo, hi) in enumerate(bounds):
                 outputs[dst][:, cols[j], :] = pooled[lo:hi]
+    return outputs
+
+
+# ---------------------------------------------------------------------------
+# row-wise sharding (§V)
+# ---------------------------------------------------------------------------
+
+
+def rowwise_functional_forward_partials(
+    ebc: EmbeddingBagCollection,
+    plan: RowWiseSharding,
+    batch: SparseBatch,
+    device_id: int,
+) -> np.ndarray:
+    """One device's partial pools over ALL tables: ``(B, T, d)``.
+
+    Only the lookups whose hashed rows fall inside this device's row slice
+    contribute; everything else pools as zero.
+    """
+    B = batch.batch_size
+    T = ebc.num_features
+    out = np.zeros((B, T, ebc.dim), dtype=ebc.tables[0].config.dtype)
+    for f, table in enumerate(ebc.tables):
+        field = batch.field(table.name)
+        if field.nnz == 0:
+            continue
+        rows = table.hash(field.indices)
+        shard = plan.shard_on(table.name, device_id)
+        mask = (rows >= shard.row_lo) & (rows < shard.row_hi)
+        vecs = np.zeros((field.nnz, ebc.dim), dtype=out.dtype)
+        if mask.any():
+            vecs[mask] = table.weights[rows[mask]]
+        out[:, f, :] = segment_pool(vecs, field.offsets, table.config.pooling)
+    return out
+
+
+def _check_sum_pooling(ebc: EmbeddingBagCollection) -> None:
+    bad = [t.name for t in ebc.tables if t.config.pooling != "sum"]
+    if bad:
+        raise NotImplementedError(
+            f"row-wise sharding requires sum pooling (partials must add); "
+            f"tables with other pooling: {bad}"
+        )
+
+
+def rowwise_baseline_functional_forward(
+    ebc: EmbeddingBagCollection, plan: RowWiseSharding, batch: SparseBatch
+) -> List[np.ndarray]:
+    """Collective path: exchange partials, reduce at the owner.
+
+    Returns per-device ``(B_g, T, d)`` outputs.
+    """
+    _check_sum_pooling(ebc)
+    G = plan.n_devices
+    bounds = minibatch_bounds(batch.batch_size, G)
+    partials = [
+        rowwise_functional_forward_partials(ebc, plan, batch, dev) for dev in range(G)
+    ]
+    outputs = []
+    for lo, hi in bounds:
+        # Receive one (B_g, T, d) chunk from every source, then reduce —
+        # the explicit reduction step PGAS atomics eliminate.
+        received = [partials[src][lo:hi] for src in range(G)]
+        outputs.append(np.sum(received, axis=0, dtype=received[0].dtype))
+    return outputs
+
+
+def rowwise_pgas_functional_forward(
+    ebc: EmbeddingBagCollection, plan: RowWiseSharding, batch: SparseBatch
+) -> List[np.ndarray]:
+    """One-sided path: partials atomically added into the owner's tensor."""
+    _check_sum_pooling(ebc)
+    G = plan.n_devices
+    bounds = minibatch_bounds(batch.batch_size, G)
+    outputs = [
+        np.zeros((hi - lo, ebc.num_features, ebc.dim), dtype=ebc.tables[0].config.dtype)
+        for lo, hi in bounds
+    ]
+    for src in range(G):
+        partial = rowwise_functional_forward_partials(ebc, plan, batch, src)
+        for dst, (lo, hi) in enumerate(bounds):
+            # Remote (or local) atomic adds at the final coordinates.
+            outputs[dst] += partial[lo:hi]
     return outputs

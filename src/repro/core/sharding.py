@@ -235,14 +235,18 @@ class RowWiseSharding(ShardingPlan):
                 RowShard(cfg.name, dev, lo, hi) for dev, (lo, hi) in enumerate(bounds)
             ]
 
-    def shards_of(self, table_name: str) -> List[RowShard]:
-        """All device shards of one table."""
-        if table_name not in self._shards:
+    def _table_shards(self, table_name: str) -> List[RowShard]:
+        shards = self._shards.get(table_name)
+        if shards is None:
             raise ShardingError(
                 f"table {table_name!r} is not in this row-wise plan "
                 f"({self.num_tables} tables)"
             )
-        return list(self._shards[table_name])
+        return shards
+
+    def shards_of(self, table_name: str) -> List[RowShard]:
+        """All device shards of one table."""
+        return list(self._table_shards(table_name))
 
     def shard_on(self, table_name: str, device_id: int) -> RowShard:
         """One device's shard of one table.
@@ -250,21 +254,20 @@ class RowWiseSharding(ShardingPlan):
         Raises :class:`ShardingError` (not ``KeyError``) for unknown
         tables or out-of-range devices.
         """
-        if table_name not in self._shards:
-            raise ShardingError(
-                f"table {table_name!r} is not in this row-wise plan "
-                f"({self.num_tables} tables)"
-            )
+        shards = self._table_shards(table_name)
         if not (0 <= device_id < self.n_devices):
             raise ShardingError(
                 f"device {device_id} out of range for the "
                 f"{self.n_devices}-device plan"
             )
-        return self._shards[table_name][device_id]
+        return shards[device_id]
 
     def row_owner(self, table_name: str, rows: np.ndarray) -> np.ndarray:
-        """Owning device of each (hashed) row id — vectorised."""
-        shards = self._shards[table_name]
+        """Owning device of each (hashed) row id — vectorised.
+
+        Raises :class:`ShardingError` for an unknown table.
+        """
+        shards = self._table_shards(table_name)
         cuts = np.array([s.row_hi for s in shards[:-1]], dtype=np.int64)
         return np.searchsorted(cuts, np.asarray(rows, dtype=np.int64), side="right")
 

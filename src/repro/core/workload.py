@@ -6,10 +6,16 @@ consume a :class:`DeviceWorkload` per device:
 
 * the **baseline** uses its :meth:`DeviceWorkload.kernel_spec` plus the
   all-to-all :func:`alltoall_split_bytes` matrix and
-  :func:`unpack_bytes_received`;
+  :meth:`DeviceWorkload.unpack_bytes`;
 * the **PGAS fused** backend additionally needs *where each thread block's
   outputs go* — :attr:`DeviceWorkload.block_dst_bytes` — so each retiring
   wave can inject exactly its remote bytes toward each destination.
+
+Row-wise sharding (§V) builds the same type (:func:`build_rowwise_workloads`):
+the table-wise grid with every table on every device, whose partial pools
+go to every sample owner.  It differs from table-wise only in two costs it
+carries as data, the kernel's reads and the baseline's post-exchange pass,
+so both backends run it unchanged.
 
 Timing never needs the index values themselves, only the jagged *lengths*
 (pooling factors): byte counts are fully determined by them.  That is what
@@ -43,11 +49,17 @@ from .calibration import (
     INDEX_BYTES,
     OFFSET_BYTES,
 )
-from .sharding import TableWiseSharding, minibatch_bounds, sample_owner
+from .sharding import (
+    RowWiseSharding,
+    ShardingPlan,
+    TableWiseSharding,
+    sample_owner,
+)
 
 __all__ = [
     "DeviceWorkload",
     "build_device_workloads",
+    "build_rowwise_workloads",
     "lengths_from_batch",
     "alltoall_split_bytes",
     "rehome_workloads",
@@ -156,7 +168,8 @@ class DeviceWorkload:
     num_blocks / samples_per_block:
         Grid geometry of the retrieval kernel.
     block_weights:
-        Per-block lookup counts (jagged work distribution across the grid).
+        Per-block lookup counts (jagged work distribution across the grid);
+        ``None`` costs every block the same.
     block_dst_bytes:
         ``(num_blocks, n_devices)`` — output bytes each block produces for
         each destination device's mini-batch.  Row sums are the block's
@@ -172,7 +185,7 @@ class DeviceWorkload:
     nnz: int
     num_blocks: int
     samples_per_block: int
-    block_weights: np.ndarray
+    block_weights: Optional[np.ndarray]
     block_dst_bytes: np.ndarray
     tile: InitVar[Optional[DstTile]] = None
 
@@ -225,6 +238,14 @@ class DeviceWorkload:
         out = self.output_bytes_by_dst
         return float(out.sum() - out[self.device_id])
 
+    def unpack_bytes(self, workloads: Sequence["DeviceWorkload"]) -> float:
+        """Bytes the baseline's post-exchange pass touches on this device.
+
+        The unpack reads each block received from ``workloads`` once and
+        writes it once to its final slot in the ``(B_g, F, d)`` tensor.
+        """
+        return 2.0 * unpack_bytes_received(workloads, self.device_id)
+
     def kernel_spec(self, name: str = "emb_forward") -> KernelSpec:
         """Simulator kernel launch for this device's retrieval pass."""
         return KernelSpec(
@@ -250,6 +271,46 @@ class DeviceWorkload:
         return _wave_sums(self.block_dst_bytes, concurrent_blocks)
 
 
+@dataclass(frozen=True)
+class _RowWiseWorkload(DeviceWorkload):
+    """One device's share of a row-wise forward: partial pools of all tables.
+
+    The kernel gathers only the rows in this device's slices (``nnz``) but
+    scans every index of the batch (``nnz_scanned``) to test ownership, and
+    reads no offsets.  The baseline's post-exchange pass reduces G partials
+    into one sum instead of rearranging received blocks.
+    """
+
+    nnz_scanned: int = 0
+
+    @property
+    def bytes_read(self) -> float:
+        """Local row gathers + the full index scan."""
+        return float(self.nnz) * self.row_bytes + float(self.nnz_scanned) * INDEX_BYTES
+
+    def unpack_bytes(self, workloads: Sequence[DeviceWorkload]) -> float:
+        """G partial reads plus one write of their sum, per output byte."""
+        own = float(self.output_bytes_by_dst[self.device_id])
+        return own * self.n_devices + own
+
+
+def _checked_lengths(
+    plan: ShardingPlan, lengths_by_feature: Mapping[str, np.ndarray], samples_per_block: int
+) -> LengthsBatch:
+    """``lengths_by_feature`` as a :class:`LengthsBatch` covering ``plan``."""
+    missing = [t.name for t in plan.table_configs if t.name not in lengths_by_feature]
+    if missing:
+        raise KeyError(f"no lengths for features: {missing}")
+    lengths = (
+        lengths_by_feature
+        if isinstance(lengths_by_feature, LengthsBatch)
+        else LengthsBatch(lengths_by_feature)
+    )
+    if samples_per_block <= 0:
+        raise ValueError("samples_per_block must be positive")
+    return lengths
+
+
 def build_device_workloads(
     plan: TableWiseSharding,
     lengths_by_feature: Mapping[str, np.ndarray],
@@ -264,19 +325,9 @@ def build_device_workloads(
     which validates it; a ``LengthsBatch`` shares its chunk counts with
     every other build of the same batch.
     """
-    missing = [t.name for t in plan.table_configs if t.name not in lengths_by_feature]
-    if missing:
-        raise KeyError(f"no lengths for features: {missing}")
-    lengths = (
-        lengths_by_feature
-        if isinstance(lengths_by_feature, LengthsBatch)
-        else LengthsBatch(lengths_by_feature)
-    )
+    lengths = _checked_lengths(plan, lengths_by_feature, samples_per_block)
     B = lengths.batch_size
     G = plan.n_devices
-    if samples_per_block <= 0:
-        raise ValueError("samples_per_block must be positive")
-
     chunk_counts = lengths.chunk_counts(samples_per_block)
     workloads: List[DeviceWorkload] = []
     for dev in range(G):
@@ -325,6 +376,55 @@ def build_device_workloads(
             )
         )
     return workloads
+
+
+def build_rowwise_workloads(
+    plan: RowWiseSharding,
+    lengths_by_feature: Mapping[str, np.ndarray],
+    *,
+    samples_per_block: int = EMB_SAMPLES_PER_BLOCK,
+) -> List[DeviceWorkload]:
+    """Derive every device's row-wise workload for one batch.
+
+    Every device holds a row slice of every table, so each runs the
+    table-wise grid with all T tables local and writes a partial pool for
+    every (table, sample): ``B x T x d`` output per device, G times the
+    table-wise total.  Row ownership of a uniformly hashed lookup is uniform
+    over devices, so each device gathers ``nnz / G`` rows (the remainder to
+    the lowest ids) over uniformly costed blocks; the functional layer uses
+    the exact per-index ownership, timing only the expectation.  Lengths
+    are validated as :func:`build_device_workloads` validates them.
+    """
+    lengths = _checked_lengths(plan, lengths_by_feature, samples_per_block)
+    row_bytes = {t.row_bytes for t in plan.table_configs}
+    if len(row_bytes) != 1:
+        raise ValueError(
+            "row-wise sharding puts every table on every device; "
+            "mixed embedding dims/dtypes on one device are unsupported"
+        )
+    rb = row_bytes.pop()
+    counts = lengths.chunk_counts(samples_per_block)
+    nnz_total = sum(int(counts[t.name].sum()) for t in plan.table_configs)
+    G = plan.n_devices
+    tile = _dst_tile(lengths.batch_size, G, samples_per_block, plan.num_tables, rb)
+    base, rem = divmod(nnz_total, G)
+    return [
+        _RowWiseWorkload(
+            device_id=dev,
+            n_devices=G,
+            batch_size=lengths.batch_size,
+            row_bytes=rb,
+            num_local_tables=plan.num_tables,
+            nnz=base + (1 if dev < rem else 0),
+            num_blocks=tile.block_dst_bytes.shape[0],
+            samples_per_block=samples_per_block,
+            block_weights=None,
+            block_dst_bytes=tile.block_dst_bytes,
+            tile=tile,
+            nnz_scanned=nnz_total,
+        )
+        for dev in range(G)
+    ]
 
 
 def table_segments(

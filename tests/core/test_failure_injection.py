@@ -14,8 +14,8 @@ import pytest
 from repro.comm.pgas import PGASContext
 from repro.core.pgas_retrieval import PGASFusedRetrieval
 from repro.core.baseline import BaselineRetrieval
-from repro.core.sharding import TableWiseSharding
-from repro.core.workload import build_device_workloads
+from repro.core.sharding import RowWiseSharding, TableWiseSharding
+from repro.core.workload import build_device_workloads, build_rowwise_workloads
 from repro.dlrm.data import SyntheticDataGenerator, WorkloadConfig
 from repro.simgpu import Cluster, LinkSpec, Topology, dgx_v100
 from repro.simgpu.engine import Engine, SimulationError
@@ -144,6 +144,9 @@ class TestWorkloadValidation:
         lengths = {"a": np.ones(4, dtype=np.int64), "b": np.ones(4, dtype=np.int64)}
         with pytest.raises(ValueError, match="mixed embedding dims"):
             build_device_workloads(plan, lengths)
+        # Row-wise puts every table on every device, at any device count.
+        with pytest.raises(ValueError, match="mixed embedding dims"):
+            build_rowwise_workloads(RowWiseSharding(cfgs, 2), lengths)
 
     def test_wrong_device_count_rejected_by_both_backends(self):
         wls = make_workloads(G=3)

@@ -19,8 +19,13 @@ import pytest
 from repro.comm.hier import HierSpec
 from repro.core.factory import FeatureSpec
 from repro.core.retrieval import DistributedEmbedding
-from repro.core.sharding import TableWiseSharding
-from repro.core.workload import DeviceWorkload, _dst_tile, build_device_workloads
+from repro.core.sharding import RowWiseSharding, TableWiseSharding
+from repro.core.workload import (
+    DeviceWorkload,
+    _dst_tile,
+    build_device_workloads,
+    build_rowwise_workloads,
+)
 from repro.dlrm.data import (
     InvalidLengthsError,
     LengthsBatch,
@@ -239,6 +244,9 @@ class TestBadLengths:
         emb = DistributedEmbedding(SMALL, 2, backend="pgas")
         with pytest.raises(InvalidLengthsError, match="sparse_7"):
             emb.forward_timed(lengths)
+        rowwise = RowWiseSharding(SMALL.table_configs(), 2)
+        with pytest.raises(InvalidLengthsError, match="sparse_7"):
+            build_rowwise_workloads(rowwise, lengths)
         assert issubclass(InvalidLengthsError, ValueError)
 
     @pytest.mark.parametrize("batch_size", [200, 9001])

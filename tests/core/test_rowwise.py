@@ -7,16 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.rowwise import (
-    RowWiseBaselineRetrieval,
-    RowWisePGASRetrieval,
-    build_rowwise_workloads,
+from repro.core.functional import (
     rowwise_baseline_functional_forward,
     rowwise_functional_forward_partials,
     rowwise_pgas_functional_forward,
 )
 from repro.core.sharding import RowWiseSharding, minibatch_bounds
-from repro.core.workload import build_device_workloads
+from repro.core.workload import build_device_workloads, build_rowwise_workloads
 from repro.core.sharding import TableWiseSharding
 from repro.core.baseline import BaselineRetrieval
 from repro.core.pgas_retrieval import PGASFusedRetrieval
@@ -138,8 +135,8 @@ class TestWorkloads:
     def test_nnz_split_evenly(self):
         cfg, plan, lengths, wls = make_timed_workloads(G=3)
         total = sum(int(l.sum()) for l in lengths.values())
-        assert sum(wl.nnz_local for wl in wls) == total
-        assert max(wl.nnz_local for wl in wls) - min(wl.nnz_local for wl in wls) <= 1
+        assert sum(wl.nnz for wl in wls) == total
+        assert max(wl.nnz for wl in wls) - min(wl.nnz for wl in wls) <= 1
 
     def test_comm_volume_exceeds_table_wise(self):
         """The §V point: row-wise partials cost G-1 x more traffic."""
@@ -154,15 +151,15 @@ class TestWorkloads:
 class TestTimedRowWise:
     def test_pgas_beats_baseline(self):
         _, _, _, wls = make_timed_workloads()
-        t_base = RowWiseBaselineRetrieval(dgx_v100(2)).run_batch(wls)
-        t_pgas = RowWisePGASRetrieval(dgx_v100(2)).run_batch(wls)
+        t_base = BaselineRetrieval(dgx_v100(2)).run_batch(wls)
+        t_pgas = PGASFusedRetrieval(dgx_v100(2)).run_batch(wls)
         assert t_pgas.total_ns < t_base.total_ns
 
     def test_rowwise_advantage_larger_than_tablewise(self):
         """Heavier comm + the reduction step ⇒ bigger PGAS win (§V)."""
         cfg, plan, lengths, row_wls = make_timed_workloads(G=4, max_pool=8)
-        rb = RowWiseBaselineRetrieval(dgx_v100(4)).run_batch(row_wls)
-        rp = RowWisePGASRetrieval(dgx_v100(4)).run_batch(row_wls)
+        rb = BaselineRetrieval(dgx_v100(4)).run_batch(row_wls)
+        rp = PGASFusedRetrieval(dgx_v100(4)).run_batch(row_wls)
         tw_plan = TableWiseSharding(cfg.table_configs(), 4)
         tw_wls = build_device_workloads(tw_plan, lengths)
         tb = BaselineRetrieval(dgx_v100(4)).run_batch(tw_wls)
@@ -171,21 +168,21 @@ class TestTimedRowWise:
 
     def test_single_gpu_no_comm(self):
         _, _, _, wls = make_timed_workloads(G=1)
-        t = RowWiseBaselineRetrieval(dgx_v100(1)).run_batch(wls)
+        t = BaselineRetrieval(dgx_v100(1)).run_batch(wls)
         assert t.comm_ns == 0.0
-        t2 = RowWisePGASRetrieval(dgx_v100(1)).run_batch(wls)
+        t2 = PGASFusedRetrieval(dgx_v100(1)).run_batch(wls)
         assert t2.total_ns > 0
 
     def test_baseline_has_reduce_phase(self):
         _, _, _, wls = make_timed_workloads(G=2)
-        t = RowWiseBaselineRetrieval(dgx_v100(2)).run_batch(wls)
+        t = BaselineRetrieval(dgx_v100(2)).run_batch(wls)
         assert t.sync_unpack_ns > 0
         assert t.comm_ns > 0
 
     def test_all_partial_bytes_on_the_wire(self):
         cl = dgx_v100(3)
         _, _, _, wls = make_timed_workloads(G=3)
-        RowWisePGASRetrieval(cl).run_batch(wls)
+        PGASFusedRetrieval(cl).run_batch(wls)
         from repro.comm.pgas import PGASContext
 
         counted = cl.profiler.counter(PGASContext.COUNTER).total
@@ -194,7 +191,7 @@ class TestTimedRowWise:
 
 class TestRowWiseBackward:
     def test_pgas_backward_beats_shift_rounds(self):
-        from repro.core.rowwise import RowWiseBaselineBackward, RowWisePGASBackward
+        from repro.core.backward import RowWiseBaselineBackward, RowWisePGASBackward
 
         _, _, _, wls = make_timed_workloads(G=4, max_pool=8)
         t_base = RowWiseBaselineBackward(dgx_v100(4)).run_batch(wls)
@@ -206,7 +203,7 @@ class TestRowWiseBackward:
 
     def test_shift_rounds_scale_with_devices(self):
         """G-1 rounds: the baseline's sync burden grows with GPU count."""
-        from repro.core.rowwise import RowWiseBaselineBackward
+        from repro.core.backward import RowWiseBaselineBackward
 
         _, _, _, w2 = make_timed_workloads(G=2)
         _, _, _, w4 = make_timed_workloads(G=4)
@@ -216,7 +213,7 @@ class TestRowWiseBackward:
         assert t4.sync_unpack_ns > t2.sync_unpack_ns
 
     def test_single_gpu_backward(self):
-        from repro.core.rowwise import RowWiseBaselineBackward, RowWisePGASBackward
+        from repro.core.backward import RowWiseBaselineBackward, RowWisePGASBackward
 
         _, _, _, wls = make_timed_workloads(G=1)
         tb = RowWiseBaselineBackward(dgx_v100(1)).run_batch(wls)
@@ -226,7 +223,7 @@ class TestRowWiseBackward:
 
     def test_pgas_backward_atomics_on_wire(self):
         from repro.comm.pgas import PGASContext
-        from repro.core.rowwise import RowWisePGASBackward
+        from repro.core.backward import RowWisePGASBackward
 
         cl = dgx_v100(3)
         _, _, _, wls = make_timed_workloads(G=3)
@@ -239,7 +236,7 @@ class TestRowWiseBackward:
 class TestRowWiseFunctionalBackward:
     def test_matches_reference(self):
         from repro.core.backward import reference_backward
-        from repro.core.rowwise import rowwise_functional_backward
+        from repro.core.backward import rowwise_functional_backward
 
         cfg, ebc_rw, plan, batch = setup(G=3, B=24)
         _, ebc_ref, _, _ = setup(G=3, B=24)  # same seed → same weights
@@ -254,7 +251,7 @@ class TestRowWiseFunctionalBackward:
             assert np.allclose(a.weights, b.weights, atol=1e-4)
 
     def test_wrong_grad_count(self):
-        from repro.core.rowwise import rowwise_functional_backward
+        from repro.core.backward import rowwise_functional_backward
 
         cfg, ebc, plan, batch = setup(G=2)
         with pytest.raises(ValueError):

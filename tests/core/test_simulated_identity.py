@@ -39,6 +39,12 @@ The feature cases (``pgas+cache`` through ``pgas+reshard``) also pin the
 total of every profiler counter, so a refactor of the feature adapters
 cannot move a counter sample either.  They were captured before the
 adapters shared one base class.
+
+The row-wise cases pin the same three things for row-wise sharding: the
+forward on both backends at G=4 and on a ragged G=3 batch (7 tables, a
+batch that neither G nor the block size divides), and both row-wise
+backwards at G=4.  They were captured while the row-wise forward still ran
+on engines of its own, before it moved onto the table-wise ones.
 """
 
 from __future__ import annotations
@@ -51,17 +57,21 @@ from repro.cache import CacheConfig
 from repro.comm.hier import HierSpec
 from repro.compress import CompressionSpec
 from repro.core import workload as workload_mod
-from repro.core.baseline import PhaseTiming
+from repro.core.backward import RowWiseBaselineBackward, RowWisePGASBackward
+from repro.core.baseline import BaselineRetrieval, PhaseTiming
 from repro.core.factory import FeatureSpec
+from repro.core.pgas_retrieval import PGASFusedRetrieval
 from repro.core.pipeline import DLRMInferencePipeline, PipelineConfig
 from repro.core.retrieval import DistributedEmbedding
+from repro.core.sharding import RowWiseSharding
 from repro.core.train_pipeline import DLRMTrainingPipeline
+from repro.core.workload import build_rowwise_workloads
 from repro.dlrm import data as data_mod
 from repro.dlrm.data import SyntheticDataGenerator, WorkloadConfig
 from repro.faults import FaultEvent, FaultInjector, FaultPlan, ResilienceSpec
 from repro.replication import ReplicationSpec
 from repro.reshard import ReshardSpec
-from repro.simgpu.cluster import multinode
+from repro.simgpu.cluster import dgx_v100, multinode
 from repro.simgpu.engine import Engine
 from repro.simgpu.units import us
 
@@ -73,6 +83,8 @@ TRAIN_G4 = WorkloadConfig(num_tables=64, dim=64, batch_size=2048, max_pooling=32
 FEATURE_G4 = WorkloadConfig(
     num_tables=16, rows_per_table=4096, dim=32, batch_size=1024, max_pooling=8, seed=11
 )
+ROWWISE_G4 = WorkloadConfig(num_tables=32, dim=64, batch_size=2048, max_pooling=16, seed=11)
+ROWWISE_G3 = WorkloadConfig(num_tables=7, dim=64, batch_size=1000, max_pooling=16, seed=11)
 
 
 def _run(cfg, n_devices, backend, **kwargs):
@@ -157,6 +169,26 @@ def _reshard():
     for _ in range(6):
         total.add(emb.forward_timed(gen.lengths_batch()))
     return total.as_dict(), emb.cluster.engine._seq, _counter_totals(emb)
+
+
+def _rowwise(cfg, n_devices, engine):
+    """One row-wise batch on ``engine`` (a forward or backward class)."""
+    cluster = dgx_v100(n_devices)
+    plan = RowWiseSharding(cfg.table_configs(), n_devices)
+    workloads = build_rowwise_workloads(plan, SyntheticDataGenerator(cfg).lengths_batch())
+    timing = engine(cluster).run_batch(workloads)
+    counters = {name: c.total for name, c in sorted(cluster.profiler.counters.items())}
+    return timing.as_dict(), cluster.engine._seq, counters
+
+
+def _pair_totals(prefix, n_devices, total):
+    """Every ordered device pair's counter under ``prefix``, at ``total``."""
+    return {
+        f"{prefix}.dev{s}->dev{d}": total
+        for s in range(n_devices)
+        for d in range(n_devices)
+        if s != d
+    }
 
 
 CASES = {
@@ -442,6 +474,104 @@ FEATURE_CASES = {
 }
 
 
+ROWWISE_CASES = {
+    "rowwise-baseline-g4": (
+        lambda: _rowwise(ROWWISE_G4, 4, BaselineRetrieval),
+        {
+            "compute_ns": 1290585.3567251463,
+            "comm_ns": 466744.4375,
+            "sync_unpack_ns": 1217084.4444444447,
+            "total_ns": 2974414.238669591,
+            "batches": 1.0,
+        },
+        54,
+        {"comm_bytes": 50331648.0, **_pair_totals("comm_bytes", 4, 4194304.0)},
+    ),
+    "rowwise-pgas-g4": (
+        lambda: _rowwise(ROWWISE_G4, 4, PGASFusedRetrieval),
+        {
+            "compute_ns": 1477605.3567251463,
+            "comm_ns": 0.0,
+            "sync_unpack_ns": 0.0,
+            "total_ns": 1477605.3567251463,
+            "batches": 1.0,
+        },
+        49,
+        {"pgas_bytes": 50331648.0, **_pair_totals("pgas_bytes", 4, 4194304.0)},
+    ),
+    "rowwise-baseline-g3-ragged": (
+        lambda: _rowwise(ROWWISE_G3, 3, BaselineRetrieval),
+        {
+            "compute_ns": 343135.90643274854,
+            "comm_ns": 67213.77083333331,
+            "sync_unpack_ns": 185006.2222222222,
+            "total_ns": 595355.899488304,
+            "batches": 1.0,
+        },
+        37,
+        {
+            "comm_bytes": 3584000.0,
+            "comm_bytes.dev0->dev1": 596736.0,
+            "comm_bytes.dev0->dev2": 596736.0,
+            "comm_bytes.dev1->dev0": 598528.0,
+            "comm_bytes.dev1->dev2": 596736.0,
+            "comm_bytes.dev2->dev0": 598528.0,
+            "comm_bytes.dev2->dev1": 596736.0,
+        },
+    ),
+    "rowwise-pgas-g3-ragged": (
+        lambda: _rowwise(ROWWISE_G3, 3, PGASFusedRetrieval),
+        {
+            "compute_ns": 373870.90643274854,
+            "comm_ns": 0.0,
+            "sync_unpack_ns": 0.0,
+            "total_ns": 373870.90643274854,
+            "batches": 1.0,
+        },
+        32,
+        {
+            "pgas_bytes": 3584000.0,
+            "pgas_bytes.dev0->dev1": 596736.0,
+            "pgas_bytes.dev0->dev2": 596736.0,
+            "pgas_bytes.dev1->dev0": 598528.0,
+            "pgas_bytes.dev1->dev2": 596736.0,
+            "pgas_bytes.dev2->dev0": 598528.0,
+            "pgas_bytes.dev2->dev1": 596736.0,
+        },
+    ),
+    "rowwise-bwd-baseline-g4": (
+        lambda: _rowwise(ROWWISE_G4, 4, RowWiseBaselineBackward),
+        {
+            "compute_ns": 6019979.60233918,
+            "comm_ns": 1400233.3125,
+            "sync_unpack_ns": 1554101.3333333337,
+            "total_ns": 8974314.248172514,
+            "batches": 1.0,
+        },
+        96,
+        {
+            "comm_bytes": 50331648.0,
+            "comm_bytes.dev0->dev1": 12582912.0,
+            "comm_bytes.dev1->dev2": 12582912.0,
+            "comm_bytes.dev2->dev3": 12582912.0,
+            "comm_bytes.dev3->dev0": 12582912.0,
+        },
+    ),
+    "rowwise-bwd-pgas-g4": (
+        lambda: _rowwise(ROWWISE_G4, 4, RowWisePGASBackward),
+        {
+            "compute_ns": 2167098.6900584796,
+            "comm_ns": 0.0,
+            "sync_unpack_ns": 0.0,
+            "total_ns": 2167098.6900584796,
+            "batches": 1.0,
+        },
+        49,
+        {"pgas_bytes": 50331648.0, **_pair_totals("pgas_bytes", 4, 4194304.0)},
+    ),
+}
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_phase_timing_and_event_count_are_pinned(case):
     run, timing, events = CASES[case]
@@ -453,6 +583,15 @@ def test_phase_timing_and_event_count_are_pinned(case):
 @pytest.mark.parametrize("case", sorted(FEATURE_CASES))
 def test_feature_timing_events_and_counters_are_pinned(case):
     run, timing, events, counters = FEATURE_CASES[case]
+    got_timing, got_events, got_counters = run()
+    assert got_timing == timing
+    assert got_events == events
+    assert got_counters == counters
+
+
+@pytest.mark.parametrize("case", sorted(ROWWISE_CASES))
+def test_rowwise_timing_events_and_counters_are_pinned(case):
+    run, timing, events, counters = ROWWISE_CASES[case]
     got_timing, got_events, got_counters = run()
     assert got_timing == timing
     assert got_events == events

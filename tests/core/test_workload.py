@@ -8,16 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.calibration import INDEX_BYTES
-from repro.core.sharding import TableWiseSharding, minibatch_bounds
+from repro.core.sharding import RowWiseSharding, TableWiseSharding, minibatch_bounds
 from repro.core.workload import (
     alltoall_split_bytes,
     build_device_workloads,
+    build_rowwise_workloads,
     lengths_from_batch,
     unpack_bytes_received,
 )
 from repro.dlrm.data import SyntheticDataGenerator, WorkloadConfig
 from repro.dlrm.embedding import EmbeddingTableConfig
 from repro.simgpu.device import V100_SPEC
+
+
+def builders(cfg, G):
+    """Each workload builder with its plan, for checks both must pass."""
+    return [
+        (build_device_workloads, TableWiseSharding(cfg.table_configs(), G)),
+        (build_rowwise_workloads, RowWiseSharding(cfg.table_configs(), G)),
+    ]
 
 
 def make(n_tables=4, G=2, B=40, dim=8, max_pool=5, spb=16, seed=3):
@@ -81,21 +90,29 @@ class TestBuild:
 
     def test_missing_lengths_raise(self):
         cfg = WorkloadConfig(num_tables=2, rows_per_table=10, dim=4, batch_size=8, max_pooling=2)
-        plan = TableWiseSharding(cfg.table_configs(), 2)
-        with pytest.raises(KeyError, match="no lengths"):
-            build_device_workloads(plan, {"sparse_0": np.ones(8, dtype=np.int64)})
+        for build, plan in builders(cfg, 2):
+            with pytest.raises(KeyError, match="no lengths"):
+                build(plan, {"sparse_0": np.ones(8, dtype=np.int64)})
 
     def test_inconsistent_batch_raises(self):
         cfg = WorkloadConfig(num_tables=2, rows_per_table=10, dim=4, batch_size=8, max_pooling=2)
-        plan = TableWiseSharding(cfg.table_configs(), 1)
-        with pytest.raises(ValueError, match="inconsistent"):
-            build_device_workloads(
-                plan,
-                {
-                    "sparse_0": np.ones(8, dtype=np.int64),
-                    "sparse_1": np.ones(9, dtype=np.int64),
-                },
-            )
+        for build, plan in builders(cfg, 1):
+            with pytest.raises(ValueError, match="inconsistent"):
+                build(
+                    plan,
+                    {
+                        "sparse_0": np.ones(8, dtype=np.int64),
+                        "sparse_1": np.ones(9, dtype=np.int64),
+                    },
+                )
+
+    def test_nonpositive_samples_per_block_raises(self):
+        cfg = WorkloadConfig(num_tables=2, rows_per_table=10, dim=4, batch_size=8, max_pooling=2)
+        lengths = SyntheticDataGenerator(cfg).lengths_batch()
+        for build, plan in builders(cfg, 2):
+            for spb in (0, -16):
+                with pytest.raises(ValueError, match="samples_per_block"):
+                    build(plan, lengths, samples_per_block=spb)
 
     def test_device_with_no_tables(self):
         cfg = WorkloadConfig(num_tables=2, rows_per_table=10, dim=4, batch_size=8, max_pooling=2)
@@ -150,10 +167,18 @@ class TestAllToAllSplit:
         assert split[0, 1] == pytest.approx(split[1, 0])
 
     def test_unpack_equals_received(self):
-        _, _, wls = make(G=3, B=41)
+        plan, lengths, wls = make(G=3, B=41)
         split = alltoall_split_bytes(wls)
         for d in range(3):
             assert unpack_bytes_received(wls, d) == pytest.approx(split[:, d].sum())
+            # The unpack reads and writes each received byte once.
+            assert wls[d].unpack_bytes(wls) == 2.0 * unpack_bytes_received(wls, d)
+        # Row-wise: the owner reads G partials of its own share, writes one sum.
+        rw = build_rowwise_workloads(RowWiseSharding(plan.table_configs, 3), lengths)
+        for d in range(3):
+            own = float(rw[d].output_bytes_by_dst[d])
+            assert own > 0
+            assert rw[d].unpack_bytes(rw) == own * 3 + own
 
 
 class TestKernelSpecIntegration:

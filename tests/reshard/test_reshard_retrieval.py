@@ -192,6 +192,15 @@ class TestShardingErrors:
             plan.shard_on("sparse_0", 99)
         assert issubclass(ShardingError, ValueError)
 
+    def test_row_owner_raises_typed_error(self):
+        from repro.core.sharding import RowWiseSharding
+
+        plan = RowWiseSharding(small_cfg().table_configs(), 4)
+        with pytest.raises(ShardingError, match="'zzz'"):
+            plan.row_owner("zzz", np.array([0, 1]))
+        with pytest.raises(ShardingError, match="'zzz'"):
+            plan.shards_of("zzz")
+
 
 class TestRunReportSection:
     def test_reshard_counters_reach_the_run_report(self):
