@@ -173,8 +173,8 @@ def run_fault_sweep(
                     deadline_ns=deadline_ns,
                     queue_limit=queue_limit,
                     hedge_after_ns=hedge_after_ns,
+                    scheduler=scheduler,
                 ),
-                scheduler=scheduler,
             )
             pipeline = DLRMInferencePipeline.from_spec(spec)
             plan = FaultPlan.generate(

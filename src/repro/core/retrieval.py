@@ -28,8 +28,9 @@ communication strategy (``"pgas"`` — fused one-sided writes — or
 layered on top of it.  Every adapter is a :class:`BaseRetrieval`: the bare
 bases build it directly, and each feature is a subclass that names its
 suffix, its :class:`~repro.core.factory.FeatureSpec` field and its config
-type, and registers its ``pgas``/``baseline`` pair from the class
-(:meth:`BaseRetrieval.register`, built by :meth:`BaseRetrieval.from_host`):
+type (collected in :data:`FEATURE_CONFIGS`), and registers its
+``pgas``/``baseline`` pair from the class (:meth:`BaseRetrieval.register`,
+built by :meth:`BaseRetrieval.from_host`):
 
 * ``+hier`` — :class:`HierRetrieval`, ``hier``: a
   :class:`repro.comm.hier.HierSpec`;
@@ -111,6 +112,7 @@ __all__ = [
     "BaseRetrieval",
     "DistributedEmbedding",
     "EmbeddingHost",
+    "FEATURE_CONFIGS",
     "ForwardResult",
     "HierRetrieval",
     "RetrievalBackend",
@@ -123,6 +125,12 @@ __all__ = [
 #: A registered backend name.  ``"pgas"`` and ``"baseline"`` are built in;
 #: ``repro.cache`` adds ``"pgas+cache"`` and ``"baseline+cache"``.
 BackendName = str
+
+#: :class:`~repro.core.factory.FeatureSpec` field -> its config class: the
+#: one declaration of what each feature section holds.  Every feature
+#: adapter adds its ``config_field``/``spec_type`` when it registers;
+#: ``obs`` configures the host, not an adapter.
+FEATURE_CONFIGS: Dict[str, type] = {"obs": TraceSpec}
 
 
 def base_engine(
@@ -423,7 +431,10 @@ class BaseRetrieval(RetrievalBackend):
     @classmethod
     def register(cls, descriptions: Mapping[str, str]) -> None:
         """Register ``<base>+<suffix>`` (or the bare base) for each base
-        strategy in ``descriptions``, built by :meth:`from_host`."""
+        strategy in ``descriptions``, built by :meth:`from_host`; records
+        the class's config section in :data:`FEATURE_CONFIGS`."""
+        if cls.config_field is not None:
+            FEATURE_CONFIGS[cls.config_field] = cls.spec_type
         for base, description in descriptions.items():
             register_backend(
                 f"{base}+{cls.suffix}" if cls.suffix else base,

@@ -2,12 +2,12 @@
 
 Every layer of the stack has its own config object — workload shape
 (:class:`~repro.dlrm.data.WorkloadConfig`), model shape around the EMB
-layer (:class:`~repro.core.pipeline.PipelineConfig`), the hot-row cache
-(:class:`repro.cache.CacheConfig`), the fault wrapper
-(:class:`repro.faults.ResilienceSpec`), the serving load
-(:class:`~repro.core.serving.ServingSpec`) and the continuous-batching
-scheduler (:class:`~repro.core.serving.SchedulerSpec`).  :class:`RunSpec`
-composes them into a single validated, serialisable value that every
+layer (:class:`~repro.core.pipeline.PipelineConfig`), each feature
+(one :class:`~repro.core.factory.FeatureSpec` section apiece: hot-row
+cache, fault wrapper, compression, …) and the serving load with its
+continuous-batching scheduler (:class:`~repro.core.serving.ServingSpec`,
+whose ``scheduler`` is a :class:`~repro.core.serving.SchedulerSpec`).
+:class:`RunSpec` composes them into a single validated, serialisable value that every
 entry point builds from:
 
 >>> from repro import RunSpec, build_backend, preset_runspec
@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Literal, Optional, Tuple
 
 from ..dlrm.data import STRONG_SCALING_TOTAL, WEAK_SCALING_BASE, WorkloadConfig
 from .factory import FeatureSpec
 from .pipeline import PipelineConfig
-from .retrieval import BackendName, backend_spec
-from .serving import SchedulerSpec, ServingSpec
+from .retrieval import FEATURE_CONFIGS, BackendName, backend_spec
+from .serving import SchedulerSpec, ServingSpec, _count
 
 __all__ = ["PRESETS", "RunSpec", "preset_runspec"]
 
@@ -44,18 +44,36 @@ __all__ = ["PRESETS", "RunSpec", "preset_runspec"]
 PRESETS = ("tiny", "weak", "strong")
 
 
-def _build_optional(cls, payload: Optional[Dict[str, Any]], section: str):
-    """Rebuild an optional nested config from its dict form."""
-    if payload is None:
-        return None
-    if not isinstance(payload, dict):
-        raise TypeError(f"RunSpec section {section!r} must be a dict or null")
-    return cls(**payload)
+def _section(data: Dict[str, Any], key: str) -> Optional[Dict[str, Any]]:
+    """Payload section ``key``: a dict, or None when absent or null."""
+    payload = data.get(key)
+    if payload is not None and not isinstance(payload, dict):
+        raise TypeError(
+            f"RunSpec section {key!r} must be a dict or null, got {type(payload).__name__}"
+        )
+    return payload
+
+
+def _asdict(section: Optional[object]) -> Optional[Dict[str, Any]]:
+    """A config section's dict form (None stays None)."""
+    return None if section is None else dataclasses.asdict(section)
+
+
+def _build_optional(cls, data: Dict[str, Any], key: str):
+    """Rebuild optional section ``key`` of ``data`` as a ``cls``."""
+    payload = _section(data, key)
+    return None if payload is None else cls(**payload)
 
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One experiment's complete, validated configuration."""
+    """One experiment's complete, validated configuration.
+
+    The feature sections (``cache`` … ``obs``) are the
+    :class:`~repro.core.factory.FeatureSpec` fields; each holds the config
+    class :data:`~repro.core.retrieval.FEATURE_CONFIGS` names for it, or
+    None.
+    """
 
     workload: WorkloadConfig
     n_devices: int = 2
@@ -63,15 +81,14 @@ class RunSpec:
     bottom_mlp: Tuple[int, ...] = (512, 256)
     top_mlp: Tuple[int, ...] = (512, 256)
     interaction: Literal["dot", "cat", "sum"] = "dot"
-    cache: Optional[object] = None  #: repro.cache.CacheConfig
-    resilience: Optional[object] = None  #: repro.faults.ResilienceSpec
-    compression: Optional[object] = None  #: repro.compress.CompressionSpec
-    replication: Optional[object] = None  #: repro.replication.ReplicationSpec
-    reshard: Optional[object] = None  #: repro.reshard.ReshardSpec
-    hier: Optional[object] = None  #: repro.comm.hier.HierSpec
-    obs: Optional[object] = None  #: repro.obs.TraceSpec
+    cache: Optional[object] = None
+    resilience: Optional[object] = None
+    compression: Optional[object] = None
+    replication: Optional[object] = None
+    reshard: Optional[object] = None
+    hier: Optional[object] = None
+    obs: Optional[object] = None
     serving: Optional[ServingSpec] = None
-    scheduler: Optional[SchedulerSpec] = None  #: overrides serving.scheduler
     name: str = ""  #: free-form label (presets stamp theirs here)
 
     def __post_init__(self) -> None:
@@ -80,13 +97,14 @@ class RunSpec:
                 f"RunSpec.workload must be a WorkloadConfig, "
                 f"got {type(self.workload).__name__}"
             )
-        if self.n_devices < 1:
-            raise ValueError("n_devices must be >= 1")
+        object.__setattr__(
+            self, "n_devices", _count("RunSpec", "n_devices", self.n_devices)
+        )
+        if not isinstance(self.backend, str):
+            raise TypeError(f"RunSpec.backend must be a str, got {type(self.backend).__name__}")
         backend_spec(self.backend)  # unknown backend names raise here
         for attr in ("bottom_mlp", "top_mlp"):
-            sizes = tuple(int(s) for s in getattr(self, attr))
-            if any(s <= 0 for s in sizes):
-                raise ValueError(f"{attr} layer widths must be positive")
+            sizes = tuple(_count("RunSpec", attr, s) for s in getattr(self, attr))
             object.__setattr__(self, attr, sizes)
         if self.interaction not in ("dot", "cat", "sum"):
             raise ValueError(f"unknown interaction {self.interaction!r}")
@@ -95,67 +113,15 @@ class RunSpec:
                 f"RunSpec.serving must be a ServingSpec, "
                 f"got {type(self.serving).__name__}"
             )
-        if self.scheduler is not None and not isinstance(self.scheduler, SchedulerSpec):
-            raise TypeError(
-                f"RunSpec.scheduler must be a SchedulerSpec, "
-                f"got {type(self.scheduler).__name__}"
-            )
-        if self.cache is not None:
-            from ..cache import CacheConfig  # lazy: avoid import cycle
-
-            if not isinstance(self.cache, CacheConfig):
+        for f in fields(FeatureSpec):
+            value, spec_type = getattr(self, f.name), FEATURE_CONFIGS[f.name]
+            if value is not None and not isinstance(value, spec_type):
                 raise TypeError(
-                    f"RunSpec.cache must be a repro.cache.CacheConfig, "
-                    f"got {type(self.cache).__name__}"
+                    f"RunSpec.{f.name} must be a {spec_type.__module__}."
+                    f"{spec_type.__name__}, got {type(value).__name__}"
                 )
-        if self.resilience is not None:
-            from ..faults import ResilienceSpec  # lazy: avoid import cycle
-
-            if not isinstance(self.resilience, ResilienceSpec):
-                raise TypeError(
-                    f"RunSpec.resilience must be a repro.faults.ResilienceSpec, "
-                    f"got {type(self.resilience).__name__}"
-                )
-        if self.compression is not None:
-            from ..compress import CompressionSpec  # lazy: avoid import cycle
-
-            if not isinstance(self.compression, CompressionSpec):
-                raise TypeError(
-                    f"RunSpec.compression must be a repro.compress.CompressionSpec, "
-                    f"got {type(self.compression).__name__}"
-                )
-        if self.replication is not None:
-            from ..replication import ReplicationSpec  # lazy: avoid import cycle
-
-            if not isinstance(self.replication, ReplicationSpec):
-                raise TypeError(
-                    f"RunSpec.replication must be a repro.replication.ReplicationSpec, "
-                    f"got {type(self.replication).__name__}"
-                )
-        if self.reshard is not None:
-            from ..reshard import ReshardSpec  # lazy: avoid import cycle
-
-            if not isinstance(self.reshard, ReshardSpec):
-                raise TypeError(
-                    f"RunSpec.reshard must be a repro.reshard.ReshardSpec, "
-                    f"got {type(self.reshard).__name__}"
-                )
-        if self.hier is not None:
-            from ..comm.hier import HierSpec  # lazy: avoid import cycle
-
-            if not isinstance(self.hier, HierSpec):
-                raise TypeError(
-                    f"RunSpec.hier must be a repro.comm.hier.HierSpec, "
-                    f"got {type(self.hier).__name__}"
-                )
-        if self.obs is not None:
-            from ..obs import TraceSpec  # lazy: avoid import cycle
-
-            if not isinstance(self.obs, TraceSpec):
-                raise TypeError(
-                    f"RunSpec.obs must be a repro.obs.TraceSpec, "
-                    f"got {type(self.obs).__name__}"
-                )
+        if not isinstance(self.name, str):
+            raise TypeError(f"RunSpec.name must be a str, got {type(self.name).__name__}")
 
     # -- derived section views ---------------------------------------------------
 
@@ -174,18 +140,11 @@ class RunSpec:
         return FeatureSpec(**{f.name: getattr(self, f.name) for f in fields(FeatureSpec)})
 
     def serving_spec(self) -> ServingSpec:
-        """The serving section, with the top-level scheduler merged in.
-
-        A top-level ``scheduler`` overrides an absent ``serving.scheduler``
-        (it never silently overrides an explicit one — that would make two
-        places disagree about the same knob).
-        """
+        """The serving section (raises when the spec has none)."""
         if self.serving is None:
             raise ValueError(
                 "this RunSpec has no serving section; set serving=ServingSpec(...)"
             )
-        if self.scheduler is not None and self.serving.scheduler is None:
-            return replace(self.serving, scheduler=self.scheduler)
         return self.serving
 
     # -- serialisation -----------------------------------------------------------
@@ -202,23 +161,8 @@ class RunSpec:
                 "top_mlp": list(self.top_mlp),
                 "interaction": self.interaction,
             },
-            "cache": dataclasses.asdict(self.cache) if self.cache else None,
-            "resilience": (
-                dataclasses.asdict(self.resilience) if self.resilience else None
-            ),
-            "compression": (
-                dataclasses.asdict(self.compression) if self.compression else None
-            ),
-            "replication": (
-                dataclasses.asdict(self.replication) if self.replication else None
-            ),
-            "reshard": dataclasses.asdict(self.reshard) if self.reshard else None,
-            "hier": dataclasses.asdict(self.hier) if self.hier else None,
-            "obs": dataclasses.asdict(self.obs) if self.obs else None,
-            "serving": dataclasses.asdict(self.serving) if self.serving else None,
-            "scheduler": (
-                dataclasses.asdict(self.scheduler) if self.scheduler else None
-            ),
+            **{f.name: _asdict(getattr(self, f.name)) for f in fields(FeatureSpec)},
+            "serving": _asdict(self.serving),
         }
 
     @classmethod
@@ -226,64 +170,30 @@ class RunSpec:
         """Inverse of :meth:`to_dict` (validates; unknown keys raise)."""
         if not isinstance(data, dict):
             raise TypeError(f"RunSpec payload must be a dict, got {type(data).__name__}")
-        known = {
-            "name", "n_devices", "backend", "workload", "model",
-            "cache", "resilience", "compression", "replication",
-            "reshard", "hier", "obs", "serving", "scheduler",
-        }
-        unknown = set(data) - known
+        features = tuple(f.name for f in fields(FeatureSpec))
+        known = ("name", "n_devices", "backend", "workload", "model", "serving") + features
+        unknown = set(data).difference(known)
         if unknown:
             raise ValueError(f"unknown RunSpec keys: {sorted(unknown)}")
         if "workload" not in data:
             raise ValueError("RunSpec payload needs a 'workload' section")
-        from ..cache import CacheConfig  # lazy: avoid import cycle
-        from ..comm.hier import HierSpec
-        from ..compress import CompressionSpec
-        from ..faults import ResilienceSpec
-        from ..obs import TraceSpec
-        from ..replication import ReplicationSpec
-        from ..reshard import ReshardSpec
-
-        model = dict(data.get("model") or {})
-        serving_payload = data.get("serving")
-        serving = None
-        if serving_payload is not None:
-            payload = dict(serving_payload)
-            payload["cache"] = _build_optional(
-                CacheConfig, payload.get("cache"), "serving.cache"
-            )
-            payload["resilience"] = _build_optional(
-                ResilienceSpec, payload.get("resilience"), "serving.resilience"
-            )
-            payload["scheduler"] = _build_optional(
-                SchedulerSpec, payload.get("scheduler"), "serving.scheduler"
-            )
-            serving = ServingSpec(**payload)
+        model = _section(data, "model") or {}
+        serving = _section(data, "serving")
+        if serving is not None:
+            scheduler = serving.get("scheduler")
+            if isinstance(scheduler, dict):  # anything else: ServingSpec names it
+                scheduler = SchedulerSpec(**scheduler)
+            serving = ServingSpec(**{**serving, "scheduler": scheduler})
         return cls(
-            workload=WorkloadConfig(**data["workload"]),
+            workload=_build_optional(WorkloadConfig, data, "workload"),
             n_devices=data.get("n_devices", 2),
             backend=data.get("backend", "pgas"),
-            bottom_mlp=tuple(model.get("bottom_mlp", (512, 256))),
-            top_mlp=tuple(model.get("top_mlp", (512, 256))),
+            bottom_mlp=model.get("bottom_mlp", (512, 256)),
+            top_mlp=model.get("top_mlp", (512, 256)),
             interaction=model.get("interaction", "dot"),
-            cache=_build_optional(CacheConfig, data.get("cache"), "cache"),
-            resilience=_build_optional(
-                ResilienceSpec, data.get("resilience"), "resilience"
-            ),
-            compression=_build_optional(
-                CompressionSpec, data.get("compression"), "compression"
-            ),
-            replication=_build_optional(
-                ReplicationSpec, data.get("replication"), "replication"
-            ),
-            reshard=_build_optional(ReshardSpec, data.get("reshard"), "reshard"),
-            hier=_build_optional(HierSpec, data.get("hier"), "hier"),
-            obs=_build_optional(TraceSpec, data.get("obs"), "obs"),
             serving=serving,
-            scheduler=_build_optional(
-                SchedulerSpec, data.get("scheduler"), "scheduler"
-            ),
             name=data.get("name", ""),
+            **{key: _build_optional(FEATURE_CONFIGS[key], data, key) for key in features},
         )
 
     def to_json(self, *, indent: Optional[int] = None) -> str:

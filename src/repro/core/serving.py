@@ -52,7 +52,9 @@ degraded under fault.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+import operator
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Literal, Optional
 
 import numpy as np
@@ -75,14 +77,41 @@ from .pipeline import DLRMInferencePipeline, PipelineTiming
 from .retrieval import BackendInfo, BackendName, backend_spec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, annotations only
-    from ..cache import CacheConfig
-    from ..faults import ResilienceSpec
     from .runspec import RunSpec
 
 __all__ = ["SchedulerSpec", "ServingSpec", "ServingResult", "InferenceServer"]
 
 #: batch-formation trigger names (also the BATCH_FORMED_COUNTER suffixes)
 FORMATION_REASONS = ("size", "timeout", "exhausted")
+
+
+def _count(owner: str, name: str, value, minimum: int = 1) -> int:
+    """``value`` as an int >= ``minimum`` (via ``operator.index``); a bool
+    or a non-integer raises ``TypeError`` naming ``owner.name``."""
+    if isinstance(value, bool):
+        raise TypeError(f"{owner}.{name} must be an int, got bool")
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{owner}.{name} must be an int, got {type(value).__name__}") from None
+    if value < minimum:
+        raise ValueError(f"{owner}.{name} must be >= {minimum}")
+    return value
+
+
+def _check_finite(owner: str, name: str, value, *, zero_ok: bool = False) -> None:
+    """Require a finite real ``value`` > 0 (>= 0 with ``zero_ok``); a bool
+    or a non-real raises ``TypeError``, anything else ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{owner}.{name} must be a real number, got {type(value).__name__}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise ValueError(f"{owner}.{name} must be finite, got {value!r}")
+    if value < 0 or (value == 0 and not zero_ok):
+        raise ValueError(f"{owner}.{name} must be {'>= 0' if zero_ok else 'positive'}")
 
 
 @dataclass(frozen=True)
@@ -94,84 +123,62 @@ class SchedulerSpec:
     the batch-formation trigger: ``"size"`` waits for a full
     ``max_batch``, ``"timeout"`` waits ``batch_window_ns`` after the head
     request, ``"hybrid"`` fires on whichever comes first (the classic
-    adaptive batcher).  ``queue_limit`` overrides the
-    :class:`ServingSpec` admission limit when set.
+    adaptive batcher).
     """
 
     max_in_flight: int = 1
     policy: Literal["size", "timeout", "hybrid"] = "hybrid"
-    queue_limit: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
+        object.__setattr__(
+            self, "max_in_flight", _count("SchedulerSpec", "max_in_flight", self.max_in_flight)
+        )
         if self.policy not in ("size", "timeout", "hybrid"):
             raise ValueError(
                 f"unknown policy {self.policy!r} (use size, timeout, or hybrid)"
             )
-        if self.queue_limit is not None and self.queue_limit < 1:
-            raise ValueError("queue_limit must be >= 1 (or None)")
 
 
 @dataclass(frozen=True)
 class ServingSpec:
     """Load, batching, and SLO policy.
 
-    ``cache`` (a :class:`repro.cache.CacheConfig`) equips the pipeline's
-    ``"+cache"`` backends; ``resilience`` (a
-    :class:`repro.faults.ResilienceSpec`) equips the ``"+resilient"``
-    ones.  Each is ignored by the other backends.  ``deadline_ns`` is the
-    per-request SLO used for the deadline-hit rate; ``queue_limit`` and
-    ``hedge_after_ns`` enable load shedding and hedged re-execution.
-    ``scheduler`` configures continuous batching (``None`` = the default
-    sequential scheduler: hybrid formation, one batch in flight).
+    ``deadline_ns`` is the per-request SLO used for the deadline-hit
+    rate; ``queue_limit`` and ``hedge_after_ns`` enable load shedding and
+    hedged re-execution.  ``scheduler`` configures continuous batching
+    (``None`` = the default sequential scheduler: hybrid formation, one
+    batch in flight).  The EMB features a run serves with are the
+    pipeline's :class:`~repro.core.factory.FeatureSpec`.  Times and the
+    rate must be finite reals, counts and the seed ints; a bad value
+    raises at construction, naming the field.
     """
 
     arrival_qps: float  #: mean request arrival rate (Poisson)
     max_batch: int = 256  #: batcher's size cap
     batch_window_ns: float = 2 * ms  #: max wait after the first queued request
     seed: int = 0
-    cache: Optional["CacheConfig"] = None
     deadline_ns: Optional[float] = None  #: per-request SLO deadline
     queue_limit: Optional[int] = None  #: shed arrivals beyond this queue depth
     hedge_after_ns: Optional[float] = None  #: re-execute batches slower than this
-    resilience: Optional["ResilienceSpec"] = None
     scheduler: Optional[SchedulerSpec] = None  #: continuous-batching policy
 
     def __post_init__(self) -> None:
-        if self.arrival_qps <= 0:
-            raise ValueError("arrival_qps must be positive")
-        if self.max_batch <= 0:
-            raise ValueError("max_batch must be positive")
-        if self.batch_window_ns < 0:
-            raise ValueError("batch_window_ns must be non-negative")
-        if self.deadline_ns is not None and self.deadline_ns <= 0:
-            raise ValueError("deadline_ns must be positive (or None)")
-        if self.queue_limit is not None and self.queue_limit < 1:
-            raise ValueError("queue_limit must be >= 1 (or None)")
-        if self.hedge_after_ns is not None and self.hedge_after_ns <= 0:
-            raise ValueError("hedge_after_ns must be positive (or None)")
+        _check_finite("ServingSpec", "arrival_qps", self.arrival_qps)
+        _check_finite("ServingSpec", "batch_window_ns", self.batch_window_ns, zero_ok=True)
+        for name in ("deadline_ns", "hedge_after_ns"):
+            if getattr(self, name) is not None:
+                _check_finite("ServingSpec", name, getattr(self, name))
+        object.__setattr__(self, "max_batch", _count("ServingSpec", "max_batch", self.max_batch))
+        object.__setattr__(self, "seed", _count("ServingSpec", "seed", self.seed, minimum=0))
+        if self.queue_limit is not None:
+            object.__setattr__(
+                self, "queue_limit", _count("ServingSpec", "queue_limit", self.queue_limit)
+            )
         if self.scheduler is not None and not isinstance(self.scheduler, SchedulerSpec):
             raise TypeError(
                 f"ServingSpec.scheduler must be a SchedulerSpec, "
                 f"got {type(self.scheduler).__name__}"
             )
-        if self.cache is not None:
-            from ..cache import CacheConfig  # lazy: avoid import cycle
-
-            if not isinstance(self.cache, CacheConfig):
-                raise TypeError(
-                    f"ServingSpec.cache must be a repro.cache.CacheConfig, "
-                    f"got {type(self.cache).__name__}"
-                )
-        if self.resilience is not None:
-            from ..faults import ResilienceSpec  # lazy: avoid import cycle
-
-            if not isinstance(self.resilience, ResilienceSpec):
-                raise TypeError(
-                    f"ServingSpec.resilience must be a repro.faults.ResilienceSpec, "
-                    f"got {type(self.resilience).__name__}"
-                )
 
     @property
     def mean_interarrival_ns(self) -> float:
@@ -419,20 +426,13 @@ class InferenceServer:
     def __init__(self, pipeline: DLRMInferencePipeline, spec: ServingSpec):
         self.pipeline = pipeline
         self.spec = spec
-        sections = {
-            name: value
-            for name, value in (("cache", spec.cache), ("resilience", spec.resilience))
-            if value is not None
-        }
-        if sections:
-            pipeline.set_features(replace(pipeline.features, **sections))
 
     @classmethod
     def from_spec(cls, spec: "RunSpec", *, pipeline: Optional[DLRMInferencePipeline] = None):
         """Build a server from a :class:`~repro.core.runspec.RunSpec`.
 
-        The spec must carry a ``serving`` section; its ``scheduler``
-        section (when present) overrides the serving spec's.
+        The spec must carry a ``serving`` section; the pipeline (built
+        from the spec unless given) carries its feature sections.
         """
         if pipeline is None:
             pipeline = DLRMInferencePipeline.from_spec(spec)
@@ -488,9 +488,7 @@ class InferenceServer:
         profiler = cluster.profiler
         spec = self.spec
         sched = spec.scheduler_spec
-        queue_limit = (
-            sched.queue_limit if sched.queue_limit is not None else spec.queue_limit
-        )
+        queue_limit = spec.queue_limit
         rng = np.random.default_rng(spec.seed)
         workload = pipeline.config.workload
         gen = SyntheticDataGenerator(workload)

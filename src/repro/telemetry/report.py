@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional
 
 from ..obs.critpath import critical_path_report
@@ -124,27 +124,7 @@ class RunReport:
 
     def as_dict(self) -> Dict[str, Any]:
         """Canonical plain-dict form (what ``to_json`` serialises)."""
-        return _plain(
-            {
-                "schema_version": self.schema_version,
-                "backend": self.backend,
-                "n_devices": self.n_devices,
-                "workload": self.workload,
-                "timing": self.timing,
-                "metrics": self.metrics,
-                "links": self.links,
-                "series": self.series,
-                "cache": self.cache,
-                "compression": self.compression,
-                "availability": self.availability,
-                "reshard": self.reshard,
-                "hier": self.hier,
-                "critical_path": self.critical_path,
-                "serving": self.serving,
-                "faults": self.faults,
-                "meta": self.meta,
-            }
-        )
+        return _plain({f.name: getattr(self, f.name) for f in fields(self)})
 
     def to_json(self, *, indent: Optional[int] = None) -> str:
         """Canonical JSON: sorted keys, plain floats — diff- and hash-stable."""
@@ -155,23 +135,10 @@ class RunReport:
         """Rebuild from a dict; validates against the schema first."""
         validate_report(data)
         return cls(
-            backend=data["backend"],
-            n_devices=data["n_devices"],
-            schema_version=data["schema_version"],
-            workload=dict(data.get("workload", {})),
-            timing=dict(data.get("timing", {})),
-            metrics=dict(data.get("metrics", {})),
-            links=dict(data.get("links", {})),
-            series=dict(data.get("series", {})),
-            cache=dict(data.get("cache", {})),
-            compression=dict(data.get("compression", {})),
-            availability=dict(data.get("availability", {})),
-            reshard=dict(data.get("reshard", {})),
-            hier=dict(data.get("hier", {})),
-            critical_path=dict(data.get("critical_path", {})),
-            serving=dict(data.get("serving", {})),
-            faults=dict(data.get("faults", {})),
-            meta=dict(data.get("meta", {})),
+            **{
+                f.name: data[f.name] if f.name in _HEADER else dict(data.get(f.name, {}))
+                for f in fields(cls)
+            }
         )
 
     @classmethod
@@ -180,25 +147,23 @@ class RunReport:
         return cls.from_dict(json.loads(text))
 
 
-#: top-level schema: key -> (required, allowed types)
+#: the scalar header fields and their types; every other field is a section
+_HEADER: Dict[str, type] = {"schema_version": int, "backend": str, "n_devices": int}
+
+#: top-level schema: key -> (required, type); ``metrics`` is the one
+#: required section
 _SCHEMA: Dict[str, tuple] = {
-    "schema_version": (True, (int,)),
-    "backend": (True, (str,)),
-    "n_devices": (True, (int,)),
-    "workload": (False, (dict,)),
-    "timing": (False, (dict,)),
-    "metrics": (True, (dict,)),
-    "links": (False, (dict,)),
-    "series": (False, (dict,)),
-    "cache": (False, (dict,)),
-    "compression": (False, (dict,)),
-    "availability": (False, (dict,)),
-    "reshard": (False, (dict,)),
-    "hier": (False, (dict,)),
-    "critical_path": (False, (dict,)),
-    "serving": (False, (dict,)),
-    "faults": (False, (dict,)),
-    "meta": (False, (dict,)),
+    f.name: (f.name in _HEADER or f.name == "metrics", _HEADER.get(f.name, dict))
+    for f in fields(RunReport)
+}
+
+#: counter sections: report field -> the profiler counter-name prefix it totals
+_COUNTER_SECTIONS: Dict[str, str] = {
+    "cache": "cache.",
+    "compression": "compress.",
+    "availability": "availability.",
+    "reshard": "reshard.",
+    "hier": "hier.",
 }
 
 
@@ -206,15 +171,14 @@ def validate_report(data: Any) -> None:
     """Raise :class:`ReportValidationError` unless ``data`` fits the schema."""
     if not isinstance(data, dict):
         raise ReportValidationError(f"report must be a dict, got {type(data).__name__}")
-    for key, (required, types) in _SCHEMA.items():
+    for key, (required, typ) in _SCHEMA.items():
         if key not in data:
             if required:
                 raise ReportValidationError(f"missing required key {key!r}")
             continue
-        if not isinstance(data[key], types) or isinstance(data[key], bool):
+        if not isinstance(data[key], typ) or isinstance(data[key], bool):
             raise ReportValidationError(
-                f"key {key!r} must be {'/'.join(t.__name__ for t in types)}, "
-                f"got {type(data[key]).__name__}"
+                f"key {key!r} must be {typ.__name__}, got {type(data[key]).__name__}"
             )
     unknown = set(data) - set(_SCHEMA)
     if unknown:
@@ -234,7 +198,7 @@ def validate_report(data: Any) -> None:
             payload["value"], (int, float)
         ):
             raise ReportValidationError(f"metric {name!r} value must be a number")
-    for key in ("timing", "cache", "compression", "availability", "reshard", "hier"):
+    for key in ("timing", *_COUNTER_SECTIONS):
         for name, value in data.get(key, {}).items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ReportValidationError(f"{key}[{name!r}] must be a number")
@@ -342,11 +306,10 @@ def collect_run_report(
         metrics=registry.as_dict(),
         links=link_stats(profiler, burst_edges, topology=topology),
         series=series,
-        cache=_counter_totals(profiler, "cache."),
-        compression=_counter_totals(profiler, "compress."),
-        availability=_counter_totals(profiler, "availability."),
-        reshard=_counter_totals(profiler, "reshard."),
-        hier=_counter_totals(profiler, "hier."),
+        **{
+            section: _counter_totals(profiler, prefix)
+            for section, prefix in _COUNTER_SECTIONS.items()
+        },
         critical_path=critical_path_report(profiler) if profiler.spans else {},
         serving=to_dict(serving),
         faults=faults,

@@ -42,8 +42,8 @@ LOADS = {
 def _serve(policy, k, queue_limit, window, qps, seed, hedge_after_ns=None):
     spec = ServingSpec(
         arrival_qps=qps, max_batch=8, batch_window_ns=window, deadline_ns=5 * ms,
-        hedge_after_ns=hedge_after_ns, seed=seed,
-        scheduler=SchedulerSpec(max_in_flight=k, policy=policy, queue_limit=queue_limit),
+        queue_limit=queue_limit, hedge_after_ns=hedge_after_ns, seed=seed,
+        scheduler=SchedulerSpec(max_in_flight=k, policy=policy),
     )
     pipe = DLRMInferencePipeline.from_spec(preset_runspec("tiny", n_devices=2))
     server = InferenceServer(pipe, spec)

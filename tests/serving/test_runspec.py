@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.cache import CacheConfig
+from repro.core.factory import FeatureSpec
+from repro.core.retrieval import FEATURE_CONFIGS
 from repro.core.runspec import PRESETS, RunSpec, preset_runspec
 from repro.core.serving import SchedulerSpec, ServingSpec
 from repro.dlrm.data import WorkloadConfig
@@ -61,11 +65,6 @@ class TestRoundTrip:
         assert isinstance(again.serving.scheduler, SchedulerSpec)
         assert again.serving.scheduler.max_in_flight == 3
 
-    def test_top_level_scheduler_round_trips(self):
-        spec = RunSpec(workload=WL, scheduler=SchedulerSpec(max_in_flight=2))
-        again = RunSpec.from_dict(spec.to_dict())
-        assert again.scheduler == spec.scheduler
-
 
 class TestValidation:
     def test_unknown_backend_rejected_at_construction(self):
@@ -90,7 +89,7 @@ class TestValidation:
         with pytest.raises(TypeError):
             RunSpec(workload=WL, serving={"arrival_qps": 1.0})
         with pytest.raises(TypeError):
-            RunSpec(workload=WL, scheduler="hybrid")
+            RunSpec(workload=WL, serving=ServingSpec(arrival_qps=1.0, scheduler="hybrid"))
 
     def test_from_dict_rejects_unknown_keys(self):
         payload = RunSpec(workload=WL).to_dict()
@@ -107,24 +106,6 @@ class TestServingSpecMerge:
     def test_serving_required(self):
         with pytest.raises(ValueError):
             RunSpec(workload=WL).serving_spec()
-
-    def test_top_level_scheduler_merged_when_serving_has_none(self):
-        spec = RunSpec(
-            workload=WL,
-            serving=ServingSpec(arrival_qps=1e5),
-            scheduler=SchedulerSpec(max_in_flight=2),
-        )
-        assert spec.serving_spec().scheduler == SchedulerSpec(max_in_flight=2)
-
-    def test_serving_scheduler_wins_over_top_level(self):
-        spec = RunSpec(
-            workload=WL,
-            serving=ServingSpec(
-                arrival_qps=1e5, scheduler=SchedulerSpec(max_in_flight=4)
-            ),
-            scheduler=SchedulerSpec(max_in_flight=2),
-        )
-        assert spec.serving_spec().scheduler.max_in_flight == 4
 
 
 class TestPresets:
@@ -187,3 +168,50 @@ class TestFromSpecConstructors:
         pipe = DLRMInferencePipeline.from_spec(spec)
         batch = SyntheticDataGenerator(WL).sparse_batch()
         assert pipe.run_batch(batch=batch).total_ns > 0
+
+
+class TestFeatureSections:
+    """Every FeatureSpec field is a RunSpec section typed by FEATURE_CONFIGS."""
+
+    @pytest.mark.parametrize("section", [f.name for f in fields(FeatureSpec)])
+    def test_section_round_trips(self, section):
+        spec = RunSpec(workload=WL, **{section: FEATURE_CONFIGS[section]()})
+        again = RunSpec.from_json(spec.to_json())
+        assert again == spec
+        assert type(getattr(again, section)) is FEATURE_CONFIGS[section]
+        assert getattr(again.feature_spec(), section) == getattr(spec, section)
+
+    @pytest.mark.parametrize("section", [f.name for f in fields(FeatureSpec)])
+    def test_dict_in_place_of_config_raises(self, section):
+        with pytest.raises(TypeError, match=FEATURE_CONFIGS[section].__name__):
+            RunSpec(workload=WL, **{section: {}})
+
+    def test_every_section_is_declared(self):
+        assert set(FEATURE_CONFIGS) == {f.name for f in fields(FeatureSpec)}
+
+
+class TestFromDictTypedErrors:
+    @pytest.mark.parametrize("section", ["serving", "model", "workload", "cache"])
+    def test_non_dict_section_names_it(self, section):
+        payload = RunSpec(workload=WL).to_dict()
+        payload[section] = [("arrival_qps", 1.0)]
+        with pytest.raises(TypeError, match=repr(section)):
+            RunSpec.from_dict(payload)
+
+    def test_string_device_count_names_the_field(self):
+        payload = RunSpec(workload=WL).to_dict()
+        payload["n_devices"] = "4"
+        with pytest.raises(TypeError, match="n_devices"):
+            RunSpec.from_dict(payload)
+
+    def test_top_level_scheduler_is_an_unknown_key(self):
+        payload = RunSpec(workload=WL).to_dict()
+        payload["scheduler"] = {"max_in_flight": 2, "policy": "hybrid"}
+        with pytest.raises(ValueError, match="scheduler"):
+            RunSpec.from_dict(payload)
+
+    def test_bad_nested_scheduler_names_it(self):
+        payload = RunSpec(workload=WL, serving=ServingSpec(arrival_qps=1e5)).to_dict()
+        payload["serving"]["scheduler"] = "hybrid"
+        with pytest.raises(TypeError, match="ServingSpec.scheduler"):
+            RunSpec.from_dict(payload)

@@ -31,15 +31,12 @@ class TestSchedulerSpec:
         s = SchedulerSpec()
         assert s.max_in_flight == 1
         assert s.policy == "hybrid"
-        assert s.queue_limit is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SchedulerSpec(max_in_flight=0)
         with pytest.raises(ValueError):
             SchedulerSpec(policy="fifo")
-        with pytest.raises(ValueError):
-            SchedulerSpec(queue_limit=0)
 
     def test_serving_spec_rejects_wrong_type(self):
         with pytest.raises(TypeError):
@@ -114,7 +111,7 @@ class TestSegments:
 
     def test_segments_sum_with_shedding(self):
         res = make_server(
-            SchedulerSpec(max_in_flight=2, queue_limit=4), qps=2_000_000.0
+            SchedulerSpec(max_in_flight=2), qps=2_000_000.0, queue_limit=4
         ).simulate(60)
         assert res.n_shed > 0
         np.testing.assert_allclose(
@@ -228,10 +225,10 @@ class TestFromSpec:
         spec = preset_runspec(
             "tiny", n_devices=2,
             serving=ServingSpec(arrival_qps=1e5, max_batch=8,
-                                batch_window_ns=0.1 * ms),
-            scheduler=SchedulerSpec(max_in_flight=2),
+                                batch_window_ns=0.1 * ms,
+                                scheduler=SchedulerSpec(max_in_flight=2)),
         )
         server = InferenceServer.from_spec(spec)
         res = server.simulate(16)
         assert res.n_requests == 16
-        assert res.max_in_flight == 2  # top-level scheduler merged in
+        assert res.max_in_flight == 2
