@@ -1,0 +1,42 @@
+"""Field checks shared by the frozen config classes.
+
+Each raises ``TypeError`` for a value of the wrong type and ``ValueError``
+for one out of range, naming the field as ``Owner.field``.
+"""
+
+from __future__ import annotations
+
+import math
+import numbers
+import operator
+
+__all__ = ["checked_count", "check_finite"]
+
+
+def checked_count(owner: str, name: str, value, minimum: int = 1) -> int:
+    """``value`` as an int >= ``minimum`` (via ``operator.index``); a bool
+    or a non-integer raises ``TypeError`` naming ``owner.name``."""
+    if isinstance(value, bool):
+        raise TypeError(f"{owner}.{name} must be an int, got bool")
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{owner}.{name} must be an int, got {type(value).__name__}") from None
+    if value < minimum:
+        raise ValueError(f"{owner}.{name} must be >= {minimum}")
+    return value
+
+
+def check_finite(owner: str, name: str, value, *, zero_ok: bool = False) -> None:
+    """Require a finite real ``value`` > 0 (>= 0 with ``zero_ok``); a bool
+    or a non-real raises ``TypeError``, anything else ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{owner}.{name} must be a real number, got {type(value).__name__}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise ValueError(f"{owner}.{name} must be finite, got {value!r}")
+    if value < 0 or (value == 0 and not zero_ok):
+        raise ValueError(f"{owner}.{name} must be {'>= 0' if zero_ok else 'positive'}")

@@ -175,6 +175,16 @@ class DLRMInferencePipeline(EmbeddingHost):
         self.h2d_bandwidth = h2d_bandwidth
         self.overlap_input_staging = overlap_input_staging
         self.staging_chunks = staging_chunks
+        # Every batch launches the same (bottom MLP, interaction, top MLP)
+        # kernels: they depend only on the frozen config and the device.
+        self._stage_kernels = [
+            (
+                self._mlp_kernel("bottom_mlp", dev, config.bottom_sizes),
+                self._interaction_kernel(dev),
+                self._mlp_kernel("top_mlp", dev, config.top_sizes),
+            )
+            for dev in range(self.cluster.n_devices)
+        ]
 
     @classmethod
     def from_spec(cls, spec, *, cluster: Optional[Cluster] = None, **overrides):
@@ -469,10 +479,10 @@ class DLRMInferencePipeline(EmbeddingHost):
         def dense_path() -> ProcessGenerator:
             ops = []
             for dev in cluster.devices:
-                k = self._mlp_kernel("bottom_mlp", dev.id, self.config.bottom_sizes)
                 stream = dev.stream("dense" + stream_suffix)
+                bottom, _, _ = self._stage_kernels[dev.id]
                 stream.submit_delay(dev.spec.kernel_launch_overhead_ns, name="launch")
-                ops.append(stream.launch(dev, k))
+                ops.append(stream.launch(dev, bottom))
             yield engine.all_of([op.done for op in ops])
             return engine.now
 
@@ -502,8 +512,7 @@ class DLRMInferencePipeline(EmbeddingHost):
         ops = []
         for dev in cluster.devices:
             stream = dev.stream("default" + stream_suffix)
-            ki = self._interaction_kernel(dev.id)
-            kt = self._mlp_kernel("top_mlp", dev.id, self.config.top_sizes)
+            _, ki, kt = self._stage_kernels[dev.id]
             stream.submit_delay(dev.spec.kernel_launch_overhead_ns, name="launch")
             ops.append(stream.launch(dev, ki))
             ops.append(stream.launch(dev, kt))

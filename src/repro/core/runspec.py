@@ -31,11 +31,12 @@ import json
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Literal, Optional, Tuple
 
+from ..checks import checked_count
 from ..dlrm.data import STRONG_SCALING_TOTAL, WEAK_SCALING_BASE, WorkloadConfig
 from .factory import FeatureSpec
 from .pipeline import PipelineConfig
 from .retrieval import FEATURE_CONFIGS, BackendName, backend_spec
-from .serving import SchedulerSpec, ServingSpec, _count
+from .serving import SchedulerSpec, ServingSpec
 
 __all__ = ["PRESETS", "RunSpec", "preset_runspec"]
 
@@ -98,13 +99,13 @@ class RunSpec:
                 f"got {type(self.workload).__name__}"
             )
         object.__setattr__(
-            self, "n_devices", _count("RunSpec", "n_devices", self.n_devices)
+            self, "n_devices", checked_count("RunSpec", "n_devices", self.n_devices)
         )
         if not isinstance(self.backend, str):
             raise TypeError(f"RunSpec.backend must be a str, got {type(self.backend).__name__}")
         backend_spec(self.backend)  # unknown backend names raise here
         for attr in ("bottom_mlp", "top_mlp"):
-            sizes = tuple(_count("RunSpec", attr, s) for s in getattr(self, attr))
+            sizes = tuple(checked_count("RunSpec", attr, s) for s in getattr(self, attr))
             object.__setattr__(self, attr, sizes)
         if self.interaction not in ("dot", "cat", "sum"):
             raise ValueError(f"unknown interaction {self.interaction!r}")

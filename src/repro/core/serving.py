@@ -52,13 +52,12 @@ degraded under fault.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Literal, Optional
 
 import numpy as np
 
+from ..checks import check_finite, checked_count
 from ..dlrm.data import SyntheticDataGenerator
 from ..obs import trace_scope
 from ..simgpu.engine import ProcessGenerator
@@ -85,35 +84,6 @@ __all__ = ["SchedulerSpec", "ServingSpec", "ServingResult", "InferenceServer"]
 FORMATION_REASONS = ("size", "timeout", "exhausted")
 
 
-def _count(owner: str, name: str, value, minimum: int = 1) -> int:
-    """``value`` as an int >= ``minimum`` (via ``operator.index``); a bool
-    or a non-integer raises ``TypeError`` naming ``owner.name``."""
-    if isinstance(value, bool):
-        raise TypeError(f"{owner}.{name} must be an int, got bool")
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise TypeError(f"{owner}.{name} must be an int, got {type(value).__name__}") from None
-    if value < minimum:
-        raise ValueError(f"{owner}.{name} must be >= {minimum}")
-    return value
-
-
-def _check_finite(owner: str, name: str, value, *, zero_ok: bool = False) -> None:
-    """Require a finite real ``value`` > 0 (>= 0 with ``zero_ok``); a bool
-    or a non-real raises ``TypeError``, anything else ``ValueError``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{owner}.{name} must be a real number, got {type(value).__name__}")
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        finite = False
-    if not finite:
-        raise ValueError(f"{owner}.{name} must be finite, got {value!r}")
-    if value < 0 or (value == 0 and not zero_ok):
-        raise ValueError(f"{owner}.{name} must be {'>= 0' if zero_ok else 'positive'}")
-
-
 @dataclass(frozen=True)
 class SchedulerSpec:
     """Continuous-batching scheduler policy.
@@ -131,7 +101,9 @@ class SchedulerSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "max_in_flight", _count("SchedulerSpec", "max_in_flight", self.max_in_flight)
+            self,
+            "max_in_flight",
+            checked_count("SchedulerSpec", "max_in_flight", self.max_in_flight),
         )
         if self.policy not in ("size", "timeout", "hybrid"):
             raise ValueError(
@@ -163,16 +135,20 @@ class ServingSpec:
     scheduler: Optional[SchedulerSpec] = None  #: continuous-batching policy
 
     def __post_init__(self) -> None:
-        _check_finite("ServingSpec", "arrival_qps", self.arrival_qps)
-        _check_finite("ServingSpec", "batch_window_ns", self.batch_window_ns, zero_ok=True)
+        check_finite("ServingSpec", "arrival_qps", self.arrival_qps)
+        check_finite("ServingSpec", "batch_window_ns", self.batch_window_ns, zero_ok=True)
         for name in ("deadline_ns", "hedge_after_ns"):
             if getattr(self, name) is not None:
-                _check_finite("ServingSpec", name, getattr(self, name))
-        object.__setattr__(self, "max_batch", _count("ServingSpec", "max_batch", self.max_batch))
-        object.__setattr__(self, "seed", _count("ServingSpec", "seed", self.seed, minimum=0))
+                check_finite("ServingSpec", name, getattr(self, name))
+        object.__setattr__(
+            self, "max_batch", checked_count("ServingSpec", "max_batch", self.max_batch)
+        )
+        object.__setattr__(
+            self, "seed", checked_count("ServingSpec", "seed", self.seed, minimum=0)
+        )
         if self.queue_limit is not None:
             object.__setattr__(
-                self, "queue_limit", _count("ServingSpec", "queue_limit", self.queue_limit)
+                self, "queue_limit", checked_count("ServingSpec", "queue_limit", self.queue_limit)
             )
         if self.scheduler is not None and not isinstance(self.scheduler, SchedulerSpec):
             raise TypeError(

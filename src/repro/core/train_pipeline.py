@@ -110,12 +110,7 @@ class DLRMTrainingPipeline:
 
     def _dense_backward_kernel(self, dev_id: int) -> KernelSpec:
         """Backward through top MLP + interaction + bottom MLP: ~2x forward."""
-        cfg = self.config
-        top = self.forward_pipeline._mlp_kernel("top_mlp_bwd", dev_id, cfg.top_sizes)
-        bottom = self.forward_pipeline._mlp_kernel(
-            "bottom_mlp_bwd", dev_id, cfg.bottom_sizes
-        )
-        inter = self.forward_pipeline._interaction_kernel(dev_id)
+        bottom, inter, top = self.forward_pipeline._stage_kernels[dev_id]
         return KernelSpec(
             name=f"dense_bwd.dev{dev_id}",
             num_blocks=top.num_blocks + bottom.num_blocks + inter.num_blocks,

@@ -22,9 +22,10 @@ Timing never needs the index values themselves, only the jagged *lengths*
 lets the benchmarks run the paper-scale configuration (17 GB of simulated
 reads per GPU per batch) without allocating any of it.
 
-Each build derives only what changes per batch.  Per-table chunk lookup
-counts come from the batch's :class:`~repro.dlrm.data.LengthsBatch`, which
-memoizes them, so backends running the same batch derive them once.  The
+Each build derives only what changes per batch.  Chunk lookup counts come
+from the batch's :class:`~repro.dlrm.data.LengthsBatch` as one matrix,
+memoized, so backends running the same batch derive them once; each
+device's rows of it are indexed once per plan and batch layout.  The
 destination tile and its reductions depend only on the batch *shape*, so a
 small module cache (:func:`_dst_tile`) builds each shape once and hands the
 same read-only arrays to every device and every batch of that shape.
@@ -35,12 +36,14 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass
 from functools import lru_cache
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from ..dlrm.batch import SparseBatch
-from ..dlrm.data import LengthsBatch
+from ..dlrm.data import FeatureLayout, LengthsBatch
+from ..dlrm.embedding import EmbeddingTableConfig
 from ..simgpu.device import DeviceSpec
 from ..simgpu.kernel import KernelSpec
 from .calibration import (
@@ -297,18 +300,60 @@ class _RowWiseWorkload(DeviceWorkload):
 def _checked_lengths(
     plan: ShardingPlan, lengths_by_feature: Mapping[str, np.ndarray], samples_per_block: int
 ) -> LengthsBatch:
-    """``lengths_by_feature`` as a :class:`LengthsBatch` covering ``plan``."""
-    missing = [t.name for t in plan.table_configs if t.name not in lengths_by_feature]
-    if missing:
-        raise KeyError(f"no lengths for features: {missing}")
-    lengths = (
-        lengths_by_feature
-        if isinstance(lengths_by_feature, LengthsBatch)
-        else LengthsBatch(lengths_by_feature)
-    )
+    """``lengths_by_feature`` as a :class:`LengthsBatch` (a copy of any
+    other mapping); a missing plan table raises ``KeyError``."""
+    if not isinstance(lengths_by_feature, LengthsBatch):
+        missing = [t.name for t in plan.table_configs if t.name not in lengths_by_feature]
+        if missing:
+            raise KeyError(f"no lengths for features: {missing}")
+        lengths_by_feature = LengthsBatch(lengths_by_feature)
     if samples_per_block <= 0:
         raise ValueError("samples_per_block must be positive")
-    return lengths
+    return lengths_by_feature
+
+
+#: plan -> layout -> count-matrix rows; entries die with their plan or layout
+_ROWS: "WeakKeyDictionary[ShardingPlan, WeakKeyDictionary]" = WeakKeyDictionary()
+#: plan -> each device's row bytes
+_ROW_BYTES: "WeakKeyDictionary[ShardingPlan, tuple]" = WeakKeyDictionary()
+
+
+def _count_rows(
+    plan: ShardingPlan, layout: FeatureLayout
+) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Rows of a ``layout`` count matrix: the plan's tables', and each
+    device's tables'; derived once per plan and batch layout."""
+    by_layout = _ROWS.get(plan)
+    if by_layout is None:
+        by_layout = _ROWS[plan] = WeakKeyDictionary()
+    out = by_layout.get(layout)
+    if out is None:
+        rows = layout.rows
+        missing = [t.name for t in plan.table_configs if t.name not in rows]
+        if missing:
+            raise KeyError(f"no lengths for features: {missing}")
+
+        def of(tables: Sequence[EmbeddingTableConfig]) -> np.ndarray:
+            return np.array([rows[t.name] for t in tables], dtype=np.intp)
+
+        out = by_layout[layout] = (
+            of(plan.table_configs),
+            [of(plan.tables_on(d)) for d in range(plan.n_devices)],
+        )
+    return out
+
+
+def _device_row_bytes(plan: TableWiseSharding) -> tuple:
+    """Each device's embedding row bytes, once per plan: the first table's
+    for a device with none, ``None`` for one mixing row sizes."""
+    out = _ROW_BYTES.get(plan)
+    if out is None:
+        sizes = [
+            {t.row_bytes for t in plan.tables_on(d)} or {plan.table_configs[0].row_bytes}
+            for d in range(plan.n_devices)
+        ]
+        out = _ROW_BYTES[plan] = tuple(s.pop() if len(s) == 1 else None for s in sizes)
+    return out
 
 
 def build_device_workloads(
@@ -321,24 +366,29 @@ def build_device_workloads(
 
     ``lengths_by_feature`` maps each table name to its per-sample pooling
     factors (shape ``(B,)``); all features must agree on B.  Any mapping
-    other than a :class:`~repro.dlrm.data.LengthsBatch` is wrapped in one,
+    other than a :class:`~repro.dlrm.data.LengthsBatch` is copied into one,
     which validates it; a ``LengthsBatch`` shares its chunk counts with
-    every other build of the same batch.
+    every other build of the same batch, and its layout shares each
+    device's rows of them with every batch of that layout.
     """
     lengths = _checked_lengths(plan, lengths_by_feature, samples_per_block)
     B = lengths.batch_size
     G = plan.n_devices
+    _, rows = _count_rows(plan, lengths.layout)
     chunk_counts = lengths.chunk_counts(samples_per_block)
+    row_bytes = _device_row_bytes(plan)
     workloads: List[DeviceWorkload] = []
     for dev in range(G):
-        tables = plan.tables_on(dev)
-        if not tables:
+        n_tables, rb = len(rows[dev]), row_bytes[dev]
+        if rb is None:
+            raise ValueError("mixed embedding dims/dtypes on one device are unsupported")
+        if not n_tables:
             workloads.append(
                 DeviceWorkload(
                     device_id=dev,
                     n_devices=G,
                     batch_size=B,
-                    row_bytes=plan.table_configs[0].row_bytes,
+                    row_bytes=rb,
                     num_local_tables=0,
                     nnz=0,
                     num_blocks=0,
@@ -348,29 +398,26 @@ def build_device_workloads(
                 )
             )
             continue
-        row_bytes = {t.row_bytes for t in tables}
-        if len(row_bytes) != 1:
-            raise ValueError("mixed embedding dims/dtypes on one device are unsupported")
-        rb = row_bytes.pop()
-        # Per-block lookup counts: each table's chunk counts, derived once
-        # per batch; the device's nnz is their total.
-        counts = np.concatenate([chunk_counts[t.name] for t in tables])
+        # Per-block lookup counts: the device's tables' rows of the batch's
+        # count matrix, derived once per batch; the device's nnz is their
+        # total.
+        counts = chunk_counts[rows[dev]]
         # Destination bytes: the chunk→device byte counts, tiled per table,
         # shared read-only by every device and batch of the same shape.
         # Nothing writes into block_dst_bytes: transforms copy or build a
         # new array.
-        tile = _dst_tile(B, G, samples_per_block, len(tables), rb)
+        tile = _dst_tile(B, G, samples_per_block, n_tables, rb)
         workloads.append(
             DeviceWorkload(
                 device_id=dev,
                 n_devices=G,
                 batch_size=B,
                 row_bytes=rb,
-                num_local_tables=len(tables),
+                num_local_tables=n_tables,
                 nnz=int(counts.sum()),
-                num_blocks=counts.shape[0],
+                num_blocks=counts.size,
                 samples_per_block=samples_per_block,
-                block_weights=counts.astype(np.float64),
+                block_weights=counts.astype(np.float64).ravel(),
                 block_dst_bytes=tile.block_dst_bytes,
                 tile=tile,
             )
@@ -396,6 +443,7 @@ def build_rowwise_workloads(
     are validated as :func:`build_device_workloads` validates them.
     """
     lengths = _checked_lengths(plan, lengths_by_feature, samples_per_block)
+    rows, _ = _count_rows(plan, lengths.layout)
     row_bytes = {t.row_bytes for t in plan.table_configs}
     if len(row_bytes) != 1:
         raise ValueError(
@@ -404,7 +452,7 @@ def build_rowwise_workloads(
         )
     rb = row_bytes.pop()
     counts = lengths.chunk_counts(samples_per_block)
-    nnz_total = sum(int(counts[t.name].sum()) for t in plan.table_configs)
+    nnz_total = int(counts[rows].sum())
     G = plan.n_devices
     tile = _dst_tile(lengths.batch_size, G, samples_per_block, plan.num_tables, rb)
     base, rem = divmod(nnz_total, G)

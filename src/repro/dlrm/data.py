@@ -13,32 +13,23 @@ batches on every device, which the distributed tests use to avoid
 broadcasting inputs.
 
 Timing-only runs draw just the pooling factors, as a :class:`LengthsBatch`:
-a read-only mapping whose arrays are frozen, so the per-chunk lookup counts
-each table derives (the only per-batch input to the simulated EMB kernel)
-can be memoized on the batch and shared by every backend that runs it.
-Building that memo also validates the lengths, once per batch: a negative,
-fractional or NaN pooling factor raises :class:`InvalidLengthsError`.
+a read-only mapping over a few frozen row blocks, so the per-chunk lookup
+counts of every table (the only per-batch input to the simulated EMB
+kernel) are derived with a few numpy calls per batch, memoized on it and
+shared by every backend that runs it.  Building that memo also validates
+the lengths, once per batch: a negative, fractional or NaN pooling factor
+raises :class:`InvalidLengthsError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import (
-    Dict,
-    ItemsView,
-    Iterator,
-    KeysView,
-    List,
-    Literal,
-    Mapping,
-    Optional,
-    Sequence,
-    ValuesView,
-)
+from typing import Callable, Dict, Iterator, List, Literal, Mapping, Optional, Sequence
 
 import numpy as np
 
+from ..checks import check_finite, checked_count
 from .batch import JaggedField, SparseBatch
 from .embedding import EmbeddingTableConfig, PoolingMode
 
@@ -52,6 +43,19 @@ __all__ = [
 ]
 
 IndexDistribution = Literal["uniform", "zipf"]
+
+
+#: WorkloadConfig's integer fields and their least valid values
+_COUNT_FIELDS = (
+    ("num_tables", 1),
+    ("rows_per_table", 1),
+    ("dim", 1),
+    ("batch_size", 1),
+    ("max_pooling", 0),
+    ("min_pooling", 0),
+    ("seed", 0),
+    ("num_dense_features", 1),
+)
 
 
 @dataclass(frozen=True)
@@ -81,22 +85,34 @@ class WorkloadConfig:
     num_dense_features: int = 13  #: Criteo-like dense width for the full model
 
     def __post_init__(self) -> None:
-        if self.num_tables <= 0:
-            raise ValueError("num_tables must be positive")
-        if self.rows_per_table <= 0 or self.dim <= 0 or self.batch_size <= 0:
-            raise ValueError("rows, dim and batch_size must be positive")
-        if not (0 <= self.min_pooling <= self.max_pooling):
+        for name, minimum in _COUNT_FIELDS:
+            value = checked_count("WorkloadConfig", name, getattr(self, name), minimum)
+            object.__setattr__(self, name, value)
+        if self.raw_cardinality is not None:
+            object.__setattr__(
+                self,
+                "raw_cardinality",
+                checked_count("WorkloadConfig", "raw_cardinality", self.raw_cardinality),
+            )
+        if self.min_pooling > self.max_pooling:
             raise ValueError(
-                f"need 0 <= min_pooling <= max_pooling, got "
+                f"WorkloadConfig needs min_pooling <= max_pooling, got "
                 f"[{self.min_pooling}, {self.max_pooling}]"
             )
-        if self.index_distribution == "zipf" and self.zipf_alpha <= 1.0:
-            raise ValueError("zipf_alpha must be > 1 for a proper Zipf law")
-        if self.table_skew_alpha is not None and self.table_skew_alpha <= 0:
+        if self.index_distribution not in ("uniform", "zipf"):
             raise ValueError(
-                f"table_skew_alpha must be positive (or None for uniform "
-                f"table traffic), got {self.table_skew_alpha}"
+                f"WorkloadConfig.index_distribution must be 'uniform' or 'zipf', "
+                f"got {self.index_distribution!r}"
             )
+        if self.pooling not in ("sum", "mean", "max"):
+            raise ValueError(
+                f"WorkloadConfig.pooling must be 'sum', 'mean' or 'max', got {self.pooling!r}"
+            )
+        check_finite("WorkloadConfig", "zipf_alpha", self.zipf_alpha)
+        if self.index_distribution == "zipf" and self.zipf_alpha <= 1.0:
+            raise ValueError("WorkloadConfig.zipf_alpha must be > 1 for a proper Zipf law")
+        if self.table_skew_alpha is not None:  # None: uniform table traffic
+            check_finite("WorkloadConfig", "table_skew_alpha", self.table_skew_alpha)
 
     @property
     def mean_pooling(self) -> float:
@@ -170,48 +186,70 @@ class InvalidLengthsError(ValueError):
     """A feature's pooling factors cannot be per-sample lookup counts."""
 
 
-#: Values reduced per ``reduceat`` call.  Features of a small batch are
-#: concatenated up to this many values (64 KiB of int64: heap memory, below
-#: malloc's mmap threshold), so one call serves many tables; a feature of
-#: this size or more is reduced on its own, without a copy.
-_GROUP_VALUES = 8192
+#: Byte budget of one lengths block.  A batch holds its lengths as
+#: ``(rows, B)`` int64 blocks of at most this size (one row when a row is
+#: larger), never as one ``(T, B)`` matrix: glibc's dynamic mmap threshold
+#: keeps a freed matrix of many megabytes on the heap, and peak RSS grows
+#: with it.  Blocks this small keep it flat while one numpy call per block
+#: still serves many tables.
+_BLOCK_BYTES = 1 << 18
 
 
-def _chunk_counts(names: List[str], arrays: List[np.ndarray], offsets: np.ndarray) -> np.ndarray:
-    """Validated per-chunk lookup counts of a group of features (int64).
+def _block_rows(batch_size: int) -> int:
+    """Features per block at ``batch_size`` samples per feature."""
+    return max(1, _BLOCK_BYTES // max(8 * batch_size, 1))
 
-    Row *i* holds feature *i*'s counts: ``offsets`` are the chunk starts of
-    the features laid end to end.  The sign check runs first, on the same
-    values: its pass pulls them into cache for the sum.
+
+class FeatureLayout:
+    """Feature order of a family of batches: each feature's row.
+
+    Every batch one generator draws, and every batch :meth:`LengthsBatch.take`
+    cuts from them, shares one layout, so what depends only on the layout
+    (a plan's per-device rows of the count matrix) is derived once for all.
     """
-    flat = arrays[0] if len(arrays) == 1 else np.concatenate(arrays, dtype=np.int64)
-    if flat.dtype.kind == "i" and flat.size and flat.min() < 0:
-        bad = int(np.flatnonzero(flat < 0)[0])
-        raise InvalidLengthsError(
-            f"feature {names[bad // arrays[0].shape[0]]!r}: "
-            f"negative pooling factor {int(flat[bad])}"
+
+    __slots__ = ("names", "rows", "__weakref__")
+
+    def __init__(self, names: Sequence[str]):
+        self.names = tuple(names)
+        self.rows: Mapping[str, int] = MappingProxyType(
+            {name: i for i, name in enumerate(self.names)}
         )
-    return np.add.reduceat(flat, offsets, dtype=np.int64).reshape(len(arrays), -1)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _fill_blocks(
+    n_features: int, batch_size: int, block: Callable[[int, int], np.ndarray]
+) -> List[np.ndarray]:
+    """Read-only blocks ``block(lo, hi)`` covering ``n_features`` features."""
+    rows = _block_rows(batch_size)
+    return [
+        _frozen(block(lo, min(lo + rows, n_features))) for lo in range(0, n_features, rows)
+    ]
 
 
 class LengthsBatch(Mapping[str, np.ndarray]):
     """One batch's per-feature pooling factors, read-only.
 
-    Maps each feature to its ``(B,)`` integer lengths.  The arrays are
-    read-only, which is what makes :meth:`chunk_counts` safe to memoize:
-    nothing the batch hands out can change its counts, so every backend
-    that runs the batch reads the counts the first one derived.  Arrays
-    that arrive writeable are wrapped in read-only views; the caller must
-    not write through its own references afterwards.
+    Maps each feature to its ``(B,)`` int64 lengths: a read-only row of
+    one of a few ``(rows, B)`` blocks, features in :attr:`layout` order.
+    Nothing the batch hands out can change its values, which is what makes
+    :meth:`chunk_counts` safe to memoize: every backend that runs the batch
+    reads the counts the first one derived.
 
-    Construction checks shapes and dtypes (1-D, integer, one batch size);
-    the first :meth:`chunk_counts` checks the values.
+    Construction from any other mapping checks shapes and dtypes (1-D,
+    integer, one batch size) and copies the values into the batch's own
+    blocks; the first :meth:`chunk_counts` checks the values.
     """
 
-    __slots__ = ("_lengths", "_counts", "batch_size")
+    __slots__ = ("_blocks", "_counts", "layout", "batch_size")
 
     def __init__(self, lengths_by_feature: Mapping[str, Sequence[int]]):
-        arrays: Dict[str, np.ndarray] = {}
+        names, arrays = [], []
         for name, raw in lengths_by_feature.items():
             arr = np.asarray(raw)
             if arr.ndim != 1:
@@ -222,84 +260,119 @@ class LengthsBatch(Mapping[str, np.ndarray]):
                 raise InvalidLengthsError(
                     f"feature {name!r}: lengths must be integers, got dtype {arr.dtype}"
                 )
-            if arr.flags.writeable:
-                arr = arr.view()
-                arr.setflags(write=False)
-            arrays[name] = arr
-        sizes = {arr.shape[0] for arr in arrays.values()}
+            names.append(name)
+            arrays.append(arr)
+        sizes = {arr.shape[0] for arr in arrays}
         if len(sizes) > 1:
             raise ValueError(f"inconsistent batch sizes in lengths: {sorted(sizes)}")
-        self._lengths = arrays
-        #: samples_per_block -> feature -> per-chunk counts
-        self._counts: Dict[int, Mapping[str, np.ndarray]] = {}
+        B = sizes.pop() if sizes else 0
+
+        def copy(lo: int, hi: int) -> np.ndarray:
+            block = np.empty((hi - lo, B), dtype=np.int64)
+            for i, arr in enumerate(arrays[lo:hi]):
+                block[i] = arr
+                # A uint64 beyond int64 wraps negative in the copy.
+                if arr.dtype.kind == "u" and B and block[i].min() < 0:
+                    bad = int(np.flatnonzero(block[i] < 0)[0])
+                    raise InvalidLengthsError(
+                        f"feature {names[lo + i]!r}: pooling factor {int(arr[bad])} "
+                        f"does not fit in int64"
+                    )
+            return block
+
+        self._setup(FeatureLayout(names), _fill_blocks(len(names), B, copy), B)
+
+    def _setup(self, layout: FeatureLayout, blocks: List[np.ndarray], batch_size: int) -> None:
+        self.layout = layout
+        self._blocks = blocks
+        #: samples_per_block -> read-only (T, n_chunks) counts
+        self._counts: Dict[int, np.ndarray] = {}
         #: samples per feature (0 for an empty batch)
-        self.batch_size = sizes.pop() if sizes else 0
+        self.batch_size = batch_size
 
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._lengths[name]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._lengths)
-
-    def __len__(self) -> int:
-        return len(self._lengths)
-
-    # The dict's own views: the Mapping defaults go through __getitem__.
-    def __contains__(self, name: object) -> bool:
-        return name in self._lengths
-
-    def keys(self) -> KeysView[str]:
-        return self._lengths.keys()
-
-    def values(self) -> ValuesView[np.ndarray]:
-        return self._lengths.values()
-
-    def items(self) -> ItemsView[str, np.ndarray]:
-        return self._lengths.items()
-
-    def take(self, rows: np.ndarray) -> "LengthsBatch":
-        """The samples ``rows`` of every feature, in that order (a new batch).
-
-        The selected arrays keep this batch's checked shape and dtype, so
-        the new batch skips the constructor's checks; its values are
-        checked when its own counts are derived.
-        """
-        out = {}
-        for name, arr in self._lengths.items():
-            sub = arr[rows]
-            sub.setflags(write=False)
-            out[name] = sub
-        batch = LengthsBatch.__new__(LengthsBatch)
-        batch._lengths, batch._counts, batch.batch_size = out, {}, len(rows)
+    @classmethod
+    def drawn(
+        cls, layout: FeatureLayout, batch_size: int, block: Callable[[int, int], np.ndarray]
+    ) -> "LengthsBatch":
+        """A batch of ``layout``'s features, ``batch_size`` samples each,
+        filled block by block: ``block(lo, hi)`` returns features
+        ``[lo, hi)`` as a new ``(hi - lo, batch_size)`` int64 array, which
+        the batch freezes and keeps without checking."""
+        batch = cls.__new__(cls)
+        batch._setup(layout, _fill_blocks(len(layout.names), batch_size, block), batch_size)
         return batch
 
-    def chunk_counts(self, samples_per_block: int) -> Mapping[str, np.ndarray]:
-        """Every feature's lookup counts per ``samples_per_block`` samples.
+    def __getitem__(self, name: str) -> np.ndarray:
+        row = self.layout.rows[name]
+        rows = self._blocks[0].shape[0]
+        return self._blocks[row // rows][row % rows]
 
-        Derived, and the lengths validated, on the first call per block
-        size; later calls return the same read-only arrays.
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.layout.names)
+
+    def __len__(self) -> int:
+        return len(self.layout.names)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self.layout.rows
+
+    def take(self, rows: Sequence[int]) -> "LengthsBatch":
+        """The samples ``rows`` of every feature, in that order (a new batch).
+
+        The new batch shares this one's layout, in blocks sized for its own
+        batch size; each is gathered with one ``take`` per source block it
+        overlaps.  Its values are checked when its counts are derived.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        B = self.batch_size
+        if rows.size and not (-B <= rows.min() and rows.max() < B):
+            raise IndexError(f"rows out of range for a batch of {B} samples")
+        src = self._blocks[0].shape[0] if self._blocks else 1
+
+        def gather(lo: int, hi: int) -> np.ndarray:
+            out = np.empty((hi - lo, len(rows)), dtype=np.int64)
+            for s in range(lo // src, (hi - 1) // src + 1):
+                a, b = max(lo, s * src), min(hi, (s + 1) * src)
+                # In range, so "wrap" only maps negative rows as indexing
+                # does, and skips numpy's buffered bounds check.
+                self._blocks[s][a - s * src : b - s * src].take(
+                    rows, axis=1, out=out[a - lo : b - lo], mode="wrap"
+                )
+            return out
+
+        batch = LengthsBatch.__new__(LengthsBatch)
+        batch._setup(self.layout, _fill_blocks(len(self), len(rows), gather), len(rows))
+        return batch
+
+    def chunk_counts(self, samples_per_block: int) -> np.ndarray:
+        """Lookup counts per ``samples_per_block`` samples: ``(T, n_chunks)``.
+
+        Row *t* is feature *t* of :attr:`layout`.  Derived, and the lengths
+        validated, on the first call per block size with one ``min`` and one
+        ``reduceat`` per block; later calls return the same read-only matrix.
         """
         counts = self._counts.get(samples_per_block)
         if counts is None:
-            B = self.batch_size
-            names, arrays = list(self._lengths), list(self._lengths.values())
-            starts = np.arange(0, B, samples_per_block)
-            per_group = max(1, _GROUP_VALUES // max(B, 1))
-            offsets = (np.arange(per_group)[:, None] * B + starts).ravel()
-            by_name: Dict[str, np.ndarray] = {}
-            for lo in range(0, len(names), per_group):
-                group = names[lo : lo + per_group]
-                rows = _chunk_counts(
-                    group, arrays[lo : lo + per_group], offsets[: len(group) * len(starts)]
-                )
-                rows.flags.writeable = False
-                by_name.update(zip(group, rows))
-            counts = self._counts[samples_per_block] = MappingProxyType(by_name)
+            starts = np.arange(0, self.batch_size, samples_per_block)
+            counts = np.empty((len(self), len(starts)), dtype=np.int64)
+            lo = 0
+            for block in self._blocks:
+                hi = lo + block.shape[0]
+                if block.size and block.min() < 0:
+                    bad = int(np.flatnonzero(block < 0)[0])
+                    raise InvalidLengthsError(
+                        f"feature {self.layout.names[lo + bad // self.batch_size]!r}: "
+                        f"negative pooling factor {int(block.flat[bad])}"
+                    )
+                np.add.reduceat(block, starts, axis=1, out=counts[lo:hi])
+                lo = hi
+            counts = self._counts[samples_per_block] = _frozen(counts)
         return counts
 
 
-def _skew_lengths(lengths: np.ndarray, scale: float) -> np.ndarray:
-    """Scale a uniform per-sample length draw by one table's multiplier.
+def _skew_lengths(lengths: np.ndarray, scale) -> np.ndarray:
+    """Scale a uniform per-sample length draw by its table's multiplier
+    (a block of tables by a column of multipliers).
 
     The scaling happens *after* the uniform draw, so the generator's RNG
     stream is untouched — a config with ``table_skew_alpha=None`` is
@@ -314,6 +387,7 @@ class SyntheticDataGenerator:
     def __init__(self, config: WorkloadConfig):
         self.config = config
         self._rng = np.random.default_rng(config.seed)
+        self._layout = FeatureLayout(config.feature_names)
 
     def reset(self) -> None:
         """Restart the stream (same seed → same batches again)."""
@@ -357,21 +431,22 @@ class SyntheticDataGenerator:
         Timing-only runs need just the jagged shape, not the indices — this
         draws exactly the lengths :meth:`sparse_batch` would (same marginal
         distribution) without materialising the index arrays, which at
-        paper scale would be ~0.5 GB per batch.
+        paper scale would be ~0.5 GB per batch.  Each block of features is
+        one ``(rows, B)`` draw: numpy's bounded int64 draw takes the same
+        words from the bit generator as ``rows`` draws of ``B``, so the
+        values and the generator's state equal per-table draws exactly.
         """
         cfg = self.config
         B = batch_size or cfg.batch_size
         scales = cfg.table_skew_scales()
-        out = {}
-        for t, name in enumerate(cfg.feature_names):
-            lengths = self._rng.integers(
-                cfg.min_pooling, cfg.max_pooling + 1, size=B, dtype=np.int64
+
+        def draw(lo: int, hi: int) -> np.ndarray:
+            block = self._rng.integers(
+                cfg.min_pooling, cfg.max_pooling + 1, size=(hi - lo, B), dtype=np.int64
             )
-            if scales is not None:
-                lengths = _skew_lengths(lengths, scales[t])
-            lengths.flags.writeable = False
-            out[name] = lengths
-        return LengthsBatch(out)
+            return block if scales is None else _skew_lengths(block, scales[lo:hi, None])
+
+        return LengthsBatch.drawn(self._layout, B, draw)
 
     # -- dense ------------------------------------------------------------------
 

@@ -27,7 +27,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .batch import JaggedField, SparseBatch
-from .data import LengthsBatch
+from .data import FeatureLayout, LengthsBatch
 from .embedding import EmbeddingTableConfig, PoolingMode
 
 __all__ = ["TableProfile", "HeterogeneousWorkload", "HeterogeneousDataGenerator", "criteo_like"]
@@ -123,20 +123,30 @@ class HeterogeneousDataGenerator:
     def __init__(self, workload: HeterogeneousWorkload):
         self.workload = workload
         self._rng = np.random.default_rng(workload.seed)
+        self._layout = FeatureLayout(workload.feature_names)
 
     def reset(self) -> None:
         """Restart the stream."""
         self._rng = np.random.default_rng(self.workload.seed)
 
     def lengths_batch(self, batch_size: Optional[int] = None) -> LengthsBatch:
-        """Per-feature pooling factors, each from its own range (read-only)."""
+        """Per-feature pooling factors, each from its own range (read-only).
+
+        One draw per table, since each has its own range, written into its
+        row of the batch's blocks.
+        """
         B = batch_size or self.workload.batch_size
-        out = {}
-        for t in self.workload.tables:
-            lengths = self._rng.integers(t.min_pooling, t.max_pooling + 1, size=B, dtype=np.int64)
-            lengths.flags.writeable = False
-            out[t.name] = lengths
-        return LengthsBatch(out)
+        tables = self.workload.tables
+
+        def draw(lo: int, hi: int) -> np.ndarray:
+            block = np.empty((hi - lo, B), dtype=np.int64)
+            for i, t in enumerate(tables[lo:hi]):
+                block[i] = self._rng.integers(
+                    t.min_pooling, t.max_pooling + 1, size=B, dtype=np.int64
+                )
+            return block
+
+        return LengthsBatch.drawn(self._layout, B, draw)
 
     def sparse_batch(self, batch_size: Optional[int] = None) -> SparseBatch:
         """Full jagged batch with per-feature cardinalities."""

@@ -6,11 +6,18 @@ destination tile and its reductions are cached per batch shape.  Both must
 be invisible: every simulated number, every event count and every
 :class:`DeviceWorkload` field equals what fresh plain dicts give.  Bad
 lengths fail with :class:`InvalidLengthsError` naming the feature.
+
+The lengths live in a few row blocks of at most ``_BLOCK_BYTES`` each:
+a block is drawn with one call and bit-equals per-table draws, no call
+allocates more than a block, and a batch costs numpy calls per block, not
+per table.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sys
+import tracemalloc
 from collections.abc import Mapping
 
 import numpy as np
@@ -26,13 +33,19 @@ from repro.core.workload import (
     build_device_workloads,
     build_rowwise_workloads,
 )
+from repro.dlrm import data as data_mod
 from repro.dlrm.data import (
     InvalidLengthsError,
     LengthsBatch,
     SyntheticDataGenerator,
     WorkloadConfig,
 )
-from repro.dlrm.heterogeneous import HeterogeneousDataGenerator, criteo_like
+from repro.dlrm.heterogeneous import (
+    HeterogeneousDataGenerator,
+    HeterogeneousWorkload,
+    TableProfile,
+    criteo_like,
+)
 from repro.simgpu.cluster import multinode
 
 SMALL = WorkloadConfig(num_tables=12, dim=16, batch_size=200, max_pooling=9, seed=5)
@@ -110,21 +123,24 @@ class TestSharingIsInvisible:
             build_device_workloads(plan, lengths, samples_per_block=16), first
         )
 
-    @pytest.mark.parametrize("batch_size", [3, 200, 8192, 9001])
+    @pytest.mark.parametrize("batch_size", [3, 200, 8192, 9001, 2**17 + 1])
     def test_grouped_and_single_reductions_match_per_table(self, batch_size):
-        # Small batches reduce many features per call, large ones one each.
+        # Small batches hold every feature in one block, the largest one
+        # feature per block.
         rng = np.random.default_rng(batch_size)
         dtypes = [np.int64, np.int32, np.uint8, np.int16, np.uint64, np.int64, np.int8]
-        lengths = LengthsBatch(
-            {f"f{i}": rng.integers(0, 100, size=batch_size).astype(d) for i, d in enumerate(dtypes)}
-        )
+        arrays = {
+            f"f{i}": rng.integers(0, 100, size=batch_size).astype(d) for i, d in enumerate(dtypes)
+        }
+        lengths = LengthsBatch(arrays)
         for spb in (1, 7, 64, 500, 4096):
             starts = np.arange(0, batch_size, spb)
-            for name, arr in lengths.items():
-                got = lengths.chunk_counts(spb)[name]
-                assert got.dtype == np.int64
+            counts = lengths.chunk_counts(spb)
+            assert counts.dtype == np.int64 and counts.shape == (len(dtypes), len(starts))
+            for name, arr in arrays.items():
                 np.testing.assert_array_equal(
-                    got, np.add.reduceat(arr.astype(np.int64), starts)
+                    counts[lengths.layout.rows[name]],
+                    np.add.reduceat(arr.astype(np.int64), starts),
                 )
 
 
@@ -136,11 +152,11 @@ class TestFrozen:
         with pytest.raises(ValueError):
             lengths[name][0] = 1
         with pytest.raises(ValueError):
-            lengths.chunk_counts(16)[name][0] = 1
+            lengths.chunk_counts(16)[lengths.layout.rows[name], 0] = 1
         with pytest.raises(TypeError):
             lengths[name] = np.zeros(SMALL.batch_size, dtype=np.int64)
-        with pytest.raises(TypeError):
-            lengths.chunk_counts(16)[name] = np.zeros(13, dtype=np.int64)
+        with pytest.raises(ValueError):
+            lengths.chunk_counts(16)[lengths.layout.rows[name]] = np.zeros(13, dtype=np.int64)
 
     def test_heterogeneous_generator_returns_a_frozen_batch(self):
         gen = HeterogeneousDataGenerator(criteo_like(num_tables=4, batch_size=64))
@@ -155,6 +171,15 @@ class TestFrozen:
         with pytest.raises(ValueError):
             lengths["f"][0] = 1
 
+    def test_the_callers_arrays_cannot_change_the_batch(self):
+        mine = np.arange(8, dtype=np.int32)
+        lengths = LengthsBatch({"f": mine})
+        counts = lengths.chunk_counts(4)
+        mine[:] = -1
+        assert lengths["f"].tolist() == list(range(8))
+        assert lengths["f"].dtype == np.int64
+        assert lengths.chunk_counts(4) is counts and counts.tolist() == [[6, 22]]
+
     def test_take_selects_rows_into_a_new_frozen_batch(self):
         lengths = SyntheticDataGenerator(SMALL).lengths_batch()
         rows = np.array([5, 0, 199, 5])
@@ -166,7 +191,7 @@ class TestFrozen:
             assert not arr.flags.writeable
         # The values are still checked when the sub-batch's counts are derived.
         pool = LengthsBatch({"f": np.array([1, 2, -3, 4])})
-        assert pool.take([0, 1]).chunk_counts(64)["f"].tolist() == [3]
+        assert pool.take([0, 1]).chunk_counts(64)[0].tolist() == [3]
         with pytest.raises(InvalidLengthsError, match="'f'"):
             pool.take([2, 3]).chunk_counts(64)
 
@@ -257,8 +282,189 @@ class TestBadLengths:
         with pytest.raises(InvalidLengthsError, match="'f3': negative pooling factor -4"):
             LengthsBatch(arrays).chunk_counts(64)
 
+    @pytest.mark.parametrize("batch_size", [200, 9000])
+    def test_uint64_beyond_int64_names_the_feature_and_value(self, batch_size):
+        arrays = {f"f{i}": np.ones(batch_size, dtype=np.uint64) for i in range(3)}
+        arrays["f1"] = np.full(batch_size, 2**63 + 5, dtype=np.uint64)
+        with pytest.raises(InvalidLengthsError, match="'f1': pooling factor 9223372036854775813"):
+            LengthsBatch(arrays)
+        emb = DistributedEmbedding(WorkloadConfig(num_tables=3, dim=16, batch_size=batch_size), 2)
+        with pytest.raises(InvalidLengthsError, match="'sparse_1': pooling factor 9223372036854775813"):
+            emb.forward_timed({f"sparse_{i}": arr for i, arr in enumerate(arrays.values())})
+        arrays["f1"][:] = 2**63 - 1  # the largest that fits is fine
+        assert LengthsBatch(arrays)["f1"][0] == 2**63 - 1
+
     def test_negative_lengths_fail_on_a_generated_batch_too(self):
         good = SyntheticDataGenerator(SMALL).lengths_batch()
         lengths = LengthsBatch({**good, "sparse_0": bad("negative", np.array(good["sparse_0"]))})
         with pytest.raises(InvalidLengthsError, match="sparse_0"):
             lengths.chunk_counts(16)
+
+
+# -- row blocks: drawn like per-table draws, small, few calls --------------------
+
+
+def per_table_reference(seed, ranges, batch_sizes, scales=None):
+    """Per-table ``rng.integers`` draws of successive batches, and the rng."""
+    rng = np.random.default_rng(seed)
+    batches = []
+    for B in batch_sizes:
+        out = []
+        for t, (lo, hi) in enumerate(ranges):
+            arr = rng.integers(lo, hi + 1, size=B, dtype=np.int64)
+            if scales is not None:
+                arr = np.rint(arr.astype(np.float64) * scales[t]).astype(np.int64)
+            out.append(arr)
+        batches.append(out)
+    return batches, rng
+
+
+#: odd and even B; 40 tables span several blocks from B = 1001 up.  An odd
+#: B draws an odd number of 32-bit words, so the next batch starts on a
+#: half-word the generator still holds.
+DRAW_SIZES = [(3, 1001), (256, 8193), (1, 2), (16384, 3)]
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("sizes", DRAW_SIZES, ids=str)
+    @pytest.mark.parametrize(
+        "pooling, skew",
+        [((0, 128), None), ((8, 8), None), ((0, 2**31), None), ((0, 32), 1.2)],
+        ids=["uniform", "fixed", "rejection", "skewed"],
+    )
+    def test_synthetic_blocks_equal_per_table_draws(self, sizes, pooling, skew):
+        cfg = WorkloadConfig(
+            num_tables=40, min_pooling=pooling[0], max_pooling=pooling[1],
+            table_skew_alpha=skew, seed=11,
+        )
+        gen = SyntheticDataGenerator(cfg)
+        got = [gen.lengths_batch(batch_size=B) for B in sizes]
+        want, rng = per_table_reference(
+            11, [pooling] * 40, sizes, cfg.table_skew_scales()
+        )
+        for batch, arrays in zip(got, want):
+            assert len(batch._blocks) == -(-40 // data_mod._block_rows(batch.batch_size))
+            for name, arr in zip(cfg.feature_names, arrays):
+                np.testing.assert_array_equal(batch[name], arr)
+        assert gen._rng.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("sizes", DRAW_SIZES, ids=str)
+    def test_heterogeneous_blocks_equal_per_table_draws(self, sizes):
+        ranges = [(0, 64), (1, 1), (0, 2**31), (3, 9), (0, 2**33)] * 8
+        wl = HeterogeneousWorkload(
+            tables=tuple(
+                TableProfile(f"t{i}", 1000, max_pooling=hi, min_pooling=lo)
+                for i, (lo, hi) in enumerate(ranges)
+            ),
+            seed=13,
+        )
+        gen = HeterogeneousDataGenerator(wl)
+        got = [gen.lengths_batch(batch_size=B) for B in sizes]
+        want, rng = per_table_reference(13, ranges, sizes)
+        for batch, arrays in zip(got, want):
+            for name, arr in zip(wl.feature_names, arrays):
+                np.testing.assert_array_equal(batch[name], arr)
+        assert gen._rng.bit_generator.state == rng.bit_generator.state
+
+    def test_one_generator_shares_one_layout_with_its_takes(self):
+        gen = SyntheticDataGenerator(SMALL)
+        first, second = gen.lengths_batch(), gen.lengths_batch(batch_size=7)
+        assert first.layout is second.layout is first.take([1, 2]).layout
+        assert first.layout.names == tuple(SMALL.feature_names)
+        assert LengthsBatch(plain(first)).layout is not first.layout
+
+
+def numpy_allocations(fn):
+    """``fn()``, the largest numpy buffer it leaves allocated, and how far
+    its peak traced memory rose above what it leaves allocated."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        after, peak = tracemalloc.get_traced_memory()
+        snap = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+        )
+    finally:
+        tracemalloc.stop()
+    largest = max((trace.size for trace in snap.traces), default=0)
+    return out, largest, peak - before - (after - before)
+
+
+#: the block budget DESIGN §17 measured; a larger one raised peak RSS
+BLOCK_BUDGET = 256 * 1024
+
+
+class TestBlockBudget:
+    """No array a batch allocates is larger than one block: a per-batch
+    ``(T, B)`` matrix is what pushed peak RSS up (DESIGN §17)."""
+
+    @pytest.mark.parametrize(
+        "num_tables, batch_size, skew",
+        [(64, 16_384, None), (64, 16_384, 1.1), (308, 5000, None), (3, 70_000, None)],
+    )
+    def test_no_allocation_exceeds_a_block(self, num_tables, batch_size, skew):
+        cfg = WorkloadConfig(
+            num_tables=num_tables, batch_size=batch_size, table_skew_alpha=skew, seed=2
+        )
+        limit = max(BLOCK_BUDGET, 8 * batch_size)
+        gen = SyntheticDataGenerator(cfg)
+        for draw in (
+            gen.lengths_batch,
+            lambda: HeterogeneousDataGenerator(criteo_like(num_tables, batch_size=batch_size)).lengths_batch(),
+        ):
+            batch, largest, transient = numpy_allocations(draw)
+            assert 0 < largest <= limit
+            assert transient <= 4 * limit
+        arrays = plain(batch)
+        _, largest, transient = numpy_allocations(lambda: LengthsBatch(arrays))
+        assert largest <= limit and transient <= 4 * limit
+        rows = np.arange(0, batch_size, 3)
+        _, largest, transient = numpy_allocations(lambda: batch.take(rows))
+        assert 0 < largest <= max(BLOCK_BUDGET, 8 * len(rows))
+        assert transient <= 4 * limit
+
+
+def numpy_calls(fn):
+    """``fn()`` and the numpy functions and methods called from this
+    module's source file while it runs."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and frame.f_code.co_filename == data_mod.__file__:
+            owner = getattr(arg, "__self__", None)
+            if isinstance(owner, (np.ndarray, np.ufunc)) or (
+                getattr(arg, "__module__", None) or ""
+            ).startswith("numpy"):
+                calls.append(arg.__name__)
+
+    sys.setprofile(profile)
+    try:
+        out = fn()
+    finally:
+        sys.setprofile(None)
+    return out, calls
+
+
+class TestCallsPerBlock:
+    def test_a_308_table_sub_batch_costs_calls_per_block(self):
+        """The serve-prod-g8 shape: a 256-sample sub-batch of a 5000-sample
+        pool.  ``take`` gathers each source block once per destination
+        block it overlaps; ``chunk_counts`` checks and reduces each block
+        with one call apiece."""
+        cfg = WorkloadConfig(
+            num_tables=308, batch_size=5000, min_pooling=8, max_pooling=8, seed=1
+        )
+        pool = SyntheticDataGenerator(cfg).lengths_batch()
+        rows = np.sort(np.random.default_rng(0).choice(5000, 256, replace=False))
+        sub, calls = numpy_calls(lambda: pool.take(rows))
+        src, dst = len(pool._blocks), len(sub._blocks)
+        assert (src, dst) == (52, 3)
+        assert calls.count("take") <= src + dst - 1
+        assert calls.count("empty") == dst
+        assert len(calls) - calls.count("take") - dst <= 3  # asarray, min, max
+        counts, calls = numpy_calls(lambda: sub.chunk_counts(64))
+        assert sorted(calls) == sorted(["arange", "empty"] + ["min", "reduceat"] * dst)
+        assert counts.shape == (308, 4) and (counts == 8 * 64).all()
+        _, calls = numpy_calls(lambda: sub.chunk_counts(64))
+        assert calls == []

@@ -623,17 +623,18 @@ def test_g64_backends_share_one_derivation_per_table(monkeypatch):
     batch, and the one tile shape (16 tables x 32 chunks, 64 destinations)
     reduces its per-wave sums once, for the V100's 640 concurrent blocks."""
     derived, reduced = [], []
-    chunk_counts, wave_sums = data_mod._chunk_counts, workload_mod._wave_sums
+    chunk_counts, wave_sums = data_mod.LengthsBatch.chunk_counts, workload_mod._wave_sums
 
-    def counting_chunk_counts(names, arrays, offsets):
-        derived.extend(names)
-        return chunk_counts(names, arrays, offsets)
+    def counting_chunk_counts(batch, samples_per_block):
+        counts = chunk_counts(batch, samples_per_block)
+        derived.append(counts)
+        return counts
 
     def counting_wave_sums(block_dst_bytes, concurrent_blocks):
         reduced.append((block_dst_bytes.shape, concurrent_blocks))
         return wave_sums(block_dst_bytes, concurrent_blocks)
 
-    monkeypatch.setattr(data_mod, "_chunk_counts", counting_chunk_counts)
+    monkeypatch.setattr(data_mod.LengthsBatch, "chunk_counts", counting_chunk_counts)
     monkeypatch.setattr(workload_mod, "_wave_sums", counting_wave_sums)
     workload_mod._dst_tile.cache_clear()
     gen = SyntheticDataGenerator(SCALE_G64)
@@ -642,9 +643,11 @@ def test_g64_backends_share_one_derivation_per_table(monkeypatch):
         emb = DistributedEmbedding(SCALE_G64, 64, backend=case.split("-")[0])
         assert emb.forward_timed(lengths).as_dict() == CASES[case][1]
         assert emb.cluster.engine._seq == CASES[case][2]
-    assert len(derived) == len(set(derived)) == 1024
+    # One (1024 tables, 32 chunks) matrix, handed to both backends.
+    assert len(derived) == 2 and derived[0] is derived[1]
+    assert derived[0].shape == (1024, 32)
     DistributedEmbedding(SCALE_G64, 64, backend="pgas").forward_timed(gen.lengths_batch())
-    assert len(derived) == 2048
+    assert len(derived) == 3 and derived[2] is not derived[0]
     assert reduced == [((512, 64), 640)]
 
 

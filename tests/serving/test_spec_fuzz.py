@@ -1,15 +1,18 @@
-"""Serving knob validation, and property fuzz of RunSpec construction.
+"""Serving and workload knob validation, and property fuzz of RunSpec
+construction.
 
-Contract: a fuzzed ``RunSpec``/``ServingSpec``/``SchedulerSpec`` either
-constructs and round-trips ``to_json``/``from_json`` bit-exact, or raises
-``TypeError``/``ValueError`` at construction.  The RunSpec fields, the
-serving section and its scheduler are fuzzed value by value; the
-``workload`` and feature sections are fuzzed as a valid config, None or a
-value of the wrong type (their own fields belong to their classes).
+Contract: a fuzzed ``RunSpec``/``ServingSpec``/``SchedulerSpec``/
+``WorkloadConfig`` either constructs and round-trips ``to_json``/
+``from_json`` bit-exact, or raises ``TypeError``/``ValueError`` at
+construction.  The RunSpec fields, the serving section, its scheduler and
+the workload are fuzzed value by value; the feature sections are fuzzed
+as a valid config, None or a value of the wrong type (their own fields
+belong to their classes).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import fields
 
@@ -80,6 +83,40 @@ class TestServingKnobValidation:
         assert type(SchedulerSpec(max_in_flight=np.int64(2)).max_in_flight) is int
 
 
+class TestWorkloadConfigValidation:
+    @pytest.mark.parametrize(
+        "field, bad, error",
+        [
+            ("zipf_alpha", math.nan, ValueError),
+            ("zipf_alpha", math.inf, ValueError),
+            ("zipf_alpha", "1.1", TypeError),
+            ("table_skew_alpha", math.nan, ValueError),
+            ("table_skew_alpha", math.inf, ValueError),
+            ("table_skew_alpha", True, TypeError),
+            ("max_pooling", 8.5, TypeError),
+            ("batch_size", True, TypeError),
+            ("batch_size", 0, ValueError),
+            ("num_tables", 2.0, TypeError),
+            ("seed", -1, ValueError),
+            ("raw_cardinality", 0, ValueError),
+            ("index_distribution", "normal", ValueError),
+            ("pooling", "min", ValueError),
+        ],
+    )
+    def test_each_error_names_its_field(self, field, bad, error):
+        with pytest.raises(error, match=f"WorkloadConfig.{field}"):
+            dataclasses.replace(WL, **{field: bad})
+
+    def test_zipf_alpha_nan_fails_even_when_unused(self):
+        with pytest.raises(ValueError, match="zipf_alpha"):
+            WorkloadConfig(num_tables=2, index_distribution="uniform", zipf_alpha=math.nan)
+
+    def test_numpy_counts_become_ints(self):
+        cfg = dataclasses.replace(WL, batch_size=np.int64(64), max_pooling=np.int32(4))
+        assert type(cfg.batch_size) is int and type(cfg.max_pooling) is int
+        assert cfg == WL
+
+
 # -- property fuzz -------------------------------------------------------------
 
 #: a value of any of the types a config file or a caller might hand over
@@ -141,8 +178,29 @@ SERVING_KW = st.fixed_dictionaries(
 )
 
 
+COUNT = st.integers(min_value=1, max_value=4096)
+ALPHA = st.floats(min_value=1.0, max_value=4.0, exclude_min=True)
+WORKLOAD_KW = st.fixed_dictionaries(
+    {"num_tables": _maybe(st.integers(min_value=1, max_value=64))},
+    optional={
+        "rows_per_table": _maybe(COUNT),
+        "dim": _maybe(COUNT),
+        "batch_size": _maybe(COUNT),
+        "max_pooling": _maybe(st.integers(min_value=0, max_value=128)),
+        "min_pooling": _maybe(st.integers(min_value=0, max_value=4)),
+        "index_distribution": _maybe(st.sampled_from(["uniform", "zipf"])),
+        "zipf_alpha": _maybe(ALPHA),
+        "table_skew_alpha": _maybe(st.one_of(st.none(), ALPHA)),
+        "pooling": _maybe(st.sampled_from(["sum", "mean", "max"])),
+        "raw_cardinality": _maybe(st.one_of(st.none(), COUNT)),
+        "seed": _maybe(st.integers(min_value=0, max_value=2**32)),
+        "num_dense_features": _maybe(COUNT),
+    },
+)
+
+
 RUNSPEC_KW = st.fixed_dictionaries(
-    {"workload": st.one_of(st.just(WL), st.just(WL), ANY)},
+    {"workload": st.one_of(st.just(WL), _built(WorkloadConfig, WORKLOAD_KW), ANY)},
     optional={
         "n_devices": _maybe(st.integers(min_value=1, max_value=8)),
         "backend": _maybe(st.sampled_from(sorted(available_backends()))),
@@ -171,7 +229,9 @@ def _check(build) -> None:
         spec = build()
     except (TypeError, ValueError):
         return
-    if not isinstance(spec, RunSpec):
+    if isinstance(spec, WorkloadConfig):
+        spec = RunSpec(workload=spec)
+    elif not isinstance(spec, RunSpec):
         spec = RunSpec(
             workload=WL,
             serving=spec if isinstance(spec, ServingSpec) else ServingSpec(1e5, scheduler=spec),
@@ -191,6 +251,16 @@ def test_fuzzed_scheduler_spec_constructs_and_round_trips_or_raises(kw):
 @example({"arrival_qps": 1e5, "deadline_ns": math.nan})
 def test_fuzzed_serving_spec_constructs_and_round_trips_or_raises(kw):
     _check(lambda: ServingSpec(**kw))
+
+
+@settings(max_examples=300, deadline=None)
+@given(WORKLOAD_KW)
+@example({"num_tables": 2, "zipf_alpha": math.nan})
+@example({"num_tables": 2, "table_skew_alpha": math.nan})
+@example({"num_tables": 2, "max_pooling": 8.5})
+@example({"num_tables": 2, "batch_size": True})
+def test_fuzzed_workload_config_constructs_and_round_trips_or_raises(kw):
+    _check(lambda: WorkloadConfig(**kw))
 
 
 @settings(max_examples=300, deadline=None)
