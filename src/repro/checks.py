@@ -1,7 +1,8 @@
-"""Field checks shared by the frozen config classes.
+"""Field checks shared by the frozen config classes and the comm layers.
 
 Each raises ``TypeError`` for a value of the wrong type and ``ValueError``
-for one out of range, naming the field as ``Owner.field``.
+for one out of range, naming the field as ``Owner.field`` (or, for a byte
+count, the operation and entry it came from).
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import math
 import numbers
 import operator
 
-__all__ = ["checked_count", "check_finite"]
+__all__ = ["checked_count", "check_finite", "check_bytes"]
 
 
 def checked_count(owner: str, name: str, value, minimum: int = 1) -> int:
@@ -40,3 +41,10 @@ def check_finite(owner: str, name: str, value, *, zero_ok: bool = False) -> None
         raise ValueError(f"{owner}.{name} must be finite, got {value!r}")
     if value < 0 or (value == 0 and not zero_ok):
         raise ValueError(f"{owner}.{name} must be {'>= 0' if zero_ok else 'positive'}")
+
+
+def check_bytes(what: str, value) -> None:
+    """Require a finite byte count >= 0 (NaN fails); the ``ValueError``
+    names ``what``, e.g. ``"all_gather: bytes_per_rank[2]"``."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{what} must be finite and non-negative, got {value!r}")

@@ -17,17 +17,22 @@ Chunking matters for the figures: because each (src, dst) payload is cut
 into ``chunk_bytes`` pieces that complete one by one, the comm-volume
 counter ramps smoothly *within* the communication phase — but only starts
 after compute ends, which is exactly the flat-then-steep baseline curve of
-Figs. 7 and 10.
+Figs. 7 and 10.  The chunks are booked when the control path ends, one
+:meth:`~repro.simgpu.interconnect.Interconnect.book_wave` per source, and
+stamped at their delivery instants; nothing waits on a chunk, so the only
+engine entry a collective adds is its completion at the latest delivery.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from functools import partial
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..checks import check_bytes
 from ..simgpu.cluster import Cluster
 from ..simgpu.engine import Event, ProcessGenerator
 from ..simgpu.units import MiB, us
@@ -128,54 +133,93 @@ class CollectiveContext:
 
     # -- internals -------------------------------------------------------------
 
-    def _pairwise_transfer(self, src: int, dst: int, nbytes: float) -> List[Event]:
-        """Chunked transfer src→dst; returns per-chunk completion events.
+    def _chunks(self, nbytes: float) -> List[float]:
+        """Chunk sizes of one pairwise payload, in send order.
 
-        Zero-byte pairs complete immediately (no zero-length chunk is
-        scheduled); negative byte counts are a caller bug and raise.
+        A zero-byte pair has no chunk (no zero-length chunk is booked);
+        negative byte counts are a caller bug and raise.
         """
         if nbytes < 0:
             raise ValueError(f"transfer bytes must be non-negative, got {nbytes}")
-        if nbytes == 0:
-            return []
-        spec = self.spec
-        n_chunks = math.ceil(nbytes / spec.chunk_bytes)
-        events = []
+        chunk = self.spec.chunk_bytes
+        sizes = []
         remaining = nbytes
-        for _ in range(n_chunks):
-            size = min(spec.chunk_bytes, remaining)
+        for _ in range(math.ceil(nbytes / chunk)):
+            size = min(chunk, remaining)
             remaining -= size
-            # The algorithm-efficiency derate is charged as extra wire bytes
-            # per chunk, so it also stretches the link's busy window (which
-            # the comm-volume figures observe).
-            inefficiency = int(size * (1.0 / spec.bandwidth_efficiency - 1.0))
-            events.append(
-                self.cluster.interconnect.transfer(
-                    src,
-                    dst,
-                    size,
-                    message_bytes=0,
-                    header_bytes=spec.per_chunk_header_bytes + inefficiency,
-                )
-            )
-        return events
+            sizes.append(size)
+        return sizes
 
-    def _start(self, name: str, transfers_fn) -> WorkHandle:
-        """Common control path: overhead, then fire all pairwise transfers."""
+    def _book(self, sends: Iterable[Tuple[int, Iterable[Tuple[int, float]]]]) -> Optional[float]:
+        """Book each ``(src, [(dst, nbytes), ...])`` as one wave out of ``src``.
+
+        Every pair's chunks go in order, then the next destination's.
+        Returns the latest delivery instant, or None if nothing moved.
+        """
+        spec = self.spec
+        interconnect = self.cluster.interconnect
+        prof = interconnect.profiler
+        derate = 1.0 / spec.bandwidth_efficiency - 1.0
+        last = None
+        for src, pairs in sends:
+            dsts: List[int] = []
+            sizes: List[float] = []
+            headers: List[int] = []
+            for dst, nbytes in pairs:
+                for size in self._chunks(nbytes):
+                    dsts.append(dst)
+                    sizes.append(size)
+                    # The algorithm-efficiency derate is charged as extra
+                    # wire bytes per chunk, so it also stretches the link's
+                    # busy window (which the comm-volume figures observe).
+                    headers.append(spec.per_chunk_header_bytes + int(size * derate))
+            if not dsts:
+                continue
+            if prof is not None and prof.enabled:
+                # The fabric total heads its per-pair entries in the counters.
+                prof.counter(interconnect.COUNTER)
+            done = max(
+                interconnect.book_wave(src, dsts, sizes, 0, headers, interconnect.COUNTER)
+            )
+            if last is None or done > last:
+                last = done
+        return last
+
+    def _start(self, name: str, sends: Iterable) -> WorkHandle:
+        """Common control path: overhead, then book every chunk at once.
+
+        The control callback books ``sends`` (see :meth:`_book`); ``done``
+        succeeds at the latest delivery instant, or at once if nothing
+        moved.
+        """
         engine = self.cluster.engine
         done = engine.event(name)
 
         def control() -> None:
-            events: List[Event] = transfers_fn()
-            if events:
-                engine.all_of(events).add_callback(
-                    lambda ev: done.succeed() if ev.ok else done.fail(ev.value)
-                )
-            else:
+            last = self._book(sends)
+            if last is None:
                 done.succeed()
+            else:
+                engine.call_at(last, done.succeed)
 
         engine.call_in(self.spec.launch_overhead_ns, control)
         return WorkHandle(self.cluster, done, self.spec, name)
+
+    def _all_pairs(self, nbytes) -> Iterator[Tuple[int, Iterator[Tuple[int, float]]]]:
+        """Every source sending ``nbytes(src, dst)`` to every other device."""
+        G = self.cluster.n_devices
+        for src in range(G):
+            yield src, ((dst, nbytes(src, dst)) for dst in range(G) if dst != src)
+
+    def _ring(self, share: float, steps: int) -> Iterator[Tuple[int, List[Tuple[int, float]]]]:
+        """Every source sending ``share`` to its ring neighbour ``steps`` times.
+
+        One wave per source: each link carries only its source's steps, so
+        their order across sources does not matter.
+        """
+        G = self.cluster.n_devices
+        for src in range(G):
+            yield src, [((src + 1) % G, share)] * steps
 
     # -- collectives -------------------------------------------------------------
 
@@ -191,49 +235,47 @@ class CollectiveContext:
         G = self.cluster.n_devices
         if split.shape != (G, G):
             raise ValueError(f"split_bytes must be ({G}, {G}), got {split.shape}")
-        if np.any(split < 0):
-            raise ValueError("split_bytes must be non-negative")
+        bad = ~((split >= 0) & (split < math.inf))  # True for NaN
+        if bad.any():
+            src, dst = np.argwhere(bad)[0]
+            check_bytes(f"all_to_all_single: split_bytes[{src}, {dst}]", split[src, dst])
         if not split.any():
             # Degenerate all-zero split: complete after the control path
             # alone (launch + wait are still charged — the call happened);
-            # no zero-length transfers or exchange rounds are scheduled.
-            return self._start("all_to_all_single", lambda: [])
+            # no zero-length transfers or exchange rounds are booked.
+            return self._start("all_to_all_single", ())
 
         if self.spec.alltoall_algorithm == "pairwise":
             return self._pairwise_rounds_alltoall(split)
-
-        def transfers() -> List[Event]:
-            events: List[Event] = []
-            for src in range(G):
-                for dst in range(G):
-                    if src != dst:
-                        events.extend(self._pairwise_transfer(src, dst, float(split[src, dst])))
-            return events
-
-        return self._start("all_to_all_single", transfers)
+        return self._start(
+            "all_to_all_single", self._all_pairs(lambda s, d: float(split[s, d]))
+        )
 
     def _pairwise_rounds_alltoall(self, split: np.ndarray) -> WorkHandle:
         """G-1 synchronised exchange rounds (round r: dst = (src + r) mod G)."""
-        engine = self.cluster.engine
+        name = "all_to_all_single[pairwise]"
+        done = self.cluster.engine.event(name)
+        self.cluster.engine.call_in(
+            self.spec.launch_overhead_ns, partial(self._round, split, 1, done)
+        )
+        return WorkHandle(self.cluster, done, self.spec, name)
+
+    def _round(self, split: np.ndarray, r: int, done: Event) -> None:
+        """Book exchange round ``r`` and schedule the next at its barrier.
+
+        The barrier is the round's latest delivery instant: nobody starts
+        round r+1 early.  A round that moves nothing passes straight on.
+        """
         G = self.cluster.n_devices
-        done = engine.event("all_to_all_single[pairwise]")
-
-        def rounds() -> "ProcessGenerator":
-            yield engine.timeout(self.spec.launch_overhead_ns)
-            for r in range(1, G):
-                events: List[Event] = []
-                for src in range(G):
-                    dst = (src + r) % G
-                    events.extend(
-                        self._pairwise_transfer(src, dst, float(split[src, dst]))
-                    )
-                if events:
-                    # Round barrier: nobody starts round r+1 early.
-                    yield engine.all_of(events)
-            done.succeed()
-
-        engine.process(rounds(), name="alltoall_pairwise")
-        return WorkHandle(self.cluster, done, self.spec, "all_to_all_single[pairwise]")
+        while r < G:
+            last = self._book(
+                (src, [((src + r) % G, float(split[src, (src + r) % G]))]) for src in range(G)
+            )
+            r += 1
+            if last is not None:
+                self.cluster.engine.call_at(last, partial(self._round, split, r, done))
+                return
+        done.succeed()
 
     def all_gather(self, bytes_per_rank: Sequence[float]) -> WorkHandle:
         """Each rank broadcasts its contribution to every other rank."""
@@ -241,18 +283,9 @@ class CollectiveContext:
         contrib = [float(b) for b in bytes_per_rank]
         if len(contrib) != G:
             raise ValueError(f"need {G} contributions, got {len(contrib)}")
-        if any(b < 0 for b in contrib):
-            raise ValueError("bytes_per_rank must be non-negative")
-
-        def transfers() -> List[Event]:
-            events: List[Event] = []
-            for src in range(G):
-                for dst in range(G):
-                    if src != dst:
-                        events.extend(self._pairwise_transfer(src, dst, contrib[src]))
-            return events
-
-        return self._start("all_gather", transfers)
+        for rank, b in enumerate(contrib):
+            check_bytes(f"all_gather: bytes_per_rank[{rank}]", b)
+        return self._start("all_gather", self._all_pairs(lambda s, d: contrib[s]))
 
     def reduce_scatter(self, total_bytes: float) -> WorkHandle:
         """Ring reduce-scatter of a ``total_bytes`` tensor (per-rank equal share).
@@ -261,46 +294,18 @@ class CollectiveContext:
         neighbour.
         """
         G = self.cluster.n_devices
-        if total_bytes < 0:
-            raise ValueError("total_bytes must be non-negative")
+        check_bytes("reduce_scatter: total_bytes", total_bytes)
         share = total_bytes / G if G else 0.0
-
-        def transfers() -> List[Event]:
-            events: List[Event] = []
-            for step in range(G - 1):
-                for src in range(G):
-                    events.extend(self._pairwise_transfer(src, (src + 1) % G, share))
-            return events
-
-        return self._start("reduce_scatter", transfers)
+        return self._start("reduce_scatter", self._ring(share, G - 1))
 
     def all_reduce(self, total_bytes: float) -> WorkHandle:
         """Ring all-reduce: reduce-scatter + all-gather volume (2(G-1)/G)."""
         G = self.cluster.n_devices
-        if total_bytes < 0:
-            raise ValueError("total_bytes must be non-negative")
+        check_bytes("all_reduce: total_bytes", total_bytes)
         share = total_bytes / G if G else 0.0
-
-        def transfers() -> List[Event]:
-            events: List[Event] = []
-            for _phase in range(2):  # reduce-scatter then all-gather
-                for _step in range(G - 1):
-                    for src in range(G):
-                        events.extend(self._pairwise_transfer(src, (src + 1) % G, share))
-            return events
-
-        return self._start("all_reduce", transfers)
+        # Reduce-scatter then all-gather: 2(G-1) ring steps.
+        return self._start("all_reduce", self._ring(share, 2 * (G - 1)))
 
     def barrier(self) -> WorkHandle:
         """A tiny all-to-all: pure control-path latency."""
-
-        def transfers() -> List[Event]:
-            events: List[Event] = []
-            G = self.cluster.n_devices
-            for src in range(G):
-                for dst in range(G):
-                    if src != dst:
-                        events.extend(self._pairwise_transfer(src, dst, 8.0))
-            return events
-
-        return self._start("barrier", transfers)
+        return self._start("barrier", self._all_pairs(lambda s, d: 8.0))

@@ -48,6 +48,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..checks import check_bytes
 from ..simgpu.cluster import Cluster
 from ..simgpu.engine import Event, ProcessGenerator
 from ..simgpu.memory import Buffer
@@ -65,11 +66,9 @@ _WAVE = (list, tuple)
 
 def _check_payload(name: str, value) -> None:
     try:
-        in_range = 0 <= value < _INF  # False for NaN
+        check_bytes(name, value)
     except TypeError:
         raise TypeError(f"{name} must be a real number, got {type(value).__name__}") from None
-    if not in_range:
-        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 def _check_count(name: str, value) -> None:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Literal, Optional, Tuple
 
@@ -36,7 +37,7 @@ from ..dlrm.data import STRONG_SCALING_TOTAL, WEAK_SCALING_BASE, WorkloadConfig
 from .factory import FeatureSpec
 from .pipeline import PipelineConfig
 from .retrieval import FEATURE_CONFIGS, BackendName, backend_spec
-from .serving import SchedulerSpec, ServingSpec
+from .serving import ServingSpec
 
 __all__ = ["PRESETS", "RunSpec", "preset_runspec"]
 
@@ -60,10 +61,29 @@ def _asdict(section: Optional[object]) -> Optional[Dict[str, Any]]:
     return None if section is None else dataclasses.asdict(section)
 
 
+def _build(cls, payload: Dict[str, Any]):
+    """``cls(**payload)``, rebuilding each nested config section from its dict.
+
+    A field whose value is a dict and whose annotation names a dataclass
+    (``Optional[CacheConfig]``, ``Optional[SchedulerSpec]``) gets that
+    dataclass back, as :func:`dataclasses.asdict` flattened it; any other
+    value goes to ``cls`` as is, which names a wrong type.
+    """
+    hints = typing.get_type_hints(cls)
+    kwargs = dict(payload)
+    for name, value in payload.items():
+        if isinstance(value, dict):
+            hint = hints.get(name)
+            nested = [t for t in (hint, *typing.get_args(hint)) if dataclasses.is_dataclass(t)]
+            if nested:
+                kwargs[name] = _build(nested[0], value)
+    return cls(**kwargs)
+
+
 def _build_optional(cls, data: Dict[str, Any], key: str):
     """Rebuild optional section ``key`` of ``data`` as a ``cls``."""
     payload = _section(data, key)
-    return None if payload is None else cls(**payload)
+    return None if payload is None else _build(cls, payload)
 
 
 @dataclass(frozen=True)
@@ -179,12 +199,6 @@ class RunSpec:
         if "workload" not in data:
             raise ValueError("RunSpec payload needs a 'workload' section")
         model = _section(data, "model") or {}
-        serving = _section(data, "serving")
-        if serving is not None:
-            scheduler = serving.get("scheduler")
-            if isinstance(scheduler, dict):  # anything else: ServingSpec names it
-                scheduler = SchedulerSpec(**scheduler)
-            serving = ServingSpec(**{**serving, "scheduler": scheduler})
         return cls(
             workload=_build_optional(WorkloadConfig, data, "workload"),
             n_devices=data.get("n_devices", 2),
@@ -192,7 +206,7 @@ class RunSpec:
             bottom_mlp=model.get("bottom_mlp", (512, 256)),
             top_mlp=model.get("top_mlp", (512, 256)),
             interaction=model.get("interaction", "dot"),
-            serving=serving,
+            serving=_build_optional(ServingSpec, data, "serving"),
             name=data.get("name", ""),
             **{key: _build_optional(FEATURE_CONFIGS[key], data, key) for key in features},
         )

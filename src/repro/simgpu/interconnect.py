@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..checks import check_bytes
 from .engine import Engine, Event
 from .profiler import Profiler
 from .units import gbps, us
@@ -95,12 +97,60 @@ def wire_bytes(payload_bytes: float, message_bytes: int, header_bytes: int) -> f
     return payload_bytes + n_messages * header_bytes
 
 
+def _reserve(
+    now: float,
+    links: Sequence["Link"],
+    payloads: Sequence[float],
+    message_bytes: int,
+    header_bytes,
+) -> Tuple[List[float], List[float]]:
+    """Book ``payloads[i]`` on ``links[i]`` in order; returns ``(starts, dones)``.
+
+    The one copy of the reservation arithmetic.  Each payload occupies
+    its link from ``start`` (no earlier than ``now``, the link's previous
+    reservation or the end of a down window) and has landed at ``done``.
+    ``header_bytes`` is one header size for every payload or a sequence
+    of one per payload.  Schedules nothing; the caller checked the
+    payloads.
+    """
+    headers = header_bytes if isinstance(header_bytes, (list, tuple)) else repeat(header_bytes)
+    ceil = math.ceil
+    starts: List[float] = []
+    dones: List[float] = []
+    for lk, payload, header in zip(links, payloads, headers):
+        if message_bytes > 0:
+            n_messages = ceil(payload / message_bytes)
+        else:
+            n_messages = 1 if payload else 0
+        wire = payload + n_messages * header
+        spec = lk.spec
+        # max(now, _free_at, down_until), without the call: a downed link
+        # queues traffic until it comes back up.
+        start = lk._free_at
+        if start < now:
+            start = now
+        if start < lk.down_until:
+            start = lk.down_until
+        # Link.effective_bandwidth, inlined: this runs once per write.
+        busy = wire / (spec.bandwidth * lk.bandwidth_scale) + n_messages * spec.per_message_ns
+        lk._free_at = free = start + busy
+        lk.busy_time += busy
+        lk.bytes_carried += wire
+        lk.transfer_count += 1
+        lk.messages_sent += n_messages
+        starts.append(start)
+        dones.append(free + spec.latency_ns + lk.extra_latency_ns)
+    return starts, dones
+
+
 class Link:
     """A directed FIFO link between two devices.
 
     Transfers serialise: each reservation starts no earlier than the link's
     previous reservation finished.  Completion = start + wire/bandwidth +
-    latency (latency is pipelined, charged once per transfer).
+    latency (latency is pipelined, charged once per transfer).  The
+    fabric books links through :func:`_reserve`; :meth:`transfer` is the
+    same booking for one payload, with a delivery event.
 
     Fault state (driven by :class:`repro.faults.FaultInjector`) composes
     multiplicatively/additively on top of the static :class:`LinkSpec`:
@@ -155,36 +205,6 @@ class Link:
         """Bandwidth after the current fault derate."""
         return self.spec.bandwidth * self.bandwidth_scale
 
-    def reserve(
-        self, payload_bytes: float, message_bytes: int, header_bytes: int
-    ) -> Tuple[float, float]:
-        """Book the link for a payload; returns ``(start, done_at)``.
-
-        Pure bookkeeping: advances the link's FIFO horizon and statistics
-        but schedules nothing.  The payload occupies the wire from
-        ``start`` and has landed at ``done_at``.
-        """
-        if payload_bytes < 0:
-            raise ValueError(f"negative payload: {payload_bytes}")
-        if payload_bytes == 0:
-            n_messages, wire = 0, 0.0
-        else:
-            # wire_bytes() inlined: the message count is needed twice.
-            n_messages = 1 if message_bytes <= 0 else math.ceil(payload_bytes / message_bytes)
-            wire = payload_bytes + n_messages * header_bytes
-        spec = self.spec
-        # A downed link queues traffic until it comes back up.
-        start = max(self.engine.now, self._free_at, self.down_until)
-        # effective_bandwidth, inlined: this runs once per put.
-        busy = wire / (spec.bandwidth * self.bandwidth_scale) + n_messages * spec.per_message_ns
-        done_at = start + busy + spec.latency_ns + self.extra_latency_ns
-        self._free_at = start + busy
-        self.busy_time += busy
-        self.bytes_carried += wire
-        self.transfer_count += 1
-        self.messages_sent += n_messages
-        return start, done_at
-
     def transfer(
         self,
         payload_bytes: float,
@@ -197,13 +217,14 @@ class Link:
         """Reserve the link for a payload; returns an event firing at delivery.
 
         ``on_complete(t_delivered)`` runs at the delivery instant (before
-        waiters), which the profiler uses to stamp comm counters.
-        ``on_schedule(start, done_at)`` runs synchronously at reservation
-        time with the computed occupancy window — the observability layer
-        records traced link spans from it without perturbing the schedule.
+        waiters).  ``on_schedule(start, done_at)`` runs synchronously at
+        reservation time with the computed occupancy window.
         """
+        check_bytes(f"transfer {self.src}->{self.dst}: payload", payload_bytes)
         engine = self.engine
-        start, done_at = self.reserve(payload_bytes, message_bytes, header_bytes)
+        (start,), (done_at,) = _reserve(
+            engine.now, (self,), (payload_bytes,), message_bytes, header_bytes
+        )
         if on_schedule is not None:
             on_schedule(start, done_at)
         ev = Event(engine, "xfer")
@@ -295,11 +316,9 @@ class Interconnect:
         self.topology = topology
         self.profiler = profiler
         self._links: Dict[Tuple[int, int], Link] = {}
-        # (counter, src, dst) -> per-pair sub-counter name, formatted once.
-        self._pair_counters: Dict[Tuple[str, int, int], str] = {}
-        # (counter, src) -> {dst: (link.reserve, per-pair counter name)},
-        # filled by book_wave as destinations first appear.
-        self._routes: Dict[Tuple[str, int], Dict[int, Tuple[Callable, str]]] = {}
+        # src -> {dst: Link}, filled as destinations first appear, so a
+        # wave resolves each link with one dict lookup.
+        self._routes: Dict[int, Dict[int, Link]] = {}
 
     def link(self, src: int, dst: int) -> Link:
         """The directed link for ``(src, dst)``; raises if unreachable."""
@@ -324,26 +343,34 @@ class Interconnect:
         """
         return self._links.get((src, dst))
 
-    def _pair_counter(self, counter: str, src: int, dst: int) -> str:
-        """The ``counter.devS->devD`` per-pair sub-counter name, formatted once."""
-        key = (counter, src, dst)
-        pair = self._pair_counters.get(key)
-        if pair is None:
-            pair = self._pair_counters[key] = f"{counter}.dev{src}->dev{dst}"
-        return pair
+    def _book(
+        self,
+        src: int,
+        dsts: Sequence[int],
+        payloads: Sequence[float],
+        message_bytes: int,
+        header_bytes,
+        counter: str,
+    ) -> List[float]:
+        """Book every element now and stamp its delivery; returns the instants.
 
-    def _reserve(
-        self, src: int, dst: int, payload_bytes: float, message_bytes: int, header_bytes: int
-    ) -> float:
-        """Book the ``(src, dst)`` link; returns the delivery instant."""
-        start, done_at = self.link(src, dst).reserve(payload_bytes, message_bytes, header_bytes)
+        The one booking path behind :meth:`book_wave` and :meth:`transfer`.
+        """
+        routes = self._routes.get(src)
+        if routes is None:
+            routes = self._routes[src] = {}
+        links = [routes.get(dst) or routes.setdefault(dst, self.link(src, dst)) for dst in dsts]
+        starts, done = _reserve(self.engine.now, links, payloads, message_bytes, header_bytes)
         prof = self.profiler
-        if prof is not None and prof.active_trace is not None:
-            # Traced transfers additionally record a link-occupancy span so
-            # the critical-path analyser sees individual wire time.  Guarded
-            # on an active trace: untraced runs stay span-for-span identical.
-            prof.record_span(f"xfer.dev{src}->dev{dst}", "link", src, start, done_at)
-        return done_at
+        if prof is not None and prof.enabled:
+            if prof.active_trace is not None:
+                # Traced bookings also record a link-occupancy span so the
+                # critical-path analyser sees individual wire time.  Guarded
+                # on an active trace: untraced runs record no extra spans.
+                for dst, start, done_at in zip(dsts, starts, done):
+                    prof.record_span(f"xfer.dev{src}->dev{dst}", "link", src, start, done_at)
+            prof.add_wave(counter, src, dsts, done, payloads)
+        return done
 
     def book_wave(
         self,
@@ -351,61 +378,37 @@ class Interconnect:
         dsts: Sequence[int],
         payloads: Sequence[float],
         message_bytes: int,
-        header_bytes: int,
+        header_bytes,
         counter: str,
     ) -> List[float]:
         """Move a wave of payloads out of ``src`` and schedule nothing.
 
-        Element ``i`` moves ``payloads[i]`` bytes to ``dsts[i]``.  The wave
-        is booked in order, exactly as the same writes issued one at a time
-        at the current instant; a zero payload books nothing.  Returns the
-        delivery instants of the booked elements, in order.  Each write's
-        whole job is done now, at issue: its link is reserved, a traced run
-        records the ``xfer`` span, and ``counter`` and its ``.devS->devD``
-        per-pair sub-counter are stamped with the *payload* bytes at the
-        delivery instant — the paper's instrument counts RDMA-write payload
-        in 256-byte units.  Counters read back in time order, so once the
-        clock has passed an instant its sample reads as if it had been
-        stamped on arrival.  One-sided puts use this: nothing waits on an
-        individual put, and ``quiet`` only needs the latest delivery
-        instant its PE has booked.
+        Element ``i`` moves ``payloads[i]`` bytes to ``dsts[i]``;
+        ``header_bytes`` is one header size for the whole wave or a
+        sequence of one per element.  The wave is booked in order, exactly
+        as the same payloads issued one at a time at the current instant; a
+        zero payload books nothing.  Returns the delivery instants of the
+        booked elements, in order.  Each element's whole job is done now,
+        at issue: its link is reserved, a traced run records the ``xfer``
+        span, and ``counter`` and its ``.devS->devD`` per-pair entry are
+        stamped with the *payload* bytes at the delivery instant — the
+        paper's instrument counts RDMA-write payload in 256-byte units.
+        Counters read back in time order, so once the clock has passed an
+        instant its sample reads as if it had been stamped on arrival.
+        Nothing waits on an individual element: a one-sided put's ``quiet``
+        and a collective's completion only need the latest instant.
 
-        The caller validates the wave.  Each destination's link and
-        per-pair counter name are resolved once per ``(counter, src)`` and
-        kept; the ``counter`` samples go in with one bulk extend.
+        The caller validates the wave.
         """
-        routes = self._routes.get((counter, src))
-        if routes is None:
-            routes = self._routes[(counter, src)] = {}
-        prof = self.profiler
-        stamp = prof is not None and prof.enabled
-        trace = stamp and prof.active_trace is not None
-        counters = prof.counters if stamp else None
-        done: List[float] = []
-        skipped = False
-        for dst, payload in zip(dsts, payloads):
-            if not payload:
-                skipped = True
-                continue
-            route = routes.get(dst)
-            if route is None:
-                route = routes[dst] = (
-                    self.link(src, dst).reserve,
-                    self._pair_counter(counter, src, dst),
-                )
-            reserve, pair = route
-            start, done_at = reserve(payload, message_bytes, header_bytes)
-            done.append(done_at)
-            if stamp:
-                if trace:
-                    # Same guarded link span as _reserve records.
-                    prof.record_span(f"xfer.dev{src}->dev{dst}", "link", src, start, done_at)
-                (counters.get(pair) or prof.counter(pair)).add(done_at, payload)
-        if stamp and done:
-            if skipped:
-                payloads = [p for p in payloads if p]
-            (counters.get(counter) or prof.counter(counter)).extend(done, payloads)
-        return done
+        if not all(payloads):
+            keep = [i for i, payload in enumerate(payloads) if payload]
+            dsts = [dsts[i] for i in keep]
+            payloads = [payloads[i] for i in keep]
+            if isinstance(header_bytes, (list, tuple)):
+                header_bytes = [header_bytes[i] for i in keep]
+        if not payloads:
+            return []
+        return self._book(src, dsts, payloads, message_bytes, header_bytes, counter)
 
     def transfer(
         self,
@@ -419,25 +422,24 @@ class Interconnect:
     ) -> Event:
         """Move payload from ``src`` to ``dst``; returns an event firing at delivery.
 
-        Books the link like :meth:`book_wave`, but the counters (``counter``,
-        default :data:`COUNTER`, and its per-pair sub-counter) are stamped by
-        the one delivery callback, which then succeeds the event with the
-        delivery instant.  The event needs that callback anyway, so stamping
-        there costs nothing.
+        Booked and stamped at issue like a one-element :meth:`book_wave`
+        (``counter`` defaults to :data:`COUNTER`), except that a zero
+        payload still reserves the link.  It schedules one callback, at
+        the delivery instant, which succeeds the returned event.  A
+        payload that is negative, NaN or infinite raises ``ValueError``
+        before any link changes.
         """
-        done_at = self._reserve(src, dst, payload_bytes, message_bytes, header_bytes)
-        prof = self.profiler
+        check_bytes(f"transfer {src}->{dst}: payload", payload_bytes)
         counter = counter or self.COUNTER
-        pair = self._pair_counter(counter, src, dst)
+        prof = self.profiler
+        if prof is not None and prof.enabled:
+            # A transfer's total heads its per-pair entry in the counters.
+            prof.counter(counter)
+        (done_at,) = self._book(
+            src, (dst,), (payload_bytes,), message_bytes, header_bytes, counter
+        )
         ev = Event(self.engine, "xfer")
-
-        def deliver() -> None:
-            if prof is not None:
-                prof.add_count(counter, done_at, payload_bytes)
-                prof.add_count(pair, done_at, payload_bytes)
-            ev.succeed(done_at)
-
-        self.engine.call_at(done_at, deliver)
+        self.engine.call_at(done_at, lambda: ev.succeed(done_at))
         return ev
 
     # -- statistics -------------------------------------------------------------

@@ -167,12 +167,90 @@ class Counter:
         return f"<Counter {self.name!r} total={self.total:.0f}{self.unit}>"
 
 
+class _PairColumns:
+    """One ``(counter, src)``'s per-pair samples, as three parallel columns.
+
+    A wave appends with one ``extend`` per column.  ``dsts`` holds the
+    destinations that already have a view.  The columns hold no reference
+    to their views, so a view and its columns never form a cycle.
+    """
+
+    __slots__ = ("times", "dst", "delta", "dsts", "_split")
+
+    def __init__(self) -> None:
+        self.times = array("d")
+        self.dst = array("q")
+        self.delta = array("d")
+        self.dsts: set = set()
+        # (start, stop, {dst: (times, deltas)}): the last partition of rows
+        # [start, stop) by destination, shared by the views that read next.
+        self._split: Optional[Tuple[int, int, Dict[int, Tuple[np.ndarray, np.ndarray]]]] = None
+
+    def rows(self, dst: int, start: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``dst``'s ``(times, deltas)`` among the rows from ``start`` on, in row order.
+
+        Views usually read one after another over the same rows (a report
+        after a run), so the rows are partitioned by destination once, with
+        one stable sort, and each view takes its slice.
+        """
+        stop = len(self.times)
+        split = self._split
+        if split is None or split[0] != start or split[1] != stop:
+            # Views on the columns; none outlives this call (an exported
+            # buffer would block the next extend).
+            order = np.argsort(np.frombuffer(self.dst, dtype=np.int64)[start:], kind="stable")
+            dsts = np.frombuffer(self.dst, dtype=np.int64)[start:][order]
+            times = np.frombuffer(self.times)[start:][order]
+            deltas = np.frombuffer(self.delta)[start:][order]
+            keys, first = np.unique(dsts, return_index=True)
+            ends = np.append(first[1:], len(dsts))
+            parts = {
+                int(k): (times[a:b], deltas[a:b]) for k, a, b in zip(keys, first, ends)
+            }
+            split = self._split = (start, stop, parts)
+        return split[2].get(dst)
+
+
+class _PairView(Counter):
+    """Read-only :class:`Counter` of one destination's rows in a :class:`_PairColumns`.
+
+    Every read first copies the rows appended since the previous read
+    whose destination is this view's, in row order, so the view holds
+    exactly the samples a plain counter fed the same writes would.
+    """
+
+    def __init__(self, name: str, columns: _PairColumns, dst: int):
+        super().__init__(name)
+        self._columns = columns
+        self._dst = dst
+        self._pulled = 0
+
+    def add(self, t: float, delta: float) -> None:
+        raise TypeError(f"counter {self.name!r} is read-only: stamp it with Profiler.add_wave")
+
+    def extend(self, times: Sequence[float], deltas: Sequence[float]) -> None:
+        raise TypeError(f"counter {self.name!r} is read-only: stamp it with Profiler.add_wave")
+
+    def _ensure_sorted(self) -> None:
+        cols = self._columns
+        n = len(cols.times)
+        if self._pulled < n:
+            mine = cols.rows(self._dst, self._pulled)
+            if mine is not None:
+                self._times.frombytes(mine[0].tobytes())
+                self._deltas.frombytes(mine[1].tobytes())
+            self._pulled = n
+        super()._ensure_sorted()
+
+
 class Profiler:
     """Collects spans and counters for one simulated run."""
 
     def __init__(self) -> None:
         self.spans: List[Span] = []
         self.counters: Dict[str, Counter] = {}
+        # (counter, src) -> that source's per-pair sample columns.
+        self._pair_columns: Dict[Tuple[str, int], _PairColumns] = {}
         self.enabled = True
         # Trace context stamped onto every span recorded while set.  None
         # (the default) keeps record_span's output identical to a repo
@@ -241,9 +319,45 @@ class Profiler:
         if self.enabled:
             self.counter(name, unit).add(t, delta)
 
+    def add_wave(
+        self,
+        counter: str,
+        src: int,
+        dsts: Sequence[int],
+        times: Sequence[float],
+        deltas: Sequence[float],
+    ) -> None:
+        """Record ``deltas[i]`` from ``src`` to ``dsts[i]`` at ``times[i]``.
+
+        ``counter`` gets every sample, and its ``counter.devS->devD``
+        per-pair entry the samples to that destination.  The per-pair
+        samples go into ``(counter, src)``'s columns; the entry in
+        :attr:`counters` is a read-only view of them, added when its pair
+        first appears, in wave order, and before ``counter`` itself on a
+        first wave.  Honours ``enabled``.
+        """
+        if not self.enabled:
+            return
+        key = (counter, src)
+        cols = self._pair_columns.get(key)
+        if cols is None:
+            cols = self._pair_columns[key] = _PairColumns()
+        seen = cols.dsts
+        if not seen.issuperset(dsts):
+            for dst in dsts:
+                if dst not in seen:
+                    seen.add(dst)
+                    name = f"{counter}.dev{src}->dev{dst}"
+                    self.counters[name] = _PairView(name, cols, dst)
+        cols.times.extend(times)
+        cols.dst.extend(dsts)
+        cols.delta.extend(deltas)
+        self.counter(counter).extend(times, deltas)
+
     # -- reset -------------------------------------------------------------------
 
     def clear(self) -> None:
-        """Drop all recorded spans and counters."""
+        """Drop all recorded spans, counters and per-pair columns."""
         self.spans.clear()
         self.counters.clear()
+        self._pair_columns.clear()

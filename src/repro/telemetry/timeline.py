@@ -54,8 +54,8 @@ COMM_COUNTER_NAMES = (Interconnect.COUNTER, PGASContext.COUNTER)
 #: phases at once)
 COMPUTE_CATEGORIES = ("compute", "fused")
 
-#: per-pair sub-counter names stamped by :meth:`Interconnect.book_wave` and
-#: :meth:`Interconnect.transfer`
+#: per-pair sub-counter names: the read-only views that
+#: :meth:`Profiler.add_wave` lists for every link booking
 _PAIR_RE = re.compile(r"^(?P<base>[a-z_]+)\.dev(?P<src>\d+)->dev(?P<dst>\d+)$")
 
 

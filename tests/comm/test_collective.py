@@ -240,3 +240,74 @@ class TestAlltoallAlgorithms:
             run_collective(cl, lambda c=ctx: c.all_to_all_single(split))
             times[algo] = cl.engine.now
         assert times["pairwise"] == pytest.approx(times["direct"], rel=1e-6)
+
+
+class TestBookedChunks:
+    """Chunks are booked at issue, one wave per source: a collective
+    schedules nothing per chunk, only its launch and its completion."""
+
+    @staticmethod
+    def _entries(G, pair_bytes, **kw):
+        cl = dgx_v100(G)
+        ctx = CollectiveContext(cl, fast_spec(chunk_bytes=MiB, **kw))
+        split = np.full((G, G), float(pair_bytes))
+        np.fill_diagonal(split, 0.0)
+        ctx.all_to_all_single(split)
+        cl.engine.run()
+        return cl.engine._seq, cl.profiler.counter(Interconnect.COUNTER).total
+
+    def test_multi_chunk_pairs_schedule_no_more_entries(self):
+        G = 16
+        one, one_bytes = self._entries(G, MiB)
+        three, three_bytes = self._entries(G, 3 * MiB - 5)
+        assert three == one
+        assert three_bytes == G * (G - 1) * (3 * MiB - 5) and one_bytes == G * (G - 1) * MiB
+
+    def test_pairwise_rounds_schedule_one_entry_per_round(self):
+        for G in (2, 4, 16):
+            for pair_bytes in (MiB, 3 * MiB - 5):
+                # The launch, one barrier per round, and the done event.
+                assert self._entries(G, pair_bytes, alltoall_algorithm="pairwise")[0] == G + 1
+
+    def test_chunk_order_and_last_header(self):
+        """A pair's chunks go out in order, then the next destination's; the
+        last, shorter chunk carries its own inefficiency header."""
+        cl = dgx_v100(3)
+        spec = fast_spec(chunk_bytes=1000, per_chunk_header_bytes=8, bandwidth_efficiency=0.5)
+        split = np.array([[0.0, 2500.0, 1000.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        run_collective(cl, lambda: CollectiveContext(cl, spec).all_to_all_single(split))
+        pairs = cl.profiler.counters
+        assert [d for _, d in pairs["comm_bytes.dev0->dev1"].events()] == [1000.0, 1000.0, 500.0]
+        assert [d for _, d in pairs["comm_bytes.dev0->dev2"].events()] == [1000.0]
+        # Wire bytes: payload plus (8 + size * (1/0.5 - 1)) per chunk.
+        assert cl.interconnect.link(0, 1).bytes_carried == 2500.0 + 3 * 8 + 2500.0
+        assert cl.interconnect.link(0, 1).transfer_count == 3
+
+
+class TestNonFiniteBytes:
+    """NaN and infinite byte counts fail at the call, naming the entry,
+    before anything is scheduled."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_all_to_all_single(self, bad):
+        cl = dgx_v100(3)
+        split = np.zeros((3, 3))
+        split[1, 2] = bad
+        with pytest.raises(ValueError, match=r"all_to_all_single: split_bytes\[1, 2\]"):
+            CollectiveContext(cl).all_to_all_single(split)
+        assert cl.engine._seq == 0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_all_gather(self, bad):
+        cl = dgx_v100(3)
+        with pytest.raises(ValueError, match=r"all_gather: bytes_per_rank\[2\]"):
+            CollectiveContext(cl).all_gather([1.0, 2.0, bad])
+        assert cl.engine._seq == 0
+
+    @pytest.mark.parametrize("op", ["all_reduce", "reduce_scatter"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_ring_collectives(self, op, bad):
+        cl = dgx_v100(3)
+        with pytest.raises(ValueError, match=f"{op}: total_bytes must be finite"):
+            getattr(CollectiveContext(cl), op)(bad)
+        assert cl.engine._seq == 0

@@ -1,8 +1,8 @@
 """Regression tests: degenerate splits in the collective layer.
 
 All-zero splits must complete after the control path alone (no
-zero-length transfers or exchange rounds scheduled); negative byte
-counts must raise instead of reaching the interconnect.
+zero-length chunks or exchange rounds booked); negative byte counts must
+raise instead of reaching the interconnect.
 """
 
 from __future__ import annotations
@@ -83,14 +83,14 @@ class TestNegativeBytes:
         with pytest.raises(ValueError, match="non-negative"):
             ctx.all_to_all_single(np.array([[0.0, -1.0], [0.0, 0.0]]))
 
-    def test_pairwise_transfer_negative_raises(self):
+    def test_pair_chunks_negative_raises(self):
         ctx = CollectiveContext(dgx_v100(2), fast_spec())
         with pytest.raises(ValueError, match="non-negative"):
-            ctx._pairwise_transfer(0, 1, -8.0)
+            ctx._chunks(-8.0)
 
-    def test_pairwise_transfer_zero_returns_no_events(self):
+    def test_pair_chunks_zero_is_empty(self):
         ctx = CollectiveContext(dgx_v100(2), fast_spec())
-        assert ctx._pairwise_transfer(0, 1, 0.0) == []
+        assert ctx._chunks(0.0) == []
 
     def test_all_gather_negative_contribution_raises(self):
         ctx = CollectiveContext(dgx_v100(2), fast_spec())

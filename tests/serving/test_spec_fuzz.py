@@ -21,11 +21,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.cache import CacheConfig
 from repro.core.factory import FeatureSpec
 from repro.core.retrieval import FEATURE_CONFIGS, available_backends
 from repro.core.runspec import RunSpec
 from repro.core.serving import SchedulerSpec, ServingSpec
 from repro.dlrm.data import WorkloadConfig
+from repro.faults import ResilienceSpec
 
 WL = WorkloadConfig(
     num_tables=8, rows_per_table=2048, dim=16, batch_size=64, max_pooling=4, seed=3
@@ -213,6 +215,17 @@ RUNSPEC_KW = st.fixed_dictionaries(
             f.name: st.one_of(st.none(), st.just(FEATURE_CONFIGS[f.name]()), ANY)
             for f in fields(FeatureSpec)
         },
+        # A feature section with a nested config section of its own.
+        "resilience": st.one_of(
+            st.none(),
+            st.just(ResilienceSpec()),
+            st.builds(ResilienceSpec, fallback_cache=st.builds(
+                CacheConfig,
+                capacity_rows=st.one_of(st.none(), st.integers(0, 4096)),
+                policy=st.sampled_from(["lru", "lfu", "static-topk"]),
+            )),
+            ANY,
+        ),
     },
 )
 
@@ -265,5 +278,17 @@ def test_fuzzed_workload_config_constructs_and_round_trips_or_raises(kw):
 
 @settings(max_examples=300, deadline=None)
 @given(RUNSPEC_KW)
+@example({"workload": WL, "resilience": ResilienceSpec(fallback_cache=CacheConfig())})
 def test_fuzzed_runspec_constructs_and_round_trips_or_raises(kw):
     _check(lambda: RunSpec(**kw))
+
+
+def test_resilience_fallback_cache_round_trips():
+    """The nested ``CacheConfig`` comes back as a ``CacheConfig``, not a dict."""
+    spec = RunSpec(
+        workload=WL, resilience=ResilienceSpec(fallback_cache=CacheConfig(policy="lfu"))
+    )
+    again = RunSpec.from_dict(spec.to_dict())
+    assert again == spec
+    assert isinstance(again.resilience.fallback_cache, CacheConfig)
+    _round_trips(spec)

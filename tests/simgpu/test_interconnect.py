@@ -194,3 +194,30 @@ class TestInterconnect:
             ic.transfer(int(s), int(d), nbytes)
         eng.run()
         assert prof.counter(Interconnect.COUNTER).total == pytest.approx(total)
+
+
+class TestNonFinitePayload:
+    """A NaN, infinite or negative payload raises a ``ValueError`` naming
+    the pair and the value, before any link state changes."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("message_bytes", [0, 256])
+    def test_interconnect_transfer(self, bad, message_bytes):
+        eng = Engine()
+        ic = Interconnect(eng, nvlink_dgx1(2), Profiler())
+        ic.transfer(0, 1, 1000.0)
+        link = ic.link(0, 1)
+        before = (link._free_at, link.busy_time, link.bytes_carried, link.transfer_count)
+        with pytest.raises(ValueError, match=rf"transfer 0->1: .* got {bad!r}"):
+            ic.transfer(0, 1, bad, message_bytes=message_bytes, header_bytes=32)
+        assert (link._free_at, link.busy_time, link.bytes_carried, link.transfer_count) == before
+        eng.run()
+        assert eng.now == link._free_at + NVLINK_PAIR_SPEC.latency_ns
+        assert ic.peek_link(1, 0) is None
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+    def test_link_transfer(self, bad):
+        lk = Link(Engine(), 0, 1, LinkSpec(bandwidth=10.0, latency_ns=0.0))
+        with pytest.raises(ValueError, match="transfer 0->1"):
+            lk.transfer(bad, message_bytes=256)
+        assert (lk.bytes_carried, lk.transfer_count, lk.engine._seq) == (0.0, 0, 0)
