@@ -19,35 +19,15 @@ for their own configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..comm.pgas import PGASContext
 from ..core.retrieval import BackendName, DistributedEmbedding
 from ..dlrm.data import SyntheticDataGenerator, WorkloadConfig
 from ..simgpu.interconnect import Interconnect
 from ..simgpu.profiler import Profiler
+from ..telemetry.timeline import COMPUTE_CATEGORIES, merged_intervals
 
 __all__ = ["OverlapReport", "analyze_overlap", "measure_overlap"]
-
-#: span categories that count as "compute is running"
-COMPUTE_CATEGORIES = ("compute", "fused")
-
-
-def _merged_intervals(profiler: Profiler, categories: Sequence[str]) -> List[Tuple[float, float]]:
-    spans = sorted(
-        (s for s in profiler.spans if s.category in categories),
-        key=lambda s: s.t_start,
-    )
-    merged: List[Tuple[float, float]] = []
-    for s in spans:
-        if merged and s.t_start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], s.t_end))
-        else:
-            merged.append((s.t_start, s.t_end))
-    return merged
-
 
 @dataclass(frozen=True)
 class OverlapReport:
@@ -81,7 +61,7 @@ class OverlapReport:
 
 def analyze_overlap(profiler: Profiler) -> OverlapReport:
     """Compute overlap metrics from an already-recorded profiler."""
-    intervals = _merged_intervals(profiler, COMPUTE_CATEGORIES)
+    intervals = merged_intervals(profiler, COMPUTE_CATEGORIES)
     compute_wall = sum(hi - lo for lo, hi in intervals)
     total = 0.0
     hidden = 0.0

@@ -390,9 +390,9 @@ class Interconnect:
         zero payload books nothing.  Returns the delivery instants of the
         booked elements, in order.  Each element's whole job is done now,
         at issue: its link is reserved, a traced run records the ``xfer``
-        span, and ``counter`` and its ``.devS->devD`` per-pair entry are
-        stamped with the *payload* bytes at the delivery instant — the
-        paper's instrument counts RDMA-write payload in 256-byte units.
+        span, and ``counter`` and its per-pair columns are stamped with the
+        *payload* bytes at the delivery instant — the paper's instrument
+        counts RDMA-write payload in 256-byte units.
         Counters read back in time order, so once the clock has passed an
         instant its sample reads as if it had been stamped on arrival.
         Nothing waits on an individual element: a one-sided put's ``quiet``
@@ -430,13 +430,8 @@ class Interconnect:
         before any link changes.
         """
         check_bytes(f"transfer {src}->{dst}: payload", payload_bytes)
-        counter = counter or self.COUNTER
-        prof = self.profiler
-        if prof is not None and prof.enabled:
-            # A transfer's total heads its per-pair entry in the counters.
-            prof.counter(counter)
         (done_at,) = self._book(
-            src, (dst,), (payload_bytes,), message_bytes, header_bytes, counter
+            src, (dst,), (payload_bytes,), message_bytes, header_bytes, counter or self.COUNTER
         )
         ev = Event(self.engine, "xfer")
         self.engine.call_at(done_at, lambda: ev.succeed(done_at))

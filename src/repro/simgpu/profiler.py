@@ -15,14 +15,15 @@ Two instruments matter for the paper's evaluation:
 
 from __future__ import annotations
 
-import bisect
 from array import array
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Span", "Counter", "Profiler", "TraceRef"]
+from ..checks import check_finite
+
+__all__ = ["Span", "Counter", "PairSamples", "Profiler", "TraceRef"]
 
 
 @dataclass(frozen=True)
@@ -114,18 +115,17 @@ class Counter:
 
     def value_at(self, t: float) -> float:
         """Cumulative value at time ``t`` (inclusive)."""
-        self._ensure_sorted()
-        total = 0.0
-        for et, d in zip(self._times, self._deltas):
-            if et > t:
-                break
-            total += d
-        return total
+        return float(self.values_at(np.array([t]))[0])
 
     def events(self) -> List[Tuple[float, float]]:
         """Time-sorted ``(time, delta)`` events (a copy; safe to iterate)."""
         self._ensure_sorted()
         return list(zip(self._times, self._deltas))
+
+    def samples(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Time-sorted ``(times, deltas)`` arrays (copies; :meth:`events` as columns)."""
+        self._ensure_sorted()
+        return np.array(self._times, dtype=np.float64), np.array(self._deltas, dtype=np.float64)
 
     def values_at(self, times: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`value_at` over an array of sample instants."""
@@ -152,8 +152,9 @@ class Counter:
         series, so downstream rate/occupancy math never divides by a
         zero-width bin.
         """
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period}")
+        check_finite("Counter.sample", "t_start", t_start, zero_ok=True)
+        check_finite("Counter.sample", "t_end", t_end, zero_ok=True)
+        check_finite("Counter.sample", "period", period)
         if t_end < t_start:
             raise ValueError("t_end < t_start")
         self._ensure_sorted()
@@ -168,79 +169,34 @@ class Counter:
 
 
 class _PairColumns:
-    """One ``(counter, src)``'s per-pair samples, as three parallel columns.
+    """One counter's per-pair samples, as four parallel columns in booking order."""
 
-    A wave appends with one ``extend`` per column.  ``dsts`` holds the
-    destinations that already have a view.  The columns hold no reference
-    to their views, so a view and its columns never form a cycle.
-    """
-
-    __slots__ = ("times", "dst", "delta", "dsts", "_split")
+    __slots__ = ("src", "dst", "times", "delta")
 
     def __init__(self) -> None:
-        self.times = array("d")
+        self.src = array("q")
         self.dst = array("q")
+        self.times = array("d")
         self.delta = array("d")
-        self.dsts: set = set()
-        # (start, stop, {dst: (times, deltas)}): the last partition of rows
-        # [start, stop) by destination, shared by the views that read next.
-        self._split: Optional[Tuple[int, int, Dict[int, Tuple[np.ndarray, np.ndarray]]]] = None
-
-    def rows(self, dst: int, start: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """``dst``'s ``(times, deltas)`` among the rows from ``start`` on, in row order.
-
-        Views usually read one after another over the same rows (a report
-        after a run), so the rows are partitioned by destination once, with
-        one stable sort, and each view takes its slice.
-        """
-        stop = len(self.times)
-        split = self._split
-        if split is None or split[0] != start or split[1] != stop:
-            # Views on the columns; none outlives this call (an exported
-            # buffer would block the next extend).
-            order = np.argsort(np.frombuffer(self.dst, dtype=np.int64)[start:], kind="stable")
-            dsts = np.frombuffer(self.dst, dtype=np.int64)[start:][order]
-            times = np.frombuffer(self.times)[start:][order]
-            deltas = np.frombuffer(self.delta)[start:][order]
-            keys, first = np.unique(dsts, return_index=True)
-            ends = np.append(first[1:], len(dsts))
-            parts = {
-                int(k): (times[a:b], deltas[a:b]) for k, a, b in zip(keys, first, ends)
-            }
-            split = self._split = (start, stop, parts)
-        return split[2].get(dst)
 
 
-class _PairView(Counter):
-    """Read-only :class:`Counter` of one destination's rows in a :class:`_PairColumns`.
+class PairSamples(NamedTuple):
+    """Every per-pair booking of one counter, in booking order."""
 
-    Every read first copies the rows appended since the previous read
-    whose destination is this view's, in row order, so the view holds
-    exactly the samples a plain counter fed the same writes would.
-    """
+    src: np.ndarray  #: source device of each sample (int64)
+    dst: np.ndarray  #: destination device of each sample (int64)
+    times: np.ndarray  #: delivery instant (ns)
+    deltas: np.ndarray  #: payload bytes
 
-    def __init__(self, name: str, columns: _PairColumns, dst: int):
-        super().__init__(name)
-        self._columns = columns
-        self._dst = dst
-        self._pulled = 0
-
-    def add(self, t: float, delta: float) -> None:
-        raise TypeError(f"counter {self.name!r} is read-only: stamp it with Profiler.add_wave")
-
-    def extend(self, times: Sequence[float], deltas: Sequence[float]) -> None:
-        raise TypeError(f"counter {self.name!r} is read-only: stamp it with Profiler.add_wave")
-
-    def _ensure_sorted(self) -> None:
-        cols = self._columns
-        n = len(cols.times)
-        if self._pulled < n:
-            mine = cols.rows(self._dst, self._pulled)
-            if mine is not None:
-                self._times.frombytes(mine[0].tobytes())
-                self._deltas.frombytes(mine[1].tobytes())
-            self._pulled = n
-        super()._ensure_sorted()
+    def links(self) -> Tuple[List[Tuple[int, int]], np.ndarray, np.ndarray]:
+        """``(links, rows, first)``: the distinct ``(src, dst)`` links in
+        sorted order, each sample's index into ``links``, and each link's
+        first sample."""
+        width = int(self.dst.max()) + 1 if self.dst.size else 1
+        keys, first, rows = np.unique(
+            self.src * width + self.dst, return_index=True, return_inverse=True
+        )
+        return [(int(k) // width, int(k) % width) for k in keys], rows, first
 
 
 class Profiler:
@@ -249,8 +205,8 @@ class Profiler:
     def __init__(self) -> None:
         self.spans: List[Span] = []
         self.counters: Dict[str, Counter] = {}
-        # (counter, src) -> that source's per-pair sample columns.
-        self._pair_columns: Dict[Tuple[str, int], _PairColumns] = {}
+        # counter -> its per-pair sample columns.
+        self._pairs: Dict[str, _PairColumns] = {}
         self.enabled = True
         # Trace context stamped onto every span recorded while set.  None
         # (the default) keeps record_span's output identical to a repo
@@ -265,8 +221,10 @@ class Profiler:
         """Append a finished span (no-op when disabled)."""
         if not self.enabled:
             return
-        if t_end < t_start:
-            raise ValueError(f"span {name!r} ends before it starts")
+        if not t_start <= t_end:
+            raise ValueError(
+                f"span {name!r} ends before it starts: t_start={t_start!r}, t_end={t_end!r}"
+            )
         self.spans.append(Span(name, category, device_id, t_start, t_end, self.active_trace))
 
     def spans_by_category(self, category: str, device_id: Optional[int] = None) -> List[Span]:
@@ -329,30 +287,52 @@ class Profiler:
     ) -> None:
         """Record ``deltas[i]`` from ``src`` to ``dsts[i]`` at ``times[i]``.
 
-        ``counter`` gets every sample, and its ``counter.devS->devD``
-        per-pair entry the samples to that destination.  The per-pair
-        samples go into ``(counter, src)``'s columns; the entry in
-        :attr:`counters` is a read-only view of them, added when its pair
-        first appears, in wave order, and before ``counter`` itself on a
-        first wave.  Honours ``enabled``.
+        ``counter`` gets every sample, and its per-pair columns (read with
+        :meth:`pair_samples`) the source and destination of each.  Honours
+        ``enabled``.
         """
         if not self.enabled:
             return
-        key = (counter, src)
-        cols = self._pair_columns.get(key)
+        cols = self._pairs.get(counter)
         if cols is None:
-            cols = self._pair_columns[key] = _PairColumns()
-        seen = cols.dsts
-        if not seen.issuperset(dsts):
-            for dst in dsts:
-                if dst not in seen:
-                    seen.add(dst)
-                    name = f"{counter}.dev{src}->dev{dst}"
-                    self.counters[name] = _PairView(name, cols, dst)
-        cols.times.extend(times)
+            cols = self._pairs[counter] = _PairColumns()
+        cols.src.extend([src] * len(dsts))
         cols.dst.extend(dsts)
+        cols.times.extend(times)
         cols.delta.extend(deltas)
         self.counter(counter).extend(times, deltas)
+
+    def pair_samples(self, counter: str) -> PairSamples:
+        """Every :meth:`add_wave` sample of ``counter``, in booking order (copies)."""
+        cols = self._pairs.get(counter) or _PairColumns()
+        return PairSamples(
+            np.array(cols.src, dtype=np.int64),
+            np.array(cols.dst, dtype=np.int64),
+            np.array(cols.times, dtype=np.float64),
+            np.array(cols.delta, dtype=np.float64),
+        )
+
+    def pair_counters(self, counter: str) -> Dict[str, Counter]:
+        """``counter``'s per-pair samples as plain counters, one per link.
+
+        Named ``"{counter}.dev{src}->dev{dst}"`` and listed in the order
+        each link was first booked.  Built on every call: for readers that
+        want one link's series or total (report sections, Chrome tracks),
+        not for a pass over every link.
+        """
+        samples = self.pair_samples(counter)
+        links, rows, first = samples.links()
+        order = np.argsort(rows, kind="stable")  # grouped by link, booking order kept
+        counts = np.bincount(rows, minlength=len(links))
+        starts = np.cumsum(counts) - counts
+        out: Dict[str, Counter] = {}
+        for k in np.argsort(first):
+            mine = order[starts[k]:starts[k] + counts[k]]
+            src, dst = links[k]
+            name = f"{counter}.dev{src}->dev{dst}"
+            c = out[name] = Counter(name)
+            c.extend(samples.times[mine].tolist(), samples.deltas[mine].tolist())
+        return out
 
     # -- reset -------------------------------------------------------------------
 
@@ -360,4 +340,4 @@ class Profiler:
         """Drop all recorded spans, counters and per-pair columns."""
         self.spans.clear()
         self.counters.clear()
-        self._pair_columns.clear()
+        self._pairs.clear()

@@ -156,22 +156,28 @@ def chrome_trace(
     emitted_counters = False
     if counters and profiler.counters:
         t_end = max((s.t_end for s in profiler.spans), default=0.0)
-        for cname, counter in profiler.counters.items():
-            # Skip per-pair sub-counters (too many rows) but keep the
-            # name-spaced per-device cache, fault, and serving counters:
-            # Perfetto shows hit rate / fault activity / queue depth
-            # alongside the comm-volume row.
-            if "." in cname and not cname.startswith(("cache.", "faults.", "serving.")):
+        for base, counter in profiler.counters.items():
+            # Keep the bare totals and the name-spaced per-device cache,
+            # fault, and serving counters: Perfetto shows hit rate / fault
+            # activity / queue depth alongside the comm-volume row.  A
+            # name-spaced counter booked on links (rerouted bytes) is
+            # followed by one row per link; the bare comm totals' per-link
+            # rows would be too many.
+            if "." in base and not base.startswith(("cache.", "faults.", "serving.")):
                 continue
             if t_end <= 0:
                 continue
             emitted_counters = True
-            times, vals = counter.sample(0.0, t_end, counter_period_ns)
-            for t, v in zip(times, vals):
-                events.append(
-                    {"name": cname, "ph": "C", "ts": to_us(t), "pid": COUNTER_PID,
-                     "args": {cname: float(v)}}
-                )
+            tracks = {base: counter}
+            if "." in base:
+                tracks.update(profiler.pair_counters(base))
+            for cname, track in tracks.items():
+                times, vals = track.sample(0.0, t_end, counter_period_ns)
+                for t, v in zip(times, vals):
+                    events.append(
+                        {"name": cname, "ph": "C", "ts": to_us(t), "pid": COUNTER_PID,
+                         "args": {cname: float(v)}}
+                    )
     if emitted_counters:
         events.append(
             {"name": "process_name", "ph": "M", "pid": COUNTER_PID, "tid": 0,

@@ -52,7 +52,6 @@ from .timeline import (
     gauge_series,
     link_utilization_series,
     merged_intervals,
-    per_pair_comm_counters,
     run_window,
     sample_edges,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "merged_intervals",
     "overlap_fraction",
     "peak_to_mean",
-    "per_pair_comm_counters",
     "run_window",
     "sample_edges",
     "telemetry_trace_events",

@@ -27,15 +27,14 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..simgpu.interconnect import Topology
-from ..simgpu.profiler import Counter, Profiler
+from ..simgpu.profiler import Profiler
 from .timeline import (
-    COMM_COUNTER_NAMES,
     COMPUTE_CATEGORIES,
-    _link_series,
+    _comm_samples,
+    _link_rates,
     comm_rate_series,
     compute_occupancy_series,
     merged_intervals,
-    per_pair_comm_counters,
     run_window,
     sample_edges,
 )
@@ -151,36 +150,29 @@ def _stab_counts(
 
 
 def _overlap_sums(
-    profiler: Profiler, pairs: Dict[Tuple[int, int], List[Counter]]
+    profiler: Profiler, device_id: Optional[int] = None
 ) -> Tuple[List[float], Dict[int, List[float]]]:
-    """``[hidden, total]`` bytes overall and per source device, in one pass.
+    """``[hidden, total]`` comm bytes overall and per source device.
 
-    Each counter's sums are added to both accumulators in pair order, so
-    every per-source figure is bit-identical to a pass over that source's
-    pairs alone.
+    Each source's samples are stabbed once against that source's merged
+    compute intervals; ``device_id`` keeps only the samples it sourced.
     """
+    src, _, times, deltas = _comm_samples(profiler)
+    if device_id is not None:
+        mine = src == device_id
+        src, times, deltas = src[mine], times[mine], deltas[mine]
+    order = np.argsort(src, kind="stable")
+    sources, starts = np.unique(src[order], return_index=True)
     overall = [0.0, 0.0]
     per_src: Dict[int, List[float]] = {}
-    intervals_of: Dict[int, List[Tuple[float, float]]] = {}
-    for (src, _dst), counters in pairs.items():
-        intervals = intervals_of.get(src)
-        if intervals is None:
-            intervals = merged_intervals(profiler, COMPUTE_CATEGORIES, src)
-            intervals_of[src] = intervals
-            per_src[src] = [0.0, 0.0]
-        sums = per_src[src]
-        for counter in counters:
-            evs = counter.events()
-            if not evs:
-                continue
-            times = np.array([t for t, _ in evs])
-            deltas = np.array([d for _, d in evs])
-            total = float(deltas.sum())
-            hidden = float(deltas[_stab_counts(intervals, times)].sum())
-            overall[0] += hidden
-            overall[1] += total
-            sums[0] += hidden
-            sums[1] += total
+    for dev, rows in zip(sources.tolist(), np.split(order, starts[1:])):
+        intervals = merged_intervals(profiler, COMPUTE_CATEGORIES, dev)
+        sent = deltas[rows]
+        hidden = float(sent[_stab_counts(intervals, times[rows])].sum())
+        total = float(sent.sum())
+        per_src[dev] = [hidden, total]
+        overall[0] += hidden
+        overall[1] += total
     return overall, per_src
 
 
@@ -202,10 +194,7 @@ def overlap_fraction(
     the fraction is bounded by 1.0 by construction.  Returns fraction 0.0
     when no traffic moved.
     """
-    pairs = per_pair_comm_counters(profiler)
-    if device_id is not None:
-        pairs = {key: counters for key, counters in pairs.items() if key[0] == device_id}
-    (hidden, total), _ = _overlap_sums(profiler, pairs)
+    (hidden, total), _ = _overlap_sums(profiler, device_id)
     return _fraction(hidden, total)
 
 
@@ -236,28 +225,39 @@ def interconnect_idle_ns(profiler: Profiler, edges: np.ndarray) -> float:
     return float(np.sum(widths * (comm.values <= 0)))
 
 
-def peak_to_mean(values: np.ndarray) -> float:
-    """Peak-to-mean ratio of a series (1.0 for flat, 0.0 for empty/all-zero)."""
+def _scalar(values: np.ndarray):
+    """A 0-d result as a float; a reduction over several rows stays an array."""
+    return float(values) if values.ndim == 0 else values
+
+
+def peak_to_mean(values: np.ndarray):
+    """Peak-to-mean ratio along the last axis (1.0 for flat, 0.0 for empty/all-zero).
+
+    A float for one series; one ratio per row for a ``(rows, bins)`` matrix.
+    """
     values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        return 0.0
-    mean = float(values.mean())
-    if mean <= 0:
-        return 0.0
-    return float(values.max()) / mean
+    if values.shape[-1] == 0:
+        return _scalar(np.zeros(values.shape[:-1]))
+    mean = values.mean(axis=-1)
+    ratio = np.divide(values.max(axis=-1), mean, out=np.zeros_like(mean), where=mean > 0)
+    return _scalar(ratio)
 
 
-def gini(values: np.ndarray) -> float:
-    """Gini coefficient of a non-negative series (0 = uniform, →1 = bursty)."""
-    values = np.sort(np.asarray(values, dtype=np.float64))
-    if values.size == 0:
-        return 0.0
-    total = float(values.sum())
-    if total <= 0:
-        return 0.0
-    n = values.size
+def gini(values: np.ndarray):
+    """Gini coefficient along the last axis (0 = uniform, →1 = bursty).
+
+    For non-negative series: a float for one, one per row for a matrix.
+    """
+    values = np.sort(np.asarray(values, dtype=np.float64), axis=-1)
+    n = values.shape[-1]
+    if n == 0:
+        return _scalar(np.zeros(values.shape[:-1]))
+    total = values.sum(axis=-1)
     ranks = np.arange(1, n + 1, dtype=np.float64)
-    return float((2.0 * np.sum(ranks * values)) / (n * total) - (n + 1.0) / n)
+    weighted = 2.0 * np.sum(ranks * values, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coeff = weighted / (n * total) - (n + 1.0) / n
+    return _scalar(np.where(total > 0, coeff, 0.0))
 
 
 def link_stats(
@@ -270,20 +270,22 @@ def link_stats(
 
     Keys are ``"dev{src}->dev{dst}"``; values carry total bytes plus the
     peak/mean/burstiness of the per-bin series (an occupancy fraction when
-    a topology is supplied, bytes/ns otherwise).
+    a topology is supplied, bytes/ns otherwise).  Every statistic is one
+    reduction along the bins of all links at once.
     """
-    out: Dict[str, Dict[str, float]] = {}
-    pairs = per_pair_comm_counters(profiler)
-    for (src, dst), ts in _link_series(pairs, edges, topology).items():
-        total = sum(c.total for c in pairs.get((src, dst), []))
-        out[f"dev{src}->dev{dst}"] = {
-            "bytes": float(total),
-            "peak": ts.peak,
-            "mean": ts.mean,
-            "peak_to_mean": peak_to_mean(ts.values),
-            "gini": gini(ts.values),
+    links, totals, rates, _ = _link_rates(profiler, edges, topology)
+    if not links:
+        return {}
+    columns = zip(
+        totals.tolist(), rates.max(axis=1).tolist(), rates.mean(axis=1).tolist(),
+        peak_to_mean(rates).tolist(), gini(rates).tolist(),
+    )
+    return {
+        f"dev{src}->dev{dst}": {
+            "bytes": total, "peak": pk, "mean": mn, "peak_to_mean": p2m, "gini": g,
         }
-    return out
+        for (src, dst), (total, pk, mn, p2m, g) in zip(links, columns)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +308,9 @@ def compute_metrics(
 
     reg.record("run_wall_ns", wall, "ns", "end-to-end run window")
 
-    # One walk over the per-pair counters yields the run-wide and every
+    # One pass over the comm samples yields the run-wide and every
     # per-device overlap (the same numbers as overlap_fraction(profiler, d)).
-    overall, per_src = _overlap_sums(profiler, per_pair_comm_counters(profiler))
+    overall, per_src = _overlap_sums(profiler)
     frac, hidden, total = _fraction(*overall)
     reg.record(
         "overlap_fraction", frac, "fraction",

@@ -220,12 +220,18 @@ def validate_report(data: Any) -> None:
 
 
 def _counter_totals(profiler: Profiler, prefix: str) -> Dict[str, float]:
-    """Grand totals of every counter whose name starts with ``prefix``."""
-    return {
-        name: float(counter.total)
-        for name, counter in sorted(profiler.counters.items())
-        if name.startswith(prefix)
-    }
+    """Grand totals of every counter whose name starts with ``prefix``.
+
+    A counter booked on links also lists one ``counter.devS->devD`` total
+    per link (see :meth:`Profiler.pair_counters`).
+    """
+    totals: Dict[str, float] = {}
+    for name, counter in profiler.counters.items():
+        if name.startswith(prefix):
+            totals[name] = float(counter.total)
+            for pair, link in profiler.pair_counters(name).items():
+                totals[pair] = float(link.total)
+    return dict(sorted(totals.items()))
 
 
 def _fault_windows(profiler: Profiler) -> List[Dict[str, Any]]:

@@ -22,15 +22,15 @@ compared bin-by-bin (overlap, exposure) without resampling.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..checks import check_finite, checked_count
 from ..comm.pgas import PGASContext
 from ..simgpu.interconnect import Interconnect, Topology
-from ..simgpu.profiler import Counter, Profiler
+from ..simgpu.profiler import Counter, PairSamples, Profiler
 
 __all__ = [
     "COMM_COUNTER_NAMES",
@@ -41,7 +41,6 @@ __all__ = [
     "gauge_series",
     "link_utilization_series",
     "merged_intervals",
-    "per_pair_comm_counters",
     "run_window",
     "sample_edges",
 ]
@@ -53,11 +52,6 @@ COMM_COUNTER_NAMES = (Interconnect.COUNTER, PGASContext.COUNTER)
 #: dedicated kernel phase, and the PGAS fused kernel which is all three
 #: phases at once)
 COMPUTE_CATEGORIES = ("compute", "fused")
-
-#: per-pair sub-counter names: the read-only views that
-#: :meth:`Profiler.add_wave` lists for every link booking
-_PAIR_RE = re.compile(r"^(?P<base>[a-z_]+)\.dev(?P<src>\d+)->dev(?P<dst>\d+)$")
-
 
 @dataclass(frozen=True)
 class TimeSeries:
@@ -107,10 +101,10 @@ def run_window(profiler: Profiler) -> Tuple[float, float]:
     starts: List[float] = [s.t_start for s in profiler.spans]
     ends: List[float] = [s.t_end for s in profiler.spans]
     for counter in profiler.counters.values():
-        evs = counter.events()
-        if evs:
-            starts.append(evs[0][0])
-            ends.append(evs[-1][0])
+        times, _ = counter.samples()
+        if times.size:
+            starts.append(float(times[0]))
+            ends.append(float(times[-1]))
     if not starts:
         return 0.0, 0.0
     return min(starts), max(ends)
@@ -122,8 +116,9 @@ def sample_edges(t_start: float, t_end: float, n_bins: int = 240) -> np.ndarray:
     A zero-width window degenerates to one 1-ns bin so downstream
     rate math never divides by zero.
     """
-    if n_bins <= 0:
-        raise ValueError(f"n_bins must be positive, got {n_bins}")
+    n_bins = checked_count("sample_edges", "n_bins", n_bins)
+    check_finite("sample_edges", "t_start", t_start, zero_ok=True)
+    check_finite("sample_edges", "t_end", t_end, zero_ok=True)
     if t_end < t_start:
         raise ValueError("t_end < t_start")
     if t_end == t_start:
@@ -131,18 +126,22 @@ def sample_edges(t_start: float, t_end: float, n_bins: int = 240) -> np.ndarray:
     return np.linspace(t_start, t_end, n_bins + 1, dtype=np.float64)
 
 
-def _bin_volumes(counter: Counter, edges: np.ndarray) -> np.ndarray:
-    """Payload delivered inside each bin (cumulative diff at the edges)."""
-    cum = counter.values_at(edges)
-    vols = np.diff(cum)
-    if vols.size:
-        # The first bin also owns anything delivered exactly at its left
-        # edge (values_at is inclusive, so diff would drop those events).
-        before = float(
-            counter.values_at(np.array([np.nextafter(edges[0], -np.inf)]))[0]
-        )
-        vols[0] += cum[0] - before
-    return vols
+def _bin_volumes(
+    times: np.ndarray, deltas: np.ndarray, edges: np.ndarray, rows: np.ndarray, n_rows: int
+) -> np.ndarray:
+    """Payload delivered inside each bin: an ``(n_rows, bins)`` matrix.
+
+    Sample ``i`` counts in row ``rows[i]``, in the bin ``(edges[b],
+    edges[b + 1]]`` that holds its time; the first bin also owns samples
+    exactly at ``edges[0]``, and samples outside the edges count nowhere.
+    """
+    n_bins = len(edges) - 1
+    keep = (times >= edges[0]) & (times <= edges[-1])
+    bins = np.maximum(np.searchsorted(edges, times[keep], side="left") - 1, 0)
+    flat = np.bincount(
+        rows[keep] * n_bins + bins, weights=deltas[keep], minlength=n_rows * n_bins
+    )
+    return flat.reshape(n_rows, n_bins)
 
 
 def comm_rate_series(
@@ -153,11 +152,9 @@ def comm_rate_series(
     name: str = "comm_rate",
 ) -> TimeSeries:
     """Aggregate delivered-comm rate (bytes/ns) per bin across ``counters``."""
-    vols = np.zeros(len(edges) - 1, dtype=np.float64)
-    for cname in counters:
-        counter = profiler.counters.get(cname)
-        if counter is not None:
-            vols += _bin_volumes(counter, edges)
+    parts = [profiler.counters[c].samples() for c in counters if c in profiler.counters]
+    times, deltas = np.hstack(parts) if parts else np.empty((2, 0))
+    vols = _bin_volumes(times, deltas, edges, np.zeros(len(times), dtype=np.int64), 1)[0]
     widths = np.diff(edges)
     return TimeSeries(
         name=name, unit="bytes/ns", times=edges[:-1], values=vols / widths,
@@ -165,23 +162,35 @@ def comm_rate_series(
     )
 
 
-def per_pair_comm_counters(
-    profiler: Profiler,
-    bases: Sequence[str] = COMM_COUNTER_NAMES,
-) -> Dict[Tuple[int, int], List[Counter]]:
-    """All per-pair comm sub-counters, keyed on ``(src, dst)``.
+def _comm_samples(profiler: Profiler) -> PairSamples:
+    """Every per-pair sample of the comm counters, one counter after the other."""
+    parts = [profiler.pair_samples(name) for name in COMM_COUNTER_NAMES]
+    return PairSamples(*(np.concatenate(column) for column in zip(*parts)))
 
-    Both backends' counters land in the same pair bucket, so a run that
-    mixed backends (e.g. resilient fallback) still attributes correctly.
+
+def _link_rates(
+    profiler: Profiler, edges: np.ndarray, topology: Optional[Topology]
+) -> Tuple[List[Tuple[int, int]], np.ndarray, np.ndarray, np.ndarray]:
+    """Every directed link's comm payload, binned in one pass.
+
+    Returns ``(links, totals, rates, normalised)``: the ``(src, dst)``
+    links in sorted order, each link's total bytes, its ``(links, bins)``
+    per-bin rate in bytes/ns, and whether that row was divided by the
+    link's bandwidth (a link the topology knows, when one is given).
     """
-    pairs: Dict[Tuple[int, int], List[Counter]] = {}
-    for cname, counter in profiler.counters.items():
-        m = _PAIR_RE.match(cname)
-        if m is None or m.group("base") not in bases:
-            continue
-        key = (int(m.group("src")), int(m.group("dst")))
-        pairs.setdefault(key, []).append(counter)
-    return pairs
+    samples = _comm_samples(profiler)
+    links, rows, _ = samples.links()
+    totals = np.bincount(rows, weights=samples.deltas, minlength=len(links))
+    rates = _bin_volumes(samples.times, samples.deltas, edges, rows, len(links)) / np.diff(edges)
+    bandwidth = np.full(len(links), np.nan)
+    if topology is not None:
+        for i, (s, d) in enumerate(links):
+            spec = topology.link_spec(s, d)
+            if spec is not None:
+                bandwidth[i] = spec.bandwidth
+    normalised = ~np.isnan(bandwidth)
+    rates[normalised] /= bandwidth[normalised, None]
+    return links, totals, rates, normalised
 
 
 def link_utilization_series(
@@ -197,33 +206,16 @@ def link_utilization_series(
     excluded, so a saturated link reads slightly below 1).  Without a
     topology the raw rate in bytes/ns is returned.
     """
-    return _link_series(per_pair_comm_counters(profiler), edges, topology)
-
-
-def _link_series(
-    pairs: Dict[Tuple[int, int], List[Counter]],
-    edges: np.ndarray,
-    topology: Optional[Topology],
-) -> Dict[Tuple[int, int], TimeSeries]:
-    """:func:`link_utilization_series` over already-parsed per-pair counters."""
-    widths = np.diff(edges)
-    out: Dict[Tuple[int, int], TimeSeries] = {}
-    for (src, dst), counters in sorted(pairs.items()):
-        vols = np.zeros(len(edges) - 1, dtype=np.float64)
-        for counter in counters:
-            vols += _bin_volumes(counter, edges)
-        rate = vols / widths
-        unit = "bytes/ns"
-        if topology is not None:
-            spec = topology.link_spec(src, dst)
-            if spec is not None:
-                rate = rate / spec.bandwidth
-                unit = "fraction"
-        out[(src, dst)] = TimeSeries(
-            name=f"link_util.dev{src}->dev{dst}", unit=unit,
-            times=edges[:-1], values=rate, bin_ns=float(widths[0]),
+    links, _, rates, normalised = _link_rates(profiler, edges, topology)
+    bin_ns = float(np.diff(edges)[0])
+    return {
+        (s, d): TimeSeries(
+            name=f"link_util.dev{s}->dev{d}",
+            unit="fraction" if normalised[i] else "bytes/ns",
+            times=edges[:-1], values=rates[i], bin_ns=bin_ns,
         )
-    return out
+        for i, (s, d) in enumerate(links)
+    }
 
 
 def merged_intervals(

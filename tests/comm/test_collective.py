@@ -276,7 +276,7 @@ class TestBookedChunks:
         spec = fast_spec(chunk_bytes=1000, per_chunk_header_bytes=8, bandwidth_efficiency=0.5)
         split = np.array([[0.0, 2500.0, 1000.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         run_collective(cl, lambda: CollectiveContext(cl, spec).all_to_all_single(split))
-        pairs = cl.profiler.counters
+        pairs = cl.profiler.pair_counters("comm_bytes")
         assert [d for _, d in pairs["comm_bytes.dev0->dev1"].events()] == [1000.0, 1000.0, 500.0]
         assert [d for _, d in pairs["comm_bytes.dev0->dev2"].events()] == [1000.0]
         # Wire bytes: payload plus (8 + size * (1/0.5 - 1)) per chunk.

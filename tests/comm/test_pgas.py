@@ -76,7 +76,8 @@ class TestPut:
         cl.engine.run()
         assert ctx.pending_puts(0) == 0
         assert cl.profiler.counter(PGASContext.COUNTER).total == pytest.approx(1024.0)
-        assert cl.profiler.counter(f"{PGASContext.COUNTER}.dev0->dev1").total == 1024.0
+        pairs = cl.profiler.pair_counters(PGASContext.COUNTER)
+        assert pairs[f"{PGASContext.COUNTER}.dev0->dev1"].total == 1024.0
 
     def test_put_is_one_callback(self):
         cl = dgx_v100(2)
@@ -449,12 +450,12 @@ class TestCounterOrder:
         assert c.values_at(self.SAMPLES).tolist() == [0.0, 100.7, 2076.9, 2076.9, 50087.3]
 
     def test_pair_counters(self):
-        prof = self._run()
-        c02 = prof.counter(f"{PGASContext.COUNTER}.dev0->dev2")
+        pairs = self._run().pair_counters(PGASContext.COUNTER)
+        c02 = pairs[f"{PGASContext.COUNTER}.dev0->dev2"]
         assert c02.events() == [(self.TIE, 1000.1)]
         assert c02.values_at(self.SAMPLES).tolist() == [0.0, 0.0, 1000.1, 1000.1, 1000.1]
         assert c02.total == 1000.1
-        c12 = prof.counter(f"{PGASContext.COUNTER}.dev1->dev2")
+        c12 = pairs[f"{PGASContext.COUNTER}.dev1->dev2"]
         assert c12.events() == [(self.TIE, 976.1), (724.3791666666667, 10.1)]
         assert c12.values_at(self.SAMPLES).tolist() == [0.0, 0.0, 976.1, 976.1, 986.2]
         assert c12.total == 986.2
@@ -472,12 +473,16 @@ class TestCounterOrder:
         cl.run(host)
         cl.engine.run()
         pinned = self._run()
+
+        def counters(prof):
+            return {**prof.counters, **prof.pair_counters(PGASContext.COUNTER)}
+
         for name in (
             PGASContext.COUNTER,
             f"{PGASContext.COUNTER}.dev0->dev2",
             f"{PGASContext.COUNTER}.dev1->dev2",
         ):
-            got, want = cl.profiler.counter(name), pinned.counter(name)
+            got, want = counters(cl.profiler)[name], counters(pinned)[name]
             assert got.total == want.total
             assert got.events() == want.events()
             assert got.values_at(self.SAMPLES).tolist() == want.values_at(self.SAMPLES).tolist()

@@ -111,7 +111,15 @@ def _train(cfg, n_devices, backend):
 
 
 def _counter_totals(emb):
-    return {name: c.total for name, c in sorted(emb.cluster.profiler.counters.items())}
+    return _profiler_totals(emb.cluster.profiler)
+
+
+def _profiler_totals(prof):
+    """Every counter's total, and every per-link total of a counter booked on links."""
+    totals = {name: c.total for name, c in prof.counters.items()}
+    for name in prof.counters:
+        totals.update({pair: c.total for pair, c in prof.pair_counters(name).items()})
+    return dict(sorted(totals.items()))
 
 
 def _feature(backend, cfg=FEATURE_G4, **features):
@@ -183,8 +191,7 @@ def _rowwise(cfg, n_devices, engine):
     plan = RowWiseSharding(cfg.table_configs(), n_devices)
     workloads = build_rowwise_workloads(plan, SyntheticDataGenerator(cfg).lengths_batch())
     timing = engine(cluster).run_batch(workloads)
-    counters = {name: c.total for name, c in sorted(cluster.profiler.counters.items())}
-    return timing.as_dict(), cluster.engine._seq, counters
+    return timing.as_dict(), cluster.engine._seq, _profiler_totals(cluster.profiler)
 
 
 def _pair_totals(prefix, n_devices, total):

@@ -154,7 +154,7 @@ class TestReroute:
         _, _, _, emb_r = forward_pair(
             self.cfg, 4, "pgas", "pgas+resilient", plan_b=self.plan_down
         )
-        counters = emb_r.cluster.profiler.counters
+        counters = emb_r.cluster.profiler.pair_counters("faults.rerouted_bytes")
         hops = [
             name for name in counters
             if name.startswith("faults.rerouted_bytes.dev")

@@ -135,7 +135,7 @@ class TestFailover:
         assert 0 < totals["time_to_reprotect_ns"] < float("inf")
         counters = emb.cluster.profiler.counters
         assert counters["availability.recovery_bytes"].total > 0
-        per_link = [n for n in counters
+        per_link = [n for n in emb.cluster.profiler.pair_counters("availability.recovery_bytes")
                     if n.startswith("availability.recovery_bytes.dev")]
         assert per_link  # bytes visible on interconnect links (traces)
         assert counters["availability.failures"].total == 1.0

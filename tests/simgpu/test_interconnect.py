@@ -159,8 +159,9 @@ class TestInterconnect:
         ic.transfer(0, 2, 500.0)
         ic.transfer(1, 2, 300.0)
         eng.run()
-        assert prof.counter("comm_bytes.dev0->dev2").total == pytest.approx(500.0)
-        assert prof.counter("comm_bytes.dev1->dev2").total == pytest.approx(300.0)
+        pairs = prof.pair_counters(Interconnect.COUNTER)
+        assert pairs["comm_bytes.dev0->dev2"].total == pytest.approx(500.0)
+        assert pairs["comm_bytes.dev1->dev2"].total == pytest.approx(300.0)
 
     def test_custom_counter_name(self):
         ic, eng, prof = self.make()

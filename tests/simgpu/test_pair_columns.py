@@ -1,21 +1,16 @@
-"""Per-pair link samples stored as columns, read through Counter views.
+"""Per-pair link samples stored as columns, one column set per counter.
 
-Every booking (a wave, a transfer, a collective chunk) stamps its
-``counter.devS->devD`` samples into one ``(counter, src)`` column set.
-The entry in ``Profiler.counters`` is a read-only view that must read
-exactly what a plain :class:`Counter` fed the same samples reads, keep the
-entry order runs have always had, and hold no reference cycle.
+Every booking (a wave, a transfer, a collective chunk) appends its
+source, destination, delivery instant and payload to its counter's
+columns.  ``Profiler.pair_samples`` returns them; the per-link counters
+``Profiler.pair_counters`` splits them into must read exactly what a plain
+:class:`Counter` fed the same samples reads.
 """
 
 from __future__ import annotations
 
-import gc
-
 import numpy as np
-import pytest
 
-from repro.core.retrieval import DistributedEmbedding
-from repro.dlrm.data import SyntheticDataGenerator, WorkloadConfig
 from repro.simgpu.engine import Engine
 from repro.simgpu.interconnect import Interconnect, nvlink_dgx1
 from repro.simgpu.profiler import Counter, Profiler
@@ -27,6 +22,15 @@ def _fabric(n_devices=3):
     engine = Engine()
     prof = Profiler()
     return engine, prof, Interconnect(engine, nvlink_dgx1(n_devices), prof)
+
+
+def _pairs(prof):
+    """Every per-link counter of every counter, by name."""
+    return {
+        pair: link
+        for name in prof.counters
+        for pair, link in prof.pair_counters(name).items()
+    }
 
 
 def _assert_reads_equal(view, plain):
@@ -63,12 +67,18 @@ class TestPairViews:
 
         wave([1, 2, 1], [512.0, 256.0, 1024.0])
         transfer(1, 300.0)
-        _assert_reads_equal(prof.counters[PAIR], plain[PAIR])
+        _assert_reads_equal(_pairs(prof)[PAIR], plain[PAIR])
         wave([2, 1], [768.0, 256.0])
         transfer(2, 100.0)
         wave([1], [4096.0])
+        got = {**prof.counters, **_pairs(prof)}
+        assert set(got) == set(plain)
         for name, counter in plain.items():
-            _assert_reads_equal(prof.counters[name], counter)
+            _assert_reads_equal(got[name], counter)
+        samples = prof.pair_samples(Interconnect.COUNTER)
+        assert samples.src.tolist() == [0] * 8
+        assert samples.dst.tolist() == [1, 2, 1, 1, 2, 1, 2, 1]
+        assert samples.deltas.tolist() == [512.0, 256.0, 1024.0, 300.0, 768.0, 256.0, 100.0, 4096.0]
 
     def test_zero_payloads(self):
         """A wave books nothing for a zero payload; a transfer still does,
@@ -76,25 +86,28 @@ class TestPairViews:
         engine, prof, ic = _fabric()
         assert ic.book_wave(0, [1, 2], [0.0, 0], 256, 32, "pgas_bytes") == []
         assert prof.counters == {}
+        assert prof.pair_samples("pgas_bytes").src.size == 0
         done = ic.book_wave(0, [2, 1], [0.0, 512.0], 256, 32, "pgas_bytes")
-        assert list(prof.counters) == ["pgas_bytes.dev0->dev1", "pgas_bytes"]
-        assert prof.counters["pgas_bytes.dev0->dev1"].events() == [(done[0], 512.0)]
+        assert list(prof.counters) == ["pgas_bytes"]
+        assert list(_pairs(prof)) == ["pgas_bytes.dev0->dev1"]
+        assert _pairs(prof)["pgas_bytes.dev0->dev1"].events() == [(done[0], 512.0)]
 
         ev = ic.transfer(0, 2, 0.0)
         engine.run()
         assert ic.link(0, 2).transfer_count == 1
-        assert prof.counters["comm_bytes.dev0->dev2"].events() == [(ev.value, 0.0)]
+        assert _pairs(prof)["comm_bytes.dev0->dev2"].events() == [(ev.value, 0.0)]
 
     def test_clear_drops_the_columns(self):
         engine, prof, ic = _fabric()
         ic.book_wave(0, [1, 2], [256.0, 512.0], 256, 32, "pgas_bytes")
-        old = prof.counters["pgas_bytes.dev0->dev1"]
+        old = prof.pair_counters("pgas_bytes")["pgas_bytes.dev0->dev1"]
         prof.clear()
-        assert prof.counters == {} and prof._pair_columns == {}
+        assert prof.counters == {} and prof.pair_samples("pgas_bytes").src.size == 0
         done = ic.book_wave(0, [1], [1024.0], 256, 32, "pgas_bytes")
-        assert list(prof.counters) == ["pgas_bytes.dev0->dev1", "pgas_bytes"]
-        assert prof.counters["pgas_bytes.dev0->dev1"].events() == [(done[0], 1024.0)]
-        # A view taken before the clear keeps reading its own columns.
+        assert list(prof.counters) == ["pgas_bytes"]
+        assert list(_pairs(prof)) == ["pgas_bytes.dev0->dev1"]
+        assert _pairs(prof)["pgas_bytes.dev0->dev1"].events() == [(done[0], 1024.0)]
+        # A per-link counter taken before the clear is a copy and keeps its samples.
         assert old.total == 256.0
 
     def test_disabled_then_enabled(self):
@@ -103,64 +116,11 @@ class TestPairViews:
         ic.book_wave(0, [1, 2], [256.0, 512.0], 256, 32, "pgas_bytes")
         ic.transfer(0, 1, 128.0)
         assert prof.counters == {}
+        assert prof.pair_samples(Interconnect.COUNTER).src.size == 0
         prof.enabled = True
         done = ic.book_wave(0, [2, 1], [768.0, 64.0], 256, 32, "pgas_bytes")
         plain = Counter("pgas_bytes.dev0->dev1")
         plain.add(done[1], 64.0)
-        _assert_reads_equal(prof.counters["pgas_bytes.dev0->dev1"], plain)
-        assert list(prof.counters) == [
-            "pgas_bytes.dev0->dev2", "pgas_bytes.dev0->dev1", "pgas_bytes",
-        ]
-
-    def test_views_are_read_only(self):
-        engine, prof, ic = _fabric()
-        ic.transfer(0, 1, 256.0)
-        with pytest.raises(TypeError, match="read-only"):
-            prof.counters[PAIR].add(0.0, 1.0)
-        with pytest.raises(TypeError, match="read-only"):
-            prof.add_count(PAIR, 0.0, 1.0)
-
-    def test_views_form_no_cycle(self):
-        def run():
-            engine, prof, ic = _fabric()
-            ic.book_wave(0, [1, 2], [256.0, 512.0], 256, 32, "pgas_bytes")
-            ic.transfer(1, 0, 128.0)
-            engine.run()
-            for counter in prof.counters.values():
-                counter.total
-
-        gc.collect()
-        gc.disable()
-        try:
-            run()
-        finally:
-            gc.enable()
-        assert gc.collect() == 0
-
-
-G8 = WorkloadConfig(num_tables=64, dim=64, batch_size=1024, max_pooling=32, seed=11)
-
-
-def _pairs(base, srcs, n_devices=8):
-    return [f"{base}.dev{s}->dev{d}" for s in srcs for d in range(n_devices) if d != s]
-
-
-class TestEntryOrder:
-    """``profiler.counters`` lists its entries in the order a G=8 run listed
-    them when collective chunks stamped at delivery and puts pair by pair."""
-
-    def _keys(self, backend):
-        emb = DistributedEmbedding(G8, 8, backend=backend)
-        emb.forward_timed(SyntheticDataGenerator(G8).lengths_batch())
-        return list(emb.cluster.profiler.counters)
-
-    def test_baseline_g8(self):
-        assert self._keys("baseline") == ["comm_bytes"] + _pairs("comm_bytes", range(8))
-
-    def test_pgas_g8(self):
-        # Sources in the order their first kernel wave retired; the total
-        # follows the first wave's pairs.
-        first, *rest = (7, 3, 1, 5, 0, 6, 2, 4)
-        assert self._keys("pgas") == (
-            _pairs("pgas_bytes", [first]) + ["pgas_bytes"] + _pairs("pgas_bytes", rest)
-        )
+        _assert_reads_equal(_pairs(prof)["pgas_bytes.dev0->dev1"], plain)
+        assert list(prof.counters) == ["pgas_bytes"]
+        assert list(_pairs(prof)) == ["pgas_bytes.dev0->dev2", "pgas_bytes.dev0->dev1"]

@@ -25,6 +25,12 @@ class TestSpans:
         with pytest.raises(ValueError):
             p.record_span("bad", "x", 0, 10.0, 5.0)
 
+    def test_nan_end_rejected(self):
+        p = Profiler()
+        with pytest.raises(ValueError, match="'bad' ends before it starts"):
+            p.record_span("bad", "x", 0, 10.0, float("nan"))
+        assert p.spans == []
+
     def test_disabled_profiler_records_nothing(self):
         p = Profiler()
         p.enabled = False
@@ -148,6 +154,18 @@ class TestCounter:
             c.sample(0.0, 10.0, 0.0)
         with pytest.raises(ValueError):
             c.sample(10.0, 0.0, 1.0)
+
+    def test_sample_nan_period_names_it(self):
+        c = Counter("bytes")
+        c.add(1.0, 1.0)
+        with pytest.raises(ValueError, match=r"Counter\.sample\.period must be finite"):
+            c.sample(0.0, 10.0, float("nan"))
+
+    def test_sample_infinite_end_names_it(self):
+        c = Counter("bytes")
+        c.add(1.0, 1.0)
+        with pytest.raises(ValueError, match=r"Counter\.sample\.t_end must be finite"):
+            c.sample(0.0, float("inf"), 1.0)
 
     @given(
         events=st.lists(

@@ -15,8 +15,7 @@ def sample_profiler() -> Profiler:
     p.record_span("kernel0", "compute", 0, 0.0, 1000.0)
     p.record_span("kernel1", "compute", 1, 100.0, 1200.0)
     p.record_span("alltoall", "comm", -1, 1200.0, 2000.0)
-    p.add_count("comm_bytes", 1500.0, 4096.0)
-    p.add_count("comm_bytes.dev0->dev1", 1500.0, 4096.0)
+    p.add_wave("comm_bytes", 0, [1], [1500.0], [4096.0])
     return p
 
 

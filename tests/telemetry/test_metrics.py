@@ -61,14 +61,14 @@ class TestOverlapFraction:
     def test_all_hidden(self):
         p = Profiler()
         p.record_span("fused", "fused", -1, 0.0, 100.0)
-        p.add_count("pgas_bytes.dev0->dev1", 50.0, 512.0)
+        p.add_wave("pgas_bytes", 0, [1], [50.0], [512.0])
         frac, hidden, total = overlap_fraction(p)
         assert frac == 1.0 and hidden == total == 512.0
 
     def test_none_hidden(self):
         p = Profiler()
         p.record_span("k", "compute", 0, 0.0, 100.0)
-        p.add_count("comm_bytes.dev0->dev1", 200.0, 512.0)
+        p.add_wave("comm_bytes", 0, [1], [200.0], [512.0])
         frac, hidden, total = overlap_fraction(p)
         assert frac == 0.0 and hidden == 0.0 and total == 512.0
 
@@ -76,7 +76,7 @@ class TestOverlapFraction:
         p = Profiler()
         # only device 1 is computing when the delivery lands
         p.record_span("k1", "compute", 1, 0.0, 100.0)
-        p.add_count("comm_bytes.dev0->dev1", 50.0, 512.0)
+        p.add_wave("comm_bytes", 0, [1], [50.0], [512.0])
         frac, _, _ = overlap_fraction(p)
         assert frac == 0.0  # traffic is sourced by (idle) device 0
         frac1, _, total1 = overlap_fraction(p, device_id=1)

@@ -9,10 +9,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.comm.hier import HierSpec
+from repro.core.factory import FeatureSpec
 from repro.core.retrieval import DistributedEmbedding
 from repro.dlrm.data import SyntheticDataGenerator, WorkloadConfig
-from repro.simgpu.cluster import pcie_node
+from repro.faults import FaultEvent, FaultInjector, FaultPlan, ResilienceSpec
+from repro.simgpu.cluster import multinode, pcie_node
 from repro.simgpu.profiler import Profiler
+from repro.simgpu.units import us
 from repro.telemetry import (
     QUEUE_DEPTH_COUNTER,
     ReportValidationError,
@@ -244,3 +248,71 @@ class TestSinglePassOverlap:
         for dev in range(8):
             assert reg.value(f"overlap_fraction.dev{dev}") == overlap_fraction(prof, dev)[0]
         assert overlap_fraction(prof, 99) == (0.0, 0.0, 0.0)
+
+
+HIER_2X4 = WorkloadConfig(num_tables=64, dim=64, batch_size=1024, max_pooling=32, seed=11)
+RESILIENT_G4 = WorkloadConfig(
+    num_tables=16, rows_per_table=4096, dim=32, batch_size=1024, max_pooling=8, seed=11
+)
+FLAT_G16 = WorkloadConfig(num_tables=64, dim=32, batch_size=1024, max_pooling=8, seed=11)
+
+
+def _digest(report: RunReport) -> str:
+    return hashlib.sha256(report.to_json().encode()).hexdigest()
+
+
+class TestReportDigests:
+    """Whole-report pins for runs whose sections carry per-link entries.
+
+    ``hier`` and ``faults`` list one ``counter.devS->devD`` total per link
+    next to the counter's own total, and ``links`` holds one entry per
+    directed link; none of it may move when the per-link storage does.
+    """
+
+    @pytest.mark.parametrize(
+        "backend, digest",
+        [
+            ("pgas+hier", "754e1340837039072370d00d10895326d850261dee2f1beb11344636425948fc"),
+            ("baseline+hier", "1d4b5d1b40cb0e1ce883610112736f100104fdc5d262d194532a87fee442ba35"),
+        ],
+    )
+    def test_hier_2x4(self, backend, digest):
+        emb = DistributedEmbedding(
+            HIER_2X4, 8, backend=backend, cluster=multinode(2, 4),
+            features=FeatureSpec(hier=HierSpec(devices_per_node=4)),
+        )
+        emb.forward_timed(SyntheticDataGenerator(HIER_2X4).lengths_batch())
+        report = emb.telemetry_report()
+        assert any("->" in name for name in report.hier)
+        assert _digest(report) == digest
+
+    def test_pgas_resilient_reroute(self):
+        spec = ResilienceSpec(deadline_ns=200 * us, max_retries=2, backoff_base_ns=5 * us)
+        emb = DistributedEmbedding(
+            RESILIENT_G4, 4, backend="pgas+resilient",
+            features=FeatureSpec(resilience=spec),
+        )
+        FaultInjector(emb.cluster, FaultPlan((
+            FaultEvent("link_down", 0.0, 1e9, src=1, dst=0),
+            FaultEvent("link_degrade", 0.0, 150 * us, src=2, dst=3, severity=0.05),
+        ))).install()
+        emb.forward_timed(SyntheticDataGenerator(RESILIENT_G4).lengths_batch())
+        report = emb.telemetry_report()
+        counters = report.faults["counters"]
+        assert counters["faults.rerouted_bytes.dev1->dev2"] == 262144.0
+        assert counters["faults.rerouted_bytes.dev2->dev0"] == 262144.0
+        assert _digest(report) == "f23eeb2cfad0355d2fc7fd7df502331a6915b8f12479b6c92c0b7f1ee27eb4d8"
+
+    @pytest.mark.parametrize(
+        "backend, digest",
+        [
+            ("pgas", "19950362016b2015bdcee440e6c1135cd686f9017a9bbc879b14e124c2791608"),
+            ("baseline", "48b17cc9da82fe94d9603bd1ffebf6dc3b3ec3be5e0798b4add2a7dbee194da9"),
+        ],
+    )
+    def test_g16(self, backend, digest):
+        emb = DistributedEmbedding(FLAT_G16, 16, backend=backend)
+        emb.forward_timed(SyntheticDataGenerator(FLAT_G16).lengths_batch())
+        report = emb.telemetry_report()
+        assert len(report.links) == 16 * 15
+        assert _digest(report) == digest

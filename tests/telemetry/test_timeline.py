@@ -13,7 +13,6 @@ from repro.telemetry import (
     gauge_series,
     link_utilization_series,
     merged_intervals,
-    per_pair_comm_counters,
     run_window,
     sample_edges,
 )
@@ -24,8 +23,7 @@ def traffic_profiler() -> Profiler:
     p.record_span("k0", "compute", 0, 0.0, 1000.0)
     p.record_span("k1", "compute", 1, 500.0, 2000.0)
     for t in (100.0, 300.0, 900.0, 1500.0):
-        p.add_count("comm_bytes", t, 256.0)
-        p.add_count("comm_bytes.dev0->dev1", t, 256.0)
+        p.add_wave("comm_bytes", 0, [1], [t], [256.0])
     return p
 
 
@@ -45,6 +43,14 @@ class TestGrid:
             sample_edges(0.0, 1.0, 0)
         with pytest.raises(ValueError):
             sample_edges(1.0, 0.0, 4)
+
+    def test_nan_end_names_it(self):
+        with pytest.raises(ValueError, match=r"sample_edges\.t_end must be finite"):
+            sample_edges(0.0, float("nan"), 4)
+
+    def test_fractional_bins_name_it(self):
+        with pytest.raises(TypeError, match=r"sample_edges\.n_bins must be an int, got float"):
+            sample_edges(0.0, 10.0, 2.5)
 
     def test_run_window_covers_spans_and_counters(self):
         p = traffic_profiler()
@@ -112,13 +118,13 @@ class TestSeries:
 
 class TestLinks:
     def test_per_pair_counters_parsed(self):
-        pairs = per_pair_comm_counters(traffic_profiler())
+        pairs = link_utilization_series(traffic_profiler(), sample_edges(0.0, 2000.0, 10))
         assert set(pairs) == {(0, 1)}
 
     def test_base_counter_not_a_pair(self):
         p = Profiler()
         p.add_count("comm_bytes", 0.0, 1.0)
-        assert per_pair_comm_counters(p) == {}
+        assert link_utilization_series(p, sample_edges(0.0, 1.0, 4)) == {}
 
     def test_link_utilization_normalised_by_topology(self):
         from repro.simgpu.interconnect import nvlink_dgx1
