@@ -22,14 +22,14 @@ This module models that with three pieces:
   booked, with one screen over the wave and element-by-element checks
   only when it fails, so a bad element raises its typed error by
   position and books nothing.
-* :meth:`PGASContext.quiet` / :meth:`PGASContext.barrier_all` — NVSHMEM
-  completion semantics: ``quiet`` drains a PE's outstanding puts,
-  ``barrier_all`` synchronises everyone.  A put is *booked* at issue, not
-  scheduled: :meth:`~repro.simgpu.interconnect.Interconnect.book_wave`
-  reserves each write's link and stamps the byte counters at its delivery
-  instant, and the PE keeps its booked instants and the latest of them,
-  which is all ``quiet`` needs.  The engine sees a write only when it
-  extends its PE's horizon, as one no-op at the new latest instant.
+* :meth:`PGASContext.quiet` — NVSHMEM completion semantics for a set of
+  PEs: one event that fires once every put they issued has landed.  A put
+  is *booked* at issue, not scheduled:
+  :meth:`~repro.simgpu.interconnect.Interconnect.book_wave` reserves each
+  write's link and stamps the byte counters at its delivery instant, and
+  the PE keeps its booked instants and the latest of them, which is all
+  ``quiet`` needs.  The engine sees a write only when it extends its PE's
+  horizon, as one no-op at the new latest instant.
 
 The aggregator and the hierarchical staging router carry one-sided writes
 their own way, but validate each through :meth:`PGASContext.check_put`, so
@@ -42,15 +42,16 @@ collectives.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..checks import check_bytes
 from ..simgpu.cluster import Cluster
-from ..simgpu.engine import Event, ProcessGenerator
+from ..simgpu.engine import Event
 from ..simgpu.memory import Buffer
 from ..simgpu.units import us
 
@@ -282,7 +283,13 @@ class PGASContext:
         Used by the §V aggregator, whose flushes are ordinary transfers but
         must still participate in NVSHMEM completion semantics.
         """
+        self._check_pe("register_outstanding", src)
         self._outstanding[src].append(ev)
+
+    def _check_pe(self, op: str, src) -> None:
+        """Raise unless ``src`` is one of this context's PEs."""
+        if src not in self._reach:
+            raise ValueError(f"{op}: src must be a device id in [0, {len(self._reach)}), got {src!r}")
 
     def _check_wave(self, op, src, dsts, values, wave, name, check) -> None:
         """Raise the typed error of a wave's first bad argument, if any.
@@ -291,8 +298,7 @@ class PGASContext:
         elements are named by position (``dst[3]``).
         """
         pes = self._reach
-        if src not in pes:
-            raise ValueError(f"{op}: src must be a device id in [0, {len(pes)}), got {src!r}")
+        self._check_pe(op, src)
         if not isinstance(values, _WAVE) or len(values) != len(dsts):
             raise ValueError(f"{op}: a wave needs one {name} per dst")
         can_access_peer = self.cluster.device(src).can_access_peer
@@ -337,44 +343,50 @@ class PGASContext:
         Puts and atomics whose delivery instant is still ahead of the clock,
         plus still-pending registered events.
         """
+        self._check_pe("pending_puts", device_id)
         self._gc(device_id)
         now = self.cluster.engine.now
         ahead = sum(1 for t in self._booked[device_id] if t > now)
         return ahead + len(self._outstanding[device_id])
 
-    def quiet(self, device_id: int) -> ProcessGenerator:
-        """Process generator: drain all outstanding puts from ``device_id``.
+    def quiet(self, pes: Union[int, Iterable[int]]) -> Event:
+        """One event: every one-sided op issued so far from ``pes`` has landed.
 
-        NVSHMEM ``nvshmem_quiet`` semantics: returns when every previously
-        issued one-sided op from this PE is complete at its target.  The
-        snapshot is taken at entry, so ops issued after ``quiet`` starts
-        are not waited for.  Puts drain at the latest delivery instant
-        booked so far; the wake-up is scheduled at that absolute instant
-        (``now + (last - now)`` could round past it).
+        NVSHMEM ``nvshmem_quiet`` semantics over a set of PEs (one id is a
+        set of one).  The event fires ``quiet_overhead_ns`` after the later
+        of the PEs' latest booked delivery instant and their still-pending
+        registered transfers.  The snapshot is taken here, so ops issued
+        after the call are not waited for.  With no registered transfer the
+        wake-up is one callback at an absolute instant (``now + (last -
+        now)`` could round past it).  Every PE is checked before anything
+        is scheduled.
         """
+        pes = [pes] if isinstance(pes, numbers.Integral) else list(pes)
+        for pe in pes:
+            self._check_pe("quiet", pe)
         engine = self.cluster.engine
-        self._gc(device_id)
-        now = engine.now
-        # Instants already reached no longer count as pending.
-        self._booked[device_id] = [t for t in self._booked[device_id] if t > now]
-        waits = list(self._outstanding[device_id])
-        last = self._last_done[device_id]
-        if last > now:
-            wake = Event(engine, "quiet")
-            engine.call_at(last, wake.succeed)
-            waits.append(wake)
-        if waits:
-            yield waits[0] if len(waits) == 1 else engine.all_of(waits)
-        yield engine.timeout(self.spec.quiet_overhead_ns)
+        now = last = engine.now
+        waits: List[Event] = []
+        for pe in pes:
+            self._gc(pe)
+            # Instants already reached no longer count as pending.
+            self._booked[pe] = [t for t in self._booked[pe] if t > now]
+            waits.extend(self._outstanding[pe])
+            last = max(last, self._last_done[pe])
+        done = Event(engine, "quiet")
+        overhead = self.spec.quiet_overhead_ns
+        if not waits:
+            engine.call_at(last + overhead, done.succeed)
+            return done
 
-    def barrier_all(self) -> ProcessGenerator:
-        """Process generator: quiet on every PE + device-wide rendezvous."""
-        engine = self.cluster.engine
-        procs = [
-            engine.process(self.quiet(dev.id), name=f"quiet{dev.id}")
-            for dev in self.cluster.devices
-        ]
-        yield engine.all_of(procs)
+        def landed(ev: Event) -> None:
+            if ev.ok:
+                engine.call_at(max(last, engine.now) + overhead, done.succeed)
+            else:
+                done.fail(ev.value)
+
+        engine.all_of(waits).add_callback(landed)
+        return done
 
     def _gc(self, device_id: int) -> None:
         """Drop delivered events from the outstanding list."""

@@ -49,6 +49,7 @@ from ..core.sharding import minibatch_bounds
 from ..core.workload import DeviceWorkload, unpack_bytes_received
 from ..dlrm.batch import SparseBatch
 from ..simgpu.cluster import Cluster
+from ..simgpu.stream import join
 from .codec import Codec
 from .spec import CompressionSpec
 
@@ -264,8 +265,7 @@ class CompressedRetrieval(BaseRetrieval):
                 )
             )
         if dec_ops:
-            yield engine.all_of([op.done for _, op in dec_ops])
-            yield engine.timeout(spec0.sync_overhead_ns)
+            yield join(engine, (op for _, op in dec_ops), spec0.sync_overhead_ns)
             t3 = engine.now
             for dev_id, _op in dec_ops:
                 prof.record_span(f"compress.decode.dev{dev_id}", "compress", dev_id, t2, t3)

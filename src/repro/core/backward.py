@@ -55,6 +55,7 @@ from ..dlrm.embedding import EmbeddingBagCollection, EmbeddingTable
 from ..simgpu.cluster import Cluster
 from ..simgpu.engine import ProcessGenerator
 from ..simgpu.kernel import KernelSpec, WaveInfo
+from ..simgpu.stream import join
 from .baseline import PhaseTiming
 from .calibration import (
     EMB_MIN_WAVES_FOR_PEAK,
@@ -304,8 +305,7 @@ class BaselineBackward:
                         name=f"pack.dev{dev.id}",
                     )
                 )
-            yield engine.all_of([op.done for op in ops])
-            yield engine.timeout(spec0.sync_overhead_ns)
+            yield join(engine, ops, spec0.sync_overhead_ns)
         t1 = engine.now
 
         # Gradient all-to-all: forward split transposed (grads flow back).
@@ -319,8 +319,7 @@ class BaselineBackward:
             kspec = _backward_kernel_spec(wl, "baseline_emb_bwd", owner_side=True)
             dev.default_stream.submit_delay(dev.spec.kernel_launch_overhead_ns, name="launch")
             ops.append(dev.default_stream.launch(dev, kspec))
-        yield engine.all_of([op.done for op in ops])
-        yield engine.timeout(spec0.sync_overhead_ns)
+        yield join(engine, ops, spec0.sync_overhead_ns)
         t3 = engine.now
 
         control = coll_spec.launch_overhead_ns + coll_spec.wait_overhead_ns
@@ -400,13 +399,9 @@ class PGASFusedBackward:
             dev.default_stream.submit_delay(dev.spec.kernel_launch_overhead_ns, name="launch")
             ops.append(dev.default_stream.launch(dev, kspec, on_wave))
 
-        yield engine.all_of([op.done for op in ops])
+        yield join(engine, ops)
         if G > 1:
-            quiets = [
-                engine.process(self.pgas.quiet(dev.id), name=f"quiet{dev.id}")
-                for dev in cluster.devices
-            ]
-            yield engine.all_of(quiets)
+            yield self.pgas.quiet(range(G))
         yield engine.timeout(spec0.sync_overhead_ns)
         t1 = engine.now
         timing.compute_ns = t1 - t0
@@ -462,8 +457,7 @@ class RowWiseBaselineBackward:
             k = wl.kernel_spec("rowwise_bwd_contrib")
             dev.default_stream.submit_delay(dev.spec.kernel_launch_overhead_ns, "launch")
             ops.append(dev.default_stream.launch(dev, k))
-        yield engine.all_of([op.done for op in ops])
-        yield engine.timeout(spec0.sync_overhead_ns)
+        yield join(engine, ops, spec0.sync_overhead_ns)
         t1 = engine.now
 
         # G-1 shift rounds: each device forwards its foreign-gradient
@@ -485,8 +479,7 @@ class RowWiseBaselineBackward:
                     + 2.0 * slice_bytes / self.accumulate_bandwidth,
                     name=f"acc.dev{dev.id}",
                 ))
-            yield engine.all_of([op.done for op in acc_ops])
-            yield engine.timeout(spec0.sync_overhead_ns)
+            yield join(engine, acc_ops, spec0.sync_overhead_ns)
             r2 = engine.now
             control = coll.spec.launch_overhead_ns + coll.spec.wait_overhead_ns
             comm_ns += max(r1 - r0 - control, 0.0)
@@ -506,8 +499,7 @@ class RowWiseBaselineBackward:
             )
             dev.default_stream.submit_delay(dev.spec.kernel_launch_overhead_ns, "launch")
             ops.append(dev.default_stream.launch(dev, k))
-        yield engine.all_of([op.done for op in ops])
-        yield engine.timeout(spec0.sync_overhead_ns)
+        yield join(engine, ops, spec0.sync_overhead_ns)
         t3 = engine.now
 
         timing.compute_ns = (t1 - t0) + (t3 - t2)
@@ -603,11 +595,9 @@ class RowWisePGASBackward:
 
             dev.default_stream.submit_delay(dev.spec.kernel_launch_overhead_ns, "launch")
             ops.append(dev.default_stream.launch(dev, kspec, on_wave))
-        yield engine.all_of([op.done for op in ops])
+        yield join(engine, ops)
         if G > 1:
-            quiets = [engine.process(self.pgas.quiet(dev.id), name=f"quiet{dev.id}")
-                      for dev in cluster.devices]
-            yield engine.all_of(quiets)
+            yield self.pgas.quiet(range(G))
         yield engine.timeout(spec0.sync_overhead_ns)
         t1 = engine.now
         timing.compute_ns = t1 - t0

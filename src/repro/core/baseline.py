@@ -35,6 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from ..comm.collective import CollectiveContext, CollectiveSpec
 from ..simgpu.cluster import Cluster
 from ..simgpu.engine import ProcessGenerator
+from ..simgpu.stream import join
 from .calibration import UNPACK_BANDWIDTH
 from .workload import DeviceWorkload, alltoall_split_bytes
 
@@ -163,9 +164,8 @@ class BaselineRetrieval:
             stream = dev.stream("default" + stream_suffix)
             stream.submit_delay(dev.spec.kernel_launch_overhead_ns, name="launch")
             ops.append(stream.launch(dev, kspec))
-        yield engine.all_of([op.done for op in ops])
         # Host observes completion via a device sync before the collective.
-        yield engine.timeout(spec0.sync_overhead_ns)
+        yield join(engine, ops, spec0.sync_overhead_ns)
         t1 = engine.now
         for dev, op in zip(cluster.devices, ops):
             prof.record_span(f"compute.dev{dev.id}", "compute", dev.id, t0, t1)
@@ -197,8 +197,7 @@ class BaselineRetrieval:
                         name=f"unpack.dev{dev.id}",
                     )
                 )
-            yield engine.all_of([op.done for op in unpack_ops])
-            yield engine.timeout(spec0.sync_overhead_ns)
+            yield join(engine, unpack_ops, spec0.sync_overhead_ns)
         t3 = engine.now
         prof.record_span("sync_unpack", "sync_unpack", -1, t2, t3)
 

@@ -32,9 +32,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from ..comm.pgas import PGASContext, PGASSpec
 from ..simgpu.cluster import Cluster
-from ..simgpu.engine import Event, ProcessGenerator
+from ..simgpu.engine import ProcessGenerator
 from ..simgpu.interconnect import wire_bytes
 from ..simgpu.kernel import WaveInfo
+from ..simgpu.stream import join
 from .baseline import PhaseTiming
 from .calibration import REMOTE_WRITE_KERNEL_DRAG
 from .workload import DeviceWorkload
@@ -242,7 +243,7 @@ class PGASFusedRetrieval:
             stream.submit_delay(dev.spec.kernel_launch_overhead_ns, name="launch")
             ops.append(stream.launch(dev, kspec, on_wave))
 
-        yield engine.all_of([op.done for op in ops])
+        yield join(engine, ops)
 
         # Multi-node variant: push any residual aggregation/staging buffers
         # out before quiescing (the kernel-end flush of ref [7]).
@@ -251,13 +252,10 @@ class PGASFusedRetrieval:
         if self.aggregator is not None:
             self.aggregator.flush_all()
 
-        # Completion: per-PE quiet (drain outstanding puts), then rendezvous.
+        # Completion: one quiet over every PE (drain outstanding puts), then
+        # rendezvous.
         if G > 1:
-            quiets = [
-                engine.process(self.pgas.quiet(dev.id), name=f"quiet{dev.id}")
-                for dev in cluster.devices
-            ]
-            yield engine.all_of(quiets)
+            yield self.pgas.quiet(range(G))
         yield engine.timeout(spec0.sync_overhead_ns)
         t1 = engine.now
 

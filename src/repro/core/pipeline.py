@@ -40,6 +40,7 @@ from ..simgpu.cluster import Cluster
 from ..simgpu.engine import ProcessGenerator
 from ..simgpu.kernel import KernelSpec
 from ..simgpu.profiler import TraceRef
+from ..simgpu.stream import join
 from ..simgpu.units import gbps
 from .baseline import PhaseTiming
 from .calibration import INDEX_BYTES, OFFSET_BYTES
@@ -465,11 +466,11 @@ class DLRMInferencePipeline(EmbeddingHost):
             if self.overlap_input_staging:
                 # §V pipelining: compute starts once the first input chunk
                 # has landed; the rest streams in under the kernels.
-                yield engine.all_of([op.done for op in first_chunk_ops])
+                yield join(engine, first_chunk_ops)
             else:
-                yield engine.all_of([op.done for op in copy_ops])
+                yield join(engine, copy_ops)
         else:
-            yield engine.all_of([op.done for op in copy_ops])
+            yield join(engine, copy_ops)
         t1 = engine.now
         if trace_ref is not None:
             with trace_scope(prof, trace_ref):
@@ -483,7 +484,7 @@ class DLRMInferencePipeline(EmbeddingHost):
                 bottom, _, _ = self._stage_kernels[dev.id]
                 stream.submit_delay(dev.spec.kernel_launch_overhead_ns, name="launch")
                 ops.append(stream.launch(dev, bottom))
-            yield engine.all_of([op.done for op in ops])
+            yield join(engine, ops)
             return engine.now
 
         emb_timing = timing.emb
@@ -499,7 +500,7 @@ class DLRMInferencePipeline(EmbeddingHost):
         emb_proc = engine.process(emb_gen, name="emb_path")
         # Compute may overlap the tail of a pipelined copy, but the batch is
         # not done until every input chunk has landed.
-        yield engine.all_of([dense_proc, emb_proc] + [op.done for op in copy_ops])
+        yield engine.all_of([dense_proc, emb_proc, join(engine, copy_ops)])
         t2 = engine.now
         dense_ns = dense_proc.value - t1
         timing.dense_mlp_ns = dense_ns
@@ -516,8 +517,7 @@ class DLRMInferencePipeline(EmbeddingHost):
             stream.submit_delay(dev.spec.kernel_launch_overhead_ns, name="launch")
             ops.append(stream.launch(dev, ki))
             ops.append(stream.launch(dev, kt))
-        yield engine.all_of([op.done for op in ops])
-        yield engine.timeout(cluster.devices[0].spec.sync_overhead_ns)
+        yield join(engine, ops, cluster.devices[0].spec.sync_overhead_ns)
         t3 = engine.now
         if trace_ref is not None:
             with trace_scope(prof, trace_ref):

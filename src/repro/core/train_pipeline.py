@@ -32,6 +32,7 @@ from ..comm.collective import CollectiveContext, CollectiveSpec
 from ..simgpu.cluster import Cluster
 from ..simgpu.engine import ProcessGenerator
 from ..simgpu.kernel import KernelSpec
+from ..simgpu.stream import join
 from .backward import BaselineBackward, PGASFusedBackward
 from .baseline import PhaseTiming
 from .factory import parse_backend_name
@@ -163,7 +164,7 @@ class DLRMTrainingPipeline:
                     stream = dev.stream("dense")
                     stream.submit_delay(dev.spec.kernel_launch_overhead_ns, "launch")
                     ops.append(stream.launch(dev, k))
-                yield engine.all_of([op.done for op in ops])
+                yield join(engine, ops)
                 # Data-parallel MLP weights: ring all-reduce of the grads.
                 if cluster.n_devices > 1:
                     handle = self._mlp_allreduce.all_reduce(self._mlp_weight_bytes())

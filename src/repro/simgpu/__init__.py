@@ -1,9 +1,10 @@
 """``repro.simgpu`` — discrete-event multi-GPU system simulator.
 
 The substrate beneath the retrieval backends: devices with a roofline
-kernel cost model, CUDA-style streams/events, an NVLink/PCIe/NIC
-interconnect with FIFO link contention, and a profiler producing the
-span breakdowns and comm-volume counters the paper's figures need.
+kernel cost model, CUDA-style streams whose ops a host waits on with one
+``join`` event, an NVLink/PCIe/NIC interconnect with FIFO link
+contention, and a profiler producing the span breakdowns and
+comm-volume counters the paper's figures need.
 """
 
 from .cluster import Cluster, dgx_v100, multinode, pcie_node
@@ -32,10 +33,10 @@ from .interconnect import (
     pcie_topology,
     wire_bytes,
 )
-from .kernel import KernelSpec, WaveInfo, execute_kernel, kernel_time, roofline_time
+from .kernel import KernelSpec, WaveInfo, kernel_time, roofline_time
 from .memory import Buffer, MemoryPool, OutOfDeviceMemory
 from .profiler import Counter, Profiler, Span
-from .stream import CudaEvent, Stream, StreamLease, StreamOp, StreamPool
+from .stream import Stream, StreamLease, StreamOp, StreamPool, join
 from .trace import chrome_trace, summarize_spans, write_chrome_trace
 from . import units
 
@@ -46,7 +47,6 @@ __all__ = [
     "Buffer",
     "Cluster",
     "Counter",
-    "CudaEvent",
     "Device",
     "DeviceSpec",
     "Engine",
@@ -76,7 +76,6 @@ __all__ = [
     "V100_SPEC",
     "WaveInfo",
     "dgx_v100",
-    "execute_kernel",
     "kernel_time",
     "multinode",
     "multinode_topology",
@@ -89,4 +88,5 @@ __all__ = [
     "units",
     "write_chrome_trace",
     "wire_bytes",
+    "join",
 ]

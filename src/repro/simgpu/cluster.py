@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from .device import Device, DeviceSpec, V100_SPEC
-from .engine import Engine, Event, ProcessGenerator
+from .engine import Engine, ProcessGenerator
 from .interconnect import Interconnect, Topology, multinode_topology, nvlink_dgx1, pcie_topology
 from .profiler import Profiler
 
@@ -81,13 +81,6 @@ class Cluster:
         proc = self.engine.process(process_fn(self), name="host")
         self.engine.run_until_event(proc)
         return self.engine.now - t0
-
-    def barrier_all(self) -> ProcessGenerator:
-        """Process generator: synchronise every device (host-side barrier)."""
-        events: List[Event] = []
-        for dev in self.devices:
-            events.append(self.engine.process(dev.synchronize(), name=f"sync{dev.id}"))
-        yield self.engine.all_of(events)
 
     def reset_profiler(self) -> None:
         """Clear recorded spans/counters (keeps the clock and memory state)."""

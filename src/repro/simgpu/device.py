@@ -195,16 +195,6 @@ class Device:
         """The device's default stream (CUDA's stream 0 analogue)."""
         return self.stream("default")
 
-    def synchronize(self):
-        """Process generator: wait for every stream on this device to drain.
-
-        Mirrors ``cudaDeviceSynchronize``; charges the spec's sync overhead.
-        """
-        events = [st.drained() for st in self._streams.values()]
-        if events:
-            yield self.engine.all_of(events)
-        yield self.engine.timeout(self.spec.sync_overhead_ns)
-
     # -- peer access -------------------------------------------------------------
 
     def enable_peer_access(self, other_id: int) -> None:

@@ -1,9 +1,11 @@
 """Discrete-event simulation engine.
 
-The engine is the clock of the whole GPU-system simulator.  Host programs,
-collective control paths and stream synchronisation are *processes*: Python
-generators that yield :class:`Timeout` or :class:`Event` objects.  Stream
-ops and kernel waves are plain callbacks (:meth:`Engine.call_at`).  The
+The engine is the clock of the whole GPU-system simulator.  Host programs
+and a few control paths (collective waits, hier staging, faults, reshard
+and replication) are *processes*: Python generators that yield
+:class:`Timeout` or :class:`Event` objects.  Stream ops, kernel waves and
+the waits on them (a stream ``join``, a PGAS ``quiet``) are plain
+callbacks (:meth:`Engine.call_at`) that fire one event each.  The
 engine advances a single scalar clock (in nanoseconds) through a binary
 heap of scheduled callbacks, exactly in timestamp order, with FIFO
 tie-breaking so that runs are fully deterministic.
@@ -21,10 +23,11 @@ Design notes
   and cancelling one only clears its ``fn`` slot.  Work that only decides
   *when* something lands is not scheduled at all: a one-sided put is
   booked at issue and a kernel nothing observes takes one entry, so a
-  64-GPU pgas batch schedules about 1.4k entries.  A time that is not
+  64-GPU pgas batch schedules about 1.2k entries.  A time that is not
   finite or lies in the past raises :class:`SimulationError` where it is
-  made.  Code run once per callback builds no strings and no closures:
-  events schedule their bound ``_run_callbacks``.
+  made, and so does such a ``run`` horizon or ``run_until_event`` limit.
+  Code run once per callback builds no strings and no closures: events
+  schedule their bound ``_run_callbacks``.
 """
 
 from __future__ import annotations
@@ -395,8 +398,10 @@ class Engine:
     def run(self, until: Optional[float] = None) -> float:
         """Process events until the queue drains or the clock reaches ``until``.
 
-        Returns the final simulation time.
+        Returns the final simulation time.  ``until`` must be a finite
+        time no earlier than now, so the clock never runs backwards.
         """
+        self._check_horizon("until", until)
         if self._running:
             raise SimulationError("engine is already running (re-entrant run())")
         self._running = True
@@ -424,7 +429,9 @@ class Engine:
 
         ``limit`` caps the simulated time; exceeding it raises
         :class:`SimulationError` (catches accidentally-unbounded models).
+        Like ``run``'s ``until``, it must be finite and no earlier than now.
         """
+        self._check_horizon("limit", limit)
         queue = self._queue
         while not event._triggered or self._pending_at_now():
             if not queue:
@@ -443,6 +450,11 @@ class Engine:
         if not event.ok:
             raise event.value
         return event.value
+
+    def _check_horizon(self, name: str, time: Optional[float]) -> None:
+        """Raise unless ``time`` is ``None`` or a finite instant >= now."""
+        if time is not None and not self._now <= time < math.inf:
+            raise SimulationError(f"{name} must be a finite time >= now {self._now}, got {time}")
 
     def _pending_at_now(self) -> bool:
         """True if there are still queued callbacks at the current instant."""

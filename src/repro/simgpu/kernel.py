@@ -27,9 +27,8 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .device import Device, DeviceSpec
-from .engine import ProcessGenerator
 
-__all__ = ["KernelSpec", "WaveInfo", "roofline_time", "kernel_time", "execute_kernel"]
+__all__ = ["KernelSpec", "WaveInfo", "roofline_time", "kernel_time"]
 
 #: Signature of the per-wave hook: called at each wave's retirement time.
 WaveCallback = Callable[["WaveInfo"], None]
@@ -176,13 +175,13 @@ class _KernelRun:
     at each wave's retirement (where PGAS one-sided writes leave) and a
     ``device.stalled_until`` window holds wave boundaries.  Otherwise it sums
     the same terms in the same order up front and takes one callback, at its
-    end.  ``done`` receives the elapsed time, floor and tail included.
+    end.  ``done()`` runs once the floor and the tail are charged.
     """
 
     __slots__ = ("device", "kspec", "on_wave", "done", "fracs", "body", "t0", "t_start", "w")
 
     def __init__(self, device: Device, kspec: KernelSpec, on_wave: Optional[WaveCallback],
-                 done: Callable[[float], object]):
+                 done: Callable[[], object]):
         spec = device.spec
         self.device, self.kspec, self.on_wave, self.done = device, kspec, on_wave, done
         self.t0 = t = device.engine.now
@@ -240,17 +239,4 @@ class _KernelRun:
             # Traced launches record a per-kernel span for critical-path detail.
             # Guarded on an active trace so untraced runs stay span-identical.
             prof.record_span(self.kspec.name, "kernel", device.id, self.t0, now)
-        self.done(now - self.t0)
-
-
-def execute_kernel(
-    device: Device, kspec: KernelSpec, on_wave: Optional[WaveCallback] = None
-) -> ProcessGenerator:
-    """Process generator running ``kspec`` on ``device``; returns its duration.
-
-    A thin wrapper over :class:`_KernelRun` for host code outside a stream
-    (streams use :meth:`~repro.simgpu.stream.Stream.launch`).
-    """
-    done = device.engine.event(kspec.name)
-    _KernelRun(device, kspec, on_wave, done.succeed)
-    return (yield done)
+        self.done()

@@ -1,61 +1,46 @@
-"""CUDA-style streams and events.
+"""CUDA-style streams and the join that waits on their ops.
 
 A :class:`Stream` executes submitted operations strictly in order, one at a
 time, mirroring CUDA stream semantics.  Submitting returns a
-:class:`StreamOp` handle whose ``done`` event fires at completion, so host
-code (itself a process, see :mod:`repro.simgpu.engine`) can
-``yield op.done`` — the analogue of ``cudaStreamSynchronize`` on a single
-op — or ``yield stream.drained()`` for the whole stream.
+:class:`StreamOp` handle; host code (itself a process, see
+:mod:`repro.simgpu.engine`) waits on a set of ops with one event,
+``yield join(engine, ops)`` — the analogue of ``cudaStreamSynchronize``
+over every stream the ops ran on — or on a whole stream with
+``yield stream.drained()``.
 
 The FIFO runs on engine callbacks; the one that ends an op starts the next.
-Only generic :meth:`Stream.submit` ops are processes, and ``done`` is made
-on first read, so an op nobody waits on schedules no wake-up.
-
-:class:`CudaEvent` reproduces ``cudaEventRecord`` / ``cudaStreamWaitEvent``
-cross-stream ordering: recording enqueues a marker op; waiting enqueues an
-op that blocks the stream until the marker has executed.
+An op makes no event of its own: :func:`join` counts its ops down from
+their finish hooks and fires one event when the last one ends.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Iterable, List, Optional, Tuple
 
-from .engine import Engine, Event, ProcessGenerator, SimulationError
+from ..checks import checked_count
+from .engine import Engine, Event, SimulationError
 from .kernel import KernelSpec, WaveCallback, _KernelRun
 
 if TYPE_CHECKING:  # pragma: no cover
     from .device import Device
 
-__all__ = ["Stream", "StreamOp", "StreamLease", "StreamPool", "CudaEvent"]
+__all__ = ["Stream", "StreamOp", "StreamLease", "StreamPool", "join"]
 
 
 class StreamOp:
     """Handle for one operation enqueued on a stream."""
 
-    __slots__ = ("name", "enqueued_at", "started_at", "finished_at", "_engine", "_done", "_value")
+    __slots__ = ("name", "enqueued_at", "started_at", "finished_at", "_hooks")
 
     def __init__(self, name: str, engine: Engine):
         self.name = name
         self.enqueued_at = engine.now
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
-        self._engine = engine
-        self._done: Optional[Event] = None
-        self._value: Any = None
-
-    @property
-    def done(self) -> Event:
-        """Event firing at completion with the op's result (made on first read)."""
-        ev = self._done
-        if ev is None:
-            ev = self._done = Event(self._engine, self.name)
-            if self.finished_at is not None:
-                # Triggered in the past: waiters added now run at once.
-                ev._triggered = True
-                ev._value = self._value
-        return ev
+        # Finish hooks of the joins still waiting on this op.
+        self._hooks: Optional[List[Callable[[], None]]] = None
 
     @property
     def completed(self) -> bool:
@@ -65,6 +50,48 @@ class StreamOp:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.completed else "pending"
         return f"<StreamOp {self.name!r} {state}>"
+
+
+class _Join:
+    """Countdown over a join's unfinished ops; fires its event at zero."""
+
+    __slots__ = ("event", "after_ns", "left")
+
+    def __init__(self, event: Event, after_ns: float, left: int):
+        self.event, self.after_ns, self.left = event, after_ns, left
+
+    def op_done(self) -> None:
+        self.left -= 1
+        if self.left == 0:
+            self.fire()
+
+    def fire(self) -> None:
+        if self.after_ns:
+            self.event.engine.call_in(self.after_ns, self.event.succeed)
+        else:
+            self.event.succeed()
+
+
+def join(engine: Engine, ops: Iterable[StreamOp], after_ns: float = 0.0) -> Event:
+    """One event that fires ``after_ns`` after the last of ``ops`` finishes.
+
+    ``after_ns`` folds a host-side cost that follows the wait (a stream
+    sync's ``sync_overhead_ns``) into the same event.  Ops already
+    finished count as done, so a join over finished ops, or over none,
+    fires ``after_ns`` from now.
+    """
+    if not 0.0 <= after_ns < math.inf:
+        raise SimulationError(f"join delay must be finite and >= 0, got {after_ns}")
+    pending = [op for op in ops if op.finished_at is None]
+    countdown = _Join(Event(engine, "join"), after_ns, len(pending))
+    if not pending:
+        countdown.fire()
+    for op in pending:
+        if op._hooks is None:
+            op._hooks = [countdown.op_done]
+        else:
+            op._hooks.append(countdown.op_done)
+    return countdown.event
 
 
 class Stream:
@@ -86,16 +113,6 @@ class Stream:
 
     # -- submission -------------------------------------------------------------
 
-    def submit(
-        self, factory: Callable[[], ProcessGenerator], name: str = "op"
-    ) -> StreamOp:
-        """Enqueue an operation; it runs after everything already queued.
-
-        ``factory`` is called (lazily, when the op reaches the head of the
-        queue) to produce the process generator that performs the work.
-        """
-        return self._enqueue(StreamOp(name, self.engine), self._process, (factory,))
-
     def submit_delay(self, delay_ns: float, name: str = "delay") -> StreamOp:
         """Enqueue a fixed-duration operation (e.g. a modelled memcpy)."""
         if not 0.0 <= delay_ns < math.inf:
@@ -105,7 +122,7 @@ class Stream:
     def launch(
         self, device: "Device", kspec: KernelSpec, on_wave: Optional[WaveCallback] = None
     ) -> StreamOp:
-        """Enqueue kernel ``kspec`` on this stream's ``device``; the result is its duration."""
+        """Enqueue kernel ``kspec`` on this stream's ``device``."""
         if device.id != self.device_id:
             raise ValueError(f"stream of device {self.device_id} cannot launch on device {device.id}")
         return self._enqueue(StreamOp(kspec.name, self.engine), _KernelRun, (device, kspec, on_wave))
@@ -121,34 +138,6 @@ class Stream:
             self._idle_waiters.append(ev)
         return ev
 
-    def synchronize(self) -> ProcessGenerator:
-        """Process generator: block until drained, charging host sync cost."""
-        yield self.drained()
-        yield self.engine.timeout(self.spec.sync_overhead_ns)
-
-    # -- events (cudaEvent analogue) -------------------------------------------------
-
-    def record_event(self) -> "CudaEvent":
-        """Record a marker after all currently-enqueued ops (cudaEventRecord)."""
-        ev = CudaEvent(self.engine)
-
-        def factory() -> ProcessGenerator:
-            ev._fire(self.engine.now)
-            return
-            yield  # pragma: no cover - makes this a generator
-
-        self.submit(factory, name="event_record")
-        return ev
-
-    def wait_event(self, ev: "CudaEvent") -> StreamOp:
-        """Block this stream until ``ev`` fires (cudaStreamWaitEvent)."""
-
-        def factory() -> ProcessGenerator:
-            if not ev.fired:
-                yield ev.event
-
-        return self.submit(factory, name="event_wait")
-
     # -- the FIFO ---------------------------------------------------------------
 
     def _enqueue(self, op: StreamOp, start: Callable[..., None], args: tuple) -> StreamOp:
@@ -163,22 +152,14 @@ class Stream:
         op.started_at = self.engine.now
         start(*args, self._finish)
 
-    def _process(self, factory: Callable[[], ProcessGenerator], done: Callable[[], None]) -> None:
-        gen = factory()
-        if gen is None:
-            return done()
-        self.engine.process(gen, name=self._running.name).add_callback(self._on_process)
-
-    def _on_process(self, proc: Event) -> None:
-        self._finish(proc.value)
-
-    def _finish(self, value: Any = None) -> None:
+    def _finish(self) -> None:
         """Complete the running op, then start the next one at this instant."""
         op = self._running
         op.finished_at = self.engine.now
-        op._value = value
-        if op._done is not None:
-            op._done.succeed(value)
+        if op._hooks is not None:
+            hooks, op._hooks = op._hooks, None
+            for hook in hooks:
+                hook()
         if self._queue:
             return self._next()
         self._running = None
@@ -237,8 +218,7 @@ class StreamPool:
     """
 
     def __init__(self, n_slots: int):
-        if n_slots < 1:
-            raise ValueError("a StreamPool needs at least one slot")
+        n_slots = checked_count("StreamPool", "n_slots", n_slots)
         self.n_slots = n_slots
         self._free: List[int] = list(range(n_slots))
 
@@ -271,29 +251,3 @@ class StreamPool:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<StreamPool {self.n_in_use}/{self.n_slots} in use>"
-
-
-class CudaEvent:
-    """A cross-stream marker (cudaEvent analogue) with a timestamp."""
-
-    __slots__ = ("engine", "event", "timestamp")
-
-    def __init__(self, engine: Engine):
-        self.engine = engine
-        self.event = engine.event("cuda_event")
-        self.timestamp: Optional[float] = None
-
-    @property
-    def fired(self) -> bool:
-        """True once the marker has been reached in its recording stream."""
-        return self.event.triggered
-
-    def _fire(self, when: float) -> None:
-        self.timestamp = when
-        self.event.succeed(when)
-
-    def elapsed_since(self, earlier: "CudaEvent") -> float:
-        """cudaEventElapsedTime analogue, in nanoseconds."""
-        if self.timestamp is None or earlier.timestamp is None:
-            raise ValueError("both events must have fired")
-        return self.timestamp - earlier.timestamp

@@ -34,7 +34,7 @@ def test_pgas_conservation_under_random_traffic(G, seed, n_puts):
         issued += nbytes
 
     def host(cluster):
-        yield from ctx.barrier_all()
+        yield ctx.quiet(range(cluster.n_devices))
 
     cl.run(host)
     assert cl.profiler.counter(PGASContext.COUNTER).total == pytest.approx(issued)

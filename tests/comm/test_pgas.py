@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.comm.hier import HierSpec, NodeStagingRouter
 from repro.comm.pgas import PGASContext, PGASSpec, SymmetricHeap
-from repro.simgpu import dgx_v100
+from repro.core.aggregator import AggregatorSpec, AsyncAggregator
+from repro.simgpu import dgx_v100, multinode
 from repro.simgpu.profiler import TraceRef
 from repro.simgpu.units import us
 
@@ -219,7 +221,7 @@ class TestAtomics:
         assert ctx.pending_puts(0) == 1
 
         def host(cluster):
-            yield from ctx.quiet(0)
+            yield ctx.quiet([0])
 
         elapsed = cl.run(host)
         (delivered, _), = cl.profiler.counter(PGASContext.COUNTER).events()
@@ -281,7 +283,7 @@ class TestCompletion:
         ctx.put(0, 1, big)
 
         def host(cluster):
-            yield from ctx.quiet(0)
+            yield ctx.quiet([0])
 
         elapsed = cl.run(host)
         assert elapsed >= big / 48.0  # at least the drain time
@@ -292,7 +294,7 @@ class TestCompletion:
         ctx = PGASContext(cl, spec)
 
         def host(cluster):
-            yield from ctx.quiet(0)
+            yield ctx.quiet([0])
 
         assert cl.run(host) == pytest.approx(2 * us)
 
@@ -302,7 +304,7 @@ class TestCompletion:
         ctx.put(1, 0, 48.0 * 1e6)  # PE 1's traffic
 
         def host(cluster):
-            yield from ctx.quiet(0)  # PE 0 has nothing outstanding
+            yield ctx.quiet([0])  # PE 0 has nothing outstanding
 
         assert cl.run(host) < 10 * us
 
@@ -321,7 +323,7 @@ class TestCompletion:
         ctx.put(2, 0, 48.0 * 2e6)
 
         def host(cluster):
-            yield from ctx.barrier_all()
+            yield ctx.quiet(range(cluster.n_devices))
 
         elapsed = cl.run(host)
         assert elapsed >= 2e6 / 48.0 * 48.0 / 48.0  # at least the slowest drain
@@ -336,7 +338,7 @@ class TestCompletion:
         assert ctx.pending_puts(0) == 1
 
         def host(cluster):
-            yield from ctx.quiet(0)
+            yield ctx.quiet([0])
 
         cl.run(host)
         assert ev.triggered
@@ -372,7 +374,7 @@ class TestCompletion:
             ctx.put(0, 1, 10.0)
             yield cluster.engine.timeout(0.7)
             woke.append(cluster.engine.now)
-            yield from ctx.quiet(0)
+            yield ctx.quiet([0])
             woke.append(cluster.engine.now)
 
         cl.run(host)
@@ -392,7 +394,7 @@ class TestCompletion:
         def host(cluster):
             engine = cluster.engine
             ctx.put(0, 1, 4800.0)  # ~100 ns of wire
-            q = engine.process(ctx.quiet(0))
+            q = ctx.quiet([0])
             yield engine.timeout(1.0)  # quiet has taken its snapshot
             ctx.put(0, 1, 48.0 * 1e6)  # ~1 ms, queued behind the first
             yield q
@@ -405,6 +407,91 @@ class TestCompletion:
         assert seen["quiet_done"] == first
         assert seen["pending"] == 1
         assert second > 1e6
+
+    def test_one_quiet_fires_at_the_latest_drain_of_its_pes(self):
+        """One ``quiet`` over a set of PEs fires at the latest of each PE's
+        own drain: a direct put (PE 0), an aggregator flush (PE 1), nothing
+        (PE 2) and a hier staging chain (PE 3: forward to its leader, the
+        NIC hop, the scatter), which lands last.  A put issued after it
+        starts is not waited for."""
+        cl = multinode(2, 2)
+        engine = cl.engine
+        ctx = PGASContext(cl, PGASSpec(quiet_overhead_ns=2 * us))
+        agg = AsyncAggregator(ctx, AggregatorSpec(flush_bytes=10**9, max_wait_ns=1e9))
+        router = NodeStagingRouter(ctx, HierSpec(devices_per_node=2))
+        ctx.put(0, 1, 48.0 * 1e3)
+        agg.store(1, 0, 4.8e5)
+        agg.flush_all()
+        router.put(3, 1, 2e5)
+        router.flush_all()
+        sets = [(0,), (1,), (2,), (3,), (0, 1, 2, 3)]
+        fired = {}
+
+        def host(cluster):
+            events = {pes: ctx.quiet(pes) for pes in sets}
+            for pes, ev in events.items():
+                ev.add_callback(lambda _, pes=pes: fired.setdefault(pes, engine.now))
+            yield engine.timeout(1.0)
+            ctx.put(2, 3, 48.0 * 1e7)  # issued after the quiets started
+            yield events[(0, 1, 2, 3)]
+            yield engine.all_of(events.values())
+
+        cl.run(host)
+        assert fired[(2,)] == 2 * us
+        drains = [fired[(pe,)] for pe in range(4)]
+        assert len(set(drains)) == 4  # every PE drains at its own instant
+        assert fired[(0, 1, 2, 3)] == max(drains) == fired[(3,)]
+        assert ctx.pending_puts(2) == 1  # the late put is still in flight
+        engine.run()
+        late = max(t for t, _ in cl.profiler.counter(PGASContext.COUNTER).events())
+        assert late > fired[(0, 1, 2, 3)]
+
+    def test_quiet_over_no_pes_costs_only_overhead(self):
+        cl = dgx_v100(2)
+        ctx = PGASContext(cl, PGASSpec(quiet_overhead_ns=3.0))
+        ctx.put(0, 1, 48.0 * 1e6)
+
+        def host(cluster):
+            yield ctx.quiet([])
+
+        assert cl.run(host) == 3.0
+
+    def test_quiet_fails_with_a_failed_registered_transfer(self):
+        cl = dgx_v100(2)
+        ctx = PGASContext(cl)
+        broken = cl.engine.event()
+        ctx.register_outstanding(0, broken)
+        cl.engine.call_at(5.0, lambda: broken.fail(RuntimeError("link lost")))
+
+        def host(cluster):
+            yield ctx.quiet([0, 1])
+
+        with pytest.raises(RuntimeError, match="link lost"):
+            cl.run(host)
+
+
+class TestUnknownPE:
+    """Every per-PE entry point raises the typed error of ``put``."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ctx: ctx.pending_puts(5),
+            lambda ctx: ctx.quiet(5),
+            lambda ctx: ctx.quiet([0, 5]),
+            lambda ctx: ctx.register_outstanding(5, ctx.cluster.engine.event()),
+        ],
+        ids=["pending_puts", "quiet", "quiet-set", "register_outstanding"],
+    )
+    def test_unknown_pe_is_a_value_error(self, call):
+        cl = dgx_v100(2)
+        ctx = PGASContext(cl)
+        ctx.put(0, 1, 100.0)
+        seq = cl.engine._seq
+        with pytest.raises(ValueError, match=r"src must be a device id in \[0, 2\), got 5"):
+            call(ctx)
+        assert cl.engine._seq == seq  # nothing scheduled
+        assert ctx.pending_puts(0) == 1
 
 
 class TestCounterOrder:
@@ -663,7 +750,7 @@ class TestOverlapSemantics:
         def host(cluster):
             ctx.put(0, 1, 48.0 * wire_ns)
             yield cluster.engine.timeout(5 * wire_ns)  # "compute"
-            yield from ctx.quiet(0)
+            yield ctx.quiet([0])
 
         elapsed = cl.run(host)
         # total ≈ compute + quiet overhead, NOT compute + wire
@@ -677,7 +764,7 @@ class TestOverlapSemantics:
         def host(cluster):
             ctx.put(0, 1, 48.0 * wire_ns)
             yield cluster.engine.timeout(0.1 * wire_ns)
-            yield from ctx.quiet(0)
+            yield ctx.quiet([0])
 
         elapsed = cl.run(host)
         assert elapsed >= wire_ns  # drain exposed past the short compute

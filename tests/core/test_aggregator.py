@@ -151,7 +151,7 @@ class TestFlush:
         agg.flush_all()
 
         def host(cluster):
-            yield from pgas.quiet(0)
+            yield pgas.quiet([0])
 
         elapsed = cl.run(host)
         assert elapsed >= 1e6

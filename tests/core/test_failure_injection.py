@@ -17,7 +17,7 @@ from repro.core.baseline import BaselineRetrieval
 from repro.core.sharding import RowWiseSharding, TableWiseSharding
 from repro.core.workload import build_device_workloads, build_rowwise_workloads
 from repro.dlrm.data import SyntheticDataGenerator, WorkloadConfig
-from repro.simgpu import Cluster, LinkSpec, Topology, dgx_v100
+from repro.simgpu import Cluster, KernelSpec, LinkSpec, Topology, dgx_v100, join
 from repro.simgpu.engine import Engine, SimulationError
 from repro.simgpu.memory import OutOfDeviceMemory
 
@@ -104,21 +104,23 @@ class TestEngineFailures:
         with pytest.raises(RuntimeError, match="fabric down"):
             eng.run_until_event(p)
 
-    def test_exception_inside_stream_op_fails_process(self):
+    def test_exception_inside_on_wave_stops_the_run(self):
         cl = dgx_v100(1)
         dev = cl.device(0)
 
-        def exploding():
-            yield cl.engine.timeout(1.0)
+        def exploding(info):
             raise ValueError("kernel fault")
 
-        op = dev.default_stream.submit(exploding, name="bad_kernel")
+        kspec = KernelSpec("bad_kernel", num_blocks=1, bytes_read=1e6)
+        op = dev.default_stream.launch(dev, kspec, exploding)
+        after = dev.default_stream.submit_delay(1.0)
 
         def host(cluster):
-            yield op.done
+            yield join(cluster.engine, [op, after])
 
         with pytest.raises(ValueError, match="kernel fault"):
             cl.run(host)
+        assert not op.completed and after.started_at is None
 
     def test_simulation_limit_catches_runaway(self):
         eng = Engine()

@@ -29,7 +29,12 @@ are booked at issue as one wave, like puts, and the collective schedules
 one callback at its latest delivery instant in place of a delivery
 callback, an event and an ``AllOf`` wake-up per chunk.  Every case with
 an all-to-all or an all-reduce (the baseline cases, ``baseline+compress``,
-both training steps and the baseline row-wise cases) dropped then.
+both training steps and the baseline row-wise cases) dropped then.  Every
+count was re-captured once more when waits on device work became one
+event each: a stage waits on its stream ops through one countdown
+``join`` (no ``done`` event per op, and a trailing sync cost folded into
+the join's delay), and ``PGASContext.quiet`` over a set of PEs is one
+callback at its wake-up instant in place of a process per PE.
 
 ``pgas-g64`` also pins how its writes are issued: one ``PGASContext.put``
 call per device-wave, next to the unchanged number of writes, so a return
@@ -214,7 +219,7 @@ CASES = {
             "total_ns": 7107540.327485381,
             "batches": 1.0,
         },
-        161,
+        86,
     ),
     "baseline-g16": (
         lambda: _run(FLAT_G16, 16, "baseline"),
@@ -225,7 +230,7 @@ CASES = {
             "total_ns": 8828150.098318715,
             "batches": 1.0,
         },
-        90,
+        58,
     ),
     "pgas-g64": (
         lambda: _run(SCALE_G64, 64, "pgas"),
@@ -236,7 +241,7 @@ CASES = {
             "total_ns": 7042233.005847954,
             "batches": 1.0,
         },
-        455,
+        198,
     ),
     "baseline-g64": (
         lambda: _run(SCALE_G64, 64, "baseline"),
@@ -247,7 +252,7 @@ CASES = {
             "total_ns": 7924471.214181287,
             "batches": 1.0,
         },
-        330,
+        202,
     ),
     # Exercises the staging router's flush timers, which are cancelled.
     "pgas+hier-2x4": (
@@ -262,7 +267,7 @@ CASES = {
             "total_ns": 2156333.8989898977,
             "batches": 1.0,
         },
-        415,
+        367,
     ),
     "train-pgas-g4": (
         lambda: _train(TRAIN_G4, 4, "pgas"),
@@ -286,7 +291,7 @@ CASES = {
             "emb_backward.batches": 1.0,
             "total_ns": 13084190.559565937,
         },
-        157,
+        89,
     ),
     "train-baseline-g4": (
         lambda: _train(TRAIN_G4, 4, "baseline"),
@@ -310,7 +315,7 @@ CASES = {
             "emb_backward.batches": 1.0,
             "total_ns": 29553909.85613539,
         },
-        135,
+        97,
     ),
 }
 
@@ -324,7 +329,7 @@ FEATURE_CASES = {
             "total_ns": 155571.40935672517,
             "batches": 1.0,
         },
-        84,
+        42,
         {
             "cache.evictions.dev0": 3791.0,
             "cache.evictions.dev1": 4313.0,
@@ -362,7 +367,7 @@ FEATURE_CASES = {
             "total_ns": 252735.18128654972,
             "batches": 1.0,
         },
-        40,
+        28,
         {
             "comm_bytes": 442368.0,
             "comm_bytes.dev0->dev1": 36864.0,
@@ -392,7 +397,7 @@ FEATURE_CASES = {
             "total_ns": 360698.4009395612,
             "batches": 1.0,
         },
-        111,
+        65,
         {
             "faults.rerouted_bytes": 524288.0,
             "faults.rerouted_bytes.delivered": 262144.0,
@@ -423,7 +428,7 @@ FEATURE_CASES = {
             "total_ns": 223557.73099415202,
             "batches": 1.0,
         },
-        249,
+        186,
         {
             "availability.batch_lookups": 65752.0,
             "availability.detection_ns": 9530.532163742697,
@@ -458,7 +463,7 @@ FEATURE_CASES = {
             "total_ns": 1512684.8654970762,
             "batches": 6.0,
         },
-        240,
+        138,
         {
             "pgas_bytes": 9437184.0,
             "pgas_bytes.dev0->dev1": 655360.0,
@@ -497,7 +502,7 @@ ROWWISE_CASES = {
             "total_ns": 2974414.238669591,
             "batches": 1.0,
         },
-        30,
+        22,
         {"comm_bytes": 50331648.0, **_pair_totals("comm_bytes", 4, 4194304.0)},
     ),
     "rowwise-pgas-g4": (
@@ -509,7 +514,7 @@ ROWWISE_CASES = {
             "total_ns": 1477605.3567251463,
             "batches": 1.0,
         },
-        49,
+        26,
         {"pgas_bytes": 50331648.0, **_pair_totals("pgas_bytes", 4, 4194304.0)},
     ),
     "rowwise-baseline-g3-ragged": (
@@ -521,7 +526,7 @@ ROWWISE_CASES = {
             "total_ns": 595355.899488304,
             "batches": 1.0,
         },
-        25,
+        19,
         {
             "comm_bytes": 3584000.0,
             "comm_bytes.dev0->dev1": 596736.0,
@@ -541,7 +546,7 @@ ROWWISE_CASES = {
             "total_ns": 373870.90643274854,
             "batches": 1.0,
         },
-        32,
+        15,
         {
             "pgas_bytes": 3584000.0,
             "pgas_bytes.dev0->dev1": 596736.0,
@@ -561,7 +566,7 @@ ROWWISE_CASES = {
             "total_ns": 8974314.248172514,
             "batches": 1.0,
         },
-        72,
+        52,
         {
             "comm_bytes": 50331648.0,
             "comm_bytes.dev0->dev1": 12582912.0,
@@ -579,7 +584,7 @@ ROWWISE_CASES = {
             "total_ns": 2167098.6900584796,
             "batches": 1.0,
         },
-        49,
+        26,
         {"pgas_bytes": 50331648.0, **_pair_totals("pgas_bytes", 4, 4194304.0)},
     ),
 }
@@ -679,19 +684,18 @@ def _started_processes(monkeypatch):
 
 def test_stream_ops_start_no_process(monkeypatch):
     """One G=8 inference batch runs 64 stream ops (input copies, launch
-    delays, kernels) and one G=4 training step 48, all as engine callbacks:
-    the only processes are host programs and the per-PE quiets, so a return
-    to one process per stream op fails here without any timing."""
+    delays, kernels) and one G=4 training step 48, all as engine callbacks,
+    waited on by joins, and each ``quiet`` covers every PE with one event:
+    the only processes are host programs, so a return to one process per
+    stream op or per PE fails here without any timing."""
     started = _started_processes(monkeypatch)
     pipe = DLRMInferencePipeline(PipelineConfig(workload=TRAIN_G4), 8, backend="pgas")
     pipe.run_batch(SyntheticDataGenerator(TRAIN_G4).lengths_batch())
-    assert started == ["host", "dense_path", "emb_path"] + [f"quiet{d}" for d in range(8)]
-    assert pipe.cluster.engine._seq == 166
+    assert started == ["host", "dense_path", "emb_path"]
+    assert pipe.cluster.engine._seq == 89
 
     started.clear()
     got, seq = _train(TRAIN_G4, 4, "pgas")
-    quiets = [f"quiet{d}" for d in range(4)]
-    assert started == (
-        ["host", "train_forward", "dense_path", "emb_path"] + quiets + ["dense_bwd", "emb_bwd"] + quiets
-    )
-    assert (got, seq) == (CASES["train-pgas-g4"][1], 157)
+    assert started == ["host", "train_forward", "dense_path", "emb_path", "dense_bwd", "emb_bwd"]
+    assert not any(name.startswith("quiet") for name in started)
+    assert (got, seq) == (CASES["train-pgas-g4"][1], CASES["train-pgas-g4"][2])

@@ -9,7 +9,8 @@ from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.faults.injector import SPAN_CATEGORY, WINDOW_COUNTER
 from repro.simgpu.cluster import Cluster, dgx_v100
 from repro.simgpu.interconnect import Topology
-from repro.simgpu.kernel import KernelSpec, execute_kernel, kernel_time
+from repro.simgpu.kernel import KernelSpec, kernel_time
+from repro.simgpu.stream import join
 from repro.simgpu.trace import chrome_trace
 from repro.simgpu.units import ms, us
 
@@ -93,7 +94,8 @@ class TestDeviceFaults:
 
         def prog(cl):
             t0 = cl.engine.now
-            yield from execute_kernel(cl.device(0), self.KSPEC)
+            dev = cl.device(0)
+            yield join(cl.engine, [dev.default_stream.launch(dev, self.KSPEC)])
             out.append(cl.engine.now - t0)
 
         cluster.run(prog)

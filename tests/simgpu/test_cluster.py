@@ -11,6 +11,7 @@ from repro.simgpu import (
     H100_SPEC,
     V100_SPEC,
     dgx_v100,
+    join,
     multinode,
     nvlink_dgx1,
     pcie_node,
@@ -82,12 +83,15 @@ class TestCluster:
         assert cl.engine.now == 246.0
 
     def test_barrier_all_waits_for_all_devices(self):
+        """A host-side barrier is one join over every device's ops."""
         cl = dgx_v100(2)
-        cl.device(0).default_stream.submit_delay(100.0)
-        cl.device(1).default_stream.submit_delay(300.0)
+        ops = [
+            cl.device(0).default_stream.submit_delay(100.0),
+            cl.device(1).default_stream.submit_delay(300.0),
+        ]
 
         def host(cluster):
-            yield from cluster.barrier_all()
+            yield join(cluster.engine, ops)
 
         elapsed = cl.run(host)
         assert elapsed >= 300.0

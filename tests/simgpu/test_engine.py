@@ -79,6 +79,21 @@ class TestClock:
         assert fired == [1] and eng.now == 100.0
 
 
+    @pytest.mark.parametrize("until", [-1.0, float("inf"), float("nan")])
+    def test_bad_until_rejected(self, until):
+        eng = Engine()
+        with pytest.raises(SimulationError, match="until"):
+            eng.run(until=until)
+        assert eng.now == 0.0
+
+    def test_until_before_now_rejected(self):
+        eng = Engine()
+        eng.run(until=50.0)
+        with pytest.raises(SimulationError, match="until must be a finite time >= now 50.0"):
+            eng.run(until=49.0)
+        assert eng.now == 50.0
+
+
 class TestCancel:
     def test_cancelled_timer_never_fires(self):
         eng = Engine()
@@ -411,6 +426,14 @@ class TestRunUntilEvent:
         proc = eng.process(forever())
         with pytest.raises(SimulationError, match="exceeded limit"):
             eng.run_until_event(proc, limit=1000.0)
+
+    @pytest.mark.parametrize("limit", [float("nan"), float("inf"), -1.0])
+    def test_bad_limit_rejected(self, limit):
+        eng = Engine()
+        ev = eng.timeout(10.0)
+        with pytest.raises(SimulationError, match="limit"):
+            eng.run_until_event(ev, limit=limit)
+        assert eng.now == 0.0 and not ev.triggered
 
     def test_failed_event_reraises(self):
         eng = Engine()

@@ -13,18 +13,14 @@ from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.simgpu.cluster import dgx_v100
 from repro.simgpu.device import Device, DeviceSpec, V100_SPEC
 from repro.simgpu.engine import Engine
-from repro.simgpu.kernel import (
-    KernelSpec,
-    execute_kernel,
-    kernel_time,
-    roofline_time,
-)
+from repro.simgpu.kernel import KernelSpec, kernel_time, roofline_time
+from repro.simgpu.stream import join
 
 
 def run_kernel(kspec, spec=V100_SPEC, on_wave=None):
     dev = Device(Engine(), 0, spec)
-    proc = dev.engine.process(execute_kernel(dev, kspec, on_wave=on_wave))
-    dev.engine.run_until_event(proc)
+    op = dev.default_stream.launch(dev, kspec, on_wave)
+    dev.engine.run_until_event(join(dev.engine, [op]))
     return dev.engine.now
 
 
@@ -199,7 +195,7 @@ def launch_once(kspec, fault_targeted):
         FaultInjector(cl, plan).install()
     assert dev.fault_free is not fault_targeted
     op = dev.default_stream.launch(dev, kspec)
-    cl.engine.run_until_event(op.done)
+    cl.engine.run_until_event(join(cl.engine, [op]))
     return op
 
 
@@ -233,7 +229,7 @@ def test_closed_form_equals_wave_stepping(
     )
     closed, stepped = launch_once(kspec, False), launch_once(kspec, True)
     assert closed.finished_at == stepped.finished_at
-    assert closed.done.value == stepped.done.value
+    assert closed.started_at == stepped.started_at == 0.0
 
 
 class TestFaultWindowMidKernel:
@@ -248,7 +244,7 @@ class TestFaultWindowMidKernel:
         FaultInjector(cl, FaultPlan((event,))).install()
         op = dev.default_stream.launch(dev, self.KSPEC)
         cl.engine.run()
-        assert op.done.value == op.finished_at  # launched at t = 0
+        assert op.started_at == 0.0
         return op.finished_at
 
     def test_slowdown_stretches_only_later_waves(self):

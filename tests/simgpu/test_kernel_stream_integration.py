@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simgpu import KernelSpec, dgx_v100, execute_kernel, kernel_time
+from repro.simgpu import KernelSpec, dgx_v100, join, kernel_time
 from repro.simgpu.units import us
 
 
@@ -14,8 +14,8 @@ class TestKernelsOnStreams:
         dev = cl.device(0)
         k = KernelSpec("k", num_blocks=2000, bytes_read=1e9)
         t_one = kernel_time(k, dev.spec)
-        dev.default_stream.submit(lambda: execute_kernel(dev, k))
-        op = dev.default_stream.submit(lambda: execute_kernel(dev, k))
+        dev.default_stream.launch(dev, k)
+        op = dev.default_stream.launch(dev, k)
         cl.engine.run()
         assert op.finished_at == pytest.approx(2 * t_one)
 
@@ -24,7 +24,7 @@ class TestKernelsOnStreams:
         k = KernelSpec("k", num_blocks=2000, bytes_read=1e9)
         ops = []
         for dev in cl.devices:
-            ops.append(dev.default_stream.submit(lambda d=dev: execute_kernel(d, k)))
+            ops.append(dev.default_stream.launch(dev, k))
         cl.engine.run()
         t_one = kernel_time(k, cl.device(0).spec)
         for op in ops:
@@ -36,8 +36,8 @@ class TestKernelsOnStreams:
         cl = dgx_v100(1)
         dev = cl.device(0)
         k = KernelSpec("k", num_blocks=1000, bytes_read=5e8)
-        a = dev.stream("a").submit(lambda: execute_kernel(dev, k))
-        b = dev.stream("b").submit(lambda: execute_kernel(dev, k))
+        a = dev.stream("a").launch(dev, k)
+        b = dev.stream("b").launch(dev, k)
         cl.engine.run()
         assert a.finished_at == b.finished_at
 
@@ -53,7 +53,7 @@ class TestKernelsOnStreams:
             ev = cl.interconnect.transfer(0, 1, 1e6)
             sent.append(ev)
 
-        op = dev.default_stream.submit(lambda: execute_kernel(dev, k, on_wave=on_wave))
+        op = dev.default_stream.launch(dev, k, on_wave)
         cl.engine.run()
         assert len(sent) == 4
         assert all(ev.triggered for ev in sent)
@@ -69,8 +69,8 @@ class TestHostDeviceSyncPatterns:
         k = KernelSpec("k", num_blocks=1000, bytes_read=5e8)
 
         def host(cluster):
-            dev.default_stream.submit(lambda: execute_kernel(dev, k))
-            yield from dev.synchronize()
+            op = dev.default_stream.launch(dev, k)
+            yield join(cluster.engine, [op], dev.spec.sync_overhead_ns)
             t_after_sync = cluster.engine.now
             yield cluster.engine.timeout(10 * us)  # stand-in collective
             return t_after_sync
@@ -85,9 +85,8 @@ class TestHostDeviceSyncPatterns:
         stamps = []
         for _ in range(5):
             def host(cluster):
-                ops = [d.default_stream.submit(lambda d=d: execute_kernel(d, k))
-                       for d in cluster.devices]
-                yield cluster.engine.all_of([op.done for op in ops])
+                ops = [d.default_stream.launch(d, k) for d in cluster.devices]
+                yield join(cluster.engine, ops)
 
             cl.run(host)
             stamps.append(cl.engine.now)

@@ -1,13 +1,16 @@
-"""Tests for CUDA-style streams and events."""
+"""Tests for CUDA-style streams and the join that waits on their ops."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simgpu.cluster import Cluster
 from repro.simgpu.device import Device, DeviceSpec
 from repro.simgpu.engine import Engine, SimulationError
-from repro.simgpu.kernel import KernelSpec, kernel_time
+from repro.simgpu.kernel import KernelSpec, WaveInfo, kernel_time
+from repro.simgpu.stream import StreamPool, join
 
 
 def make_device() -> Device:
@@ -17,41 +20,18 @@ def make_device() -> Device:
 class TestStreamOrdering:
     def test_ops_run_in_submission_order(self):
         dev = make_device()
-        eng = dev.engine
-        order = []
-
-        def op(tag, dt):
-            def gen():
-                yield eng.timeout(dt)
-                order.append((tag, eng.now))
-
-            return gen
-
-        st = dev.default_stream
-        st.submit(op("a", 10.0))
-        st.submit(op("b", 5.0))
-        st.submit(op("c", 1.0))
-        eng.run()
+        stream = dev.default_stream
+        ops = [stream.submit_delay(dt, name=tag) for tag, dt in (("a", 10.0), ("b", 5.0), ("c", 1.0))]
+        dev.engine.run()
         # serialised: a at 10, b at 15, c at 16 — not by own duration
-        assert order == [("a", 10.0), ("b", 15.0), ("c", 16.0)]
+        assert [(op.name, op.finished_at) for op in ops] == [("a", 10.0), ("b", 15.0), ("c", 16.0)]
 
     def test_different_streams_run_concurrently(self):
         dev = make_device()
-        eng = dev.engine
-        done = {}
-        s1, s2 = dev.stream("s1"), dev.stream("s2")
-
-        def op(tag, dt):
-            def gen():
-                yield eng.timeout(dt)
-                done[tag] = eng.now
-
-            return gen
-
-        s1.submit(op("x", 100.0))
-        s2.submit(op("y", 100.0))
-        eng.run()
-        assert done == {"x": 100.0, "y": 100.0}  # overlapped, not 100/200
+        x = dev.stream("s1").submit_delay(100.0)
+        y = dev.stream("s2").submit_delay(100.0)
+        dev.engine.run()
+        assert (x.finished_at, y.finished_at) == (100.0, 100.0)  # overlapped, not 100/200
 
     def test_submit_delay(self):
         dev = make_device()
@@ -69,18 +49,6 @@ class TestStreamOrdering:
         assert op.enqueued_at == 0.0
         assert op.started_at == 10.0
         assert op.finished_at == 15.0
-
-    def test_op_done_value(self):
-        dev = make_device()
-        eng = dev.engine
-
-        def gen():
-            yield eng.timeout(1.0)
-            return "result"
-
-        op = dev.default_stream.submit(lambda: gen())
-        eng.run()
-        assert op.done.value == "result"
 
     def test_submit_after_drain_restarts_dispatcher(self):
         dev = make_device()
@@ -109,99 +77,50 @@ class TestDrainAndSync:
         assert ev.triggered and eng.now == 50.0
 
     def test_stream_synchronize_charges_overhead(self):
+        """A stream sync is a join whose ``after_ns`` is the host's sync cost."""
         dev = make_device()
         eng = dev.engine
-        dev.default_stream.submit_delay(10.0)
-        proc = eng.process(dev.default_stream.synchronize())
-        eng.run_until_event(proc)
+        op = dev.default_stream.submit_delay(10.0)
+        eng.run_until_event(join(eng, [op], dev.spec.sync_overhead_ns))
         assert eng.now == 10.0 + dev.spec.sync_overhead_ns
 
     def test_device_synchronize_covers_all_streams(self):
+        """A device sync is one join over the ops of every stream."""
         dev = make_device()
         eng = dev.engine
-        dev.stream("a").submit_delay(10.0)
-        dev.stream("b").submit_delay(50.0)
-        proc = eng.process(dev.synchronize())
-        eng.run_until_event(proc)
+        ops = [dev.stream("a").submit_delay(10.0), dev.stream("b").submit_delay(50.0)]
+        eng.run_until_event(join(eng, ops, dev.spec.sync_overhead_ns))
         assert eng.now == 50.0 + dev.spec.sync_overhead_ns
 
 
-class TestCudaEvents:
-    def test_record_and_elapsed(self):
-        dev = make_device()
-        eng = dev.engine
-        st = dev.default_stream
-        st.submit_delay(10.0)
-        e1 = st.record_event()
-        st.submit_delay(25.0)
-        e2 = st.record_event()
-        eng.run()
-        assert e1.timestamp == 10.0
-        assert e2.timestamp == 35.0
-        assert e2.elapsed_since(e1) == 25.0
-
-    def test_elapsed_before_fired_raises(self):
-        dev = make_device()
-        e1 = dev.default_stream.record_event()
-        e2 = dev.default_stream.record_event()
-        with pytest.raises(ValueError):
-            e2.elapsed_since(e1)
-
-    def test_wait_event_orders_across_streams(self):
-        dev = make_device()
-        eng = dev.engine
-        s1, s2 = dev.stream("s1"), dev.stream("s2")
-        s1.submit_delay(100.0)
-        marker = s1.record_event()
-        s2.wait_event(marker)
-        op = s2.submit_delay(10.0)
-        eng.run()
-        assert op.started_at == 100.0
-        assert op.finished_at == 110.0
-
-    def test_wait_on_already_fired_event_is_free(self):
-        dev = make_device()
-        eng = dev.engine
-        s1, s2 = dev.stream("s1"), dev.stream("s2")
-        marker = s1.record_event()
-        eng.run()
-        assert marker.fired
-        s2.wait_event(marker)
-        op = s2.submit_delay(5.0)
-        eng.run()
-        assert op.finished_at == 5.0
-
-
 class TestCallbackOps:
-    """Delays and kernels run as engine callbacks; ``done`` is made on demand."""
+    """Delays and kernels run as engine callbacks; a join is one event."""
 
     KSPEC = KernelSpec("k", num_blocks=2000, bytes_read=1e9)
 
     def test_done_read_before_completion(self):
+        """A join made before its op ends fires at the op's end."""
         dev = make_device()
         op = dev.default_stream.submit_delay(10.0)
-        ev = op.done
-        assert ev is op.done and not ev.triggered and not op.completed
+        ev = join(dev.engine, [op])
+        assert not ev.triggered and not op.completed
         dev.engine.run()
         assert ev.triggered and ev.ok and ev.value is None
+        assert op.finished_at == 10.0
 
     def test_done_read_after_completion_holds_the_value(self):
+        """A join over a finished op fires now with one engine entry; the
+        op keeps the kernel's duration in its timestamps."""
         dev = make_device()
         eng = dev.engine
         op = dev.default_stream.launch(dev, self.KSPEC)
         eng.run()
+        assert op.finished_at - op.started_at == pytest.approx(kernel_time(self.KSPEC, dev.spec))
         seq = eng._seq
-        ev = op.done
-        assert ev.triggered and ev.value == op.finished_at
-        assert ev.value == pytest.approx(kernel_time(self.KSPEC, dev.spec))
-        assert eng._seq == seq  # reading it scheduled nothing
-
-        def waiter():
-            got = yield op.done
-            return got, eng.now
-
-        proc = eng.process(waiter())
-        assert eng.run_until_event(proc) == (ev.value, op.finished_at)
+        ev = join(eng, [op])
+        assert eng._seq == seq + 1
+        eng.run()
+        assert ev.triggered and eng.now == op.finished_at
 
     def test_timestamps_and_drained(self):
         dev = make_device()
@@ -217,18 +136,17 @@ class TestCallbackOps:
         eng.run()
         assert first.completed and kernel.completed and drained.triggered
         assert first.finished_at == kernel.started_at == 15.0
-        assert kernel.finished_at == 15.0 + kernel.done.value
+        assert kernel.finished_at - kernel.started_at == pytest.approx(kernel_time(self.KSPEC, dev.spec))
         assert st.drained().triggered
 
-    def test_exception_in_generator_op_propagates(self):
+    def test_exception_in_on_wave_propagates(self):
         dev = make_device()
         eng = dev.engine
 
-        def exploding():
-            yield eng.timeout(1.0)
+        def exploding(info: WaveInfo) -> None:
             raise ValueError("op fault")
 
-        dev.default_stream.submit(exploding)
+        dev.default_stream.launch(dev, self.KSPEC, exploding)
         after = dev.default_stream.submit_delay(1.0)
         with pytest.raises(ValueError, match="op fault"):
             eng.run()
@@ -264,20 +182,99 @@ class TestCallbackOps:
         dev.engine.run()
         assert op.finished_at == 5.0
 
-    def test_record_and_wait_order_across_streams(self):
+
+class TestJoin:
+    """``join`` fires once, ``after_ns`` after the last of its ops ends."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spans=st.lists(
+            st.tuples(
+                st.integers(0, 2),  # device
+                st.integers(0, 1),  # stream on it
+                st.floats(0.0, 1e6),  # duration
+                st.booleans(),  # a kernel (else a delay)
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        after_ns=st.sampled_from([0.0, 1.5, 2e3]),
+    )
+    def test_fires_at_the_last_finish_plus_after(self, spans, after_ns):
+        cl = Cluster(3)
+        eng = cl.engine
+        ops = []
+        for dev_id, stream_no, dt, kernel in spans:
+            dev = cl.device(dev_id)
+            stream = dev.stream(f"s{stream_no}")
+            if kernel:
+                kspec = KernelSpec("k", num_blocks=int(dt) % 5000, bytes_read=dt * 1e3)
+                ops.append(stream.launch(dev, kspec))
+            else:
+                ops.append(stream.submit_delay(dt))
+        ev = join(eng, ops, after_ns)
+        fired = []
+        ev.add_callback(lambda e: fired.append(eng.now))
+        eng.run()
+        assert fired == [max(op.finished_at for op in ops) + after_ns]
+
+    @pytest.mark.parametrize("after_ns", [0.0, 7.0])
+    def test_finished_or_no_ops_fire_now(self, after_ns):
         dev = make_device()
         eng = dev.engine
-        s1, s2 = dev.stream("s1"), dev.stream("s2")
-        s1.submit_delay(30.0)
-        k = s1.launch(dev, self.KSPEC)
-        marker = s1.record_event()
-        s2.submit_delay(10.0)
-        s2.wait_event(marker)
-        after = s2.submit_delay(5.0)
+        op = dev.default_stream.submit_delay(10.0)
         eng.run()
-        assert marker.timestamp == k.finished_at
-        assert after.started_at == k.finished_at
-        assert after.finished_at == k.finished_at + 5.0
+        for ops in ([op], []):
+            ev = join(eng, ops, after_ns)
+            start = eng.now
+            eng.run_until_event(ev)
+            assert eng.now == start + after_ns
+
+    def test_one_op_in_two_joins(self):
+        dev = make_device()
+        eng = dev.engine
+        a = dev.stream("a").submit_delay(10.0)
+        b = dev.stream("b").submit_delay(20.0)
+        first, both = join(eng, [a]), join(eng, [a, b])
+        times = {}
+        first.add_callback(lambda e: times.setdefault("first", eng.now))
+        both.add_callback(lambda e: times.setdefault("both", eng.now))
+        eng.run()
+        assert times == {"first": 10.0, "both": 20.0}
+
+    def test_ops_make_no_event_of_their_own(self):
+        dev = make_device()
+        eng = dev.engine
+        ops = [dev.default_stream.submit_delay(5.0) for _ in range(4)]
+        ev = join(eng, ops, 3.0)
+        eng.run_until_event(ev)
+        # four delays, the after_ns callback and the join's wake-up
+        assert eng._seq == 6
+
+    @pytest.mark.parametrize("after_ns", [-1.0, float("nan"), float("inf")])
+    def test_bad_after_rejected(self, after_ns):
+        dev = make_device()
+        with pytest.raises(SimulationError, match="finite"):
+            join(dev.engine, [], after_ns)
+
+
+class TestStreamPool:
+    def test_slots(self):
+        pool = StreamPool(2)
+        a, b = pool.acquire(), pool.acquire()
+        assert (a.suffix, b.suffix, pool.try_acquire()) == ("", "#1", None)
+        a.release()
+        assert pool.n_free == 1
+
+    @pytest.mark.parametrize("bad", [True, "2", 1.0])
+    def test_non_int_slot_count_is_a_type_error(self, bad):
+        with pytest.raises(TypeError, match="StreamPool.n_slots"):
+            StreamPool(bad)
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_slot_count_below_one_is_a_value_error(self, bad):
+        with pytest.raises(ValueError, match="StreamPool.n_slots"):
+            StreamPool(bad)
 
 
 class TestDeviceBasics:
