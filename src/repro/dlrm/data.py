@@ -13,7 +13,8 @@ batches on every device, which the distributed tests use to avoid
 broadcasting inputs.
 
 Timing-only runs draw just the pooling factors, as a :class:`LengthsBatch`:
-a read-only mapping over a few frozen row blocks, so the per-chunk lookup
+a read-only mapping over a few frozen row blocks, each in the narrowest
+unsigned type the generator's pooling range allows, so the per-chunk lookup
 counts of every table (the only per-batch input to the simulated EMB
 kernel) are derived with a few numpy calls per batch, memoized on it and
 shared by every backend that runs it.  Building that memo also validates
@@ -186,18 +187,41 @@ class InvalidLengthsError(ValueError):
     """A feature's pooling factors cannot be per-sample lookup counts."""
 
 
-#: Byte budget of one lengths block.  A batch holds its lengths as
-#: ``(rows, B)`` int64 blocks of at most this size (one row when a row is
-#: larger), never as one ``(T, B)`` matrix: glibc's dynamic mmap threshold
-#: keeps a freed matrix of many megabytes on the heap, and peak RSS grows
-#: with it.  Blocks this small keep it flat while one numpy call per block
-#: still serves many tables.
+#: Byte budget of one int64 lengths block.  A batch holds its lengths as
+#: ``(rows, B)`` blocks of at most this size as int64 (one row when a row
+#: is larger), never as one ``(T, B)`` matrix: glibc's dynamic mmap
+#: threshold keeps a freed matrix of many megabytes on the heap, and peak
+#: RSS grows with it.  Blocks this small keep it flat while one numpy call
+#: per block still serves many tables.  A drawn block is stored narrower
+#: (:func:`_storage_dtype`) but keeps the int64 geometry, so its int64
+#: draw is the one transient of that size.
 _BLOCK_BYTES = 1 << 18
+
+#: Stored types of drawn lengths, narrowest first; int64 past the last.
+_NARROW_DTYPES = tuple(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32))
 
 
 def _block_rows(batch_size: int) -> int:
     """Features per block at ``batch_size`` samples per feature."""
     return max(1, _BLOCK_BYTES // max(8 * batch_size, 1))
+
+
+def _storage_dtype(top: int) -> np.dtype:
+    """The narrowest of uint8, uint16 and uint32 that holds every pooling
+    factor up to ``top``, int64 beyond that: chosen from a generator's
+    declared range, never from the values it draws."""
+    for dtype in _NARROW_DTYPES:
+        if top <= np.iinfo(dtype).max:
+            return dtype
+    return np.dtype(np.int64)
+
+
+def _batch_size(owner: str, batch_size, default: int) -> int:
+    """A generator call's batch size: ``default`` for ``None``, else a
+    checked int >= 1, so 0 is an error rather than the default."""
+    if batch_size is None:
+        return default
+    return checked_count(owner, "batch_size", batch_size, 1)
 
 
 class FeatureLayout:
@@ -235,8 +259,13 @@ def _fill_blocks(
 class LengthsBatch(Mapping[str, np.ndarray]):
     """One batch's per-feature pooling factors, read-only.
 
-    Maps each feature to its ``(B,)`` int64 lengths: a read-only row of
-    one of a few ``(rows, B)`` blocks, features in :attr:`layout` order.
+    Holds the lengths in a few ``(rows, B)`` blocks, features in
+    :attr:`layout` order.  A drawn batch stores them in the narrowest
+    unsigned type its generator's range allows (uint8 for every paper
+    preset); the blocks of a batch copied from a mapping are int64.
+    Mapping a feature gives its ``(B,)`` int64 lengths, read-only: a row of
+    an int64 block, or an int64 copy of a narrow block's row.  Hot paths
+    read the blocks through :meth:`chunk_counts` and :meth:`take` instead.
     Nothing the batch hands out can change its values, which is what makes
     :meth:`chunk_counts` safe to memoize: every backend that runs the batch
     reads the counts the first one derived.
@@ -296,8 +325,9 @@ class LengthsBatch(Mapping[str, np.ndarray]):
     ) -> "LengthsBatch":
         """A batch of ``layout``'s features, ``batch_size`` samples each,
         filled block by block: ``block(lo, hi)`` returns features
-        ``[lo, hi)`` as a new ``(hi - lo, batch_size)`` int64 array, which
-        the batch freezes and keeps without checking."""
+        ``[lo, hi)`` as a new ``(hi - lo, batch_size)`` integer array, of
+        any integer type, which the batch freezes and keeps without
+        checking."""
         batch = cls.__new__(cls)
         batch._setup(layout, _fill_blocks(len(layout.names), batch_size, block), batch_size)
         return batch
@@ -305,7 +335,7 @@ class LengthsBatch(Mapping[str, np.ndarray]):
     def __getitem__(self, name: str) -> np.ndarray:
         row = self.layout.rows[name]
         rows = self._blocks[0].shape[0]
-        return self._blocks[row // rows][row % rows]
+        return _frozen(self._blocks[row // rows][row % rows].astype(np.int64, copy=False))
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.layout.names)
@@ -319,9 +349,10 @@ class LengthsBatch(Mapping[str, np.ndarray]):
     def take(self, rows: Sequence[int]) -> "LengthsBatch":
         """The samples ``rows`` of every feature, in that order (a new batch).
 
-        The new batch shares this one's layout, in blocks sized for its own
-        batch size; each is gathered with one ``take`` per source block it
-        overlaps.  Its values are checked when its counts are derived.
+        The new batch shares this one's layout, in blocks of this one's
+        dtype sized for its own batch size; each is gathered with one
+        ``take`` per source block it overlaps.  Its values are checked when
+        its counts are derived.
         """
         rows = np.asarray(rows, dtype=np.intp)
         B = self.batch_size
@@ -330,7 +361,7 @@ class LengthsBatch(Mapping[str, np.ndarray]):
         src = self._blocks[0].shape[0] if self._blocks else 1
 
         def gather(lo: int, hi: int) -> np.ndarray:
-            out = np.empty((hi - lo, len(rows)), dtype=np.int64)
+            out = np.empty((hi - lo, len(rows)), dtype=self._blocks[0].dtype)
             for s in range(lo // src, (hi - 1) // src + 1):
                 a, b = max(lo, s * src), min(hi, (s + 1) * src)
                 # In range, so "wrap" only maps negative rows as indexing
@@ -349,8 +380,13 @@ class LengthsBatch(Mapping[str, np.ndarray]):
 
         Row *t* is feature *t* of :attr:`layout`.  Derived, and the lengths
         validated, on the first call per block size with one ``min`` and one
-        ``reduceat`` per block; later calls return the same read-only matrix.
+        ``reduceat`` per block, which sums a narrow block in int64 because
+        it writes into the int64 matrix; later calls return the same
+        read-only matrix.  ``samples_per_block`` must be an int >= 1.
         """
+        samples_per_block = checked_count(
+            "LengthsBatch.chunk_counts", "samples_per_block", samples_per_block, 1
+        )
         counts = self._counts.get(samples_per_block)
         if counts is None:
             starts = np.arange(0, self.batch_size, samples_per_block)
@@ -398,7 +434,7 @@ class SyntheticDataGenerator:
     def sparse_batch(self, batch_size: Optional[int] = None) -> SparseBatch:
         """One batch of jagged sparse inputs for every feature."""
         cfg = self.config
-        B = batch_size or cfg.batch_size
+        B = _batch_size("SyntheticDataGenerator.sparse_batch", batch_size, cfg.batch_size)
         cardinality = cfg.raw_cardinality or cfg.rows_per_table
         scales = cfg.table_skew_scales()
         fields = {}
@@ -435,16 +471,26 @@ class SyntheticDataGenerator:
         one ``(rows, B)`` draw: numpy's bounded int64 draw takes the same
         words from the bit generator as ``rows`` draws of ``B``, so the
         values and the generator's state equal per-table draws exactly.
+
+        Each block is stored in the narrowest unsigned type that holds the
+        largest factor the config allows: ``max_pooling``, scaled by the
+        largest table multiplier under table skew (``rint`` of a product
+        with a positive scale is monotone, so no drawn value exceeds it).
+        ``batch_size=None`` draws the config's batch size.
         """
         cfg = self.config
-        B = batch_size or cfg.batch_size
+        B = _batch_size("SyntheticDataGenerator.lengths_batch", batch_size, cfg.batch_size)
         scales = cfg.table_skew_scales()
+        top = cfg.max_pooling if scales is None else int(np.rint(cfg.max_pooling * scales.max()))
+        dtype = _storage_dtype(top)
 
         def draw(lo: int, hi: int) -> np.ndarray:
             block = self._rng.integers(
                 cfg.min_pooling, cfg.max_pooling + 1, size=(hi - lo, B), dtype=np.int64
             )
-            return block if scales is None else _skew_lengths(block, scales[lo:hi, None])
+            if scales is not None:
+                block = _skew_lengths(block, scales[lo:hi, None])
+            return block.astype(dtype, copy=False)
 
         return LengthsBatch.drawn(self._layout, B, draw)
 
@@ -453,7 +499,7 @@ class SyntheticDataGenerator:
     def dense_batch(self, batch_size: Optional[int] = None) -> np.ndarray:
         """One batch of continuous features, ``(B, num_dense_features)``."""
         cfg = self.config
-        B = batch_size or cfg.batch_size
+        B = _batch_size("SyntheticDataGenerator.dense_batch", batch_size, cfg.batch_size)
         return self._rng.uniform(0.0, 1.0, size=(B, cfg.num_dense_features)).astype(
             np.float32
         )

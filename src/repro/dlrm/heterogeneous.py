@@ -27,7 +27,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .batch import JaggedField, SparseBatch
-from .data import FeatureLayout, LengthsBatch
+from .data import FeatureLayout, LengthsBatch, _batch_size, _storage_dtype
 from .embedding import EmbeddingTableConfig, PoolingMode
 
 __all__ = ["TableProfile", "HeterogeneousWorkload", "HeterogeneousDataGenerator", "criteo_like"]
@@ -133,13 +133,18 @@ class HeterogeneousDataGenerator:
         """Per-feature pooling factors, each from its own range (read-only).
 
         One draw per table, since each has its own range, written into its
-        row of the batch's blocks.
+        row of the batch's blocks.  The blocks are stored in the narrowest
+        unsigned type that holds the largest ``max_pooling`` of any table.
+        ``batch_size=None`` draws the workload's batch size.
         """
-        B = batch_size or self.workload.batch_size
+        B = _batch_size(
+            "HeterogeneousDataGenerator.lengths_batch", batch_size, self.workload.batch_size
+        )
         tables = self.workload.tables
+        dtype = _storage_dtype(max(t.max_pooling for t in tables))
 
         def draw(lo: int, hi: int) -> np.ndarray:
-            block = np.empty((hi - lo, B), dtype=np.int64)
+            block = np.empty((hi - lo, B), dtype=dtype)
             for i, t in enumerate(tables[lo:hi]):
                 block[i] = self._rng.integers(
                     t.min_pooling, t.max_pooling + 1, size=B, dtype=np.int64
@@ -150,7 +155,9 @@ class HeterogeneousDataGenerator:
 
     def sparse_batch(self, batch_size: Optional[int] = None) -> SparseBatch:
         """Full jagged batch with per-feature cardinalities."""
-        B = batch_size or self.workload.batch_size
+        B = _batch_size(
+            "HeterogeneousDataGenerator.sparse_batch", batch_size, self.workload.batch_size
+        )
         fields = {}
         for t in self.workload.tables:
             lengths = self._rng.integers(
@@ -168,7 +175,9 @@ class HeterogeneousDataGenerator:
 
     def dense_batch(self, batch_size: Optional[int] = None) -> np.ndarray:
         """Continuous features, uniform [0, 1)."""
-        B = batch_size or self.workload.batch_size
+        B = _batch_size(
+            "HeterogeneousDataGenerator.dense_batch", batch_size, self.workload.batch_size
+        )
         return self._rng.uniform(size=(B, self.workload.num_dense_features)).astype(
             np.float32
         )

@@ -10,7 +10,8 @@ lengths fail with :class:`InvalidLengthsError` naming the feature.
 The lengths live in a few row blocks of at most ``_BLOCK_BYTES`` each:
 a block is drawn with one call and bit-equals per-table draws, no call
 allocates more than a block, and a batch costs numpy calls per block, not
-per table.
+per table.  A drawn batch stores its blocks in the narrowest unsigned type
+the generator's declared range allows, yet reads as int64.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from repro.core.workload import (
 )
 from repro.dlrm import data as data_mod
 from repro.dlrm.data import (
+    STRONG_SCALING_TOTAL,
     InvalidLengthsError,
     LengthsBatch,
     SyntheticDataGenerator,
@@ -468,3 +470,199 @@ class TestCallsPerBlock:
         assert counts.shape == (308, 4) and (counts == 8 * 64).all()
         _, calls = numpy_calls(lambda: sub.chunk_counts(64))
         assert calls == []
+
+
+# -- narrow storage: the type comes from the declared range ---------------------
+
+
+def narrow_config(max_pooling, min_pooling=0, skew=None, num_tables=40):
+    return WorkloadConfig(
+        num_tables=num_tables, min_pooling=min_pooling, max_pooling=max_pooling,
+        table_skew_alpha=skew, batch_size=1001, seed=17,
+    )
+
+
+def block_dtypes(batch):
+    return {block.dtype for block in batch._blocks}
+
+
+def assert_reads_match(batch, arrays, names):
+    """Every ``batch[name]`` is a read-only int64 row equal to ``arrays``;
+    ``take`` keeps the stored type; counts equal an int64 ``reduceat``."""
+    for name, arr in zip(names, arrays):
+        row = batch[name]
+        assert row.dtype == np.int64 and row.shape == (batch.batch_size,)
+        assert not row.flags.writeable
+        np.testing.assert_array_equal(row, arr)
+    rows = np.array([5, 0, batch.batch_size - 1, 5, -2])
+    sub = batch.take(rows)
+    assert block_dtypes(sub) == block_dtypes(batch)
+    for name, arr in zip(names, arrays):
+        np.testing.assert_array_equal(sub[name], arr[rows])
+    for spb in (1, 7, 64, 4096):
+        starts = np.arange(0, batch.batch_size, spb)
+        counts = batch.chunk_counts(spb)
+        assert counts.dtype == np.int64
+        for name, arr in zip(names, arrays):
+            np.testing.assert_array_equal(
+                counts[batch.layout.rows[name]], np.add.reduceat(arr, starts)
+            )
+
+
+class TestNarrowStorage:
+    @pytest.mark.parametrize(
+        "pooling, dtype",
+        [
+            ((0, 8), np.uint8), ((0, 32), np.uint8), ((0, 128), np.uint8),
+            ((0, 255), np.uint8), ((0, 256), np.uint16), ((0, 65535), np.uint16),
+            ((0, 2**31), np.uint32),
+        ],
+        ids=str,
+    )
+    def test_stored_type_is_the_narrowest_that_holds_max_pooling(self, pooling, dtype):
+        cfg = narrow_config(pooling[1], pooling[0])
+        batch = SyntheticDataGenerator(cfg).lengths_batch()
+        assert block_dtypes(batch) == {np.dtype(dtype)}
+        (want,), _ = per_table_reference(17, [pooling] * 40, [1001])
+        assert_reads_match(batch, want, cfg.feature_names)
+
+    def test_a_skewed_top_past_255_is_stored_as_uint16(self):
+        cfg = narrow_config(128, skew=1.2)
+        scales = cfg.table_skew_scales()
+        top = int(np.rint(cfg.max_pooling * scales.max()))
+        assert top > 255
+        batch = SyntheticDataGenerator(cfg).lengths_batch()
+        assert block_dtypes(batch) == {np.dtype(np.uint16)}
+        assert max(int(block.max()) for block in batch._blocks) == top
+        (want,), _ = per_table_reference(17, [(0, 128)] * 40, [1001], scales)
+        assert_reads_match(batch, want, cfg.feature_names)
+
+    def test_a_skewed_top_within_255_stays_uint8(self):
+        cfg = narrow_config(20, skew=1.2)
+        top = int(np.rint(20 * cfg.table_skew_scales().max()))
+        assert top == 249
+        batch = SyntheticDataGenerator(cfg).lengths_batch()
+        assert block_dtypes(batch) == {np.dtype(np.uint8)}
+        assert max(int(block.max()) for block in batch._blocks) == top
+
+    @pytest.mark.parametrize(
+        "top, dtype", [(1, np.uint8), (64, np.uint8), (300, np.uint16), (2**31, np.uint32)]
+    )
+    def test_heterogeneous_type_follows_the_largest_table_range(self, top, dtype):
+        ranges = [(1, 1), (0, top), (3, 9)] * 5
+        wl = HeterogeneousWorkload(
+            tables=tuple(
+                TableProfile(f"t{i}", 1000, max_pooling=hi, min_pooling=lo)
+                for i, (lo, hi) in enumerate(ranges)
+            ),
+            batch_size=1001,
+            seed=13,
+        )
+        batch = HeterogeneousDataGenerator(wl).lengths_batch()
+        assert block_dtypes(batch) == {np.dtype(dtype)}
+        (want,), _ = per_table_reference(13, ranges, [1001])
+        assert_reads_match(batch, want, wl.feature_names)
+
+    def test_heterogeneous_past_uint32_is_int64(self):
+        wl = HeterogeneousWorkload(
+            tables=(TableProfile("a", 10, max_pooling=8), TableProfile("b", 10, max_pooling=2**33)),
+            batch_size=64,
+        )
+        assert block_dtypes(HeterogeneousDataGenerator(wl).lengths_batch()) == {
+            np.dtype(np.int64)
+        }
+
+    def test_a_copied_mapping_keeps_int64_blocks(self):
+        batch = SyntheticDataGenerator(SMALL).lengths_batch()
+        assert block_dtypes(batch) == {np.dtype(np.uint8)}
+        copied = LengthsBatch(batch)
+        assert block_dtypes(copied) == {np.dtype(np.int64)}
+        assert copied["sparse_3"].base is not None  # a view of its block, not a copy
+
+    def test_a_strong_preset_batch_holds_one_byte_per_factor(self):
+        batch = SyntheticDataGenerator(STRONG_SCALING_TOTAL).lengths_batch()
+        assert sum(block.nbytes for block in batch._blocks) == 96 * 16384
+
+
+# -- argument checks ----------------------------------------------------------------
+
+
+def generator_methods():
+    syn = SyntheticDataGenerator(SMALL)
+    het = HeterogeneousDataGenerator(criteo_like(num_tables=4, batch_size=64))
+    return {
+        f"{type(gen).__name__}.{name}": getattr(gen, name)
+        for gen in (syn, het)
+        for name in ("sparse_batch", "lengths_batch", "dense_batch")
+    }
+
+
+def batch_size_of(out):
+    if isinstance(out, np.ndarray):
+        return out.shape[0]
+    return out.batch_size
+
+
+METHODS = sorted(generator_methods())
+
+
+class TestBatchSizeArgument:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_none_draws_the_configured_size(self, method):
+        fn = generator_methods()[method]
+        want = 64 if method.startswith("Heterogeneous") else SMALL.batch_size
+        assert batch_size_of(fn(None)) == batch_size_of(fn()) == want
+        assert batch_size_of(fn(batch_size=3)) == 3
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_zero_is_rejected(self, method):
+        with pytest.raises(ValueError, match=r"batch_size must be >= 1"):
+            generator_methods()[method](batch_size=0)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_negative_is_rejected(self, method):
+        with pytest.raises(ValueError, match=r"batch_size must be >= 1"):
+            generator_methods()[method](batch_size=-3)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_float_is_rejected(self, method):
+        with pytest.raises(TypeError, match=r"batch_size must be an int, got float"):
+            generator_methods()[method](batch_size=2.5)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_bool_is_rejected(self, method):
+        with pytest.raises(TypeError, match=r"batch_size must be an int, got bool"):
+            generator_methods()[method](batch_size=True)
+
+
+class TestChunkCountsArgument:
+    def batch(self):
+        return SyntheticDataGenerator(SMALL).lengths_batch()
+
+    def test_zero_is_rejected(self):
+        batch = self.batch()
+        with pytest.raises(ValueError, match=r"samples_per_block must be >= 1"):
+            batch.chunk_counts(0)
+        assert batch._counts == {}
+
+    def test_negative_is_rejected_and_not_memoized(self):
+        batch = self.batch()
+        with pytest.raises(ValueError, match=r"samples_per_block must be >= 1"):
+            batch.chunk_counts(-1)
+        assert batch._counts == {}
+
+    def test_bool_is_rejected(self):
+        batch = self.batch()
+        with pytest.raises(TypeError, match=r"samples_per_block must be an int, got bool"):
+            batch.chunk_counts(True)
+        assert batch._counts == {}
+
+    def test_float_is_rejected(self):
+        batch = self.batch()
+        with pytest.raises(TypeError, match=r"samples_per_block must be an int, got float"):
+            batch.chunk_counts(2.5)
+        assert batch._counts == {}
+
+    def test_a_numpy_int_shares_the_memo(self):
+        batch = self.batch()
+        assert batch.chunk_counts(np.int64(16)) is batch.chunk_counts(16)
