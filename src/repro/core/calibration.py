@@ -11,7 +11,9 @@ Derivations
 thread block a (table, contiguous-sample-chunk) tile; 64 samples/block with
 the paper's batch of 16384 gives 256 chunks/table and, with 64 tables/GPU,
 a ~26-wave launch on an 80-SM V100 — comfortably in the bandwidth-bound
-regime the paper measures for weak scaling.
+regime the paper measures for weak scaling.  It is defined in
+:mod:`repro.dlrm.data`, which keeps a drawn batch's lookup counts at this
+chunk, and re-exported here.
 
 ``EMB_MIN_WAVES_FOR_PEAK`` — the strong-scaling kernel (24 tables/GPU on
 4 GPUs ⇒ ~10 waves) is measured by the paper as latency-limited: compute
@@ -38,6 +40,7 @@ reproduces the few-percent slope.
 
 from __future__ import annotations
 
+from ..dlrm.data import EMB_SAMPLES_PER_BLOCK
 from ..simgpu.units import gbps
 
 __all__ = [
@@ -49,9 +52,6 @@ __all__ = [
     "INDEX_BYTES",
     "OFFSET_BYTES",
 ]
-
-#: samples per thread block in the EMB retrieval kernel's grid
-EMB_SAMPLES_PER_BLOCK = 64
 
 #: waves needed for the gather kernel to reach roofline throughput
 EMB_MIN_WAVES_FOR_PEAK = 24.0

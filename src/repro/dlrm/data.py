@@ -13,13 +13,16 @@ batches on every device, which the distributed tests use to avoid
 broadcasting inputs.
 
 Timing-only runs draw just the pooling factors, as a :class:`LengthsBatch`:
-a read-only mapping over a few frozen row blocks, each in the narrowest
-unsigned type the generator's pooling range allows, so the per-chunk lookup
-counts of every table (the only per-batch input to the simulated EMB
-kernel) are derived with a few numpy calls per batch, memoized on it and
-shared by every backend that runs it.  Building that memo also validates
-the lengths, once per batch: a negative, fractional or NaN pooling factor
-raises :class:`InvalidLengthsError`.
+a read-only mapping over the per-chunk lookup counts of every table (the
+only per-batch input to the simulated EMB kernel).  A drawn batch reduces
+each block of its draw to counts per :data:`EMB_SAMPLES_PER_BLOCK` samples
+as it is drawn and keeps only those counts and the generator's state at the
+start of the batch; the first per-sample read replays the draw once from
+that state into a few frozen row blocks, each in the narrowest unsigned type
+the generator's pooling range allows.  Counts are memoized on the batch and
+shared by every backend that runs it.  Deriving them from blocks also
+validates the lengths, once per batch: a negative, fractional or NaN pooling
+factor raises :class:`InvalidLengthsError`.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "SyntheticDataGenerator",
     "LengthsBatch",
     "InvalidLengthsError",
+    "EMB_SAMPLES_PER_BLOCK",
     "WEAK_SCALING_BASE",
     "STRONG_SCALING_TOTAL",
 ]
@@ -187,6 +191,12 @@ class InvalidLengthsError(ValueError):
     """A feature's pooling factors cannot be per-sample lookup counts."""
 
 
+#: Samples per thread block in the EMB retrieval kernel's grid: FBGEMM's
+#: (table, sample-chunk) tile, derived in :mod:`repro.core.calibration`,
+#: which re-exports it.  It lives here because a drawn batch keeps its
+#: lookup counts at this chunk.
+EMB_SAMPLES_PER_BLOCK = 64
+
 #: Byte budget of one int64 lengths block.  A batch holds its lengths as
 #: ``(rows, B)`` blocks of at most this size as int64 (one row when a row
 #: is larger), never as one ``(T, B)`` matrix: glibc's dynamic mmap
@@ -199,6 +209,9 @@ _BLOCK_BYTES = 1 << 18
 
 #: Stored types of drawn lengths, narrowest first; int64 past the last.
 _NARROW_DTYPES = tuple(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32))
+
+#: ``block(rng, lo, hi)``: features ``[lo, hi)`` of a batch, drawn from ``rng``
+BlockDraw = Callable[[np.random.Generator, int, int], np.ndarray]
 
 
 def _block_rows(batch_size: int) -> int:
@@ -246,26 +259,36 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _spans(n_features: int, batch_size: int) -> Iterator[tuple]:
+    """The ``(lo, hi)`` feature range of each block."""
+    rows = _block_rows(batch_size)
+    return ((lo, min(lo + rows, n_features)) for lo in range(0, n_features, rows))
+
+
 def _fill_blocks(
     n_features: int, batch_size: int, block: Callable[[int, int], np.ndarray]
 ) -> List[np.ndarray]:
     """Read-only blocks ``block(lo, hi)`` covering ``n_features`` features."""
-    rows = _block_rows(batch_size)
-    return [
-        _frozen(block(lo, min(lo + rows, n_features))) for lo in range(0, n_features, rows)
-    ]
+    return [_frozen(block(lo, hi)) for lo, hi in _spans(n_features, batch_size)]
 
 
 class LengthsBatch(Mapping[str, np.ndarray]):
     """One batch's per-feature pooling factors, read-only.
 
-    Holds the lengths in a few ``(rows, B)`` blocks, features in
-    :attr:`layout` order.  A drawn batch stores them in the narrowest
-    unsigned type its generator's range allows (uint8 for every paper
-    preset); the blocks of a batch copied from a mapping are int64.
+    A drawn batch is its lookup counts: the ``(T, n_chunks)`` int64 matrix
+    per :data:`EMB_SAMPLES_PER_BLOCK` samples, reduced block by block as
+    it was drawn, and the generator's state at the start of the draw.  A
+    per-sample read (mapping a feature, :meth:`take`, or
+    :meth:`chunk_counts` at any other block size) first replays the draw
+    once from that state into ``(rows, B)`` blocks, features in
+    :attr:`layout` order, in the narrowest unsigned type the generator's
+    range allows (uint8 for every paper preset), and keeps them.  A batch
+    copied from a mapping or cut by :meth:`take` holds its blocks from the
+    start, int64 for a copy and the source's type for a cut.
+
     Mapping a feature gives its ``(B,)`` int64 lengths, read-only: a row of
     an int64 block, or an int64 copy of a narrow block's row.  Hot paths
-    read the blocks through :meth:`chunk_counts` and :meth:`take` instead.
+    read :meth:`chunk_counts` at :data:`EMB_SAMPLES_PER_BLOCK` instead.
     Nothing the batch hands out can change its values, which is what makes
     :meth:`chunk_counts` safe to memoize: every backend that runs the batch
     reads the counts the first one derived.
@@ -275,7 +298,7 @@ class LengthsBatch(Mapping[str, np.ndarray]):
     blocks; the first :meth:`chunk_counts` checks the values.
     """
 
-    __slots__ = ("_blocks", "_counts", "layout", "batch_size")
+    __slots__ = ("_kept", "_replay", "_drawn_counts", "_counts", "layout", "batch_size")
 
     def __init__(self, lengths_by_feature: Mapping[str, Sequence[int]]):
         names, arrays = [], []
@@ -311,9 +334,16 @@ class LengthsBatch(Mapping[str, np.ndarray]):
 
         self._setup(FeatureLayout(names), _fill_blocks(len(names), B, copy), B)
 
-    def _setup(self, layout: FeatureLayout, blocks: List[np.ndarray], batch_size: int) -> None:
+    def _setup(
+        self, layout: FeatureLayout, blocks: Optional[List[np.ndarray]], batch_size: int
+    ) -> None:
         self.layout = layout
-        self._blocks = blocks
+        #: the row blocks, or None until a drawn batch replays its draw
+        self._kept = blocks
+        #: (bit generator type, its state, block draw) of an unreplayed draw
+        self._replay = None
+        #: counts per EMB_SAMPLES_PER_BLOCK samples taken while drawing
+        self._drawn_counts: Optional[np.ndarray] = None
         #: samples_per_block -> read-only (T, n_chunks) counts
         self._counts: Dict[int, np.ndarray] = {}
         #: samples per feature (0 for an empty batch)
@@ -321,21 +351,55 @@ class LengthsBatch(Mapping[str, np.ndarray]):
 
     @classmethod
     def drawn(
-        cls, layout: FeatureLayout, batch_size: int, block: Callable[[int, int], np.ndarray]
+        cls,
+        layout: FeatureLayout,
+        batch_size: int,
+        rng: np.random.Generator,
+        block: BlockDraw,
     ) -> "LengthsBatch":
         """A batch of ``layout``'s features, ``batch_size`` samples each,
-        filled block by block: ``block(lo, hi)`` returns features
-        ``[lo, hi)`` as a new ``(hi - lo, batch_size)`` integer array, of
-        any integer type, which the batch freezes and keeps without
-        checking."""
+        drawn from ``rng`` block by block: ``block(rng, lo, hi)`` returns
+        features ``[lo, hi)`` as a new ``(hi - lo, batch_size)`` array of
+        non-negative integers, of any integer type, and must draw only from
+        the ``rng`` it is given.
+
+        Each block is reduced into the counts per
+        :data:`EMB_SAMPLES_PER_BLOCK` samples, without checking, and
+        dropped.  The batch keeps those counts and ``rng``'s state before
+        the first block; its first per-sample read runs ``block`` again on
+        a fresh generator in that state, which draws the same values, and
+        keeps the blocks.  ``rng`` itself ends where the draw left it.
+        """
+        bit_generator = rng.bit_generator
+        replay = (type(bit_generator), bit_generator.state, block)
+        starts = np.arange(0, batch_size, EMB_SAMPLES_PER_BLOCK)
+        counts = np.empty((len(layout.names), len(starts)), dtype=np.int64)
+        for lo, hi in _spans(len(layout.names), batch_size):
+            np.add.reduceat(block(rng, lo, hi), starts, axis=1, out=counts[lo:hi])
         batch = cls.__new__(cls)
-        batch._setup(layout, _fill_blocks(len(layout.names), batch_size, block), batch_size)
+        batch._setup(layout, None, batch_size)
+        batch._replay = replay
+        batch._drawn_counts = _frozen(counts)
         return batch
+
+    @property
+    def _blocks(self) -> List[np.ndarray]:
+        """The row blocks; a drawn batch replays its draw on the first read."""
+        if self._kept is None:
+            kind, state, block = self._replay
+            rng = np.random.Generator(kind(0))  # any seed: the state is overwritten
+            rng.bit_generator.state = state
+            self._kept = _fill_blocks(
+                len(self), self.batch_size, lambda lo, hi: block(rng, lo, hi)
+            )
+            self._replay = None
+        return self._kept
 
     def __getitem__(self, name: str) -> np.ndarray:
         row = self.layout.rows[name]
-        rows = self._blocks[0].shape[0]
-        return _frozen(self._blocks[row // rows][row % rows].astype(np.int64, copy=False))
+        blocks = self._blocks
+        rows = blocks[0].shape[0]
+        return _frozen(blocks[row // rows][row % rows].astype(np.int64, copy=False))
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.layout.names)
@@ -349,24 +413,35 @@ class LengthsBatch(Mapping[str, np.ndarray]):
     def take(self, rows: Sequence[int]) -> "LengthsBatch":
         """The samples ``rows`` of every feature, in that order (a new batch).
 
-        The new batch shares this one's layout, in blocks of this one's
-        dtype sized for its own batch size; each is gathered with one
-        ``take`` per source block it overlaps.  Its values are checked when
-        its counts are derived.
+        ``rows`` must be 1-D integer indices (negative ones count from the
+        end); anything else raises before a block is read.  The new batch
+        shares this one's layout, in blocks of this one's dtype sized for
+        its own batch size; each is gathered with one ``take`` per source
+        block it overlaps.  Its values are checked when its counts are
+        derived.
         """
-        rows = np.asarray(rows, dtype=np.intp)
+        rows = np.asarray(rows)
+        if rows.ndim != 1:
+            raise ValueError(f"LengthsBatch.take: rows must be 1-D, got shape {rows.shape}")
+        if not rows.size:
+            rows = rows.astype(np.intp)  # [] is float64
+        elif rows.dtype.kind not in "iu":
+            raise TypeError(
+                f"LengthsBatch.take: rows must be integer indices, got dtype {rows.dtype}"
+            )
         B = self.batch_size
         if rows.size and not (-B <= rows.min() and rows.max() < B):
             raise IndexError(f"rows out of range for a batch of {B} samples")
-        src = self._blocks[0].shape[0] if self._blocks else 1
+        blocks = self._blocks
+        src = blocks[0].shape[0] if blocks else 1
 
         def gather(lo: int, hi: int) -> np.ndarray:
-            out = np.empty((hi - lo, len(rows)), dtype=self._blocks[0].dtype)
+            out = np.empty((hi - lo, len(rows)), dtype=blocks[0].dtype)
             for s in range(lo // src, (hi - 1) // src + 1):
                 a, b = max(lo, s * src), min(hi, (s + 1) * src)
                 # In range, so "wrap" only maps negative rows as indexing
                 # does, and skips numpy's buffered bounds check.
-                self._blocks[s][a - s * src : b - s * src].take(
+                blocks[s][a - s * src : b - s * src].take(
                     rows, axis=1, out=out[a - lo : b - lo], mode="wrap"
                 )
             return out
@@ -378,32 +453,42 @@ class LengthsBatch(Mapping[str, np.ndarray]):
     def chunk_counts(self, samples_per_block: int) -> np.ndarray:
         """Lookup counts per ``samples_per_block`` samples: ``(T, n_chunks)``.
 
-        Row *t* is feature *t* of :attr:`layout`.  Derived, and the lengths
-        validated, on the first call per block size with one ``min`` and one
-        ``reduceat`` per block, which sums a narrow block in int64 because
-        it writes into the int64 matrix; later calls return the same
-        read-only matrix.  ``samples_per_block`` must be an int >= 1.
+        Row *t* is feature *t* of :attr:`layout`.  A drawn batch's counts
+        at :data:`EMB_SAMPLES_PER_BLOCK` are the ones taken while drawing.
+        Any other count matrix is derived, and the lengths validated, on
+        the first call per block size with one ``min`` and one ``reduceat``
+        per block, which sums a narrow block in int64 because it writes
+        into the int64 matrix; later calls return the same read-only
+        matrix.  ``samples_per_block`` must be an int >= 1.
         """
         samples_per_block = checked_count(
             "LengthsBatch.chunk_counts", "samples_per_block", samples_per_block, 1
         )
         counts = self._counts.get(samples_per_block)
         if counts is None:
-            starts = np.arange(0, self.batch_size, samples_per_block)
-            counts = np.empty((len(self), len(starts)), dtype=np.int64)
-            lo = 0
-            for block in self._blocks:
-                hi = lo + block.shape[0]
-                if block.size and block.min() < 0:
-                    bad = int(np.flatnonzero(block < 0)[0])
-                    raise InvalidLengthsError(
-                        f"feature {self.layout.names[lo + bad // self.batch_size]!r}: "
-                        f"negative pooling factor {int(block.flat[bad])}"
-                    )
-                np.add.reduceat(block, starts, axis=1, out=counts[lo:hi])
-                lo = hi
-            counts = self._counts[samples_per_block] = _frozen(counts)
+            if samples_per_block == EMB_SAMPLES_PER_BLOCK and self._drawn_counts is not None:
+                counts = self._drawn_counts
+            else:
+                counts = self._reduced(samples_per_block)
+            self._counts[samples_per_block] = counts
         return counts
+
+    def _reduced(self, samples_per_block: int) -> np.ndarray:
+        """The blocks' counts per ``samples_per_block`` samples, checked."""
+        starts = np.arange(0, self.batch_size, samples_per_block)
+        counts = np.empty((len(self), len(starts)), dtype=np.int64)
+        lo = 0
+        for block in self._blocks:
+            hi = lo + block.shape[0]
+            if block.size and block.min() < 0:
+                bad = int(np.flatnonzero(block < 0)[0])
+                raise InvalidLengthsError(
+                    f"feature {self.layout.names[lo + bad // self.batch_size]!r}: "
+                    f"negative pooling factor {int(block.flat[bad])}"
+                )
+            np.add.reduceat(block, starts, axis=1, out=counts[lo:hi])
+            lo = hi
+        return _frozen(counts)
 
 
 def _skew_lengths(lengths: np.ndarray, scale) -> np.ndarray:
@@ -472,27 +557,30 @@ class SyntheticDataGenerator:
         words from the bit generator as ``rows`` draws of ``B``, so the
         values and the generator's state equal per-table draws exactly.
 
-        Each block is stored in the narrowest unsigned type that holds the
-        largest factor the config allows: ``max_pooling``, scaled by the
-        largest table multiplier under table skew (``rint`` of a product
-        with a positive scale is monotone, so no drawn value exceeds it).
-        ``batch_size=None`` draws the config's batch size.
+        The batch keeps only each table's counts per
+        :data:`EMB_SAMPLES_PER_BLOCK` samples and this generator's state
+        before the draw (see :meth:`LengthsBatch.drawn`).  A per-sample
+        read replays the draw once into blocks of the narrowest unsigned
+        type that holds the largest factor the config allows:
+        ``max_pooling``, scaled by the largest table multiplier under table
+        skew (``rint`` of a product with a positive scale is monotone, so
+        no drawn value exceeds it).  ``batch_size=None`` draws the config's
+        batch size.
         """
         cfg = self.config
         B = _batch_size("SyntheticDataGenerator.lengths_batch", batch_size, cfg.batch_size)
+        lo_pool, hi_pool = cfg.min_pooling, cfg.max_pooling + 1
         scales = cfg.table_skew_scales()
         top = cfg.max_pooling if scales is None else int(np.rint(cfg.max_pooling * scales.max()))
         dtype = _storage_dtype(top)
 
-        def draw(lo: int, hi: int) -> np.ndarray:
-            block = self._rng.integers(
-                cfg.min_pooling, cfg.max_pooling + 1, size=(hi - lo, B), dtype=np.int64
-            )
+        def draw(rng: np.random.Generator, lo: int, hi: int) -> np.ndarray:
+            block = rng.integers(lo_pool, hi_pool, size=(hi - lo, B), dtype=np.int64)
             if scales is not None:
                 block = _skew_lengths(block, scales[lo:hi, None])
             return block.astype(dtype, copy=False)
 
-        return LengthsBatch.drawn(self._layout, B, draw)
+        return LengthsBatch.drawn(self._layout, B, self._rng, draw)
 
     # -- dense ------------------------------------------------------------------
 
@@ -507,11 +595,10 @@ class SyntheticDataGenerator:
     # -- streams ----------------------------------------------------------------
 
     def batches(self, n: int, batch_size: Optional[int] = None) -> Iterator[tuple]:
-        """Yield ``n`` (dense, sparse) batch pairs — the 100-batch loop."""
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        for _ in range(n):
-            yield self.dense_batch(batch_size), self.sparse_batch(batch_size)
+        """``n`` (dense, sparse) batch pairs — the 100-batch loop; ``n``
+        must be an int >= 0, checked on the call."""
+        n = checked_count("SyntheticDataGenerator.batches", "n", n, 0)
+        return ((self.dense_batch(batch_size), self.sparse_batch(batch_size)) for _ in range(n))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         c = self.config

@@ -26,6 +26,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..checks import checked_count
 from .batch import JaggedField, SparseBatch
 from .data import FeatureLayout, LengthsBatch, _batch_size, _storage_dtype
 from .embedding import EmbeddingTableConfig, PoolingMode
@@ -132,9 +133,13 @@ class HeterogeneousDataGenerator:
     def lengths_batch(self, batch_size: Optional[int] = None) -> LengthsBatch:
         """Per-feature pooling factors, each from its own range (read-only).
 
-        One draw per table, since each has its own range, written into its
-        row of the batch's blocks.  The blocks are stored in the narrowest
-        unsigned type that holds the largest ``max_pooling`` of any table.
+        One draw per table, since each has its own range.  The batch keeps
+        only each table's counts per
+        :data:`~repro.dlrm.data.EMB_SAMPLES_PER_BLOCK` samples and this
+        generator's state before the draw (see :meth:`LengthsBatch.drawn`).
+        A per-sample read replays the draw once, writing each table's draw
+        into its row of blocks stored in the narrowest unsigned type that
+        holds the largest ``max_pooling`` of any table.
         ``batch_size=None`` draws the workload's batch size.
         """
         B = _batch_size(
@@ -143,15 +148,13 @@ class HeterogeneousDataGenerator:
         tables = self.workload.tables
         dtype = _storage_dtype(max(t.max_pooling for t in tables))
 
-        def draw(lo: int, hi: int) -> np.ndarray:
+        def draw(rng: np.random.Generator, lo: int, hi: int) -> np.ndarray:
             block = np.empty((hi - lo, B), dtype=dtype)
             for i, t in enumerate(tables[lo:hi]):
-                block[i] = self._rng.integers(
-                    t.min_pooling, t.max_pooling + 1, size=B, dtype=np.int64
-                )
+                block[i] = rng.integers(t.min_pooling, t.max_pooling + 1, size=B, dtype=np.int64)
             return block
 
-        return LengthsBatch.drawn(self._layout, B, draw)
+        return LengthsBatch.drawn(self._layout, B, self._rng, draw)
 
     def sparse_batch(self, batch_size: Optional[int] = None) -> SparseBatch:
         """Full jagged batch with per-feature cardinalities."""
@@ -183,9 +186,10 @@ class HeterogeneousDataGenerator:
         )
 
     def batches(self, n: int, batch_size: Optional[int] = None) -> Iterator[tuple]:
-        """Yield ``n`` (dense, sparse) pairs."""
-        for _ in range(n):
-            yield self.dense_batch(batch_size), self.sparse_batch(batch_size)
+        """``n`` (dense, sparse) pairs; ``n`` must be an int >= 0, checked
+        on the call."""
+        n = checked_count("HeterogeneousDataGenerator.batches", "n", n, 0)
+        return ((self.dense_batch(batch_size), self.sparse_batch(batch_size)) for _ in range(n))
 
 
 def criteo_like(

@@ -15,14 +15,12 @@ throughput, 38% compute throughput).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Set
+from typing import Dict, Iterable, Optional, Set
 
 from .engine import Engine
 from .memory import MemoryPool
+from .stream import Stream
 from .units import GiB, gbps, us
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from .stream import Stream
 
 __all__ = ["DeviceSpec", "Device", "V100_SPEC", "A100_SPEC", "H100_SPEC"]
 
@@ -141,7 +139,7 @@ class Device:
         self.id = device_id
         self.spec = spec
         self.memory = MemoryPool(capacity=spec.mem_bytes, device_id=device_id)
-        self._streams: Dict[str, "Stream"] = {}
+        self._streams: Dict[str, Stream] = {}
         self._peers: Set[int] = set()
         #: multiplicative kernel service-time factor (>= 1 while a
         #: "straggler" fault window is active; exactly 1.0 when healthy)
@@ -180,10 +178,8 @@ class Device:
 
     # -- streams ---------------------------------------------------------------
 
-    def stream(self, name: str = "default") -> "Stream":
+    def stream(self, name: str = "default") -> Stream:
         """Get (creating on first use) a named in-order stream."""
-        from .stream import Stream  # local import: stream.py imports Device types
-
         st = self._streams.get(name)
         if st is None:
             st = Stream(self, name)
@@ -191,7 +187,7 @@ class Device:
         return st
 
     @property
-    def default_stream(self) -> "Stream":
+    def default_stream(self) -> Stream:
         """The device's default stream (CUDA's stream 0 analogue)."""
         return self.stream("default")
 

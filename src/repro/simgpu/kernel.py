@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .device import Device, DeviceSpec
+if TYPE_CHECKING:  # device.py imports this module (through stream.py) at load
+    from .device import Device, DeviceSpec
 
 __all__ = ["KernelSpec", "WaveInfo", "roofline_time", "kernel_time"]
 

@@ -12,6 +12,10 @@ a block is drawn with one call and bit-equals per-table draws, no call
 allocates more than a block, and a batch costs numpy calls per block, not
 per table.  A drawn batch stores its blocks in the narrowest unsigned type
 the generator's declared range allows, yet reads as int64.
+
+A drawn batch is its lookup counts per ``EMB_SAMPLES_PER_BLOCK`` samples
+and the generator's state: its first per-sample read replays the draw once,
+and the replay equals per-table reference draws.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from collections.abc import Mapping
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.comm.hier import HierSpec
 from repro.core.factory import FeatureSpec
@@ -448,6 +454,26 @@ def numpy_calls(fn):
     return out, calls
 
 
+def count_draws(batch):
+    """Wrap an unreplayed drawn batch's block draw so that the list
+    returned records one ``(lo, hi)`` entry per ``rng.integers`` call of
+    its replay.  numpy's Generator methods are Cython functions, which
+    raise no profiler events, so :func:`numpy_calls` cannot see them."""
+    kind, state, block = batch._replay
+    draws = []
+
+    class Counting:
+        def __init__(self, rng, lo, hi):
+            self.rng, self.span = rng, (lo, hi)
+
+        def integers(self, *args, **kwargs):
+            draws.append(self.span)
+            return self.rng.integers(*args, **kwargs)
+
+    batch._replay = (kind, state, lambda rng, lo, hi: block(Counting(rng, lo, hi), lo, hi))
+    return draws
+
+
 class TestCallsPerBlock:
     def test_a_308_table_sub_batch_costs_calls_per_block(self):
         """The serve-prod-g8 shape: a 256-sample sub-batch of a 5000-sample
@@ -459,6 +485,7 @@ class TestCallsPerBlock:
         )
         pool = SyntheticDataGenerator(cfg).lengths_batch()
         rows = np.sort(np.random.default_rng(0).choice(5000, 256, replace=False))
+        pool.take(rows)  # the first per-sample read replays the draw
         sub, calls = numpy_calls(lambda: pool.take(rows))
         src, dst = len(pool._blocks), len(sub._blocks)
         assert (src, dst) == (52, 3)
@@ -470,6 +497,16 @@ class TestCallsPerBlock:
         assert counts.shape == (308, 4) and (counts == 8 * 64).all()
         _, calls = numpy_calls(lambda: sub.chunk_counts(64))
         assert calls == []
+
+    def test_a_replay_costs_one_draw_and_one_cast_per_block(self):
+        cfg = WorkloadConfig(
+            num_tables=308, batch_size=5000, min_pooling=8, max_pooling=8, seed=1
+        )
+        pool = SyntheticDataGenerator(cfg).lengths_batch()
+        draws = count_draws(pool)
+        blocks, calls = numpy_calls(lambda: pool._blocks)
+        assert len(blocks) == 52
+        assert len(draws) == 52 and calls == ["astype"] * 52
 
 
 # -- narrow storage: the type comes from the declared range ---------------------
@@ -582,6 +619,172 @@ class TestNarrowStorage:
     def test_a_strong_preset_batch_holds_one_byte_per_factor(self):
         batch = SyntheticDataGenerator(STRONG_SCALING_TOTAL).lengths_batch()
         assert sum(block.nbytes for block in batch._blocks) == 96 * 16384
+
+
+# -- a drawn batch is its counts; per-sample reads replay the draw once ----------
+
+
+#: odd and even B, below, at and above one 64-sample chunk; from 1001 up,
+#: 40 tables span several blocks
+REPLAY_BATCH_SIZES = [1, 2, 3, 63, 64, 65, 1001, 4096, 8193]
+
+
+@st.composite
+def replay_cases(draw):
+    """A generator, its seed, per-table ranges and skew, and two batch sizes."""
+    T = draw(st.integers(1, 40))
+    sizes = [draw(st.sampled_from(REPLAY_BATCH_SIZES)) for _ in range(2)]
+    seed = draw(st.integers(0, 2**32 - 1))
+    widths = st.sampled_from([0, 1, 8, 128, 300])  # 0: min_pooling == max_pooling
+    if draw(st.booleans()):
+        lo, width = draw(st.integers(0, 20)), draw(widths)
+        skew = draw(st.sampled_from([None, 0.8, 1.2]))
+        cfg = WorkloadConfig(
+            num_tables=T, min_pooling=lo, max_pooling=lo + width,
+            table_skew_alpha=skew, seed=seed,
+        )
+        ranges = [(lo, lo + width)] * T
+        return SyntheticDataGenerator(cfg), seed, ranges, cfg.table_skew_scales(), sizes
+    ranges = []
+    for _ in range(T):
+        lo = draw(st.integers(0, 20))
+        ranges.append((lo, lo + draw(widths)))
+    wl = HeterogeneousWorkload(
+        tables=tuple(
+            TableProfile(f"t{i}", 1000, max_pooling=hi, min_pooling=lo)
+            for i, (lo, hi) in enumerate(ranges)
+        ),
+        seed=seed,
+    )
+    return HeterogeneousDataGenerator(wl), seed, ranges, None, sizes
+
+
+class TestReplay:
+    @settings(max_examples=40, deadline=None)
+    @given(replay_cases())
+    def test_a_replay_equals_per_table_draws(self, case):
+        gen, seed, ranges, scales, sizes = case
+        (want, want_next), rng = per_table_reference(seed, ranges, sizes, scales)
+        batch = gen.lengths_batch(batch_size=sizes[0])
+        names = list(batch)
+        assert batch._kept is None
+        np.testing.assert_array_equal(
+            batch.chunk_counts(64), LengthsBatch(dict(zip(names, want))).chunk_counts(64)
+        )
+        assert batch._kept is None
+        # The next batch is drawn before this one replays: the replay reads
+        # its own snapshot, not the generator.
+        following = gen.lengths_batch(batch_size=sizes[1])
+        draws = count_draws(batch)
+        for name, arr in zip(names, want):
+            np.testing.assert_array_equal(batch[name], arr)
+        for name, arr in zip(names, want_next):
+            np.testing.assert_array_equal(following[name], arr)
+        assert gen._rng.bit_generator.state == rng.bit_generator.state
+        blocks = batch._blocks
+        stacked = np.concatenate([block.astype(np.int64) for block in blocks])
+        for spb in (1, 7, 128):
+            starts = np.arange(0, sizes[0], spb)
+            np.testing.assert_array_equal(
+                batch.chunk_counts(spb), np.add.reduceat(stacked, starts, axis=1)
+            )
+        batch.take([0, sizes[0] - 1])
+        LengthsBatch(batch)
+        # One replay: one draw per block (per table for the heterogeneous
+        # generator), and the blocks it made are the ones kept.
+        per_block = isinstance(gen, SyntheticDataGenerator)
+        assert len(draws) == (len(blocks) if per_block else len(names))
+        assert batch._blocks is blocks
+
+
+def retained(fn):
+    """``fn()`` and the bytes of traced memory it leaves allocated."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return out, after - before
+
+
+class TestDrawnMemory:
+    def test_a_drawn_batch_holds_its_counts_until_a_sample_is_read(self):
+        T, B = 1024, 16384
+        gen = SyntheticDataGenerator(WorkloadConfig(num_tables=T, batch_size=B, max_pooling=32))
+        batch, kept = retained(gen.lengths_batch)
+        counts_bytes = T * (B // 64) * 8
+        assert counts_bytes == 2 * 1024 * 1024
+        assert kept <= counts_bytes + 64 * 1024
+        assert batch.chunk_counts(64).nbytes == counts_bytes
+        _, grown = retained(lambda: batch["sparse_5"])
+        assert sum(block.nbytes for block in batch._blocks) == T * B
+        assert grown >= T * B
+
+
+class TestTakeArgument:
+    """``take`` accepts only 1-D integer rows, checked before any block
+    is read, so a bad argument neither replays nor mis-indexes."""
+
+    def batch(self):
+        return SyntheticDataGenerator(SMALL).lengths_batch()
+
+    def test_a_boolean_mask_is_rejected(self):
+        batch = self.batch()
+        with pytest.raises(TypeError, match=r"rows must be integer indices, got dtype bool"):
+            batch.take([True, False, True])
+        assert batch._kept is None
+
+    def test_floats_are_rejected(self):
+        batch = self.batch()
+        with pytest.raises(TypeError, match=r"rows must be integer indices, got dtype float64"):
+            batch.take([1.9])
+        assert batch._kept is None
+
+    def test_2d_rows_are_rejected(self):
+        batch = self.batch()
+        with pytest.raises(ValueError, match=r"rows must be 1-D, got shape \(1, 2\)"):
+            batch.take([[0, 1]])
+        assert batch._kept is None
+
+    def test_any_integer_type_indexes_as_intp(self):
+        batch = self.batch()
+        want = batch.take([3, 0, 199])
+        for dtype in (np.uint8, np.int32, np.uint64):
+            rows = np.array([3, 0, 199], dtype=dtype)
+            np.testing.assert_array_equal(batch.take(rows)["sparse_2"], want["sparse_2"])
+        with pytest.raises(IndexError):
+            batch.take(np.array([2**63], dtype=np.uint64))
+        assert len(batch.take([])) == len(batch) and batch.take([]).batch_size == 0
+
+
+GENERATORS = {
+    "synthetic": lambda: SyntheticDataGenerator(SMALL),
+    "heterogeneous": lambda: HeterogeneousDataGenerator(criteo_like(num_tables=4, batch_size=64)),
+}
+
+
+class TestBatchesCount:
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    def test_float_is_rejected(self, kind):
+        with pytest.raises(TypeError, match=r"batches\.n must be an int, got float"):
+            GENERATORS[kind]().batches(2.5)
+
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    def test_bool_is_rejected(self, kind):
+        with pytest.raises(TypeError, match=r"batches\.n must be an int, got bool"):
+            GENERATORS[kind]().batches(True)
+
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    def test_negative_is_rejected(self, kind):
+        with pytest.raises(ValueError, match=r"batches\.n must be >= 0"):
+            GENERATORS[kind]().batches(-1)
+
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    def test_counts_yield_that_many_pairs(self, kind):
+        assert list(GENERATORS[kind]().batches(0)) == []
+        assert len(list(GENERATORS[kind]().batches(np.int64(2)))) == 2
 
 
 # -- argument checks ----------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import builtins
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -282,6 +284,21 @@ class TestDeviceBasics:
         dev = make_device()
         assert dev.stream("k") is dev.stream("k")
         assert dev.default_stream is dev.stream("default")
+
+    def test_getting_a_stream_imports_nothing(self, monkeypatch):
+        dev = make_device()
+        imported = []
+        real = builtins.__import__
+
+        def spy(name, *args, **kwargs):
+            imported.append(name)
+            return real(name, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "__import__", spy)
+        dev.stream("new")
+        dev.stream("new")
+        dev.default_stream
+        assert imported == []
 
     def test_peer_access(self):
         dev = make_device()
