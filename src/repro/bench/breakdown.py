@@ -14,7 +14,7 @@ the control path plus the rearrangement pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from .scaling import ScalingResult
 

@@ -13,11 +13,9 @@ and the PGAS scheme's advantage compounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
-import numpy as np
-
-from ..core.planner import PlacementError, plan_table_wise
+from ..core.planner import plan_table_wise
 from ..core.retrieval import DistributedEmbedding
 from ..dlrm.data import SyntheticDataGenerator, WorkloadConfig
 from ..simgpu.device import DeviceSpec, V100_SPEC

@@ -18,7 +18,7 @@ Expected shapes (asserted by the benches):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 

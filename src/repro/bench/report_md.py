@@ -10,7 +10,7 @@ a refreshed report after calibration changes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from ..simgpu.units import to_ms
 from .breakdown import BreakdownResult

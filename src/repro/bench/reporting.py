@@ -8,7 +8,7 @@ from the same functions.
 from __future__ import annotations
 
 import io
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
 import numpy as np
 

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, List, Sequence
 
 from ..core.baseline import PhaseTiming
 from ..core.retrieval import BackendName, DistributedEmbedding

@@ -379,13 +379,9 @@ class PGASContext:
             engine.call_at(last + overhead, done.succeed)
             return done
 
-        def landed(ev: Event) -> None:
-            if ev.ok:
-                engine.call_at(max(last, engine.now) + overhead, done.succeed)
-            else:
-                done.fail(ev.value)
-
-        engine.all_of(waits).add_callback(landed)
+        engine.all_of(waits).add_callback(
+            lambda _: engine.call_at(max(last, engine.now) + overhead, done.succeed)
+        )
         return done
 
     def _gc(self, device_id: int) -> None:

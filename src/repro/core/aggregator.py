@@ -19,7 +19,7 @@ shows the small-message vs. aggregated crossover as the link gets slower
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..comm.pgas import PGASContext

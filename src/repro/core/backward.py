@@ -43,8 +43,8 @@ with a single-device oracle (to accumulation order).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,10 +56,9 @@ from ..simgpu.cluster import Cluster
 from ..simgpu.engine import ProcessGenerator
 from ..simgpu.kernel import KernelSpec, WaveInfo
 from ..simgpu.stream import join
-from .baseline import PhaseTiming
+from .baseline import PhaseTiming, TimedPass
 from .calibration import (
     EMB_MIN_WAVES_FOR_PEAK,
-    EMB_SAMPLES_PER_BLOCK,
     REMOTE_WRITE_KERNEL_DRAG,
     UNPACK_BANDWIDTH,
 )
@@ -264,7 +263,7 @@ def _backward_kernel_spec(wl: DeviceWorkload, name: str, *, owner_side: bool) ->
     )
 
 
-class BaselineBackward:
+class BaselineBackward(TimedPass):
     """Timed collective backward: pack → all-to-all → scatter-add."""
 
     def __init__(
@@ -277,13 +276,7 @@ class BaselineBackward:
         self.collectives = CollectiveContext(cluster, collective_spec)
         self.pack_bandwidth = pack_bandwidth
 
-    def run_batch(self, workloads: Sequence[DeviceWorkload]) -> PhaseTiming:
-        """Simulate one backward pass; returns its phase timing."""
-        timing = PhaseTiming(batches=1)
-        self.cluster.run(lambda cl: self._process(cl, workloads, timing))
-        return timing
-
-    def _process(
+    def batch_process(
         self, cluster: Cluster, workloads: Sequence[DeviceWorkload], timing: PhaseTiming
     ) -> ProcessGenerator:
         engine = cluster.engine
@@ -329,7 +322,7 @@ class BaselineBackward:
         timing.total_ns = t3 - t0
 
 
-class PGASFusedBackward:
+class PGASFusedBackward(TimedPass):
     """Timed one-sided backward: fused scatter-add + remote atomics."""
 
     def __init__(
@@ -342,13 +335,7 @@ class PGASFusedBackward:
         self.pgas = PGASContext(cluster, pgas_spec)
         self.remote_write_drag = remote_write_drag
 
-    def run_batch(self, workloads: Sequence[DeviceWorkload]) -> PhaseTiming:
-        """Simulate one fused backward pass; returns its phase timing."""
-        timing = PhaseTiming(batches=1)
-        self.cluster.run(lambda cl: self._process(cl, workloads, timing))
-        return timing
-
-    def _process(
+    def batch_process(
         self, cluster: Cluster, workloads: Sequence[DeviceWorkload], timing: PhaseTiming
     ) -> ProcessGenerator:
         engine = cluster.engine
@@ -368,16 +355,7 @@ class PGASFusedBackward:
                 peer = (dev.id + 1) % G
                 link_bw = cluster.topology.link_spec(dev.id, peer).bandwidth
                 drag = self.remote_write_drag * out_bytes / link_bw
-                kspec = KernelSpec(
-                    name=kspec.name,
-                    num_blocks=kspec.num_blocks,
-                    bytes_read=kspec.bytes_read,
-                    bytes_written=kspec.bytes_written,
-                    flops=kspec.flops,
-                    block_weights=kspec.block_weights,
-                    stretch_ns=drag,
-                    min_waves_for_peak=kspec.min_waves_for_peak,
-                )
+                kspec = replace(kspec, stretch_ns=drag)
 
             row = split[dev.id].tolist()
             dsts = [dst for dst, nbytes in enumerate(row) if dst != dev.id and nbytes > 0]
@@ -408,7 +386,7 @@ class PGASFusedBackward:
         timing.total_ns = t1 - t0
 
 
-class RowWiseBaselineBackward:
+class RowWiseBaselineBackward(TimedPass):
     """Timed collective backward under row-wise sharding — §V verbatim.
 
     With rows spread over all devices, every device's mini-batch produces
@@ -435,13 +413,7 @@ class RowWiseBaselineBackward:
         self.collectives = CollectiveContext(cluster, collective_spec)
         self.accumulate_bandwidth = accumulate_bandwidth
 
-    def run_batch(self, workloads: Sequence[DeviceWorkload]) -> PhaseTiming:
-        """Simulate one row-wise backward pass; returns its phase timing."""
-        timing = PhaseTiming(batches=1)
-        self.cluster.run(lambda cl: self._process(cl, workloads, timing))
-        return timing
-
-    def _process(
+    def batch_process(
         self, cluster: Cluster, workloads: Sequence[DeviceWorkload], timing: PhaseTiming
     ) -> ProcessGenerator:
         engine = cluster.engine
@@ -517,7 +489,7 @@ class RowWiseBaselineBackward:
         return split
 
 
-class RowWisePGASBackward:
+class RowWisePGASBackward(TimedPass):
     """Timed one-sided backward under row-wise sharding.
 
     The §V alternative: "replacing multiple rounds of collective calls
@@ -538,13 +510,7 @@ class RowWisePGASBackward:
         self.pgas = PGASContext(cluster, pgas_spec)
         self.remote_write_drag = remote_write_drag
 
-    def run_batch(self, workloads: Sequence[DeviceWorkload]) -> PhaseTiming:
-        """Simulate one fused row-wise backward pass."""
-        timing = PhaseTiming(batches=1)
-        self.cluster.run(lambda cl: self._process(cl, workloads, timing))
-        return timing
-
-    def _process(
+    def batch_process(
         self, cluster: Cluster, workloads: Sequence[DeviceWorkload], timing: PhaseTiming
     ) -> ProcessGenerator:
         engine = cluster.engine
@@ -558,7 +524,6 @@ class RowWisePGASBackward:
             # ⇒ (G-1)/G of this device's gradient volume leaves, split
             # evenly across peers, spread over waves like the forward.
             remote_total = wl.bytes_written * (G - 1) / G if G > 1 else 0.0
-            base = wl.kernel_spec("rowwise_pgas_bwd")
             drag = 0.0
             if G > 1 and remote_total > 0:
                 peer = (dev.id + 1) % G
@@ -567,12 +532,7 @@ class RowWisePGASBackward:
                 payload_per_atomic = spec.atomic_payload_bytes
                 wire = remote_total * (1 + spec.header_bytes / max(payload_per_atomic, 1))
                 drag = self.remote_write_drag * wire / bw
-            kspec = KernelSpec(
-                name=base.name, num_blocks=base.num_blocks,
-                bytes_read=base.bytes_read, bytes_written=base.bytes_written,
-                flops=base.flops, stretch_ns=drag,
-                min_waves_for_peak=base.min_waves_for_peak,
-            )
+            kspec = replace(wl.kernel_spec("rowwise_pgas_bwd"), stretch_ns=drag)
             n_waves = max(
                 math.ceil(kspec.num_blocks / dev.spec.concurrent_blocks), 1
             )

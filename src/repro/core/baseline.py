@@ -24,10 +24,8 @@ chunked transfers, producing the baseline curves of Figs. 6/7/9/10.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
-
-import numpy as np
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..comm.hier import HierSpec
@@ -39,7 +37,7 @@ from ..simgpu.stream import join
 from .calibration import UNPACK_BANDWIDTH
 from .workload import DeviceWorkload, alltoall_split_bytes
 
-__all__ = ["PhaseTiming", "BaselineRetrieval"]
+__all__ = ["PhaseTiming", "TimedPass", "BaselineRetrieval"]
 
 
 @dataclass
@@ -76,7 +74,47 @@ class PhaseTiming:
         }
 
 
-class BaselineRetrieval:
+class TimedPass:
+    """Base of the timed EMB passes, forward and backward.
+
+    A subclass sets ``cluster`` and defines :meth:`batch_process`; this
+    class checks each batch's workloads against the cluster and runs it.
+    """
+
+    cluster: Cluster
+
+    def batch_process(
+        self, cluster: Cluster, workloads: Sequence[DeviceWorkload], timing: PhaseTiming
+    ) -> ProcessGenerator:
+        """Process generator for one batch; fills ``timing`` at completion."""
+        raise NotImplementedError
+
+    def run_batch(self, workloads: Sequence[DeviceWorkload]) -> PhaseTiming:
+        """Simulate one batch; returns its phase timing."""
+        self._check(workloads)
+        timing = PhaseTiming(batches=1)
+        self.cluster.run(lambda cl: self.batch_process(cl, workloads, timing))
+        return timing
+
+    def run_batches(self, workloads_iter) -> PhaseTiming:
+        """Accumulate phases over an iterable of per-batch workload lists."""
+        total = PhaseTiming()
+        for workloads in workloads_iter:
+            total.add(self.run_batch(workloads))
+        return total
+
+    def _check(self, workloads: Sequence[DeviceWorkload]) -> None:
+        """Raise unless there is one workload per device, in device order."""
+        if len(workloads) != self.cluster.n_devices:
+            raise ValueError(
+                f"got {len(workloads)} workloads for {self.cluster.n_devices} devices"
+            )
+        for i, wl in enumerate(workloads):
+            if wl.device_id != i:
+                raise ValueError(f"workload {i} has device_id {wl.device_id}")
+
+
+class BaselineRetrieval(TimedPass):
     """Timed EMB forward using collective communication (the baseline).
 
     With ``hier_spec`` set (and active for this device count), the
@@ -108,33 +146,6 @@ class BaselineRetrieval:
                 self._hier = TwoLevelAllToAll(
                     cluster, self.collectives.spec, hier_spec
                 )
-
-    # -- single batch -----------------------------------------------------------
-
-    def run_batch(self, workloads: Sequence[DeviceWorkload]) -> PhaseTiming:
-        """Simulate one EMB forward + layout conversion; returns its phases."""
-        self._check(workloads)
-        timing = PhaseTiming(batches=1)
-        self.cluster.run(lambda cl: self.batch_process(cl, workloads, timing))
-        return timing
-
-    def run_batches(self, workloads_iter) -> PhaseTiming:
-        """Accumulate phases over an iterable of per-batch workload lists."""
-        total = PhaseTiming()
-        for workloads in workloads_iter:
-            total.add(self.run_batch(workloads))
-        return total
-
-    # -- internals ----------------------------------------------------------------
-
-    def _check(self, workloads: Sequence[DeviceWorkload]) -> None:
-        if len(workloads) != self.cluster.n_devices:
-            raise ValueError(
-                f"got {len(workloads)} workloads for {self.cluster.n_devices} devices"
-            )
-        for i, wl in enumerate(workloads):
-            if wl.device_id != i:
-                raise ValueError(f"workload {i} has device_id {wl.device_id}")
 
     def batch_process(
         self,

@@ -22,6 +22,7 @@ so breakdown plots can show PGAS as one bar, as the paper does.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
@@ -36,14 +37,14 @@ from ..simgpu.engine import ProcessGenerator
 from ..simgpu.interconnect import wire_bytes
 from ..simgpu.kernel import WaveInfo
 from ..simgpu.stream import join
-from .baseline import PhaseTiming
+from .baseline import PhaseTiming, TimedPass
 from .calibration import REMOTE_WRITE_KERNEL_DRAG
 from .workload import DeviceWorkload
 
 __all__ = ["PGASFusedRetrieval"]
 
 
-class PGASFusedRetrieval:
+class PGASFusedRetrieval(TimedPass):
     """Timed EMB forward using fused one-sided communication.
 
     With ``aggregator_spec`` set, remote writes route through the §V
@@ -86,32 +87,7 @@ class PGASFusedRetrieval:
 
                 self.router = NodeStagingRouter(self.pgas, hier_spec)
 
-    # -- single batch ---------------------------------------------------------------
-
-    def run_batch(self, workloads: Sequence[DeviceWorkload]) -> PhaseTiming:
-        """Simulate one fused EMB forward; returns its phase timing."""
-        self._check(workloads)
-        timing = PhaseTiming(batches=1)
-        self.cluster.run(lambda cl: self.batch_process(cl, workloads, timing))
-        return timing
-
-    def run_batches(self, workloads_iter) -> PhaseTiming:
-        """Accumulate over an iterable of per-batch workload lists."""
-        total = PhaseTiming()
-        for workloads in workloads_iter:
-            total.add(self.run_batch(workloads))
-        return total
-
     # -- internals -------------------------------------------------------------------
-
-    def _check(self, workloads: Sequence[DeviceWorkload]) -> None:
-        if len(workloads) != self.cluster.n_devices:
-            raise ValueError(
-                f"got {len(workloads)} workloads for {self.cluster.n_devices} devices"
-            )
-        for i, wl in enumerate(workloads):
-            if wl.device_id != i:
-                raise ValueError(f"workload {i} has device_id {wl.device_id}")
 
     def _kernel_drag_ns(self, wl: DeviceWorkload, link_bandwidth: float) -> float:
         """In-kernel slowdown from issuing this device's remote writes."""
@@ -205,17 +181,7 @@ class PGASFusedRetrieval:
             # model (zero-traffic devices pay no drag).
             link_bw = self._effective_link_bandwidth(wl) if G > 1 else None
             drag = self._kernel_drag_ns(wl, link_bw) if link_bw is not None else 0.0
-            base = wl.kernel_spec("pgas_fused_emb")
-            kspec = type(base)(
-                name=base.name,
-                num_blocks=base.num_blocks,
-                bytes_read=base.bytes_read,
-                bytes_written=base.bytes_written,
-                flops=base.flops,
-                block_weights=base.block_weights,
-                stretch_ns=drag,
-                min_waves_for_peak=base.min_waves_for_peak,
-            )
+            kspec = replace(wl.kernel_spec("pgas_fused_emb"), stretch_ns=drag)
 
             if send is None:
                 others = [d for d in range(G) if d != dev.id]

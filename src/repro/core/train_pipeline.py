@@ -38,7 +38,6 @@ from .baseline import PhaseTiming
 from .factory import parse_backend_name
 from .pipeline import DLRMInferencePipeline, PipelineConfig, PipelineTiming
 from .retrieval import BackendName, backend_spec
-from .sharding import minibatch_bounds
 from .workload import build_device_workloads
 
 __all__ = ["TrainStepTiming", "DLRMTrainingPipeline"]
@@ -174,7 +173,7 @@ class DLRMTrainingPipeline:
             timing.emb_backward.batches = 1
             dense_proc = engine.process(dense_backward(), name="dense_bwd")
             emb_proc = engine.process(
-                bwd._process(cluster, workloads, timing.emb_backward),
+                bwd.batch_process(cluster, workloads, timing.emb_backward),
                 name="emb_bwd",
             )
             yield engine.all_of([dense_proc, emb_proc])

@@ -44,7 +44,6 @@ import numpy as np
 from ..dlrm.batch import SparseBatch
 from ..dlrm.data import FeatureLayout, LengthsBatch
 from ..dlrm.embedding import EmbeddingTableConfig
-from ..simgpu.device import DeviceSpec
 from ..simgpu.kernel import KernelSpec
 from .calibration import (
     EMB_MIN_WAVES_FOR_PEAK,

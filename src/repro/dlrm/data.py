@@ -27,7 +27,7 @@ factor raises :class:`InvalidLengthsError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Callable, Dict, Iterator, List, Literal, Mapping, Optional, Sequence
 

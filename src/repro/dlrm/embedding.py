@@ -24,7 +24,7 @@ outputs — the equality tests rely on that.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Literal, Mapping, Optional, Sequence
+from typing import Dict, List, Literal, Optional, Sequence
 
 import numpy as np
 

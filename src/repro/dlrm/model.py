@@ -19,8 +19,8 @@ in :mod:`repro.core` must reproduce its EMB activations exactly, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 

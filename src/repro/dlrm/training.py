@@ -15,7 +15,7 @@ interaction modes); this is a substrate, not a framework.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 

@@ -84,8 +84,8 @@ def traced(
 ) -> Generator:
     """Wrap a process generator so its frames run under ``ref``.
 
-    The simulation engine drives process generators with ``send``/``throw``
-    from scheduled callbacks, so a plain ``with trace_scope(...)`` around the
+    The simulation engine drives process generators with ``send`` from
+    scheduled callbacks, so a plain ``with trace_scope(...)`` around the
     *launch* would leak the context to unrelated work (or lose it entirely).
     This wrapper re-arms ``active_trace`` around each resumption and restores
     the previous value before yielding control back to the engine — several
@@ -96,24 +96,15 @@ def traced(
 
     def _traced() -> Generator:
         send_value = None
-        throw_exc: Optional[BaseException] = None
         while True:
             prev = profiler.active_trace
             profiler.active_trace = ref
             try:
-                if throw_exc is not None:
-                    exc, throw_exc = throw_exc, None
-                    item = gen.throw(exc)
-                else:
-                    item = gen.send(send_value)
+                item = gen.send(send_value)
             except StopIteration as stop:
                 return stop.value
             finally:
                 profiler.active_trace = prev
-            try:
-                send_value = yield item
-            except BaseException as exc:  # forwarded into gen on next loop
-                send_value = None
-                throw_exc = exc
+            send_value = yield item
 
     return _traced()

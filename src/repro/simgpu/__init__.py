@@ -14,7 +14,6 @@ from .engine import (
     AnyOf,
     Engine,
     Event,
-    Interrupt,
     Notifier,
     Process,
     SimulationError,
@@ -53,7 +52,6 @@ __all__ = [
     "Event",
     "H100_SPEC",
     "Interconnect",
-    "Interrupt",
     "KernelSpec",
     "Link",
     "LinkSpec",

@@ -14,8 +14,8 @@ throughput, 38% compute throughput).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Optional, Set
+from dataclasses import dataclass, replace
+from typing import Dict, Iterable, Set
 
 from .engine import Engine
 from .memory import MemoryPool

@@ -15,9 +15,12 @@ Design notes
 * Time is a ``float`` of nanoseconds.  All cost models in :mod:`repro.simgpu`
   produce nanoseconds; helpers in :mod:`repro.simgpu.units` convert.
 * Processes are plain generators.  ``yield Timeout(dt)`` suspends the process
-  for ``dt`` simulated nanoseconds; ``yield event`` suspends until the event
-  succeeds.  A process may also ``yield AllOf([...])`` / ``yield AnyOf([...])``
-  to wait on several events.
+  for ``dt`` simulated nanoseconds; ``yield event`` resumes it when the event
+  succeeds, with the event's value.  A process may also ``yield AllOf([...])``
+  / ``yield AnyOf([...])`` to wait on several events.
+* An event only succeeds: it has no failed outcome.  An exception raised
+  in a process body or a callback leaves the run loop as that exception,
+  and neither run loop can be re-entered.
 * The engine is deliberately single-threaded and allocation-light: heap
   entries are plain ``[time, seq, fn]`` lists that ``heapq`` compares in C,
   and cancelling one only clears its ``fn`` slot.  Work that only decides
@@ -43,7 +46,6 @@ __all__ = [
     "Process",
     "AllOf",
     "AnyOf",
-    "Interrupt",
     "Notifier",
     "SimulationError",
 ]
@@ -53,49 +55,30 @@ class SimulationError(RuntimeError):
     """Raised for illegal engine operations (e.g. scheduling in the past)."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process that another process interrupted.
-
-    The ``cause`` attribute carries whatever object the interrupter supplied.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(f"process interrupted: {cause!r}")
-        self.cause = cause
-
-
 class Event:
     """A one-shot condition that processes may wait on.
 
-    An event starts *pending*; calling :meth:`succeed` (or :meth:`fail`)
-    triggers it exactly once and resumes every waiting process at the current
-    simulation time.  Events triggered with :meth:`fail` re-raise their
-    exception inside each waiter.
+    An event starts *pending*; calling :meth:`succeed` triggers it exactly
+    once and resumes every waiting process at the current simulation time.
     """
 
-    __slots__ = ("engine", "callbacks", "_value", "_ok", "_triggered", "name")
+    __slots__ = ("engine", "callbacks", "_value", "_triggered", "name")
 
     def __init__(self, engine: "Engine", name: str = ""):
         self.engine = engine
         self.name = name
         self.callbacks: List[Callable[["Event"], None]] = []
         self._value: Any = None
-        self._ok: bool = True
         self._triggered = False
 
     @property
     def triggered(self) -> bool:
-        """True once the event has succeeded or failed."""
+        """True once the event has succeeded."""
         return self._triggered
 
     @property
-    def ok(self) -> bool:
-        """True if the event succeeded (only meaningful once triggered)."""
-        return self._ok
-
-    @property
     def value(self) -> Any:
-        """The payload passed to :meth:`succeed` / exception from :meth:`fail`."""
+        """The payload passed to :meth:`succeed`."""
         return self._value
 
     def succeed(self, value: Any = None) -> "Event":
@@ -103,20 +86,7 @@ class Event:
         if self._triggered:
             raise SimulationError(f"event {self.name or id(self)} already triggered")
         self._triggered = True
-        self._ok = True
         self._value = value
-        self.engine._schedule_event(self)
-        return self
-
-    def fail(self, exc: BaseException) -> "Event":
-        """Trigger the event as failed; waiters see ``exc`` raised."""
-        if self._triggered:
-            raise SimulationError(f"event {self.name or id(self)} already triggered")
-        if not isinstance(exc, BaseException):
-            raise TypeError("fail() requires an exception instance")
-        self._triggered = True
-        self._ok = False
-        self._value = exc
         self.engine._schedule_event(self)
         return self
 
@@ -147,22 +117,17 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, engine: "Engine", delay: float, value: Any = None):
+    def __init__(self, engine: "Engine", delay: float):
         if not 0.0 <= delay < math.inf:
             raise SimulationError(f"timeout delay must be finite and >= 0, got {delay}")
         super().__init__(engine, name="timeout")
         self.delay = delay
-        self._value = value
-        # _run_callbacks sets _triggered at the firing instant; _ok is
-        # already True from Event.__init__.
+        # _run_callbacks sets _triggered at the firing instant.
         engine._schedule(engine.now + delay, self._run_callbacks)
 
 
 class AllOf(Event):
-    """Succeeds when every child event has succeeded.
-
-    Fails as soon as any child fails (with that child's exception).
-    """
+    """Succeeds when every child event has succeeded."""
 
     __slots__ = ("_pending",)
 
@@ -179,16 +144,13 @@ class AllOf(Event):
     def _child_done(self, ev: Event) -> None:
         if self._triggered:
             return
-        if not ev.ok:
-            self.fail(ev.value)
-            return
         self._pending -= 1
         if self._pending == 0:
             self.succeed(None)
 
 
 class AnyOf(Event):
-    """Succeeds when the first child event succeeds (or fails likewise)."""
+    """Succeeds, with its value, when the first child event succeeds."""
 
     def __init__(self, engine: "Engine", events: Iterable[Event]):
         super().__init__(engine, name="any_of")
@@ -199,12 +161,8 @@ class AnyOf(Event):
             ev.add_callback(self._child_done)
 
     def _child_done(self, ev: Event) -> None:
-        if self._triggered:
-            return
-        if ev.ok:
+        if not self._triggered:
             self.succeed(ev.value)
-        else:
-            self.fail(ev.value)
 
 
 ProcessGenerator = Generator[Event, Any, Any]
@@ -249,56 +207,22 @@ class Process(Event):
     other (fork/join).
     """
 
-    __slots__ = ("generator", "_waiting_on")
+    __slots__ = ("generator",)
 
     def __init__(self, engine: "Engine", generator: ProcessGenerator, name: str = ""):
         super().__init__(engine, name=name or getattr(generator, "__name__", "process"))
         self.generator = generator
-        self._waiting_on: Optional[Event] = None
         # Kick off at the current time, after already-queued same-time work.
-        engine._schedule(engine.now, self._start)
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._triggered:
-            raise SimulationError("cannot interrupt a finished process")
-        target = self._waiting_on
-        if target is not None:
-            # Detach from the event we were waiting on so a later trigger
-            # (e.g. a pending Timeout firing) cannot double-resume us.
-            try:
-                target.callbacks.remove(self._on_event)
-            except ValueError:
-                pass
-        self._waiting_on = None
-        exc = Interrupt(cause)
-        self.engine._schedule(self.engine.now, lambda: self._resume(None, exc))
+        engine._schedule(engine.now, self._resume)
 
     # -- internal machinery -------------------------------------------------
 
-    def _start(self) -> None:
-        self._resume(None, None)
-
-    def _on_event(self, ev: Event) -> None:
-        self._waiting_on = None
-        if ev.ok:
-            self._resume(ev.value, None)
-        else:
-            self._resume(None, ev.value)
-
-    def _resume(self, value: Any, exc: Optional[BaseException]) -> None:
-        if self._triggered:
-            return  # interrupted after completion race; nothing to do
+    def _resume(self, ev: Optional[Event] = None) -> None:
+        """Send ``ev``'s value (``None`` at the start) into the generator."""
         try:
-            if exc is not None:
-                target = self.generator.throw(exc)
-            else:
-                target = self.generator.send(value)
+            target = self.generator.send(None if ev is None else ev.value)
         except StopIteration as stop:
             self.succeed(stop.value)
-            return
-        except Interrupt as unhandled:
-            self.fail(unhandled)
             return
         if not isinstance(target, Event):
             raise SimulationError(
@@ -306,8 +230,7 @@ class Process(Event):
             )
         if target.engine is not self.engine:
             raise SimulationError("cannot wait on an event from another engine")
-        self._waiting_on = target
-        target.add_callback(self._on_event)
+        target.add_callback(self._resume)
 
 
 #: A scheduled callback: ``[time, seq, fn]``.  ``heapq`` orders these lists
@@ -351,9 +274,9 @@ class Engine:
         """Create a fresh pending :class:`Event`."""
         return Event(self, name)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(self, delay: float) -> Timeout:
         """Create a :class:`Timeout` firing ``delay`` ns from now."""
-        return Timeout(self, delay, value)
+        return Timeout(self, delay)
 
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Launch a generator as a :class:`Process` starting now."""
@@ -402,9 +325,7 @@ class Engine:
         time no earlier than now, so the clock never runs backwards.
         """
         self._check_horizon("until", until)
-        if self._running:
-            raise SimulationError("engine is already running (re-entrant run())")
-        self._running = True
+        self._enter()
         queue = self._queue
         try:
             while queue:
@@ -425,31 +346,42 @@ class Engine:
         return self._now
 
     def run_until_event(self, event: Event, limit: Optional[float] = None) -> Any:
-        """Run until ``event`` triggers; return its value (raise if it failed).
+        """Run until ``event`` triggers; return its value.
 
         ``limit`` caps the simulated time; exceeding it raises
         :class:`SimulationError` (catches accidentally-unbounded models).
         Like ``run``'s ``until``, it must be finite and no earlier than now.
         """
         self._check_horizon("limit", limit)
+        self._enter()
         queue = self._queue
-        while not event._triggered or self._pending_at_now():
-            if not queue:
-                if event.triggered:
-                    break
-                raise SimulationError(
-                    f"event queue drained at t={self._now} but {event!r} never triggered"
-                )
-            time, _, fn = heapq.heappop(queue)
-            if fn is None:
-                continue
-            if limit is not None and time > limit:
-                raise SimulationError(f"simulation exceeded limit {limit} ns")
-            self._now = time
-            fn()
-        if not event.ok:
-            raise event.value
+        try:
+            while not event._triggered or self._pending_at_now():
+                if not queue:
+                    if event.triggered:
+                        break
+                    raise SimulationError(
+                        f"event queue emptied at t={self._now} but {event!r} never triggered"
+                    )
+                time, _, fn = heapq.heappop(queue)
+                if fn is None:
+                    continue
+                if limit is not None and time > limit:
+                    raise SimulationError(f"simulation exceeded limit {limit} ns")
+                self._now = time
+                fn()
+        finally:
+            self._running = False
         return event.value
+
+    def _enter(self) -> None:
+        """Claim the run loop; raise if a run loop is already on the stack.
+
+        The loop that claims it releases it in a ``finally``.
+        """
+        if self._running:
+            raise SimulationError("engine is already running (re-entrant run loop)")
+        self._running = True
 
     def _check_horizon(self, name: str, time: Optional[float]) -> None:
         """Raise unless ``time`` is ``None`` or a finite instant >= now."""

@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..checks import check_bytes
 from .engine import Engine, Event
 from .profiler import Profiler
-from .units import gbps, us
+from .units import gbps
 
 __all__ = [
     "LinkSpec",

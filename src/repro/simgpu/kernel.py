@@ -21,7 +21,7 @@ up beyond 2 GPUs (§IV-B).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 import numpy as np

@@ -5,8 +5,7 @@ time, mirroring CUDA stream semantics.  Submitting returns a
 :class:`StreamOp` handle; host code (itself a process, see
 :mod:`repro.simgpu.engine`) waits on a set of ops with one event,
 ``yield join(engine, ops)`` — the analogue of ``cudaStreamSynchronize``
-over every stream the ops ran on — or on a whole stream with
-``yield stream.drained()``.
+over every stream the ops ran on.
 
 The FIFO runs on engine callbacks; the one that ends an op starts the next.
 An op makes no event of its own: :func:`join` counts its ops down from
@@ -109,7 +108,6 @@ class Stream:
         self.engine: Engine = device.engine
         self._queue: Deque[Tuple[StreamOp, Callable[..., None], tuple]] = deque()
         self._running: Optional[StreamOp] = None
-        self._idle_waiters: List[Event] = []
 
     # -- submission -------------------------------------------------------------
 
@@ -126,17 +124,6 @@ class Stream:
         if device.id != self.device_id:
             raise ValueError(f"stream of device {self.device_id} cannot launch on device {device.id}")
         return self._enqueue(StreamOp(kspec.name, self.engine), _KernelRun, (device, kspec, on_wave))
-
-    # -- synchronisation -----------------------------------------------------------
-
-    def drained(self) -> Event:
-        """Event that fires when the stream has no queued or running work."""
-        ev = Event(self.engine, "drained")
-        if self._running is None:
-            ev.succeed()
-        else:
-            self._idle_waiters.append(ev)
-        return ev
 
     # -- the FIFO ---------------------------------------------------------------
 
@@ -163,9 +150,6 @@ class Stream:
         if self._queue:
             return self._next()
         self._running = None
-        waiters, self._idle_waiters = self._idle_waiters, []
-        for ev in waiters:
-            ev.succeed()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Stream dev={self.device_id} {self.name!r}>"

@@ -456,19 +456,6 @@ class TestCompletion:
 
         assert cl.run(host) == 3.0
 
-    def test_quiet_fails_with_a_failed_registered_transfer(self):
-        cl = dgx_v100(2)
-        ctx = PGASContext(cl)
-        broken = cl.engine.event()
-        ctx.register_outstanding(0, broken)
-        cl.engine.call_at(5.0, lambda: broken.fail(RuntimeError("link lost")))
-
-        def host(cluster):
-            yield ctx.quiet([0, 1])
-
-        with pytest.raises(RuntimeError, match="link lost"):
-            cl.run(host)
-
 
 class TestUnknownPE:
     """Every per-PE entry point raises the typed error of ``put``."""

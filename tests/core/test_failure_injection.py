@@ -3,7 +3,7 @@
 A simulator that silently produces numbers on a mis-configured system is
 worse than one that crashes; these tests check that the retrieval stack
 surfaces substrate failures (no peer access, disconnected fabric, OOM,
-failed events) instead of swallowing them.
+exceptions in processes) instead of swallowing them.
 """
 
 from __future__ import annotations
@@ -12,6 +12,12 @@ import numpy as np
 import pytest
 
 from repro.comm.pgas import PGASContext
+from repro.core.backward import (
+    BaselineBackward,
+    PGASFusedBackward,
+    RowWiseBaselineBackward,
+    RowWisePGASBackward,
+)
 from repro.core.pgas_retrieval import PGASFusedRetrieval
 from repro.core.baseline import BaselineRetrieval
 from repro.core.sharding import RowWiseSharding, TableWiseSharding
@@ -90,19 +96,36 @@ class TestMemoryPressure:
 
 
 class TestEngineFailures:
-    def test_failed_event_propagates_through_all_of(self):
-        eng = Engine()
-        good = eng.timeout(10.0)
-        bad = eng.event()
-        combo = eng.all_of([good, bad])
+    def test_exception_in_host_process_leaves_cluster_run(self):
+        cl = dgx_v100(1)
 
-        def proc():
-            yield combo
+        def host(cluster):
+            yield cluster.engine.timeout(5.0)
+            raise ValueError("host fault")
 
-        p = eng.process(proc())
-        eng.call_at(5.0, lambda: bad.fail(RuntimeError("fabric down")))
-        with pytest.raises(RuntimeError, match="fabric down"):
-            eng.run_until_event(p)
+        with pytest.raises(ValueError, match="host fault"):
+            cl.run(host)
+        # The run loop was released: the same engine runs again.
+        assert cl.engine.now == 5.0
+        assert cl.engine.run_until_event(cl.engine.timeout(1.0)) is None
+        assert cl.engine.now == 6.0
+
+    def test_exception_in_child_process_leaves_cluster_run(self):
+        cl = dgx_v100(1)
+        eng = cl.engine
+
+        def child():
+            yield eng.timeout(5.0)
+            raise ValueError("child fault")
+
+        def host(cluster):
+            yield eng.all_of([eng.process(child()), eng.timeout(10.0)])
+
+        with pytest.raises(ValueError, match="child fault"):
+            cl.run(host)
+        assert eng.now == 5.0
+        assert eng.run_until_event(eng.timeout(1.0)) is None
+        assert eng.now == 6.0
 
     def test_exception_inside_on_wave_stops_the_run(self):
         cl = dgx_v100(1)
@@ -156,3 +179,16 @@ class TestWorkloadValidation:
             BaselineRetrieval(dgx_v100(2)).run_batch(wls)
         with pytest.raises(ValueError):
             PGASFusedRetrieval(dgx_v100(2)).run_batch(wls)
+
+    @pytest.mark.parametrize("engine_cls", [
+        BaselineRetrieval, PGASFusedRetrieval, BaselineBackward, PGASFusedBackward,
+        RowWiseBaselineBackward, RowWisePGASBackward,
+    ])
+    @pytest.mark.parametrize("mismatch", ["short", "reversed"])
+    def test_every_timed_pass_rejects_mismatched_workloads(self, engine_cls, mismatch):
+        wls = make_workloads(G=4)
+        wls = wls[:2] if mismatch == "short" else wls[::-1]
+        cl = dgx_v100(4)
+        with pytest.raises(ValueError, match="workload"):
+            engine_cls(cl).run_batch(wls)
+        assert cl.engine.now == 0.0

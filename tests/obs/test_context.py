@@ -114,21 +114,6 @@ class TestTraced:
         assert next(g) == "first"
         assert g.send(21) == 42
 
-    def test_throw_forwarded_into_generator(self):
-        caught = []
-
-        def gen():
-            try:
-                yield "a"
-            except KeyError as exc:
-                caught.append(exc)
-                yield "recovered"
-
-        g = traced(gen(), Profiler(), TraceRef(0, 0))
-        next(g)
-        assert g.throw(KeyError("k")) == "recovered"
-        assert len(caught) == 1
-
     def test_unhandled_throw_propagates(self):
         def gen():
             yield "a"

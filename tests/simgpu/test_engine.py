@@ -9,7 +9,6 @@ from repro.simgpu.engine import (
     AnyOf,
     Engine,
     Event,
-    Interrupt,
     SimulationError,
     Timeout,
 )
@@ -181,12 +180,6 @@ class TestEvent:
         with pytest.raises(SimulationError):
             ev.succeed()
 
-    def test_fail_requires_exception(self):
-        eng = Engine()
-        ev = eng.event()
-        with pytest.raises(TypeError):
-            ev.fail("not an exception")  # type: ignore[arg-type]
-
     def test_callback_after_trigger_still_fires(self):
         eng = Engine()
         ev = eng.event()
@@ -201,18 +194,18 @@ class TestEvent:
         eng = Engine()
         ev = eng.event()
         assert not ev.triggered
-        ev.fail(RuntimeError("boom"))
-        assert ev.triggered and not ev.ok
+        ev.succeed()
+        assert ev.triggered
 
 
 class TestTimeout:
     def test_fires_after_delay(self):
         eng = Engine()
         seen = []
-        t = eng.timeout(25.0, value="v")
+        t = eng.timeout(25.0)
         t.add_callback(lambda e: seen.append((eng.now, e.value)))
         eng.run()
-        assert seen == [(25.0, "v")]
+        assert seen == [(25.0, None)]
 
     def test_not_triggered_until_expiry(self):
         eng = Engine()
@@ -283,23 +276,6 @@ class TestProcess:
         assert eng.run_until_event(proc) == "got:child-result"
         assert eng.now == 7.0
 
-    def test_failed_event_raises_inside_process(self):
-        eng = Engine()
-        ev = eng.event()
-        caught = []
-
-        def worker():
-            try:
-                yield ev
-            except RuntimeError as exc:
-                caught.append(str(exc))
-            return "survived"
-
-        proc = eng.process(worker())
-        eng.call_at(1.0, lambda: ev.fail(RuntimeError("boom")))
-        assert eng.run_until_event(proc) == "survived"
-        assert caught == ["boom"]
-
     def test_yielding_non_event_raises(self):
         eng = Engine()
 
@@ -309,64 +285,6 @@ class TestProcess:
         eng.process(worker())
         with pytest.raises(SimulationError, match="must yield Event"):
             eng.run()
-
-    def test_interrupt_wakes_process(self):
-        eng = Engine()
-        log = []
-
-        def sleeper():
-            try:
-                yield eng.timeout(1000.0)
-            except Interrupt as i:
-                log.append(("interrupted", eng.now, i.cause))
-            return "ok"
-
-        proc = eng.process(sleeper())
-        eng.call_at(10.0, lambda: proc.interrupt("reason"))
-        assert eng.run_until_event(proc) == "ok"
-        assert log == [("interrupted", 10.0, "reason")]
-
-    def test_unhandled_interrupt_fails_process(self):
-        eng = Engine()
-
-        def sleeper():
-            yield eng.timeout(1000.0)
-
-        proc = eng.process(sleeper())
-        eng.call_at(10.0, lambda: proc.interrupt())
-        with pytest.raises(Interrupt):
-            eng.run_until_event(proc)
-
-    def test_interrupted_timeout_does_not_double_resume(self):
-        eng = Engine()
-        resumes = []
-
-        def sleeper():
-            try:
-                yield eng.timeout(100.0)
-            except Interrupt:
-                pass
-            resumes.append(eng.now)
-            yield eng.timeout(500.0)
-            resumes.append(eng.now)
-
-        proc = eng.process(sleeper())
-        eng.call_at(10.0, lambda: proc.interrupt())
-        eng.run_until_event(proc)
-        # Resumed once at the interrupt and once at 10 + 500; the original
-        # timeout firing at t=100 must not inject an extra resume.
-        assert resumes == [10.0, 510.0]
-
-    def test_interrupting_finished_process_raises(self):
-        eng = Engine()
-
-        def quick():
-            yield eng.timeout(1.0)
-
-        proc = eng.process(quick())
-        eng.run()
-        with pytest.raises(SimulationError):
-            proc.interrupt()
 
 
 class TestCombinators:
@@ -384,14 +302,6 @@ class TestCombinators:
         eng = Engine()
         ev = eng.all_of([])
         assert ev.triggered
-
-    def test_all_of_fails_on_first_child_failure(self):
-        eng = Engine()
-        bad = eng.event()
-        combo = eng.all_of([eng.timeout(100.0), bad])
-        eng.call_at(5.0, lambda: bad.fail(ValueError("child failed")))
-        eng.run(until=6.0)
-        assert combo.triggered and not combo.ok
 
     def test_any_of_fires_on_first(self):
         eng = Engine()
@@ -435,9 +345,36 @@ class TestRunUntilEvent:
             eng.run_until_event(ev, limit=limit)
         assert eng.now == 0.0 and not ev.triggered
 
-    def test_failed_event_reraises(self):
+    def test_run_until_event_inside_run_until_event_raises(self):
         eng = Engine()
-        ev = eng.event()
-        eng.call_at(1.0, lambda: ev.fail(KeyError("nope")))
-        with pytest.raises(KeyError):
-            eng.run_until_event(ev)
+        inner, outer = eng.event(), eng.event()
+        eng.call_at(30.0, outer.succeed)
+        eng.call_at(50.0, inner.succeed)
+        eng.call_at(10.0, lambda: eng.run_until_event(inner))
+        with pytest.raises(SimulationError, match="already running"):
+            eng.run_until_event(outer)
+        # The nested call ran nothing: the clock stopped at the callback.
+        assert eng.now == 10.0 and not inner.triggered
+        assert eng.run_until_event(outer) is None and eng.now == 30.0
+
+    def test_run_inside_run_until_event_raises(self):
+        eng = Engine()
+        outer = eng.event()
+        later = eng.timeout(100.0)
+        eng.call_at(10.0, eng.run)
+        eng.call_at(30.0, outer.succeed)
+        with pytest.raises(SimulationError, match="already running"):
+            eng.run_until_event(outer)
+        assert eng.now == 10.0 and not later.triggered
+        eng.run_until_event(outer)
+        assert eng.now == 30.0 and not later.triggered
+
+    def test_run_until_event_inside_run_raises(self):
+        eng = Engine()
+        ev = eng.timeout(50.0)
+        eng.call_at(10.0, lambda: eng.run_until_event(ev))
+        with pytest.raises(SimulationError, match="already running"):
+            eng.run()
+        assert eng.now == 10.0
+        eng.run()
+        assert eng.now == 50.0 and ev.triggered

@@ -63,21 +63,6 @@ class TestStreamOrdering:
 
 
 class TestDrainAndSync:
-    def test_drained_on_idle_stream_fires_immediately(self):
-        dev = make_device()
-        ev = dev.default_stream.drained()
-        assert ev.triggered
-
-    def test_drained_waits_for_queue(self):
-        dev = make_device()
-        eng = dev.engine
-        dev.default_stream.submit_delay(30.0)
-        dev.default_stream.submit_delay(20.0)
-        ev = dev.default_stream.drained()
-        assert not ev.triggered
-        eng.run()
-        assert ev.triggered and eng.now == 50.0
-
     def test_stream_synchronize_charges_overhead(self):
         """A stream sync is a join whose ``after_ns`` is the host's sync cost."""
         dev = make_device()
@@ -107,7 +92,7 @@ class TestCallbackOps:
         ev = join(dev.engine, [op])
         assert not ev.triggered and not op.completed
         dev.engine.run()
-        assert ev.triggered and ev.ok and ev.value is None
+        assert ev.triggered and ev.value is None
         assert op.finished_at == 10.0
 
     def test_done_read_after_completion_holds_the_value(self):
@@ -131,15 +116,13 @@ class TestCallbackOps:
         eng.run(until=5.0)
         first = st.submit_delay(10.0)
         kernel = st.launch(dev, self.KSPEC)
-        drained = st.drained()
         assert (first.enqueued_at, first.started_at) == (5.0, 5.0)
         assert (kernel.enqueued_at, kernel.started_at) == (5.0, None)
-        assert not drained.triggered
+        assert not first.completed and not kernel.completed
         eng.run()
-        assert first.completed and kernel.completed and drained.triggered
+        assert first.completed and kernel.completed
         assert first.finished_at == kernel.started_at == 15.0
         assert kernel.finished_at - kernel.started_at == pytest.approx(kernel_time(self.KSPEC, dev.spec))
-        assert st.drained().triggered
 
     def test_exception_in_on_wave_propagates(self):
         dev = make_device()
