@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
+from ..checks import check_finite, checked_count
 from ..dlrm.data import STRONG_SCALING_TOTAL, WEAK_SCALING_BASE, WorkloadConfig
 from .breakdown import BreakdownResult, breakdown_from_scaling
 from .commvolume import CommVolumeTrace, trace_comm_volume
@@ -61,6 +62,17 @@ class ExperimentRunner:
     seed: int = 2024
 
     def __post_init__(self) -> None:
+        owner = "ExperimentRunner"
+        self.n_batches = checked_count(owner, "n_batches", self.n_batches, 1)
+        check_finite(owner, "scale", self.scale)
+        if self.scale > 1.0:
+            raise ValueError(f"{owner}.scale must be in (0, 1], got {self.scale}")
+        self.device_counts = tuple(
+            checked_count(owner, "device_counts", g, 1) for g in self.device_counts
+        )
+        if not self.device_counts:
+            raise ValueError(f"{owner}.device_counts must not be empty")
+        self.seed = checked_count(owner, "seed", self.seed, 0)
         self._weak: Optional[ScalingResult] = None
         self._strong: Optional[ScalingResult] = None
 

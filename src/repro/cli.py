@@ -50,14 +50,35 @@ from .simgpu.units import ms, to_ms
 __all__ = ["SWEEPS", "main", "build_parser"]
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1 (bad values exit 2 naming the flag)."""
+def _int_at_least(text: str, minimum: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    if value < minimum:
+        what = "a positive" if minimum == 1 else "a non-negative"
+        raise argparse.ArgumentTypeError(f"must be {what} integer, got {value}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (bad values exit 2 naming the flag)."""
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    return _int_at_least(text, 0)
+
+
+def _scale(text: str) -> float:
+    """argparse type: a batch-size scale factor in (0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
     return value
 
 
@@ -84,17 +105,18 @@ _FLAGS: Dict[str, Flag] = {
     "rows": ("--rows", dict(type=_positive_int, help="rows per table")),
     "dim": ("--dim", dict(type=_positive_int, help="embedding dimension")),
     "batch": ("--batch", dict(type=_positive_int, help="batch size")),
-    "pooling": ("--pooling", dict(type=int, help="max pooling factor")),
+    "pooling": ("--pooling", dict(type=_non_negative_int, help="max pooling factor")),
     "preset": ("--preset", dict(choices=PRESETS,
                                 help="workload preset (resolved via preset_runspec)")),
     "gpus": ("--gpus", dict(type=_positive_int, help="simulated GPU count")),
     "backends": ("--backends", dict(nargs="+", help="backends to compare")),
     "bases": ("--backends", dict(dest="backends", nargs="+", choices=_BASES,
                                  help="base backends to wrap")),
-    "batches": ("--batches", dict(type=int, help="batches per point")),
-    "scale": ("--scale", dict(type=float,
+    "batches": ("--batches", dict(type=_positive_int, help="batches per point")),
+    "scale": ("--scale", dict(type=_scale,
                               help="batch-size scale factor (1.0 = preset size)")),
-    "seed": ("--seed", dict(type=int, help="workload seed (None: the preset's)")),
+    "seed": ("--seed", dict(type=_non_negative_int,
+                            help="workload seed (None: the preset's)")),
     "output": ("--output", dict(help="machine-readable artifact path ('' to skip)")),
 }
 
@@ -314,13 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     rp = sub.add_parser("reproduce", help="regenerate the paper's tables and figures")
-    rp.add_argument("--batches", type=int, default=10, help="batches per measurement")
-    rp.add_argument("--scale", type=float, default=1.0, help="batch-size scale factor")
+    rp.add_argument("--batches", type=_positive_int, default=10,
+                    help="batches per measurement")
+    rp.add_argument("--scale", type=_scale, default=1.0, help="batch-size scale factor")
     rp.add_argument("--only", choices=EXPERIMENT_IDS, default=None)
 
     rn = sub.add_parser("run", help="time one workload on both backends")
     _flags(rn, **_WORKLOAD)
-    rn.add_argument("--batches", type=int, default=1)
+    rn.add_argument("--batches", type=_positive_int, default=1)
 
     sw = sub.add_parser("sweep", help="sweep a workload knob, or run a named sweep")
     _flags(sw, **_WORKLOAD)
@@ -341,11 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="force a device count (default: minimal feasible)")
     pl.add_argument("--reserve", type=float, default=0.1,
                     help="HBM fraction reserved for activations")
-    pl.add_argument("--seed", type=int, default=7)
+    pl.add_argument("--seed", type=_non_negative_int, default=7)
 
     rm = sub.add_parser("report", help="write the markdown reproduction report")
-    rm.add_argument("--batches", type=int, default=10)
-    rm.add_argument("--scale", type=float, default=1.0)
+    rm.add_argument("--batches", type=_positive_int, default=10)
+    rm.add_argument("--scale", type=_scale, default=1.0)
     rm.add_argument("--output", default="REPORT.md")
 
     tr = sub.add_parser("trace", help="write a chrome://tracing timeline of one batch")

@@ -488,7 +488,7 @@ class InferenceServer:
             pool_lengths = None
         else:
             pool = None
-            pool_lengths = gen.lengths_batch(batch_size=n_requests)
+            pool_lengths = gen.sample_lengths(batch_size=n_requests)
 
         functional = None
         if materialize:

@@ -9,6 +9,7 @@ from .batch import JaggedField, SparseBatch
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import (
     STRONG_SCALING_TOTAL,
+    CountsOnlyError,
     InvalidLengthsError,
     LengthsBatch,
     SyntheticDataGenerator,
@@ -62,6 +63,7 @@ __all__ = [
     "TableProfile",
     "criteo_like",
     "InteractionMode",
+    "CountsOnlyError",
     "InvalidLengthsError",
     "JaggedField",
     "LengthsBatch",

@@ -12,22 +12,29 @@ Generation is deterministic given a seed; the same seed produces the same
 batches on every device, which the distributed tests use to avoid
 broadcasting inputs.
 
-Timing-only runs draw just the pooling factors, as a :class:`LengthsBatch`:
-a read-only mapping over the per-chunk lookup counts of every table (the
-only per-batch input to the simulated EMB kernel).  A drawn batch reduces
-each block of its draw to counts per :data:`EMB_SAMPLES_PER_BLOCK` samples
-as it is drawn and keeps only those counts and the generator's state at the
-start of the batch; the first per-sample read replays the draw once from
-that state into a few frozen row blocks, each in the narrowest unsigned type
-the generator's pooling range allows.  Counts are memoized on the batch and
-shared by every backend that runs it.  Deriving them from blocks also
-validates the lengths, once per batch: a negative, fractional or NaN pooling
-factor raises :class:`InvalidLengthsError`.
+Timing-only runs draw just the lookup counts, as a :class:`LengthsBatch`
+that holds only the per-chunk lookup counts of every table (the only
+per-batch input to the simulated EMB kernel).  A chunk's count is the sum
+of :data:`EMB_SAMPLES_PER_BLOCK` iid uniform pooling factors, so
+``lengths_batch`` draws it from that sum's exact law: one uniform double
+per (table, chunk), inverted through the law's CDF, which is built once per
+pooling range and chunk size.  What is preserved is the marginal law of
+each chunk count, not the per-sample draws: a per-sample read of such a
+batch raises :class:`CountsOnlyError`.  A table skew, or a range too wide
+for its law to be cheap, draws every sample and reduces instead.
+
+``sample_lengths`` draws the per-sample pooling factors, held in a few
+frozen row blocks, each in the narrowest unsigned type the generator's
+pooling range allows.  Counts are memoized on the batch and shared by every
+backend that runs it.  Deriving them from blocks also validates the
+lengths, once per batch: a negative, fractional or NaN pooling factor
+raises :class:`InvalidLengthsError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Dict, Iterator, List, Literal, Mapping, Optional, Sequence
 
@@ -42,6 +49,7 @@ __all__ = [
     "SyntheticDataGenerator",
     "LengthsBatch",
     "InvalidLengthsError",
+    "CountsOnlyError",
     "EMB_SAMPLES_PER_BLOCK",
     "WEAK_SCALING_BASE",
     "STRONG_SCALING_TOTAL",
@@ -191,10 +199,14 @@ class InvalidLengthsError(ValueError):
     """A feature's pooling factors cannot be per-sample lookup counts."""
 
 
+class CountsOnlyError(TypeError):
+    """A per-sample read of a batch that holds only its lookup counts."""
+
+
 #: Samples per thread block in the EMB retrieval kernel's grid: FBGEMM's
 #: (table, sample-chunk) tile, derived in :mod:`repro.core.calibration`,
-#: which re-exports it.  It lives here because a drawn batch keeps its
-#: lookup counts at this chunk.
+#: which re-exports it.  It lives here because a drawn batch is its lookup
+#: counts at this chunk.
 EMB_SAMPLES_PER_BLOCK = 64
 
 #: Byte budget of one int64 lengths block.  A batch holds its lengths as
@@ -206,6 +218,18 @@ EMB_SAMPLES_PER_BLOCK = 64
 #: (:func:`_storage_dtype`) but keeps the int64 geometry, so its int64
 #: draw is the one transient of that size.
 _BLOCK_BYTES = 1 << 18
+
+#: Byte budget of one ``(rows, n_chunks)`` block of the uniform doubles a
+#: counts draw inverts (one row when a row is larger).  One ``(T, n_chunks)``
+#: draw raised the paper workload's peak RSS by 9 %; ``random`` takes one
+#: 64-bit word per double, so blocking changes no value.
+_UNIFORM_BYTES = 1 << 16
+
+#: Largest span of a chunk count's law: a table draws its counts from the
+#: law when ``EMB_SAMPLES_PER_BLOCK * (hi - lo)`` is at most this, i.e.
+#: ``hi - lo <= 2048`` (a law of at most 2**17 + 1 values, built in about
+#: 60 ms).  A wider range draws every sample instead.
+_LAW_SPAN = 1 << 17
 
 #: Stored types of drawn lengths, narrowest first; int64 past the last.
 _NARROW_DTYPES = tuple(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32))
@@ -272,19 +296,156 @@ def _fill_blocks(
     return [_frozen(block(lo, hi)) for lo, hi in _spans(n_features, batch_size)]
 
 
+# -- the law of a chunk's lookup count ---------------------------------------------
+
+
+def _sum_pmf(span: int, n: int) -> np.ndarray:
+    """The pmf of the sum of ``n`` iid draws uniform on ``0..span``.
+
+    ``n`` moving-window passes ``p <- (C[s] - C[s - w]) / w``, with
+    ``C = cumsum(p)`` and ``w = span + 1``.  They use sequential,
+    elementwise IEEE arithmetic only (no BLAS dot product as in
+    ``np.convolve``, no FFT), so the values are the same on every numpy.
+    Cancellation in the upper tail can leave entries a few ulps below
+    zero; they are clipped.
+    """
+    w = span + 1
+    p = np.zeros(n * span + 1)
+    p[0] = 1.0
+    c = np.empty_like(p)
+    m = 1  # entries of p in use
+    for _ in range(n):
+        np.cumsum(p[:m], out=c[:m])
+        c[m : m + span] = c[m - 1]  # C past the last entry stays at the total
+        m += span
+        p[:w] = c[:w]
+        np.subtract(c[w:m], c[: m - w], out=p[w:m])
+        p[:m] /= w
+    return np.maximum(p, 0.0, out=p)
+
+
+class _ChunkLaw:
+    """The law of a chunk's lookup count past its least value: the CDF
+    over ``0..n*span`` and a guide table that inverts it.
+
+    ``invert(u)`` is ``np.searchsorted(cdf, u, side="right")``.  The guide
+    splits ``[0, 1)`` into ``K`` equal buckets, ``K`` a power of two no
+    smaller than the law's size (so ``u * K`` and ``k / K`` are exact), and
+    holds the answer at each bucket's left edge.  A draw starts there and
+    takes at most two ``cdf[j] <= u`` steps; a draw whose bucket spans more
+    than two values (under 1 %, in the tails) falls back to a search.
+    """
+
+    __slots__ = ("cdf", "buckets", "guide", "wide")
+
+    def __init__(self, span: int, n: int):
+        cdf = np.cumsum(_sum_pmf(span, n))
+        cdf /= cdf[-1]
+        # Shared by every caller through the cache, so read-only.
+        self.cdf = _frozen(cdf)
+        self.buckets = 1 << (len(cdf) - 1).bit_length()
+        edges = np.arange(self.buckets + 1, dtype=np.float64) / self.buckets
+        self.guide = _frozen(np.searchsorted(cdf, edges, side="right"))
+        #: buckets in which u can map to more than two values
+        self.wide = _frozen(np.diff(self.guide) > 2)
+
+    def invert(self, u: np.ndarray) -> np.ndarray:
+        """The offset each uniform ``u`` in ``[0, 1)`` draws (any shape)."""
+        k = (u * self.buckets).astype(np.intp)
+        cdf = self.cdf
+        j = self.guide[k]
+        j += cdf[j] <= u
+        j += cdf[j] <= u
+        wide = self.wide[k]
+        if wide.any():
+            j[wide] = np.searchsorted(cdf, u[wide], side="right")
+        return j
+
+
+@lru_cache(maxsize=32)
+def _chunk_law(span: int, n: int) -> _ChunkLaw:
+    """The law of the sum of ``n`` draws uniform on ``0..span``, built once
+    per process (about 3 ms at the weak preset's span 128, n = 64)."""
+    return _ChunkLaw(span, n)
+
+
+def _law_counts(
+    rng: np.random.Generator, lows: np.ndarray, spans: np.ndarray, batch_size: int
+) -> np.ndarray:
+    """``(T, n_chunks)`` lookup counts of tables whose pooling factors are
+    uniform on ``lows[t]..lows[t] + spans[t]``, each chunk's count drawn
+    from the law of its samples' sum (the last chunk's for its own size).
+
+    Every table with a nonzero span takes one uniform double per chunk
+    from ``rng``, in table order, in row blocks of at most
+    :data:`_UNIFORM_BYTES`; a point mass is ``n * lo`` and draws nothing,
+    as ``rng.integers`` draws nothing for a one-value range.
+    """
+    spb = EMB_SAMPLES_PER_BLOCK
+    n_chunks = -(-batch_size // spb)
+    tail = batch_size - (n_chunks - 1) * spb
+    full = n_chunks if tail == spb else n_chunks - 1
+    counts = np.empty((len(lows), n_chunks), dtype=np.int64)
+    counts[:, :full] = (lows * spb)[:, None]
+    counts[:, full:] = (lows * tail)[:, None]
+    drawn = np.flatnonzero(spans)
+    rows = max(1, _UNIFORM_BYTES // (8 * n_chunks))
+    for a in range(0, len(drawn), rows):
+        tables = drawn[a : a + rows]
+        u = rng.random((len(tables), n_chunks))
+        block_spans = spans[tables]
+        for span in sorted(set(block_spans.tolist())):  # one for a uniform generator
+            mine = block_spans == span
+            sel, us = (tables, u) if mine.all() else (tables[mine], u[mine])
+            counts[sel, :full] += _chunk_law(span, spb).invert(us[:, :full])
+            if full < n_chunks:
+                counts[sel, full] += _chunk_law(span, tail).invert(us[:, full])
+    return counts
+
+
+def _block_counts(
+    n_features: int, batch_size: int, rng: np.random.Generator, block: BlockDraw
+) -> np.ndarray:
+    """``(T, n_chunks)`` lookup counts of per-sample block draws, each block
+    reduced as it is drawn and dropped, unchecked."""
+    starts = np.arange(0, batch_size, EMB_SAMPLES_PER_BLOCK)
+    counts = np.empty((n_features, len(starts)), dtype=np.int64)
+    for lo, hi in _spans(n_features, batch_size):
+        np.add.reduceat(block(rng, lo, hi), starts, axis=1, out=counts[lo:hi])
+    return counts
+
+
+def _counts_batch(
+    layout: FeatureLayout,
+    batch_size: int,
+    rng: np.random.Generator,
+    ranges: Optional[tuple],
+    block: BlockDraw,
+) -> "LengthsBatch":
+    """A generator's counts-only batch.  ``ranges`` is the ``(lows, spans)``
+    of every table's uniform pooling factors, or ``None`` when they are not
+    plain uniform ranges (table skew).  When every span qualifies (see
+    :data:`_LAW_SPAN`) the counts come from their law, otherwise from
+    ``block`` draws of every sample, reduced."""
+    if ranges is not None and EMB_SAMPLES_PER_BLOCK * int(ranges[1].max()) <= _LAW_SPAN:
+        counts = _law_counts(rng, *ranges, batch_size)
+    else:
+        counts = _block_counts(len(layout.names), batch_size, rng, block)
+    return LengthsBatch.counted(layout, batch_size, counts)
+
+
 class LengthsBatch(Mapping[str, np.ndarray]):
     """One batch's per-feature pooling factors, read-only.
 
-    A drawn batch is its lookup counts: the ``(T, n_chunks)`` int64 matrix
-    per :data:`EMB_SAMPLES_PER_BLOCK` samples, reduced block by block as
-    it was drawn, and the generator's state at the start of the draw.  A
-    per-sample read (mapping a feature, :meth:`take`, or
-    :meth:`chunk_counts` at any other block size) first replays the draw
-    once from that state into ``(rows, B)`` blocks, features in
-    :attr:`layout` order, in the narrowest unsigned type the generator's
-    range allows (uint8 for every paper preset), and keeps them.  A batch
-    copied from a mapping or cut by :meth:`take` holds its blocks from the
-    start, int64 for a copy and the source's type for a cut.
+    A batch from a generator's ``lengths_batch`` is counts only: the
+    ``(T, n_chunks)`` int64 matrix per :data:`EMB_SAMPLES_PER_BLOCK`
+    samples, row = feature in :attr:`layout` order.  Its per-sample
+    reads (mapping a feature, iterating values, :meth:`take`, or
+    :meth:`chunk_counts` at any other block size) raise
+    :class:`CountsOnlyError`.  Any other batch holds ``(rows, B)`` row
+    blocks: a generator's ``sample_lengths`` in the narrowest unsigned type
+    the generator's range allows (uint8 for every paper preset), a copy of
+    a mapping in int64, and a cut by :meth:`take` in the source's type.
 
     Mapping a feature gives its ``(B,)`` int64 lengths, read-only: a row of
     an int64 block, or an int64 copy of a narrow block's row.  Hot paths
@@ -298,7 +459,7 @@ class LengthsBatch(Mapping[str, np.ndarray]):
     blocks; the first :meth:`chunk_counts` checks the values.
     """
 
-    __slots__ = ("_kept", "_replay", "_drawn_counts", "_counts", "layout", "batch_size")
+    __slots__ = ("_kept", "_counts", "layout", "batch_size")
 
     def __init__(self, lengths_by_feature: Mapping[str, Sequence[int]]):
         names, arrays = [], []
@@ -338,16 +499,24 @@ class LengthsBatch(Mapping[str, np.ndarray]):
         self, layout: FeatureLayout, blocks: Optional[List[np.ndarray]], batch_size: int
     ) -> None:
         self.layout = layout
-        #: the row blocks, or None until a drawn batch replays its draw
+        #: the row blocks, or None for a counts-only batch
         self._kept = blocks
-        #: (bit generator type, its state, block draw) of an unreplayed draw
-        self._replay = None
-        #: counts per EMB_SAMPLES_PER_BLOCK samples taken while drawing
-        self._drawn_counts: Optional[np.ndarray] = None
         #: samples_per_block -> read-only (T, n_chunks) counts
         self._counts: Dict[int, np.ndarray] = {}
         #: samples per feature (0 for an empty batch)
         self.batch_size = batch_size
+
+    @classmethod
+    def counted(
+        cls, layout: FeatureLayout, batch_size: int, counts: np.ndarray
+    ) -> "LengthsBatch":
+        """A counts-only batch of ``layout``'s features, ``batch_size``
+        samples each: ``counts`` is its ``(T, n_chunks)`` int64 matrix per
+        :data:`EMB_SAMPLES_PER_BLOCK` samples, kept unchecked."""
+        batch = cls.__new__(cls)
+        batch._setup(layout, None, batch_size)
+        batch._counts[EMB_SAMPLES_PER_BLOCK] = _frozen(counts)
+        return batch
 
     @classmethod
     def drawn(
@@ -358,41 +527,23 @@ class LengthsBatch(Mapping[str, np.ndarray]):
         block: BlockDraw,
     ) -> "LengthsBatch":
         """A batch of ``layout``'s features, ``batch_size`` samples each,
-        drawn from ``rng`` block by block: ``block(rng, lo, hi)`` returns
-        features ``[lo, hi)`` as a new ``(hi - lo, batch_size)`` array of
-        non-negative integers, of any integer type, and must draw only from
-        the ``rng`` it is given.
-
-        Each block is reduced into the counts per
-        :data:`EMB_SAMPLES_PER_BLOCK` samples, without checking, and
-        dropped.  The batch keeps those counts and ``rng``'s state before
-        the first block; its first per-sample read runs ``block`` again on
-        a fresh generator in that state, which draws the same values, and
-        keeps the blocks.  ``rng`` itself ends where the draw left it.
-        """
-        bit_generator = rng.bit_generator
-        replay = (type(bit_generator), bit_generator.state, block)
-        starts = np.arange(0, batch_size, EMB_SAMPLES_PER_BLOCK)
-        counts = np.empty((len(layout.names), len(starts)), dtype=np.int64)
-        for lo, hi in _spans(len(layout.names), batch_size):
-            np.add.reduceat(block(rng, lo, hi), starts, axis=1, out=counts[lo:hi])
+        drawn from ``rng`` block by block and kept: ``block(rng, lo, hi)``
+        returns features ``[lo, hi)`` as a new ``(hi - lo, batch_size)``
+        array of non-negative integers, of any integer type."""
+        blocks = _fill_blocks(len(layout.names), batch_size, lambda lo, hi: block(rng, lo, hi))
         batch = cls.__new__(cls)
-        batch._setup(layout, None, batch_size)
-        batch._replay = replay
-        batch._drawn_counts = _frozen(counts)
+        batch._setup(layout, blocks, batch_size)
         return batch
 
     @property
     def _blocks(self) -> List[np.ndarray]:
-        """The row blocks; a drawn batch replays its draw on the first read."""
+        """The row blocks; a counts-only batch has none."""
         if self._kept is None:
-            kind, state, block = self._replay
-            rng = np.random.Generator(kind(0))  # any seed: the state is overwritten
-            rng.bit_generator.state = state
-            self._kept = _fill_blocks(
-                len(self), self.batch_size, lambda lo, hi: block(rng, lo, hi)
+            raise CountsOnlyError(
+                f"this batch holds only its lookup counts per {EMB_SAMPLES_PER_BLOCK} "
+                f"samples (a generator's lengths_batch); draw per-sample pooling "
+                f"factors with the generator's sample_lengths() instead"
             )
-            self._replay = None
         return self._kept
 
     def __getitem__(self, name: str) -> np.ndarray:
@@ -453,32 +604,29 @@ class LengthsBatch(Mapping[str, np.ndarray]):
     def chunk_counts(self, samples_per_block: int) -> np.ndarray:
         """Lookup counts per ``samples_per_block`` samples: ``(T, n_chunks)``.
 
-        Row *t* is feature *t* of :attr:`layout`.  A drawn batch's counts
-        at :data:`EMB_SAMPLES_PER_BLOCK` are the ones taken while drawing.
-        Any other count matrix is derived, and the lengths validated, on
-        the first call per block size with one ``min`` and one ``reduceat``
-        per block, which sums a narrow block in int64 because it writes
-        into the int64 matrix; later calls return the same read-only
-        matrix.  ``samples_per_block`` must be an int >= 1.
+        Row *t* is feature *t* of :attr:`layout`.  A counts-only batch has
+        its counts at :data:`EMB_SAMPLES_PER_BLOCK` only.  A batch with
+        blocks derives a count matrix, and validates the lengths, on the
+        first call per block size with one ``min`` and one ``reduceat`` per
+        block, which sums a narrow block in int64 because it writes into
+        the int64 matrix; later calls return the same read-only matrix.
+        ``samples_per_block`` must be an int >= 1.
         """
         samples_per_block = checked_count(
             "LengthsBatch.chunk_counts", "samples_per_block", samples_per_block, 1
         )
         counts = self._counts.get(samples_per_block)
         if counts is None:
-            if samples_per_block == EMB_SAMPLES_PER_BLOCK and self._drawn_counts is not None:
-                counts = self._drawn_counts
-            else:
-                counts = self._reduced(samples_per_block)
-            self._counts[samples_per_block] = counts
+            counts = self._counts[samples_per_block] = self._reduced(samples_per_block)
         return counts
 
     def _reduced(self, samples_per_block: int) -> np.ndarray:
         """The blocks' counts per ``samples_per_block`` samples, checked."""
+        blocks = self._blocks
         starts = np.arange(0, self.batch_size, samples_per_block)
         counts = np.empty((len(self), len(starts)), dtype=np.int64)
         lo = 0
-        for block in self._blocks:
+        for block in blocks:
             hi = lo + block.shape[0]
             if block.size and block.min() < 0:
                 bad = int(np.flatnonzero(block < 0)[0])
@@ -547,20 +695,43 @@ class SyntheticDataGenerator:
         raise ValueError(f"unknown index distribution {cfg.index_distribution!r}")
 
     def lengths_batch(self, batch_size: Optional[int] = None) -> LengthsBatch:
-        """Pooling factors only: ``{feature: (B,) lengths}``, read-only.
+        """Lookup counts only: a counts-only :class:`LengthsBatch`.
 
-        Timing-only runs need just the jagged shape, not the indices — this
-        draws exactly the lengths :meth:`sparse_batch` would (same marginal
-        distribution) without materialising the index arrays, which at
-        paper scale would be ~0.5 GB per batch.  Each block of features is
-        one ``(rows, B)`` draw: numpy's bounded int64 draw takes the same
-        words from the bit generator as ``rows`` draws of ``B``, so the
-        values and the generator's state equal per-table draws exactly.
+        Timing-only runs need just each table's lookup count per
+        :data:`EMB_SAMPLES_PER_BLOCK` samples, not the indices or even the
+        per-sample pooling factors.  Each chunk's count is drawn from the
+        exact law of the sum of its samples' uniform pooling factors, the
+        law :meth:`sample_lengths` gives it: one uniform double per (table,
+        chunk) from this generator, inverted through the law's CDF (see
+        :func:`_law_counts`).  Chunks are disjoint sets of iid samples, so
+        the count matrix has the law a per-sample draw gives it; what is
+        preserved is that law, not the values a per-sample draw from this
+        generator would reduce to.  A pooling range wider than
+        :data:`_LAW_SPAN` allows, or a table skew, draws every sample as
+        :meth:`sample_lengths` does and reduces each block as it is drawn.
+        Any per-sample read of the batch raises :class:`CountsOnlyError`.
+        ``batch_size=None`` draws the config's batch size.
+        """
+        cfg = self.config
+        B = _batch_size("SyntheticDataGenerator.lengths_batch", batch_size, cfg.batch_size)
+        ranges = None
+        if cfg.table_skew_alpha is None:
+            ranges = (
+                np.full(cfg.num_tables, cfg.min_pooling, dtype=np.int64),
+                np.full(cfg.num_tables, cfg.max_pooling - cfg.min_pooling, dtype=np.int64),
+            )
+        return _counts_batch(self._layout, B, self._rng, ranges, self._block_draw(B))
 
-        The batch keeps only each table's counts per
-        :data:`EMB_SAMPLES_PER_BLOCK` samples and this generator's state
-        before the draw (see :meth:`LengthsBatch.drawn`).  A per-sample
-        read replays the draw once into blocks of the narrowest unsigned
+    def sample_lengths(self, batch_size: Optional[int] = None) -> LengthsBatch:
+        """Per-sample pooling factors: ``{feature: (B,) lengths}``, read-only.
+
+        Draws pooling factors from the law :meth:`sparse_batch` draws them
+        from, without materialising the index arrays, which at paper scale
+        would be ~0.5 GB per batch.  Each block of
+        features is one ``(rows, B)`` draw: numpy's bounded int64 draw
+        takes the same words from the bit generator as ``rows`` draws of
+        ``B``, so the values and the generator's state equal per-table
+        draws exactly.  The blocks are stored in the narrowest unsigned
         type that holds the largest factor the config allows:
         ``max_pooling``, scaled by the largest table multiplier under table
         skew (``rint`` of a product with a positive scale is monotone, so
@@ -568,19 +739,24 @@ class SyntheticDataGenerator:
         batch size.
         """
         cfg = self.config
-        B = _batch_size("SyntheticDataGenerator.lengths_batch", batch_size, cfg.batch_size)
+        B = _batch_size("SyntheticDataGenerator.sample_lengths", batch_size, cfg.batch_size)
+        return LengthsBatch.drawn(self._layout, B, self._rng, self._block_draw(B))
+
+    def _block_draw(self, batch_size: int) -> BlockDraw:
+        """The per-sample draw of a block of features at ``batch_size``."""
+        cfg = self.config
         lo_pool, hi_pool = cfg.min_pooling, cfg.max_pooling + 1
         scales = cfg.table_skew_scales()
         top = cfg.max_pooling if scales is None else int(np.rint(cfg.max_pooling * scales.max()))
         dtype = _storage_dtype(top)
 
         def draw(rng: np.random.Generator, lo: int, hi: int) -> np.ndarray:
-            block = rng.integers(lo_pool, hi_pool, size=(hi - lo, B), dtype=np.int64)
+            block = rng.integers(lo_pool, hi_pool, size=(hi - lo, batch_size), dtype=np.int64)
             if scales is not None:
                 block = _skew_lengths(block, scales[lo:hi, None])
             return block.astype(dtype, copy=False)
 
-        return LengthsBatch.drawn(self._layout, B, self._rng, draw)
+        return draw
 
     # -- dense ------------------------------------------------------------------
 

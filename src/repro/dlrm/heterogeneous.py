@@ -28,7 +28,14 @@ import numpy as np
 
 from ..checks import checked_count
 from .batch import JaggedField, SparseBatch
-from .data import FeatureLayout, LengthsBatch, _batch_size, _storage_dtype
+from .data import (
+    BlockDraw,
+    FeatureLayout,
+    LengthsBatch,
+    _batch_size,
+    _counts_batch,
+    _storage_dtype,
+)
 from .embedding import EmbeddingTableConfig, PoolingMode
 
 __all__ = ["TableProfile", "HeterogeneousWorkload", "HeterogeneousDataGenerator", "criteo_like"]
@@ -131,30 +138,55 @@ class HeterogeneousDataGenerator:
         self._rng = np.random.default_rng(self.workload.seed)
 
     def lengths_batch(self, batch_size: Optional[int] = None) -> LengthsBatch:
-        """Per-feature pooling factors, each from its own range (read-only).
+        """Lookup counts only: a counts-only :class:`LengthsBatch`.
 
-        One draw per table, since each has its own range.  The batch keeps
-        only each table's counts per
-        :data:`~repro.dlrm.data.EMB_SAMPLES_PER_BLOCK` samples and this
-        generator's state before the draw (see :meth:`LengthsBatch.drawn`).
-        A per-sample read replays the draw once, writing each table's draw
-        into its row of blocks stored in the narrowest unsigned type that
-        holds the largest ``max_pooling`` of any table.
+        Each table's count per
+        :data:`~repro.dlrm.data.EMB_SAMPLES_PER_BLOCK` samples is drawn
+        from the law of the sum of its own range's uniform draws, one law
+        per distinct range; a single-valued table draws nothing.  When any
+        range is too wide for its law (see
+        :meth:`SyntheticDataGenerator.lengths_batch`), every sample is
+        drawn as :meth:`sample_lengths` does and reduced.
         ``batch_size=None`` draws the workload's batch size.
         """
         B = _batch_size(
             "HeterogeneousDataGenerator.lengths_batch", batch_size, self.workload.batch_size
         )
         tables = self.workload.tables
+        ranges = (
+            np.array([t.min_pooling for t in tables], dtype=np.int64),
+            np.array([t.max_pooling - t.min_pooling for t in tables], dtype=np.int64),
+        )
+        return _counts_batch(self._layout, B, self._rng, ranges, self._block_draw(B))
+
+    def sample_lengths(self, batch_size: Optional[int] = None) -> LengthsBatch:
+        """Per-sample pooling factors, each from its own range (read-only).
+
+        One draw per table, since each has its own range, as
+        :meth:`sparse_batch` draws its lengths, written into its row of
+        blocks stored in the narrowest unsigned type that holds the largest
+        ``max_pooling`` of any table.  ``batch_size=None`` draws the
+        workload's batch size.
+        """
+        B = _batch_size(
+            "HeterogeneousDataGenerator.sample_lengths", batch_size, self.workload.batch_size
+        )
+        return LengthsBatch.drawn(self._layout, B, self._rng, self._block_draw(B))
+
+    def _block_draw(self, batch_size: int) -> BlockDraw:
+        """The per-sample draw of a block of tables at ``batch_size``."""
+        tables = self.workload.tables
         dtype = _storage_dtype(max(t.max_pooling for t in tables))
 
         def draw(rng: np.random.Generator, lo: int, hi: int) -> np.ndarray:
-            block = np.empty((hi - lo, B), dtype=dtype)
+            block = np.empty((hi - lo, batch_size), dtype=dtype)
             for i, t in enumerate(tables[lo:hi]):
-                block[i] = rng.integers(t.min_pooling, t.max_pooling + 1, size=B, dtype=np.int64)
+                block[i] = rng.integers(
+                    t.min_pooling, t.max_pooling + 1, size=batch_size, dtype=np.int64
+                )
             return block
 
-        return LengthsBatch.drawn(self._layout, B, self._rng, draw)
+        return draw
 
     def sparse_batch(self, batch_size: Optional[int] = None) -> SparseBatch:
         """Full jagged batch with per-feature cardinalities."""

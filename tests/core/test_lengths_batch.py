@@ -13,17 +13,21 @@ allocates more than a block, and a batch costs numpy calls per block, not
 per table.  A drawn batch stores its blocks in the narrowest unsigned type
 the generator's declared range allows, yet reads as int64.
 
-A drawn batch is its lookup counts per ``EMB_SAMPLES_PER_BLOCK`` samples
-and the generator's state: its first per-sample read replays the draw once,
-and the replay equals per-table reference draws.
+A generator's ``lengths_batch`` is its lookup counts per
+``EMB_SAMPLES_PER_BLOCK`` samples only, each chunk's drawn from the exact
+law of its samples' sum, and every per-sample read of it raises
+:class:`CountsOnlyError`.  ``sample_lengths`` draws the per-sample values,
+which equal per-table reference draws.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import sys
+import time
 import tracemalloc
 from collections.abc import Mapping
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,6 +47,7 @@ from repro.core.workload import (
 from repro.dlrm import data as data_mod
 from repro.dlrm.data import (
     STRONG_SCALING_TOTAL,
+    CountsOnlyError,
     InvalidLengthsError,
     LengthsBatch,
     SyntheticDataGenerator,
@@ -112,7 +117,7 @@ def assert_same_workloads(got, want):
 class TestSharingIsInvisible:
     @pytest.mark.parametrize("case", sorted(SHARING_CASES))
     def test_one_batch_through_both_backends_equals_fresh_dicts(self, case):
-        shared = SyntheticDataGenerator(SHARING_CASES[case][0]).lengths_batch()
+        shared = SyntheticDataGenerator(SHARING_CASES[case][0]).sample_lengths()
         got = run_both(case, lambda: shared)
         want = run_both(case, lambda: plain(shared))
         for (t_got, seq_got, wl_got), (t_want, seq_want, wl_want) in zip(got, want):
@@ -122,7 +127,7 @@ class TestSharingIsInvisible:
 
     def test_second_build_reads_the_first_builds_counts(self):
         plan = TableWiseSharding(SMALL.table_configs(), 4)
-        lengths = SyntheticDataGenerator(SMALL).lengths_batch()
+        lengths = SyntheticDataGenerator(SMALL).sample_lengths()
         first = build_device_workloads(plan, lengths, samples_per_block=16)
         counts = lengths.chunk_counts(16)
         build_device_workloads(plan, lengths, samples_per_block=16)
@@ -154,7 +159,9 @@ class TestSharingIsInvisible:
 
 class TestFrozen:
     def test_generated_lengths_and_counts_raise_on_write(self):
-        lengths = SyntheticDataGenerator(SMALL).lengths_batch()
+        with pytest.raises(ValueError):
+            SyntheticDataGenerator(SMALL).lengths_batch().chunk_counts(64)[0, 0] = 1
+        lengths = SyntheticDataGenerator(SMALL).sample_lengths()
         assert isinstance(lengths, Mapping) and not isinstance(lengths, dict)
         name = next(iter(lengths))
         with pytest.raises(ValueError):
@@ -168,7 +175,10 @@ class TestFrozen:
 
     def test_heterogeneous_generator_returns_a_frozen_batch(self):
         gen = HeterogeneousDataGenerator(criteo_like(num_tables=4, batch_size=64))
-        lengths = gen.lengths_batch()
+        counted = gen.lengths_batch()
+        assert isinstance(counted, LengthsBatch)
+        assert not counted.chunk_counts(64).flags.writeable
+        lengths = gen.sample_lengths()
         assert isinstance(lengths, LengthsBatch)
         assert all(not arr.flags.writeable for arr in lengths.values())
 
@@ -189,7 +199,7 @@ class TestFrozen:
         assert lengths.chunk_counts(4) is counts and counts.tolist() == [[6, 22]]
 
     def test_take_selects_rows_into_a_new_frozen_batch(self):
-        lengths = SyntheticDataGenerator(SMALL).lengths_batch()
+        lengths = SyntheticDataGenerator(SMALL).sample_lengths()
         rows = np.array([5, 0, 199, 5])
         sub = lengths.take(rows)
         assert isinstance(sub, LengthsBatch) and sub.batch_size == 4
@@ -205,7 +215,7 @@ class TestFrozen:
 
     def test_lists_of_ints_work(self):
         emb = DistributedEmbedding(SMALL, 2, backend="pgas")
-        arrays = SyntheticDataGenerator(SMALL).lengths_batch()
+        arrays = SyntheticDataGenerator(SMALL).sample_lengths()
         as_lists = {name: [int(v) for v in arr] for name, arr in arrays.items()}
         want = DistributedEmbedding(SMALL, 2, backend="pgas").forward_timed(arrays)
         assert emb.forward_timed(as_lists).as_dict() == want.as_dict()
@@ -216,7 +226,7 @@ class TestFrozen:
 
 def built(spb=16, n_devices=4):
     plan = TableWiseSharding(SMALL.table_configs(), n_devices)
-    lengths = SyntheticDataGenerator(SMALL).lengths_batch()
+    lengths = SyntheticDataGenerator(SMALL).sample_lengths()
     return build_device_workloads(plan, lengths, samples_per_block=spb)
 
 
@@ -272,7 +282,7 @@ def bad(kind, good):
 class TestBadLengths:
     @pytest.mark.parametrize("kind", ["negative", "fractional", "nan", "bool", "object", "2-d"])
     def test_forward_timed_raises_a_typed_error(self, kind):
-        lengths = plain(SyntheticDataGenerator(SMALL).lengths_batch())
+        lengths = plain(SyntheticDataGenerator(SMALL).sample_lengths())
         lengths["sparse_7"] = bad(kind, lengths["sparse_7"])
         emb = DistributedEmbedding(SMALL, 2, backend="pgas")
         with pytest.raises(InvalidLengthsError, match="sparse_7"):
@@ -303,7 +313,7 @@ class TestBadLengths:
         assert LengthsBatch(arrays)["f1"][0] == 2**63 - 1
 
     def test_negative_lengths_fail_on_a_generated_batch_too(self):
-        good = SyntheticDataGenerator(SMALL).lengths_batch()
+        good = SyntheticDataGenerator(SMALL).sample_lengths()
         lengths = LengthsBatch({**good, "sparse_0": bad("negative", np.array(good["sparse_0"]))})
         with pytest.raises(InvalidLengthsError, match="sparse_0"):
             lengths.chunk_counts(16)
@@ -346,7 +356,7 @@ class TestBlockDraws:
             table_skew_alpha=skew, seed=11,
         )
         gen = SyntheticDataGenerator(cfg)
-        got = [gen.lengths_batch(batch_size=B) for B in sizes]
+        got = [gen.sample_lengths(batch_size=B) for B in sizes]
         want, rng = per_table_reference(
             11, [pooling] * 40, sizes, cfg.table_skew_scales()
         )
@@ -367,7 +377,7 @@ class TestBlockDraws:
             seed=13,
         )
         gen = HeterogeneousDataGenerator(wl)
-        got = [gen.lengths_batch(batch_size=B) for B in sizes]
+        got = [gen.sample_lengths(batch_size=B) for B in sizes]
         want, rng = per_table_reference(13, ranges, sizes)
         for batch, arrays in zip(got, want):
             for name, arr in zip(wl.feature_names, arrays):
@@ -376,7 +386,7 @@ class TestBlockDraws:
 
     def test_one_generator_shares_one_layout_with_its_takes(self):
         gen = SyntheticDataGenerator(SMALL)
-        first, second = gen.lengths_batch(), gen.lengths_batch(batch_size=7)
+        first, second = gen.sample_lengths(), gen.lengths_batch(batch_size=7)
         assert first.layout is second.layout is first.take([1, 2]).layout
         assert first.layout.names == tuple(SMALL.feature_names)
         assert LengthsBatch(plain(first)).layout is not first.layout
@@ -417,10 +427,8 @@ class TestBlockBudget:
         )
         limit = max(BLOCK_BUDGET, 8 * batch_size)
         gen = SyntheticDataGenerator(cfg)
-        for draw in (
-            gen.lengths_batch,
-            lambda: HeterogeneousDataGenerator(criteo_like(num_tables, batch_size=batch_size)).lengths_batch(),
-        ):
+        het = HeterogeneousDataGenerator(criteo_like(num_tables, batch_size=batch_size))
+        for draw in (gen.lengths_batch, gen.sample_lengths, het.lengths_batch, het.sample_lengths):
             batch, largest, transient = numpy_allocations(draw)
             assert 0 < largest <= limit
             assert transient <= 4 * limit
@@ -454,24 +462,17 @@ def numpy_calls(fn):
     return out, calls
 
 
-def count_draws(batch):
-    """Wrap an unreplayed drawn batch's block draw so that the list
-    returned records one ``(lo, hi)`` entry per ``rng.integers`` call of
-    its replay.  numpy's Generator methods are Cython functions, which
-    raise no profiler events, so :func:`numpy_calls` cannot see them."""
-    kind, state, block = batch._replay
-    draws = []
+class CountingRng:
+    """A generator that records the ``size`` of each ``integers`` call.
+    numpy's Generator methods are Cython functions, which raise no
+    profiler events, so :func:`numpy_calls` cannot see them."""
 
-    class Counting:
-        def __init__(self, rng, lo, hi):
-            self.rng, self.span = rng, (lo, hi)
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
 
-        def integers(self, *args, **kwargs):
-            draws.append(self.span)
-            return self.rng.integers(*args, **kwargs)
-
-    batch._replay = (kind, state, lambda rng, lo, hi: block(Counting(rng, lo, hi), lo, hi))
-    return draws
+    def integers(self, *args, size, **kwargs):
+        self.sizes.append(size)
+        return self.rng.integers(*args, size=size, **kwargs)
 
 
 class TestCallsPerBlock:
@@ -483,9 +484,8 @@ class TestCallsPerBlock:
         cfg = WorkloadConfig(
             num_tables=308, batch_size=5000, min_pooling=8, max_pooling=8, seed=1
         )
-        pool = SyntheticDataGenerator(cfg).lengths_batch()
+        pool = SyntheticDataGenerator(cfg).sample_lengths()
         rows = np.sort(np.random.default_rng(0).choice(5000, 256, replace=False))
-        pool.take(rows)  # the first per-sample read replays the draw
         sub, calls = numpy_calls(lambda: pool.take(rows))
         src, dst = len(pool._blocks), len(sub._blocks)
         assert (src, dst) == (52, 3)
@@ -498,15 +498,15 @@ class TestCallsPerBlock:
         _, calls = numpy_calls(lambda: sub.chunk_counts(64))
         assert calls == []
 
-    def test_a_replay_costs_one_draw_and_one_cast_per_block(self):
+    def test_sample_lengths_costs_one_draw_and_one_cast_per_block(self):
         cfg = WorkloadConfig(
             num_tables=308, batch_size=5000, min_pooling=8, max_pooling=8, seed=1
         )
-        pool = SyntheticDataGenerator(cfg).lengths_batch()
-        draws = count_draws(pool)
-        blocks, calls = numpy_calls(lambda: pool._blocks)
+        gen = SyntheticDataGenerator(cfg)
+        gen._rng = counting = CountingRng(gen._rng)
+        blocks, calls = numpy_calls(lambda: gen.sample_lengths()._blocks)
         assert len(blocks) == 52
-        assert len(draws) == 52 and calls == ["astype"] * 52
+        assert len(counting.sizes) == 52 and calls == ["astype"] * 52
 
 
 # -- narrow storage: the type comes from the declared range ---------------------
@@ -558,7 +558,7 @@ class TestNarrowStorage:
     )
     def test_stored_type_is_the_narrowest_that_holds_max_pooling(self, pooling, dtype):
         cfg = narrow_config(pooling[1], pooling[0])
-        batch = SyntheticDataGenerator(cfg).lengths_batch()
+        batch = SyntheticDataGenerator(cfg).sample_lengths()
         assert block_dtypes(batch) == {np.dtype(dtype)}
         (want,), _ = per_table_reference(17, [pooling] * 40, [1001])
         assert_reads_match(batch, want, cfg.feature_names)
@@ -568,7 +568,7 @@ class TestNarrowStorage:
         scales = cfg.table_skew_scales()
         top = int(np.rint(cfg.max_pooling * scales.max()))
         assert top > 255
-        batch = SyntheticDataGenerator(cfg).lengths_batch()
+        batch = SyntheticDataGenerator(cfg).sample_lengths()
         assert block_dtypes(batch) == {np.dtype(np.uint16)}
         assert max(int(block.max()) for block in batch._blocks) == top
         (want,), _ = per_table_reference(17, [(0, 128)] * 40, [1001], scales)
@@ -578,7 +578,7 @@ class TestNarrowStorage:
         cfg = narrow_config(20, skew=1.2)
         top = int(np.rint(20 * cfg.table_skew_scales().max()))
         assert top == 249
-        batch = SyntheticDataGenerator(cfg).lengths_batch()
+        batch = SyntheticDataGenerator(cfg).sample_lengths()
         assert block_dtypes(batch) == {np.dtype(np.uint8)}
         assert max(int(block.max()) for block in batch._blocks) == top
 
@@ -595,7 +595,7 @@ class TestNarrowStorage:
             batch_size=1001,
             seed=13,
         )
-        batch = HeterogeneousDataGenerator(wl).lengths_batch()
+        batch = HeterogeneousDataGenerator(wl).sample_lengths()
         assert block_dtypes(batch) == {np.dtype(dtype)}
         (want,), _ = per_table_reference(13, ranges, [1001])
         assert_reads_match(batch, want, wl.feature_names)
@@ -605,96 +605,233 @@ class TestNarrowStorage:
             tables=(TableProfile("a", 10, max_pooling=8), TableProfile("b", 10, max_pooling=2**33)),
             batch_size=64,
         )
-        assert block_dtypes(HeterogeneousDataGenerator(wl).lengths_batch()) == {
+        assert block_dtypes(HeterogeneousDataGenerator(wl).sample_lengths()) == {
             np.dtype(np.int64)
         }
 
     def test_a_copied_mapping_keeps_int64_blocks(self):
-        batch = SyntheticDataGenerator(SMALL).lengths_batch()
+        batch = SyntheticDataGenerator(SMALL).sample_lengths()
         assert block_dtypes(batch) == {np.dtype(np.uint8)}
         copied = LengthsBatch(batch)
         assert block_dtypes(copied) == {np.dtype(np.int64)}
         assert copied["sparse_3"].base is not None  # a view of its block, not a copy
 
     def test_a_strong_preset_batch_holds_one_byte_per_factor(self):
-        batch = SyntheticDataGenerator(STRONG_SCALING_TOTAL).lengths_batch()
+        batch = SyntheticDataGenerator(STRONG_SCALING_TOTAL).sample_lengths()
         assert sum(block.nbytes for block in batch._blocks) == 96 * 16384
 
 
-# -- a drawn batch is its counts; per-sample reads replay the draw once ----------
+# -- a drawn batch is its counts only ----------------------------------------------
 
 
-#: odd and even B, below, at and above one 64-sample chunk; from 1001 up,
-#: 40 tables span several blocks
-REPLAY_BATCH_SIZES = [1, 2, 3, 63, 64, 65, 1001, 4096, 8193]
+def exact_pmf(span, n):
+    """The pmf of the sum of ``n`` draws uniform on ``0..span``, exactly."""
+    p = [Fraction(1)]
+    for _ in range(n):
+        q = [Fraction(0)] * (len(p) + span)
+        for s, v in enumerate(p):
+            for k in range(span + 1):
+                q[s + k] += v / (span + 1)
+        p = q
+    return p
 
 
-@st.composite
-def replay_cases(draw):
-    """A generator, its seed, per-table ranges and skew, and two batch sizes."""
-    T = draw(st.integers(1, 40))
-    sizes = [draw(st.sampled_from(REPLAY_BATCH_SIZES)) for _ in range(2)]
-    seed = draw(st.integers(0, 2**32 - 1))
-    widths = st.sampled_from([0, 1, 8, 128, 300])  # 0: min_pooling == max_pooling
-    if draw(st.booleans()):
-        lo, width = draw(st.integers(0, 20)), draw(widths)
-        skew = draw(st.sampled_from([None, 0.8, 1.2]))
-        cfg = WorkloadConfig(
-            num_tables=T, min_pooling=lo, max_pooling=lo + width,
-            table_skew_alpha=skew, seed=seed,
-        )
-        ranges = [(lo, lo + width)] * T
-        return SyntheticDataGenerator(cfg), seed, ranges, cfg.table_skew_scales(), sizes
-    ranges = []
-    for _ in range(T):
-        lo = draw(st.integers(0, 20))
-        ranges.append((lo, lo + draw(widths)))
-    wl = HeterogeneousWorkload(
-        tables=tuple(
-            TableProfile(f"t{i}", 1000, max_pooling=hi, min_pooling=lo)
-            for i, (lo, hi) in enumerate(ranges)
-        ),
-        seed=seed,
+def law_reference(rng, ranges, batch_size):
+    """Counts drawn from ``rng`` table by table: one uniform per chunk of
+    each table with more than one value, inverted with ``np.searchsorted``
+    through the law of its chunk's size."""
+    starts = np.arange(0, batch_size, 64)
+    sizes = np.diff(np.append(starts, batch_size))
+    rows = []
+    for lo, hi in ranges:
+        row = lo * sizes
+        if hi > lo:
+            u = rng.random(len(starts))
+            for n in np.unique(sizes).tolist():
+                at = sizes == n
+                cdf = data_mod._chunk_law(hi - lo, n).cdf
+                row[at] += np.searchsorted(cdf, u[at], side="right")
+        rows.append(row)
+    return np.array(rows, dtype=np.int64)
+
+
+def profiles(ranges):
+    return tuple(
+        TableProfile(f"t{i}", 1000, max_pooling=hi, min_pooling=lo)
+        for i, (lo, hi) in enumerate(ranges)
     )
-    return HeterogeneousDataGenerator(wl), seed, ranges, None, sizes
 
 
-class TestReplay:
-    @settings(max_examples=40, deadline=None)
-    @given(replay_cases())
-    def test_a_replay_equals_per_table_draws(self, case):
-        gen, seed, ranges, scales, sizes = case
-        (want, want_next), rng = per_table_reference(seed, ranges, sizes, scales)
-        batch = gen.lengths_batch(batch_size=sizes[0])
-        names = list(batch)
-        assert batch._kept is None
-        np.testing.assert_array_equal(
-            batch.chunk_counts(64), LengthsBatch(dict(zip(names, want))).chunk_counts(64)
+class TestChunkLaw:
+    @pytest.mark.parametrize(
+        "lo, hi, n", [(3, 3, 5), (0, 1, 1), (2, 9, 1), (0, 3, 7), (1, 2, 64), (4, 8, 64)]
+    )
+    def test_pmf_equals_exact_enumeration(self, lo, hi, n):
+        exact = exact_pmf(hi - lo, n)
+        pmf = data_mod._sum_pmf(hi - lo, n)
+        assert len(pmf) == n * (hi - lo) + 1
+        assert np.abs(pmf - np.array([float(x) for x in exact])).max() <= 1e-15
+        law = data_mod._chunk_law(hi - lo, n)
+        assert law.cdf[-1] == 1.0 and (np.diff(law.cdf) >= 0).all()
+        offsets = np.arange(len(pmf))
+        mean = float(sum(k * x for k, x in enumerate(exact)))
+        assert pmf @ offsets == pytest.approx(mean, rel=1e-12)
+
+    @settings(max_examples=12, deadline=None)
+    @given(lo=st.integers(0, 50), span=st.one_of(st.integers(1, 300), st.just(2048)))
+    def test_counts_match_the_sum_moments(self, lo, span):
+        """A 256 x 256 draw of chunk counts has the mean and variance of a
+        sum of 64 uniform draws.  The seed is fixed: at this size the
+        variance's standard error is about 0.55 %, so a free seed would
+        miss 1 % now and then; the ranges vary."""
+        cfg = WorkloadConfig(
+            num_tables=256, batch_size=256 * 64, min_pooling=lo, max_pooling=lo + span, seed=0
         )
-        assert batch._kept is None
-        # The next batch is drawn before this one replays: the replay reads
-        # its own snapshot, not the generator.
-        following = gen.lengths_batch(batch_size=sizes[1])
-        draws = count_draws(batch)
-        for name, arr in zip(names, want):
-            np.testing.assert_array_equal(batch[name], arr)
-        for name, arr in zip(names, want_next):
-            np.testing.assert_array_equal(following[name], arr)
+        counts = SyntheticDataGenerator(cfg).lengths_batch().chunk_counts(64)
+        assert counts.shape == (256, 256)
+        assert counts.mean() == pytest.approx(64 * (2 * lo + span) / 2, rel=0.01)
+        assert counts.var() == pytest.approx(64 * ((span + 1) ** 2 - 1) / 12, rel=0.01)
+
+    @pytest.mark.parametrize("span, n", [(1, 1), (8, 64), (32, 41), (128, 64), (2048, 64)])
+    def test_guide_inverse_equals_searchsorted(self, span, n):
+        law = data_mod._chunk_law(span, n)
+        cdf = law.cdf
+        drawn = np.random.default_rng(span).random(65536)
+        steps = np.concatenate((cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)))
+        edges = np.arange(law.buckets) / law.buckets
+        u = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], drawn, steps[steps < 1.0], edges))
+        np.testing.assert_array_equal(law.invert(u), np.searchsorted(cdf, u, side="right"))
+        grid = drawn.reshape(256, 256)
+        np.testing.assert_array_equal(
+            law.invert(grid), np.searchsorted(cdf, grid, side="right")
+        )
+        # Few draws land in a bucket that needs the search.
+        assert law.wide[(drawn * law.buckets).astype(np.intp)].mean() < 0.02
+
+
+class TestLawDraws:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        ranges=st.lists(
+            st.tuples(st.integers(0, 20), st.sampled_from([0, 1, 8, 128, 300])).map(
+                lambda r: (r[0], r[0] + r[1])
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        batch_size=st.sampled_from([1, 63, 64, 65, 1001, 8193, 65536 + 5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_heterogeneous_counts_equal_a_per_table_law_reference(
+        self, ranges, batch_size, seed
+    ):
+        """One law per distinct range, the last partial chunk's for its own
+        size, a single-valued table draws nothing, and row blocks of
+        uniforms draw what per-table draws would."""
+        gen = HeterogeneousDataGenerator(HeterogeneousWorkload(tables=profiles(ranges), seed=seed))
+        batch = gen.lengths_batch(batch_size=batch_size)
+        rng = np.random.default_rng(seed)
+        want = law_reference(rng, ranges, batch_size)
+        np.testing.assert_array_equal(batch.chunk_counts(64), want)
         assert gen._rng.bit_generator.state == rng.bit_generator.state
-        blocks = batch._blocks
-        stacked = np.concatenate([block.astype(np.int64) for block in blocks])
-        for spb in (1, 7, 128):
-            starts = np.arange(0, sizes[0], spb)
-            np.testing.assert_array_equal(
-                batch.chunk_counts(spb), np.add.reduceat(stacked, starts, axis=1)
-            )
-        batch.take([0, sizes[0] - 1])
-        LengthsBatch(batch)
-        # One replay: one draw per block (per table for the heterogeneous
-        # generator), and the blocks it made are the ones kept.
-        per_block = isinstance(gen, SyntheticDataGenerator)
-        assert len(draws) == (len(blocks) if per_block else len(names))
-        assert batch._blocks is blocks
+
+    @pytest.mark.parametrize("batch_size", [16384, 1001, 5])
+    def test_synthetic_counts_equal_a_per_table_law_reference(self, batch_size):
+        # 64 tables x 256 chunks of uniforms are two 64 KiB row blocks.
+        cfg = WorkloadConfig(num_tables=64, batch_size=batch_size, max_pooling=128, seed=9)
+        gen = SyntheticDataGenerator(cfg)
+        first, second = gen.lengths_batch(), gen.lengths_batch(batch_size=7)
+        rng = np.random.default_rng(9)
+        np.testing.assert_array_equal(
+            first.chunk_counts(64), law_reference(rng, [(0, 128)] * 64, batch_size)
+        )
+        np.testing.assert_array_equal(
+            second.chunk_counts(64), law_reference(rng, [(0, 128)] * 64, 7)
+        )
+        assert gen._rng.bit_generator.state == rng.bit_generator.state
+
+    def test_a_point_mass_draws_nothing(self):
+        cfg = WorkloadConfig(
+            num_tables=308, batch_size=5000, min_pooling=8, max_pooling=8, seed=1
+        )
+        gen = SyntheticDataGenerator(cfg)
+        before = gen._rng.bit_generator.state
+        counts = gen.lengths_batch().chunk_counts(64)
+        assert gen._rng.bit_generator.state == before
+        want = np.add.reduceat(np.full(5000, 8), np.arange(0, 5000, 64))
+        assert counts.shape == (308, 79) and (counts == want).all()
+        het = HeterogeneousDataGenerator(criteo_like(num_tables=6, multivalued_fraction=0.0))
+        before = het._rng.bit_generator.state
+        assert (het.lengths_batch(batch_size=100).chunk_counts(64) == [64, 36]).all()
+        assert het._rng.bit_generator.state == before
+
+    @pytest.mark.parametrize(
+        "pooling, skew", [((0, 2**31), None), ((0, 32), 1.2)], ids=["wide", "skewed"]
+    )
+    def test_other_ranges_reduce_sample_draws(self, pooling, skew):
+        """A range past the law's cap, or a table skew, draws every sample
+        (what ``sample_lengths`` draws) and reduces it, quickly."""
+        cfg = WorkloadConfig(
+            num_tables=40, min_pooling=pooling[0], max_pooling=pooling[1],
+            table_skew_alpha=skew, batch_size=8193, seed=11,
+        )
+        gen, ref = SyntheticDataGenerator(cfg), SyntheticDataGenerator(cfg)
+        start = time.perf_counter()
+        batch = gen.lengths_batch()
+        assert time.perf_counter() - start < 1.0
+        assert batch._kept is None
+        np.testing.assert_array_equal(batch.chunk_counts(64), ref.sample_lengths().chunk_counts(64))
+        assert gen._rng.bit_generator.state == ref._rng.bit_generator.state
+
+    @pytest.mark.parametrize("span, by_law", [(2048, True), (2049, False)])
+    def test_the_law_covers_spans_up_to_2048(self, span, by_law):
+        cfg = WorkloadConfig(
+            num_tables=3, min_pooling=5, max_pooling=5 + span, batch_size=130, seed=4
+        )
+        gen = SyntheticDataGenerator(cfg)
+        gen.lengths_batch()
+        if by_law:
+            rng = np.random.default_rng(4)
+            law_reference(rng, [(5, 5 + span)] * 3, 130)
+        else:
+            _, rng = per_table_reference(4, [(5, 5 + span)] * 3, [130])
+        assert gen._rng.bit_generator.state == rng.bit_generator.state
+
+
+COUNTS_ONLY_READS = {
+    "getitem": lambda batch: batch["sparse_0" if "sparse_0" in batch else "cat_0"],
+    "values": lambda batch: list(batch.values()),
+    "items": lambda batch: dict(batch.items()),
+    "take": lambda batch: batch.take([0, 1]),
+    "chunk_counts-16": lambda batch: batch.chunk_counts(16),
+    "copy": LengthsBatch,
+}
+
+
+class TestCountsOnly:
+    @pytest.mark.parametrize("read", sorted(COUNTS_ONLY_READS))
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: SyntheticDataGenerator(SMALL),
+            lambda: HeterogeneousDataGenerator(criteo_like(num_tables=4, batch_size=64)),
+        ],
+        ids=["synthetic", "heterogeneous"],
+    )
+    def test_each_per_sample_read_raises_the_typed_error(self, make, read):
+        batch = make().lengths_batch()
+        with pytest.raises(CountsOnlyError, match=r"sample_lengths\(\)"):
+            COUNTS_ONLY_READS[read](batch)
+        assert issubclass(CountsOnlyError, TypeError)
+
+    def test_the_keys_and_the_counts_still_read(self):
+        batch = SyntheticDataGenerator(SMALL).lengths_batch()
+        assert list(batch) == SMALL.feature_names and len(batch) == 12
+        assert "sparse_3" in batch and "sparse_12" not in batch
+        with pytest.raises(KeyError):
+            batch["sparse_12"]
+        assert batch.batch_size == 200 and batch.chunk_counts(64).shape == (12, 4)
+        assert batch.chunk_counts(np.int64(64)) is batch.chunk_counts(64)
 
 
 def retained(fn):
@@ -713,19 +850,22 @@ class TestDrawnMemory:
     def test_a_drawn_batch_holds_its_counts_until_a_sample_is_read(self):
         T, B = 1024, 16384
         gen = SyntheticDataGenerator(WorkloadConfig(num_tables=T, batch_size=B, max_pooling=32))
+        gen.lengths_batch()  # builds the law, which the process keeps
         batch, kept = retained(gen.lengths_batch)
         counts_bytes = T * (B // 64) * 8
         assert counts_bytes == 2 * 1024 * 1024
         assert kept <= counts_bytes + 64 * 1024
         assert batch.chunk_counts(64).nbytes == counts_bytes
-        _, grown = retained(lambda: batch["sparse_5"])
-        assert sum(block.nbytes for block in batch._blocks) == T * B
-        assert grown >= T * B
+        # A sample read raises rather than drawing the samples after all.
+        with pytest.raises(CountsOnlyError):
+            batch["sparse_5"]
+        assert batch._kept is None
 
 
 class TestTakeArgument:
     """``take`` accepts only 1-D integer rows, checked before any block
-    is read, so a bad argument neither replays nor mis-indexes."""
+    is read: a counts-only batch, which has no blocks, still reports the
+    bad argument."""
 
     def batch(self):
         return SyntheticDataGenerator(SMALL).lengths_batch()
@@ -734,22 +874,19 @@ class TestTakeArgument:
         batch = self.batch()
         with pytest.raises(TypeError, match=r"rows must be integer indices, got dtype bool"):
             batch.take([True, False, True])
-        assert batch._kept is None
 
     def test_floats_are_rejected(self):
         batch = self.batch()
         with pytest.raises(TypeError, match=r"rows must be integer indices, got dtype float64"):
             batch.take([1.9])
-        assert batch._kept is None
 
     def test_2d_rows_are_rejected(self):
         batch = self.batch()
         with pytest.raises(ValueError, match=r"rows must be 1-D, got shape \(1, 2\)"):
             batch.take([[0, 1]])
-        assert batch._kept is None
 
     def test_any_integer_type_indexes_as_intp(self):
-        batch = self.batch()
+        batch = SyntheticDataGenerator(SMALL).sample_lengths()
         want = batch.take([3, 0, 199])
         for dtype in (np.uint8, np.int32, np.uint64):
             rows = np.array([3, 0, 199], dtype=dtype)
@@ -796,7 +933,7 @@ def generator_methods():
     return {
         f"{type(gen).__name__}.{name}": getattr(gen, name)
         for gen in (syn, het)
-        for name in ("sparse_batch", "lengths_batch", "dense_batch")
+        for name in ("sparse_batch", "lengths_batch", "sample_lengths", "dense_batch")
     }
 
 
@@ -840,7 +977,7 @@ class TestBatchSizeArgument:
 
 class TestChunkCountsArgument:
     def batch(self):
-        return SyntheticDataGenerator(SMALL).lengths_batch()
+        return SyntheticDataGenerator(SMALL).sample_lengths()
 
     def test_zero_is_rejected(self):
         batch = self.batch()

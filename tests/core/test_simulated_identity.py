@@ -36,6 +36,13 @@ event each: a stage waits on its stream ops through one countdown
 the join's delay), and ``PGASContext.quiet`` over a set of PEs is one
 callback at its wake-up instant in place of a process per PE.
 
+Every timing of a case fed by ``lengths_batch`` on a plain uniform range
+was re-captured once when that method began drawing each chunk's lookup
+count from its law rather than drawing every sample: the inputs changed,
+not the cost model, and no event count moved.  The cases fed by
+``sparse_batch`` or a skewed config (``pgas+cache``, ``pgas+reshard``)
+did not move.
+
 ``pgas-g64`` also pins how its writes are issued: one ``PGASContext.put``
 call per device-wave, next to the unchanged number of writes, so a return
 to one call per destination fails here.
@@ -213,10 +220,10 @@ CASES = {
     "pgas-g16": (
         lambda: _run(FLAT_G16, 16, "pgas"),
         {
-            "compute_ns": 7107540.327485381,
+            "compute_ns": 7110949.169590643,
             "comm_ns": 0.0,
             "sync_unpack_ns": 0.0,
-            "total_ns": 7107540.327485381,
+            "total_ns": 7110949.169590643,
             "batches": 1.0,
         },
         86,
@@ -224,10 +231,10 @@ CASES = {
     "baseline-g16": (
         lambda: _run(FLAT_G16, 16, "baseline"),
         {
-            "compute_ns": 6911304.327485381,
+            "compute_ns": 6914713.169590644,
             "comm_ns": 117219.10416666698,
-            "sync_unpack_ns": 1799626.666666667,
-            "total_ns": 8828150.098318715,
+            "sync_unpack_ns": 1799626.666666666,
+            "total_ns": 8831558.940423977,
             "batches": 1.0,
         },
         58,
@@ -235,10 +242,10 @@ CASES = {
     "pgas-g64": (
         lambda: _run(SCALE_G64, 64, "pgas"),
         {
-            "compute_ns": 7042233.005847954,
+            "compute_ns": 7038243.67251462,
             "comm_ns": 0.0,
             "sync_unpack_ns": 0.0,
-            "total_ns": 7042233.005847954,
+            "total_ns": 7038243.67251462,
             "batches": 1.0,
         },
         198,
@@ -246,10 +253,10 @@ CASES = {
     "baseline-g64": (
         lambda: _run(SCALE_G64, 64, "baseline"),
         {
-            "compute_ns": 6939693.005847954,
+            "compute_ns": 6935703.67251462,
             "comm_ns": 15274.208333333023,
             "sync_unpack_ns": 969504.0,
-            "total_ns": 7924471.214181287,
+            "total_ns": 7920481.880847953,
             "batches": 1.0,
         },
         202,
@@ -261,10 +268,10 @@ CASES = {
             features=FeatureSpec(hier=HierSpec(devices_per_node=4)),
         ),
         {
-            "compute_ns": 2156333.8989898977,
+            "compute_ns": 2143181.828814459,
             "comm_ns": 0.0,
             "sync_unpack_ns": 0.0,
-            "total_ns": 2156333.8989898977,
+            "total_ns": 2143181.828814459,
             "batches": 1.0,
         },
         367,
@@ -272,48 +279,48 @@ CASES = {
     "train-pgas-g4": (
         lambda: _train(TRAIN_G4, 4, "pgas"),
         {
-            "forward.input_copy_ns": 374748.6666666667,
+            "forward.input_copy_ns": 373411.3333333333,
             "forward.dense_mlp_ns": 32451.674153536733,
             "forward.interaction_top_ns": 250121.14436125662,
             "forward.overlap_saved_ns": 32451.674153536558,
-            "forward.total_ns": 7666046.255472369,
+            "forward.total_ns": 7639933.062489912,
             "forward.batches": 1.0,
-            "forward.emb.compute_ns": 7041176.444444445,
+            "forward.emb.compute_ns": 7016400.584795322,
             "forward.emb.comm_ns": 0.0,
             "forward.emb.sync_unpack_ns": 0.0,
-            "forward.emb.total_ns": 7041176.444444445,
+            "forward.emb.total_ns": 7016400.584795322,
             "forward.emb.batches": 1.0,
-            "dense_backward_ns": 1489166.45885015,
-            "emb_backward.compute_ns": 5418144.304093569,
+            "dense_backward_ns": 1489166.458850151,
+            "emb_backward.compute_ns": 5400125.497076025,
             "emb_backward.comm_ns": 0.0,
             "emb_backward.sync_unpack_ns": 0.0,
-            "emb_backward.total_ns": 5418144.304093569,
+            "emb_backward.total_ns": 5400125.497076025,
             "emb_backward.batches": 1.0,
-            "total_ns": 13084190.559565937,
+            "total_ns": 13040058.559565937,
         },
         89,
     ),
     "train-baseline-g4": (
         lambda: _train(TRAIN_G4, 4, "baseline"),
         {
-            "forward.input_copy_ns": 374748.6666666667,
+            "forward.input_copy_ns": 373411.3333333333,
             "forward.dense_mlp_ns": 32451.674153536733,
-            "forward.interaction_top_ns": 250121.14436125755,
+            "forward.interaction_top_ns": 250121.14436125662,
             "forward.overlap_saved_ns": 32451.674153536558,
-            "forward.total_ns": 8525244.463805703,
+            "forward.total_ns": 8499131.270823246,
             "forward.batches": 1.0,
-            "forward.emb.compute_ns": 6915596.444444445,
+            "forward.emb.compute_ns": 6890820.584795322,
             "forward.emb.comm_ns": 233727.54166666698,
             "forward.emb.sync_unpack_ns": 751050.666666667,
-            "forward.emb.total_ns": 7900374.652777779,
+            "forward.emb.total_ns": 7875598.793128656,
             "forward.emb.batches": 1.0,
             "dense_backward_ns": 1489166.458850151,
-            "emb_backward.compute_ns": 19306471.39181287,
+            "emb_backward.compute_ns": 19234396.16374269,
             "emb_backward.comm_ns": 971143.3338501509,
             "emb_backward.sync_unpack_ns": 751050.666666666,
-            "emb_backward.total_ns": 21028665.392329685,
+            "emb_backward.total_ns": 20956590.16425951,
             "emb_backward.batches": 1.0,
-            "total_ns": 29553909.85613539,
+            "total_ns": 29455721.435082756,
         },
         97,
     ),
@@ -361,10 +368,10 @@ FEATURE_CASES = {
     "baseline+compress-int8": (
         _compress,
         {
-            "compute_ns": 168658.43274853803,
+            "compute_ns": 168117.61403508772,
             "comm_ns": 4806.666666666657,
             "sync_unpack_ns": 79270.08187134503,
-            "total_ns": 252735.18128654972,
+            "total_ns": 252194.3625730994,
             "batches": 1.0,
         },
         28,
@@ -391,10 +398,10 @@ FEATURE_CASES = {
     "pgas+resilient": (
         _resilient,
         {
-            "compute_ns": 154902.19883040938,
+            "compute_ns": 154927.64912280702,
             "comm_ns": 0.0,
             "sync_unpack_ns": 0.0,
-            "total_ns": 360698.4009395612,
+            "total_ns": 360723.85123195883,
             "batches": 1.0,
         },
         65,
@@ -422,17 +429,17 @@ FEATURE_CASES = {
     "pgas+replicated-k2": (
         _replicated,
         {
-            "compute_ns": 223557.73099415202,
+            "compute_ns": 223086.90058479534,
             "comm_ns": 0.0,
             "sync_unpack_ns": 0.0,
-            "total_ns": 223557.73099415202,
+            "total_ns": 223086.90058479534,
             "batches": 1.0,
         },
         186,
         {
-            "availability.batch_lookups": 65752.0,
-            "availability.detection_ns": 9530.532163742697,
-            "availability.failover_lookups": 16695.0,
+            "availability.batch_lookups": 65184.0,
+            "availability.detection_ns": 5071.350877192977,
+            "availability.failover_lookups": 16151.0,
             "availability.failures": 1.0,
             "availability.recovery_bytes": 4194304.0,
             "availability.recovery_bytes.dev0->dev2": 1572864.0,
@@ -496,10 +503,10 @@ ROWWISE_CASES = {
     "rowwise-baseline-g4": (
         lambda: _rowwise(ROWWISE_G4, 4, BaselineRetrieval),
         {
-            "compute_ns": 1290585.3567251463,
+            "compute_ns": 1286213.1461988306,
             "comm_ns": 466744.4375,
-            "sync_unpack_ns": 1217084.4444444447,
-            "total_ns": 2974414.238669591,
+            "sync_unpack_ns": 1217084.4444444445,
+            "total_ns": 2970042.028143275,
             "batches": 1.0,
         },
         22,
@@ -508,10 +515,10 @@ ROWWISE_CASES = {
     "rowwise-pgas-g4": (
         lambda: _rowwise(ROWWISE_G4, 4, PGASFusedRetrieval),
         {
-            "compute_ns": 1477605.3567251463,
+            "compute_ns": 1473233.1461988306,
             "comm_ns": 0.0,
             "sync_unpack_ns": 0.0,
-            "total_ns": 1477605.3567251463,
+            "total_ns": 1473233.1461988306,
             "batches": 1.0,
         },
         26,
@@ -520,10 +527,10 @@ ROWWISE_CASES = {
     "rowwise-baseline-g3-ragged": (
         lambda: _rowwise(ROWWISE_G3, 3, BaselineRetrieval),
         {
-            "compute_ns": 343135.90643274854,
+            "compute_ns": 339703.48538011697,
             "comm_ns": 67213.77083333331,
             "sync_unpack_ns": 185006.2222222222,
-            "total_ns": 595355.899488304,
+            "total_ns": 591923.4784356725,
             "batches": 1.0,
         },
         19,
@@ -540,10 +547,10 @@ ROWWISE_CASES = {
     "rowwise-pgas-g3-ragged": (
         lambda: _rowwise(ROWWISE_G3, 3, PGASFusedRetrieval),
         {
-            "compute_ns": 373870.90643274854,
+            "compute_ns": 370438.48538011697,
             "comm_ns": 0.0,
             "sync_unpack_ns": 0.0,
-            "total_ns": 373870.90643274854,
+            "total_ns": 370438.48538011697,
             "batches": 1.0,
         },
         15,
@@ -560,10 +567,10 @@ ROWWISE_CASES = {
     "rowwise-bwd-baseline-g4": (
         lambda: _rowwise(ROWWISE_G4, 4, RowWiseBaselineBackward),
         {
-            "compute_ns": 6019979.60233918,
+            "compute_ns": 5992288.935672516,
             "comm_ns": 1400233.3125,
-            "sync_unpack_ns": 1554101.3333333337,
-            "total_ns": 8974314.248172514,
+            "sync_unpack_ns": 1554101.333333334,
+            "total_ns": 8946623.58150585,
             "batches": 1.0,
         },
         52,
@@ -578,10 +585,10 @@ ROWWISE_CASES = {
     "rowwise-bwd-pgas-g4": (
         lambda: _rowwise(ROWWISE_G4, 4, RowWisePGASBackward),
         {
-            "compute_ns": 2167098.6900584796,
+            "compute_ns": 2162726.479532164,
             "comm_ns": 0.0,
             "sync_unpack_ns": 0.0,
-            "total_ns": 2167098.6900584796,
+            "total_ns": 2162726.479532164,
             "batches": 1.0,
         },
         26,

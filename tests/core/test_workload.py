@@ -35,7 +35,7 @@ def make(n_tables=4, G=2, B=40, dim=8, max_pool=5, spb=16, seed=3):
         max_pooling=max_pool, seed=seed,
     )
     plan = TableWiseSharding(cfg.table_configs(), G)
-    lengths = SyntheticDataGenerator(cfg).lengths_batch()
+    lengths = SyntheticDataGenerator(cfg).sample_lengths()
     return plan, lengths, build_device_workloads(plan, lengths, samples_per_block=spb)
 
 
@@ -215,7 +215,7 @@ def test_volume_conservation_property(n_tables, G, B, spb):
         max_pooling=3, seed=1,
     )
     plan = TableWiseSharding(cfg.table_configs(), G)
-    lengths = SyntheticDataGenerator(cfg).lengths_batch()
+    lengths = SyntheticDataGenerator(cfg).sample_lengths()
     wls = build_device_workloads(plan, lengths, samples_per_block=spb)
     total_out = sum(wl.bytes_written for wl in wls)
     assert total_out == pytest.approx(B * n_tables * 16)  # dim 4 x fp32

@@ -35,7 +35,7 @@ G = 4
 
 def built(spb=16):
     plan = TableWiseSharding(CFG.table_configs(), G)
-    lengths = SyntheticDataGenerator(CFG).lengths_batch()
+    lengths = SyntheticDataGenerator(CFG).sample_lengths()
     return plan, lengths, build_device_workloads(plan, lengths, samples_per_block=spb)
 
 

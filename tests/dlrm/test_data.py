@@ -165,7 +165,7 @@ class TestSparseGeneration:
 class TestLengthsOnly:
     def test_lengths_batch_structure(self):
         gen = SyntheticDataGenerator(small())
-        lengths = gen.lengths_batch()
+        lengths = gen.sample_lengths()
         assert set(lengths) == set(small().feature_names)
         for arr in lengths.values():
             assert arr.shape == (50,)
@@ -174,7 +174,7 @@ class TestLengthsOnly:
     def test_lengths_distribution_matches_sparse(self):
         """Same marginal: means agree within noise at moderate size."""
         cfg = small(batch_size=2000)
-        l = SyntheticDataGenerator(cfg).lengths_batch()
+        l = SyntheticDataGenerator(cfg).sample_lengths()
         s = SyntheticDataGenerator(cfg).sparse_batch()
         m1 = np.mean([arr.mean() for arr in l.values()])
         m2 = np.mean([f.lengths.mean() for _, f in s])

@@ -89,10 +89,12 @@ class TestGenerator:
 
     def test_lengths_batch_matches_profiles(self):
         gen = HeterogeneousDataGenerator(small_workload())
-        lengths = gen.lengths_batch()
+        lengths = gen.sample_lengths()
         assert set(lengths) == {"states", "pages", "items"}
         assert (lengths["states"] == 1).all()
         assert lengths["items"].max() <= 4
+        counts = gen.lengths_batch().chunk_counts(64)  # one 40-sample chunk
+        assert counts[0].tolist() == [40] and 0 <= counts[2, 0] <= 4 * 40
 
     def test_deterministic(self):
         a = HeterogeneousDataGenerator(small_workload()).sparse_batch()

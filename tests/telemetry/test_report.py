@@ -236,7 +236,7 @@ class TestSinglePassOverlap:
             mixed_run.profiler, backend="pgas", n_devices=8, topology=mixed_run.topology
         )
         digest = hashlib.sha256(report.to_json().encode()).hexdigest()
-        assert digest == "d42e58d2d613fc66cdc43633ab6cd2382e9b39704e9ec7265ed611d11502e445"
+        assert digest == "283e6faf89476064d870eedd4ffc6f01a9a72d07b102075ad469050f925bae0a"
         assert report.metric("overlap_fraction") == 0.7734138972809668
 
     def test_metrics_equal_public_overlap_fraction(self, mixed_run):
@@ -272,8 +272,16 @@ class TestReportDigests:
     @pytest.mark.parametrize(
         "backend, digest",
         [
-            ("pgas+hier", "754e1340837039072370d00d10895326d850261dee2f1beb11344636425948fc"),
-            ("baseline+hier", "1d4b5d1b40cb0e1ce883610112736f100104fdc5d262d194532a87fee442ba35"),
+            pytest.param(
+                "pgas+hier",
+                "2867c14ac50c84a014fcc959b61e1d056472cbe31efebb977f5c0e850798f8a2",
+                id="pgas+hier",
+            ),
+            pytest.param(
+                "baseline+hier",
+                "59b6c2136c68126785757e1c3cda02c84ed16691cab615f6d5db15fd719b4934",
+                id="baseline+hier",
+            ),
         ],
     )
     def test_hier_2x4(self, backend, digest):
@@ -301,13 +309,21 @@ class TestReportDigests:
         counters = report.faults["counters"]
         assert counters["faults.rerouted_bytes.dev1->dev2"] == 262144.0
         assert counters["faults.rerouted_bytes.dev2->dev0"] == 262144.0
-        assert _digest(report) == "f23eeb2cfad0355d2fc7fd7df502331a6915b8f12479b6c92c0b7f1ee27eb4d8"
+        assert _digest(report) == "88240617e0f863ae623caa6332f05a05ec0f75285317b1aa59cdc3dc28792206"
 
     @pytest.mark.parametrize(
         "backend, digest",
         [
-            ("pgas", "19950362016b2015bdcee440e6c1135cd686f9017a9bbc879b14e124c2791608"),
-            ("baseline", "48b17cc9da82fe94d9603bd1ffebf6dc3b3ec3be5e0798b4add2a7dbee194da9"),
+            pytest.param(
+                "pgas",
+                "f665184e5e9439f00aab71dc33358022cb78a1f4586c207ef01f203f580289ac",
+                id="pgas",
+            ),
+            pytest.param(
+                "baseline",
+                "68698de8796865e78dc11163362561824e6a753203d5f1fad70d525b0b98a3ae",
+                id="baseline",
+            ),
         ],
     )
     def test_g16(self, backend, digest):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.bench.runner import ExperimentRunner
 from repro.cli import SWEEPS, build_parser, main
 
 
@@ -65,6 +66,48 @@ class TestTypedErrors:
         assert len(errors) == 1
         assert f"argument {flag}" in errors[0]
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["run", "--batches", "0"], "--batches"),
+            (["run", "--batches", "-2"], "--batches"),
+            (["reproduce", "--batches", "0", "--only", "T1"], "--batches"),
+            (["report", "--batches", "0"], "--batches"),
+            (["sweep", "skew", "--preset", "tiny", "--batches", "0"], "--batches"),
+            (["reproduce", "--scale", "0"], "--scale"),
+            (["report", "--scale", "1.5"], "--scale"),
+            (["sweep", "compress", "--scale", "nan"], "--scale"),
+            (["run", "--pooling", "-1"], "--pooling"),
+            (["run", "--seed", "-1"], "--seed"),
+            (["plan", "--seed", "-1"], "--seed"),
+        ],
+    )
+    def test_bad_counts_exit_2_naming_the_flag(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"argument {flag}" in errors[0]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "kwargs,error,field",
+        [
+            (dict(n_batches=0), ValueError, "n_batches"),
+            (dict(n_batches=1.5), TypeError, "n_batches"),
+            (dict(scale=0.0), ValueError, "scale"),
+            (dict(scale=1.5), ValueError, "scale"),
+            (dict(scale=float("nan")), ValueError, "scale"),
+            (dict(device_counts=(1, 0)), ValueError, "device_counts"),
+            (dict(device_counts=()), ValueError, "device_counts"),
+            (dict(seed=-1), ValueError, "seed"),
+        ],
+    )
+    def test_runner_rejects_bad_fields(self, kwargs, error, field):
+        with pytest.raises(error, match=rf"ExperimentRunner\.{field}"):
+            ExperimentRunner(**kwargs)
 
     def test_valid_values_still_parse(self):
         args = build_parser().parse_args(["sweep", "cache", "--alphas", "1.05", "2"])
