@@ -52,7 +52,6 @@ Quickstart
 
 from . import comm, core, dlrm, simgpu, telemetry
 from .core import (
-    BackendInfo,
     BackendName,
     BaselineRetrieval,
     DLRMInferencePipeline,
@@ -73,11 +72,11 @@ from .core import (
     preset_runspec,
 )
 
-# Importing repro.cache registers the "+cache" backends; keep it after core.
+# Importing repro.cache adds the "+cache" backends; keep it after core.
 from . import cache
 from .cache import CacheConfig, CachedRetrieval
 
-# Importing repro.faults registers the "+resilient" backends; keep it after
+# Importing repro.faults adds the "+resilient" backends; keep it after
 # core and cache (the fallback path reuses the hot-row cache).
 from . import faults
 from .faults import (
@@ -88,16 +87,16 @@ from .faults import (
     ResilientRetrieval,
 )
 
-# Importing repro.compress registers the "+compress" backends; keep it after core.
+# Importing repro.compress adds the "+compress" backends; keep it after core.
 from . import compress
 from .compress import CompressedRetrieval, CompressionSpec
 
-# Importing repro.replication registers the "+replicated" backends; keep it
+# Importing repro.replication adds the "+replicated" backends; keep it
 # after core and faults (failover keys off the device_down fault kind).
 from . import replication
 from .replication import ReplicatedRetrieval, ReplicationSpec
 
-# Importing repro.reshard registers the "+reshard" backends; keep it after
+# Importing repro.reshard adds the "+reshard" backends; keep it after
 # core and replication (migration streaming reuses the paced-transfer idiom).
 from . import reshard
 from .reshard import ReshardRetrieval, ReshardSpec
@@ -123,7 +122,6 @@ from .telemetry import MetricsRegistry, RunReport, collect_run_report
 __version__ = "0.1.0"
 
 __all__ = [
-    "BackendInfo",
     "BackendName",
     "BaselineRetrieval",
     "CacheConfig",

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Sequence
 
+from ..checks import check_finite
 from ..core.pipeline import DLRMInferencePipeline
 from ..core.runspec import RunSpec
 from ..core.serving import InferenceServer, SchedulerSpec, ServingResult, ServingSpec
@@ -136,6 +137,7 @@ def run_fault_sweep(
         raise ValueError("need at least one severity")
     if not bases:
         raise ValueError("need at least one base backend")
+    check_finite("run_fault_sweep", "arrival_qps", arrival_qps)
     deadline = (
         f"deadline {deadline_ns / ms:.2f} ms"
         if deadline_ns is not None

@@ -34,6 +34,7 @@ import numpy as np
 
 from ..core.baseline import PhaseTiming
 from ..core.factory import build_backend, parse_backend_name
+from ..core.retrieval import adapter_class
 from ..core.runspec import RunSpec
 from ..core.workload import table_segments
 from ..dlrm.data import SyntheticDataGenerator
@@ -209,7 +210,7 @@ def run_skew_sweep(
     if not backends or not skews:
         raise ValueError("every sweep axis needs at least one value")
     for name in backends:
-        parse_backend_name(str(name))
+        adapter_class(name)  # malformed or unknown names raise before any work
     if n_batches < 1:
         raise ValueError("need at least one batch per point")
     base_cfg = preset_workload(preset, n_devices, seed=seed, scale=scale)
@@ -233,7 +234,7 @@ def run_skew_sweep(
         header={"preset": preset, "n_devices": n_devices, "n_batches": n_batches},
     )
     for backend in backends:
-        resharded = "+reshard" in backend
+        resharded = "reshard" in parse_backend_name(backend)[1]
         for skew in skews:
             cfg = base_cfg
             if skew:

@@ -14,11 +14,15 @@ bytes entirely.  This package provides:
   either base backend with the caches on both the timed (DES) and the
   functional (numpy, bit-identical) path.
 
-Importing this package registers the ``"pgas+cache"`` and
-``"baseline+cache"`` backends with the core registry, so
+Importing this package defines :class:`CachedRetrieval`, the class the
+``"pgas+cache"`` and ``"baseline+cache"`` backends resolve to, so
 
+>>> from repro import CacheConfig, DistributedEmbedding, FeatureSpec, WorkloadConfig
+>>> cfg = WorkloadConfig(num_tables=8, rows_per_table=256, dim=8, batch_size=64)
 >>> emb = DistributedEmbedding(cfg, n_devices=2, backend="pgas+cache",
 ...                            features=FeatureSpec(cache=CacheConfig(policy="lru")))
+>>> type(emb.backend_adapter()).__name__
+'CachedRetrieval'
 
 works exactly like the uncached backends (``repro`` imports it for you).
 """
@@ -50,9 +54,3 @@ __all__ = [
     "StaticTopKPolicy",
     "make_policy",
 ]
-
-
-CachedRetrieval.register({
-    "pgas": "PGAS retrieval with the hot-row cache short-circuiting remote reads",
-    "baseline": "collective retrieval with the hot-row cache shrinking the all-to-all",
-})

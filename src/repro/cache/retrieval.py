@@ -118,6 +118,10 @@ class CachedRetrieval(BaseRetrieval):
     config_field = "cache"
     spec_type = CacheConfig
     requires_indices = True
+    descriptions = {
+        "pgas": "PGAS retrieval with the hot-row cache short-circuiting remote reads",
+        "baseline": "collective retrieval with the hot-row cache shrinking the all-to-all",
+    }
 
     def __init__(self, cluster: Cluster, plan: TableWiseSharding,
                  config: Optional[CacheConfig] = None, **kwargs):

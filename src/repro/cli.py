@@ -8,7 +8,7 @@ Commands
 ``sweep``       ``sweep <knob> <values>`` sweeps a workload knob and prints
                 speedups per point; ``sweep <name>`` runs a named sweep
                 (see :data:`SWEEPS`) and writes its ``BENCH_*.json``
-``backends``    list the registered backends with their capability flags
+``backends``    list the backends with their capability flags
 ``plan``        capacity-aware table placement for a Criteo-like table set
 ``trace``       run one batch and write a chrome://tracing JSON timeline
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -39,7 +40,8 @@ from .bench.sweeps import SweepResult, batch_size_sweep, pooling_sweep, table_co
 from .bench.telemetry import run_metrics, validate_metrics_json
 from .compress import CODEC_NAMES
 from .core.planner import plan_table_wise
-from .core.retrieval import DistributedEmbedding, available_backends, backend_spec
+from .core.factory import parse_backend_name
+from .core.retrieval import DistributedEmbedding, adapter_class, available_backends
 from .core.runspec import PRESETS
 from .dlrm.data import SyntheticDataGenerator, WorkloadConfig
 from .dlrm.heterogeneous import criteo_like
@@ -71,26 +73,27 @@ def _non_negative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
-def _scale(text: str) -> float:
-    """argparse type: a batch-size scale factor in (0, 1]."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
-    return value
+def _float_type(ok: Callable[[float], bool], rule: str) -> Callable[[str], float]:
+    """An argparse type: a float ``ok`` accepts; bad values exit 2 naming
+    the flag and ``rule``."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {value}")
+        return value
+
+    return parse
 
 
-def _zipf_alpha(text: str) -> float:
-    """argparse type: a zipf exponent, which must exceed 1."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not value > 1.0:
-        raise argparse.ArgumentTypeError(f"zipf alpha must be > 1, got {value}")
-    return value
+_scale = _float_type(lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
+_fraction = _float_type(lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
+_positive_float = _float_type(lambda v: 0.0 < v < math.inf, "must be positive and finite")
+_non_negative_float = _float_type(lambda v: 0.0 <= v < math.inf, "must be >= 0 and finite")
+_zipf_alpha = _float_type(lambda v: v > 1.0, "zipf alpha must be > 1")
 
 
 _BASES = ("pgas", "baseline")
@@ -109,7 +112,8 @@ _FLAGS: Dict[str, Flag] = {
     "preset": ("--preset", dict(choices=PRESETS,
                                 help="workload preset (resolved via preset_runspec)")),
     "gpus": ("--gpus", dict(type=_positive_int, help="simulated GPU count")),
-    "backends": ("--backends", dict(nargs="+", help="backends to compare")),
+    "backends": ("--backends", dict(nargs="+", choices=available_backends(),
+                                    help="backends to compare")),
     "bases": ("--backends", dict(dest="backends", nargs="+", choices=_BASES,
                                  help="base backends to wrap")),
     "batches": ("--batches", dict(type=_positive_int, help="batches per point")),
@@ -202,7 +206,7 @@ SWEEPS: Dict[str, _Sweep] = {
         flags=[
             ("--alphas", dict(type=_zipf_alpha, nargs="+", default=[1.05, 1.1, 1.2],
                               help="zipf skew values")),
-            ("--capacities", dict(type=float, nargs="+", default=[0.05, 0.1, 0.2],
+            ("--capacities", dict(type=_fraction, nargs="+", default=[0.05, 0.1, 0.2],
                                   help="cache capacity as a fraction of remote rows")),
             ("--policy", dict(choices=("lru", "lfu", "static-topk"), default="lru")),
         ],
@@ -220,13 +224,13 @@ SWEEPS: Dict[str, _Sweep] = {
         shared=dict(_WORKLOAD, tables=8, rows=4096, dim=16, batch=512, pooling=4,
                     gpus=4, bases=_BASES, output=""),
         flags=[
-            ("--severities", dict(type=float, nargs="+", default=[0.0, 0.3, 0.6, 0.9],
+            ("--severities", dict(type=_fraction, nargs="+", default=[0.0, 0.3, 0.6, 0.9],
                                   help="fault severities in [0, 1] (0 = healthy)")),
-            ("--requests", dict(type=int, default=48, help="requests per point")),
-            ("--qps", dict(type=float, default=50_000.0, help="offered load")),
-            ("--queue-limit", dict(type=int, default=512,
+            ("--requests", dict(type=_positive_int, default=48, help="requests per point")),
+            ("--qps", dict(type=_positive_float, default=50_000.0, help="offered load")),
+            ("--queue-limit", dict(type=_positive_int, default=512,
                                    help="shed arrivals beyond this queue depth")),
-            ("--hedge-ms", dict(type=float, default=None,
+            ("--hedge-ms", dict(type=_positive_float, default=None,
                                 help="hedge batches running longer than this (ms)")),
         ],
         validate=validate_faultsweep_json,
@@ -240,11 +244,11 @@ SWEEPS: Dict[str, _Sweep] = {
         shared=dict(preset="tiny", gpus=2, backends=_BASES, seed=0,
                     output="BENCH_serving.json"),
         flags=[
-            ("--qps", dict(type=float, nargs="+", default=[200_000.0],
+            ("--qps", dict(type=_positive_float, nargs="+", default=[200_000.0],
                            help="offered arrival rates")),
-            ("--k", dict(type=int, nargs="+", default=[1, 2],
+            ("--k", dict(type=_positive_int, nargs="+", default=[1, 2],
                          help="max in-flight batches (scheduler depth) values")),
-            ("--requests", dict(type=int, default=32, help="requests per point")),
+            ("--requests", dict(type=_positive_int, default=32, help="requests per point")),
         ],
         validate=validate_servesweep_json,
     ),
@@ -268,7 +272,7 @@ SWEEPS: Dict[str, _Sweep] = {
         ),
         shared=dict(preset="tiny", gpus=4, bases=_BASES, batches=6, scale=1.0,
                     seed=None, output="BENCH_availability.json"),
-        flags=[("--k", dict(type=int, nargs="+", default=[1, 2],
+        flags=[("--k", dict(type=_positive_int, nargs="+", default=[1, 2],
                             help="replication factors to measure"))],
         validate=validate_chaossweep_json,
     ),
@@ -281,7 +285,7 @@ SWEEPS: Dict[str, _Sweep] = {
         shared=dict(preset="tiny", gpus=4,
                     backends=["pgas", "pgas+reshard", "baseline", "baseline+reshard"],
                     batches=10, scale=1.0, seed=None, output="BENCH_reshard.json"),
-        flags=[("--skews", dict(type=float, nargs="+", default=[0.0, 1.05],
+        flags=[("--skews", dict(type=_non_negative_float, nargs="+", default=[0.0, 1.05],
                                 help="table traffic skew exponents (0 = uniform)"))],
         validate=validate_skewsweep_json,
     ),
@@ -355,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(flag, **kwargs)
 
     sub.add_parser("backends",
-                   help="list registered backends and their capability flags")
+                   help="list the backends and their capability flags")
 
     pl = sub.add_parser("plan", help="capacity-aware table placement")
     pl.add_argument("--criteo-tables", type=int, default=26)
@@ -447,15 +451,10 @@ def _cmd_backends(args: argparse.Namespace) -> int:
     from .bench.reporting import format_table
 
     rows = []
-    for info in available_backends():
-        flags = [info.base, *info.features]
-        if info.requires_indices:
-            flags.append("indices")
-        if info.traceable:
-            flags.append("traceable")
-        if not info.functional:
-            flags.append("timed-only")
-        rows.append([str(info), "+".join(flags), info.description])
+    for name in available_backends():
+        cls, base = adapter_class(name), parse_backend_name(name)[0]
+        flags = f"{name}+indices" if cls.requires_indices else name
+        rows.append([name, flags, cls.descriptions[base]])
     print(format_table(["backend", "flags", "description"], rows))
     return 0
 
@@ -466,7 +465,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         cfg = dataclasses.replace(cfg, index_distribution="zipf", zipf_alpha=args.zipf)
     emb = DistributedEmbedding(cfg, args.gpus, backend=args.backend)
     gen = SyntheticDataGenerator(cfg)
-    if backend_spec(args.backend).requires_indices:
+    if adapter_class(args.backend).requires_indices:
         t = emb.forward(gen.sparse_batch()).timing
     else:
         t = emb.forward_timed(gen.lengths_batch())

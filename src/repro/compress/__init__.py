@@ -20,11 +20,15 @@ on **both** comm paths:
   encode pass is fused into the EMB kernel, and the decode pass is
   charged on the destination device.
 
-Importing this package registers the ``"pgas+compress"`` and
-``"baseline+compress"`` backends with the core registry, so
+Importing this package defines :class:`CompressedRetrieval`, the class
+the ``"pgas+compress"`` and ``"baseline+compress"`` backends resolve to, so
 
+>>> from repro import CompressionSpec, DistributedEmbedding, FeatureSpec, WorkloadConfig
+>>> cfg = WorkloadConfig(num_tables=8, rows_per_table=256, dim=8, batch_size=64)
 >>> emb = DistributedEmbedding(cfg, n_devices=2, backend="pgas+compress",
 ...                            features=FeatureSpec(compression=CompressionSpec(codec="int8")))
+>>> type(emb.backend_adapter()).__name__
+'CompressedRetrieval'
 
 works exactly like the uncompressed backends (``repro`` imports it for
 you).
@@ -78,9 +82,3 @@ __all__ = [
     "make_codec",
     "roundtrip_error_report",
 ]
-
-
-CompressedRetrieval.register({
-    "pgas": "PGAS retrieval with quantized one-sided writes (fp32/fp16/int8/int4 row codecs)",
-    "baseline": "collective retrieval with quantized all-to-all payloads and a destination-side decode pass",
-})

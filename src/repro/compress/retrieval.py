@@ -133,6 +133,11 @@ class CompressedRetrieval(BaseRetrieval):
     suffix = "compress"
     config_field = "compression"
     spec_type = CompressionSpec
+    descriptions = {
+        "pgas": "PGAS retrieval with quantized one-sided writes (fp32/fp16/int8/int4 row codecs)",
+        "baseline": "collective retrieval with quantized all-to-all payloads and a "
+                    "destination-side decode pass",
+    }
 
     def _attach(self) -> None:
         self.codec: Codec = self.spec.codec_obj()

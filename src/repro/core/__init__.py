@@ -29,7 +29,6 @@ from .calibration import (
 from .factory import (
     CANONICAL_FEATURE_ORDER,
     FeatureSpec,
-    build_adapter,
     build_backend,
     parse_backend_name,
 )
@@ -47,15 +46,12 @@ from .pgas_retrieval import PGASFusedRetrieval
 from .pipeline import DLRMInferencePipeline, PipelineConfig, PipelineTiming
 from .planner import PlacementError, PlacementReport, min_devices_required, plan_table_wise
 from .retrieval import (
-    BackendInfo,
     BackendName,
-    BackendSpec,
+    BaseRetrieval,
     DistributedEmbedding,
     ForwardResult,
-    RetrievalBackend,
+    adapter_class,
     available_backends,
-    backend_spec,
-    register_backend,
 )
 from .runspec import PRESETS, RunSpec, preset_runspec
 from .serving import InferenceServer, SchedulerSpec, ServingResult, ServingSpec
@@ -82,12 +78,11 @@ from .workload import (
 __all__ = [
     "AggregatorSpec",
     "AsyncAggregator",
-    "BackendInfo",
     "BackendName",
-    "BackendSpec",
+    "BaseRetrieval",
     "CANONICAL_FEATURE_ORDER",
     "FeatureSpec",
-    "build_adapter",
+    "adapter_class",
     "build_backend",
     "parse_backend_name",
     "BaselineBackward",
@@ -120,7 +115,6 @@ __all__ = [
     "rowwise_functional_forward_partials",
     "rowwise_pgas_functional_forward",
     "REMOTE_WRITE_KERNEL_DRAG",
-    "RetrievalBackend",
     "RowShard",
     "RowWiseSharding",
     "InferenceServer",
@@ -128,9 +122,7 @@ __all__ = [
     "RunSpec",
     "SchedulerSpec",
     "available_backends",
-    "backend_spec",
     "preset_runspec",
-    "register_backend",
     "SendBlock",
     "ServingResult",
     "ServingSpec",

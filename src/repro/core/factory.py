@@ -1,7 +1,4 @@
-"""Unified backend factory: the one place a backend name becomes an adapter.
-
-This module is the single place that knows how a backend name
-decomposes and how an adapter is built for it:
+"""Backend factory: backend-name grammar, feature configs, built embeddings.
 
 * :class:`FeatureSpec` — the one bag of per-feature configs
   (cache / resilience / compression / replication / reshard / hier /
@@ -9,23 +6,23 @@ decomposes and how an adapter is built for it:
   :class:`~repro.core.pipeline.DLRMInferencePipeline` take as their
   ``features=`` keyword;
 * :func:`parse_backend_name` — the one backend-name parser: splits
-  ``"<base>+<feature>"`` names and rejects malformed stacks (empty
-  segments, unknown features, duplicate features, multi-feature stacks)
-  with errors that name the offending stack;
-* :func:`build_adapter` — builds the adapter for any registered backend
-  name.  Each adapter class registers its own backends and builds from a
-  host with :meth:`~repro.core.retrieval.BaseRetrieval.from_host`, so
-  the embedding module, the inference pipeline, the serving loop and the
-  training step all build their EMB stage through one classmethod;
+  ``"<base>+<feature>"`` names and rejects malformed stacks (non-``str``
+  names, empty segments, unknown features, duplicate features,
+  multi-feature stacks) with errors that name the offending stack.  What
+  a parsed name *means* is its adapter class,
+  :func:`~repro.core.retrieval.adapter_class`, whose
+  :meth:`~repro.core.retrieval.BaseRetrieval.from_host` builds the EMB
+  stage of the embedding module, the inference pipeline, the serving
+  loop and the training step alike;
 * :func:`build_backend` — the top-level entry: a fully-composed
   :class:`~repro.core.retrieval.DistributedEmbedding` from a
   :class:`~repro.core.runspec.RunSpec` alone, adapter pre-built so
   composition errors surface at construction, not first forward.
 
-``CANONICAL_FEATURE_ORDER`` fixes the composition order feature wrappers
-take when a composed backend is ever registered: innermost first.  The
-registry still refuses unregistered multi-feature stacks — the order
-constant makes the refusal principled instead of arbitrary.
+``CANONICAL_FEATURE_ORDER`` lists the feature suffixes, innermost
+(closest to the base communication strategy) first: the order a stack of
+features would compose in.  Stacks are not defined yet, so the parser
+refuses them and names this order in the error.
 """
 
 from __future__ import annotations
@@ -36,14 +33,12 @@ from typing import Optional, Tuple
 __all__ = [
     "CANONICAL_FEATURE_ORDER",
     "FeatureSpec",
-    "build_adapter",
     "build_backend",
     "parse_backend_name",
 ]
 
-#: Composition order for feature wrappers, innermost (closest to the base
-#: communication strategy) first.  Single-feature stacks are unaffected;
-#: any explicitly registered composed backend must wrap in this order.
+#: The feature suffixes in composition order, innermost (closest to the
+#: base communication strategy) first.
 CANONICAL_FEATURE_ORDER: Tuple[str, ...] = (
     "hier",
     "cache",
@@ -100,20 +95,18 @@ class FeatureSpec:
         return tuple(f.name for f in fields(self) if getattr(self, f.name) is not None)
 
 
-def parse_backend_name(name: str, *, strict: bool = True) -> Tuple[str, Tuple[str, ...]]:
+def parse_backend_name(name: str) -> Tuple[str, Tuple[str, ...]]:
     """Split a backend name into ``(base, features)`` per the contract.
 
-    The one backend-name parser: registration, lookup, the
-    :class:`~repro.core.retrieval.BackendInfo` view and every caller that
-    needs a name's base or features go through it.  It always rejects an
-    empty name and empty segments.  ``strict`` (the default) also
-    enforces the rest of the contract — known feature suffixes, no
-    duplicates, and at most one feature: a longer stack has no defined
-    composition order unless registered explicitly, and the error names
-    the stack and the canonical order a registered composition would have
-    to follow.  Registration and the view of registered names pass
-    ``strict=False``, since a registered name defines its own stack.
+    The one backend-name parser: every caller that needs a name's base or
+    features goes through it.  It rejects a name that is not a ``str``
+    (``TypeError``), an empty name, empty segments, unknown feature
+    suffixes, duplicates, and more than one feature: a longer stack has
+    no defined composition order yet, and the error names the stack and
+    the canonical order a composition would follow.
     """
+    if not isinstance(name, str):
+        raise TypeError(f"backend name must be a str, got {type(name).__name__}")
     if not name:
         raise ValueError("backend name must be non-empty")
     parts = name.split("+")
@@ -123,8 +116,6 @@ def parse_backend_name(name: str, *, strict: bool = True) -> Tuple[str, Tuple[st
             f"(expected '<base>' or '<base>+<feature>[+<feature>...]')"
         )
     base, features = parts[0], tuple(parts[1:])
-    if not strict:
-        return base, features
     unknown = [f for f in features if f not in CANONICAL_FEATURE_ORDER]
     if unknown:
         raise ValueError(
@@ -143,27 +134,10 @@ def parse_backend_name(name: str, *, strict: bool = True) -> Tuple[str, Tuple[st
         raise ValueError(
             f"backend stack {name!r} composes {len(features)} features "
             f"({' + '.join(features)}), which have no defined composition "
-            f"order unless the composed backend is registered explicitly, "
-            f"wrapping in canonical order {' -> '.join(CANONICAL_FEATURE_ORDER)} "
-            f"(innermost first)"
+            f"order yet; a composition would wrap in canonical order "
+            f"{' -> '.join(CANONICAL_FEATURE_ORDER)} (innermost first)"
         )
     return base, features
-
-
-def build_adapter(host, name: str):
-    """Build the retrieval adapter for backend ``name`` bound to ``host``.
-
-    ``host`` is a :class:`~repro.core.retrieval.EmbeddingHost` — a
-    ``DistributedEmbedding`` or an inference pipeline.  Every registered
-    backend is one adapter class's
-    :meth:`~repro.core.retrieval.BaseRetrieval.from_host`, registered by
-    the class itself, so this is the registry entry's factory; the
-    embedding module, the inference pipeline, the serving loop and the
-    training step all build their EMB stage through it.
-    """
-    from .retrieval import backend_spec
-
-    return backend_spec(name).factory(host)
 
 
 def build_backend(

@@ -16,7 +16,7 @@ EMB layer:
 
 The EMB step is the pluggable part: the pipeline is an
 :class:`~repro.core.retrieval.EmbeddingHost`, so it gets its EMB adapter
-for any registered backend from the same factory call a
+for any backend from the same adapter class a
 :class:`~repro.core.retrieval.DistributedEmbedding` uses, and that
 adapter's ``batch_process`` composes here unchanged.  The pipeline thus
 quantifies what the paper's EMB-layer speedups (and every feature
@@ -45,7 +45,7 @@ from ..simgpu.units import gbps
 from .baseline import PhaseTiming
 from .calibration import INDEX_BYTES, OFFSET_BYTES
 from .factory import FeatureSpec
-from .retrieval import BackendName, EmbeddingHost, backend_spec
+from .retrieval import BackendName, EmbeddingHost, adapter_class
 from .sharding import TableWiseSharding, minibatch_bounds
 from .workload import DeviceWorkload, build_device_workloads, lengths_from_batch
 
@@ -269,7 +269,7 @@ class DLRMInferencePipeline(EmbeddingHost):
         staging still accounts the full indices (a device-side cache does
         not shrink what the host ships).
         """
-        if batch is None and backend_spec(backend).requires_indices:
+        if batch is None and self.backend_adapter(backend).requires_indices:
             raise ValueError(
                 f"backend {backend!r} needs index values; pass batch=<SparseBatch>"
             )
@@ -382,7 +382,7 @@ class DLRMInferencePipeline(EmbeddingHost):
         *less* than the sum of per-batch totals.
         """
         be = backend or self.backend
-        if backend_spec(be).requires_indices:
+        if adapter_class(be).requires_indices:
             raise ValueError(
                 f"backend {be!r} is index-dependent; pipelined prefetch only "
                 "supports lengths-driven backends (use run_batches)"

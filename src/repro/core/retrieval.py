@@ -1,4 +1,4 @@
-"""High-level distributed embedding retrieval API and the backend registry.
+"""High-level distributed embedding retrieval API and the backend adapters.
 
 :class:`DistributedEmbedding` is the user-facing entry point (the analogue
 of the paper's PyTorch backend): configure tables, device count, and a
@@ -13,9 +13,9 @@ backend name, then call :meth:`forward` with a jagged batch.  It
   the **functional** path, returning per-device output tensors that are
   bit-identical across backends.
 
-Backends are *registered*, not hard-coded.  A backend is a factory
-producing a :class:`RetrievalBackend` adapter bound to one
-:class:`EmbeddingHost` — a :class:`DistributedEmbedding` or a
+A backend name resolves to an adapter *class*.  Every adapter is a
+:class:`BaseRetrieval` bound to one :class:`EmbeddingHost` — a
+:class:`DistributedEmbedding` or a
 :class:`~repro.core.pipeline.DLRMInferencePipeline`; adapters are created
 lazily per host and kept alive across batches (which is what lets stateful
 backends, like the hot-row cache, stay warm between calls).
@@ -25,12 +25,13 @@ Backend-name contract
 A backend name is ``<base>`` or ``<base>+<feature>`` where ``<base>`` is a
 communication strategy (``"pgas"`` — fused one-sided writes — or
 ``"baseline"`` — NCCL-style collectives) and ``<feature>`` is a transform
-layered on top of it.  Every adapter is a :class:`BaseRetrieval`: the bare
-bases build it directly, and each feature is a subclass that names its
-suffix, its :class:`~repro.core.factory.FeatureSpec` field and its config
-type (collected in :data:`FEATURE_CONFIGS`), and registers its
-``pgas``/``baseline`` pair from the class (:meth:`BaseRetrieval.register`,
-built by :meth:`BaseRetrieval.from_host`):
+layered on top of it.  :func:`~repro.core.factory.parse_backend_name` keeps
+the grammar and :func:`adapter_class` gives the meaning: a bare base is
+:class:`BaseRetrieval` itself, and each feature is a subclass that names
+its ``suffix``, its :class:`~repro.core.factory.FeatureSpec` field and
+config type, and the ``descriptions`` of the bases it serves.  Defining
+the class records it in :data:`FEATURE_ADAPTERS` (a second class with a
+taken suffix raises) and its config in :data:`FEATURE_CONFIGS`:
 
 * ``+hier`` — :class:`HierRetrieval`, ``hier``: a
   :class:`repro.comm.hier.HierSpec`;
@@ -45,18 +46,15 @@ built by :meth:`BaseRetrieval.from_host`):
 * ``+reshard`` — :class:`repro.reshard.ReshardRetrieval`, ``reshard``: a
   ``ReshardSpec``.
 
-Code that needs the base strategy or a capability reads the
-:class:`BackendInfo` that :func:`available_backends` returns
-(``info.base``, ``"cache" in info.features``).  Registering a name that is
-already taken raises (pass ``overwrite=True`` to replace deliberately).
+Code that needs a capability reads the class or the parsed name
+(``adapter_class(name).requires_indices``,
+``"cache" in parse_backend_name(name)[1]``).
 
 Stacking features (two or more ``+<feature>`` suffixes, e.g.
-``"pgas+compress+resilient"``) has no defined semantics unless someone
-registers that composed backend explicitly: looking up an unregistered
-composition raises a ``ValueError`` naming the unsupported combination
-rather than silently picking one wrapper order.  Names are parsed, and
-the canonical composition order is kept, by
-:func:`~repro.core.factory.parse_backend_name`.
+``"pgas+compress+resilient"``) has no defined semantics yet:
+:func:`~repro.core.factory.parse_backend_name` raises a ``ValueError``
+naming the combination and the canonical composition order rather than
+silently picking one wrapper order.
 
 Example
 -------
@@ -74,7 +72,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    Callable,
     Dict,
     List,
     Literal,
@@ -82,6 +79,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Type,
     Union,
 )
 
@@ -99,38 +97,38 @@ from ..simgpu.engine import ProcessGenerator
 from ..simgpu.memory import Buffer
 from ..simgpu.profiler import TraceRef
 from .baseline import BaselineRetrieval, PhaseTiming
-from .factory import FeatureSpec, build_adapter, parse_backend_name
+from .factory import FeatureSpec, parse_backend_name
 from .functional import ShardedEmbeddingTables, functional_forward
 from .pgas_retrieval import PGASFusedRetrieval
 from .sharding import TableWiseSharding
 from .workload import DeviceWorkload, build_device_workloads, lengths_from_batch
 
 __all__ = [
-    "BackendInfo",
     "BackendName",
-    "BackendSpec",
     "BaseRetrieval",
     "DistributedEmbedding",
     "EmbeddingHost",
+    "FEATURE_ADAPTERS",
     "FEATURE_CONFIGS",
     "ForwardResult",
     "HierRetrieval",
-    "RetrievalBackend",
+    "adapter_class",
     "available_backends",
-    "backend_spec",
     "base_engine",
-    "register_backend",
 ]
 
-#: A registered backend name.  ``"pgas"`` and ``"baseline"`` are built in;
-#: ``repro.cache`` adds ``"pgas+cache"`` and ``"baseline+cache"``.
+#: A backend name: ``"pgas"``, ``"baseline"`` or ``"<base>+<feature>"``.
 BackendName = str
 
 #: :class:`~repro.core.factory.FeatureSpec` field -> its config class: the
 #: one declaration of what each feature section holds.  Every feature
-#: adapter adds its ``config_field``/``spec_type`` when it registers;
-#: ``obs`` configures the host, not an adapter.
+#: adapter class adds its ``config_field``/``spec_type`` when it is
+#: defined; ``obs`` configures the host, not an adapter.
 FEATURE_CONFIGS: Dict[str, type] = {"obs": TraceSpec}
+
+#: Backend-name feature suffix -> the :class:`BaseRetrieval` subclass that
+#: serves it, recorded as each feature adapter class is defined.
+FEATURE_ADAPTERS: Dict[str, Type["BaseRetrieval"]] = {}
 
 
 def base_engine(
@@ -153,186 +151,6 @@ def base_engine(
     raise ValueError(f"unknown base backend {base!r} (use 'pgas' or 'baseline')")
 
 
-class RetrievalBackend:
-    """Adapter contract one registered backend implements.
-
-    An adapter is bound to a single :class:`EmbeddingHost` and lives as
-    long as it does, so backends may keep cross-batch state (the hot-row
-    cache relies on this).  ``requires_indices`` marks backends whose cost
-    model depends on the actual index values, not just the jagged lengths —
-    those cannot serve :meth:`DistributedEmbedding.forward_timed`.
-
-    :meth:`batch_process` is the one timed entry point: a host's own
-    forward runs it alone on the cluster (:meth:`run_timed`), and the
-    inference pipeline runs it beside the dense MLP.
-    """
-
-    requires_indices: bool = False
-    cluster: Cluster
-
-    def batch_process(
-        self,
-        cluster: Cluster,
-        workloads: Sequence[DeviceWorkload],
-        timing: PhaseTiming,
-        *,
-        batch: Optional[SparseBatch] = None,
-        stream_suffix: str = "",
-    ) -> ProcessGenerator:
-        """Process generator for one batch, composable into host programs.
-
-        ``timing`` is filled at completion; ``batch`` carries the index
-        values (index-dependent and fault-tolerant backends read them);
-        ``stream_suffix`` selects a per-batch stream set so concurrent
-        batches don't serialise on one FIFO queue.
-        """
-        raise NotImplementedError
-
-    def run_timed(
-        self,
-        workloads: Sequence[DeviceWorkload],
-        batch: Optional[SparseBatch] = None,
-    ) -> PhaseTiming:
-        """Simulate one batch alone on the cluster; returns its phase timing."""
-        timing = PhaseTiming(batches=1)
-        self.cluster.run(
-            lambda cl: self.batch_process(cl, workloads, timing, batch=batch)
-        )
-        return timing
-
-    def functional_forward(self, batch: SparseBatch) -> List[np.ndarray]:
-        """Numpy forward: per-device ``(B_g, F, d)`` output tensors."""
-        raise NotImplementedError
-
-    def forward(
-        self,
-        workloads: Sequence[DeviceWorkload],
-        batch: Optional[SparseBatch],
-        functional: bool = False,
-    ) -> Tuple[PhaseTiming, Optional[List[np.ndarray]]]:
-        """Timed pass plus (when requested) the functional outputs.
-
-        Backends that derive both from shared per-batch state override this
-        to avoid doing that work twice.
-        """
-        timing = self.run_timed(workloads, batch=batch)
-        outputs = self.functional_forward(batch) if functional and batch is not None else None
-        return timing, outputs
-
-    def release(self) -> None:
-        """Free device memory the adapter holds (the default holds none)."""
-
-
-@dataclass(frozen=True)
-class BackendSpec:
-    """One registry entry: how to build a named backend's adapter."""
-
-    name: str
-    factory: Callable[["EmbeddingHost"], RetrievalBackend]
-    requires_indices: bool = False
-    description: str = ""
-    functional: bool = True  #: supports the materialised numpy forward
-    traceable: bool = True  #: spans carry trace refs under an active TraceSpec
-
-
-class BackendInfo(str):
-    """A backend name annotated with its description and capability flags.
-
-    A ``str`` subclass, so everything that treats backend names as strings
-    (argparse ``choices``, ``", ".join(...)``, dict keys, equality against
-    a plain name) keeps working; the extra attributes ride along for
-    introspection (``repro backends``, docs, capability checks).  ``base``
-    is the communication strategy and ``features`` the ``+<feature>``
-    suffixes in name order, so ``"cache" in info.features`` asks whether
-    a backend runs the hot-row cache.
-    """
-
-    __slots__ = (
-        "description", "requires_indices", "functional", "traceable", "base", "features",
-    )
-
-    def __new__(cls, spec: BackendSpec) -> "BackendInfo":
-        info = super().__new__(cls, spec.name)
-        info.description = spec.description
-        info.requires_indices = spec.requires_indices
-        info.functional = spec.functional
-        info.traceable = spec.traceable
-        info.base, info.features = parse_backend_name(spec.name, strict=False)
-        return info
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<BackendInfo {str(self)!r}: {self.description}>"
-
-
-_BACKENDS: Dict[str, BackendSpec] = {}
-
-
-def register_backend(
-    name: str,
-    factory: Callable[["EmbeddingHost"], RetrievalBackend],
-    *,
-    requires_indices: bool = False,
-    description: str = "",
-    functional: bool = True,
-    traceable: bool = True,
-    overwrite: bool = False,
-) -> BackendSpec:
-    """Register a retrieval backend under ``name``.
-
-    ``factory(host)`` must return a :class:`RetrievalBackend` bound to the
-    given :class:`EmbeddingHost`.  ``name`` must follow the backend-name
-    contract (see the module docstring): a base strategy, optionally
-    extended with ``+<feature>`` suffixes.  Registering an existing name
-    raises unless ``overwrite=True`` — a loud duplicate beats two packages
-    silently fighting over one name.
-    """
-    parse_backend_name(name, strict=False)
-    if name in _BACKENDS and not overwrite:
-        raise ValueError(
-            f"backend {name!r} is already registered "
-            f"(by {_BACKENDS[name].factory!r}); pass overwrite=True to replace it"
-        )
-    spec = BackendSpec(
-        name=name,
-        factory=factory,
-        requires_indices=requires_indices,
-        description=description,
-        functional=functional,
-        traceable=traceable,
-    )
-    _BACKENDS[name] = spec
-    return spec
-
-
-def backend_spec(name: str) -> BackendSpec:
-    """Look up a registered backend; unknown names raise ``ValueError``.
-
-    Unregistered wrapper *compositions* (two or more ``+<feature>``
-    suffixes) get a dedicated error naming the combination: stacking
-    wrappers is undefined unless the composed backend was registered
-    explicitly (wrapper order changes semantics, so the registry refuses
-    to guess one).
-    """
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        pass
-    parse_backend_name(name)  # malformed names and unregistered stacks raise here
-    raise ValueError(
-        f"unknown backend {name!r}; available: {', '.join(available_backends())}"
-    )
-
-
-def available_backends() -> List[BackendInfo]:
-    """Every registered backend, sorted by name.
-
-    Each entry is a :class:`BackendInfo` — usable anywhere a plain name
-    string is (the historical return type), but carrying the description,
-    the base strategy, the feature suffixes and the capability flags.
-    """
-    return [BackendInfo(_BACKENDS[name]) for name in sorted(_BACKENDS)]
-
-
 @dataclass
 class ForwardResult:
     """Outcome of one distributed EMB forward call.
@@ -350,17 +168,23 @@ class ForwardResult:
         return self.timing.total_ns / 1e6
 
 
-class BaseRetrieval(RetrievalBackend):
+class BaseRetrieval:
     """A base strategy's timed engine, and the base of every feature adapter.
 
-    The adapter behind ``"pgas"`` and ``"baseline"``.  A ``+<feature>``
-    adapter subclasses it, sets the class attributes below and overrides
-    only what its feature changes; standalone use takes a cluster plus
-    sharding plan, a registered backend is built by :meth:`from_host`.
+    The adapter behind ``"pgas"`` and ``"baseline"``.  An adapter is bound
+    to a single :class:`EmbeddingHost` and lives as long as it does, so it
+    may keep cross-batch state (the hot-row cache relies on this).  A
+    ``+<feature>`` adapter subclasses it, sets the class attributes below
+    and overrides only what its feature changes; standalone use takes a
+    cluster plus sharding plan, a host builds one with :meth:`from_host`.
     The shared plumbing: the device-count check, the config default and
     type check, the engine, the table-name → weights map, the
     materialised-weights guard and the pass-through timed and functional
     paths.
+
+    :meth:`batch_process` is the one timed entry point: a host's own
+    forward runs it alone on the cluster (:meth:`run_timed`), and the
+    inference pipeline runs it beside the dense MLP.
     """
 
     #: backend-name suffix this class serves (None: the bare base strategies)
@@ -369,6 +193,31 @@ class BaseRetrieval(RetrievalBackend):
     config_field: Optional[str] = None
     #: that config's type (None: the adapter takes no config)
     spec_type: Optional[type] = None
+    #: the cost model depends on index values, not just jagged lengths, so
+    #: :meth:`DistributedEmbedding.forward_timed` cannot serve it
+    requires_indices: bool = False
+    #: base strategy -> description of the backend ``<base>[+<suffix>]``;
+    #: its keys are the bases this class serves
+    descriptions: Mapping[str, str] = {
+        "pgas": "fused one-sided PGAS-style writes (compute/comm overlapped)",
+        "baseline": "NCCL-style collective: compute, all-to-all, unpack",
+    }
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        """Record a subclass that sets ``suffix`` as that feature's adapter
+        in :data:`FEATURE_ADAPTERS`, and its config in :data:`FEATURE_CONFIGS`."""
+        super().__init_subclass__(**kwargs)
+        suffix = cls.__dict__.get("suffix")
+        if suffix is None:
+            return
+        if suffix in FEATURE_ADAPTERS:
+            raise ValueError(
+                f"backend suffix {suffix!r} is already served by "
+                f"{FEATURE_ADAPTERS[suffix].__qualname__}"
+            )
+        FEATURE_ADAPTERS[suffix] = cls
+        if cls.config_field is not None:
+            FEATURE_CONFIGS[cls.config_field] = cls.spec_type
 
     def __init__(
         self,
@@ -428,21 +277,6 @@ class BaseRetrieval(RetrievalBackend):
             **kwargs,
         )
 
-    @classmethod
-    def register(cls, descriptions: Mapping[str, str]) -> None:
-        """Register ``<base>+<suffix>`` (or the bare base) for each base
-        strategy in ``descriptions``, built by :meth:`from_host`; records
-        the class's config section in :data:`FEATURE_CONFIGS`."""
-        if cls.config_field is not None:
-            FEATURE_CONFIGS[cls.config_field] = cls.spec_type
-        for base, description in descriptions.items():
-            register_backend(
-                f"{base}+{cls.suffix}" if cls.suffix else base,
-                lambda host, base=base: cls.from_host(host, base),
-                requires_indices=cls.requires_indices,
-                description=description,
-            )
-
     def _attach(self) -> None:
         """A feature's own setup, run once the shared state is set and
         before the engine is built (:meth:`_engine` may depend on it)."""
@@ -483,9 +317,40 @@ class BaseRetrieval(RetrievalBackend):
             cluster, workloads, timing, stream_suffix=stream_suffix
         )
 
+    def run_timed(
+        self,
+        workloads: Sequence[DeviceWorkload],
+        batch: Optional[SparseBatch] = None,
+    ) -> PhaseTiming:
+        """Simulate one batch alone on the cluster; returns its phase timing."""
+        timing = PhaseTiming(batches=1)
+        self.cluster.run(
+            lambda cl: self.batch_process(cl, workloads, timing, batch=batch)
+        )
+        return timing
+
     def functional_forward(self, batch: SparseBatch) -> List[np.ndarray]:
-        """The base strategy's numpy forward."""
+        """The base strategy's numpy forward: per-device ``(B_g, F, d)``
+        output tensors."""
         return functional_forward(self.base_name, self._materialized(), batch)
+
+    def forward(
+        self,
+        workloads: Sequence[DeviceWorkload],
+        batch: Optional[SparseBatch],
+        functional: bool = False,
+    ) -> Tuple[PhaseTiming, Optional[List[np.ndarray]]]:
+        """Timed pass plus (when requested) the functional outputs.
+
+        Adapters that derive both from shared per-batch state override this
+        to avoid doing that work twice.
+        """
+        timing = self.run_timed(workloads, batch=batch)
+        outputs = self.functional_forward(batch) if functional and batch is not None else None
+        return timing, outputs
+
+    def release(self) -> None:
+        """Free device memory the adapter holds (the default holds none)."""
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} base={self.base_name} spec={self.spec!r}>"
@@ -504,6 +369,12 @@ class HierRetrieval(BaseRetrieval):
     suffix = "hier"
     config_field = "hier"
     spec_type = HierSpec
+    descriptions = {
+        "pgas": "PGAS retrieval with node-leader staging: off-node writes cross the "
+                "NIC as one aggregated stream per node pair",
+        "baseline": "collective retrieval with a two-level all-to-all: NVLink "
+                    "gather/scatter around one coalesced NIC transfer per node pair",
+    }
 
     @classmethod
     def checked_spec(cls, spec: Optional[object]) -> HierSpec:
@@ -518,20 +389,31 @@ class HierRetrieval(BaseRetrieval):
         return base_engine(self.base_name, self.cluster, collective_spec, pgas_spec, self.spec)
 
 
-BaseRetrieval.register({
-    "pgas": "fused one-sided PGAS-style writes (compute/comm overlapped)",
-    "baseline": "NCCL-style collective: compute, all-to-all, unpack",
-})
-HierRetrieval.register({
-    "pgas": (
-        "PGAS retrieval with node-leader staging: off-node writes cross the "
-        "NIC as one aggregated stream per node pair"
-    ),
-    "baseline": (
-        "collective retrieval with a two-level all-to-all: NVLink "
-        "gather/scatter around one coalesced NIC transfer per node pair"
-    ),
-})
+def adapter_class(name: BackendName) -> Type[BaseRetrieval]:
+    """The adapter class backend ``name`` resolves to.
+
+    :func:`~repro.core.factory.parse_backend_name` rejects malformed names
+    and feature stacks; a bare base resolves to :class:`BaseRetrieval` and
+    a ``+<feature>`` name to its :data:`FEATURE_ADAPTERS` entry.  A base
+    the class does not serve raises naming every available backend.
+    """
+    base, features = parse_backend_name(name)
+    cls = FEATURE_ADAPTERS.get(features[0]) if features else BaseRetrieval
+    if cls is None or base not in cls.descriptions:
+        raise ValueError(
+            f"unknown backend {name!r}; available: {', '.join(available_backends())}"
+        )
+    return cls
+
+
+def available_backends() -> List[BackendName]:
+    """Every backend name, sorted: ``<base>[+<suffix>]`` for each adapter
+    class and each base in its ``descriptions``."""
+    return sorted(
+        f"{base}+{cls.suffix}" if cls.suffix else base
+        for cls in (BaseRetrieval, *FEATURE_ADAPTERS.values())
+        for base in cls.descriptions
+    )
 
 
 class EmbeddingHost:
@@ -539,8 +421,8 @@ class EmbeddingHost:
 
     :class:`DistributedEmbedding` and
     :class:`~repro.core.pipeline.DLRMInferencePipeline` both derive from
-    it, so every registered backend builds for either through one registry
-    call.  Adapter factories read ``cluster``, ``plan``, ``features``,
+    it, so every backend builds for either through its adapter class's
+    :meth:`~BaseRetrieval.from_host`, which reads ``cluster``, ``plan``, ``features``,
     ``collective_spec``, ``pgas_spec``, ``sharded`` and
     :meth:`weight_buffer_map`.
     """
@@ -564,12 +446,12 @@ class EmbeddingHost:
         explicit ``cluster``, a matching multi-node cluster (NVLink within
         nodes, NIC across) is built.
         """
-        info = BackendInfo(backend_spec(backend))  # unknown names raise here
+        adapter_cls = adapter_class(backend)  # malformed or unknown names raise here
         self.features: FeatureSpec = features or FeatureSpec()
         obs = self.features.obs
         if obs is not None and not isinstance(obs, TraceSpec):
             raise TypeError(f"obs must be a repro.obs.TraceSpec, got {type(obs).__name__}")
-        if cluster is None and "hier" in info.features:
+        if cluster is None and adapter_cls is HierRetrieval:
             hier = HierRetrieval.checked_spec(self.features.hier)
             hier.validate_for(n_devices)
             if hier.devices_per_node > 1:
@@ -584,17 +466,18 @@ class EmbeddingHost:
             )
         self.collective_spec = collective_spec
         self.pgas_spec = pgas_spec
-        self._adapters: Dict[str, RetrievalBackend] = {}
+        self._adapters: Dict[str, BaseRetrieval] = {}
         self._weight_buffers: Optional[Dict[str, Buffer]] = None
         # Monotone batch counter for trace refs (one per traced batch).
         self._trace_seq = 0
 
-    def backend_adapter(self, name: Optional[BackendName] = None) -> RetrievalBackend:
+    def backend_adapter(self, name: Optional[BackendName] = None) -> BaseRetrieval:
         """The (lazily created, then persistent) adapter for a backend."""
         be = name or self.backend
-        adapter = self._adapters.get(be)
+        adapter = self._adapters.get(be) if isinstance(be, str) else None
         if adapter is None:
-            adapter = self._adapters[be] = build_adapter(self, be)
+            base = parse_backend_name(be)[0]
+            adapter = self._adapters[be] = adapter_class(be).from_host(self, base)
         return adapter
 
     def weight_buffer_map(self) -> Dict[str, Buffer]:

@@ -36,7 +36,7 @@ from ..checks import checked_count
 from ..dlrm.data import STRONG_SCALING_TOTAL, WEAK_SCALING_BASE, WorkloadConfig
 from .factory import FeatureSpec
 from .pipeline import PipelineConfig
-from .retrieval import FEATURE_CONFIGS, BackendName, backend_spec
+from .retrieval import FEATURE_CONFIGS, BackendName, adapter_class
 from .serving import ServingSpec
 
 __all__ = ["PRESETS", "RunSpec", "preset_runspec"]
@@ -121,9 +121,7 @@ class RunSpec:
         object.__setattr__(
             self, "n_devices", checked_count("RunSpec", "n_devices", self.n_devices)
         )
-        if not isinstance(self.backend, str):
-            raise TypeError(f"RunSpec.backend must be a str, got {type(self.backend).__name__}")
-        backend_spec(self.backend)  # unknown backend names raise here
+        adapter_class(self.backend)  # malformed or unknown backend names raise here
         for attr in ("bottom_mlp", "top_mlp"):
             sizes = tuple(checked_count("RunSpec", attr, s) for s in getattr(self, attr))
             object.__setattr__(self, attr, sizes)

@@ -71,9 +71,10 @@ from ..telemetry.report import (
     QUEUE_DEPTH_COUNTER,
 )
 from ..telemetry.timeline import sample_edges
+from .factory import parse_backend_name
 from .functional import functional_forward
 from .pipeline import DLRMInferencePipeline, PipelineTiming
-from .retrieval import BackendInfo, BackendName, backend_spec
+from .retrieval import BackendName, adapter_class
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, annotations only
     from .runspec import RunSpec
@@ -469,8 +470,8 @@ class InferenceServer:
         workload = pipeline.config.workload
         gen = SyntheticDataGenerator(workload)
         be = backend or pipeline.backend
-        info = BackendInfo(backend_spec(be))
-        resilient = "resilient" in info.features
+        base, features = parse_backend_name(be)
+        resilient = "resilient" in features
         obs = pipeline.features.obs
         tracing = obs is not None and obs.enabled
 
@@ -479,7 +480,7 @@ class InferenceServer:
         # cuts batches, which is what makes continuous batching
         # bit-identical to sequential serving.
         needs_sparse = (
-            info.requires_indices
+            adapter_class(be).requires_indices
             or materialize
             or (resilient and pipeline.features.resilience is not None)
         )
@@ -500,7 +501,7 @@ class InferenceServer:
                     # to *finish*, which with several batches in flight need
                     # not be this one; serve the base outputs and report
                     # degradation through ``degraded_fraction`` instead.
-                    return functional_forward(info.base, sharded, b)
+                    return functional_forward(base, sharded, b)
                 # Looked up at completion: the timed path built the adapter.
                 return pipeline.backend_adapter(be).functional_forward(b)
 

@@ -37,7 +37,7 @@ from .backward import BaselineBackward, PGASFusedBackward
 from .baseline import PhaseTiming
 from .factory import parse_backend_name
 from .pipeline import DLRMInferencePipeline, PipelineConfig, PipelineTiming
-from .retrieval import BackendName, backend_spec
+from .retrieval import BackendName, adapter_class
 from .workload import build_device_workloads
 
 __all__ = ["TrainStepTiming", "DLRMTrainingPipeline"]
@@ -49,7 +49,7 @@ def _emb_base(backend: BackendName) -> str:
     Only ``pgas`` and ``baseline`` have a modelled backward; a feature
     stack would silently train as its base, so it raises instead.
     """
-    backend_spec(backend)  # unknown names raise here
+    adapter_class(backend)  # malformed or unknown names raise here
     base, features = parse_backend_name(backend)
     if features:
         raise ValueError(

@@ -18,11 +18,16 @@ This package provides:
   degradation (hot-row fallback cache, then zero-fill) instead of
   failure.
 
-Importing this package registers the ``"pgas+resilient"`` and
-``"baseline+resilient"`` backends with the core registry, so
+Importing this package defines :class:`ResilientRetrieval`, the class the
+``"pgas+resilient"`` and ``"baseline+resilient"`` backends resolve to, so
 
+>>> from repro import DistributedEmbedding, FeatureSpec, ResilienceSpec, WorkloadConfig
+>>> from repro.simgpu.units import ms
+>>> cfg = WorkloadConfig(num_tables=8, rows_per_table=256, dim=8, batch_size=64)
 >>> emb = DistributedEmbedding(cfg, n_devices=4, backend="pgas+resilient",
 ...                            features=FeatureSpec(resilience=ResilienceSpec(deadline_ns=2 * ms)))
+>>> type(emb.backend_adapter()).__name__
+'ResilientRetrieval'
 
 works exactly like the base backends (``repro`` imports it for you).
 With an empty plan and no deadline the wrapper is a zero-overhead
@@ -49,9 +54,3 @@ __all__ = [
     "WINDOW_COUNTER",
     "pair_is_down",
 ]
-
-
-ResilientRetrieval.register({
-    "pgas": "PGAS retrieval under the retry/reroute/degrade fault wrapper",
-    "baseline": "collective retrieval under the retry/reroute/degrade fault wrapper",
-})

@@ -150,6 +150,10 @@ class ResilientRetrieval(BaseRetrieval):
     suffix = "resilient"
     config_field = "resilience"
     spec_type = ResilienceSpec
+    descriptions = {
+        "pgas": "PGAS retrieval under the retry/reroute/degrade fault wrapper",
+        "baseline": "collective retrieval under the retry/reroute/degrade fault wrapper",
+    }
 
     def _attach(self) -> None:
         self._rng = np.random.default_rng(self.spec.seed)

@@ -20,13 +20,17 @@ to the flat backends, and an inactive
 :class:`~repro.comm.hier.HierSpec` (``devices_per_node == 1`` or a
 single node) leaves the flat path event-identical.
 
-A ``"+hier"`` backend is the base adapter
-(:class:`~repro.core.retrieval.BaseRetrieval`) with a
-:class:`~repro.comm.hier.HierSpec` attached, registered by
+A ``"+hier"`` backend resolves to
+:class:`~repro.core.retrieval.HierRetrieval`, the base adapter with a
+:class:`~repro.comm.hier.HierSpec` attached, defined in
 :mod:`repro.core.retrieval` itself, so
 
+>>> from repro import DistributedEmbedding, FeatureSpec, HierSpec, WorkloadConfig
+>>> cfg = WorkloadConfig(num_tables=8, rows_per_table=256, dim=8, batch_size=64)
 >>> emb = DistributedEmbedding(cfg, n_devices=8, backend="pgas+hier",
 ...                            features=FeatureSpec(hier=HierSpec(devices_per_node=4)))
+>>> type(emb.backend_adapter()).__name__
+'HierRetrieval'
 
 works exactly like the flat backends; with no cluster given, a matching
 multi-node cluster is built from the spec's node geometry.  This package

@@ -19,11 +19,15 @@ re-replication:
   interconnect, stamping ``availability.*`` counters and per-link
   recovery bytes into traces.
 
-Importing this package registers the ``"pgas+replicated"`` and
-``"baseline+replicated"`` backends with the core registry, so
+Importing this package defines :class:`ReplicatedRetrieval`, the class
+the ``"pgas+replicated"`` and ``"baseline+replicated"`` backends resolve to, so
 
+>>> from repro import DistributedEmbedding, FeatureSpec, ReplicationSpec, WorkloadConfig
+>>> cfg = WorkloadConfig(num_tables=8, rows_per_table=256, dim=8, batch_size=64)
 >>> emb = DistributedEmbedding(cfg, n_devices=4, backend="pgas+replicated",
 ...                            features=FeatureSpec(replication=ReplicationSpec(k=2)))
+>>> type(emb.backend_adapter()).__name__
+'ReplicatedRetrieval'
 
 works exactly like the unreplicated backends (``repro`` imports it for
 you).
@@ -55,9 +59,3 @@ __all__ = [
     "ReplicatedRetrieval",
     "ReplicationSpec",
 ]
-
-
-ReplicatedRetrieval.register({
-    "pgas": "PGAS retrieval with k-way shard replicas, heartbeat failover, and online re-replication",
-    "baseline": "collective retrieval with k-way shard replicas, heartbeat failover, and online re-replication",
-})

@@ -123,6 +123,12 @@ class ReplicatedRetrieval(BaseRetrieval):
     suffix = "replicated"
     config_field = "replication"
     spec_type = ReplicationSpec
+    descriptions = {
+        "pgas": "PGAS retrieval with k-way shard replicas, heartbeat failover, "
+                "and online re-replication",
+        "baseline": "collective retrieval with k-way shard replicas, heartbeat failover, "
+                    "and online re-replication",
+    }
 
     def _attach(self) -> None:
         cluster, plan = self.cluster, self.table_plan

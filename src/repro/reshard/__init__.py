@@ -25,11 +25,15 @@ online:
   tables keep serving from the old owner until their last chunk lands,
   so functional outputs stay bit-identical throughout.
 
-Importing this package registers the ``"pgas+reshard"`` and
-``"baseline+reshard"`` backends with the core registry, so
+Importing this package defines :class:`ReshardRetrieval`, the class the
+``"pgas+reshard"`` and ``"baseline+reshard"`` backends resolve to, so
 
+>>> from repro import DistributedEmbedding, FeatureSpec, ReshardSpec, WorkloadConfig
+>>> cfg = WorkloadConfig(num_tables=8, rows_per_table=256, dim=8, batch_size=64)
 >>> emb = DistributedEmbedding(cfg, n_devices=4, backend="pgas+reshard",
 ...                            features=FeatureSpec(reshard=ReshardSpec()))
+>>> type(emb.backend_adapter()).__name__
+'ReshardRetrieval'
 
 works exactly like the static backends (``repro`` imports it for you).
 """
@@ -67,9 +71,3 @@ __all__ = [
     "RowSplitAdvisory",
     "TableMove",
 ]
-
-
-ReshardRetrieval.register({
-    "pgas": "PGAS retrieval with skew-aware online table migration and serve-from-old-owner cutover",
-    "baseline": "collective retrieval with skew-aware online table migration and serve-from-old-owner cutover",
-})

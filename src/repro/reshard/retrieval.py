@@ -80,6 +80,12 @@ class ReshardRetrieval(BaseRetrieval):
     suffix = "reshard"
     config_field = "reshard"
     spec_type = ReshardSpec
+    descriptions = {
+        "pgas": "PGAS retrieval with skew-aware online table migration and "
+                "serve-from-old-owner cutover",
+        "baseline": "collective retrieval with skew-aware online table migration and "
+                    "serve-from-old-owner cutover",
+    }
 
     def __init__(self, cluster: Cluster, plan: TableWiseSharding,
                  spec: Optional[ReshardSpec] = None, *,

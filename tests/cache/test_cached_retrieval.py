@@ -292,11 +292,11 @@ class TestInvalidation:
 
 class TestBackendContract:
     def test_registered_in_the_backend_registry(self):
-        from repro.core import available_backends, backend_spec
+        from repro.core import adapter_class, available_backends
 
         names = available_backends()
         assert "pgas+cache" in names and "baseline+cache" in names
-        assert backend_spec("pgas+cache").requires_indices
+        assert adapter_class("pgas+cache").requires_indices
 
     def test_forward_timed_rejects_index_dependent_backend(self):
         cfg = zipf_cfg(num_tables=4, batch_size=64)

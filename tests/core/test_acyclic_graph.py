@@ -16,7 +16,7 @@ import gc
 import pytest
 
 from repro.core.pipeline import DLRMInferencePipeline, PipelineConfig
-from repro.core.retrieval import DistributedEmbedding, available_backends
+from repro.core.retrieval import DistributedEmbedding, adapter_class, available_backends
 from repro.core.serving import InferenceServer, SchedulerSpec, ServingSpec
 from repro.core.train_pipeline import DLRMTrainingPipeline
 from repro.dlrm.data import SyntheticDataGenerator, WorkloadConfig
@@ -37,12 +37,12 @@ def _unreachable_after(run) -> int:
     return gc.collect()
 
 
-@pytest.mark.parametrize("backend", available_backends(), ids=str)
+@pytest.mark.parametrize("backend", available_backends())
 def test_distributed_embedding_leaves_no_cycles(backend):
     def run():
         emb = DistributedEmbedding(WL, 4, backend=backend)
         gen = SyntheticDataGenerator(WL)
-        if backend.requires_indices:
+        if adapter_class(backend).requires_indices:
             emb.forward(gen.sparse_batch())
         else:
             emb.forward_timed(gen.lengths_batch())

@@ -1,5 +1,5 @@
 """Backend factory: name parsing, FeatureSpec, build_backend over every
-registered backend, and the removal of the legacy per-feature kwargs."""
+backend, and the removal of the legacy per-feature kwargs."""
 
 from __future__ import annotations
 
@@ -13,13 +13,14 @@ from repro.compress import CompressionSpec
 from repro.core.factory import (
     CANONICAL_FEATURE_ORDER,
     FeatureSpec,
-    build_adapter,
     build_backend,
     parse_backend_name,
 )
+from repro.core.pipeline import PipelineConfig
 from repro.core.retrieval import BaseRetrieval, DistributedEmbedding, available_backends
 from repro.core.runspec import RunSpec
-from repro.dlrm.data import WorkloadConfig
+from repro.core.train_pipeline import DLRMTrainingPipeline
+from repro.dlrm.data import SyntheticDataGenerator, WorkloadConfig
 from repro.faults import ResilienceSpec
 from repro.replication import ReplicationSpec
 from repro.reshard import ReshardSpec
@@ -53,6 +54,23 @@ def runspec_for(backend: str) -> RunSpec:
     return RunSpec(small_cfg(), n_devices=2, backend=backend, **kwargs)
 
 
+#: a backend name that is not a str, by test id
+BAD_NAMES = {"int": 3, "list": ["pgas"], "None": None}
+
+#: every entry point that takes a backend name: (workload, name) -> call
+NAME_ENTRY_POINTS = {
+    "parse_backend_name": lambda cfg, name: parse_backend_name(name),
+    "DistributedEmbedding": lambda cfg, name: DistributedEmbedding(cfg, 2, backend=name),
+    "forward_timed": lambda cfg, name: DistributedEmbedding(cfg, 2).forward_timed(
+        SyntheticDataGenerator(cfg).lengths_batch(), backend=name
+    ),
+    "DLRMTrainingPipeline": lambda cfg, name: DLRMTrainingPipeline(
+        PipelineConfig(cfg), 2, backend=name
+    ),
+    "RunSpec": lambda cfg, name: RunSpec(cfg, backend=name),
+}
+
+
 class TestParseBackendName:
     def test_bare_and_single_feature(self):
         assert parse_backend_name("pgas") == ("pgas", ())
@@ -82,6 +100,16 @@ class TestParseBackendName:
     def test_duplicate_feature_names_the_stack(self):
         with pytest.raises(ValueError, match="duplicate feature"):
             parse_backend_name("pgas+cache+cache")
+
+    @pytest.mark.parametrize("entry,bad", [
+        (entry, bad) for entry in NAME_ENTRY_POINTS for bad in BAD_NAMES
+        # forward_timed(backend=None) selects the instance's own backend
+        if not (entry == "forward_timed" and bad == "None")
+    ])
+    def test_non_str_name_is_a_type_error(self, entry, bad):
+        name = BAD_NAMES[bad]
+        with pytest.raises(TypeError, match=f"must be a str, got {type(name).__name__}"):
+            NAME_ENTRY_POINTS[entry](small_cfg(), name)
 
     def test_multi_feature_stack_names_order(self):
         with pytest.raises(ValueError) as exc:
@@ -122,13 +150,6 @@ class TestBuildBackend:
         spec = RunSpec(small_cfg(), n_devices=2, backend="pgas")
         with pytest.raises(ValueError, match="pgas\\+cache\\+reshard"):
             build_backend(spec, backend="pgas+cache+reshard")
-
-    def test_adapter_matches_thin_alias_registration(self):
-        """The registry factories and build_adapter are the same code
-        path: both produce the same adapter type for the same name."""
-        emb = build_backend(runspec_for("pgas+reshard"))
-        direct = build_adapter(emb, "pgas+reshard")
-        assert type(direct) is type(emb.backend_adapter())
 
 
 class TestRemovedLegacyKwargs:

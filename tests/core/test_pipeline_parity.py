@@ -18,7 +18,7 @@ from repro.comm.hier import HierSpec
 from repro.compress import CompressionSpec
 from repro.core.factory import FeatureSpec
 from repro.core.pipeline import DLRMInferencePipeline, PipelineConfig
-from repro.core.retrieval import DistributedEmbedding, available_backends
+from repro.core.retrieval import DistributedEmbedding, adapter_class, available_backends
 from repro.core.serving import InferenceServer, ServingSpec
 from repro.core.train_pipeline import DLRMTrainingPipeline
 from repro.dlrm.data import SyntheticDataGenerator, WorkloadConfig
@@ -27,8 +27,8 @@ from repro.simgpu.units import ms
 CFG = WorkloadConfig(
     num_tables=8, rows_per_table=4096, dim=32, batch_size=1024, max_pooling=8, seed=1,
 )
-LENGTHS_BACKENDS = [str(b) for b in available_backends() if not b.requires_indices]
-FEATURE_BACKENDS = [str(b) for b in available_backends() if "+" in b]
+LENGTHS_BACKENDS = [b for b in available_backends() if not adapter_class(b).requires_indices]
+FEATURE_BACKENDS = [b for b in available_backends() if "+" in b]
 
 
 def emb_timings(backend, n_devices=4, **kwargs):

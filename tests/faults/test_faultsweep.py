@@ -82,6 +82,9 @@ class TestRunFaultSweep:
             run_fault_sweep(tiny_cfg(), severities=[])
         with pytest.raises(ValueError, match="base"):
             run_fault_sweep(tiny_cfg(), severities=[0.0], bases=())
+        for qps in (0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="arrival_qps"):
+                run_fault_sweep(tiny_cfg(), severities=[0.0], arrival_qps=qps)
 
 
 class TestCLI:

@@ -107,9 +107,10 @@ class TestFactoryWiring:
             )
 
     def test_backend_info_flags_hierarchical(self):
+        from repro.core.factory import parse_backend_name
         from repro.core.retrieval import available_backends
 
-        flags = {str(b): "hier" in b.features for b in available_backends()}
+        flags = {b: "hier" in parse_backend_name(b)[1] for b in available_backends()}
         assert flags["pgas+hier"] and flags["baseline+hier"]
         assert not flags["pgas"] and not flags["baseline"]
 

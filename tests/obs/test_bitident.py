@@ -32,10 +32,10 @@ def _spans(obs, backend):
     emb = DistributedEmbedding(cfg, 2, backend=backend,
                                features=FeatureSpec(obs=obs))
     gen = SyntheticDataGenerator(cfg)
-    from repro.core.retrieval import backend_spec
+    from repro.core.retrieval import adapter_class
 
     for _ in range(2):
-        if backend_spec(backend).requires_indices:
+        if adapter_class(backend).requires_indices:
             emb.forward(gen.sparse_batch())
         else:
             emb.forward_timed(gen.lengths_batch())

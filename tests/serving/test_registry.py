@@ -1,104 +1,101 @@
-"""Tests for the backend registry and BackendInfo contract."""
+"""Tests for the closed backend table: each name resolves to an adapter class."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.factory import CANONICAL_FEATURE_ORDER, parse_backend_name
 from repro.core.retrieval import (
-    BackendInfo,
-    _BACKENDS,
+    FEATURE_ADAPTERS,
+    FEATURE_CONFIGS,
+    BaseRetrieval,
+    adapter_class,
     available_backends,
-    backend_spec,
-    register_backend,
 )
 
-BUILTINS = (
+ALL_BACKENDS = [
     "baseline",
     "baseline+cache",
+    "baseline+compress",
+    "baseline+hier",
+    "baseline+replicated",
+    "baseline+reshard",
     "baseline+resilient",
     "pgas",
     "pgas+cache",
+    "pgas+compress",
+    "pgas+hier",
+    "pgas+replicated",
+    "pgas+reshard",
     "pgas+resilient",
-)
+]
 
 
 class TestAvailableBackends:
     def test_all_builtins_listed_sorted(self):
-        names = available_backends()
-        assert list(names) == sorted(names)
-        for builtin in BUILTINS:
-            assert builtin in names
+        assert available_backends() == ALL_BACKENDS
 
     def test_entries_are_backend_info(self):
-        for info in available_backends():
-            assert isinstance(info, BackendInfo)
-            assert info.description  # every builtin carries a description
+        """Every entry is a plain name; its adapter class describes it."""
+        for name in available_backends():
+            assert type(name) is str
+            base, _ = parse_backend_name(name)
+            assert adapter_class(name).descriptions[base]
 
     def test_str_compatibility(self):
-        """BackendInfo must keep working everywhere a plain name did."""
         names = available_backends()
-        assert "pgas" in names  # str equality
-        assert ", ".join(names)  # join
-        assert sorted(names) == sorted(str(n) for n in names)
-        info = [n for n in names if n == "pgas"][0]
-        assert backend_spec(info).name == "pgas"  # usable as a dict key
+        assert "pgas" in names
+        assert ", ".join(names)
+        assert {adapter_class(n) for n in names} == {
+            BaseRetrieval, *FEATURE_ADAPTERS.values()
+        }
 
 
 class TestBackendInfoFlags:
+    """A name's base and features come from the parser, its capabilities
+    from its adapter class."""
+
     def test_name_contract_properties(self):
-        by_name = {str(i): i for i in available_backends()}
-        assert by_name["pgas"].base == "pgas"
-        assert by_name["pgas+cache"].base == "pgas"
-        assert by_name["baseline+resilient"].base == "baseline"
-        assert "cache" in by_name["pgas+cache"].features
-        assert by_name["pgas"].features == ()
-        assert "resilient" in by_name["baseline+resilient"].features
-        assert "resilient" not in by_name["baseline+cache"].features
+        assert parse_backend_name("pgas") == ("pgas", ())
+        assert parse_backend_name("pgas+cache") == ("pgas", ("cache",))
+        assert parse_backend_name("baseline+resilient")[0] == "baseline"
+        assert "resilient" not in parse_backend_name("baseline+cache")[1]
+        assert adapter_class("pgas") is BaseRetrieval
+        assert adapter_class("baseline+cache") is FEATURE_ADAPTERS["cache"]
 
     def test_requires_indices_flags(self):
-        by_name = {str(i): i for i in available_backends()}
-        assert not by_name["pgas"].requires_indices
-        assert by_name["pgas+cache"].requires_indices  # cache needs real row ids
+        needs = [n for n in available_backends() if adapter_class(n).requires_indices]
+        assert needs == ["baseline+cache", "pgas+cache"]  # cache needs real row ids
+
+
+class TestAdapterTable:
+    def test_suffixes_are_the_canonical_features(self):
+        assert set(FEATURE_ADAPTERS) == set(CANONICAL_FEATURE_ORDER)
+        for suffix, cls in FEATURE_ADAPTERS.items():
+            assert cls.suffix == suffix
+            assert FEATURE_CONFIGS[cls.config_field] is cls.spec_type
+
+    def test_duplicate_suffix_raises(self):
+        before = dict(FEATURE_ADAPTERS)
+        with pytest.raises(ValueError, match="'cache' is already served by CachedRetrieval"):
+
+            class AnotherCache(BaseRetrieval):
+                suffix = "cache"
+
+        assert FEATURE_ADAPTERS == before
+
+    def test_subclass_without_own_suffix_is_not_recorded(self):
+        before = dict(FEATURE_ADAPTERS)
+
+        class Tweaked(FEATURE_ADAPTERS["compress"]):
+            pass
+
+        assert FEATURE_ADAPTERS == before
 
 
 class TestRegisterBackend:
-    def test_duplicate_rejected_with_clear_error(self):
-        spec = backend_spec("pgas")
-        with pytest.raises(ValueError, match="overwrite=True"):
-            register_backend(
-                "pgas", spec.factory, requires_indices=spec.requires_indices
-            )
-
-    def test_overwrite_flag_allows_replacement(self):
-        original = backend_spec("pgas")
-        try:
-            register_backend(
-                "pgas",
-                original.factory,
-                requires_indices=original.requires_indices,
-                description="replaced",
-                overwrite=True,
-            )
-            assert backend_spec("pgas").description == "replaced"
-        finally:
-            _BACKENDS["pgas"] = original
-
-    def test_new_backend_registers_and_unregisters(self):
-        spec = backend_spec("pgas")
-        try:
-            register_backend(
-                "pgas+test",
-                spec.factory,
-                requires_indices=spec.requires_indices,
-                description="temporary test wrapper",
-            )
-            info = {str(i): i for i in available_backends()}["pgas+test"]
-            assert info.base == "pgas"
-            assert info.description == "temporary test wrapper"
-        finally:
-            _BACKENDS.pop("pgas+test", None)
-        assert "pgas+test" not in available_backends()
+    """A well-formed name no adapter class serves."""
 
     def test_unknown_lookup_lists_available(self):
         with pytest.raises(ValueError, match="available:"):
-            backend_spec("does-not-exist")
+            adapter_class("does-not-exist")

@@ -4,21 +4,15 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import pkgutil
 
 import pytest
 
 import repro
 
-PACKAGES = [
-    "repro",
-    "repro.core",
-    "repro.cache",
-    "repro.hier",
-    "repro.reshard",
-    "repro.simgpu",
-    "repro.comm",
-    "repro.dlrm",
-    "repro.bench",
+#: the package and every subpackage of it
+PACKAGES = ["repro"] + [
+    f"repro.{m.name}" for m in pkgutil.iter_modules(repro.__path__) if m.ispkg
 ]
 
 
