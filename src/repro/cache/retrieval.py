@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.baseline import PhaseTiming
+from ..core.baseline import BatchStart, PhaseTiming
 from ..core.calibration import EMB_SAMPLES_PER_BLOCK
 from ..core.retrieval import BaseRetrieval
 from ..core.sharding import TableWiseSharding, minibatch_bounds, sample_owner
@@ -53,6 +53,7 @@ from ..dlrm.batch import SparseBatch
 from ..dlrm.embedding import segment_pool
 from ..dlrm.hashing import hash_indices
 from ..simgpu.cluster import Cluster
+from ..simgpu.engine import Event
 from .hotrow import CacheConfig, CacheStats, HotRowCache, remote_row_caches
 
 __all__ = ["CacheBatchPlan", "CachedRetrieval", "HIT_COUNTER", "MISS_COUNTER", "EVICT_COUNTER"]
@@ -303,23 +304,26 @@ class CachedRetrieval(BaseRetrieval):
         *,
         batch: Optional[SparseBatch] = None,
         stream_suffix: str = "",
-    ):
-        """Process generator for one batch — composable into larger host
+    ) -> BatchStart:
+        """One batch's host program — composable into larger host
         programs (the inference pipeline's EMB stage).
 
-        The cache pass runs now, before the generator is returned, so cache
-        state advances at batch submission: interleaved batches (serving
-        with several in flight) see it in submission order.  ``workloads``
-        is ignored — the adjusted workloads come from ``batch``."""
-        return self._plan_process(cluster, self.plan_batch(batch), timing, stream_suffix)
-
-    def _plan_process(
-        self, cluster: Cluster, cplan: CacheBatchPlan, timing: PhaseTiming, stream_suffix: str
-    ):
-        yield from self.base.batch_process(
+        The cache pass runs now, before the host program is returned, so
+        cache state advances at batch submission: interleaved batches
+        (serving with several in flight) see it in submission order.
+        ``workloads`` is ignored — the adjusted workloads come from
+        ``batch``."""
+        cplan = self.plan_batch(batch)
+        base_start = self.base.batch_process(
             cluster, cplan.workloads, timing, stream_suffix=stream_suffix
         )
-        self._stamp_counters(cplan)
+
+        def start() -> Event:
+            done = base_start()
+            cluster.then(done, lambda: self._stamp_counters(cplan))
+            return done
+
+        return start
 
     def _stamp_counters(self, cplan: CacheBatchPlan) -> None:
         for g, delta in enumerate(cplan.stats):

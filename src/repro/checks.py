@@ -11,7 +11,7 @@ import math
 import numbers
 import operator
 
-__all__ = ["checked_count", "check_finite", "check_bytes"]
+__all__ = ["checked_count", "check_finite", "check_finite_fields", "check_bytes"]
 
 
 def checked_count(owner: str, name: str, value, minimum: int = 1) -> int:
@@ -41,6 +41,19 @@ def check_finite(owner: str, name: str, value, *, zero_ok: bool = False) -> None
         raise ValueError(f"{owner}.{name} must be finite, got {value!r}")
     if value < 0 or (value == 0 and not zero_ok):
         raise ValueError(f"{owner}.{name} must be {'>= 0' if zero_ok else 'positive'}")
+
+
+def check_finite_fields(spec, *names: str) -> None:
+    """Raise ``ValueError`` naming ``Owner.field`` for the first of
+    ``names`` whose value on ``spec`` is NaN or infinite (``None`` passes).
+
+    Range checks stay with the owner; this only keeps non-finite delays
+    from reaching the engine.
+    """
+    for name in names:
+        value = getattr(spec, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{type(spec).__name__}.{name} must be finite, got {value!r}")
 
 
 def check_bytes(what: str, value) -> None:

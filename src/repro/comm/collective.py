@@ -32,9 +32,9 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..checks import check_bytes
+from ..checks import check_bytes, check_finite_fields
 from ..simgpu.cluster import Cluster
-from ..simgpu.engine import Event, ProcessGenerator
+from ..simgpu.engine import Event
 from ..simgpu.units import MiB, us
 
 __all__ = ["CollectiveSpec", "WorkHandle", "CollectiveContext"]
@@ -84,6 +84,7 @@ class CollectiveSpec:
     def __post_init__(self) -> None:
         if self.chunk_bytes <= 0:
             raise ValueError("chunk_bytes must be positive")
+        check_finite_fields(self, "launch_overhead_ns", "wait_overhead_ns")
         if min(self.launch_overhead_ns, self.per_chunk_header_bytes, self.wait_overhead_ns) < 0:
             raise ValueError("overheads must be non-negative")
         if not (0.0 < self.bandwidth_efficiency <= 1.0):
@@ -108,7 +109,7 @@ class WorkHandle:
         self.completed_at: Optional[float] = None
         done.add_callback(self._on_done)
 
-    def _on_done(self, ev: Event) -> None:
+    def _on_done(self) -> None:
         self.completed_at = self._cluster.engine.now
 
     @property
@@ -116,12 +117,20 @@ class WorkHandle:
         """True once every constituent transfer has been delivered."""
         return self._done.triggered
 
-    def wait(self) -> ProcessGenerator:
-        """Process generator: block until completion + host sync overhead."""
+    def wait(self) -> Event:
+        """One event: completion, then the host's ``wait_overhead_ns``.
+
+        It fires in the entry the overhead's delay schedules, like a
+        ``call_in`` continuation.
+        """
         engine = self._cluster.engine
-        if not self._done.triggered:
-            yield self._done
-        yield engine.timeout(self._spec.wait_overhead_ns)
+        waited = Event(engine, f"{self.name}.wait")
+        fire = partial(engine.call_in, self._spec.wait_overhead_ns, waited._run_callbacks)
+        if self._done.triggered:
+            fire()
+        else:
+            self._done.add_callback(fire)
+        return waited
 
 
 class CollectiveContext:
@@ -208,8 +217,10 @@ class CollectiveContext:
     def _all_pairs(self, nbytes) -> Iterator[Tuple[int, Iterator[Tuple[int, float]]]]:
         """Every source sending ``nbytes(src, dst)`` to every other device."""
         G = self.cluster.n_devices
-        for src in range(G):
-            yield src, ((dst, nbytes(src, dst)) for dst in range(G) if dst != src)
+        return (
+            (src, ((dst, nbytes(src, dst)) for dst in range(G) if dst != src))
+            for src in range(G)
+        )
 
     def _ring(self, share: float, steps: int) -> Iterator[Tuple[int, List[Tuple[int, float]]]]:
         """Every source sending ``share`` to its ring neighbour ``steps`` times.
@@ -218,8 +229,7 @@ class CollectiveContext:
         their order across sources does not matter.
         """
         G = self.cluster.n_devices
-        for src in range(G):
-            yield src, [((src + 1) % G, share)] * steps
+        return ((src, [((src + 1) % G, share)] * steps) for src in range(G))
 
     # -- collectives -------------------------------------------------------------
 

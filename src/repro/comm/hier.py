@@ -51,9 +51,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..checks import check_finite_fields
 from ..simgpu.cluster import Cluster
-from ..simgpu.engine import Event, ProcessGenerator
+from ..simgpu.engine import Event
 from ..simgpu.interconnect import Interconnect
+from ..simgpu.stream import join
 from ..simgpu.units import KiB, us
 from .collective import CollectiveSpec, WorkHandle
 from .pgas import PGASContext
@@ -123,6 +125,7 @@ class HierSpec:
                 f"leader_rank {self.leader_rank} outside node of "
                 f"{self.devices_per_node} devices"
             )
+        check_finite_fields(self, "stage_flush_bytes", "stage_max_wait_ns")
         if self.stage_flush_bytes <= 0:
             raise ValueError("stage_flush_bytes must be positive")
         if self.stage_max_wait_ns <= 0:
@@ -245,10 +248,9 @@ class TwoLevelAllToAll:
             )
         return events
 
-    def _node_pair_chain(
-        self, src_node: int, dst_node: int, split: np.ndarray
-    ) -> ProcessGenerator:
-        """Gather → coalesced NIC hop → scatter for one ordered node pair."""
+    def _node_pair_chain(self, src_node: int, dst_node: int, split: np.ndarray) -> Event:
+        """Gather → coalesced NIC hop → scatter for one ordered node pair;
+        returns the chain's end event."""
         hier = self.hier
         P = hier.devices_per_node
         engine = self.cluster.engine
@@ -257,40 +259,45 @@ class TwoLevelAllToAll:
         s_leader, d_leader = hier.leader_of(src_node), hier.leader_of(dst_node)
         t0 = engine.now
 
-        gather = []
-        for s in range(s_lo, s_lo + P):
-            if s == s_leader:
-                continue
-            contrib = float(split[s, d_lo:d_lo + P].sum())
-            gather.extend(
-                self._chunked(s, s_leader, contrib, derate=False, counter=FWD_COUNTER)
-            )
-        if gather:
-            yield engine.all_of(gather)
+        def gather() -> Optional[Event]:
+            chunks = []
+            for s in range(s_lo, s_lo + P):
+                if s == s_leader:
+                    continue
+                contrib = float(split[s, d_lo:d_lo + P].sum())
+                chunks.extend(
+                    self._chunked(s, s_leader, contrib, derate=False, counter=FWD_COUNTER)
+                )
+            return join(engine, chunks) if chunks else None
 
-        total = float(split[s_lo:s_lo + P, d_lo:d_lo + P].sum())
-        nic = self.cluster.interconnect.transfer(
-            s_leader, d_leader, total,
-            message_bytes=hier.nic_message_bytes,
-            header_bytes=hier.nic_header_bytes,
-            counter=NIC_COUNTER,
-        )
-        prof.add_count("hier.nic_transfers", engine.now, 1.0)
-        yield nic
-
-        scatter = []
-        for d in range(d_lo, d_lo + P):
-            if d == d_leader:
-                continue
-            recv = float(split[s_lo:s_lo + P, d].sum())
-            scatter.extend(
-                self._chunked(d_leader, d, recv, derate=False, counter=SCATTER_COUNTER)
+        def nic_hop() -> Event:
+            total = float(split[s_lo:s_lo + P, d_lo:d_lo + P].sum())
+            nic = self.cluster.interconnect.transfer(
+                s_leader, d_leader, total,
+                message_bytes=hier.nic_message_bytes,
+                header_bytes=hier.nic_header_bytes,
+                counter=NIC_COUNTER,
             )
-        if scatter:
-            yield engine.all_of(scatter)
-        prof.record_span(
-            f"hier.pair.n{src_node}->n{dst_node}", "hier", s_leader, t0, engine.now
-        )
+            prof.add_count("hier.nic_transfers", engine.now, 1.0)
+            return nic
+
+        def scatter() -> Optional[Event]:
+            chunks = []
+            for d in range(d_lo, d_lo + P):
+                if d == d_leader:
+                    continue
+                recv = float(split[s_lo:s_lo + P, d].sum())
+                chunks.extend(
+                    self._chunked(d_leader, d, recv, derate=False, counter=SCATTER_COUNTER)
+                )
+            return join(engine, chunks) if chunks else None
+
+        def finish() -> None:
+            prof.record_span(
+                f"hier.pair.n{src_node}->n{dst_node}", "hier", s_leader, t0, engine.now
+            )
+
+        return self.cluster.chain(gather, nic_hop, scatter, finish)
 
     # -- the collective --------------------------------------------------------
 
@@ -312,7 +319,7 @@ class TwoLevelAllToAll:
         done = engine.event("two_level_all_to_all")
 
         def control() -> None:
-            waitables: List[object] = []
+            waitables: List[Event] = []
             # Same-node pairs: flat chunked transfers, unchanged math.
             for src in range(G):
                 for dst in range(G):
@@ -334,14 +341,9 @@ class TwoLevelAllToAll:
                     block = split[sn * P:(sn + 1) * P, dn * P:(dn + 1) * P]
                     if not block.any():
                         continue
-                    waitables.append(
-                        engine.process(
-                            self._node_pair_chain(sn, dn, split),
-                            name=f"hier_pair_n{sn}->n{dn}",
-                        )
-                    )
+                    waitables.append(self._node_pair_chain(sn, dn, split))
             if waitables:
-                engine.all_of(waitables).add_callback(lambda _: done.succeed())
+                join(engine, waitables).add_callback(done.succeed)
             else:
                 done.succeed()
 
@@ -437,8 +439,11 @@ class NodeStagingRouter:
 
     # -- flushing --------------------------------------------------------------
 
-    def flush(self, key: Tuple[int, int]):
-        """Start the gather-wait → NIC → scatter chain for one buffer now."""
+    def flush(self, key: Tuple[int, int]) -> Optional[Event]:
+        """Start the gather-wait → NIC → scatter chain for one buffer now.
+
+        Returns the chain's end event, or None when the buffer was empty.
+        """
         buf = self._pending.pop(key, None)
         timer = self._timers.pop(key, None)
         if timer is not None:
@@ -446,18 +451,16 @@ class NodeStagingRouter:
         if buf is None or buf.payload <= 0:
             return None
         self.flushes += 1
-        return self.cluster.engine.process(
-            self._flush_chain(key, buf), name=f"hier_flush_n{key[0]}->n{key[1]}"
-        )
+        return self._flush_chain(key, buf)
 
-    def flush_all(self) -> List[object]:
+    def flush_all(self) -> List[Event]:
         """Flush every staging buffer (kernel-end residue push)."""
-        procs = []
+        chains = []
         for key in list(self._pending):
-            proc = self.flush(key)
-            if proc is not None:
-                procs.append(proc)
-        return procs
+            chain = self.flush(key)
+            if chain is not None:
+                chains.append(chain)
+        return chains
 
     def pending_bytes(self, src_node: int, dst_node: int) -> float:
         """Currently staged payload for a node pair."""
@@ -466,44 +469,63 @@ class NodeStagingRouter:
 
     # -- internals --------------------------------------------------------------
 
-    def _flush_chain(self, key: Tuple[int, int], buf: _StageBuffer) -> ProcessGenerator:
+    def _flush_chain(self, key: Tuple[int, int], buf: _StageBuffer) -> Event:
+        """Gather-wait → NIC → scatter for one flushed buffer, then its
+        puts' chain events; returns the chain's end event.
+
+        Staging is fabric work, not the host program of whoever flushes:
+        the chain runs on plain engine callbacks, from one entry later, so
+        it carries no trace ref.
+        """
         hier = self.hier
         src_node, dst_node = key
         s_leader, d_leader = hier.leader_of(src_node), hier.leader_of(dst_node)
         engine = self.cluster.engine
         prof = self.cluster.profiler
+        interconnect = self.cluster.interconnect
+        done = engine.event(f"hier_flush_n{src_node}->n{dst_node}")
         t0 = engine.now
-        if buf.hop1:
-            yield engine.all_of(buf.hop1)
-        nic = self.cluster.interconnect.transfer(
-            s_leader, d_leader, buf.payload,
-            message_bytes=hier.nic_message_bytes,
-            header_bytes=hier.nic_header_bytes,
-            counter=NIC_COUNTER,
-        )
-        prof.add_count("hier.flushes", engine.now, 1.0)
-        prof.add_count("hier.nic_transfers", engine.now, 1.0)
-        yield nic
-        scatter = []
-        for dst, nbytes in buf.by_dst.items():
-            if dst == d_leader:
-                continue
-            scatter.append(
-                self.cluster.interconnect.transfer(
+
+        def after(events: List[Event], fn) -> None:
+            if events:
+                join(engine, events).add_callback(fn)
+            else:
+                fn()
+
+        def nic_hop() -> None:
+            nic = interconnect.transfer(
+                s_leader, d_leader, buf.payload,
+                message_bytes=hier.nic_message_bytes,
+                header_bytes=hier.nic_header_bytes,
+                counter=NIC_COUNTER,
+            )
+            prof.add_count("hier.flushes", engine.now, 1.0)
+            prof.add_count("hier.nic_transfers", engine.now, 1.0)
+            nic.add_callback(scatter)
+
+        def scatter() -> None:
+            transfers = [
+                interconnect.transfer(
                     d_leader, dst, nbytes,
                     message_bytes=self.pgas.spec.message_bytes,
                     header_bytes=self.pgas.spec.header_bytes,
                     counter=SCATTER_COUNTER,
                 )
+                for dst, nbytes in buf.by_dst.items()
+                if dst != d_leader
+            ]
+            after(transfers, finish)
+
+        def finish() -> None:
+            prof.record_span(
+                f"hier.stage.n{src_node}->n{dst_node}", "hier", s_leader, t0, engine.now
             )
-        if scatter:
-            yield engine.all_of(scatter)
-        prof.record_span(
-            f"hier.stage.n{src_node}->n{dst_node}", "hier", s_leader, t0, engine.now
-        )
-        now = engine.now
-        for chain in buf.chains:
-            chain.succeed(now)
+            for chain in buf.chains:
+                chain.succeed()
+            done.succeed()
+
+        engine.call_at(t0, lambda: after(buf.hop1, nic_hop))
+        return done
 
     def _arm_timer(self, key: Tuple[int, int]) -> None:
         """Schedule the max-wait flush for a freshly non-empty buffer."""

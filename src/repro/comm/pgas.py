@@ -49,10 +49,11 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..checks import check_bytes
+from ..checks import check_bytes, check_finite
 from ..simgpu.cluster import Cluster
 from ..simgpu.engine import Event
 from ..simgpu.memory import Buffer
+from ..simgpu.stream import join
 from ..simgpu.units import us
 
 __all__ = ["PGASSpec", "SymmetricHeap", "PGASContext"]
@@ -123,6 +124,8 @@ class PGASSpec:
             raise ValueError("message_bytes must be positive")
         if self.header_bytes < 0:
             raise ValueError("header_bytes must be non-negative")
+        for name in ("issue_overhead_ns", "quiet_overhead_ns"):
+            check_finite("PGASSpec", name, getattr(self, name), zero_ok=True)
 
     @property
     def wire_efficiency(self) -> float:
@@ -379,8 +382,8 @@ class PGASContext:
             engine.call_at(last + overhead, done.succeed)
             return done
 
-        engine.all_of(waits).add_callback(
-            lambda _: engine.call_at(max(last, engine.now) + overhead, done.succeed)
+        join(engine, waits).add_callback(
+            lambda: engine.call_at(max(last, engine.now) + overhead, done.succeed)
         )
         return done
 

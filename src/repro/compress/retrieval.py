@@ -43,12 +43,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..comm.pgas import PGASSpec
-from ..core.baseline import PhaseTiming
+from ..core.baseline import BatchStart, PhaseTiming
 from ..core.retrieval import BaseRetrieval
 from ..core.sharding import minibatch_bounds
 from ..core.workload import DeviceWorkload, unpack_bytes_received
 from ..dlrm.batch import SparseBatch
 from ..simgpu.cluster import Cluster
+from ..simgpu.engine import Event
 from ..simgpu.stream import join
 from .codec import Codec
 from .spec import CompressionSpec
@@ -218,17 +219,16 @@ class CompressedRetrieval(BaseRetrieval):
         *,
         batch: Optional[SparseBatch] = None,
         stream_suffix: str = "",
-    ):
-        """Process generator for one batch — composable into larger host
+    ) -> BatchStart:
+        """One batch's host program — composable into larger host
         programs; decode is charged on the destinations.  The ``fp32``
-        passthrough is the bare base engine's generator (same events,
+        passthrough is the bare base engine's program (same events,
         spans, counters and timing).  ``stream_suffix`` passes through to
         the wrapped backend's per-batch stream set."""
         if self.passthrough:
-            yield from super().batch_process(
+            return super().batch_process(
                 cluster, workloads, timing, stream_suffix=stream_suffix
             )
-            return
         if len(workloads) != cluster.n_devices:
             raise ValueError(
                 f"got {len(workloads)} workloads for {cluster.n_devices} devices"
@@ -236,52 +236,62 @@ class CompressedRetrieval(BaseRetrieval):
         engine = cluster.engine
         prof = cluster.profiler
         spec0 = cluster.devices[0].spec
-        scaled = self._scaled_workloads(workloads)
 
-        # Base pass over the shrunk workloads: the EMB kernels carry the
-        # fused encode traffic, the wire moves codec bytes.
-        yield from self.base.batch_process(
-            cluster, scaled, timing, stream_suffix=stream_suffix
-        )
+        def start() -> Event:
+            scaled = self._scaled_workloads(workloads)
+            t2 = encode_ns = decode_ns = 0.0
+            dec_ops = []
 
-        # Decode pass: each destination dequantises what it received.
-        t2 = engine.now
-        encode_ns = 0.0
-        decode_ns = 0.0
-        dec_ops = []
-        for dev, wl, swl in zip(cluster.devices, workloads, scaled):
-            encode_ns += self.spec.encode_cost_ns(
-                wl.remote_output_bytes, swl.remote_output_bytes, dev.spec
+            def decode() -> Optional[Event]:
+                # Decode pass: each destination dequantises what it received.
+                nonlocal t2, encode_ns, decode_ns
+                t2 = engine.now
+                for dev, wl, swl in zip(cluster.devices, workloads, scaled):
+                    encode_ns += self.spec.encode_cost_ns(
+                        wl.remote_output_bytes, swl.remote_output_bytes, dev.spec
+                    )
+                    wire_in = unpack_bytes_received(scaled, dev.id)
+                    if wire_in <= 0:
+                        continue
+                    raw_in = unpack_bytes_received(workloads, dev.id)
+                    dec = self.spec.decode_cost_ns(raw_in, wire_in, dev.spec)
+                    decode_ns += dec
+                    stream = dev.stream("default" + stream_suffix)
+                    dec_ops.append(
+                        (
+                            dev.id,
+                            stream.submit_delay(
+                                dev.spec.kernel_launch_overhead_ns + dec,
+                                name=f"decode.dev{dev.id}",
+                            ),
+                        )
+                    )
+                if dec_ops:
+                    return join(engine, (op for _, op in dec_ops), spec0.sync_overhead_ns)
+                return None
+
+            def finish() -> None:
+                if dec_ops:
+                    t3 = engine.now
+                    for dev_id, _op in dec_ops:
+                        prof.record_span(f"compress.decode.dev{dev_id}", "compress", dev_id, t2, t3)
+                    # The base pass assigned its phase fields; the decode tail is
+                    # extra staging on top of them.
+                    timing.sync_unpack_ns += t3 - t2
+                    timing.total_ns += t3 - t2
+                self._count(WIRE_COUNTER, sum(swl.remote_output_bytes for swl in scaled))
+                self._count(RAW_COUNTER, sum(wl.remote_output_bytes for wl in workloads))
+                self._count(ENCODE_NS_COUNTER, encode_ns, "ns")
+                self._count(DECODE_NS_COUNTER, decode_ns, "ns")
+
+            # Base pass over the shrunk workloads: the EMB kernels carry the
+            # fused encode traffic, the wire moves codec bytes.
+            base_start = self.base.batch_process(
+                cluster, scaled, timing, stream_suffix=stream_suffix
             )
-            wire_in = unpack_bytes_received(scaled, dev.id)
-            if wire_in <= 0:
-                continue
-            raw_in = unpack_bytes_received(workloads, dev.id)
-            dec = self.spec.decode_cost_ns(raw_in, wire_in, dev.spec)
-            decode_ns += dec
-            stream = dev.stream("default" + stream_suffix)
-            dec_ops.append(
-                (
-                    dev.id,
-                    stream.submit_delay(
-                        dev.spec.kernel_launch_overhead_ns + dec,
-                        name=f"decode.dev{dev.id}",
-                    ),
-                )
-            )
-        if dec_ops:
-            yield join(engine, (op for _, op in dec_ops), spec0.sync_overhead_ns)
-            t3 = engine.now
-            for dev_id, _op in dec_ops:
-                prof.record_span(f"compress.decode.dev{dev_id}", "compress", dev_id, t2, t3)
-            # The base pass assigned its phase fields; the decode tail is
-            # extra staging on top of them.
-            timing.sync_unpack_ns += t3 - t2
-            timing.total_ns += t3 - t2
-        self._count(WIRE_COUNTER, sum(swl.remote_output_bytes for swl in scaled))
-        self._count(RAW_COUNTER, sum(wl.remote_output_bytes for wl in workloads))
-        self._count(ENCODE_NS_COUNTER, encode_ns, "ns")
-        self._count(DECODE_NS_COUNTER, decode_ns, "ns")
+            return cluster.chain(base_start, decode, finish)
+
+        return start
 
     # -- functional path ----------------------------------------------------------
 

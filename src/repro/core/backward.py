@@ -53,7 +53,7 @@ from ..comm.pgas import PGASContext, PGASSpec
 from ..dlrm.batch import JaggedField, SparseBatch
 from ..dlrm.embedding import EmbeddingBagCollection, EmbeddingTable
 from ..simgpu.cluster import Cluster
-from ..simgpu.engine import ProcessGenerator
+from ..simgpu.engine import Event
 from ..simgpu.kernel import KernelSpec, WaveInfo
 from ..simgpu.stream import join
 from .baseline import PhaseTiming, TimedPass
@@ -276,17 +276,20 @@ class BaselineBackward(TimedPass):
         self.collectives = CollectiveContext(cluster, collective_spec)
         self.pack_bandwidth = pack_bandwidth
 
-    def batch_process(
+    def _start(
         self, cluster: Cluster, workloads: Sequence[DeviceWorkload], timing: PhaseTiming
-    ) -> ProcessGenerator:
+    ) -> Event:
         engine = cluster.engine
         spec0 = cluster.devices[0].spec
         G = cluster.n_devices
         coll_spec = self.collectives.spec
         t0 = engine.now
+        t1 = t2 = 0.0
 
-        # Pack: rearrange (B_g, F, d) grads into per-owner contiguous buffers.
-        if G > 1:
+        def pack() -> Optional[Event]:
+            # Pack: rearrange (B_g, F, d) grads into per-owner contiguous buffers.
+            if G == 1:
+                return None
             ops = []
             for dev in cluster.devices:
                 # Remote grads mirror the forward's received outputs; the
@@ -298,28 +301,35 @@ class BaselineBackward(TimedPass):
                         name=f"pack.dev{dev.id}",
                     )
                 )
-            yield join(engine, ops, spec0.sync_overhead_ns)
-        t1 = engine.now
+            return join(engine, ops, spec0.sync_overhead_ns)
 
-        # Gradient all-to-all: forward split transposed (grads flow back).
-        handle = self.collectives.all_to_all_single(alltoall_split_bytes(workloads).T)
-        yield from handle.wait()
-        t2 = engine.now
+        def all_to_all() -> Event:
+            nonlocal t1
+            t1 = engine.now
+            # Gradient all-to-all: forward split transposed (grads flow back).
+            return self.collectives.all_to_all_single(alltoall_split_bytes(workloads).T).wait()
 
-        # Owner-side scatter-add of the full-batch gradients.
-        ops = []
-        for dev, wl in zip(cluster.devices, workloads):
-            kspec = _backward_kernel_spec(wl, "baseline_emb_bwd", owner_side=True)
-            dev.default_stream.submit_delay(dev.spec.kernel_launch_overhead_ns, name="launch")
-            ops.append(dev.default_stream.launch(dev, kspec))
-        yield join(engine, ops, spec0.sync_overhead_ns)
-        t3 = engine.now
+        def scatter_add() -> Event:
+            nonlocal t2
+            t2 = engine.now
+            # Owner-side scatter-add of the full-batch gradients.
+            ops = []
+            for dev, wl in zip(cluster.devices, workloads):
+                kspec = _backward_kernel_spec(wl, "baseline_emb_bwd", owner_side=True)
+                dev.default_stream.submit_delay(dev.spec.kernel_launch_overhead_ns, name="launch")
+                ops.append(dev.default_stream.launch(dev, kspec))
+            return join(engine, ops, spec0.sync_overhead_ns)
 
-        control = coll_spec.launch_overhead_ns + coll_spec.wait_overhead_ns
-        timing.compute_ns = t3 - t2
-        timing.comm_ns = max(t2 - t1 - control, 0.0) if G > 1 else 0.0
-        timing.sync_unpack_ns = (t1 - t0) + (min(control, t2 - t1))
-        timing.total_ns = t3 - t0
+        def finish() -> None:
+            t3 = engine.now
+            control = coll_spec.launch_overhead_ns + coll_spec.wait_overhead_ns
+            timing.compute_ns = t3 - t2
+            timing.comm_ns = max(t2 - t1 - control, 0.0) if G > 1 else 0.0
+            timing.sync_unpack_ns = (t1 - t0) + (min(control, t2 - t1))
+            timing.total_ns = t3 - t0
+
+        return cluster.chain(pack, all_to_all, scatter_add, finish)
+
 
 
 class PGASFusedBackward(TimedPass):
@@ -335,13 +345,11 @@ class PGASFusedBackward(TimedPass):
         self.pgas = PGASContext(cluster, pgas_spec)
         self.remote_write_drag = remote_write_drag
 
-    def batch_process(
+    def _start(
         self, cluster: Cluster, workloads: Sequence[DeviceWorkload], timing: PhaseTiming
-    ) -> ProcessGenerator:
+    ) -> Event:
         engine = cluster.engine
-        spec0 = cluster.devices[0].spec
         G = cluster.n_devices
-        t0 = engine.now
 
         # Remote gradient volume from device g: its mini-batch's rows of
         # every non-local feature — the transpose of the forward pattern.
@@ -376,14 +384,8 @@ class PGASFusedBackward(TimedPass):
 
             dev.default_stream.submit_delay(dev.spec.kernel_launch_overhead_ns, name="launch")
             ops.append(dev.default_stream.launch(dev, kspec, on_wave))
+        return self._fused_end(cluster, self.pgas, join(engine, ops), timing)
 
-        yield join(engine, ops)
-        if G > 1:
-            yield self.pgas.quiet(range(G))
-        yield engine.timeout(spec0.sync_overhead_ns)
-        t1 = engine.now
-        timing.compute_ns = t1 - t0
-        timing.total_ns = t1 - t0
 
 
 class RowWiseBaselineBackward(TimedPass):
@@ -413,34 +415,43 @@ class RowWiseBaselineBackward(TimedPass):
         self.collectives = CollectiveContext(cluster, collective_spec)
         self.accumulate_bandwidth = accumulate_bandwidth
 
-    def batch_process(
+    def _start(
         self, cluster: Cluster, workloads: Sequence[DeviceWorkload], timing: PhaseTiming
-    ) -> ProcessGenerator:
+    ) -> Event:
         engine = cluster.engine
         spec0 = cluster.devices[0].spec
         G = cluster.n_devices
         coll = self.collectives
-        t0 = engine.now
+        control = coll.spec.launch_overhead_ns + coll.spec.wait_overhead_ns
 
-        # Local gradient-contribution kernel: each device walks its
-        # mini-batch gradients for all tables (the partials, reversed).
-        ops = []
-        for dev, wl in zip(cluster.devices, workloads):
-            k = wl.kernel_spec("rowwise_bwd_contrib")
-            dev.default_stream.submit_delay(dev.spec.kernel_launch_overhead_ns, "launch")
-            ops.append(dev.default_stream.launch(dev, k))
-        yield join(engine, ops, spec0.sync_overhead_ns)
-        t1 = engine.now
+        t0 = engine.now
+        t1 = t2 = r0 = r1 = 0.0
+        comm_ns = sync_rounds_ns = 0.0
+
+        def contrib() -> Event:
+            # Local gradient-contribution kernel: each device walks its
+            # mini-batch gradients for all tables (the partials, reversed).
+            ops = []
+            for dev, wl in zip(cluster.devices, workloads):
+                k = wl.kernel_spec("rowwise_bwd_contrib")
+                dev.default_stream.submit_delay(dev.spec.kernel_launch_overhead_ns, "launch")
+                ops.append(dev.default_stream.launch(dev, k))
+            return join(engine, ops, spec0.sync_overhead_ns)
+
+        def rounds_start() -> None:
+            nonlocal t1
+            t1 = engine.now
 
         # G-1 shift rounds: each device forwards its foreign-gradient
         # buffer (its mini-batch's contributions to the next hop's rows;
         # per hop volume = B_g x T x d / G expected under uniform rows).
-        comm_ns = 0.0
-        sync_rounds_ns = 0.0
-        for _round in range(G - 1):
+        def shift() -> Event:
+            nonlocal r0
             r0 = engine.now
-            handle = coll.all_to_all_single(self._shift_split(workloads))
-            yield from handle.wait()
+            return coll.all_to_all_single(self._shift_split(workloads)).wait()
+
+        def accumulate() -> Event:
+            nonlocal r1
             r1 = engine.now
             # local accumulate of the received slice + round barrier
             acc_ops = []
@@ -451,33 +462,42 @@ class RowWiseBaselineBackward(TimedPass):
                     + 2.0 * slice_bytes / self.accumulate_bandwidth,
                     name=f"acc.dev{dev.id}",
                 ))
-            yield join(engine, acc_ops, spec0.sync_overhead_ns)
+            return join(engine, acc_ops, spec0.sync_overhead_ns)
+
+        def end_round() -> None:
+            nonlocal comm_ns, sync_rounds_ns
             r2 = engine.now
-            control = coll.spec.launch_overhead_ns + coll.spec.wait_overhead_ns
             comm_ns += max(r1 - r0 - control, 0.0)
             sync_rounds_ns += (r2 - r1) + min(control, r1 - r0)
-        t2 = engine.now
 
-        # Final weight update over the local row slices.
-        ops = []
-        for dev, wl in zip(cluster.devices, workloads):
-            rmw = 3.0 * float(wl.nnz) * wl.row_bytes
-            k = KernelSpec(
-                name=f"rowwise_bwd_update.dev{dev.id}",
-                num_blocks=max(wl.num_blocks // max(G, 1), 1),
-                bytes_read=rmw * 2 / 3,
-                bytes_written=rmw / 3,
-                min_waves_for_peak=EMB_MIN_WAVES_FOR_PEAK,
-            )
-            dev.default_stream.submit_delay(dev.spec.kernel_launch_overhead_ns, "launch")
-            ops.append(dev.default_stream.launch(dev, k))
-        yield join(engine, ops, spec0.sync_overhead_ns)
-        t3 = engine.now
+        def update() -> Event:
+            nonlocal t2
+            t2 = engine.now
+            # Final weight update over the local row slices.
+            ops = []
+            for dev, wl in zip(cluster.devices, workloads):
+                rmw = 3.0 * float(wl.nnz) * wl.row_bytes
+                k = KernelSpec(
+                    name=f"rowwise_bwd_update.dev{dev.id}",
+                    num_blocks=max(wl.num_blocks // max(G, 1), 1),
+                    bytes_read=rmw * 2 / 3,
+                    bytes_written=rmw / 3,
+                    min_waves_for_peak=EMB_MIN_WAVES_FOR_PEAK,
+                )
+                dev.default_stream.submit_delay(dev.spec.kernel_launch_overhead_ns, "launch")
+                ops.append(dev.default_stream.launch(dev, k))
+            return join(engine, ops, spec0.sync_overhead_ns)
 
-        timing.compute_ns = (t1 - t0) + (t3 - t2)
-        timing.comm_ns = comm_ns
-        timing.sync_unpack_ns = sync_rounds_ns
-        timing.total_ns = t3 - t0
+        def finish() -> None:
+            t3 = engine.now
+            timing.compute_ns = (t1 - t0) + (t3 - t2)
+            timing.comm_ns = comm_ns
+            timing.sync_unpack_ns = sync_rounds_ns
+            timing.total_ns = t3 - t0
+
+        rounds = [shift, accumulate, end_round] * (G - 1)
+        return cluster.chain(contrib, rounds_start, *rounds, update, finish)
+
 
     @staticmethod
     def _shift_split(workloads: Sequence[DeviceWorkload]) -> np.ndarray:
@@ -510,13 +530,11 @@ class RowWisePGASBackward(TimedPass):
         self.pgas = PGASContext(cluster, pgas_spec)
         self.remote_write_drag = remote_write_drag
 
-    def batch_process(
+    def _start(
         self, cluster: Cluster, workloads: Sequence[DeviceWorkload], timing: PhaseTiming
-    ) -> ProcessGenerator:
+    ) -> Event:
         engine = cluster.engine
-        spec0 = cluster.devices[0].spec
         G = cluster.n_devices
-        t0 = engine.now
 
         ops = []
         for dev, wl in zip(cluster.devices, workloads):
@@ -555,10 +573,5 @@ class RowWisePGASBackward(TimedPass):
 
             dev.default_stream.submit_delay(dev.spec.kernel_launch_overhead_ns, "launch")
             ops.append(dev.default_stream.launch(dev, kspec, on_wave))
-        yield join(engine, ops)
-        if G > 1:
-            yield self.pgas.quiet(range(G))
-        yield engine.timeout(spec0.sync_overhead_ns)
-        t1 = engine.now
-        timing.compute_ns = t1 - t0
-        timing.total_ns = t1 - t0
+        return self._fused_end(cluster, self.pgas, join(engine, ops), timing)
+

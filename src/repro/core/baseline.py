@@ -25,19 +25,25 @@ chunked transfers, producing the baseline curves of Figs. 6/7/9/10.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..comm.hier import HierSpec
+    from ..comm.pgas import PGASContext
 
 from ..comm.collective import CollectiveContext, CollectiveSpec
 from ..simgpu.cluster import Cluster
-from ..simgpu.engine import ProcessGenerator
+from ..simgpu.engine import Event
 from ..simgpu.stream import join
 from .calibration import UNPACK_BANDWIDTH
 from .workload import DeviceWorkload, alltoall_split_bytes
 
-__all__ = ["PhaseTiming", "TimedPass", "BaselineRetrieval"]
+__all__ = ["BatchStart", "PhaseTiming", "TimedPass", "BaselineRetrieval"]
+
+#: A batch's host program: calling it submits the batch's device work and
+#: returns the event that fires when the batch ends.
+BatchStart = Callable[[], Event]
 
 
 @dataclass
@@ -77,24 +83,64 @@ class PhaseTiming:
 class TimedPass:
     """Base of the timed EMB passes, forward and backward.
 
-    A subclass sets ``cluster`` and defines :meth:`batch_process`; this
-    class checks each batch's workloads against the cluster and runs it.
+    A subclass sets ``cluster`` and defines :meth:`_start`; this class
+    turns it into the batch's host program, checks each batch's workloads
+    against the cluster and runs it.
     """
 
     cluster: Cluster
 
     def batch_process(
+        self, cluster: Cluster, workloads: Sequence[DeviceWorkload], timing: PhaseTiming,
+        **kwargs,
+    ) -> BatchStart:
+        """One batch's host program (:data:`BatchStart`): calling it runs
+        :meth:`_start` with these arguments."""
+        return partial(self._start, cluster, workloads, timing, **kwargs)
+
+    def _start(
         self, cluster: Cluster, workloads: Sequence[DeviceWorkload], timing: PhaseTiming
-    ) -> ProcessGenerator:
-        """Process generator for one batch; fills ``timing`` at completion."""
+    ) -> Event:
+        """Submit one batch now; return the event that fires when it ends,
+        with ``timing`` filled."""
         raise NotImplementedError
 
     def run_batch(self, workloads: Sequence[DeviceWorkload]) -> PhaseTiming:
         """Simulate one batch; returns its phase timing."""
         self._check(workloads)
         timing = PhaseTiming(batches=1)
-        self.cluster.run(lambda cl: self.batch_process(cl, workloads, timing))
+        start = self.batch_process(self.cluster, workloads, timing)
+        self.cluster.run(lambda cl: start())
         return timing
+
+    @staticmethod
+    def _fused_end(
+        cluster: Cluster, pgas: "PGASContext", kernels: Event, timing: PhaseTiming,
+        before_quiet: Callable[[], None] = lambda: None, span: Optional[str] = None,
+    ) -> Event:
+        """The end of a fused one-sided pass started now: once its
+        ``kernels`` end, ``before_quiet()`` (a residue flush), one quiet
+        over every PE (drain outstanding puts), then the rendezvous.
+        ``timing`` gets the whole pass as one overlapped compute phase,
+        recorded as a ``fused`` span named ``span`` when given."""
+        G = cluster.n_devices
+        t0 = cluster.engine.now
+
+        def quiet() -> Optional[Event]:
+            before_quiet()
+            return pgas.quiet(range(G)) if G > 1 else None
+
+        def finish() -> None:
+            t1 = cluster.engine.now
+            if span is not None:
+                cluster.profiler.record_span(span, "fused", -1, t0, t1)
+            timing.compute_ns = t1 - t0
+            timing.comm_ns = timing.sync_unpack_ns = 0.0
+            timing.total_ns = t1 - t0
+
+        return cluster.chain(
+            lambda: kernels, quiet, lambda: cluster.devices[0].spec.sync_overhead_ns, finish
+        )
 
     def run_batches(self, workloads_iter) -> PhaseTiming:
         """Accumulate phases over an iterable of per-batch workload lists."""
@@ -147,14 +193,14 @@ class BaselineRetrieval(TimedPass):
                     cluster, self.collectives.spec, hier_spec
                 )
 
-    def batch_process(
+    def _start(
         self,
         cluster: Cluster,
         workloads: Sequence[DeviceWorkload],
         timing: PhaseTiming,
         stream_suffix: str = "",
-    ) -> ProcessGenerator:
-        """Process generator for one batch — composable into larger host
+    ) -> Event:
+        """One batch's host program — composable into larger host
         programs (e.g. the full-pipeline simulation overlaps this with the
         dense MLP, as in the paper's Fig. 4).  ``timing`` is filled in at
         completion.  ``stream_suffix`` selects a per-batch stream set so
@@ -165,37 +211,39 @@ class BaselineRetrieval(TimedPass):
         prof = cluster.profiler
         spec0 = cluster.devices[0].spec
         coll_spec = self.collectives.spec
+        control_ns = coll_spec.launch_overhead_ns + coll_spec.wait_overhead_ns
         G = cluster.n_devices
         t0 = engine.now
+        t1 = t2 = comm_ns = 0.0
 
-        # ---- Phase 1: computation ------------------------------------------------
-        ops = []
-        for dev, wl in zip(cluster.devices, workloads):
-            kspec = wl.kernel_spec("baseline_emb")
-            stream = dev.stream("default" + stream_suffix)
-            stream.submit_delay(dev.spec.kernel_launch_overhead_ns, name="launch")
-            ops.append(stream.launch(dev, kspec))
-        # Host observes completion via a device sync before the collective.
-        yield join(engine, ops, spec0.sync_overhead_ns)
-        t1 = engine.now
-        for dev, op in zip(cluster.devices, ops):
-            prof.record_span(f"compute.dev{dev.id}", "compute", dev.id, t0, t1)
+        def compute() -> Event:
+            ops = []
+            for dev, wl in zip(cluster.devices, workloads):
+                kspec = wl.kernel_spec("baseline_emb")
+                stream = dev.stream("default" + stream_suffix)
+                stream.submit_delay(dev.spec.kernel_launch_overhead_ns, name="launch")
+                ops.append(stream.launch(dev, kspec))
+            # Host observes completion via a device sync before the collective.
+            return join(engine, ops, spec0.sync_overhead_ns)
 
-        # ---- Phase 2: all-to-all ---------------------------------------------------
-        split = alltoall_split_bytes(workloads)
-        if self._hier is not None:
-            handle = self._hier.all_to_all_single(split)
-        else:
-            handle = self.collectives.all_to_all_single(split)
-        yield from handle.wait()
-        t2 = engine.now
-        # Pure transfer window, paper-style: subtract control path + wait.
-        control_ns = coll_spec.launch_overhead_ns + coll_spec.wait_overhead_ns
-        comm_ns = max(t2 - t1 - control_ns, 0.0) if G > 1 else 0.0
-        prof.record_span("alltoall", "comm", -1, t1 + coll_spec.launch_overhead_ns, t2 - coll_spec.wait_overhead_ns if G > 1 else t1 + coll_spec.launch_overhead_ns)
+        def all_to_all() -> Event:
+            nonlocal t1
+            t1 = engine.now
+            for dev in cluster.devices:
+                prof.record_span(f"compute.dev{dev.id}", "compute", dev.id, t0, t1)
+            split = alltoall_split_bytes(workloads)
+            if self._hier is not None:
+                return self._hier.all_to_all_single(split).wait()
+            return self.collectives.all_to_all_single(split).wait()
 
-        # ---- Phase 3: unpack + syncs -------------------------------------------------
-        if G > 1:
+        def unpack() -> Optional[Event]:
+            nonlocal t2, comm_ns
+            t2 = engine.now
+            # Pure transfer window, paper-style: subtract control path + wait.
+            comm_ns = max(t2 - t1 - control_ns, 0.0) if G > 1 else 0.0
+            prof.record_span("alltoall", "comm", -1, t1 + coll_spec.launch_overhead_ns, t2 - coll_spec.wait_overhead_ns if G > 1 else t1 + coll_spec.launch_overhead_ns)
+            if G == 1:
+                return None
             unpack_ops = []
             for dev, wl in zip(cluster.devices, workloads):
                 # Table-wise: read each received byte and write it to its
@@ -208,11 +256,15 @@ class BaselineRetrieval(TimedPass):
                         name=f"unpack.dev{dev.id}",
                     )
                 )
-            yield join(engine, unpack_ops, spec0.sync_overhead_ns)
-        t3 = engine.now
-        prof.record_span("sync_unpack", "sync_unpack", -1, t2, t3)
+            return join(engine, unpack_ops, spec0.sync_overhead_ns)
 
-        timing.compute_ns = t1 - t0
-        timing.comm_ns = comm_ns
-        timing.sync_unpack_ns = (t3 - t2) + (control_ns if G > 1 else t2 - t1)
-        timing.total_ns = t3 - t0
+        def finish() -> None:
+            t3 = engine.now
+            prof.record_span("sync_unpack", "sync_unpack", -1, t2, t3)
+            timing.compute_ns = t1 - t0
+            timing.comm_ns = comm_ns
+            timing.sync_unpack_ns = (t3 - t2) + (control_ns if G > 1 else t2 - t1)
+            timing.total_ns = t3 - t0
+
+        return cluster.chain(compute, all_to_all, unpack, finish)
+

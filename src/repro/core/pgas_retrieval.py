@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from ..comm.pgas import PGASContext, PGASSpec
 from ..simgpu.cluster import Cluster
-from ..simgpu.engine import ProcessGenerator
+from ..simgpu.engine import Event
 from ..simgpu.interconnect import wire_bytes
 from ..simgpu.kernel import WaveInfo
 from ..simgpu.stream import join
@@ -138,23 +138,20 @@ class PGASFusedRetrieval(TimedPass):
         total = sum(nbytes for nbytes, _ in shares)
         return total / sum(nbytes / bw for nbytes, bw in shares)
 
-    def batch_process(
+    def _start(
         self,
         cluster: Cluster,
         workloads: Sequence[DeviceWorkload],
         timing: PhaseTiming,
         stream_suffix: str = "",
-    ) -> ProcessGenerator:
-        """Process generator for one batch — composable into larger host
+    ) -> Event:
+        """One batch's host program — composable into larger host
         programs (e.g. the full-pipeline simulation overlaps this with the
         dense MLP, as in the paper's Fig. 4).  ``timing`` is filled in at
         completion.  ``stream_suffix`` selects a per-batch stream set so
         concurrent batches don't serialise on one FIFO queue."""
         engine = cluster.engine
-        prof = cluster.profiler
-        spec0 = cluster.devices[0].spec
         G = cluster.n_devices
-        t0 = engine.now
 
         # Where a remote write goes: one-sided small messages (Listing 2's
         # sum.store(..., pe)), one put per retiring wave; or, one write at a
@@ -173,6 +170,14 @@ class PGASFusedRetrieval(TimedPass):
 
         elif self.aggregator is not None:
             send = self.aggregator.store
+
+        def flush() -> None:
+            # Multi-node variant: push any residual aggregation/staging
+            # buffers out before quiescing (the kernel-end flush of ref [7]).
+            if self.router is not None:
+                self.router.flush_all()
+            if self.aggregator is not None:
+                self.aggregator.flush_all()
 
         ops = []
         for dev, wl in zip(cluster.devices, workloads):
@@ -208,25 +213,7 @@ class PGASFusedRetrieval(TimedPass):
             stream = dev.stream("default" + stream_suffix)
             stream.submit_delay(dev.spec.kernel_launch_overhead_ns, name="launch")
             ops.append(stream.launch(dev, kspec, on_wave))
+        return self._fused_end(
+            cluster, self.pgas, join(engine, ops), timing, flush, span="pgas_fused"
+        )
 
-        yield join(engine, ops)
-
-        # Multi-node variant: push any residual aggregation/staging buffers
-        # out before quiescing (the kernel-end flush of ref [7]).
-        if self.router is not None:
-            self.router.flush_all()
-        if self.aggregator is not None:
-            self.aggregator.flush_all()
-
-        # Completion: one quiet over every PE (drain outstanding puts), then
-        # rendezvous.
-        if G > 1:
-            yield self.pgas.quiet(range(G))
-        yield engine.timeout(spec0.sync_overhead_ns)
-        t1 = engine.now
-
-        prof.record_span("pgas_fused", "fused", -1, t0, t1)
-        timing.compute_ns = t1 - t0  # fully fused: one overlapped phase
-        timing.comm_ns = 0.0
-        timing.sync_unpack_ns = 0.0
-        timing.total_ns = t1 - t0

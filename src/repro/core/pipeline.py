@@ -26,6 +26,7 @@ transform's) mean for whole-model latency (Amdahl).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Literal, Mapping, Optional, Sequence
 
 import numpy as np
@@ -35,14 +36,14 @@ from ..comm.pgas import PGASSpec
 from ..dlrm.batch import SparseBatch
 from ..dlrm.data import WorkloadConfig
 from ..dlrm.interaction import interaction_output_dim
-from ..obs import traced, trace_scope
+from ..obs import trace_scope
 from ..simgpu.cluster import Cluster
-from ..simgpu.engine import ProcessGenerator
+from ..simgpu.engine import Event
 from ..simgpu.kernel import KernelSpec
 from ..simgpu.profiler import TraceRef
 from ..simgpu.stream import join
 from ..simgpu.units import gbps
-from .baseline import PhaseTiming
+from .baseline import BatchStart, PhaseTiming
 from .calibration import INDEX_BYTES, OFFSET_BYTES
 from .factory import FeatureSpec
 from .retrieval import BackendName, EmbeddingHost, adapter_class
@@ -279,18 +280,18 @@ class DLRMInferencePipeline(EmbeddingHost):
             lengths_by_feature = lengths_from_batch(batch)
         return build_device_workloads(self.plan, lengths_by_feature)
 
-    def _emb_process(
+    def _emb_stage(
         self,
         workloads: Sequence[DeviceWorkload],
         timing: PipelineTiming,
         backend: BackendName,
         batch: Optional[SparseBatch] = None,
         stream_suffix: str = "",
-    ) -> ProcessGenerator:
-        """The EMB stage's process generator, built at batch submission.
+    ) -> BatchStart:
+        """The EMB stage's host program, built at batch submission.
 
         A stateful adapter's per-batch pass runs here (the cache pass
-        runs when ``batch_process`` is called, not when the generator
+        runs when ``batch_process`` is called, not when the stage
         starts), so interleaved batches advance its state in submission
         order.
         """
@@ -313,13 +314,13 @@ class DLRMInferencePipeline(EmbeddingHost):
         be = backend or self.backend
         workloads = self._workloads(lengths_by_feature, be, batch)
         timing = PipelineTiming(batches=1)
-        emb_gen = self._emb_process(workloads, timing, be, batch)
+        emb_start = self._emb_stage(workloads, timing, be, batch)
         ref = self._next_trace_ref()
         # The whole synchronous run is one batch: scoping the trace ref
         # around it attributes every span the engine records to this batch.
         with trace_scope(self.cluster.profiler if ref is not None else None, ref):
             self.cluster.run(
-                lambda cl: self._process(cl, workloads, timing, emb_gen, trace_ref=ref)
+                lambda cl: self._start_batch(cl, workloads, timing, emb_start, trace_ref=ref)
             )
         return timing
 
@@ -343,8 +344,8 @@ class DLRMInferencePipeline(EmbeddingHost):
         batch: Optional[SparseBatch] = None,
         stream_suffix: str = "",
         trace: Optional[TraceRef] = None,
-    ) -> ProcessGenerator:
-        """Process generator for one batch — composable into larger host
+    ) -> BatchStart:
+        """One batch's host program — composable into larger host
         programs (the serving simulator interleaves these with request
         arrivals).  ``timing`` is filled at completion.
 
@@ -355,20 +356,24 @@ class DLRMInferencePipeline(EmbeddingHost):
         single-batch behaviour exactly.
 
         ``trace`` attributes the batch's spans to a trace context even when
-        several batches interleave on the engine: the returned generator is
-        wrapped so its frames (and the EMB/dense sub-processes it spawns)
-        run under the ref, while engine work of *other* batches does not."""
+        several batches interleave on the engine: the program starts under
+        the ref, so it and every continuation it registers (the EMB and
+        dense stages included) run under it, while engine work of *other*
+        batches does not."""
         be = backend or self.backend
         workloads = self._workloads(lengths_by_feature, be, batch)
         timing.batches = 1
-        emb_gen = self._emb_process(workloads, timing, be, batch, stream_suffix)
-        gen = self._process(
-            self.cluster, workloads, timing, emb_gen,
-            stream_suffix=stream_suffix, trace_ref=trace,
-        )
-        if trace is None:
-            return gen
-        return traced(gen, self.cluster.profiler, trace)
+        emb_start = self._emb_stage(workloads, timing, be, batch, stream_suffix)
+        prof = self.cluster.profiler if trace is not None else None
+
+        def start() -> Event:
+            with trace_scope(prof, trace):
+                return self._start_batch(
+                    self.cluster, workloads, timing, emb_start,
+                    stream_suffix=stream_suffix, trace_ref=trace,
+                )
+
+        return start
 
     def run_batches_pipelined(
         self, lengths_iter, backend: Optional[BackendName] = None
@@ -393,7 +398,7 @@ class DLRMInferencePipeline(EmbeddingHost):
         total = PipelineTiming()
         engine = self.cluster.engine
 
-        def driver(cluster: Cluster) -> ProcessGenerator:
+        def driver(cluster: Cluster) -> Event:
             t0 = engine.now
             workloads = [build_device_workloads(self.plan, l) for l in all_lengths]
             # Pre-submit every batch's input copies on the h2d streams:
@@ -411,46 +416,61 @@ class DLRMInferencePipeline(EmbeddingHost):
                         )
                     )
                 copy_ops_per_batch.append(ops)
-            for i, wls in enumerate(workloads):
-                per_batch = PipelineTiming(batches=1)
-                yield engine.process(
-                    self._process(
-                        cluster, wls, per_batch, self._emb_process(wls, per_batch, be),
-                        copy_ops=copy_ops_per_batch[i],
-                    ),
-                    name=f"pipelined_batch{i}",
+            per_batch = [PipelineTiming(batches=1) for _ in workloads]
+
+            def start_batch(i: int) -> Event:
+                return self._start_batch(
+                    cluster, workloads[i], per_batch[i],
+                    self._emb_stage(workloads[i], per_batch[i], be),
+                    copy_ops=copy_ops_per_batch[i],
                 )
-                total.input_copy_ns += per_batch.input_copy_ns
-                total.dense_mlp_ns += per_batch.dense_mlp_ns
-                total.emb.add(per_batch.emb)
-                total.interaction_top_ns += per_batch.interaction_top_ns
-                total.overlap_saved_ns += per_batch.overlap_saved_ns
+
+            def add(timing: PipelineTiming) -> None:
+                total.input_copy_ns += timing.input_copy_ns
+                total.dense_mlp_ns += timing.dense_mlp_ns
+                total.emb.add(timing.emb)
+                total.interaction_top_ns += timing.interaction_top_ns
+                total.overlap_saved_ns += timing.overlap_saved_ns
                 total.batches += 1
-            total.total_ns = engine.now - t0
+
+            def finished() -> None:
+                total.total_ns = engine.now - t0
+
+            steps = []
+            for i, timing in enumerate(per_batch):
+                steps += [partial(start_batch, i), partial(add, timing)]
+            return cluster.chain(*steps, finished)
 
         self.cluster.run(driver)
         return total
 
-    def _process(
+    def _start_batch(
         self,
         cluster: Cluster,
         workloads: Sequence[DeviceWorkload],
         timing: PipelineTiming,
-        emb_gen: ProcessGenerator,
+        emb_start: BatchStart,
         copy_ops: Optional[list] = None,
         stream_suffix: str = "",
         trace_ref: Optional[TraceRef] = None,
-    ) -> ProcessGenerator:
-        """One batch's host program; ``emb_gen`` is its EMB stage
-        (:meth:`_emb_process`), run beside the dense path."""
+    ) -> Event:
+        """Start one batch's host program now; returns its end event.
+
+        ``emb_start`` is its EMB stage (:meth:`_emb_stage`), run beside
+        the dense path."""
         engine = cluster.engine
         prof = cluster.profiler
         t0 = engine.now
+        t1 = t2 = t_dense = 0.0
+        dense_done: Optional[Event] = None
 
         # ---- stage 1: input staging over the host link ------------------------
-        # ``copy_ops`` given: the driver pre-submitted this batch's copies
-        # (inter-batch prefetch); just wait for them.
-        if copy_ops is None:
+        def staging() -> Event:
+            nonlocal copy_ops
+            # ``copy_ops`` given: the driver pre-submitted this batch's copies
+            # (inter-batch prefetch); just wait for them.
+            if copy_ops is not None:
+                return join(engine, copy_ops)
             copy_ops = []
             first_chunk_ops = []
             K = self.staging_chunks if self.overlap_input_staging else 1
@@ -466,66 +486,70 @@ class DLRMInferencePipeline(EmbeddingHost):
             if self.overlap_input_staging:
                 # §V pipelining: compute starts once the first input chunk
                 # has landed; the rest streams in under the kernels.
-                yield join(engine, first_chunk_ops)
-            else:
-                yield join(engine, copy_ops)
-        else:
-            yield join(engine, copy_ops)
-        t1 = engine.now
-        if trace_ref is not None:
-            with trace_scope(prof, trace_ref):
-                prof.record_span("input_copy", "h2d", -1, t0, t1)
+                return join(engine, first_chunk_ops)
+            return join(engine, copy_ops)
 
         # ---- stage 2: dense MLP ∥ distributed EMB ------------------------------
-        def dense_path() -> ProcessGenerator:
+        def paths() -> float:
+            nonlocal t1
+            t1 = engine.now
+            if trace_ref is not None:
+                prof.record_span("input_copy", "h2d", -1, t0, t1)
+            # The two paths start one entry later each, dense first, so work
+            # already queued at this instant (another batch's stage on the
+            # same streams) is submitted before them.
+            cluster.then(0.0, dense_path)
+            return 0.0
+
+        def dense_path() -> None:
+            nonlocal dense_done
+            dense_done = cluster.chain(dense_kernels, dense_ended)
+
+        def dense_kernels() -> Event:
             ops = []
             for dev in cluster.devices:
                 stream = dev.stream("dense" + stream_suffix)
                 bottom, _, _ = self._stage_kernels[dev.id]
                 stream.submit_delay(dev.spec.kernel_launch_overhead_ns, name="launch")
                 ops.append(stream.launch(dev, bottom))
-            yield join(engine, ops)
-            return engine.now
+            return join(engine, ops)
 
-        emb_timing = timing.emb
-        dense_gen = dense_path()
-        if trace_ref is not None:
-            # The EMB and dense paths run as sibling engine processes, so
-            # the context must ride into their frames explicitly — this is
-            # what threads the ref through every retrieval backend's spans
-            # even when several traced batches interleave.
-            dense_gen = traced(dense_gen, prof, trace_ref)
-            emb_gen = traced(emb_gen, prof, trace_ref)
-        dense_proc = engine.process(dense_gen, name="dense_path")
-        emb_proc = engine.process(emb_gen, name="emb_path")
-        # Compute may overlap the tail of a pipelined copy, but the batch is
-        # not done until every input chunk has landed.
-        yield engine.all_of([dense_proc, emb_proc, join(engine, copy_ops)])
-        t2 = engine.now
-        dense_ns = dense_proc.value - t1
-        timing.dense_mlp_ns = dense_ns
-        timing.overlap_saved_ns = dense_ns + emb_timing.total_ns - (t2 - t1)
-        if trace_ref is not None:
-            with trace_scope(prof, trace_ref):
-                prof.record_span("dense_mlp", "dense", -1, t1, dense_proc.value)
+        def dense_ended() -> None:
+            nonlocal t_dense
+            t_dense = engine.now
+
+        def emb_path() -> Event:
+            # Compute may overlap the tail of a pipelined copy, but the batch
+            # is not done until every input chunk has landed.
+            return join(engine, [dense_done, emb_start(), join(engine, copy_ops)])
 
         # ---- stage 3: interaction + top MLP ------------------------------------
-        ops = []
-        for dev in cluster.devices:
-            stream = dev.stream("default" + stream_suffix)
-            _, ki, kt = self._stage_kernels[dev.id]
-            stream.submit_delay(dev.spec.kernel_launch_overhead_ns, name="launch")
-            ops.append(stream.launch(dev, ki))
-            ops.append(stream.launch(dev, kt))
-        yield join(engine, ops, cluster.devices[0].spec.sync_overhead_ns)
-        t3 = engine.now
-        if trace_ref is not None:
-            with trace_scope(prof, trace_ref):
-                prof.record_span("interaction_top", "top", -1, t2, t3)
+        def interaction_top() -> Event:
+            nonlocal t2
+            t2 = engine.now
+            dense_ns = t_dense - t1
+            timing.dense_mlp_ns = dense_ns
+            timing.overlap_saved_ns = dense_ns + timing.emb.total_ns - (t2 - t1)
+            if trace_ref is not None:
+                prof.record_span("dense_mlp", "dense", -1, t1, t_dense)
+            ops = []
+            for dev in cluster.devices:
+                stream = dev.stream("default" + stream_suffix)
+                _, ki, kt = self._stage_kernels[dev.id]
+                stream.submit_delay(dev.spec.kernel_launch_overhead_ns, name="launch")
+                ops.append(stream.launch(dev, ki))
+                ops.append(stream.launch(dev, kt))
+            return join(engine, ops, cluster.devices[0].spec.sync_overhead_ns)
 
-        timing.input_copy_ns = t1 - t0
-        timing.interaction_top_ns = t3 - t2
-        timing.total_ns = t3 - t0
+        def finish() -> None:
+            t3 = engine.now
+            if trace_ref is not None:
+                prof.record_span("interaction_top", "top", -1, t2, t3)
+            timing.input_copy_ns = t1 - t0
+            timing.interaction_top_ns = t3 - t2
+            timing.total_ns = t3 - t0
+
+        return cluster.chain(staging, paths, emb_path, interaction_top, finish)
 
     # -- telemetry --------------------------------------------------------------
 

@@ -93,10 +93,9 @@ from ..dlrm.data import WorkloadConfig
 from ..dlrm.embedding import EmbeddingBagCollection, EmbeddingTable, EmbeddingTableConfig
 from ..obs import TraceSpec, trace_scope
 from ..simgpu.cluster import Cluster, dgx_v100, multinode
-from ..simgpu.engine import ProcessGenerator
 from ..simgpu.memory import Buffer
 from ..simgpu.profiler import TraceRef
-from .baseline import BaselineRetrieval, PhaseTiming
+from .baseline import BaselineRetrieval, BatchStart, PhaseTiming
 from .factory import FeatureSpec, parse_backend_name
 from .functional import ShardedEmbeddingTables, functional_forward
 from .pgas_retrieval import PGASFusedRetrieval
@@ -311,8 +310,8 @@ class BaseRetrieval:
         *,
         batch: Optional[SparseBatch] = None,
         stream_suffix: str = "",
-    ) -> ProcessGenerator:
-        """The engine's process generator for one batch."""
+    ) -> BatchStart:
+        """The engine's host program for one batch (:data:`BatchStart`)."""
         return self.base.batch_process(
             cluster, workloads, timing, stream_suffix=stream_suffix
         )
@@ -324,9 +323,8 @@ class BaseRetrieval:
     ) -> PhaseTiming:
         """Simulate one batch alone on the cluster; returns its phase timing."""
         timing = PhaseTiming(batches=1)
-        self.cluster.run(
-            lambda cl: self.batch_process(cl, workloads, timing, batch=batch)
-        )
+        start = self.batch_process(self.cluster, workloads, timing, batch=batch)
+        self.cluster.run(lambda cl: start())
         return timing
 
     def functional_forward(self, batch: SparseBatch) -> List[np.ndarray]:

@@ -53,14 +53,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Literal, Optional
+from typing import TYPE_CHECKING, Dict, List, Literal, Optional, Tuple
 
 import numpy as np
 
 from ..checks import check_finite, checked_count
 from ..dlrm.data import SyntheticDataGenerator
 from ..obs import trace_scope
-from ..simgpu.engine import ProcessGenerator
+from ..simgpu.engine import Event
 from ..simgpu.profiler import TraceRef
 from ..simgpu.stream import StreamPool
 from ..simgpu.units import ms
@@ -523,7 +523,6 @@ class InferenceServer:
         batch_sizes: List[int] = []
         formed_by: Dict[str, int] = {reason: 0 for reason in FORMATION_REASONS}
         slots = StreamPool(sched.max_in_flight)
-        wake = engine.notifier("scheduler")  # kicked by batch completions
         t_start = engine.now
         if resilient:
             # Build the adapter now so the outcome ledger exists.
@@ -598,20 +597,29 @@ class InferenceServer:
                 if timed:
                     timer = t + (deadline - t)
 
-        def sleep_until(t: Optional[float]) -> ProcessGenerator:
-            """Wait for a batch completion or, when given, the instant ``t``."""
-            if t is None:
-                yield wake.wait()
-                return
-            alarm = engine.event("scheduler.alarm")
-            handle = engine.call_at(t, alarm.succeed)
-            yield engine.any_of([wake.wait(), alarm])
-            # After a completion the caller re-plans from the new instant.
-            engine.cancel(handle)
+        # Between steps the scheduler waits for a batch completion, or for
+        # the ``alarm`` of a timed sleep, or (``blocked``) for a completion
+        # that frees a slot for the batch it has sealed: that batch's ready
+        # instant and formation reason.
+        alarm = None
+        blocked: Optional[Tuple[float, str]] = None
+        n_launched = 0
+        finished = engine.event("serving")
 
-        def run_batch(rows: List[int], lease, batch_seq: int) -> ProcessGenerator:
+        def wake() -> None:
+            """The alarm fired or a batch completed: run the scheduler."""
+            nonlocal alarm, blocked
+            if alarm is not None:
+                # After a completion the scheduler re-plans from the new instant.
+                engine.cancel(alarm)
+                alarm = None
+            if blocked is not None:
+                dispatch(*blocked)
+                blocked = None
+            step()
+
+        def run_batch(rows: List[int], lease, batch_seq: int) -> None:
             """Execute one dispatched batch on its leased stream set."""
-            nonlocal n_hedged, n_done, in_flight
             t_dispatch = engine.now
             # One trace ref per dispatched batch; the hedge re-execution is
             # the same logical batch so it shares the ref.
@@ -624,106 +632,114 @@ class InferenceServer:
                 sub_batch = None
                 sub_lengths = pool_lengths.take(rows_np)
 
-            def launch():
-                timing = PipelineTiming()
-                if sub_batch is not None:
-                    proc_gen = pipeline.batch_process(
-                        None, timing, be, batch=sub_batch,
-                        stream_suffix=lease.suffix, trace=ref,
-                    )
-                else:
-                    proc_gen = pipeline.batch_process(
-                        sub_lengths, timing, be, stream_suffix=lease.suffix,
-                        trace=ref,
-                    )
-                return engine.process(proc_gen, name="serve_batch")
+            def launch() -> Event:
+                return pipeline.batch_process(
+                    sub_lengths, PipelineTiming(), be, batch=sub_batch,
+                    stream_suffix=lease.suffix, trace=ref,
+                )()
 
-            proc = launch()
+            def straggler() -> None:
+                nonlocal n_hedged
+                if ended.triggered:
+                    return complete()
+                # Straggler suspect: race an identical hedge batch.
+                # The loser keeps draining in the background,
+                # occupying its streams and links.
+                n_hedged += 1
+                cluster.race([ended, launch()], None, complete)
+
+            def complete() -> None:
+                nonlocal n_done, in_flight
+                done = engine.now
+                done_t[rows_np] = done
+                if ref is not None:
+                    # Envelope span: the dispatched batch's full residency, the
+                    # anchor Perfetto flow arrows and per-batch windows hang off.
+                    batch_of[rows_np] = batch_seq
+                    with trace_scope(profiler, ref):
+                        profiler.record_span(
+                            f"serve.batch{batch_seq}", "serve", -1, t_dispatch, done
+                        )
+                if resilient:
+                    outcome = adapter.pop_outcome()
+                    frac = outcome.degraded_fraction if outcome is not None else 0.0
+                    degraded_t[rows_np] = frac
+                if functional is not None:
+                    # Per-device (B_g, F, d) outputs concatenate back to the
+                    # batch's sample order, i.e. the dispatched row order.
+                    flat = np.concatenate(functional(sub_batch), axis=0)
+                    for i, rid in enumerate(rows):
+                        outputs_t[rid] = flat[i]
+                n_done += len(rows)
+                in_flight -= 1
+                profiler.add_count(IN_FLIGHT_COUNTER, done, -1.0, unit="batches")
+                lease.release()
+                wake()
+
+            ended = launch()
             if spec.hedge_after_ns is None:
-                yield proc
+                cluster.then(ended, complete)
             else:
-                yield engine.any_of([proc, engine.timeout(spec.hedge_after_ns)])
-                if not proc.triggered:
-                    # Straggler suspect: race an identical hedge batch.
-                    # The loser keeps draining in the background,
-                    # occupying its streams and links.
-                    n_hedged += 1
-                    hedge = launch()
-                    yield engine.any_of([proc, hedge])
-            done = engine.now
-            done_t[rows_np] = done
-            if ref is not None:
-                # Envelope span: the dispatched batch's full residency, the
-                # anchor Perfetto flow arrows and per-batch windows hang off.
-                batch_of[rows_np] = batch_seq
-                with trace_scope(profiler, ref):
-                    profiler.record_span(
-                        f"serve.batch{batch_seq}", "serve", -1, t_dispatch, done
-                    )
-            if resilient:
-                outcome = adapter.pop_outcome()
-                frac = outcome.degraded_fraction if outcome is not None else 0.0
-                degraded_t[rows_np] = frac
-            if functional is not None:
-                # Per-device (B_g, F, d) outputs concatenate back to the
-                # batch's sample order, i.e. the dispatched row order.
-                flat = np.concatenate(functional(sub_batch), axis=0)
-                for i, rid in enumerate(rows):
-                    outputs_t[rid] = flat[i]
-            n_done += len(rows)
-            in_flight -= 1
-            profiler.add_count(IN_FLIGHT_COUNTER, done, -1.0, unit="batches")
-            lease.release()
-            wake.notify()
+                cluster.race([ended], spec.hedge_after_ns, straggler)
 
-        def scheduler() -> ProcessGenerator:
-            nonlocal in_flight
-            n_launched = 0
+        def dispatch(t_ready: float, reason: str) -> None:
+            """Seal the head batch now and launch it on a free slot."""
+            nonlocal in_flight, n_launched
+            # Seal at dispatch: absorb everything waiting now (late
+            # arrivals ride along, with a zero form segment).
+            now = engine.now
+            admit(now)
+            k = min(len(queue), max_batch)
+            rows = queue[:k]
+            del queue[:k]
+            rows_np = np.asarray(rows, dtype=np.int64)
+            ready_t[rows_np] = np.maximum(t_ready, arrival_t[rows_np])
+            dispatch_t[rows_np] = now
+            profiler.add_count(
+                QUEUE_DEPTH_COUNTER, now, -float(k), unit="requests"
+            )
+            profiler.add_count(IN_FLIGHT_COUNTER, now, 1.0, unit="batches")
+            profiler.add_count(
+                f"{BATCH_FORMED_COUNTER}.{reason}", now, 1.0, unit="batches"
+            )
+            formed_by[reason] += 1
+            batch_sizes.append(k)
+            in_flight += 1
+            lease = slots.acquire()
+            run_batch(rows, lease, n_launched)
+            n_launched += 1
+
+        def step() -> None:
+            """The scheduler: form and dispatch batches until it must wait."""
+            nonlocal alarm, blocked
             while n_done + n_shed < n_requests:
                 now = engine.now
                 admit(now)
                 if not queue:
-                    yield from sleep_until(
-                        arrivals[arrived] if arrived < n_requests else None
-                    )
-                    continue
+                    # Sleep until the next arrival (or a completion).
+                    if arrived < n_requests:
+                        alarm = engine.call_at(arrivals[arrived], wake)
+                    return
                 # Batch former: sleep until the policy declares the head
                 # batch ready; a completion wakes it early to re-plan.
                 deadline = arrivals[queue[0]] + window
                 reason = trigger(now, len(queue), arrived, deadline)
                 if reason is None:
-                    yield from sleep_until(formation_instant(now, deadline))
-                    continue
-                t_ready = now
+                    alarm = engine.call_at(formation_instant(now, deadline), wake)
+                    return
                 # Dispatcher: wait for a free in-flight slot, then seal.
-                while in_flight >= sched.max_in_flight:
-                    yield wake.wait()
-                # Seal at dispatch: absorb everything waiting now (late
-                # arrivals ride along, with a zero form segment).
-                now = engine.now
-                admit(now)
-                k = min(len(queue), max_batch)
-                rows = queue[:k]
-                del queue[:k]
-                rows_np = np.asarray(rows, dtype=np.int64)
-                ready_t[rows_np] = np.maximum(t_ready, arrival_t[rows_np])
-                dispatch_t[rows_np] = now
-                profiler.add_count(
-                    QUEUE_DEPTH_COUNTER, now, -float(k), unit="requests"
-                )
-                profiler.add_count(IN_FLIGHT_COUNTER, now, 1.0, unit="batches")
-                profiler.add_count(
-                    f"{BATCH_FORMED_COUNTER}.{reason}", now, 1.0, unit="batches"
-                )
-                formed_by[reason] += 1
-                batch_sizes.append(k)
-                in_flight += 1
-                lease = slots.acquire()
-                engine.process(run_batch(rows, lease, n_launched), name=f"batch{n_launched}")
-                n_launched += 1
+                if in_flight >= sched.max_in_flight:
+                    blocked = (now, reason)
+                    return
+                dispatch(now, reason)
+            finished.succeed()
 
-        sched_proc = engine.process(scheduler(), name="scheduler")
-        engine.run_until_event(sched_proc)
+        step()
+        engine.run_until_event(finished)
+        # The scheduler's callbacks reach each other through this frame's
+        # cells; unbinding the two every loop passes through lets the
+        # finished run be freed by refcount alone.
+        del step, dispatch
         t_end = engine.now
 
         # Compact per-request records in request-id order (stable across

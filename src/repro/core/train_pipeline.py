@@ -30,7 +30,7 @@ import numpy as np
 
 from ..comm.collective import CollectiveContext, CollectiveSpec
 from ..simgpu.cluster import Cluster
-from ..simgpu.engine import ProcessGenerator
+from ..simgpu.engine import Event
 from ..simgpu.kernel import KernelSpec
 from ..simgpu.stream import join
 from .backward import BaselineBackward, PGASFusedBackward
@@ -141,45 +141,52 @@ class DLRMTrainingPipeline:
         workloads = build_device_workloads(self.plan, lengths_by_feature)
         fwd = self.forward_pipeline
 
-        def step(cluster: Cluster) -> ProcessGenerator:
+        def step(cluster: Cluster) -> Event:
             engine = cluster.engine
             t0 = engine.now
+            t1 = t_dense = 0.0
+
             # ---- forward -------------------------------------------------------
-            timing.forward.batches = 1
-            yield engine.process(
-                fwd._process(
+            def forward() -> Event:
+                timing.forward.batches = 1
+                return fwd._start_batch(
                     cluster, workloads, timing.forward,
-                    fwd._emb_process(workloads, timing.forward, be),
-                ),
-                name="train_forward",
-            )
-            t1 = engine.now
+                    fwd._emb_stage(workloads, timing.forward, be),
+                )
 
             # ---- backward: dense path ∥ EMB gradient exchange ------------------
-            def dense_backward() -> ProcessGenerator:
+            def backward() -> Event:
+                nonlocal t1
+                t1 = engine.now
+                timing.emb_backward.batches = 1
+                dense_done = cluster.chain(dense_kernels, allreduce, dense_ended)
+                emb_done = bwd.batch_process(cluster, workloads, timing.emb_backward)()
+                return join(engine, [dense_done, emb_done])
+
+            def dense_kernels() -> Event:
                 ops = []
                 for dev in cluster.devices:
                     k = self._dense_backward_kernel(dev.id)
                     stream = dev.stream("dense")
                     stream.submit_delay(dev.spec.kernel_launch_overhead_ns, "launch")
                     ops.append(stream.launch(dev, k))
-                yield join(engine, ops)
-                # Data-parallel MLP weights: ring all-reduce of the grads.
-                if cluster.n_devices > 1:
-                    handle = self._mlp_allreduce.all_reduce(self._mlp_weight_bytes())
-                    yield from handle.wait()
-                return engine.now
+                return join(engine, ops)
 
-            timing.emb_backward.batches = 1
-            dense_proc = engine.process(dense_backward(), name="dense_bwd")
-            emb_proc = engine.process(
-                bwd.batch_process(cluster, workloads, timing.emb_backward),
-                name="emb_bwd",
-            )
-            yield engine.all_of([dense_proc, emb_proc])
-            t2 = engine.now
-            timing.dense_backward_ns = dense_proc.value - t1
-            timing.total_ns = t2 - t0
+            def allreduce() -> Optional[Event]:
+                # Data-parallel MLP weights: ring all-reduce of the grads.
+                if cluster.n_devices == 1:
+                    return None
+                return self._mlp_allreduce.all_reduce(self._mlp_weight_bytes()).wait()
+
+            def dense_ended() -> None:
+                nonlocal t_dense
+                t_dense = engine.now
+
+            def finish() -> None:
+                timing.dense_backward_ns = t_dense - t1
+                timing.total_ns = engine.now - t0
+
+            return cluster.chain(forward, backward, finish)
 
         self.cluster.run(step)
         return timing

@@ -28,12 +28,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..cache.hotrow import CacheConfig, HotRowCache, remote_row_caches
-from ..core.baseline import PhaseTiming
+from ..checks import check_finite_fields
+from ..core.baseline import BatchStart, PhaseTiming
 from ..core.retrieval import BaseRetrieval
 from ..core.sharding import minibatch_bounds
 from ..core.workload import DeviceWorkload
@@ -41,6 +43,8 @@ from ..dlrm.batch import SparseBatch
 from ..dlrm.embedding import segment_pool
 from ..dlrm.hashing import hash_indices
 from ..simgpu.cluster import Cluster
+from ..simgpu.engine import Event
+from ..simgpu.stream import join
 from ..simgpu.units import us
 from .injector import pair_is_down
 
@@ -84,6 +88,7 @@ class ResilienceSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_finite_fields(self, "deadline_ns", "backoff_base_ns", "backoff_multiplier")
         if self.deadline_ns is not None and self.deadline_ns <= 0:
             raise ValueError("deadline_ns must be positive (or None)")
         if self.max_retries < 0:
@@ -142,6 +147,20 @@ class _BatchState:
     cache_served: Dict[Tuple[int, str], Tuple[np.ndarray, Optional[np.ndarray]]]
     outcome: BatchOutcome
     fully_degraded: bool = False
+
+
+@dataclass
+class _BatchRun:
+    """One batch's timed state machine between its attempts."""
+
+    cluster: Cluster
+    state: _BatchState
+    timing: PhaseTiming
+    stream_suffix: str
+    t0: float
+    done: Event
+    attempt: int = 0
+    sub: Optional[PhaseTiming] = None  #: the current attempt's phases
 
 
 class ResilientRetrieval(BaseRetrieval):
@@ -324,18 +343,20 @@ class ResilientRetrieval(BaseRetrieval):
     def _forward_route(
         self, cluster: Cluster, src: int, via: int, dst: int,
         nbytes: float, outcome: BatchOutcome,
-    ):
+    ) -> Event:
         """Two-hop store-and-forward src → via → dst, charging both links."""
         mb, hb = self._message_params()
-        yield cluster.interconnect.transfer(
-            src, via, nbytes, message_bytes=mb, header_bytes=hb,
-            counter=REROUTE_COUNTER,
-        )
-        yield cluster.interconnect.transfer(
-            via, dst, nbytes, message_bytes=mb, header_bytes=hb,
-            counter=REROUTE_COUNTER,
-        )
-        outcome.rerouted_bytes += nbytes
+
+        def hop(a: int, b: int) -> Event:
+            return cluster.interconnect.transfer(
+                a, b, nbytes, message_bytes=mb, header_bytes=hb,
+                counter=REROUTE_COUNTER,
+            )
+
+        def delivered() -> None:
+            outcome.rerouted_bytes += nbytes
+
+        return cluster.chain(partial(hop, src, via), partial(hop, via, dst), delivered)
 
     def _attempt(
         self,
@@ -345,24 +366,16 @@ class ResilientRetrieval(BaseRetrieval):
         timing: PhaseTiming,
         outcome: BatchOutcome,
         stream_suffix: str = "",
-    ):
-        engine = cluster.engine
-        procs = [
-            engine.process(
-                self.base.batch_process(
-                    cluster, list(workloads), timing, stream_suffix=stream_suffix
-                ),
-                name=f"resilient_{self.base_name}",
-            )
+    ) -> Event:
+        """One attempt: the base pass beside every reroute."""
+        waits = [
+            self.base.batch_process(
+                cluster, list(workloads), timing, stream_suffix=stream_suffix
+            )()
         ]
         for src, via, dst, nbytes in forwards:
-            procs.append(
-                engine.process(
-                    self._forward_route(cluster, src, via, dst, nbytes, outcome),
-                    name=f"reroute{src}->{via}->{dst}",
-                )
-            )
-        yield engine.all_of(procs)
+            waits.append(self._forward_route(cluster, src, via, dst, nbytes, outcome))
+        return cluster.chain(lambda: join(cluster.engine, waits))
 
     def batch_process(
         self,
@@ -372,8 +385,8 @@ class ResilientRetrieval(BaseRetrieval):
         *,
         batch: Optional[SparseBatch] = None,
         stream_suffix: str = "",
-    ):
-        """Process generator for one batch — the full state machine.
+    ) -> BatchStart:
+        """One batch's host program — the full state machine.
 
         Composable into larger host programs exactly like the base
         backends' ``batch_process``; ``timing`` is filled at completion
@@ -381,56 +394,67 @@ class ResilientRetrieval(BaseRetrieval):
         passes through to the wrapped backend's per-batch stream set.
         """
         engine = cluster.engine
-        spec = self.spec
-        t0 = engine.now
-        state = self._partition(workloads, batch)
-        outcome = state.outcome
-        attempt = 0
-        while True:
-            sub = PhaseTiming(batches=1)
-            proc = engine.process(
-                self._attempt(
-                    cluster, state.workloads, state.forwards, sub, outcome,
-                    stream_suffix=stream_suffix,
-                ),
-                name="resilient_attempt",
+
+        def start() -> Event:
+            run = _BatchRun(
+                cluster, self._partition(workloads, batch), timing, stream_suffix,
+                t0=engine.now, done=engine.event("resilient_batch"),
             )
-            if spec.deadline_ns is None:
-                yield proc
-                completed = True
-            else:
-                yield engine.any_of([proc, engine.timeout(spec.deadline_ns)])
-                completed = proc.triggered
-            if completed:
-                break
-            outcome.retries += 1
-            attempt += 1
-            if attempt > spec.max_retries:
-                # Retries exhausted: abandon the wire entirely and serve
-                # whatever is local.  Every remote bag not already covered
-                # by the fallback cache is zero-filled.
-                outcome.deadline_missed = True
-                state.fully_degraded = True
-                outcome.degraded_bags = (
-                    sum(state.remote_bags.values()) - outcome.cache_served_bags
-                )
-                sub = PhaseTiming(batches=1)
-                yield engine.process(
-                    self._attempt(
-                        cluster, self._strip_remote(state.workloads), [], sub, outcome,
-                        stream_suffix=stream_suffix,
-                    ),
-                    name="resilient_degraded",
-                )
-                break
-            backoff = spec.backoff_base_ns * spec.backoff_multiplier ** (attempt - 1)
-            backoff *= 1.0 + spec.jitter_fraction * float(self._rng.random())
-            yield engine.timeout(backoff)
-        outcome.attempts = attempt + 1
+            self._try(run)
+            return run.done
+
+        return start
+
+    def _try(self, run: _BatchRun) -> None:
+        """Start one attempt; with a deadline, it races the deadline."""
+        run.sub = PhaseTiming(batches=1)
+        state = run.state
+        ended = self._attempt(
+            run.cluster, state.workloads, state.forwards, run.sub, state.outcome,
+            stream_suffix=run.stream_suffix,
+        )
+        if self.spec.deadline_ns is None:
+            run.cluster.then(ended, partial(self._finish, run))
+        else:
+            # A deadline tied with the attempt's end still counts the attempt.
+            run.cluster.race(
+                [ended], self.spec.deadline_ns,
+                lambda: self._finish(run) if ended.triggered else self._missed(run),
+            )
+
+    def _missed(self, run: _BatchRun) -> None:
+        """Deadline breach: back off and retry, or serve what is local."""
+        spec = self.spec
+        state, outcome = run.state, run.state.outcome
+        outcome.retries += 1
+        run.attempt += 1
+        if run.attempt > spec.max_retries:
+            # Retries exhausted: abandon the wire entirely and serve
+            # whatever is local.  Every remote bag not already covered
+            # by the fallback cache is zero-filled.
+            outcome.deadline_missed = True
+            state.fully_degraded = True
+            outcome.degraded_bags = (
+                sum(state.remote_bags.values()) - outcome.cache_served_bags
+            )
+            run.sub = PhaseTiming(batches=1)
+            ended = self._attempt(
+                run.cluster, self._strip_remote(state.workloads), [], run.sub, outcome,
+                stream_suffix=run.stream_suffix,
+            )
+            run.cluster.then(ended, partial(self._finish, run))
+            return
+        backoff = spec.backoff_base_ns * spec.backoff_multiplier ** (run.attempt - 1)
+        backoff *= 1.0 + spec.jitter_fraction * float(self._rng.random())
+        run.cluster.then(backoff, partial(self._try, run))
+
+    def _finish(self, run: _BatchRun) -> None:
+        state, outcome, timing, sub = run.state, run.state.outcome, run.timing, run.sub
+        outcome.attempts = run.attempt + 1
         timing.compute_ns = sub.compute_ns
         timing.comm_ns = sub.comm_ns
         timing.sync_unpack_ns = sub.sync_unpack_ns
-        timing.total_ns = engine.now - t0
+        timing.total_ns = run.cluster.engine.now - run.t0
         outcome.emb_ns = timing.total_ns
         self._last_state = state
         self.last_outcome = outcome
@@ -445,6 +469,7 @@ class ResilientRetrieval(BaseRetrieval):
             self._count(DEGRADED_COUNTER, outcome.degraded_bags, "bags")
         if outcome.cache_served_bags:
             self._count(CACHE_SERVED_COUNTER, outcome.cache_served_bags, "bags")
+        run.done.succeed()
 
     def pop_outcome(self) -> Optional[BatchOutcome]:
         """The most recent batch's outcome, consumed (None if already read)."""

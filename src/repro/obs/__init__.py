@@ -3,9 +3,9 @@
 Three pieces, built entirely on top of the existing profiler (no engine
 changes):
 
-* :mod:`repro.obs.context` — :class:`TraceSpec` and the two propagation
-  primitives (``trace_scope`` for synchronous runs, ``traced`` for
-  interleaved serving generators).
+* :mod:`repro.obs.context` — :class:`TraceSpec` and ``trace_scope`` for
+  synchronous runs; interleaved serving chains carry their ref through
+  ``Cluster.then``.
 * :mod:`repro.obs.critpath` — backward-tiling critical-path extraction:
   exact wall attribution to phases/devices, per-span slack, what-if
   headroom, per-batch paths via trace refs.
@@ -14,7 +14,7 @@ changes):
   tolerances, explaining breaches via critical-path deltas.
 """
 
-from .context import TraceSpec, trace_scope, traced
+from .context import TraceSpec, trace_scope
 from .critpath import (
     CriticalPath,
     PathSegment,
@@ -26,7 +26,6 @@ from .regress import GateResult, MetricCheck, Tolerance, compare_critpath
 __all__ = [
     "TraceSpec",
     "trace_scope",
-    "traced",
     "CriticalPath",
     "PathSegment",
     "critical_path",

@@ -13,27 +13,28 @@ touching the engine:
   for the dynamic extent of a block.  Used around synchronous
   ``cluster.run(...)`` calls, where *everything* the engine executes (kernel
   waves, link transfers, phase spans) belongs to the one in-flight batch.
-* :func:`traced` — generator wrapper that re-arms the trace ref around every
-  ``send``/``throw`` into a process generator.  Used for serving, where
-  multiple batches interleave on one engine: only work performed inside the
-  batch's own generator frames is attributed, and spans recorded from engine
-  callbacks (shared links, device streams) stay unattributed by design —
-  they can serve several batches at once.
+* :meth:`Cluster.then <repro.simgpu.cluster.Cluster.then>` — registers a
+  host-program continuation and restores the ref that was active when it
+  was registered.  Used for serving, where multiple batches interleave on
+  one engine: only work performed in the batch's own continuations is
+  attributed, and spans recorded from shared engine callbacks (kernel
+  ends, link bookings) stay unattributed by design — they can serve
+  several batches at once.
 
-Zero overhead when disabled: with ``obs`` off nothing installs a scope or a
-wrapper, ``active_trace`` stays ``None``, and every recorded span is
-bit-identical to the pre-observability repo.
+Zero overhead when disabled: with ``obs`` off nothing installs a scope or
+wraps a continuation, ``active_trace`` stays ``None``, and every recorded
+span is bit-identical to the pre-observability repo.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Generator, Iterator, Optional
+from typing import Iterator, Optional
 
 from ..simgpu.profiler import Profiler, TraceRef
 
-__all__ = ["TraceSpec", "trace_scope", "traced"]
+__all__ = ["TraceSpec", "trace_scope"]
 
 
 @dataclass(frozen=True)
@@ -77,34 +78,3 @@ def trace_scope(profiler: Optional[Profiler], ref: Optional[TraceRef]) -> Iterat
         yield
     finally:
         profiler.active_trace = prev
-
-
-def traced(
-    gen: Generator, profiler: Optional[Profiler], ref: Optional[TraceRef]
-) -> Generator:
-    """Wrap a process generator so its frames run under ``ref``.
-
-    The simulation engine drives process generators with ``send`` from
-    scheduled callbacks, so a plain ``with trace_scope(...)`` around the
-    *launch* would leak the context to unrelated work (or lose it entirely).
-    This wrapper re-arms ``active_trace`` around each resumption and restores
-    the previous value before yielding control back to the engine — several
-    concurrently traced batches therefore never see each other's context.
-    """
-    if profiler is None or ref is None:
-        return gen
-
-    def _traced() -> Generator:
-        send_value = None
-        while True:
-            prev = profiler.active_trace
-            profiler.active_trace = ref
-            try:
-                item = gen.send(send_value)
-            except StopIteration as stop:
-                return stop.value
-            finally:
-                profiler.active_trace = prev
-            send_value = yield item
-
-    return _traced()

@@ -15,7 +15,7 @@ re-replication:
   which fronts either base backend: a heartbeat monitor on the engine
   clock detects ``device_down`` failures, lookup blocks of a dead
   primary re-home to the nearest live replica on both comm paths, and a
-  background engine process re-replicates the lost shards over the real
+  background copy stream re-replicates the lost shards over the real
   interconnect, stamping ``availability.*`` counters and per-link
   recovery bytes into traces.
 

@@ -30,7 +30,7 @@
   traces next to the foreground traffic they compete with.
 
 The healthy path is a pure passthrough: with no failed devices the
-wrapper yields the wrapped backend's generator unchanged and stamps
+wrapper runs the wrapped backend's host program unchanged and stamps
 nothing — heartbeat probes are zero-duration no-ops against healthy
 devices — so traces, timings, and functional outputs are bit-identical
 to the bare base backend.
@@ -43,18 +43,21 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..core.baseline import PhaseTiming
+from ..core.baseline import BatchStart, PhaseTiming
 from ..core.functional import functional_forward
 from ..core.retrieval import BaseRetrieval
 from ..core.workload import DeviceWorkload, rehome_workloads, table_segments
 from ..dlrm.batch import SparseBatch
 from ..simgpu.cluster import Cluster
 from ..simgpu.device import Device
+from ..simgpu.engine import Event
 from ..simgpu.memory import OutOfDeviceMemory
+from ..simgpu.stream import join
 from .spec import ReplicationSpec
 
 __all__ = [
@@ -158,7 +161,7 @@ class ReplicatedRetrieval(BaseRetrieval):
                 )
         self._failed: Set[int] = set()
         self._misses: Dict[int, int] = {d.id: 0 for d in cluster.devices}
-        self._recovery_procs: List[object] = []
+        self._recovery_streams: List[Event] = []
         #: down edge -> reprotected latency per recovered device id
         self.reprotect_ns: Dict[int, float] = {}
         self.ledger = AvailabilityLedger()
@@ -216,10 +219,7 @@ class ReplicatedRetrieval(BaseRetrieval):
         self._count(DETECTION_COUNTER, now - dev.down_since, "ns")
         jobs = self._plan_recovery(dev.id)
         if jobs:
-            proc = engine.process(
-                self._recovery_process(dev, jobs), name=f"recover.dev{dev.id}"
-            )
-            self._recovery_procs.append(proc)
+            self._recovery_streams.append(self._recover(dev, jobs))
 
     # -- online recovery ---------------------------------------------------------
 
@@ -260,48 +260,60 @@ class ReplicatedRetrieval(BaseRetrieval):
                 break
         return jobs
 
-    def _recovery_process(self, dev: Device, jobs: List[Tuple[int, int, int]]):
-        """Engine process: stream lost shards to fresh replicas, paced to the
-        configured bandwidth share, then stamp the reprotect latency."""
+    def _recover(self, dev: Device, jobs: List[Tuple[int, int, int]]) -> Event:
+        """Stream lost shards to fresh replicas one job after another,
+        paced to the configured bandwidth share, then stamp the reprotect
+        latency; returns the event that fires then."""
         engine = self.cluster.engine
-        share = self.spec.recovery_bandwidth_share
-        for f, src, target in jobs:
-            cfg = self.table_plan.table_configs[f]
-            remaining = float(cfg.nbytes)
-            while remaining > 0:
-                size = min(float(self.spec.recovery_chunk_bytes), remaining)
-                remaining -= size
-                t0 = engine.now
-                yield self.cluster.interconnect.transfer(
-                    src, target, size, counter=RECOVERY_COUNTER
-                )
-                if share < 1.0:
-                    # Pacing: after a chunk occupies the link for dt, idle
-                    # long enough that this stream averages share * bandwidth.
-                    pause = (engine.now - t0) * (1.0 / share - 1.0)
-                    if pause > 0:
-                        yield engine.timeout(pause)
+        done = engine.event(f"recover.dev{dev.id}")
+
+        def reprotected() -> None:
+            now = engine.now
+            elapsed = now - dev.down_since
+            self.reprotect_ns[dev.id] = elapsed
+            self.cluster.profiler.record_span(
+                f"availability.reprotect.dev{dev.id}", SPAN_CATEGORY, dev.id,
+                dev.down_since, now,
+            )
+            self._count(REPROTECT_COUNTER, elapsed, "ns")
+            done.succeed()
+
+        # Each job's copy hands over to the next one's, the last to the stamp.
+        then = reprotected
+        for job in reversed(jobs):
+            then = partial(self._copy_replica, *job, then)
+        # A background stream: it starts one entry after the heartbeat that
+        # found the failure, outside any batch.
+        engine.call_at(engine.now, then)
+        return done
+
+    def _copy_replica(self, f: int, src: int, target: int, then: Callable[[], None]) -> None:
+        """Stream table ``f`` from ``src`` to a new replica on ``target``."""
+
+        def copied() -> None:
             self._holders[f].append(target)
-        now = engine.now
-        elapsed = now - dev.down_since
-        self.reprotect_ns[dev.id] = elapsed
-        self.cluster.profiler.record_span(
-            f"availability.reprotect.dev{dev.id}", SPAN_CATEGORY, dev.id, dev.down_since, now
+            then()
+
+        self.cluster.interconnect.paced_copy(
+            src, target, self.table_plan.table_configs[f].nbytes,
+            chunk_bytes=self.spec.recovery_chunk_bytes,
+            share=self.spec.recovery_bandwidth_share,
+            counter=RECOVERY_COUNTER,
+            on_done=copied,
         )
-        self._count(REPROTECT_COUNTER, elapsed, "ns")
 
     def wait_for_reprotect(self, limit_ns: Optional[float] = None) -> None:
         """Run the simulated clock forward until pending recoveries finish.
 
-        Recovery processes outlive the batch that detected the failure;
+        Recovery streams outlive the batch that detected the failure;
         call this (e.g. at the end of a benchmark) to let them drain.
         No-op when nothing is recovering.
         """
         engine = self.cluster.engine
-        pending = [p for p in self._recovery_procs if not p.triggered]
+        pending = [done for done in self._recovery_streams if not done.triggered]
         if not pending:
             return
-        engine.run_until_event(engine.all_of(pending), limit=limit_ns)
+        engine.run_until_event(join(engine, pending), limit=limit_ns)
 
     # -- failover routing --------------------------------------------------------
 
@@ -359,34 +371,43 @@ class ReplicatedRetrieval(BaseRetrieval):
         *,
         batch: Optional[SparseBatch] = None,
         stream_suffix: str = "",
-    ):
-        """Process generator for one batch, failing over around any
-        detected failures — composable into larger host programs.  With no
-        detected failures this is the wrapped backend's generator, event
+    ) -> BatchStart:
+        """One batch's host program, failing over around any detected
+        failures — composable into larger host programs.  With no
+        detected failures this is the wrapped backend's program, event
         for event."""
-        impaired = bool(self._failed)
-        served, moved, unavailable = workloads, 0, 0
-        if impaired:
-            served, moved, unavailable = self._failover_workloads(list(workloads))
-        yield from super().batch_process(
-            cluster, served, timing, stream_suffix=stream_suffix
-        )
-        total = sum(wl.nnz for wl in workloads)
-        led = self.ledger
-        led.batches += 1
-        led.lookups_total += int(total)
-        led.failover_lookups += moved
-        led.unavailable_lookups += unavailable
-        if not impaired:
-            return
-        # Only impaired batches stamp anything (and only non-zero deltas),
-        # so healthy traces stay byte-identical to the bare backend.
-        led.impaired_batches += 1
-        self._count(BATCH_LOOKUPS_COUNTER, total, "lookups")
-        if moved:
-            self._count(FAILOVER_COUNTER, moved, "lookups")
-        if unavailable:
-            self._count(UNAVAILABLE_COUNTER, unavailable, "lookups")
+        base_process = super().batch_process
+
+        def start() -> Event:
+            impaired = bool(self._failed)
+            served, moved, unavailable = workloads, 0, 0
+            if impaired:
+                served, moved, unavailable = self._failover_workloads(list(workloads))
+
+            def account() -> None:
+                total = sum(wl.nnz for wl in workloads)
+                led = self.ledger
+                led.batches += 1
+                led.lookups_total += int(total)
+                led.failover_lookups += moved
+                led.unavailable_lookups += unavailable
+                if not impaired:
+                    return
+                # Only impaired batches stamp anything (and only non-zero
+                # deltas), so healthy traces stay byte-identical to the bare
+                # backend.
+                led.impaired_batches += 1
+                self._count(BATCH_LOOKUPS_COUNTER, total, "lookups")
+                if moved:
+                    self._count(FAILOVER_COUNTER, moved, "lookups")
+                if unavailable:
+                    self._count(UNAVAILABLE_COUNTER, unavailable, "lookups")
+
+            done = base_process(cluster, served, timing, stream_suffix=stream_suffix)()
+            cluster.then(done, account)
+            return done
+
+        return start
 
     # -- functional path ---------------------------------------------------------
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
+from ..checks import check_finite_fields
 from ..simgpu.units import MiB, us
 
 __all__ = ["PLACEMENTS", "ReplicationSpec"]
@@ -77,6 +78,7 @@ class ReplicationSpec:
                 f"recovery_bandwidth_share must be in (0, 1], "
                 f"got {self.recovery_bandwidth_share}"
             )
+        check_finite_fields(self, "heartbeat_interval_ns")
         if self.heartbeat_interval_ns <= 0:
             raise ValueError("heartbeat_interval_ns must be positive")
         if self.miss_threshold < 1:

@@ -18,7 +18,7 @@ online:
   capacity, plus :class:`RowSplitAdvisory` for tables too hot for any
   table-wise placement;
 * :mod:`repro.reshard.executor` — :class:`ReshardExecutor`, background
-  engine processes streaming moving shards over the real interconnect,
+  copy streams moving shards over the real interconnect,
   chunked and bandwidth-share-paced like replication recovery;
 * :mod:`repro.reshard.retrieval` — :class:`ReshardRetrieval`, the
   serving wrapper: batches snapshot ownership at start and migrating

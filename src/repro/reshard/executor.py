@@ -1,9 +1,9 @@
 """Migration execution: stream moving shards over the real interconnect.
 
 The :class:`ReshardExecutor` turns a :class:`~repro.reshard.planner.
-MigrationPlan` into background engine processes, one per table move,
-reusing the chunked, bandwidth-share-paced transfer discipline of the
-replication recovery stream (`repro.replication.retrieval`): each chunk
+MigrationPlan` into background copy streams, one per table move, with
+the chunked, bandwidth-share-paced discipline the replication recovery
+stream also uses (:meth:`~repro.simgpu.interconnect.Interconnect.paced_copy`): each chunk
 occupies the link for its real simulated duration (so migration bytes
 compete with, and are visible next to, foreground retrieval traffic in
 Chrome traces), then idles long enough that the stream averages the
@@ -28,11 +28,14 @@ Counter names are module constants (also read by
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from ..core.sharding import TableWiseSharding
 from ..simgpu.cluster import Cluster
+from ..simgpu.engine import Event
 from ..simgpu.memory import Buffer, OutOfDeviceMemory
+from ..simgpu.stream import join
 from .planner import MigrationPlan, TableMove
 from .spec import ReshardSpec
 
@@ -85,7 +88,7 @@ class ReshardExecutor:
         self._cfg = {cfg.name: cfg for cfg in plan.table_configs}
         self._weight_buffers = weight_buffers
         self._dst_buffers: Dict[str, Buffer] = {}
-        self._procs: List[object] = []
+        self._streams: List[Event] = []
         self.in_flight: set = set()
         self.completed: List[TableMove] = []
         self.bytes_streamed = 0
@@ -104,7 +107,6 @@ class ReshardExecutor:
         the instant a table's last chunk arrives — that is the only
         point where serving ownership may change.
         """
-        engine = self.cluster.engine
         started: List[TableMove] = []
         for move in plan.moves:
             if move.table_name in self.in_flight:
@@ -122,48 +124,43 @@ class ReshardExecutor:
             except OutOfDeviceMemory:
                 continue
             self.in_flight.add(move.table_name)
-            proc = engine.process(
-                self._migrate_process(move, on_cutover),
-                name=f"reshard.migrate.{move.table_name}",
-            )
-            self._procs.append(proc)
+            self._streams.append(self._migrate(move, on_cutover))
             started.append(move)
         return started
 
-    def _migrate_process(
-        self, move: TableMove, on_cutover: Callable[[TableMove], None]
-    ):
-        """Engine process: one table's paced stream, then atomic cutover."""
+    def _migrate(self, move: TableMove, on_cutover: Callable[[TableMove], None]) -> Event:
+        """One table's paced stream, then atomic cutover; returns the event
+        that fires then."""
         engine = self.cluster.engine
-        share = self.spec.migration_bandwidth_share
+        done = engine.event(f"reshard.migrate.{move.table_name}")
         t0 = engine.now
-        remaining = float(move.nbytes)
-        while remaining > 0:
-            size = min(float(self.spec.migration_chunk_bytes), remaining)
-            remaining -= size
-            c0 = engine.now
-            yield self.cluster.interconnect.transfer(
-                move.src, move.dst, size, counter=MIGRATION_BYTES_COUNTER
+
+        def landed() -> None:
+            now = engine.now
+            prof = self.cluster.profiler
+            prof.record_span(
+                f"reshard.migrate.{move.table_name}.dev{move.src}->dev{move.dst}",
+                SPAN_CATEGORY,
+                move.src,
+                t0,
+                now,
             )
-            if share < 1.0:
-                # Pacing: after a chunk occupies the link for dt, idle long
-                # enough that this stream averages share * bandwidth.
-                pause = (engine.now - c0) * (1.0 / share - 1.0)
-                if pause > 0:
-                    yield engine.timeout(pause)
-        now = engine.now
-        prof = self.cluster.profiler
-        prof.record_span(
-            f"reshard.migrate.{move.table_name}.dev{move.src}->dev{move.dst}",
-            SPAN_CATEGORY,
-            move.src,
-            t0,
-            now,
-        )
-        prof.add_count(MIGRATIONS_COUNTER, now, 1.0, unit="migrations")
-        prof.add_count(MIGRATION_NS_COUNTER, now, now - t0, unit="ns")
-        self._cutover(move)
-        on_cutover(move)
+            prof.add_count(MIGRATIONS_COUNTER, now, 1.0, unit="migrations")
+            prof.add_count(MIGRATION_NS_COUNTER, now, now - t0, unit="ns")
+            self._cutover(move)
+            on_cutover(move)
+            done.succeed()
+
+        # A background stream: it starts one entry later, outside the batch
+        # whose planning round submitted it.
+        engine.call_at(t0, partial(
+            self.cluster.interconnect.paced_copy, move.src, move.dst, move.nbytes,
+            chunk_bytes=self.spec.migration_chunk_bytes,
+            share=self.spec.migration_bandwidth_share,
+            counter=MIGRATION_BYTES_COUNTER,
+            on_done=landed,
+        ))
+        return done
 
     def _cutover(self, move: TableMove) -> None:
         """Retire the old owner's copy; the destination buffer takes over."""
@@ -185,15 +182,15 @@ class ReshardExecutor:
     def wait_for_migrations(self, limit_ns: Optional[float] = None) -> None:
         """Run the simulated clock forward until pending streams finish.
 
-        Migration processes outlive the batch whose planning round started
+        Migration streams outlive the batch whose planning round started
         them; call this (e.g. at the end of a benchmark) to let them
         drain.  No-op when nothing is migrating.
         """
         engine = self.cluster.engine
-        pending = [p for p in self._procs if not p.triggered]
+        pending = [done for done in self._streams if not done.triggered]
         if not pending:
             return
-        engine.run_until_event(engine.all_of(pending), limit=limit_ns)
+        engine.run_until_event(join(engine, pending), limit=limit_ns)
 
     def totals(self) -> Dict[str, float]:
         """Cross-run migration totals (Python-side ledger)."""

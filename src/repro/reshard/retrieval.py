@@ -14,10 +14,10 @@
   :class:`~repro.reshard.planner.MigrationPlan`;
 * **migrate** — the :class:`~repro.reshard.executor.ReshardExecutor`
   streams each moving table's weights over the simulated interconnect in
-  background engine processes, chunked and paced to a bandwidth share so
+  background copy streams, chunked and paced to a bandwidth share so
   foreground batches keep the rest of the link;
-* **cutover** — a batch snapshots the ownership map when its generator
-  starts, and a migrating table flips owner only when its last chunk has
+* **cutover** — a batch snapshots the ownership map when its host
+  program starts, and a migrating table flips owner only when its last chunk has
   landed, so **no batch ever observes a half-migrated table**; weights
   are aliased by name and outputs partition by sample, so functional
   outputs are bit-identical before, during, and after any migration.
@@ -35,13 +35,14 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..core.baseline import PhaseTiming
+from ..core.baseline import BatchStart, PhaseTiming
 from ..core.functional import functional_forward
 from ..core.retrieval import BaseRetrieval
 from ..core.sharding import ShardingError, TableWiseSharding
 from ..core.workload import DeviceWorkload, rehome_workloads, table_segments
 from ..dlrm.batch import SparseBatch
 from ..simgpu.cluster import Cluster
+from ..simgpu.engine import Event
 from .executor import (
     ADVISORIES_COUNTER,
     MOVES_COUNTER,
@@ -163,21 +164,25 @@ class ReshardRetrieval(BaseRetrieval):
         *,
         batch: Optional[SparseBatch] = None,
         stream_suffix: str = "",
-    ):
-        """Process generator for one batch under the current ownership,
+    ) -> BatchStart:
+        """One batch's host program under the current ownership,
         observed on completion — composable into larger host programs.
-        Ownership is snapshotted here, at generator start: a
-        cutover that fires mid-batch (in simulated time) only affects the
-        *next* batch.  While ownership still matches the static plan this
-        is the wrapped backend's generator, event for event."""
-        owners = dict(self._owners)
-        served = workloads
-        if owners != self._static_owners:
-            served = rehome_workloads(self.table_plan, list(workloads), owners)
-        yield from super().batch_process(
-            cluster, served, timing, stream_suffix=stream_suffix
-        )
-        self._after_batch(list(workloads))
+        Ownership is snapshotted when the batch starts: a cutover that
+        fires mid-batch (in simulated time) only affects the *next*
+        batch.  While ownership still matches the static plan this is the
+        wrapped backend's program, event for event."""
+        base_process = super().batch_process
+
+        def start() -> Event:
+            owners = dict(self._owners)
+            served = workloads
+            if owners != self._static_owners:
+                served = rehome_workloads(self.table_plan, list(workloads), owners)
+            done = base_process(cluster, served, timing, stream_suffix=stream_suffix)()
+            cluster.then(done, lambda: self._after_batch(list(workloads)))
+            return done
+
+        return start
 
     # -- observe / plan loop -----------------------------------------------------
 

@@ -9,16 +9,7 @@ comm-volume counters the paper's figures need.
 
 from .cluster import Cluster, dgx_v100, multinode, pcie_node
 from .device import A100_SPEC, Device, DeviceSpec, H100_SPEC, V100_SPEC
-from .engine import (
-    AllOf,
-    AnyOf,
-    Engine,
-    Event,
-    Notifier,
-    Process,
-    SimulationError,
-    Timeout,
-)
+from .engine import Engine, Event, SimulationError
 from .interconnect import (
     Interconnect,
     Link,
@@ -40,8 +31,6 @@ from .trace import chrome_trace, summarize_spans, write_chrome_trace
 from . import units
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "A100_SPEC",
     "Buffer",
     "Cluster",
@@ -57,11 +46,9 @@ __all__ = [
     "LinkSpec",
     "MemoryPool",
     "NIC_SPEC",
-    "Notifier",
     "NVLINK_PAIR_SPEC",
     "OutOfDeviceMemory",
     "PCIE_SPEC",
-    "Process",
     "Profiler",
     "SimulationError",
     "Span",
@@ -69,7 +56,6 @@ __all__ = [
     "StreamLease",
     "StreamOp",
     "StreamPool",
-    "Timeout",
     "Topology",
     "V100_SPEC",
     "WaveInfo",

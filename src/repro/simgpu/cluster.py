@@ -8,14 +8,41 @@ processes driving it".  Factory helpers build the paper's testbed
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from functools import partial
+from typing import Callable, Iterator, List, Optional, Sequence, Union
 
 from .device import Device, DeviceSpec, V100_SPEC
-from .engine import Engine, ProcessGenerator
+from .engine import Engine, Event, Handle, SimulationError
 from .interconnect import Interconnect, Topology, multinode_topology, nvlink_dgx1, pcie_topology
-from .profiler import Profiler
+from .profiler import Profiler, TraceRef
 
 __all__ = ["Cluster", "dgx_v100", "pcie_node", "multinode"]
+
+#: What a host-program step waits for: an event, or a delay in ns.
+Wait = Union[Event, float]
+#: One step of a :meth:`Cluster.chain`: it returns what the next step waits
+#: for, or None to go on in the same entry.
+Step = Callable[[], Optional[Wait]]
+
+
+def _run_under(prof: Profiler, ref: TraceRef, fn: Callable[[], None]) -> None:
+    """``fn()`` with ``prof.active_trace`` set to ``ref``."""
+    prev = prof.active_trace
+    prof.active_trace = ref
+    try:
+        fn()
+    finally:
+        prof.active_trace = prev
+
+
+def _advance(cluster: "Cluster", steps: Iterator[Step], done: Event) -> None:
+    """Run a chain's ``steps`` until one returns a wait; end with ``done``."""
+    for step in steps:
+        wait = step()
+        if wait is not None:
+            cluster.then(wait, partial(_advance, cluster, steps, done))
+            return
+    done.succeed()
 
 
 class Cluster:
@@ -70,17 +97,80 @@ class Cluster:
 
     # -- running -------------------------------------------------------------------
 
-    def run(self, process_fn: Callable[["Cluster"], ProcessGenerator]) -> float:
-        """Run a top-level host process to completion; return elapsed ns.
+    def run(self, start_fn: Callable[["Cluster"], Event]) -> float:
+        """Run a top-level host program to completion; return elapsed ns.
 
-        ``process_fn(cluster)`` is the "host program": a process generator
-        that launches kernels, waits on streams, etc.  The clock is *not*
-        reset, so successive ``run`` calls accumulate (100-batch loops).
+        ``start_fn(cluster)`` is the "host program": it submits device
+        work, registers its continuations (:meth:`then`, :meth:`chain`)
+        and returns the event that fires when the program ends.  It
+        starts once the work already due at this instant has run (a fault
+        window opening now applies first).  The clock is *not* reset, so
+        successive ``run`` calls accumulate (100-batch loops).
         """
         t0 = self.engine.now
-        proc = self.engine.process(process_fn(self), name="host")
-        self.engine.run_until_event(proc)
+        self.engine.run(until=t0)
+        done = start_fn(self)
+        if not isinstance(done, Event):
+            raise TypeError(
+                f"a host program must return an Event, got {type(done).__name__}"
+            )
+        self.engine.run_until_event(done)
         return self.engine.now - t0
+
+    def then(self, when: Wait, fn: Callable[[], None]) -> Optional[Handle]:
+        """Run host-program continuation ``fn()`` once ``when`` has passed.
+
+        ``when`` is an event (``fn`` runs in the entry that fires it) or a
+        delay in ns (``fn`` runs in the one entry ``call_in`` schedules;
+        its handle is returned).  The profiler's ``active_trace`` at
+        registration is restored around ``fn()``, so a chain started under
+        a trace ref records its spans under that ref even when several
+        traced chains interleave.
+        """
+        ref = self.profiler.active_trace
+        if ref is not None:
+            fn = partial(_run_under, self.profiler, ref, fn)
+        if isinstance(when, Event):
+            when.add_callback(fn)
+            return None
+        return self.engine.call_in(when, fn)
+
+    def chain(self, *steps: Step) -> Event:
+        """Start a host program of ``steps`` now; return its end event.
+
+        Each step returns what the next one waits for: an event or a delay
+        (see :meth:`then`), or None to go on in the same entry.  The end
+        event fires one entry after the last step.
+        """
+        done = self.engine.event("chain")
+        _advance(self, iter(steps), done)
+        return done
+
+    def race(
+        self, events: Sequence[Event], timeout_ns: Optional[float], fn: Callable[[], None]
+    ) -> None:
+        """Run ``fn()`` one entry after the first of ``events`` fires, or
+        after ``timeout_ns`` (None: no timeout) if that comes first.
+
+        The timeout is one ``call_in`` handle, which a winning event
+        cancels; later finishers do nothing.  ``fn`` tells the outcome
+        from the events' ``triggered`` flags (a tie counts as the event).
+        """
+        if not events:
+            raise SimulationError("a race needs at least one event")
+        settled = False
+
+        def first() -> None:
+            nonlocal settled
+            if not settled:
+                settled = True
+                if alarm is not None:
+                    self.engine.cancel(alarm)
+                self.then(0.0, fn)
+
+        alarm = None if timeout_ns is None else self.then(timeout_ns, first)
+        for event in events:
+            self.then(event, first)
 
     def reset_profiler(self) -> None:
         """Clear recorded spans/counters (keeps the clock and memory state)."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -232,7 +233,7 @@ class Link:
         def fire() -> None:
             if on_complete is not None:
                 on_complete(engine.now)
-            ev.succeed(engine.now)
+            ev.succeed()
 
         engine.call_at(done_at, fire)
         return ev
@@ -434,8 +435,39 @@ class Interconnect:
             src, (dst,), (payload_bytes,), message_bytes, header_bytes, counter or self.COUNTER
         )
         ev = Event(self.engine, "xfer")
-        self.engine.call_at(done_at, lambda: ev.succeed(done_at))
+        self.engine.call_at(done_at, ev.succeed)
         return ev
+
+    def paced_copy(
+        self, src: int, dst: int, nbytes: float, *, chunk_bytes: float, share: float,
+        counter: str, on_done: Callable[[], None],
+    ) -> None:
+        """Stream ``nbytes`` from ``src`` to ``dst`` as a background copy.
+
+        Chunks of ``chunk_bytes`` go one at a time through :meth:`transfer`;
+        after one that occupied the link for ``dt`` the copy idles
+        ``dt * (1 / share - 1)``, so it averages ``share`` of the bandwidth.
+        ``on_done()`` runs where the last chunk (or its pause) ends, or now
+        for zero bytes.
+        """
+        remaining = float(nbytes)
+        if remaining <= 0:
+            return on_done()
+        size = min(float(chunk_bytes), remaining)
+        t0 = self.engine.now
+        rest = partial(
+            self.paced_copy, src, dst, remaining - size,
+            chunk_bytes=chunk_bytes, share=share, counter=counter, on_done=on_done,
+        )
+
+        def pace() -> None:
+            pause = (self.engine.now - t0) * (1.0 / share - 1.0) if share < 1.0 else 0.0
+            if pause > 0:
+                self.engine.call_in(pause, rest)
+            else:
+                rest()
+
+        self.transfer(src, dst, size, counter=counter).add_callback(pace)
 
     # -- statistics -------------------------------------------------------------
 

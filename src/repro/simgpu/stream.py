@@ -2,10 +2,11 @@
 
 A :class:`Stream` executes submitted operations strictly in order, one at a
 time, mirroring CUDA stream semantics.  Submitting returns a
-:class:`StreamOp` handle; host code (itself a process, see
+:class:`StreamOp` handle; a host program (a callback chain, see
 :mod:`repro.simgpu.engine`) waits on a set of ops with one event,
-``yield join(engine, ops)`` — the analogue of ``cudaStreamSynchronize``
-over every stream the ops ran on.
+``join(engine, ops)`` — the analogue of ``cudaStreamSynchronize``
+over every stream the ops ran on.  A join also waits on events, so it is
+the one way to wait for several things at once.
 
 The FIFO runs on engine callbacks; the one that ends an op starts the next.
 An op makes no event of its own: :func:`join` counts its ops down from
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Iterable, List, Optional, Tuple, Union
 
 from ..checks import checked_count
 from .engine import Engine, Event, SimulationError
@@ -71,22 +72,31 @@ class _Join:
             self.event.succeed()
 
 
-def join(engine: Engine, ops: Iterable[StreamOp], after_ns: float = 0.0) -> Event:
+def join(
+    engine: Engine, ops: Iterable[Union[StreamOp, Event]], after_ns: float = 0.0
+) -> Event:
     """One event that fires ``after_ns`` after the last of ``ops`` finishes.
 
+    ``ops`` mixes stream ops and events.  An op counts down from its
+    stream's finish callback, an event from its own callbacks.
     ``after_ns`` folds a host-side cost that follows the wait (a stream
-    sync's ``sync_overhead_ns``) into the same event.  Ops already
-    finished count as done, so a join over finished ops, or over none,
+    sync's ``sync_overhead_ns``) into the same event.  Finished ops and
+    triggered events count as done, so a join over those, or over none,
     fires ``after_ns`` from now.
     """
     if not 0.0 <= after_ns < math.inf:
         raise SimulationError(f"join delay must be finite and >= 0, got {after_ns}")
-    pending = [op for op in ops if op.finished_at is None]
+    pending = [
+        op for op in ops
+        if (not op._triggered if type(op) is Event else op.finished_at is None)
+    ]
     countdown = _Join(Event(engine, "join"), after_ns, len(pending))
     if not pending:
         countdown.fire()
     for op in pending:
-        if op._hooks is None:
+        if type(op) is Event:
+            op.add_callback(countdown.op_done)
+        elif op._hooks is None:
             op._hooks = [countdown.op_done]
         else:
             op._hooks.append(countdown.op_done)
@@ -197,8 +207,8 @@ class StreamPool:
     ``n_slots`` leases; the holder derives concrete streams via
     ``device.stream(base_name + lease.suffix)``.  Acquisition is
     non-blocking — callers that find the pool empty wait on their own
-    scheduling signal (e.g. an :class:`~repro.simgpu.engine.Notifier`
-    kicked at batch completion) and retry.
+    scheduling signal (the serving scheduler retries when a batch
+    completes).
     """
 
     def __init__(self, n_slots: int):

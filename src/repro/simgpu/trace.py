@@ -140,7 +140,7 @@ def chrome_trace(
     if flows:
         events.extend(_flow_events(profiler.spans))
 
-    # Process name metadata rows.
+    # Name metadata rows, one per trace pid.
     for pid in sorted(device_ids):
         name = f"GPU {pid}" if pid != HOST_PID else "host / fabric"
         events.append(

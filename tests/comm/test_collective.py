@@ -12,14 +12,8 @@ from repro.simgpu.units import MiB, us
 
 
 def run_collective(cluster, start_fn):
-    """Drive a collective to completion inside a host process."""
-
-    def host(cl):
-        handle = start_fn()
-        yield from handle.wait()
-        return handle
-
-    cluster.run(host)
+    """Drive a collective to completion inside a host program."""
+    cluster.run(lambda cl: start_fn().wait())
 
 
 def fast_spec(**kw):
@@ -129,15 +123,12 @@ class TestAllToAll:
         ctx = CollectiveContext(cl, fast_spec())
         split = np.array([[0.0, 1000.0], [1000.0, 0.0]])
 
-        def host(cluster):
-            handle = ctx.all_to_all_single(split)
-            assert not handle.is_completed
-            yield from handle.wait()
-            assert handle.is_completed
-            assert handle.completed_at is not None
-            assert handle.completed_at >= handle.issued_at
-
-        cl.run(host)
+        handle = ctx.all_to_all_single(split)
+        assert not handle.is_completed
+        cl.run(lambda cluster: handle.wait())
+        assert handle.is_completed
+        assert handle.completed_at is not None
+        assert handle.completed_at >= handle.issued_at
 
 
 class TestOtherCollectives:

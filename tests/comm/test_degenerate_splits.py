@@ -17,14 +17,8 @@ from repro.simgpu.units import MiB, us
 
 
 def run_collective(cluster, start_fn):
-    """Drive a collective to completion inside a host process."""
-
-    def host(cl):
-        handle = start_fn()
-        yield from handle.wait()
-        return handle
-
-    cluster.run(host)
+    """Drive a collective to completion inside a host program."""
+    cluster.run(lambda cl: start_fn().wait())
 
 
 def fast_spec(**kw):

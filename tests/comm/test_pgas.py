@@ -10,7 +10,28 @@ from repro.comm.pgas import PGASContext, PGASSpec, SymmetricHeap
 from repro.core.aggregator import AggregatorSpec, AsyncAggregator
 from repro.simgpu import dgx_v100, multinode
 from repro.simgpu.profiler import TraceRef
+from repro.simgpu.stream import join
 from repro.simgpu.units import us
+
+
+def _steps(cluster, steps):
+    """A host program running each ``(delay, fn)`` step after its delay
+    (a zero delay runs the step at once); it ends after the last step."""
+    done = cluster.engine.event()
+    steps = list(steps)
+
+    def advance():
+        while steps:
+            delay, fn = steps[0]
+            if delay:
+                steps[0] = (0.0, fn)
+                return cluster.then(delay, advance)
+            steps.pop(0)
+            fn()
+        done.succeed()
+
+    advance()
+    return done
 
 
 class TestSpec:
@@ -221,7 +242,7 @@ class TestAtomics:
         assert ctx.pending_puts(0) == 1
 
         def host(cluster):
-            yield ctx.quiet([0])
+            return ctx.quiet([0])
 
         elapsed = cl.run(host)
         (delivered, _), = cl.profiler.counter(PGASContext.COUNTER).events()
@@ -283,7 +304,7 @@ class TestCompletion:
         ctx.put(0, 1, big)
 
         def host(cluster):
-            yield ctx.quiet([0])
+            return ctx.quiet([0])
 
         elapsed = cl.run(host)
         assert elapsed >= big / 48.0  # at least the drain time
@@ -294,7 +315,7 @@ class TestCompletion:
         ctx = PGASContext(cl, spec)
 
         def host(cluster):
-            yield ctx.quiet([0])
+            return ctx.quiet([0])
 
         assert cl.run(host) == pytest.approx(2 * us)
 
@@ -303,8 +324,8 @@ class TestCompletion:
         ctx = PGASContext(cl)
         ctx.put(1, 0, 48.0 * 1e6)  # PE 1's traffic
 
-        def host(cluster):
-            yield ctx.quiet([0])  # PE 0 has nothing outstanding
+        def host(cluster):  # PE 0 has nothing outstanding
+            return ctx.quiet([0])
 
         assert cl.run(host) < 10 * us
 
@@ -323,7 +344,7 @@ class TestCompletion:
         ctx.put(2, 0, 48.0 * 2e6)
 
         def host(cluster):
-            yield ctx.quiet(range(cluster.n_devices))
+            return ctx.quiet(range(cluster.n_devices))
 
         elapsed = cl.run(host)
         assert elapsed >= 2e6 / 48.0 * 48.0 / 48.0  # at least the slowest drain
@@ -338,7 +359,7 @@ class TestCompletion:
         assert ctx.pending_puts(0) == 1
 
         def host(cluster):
-            yield ctx.quiet([0])
+            return ctx.quiet([0])
 
         cl.run(host)
         assert ev.triggered
@@ -365,17 +386,29 @@ class TestCompletion:
         woke = []
 
         def host(cluster):
+            done = cluster.engine.event()
+
+            def first():
+                ctx.put(0, 1, 1e4 / 7.0)
+                cluster.then(0.1, second)
+
+            def second():
+                ctx.put(0, 2, 98e3 / 7.0)
+                ctx.put(0, 1, 10.0)
+                cluster.then(0.7, enter)
+
+            def enter():
+                woke.append(cluster.engine.now)
+                cluster.then(ctx.quiet([0]), woke_up)
+
+            def woke_up():
+                woke.append(cluster.engine.now)
+                done.succeed()
+
             # Chosen so that ``now + (last - now)`` rounds to a float other
             # than ``last``: a relative timeout would wake at the wrong time.
-            yield cluster.engine.timeout(1000.0 / 3.0)
-            ctx.put(0, 1, 1e4 / 7.0)
-            yield cluster.engine.timeout(0.1)
-            ctx.put(0, 2, 98e3 / 7.0)
-            ctx.put(0, 1, 10.0)
-            yield cluster.engine.timeout(0.7)
-            woke.append(cluster.engine.now)
-            yield ctx.quiet([0])
-            woke.append(cluster.engine.now)
+            cluster.then(1000.0 / 3.0, first)
+            return done
 
         cl.run(host)
         cl.engine.run()
@@ -393,13 +426,21 @@ class TestCompletion:
 
         def host(cluster):
             engine = cluster.engine
+            done = engine.event()
             ctx.put(0, 1, 4800.0)  # ~100 ns of wire
             q = ctx.quiet([0])
-            yield engine.timeout(1.0)  # quiet has taken its snapshot
-            ctx.put(0, 1, 48.0 * 1e6)  # ~1 ms, queued behind the first
-            yield q
-            seen["quiet_done"] = engine.now
-            seen["pending"] = ctx.pending_puts(0)
+
+            def late_put():  # quiet has taken its snapshot
+                ctx.put(0, 1, 48.0 * 1e6)  # ~1 ms, queued behind the first
+                cluster.then(q, quiet_done)
+
+            def quiet_done():
+                seen["quiet_done"] = engine.now
+                seen["pending"] = ctx.pending_puts(0)
+                done.succeed()
+
+            cluster.then(1.0, late_put)
+            return done
 
         cl.run(host)
         cl.engine.run()  # deliver the late put too
@@ -430,11 +471,13 @@ class TestCompletion:
         def host(cluster):
             events = {pes: ctx.quiet(pes) for pes in sets}
             for pes, ev in events.items():
-                ev.add_callback(lambda _, pes=pes: fired.setdefault(pes, engine.now))
-            yield engine.timeout(1.0)
-            ctx.put(2, 3, 48.0 * 1e7)  # issued after the quiets started
-            yield events[(0, 1, 2, 3)]
-            yield engine.all_of(events.values())
+                ev.add_callback(lambda pes=pes: fired.setdefault(pes, engine.now))
+
+            def late_put():
+                ctx.put(2, 3, 48.0 * 1e7)  # issued after the quiets started
+
+            cluster.then(1.0, late_put)
+            return join(engine, events.values())
 
         cl.run(host)
         assert fired[(2,)] == 2 * us
@@ -452,7 +495,7 @@ class TestCompletion:
         ctx.put(0, 1, 48.0 * 1e6)
 
         def host(cluster):
-            yield ctx.quiet([])
+            return ctx.quiet([])
 
         assert cl.run(host) == 3.0
 
@@ -499,15 +542,16 @@ class TestCounterOrder:
         cl = dgx_v100(3)
         ctx = PGASContext(cl)
 
-        def host(cluster):
+        def first():
             ctx.put(0, 1, 48000.3)
             ctx.put(0, 2, 1000.1)
-            yield cluster.engine.timeout(0.5)
+
+        def second():
             ctx.put(1, 2, 976.1)
             ctx.put(1, 0, 100.7)
             ctx.put(1, 2, 10.1)
 
-        cl.run(host)
+        cl.run(lambda cluster: _steps(cluster, [(0.0, first), (0.5, second)]))
         cl.engine.run()
         return cl.profiler
 
@@ -539,12 +583,10 @@ class TestCounterOrder:
         cl = dgx_v100(3)
         ctx = PGASContext(cl)
 
-        def host(cluster):
-            ctx.put(0, [1, 2], [48000.3, 1000.1])
-            yield cluster.engine.timeout(0.5)
-            ctx.put(1, [2, 0, 2], [976.1, 100.7, 10.1])
-
-        cl.run(host)
+        cl.run(lambda cluster: _steps(cluster, [
+            (0.0, lambda: ctx.put(0, [1, 2], [48000.3, 1000.1])),
+            (0.5, lambda: ctx.put(1, [2, 0, 2], [976.1, 100.7, 10.1])),
+        ]))
         cl.engine.run()
         pinned = self._run()
 
@@ -613,17 +655,16 @@ class TestWave:
         if traced:
             cl.profiler.active_trace = TraceRef(trace_id=1, batch_id=0)
 
-        def host(cluster):
-            for delay, src, dsts, values in waves:
-                if delay:
-                    yield cluster.engine.timeout(delay)
-                if as_wave:
-                    write(src, dsts, values)
-                else:
-                    for dst, value in zip(dsts, values):
-                        write(src, dst, value)
+        def issue(src, dsts, values):
+            if as_wave:
+                write(src, dsts, values)
+            else:
+                for dst, value in zip(dsts, values):
+                    write(src, dst, value)
 
-        cl.run(host)
+        cl.run(lambda cluster: _steps(cluster, [
+            (delay, lambda w=wave: issue(*w)) for delay, *wave in waves
+        ]))
         issued = _state(cl, ctx)
         cl.engine.run()
         return issued, _state(cl, ctx), ctx
@@ -736,8 +777,10 @@ class TestOverlapSemantics:
 
         def host(cluster):
             ctx.put(0, 1, 48.0 * wire_ns)
-            yield cluster.engine.timeout(5 * wire_ns)  # "compute"
-            yield ctx.quiet([0])
+            done = cluster.engine.event()
+            # "compute", then quiet
+            cluster.then(5 * wire_ns, lambda: cluster.then(ctx.quiet([0]), done.succeed))
+            return done
 
         elapsed = cl.run(host)
         # total ≈ compute + quiet overhead, NOT compute + wire
@@ -750,8 +793,9 @@ class TestOverlapSemantics:
 
         def host(cluster):
             ctx.put(0, 1, 48.0 * wire_ns)
-            yield cluster.engine.timeout(0.1 * wire_ns)
-            yield ctx.quiet([0])
+            done = cluster.engine.event()
+            cluster.then(0.1 * wire_ns, lambda: cluster.then(ctx.quiet([0]), done.succeed))
+            return done
 
         elapsed = cl.run(host)
         assert elapsed >= wire_ns  # drain exposed past the short compute

@@ -105,11 +105,15 @@ class TestTimeTrigger:
         cl, _, agg = make(flush_bytes=1_000_000, max_wait_ns=100 * us)
 
         def host(cluster):
+            done = cluster.engine.event()
             agg.store(0, 1, 500)
-            yield cluster.engine.timeout(60 * us)
-            agg.store(0, 1, 500)  # does NOT reset the deadline
-            yield cluster.engine.timeout(41 * us)  # now past 100 µs
-            return agg.flushes
+
+            def again():
+                agg.store(0, 1, 500)  # does NOT reset the deadline
+                cluster.then(41 * us, done.succeed)  # now past 100 µs
+
+            cluster.then(60 * us, again)
+            return done
 
         cl.run(host)
         assert agg.flushes == 1
@@ -150,10 +154,7 @@ class TestFlush:
         agg.store(0, 1, 48.0 * 1e6)  # 1 ms wire
         agg.flush_all()
 
-        def host(cluster):
-            yield pgas.quiet([0])
-
-        elapsed = cl.run(host)
+        elapsed = cl.run(lambda cluster: pgas.quiet([0]))
         assert elapsed >= 1e6
 
 

@@ -95,19 +95,29 @@ class TestMemoryPressure:
         assert "device 7" in str(ei.value)
 
 
+def _delay(eng, delay):
+    """An event that fires ``delay`` ns from now."""
+    ev = eng.event()
+    eng.call_in(delay, ev.succeed)
+    return ev
+
+
 class TestEngineFailures:
     def test_exception_in_host_process_leaves_cluster_run(self):
         cl = dgx_v100(1)
 
         def host(cluster):
-            yield cluster.engine.timeout(5.0)
-            raise ValueError("host fault")
+            def fault():
+                raise ValueError("host fault")
+
+            cluster.then(5.0, fault)
+            return cluster.engine.event()
 
         with pytest.raises(ValueError, match="host fault"):
             cl.run(host)
         # The run loop was released: the same engine runs again.
         assert cl.engine.now == 5.0
-        assert cl.engine.run_until_event(cl.engine.timeout(1.0)) is None
+        assert cl.engine.run_until_event(_delay(cl.engine, 1.0)) is None
         assert cl.engine.now == 6.0
 
     def test_exception_in_child_process_leaves_cluster_run(self):
@@ -115,16 +125,19 @@ class TestEngineFailures:
         eng = cl.engine
 
         def child():
-            yield eng.timeout(5.0)
-            raise ValueError("child fault")
+            def fault():
+                raise ValueError("child fault")
+
+            cl.then(5.0, fault)
+            return eng.event()
 
         def host(cluster):
-            yield eng.all_of([eng.process(child()), eng.timeout(10.0)])
+            return join(eng, [child(), _delay(eng, 10.0)])
 
         with pytest.raises(ValueError, match="child fault"):
             cl.run(host)
         assert eng.now == 5.0
-        assert eng.run_until_event(eng.timeout(1.0)) is None
+        assert eng.run_until_event(_delay(eng, 1.0)) is None
         assert eng.now == 6.0
 
     def test_exception_inside_on_wave_stops_the_run(self):
@@ -138,23 +151,19 @@ class TestEngineFailures:
         op = dev.default_stream.launch(dev, kspec, exploding)
         after = dev.default_stream.submit_delay(1.0)
 
-        def host(cluster):
-            yield join(cluster.engine, [op, after])
-
         with pytest.raises(ValueError, match="kernel fault"):
-            cl.run(host)
+            cl.run(lambda cluster: join(cluster.engine, [op, after]))
         assert not op.completed and after.started_at is None
 
     def test_simulation_limit_catches_runaway(self):
         eng = Engine()
 
         def forever():
-            while True:
-                yield eng.timeout(10.0)
+            eng.call_in(10.0, forever)
 
-        p = eng.process(forever())
+        forever()
         with pytest.raises(SimulationError, match="exceeded limit"):
-            eng.run_until_event(p, limit=100.0)
+            eng.run_until_event(eng.event(), limit=100.0)
 
 
 class TestWorkloadValidation:

@@ -34,7 +34,10 @@ count was re-captured once more when waits on device work became one
 event each: a stage waits on its stream ops through one countdown
 ``join`` (no ``done`` event per op, and a trailing sync cost folded into
 the join's delay), and ``PGASContext.quiet`` over a set of PEs is one
-callback at its wake-up instant in place of a process per PE.
+callback at its wake-up instant in place of a process per PE.  Every
+count fell once more when host programs became callback chains: a host
+program or stage no longer starts a process (one entry each), and an
+all-to-all wait fires in its delay's entry.  No timing or counter moved.
 
 Every timing of a case fed by ``lengths_batch`` on a plain uniform range
 was re-captured once when that method began drawing each chunk's lookup
@@ -90,7 +93,6 @@ from repro.faults import FaultEvent, FaultInjector, FaultPlan, ResilienceSpec
 from repro.replication import ReplicationSpec
 from repro.reshard import ReshardSpec
 from repro.simgpu.cluster import dgx_v100, multinode
-from repro.simgpu.engine import Engine
 from repro.simgpu.units import us
 
 FLAT_G16 = WorkloadConfig(num_tables=256, dim=64, batch_size=4096, max_pooling=32, seed=11)
@@ -226,7 +228,7 @@ CASES = {
             "total_ns": 7110949.169590643,
             "batches": 1.0,
         },
-        86,
+        85,
     ),
     "baseline-g16": (
         lambda: _run(FLAT_G16, 16, "baseline"),
@@ -237,7 +239,7 @@ CASES = {
             "total_ns": 8831558.940423977,
             "batches": 1.0,
         },
-        58,
+        57,
     ),
     "pgas-g64": (
         lambda: _run(SCALE_G64, 64, "pgas"),
@@ -248,7 +250,7 @@ CASES = {
             "total_ns": 7038243.67251462,
             "batches": 1.0,
         },
-        198,
+        197,
     ),
     "baseline-g64": (
         lambda: _run(SCALE_G64, 64, "baseline"),
@@ -259,7 +261,7 @@ CASES = {
             "total_ns": 7920481.880847953,
             "batches": 1.0,
         },
-        202,
+        201,
     ),
     # Exercises the staging router's flush timers, which are cancelled.
     "pgas+hier-2x4": (
@@ -274,7 +276,7 @@ CASES = {
             "total_ns": 2143181.828814459,
             "batches": 1.0,
         },
-        367,
+        366,
     ),
     "train-pgas-g4": (
         lambda: _train(TRAIN_G4, 4, "pgas"),
@@ -298,7 +300,7 @@ CASES = {
             "emb_backward.batches": 1.0,
             "total_ns": 13040058.559565937,
         },
-        89,
+        84,
     ),
     "train-baseline-g4": (
         lambda: _train(TRAIN_G4, 4, "baseline"),
@@ -322,7 +324,7 @@ CASES = {
             "emb_backward.batches": 1.0,
             "total_ns": 29455721.435082756,
         },
-        97,
+        92,
     ),
 }
 
@@ -336,7 +338,7 @@ FEATURE_CASES = {
             "total_ns": 155571.40935672517,
             "batches": 1.0,
         },
-        42,
+        40,
         {
             "cache.evictions.dev0": 3791.0,
             "cache.evictions.dev1": 4313.0,
@@ -404,7 +406,7 @@ FEATURE_CASES = {
             "total_ns": 360723.85123195883,
             "batches": 1.0,
         },
-        65,
+        58,
         {
             "faults.rerouted_bytes": 524288.0,
             "faults.rerouted_bytes.delivered": 262144.0,
@@ -435,7 +437,7 @@ FEATURE_CASES = {
             "total_ns": 223086.90058479534,
             "batches": 1.0,
         },
-        186,
+        183,
         {
             "availability.batch_lookups": 65184.0,
             "availability.detection_ns": 5071.350877192977,
@@ -470,7 +472,7 @@ FEATURE_CASES = {
             "total_ns": 1512684.8654970762,
             "batches": 6.0,
         },
-        138,
+        132,
         {
             "pgas_bytes": 9437184.0,
             "pgas_bytes.dev0->dev1": 655360.0,
@@ -509,7 +511,7 @@ ROWWISE_CASES = {
             "total_ns": 2970042.028143275,
             "batches": 1.0,
         },
-        22,
+        21,
         {"comm_bytes": 50331648.0, **_pair_totals("comm_bytes", 4, 4194304.0)},
     ),
     "rowwise-pgas-g4": (
@@ -521,7 +523,7 @@ ROWWISE_CASES = {
             "total_ns": 1473233.1461988306,
             "batches": 1.0,
         },
-        26,
+        25,
         {"pgas_bytes": 50331648.0, **_pair_totals("pgas_bytes", 4, 4194304.0)},
     ),
     "rowwise-baseline-g3-ragged": (
@@ -533,7 +535,7 @@ ROWWISE_CASES = {
             "total_ns": 591923.4784356725,
             "batches": 1.0,
         },
-        19,
+        18,
         {
             "comm_bytes": 3584000.0,
             "comm_bytes.dev0->dev1": 596736.0,
@@ -553,7 +555,7 @@ ROWWISE_CASES = {
             "total_ns": 370438.48538011697,
             "batches": 1.0,
         },
-        15,
+        14,
         {
             "pgas_bytes": 3584000.0,
             "pgas_bytes.dev0->dev1": 596736.0,
@@ -573,7 +575,7 @@ ROWWISE_CASES = {
             "total_ns": 8946623.58150585,
             "batches": 1.0,
         },
-        52,
+        51,
         {
             "comm_bytes": 50331648.0,
             "comm_bytes.dev0->dev1": 12582912.0,
@@ -591,7 +593,7 @@ ROWWISE_CASES = {
             "total_ns": 2162726.479532164,
             "batches": 1.0,
         },
-        26,
+        25,
         {"pgas_bytes": 50331648.0, **_pair_totals("pgas_bytes", 4, 4194304.0)},
     ),
 }
@@ -676,33 +678,15 @@ def test_g64_backends_share_one_derivation_per_table(monkeypatch):
     assert reduced == [((512, 64), 640)]
 
 
-def _started_processes(monkeypatch):
-    """Record the name of every process the engine starts from now on."""
-    names = []
-    process = Engine.process
-
-    def recording(engine, generator, name=""):
-        names.append(name)
-        return process(engine, generator, name)
-
-    monkeypatch.setattr(Engine, "process", recording)
-    return names
-
-
-def test_stream_ops_start_no_process(monkeypatch):
+def test_stream_ops_start_no_process():
     """One G=8 inference batch runs 64 stream ops (input copies, launch
     delays, kernels) and one G=4 training step 48, all as engine callbacks,
     waited on by joins, and each ``quiet`` covers every PE with one event:
-    the only processes are host programs, so a return to one process per
-    stream op or per PE fails here without any timing."""
-    started = _started_processes(monkeypatch)
+    the host programs are callback chains, so an entry per stream op, per
+    PE or per stage start fails here without any timing."""
     pipe = DLRMInferencePipeline(PipelineConfig(workload=TRAIN_G4), 8, backend="pgas")
     pipe.run_batch(SyntheticDataGenerator(TRAIN_G4).lengths_batch())
-    assert started == ["host", "dense_path", "emb_path"]
-    assert pipe.cluster.engine._seq == 89
+    assert pipe.cluster.engine._seq == 87
 
-    started.clear()
     got, seq = _train(TRAIN_G4, 4, "pgas")
-    assert started == ["host", "train_forward", "dense_path", "emb_path", "dense_bwd", "emb_bwd"]
-    assert not any(name.startswith("quiet") for name in started)
     assert (got, seq) == (CASES["train-pgas-g4"][1], CASES["train-pgas-g4"][2])

@@ -22,11 +22,22 @@ def timed_transfer(cluster: Cluster, at_ns: float = 0.0) -> float:
     out = []
 
     def prog(cl):
+        done = cl.engine.event()
+
+        def send():
+            t0 = cl.engine.now
+
+            def landed():
+                out.append(cl.engine.now - t0)
+                done.succeed()
+
+            cl.then(cl.interconnect.transfer(0, 1, float(PAYLOAD)), landed)
+
         if at_ns > cl.engine.now:
-            yield cl.engine.timeout(at_ns - cl.engine.now)
-        t0 = cl.engine.now
-        yield cl.interconnect.transfer(0, 1, float(PAYLOAD))
-        out.append(cl.engine.now - t0)
+            cl.then(at_ns - cl.engine.now, send)
+        else:
+            send()
+        return done
 
     cluster.run(prog)
     return out[0]
@@ -95,8 +106,9 @@ class TestDeviceFaults:
         def prog(cl):
             t0 = cl.engine.now
             dev = cl.device(0)
-            yield join(cl.engine, [dev.default_stream.launch(dev, self.KSPEC)])
-            out.append(cl.engine.now - t0)
+            done = join(cl.engine, [dev.default_stream.launch(dev, self.KSPEC)])
+            done.add_callback(lambda: out.append(cl.engine.now - t0))
+            return done
 
         cluster.run(prog)
         return out[0]
@@ -119,7 +131,9 @@ class TestDeviceFaults:
         ))
         FaultInjector(cluster, plan).install()
         def wait(cl):
-            yield cl.engine.timeout(1 * ms)
+            done = cl.engine.event()
+            cl.then(1 * ms, done.succeed)
+            return done
         cluster.run(wait)
         assert self.run_kernel(cluster) == pytest.approx(healthy)
 

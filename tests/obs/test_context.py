@@ -1,11 +1,12 @@
-"""Tests for trace context propagation (TraceSpec / trace_scope / traced)."""
+"""Tests for trace context propagation (TraceSpec / trace_scope /
+``Cluster.then``)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.obs import TraceSpec, trace_scope, traced
-from repro.simgpu.engine import Engine
+from repro.obs import TraceSpec, trace_scope
+from repro.simgpu.cluster import Cluster
 from repro.simgpu.profiler import Profiler, TraceRef
 
 
@@ -66,91 +67,95 @@ class TestTraceScope:
 
 
 class TestTraced:
-    def test_passthrough_when_disabled(self):
-        def gen():
-            yield 1
+    """``Cluster.then`` runs a continuation under the ref active when it
+    was registered."""
 
-        g = gen()
-        assert traced(g, None, TraceRef(0, 0)) is g
-        assert traced(g, Profiler(), None) is g
+    def test_passthrough_when_disabled(self):
+        cluster = Cluster(1)
+        ev = cluster.engine.event()
+
+        def fn():
+            pass
+
+        cluster.then(ev, fn)
+        assert ev.callbacks == [fn]
 
     def test_arms_context_inside_frames_only(self):
-        prof = Profiler()
+        cluster = Cluster(1)
+        prof = cluster.profiler
         ref = TraceRef(1, 2)
         seen = []
 
-        def gen():
+        def step():
             seen.append(prof.active_trace)
             prof.record_span("work", "phase", 0, 0.0, 1.0)
-            yield "a"
-            seen.append(prof.active_trace)
 
-        g = traced(gen(), prof, ref)
-        assert next(g) == "a"
-        # Context is restored while the generator is suspended.
+        with trace_scope(prof, ref):
+            cluster.then(5.0, step)
         assert prof.active_trace is None
-        with pytest.raises(StopIteration):
-            next(g)
-        assert seen == [ref, ref]
+        cluster.engine.run()
+        # Context is restored once the continuation returns.
+        assert prof.active_trace is None
+        assert seen == [ref]
         assert prof.spans[0].trace == ref
 
-    def test_return_value_preserved(self):
-        def gen():
-            yield 1
-            return "result"
-
-        g = traced(gen(), Profiler(), TraceRef(0, 0))
-        next(g)
-        with pytest.raises(StopIteration) as exc:
-            next(g)
-        assert exc.value.value == "result"
-
-    def test_send_values_forwarded(self):
-        def gen():
-            got = yield "first"
-            yield got * 2
-
-        g = traced(gen(), Profiler(), TraceRef(0, 0))
-        assert next(g) == "first"
-        assert g.send(21) == 42
-
     def test_unhandled_throw_propagates(self):
-        def gen():
-            yield "a"
+        cluster = Cluster(1)
+        prof = cluster.profiler
 
-        g = traced(gen(), Profiler(), TraceRef(0, 0))
-        next(g)
+        def step():
+            raise KeyError("k")
+
+        with trace_scope(prof, TraceRef(0, 0)):
+            cluster.then(1.0, step)
         with pytest.raises(KeyError):
-            g.throw(KeyError("k"))
+            cluster.engine.run()
+        assert prof.active_trace is None
 
     def test_interleaved_generators_keep_their_own_refs(self):
-        prof = Profiler()
+        cluster = Cluster(1)
+        prof = cluster.profiler
         ref_a, ref_b = TraceRef(0, 0), TraceRef(0, 1)
 
-        def worker(name):
-            for i in range(2):
-                prof.record_span(f"{name}{i}", "phase", 0, float(i), float(i + 1))
-                yield
+        def worker(name, i=0):
+            prof.record_span(f"{name}{i}", "phase", 0, float(i), float(i + 1))
+            if i == 0:
+                # A continuation registered inside a traced one keeps its ref.
+                cluster.then(2.0, lambda: worker(name, 1))
 
-        ga = traced(worker("a"), prof, ref_a)
-        gb = traced(worker("b"), prof, ref_b)
-        # Interleave resumptions: a, b, a, b.
-        next(ga); next(gb); next(ga); next(gb)
+        with trace_scope(prof, ref_a):
+            cluster.then(1.0, lambda: worker("a"))
+        with trace_scope(prof, ref_b):
+            cluster.then(1.0, lambda: worker("b"))
+        # The chains interleave: a, b, a, b.
+        cluster.engine.run()
+        assert [s.name for s in prof.spans] == ["a0", "b0", "a1", "b1"]
         by_name = {s.name: s.trace for s in prof.spans}
         assert by_name == {"a0": ref_a, "b0": ref_b, "a1": ref_a, "b1": ref_b}
 
     def test_engine_processes_attributed_per_batch(self):
-        """Two traced processes on one engine attribute spans to themselves."""
-        eng = Engine()
-        prof = Profiler()
+        """Two traced chains on one engine attribute spans to themselves;
+        an untraced callback in between records none."""
+        cluster = Cluster(1)
+        eng, prof = cluster.engine, cluster.profiler
         refs = [TraceRef(0, 0), TraceRef(0, 1)]
 
         def batch(i):
             t0 = eng.now
-            yield eng.timeout(10.0 * (i + 1))
-            prof.record_span(f"batch{i}", "phase", 0, t0, eng.now)
+            done = eng.event()
+
+            def finish():
+                prof.record_span(f"batch{i}", "phase", 0, t0, eng.now)
+                done.succeed()
+
+            cluster.then(10.0 * (i + 1), finish)
+            return done
 
         for i, ref in enumerate(refs):
-            eng.process(traced(batch(i), prof, ref), name=f"b{i}")
+            with trace_scope(prof, ref):
+                batch(i)
+        eng.call_in(15.0, lambda: prof.record_span("shared", "phase", 0, 0.0, 15.0))
         eng.run()
-        assert [s.trace for s in prof.spans] == refs
+        assert [(s.name, s.trace) for s in prof.spans] == [
+            ("batch0", refs[0]), ("shared", None), ("batch1", refs[1]),
+        ]

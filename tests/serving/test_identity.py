@@ -126,8 +126,11 @@ def test_engine_event_count_is_pinned():
     ``any_of`` at each wake.  None of those callbacks carried simulated
     state: the scheduler now wakes only when a batch can form, a slot
     frees, or (with an empty queue) at the next arrival.  The count fell
-    from 950 when stream ops stopped starting a process each, and from 502
-    when stage waits became one join and ``quiet`` one event per set of PEs.
+    from 950 when stream ops stopped starting a process each, from 502
+    when stage waits became one join and ``quiet`` one event per set of
+    PEs, and from 382 when host programs became callback chains: a batch
+    no longer starts a process per stage, and the scheduler wakes in the
+    entry of the completion or alarm that wakes it.
     """
     _, pipe = _serve("hybrid", 2, *LOADS["window"])
-    assert pipe.cluster.engine._seq == 382
+    assert pipe.cluster.engine._seq == 303

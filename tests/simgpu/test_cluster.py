@@ -75,7 +75,9 @@ class TestCluster:
         cl = dgx_v100(1)
 
         def host(cluster):
-            yield cluster.engine.timeout(123.0)
+            done = cluster.engine.event()
+            cluster.then(123.0, done.succeed)
+            return done
 
         assert cl.run(host) == 123.0
         # clock accumulates across runs
@@ -90,10 +92,7 @@ class TestCluster:
             cl.device(1).default_stream.submit_delay(300.0),
         ]
 
-        def host(cluster):
-            yield join(cluster.engine, ops)
-
-        elapsed = cl.run(host)
+        elapsed = cl.run(lambda cluster: join(cluster.engine, ops))
         assert elapsed >= 300.0
 
     def test_multinode_has_slow_inter_links(self):

@@ -1,11 +1,13 @@
-"""Property-based tests of engine ordering and process semantics."""
+"""Property-based tests of engine ordering and callback-chain semantics."""
 
 from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.simgpu.cluster import Cluster
 from repro.simgpu.engine import Engine
+from repro.simgpu.stream import join
 
 
 @given(delays=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=50))
@@ -23,41 +25,53 @@ def test_callbacks_fire_in_nondecreasing_time_order(delays):
 
 @given(delays=st.lists(st.floats(min_value=0.0, max_value=1e5), min_size=1, max_size=30))
 def test_sequential_timeouts_sum(delays):
-    """A process sleeping a sequence of timeouts wakes at their sum."""
-    eng = Engine()
+    """A host program chaining a sequence of delays ends at their sum."""
+    cluster = Cluster(1)
+    eng = cluster.engine
+    pending = list(delays)
 
-    def worker():
-        for d in delays:
-            yield eng.timeout(d)
-        return eng.now
+    def program(cl):
+        done = eng.event()
 
-    proc = eng.process(worker())
-    result = eng.run_until_event(proc)
-    assert abs(result - sum(delays)) < 1e-6 * max(1.0, sum(delays))
+        def next_delay():
+            if pending:
+                cl.then(pending.pop(0), next_delay)
+            else:
+                done.succeed()
+
+        next_delay()
+        return done
+
+    cluster.run(program)
+    assert abs(eng.now - sum(delays)) < 1e-6 * max(1.0, sum(delays))
 
 
 @given(
     delays=st.lists(st.floats(min_value=0.0, max_value=1e5), min_size=1, max_size=20)
 )
 def test_all_of_completes_at_max_any_of_at_min(delays):
-    """Fork/join semantics: AllOf = max child, AnyOf = min child."""
+    """Fork/join semantics: a join ends at the latest child, a race
+    resolves at the earliest."""
     eng = Engine()
+    children = []
+    for d in delays:
+        child = eng.event()
+        eng.call_in(d, child.succeed)
+        children.append(child)
+    eng.run_until_event(join(eng, children))
+    assert eng.now == max(delays)
 
-    def worker():
-        yield eng.all_of([eng.timeout(d) for d in delays])
-        return eng.now
-
-    proc = eng.process(worker())
-    assert eng.run_until_event(proc) == max(delays)
-
-    eng2 = Engine()
-
-    def worker2():
-        yield eng2.any_of([eng2.timeout(d) for d in delays])
-        return eng2.now
-
-    proc2 = eng2.process(worker2())
-    assert eng2.run_until_event(proc2) == min(delays)
+    cluster = Cluster(1)
+    eng2 = cluster.engine
+    children = []
+    for d in delays:
+        child = eng2.event()
+        eng2.call_in(d, child.succeed)
+        children.append(child)
+    resolved = []
+    cluster.race(children, None, lambda: resolved.append(eng2.now))
+    eng2.run()
+    assert resolved == [min(delays)]
 
 
 @given(
@@ -65,19 +79,24 @@ def test_all_of_completes_at_max_any_of_at_min(delays):
     step=st.floats(min_value=0.1, max_value=100.0),
 )
 def test_parallel_processes_are_independent(n_procs, step):
-    """N processes sleeping i*step finish at their own deadlines."""
-    eng = Engine()
+    """N chains waiting i*step finish at their own deadlines."""
+    cluster = Cluster(1)
+    eng = cluster.engine
     done_at = {}
+    ends = []
+    for i in range(1, n_procs + 1):
+        end = eng.event()
 
-    def worker(i):
-        yield eng.timeout(i * step)
-        done_at[i] = eng.now
+        def finish(i=i, end=end):
+            done_at[i] = eng.now
+            end.succeed()
 
-    procs = [eng.process(worker(i)) for i in range(1, n_procs + 1)]
+        cluster.then(i * step, finish)
+        ends.append(end)
     eng.run()
     for i in range(1, n_procs + 1):
         assert abs(done_at[i] - i * step) < 1e-9 * max(1.0, i * step)
-    assert all(p.triggered for p in procs)
+    assert all(end.triggered for end in ends)
 
 
 @given(seed_times=st.lists(st.tuples(

@@ -56,6 +56,13 @@ class TestWireBytes:
         assert w <= payload + (payload / msg + 1) * hdr
 
 
+def _fired_at(ev):
+    """A list that receives the instant ``ev`` fires."""
+    at = []
+    ev.add_callback(lambda: at.append(ev.engine.now))
+    return at
+
+
 class TestLink:
     def make(self, bw=10.0, lat=100.0):
         return Link(Engine(), 0, 1, LinkSpec(bandwidth=bw, latency_ns=lat))
@@ -63,17 +70,18 @@ class TestLink:
     def test_alpha_beta_timing(self):
         lk = self.make(bw=10.0, lat=100.0)
         ev = lk.transfer(1000.0)  # 1000/10 = 100 ns + 100 lat
+        at = _fired_at(ev)
         lk.engine.run()
         assert ev.triggered
-        assert ev.value == pytest.approx(200.0)
+        assert at == [pytest.approx(200.0)]
 
     def test_serialisation_under_contention(self):
         lk = self.make(bw=10.0, lat=0.0)
-        e1 = lk.transfer(1000.0)
-        e2 = lk.transfer(1000.0)
+        e1 = _fired_at(lk.transfer(1000.0))
+        e2 = _fired_at(lk.transfer(1000.0))
         lk.engine.run()
-        assert e1.value == pytest.approx(100.0)
-        assert e2.value == pytest.approx(200.0)  # queued behind e1
+        assert e1 == [pytest.approx(100.0)]
+        assert e2 == [pytest.approx(200.0)]  # queued behind e1
 
     def test_headers_stretch_busy_time(self):
         lk = self.make(bw=1.0, lat=0.0)
@@ -174,12 +182,12 @@ class TestInterconnect:
         ic, eng, _ = self.make()
         bw = NVLINK_PAIR_SPEC.bandwidth
         lat = NVLINK_PAIR_SPEC.latency_ns
-        e1 = ic.transfer(0, 1, bw * 1000.0)  # 1000 ns of wire time
-        e2 = ic.transfer(0, 2, bw * 1000.0)
+        e1 = _fired_at(ic.transfer(0, 1, bw * 1000.0))  # 1000 ns of wire time
+        e2 = _fired_at(ic.transfer(0, 2, bw * 1000.0))
         eng.run()
         # parallel links: both complete at 1000 + latency, not 2000+.
-        assert e1.value == pytest.approx(1000.0 + lat)
-        assert e2.value == pytest.approx(1000.0 + lat)
+        assert e1 == [pytest.approx(1000.0 + lat)]
+        assert e2 == [pytest.approx(1000.0 + lat)]
 
     def test_conservation_bytes_in_equals_bytes_out(self):
         """Every payload byte injected is delivered exactly once."""

@@ -70,10 +70,11 @@ class TestHostDeviceSyncPatterns:
 
         def host(cluster):
             op = dev.default_stream.launch(dev, k)
-            yield join(cluster.engine, [op], dev.spec.sync_overhead_ns)
-            t_after_sync = cluster.engine.now
-            yield cluster.engine.timeout(10 * us)  # stand-in collective
-            return t_after_sync
+            done = cluster.engine.event()
+            synced = join(cluster.engine, [op], dev.spec.sync_overhead_ns)
+            # then a stand-in collective
+            cluster.then(synced, lambda: cluster.then(10 * us, done.succeed))
+            return done
 
         elapsed = cl.run(host)
         expected = kernel_time(k, dev.spec) + dev.spec.sync_overhead_ns + 10 * us
@@ -86,7 +87,7 @@ class TestHostDeviceSyncPatterns:
         for _ in range(5):
             def host(cluster):
                 ops = [d.default_stream.launch(d, k) for d in cluster.devices]
-                yield join(cluster.engine, ops)
+                return join(cluster.engine, ops)
 
             cl.run(host)
             stamps.append(cl.engine.now)

@@ -60,10 +60,10 @@ class TestPairViews:
                 expect(Interconnect.COUNTER, t, payload)
 
         def transfer(dst, payload):
-            ev = ic.transfer(0, dst, payload, message_bytes=256, header_bytes=32)
+            ic.transfer(0, dst, payload, message_bytes=256, header_bytes=32)
             engine.run()
-            expect(Interconnect.COUNTER, ev.value, payload)
-            expect(f"comm_bytes.dev0->dev{dst}", ev.value, payload)
+            expect(Interconnect.COUNTER, engine.now, payload)
+            expect(f"comm_bytes.dev0->dev{dst}", engine.now, payload)
 
         wave([1, 2, 1], [512.0, 256.0, 1024.0])
         transfer(1, 300.0)
@@ -92,10 +92,10 @@ class TestPairViews:
         assert list(_pairs(prof)) == ["pgas_bytes.dev0->dev1"]
         assert _pairs(prof)["pgas_bytes.dev0->dev1"].events() == [(done[0], 512.0)]
 
-        ev = ic.transfer(0, 2, 0.0)
+        ic.transfer(0, 2, 0.0)
         engine.run()
         assert ic.link(0, 2).transfer_count == 1
-        assert _pairs(prof)["comm_bytes.dev0->dev2"].events() == [(ev.value, 0.0)]
+        assert _pairs(prof)["comm_bytes.dev0->dev2"].events() == [(engine.now, 0.0)]
 
     def test_clear_drops_the_columns(self):
         engine, prof, ic = _fabric()

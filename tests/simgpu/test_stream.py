@@ -92,7 +92,7 @@ class TestCallbackOps:
         ev = join(dev.engine, [op])
         assert not ev.triggered and not op.completed
         dev.engine.run()
-        assert ev.triggered and ev.value is None
+        assert ev.triggered
         assert op.finished_at == 10.0
 
     def test_done_read_after_completion_holds_the_value(self):
@@ -199,7 +199,7 @@ class TestJoin:
                 ops.append(stream.submit_delay(dt))
         ev = join(eng, ops, after_ns)
         fired = []
-        ev.add_callback(lambda e: fired.append(eng.now))
+        ev.add_callback(lambda: fired.append(eng.now))
         eng.run()
         assert fired == [max(op.finished_at for op in ops) + after_ns]
 
@@ -222,8 +222,8 @@ class TestJoin:
         b = dev.stream("b").submit_delay(20.0)
         first, both = join(eng, [a]), join(eng, [a, b])
         times = {}
-        first.add_callback(lambda e: times.setdefault("first", eng.now))
-        both.add_callback(lambda e: times.setdefault("both", eng.now))
+        first.add_callback(lambda: times.setdefault("first", eng.now))
+        both.add_callback(lambda: times.setdefault("both", eng.now))
         eng.run()
         assert times == {"first": 10.0, "both": 20.0}
 
