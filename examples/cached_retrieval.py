@@ -35,12 +35,12 @@ def main() -> None:
     )
     n_gpus = 2
     n_batches = 4
-    cache = CacheConfig(capacity_fraction=0.05, policy="lru")
+    cache = CacheConfig(capacity_fraction=0.05)
 
     print(f"workload: {config.num_tables} tables x {config.rows_per_table} rows "
           f"x d={config.dim}, batch {config.batch_size}, zipf({config.zipf_alpha}), "
           f"{n_gpus} GPUs")
-    print(f"cache: {cache.policy}, capacity {cache.capacity_fraction:.0%} of remote rows\n")
+    print(f"cache: lru, capacity {cache.capacity_fraction:.0%} of remote rows\n")
 
     rng_seed = 0
     plain = DistributedEmbedding(config, n_gpus, backend="pgas", materialize=True,

@@ -119,7 +119,6 @@ def run_cache_sweep(
     capacity_fractions: Sequence[float],
     *,
     base: str = "pgas",
-    policy: str = "lru",
     n_devices: int = 2,
     n_batches: int = 4,
     warm_batches: int = 1,
@@ -128,8 +127,8 @@ def run_cache_sweep(
 
     Each point replays the *same* batch stream through both variants on
     fresh clusters.  ``warm_batches`` extra leading batches prime the
-    cache (and, for ``static-topk``, feed the profiled frequency pass)
-    without being counted in either variant's timing.
+    cache without being counted in either variant's timing.  The cache
+    is LRU, which the header records as ``"policy": "lru"``.
     """
     if not alphas or not capacity_fractions:
         raise ValueError("sweep needs at least one alpha and one capacity")
@@ -137,13 +136,13 @@ def run_cache_sweep(
         raise ValueError("n_batches must be positive")
     result = SweepResult(
         title=(
-            f"[cache sweep: {base} vs {base}+cache ({policy}) "
+            f"[cache sweep: {base} vs {base}+cache (lru) "
             f"@ {n_devices} GPUs, {n_batches} batches]"
         ),
         columns=_COLUMNS,
         keys=("zipf_alpha", "capacity_fraction"),
         header={
-            "base": base, "policy": policy, "n_devices": n_devices,
+            "base": base, "policy": "lru", "n_devices": n_devices,
             "n_batches": n_batches,
         },
     )
@@ -170,16 +169,11 @@ def run_cache_sweep(
                 cfg,
                 n_devices,
                 backend=f"{base}+cache",
-                features=FeatureSpec(
-                    cache=CacheConfig(capacity_fraction=float(frac), policy=policy)
-                ),
+                features=FeatureSpec(cache=CacheConfig(capacity_fraction=float(frac))),
             )
             engine = emb.backend_adapter()
-            if policy == "static-topk" and warm:
-                engine.warm_static(warm)
-            else:
-                for b in warm:
-                    engine.plan_batch(b)
+            for b in warm:
+                engine.plan_batch(b)
             timing = PhaseTiming()
             comm = 0.0
             hits = misses = 0

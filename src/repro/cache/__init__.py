@@ -5,11 +5,9 @@ rows over and over; replicating those rows on the requesting device
 turns repeat remote fetches into local gathers and removes their wire
 bytes entirely.  This package provides:
 
-* :mod:`repro.cache.policy` — pluggable replacement policies
-  (``lru``, ``lfu`` with aging, ``static-topk`` from a profiled pass);
+* :mod:`repro.cache.policy` — LRU residency (:class:`LRUPolicy`);
 * :mod:`repro.cache.hotrow` — the per-device cache: slot storage
-  allocated from the simulated HBM budget, hit/miss/eviction stats,
-  warm-up and invalidation hooks;
+  allocated from the simulated HBM budget and hit/miss/eviction stats;
 * :mod:`repro.cache.retrieval` — :class:`CachedRetrieval`, which fronts
   either base backend with the caches on both the timed (DES) and the
   functional (numpy, bit-identical) path.
@@ -20,7 +18,7 @@ Importing this package defines :class:`CachedRetrieval`, the class the
 >>> from repro import CacheConfig, DistributedEmbedding, FeatureSpec, WorkloadConfig
 >>> cfg = WorkloadConfig(num_tables=8, rows_per_table=256, dim=8, batch_size=64)
 >>> emb = DistributedEmbedding(cfg, n_devices=2, backend="pgas+cache",
-...                            features=FeatureSpec(cache=CacheConfig(policy="lru")))
+...                            features=FeatureSpec(cache=CacheConfig()))
 >>> type(emb.backend_adapter()).__name__
 'CachedRetrieval'
 
@@ -30,14 +28,7 @@ works exactly like the uncached backends (``repro`` imports it for you).
 from __future__ import annotations
 
 from .hotrow import CacheAccess, CacheConfig, CacheStats, HotRowCache
-from .policy import (
-    CacheKey,
-    CachePolicy,
-    LFUPolicy,
-    LRUPolicy,
-    StaticTopKPolicy,
-    make_policy,
-)
+from .policy import CacheKey, LRUPolicy
 from .retrieval import CacheBatchPlan, CachedRetrieval
 
 __all__ = [
@@ -45,12 +36,8 @@ __all__ = [
     "CacheBatchPlan",
     "CacheConfig",
     "CacheKey",
-    "CachePolicy",
     "CacheStats",
     "CachedRetrieval",
     "HotRowCache",
-    "LFUPolicy",
     "LRUPolicy",
-    "StaticTopKPolicy",
-    "make_policy",
 ]

@@ -7,17 +7,16 @@ the resident embedding shards for the same HBM budget — an over-sized
 cache raises :class:`~repro.simgpu.memory.OutOfDeviceMemory` exactly like
 an over-sized table would.
 
-The cache keys on ``(table_name, hashed_row_id)`` — post-hash row ids,
-the coordinates gradients are applied at, so invalidation composes with
-the backward pass.  When materialised it stores exact bitwise replicas of
-the owner's rows, which is what lets the cached functional forward stay
-bit-identical to the uncached backends.
+The cache keys on ``(table_name, hashed_row_id)`` — post-hash row ids —
+and keeps them in LRU order.  When materialised it stores exact bitwise
+replicas of the owner's rows, which is what lets the cached functional
+forward stay bit-identical to the uncached backends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from ..core.sharding import TableWiseSharding
 from ..dlrm.embedding import EmbeddingTableConfig
 from ..simgpu.cluster import Cluster
 from ..simgpu.device import Device
-from .policy import CacheKey, CachePolicy, make_policy
+from .policy import CacheKey, LRUPolicy
 
 __all__ = [
     "CacheConfig", "CacheStats", "CacheAccess", "HotRowCache", "remote_row_caches",
@@ -38,44 +37,23 @@ class CacheConfig:
 
     Capacity is either absolute (``capacity_rows``) or a fraction of the
     rows the device does *not* own (``capacity_fraction``, the default 5 %
-    of remote rows).  ``policy`` selects the replacement policy; the aging
-    knobs only apply to ``"lfu"``.
+    of remote rows).  Rows are replaced in LRU order.
     """
 
     capacity_rows: Optional[int] = None
     capacity_fraction: float = 0.05
-    policy: str = "lru"
-    aging_interval: int = 1024
-    aging_factor: float = 0.5
 
     def __post_init__(self) -> None:
         if self.capacity_rows is not None and self.capacity_rows < 0:
             raise ValueError("capacity_rows must be non-negative")
         if not (0.0 <= self.capacity_fraction <= 1.0):
             raise ValueError("capacity_fraction must be in [0, 1]")
-        if self.policy not in ("lru", "lfu", "static-topk"):
-            raise ValueError(
-                f"unknown cache policy {self.policy!r} (use lru, lfu, or static-topk)"
-            )
-        if self.aging_interval <= 0:
-            raise ValueError("aging_interval must be positive")
-        if not (0.0 <= self.aging_factor < 1.0):
-            raise ValueError("aging_factor must be in [0, 1)")
 
     def resolve_capacity(self, remote_rows: int) -> int:
         """Concrete row capacity for a device seeing ``remote_rows`` remote rows."""
         if self.capacity_rows is not None:
             return self.capacity_rows
         return int(remote_rows * self.capacity_fraction)
-
-    def build_policy(self, capacity_rows: int) -> CachePolicy:
-        """Instantiate this config's replacement policy."""
-        return make_policy(
-            self.policy,
-            capacity_rows,
-            aging_interval=self.aging_interval,
-            aging_factor=self.aging_factor,
-        )
 
 
 @dataclass
@@ -86,7 +64,6 @@ class CacheStats:
     misses: int = 0
     installs: int = 0
     evictions: int = 0
-    invalidations: int = 0
 
     @property
     def lookups(self) -> int:
@@ -109,7 +86,6 @@ class CacheStats:
             misses=self.misses - since.misses,
             installs=self.installs - since.installs,
             evictions=self.evictions - since.evictions,
-            invalidations=self.invalidations - since.invalidations,
         )
 
     def add(self, other: "CacheStats") -> None:
@@ -118,7 +94,6 @@ class CacheStats:
         self.misses += other.misses
         self.installs += other.installs
         self.evictions += other.evictions
-        self.invalidations += other.invalidations
 
 
 @dataclass
@@ -189,7 +164,7 @@ class HotRowCache:
             self.dim, self.dtype = 0, np.dtype(np.float32)
         self.remote_rows = sum(t.num_rows for t in self.table_configs)
         self.capacity_rows = config.resolve_capacity(self.remote_rows)
-        self.policy = config.build_policy(self.capacity_rows)
+        self.policy = LRUPolicy(self.capacity_rows)
         self.stats = CacheStats()
         self._slot: Dict[CacheKey, int] = {}
         self._free: List[int] = list(range(self.capacity_rows - 1, -1, -1))
@@ -274,60 +249,6 @@ class HotRowCache:
 
     def _release(self, key: CacheKey) -> None:
         self._free.append(self._slot.pop(key))
-
-    # -- warm / invalidate --------------------------------------------------------
-
-    def warm(
-        self,
-        keys: Iterable[CacheKey],
-        source_of: Optional[Callable[[str], np.ndarray]] = None,
-    ) -> int:
-        """Pre-fill from ranked ``keys`` (hottest first); returns seeded count.
-
-        This is the profiled-frequency path the static-topk policy needs
-        (and the only way rows enter it); lru/lfu accept warming too.
-        ``source_of(table_name)`` supplies weight arrays for materialised
-        caches.
-        """
-        seeded = 0
-        for key in keys:
-            if key in self._slot:
-                continue
-            admitted, evicted = self.policy.seed(key)
-            if not admitted:
-                continue
-            if evicted is not None:
-                self._release(evicted)
-                self.stats.evictions += 1
-            self._install(key, source_of(key[0]) if source_of is not None else None)
-            seeded += 1
-        return seeded
-
-    def invalidate(
-        self, table_name: Optional[str] = None, rows: Optional[np.ndarray] = None
-    ) -> int:
-        """Drop stale replicas; returns how many were dropped.
-
-        ``rows`` are post-hash row ids (the coordinates the backward pass
-        updates).  ``rows=None`` drops the whole table; ``table_name=None``
-        flushes everything.  This is the staleness hook: call it after any
-        owner-side weight update so the functional guarantee holds.
-        """
-        if table_name is None:
-            victims = list(self._slot)
-        elif rows is None:
-            victims = [k for k in self._slot if k[0] == table_name]
-        else:
-            victims = [
-                (table_name, int(r))
-                for r in np.unique(np.asarray(rows, dtype=np.int64))
-                if (table_name, int(r)) in self._slot
-            ]
-        for key in victims:
-            self.policy.remove(key)
-            self._release(key)
-        self.stats.invalidations += len(victims)
-        return len(victims)
 
     def release(self) -> None:
         """Free the cache slab back to the device memory pool."""

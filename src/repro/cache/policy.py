@@ -1,95 +1,34 @@
-"""Replacement policies for the hot-row embedding cache.
+"""LRU residency for the hot-row embedding cache.
 
-A policy tracks *which* ``(table, hashed_row)`` keys are resident and in
-what order they should leave; the slot/value storage and byte accounting
-live in :class:`~repro.cache.hotrow.HotRowCache`.  Three policies cover
-the design space the caching literature (Stochastic Communication
-Avoidance; EmbedCache-style hot-row studies) identifies for skewed
-embedding traffic:
-
-* :class:`LRUPolicy` — recency: adapts to drift, no profiling needed.
-* :class:`LFUPolicy` — frequency with periodic *aging* (all counts decay
-  by ``aging_factor`` every ``aging_interval`` accesses) so stale-hot rows
-  can fall out.
-* :class:`StaticTopKPolicy` — a frozen set seeded from a profiled
-  frequency pass (:meth:`~repro.cache.retrieval.CachedRetrieval.warm_static`);
-  never admits at runtime, so steady-state behaviour is exactly the
-  profiled working set.
-
-All policies are deterministic: ties break in insertion (FIFO) order.
+:class:`LRUPolicy` tracks *which* ``(table, hashed_row)`` keys are
+resident and in what order they leave: every hit refreshes a key's
+recency and a full cache evicts the least recently used one.  Recency
+adapts to drift and needs no profiling pass, which is what skewed
+embedding traffic calls for (Stochastic Communication Avoidance;
+EmbedCache-style hot-row studies).  The slot/value storage and byte
+accounting live in :class:`~repro.cache.hotrow.HotRowCache`.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-__all__ = [
-    "CacheKey",
-    "CachePolicy",
-    "LRUPolicy",
-    "LFUPolicy",
-    "StaticTopKPolicy",
-    "make_policy",
-]
+__all__ = ["CacheKey", "LRUPolicy"]
 
 #: A cached row's identity: ``(table_name, hashed_row_id)``.
 CacheKey = Tuple[str, int]
 
 
-class CachePolicy:
-    """Residency bookkeeping over ``(table, hashed_row)`` keys.
-
-    Contract (all deterministic):
-
-    * :meth:`access` — one lookup touches ``key``; returns hit/miss.
-    * :meth:`admit` — offer a missed key for runtime installation; returns
-      ``(admitted, evicted_key_or_None)``.
-    * :meth:`seed` — warm-phase insertion (profiled pass); same shape.
-    * :meth:`remove` — explicit invalidation; returns whether it was resident.
-    """
-
-    name = "base"
-
-    def __init__(self, capacity: int):
-        if capacity < 0:
-            raise ValueError(f"capacity must be non-negative, got {capacity}")
-        self.capacity = int(capacity)
-
-    def access(self, key: CacheKey) -> bool:
-        """Touch ``key`` for one lookup; True when it is resident (a hit)."""
-        raise NotImplementedError
-
-    def admit(self, key: CacheKey) -> Tuple[bool, Optional[CacheKey]]:
-        """Offer a missed key; returns ``(admitted, evicted)``."""
-        raise NotImplementedError
-
-    def seed(self, key: CacheKey) -> Tuple[bool, Optional[CacheKey]]:
-        """Warm-phase insert (defaults to the runtime admission path)."""
-        return self.admit(key)
-
-    def remove(self, key: CacheKey) -> bool:
-        """Drop ``key`` if resident; returns whether it was."""
-        raise NotImplementedError
-
-    def __contains__(self, key: CacheKey) -> bool:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def resident(self) -> List[CacheKey]:
-        """Resident keys in eviction order (next victim first)."""
-        raise NotImplementedError
-
-
-class LRUPolicy(CachePolicy):
+class LRUPolicy:
     """Least-recently-used: every hit refreshes recency; evict the coldest."""
 
     name = "lru"
 
     def __init__(self, capacity: int):
-        super().__init__(capacity)
+        if capacity < 0:
+            raise ValueError(f"capacity must be non-negative, got {capacity}")
+        self.capacity = int(capacity)
         self._order: "OrderedDict[CacheKey, None]" = OrderedDict()
 
     def access(self, key: CacheKey) -> bool:
@@ -100,7 +39,8 @@ class LRUPolicy(CachePolicy):
         return False
 
     def admit(self, key: CacheKey) -> Tuple[bool, Optional[CacheKey]]:
-        """Always admits (when capacity > 0), evicting the LRU key if full."""
+        """Always admits (when capacity > 0), evicting the LRU key if full;
+        returns ``(admitted, evicted)``."""
         if self.capacity == 0:
             return False, None
         evicted: Optional[CacheKey] = None
@@ -108,10 +48,6 @@ class LRUPolicy(CachePolicy):
             evicted, _ = self._order.popitem(last=False)
         self._order[key] = None
         return True, evicted
-
-    def remove(self, key: CacheKey) -> bool:
-        """Drop ``key`` if resident."""
-        return self._order.pop(key, False) is None
 
     def __contains__(self, key: CacheKey) -> bool:
         return key in self._order
@@ -122,174 +58,3 @@ class LRUPolicy(CachePolicy):
     def resident(self) -> List[CacheKey]:
         """Keys from least- to most-recently used."""
         return list(self._order)
-
-
-class LFUPolicy(CachePolicy):
-    """Least-frequently-used with periodic aging.
-
-    O(1) per operation via frequency buckets (each an insertion-ordered
-    dict, so ties evict FIFO).  Every ``aging_interval`` accesses, all
-    frequencies decay to ``max(1, int(freq * aging_factor))`` — without
-    aging, rows hot long ago would be unevictable forever.
-    """
-
-    name = "lfu"
-
-    def __init__(self, capacity: int, aging_interval: int = 1024, aging_factor: float = 0.5):
-        super().__init__(capacity)
-        if aging_interval <= 0:
-            raise ValueError("aging_interval must be positive")
-        if not (0.0 <= aging_factor < 1.0):
-            raise ValueError("aging_factor must be in [0, 1)")
-        self.aging_interval = int(aging_interval)
-        self.aging_factor = float(aging_factor)
-        self._freq: Dict[CacheKey, int] = {}
-        self._buckets: Dict[int, "OrderedDict[CacheKey, None]"] = {}
-        self._min_freq = 0
-        self._accesses = 0
-
-    # -- internals --------------------------------------------------------------
-
-    def _bucket(self, f: int) -> "OrderedDict[CacheKey, None]":
-        b = self._buckets.get(f)
-        if b is None:
-            b = OrderedDict()
-            self._buckets[f] = b
-        return b
-
-    def _unlink(self, key: CacheKey, f: int) -> None:
-        bucket = self._buckets[f]
-        del bucket[key]
-        if not bucket:
-            del self._buckets[f]
-            if self._min_freq == f:
-                # During access() the key is transiently in no bucket, so
-                # _buckets may be empty here; the caller re-fixes _min_freq.
-                self._min_freq = min(self._buckets) if self._buckets else 0
-
-    def _tick(self) -> None:
-        self._accesses += 1
-        if self._accesses % self.aging_interval == 0 and self._freq:
-            # Decay every count; rebuild buckets preserving FIFO tie order.
-            order = [k for f in sorted(self._buckets) for k in self._buckets[f]]
-            self._freq = {k: max(1, int(self._freq[k] * self.aging_factor)) for k in order}
-            self._buckets = {}
-            for k in order:
-                self._bucket(self._freq[k])[k] = None
-            self._min_freq = min(self._buckets)
-
-    # -- contract ---------------------------------------------------------------
-
-    def access(self, key: CacheKey) -> bool:
-        """Hit bumps the key's frequency; every call advances the aging clock."""
-        self._tick()
-        f = self._freq.get(key)
-        if f is None:
-            return False
-        self._unlink(key, f)
-        self._freq[key] = f + 1
-        self._bucket(f + 1)[key] = None
-        if not self._buckets.get(self._min_freq):
-            self._min_freq = min(self._buckets)
-        return True
-
-    def admit(self, key: CacheKey) -> Tuple[bool, Optional[CacheKey]]:
-        """Admit at frequency 1, evicting the min-frequency FIFO victim."""
-        if self.capacity == 0:
-            return False, None
-        evicted: Optional[CacheKey] = None
-        if len(self._freq) >= self.capacity:
-            victims = self._buckets[self._min_freq]
-            evicted, _ = victims.popitem(last=False)
-            if not victims:
-                del self._buckets[self._min_freq]
-            del self._freq[evicted]
-        self._freq[key] = 1
-        self._bucket(1)[key] = None
-        self._min_freq = 1
-        return True, evicted
-
-    def remove(self, key: CacheKey) -> bool:
-        """Drop ``key`` if resident."""
-        f = self._freq.pop(key, None)
-        if f is None:
-            return False
-        self._unlink(key, f)
-        if not self._freq:
-            self._min_freq = 0
-        return True
-
-    def __contains__(self, key: CacheKey) -> bool:
-        return key in self._freq
-
-    def __len__(self) -> int:
-        return len(self._freq)
-
-    def resident(self) -> List[CacheKey]:
-        """Keys ordered lowest frequency first, FIFO within a frequency."""
-        return [k for f in sorted(self._buckets) for k in self._buckets[f]]
-
-    def frequency(self, key: CacheKey) -> int:
-        """Current (aged) frequency count of a resident key (0 if absent)."""
-        return self._freq.get(key, 0)
-
-
-class StaticTopKPolicy(CachePolicy):
-    """Frozen top-K set from a profiled pass; never admits at runtime.
-
-    :meth:`seed` fills the set (in profiled-rank order) until capacity;
-    :meth:`admit` always declines, so after warm-up the resident set — and
-    therefore the hit pattern — is fully determined by the profile.
-    """
-
-    name = "static-topk"
-
-    def __init__(self, capacity: int):
-        super().__init__(capacity)
-        self._keys: "OrderedDict[CacheKey, None]" = OrderedDict()
-
-    def access(self, key: CacheKey) -> bool:
-        """Pure membership test; residency never changes on access."""
-        return key in self._keys
-
-    def admit(self, key: CacheKey) -> Tuple[bool, Optional[CacheKey]]:
-        """Runtime misses are never installed."""
-        return False, None
-
-    def seed(self, key: CacheKey) -> Tuple[bool, Optional[CacheKey]]:
-        """Warm-phase insert while below capacity; never evicts."""
-        if len(self._keys) >= self.capacity or key in self._keys:
-            return False, None
-        self._keys[key] = None
-        return True, None
-
-    def remove(self, key: CacheKey) -> bool:
-        """Drop ``key`` if resident (invalidation still applies)."""
-        return self._keys.pop(key, False) is None
-
-    def __contains__(self, key: CacheKey) -> bool:
-        return key in self._keys
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def resident(self) -> List[CacheKey]:
-        """Seeded keys in rank order."""
-        return list(self._keys)
-
-
-def make_policy(
-    name: str,
-    capacity: int,
-    *,
-    aging_interval: int = 1024,
-    aging_factor: float = 0.5,
-) -> CachePolicy:
-    """Instantiate a policy by registry name (``lru``/``lfu``/``static-topk``)."""
-    if name == "lru":
-        return LRUPolicy(capacity)
-    if name == "lfu":
-        return LFUPolicy(capacity, aging_interval=aging_interval, aging_factor=aging_factor)
-    if name == "static-topk":
-        return StaticTopKPolicy(capacity)
-    raise ValueError(f"unknown cache policy {name!r} (use lru, lfu, or static-topk)")

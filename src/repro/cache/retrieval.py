@@ -4,7 +4,7 @@
 ``baseline``) with per-device :class:`~repro.cache.hotrow.HotRowCache`
 instances.  Each batch runs one cache pass (:meth:`plan_batch`) that walks
 every device's remote lookups in order, classifying hits and installing
-misses per policy, and produces a :class:`CacheBatchPlan` consumed by both
+misses in LRU order, and produces a :class:`CacheBatchPlan` consumed by both
 the timed and the functional path — a single pass, so cache state mutates
 exactly once per batch.
 
@@ -32,8 +32,8 @@ delegates to the unmodified base backend.  The functional path gathers
 each lookup's vector (hits from the cache replica, misses from the
 owner's weights) in original index order and pools with the same
 ``segment_pool`` kernel, which keeps outputs bit-identical to the
-uncached backends as long as replicas are not stale (see
-:meth:`CachedRetrieval.invalidate`).
+uncached backends.  No weight update reaches a cached backend (training
+runs only the uncached ones), so a replica never goes stale.
 """
 
 from __future__ import annotations
@@ -153,9 +153,9 @@ class CachedRetrieval(BaseRetrieval):
     def plan_batch(self, batch: SparseBatch) -> CacheBatchPlan:
         """Run the cache pass for one batch and derive adjusted workloads.
 
-        This mutates cache state (hits refresh recency/frequency, misses
-        install per policy) — call it once per batch and reuse the plan for
-        both the timed and the functional path.
+        This mutates cache state (hits refresh recency, misses install) —
+        call it once per batch and reuse the plan for both the timed and
+        the functional path.
         """
         if batch is None:
             raise ValueError("cached backends need the SparseBatch (index values)")
@@ -381,57 +381,6 @@ class CachedRetrieval(BaseRetrieval):
         timing = self.run_plan(cplan)
         outputs = self.functional_forward(batch, plan=cplan) if functional else None
         return timing, outputs
-
-    # -- maintenance ----------------------------------------------------------------
-
-    def warm_static(
-        self, batches: Sequence[SparseBatch], top_k: Optional[int] = None
-    ) -> List[int]:
-        """Profiled frequency pass: rank each device's remote rows over
-        ``batches`` and pre-fill its cache hottest-first.
-
-        This is how the ``static-topk`` policy gets its working set (lru /
-        lfu caches accept warming too).  Returns per-device seeded counts.
-        """
-        plan = self.table_plan
-        G = plan.n_devices
-        freq: List[Dict[Tuple[str, int], int]] = [dict() for _ in range(G)]
-        for batch in batches:
-            bounds = minibatch_bounds(batch.batch_size, G)
-            for t in plan.table_configs:
-                owner = plan.owner_of(t.name)
-                fld = batch.field(t.name)
-                for g in range(G):
-                    if g == owner:
-                        continue
-                    lo, hi = bounds[g]
-                    sl = fld.slice_samples(lo, hi)
-                    if not sl.nnz:
-                        continue
-                    rows = hash_indices(sl.indices, t.num_rows, t.hash_kind)
-                    vals, counts = np.unique(rows, return_counts=True)
-                    table_freq = freq[g]
-                    for r, c in zip(vals.tolist(), counts.tolist()):
-                        key = (t.name, r)
-                        table_freq[key] = table_freq.get(key, 0) + c
-        source_of = self._weights_of if self.sharded is not None else None
-        seeded = []
-        for g in range(G):
-            ranked = sorted(freq[g].items(), key=lambda kv: (-kv[1], kv[0]))
-            keys = [k for k, _ in ranked]
-            if top_k is not None:
-                keys = keys[:top_k]
-            seeded.append(self.caches[g].warm(keys, source_of=source_of))
-        return seeded
-
-    def invalidate(
-        self, table_name: Optional[str] = None, rows: Optional[np.ndarray] = None
-    ) -> int:
-        """Drop stale replicas on every device (see
-        :meth:`~repro.cache.hotrow.HotRowCache.invalidate`); returns the
-        total dropped.  Call after owner-side weight updates (the
-        training/backward extension) to preserve functional equivalence."""
-        return sum(cache.invalidate(table_name, rows) for cache in self.caches)
 
     def release(self) -> None:
         """Free every device's cache slab back to its memory pool."""

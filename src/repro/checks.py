@@ -58,6 +58,6 @@ def check_finite_fields(spec, *names: str) -> None:
 
 def check_bytes(what: str, value) -> None:
     """Require a finite byte count >= 0 (NaN fails); the ``ValueError``
-    names ``what``, e.g. ``"all_gather: bytes_per_rank[2]"``."""
+    names ``what``, e.g. ``"all_reduce: total_bytes"``."""
     if not 0 <= value < math.inf:
         raise ValueError(f"{what} must be finite and non-negative, got {value!r}")

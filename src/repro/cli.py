@@ -39,7 +39,7 @@ from .bench.skewsweep import run_skew_sweep, validate_skewsweep_json
 from .bench.sweeps import SweepResult, batch_size_sweep, pooling_sweep, table_count_sweep
 from .bench.telemetry import run_metrics, validate_metrics_json
 from .compress import CODEC_NAMES
-from .core.planner import plan_table_wise
+from .core.planner import PlacementError, plan_table_wise
 from .core.factory import parse_backend_name
 from .core.retrieval import DistributedEmbedding, adapter_class, available_backends
 from .core.runspec import PRESETS
@@ -94,6 +94,7 @@ _fraction = _float_type(lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
 _positive_float = _float_type(lambda v: 0.0 < v < math.inf, "must be positive and finite")
 _non_negative_float = _float_type(lambda v: 0.0 <= v < math.inf, "must be >= 0 and finite")
 _zipf_alpha = _float_type(lambda v: v > 1.0, "zipf alpha must be > 1")
+_reserve = _float_type(lambda v: 0.0 <= v < 1.0, "must be in [0, 1)")
 
 
 _BASES = ("pgas", "baseline")
@@ -198,7 +199,7 @@ SWEEPS: Dict[str, _Sweep] = {
     "cache": _Sweep(
         "hot-row cache hit rate / comm / speedup vs skew and capacity",
         run=lambda a: run_cache_sweep(
-            _workload_from(a), a.alphas, a.capacities, policy=a.policy,
+            _workload_from(a), a.alphas, a.capacities,
             n_devices=a.gpus, n_batches=a.batches,
         ),
         shared=dict(_WORKLOAD, tables=8, rows=4096, dim=32, batch=1024, pooling=4,
@@ -208,7 +209,6 @@ SWEEPS: Dict[str, _Sweep] = {
                               help="zipf skew values")),
             ("--capacities", dict(type=_fraction, nargs="+", default=[0.05, 0.1, 0.2],
                                   help="cache capacity as a fraction of remote rows")),
-            ("--policy", dict(choices=("lru", "lfu", "static-topk"), default="lru")),
         ],
         validate=validate_cachesweep_json,
     ),
@@ -362,11 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="list the backends and their capability flags")
 
     pl = sub.add_parser("plan", help="capacity-aware table placement")
-    pl.add_argument("--criteo-tables", type=int, default=26)
-    pl.add_argument("--dim", type=int, default=64)
+    pl.add_argument("--criteo-tables", type=_positive_int, default=26)
+    pl.add_argument("--dim", type=_positive_int, default=64)
     pl.add_argument("--gpus", type=_positive_int, default=None,
                     help="force a device count (default: minimal feasible)")
-    pl.add_argument("--reserve", type=float, default=0.1,
+    pl.add_argument("--reserve", type=_reserve, default=0.1,
                     help="HBM fraction reserved for activations")
     pl.add_argument("--seed", type=_non_negative_int, default=7)
 
@@ -425,12 +425,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     workload = criteo_like(num_tables=args.criteo_tables, dim=args.dim, seed=args.seed)
-    report = plan_table_wise(
-        workload.table_configs(),
-        n_devices=args.gpus,
-        device_spec=V100_SPEC,
-        reserve_fraction=args.reserve,
-    )
+    try:
+        report = plan_table_wise(
+            workload.table_configs(),
+            n_devices=args.gpus,
+            device_spec=V100_SPEC,
+            reserve_fraction=args.reserve,
+        )
+    except PlacementError as exc:
+        print(f"repro plan: error: {exc}", file=sys.stderr)
+        return 1
     print(report.summary())
     return 0
 

@@ -15,7 +15,7 @@ from .hier import (
     inter_node_message_count,
     inter_node_wire_bytes,
 )
-from .pgas import PGASContext, PGASSpec, SymmetricHeap
+from .pgas import PGASContext, PGASSpec
 
 __all__ = [
     "CollectiveContext",
@@ -24,7 +24,6 @@ __all__ = [
     "NodeStagingRouter",
     "PGASContext",
     "PGASSpec",
-    "SymmetricHeap",
     "TwoLevelAllToAll",
     "WorkHandle",
     "inter_node_message_count",

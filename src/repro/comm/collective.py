@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -287,27 +287,6 @@ class CollectiveContext:
                 return
         done.succeed()
 
-    def all_gather(self, bytes_per_rank: Sequence[float]) -> WorkHandle:
-        """Each rank broadcasts its contribution to every other rank."""
-        G = self.cluster.n_devices
-        contrib = [float(b) for b in bytes_per_rank]
-        if len(contrib) != G:
-            raise ValueError(f"need {G} contributions, got {len(contrib)}")
-        for rank, b in enumerate(contrib):
-            check_bytes(f"all_gather: bytes_per_rank[{rank}]", b)
-        return self._start("all_gather", self._all_pairs(lambda s, d: contrib[s]))
-
-    def reduce_scatter(self, total_bytes: float) -> WorkHandle:
-        """Ring reduce-scatter of a ``total_bytes`` tensor (per-rank equal share).
-
-        Ring volume: each rank sends ``(G-1)/G * total`` in G-1 steps to its
-        neighbour.
-        """
-        G = self.cluster.n_devices
-        check_bytes("reduce_scatter: total_bytes", total_bytes)
-        share = total_bytes / G if G else 0.0
-        return self._start("reduce_scatter", self._ring(share, G - 1))
-
     def all_reduce(self, total_bytes: float) -> WorkHandle:
         """Ring all-reduce: reduce-scatter + all-gather volume (2(G-1)/G)."""
         G = self.cluster.n_devices
@@ -315,7 +294,3 @@ class CollectiveContext:
         share = total_bytes / G if G else 0.0
         # Reduce-scatter then all-gather: 2(G-1) ring steps.
         return self._start("all_reduce", self._ring(share, 2 * (G - 1)))
-
-    def barrier(self) -> WorkHandle:
-        """A tiny all-to-all: pure control-path latency."""
-        return self._start("barrier", self._all_pairs(lambda s, d: 8.0))

@@ -5,11 +5,8 @@ an embedding vector writes it *directly* to the output array — locally if
 the sample belongs to the local mini-batch, remotely via a one-sided RDMA
 write otherwise.  No collective call, no packing, no staging buffer.
 
-This module models that with three pieces:
+This module models that with two pieces:
 
-* :class:`SymmetricHeap` — lockstep allocation across all devices, so a
-  buffer has the same "address" (offset) everywhere; remote writes name
-  ``(peer, offset)`` exactly like NVSHMEM's symmetric objects.
 * :meth:`PGASContext.put` — non-blocking one-sided write of a payload that
   is carried as many small messages (default 256 B — one d=64 fp32
   embedding vector per message, the paper's counter unit) each paying a
@@ -45,18 +42,15 @@ from __future__ import annotations
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
-
-import numpy as np
+from typing import Dict, Iterable, List, Optional, Union
 
 from ..checks import check_bytes, check_finite
 from ..simgpu.cluster import Cluster
 from ..simgpu.engine import Event
-from ..simgpu.memory import Buffer
 from ..simgpu.stream import join
 from ..simgpu.units import us
 
-__all__ = ["PGASSpec", "SymmetricHeap", "PGASContext"]
+__all__ = ["PGASSpec", "PGASContext"]
 
 
 _INF = float("inf")
@@ -133,54 +127,6 @@ class PGASSpec:
         return self.message_bytes / (self.message_bytes + self.header_bytes)
 
 
-class SymmetricHeap:
-    """Lockstep allocator: one buffer per device at identical offsets.
-
-    NVSHMEM's symmetric heap invariant — every PE holds the allocation at
-    the same offset — lets a one-sided write address remote memory with a
-    local pointer.  We enforce it by allocating on all devices in the same
-    order and asserting the offsets agree.
-    """
-
-    def __init__(self, cluster: Cluster):
-        self.cluster = cluster
-        self._allocs: List[List[Buffer]] = []
-
-    def alloc(
-        self,
-        shape: Tuple[int, ...],
-        dtype: np.dtype = np.dtype(np.float32),
-        *,
-        materialize: bool = False,
-        label: str = "symmetric",
-    ) -> List[Buffer]:
-        """Allocate ``shape`` on every device; returns buffers by device id."""
-        buffers = [
-            dev.memory.alloc(shape, dtype, materialize=materialize, label=label)
-            for dev in self.cluster.devices
-        ]
-        offsets = {b.offset for b in buffers}
-        if len(offsets) != 1:
-            # Heaps diverged (asymmetric prior allocations): roll back.
-            for dev, b in zip(self.cluster.devices, buffers):
-                dev.memory.free(b)
-            raise RuntimeError(
-                "symmetric allocation failed: device heaps have diverged "
-                f"(offsets {sorted(offsets)}); allocate symmetric buffers "
-                "before any per-device ones"
-            )
-        self._allocs.append(buffers)
-        return buffers
-
-    def free(self, buffers: List[Buffer]) -> None:
-        """Free a symmetric allocation on every device."""
-        if buffers not in self._allocs:
-            raise ValueError("not a live symmetric allocation")
-        self._allocs.remove(buffers)
-        for dev, b in zip(self.cluster.devices, buffers):
-            dev.memory.free(b)
-
-
 class PGASContext:
     """One-sided communication endpoint set over a cluster."""
 
@@ -190,7 +136,6 @@ class PGASContext:
     def __init__(self, cluster: Cluster, spec: Optional[PGASSpec] = None):
         self.cluster = cluster
         self.spec = spec or PGASSpec()
-        self.heap = SymmetricHeap(cluster)
         ids = [d.id for d in cluster.devices]
         # PE -> its device's can_access_peers: one lookup checks a source,
         # one call screens a wave's destinations.

@@ -10,12 +10,9 @@ from .aggregator import AggregatorSpec, AsyncAggregator
 from .backward import (
     BaselineBackward,
     PGASFusedBackward,
-    RowWiseBaselineBackward,
-    RowWisePGASBackward,
     baseline_functional_backward,
     pgas_functional_backward,
     reference_backward,
-    rowwise_functional_backward,
     table_row_gradients,
 )
 from .baseline import BaselineRetrieval, PhaseTiming
@@ -105,13 +102,10 @@ __all__ = [
     "PipelineTiming",
     "PlacementError",
     "PlacementReport",
-    "RowWiseBaselineBackward",
-    "RowWisePGASBackward",
     "build_rowwise_workloads",
     "min_devices_required",
     "plan_table_wise",
     "rowwise_baseline_functional_forward",
-    "rowwise_functional_backward",
     "rowwise_functional_forward_partials",
     "rowwise_pgas_functional_forward",
     "REMOTE_WRITE_KERNEL_DRAG",

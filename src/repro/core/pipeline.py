@@ -26,7 +26,6 @@ transform's) mean for whole-model latency (Amdahl).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, List, Literal, Mapping, Optional, Sequence
 
 import numpy as np
@@ -46,7 +45,7 @@ from ..simgpu.units import gbps
 from .baseline import BatchStart, PhaseTiming
 from .calibration import INDEX_BYTES, OFFSET_BYTES
 from .factory import FeatureSpec
-from .retrieval import BackendName, EmbeddingHost, adapter_class
+from .retrieval import BackendName, EmbeddingHost
 from .sharding import TableWiseSharding, minibatch_bounds
 from .workload import DeviceWorkload, build_device_workloads, lengths_from_batch
 
@@ -375,82 +374,12 @@ class DLRMInferencePipeline(EmbeddingHost):
 
         return start
 
-    def run_batches_pipelined(
-        self, lengths_iter, backend: Optional[BackendName] = None
-    ) -> PipelineTiming:
-        """Run a stream of batches with inter-batch input prefetch.
-
-        While batch *n* computes, batch *n+1*'s inputs stream to the
-        devices over the (otherwise idle) host link — the double-buffering
-        every production inference loop does.  Returns accumulated stage
-        times; ``total_ns`` is the true pipelined wall time, so it is
-        *less* than the sum of per-batch totals.
-        """
-        be = backend or self.backend
-        if adapter_class(be).requires_indices:
-            raise ValueError(
-                f"backend {be!r} is index-dependent; pipelined prefetch only "
-                "supports lengths-driven backends (use run_batches)"
-            )
-        all_lengths = list(lengths_iter)
-        if not all_lengths:
-            return PipelineTiming()
-        total = PipelineTiming()
-        engine = self.cluster.engine
-
-        def driver(cluster: Cluster) -> Event:
-            t0 = engine.now
-            workloads = [build_device_workloads(self.plan, l) for l in all_lengths]
-            # Pre-submit every batch's input copies on the h2d streams:
-            # FIFO stream order means batch i+1's copy starts the instant
-            # batch i's finishes — i.e. under batch i's compute.  (This
-            # idealises buffer depth; the staged bytes are accounting-only.)
-            copy_ops_per_batch = []
-            for wls in workloads:
-                ops = []
-                for dev in cluster.devices:
-                    nbytes = self._input_bytes(dev.id, wls)
-                    ops.append(
-                        dev.stream("h2d").submit_delay(
-                            nbytes / self.h2d_bandwidth, name="h2d"
-                        )
-                    )
-                copy_ops_per_batch.append(ops)
-            per_batch = [PipelineTiming(batches=1) for _ in workloads]
-
-            def start_batch(i: int) -> Event:
-                return self._start_batch(
-                    cluster, workloads[i], per_batch[i],
-                    self._emb_stage(workloads[i], per_batch[i], be),
-                    copy_ops=copy_ops_per_batch[i],
-                )
-
-            def add(timing: PipelineTiming) -> None:
-                total.input_copy_ns += timing.input_copy_ns
-                total.dense_mlp_ns += timing.dense_mlp_ns
-                total.emb.add(timing.emb)
-                total.interaction_top_ns += timing.interaction_top_ns
-                total.overlap_saved_ns += timing.overlap_saved_ns
-                total.batches += 1
-
-            def finished() -> None:
-                total.total_ns = engine.now - t0
-
-            steps = []
-            for i, timing in enumerate(per_batch):
-                steps += [partial(start_batch, i), partial(add, timing)]
-            return cluster.chain(*steps, finished)
-
-        self.cluster.run(driver)
-        return total
-
     def _start_batch(
         self,
         cluster: Cluster,
         workloads: Sequence[DeviceWorkload],
         timing: PipelineTiming,
         emb_start: BatchStart,
-        copy_ops: Optional[list] = None,
         stream_suffix: str = "",
         trace_ref: Optional[TraceRef] = None,
     ) -> Event:
@@ -463,15 +392,10 @@ class DLRMInferencePipeline(EmbeddingHost):
         t0 = engine.now
         t1 = t2 = t_dense = 0.0
         dense_done: Optional[Event] = None
+        copy_ops: List[Event] = []
 
         # ---- stage 1: input staging over the host link ------------------------
         def staging() -> Event:
-            nonlocal copy_ops
-            # ``copy_ops`` given: the driver pre-submitted this batch's copies
-            # (inter-batch prefetch); just wait for them.
-            if copy_ops is not None:
-                return join(engine, copy_ops)
-            copy_ops = []
             first_chunk_ops = []
             K = self.staging_chunks if self.overlap_input_staging else 1
             for dev in cluster.devices:

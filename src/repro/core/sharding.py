@@ -262,15 +262,6 @@ class RowWiseSharding(ShardingPlan):
             )
         return shards[device_id]
 
-    def row_owner(self, table_name: str, rows: np.ndarray) -> np.ndarray:
-        """Owning device of each (hashed) row id — vectorised.
-
-        Raises :class:`ShardingError` for an unknown table.
-        """
-        shards = self._table_shards(table_name)
-        cuts = np.array([s.row_hi for s in shards[:-1]], dtype=np.int64)
-        return np.searchsorted(cuts, np.asarray(rows, dtype=np.int64), side="right")
-
     def tables_on(self, device_id: int) -> List[EmbeddingTableConfig]:
         """Row-wise: every device holds a slice of every table."""
         return list(self.table_configs)

@@ -6,7 +6,6 @@ generation matching the paper's experimental setup.
 """
 
 from .batch import JaggedField, SparseBatch
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import (
     STRONG_SCALING_TOTAL,
     CountsOnlyError,
@@ -40,16 +39,12 @@ from .interaction import (
 )
 from .mlp import MLP, Linear, relu, sigmoid
 from .model import DLRM, DLRMConfig
-from .optim import RowWiseAdagrad, SparseSGD, aggregate_row_gradients
 from .training import DLRMTrainer, TrainStepResult, bce_grad, bce_loss, interaction_backward
 
 __all__ = [
     "DLRM",
     "DLRMConfig",
-    "CheckpointError",
     "DLRMTrainer",
-    "load_checkpoint",
-    "save_checkpoint",
     "TrainStepResult",
     "bce_grad",
     "bce_loss",
@@ -70,9 +65,6 @@ __all__ = [
     "Linear",
     "MLP",
     "PoolingMode",
-    "RowWiseAdagrad",
-    "SparseSGD",
-    "aggregate_row_gradients",
     "STRONG_SCALING_TOTAL",
     "SparseBatch",
     "SyntheticDataGenerator",

@@ -109,16 +109,11 @@ class DLRMTrainer:
     compare against this trainer's own (reference) application.
     """
 
-    def __init__(self, model: DLRM, lr: float = 0.1, embedding_optimizer=None):
-        """``embedding_optimizer`` (e.g.
-        :class:`~repro.dlrm.optim.RowWiseAdagrad`) overrides plain-SGD
-        application of the embedding gradients; MLP weights always use SGD
-        at ``lr``."""
+    def __init__(self, model: DLRM, lr: float = 0.1):
         if lr <= 0:
             raise ValueError("lr must be positive")
         self.model = model
         self.lr = lr
-        self.embedding_optimizer = embedding_optimizer
 
     def train_step(
         self,
@@ -151,20 +146,9 @@ class DLRMTrainer:
         model.bottom_mlp.backward(bottom_cache, g_dense_emb, lr=self.lr)
 
         if apply_embedding_grads:
-            if self.embedding_optimizer is not None:
-                from ..core.backward import table_row_gradients
+            from ..core.backward import reference_backward
 
-                for f, table in enumerate(model.embeddings.tables):
-                    rows, grads = table_row_gradients(
-                        table, sparse.field(table.name), g_sparse_emb[:, f, :]
-                    )
-                    self.embedding_optimizer.update(table, rows, grads)
-            else:
-                from ..core.backward import reference_backward
-
-                reference_backward(
-                    model.embeddings.tables, sparse, g_sparse_emb, lr=self.lr
-                )
+            reference_backward(model.embeddings.tables, sparse, g_sparse_emb, lr=self.lr)
 
         return TrainStepResult(
             loss=loss, grad_sparse=g_sparse_emb, grad_dense=g_dense_emb, preds=preds

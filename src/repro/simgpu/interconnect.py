@@ -150,8 +150,7 @@ class Link:
     Transfers serialise: each reservation starts no earlier than the link's
     previous reservation finished.  Completion = start + wire/bandwidth +
     latency (latency is pipelined, charged once per transfer).  The
-    fabric books links through :func:`_reserve`; :meth:`transfer` is the
-    same booking for one payload, with a delivery event.
+    fabric (:class:`Interconnect`) books links through :func:`_reserve`.
 
     Fault state (driven by :class:`repro.faults.FaultInjector`) composes
     multiplicatively/additively on top of the static :class:`LinkSpec`:
@@ -161,8 +160,7 @@ class Link:
     bit-identical to the healthy model.
     """
 
-    def __init__(self, engine: Engine, src: int, dst: int, spec: LinkSpec):
-        self.engine = engine
+    def __init__(self, src: int, dst: int, spec: LinkSpec):
         self.src = src
         self.dst = dst
         self.spec = spec
@@ -205,44 +203,6 @@ class Link:
     def effective_bandwidth(self) -> float:
         """Bandwidth after the current fault derate."""
         return self.spec.bandwidth * self.bandwidth_scale
-
-    def transfer(
-        self,
-        payload_bytes: float,
-        *,
-        message_bytes: int = 0,
-        header_bytes: int = 0,
-        on_complete: Optional[Callable[[float], None]] = None,
-        on_schedule: Optional[Callable[[float, float], None]] = None,
-    ) -> Event:
-        """Reserve the link for a payload; returns an event firing at delivery.
-
-        ``on_complete(t_delivered)`` runs at the delivery instant (before
-        waiters).  ``on_schedule(start, done_at)`` runs synchronously at
-        reservation time with the computed occupancy window.
-        """
-        check_bytes(f"transfer {self.src}->{self.dst}: payload", payload_bytes)
-        engine = self.engine
-        (start,), (done_at,) = _reserve(
-            engine.now, (self,), (payload_bytes,), message_bytes, header_bytes
-        )
-        if on_schedule is not None:
-            on_schedule(start, done_at)
-        ev = Event(engine, "xfer")
-
-        def fire() -> None:
-            if on_complete is not None:
-                on_complete(engine.now)
-            ev.succeed()
-
-        engine.call_at(done_at, fire)
-        return ev
-
-    def utilization(self, horizon_ns: float) -> float:
-        """Fraction of ``horizon_ns`` this link spent busy."""
-        if horizon_ns <= 0:
-            raise ValueError("horizon must be positive")
-        return min(self.busy_time / horizon_ns, 1.0)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Link {self.src}->{self.dst} {self.spec.bandwidth:.0f}GB/s>"
@@ -331,7 +291,7 @@ class Interconnect:
                 raise ValueError(
                     f"devices {src} and {dst} are not connected in {self.topology.name}"
                 )
-            lk = Link(self.engine, src, dst, spec)
+            lk = Link(src, dst, spec)
             self._links[key] = lk
         return lk
 

@@ -1,4 +1,4 @@
-"""HotRowCache: capacity accounting, install/evict mechanics, invalidation."""
+"""HotRowCache: capacity accounting, install/evict mechanics."""
 
 from __future__ import annotations
 
@@ -32,12 +32,6 @@ class TestCacheConfig:
             CacheConfig(capacity_rows=-1)
         with pytest.raises(ValueError):
             CacheConfig(capacity_fraction=1.5)
-        with pytest.raises(ValueError):
-            CacheConfig(policy="fifo")
-        with pytest.raises(ValueError):
-            CacheConfig(aging_interval=0)
-        with pytest.raises(ValueError):
-            CacheConfig(aging_factor=1.0)
 
 
 class TestCapacityAccounting:
@@ -91,7 +85,7 @@ class TestLookupMechanics:
 
     def test_eviction_frees_the_slot(self):
         cache = HotRowCache(
-            fresh_device(), [table()], CacheConfig(capacity_rows=2, policy="lru")
+            fresh_device(), [table()], CacheConfig(capacity_rows=2)
         )
         cache.lookup_rows("t0", np.array([1, 2, 3]))  # 3 evicts 1
         assert cache.stats.evictions == 1
@@ -108,38 +102,11 @@ class TestLookupMechanics:
         weights = np.arange(50 * 4, dtype=np.float32).reshape(50, 4)
         acc = cache.lookup_rows("t0", np.array([5, 7, 5]), source=weights)
         assert np.array_equal(acc.values, weights[[5, 7, 5]])
-        # A replica is a copy: owner-side updates do not reach it ...
+        # A replica is a copy: owner-side updates do not reach it.
         weights[5] += 100.0
         acc = cache.lookup_rows("t0", np.array([5]), source=weights)
         assert acc.hits == 1
         assert np.array_equal(acc.values[0], np.arange(20, 24, dtype=np.float32))
-        # ... until the row is invalidated and refetched.
-        assert cache.invalidate("t0", rows=np.array([5])) == 1
-        acc = cache.lookup_rows("t0", np.array([5]), source=weights)
-        assert acc.hits == 0
-        assert np.array_equal(acc.values[0], weights[5])
-
-    def test_warm_seeds_hottest_first(self):
-        cache = HotRowCache(
-            fresh_device(), [table()], CacheConfig(capacity_rows=2, policy="static-topk")
-        )
-        seeded = cache.warm([("t0", 9), ("t0", 4), ("t0", 1)])
-        assert seeded == 2  # rank order, capped at capacity
-        acc = cache.lookup_rows("t0", np.array([9, 4, 1]))
-        assert acc.hit_mask.tolist() == [True, True, False]
-        assert cache.stats.installs == 2  # static-topk never installs at runtime
-
-    def test_invalidate_whole_table_and_flush(self):
-        cache = HotRowCache(
-            fresh_device(), [table("a"), table("b")], CacheConfig(capacity_rows=8)
-        )
-        cache.lookup_rows("a", np.array([1, 2]))
-        cache.lookup_rows("b", np.array([3]))
-        assert cache.invalidate("a") == 2
-        assert cache.resident_rows == 1
-        assert cache.invalidate() == 1  # full flush
-        assert cache.resident_rows == 0
-        assert cache.stats.invalidations == 3
 
 
 class TestStats:

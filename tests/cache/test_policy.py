@@ -1,15 +1,10 @@
-"""Replacement-policy contracts: eviction order, aging, frozen sets."""
+"""LRU residency contract: eviction order, capacity."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cache.policy import (
-    LFUPolicy,
-    LRUPolicy,
-    StaticTopKPolicy,
-    make_policy,
-)
+from repro.cache.policy import LRUPolicy
 
 
 def k(i):
@@ -37,105 +32,6 @@ class TestLRU:
         p = LRUPolicy(0)
         assert p.admit(k(1)) == (False, None)
         assert len(p) == 0
-
-    def test_remove(self):
-        p = LRUPolicy(2)
-        p.admit(k(1))
-        assert p.remove(k(1))
-        assert not p.remove(k(1))
-        assert k(1) not in p
-
-
-class TestLFU:
-    def test_evicts_lowest_frequency(self):
-        p = LFUPolicy(3, aging_interval=1000)
-        for i in (1, 2, 3):
-            p.admit(k(i))
-        p.access(k(1))
-        p.access(k(3))
-        admitted, evicted = p.admit(k(4))  # 2 is the only freq-1 key
-        assert admitted and evicted == k(2)
-
-    def test_fifo_tie_break(self):
-        p = LFUPolicy(2, aging_interval=1000)
-        p.admit(k(1))
-        p.admit(k(2))  # both freq 1; 1 admitted earlier
-        _, evicted = p.admit(k(3))
-        assert evicted == k(1)
-
-    def test_eviction_order_listing(self):
-        p = LFUPolicy(3, aging_interval=1000)
-        for i in (1, 2, 3):
-            p.admit(k(i))
-        p.access(k(2))
-        assert p.resident() == [k(1), k(3), k(2)]  # victims first
-
-    def test_aging_decays_counts(self):
-        p = LFUPolicy(4, aging_interval=2, aging_factor=0.5)
-        p.admit(k(1))
-        p.admit(k(2))
-        p.access(k(1))  # tick 1: freq(1) -> 2
-        p.access(k(1))  # tick 2: decay (1->1, 2->1), then hit -> freq(1)=2
-        assert p.frequency(k(1)) == 2
-        assert p.frequency(k(2)) == 1
-
-    def test_aging_lets_stale_hot_rows_leave(self):
-        p = LFUPolicy(2, aging_interval=4, aging_factor=0.25)
-        p.admit(k(1))
-        for _ in range(3):
-            p.access(k(1))  # freq(1) grows hot
-        p.admit(k(2))
-        # 4 more accesses of 2 → one aging boundary collapses 1's old heat.
-        for _ in range(4):
-            p.access(k(2))
-        _, evicted = p.admit(k(3))
-        assert evicted == k(1)
-
-    def test_remove_clears_state(self):
-        p = LFUPolicy(2, aging_interval=1000)
-        p.admit(k(1))
-        assert p.remove(k(1))
-        assert not p.remove(k(1))
-        assert p.frequency(k(1)) == 0
-
-
-class TestStaticTopK:
-    def test_seed_fills_in_rank_order(self):
-        p = StaticTopKPolicy(2)
-        assert p.seed(k(1)) == (True, None)
-        assert p.seed(k(2)) == (True, None)
-        assert p.seed(k(3)) == (False, None)  # full: never evicts
-        assert p.resident() == [k(1), k(2)]
-
-    def test_runtime_admission_always_declines(self):
-        p = StaticTopKPolicy(4)
-        p.seed(k(1))
-        assert p.admit(k(2)) == (False, None)
-        assert len(p) == 1
-
-    def test_access_is_pure_membership(self):
-        p = StaticTopKPolicy(2)
-        p.seed(k(1))
-        assert p.access(k(1))
-        assert not p.access(k(2))
-        assert p.resident() == [k(1)]  # unchanged by accesses
-
-    def test_remove_applies_invalidation(self):
-        p = StaticTopKPolicy(2)
-        p.seed(k(1))
-        assert p.remove(k(1))
-        assert not p.access(k(1))
-
-
-class TestFactory:
-    def test_make_policy_names(self):
-        assert isinstance(make_policy("lru", 4), LRUPolicy)
-        assert isinstance(make_policy("lfu", 4), LFUPolicy)
-        assert isinstance(make_policy("static-topk", 4), StaticTopKPolicy)
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="policy"):
-            make_policy("fifo", 4)
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):

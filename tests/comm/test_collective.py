@@ -132,19 +132,6 @@ class TestAllToAll:
 
 
 class TestOtherCollectives:
-    def test_all_gather_volume(self):
-        cl = dgx_v100(3)
-        ctx = CollectiveContext(cl, fast_spec())
-        run_collective(cl, lambda: ctx.all_gather([100.0, 200.0, 300.0]))
-        # each rank sends its contribution to 2 peers
-        expected = 2 * (100 + 200 + 300)
-        assert cl.profiler.counter(Interconnect.COUNTER).total == pytest.approx(expected)
-
-    def test_all_gather_wrong_count(self):
-        ctx = CollectiveContext(dgx_v100(2), fast_spec())
-        with pytest.raises(ValueError):
-            ctx.all_gather([1.0])
-
     def test_all_reduce_ring_volume(self):
         G = 4
         cl = dgx_v100(G)
@@ -155,29 +142,10 @@ class TestOtherCollectives:
         expected = 2 * (G - 1) * (total / G) * G
         assert cl.profiler.counter(Interconnect.COUNTER).total == pytest.approx(expected)
 
-    def test_reduce_scatter_half_of_allreduce(self):
-        G = 4
-        total = 4000.0
-        cl1 = dgx_v100(G)
-        run_collective(cl1, lambda: CollectiveContext(cl1, fast_spec()).reduce_scatter(total))
-        cl2 = dgx_v100(G)
-        run_collective(cl2, lambda: CollectiveContext(cl2, fast_spec()).all_reduce(total))
-        v1 = cl1.profiler.counter(Interconnect.COUNTER).total
-        v2 = cl2.profiler.counter(Interconnect.COUNTER).total
-        assert v2 == pytest.approx(2 * v1)
-
     def test_negative_volume_rejected(self):
         ctx = CollectiveContext(dgx_v100(2), fast_spec())
         with pytest.raises(ValueError):
             ctx.all_reduce(-1.0)
-        with pytest.raises(ValueError):
-            ctx.reduce_scatter(-1.0)
-
-    def test_barrier_is_cheap_but_not_free(self):
-        cl = dgx_v100(2)
-        ctx = CollectiveContext(cl)
-        run_collective(cl, lambda: ctx.barrier())
-        assert 0 < cl.engine.now < 100 * us
 
 
 class TestAlltoallAlgorithms:
@@ -288,14 +256,7 @@ class TestNonFiniteBytes:
             CollectiveContext(cl).all_to_all_single(split)
         assert cl.engine._seq == 0
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_all_gather(self, bad):
-        cl = dgx_v100(3)
-        with pytest.raises(ValueError, match=r"all_gather: bytes_per_rank\[2\]"):
-            CollectiveContext(cl).all_gather([1.0, 2.0, bad])
-        assert cl.engine._seq == 0
-
-    @pytest.mark.parametrize("op", ["all_reduce", "reduce_scatter"])
+    @pytest.mark.parametrize("op", ["all_reduce"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_ring_collectives(self, op, bad):
         cl = dgx_v100(3)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.comm.hier import HierSpec, NodeStagingRouter
-from repro.comm.pgas import PGASContext, PGASSpec, SymmetricHeap
+from repro.comm.pgas import PGASContext, PGASSpec
 from repro.core.aggregator import AggregatorSpec, AsyncAggregator
 from repro.simgpu import dgx_v100, multinode
 from repro.simgpu.profiler import TraceRef
@@ -51,43 +51,6 @@ class TestSpec:
             PGASSpec(message_bytes=0)
         with pytest.raises(ValueError):
             PGASSpec(header_bytes=-1)
-
-
-class TestSymmetricHeap:
-    def test_same_offsets_across_devices(self):
-        cl = dgx_v100(3)
-        heap = SymmetricHeap(cl)
-        bufs = heap.alloc((100, 4))
-        assert len(bufs) == 3
-        assert len({b.offset for b in bufs}) == 1
-        assert {b.device_id for b in bufs} == {0, 1, 2}
-
-    def test_successive_allocations_stay_symmetric(self):
-        cl = dgx_v100(2)
-        heap = SymmetricHeap(cl)
-        a = heap.alloc((10,))
-        b = heap.alloc((20,))
-        assert a[0].offset == a[1].offset
-        assert b[0].offset == b[1].offset
-        assert a[0].offset != b[0].offset
-
-    def test_diverged_heaps_detected_and_rolled_back(self):
-        cl = dgx_v100(2)
-        heap = SymmetricHeap(cl)
-        cl.device(0).memory.alloc((7,))  # asymmetric private allocation
-        used_before = [d.memory.used for d in cl.devices]
-        with pytest.raises(RuntimeError, match="diverged"):
-            heap.alloc((10,))
-        assert [d.memory.used for d in cl.devices] == used_before
-
-    def test_free(self):
-        cl = dgx_v100(2)
-        heap = SymmetricHeap(cl)
-        bufs = heap.alloc((10,))
-        heap.free(bufs)
-        assert all(d.memory.used == 0 for d in cl.devices)
-        with pytest.raises(ValueError):
-            heap.free(bufs)
 
 
 class TestPut:

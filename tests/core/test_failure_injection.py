@@ -12,12 +12,7 @@ import numpy as np
 import pytest
 
 from repro.comm.pgas import PGASContext
-from repro.core.backward import (
-    BaselineBackward,
-    PGASFusedBackward,
-    RowWiseBaselineBackward,
-    RowWisePGASBackward,
-)
+from repro.core.backward import BaselineBackward, PGASFusedBackward
 from repro.core.pgas_retrieval import PGASFusedRetrieval
 from repro.core.baseline import BaselineRetrieval
 from repro.core.sharding import RowWiseSharding, TableWiseSharding
@@ -191,7 +186,6 @@ class TestWorkloadValidation:
 
     @pytest.mark.parametrize("engine_cls", [
         BaselineRetrieval, PGASFusedRetrieval, BaselineBackward, PGASFusedBackward,
-        RowWiseBaselineBackward, RowWisePGASBackward,
     ])
     @pytest.mark.parametrize("mismatch", ["short", "reversed"])
     def test_every_timed_pass_rejects_mismatched_workloads(self, engine_cls, mismatch):

@@ -151,30 +151,3 @@ class TestInputStagingOverlap:
     def test_bad_chunk_count(self):
         with pytest.raises(ValueError):
             DLRMInferencePipeline(make_config(), 2, staging_chunks=0)
-
-
-class TestInterBatchPipelining:
-    def test_pipelined_faster_than_serial(self, lengths):
-        cfg = make_config()
-        serial = DLRMInferencePipeline(cfg, 2).run_batches([lengths] * 4)
-        pipelined = DLRMInferencePipeline(cfg, 2).run_batches_pipelined([lengths] * 4)
-        assert pipelined.batches == serial.batches == 4
-        assert pipelined.total_ns < serial.total_ns
-        # batches 1..3 see their inputs already resident: the saving is
-        # roughly (n-1) input-copy times.
-        one_copy = serial.input_copy_ns / 4
-        saving = serial.total_ns - pipelined.total_ns
-        assert saving > 1.5 * one_copy
-
-    def test_first_batch_still_pays_its_copy(self, lengths):
-        cfg = make_config()
-        pipelined = DLRMInferencePipeline(cfg, 2).run_batches_pipelined([lengths] * 2)
-        # stage-1 waits: the first is a full copy, later ones near zero.
-        single = DLRMInferencePipeline(cfg, 2).run_batch(lengths)
-        assert pipelined.input_copy_ns >= single.input_copy_ns * 0.95
-        assert pipelined.input_copy_ns < single.input_copy_ns * 1.5
-
-    def test_empty_stream(self):
-        cfg = make_config()
-        t = DLRMInferencePipeline(cfg, 2).run_batches_pipelined([])
-        assert t.batches == 0 and t.total_ns == 0.0

@@ -187,72 +187,3 @@ class TestTimedRowWise:
 
         counted = cl.profiler.counter(PGASContext.COUNTER).total
         assert counted == pytest.approx(sum(wl.remote_output_bytes for wl in wls))
-
-
-class TestRowWiseBackward:
-    def test_pgas_backward_beats_shift_rounds(self):
-        from repro.core.backward import RowWiseBaselineBackward, RowWisePGASBackward
-
-        _, _, _, wls = make_timed_workloads(G=4, max_pool=8)
-        t_base = RowWiseBaselineBackward(dgx_v100(4)).run_batch(wls)
-        t_pgas = RowWisePGASBackward(dgx_v100(4)).run_batch(wls)
-        assert t_pgas.total_ns < t_base.total_ns
-        # The §V prediction: replacing rounds of collectives + syncs with
-        # atomics is a substantial win.
-        assert t_base.total_ns / t_pgas.total_ns > 1.5
-
-    def test_shift_rounds_scale_with_devices(self):
-        """G-1 rounds: the baseline's sync burden grows with GPU count."""
-        from repro.core.backward import RowWiseBaselineBackward
-
-        _, _, _, w2 = make_timed_workloads(G=2)
-        _, _, _, w4 = make_timed_workloads(G=4)
-        t2 = RowWiseBaselineBackward(dgx_v100(2)).run_batch(w2)
-        t4 = RowWiseBaselineBackward(dgx_v100(4)).run_batch(w4)
-        # per-round sync+accumulate overheads accumulate over G-1 rounds
-        assert t4.sync_unpack_ns > t2.sync_unpack_ns
-
-    def test_single_gpu_backward(self):
-        from repro.core.backward import RowWiseBaselineBackward, RowWisePGASBackward
-
-        _, _, _, wls = make_timed_workloads(G=1)
-        tb = RowWiseBaselineBackward(dgx_v100(1)).run_batch(wls)
-        tp = RowWisePGASBackward(dgx_v100(1)).run_batch(wls)
-        assert tb.comm_ns == 0.0
-        assert tb.total_ns > 0 and tp.total_ns > 0
-
-    def test_pgas_backward_atomics_on_wire(self):
-        from repro.comm.pgas import PGASContext
-        from repro.core.backward import RowWisePGASBackward
-
-        cl = dgx_v100(3)
-        _, _, _, wls = make_timed_workloads(G=3)
-        RowWisePGASBackward(cl).run_batch(wls)
-        counted = cl.profiler.counter(PGASContext.COUNTER).total
-        expected = sum(wl.bytes_written * 2 / 3 for wl in wls)  # (G-1)/G
-        assert counted == pytest.approx(expected, rel=0.02)
-
-
-class TestRowWiseFunctionalBackward:
-    def test_matches_reference(self):
-        from repro.core.backward import reference_backward
-        from repro.core.backward import rowwise_functional_backward
-
-        cfg, ebc_rw, plan, batch = setup(G=3, B=24)
-        _, ebc_ref, _, _ = setup(G=3, B=24)  # same seed → same weights
-        rng = np.random.default_rng(8)
-        grad = rng.normal(size=(24, cfg.num_tables, cfg.dim)).astype(np.float32)
-        reference_backward(ebc_ref.tables, batch, grad)
-        bounds = minibatch_bounds(24, 3)
-        rowwise_functional_backward(
-            ebc_rw, plan, batch, [grad[lo:hi] for lo, hi in bounds]
-        )
-        for a, b in zip(ebc_rw.tables, ebc_ref.tables):
-            assert np.allclose(a.weights, b.weights, atol=1e-4)
-
-    def test_wrong_grad_count(self):
-        from repro.core.backward import rowwise_functional_backward
-
-        cfg, ebc, plan, batch = setup(G=2)
-        with pytest.raises(ValueError):
-            rowwise_functional_backward(ebc, plan, batch, [np.zeros((1, 1, 1))])

@@ -146,11 +146,6 @@ class TestRowWise:
         assert [(s.row_lo, s.row_hi) for s in shards] == [(0, 4), (4, 7), (7, 10)]
         assert shards[0].num_rows == 4
 
-    def test_row_owner_vectorised(self):
-        plan = RowWiseSharding(configs(1, rows=10), 3)
-        owners = plan.row_owner("t0", np.array([0, 3, 4, 6, 7, 9]))
-        assert list(owners) == [0, 0, 1, 1, 2, 2]
-
     def test_memory_split_evenly(self):
         plan = RowWiseSharding(configs(2, rows=100, dim=8), 4)
         per_dev = [plan.memory_bytes(d) for d in range(4)]
@@ -160,13 +155,12 @@ class TestRowWise:
     @given(
         rows=st.integers(min_value=1, max_value=1000),
         n_devices=st.integers(min_value=1, max_value=8),
-        queries=st.lists(st.integers(min_value=0, max_value=999), min_size=1, max_size=20),
     )
-    def test_row_owner_consistent_with_shards(self, rows, n_devices, queries):
+    def test_shards_tile_rows_for_any_size(self, rows, n_devices):
         plan = RowWiseSharding(configs(1, rows=rows), n_devices)
         plan.validate()
-        rowids = np.array([q % rows for q in queries])
-        owners = plan.row_owner("t0", rowids)
-        for rid, dev in zip(rowids, owners):
-            shard = plan.shard_on("t0", int(dev))
-            assert shard.row_lo <= rid < shard.row_hi
+        shards = plan.shards_of("t0")
+        assert [s.row_lo for s in shards[1:]] == [s.row_hi for s in shards[:-1]]
+        assert (shards[0].row_lo, shards[-1].row_hi) == (0, rows)
+        for dev, shard in enumerate(shards):
+            assert plan.shard_on("t0", dev) == shard

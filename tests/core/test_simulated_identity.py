@@ -61,11 +61,11 @@ total of every profiler counter, so a refactor of the feature adapters
 cannot move a counter sample either.  They were captured before the
 adapters shared one base class.
 
-The row-wise cases pin the same three things for row-wise sharding: the
-forward on both backends at G=4 and on a ragged G=3 batch (7 tables, a
-batch that neither G nor the block size divides), and both row-wise
-backwards at G=4.  They were captured while the row-wise forward still ran
-on engines of its own, before it moved onto the table-wise ones.
+The row-wise cases pin the same three things for the row-wise forward on
+both backends at G=4 and on a ragged G=3 batch (7 tables, a batch that
+neither G nor the block size divides).  They were captured while the
+row-wise forward still ran on engines of its own, before it moved onto
+the table-wise ones.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ from repro.cache import CacheConfig
 from repro.comm.hier import HierSpec
 from repro.compress import CompressionSpec
 from repro.core import workload as workload_mod
-from repro.core.backward import RowWiseBaselineBackward, RowWisePGASBackward
 from repro.core.baseline import BaselineRetrieval, PhaseTiming
 from repro.core.factory import FeatureSpec
 from repro.core.pgas_retrieval import PGASFusedRetrieval
@@ -143,7 +142,7 @@ def _feature(backend, cfg=FEATURE_G4, **features):
 def _cache():
     """A zipf stream through an LRU cache warmed by one earlier batch."""
     cfg = dataclasses.replace(FEATURE_G4, index_distribution="zipf", zipf_alpha=1.2)
-    emb = _feature("pgas+cache", cfg, cache=CacheConfig(capacity_fraction=0.1, policy="lru"))
+    emb = _feature("pgas+cache", cfg, cache=CacheConfig(capacity_fraction=0.1))
     gen = SyntheticDataGenerator(cfg)
     emb.forward(gen.sparse_batch())
     timing = emb.forward(gen.sparse_batch()).timing
@@ -200,7 +199,7 @@ def _reshard():
 
 
 def _rowwise(cfg, n_devices, engine):
-    """One row-wise batch on ``engine`` (a forward or backward class)."""
+    """One row-wise forward batch on ``engine``."""
     cluster = dgx_v100(n_devices)
     plan = RowWiseSharding(cfg.table_configs(), n_devices)
     workloads = build_rowwise_workloads(plan, SyntheticDataGenerator(cfg).lengths_batch())
@@ -565,36 +564,6 @@ ROWWISE_CASES = {
             "pgas_bytes.dev2->dev0": 598528.0,
             "pgas_bytes.dev2->dev1": 596736.0,
         },
-    ),
-    "rowwise-bwd-baseline-g4": (
-        lambda: _rowwise(ROWWISE_G4, 4, RowWiseBaselineBackward),
-        {
-            "compute_ns": 5992288.935672516,
-            "comm_ns": 1400233.3125,
-            "sync_unpack_ns": 1554101.333333334,
-            "total_ns": 8946623.58150585,
-            "batches": 1.0,
-        },
-        51,
-        {
-            "comm_bytes": 50331648.0,
-            "comm_bytes.dev0->dev1": 12582912.0,
-            "comm_bytes.dev1->dev2": 12582912.0,
-            "comm_bytes.dev2->dev3": 12582912.0,
-            "comm_bytes.dev3->dev0": 12582912.0,
-        },
-    ),
-    "rowwise-bwd-pgas-g4": (
-        lambda: _rowwise(ROWWISE_G4, 4, RowWisePGASBackward),
-        {
-            "compute_ns": 2162726.479532164,
-            "comm_ns": 0.0,
-            "sync_unpack_ns": 0.0,
-            "total_ns": 2162726.479532164,
-            "batches": 1.0,
-        },
-        25,
-        {"pgas_bytes": 50331648.0, **_pair_totals("pgas_bytes", 4, 4194304.0)},
     ),
 }
 

@@ -16,8 +16,8 @@ from repro.simgpu.interconnect import (
     NIC_SPEC,
     NVLINK_PAIR_SPEC,
     Interconnect,
-    Link,
     LinkSpec,
+    Topology,
     multinode_topology,
     wire_bytes,
 )
@@ -78,90 +78,91 @@ class TestWireBytesEdges:
         assert wire_bytes(1024, 1024, 64) == 1024 + 64
 
 
-class TestMessagesSent:
-    def make_link(self, spec=None):
-        return Link(Engine(), 0, 1,
-                    spec or LinkSpec(bandwidth=1.0, latency_ns=0.0))
+def fabric(spec=None):
+    """Five devices, every pair one ``spec`` link (1 B/ns, no latency by
+    default); returns the interconnect."""
+    spec = spec or LinkSpec(bandwidth=1.0, latency_ns=0.0)
+    return Interconnect(Engine(), Topology(5, lambda s, d: spec))
 
+
+class TestMessagesSent:
     def test_counts_ceil_of_payload_over_message_size(self):
-        lk = self.make_link()
-        lk.transfer(4097, message_bytes=1024)
-        assert lk.messages_sent == 5
+        ic = fabric()
+        ic.transfer(0, 1, 4097, message_bytes=1024)
+        assert ic.link(0, 1).messages_sent == 5
 
     def test_exact_multiple(self):
-        lk = self.make_link()
-        lk.transfer(4096, message_bytes=1024)
-        assert lk.messages_sent == 4
+        ic = fabric()
+        ic.transfer(0, 1, 4096, message_bytes=1024)
+        assert ic.link(0, 1).messages_sent == 4
 
     def test_single_message_when_unframed(self):
-        lk = self.make_link()
-        lk.transfer(4096, message_bytes=0)
-        assert lk.messages_sent == 1
+        ic = fabric()
+        ic.transfer(0, 1, 4096, message_bytes=0)
+        assert ic.link(0, 1).messages_sent == 1
 
     def test_zero_payload_sends_nothing(self):
-        lk = self.make_link()
-        lk.transfer(0, message_bytes=1024)
-        assert lk.messages_sent == 0
+        ic = fabric()
+        ic.transfer(0, 1, 0, message_bytes=1024)
+        assert ic.link(0, 1).messages_sent == 0
 
     def test_accumulates_across_transfers(self):
-        lk = self.make_link()
-        lk.transfer(1024, message_bytes=1024)
-        lk.transfer(1025, message_bytes=1024)
-        assert lk.messages_sent == 3
+        ic = fabric()
+        ic.transfer(0, 1, 1024, message_bytes=1024)
+        ic.transfer(0, 1, 1025, message_bytes=1024)
+        assert ic.link(0, 1).messages_sent == 3
 
     def test_per_message_cost_charged_per_message(self):
         spec = LinkSpec(bandwidth=1.0, latency_ns=0.0, per_message_ns=10.0)
-        framed = Link(Engine(), 0, 1, spec)
-        framed.transfer(2048, message_bytes=1024)
-        coalesced = Link(Engine(), 0, 1, spec)
-        coalesced.transfer(2048, message_bytes=0)
-        assert framed.busy_time == coalesced.busy_time + 10.0
+        framed = fabric(spec)
+        framed.transfer(0, 1, 2048, message_bytes=1024)
+        coalesced = fabric(spec)
+        coalesced.transfer(0, 1, 2048, message_bytes=0)
+        assert framed.link(0, 1).busy_time == coalesced.link(0, 1).busy_time + 10.0
 
 
 class TestDegradedInterNodeLink:
     """Fault derates stack with the NIC framing math, not instead of it."""
 
-    def run_transfer(self, lk, payload, **kw):
-        done = {}
-        lk.transfer(payload, on_complete=lambda t: done.setdefault("t", t), **kw)
-        lk.engine.run()
-        return done["t"]
+    def run_transfer(self, ic, payload, **kw):
+        done = []
+        ev = ic.transfer(0, 4, payload, **kw)
+        ev.add_callback(lambda: done.append(ic.engine.now))
+        ic.engine.run()
+        return done[0]
 
     def test_bandwidth_derate_slows_delivery(self):
-        healthy = Link(Engine(), 0, 4, NIC_SPEC)
+        healthy = fabric(NIC_SPEC)
         t_healthy = self.run_transfer(healthy, 1 << 20, message_bytes=4096,
                                       header_bytes=64)
-        degraded = Link(Engine(), 0, 4, NIC_SPEC)
-        degraded.degrade(bandwidth_scale=0.5)
+        degraded = fabric(NIC_SPEC)
+        degraded.link(0, 4).degrade(bandwidth_scale=0.5)
         t_degraded = self.run_transfer(degraded, 1 << 20, message_bytes=4096,
                                        header_bytes=64)
         assert t_degraded > t_healthy
         # Message framing is unaffected by the derate.
-        assert degraded.messages_sent == healthy.messages_sent
+        assert degraded.link(0, 4).messages_sent == healthy.link(0, 4).messages_sent
 
     def test_per_message_cost_survives_derate(self):
         # Per-message descriptor time is CPU/NIC-side, not wire time: the
         # bandwidth derate must not scale it.
-        spec = LinkSpec(bandwidth=1.0, latency_ns=0.0, per_message_ns=100.0)
-        lk = Link(Engine(), 0, 4, spec)
+        ic = fabric(LinkSpec(bandwidth=1.0, latency_ns=0.0, per_message_ns=100.0))
+        lk = ic.link(0, 4)
         lk.degrade(bandwidth_scale=0.5)
-        lk.transfer(1024, message_bytes=256)  # 4 messages
+        ic.transfer(0, 4, 1024, message_bytes=256)  # 4 messages
         # busy = wire/(bw*scale) + 4*per_message = 1024/0.5 + 400
         assert lk.busy_time == pytest.approx(2048 + 400)
 
     def test_downed_link_queues_then_delivers(self):
-        eng = Engine()
-        lk = Link(eng, 0, 4, LinkSpec(bandwidth=1.0, latency_ns=0.0))
-        lk.set_down_until(500.0)
-        done = {}
-        lk.transfer(100, on_complete=lambda t: done.setdefault("t", t))
-        eng.run()
-        assert done["t"] == 600.0  # waits out the outage, then 100ns wire
+        ic = fabric()
+        ic.link(0, 4).set_down_until(500.0)
+        # waits out the outage, then 100ns wire
+        assert self.run_transfer(ic, 100) == 600.0
 
     def test_restore_returns_to_healthy_timing(self):
-        a, b = Link(Engine(), 0, 4, NIC_SPEC), Link(Engine(), 0, 4, NIC_SPEC)
-        b.degrade(bandwidth_scale=0.25, extra_latency_ns=1000.0)
-        b.restore(bandwidth_scale=0.25, extra_latency_ns=1000.0)
+        a, b = fabric(NIC_SPEC), fabric(NIC_SPEC)
+        b.link(0, 4).degrade(bandwidth_scale=0.25, extra_latency_ns=1000.0)
+        b.link(0, 4).restore(bandwidth_scale=0.25, extra_latency_ns=1000.0)
         t_a = self.run_transfer(a, 1 << 16)
         t_b = self.run_transfer(b, 1 << 16)
         assert t_a == t_b

@@ -29,7 +29,7 @@ def full_spec():
         bottom_mlp=(128, 64),
         top_mlp=(256,),
         interaction="cat",
-        cache=CacheConfig(capacity_rows=512, policy="lfu"),
+        cache=CacheConfig(capacity_rows=512, capacity_fraction=0.2),
         resilience=ResilienceSpec(deadline_ns=2 * ms, max_retries=3),
         serving=ServingSpec(
             arrival_qps=50_000.0,

@@ -222,7 +222,7 @@ RUNSPEC_KW = st.fixed_dictionaries(
             st.builds(ResilienceSpec, fallback_cache=st.builds(
                 CacheConfig,
                 capacity_rows=st.one_of(st.none(), st.integers(0, 4096)),
-                policy=st.sampled_from(["lru", "lfu", "static-topk"]),
+                capacity_fraction=st.sampled_from([0.0, 0.05, 1.0]),
             )),
             ANY,
         ),
@@ -286,7 +286,7 @@ def test_fuzzed_runspec_constructs_and_round_trips_or_raises(kw):
 def test_resilience_fallback_cache_round_trips():
     """The nested ``CacheConfig`` comes back as a ``CacheConfig``, not a dict."""
     spec = RunSpec(
-        workload=WL, resilience=ResilienceSpec(fallback_cache=CacheConfig(policy="lfu"))
+        workload=WL, resilience=ResilienceSpec(fallback_cache=CacheConfig(capacity_rows=64))
     )
     again = RunSpec.from_dict(spec.to_dict())
     assert again == spec

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.simgpu.engine import Engine
 from repro.simgpu.interconnect import (
     Interconnect,
-    Link,
     LinkSpec,
     NIC_SPEC,
     NVLINK_PAIR_SPEC,
@@ -63,47 +62,44 @@ def _fired_at(ev):
     return at
 
 
+def one_link(bw=10.0, lat=100.0, n=2):
+    """A fabric whose every pair is one ``LinkSpec(bw, lat)`` link."""
+    spec = LinkSpec(bandwidth=bw, latency_ns=lat)
+    return Interconnect(Engine(), Topology(n, lambda s, d: spec))
+
+
 class TestLink:
-    def make(self, bw=10.0, lat=100.0):
-        return Link(Engine(), 0, 1, LinkSpec(bandwidth=bw, latency_ns=lat))
+    """One link's booking, driven through ``Interconnect.transfer``."""
 
     def test_alpha_beta_timing(self):
-        lk = self.make(bw=10.0, lat=100.0)
-        ev = lk.transfer(1000.0)  # 1000/10 = 100 ns + 100 lat
+        ic = one_link(bw=10.0, lat=100.0)
+        ev = ic.transfer(0, 1, 1000.0)  # 1000/10 = 100 ns + 100 lat
         at = _fired_at(ev)
-        lk.engine.run()
+        ic.engine.run()
         assert ev.triggered
         assert at == [pytest.approx(200.0)]
 
     def test_serialisation_under_contention(self):
-        lk = self.make(bw=10.0, lat=0.0)
-        e1 = _fired_at(lk.transfer(1000.0))
-        e2 = _fired_at(lk.transfer(1000.0))
-        lk.engine.run()
+        ic = one_link(bw=10.0, lat=0.0)
+        e1 = _fired_at(ic.transfer(0, 1, 1000.0))
+        e2 = _fired_at(ic.transfer(0, 1, 1000.0))
+        ic.engine.run()
         assert e1 == [pytest.approx(100.0)]
         assert e2 == [pytest.approx(200.0)]  # queued behind e1
 
     def test_headers_stretch_busy_time(self):
-        lk = self.make(bw=1.0, lat=0.0)
-        lk.transfer(1000.0, message_bytes=100, header_bytes=100)  # wire = 2000
-        lk.engine.run()
+        ic = one_link(bw=1.0, lat=0.0)
+        ic.transfer(0, 1, 1000.0, message_bytes=100, header_bytes=100)  # wire = 2000
+        ic.engine.run()
+        lk = ic.link(0, 1)
         assert lk.busy_time == pytest.approx(2000.0)
         assert lk.bytes_carried == pytest.approx(2000.0)
 
     def test_on_complete_called_at_delivery(self):
-        lk = self.make(bw=10.0, lat=50.0)
-        seen = []
-        lk.transfer(100.0, on_complete=seen.append)
-        lk.engine.run()
+        ic = one_link(bw=10.0, lat=50.0)
+        seen = _fired_at(ic.transfer(0, 1, 100.0))
+        ic.engine.run()
         assert seen == [pytest.approx(60.0)]
-
-    def test_utilization(self):
-        lk = self.make(bw=10.0, lat=0.0)
-        lk.transfer(500.0)
-        lk.engine.run()
-        assert lk.utilization(100.0) == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            lk.utilization(0.0)
 
     def test_bad_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -226,7 +222,9 @@ class TestNonFinitePayload:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
     def test_link_transfer(self, bad):
-        lk = Link(Engine(), 0, 1, LinkSpec(bandwidth=10.0, latency_ns=0.0))
+        """A rejected first transfer on a pair neither builds its link nor
+        schedules anything."""
+        ic = one_link(bw=10.0, lat=0.0)
         with pytest.raises(ValueError, match="transfer 0->1"):
-            lk.transfer(bad, message_bytes=256)
-        assert (lk.bytes_carried, lk.transfer_count, lk.engine._seq) == (0.0, 0, 0)
+            ic.transfer(0, 1, bad, message_bytes=256)
+        assert (ic.peek_link(0, 1), ic.engine._seq) == (None, 0)

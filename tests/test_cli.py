@@ -210,6 +210,36 @@ class TestSweepRegistry:
 
 
 class TestPlan:
+    @pytest.mark.parametrize(
+        "argv,code,message",
+        [
+            (["--criteo-tables", "0"], 2, "argument --criteo-tables"),
+            (["--dim", "0"], 2, "argument --dim"),
+            (["--reserve", "1.5"], 2, "argument --reserve"),
+            (["--reserve", "nan"], 2, "argument --reserve"),
+            (["--gpus", "1", "--criteo-tables", "200"], 1, "do not fit on 1 x"),
+            (["--dim", "100000"], 1, "exceeds a single device's usable budget"),
+        ],
+        ids=["tables-0", "dim-0", "reserve-1.5", "reserve-nan", "200-tables-1-gpu",
+             "dim-100000"],
+    )
+    def test_bad_inputs_fail_without_traceback(self, capsys, argv, code, message):
+        """A bad flag exits 2 naming it; an infeasible placement exits 1
+        with one ``repro plan: error:`` line."""
+        if code == 2:
+            with pytest.raises(SystemExit) as exc:
+                main(["plan", *argv])
+            got = exc.value.code
+        else:
+            got = main(["plan", *argv])
+        assert got == code
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and message in errors[0]
+        if code == 1:
+            assert errors[0].startswith("repro plan: error: ")
+        assert "Traceback" not in err
+
     def test_criteo_plan(self, capsys):
         code, out = run_cli(capsys, "plan", "--criteo-tables", "10")
         assert code == 0
