@@ -279,10 +279,6 @@ class PGASContext:
             self._last_done[src] = last
         return done
 
-    def issue_cost(self, n_batches: int = 1) -> float:
-        """GPU-side time charged inside the kernel for issuing writes."""
-        return self.spec.issue_overhead_ns * n_batches
-
     # -- completion --------------------------------------------------------------
 
     def pending_puts(self, device_id: int) -> int:

@@ -22,8 +22,8 @@ so breakdown plots can show PGAS as one bar, as the paper does.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,39 +97,59 @@ class PGASFusedRetrieval(TimedPass):
         wire = wire_bytes(wl.remote_output_bytes, spec.message_bytes, spec.header_bytes)
         return self.remote_write_drag * wire / link_bandwidth
 
+    @cached_property
+    def _first_hops(self) -> List[Tuple[np.ndarray, List[float], Optional[float]]]:
+        """Per device: the remote destinations whose bytes pay first-hop
+        drag, each one's first-hop bandwidth, and the one bandwidth they
+        all share (None when they differ).
+
+        The first hop is the direct link normally, and the fast-fabric hop
+        to the node leader when the hierarchical router stages the write
+        off-node.  A leader's own staged writes start as local buffer
+        appends, so they pay no first-hop drag and are left out.
+        """
+        topology = self.cluster.topology
+        hier = self.router.hier if self.router is not None else None
+        G = self.cluster.n_devices
+        out = []
+        for dev_id in range(G):
+            dsts, bws = [], []
+            for dst in range(G):
+                if dst == dev_id:
+                    continue
+                hop = dst
+                if hier is not None and not hier.same_node(dev_id, dst):
+                    hop = hier.leader_of(hier.node_of(dev_id))
+                    if dev_id == hop:
+                        continue
+                link = topology.link_spec(dev_id, hop)
+                if link is None:
+                    continue  # no peer access either: the first put there raises
+                dsts.append(dst)
+                bws.append(link.bandwidth)
+            shared = bws[0] if bws and all(bw == bws[0] for bw in bws) else None
+            out.append((np.array(dsts, dtype=np.intp), bws, shared))
+        return out
+
     def _effective_link_bandwidth(self, wl: DeviceWorkload) -> Optional[float]:
         """Traffic-weighted first-hop bandwidth for the drag model.
 
         Each destination's bytes leave the kernel over that destination's
-        *first hop*: the direct link normally, the fast-fabric hop to the
-        node leader when the hierarchical router stages the write off-node
-        (a leader's own staged writes start as local buffer appends — no
-        first-hop wire drag).  Weighting by ``wl.output_bytes_by_dst``
-        (harmonic mean over destinations) replaces the old arbitrary-peer
-        sample, which mispriced the drag on heterogeneous multinode
-        fabrics — an NVLink neighbour masked the NIC cost or vice versa.
-        On a homogeneous fabric every destination shares one bandwidth
-        and that value is returned exactly (no floating-point drift).
+        first hop (:attr:`_first_hops`).  Weighting by
+        ``wl.output_bytes_by_dst`` (harmonic mean over destinations)
+        replaces the old arbitrary-peer sample, which mispriced the drag on
+        heterogeneous multinode fabrics — an NVLink neighbour masked the
+        NIC cost or vice versa.  Where every first hop shares one
+        bandwidth, that value is returned exactly (no floating-point
+        drift); None means no destination gets bytes.
         """
-        topology = self.cluster.topology
+        dsts, bws, shared = self._first_hops[wl.device_id]
         by_dst = wl.output_bytes_by_dst
-        dev_id = wl.device_id
-        hier = self.router.hier if self.router is not None else None
-        shares: List[tuple] = []
-        for dst in range(self.cluster.n_devices):
-            if dst == dev_id:
-                continue
-            nbytes = float(by_dst[dst])
-            if nbytes <= 0:
-                continue
-            if hier is not None and not hier.same_node(dev_id, dst):
-                leader = hier.leader_of(hier.node_of(dev_id))
-                if dev_id == leader:
-                    continue
-                bw = topology.link_spec(dev_id, leader).bandwidth
-            else:
-                bw = topology.link_spec(dev_id, dst).bandwidth
-            shares.append((nbytes, bw))
+        if shared is not None:
+            return shared if (by_dst[dsts] > 0).any() else None
+        shares = [
+            (float(by_dst[dst]), bw) for dst, bw in zip(dsts.tolist(), bws) if by_dst[dst] > 0
+        ]
         if not shares:
             return None
         first_bw = shares[0][1]
@@ -186,7 +206,7 @@ class PGASFusedRetrieval(TimedPass):
             # model (zero-traffic devices pay no drag).
             link_bw = self._effective_link_bandwidth(wl) if G > 1 else None
             drag = self._kernel_drag_ns(wl, link_bw) if link_bw is not None else 0.0
-            kspec = replace(wl.kernel_spec("pgas_fused_emb"), stretch_ns=drag)
+            kspec = wl.kernel_spec("pgas_fused_emb", stretch_ns=drag)
 
             if send is None:
                 others = [d for d in range(G) if d != dev.id]

@@ -52,6 +52,7 @@ degraded under fault.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Literal, Optional, Tuple
 
@@ -542,21 +543,27 @@ class InferenceServer:
         def admit(now: float) -> None:
             """Admit or shed, in order, every arrival at or before ``now``.
 
-            Each sample is stamped at the arrival's own instant, so the
-            queue-depth counter sees what an admission per arrival would
-            have recorded.
+            The arrivals that fit under the queue limit are admitted as one
+            slice and the rest are shed (admission control: reject instead
+            of growing the tail).  Each sample is stamped at the arrival's
+            own instant, so the queue-depth counter sees what an admission
+            per arrival would have recorded.
             """
             nonlocal arrived, n_shed
-            while arrived < n_requests and arrivals[arrived] <= now:
-                t = arrivals[arrived]
-                if queue_limit is not None and len(queue) >= queue_limit:
-                    # Admission control: reject instead of growing the tail.
-                    n_shed += 1
-                else:
-                    arrival_t[arrived] = t
-                    queue.append(arrived)
-                    profiler.add_count(QUEUE_DEPTH_COUNTER, t, 1.0, unit="requests")
-                arrived += 1
+            lo = arrived
+            arrived = bisect_right(arrivals, now, lo)
+            hi = arrived
+            if queue_limit is not None:
+                hi = min(hi, lo + max(queue_limit - len(queue), 0))
+            if hi > lo:
+                queue.extend(range(lo, hi))
+                admitted = arrivals[lo:hi]
+                arrival_t[lo:hi] = admitted
+                if profiler.enabled:
+                    profiler.counter(QUEUE_DEPTH_COUNTER, "requests").extend(
+                        admitted, [1.0] * (hi - lo)
+                    )
+            n_shed += arrived - hi
 
         def trigger(t: float, depth: int, seen: int, deadline: float) -> Optional[str]:
             """The batch former's check at ``t``: what seals the head batch, if

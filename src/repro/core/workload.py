@@ -248,8 +248,9 @@ class DeviceWorkload:
         """
         return 2.0 * unpack_bytes_received(workloads, self.device_id)
 
-    def kernel_spec(self, name: str = "emb_forward") -> KernelSpec:
-        """Simulator kernel launch for this device's retrieval pass."""
+    def kernel_spec(self, name: str = "emb_forward", stretch_ns: float = 0.0) -> KernelSpec:
+        """Simulator kernel launch for this device's retrieval pass, its
+        body stretched by ``stretch_ns`` (the PGAS remote-write drag)."""
         return KernelSpec(
             name=f"{name}.dev{self.device_id}",
             num_blocks=self.num_blocks,
@@ -257,6 +258,7 @@ class DeviceWorkload:
             bytes_written=self.bytes_written,
             flops=self.flops,
             block_weights=self.block_weights,
+            stretch_ns=stretch_ns,
             min_waves_for_peak=EMB_MIN_WAVES_FOR_PEAK,
         )
 

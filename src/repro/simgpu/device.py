@@ -171,11 +171,6 @@ class Device:
         """True once the device has permanently failed (never reverts)."""
         return self.engine.now >= self.down_since
 
-    @property
-    def is_degraded(self) -> bool:
-        """True while any device-level fault window is active."""
-        return self.slowdown != 1.0 or self.engine.now < self.stalled_until or self.is_down
-
     # -- streams ---------------------------------------------------------------
 
     def stream(self, name: str = "default") -> Stream:

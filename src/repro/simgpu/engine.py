@@ -24,8 +24,9 @@ Design notes
   entries are plain ``[time, seq, fn]`` lists that ``heapq`` compares in C,
   and cancelling one only clears its ``fn`` slot.  Work that only decides
   *when* something lands is not scheduled at all: a one-sided put is
-  booked at issue and a kernel nothing observes takes one entry, so a
-  64-GPU pgas batch schedules about 1.2k entries.  A time that is not
+  booked at issue, and so is a stream op whose end is closed-form (a
+  wait on booked ops takes one entry, at their latest end), so a 64-GPU
+  pgas batch schedules about 1.1k entries.  A time that is not
   finite or lies in the past raises :class:`SimulationError` where it is
   made, and so does such a ``run`` horizon or ``run_until_event`` limit.
   Code run once per callback builds no strings and no closures: events

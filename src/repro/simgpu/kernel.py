@@ -10,8 +10,10 @@ not at kernel end.  That progressive availability is the mechanism behind
 the paper's fine-grained communication/computation overlap (§III-B) and the
 comm-volume-over-time curves of Figs. 7 and 10.
 
-A launch runs on engine callbacks: one per wave with a per-wave hook or on
-a device a fault plan targets, otherwise one at its end (:class:`_KernelRun`).
+:func:`_timeline` is the one wave model.  A launch on a fault-free device
+with no active trace is booked at its start (:func:`_book_launch`): it
+takes no engine entry, or one per wave end with a per-wave hook.  Any
+other launch is stepped by engine callbacks (:class:`_KernelRun`).
 
 Memory-bound kernels with an empty grid still cost ``min_kernel_ns``: the
 latency floor that makes the paper's strong-scaled partitions stop speeding
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -168,33 +170,99 @@ def kernel_time(kspec: KernelSpec, device_spec: DeviceSpec) -> float:
     return max(device_spec.min_kernel_ns, body + kspec.tail_ns)
 
 
-class _KernelRun:
-    """One kernel launch in flight, driven by engine callbacks (DESIGN.md §17).
+def _timeline(
+    device: Device, kspec: KernelSpec, t0: float
+) -> Tuple[List[float], float, List[float], float]:
+    """The one wave model: a launch on ``device`` that starts at ``t0``.
 
-    With ``on_wave``, or on a device a fault plan targets, it steps wave by
-    wave: ``device.slowdown`` is sampled at each wave start, ``on_wave`` runs
-    at each wave's retirement (where PGAS one-sided writes leave) and a
-    ``device.stalled_until`` window holds wave boundaries.  Otherwise it sums
-    the same terms in the same order up front and takes one callback, at its
-    end.  ``done()`` runs once the floor and the tail are charged.
+    Returns ``(fracs, body, ends, end)``: each wave's work fraction, the
+    kernel body, each wave's end (``t = t + body*frac*slowdown``, in wave
+    order, at the device's current slowdown) and the launch's end after
+    the floor and the tail.  A booked launch uses all of it.  A stepped
+    one (:class:`_KernelRun`) that takes one callback ends at ``ends[-1]``
+    plus its epilogue; otherwise it takes each wave from ``fracs`` and
+    ``body`` at the wave's own start, at the slowdown of that moment.
+    """
+    spec = device.spec
+    fracs = _wave_fractions(kspec, spec)  # module lookup: the perf tracer patches it
+    body = roofline_time(kspec.total_bytes, kspec.flops, spec)
+    body /= _occupancy_derate(kspec, spec)
+    body += kspec.stretch_ns
+    slowdown = device.slowdown
+    ends = []
+    t = t0
+    for frac in fracs:
+        t = t + body * frac * slowdown
+        ends.append(t)
+    remaining = _epilogue_ns(spec, kspec, t0, t)
+    return fracs, body, ends, t + remaining if remaining > 0 else t
+
+
+def _epilogue_ns(spec: DeviceSpec, kspec: KernelSpec, t0: float, t: float) -> float:
+    """The floor and the tail of a launch that started at ``t0`` and whose
+    last wave ended at ``t``."""
+    return max(spec.min_kernel_ns - (t - t0), 0.0) + kspec.tail_ns
+
+
+def _book_launch(
+    device: Device, kspec: KernelSpec, on_wave: Optional[WaveCallback], t0: float
+) -> float:
+    """Book a launch that starts at ``t0``; return its end.
+
+    Without ``on_wave`` this schedules nothing.  With it, each wave end is
+    one engine entry that runs ``on_wave``; the first is scheduled here,
+    each later one by the entry before it, as a stepped launch does.
+    """
+    fracs, _, ends, end = _timeline(device, kspec, t0)
+    if on_wave is not None and fracs:
+        _Waves(device, kspec, on_wave, fracs, ends, t0).schedule()
+    return end
+
+
+class _Waves:
+    """The wave ends of a booked launch with a per-wave hook."""
+
+    __slots__ = ("engine", "kspec", "conc", "on_wave", "fracs", "ends", "t_start", "w")
+
+    def __init__(self, device: Device, kspec: KernelSpec, on_wave: WaveCallback,
+                 fracs: List[float], ends: List[float], t0: float):
+        self.engine, self.kspec, self.conc = device.engine, kspec, device.spec.concurrent_blocks
+        self.on_wave, self.fracs, self.ends, self.t_start, self.w = on_wave, fracs, ends, t0, 0
+
+    def schedule(self) -> None:
+        self.engine.call_at(self.ends[self.w], self._wave_end)
+
+    def _wave_end(self) -> None:
+        w, conc, t_end = self.w, self.conc, self.ends[self.w]
+        blocks = range(w * conc, min((w + 1) * conc, self.kspec.num_blocks))
+        self.on_wave(WaveInfo(w, len(self.fracs), self.t_start, t_end, self.fracs[w], blocks))
+        self.t_start, self.w = t_end, w + 1
+        if self.w < len(self.fracs):
+            self.schedule()
+
+
+class _KernelRun:
+    """One stepped kernel launch, driven by engine callbacks (DESIGN.md §17).
+
+    A stream steps a launch instead of booking it on a device a fault plan
+    targets, and while a trace is active.  With ``on_wave``, or on a
+    targeted device, it steps wave by wave: ``device.slowdown`` is sampled
+    at each wave start, ``on_wave`` runs at each wave's retirement and a
+    ``device.stalled_until`` window holds wave boundaries.  Otherwise it
+    takes one callback, at the end :func:`_timeline` computes.  ``done()``
+    runs once the floor and the tail are charged.
     """
 
     __slots__ = ("device", "kspec", "on_wave", "done", "fracs", "body", "t0", "t_start", "w")
 
     def __init__(self, device: Device, kspec: KernelSpec, on_wave: Optional[WaveCallback],
                  done: Callable[[], object]):
-        spec = device.spec
         self.device, self.kspec, self.on_wave, self.done = device, kspec, on_wave, done
-        self.t0 = t = device.engine.now
-        self.fracs = _wave_fractions(kspec, spec)  # module lookup: the perf tracer patches it
-        body = roofline_time(kspec.total_bytes, kspec.flops, spec)
-        body /= _occupancy_derate(kspec, spec)
-        self.body = body = body + kspec.stretch_ns
+        self.t0 = t0 = device.engine.now
+        self.fracs, self.body, ends, _ = _timeline(device, kspec, t0)
         self.w = 0
         if on_wave is None and device.fault_free:
-            for frac in self.fracs:
-                t = t + body * frac * device.slowdown
-            self._epilogue(t)
+            self._epilogue(ends[-1] if ends else t0)
         else:
             self._boundary()
 
@@ -225,7 +293,7 @@ class _KernelRun:
 
     def _epilogue(self, t: float) -> None:
         """Charge the floor and the tail after the last wave, which ended at ``t``."""
-        remaining = max(self.device.spec.min_kernel_ns - (t - self.t0), 0.0) + self.kspec.tail_ns
+        remaining = _epilogue_ns(self.device.spec, self.kspec, self.t0, t)
         if remaining > 0:
             t = t + remaining
         elif t == self.device.engine.now:

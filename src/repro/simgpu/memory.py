@@ -130,10 +130,6 @@ class MemoryPool:
         """Count of live buffers."""
         return len(self._live)
 
-    def live_buffers(self) -> List[Buffer]:
-        """Snapshot of live buffers sorted by address."""
-        return [self._live[o] for o in sorted(self._live)]
-
     # -- alloc / free --------------------------------------------------------------
 
     def alloc(

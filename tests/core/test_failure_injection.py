@@ -65,6 +65,18 @@ class TestBrokenFabric:
         with pytest.raises(PermissionError, match="peer access"):
             ctx.put(1, 0, 100.0)
 
+    def test_pgas_forward_over_a_missing_link_is_a_peer_access_error(self):
+        """The fused forward's drag model skips a pair with no link, and
+        the first write over it fails the peer-access check."""
+        topo = Topology(
+            2,
+            lambda s, d: LinkSpec(bandwidth=48.0, latency_ns=700.0) if s == 0 else None,
+            name="one-way",
+        )
+        retrieval = PGASFusedRetrieval(Cluster(2, topology=topo))
+        with pytest.raises(PermissionError, match="peer access"):
+            retrieval.run_batch(make_workloads(G=2))
+
 
 class TestMemoryPressure:
     def test_retrieval_construction_oom_is_loud(self):
@@ -148,7 +160,10 @@ class TestEngineFailures:
 
         with pytest.raises(ValueError, match="kernel fault"):
             cl.run(lambda cluster: join(cluster.engine, [op, after]))
-        assert not op.completed and after.started_at is None
+        # ``after`` was booked behind the kernel at submit; the run stopped
+        # at the kernel's only wave end, before either op ended.
+        assert not op.completed and not after.completed
+        assert after.started_at == op.finished_at
 
     def test_simulation_limit_catches_runaway(self):
         eng = Engine()

@@ -37,7 +37,11 @@ the join's delay), and ``PGASContext.quiet`` over a set of PEs is one
 callback at its wake-up instant in place of a process per PE.  Every
 count fell once more when host programs became callback chains: a host
 program or stage no longer starts a process (one entry each), and an
-all-to-all wait fires in its delay's entry.  No timing or counter moved.
+all-to-all wait fires in its delay's entry.  Every count fell once more
+when streams began booking closed-form ops at submit: a launch delay, a
+copy or a kernel on a fault-free device takes no entry of its own, a
+join over booked ops takes one at their latest end, and a fused kernel
+keeps only its wave-end entries.  No timing or counter moved.
 
 Every timing of a case fed by ``lengths_batch`` on a plain uniform range
 was re-captured once when that method began drawing each chunk's lookup
@@ -227,7 +231,7 @@ CASES = {
             "total_ns": 7110949.169590643,
             "batches": 1.0,
         },
-        85,
+        70,
     ),
     "baseline-g16": (
         lambda: _run(FLAT_G16, 16, "baseline"),
@@ -238,7 +242,7 @@ CASES = {
             "total_ns": 8831558.940423977,
             "batches": 1.0,
         },
-        57,
+        11,
     ),
     "pgas-g64": (
         lambda: _run(SCALE_G64, 64, "pgas"),
@@ -249,7 +253,7 @@ CASES = {
             "total_ns": 7038243.67251462,
             "batches": 1.0,
         },
-        197,
+        134,
     ),
     "baseline-g64": (
         lambda: _run(SCALE_G64, 64, "baseline"),
@@ -260,7 +264,7 @@ CASES = {
             "total_ns": 7920481.880847953,
             "batches": 1.0,
         },
-        201,
+        11,
     ),
     # Exercises the staging router's flush timers, which are cancelled.
     "pgas+hier-2x4": (
@@ -275,7 +279,7 @@ CASES = {
             "total_ns": 2143181.828814459,
             "batches": 1.0,
         },
-        366,
+        359,
     ),
     "train-pgas-g4": (
         lambda: _train(TRAIN_G4, 4, "pgas"),
@@ -299,7 +303,7 @@ CASES = {
             "emb_backward.batches": 1.0,
             "total_ns": 13040058.559565937,
         },
-        84,
+        50,
     ),
     "train-baseline-g4": (
         lambda: _train(TRAIN_G4, 4, "baseline"),
@@ -323,7 +327,7 @@ CASES = {
             "emb_backward.batches": 1.0,
             "total_ns": 29455721.435082756,
         },
-        92,
+        44,
     ),
 }
 
@@ -337,7 +341,7 @@ FEATURE_CASES = {
             "total_ns": 155571.40935672517,
             "batches": 1.0,
         },
-        40,
+        34,
         {
             "cache.evictions.dev0": 3791.0,
             "cache.evictions.dev1": 4313.0,
@@ -375,7 +379,7 @@ FEATURE_CASES = {
             "total_ns": 252194.3625730994,
             "batches": 1.0,
         },
-        28,
+        15,
         {
             "comm_bytes": 442368.0,
             "comm_bytes.dev0->dev1": 36864.0,
@@ -405,7 +409,7 @@ FEATURE_CASES = {
             "total_ns": 360723.85123195883,
             "batches": 1.0,
         },
-        58,
+        52,
         {
             "faults.rerouted_bytes": 524288.0,
             "faults.rerouted_bytes.delivered": 262144.0,
@@ -436,7 +440,7 @@ FEATURE_CASES = {
             "total_ns": 223086.90058479534,
             "batches": 1.0,
         },
-        183,
+        176,
         {
             "availability.batch_lookups": 65184.0,
             "availability.detection_ns": 5071.350877192977,
@@ -471,7 +475,7 @@ FEATURE_CASES = {
             "total_ns": 1512684.8654970762,
             "batches": 6.0,
         },
-        132,
+        114,
         {
             "pgas_bytes": 9437184.0,
             "pgas_bytes.dev0->dev1": 655360.0,
@@ -510,7 +514,7 @@ ROWWISE_CASES = {
             "total_ns": 2970042.028143275,
             "batches": 1.0,
         },
-        21,
+        11,
         {"comm_bytes": 50331648.0, **_pair_totals("comm_bytes", 4, 4194304.0)},
     ),
     "rowwise-pgas-g4": (
@@ -522,7 +526,7 @@ ROWWISE_CASES = {
             "total_ns": 1473233.1461988306,
             "batches": 1.0,
         },
-        25,
+        22,
         {"pgas_bytes": 50331648.0, **_pair_totals("pgas_bytes", 4, 4194304.0)},
     ),
     "rowwise-baseline-g3-ragged": (
@@ -534,7 +538,7 @@ ROWWISE_CASES = {
             "total_ns": 591923.4784356725,
             "batches": 1.0,
         },
-        18,
+        11,
         {
             "comm_bytes": 3584000.0,
             "comm_bytes.dev0->dev1": 596736.0,
@@ -554,7 +558,7 @@ ROWWISE_CASES = {
             "total_ns": 370438.48538011697,
             "batches": 1.0,
         },
-        14,
+        12,
         {
             "pgas_bytes": 3584000.0,
             "pgas_bytes.dev0->dev1": 596736.0,
@@ -649,13 +653,14 @@ def test_g64_backends_share_one_derivation_per_table(monkeypatch):
 
 def test_stream_ops_start_no_process():
     """One G=8 inference batch runs 64 stream ops (input copies, launch
-    delays, kernels) and one G=4 training step 48, all as engine callbacks,
-    waited on by joins, and each ``quiet`` covers every PE with one event:
-    the host programs are callback chains, so an entry per stream op, per
-    PE or per stage start fails here without any timing."""
+    delays, kernels) and one G=4 training step 48, all booked at submit
+    and waited on by joins of one entry each, and each ``quiet`` covers
+    every PE with one event: the host programs are callback chains, so an
+    entry per stream op, per PE or per stage start fails here without any
+    timing.  The batch took 87 entries while every op ran as callbacks."""
     pipe = DLRMInferencePipeline(PipelineConfig(workload=TRAIN_G4), 8, backend="pgas")
     pipe.run_batch(SyntheticDataGenerator(TRAIN_G4).lengths_batch())
-    assert pipe.cluster.engine._seq == 87
+    assert pipe.cluster.engine._seq == 35
 
     got, seq = _train(TRAIN_G4, 4, "pgas")
     assert (got, seq) == (CASES["train-pgas-g4"][1], CASES["train-pgas-g4"][2])

@@ -36,9 +36,12 @@ class TestStreamOrdering:
         assert (x.finished_at, y.finished_at) == (100.0, 100.0)  # overlapped, not 100/200
 
     def test_submit_delay(self):
+        """A delay is booked at submit: its end is known at once, and it is
+        completed once the clock reaches that end."""
         dev = make_device()
         op = dev.default_stream.submit_delay(42.0)
-        dev.engine.run()
+        assert (op.started_at, op.finished_at, op.completed) == (0.0, 42.0, False)
+        dev.engine.run(until=42.0)
         assert op.completed
         assert op.finished_at == 42.0
 
@@ -81,7 +84,7 @@ class TestDrainAndSync:
 
 
 class TestCallbackOps:
-    """Delays and kernels run as engine callbacks; a join is one event."""
+    """Delays and kernels are booked at submit; a join is one event."""
 
     KSPEC = KernelSpec("k", num_blocks=2000, bytes_read=1e9)
 
@@ -101,7 +104,8 @@ class TestCallbackOps:
         dev = make_device()
         eng = dev.engine
         op = dev.default_stream.launch(dev, self.KSPEC)
-        eng.run()
+        eng.run(until=op.finished_at)
+        assert op.completed
         assert op.finished_at - op.started_at == pytest.approx(kernel_time(self.KSPEC, dev.spec))
         seq = eng._seq
         ev = join(eng, [op])
@@ -116,10 +120,11 @@ class TestCallbackOps:
         eng.run(until=5.0)
         first = st.submit_delay(10.0)
         kernel = st.launch(dev, self.KSPEC)
+        # Both are booked at submit, the kernel behind the delay.
         assert (first.enqueued_at, first.started_at) == (5.0, 5.0)
-        assert (kernel.enqueued_at, kernel.started_at) == (5.0, None)
+        assert (kernel.enqueued_at, kernel.started_at) == (5.0, 15.0)
         assert not first.completed and not kernel.completed
-        eng.run()
+        eng.run_until_event(join(eng, [kernel]))
         assert first.completed and kernel.completed
         assert first.finished_at == kernel.started_at == 15.0
         assert kernel.finished_at - kernel.started_at == pytest.approx(kernel_time(self.KSPEC, dev.spec))
@@ -131,20 +136,27 @@ class TestCallbackOps:
         def exploding(info: WaveInfo) -> None:
             raise ValueError("op fault")
 
-        dev.default_stream.launch(dev, self.KSPEC, exploding)
+        kernel = dev.default_stream.launch(dev, self.KSPEC, exploding)
         after = dev.default_stream.submit_delay(1.0)
         with pytest.raises(ValueError, match="op fault"):
             eng.run()
-        assert not after.completed and after.started_at is None
+        # The run stops at the first wave end; the delay was booked behind
+        # the kernel at submit and has not been reached.
+        assert eng.now < kernel.finished_at
+        assert not kernel.completed and not after.completed
+        assert after.started_at == kernel.finished_at
 
-    def test_unwaited_ops_schedule_one_event_each(self):
+    def test_unwaited_ops_schedule_no_entry(self):
+        """Booked ops nobody waits on schedule nothing, and so do not
+        advance the clock of a run that has nothing else to do."""
         dev = make_device()
         eng = dev.engine
         st = dev.default_stream
         st.submit_delay(10.0, name="launch")
-        st.launch(dev, self.KSPEC)
+        kernel = st.launch(dev, self.KSPEC)
         eng.run()
-        assert eng._seq == 2
+        assert (eng._seq, eng.now) == (0, 0.0)
+        assert kernel.started_at == 10.0
 
     def test_launch_on_another_device_rejected(self):
         dev = make_device()
@@ -208,7 +220,7 @@ class TestJoin:
         dev = make_device()
         eng = dev.engine
         op = dev.default_stream.submit_delay(10.0)
-        eng.run()
+        eng.run(until=10.0)
         for ops in ([op], []):
             ev = join(eng, ops, after_ns)
             start = eng.now
@@ -233,8 +245,10 @@ class TestJoin:
         ops = [dev.default_stream.submit_delay(5.0) for _ in range(4)]
         ev = join(eng, ops, 3.0)
         eng.run_until_event(ev)
-        # four delays, the after_ns callback and the join's wake-up
-        assert eng._seq == 6
+        # the join's entry at the last end, the after_ns callback and the
+        # join's wake-up; the four booked delays take none
+        assert eng._seq == 3
+        assert eng.now == 23.0
 
     @pytest.mark.parametrize("after_ns", [-1.0, float("nan"), float("inf")])
     def test_bad_after_rejected(self, after_ns):
