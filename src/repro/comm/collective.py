@@ -21,6 +21,7 @@ Figs. 7 and 10.  The chunks are booked when the control path ends, one
 :meth:`~repro.simgpu.interconnect.Interconnect.book_wave` per source, and
 stamped at their delivery instants; nothing waits on a chunk, so the only
 engine entry a collective adds is its completion at the latest delivery.
+Every pair of a call is cut in one numpy pass (:func:`chunk_waves`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from ..simgpu.cluster import Cluster
 from ..simgpu.engine import Event
 from ..simgpu.units import MiB, us
 
-__all__ = ["CollectiveSpec", "WorkHandle", "CollectiveContext"]
+__all__ = ["CollectiveSpec", "WorkHandle", "CollectiveContext", "chunk_waves"]
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,51 @@ class CollectiveSpec:
             )
 
 
+def chunk_waves(
+    spec: CollectiveSpec,
+    srcs: Sequence[int],
+    dsts: np.ndarray,
+    nbytes: np.ndarray,
+    *,
+    derate: bool = True,
+) -> List[Tuple[int, List[int], List[float], List[int]]]:
+    """Each source's chunk columns ``(src, dsts, sizes, headers)``, in one pass.
+
+    Row ``i`` of the ``(S, k)`` arrays lists the pairs ``srcs[i]`` sends,
+    in send order: ``nbytes[i, j]`` to ``dsts[i, j]``.  A pair is cut into
+    ``n = ceil(nbytes / chunk_bytes)`` chunks, all full but the last,
+    ``nbytes - (n-1) chunk``.  With an integer ``chunk_bytes`` and byte
+    counts below 2**53 that subtraction is exact, so the sizes are bit for
+    bit those of a sequential ``min(chunk, remaining)`` split.  Every
+    pair's chunks go in order, then the next destination's; a zero-byte
+    pair has no chunk, and a row with none is left out.  Each chunk pays
+    ``per_chunk_header_bytes``; with ``derate`` the algorithm-efficiency
+    derate is charged as extra header bytes too, so it also stretches the
+    link's busy window (which the comm-volume figures observe).  Negative
+    or NaN byte counts are a caller bug and raise ``ValueError``.
+    """
+    chunk = spec.chunk_bytes
+    nbytes = np.asarray(nbytes, dtype=np.float64)
+    if not (nbytes >= 0).all():
+        raise ValueError(f"transfer bytes must be non-negative, got {nbytes.min()}")
+    counts = np.ceil(nbytes / chunk).astype(np.int64)
+    flat = counts.ravel()
+    sizes = np.full(int(flat.sum()), float(chunk))
+    moved = flat > 0
+    sizes[np.cumsum(flat)[moved] - 1] = nbytes.ravel()[moved] - (flat[moved] - 1) * chunk
+    extra = 1.0 / spec.bandwidth_efficiency - 1.0 if derate else 0.0
+    headers = (sizes * extra).astype(np.int64) + spec.per_chunk_header_bytes
+    dst_col = np.repeat(np.asarray(dsts).ravel(), flat).tolist()
+    size_col, header_col = sizes.tolist(), headers.tolist()
+    waves = []
+    lo = 0
+    for src, hi in zip(srcs, np.cumsum(counts.sum(axis=1)).tolist()):
+        if hi > lo:
+            waves.append((src, dst_col[lo:hi], size_col[lo:hi], header_col[lo:hi]))
+        lo = hi
+    return waves
+
+
 class WorkHandle:
     """Async handle for an in-flight collective (``async_op=True`` analogue)."""
 
@@ -142,48 +188,17 @@ class CollectiveContext:
 
     # -- internals -------------------------------------------------------------
 
-    def _chunks(self, nbytes: float) -> List[float]:
-        """Chunk sizes of one pairwise payload, in send order.
+    def _book(
+        self, waves: Iterable[Tuple[int, List[int], List[float], List[int]]]
+    ) -> Optional[float]:
+        """Book each :func:`chunk_waves` wave ``(src, dsts, sizes, headers)``.
 
-        A zero-byte pair has no chunk (no zero-length chunk is booked);
-        negative byte counts are a caller bug and raise.
-        """
-        if nbytes < 0:
-            raise ValueError(f"transfer bytes must be non-negative, got {nbytes}")
-        chunk = self.spec.chunk_bytes
-        sizes = []
-        remaining = nbytes
-        for _ in range(math.ceil(nbytes / chunk)):
-            size = min(chunk, remaining)
-            remaining -= size
-            sizes.append(size)
-        return sizes
-
-    def _book(self, sends: Iterable[Tuple[int, Iterable[Tuple[int, float]]]]) -> Optional[float]:
-        """Book each ``(src, [(dst, nbytes), ...])`` as one wave out of ``src``.
-
-        Every pair's chunks go in order, then the next destination's.
         Returns the latest delivery instant, or None if nothing moved.
         """
-        spec = self.spec
         interconnect = self.cluster.interconnect
         prof = interconnect.profiler
-        derate = 1.0 / spec.bandwidth_efficiency - 1.0
         last = None
-        for src, pairs in sends:
-            dsts: List[int] = []
-            sizes: List[float] = []
-            headers: List[int] = []
-            for dst, nbytes in pairs:
-                for size in self._chunks(nbytes):
-                    dsts.append(dst)
-                    sizes.append(size)
-                    # The algorithm-efficiency derate is charged as extra
-                    # wire bytes per chunk, so it also stretches the link's
-                    # busy window (which the comm-volume figures observe).
-                    headers.append(spec.per_chunk_header_bytes + int(size * derate))
-            if not dsts:
-                continue
+        for src, dsts, sizes, headers in waves:
             if prof is not None and prof.enabled:
                 # The fabric total heads its per-pair entries in the counters.
                 prof.counter(interconnect.COUNTER)
@@ -194,18 +209,18 @@ class CollectiveContext:
                 last = done
         return last
 
-    def _start(self, name: str, sends: Iterable) -> WorkHandle:
+    def _start(self, name: str, waves: Callable[[], Iterable]) -> WorkHandle:
         """Common control path: overhead, then book every chunk at once.
 
-        The control callback books ``sends`` (see :meth:`_book`); ``done``
-        succeeds at the latest delivery instant, or at once if nothing
-        moved.
+        The control callback books the chunk waves ``waves()`` returns
+        (see :meth:`_book`); ``done`` succeeds at the latest delivery
+        instant, or at once if nothing moved.
         """
         engine = self.cluster.engine
         done = engine.event(name)
 
         def control() -> None:
-            last = self._book(sends)
+            last = self._book(waves())
             if last is None:
                 done.succeed()
             else:
@@ -213,23 +228,6 @@ class CollectiveContext:
 
         engine.call_in(self.spec.launch_overhead_ns, control)
         return WorkHandle(self.cluster, done, self.spec, name)
-
-    def _all_pairs(self, nbytes) -> Iterator[Tuple[int, Iterator[Tuple[int, float]]]]:
-        """Every source sending ``nbytes(src, dst)`` to every other device."""
-        G = self.cluster.n_devices
-        return (
-            (src, ((dst, nbytes(src, dst)) for dst in range(G) if dst != src))
-            for src in range(G)
-        )
-
-    def _ring(self, share: float, steps: int) -> Iterator[Tuple[int, List[Tuple[int, float]]]]:
-        """Every source sending ``share`` to its ring neighbour ``steps`` times.
-
-        One wave per source: each link carries only its source's steps, so
-        their order across sources does not matter.
-        """
-        G = self.cluster.n_devices
-        return ((src, [((src + 1) % G, share)] * steps) for src in range(G))
 
     # -- collectives -------------------------------------------------------------
 
@@ -253,12 +251,16 @@ class CollectiveContext:
             # Degenerate all-zero split: complete after the control path
             # alone (launch + wait are still charged — the call happened);
             # no zero-length transfers or exchange rounds are booked.
-            return self._start("all_to_all_single", ())
+            return self._start("all_to_all_single", lambda: [])
 
         if self.spec.alltoall_algorithm == "pairwise":
             return self._pairwise_rounds_alltoall(split)
+        # Every source sends to every other device, in device order.
+        off = ~np.eye(G, dtype=bool)
+        dsts = np.broadcast_to(np.arange(G), (G, G))[off].reshape(G, G - 1)
         return self._start(
-            "all_to_all_single", self._all_pairs(lambda s, d: float(split[s, d]))
+            "all_to_all_single",
+            lambda: chunk_waves(self.spec, range(G), dsts, split[off].reshape(G, G - 1)),
         )
 
     def _pairwise_rounds_alltoall(self, split: np.ndarray) -> WorkHandle:
@@ -277,9 +279,11 @@ class CollectiveContext:
         round r+1 early.  A round that moves nothing passes straight on.
         """
         G = self.cluster.n_devices
+        srcs = np.arange(G)
         while r < G:
+            dsts = (srcs + r) % G
             last = self._book(
-                (src, [((src + r) % G, float(split[src, (src + r) % G]))]) for src in range(G)
+                chunk_waves(self.spec, range(G), dsts[:, None], split[srcs, dsts][:, None])
             )
             r += 1
             if last is not None:
@@ -292,5 +296,11 @@ class CollectiveContext:
         G = self.cluster.n_devices
         check_bytes("all_reduce: total_bytes", total_bytes)
         share = total_bytes / G if G else 0.0
-        # Reduce-scatter then all-gather: 2(G-1) ring steps.
-        return self._start("all_reduce", self._ring(share, 2 * (G - 1)))
+        # Reduce-scatter then all-gather: 2(G-1) ring steps, each source to
+        # its ring neighbour.  One wave per source: each link carries only
+        # its source's steps, so their order across sources does not matter.
+        steps = 2 * (G - 1)
+        nxt = np.repeat((np.arange(G) + 1) % G, steps).reshape(G, steps)
+        return self._start(
+            "all_reduce", lambda: chunk_waves(self.spec, range(G), nxt, np.full((G, steps), share))
+        )

@@ -45,7 +45,6 @@ Chrome traces.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -57,7 +56,7 @@ from ..simgpu.engine import Event
 from ..simgpu.interconnect import Interconnect
 from ..simgpu.stream import join
 from ..simgpu.units import KiB, us
-from .collective import CollectiveSpec, WorkHandle
+from .collective import CollectiveSpec, WorkHandle, chunk_waves
 from .pgas import PGASContext
 
 __all__ = [
@@ -223,29 +222,25 @@ class TwoLevelAllToAll:
     # -- internals ------------------------------------------------------------
 
     def _chunked(
-        self, src: int, dst: int, nbytes: float, *, derate: bool, counter: Optional[str]
+        self, pairs: List[Tuple[int, int, float]], *, derate: bool, counter: Optional[str]
     ) -> List[Event]:
-        """Chunked src→dst transfer; flat-collective math when ``derate``."""
-        if nbytes <= 0:
+        """Chunked ``(src, dst, nbytes)`` transfers, each pair's chunks booked
+        as one wave; returns one event per moving pair, at its latest
+        delivery.  Flat-collective math when ``derate``."""
+        if not pairs:
             return []
-        spec = self.spec
-        n_chunks = math.ceil(nbytes / spec.chunk_bytes)
+        srcs, dsts, nbytes = zip(*pairs)
+        interconnect = self.cluster.interconnect
+        engine = self.cluster.engine
+        counter = counter or interconnect.COUNTER
         events = []
-        remaining = nbytes
-        for _ in range(n_chunks):
-            size = min(spec.chunk_bytes, remaining)
-            remaining -= size
-            header = spec.per_chunk_header_bytes
-            if derate:
-                # The flat path's algorithm-efficiency derate, charged as
-                # extra wire bytes per chunk (see CollectiveContext).
-                header += int(size * (1.0 / spec.bandwidth_efficiency - 1.0))
-            events.append(
-                self.cluster.interconnect.transfer(
-                    src, dst, size,
-                    message_bytes=0, header_bytes=header, counter=counter,
-                )
-            )
+        for src, wave_dsts, sizes, headers in chunk_waves(
+            self.spec, srcs, np.array(dsts)[:, None], np.array(nbytes)[:, None], derate=derate
+        ):
+            done = interconnect.book_wave(src, wave_dsts, sizes, 0, headers, counter)
+            ev = Event(engine, "xfer")
+            engine.call_at(max(done), ev.succeed)
+            events.append(ev)
         return events
 
     def _node_pair_chain(self, src_node: int, dst_node: int, split: np.ndarray) -> Event:
@@ -260,14 +255,14 @@ class TwoLevelAllToAll:
         t0 = engine.now
 
         def gather() -> Optional[Event]:
-            chunks = []
-            for s in range(s_lo, s_lo + P):
-                if s == s_leader:
-                    continue
-                contrib = float(split[s, d_lo:d_lo + P].sum())
-                chunks.extend(
-                    self._chunked(s, s_leader, contrib, derate=False, counter=FWD_COUNTER)
-                )
+            chunks = self._chunked(
+                [
+                    (s, s_leader, float(split[s, d_lo:d_lo + P].sum()))
+                    for s in range(s_lo, s_lo + P)
+                    if s != s_leader
+                ],
+                derate=False, counter=FWD_COUNTER,
+            )
             return join(engine, chunks) if chunks else None
 
         def nic_hop() -> Event:
@@ -282,14 +277,14 @@ class TwoLevelAllToAll:
             return nic
 
         def scatter() -> Optional[Event]:
-            chunks = []
-            for d in range(d_lo, d_lo + P):
-                if d == d_leader:
-                    continue
-                recv = float(split[s_lo:s_lo + P, d].sum())
-                chunks.extend(
-                    self._chunked(d_leader, d, recv, derate=False, counter=SCATTER_COUNTER)
-                )
+            chunks = self._chunked(
+                [
+                    (d_leader, d, float(split[s_lo:s_lo + P, d].sum()))
+                    for d in range(d_lo, d_lo + P)
+                    if d != d_leader
+                ],
+                derate=False, counter=SCATTER_COUNTER,
+            )
             return join(engine, chunks) if chunks else None
 
         def finish() -> None:
@@ -319,17 +314,16 @@ class TwoLevelAllToAll:
         done = engine.event("two_level_all_to_all")
 
         def control() -> None:
-            waitables: List[Event] = []
             # Same-node pairs: flat chunked transfers, unchanged math.
-            for src in range(G):
-                for dst in range(G):
-                    if src != dst and hier.same_node(src, dst):
-                        waitables.extend(
-                            self._chunked(
-                                src, dst, float(split[src, dst]),
-                                derate=True, counter=None,
-                            )
-                        )
+            waitables = self._chunked(
+                [
+                    (src, dst, float(split[src, dst]))
+                    for src in range(G)
+                    for dst in range(G)
+                    if src != dst and hier.same_node(src, dst)
+                ],
+                derate=True, counter=None,
+            )
             # Cross-node traffic: one gather/NIC/scatter chain per ordered
             # node pair with any payload.
             N = hier.n_nodes(G)

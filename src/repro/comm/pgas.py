@@ -24,9 +24,10 @@ This module models that with two pieces:
   is *booked* at issue, not scheduled:
   :meth:`~repro.simgpu.interconnect.Interconnect.book_wave` reserves each
   write's link and stamps the byte counters at its delivery instant, and
-  the PE keeps its booked instants and the latest of them, which is all
-  ``quiet`` needs.  The engine sees a write only when it extends its PE's
-  horizon, as one no-op at the new latest instant.
+  the PE keeps only its latest delivery instant, which is all ``quiet``
+  needs.  A put takes no engine entry: nothing waits on one write, and
+  ``quiet`` schedules its own wake-up at that instant, so ``Engine.run()``
+  with nothing else queued may return before the last put has landed.
 
 The aggregator and the hierarchical staging router carry one-sided writes
 their own way, but validate each through :meth:`PGASContext.check_put`, so
@@ -76,15 +77,6 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be non-negative, got {value}")
 
 
-def _horizon() -> None:
-    """Engine no-op at a PE's new latest delivery instant.
-
-    Booked puts schedule nothing themselves; this keeps the clock running
-    until the last of them has landed, so ``Engine.run()`` still ends at
-    the final delivery.
-    """
-
-
 @dataclass(frozen=True)
 class PGASSpec:
     """Tunables of the one-sided messaging layer.
@@ -97,10 +89,6 @@ class PGASSpec:
     header_bytes:
         Wire framing per message — the "message header takes a good portion
         of bandwidth" inefficiency of §IV-A2d.  32 B/256 B ⇒ 12.5% overhead.
-    issue_overhead_ns:
-        GPU-side cost of triggering a batch of remote writes from a kernel
-        wave ("it is faster to trigger communication on the CPU than on the
-        GPU", §III-B2 — nonzero, but tiny and off the critical path).
     quiet_overhead_ns:
         Cost of the memory-fence/quiet operation at kernel end.
     atomic_payload_bytes:
@@ -109,7 +97,6 @@ class PGASSpec:
 
     message_bytes: int = 256
     header_bytes: int = 32
-    issue_overhead_ns: float = 0.5 * us
     quiet_overhead_ns: float = 2 * us
     atomic_payload_bytes: int = 8
 
@@ -118,8 +105,7 @@ class PGASSpec:
             raise ValueError("message_bytes must be positive")
         if self.header_bytes < 0:
             raise ValueError("header_bytes must be non-negative")
-        for name in ("issue_overhead_ns", "quiet_overhead_ns"):
-            check_finite("PGASSpec", name, getattr(self, name), zero_ok=True)
+        check_finite("PGASSpec", "quiet_overhead_ns", self.quiet_overhead_ns, zero_ok=True)
 
     @property
     def wire_efficiency(self) -> float:
@@ -140,14 +126,11 @@ class PGASContext:
         # PE -> its device's can_access_peers: one lookup checks a source,
         # one call screens a wave's destinations.
         self._reach = {d.id: d.can_access_peers for d in cluster.devices}
-        # Bound once: every put call uses both.
+        # Bound once: every put call uses it.
         self._book_wave = cluster.interconnect.book_wave
-        self._call_at = cluster.engine.call_at
         # Completion state per PE.  A put is booked, not scheduled: quiet
         # only needs "every earlier put has landed", i.e. the latest
-        # delivery instant booked so far, and pending_puts the booked
-        # instants still ahead of the clock.
-        self._booked: Dict[int, List[float]] = {pe: [] for pe in ids}
+        # delivery instant booked so far.
         self._last_done: Dict[int, float] = dict.fromkeys(ids, float("-inf"))
         # Externally-created transfers (aggregator flushes, hier chains).
         self._outstanding: Dict[int, List[Event]] = {pe: [] for pe in ids}
@@ -173,7 +156,7 @@ class PGASContext:
         """
         wave = isinstance(dst, _WAVE)
         if not wave:
-            dst, payload_bytes = (dst,), (payload_bytes,)
+            dst, payload_bytes = [dst], [payload_bytes]
         try:
             # One screen of the whole wave: a known source whose every
             # destination is a remote peer, and payloads with a finite sum
@@ -204,7 +187,7 @@ class PGASContext:
         """
         wave = isinstance(dst, _WAVE)
         if not wave:
-            dst, n_elements = (dst,), (n_elements,)
+            dst, n_elements = [dst], [n_elements]
         try:
             counts = list(map(operator.index, n_elements))
             ok = self._reach[src](dst) and min(counts) >= 0 and len(counts) == len(dst)
@@ -268,30 +251,12 @@ class PGASContext:
             src, dsts, payloads, message_bytes, self.spec.header_bytes, self.COUNTER
         )
         if done:
-            self._booked[src].extend(done)
-            # One no-op per rise of the horizon, in issue order: the entries
-            # a put-at-a-time loop would schedule.
-            last = self._last_done[src]
-            for t in done:
-                if t > last:
-                    last = t
-                    self._call_at(t, _horizon)
-            self._last_done[src] = last
+            last = max(done)
+            if last > self._last_done[src]:
+                self._last_done[src] = last
         return done
 
     # -- completion --------------------------------------------------------------
-
-    def pending_puts(self, device_id: int) -> int:
-        """Outstanding (undelivered) one-sided ops from one PE.
-
-        Puts and atomics whose delivery instant is still ahead of the clock,
-        plus still-pending registered events.
-        """
-        self._check_pe("pending_puts", device_id)
-        self._gc(device_id)
-        now = self.cluster.engine.now
-        ahead = sum(1 for t in self._booked[device_id] if t > now)
-        return ahead + len(self._outstanding[device_id])
 
     def quiet(self, pes: Union[int, Iterable[int]]) -> Event:
         """One event: every one-sided op issued so far from ``pes`` has landed.
@@ -309,12 +274,10 @@ class PGASContext:
         for pe in pes:
             self._check_pe("quiet", pe)
         engine = self.cluster.engine
-        now = last = engine.now
+        last = engine.now
         waits: List[Event] = []
         for pe in pes:
             self._gc(pe)
-            # Instants already reached no longer count as pending.
-            self._booked[pe] = [t for t in self._booked[pe] if t > now]
             waits.extend(self._outstanding[pe])
             last = max(last, self._last_done[pe])
         done = Event(engine, "quiet")

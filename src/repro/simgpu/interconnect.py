@@ -1,10 +1,14 @@
 """Interconnect model: links, topologies, and message transfers.
 
-Every ordered device pair gets a :class:`Link` — a FIFO store-and-forward
-server with an alpha-beta cost (latency + bytes/bandwidth) and strict
+Every ordered device pair is a link — a FIFO store-and-forward server
+with an alpha-beta cost (latency + bytes/bandwidth) and strict
 serialisation: concurrent transfers on the same link queue behind each
 other, which is how bursts (the baseline's all-to-all) congest while
-spread-out traffic (PGAS per-wave writes) does not.
+spread-out traffic (PGAS per-wave writes) does not.  The fabric keeps a
+source's links as one row of columns indexed by destination (static
+spec, fault state, accumulators) and books a whole wave on the row in
+one loop; a :class:`Link` is a view of one row entry, for fault
+injection and statistics.
 
 Topology presets mirror the paper's testbed (DGX-1 with four V100s, NVLink)
 plus PCIe and multi-node NIC variants for the §V extension studies.  On the
@@ -24,7 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..checks import check_bytes
 from .engine import Engine, Event
@@ -100,57 +104,113 @@ def wire_bytes(payload_bytes: float, message_bytes: int, header_bytes: int) -> f
 
 def _reserve(
     now: float,
-    links: Sequence["Link"],
+    row: "_Row",
+    dsts: Sequence[int],
     payloads: Sequence[float],
     message_bytes: int,
     header_bytes,
-) -> Tuple[List[float], List[float]]:
-    """Book ``payloads[i]`` on ``links[i]`` in order; returns ``(starts, dones)``.
+    starts: Optional[List[float]] = None,
+) -> List[float]:
+    """Book ``payloads[i]`` from ``row``'s source to ``dsts[i]`` in order;
+    returns the delivery instants.
 
     The one copy of the reservation arithmetic.  Each payload occupies
     its link from ``start`` (no earlier than ``now``, the link's previous
     reservation or the end of a down window) and has landed at ``done``.
     ``header_bytes`` is one header size for every payload or a sequence
-    of one per payload.  Schedules nothing; the caller checked the
-    payloads.
+    of one per payload.  Each ``start`` is appended to ``starts`` when
+    one is given.  Schedules nothing; the caller checked the payloads
+    and that every pair is connected.
     """
     headers = header_bytes if isinstance(header_bytes, (list, tuple)) else repeat(header_bytes)
     ceil = math.ceil
-    starts: List[float] = []
+    free_at = row.free_at
+    down_until = row.down_until
+    bandwidth = row.bandwidth
+    scale = row.bandwidth_scale
+    per_message_ns = row.per_message_ns
+    latency_ns = row.latency_ns
+    extra_latency_ns = row.extra_latency_ns
+    busy_time = row.busy_time
+    carried = row.bytes_carried
+    transfers = row.transfer_count
+    messages = row.messages_sent
     dones: List[float] = []
-    for lk, payload, header in zip(links, payloads, headers):
+    for dst, payload, header in zip(dsts, payloads, headers):
         if message_bytes > 0:
             n_messages = ceil(payload / message_bytes)
         else:
             n_messages = 1 if payload else 0
         wire = payload + n_messages * header
-        spec = lk.spec
-        # max(now, _free_at, down_until), without the call: a downed link
+        # max(now, free_at, down_until), without the call: a downed link
         # queues traffic until it comes back up.
-        start = lk._free_at
+        start = free_at[dst]
         if start < now:
             start = now
-        if start < lk.down_until:
-            start = lk.down_until
+        if start < down_until[dst]:
+            start = down_until[dst]
         # Link.effective_bandwidth, inlined: this runs once per write.
-        busy = wire / (spec.bandwidth * lk.bandwidth_scale) + n_messages * spec.per_message_ns
-        lk._free_at = free = start + busy
-        lk.busy_time += busy
-        lk.bytes_carried += wire
-        lk.transfer_count += 1
-        lk.messages_sent += n_messages
-        starts.append(start)
-        dones.append(free + spec.latency_ns + lk.extra_latency_ns)
-    return starts, dones
+        busy = wire / (bandwidth[dst] * scale[dst]) + n_messages * per_message_ns[dst]
+        free_at[dst] = free = start + busy
+        busy_time[dst] += busy
+        carried[dst] += wire
+        transfers[dst] += 1
+        messages[dst] += n_messages
+        if starts is not None:
+            starts.append(start)
+        dones.append(free + latency_ns[dst] + extra_latency_ns[dst])
+    return dones
+
+
+class _Row:
+    """Every link out of one source, as columns indexed by destination.
+
+    Static columns come from the topology (``spec`` is None for the
+    source itself and for unreachable destinations); fault state and the
+    accumulators start at the healthy, idle values.  ``reachable`` holds
+    the destinations with a spec, ``touched`` those booked or faulted so
+    far.
+    """
+
+    __slots__ = (
+        "spec", "bandwidth", "per_message_ns", "latency_ns",
+        "bandwidth_scale", "extra_latency_ns", "down_until",
+        "free_at", "busy_time", "bytes_carried", "transfer_count", "messages_sent",
+        "reachable", "touched",
+    )
+
+    def __init__(self, specs: List[Optional[LinkSpec]]):
+        n = len(specs)
+        self.spec = specs
+        self.bandwidth = [s.bandwidth if s is not None else math.nan for s in specs]
+        self.per_message_ns = [s.per_message_ns if s is not None else math.nan for s in specs]
+        self.latency_ns = [s.latency_ns if s is not None else math.nan for s in specs]
+        self.bandwidth_scale = [1.0] * n
+        self.extra_latency_ns = [0.0] * n
+        self.down_until = [float("-inf")] * n
+        self.free_at = [0.0] * n
+        self.busy_time = [0.0] * n
+        self.bytes_carried = [0.0] * n
+        self.transfer_count = [0] * n
+        self.messages_sent = [0] * n
+        self.reachable = frozenset(dst for dst, spec in enumerate(specs) if spec is not None)
+        self.touched: Set[int] = set()
+
+
+def _column(name: str, doc: str) -> property:
+    """A read-only :class:`Link` attribute: this link's entry of a row column."""
+    return property(lambda lk: getattr(lk._row, name)[lk.dst], doc=doc)
 
 
 class Link:
-    """A directed FIFO link between two devices.
+    """A directed FIFO link between two devices: a view of one row entry.
 
     Transfers serialise: each reservation starts no earlier than the link's
     previous reservation finished.  Completion = start + wire/bandwidth +
     latency (latency is pipelined, charged once per transfer).  The
-    fabric (:class:`Interconnect`) books links through :func:`_reserve`.
+    fabric (:class:`Interconnect`) keeps each source's links as columns
+    and books them through :func:`_reserve`; a view reads and faults its
+    pair's entries.
 
     Fault state (driven by :class:`repro.faults.FaultInjector`) composes
     multiplicatively/additively on top of the static :class:`LinkSpec`:
@@ -160,18 +220,22 @@ class Link:
     bit-identical to the healthy model.
     """
 
-    def __init__(self, src: int, dst: int, spec: LinkSpec):
+    __slots__ = ("src", "dst", "_row")
+
+    def __init__(self, src: int, dst: int, row: _Row):
         self.src = src
         self.dst = dst
-        self.spec = spec
-        self._free_at = 0.0
-        self.busy_time = 0.0
-        self.bytes_carried = 0.0
-        self.transfer_count = 0
-        self.messages_sent = 0
-        self.bandwidth_scale = 1.0
-        self.extra_latency_ns = 0.0
-        self.down_until = float("-inf")
+        self._row = row
+
+    spec = _column("spec", "The pair's static :class:`LinkSpec`.")
+    _free_at = _column("free_at", "When the link's last reservation ends.")
+    busy_time = _column("busy_time", "Nanoseconds of wire occupancy booked so far.")
+    bytes_carried = _column("bytes_carried", "Wire bytes (payload + headers) booked so far.")
+    transfer_count = _column("transfer_count", "Reservations booked so far.")
+    messages_sent = _column("messages_sent", "Messages booked so far.")
+    bandwidth_scale = _column("bandwidth_scale", "Current multiplicative bandwidth derate.")
+    extra_latency_ns = _column("extra_latency_ns", "Current additive latency spike.")
+    down_until = _column("down_until", "End of the current down window (-inf: up).")
 
     # -- fault state -------------------------------------------------------------
 
@@ -181,19 +245,21 @@ class Link:
             raise ValueError(f"bandwidth_scale must be positive, got {bandwidth_scale}")
         if extra_latency_ns < 0:
             raise ValueError(f"extra_latency_ns must be non-negative, got {extra_latency_ns}")
-        self.bandwidth_scale *= bandwidth_scale
-        self.extra_latency_ns += extra_latency_ns
+        row, dst = self._row, self.dst
+        row.bandwidth_scale[dst] *= bandwidth_scale
+        row.extra_latency_ns[dst] += extra_latency_ns
 
     def restore(self, bandwidth_scale: float = 1.0, extra_latency_ns: float = 0.0) -> None:
         """Undo a matching :meth:`degrade` (fault window end)."""
         if bandwidth_scale <= 0:
             raise ValueError(f"bandwidth_scale must be positive, got {bandwidth_scale}")
-        self.bandwidth_scale /= bandwidth_scale
-        self.extra_latency_ns = max(self.extra_latency_ns - extra_latency_ns, 0.0)
+        row, dst = self._row, self.dst
+        row.bandwidth_scale[dst] /= bandwidth_scale
+        row.extra_latency_ns[dst] = max(row.extra_latency_ns[dst] - extra_latency_ns, 0.0)
 
     def set_down_until(self, t: float) -> None:
         """Down the link until absolute time ``t`` (extends, never shortens)."""
-        self.down_until = max(self.down_until, t)
+        self._row.down_until[self.dst] = max(self._row.down_until[self.dst], t)
 
     def is_down(self, t: float) -> bool:
         """True while the link is inside a down window at time ``t``."""
@@ -235,6 +301,13 @@ class Topology:
             raise ValueError(f"device pair ({src}, {dst}) out of range")
         return self._spec_fn(src, dst)
 
+    def row_specs(self, src: int) -> List[Optional[LinkSpec]]:
+        """:meth:`link_spec` of every pair out of ``src``, indexed by destination."""
+        if not 0 <= src < self.n_devices:
+            raise ValueError(f"source device {src} out of range")
+        spec_fn = self._spec_fn
+        return [None if dst == src else spec_fn(src, dst) for dst in range(self.n_devices)]
+
     def connected(self, src: int, dst: int) -> bool:
         """True if ``src`` can reach ``dst`` directly."""
         return src != dst and self.link_spec(src, dst) is not None
@@ -267,7 +340,13 @@ def multinode_topology(
 
 
 class Interconnect:
-    """The fabric: lazily-built links over a topology, plus comm accounting."""
+    """The fabric: per-source link rows over a topology, plus comm accounting.
+
+    A source's row (:class:`_Row`) is built in one step the first time
+    the source books or is faulted.  A pair is *touched* when it is first
+    booked or asked for with :meth:`link`; :meth:`links` lists the touched
+    pairs in that order.
+    """
 
     #: profiler counter receiving every delivered payload byte
     COUNTER = "comm_bytes"
@@ -276,33 +355,60 @@ class Interconnect:
         self.engine = engine
         self.topology = topology
         self.profiler = profiler
-        self._links: Dict[Tuple[int, int], Link] = {}
-        # src -> {dst: Link}, filled as destinations first appear, so a
-        # wave resolves each link with one dict lookup.
-        self._routes: Dict[int, Dict[int, Link]] = {}
+        self._rows: Dict[int, _Row] = {}
+        # Touched pairs in first-touch order, and the views handed out.
+        self._touched: List[Tuple[int, int]] = []
+        self._views: Dict[Tuple[int, int], Link] = {}
+
+    def _touch(self, src: int, dsts: Sequence[int]) -> _Row:
+        """``src``'s row with every ``(src, dst)`` pair touched, in order.
+
+        Raises at the first unreachable pair, as :meth:`Topology.link_spec`
+        or as unconnected; the pairs before it stay touched.
+        """
+        row = self._rows.get(src)
+        topology = self.topology
+        if row is None and 0 <= src < topology.n_devices:
+            row = self._rows[src] = _Row(topology.row_specs(src))
+        if row is not None and row.reachable.issuperset(dsts):
+            touched = row.touched
+            new = dict.fromkeys(dsts)
+            if touched:
+                new = [dst for dst in new if dst not in touched]
+            touched.update(new)
+            self._touched.extend(zip(repeat(src), new))
+            return row
+        for dst in dsts:
+            if row is None or dst not in row.reachable:
+                topology.link_spec(src, dst)  # raises for a pair out of range
+                raise ValueError(f"devices {src} and {dst} are not connected in {topology.name}")
+            if dst not in row.touched:
+                row.touched.add(dst)
+                self._touched.append((src, dst))
+        return row
 
     def link(self, src: int, dst: int) -> Link:
-        """The directed link for ``(src, dst)``; raises if unreachable."""
+        """The directed link for ``(src, dst)``; raises if unreachable.
+
+        The same view every time for the same pair.
+        """
         key = (src, dst)
-        lk = self._links.get(key)
+        lk = self._views.get(key)
         if lk is None:
-            spec = self.topology.link_spec(src, dst)
-            if spec is None:
-                raise ValueError(
-                    f"devices {src} and {dst} are not connected in {self.topology.name}"
-                )
-            lk = Link(src, dst, spec)
-            self._links[key] = lk
+            lk = self._views[key] = Link(src, dst, self._touch(src, (dst,)))
         return lk
 
     def peek_link(self, src: int, dst: int) -> Optional[Link]:
-        """The ``(src, dst)`` link if it has been instantiated, else None.
+        """The ``(src, dst)`` link if it has been touched, else None.
 
-        Unlike :meth:`link` this never creates the link — fault-state
+        Unlike :meth:`link` this never touches the pair — fault-state
         queries use it so that merely *checking* a pair's health does not
-        materialise its Link object (which would perturb bookkeeping).
+        add it to :meth:`links` (which would perturb bookkeeping).
         """
-        return self._links.get((src, dst))
+        row = self._rows.get(src)
+        if row is None or dst not in row.touched:
+            return None
+        return self.link(src, dst)
 
     def _book(
         self,
@@ -317,17 +423,18 @@ class Interconnect:
 
         The one booking path behind :meth:`book_wave` and :meth:`transfer`.
         """
-        routes = self._routes.get(src)
-        if routes is None:
-            routes = self._routes[src] = {}
-        links = [routes.get(dst) or routes.setdefault(dst, self.link(src, dst)) for dst in dsts]
-        starts, done = _reserve(self.engine.now, links, payloads, message_bytes, header_bytes)
+        row = self._rows.get(src)
+        if row is None or not row.touched.issuperset(dsts):
+            row = self._touch(src, dsts)
         prof = self.profiler
-        if prof is not None and prof.enabled:
-            if prof.active_trace is not None:
-                # Traced bookings also record a link-occupancy span so the
-                # critical-path analyser sees individual wire time.  Guarded
-                # on an active trace: untraced runs record no extra spans.
+        enabled = prof is not None and prof.enabled
+        # Traced bookings also record a link-occupancy span so the
+        # critical-path analyser sees individual wire time.  Guarded on an
+        # active trace: untraced runs collect no starts and record no spans.
+        starts = [] if enabled and prof.active_trace is not None else None
+        done = _reserve(self.engine.now, row, dsts, payloads, message_bytes, header_bytes, starts)
+        if enabled:
+            if starts is not None:
                 for dst, start, done_at in zip(dsts, starts, done):
                     prof.record_span(f"xfer.dev{src}->dev{dst}", "link", src, start, done_at)
             prof.add_wave(counter, src, dsts, done, payloads)
@@ -392,7 +499,7 @@ class Interconnect:
         """
         check_bytes(f"transfer {src}->{dst}: payload", payload_bytes)
         (done_at,) = self._book(
-            src, (dst,), (payload_bytes,), message_bytes, header_bytes, counter or self.COUNTER
+            src, [dst], [payload_bytes], message_bytes, header_bytes, counter or self.COUNTER
         )
         ev = Event(self.engine, "xfer")
         self.engine.call_at(done_at, ev.succeed)
@@ -433,8 +540,9 @@ class Interconnect:
 
     def total_wire_bytes(self) -> float:
         """Bytes (incl. headers) carried over all links so far."""
-        return sum(lk.bytes_carried for lk in self._links.values())
+        rows = self._rows
+        return sum(rows[src].bytes_carried[dst] for src, dst in self._touched)
 
     def links(self) -> List[Link]:
-        """All links instantiated so far."""
-        return list(self._links.values())
+        """A view of every touched link, in first-touch order."""
+        return [self.link(src, dst) for src, dst in self._touched]

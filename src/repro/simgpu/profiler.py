@@ -296,11 +296,18 @@ class Profiler:
         cols = self._pairs.get(counter)
         if cols is None:
             cols = self._pairs[counter] = _PairColumns()
-        cols.src.extend([src] * len(dsts))
-        cols.dst.extend(dsts)
-        cols.times.extend(times)
-        cols.delta.extend(deltas)
-        self.counter(counter).extend(times, deltas)
+        # array.fromlist takes only lists, and appends about twice as fast
+        # as extend.
+        dsts = dsts if type(dsts) is list else list(dsts)
+        times = times if type(times) is list else list(times)
+        deltas = deltas if type(deltas) is list else list(deltas)
+        cols.src.fromlist([src] * len(dsts))
+        cols.dst.fromlist(dsts)
+        cols.times.fromlist(times)
+        cols.delta.fromlist(deltas)
+        c = self.counter(counter)
+        c._times.fromlist(times)
+        c._deltas.fromlist(deltas)
 
     def pair_samples(self, counter: str) -> PairSamples:
         """Every :meth:`add_wave` sample of ``counter``, in booking order (copies)."""

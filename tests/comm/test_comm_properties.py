@@ -33,10 +33,9 @@ def test_pgas_conservation_under_random_traffic(G, seed, n_puts):
         ctx.put(int(src), int(dst), nbytes)
         issued += nbytes
 
-    cl.run(lambda cluster: ctx.quiet(range(cluster.n_devices)))
+    elapsed = cl.run(lambda cluster: ctx.quiet(range(cluster.n_devices)))
     assert cl.profiler.counter(PGASContext.COUNTER).total == pytest.approx(issued)
-    for dev in cl.devices:
-        assert ctx.pending_puts(dev.id) == 0
+    assert elapsed >= max(ctx._last_done.values())
 
 
 @settings(deadline=None, max_examples=20)

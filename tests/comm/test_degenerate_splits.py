@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.comm.collective import CollectiveContext, CollectiveSpec
+from repro.comm.collective import CollectiveContext, CollectiveSpec, chunk_waves
 from repro.simgpu import dgx_v100
 from repro.simgpu.interconnect import Interconnect
 from repro.simgpu.units import MiB, us
@@ -78,10 +78,8 @@ class TestNegativeBytes:
             ctx.all_to_all_single(np.array([[0.0, -1.0], [0.0, 0.0]]))
 
     def test_pair_chunks_negative_raises(self):
-        ctx = CollectiveContext(dgx_v100(2), fast_spec())
         with pytest.raises(ValueError, match="non-negative"):
-            ctx._chunks(-8.0)
+            chunk_waves(fast_spec(), [0], np.array([[1]]), np.array([[-8.0]]))
 
     def test_pair_chunks_zero_is_empty(self):
-        ctx = CollectiveContext(dgx_v100(2), fast_spec())
-        assert ctx._chunks(0.0) == []
+        assert chunk_waves(fast_spec(), [0], np.array([[1]]), np.array([[0.0]])) == []

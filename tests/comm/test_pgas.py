@@ -14,6 +14,13 @@ from repro.simgpu.stream import join
 from repro.simgpu.units import us
 
 
+def _fired_at(ev):
+    """A list that receives the instant ``ev`` fires."""
+    at = []
+    ev.add_callback(lambda: at.append(ev.engine.now))
+    return at
+
+
 def _steps(cluster, steps):
     """A host program running each ``(delay, fn)`` step after its delay
     (a zero delay runs the step at once); it ends after the last step."""
@@ -58,36 +65,35 @@ class TestPut:
         cl = dgx_v100(2)
         ctx = PGASContext(cl)
         assert ctx.put(0, 1, 1024.0) is None
-        assert ctx.pending_puts(0) == 1
-        cl.engine.run()
-        assert ctx.pending_puts(0) == 0
+        (delivered, _), = cl.profiler.counter(PGASContext.COUNTER).events()
+        assert ctx._last_done[0] == delivered > 0.0
         assert cl.profiler.counter(PGASContext.COUNTER).total == pytest.approx(1024.0)
         pairs = cl.profiler.pair_counters(PGASContext.COUNTER)
         assert pairs[f"{PGASContext.COUNTER}.dev0->dev1"].total == 1024.0
 
-    def test_put_is_one_callback(self):
+    def test_put_takes_no_engine_entry(self):
         cl = dgx_v100(2)
         ctx = PGASContext(cl)
         seq0 = cl.engine._seq
         ctx.put(0, 1, 1024.0)
-        assert cl.engine._seq == seq0 + 1
+        assert cl.engine._seq == seq0
 
-    def test_callbacks_only_when_the_horizon_rises(self):
-        """63 puts at one instant schedule one no-op per rise of ``_last_done``."""
+    def test_quiet_waits_for_the_horizon(self):
+        """63 puts at one instant schedule nothing; ``_last_done`` is their
+        latest delivery, and one ``quiet`` wakes there in one entry."""
         cl = dgx_v100(64)
-        ctx = PGASContext(cl)
+        ctx = PGASContext(cl, PGASSpec(quiet_overhead_ns=0.0))
         payloads = [256.0 * (1 + (dst * 7) % 5) for dst in range(1, 64)]
-        rises, last = 0, float("-inf")
-        seq0 = cl.engine._seq
         for dst, payload in zip(range(1, 64), payloads):
             ctx.put(0, dst, payload)
-            if ctx._last_done[0] > last:
-                rises, last = rises + 1, ctx._last_done[0]
-        assert cl.engine._seq - seq0 == rises
-        assert rises < 63
-        assert ctx.pending_puts(0) == 63
-        assert cl.engine.run() == last
-        assert ctx.pending_puts(0) == 0
+        assert cl.engine._seq == 0
+        deliveries = [t for t, _ in cl.profiler.counter(PGASContext.COUNTER).events()]
+        assert len(deliveries) == 63
+        assert ctx._last_done[0] == max(deliveries)
+        assert cl.engine.run() == 0.0  # nothing waits on a put
+        q = ctx.quiet([0])
+        assert cl.engine._seq == 1
+        assert cl.engine.run() == max(deliveries) and q.triggered
 
     def test_put_wire_includes_headers(self):
         cl = dgx_v100(2)
@@ -115,7 +121,7 @@ class TestPut:
         ctx.put(0, 1, 0.0)
         assert cl.engine._seq == seq0  # schedules nothing
         assert cl.interconnect.links() == []
-        assert ctx.pending_puts(0) == 0
+        assert ctx._last_done[0] == float("-inf")
         assert ctx.puts_issued == 0
 
     def test_traced_put_records_link_span(self):
@@ -202,15 +208,14 @@ class TestAtomics:
         cl = dgx_v100(2)
         ctx = PGASContext(cl, PGASSpec(atomic_payload_bytes=8, quiet_overhead_ns=0.0))
         assert ctx.atomic_add(0, 1, 1_000_000) is None
-        assert ctx.pending_puts(0) == 1
+        (delivered, _), = cl.profiler.counter(PGASContext.COUNTER).events()
+        assert ctx._last_done[0] == delivered
 
         def host(cluster):
             return ctx.quiet([0])
 
         elapsed = cl.run(host)
-        (delivered, _), = cl.profiler.counter(PGASContext.COUNTER).events()
         assert elapsed == delivered
-        assert ctx.pending_puts(0) == 0
 
     def test_zero_atomics_immediate(self):
         cl = dgx_v100(2)
@@ -218,7 +223,7 @@ class TestAtomics:
         seq0 = cl.engine._seq
         assert ctx.atomic_add(0, 1, 0) is None
         assert cl.engine._seq == seq0
-        assert ctx.pending_puts(0) == 0
+        assert ctx._last_done[0] == float("-inf")
 
     def test_negative_rejected(self):
         ctx = PGASContext(dgx_v100(2))
@@ -293,12 +298,20 @@ class TestCompletion:
         assert cl.run(host) < 10 * us
 
     def test_pending_puts_gc(self):
+        """A registered transfer that has landed is not waited on again: a
+        later quiet is one callback, at its overhead from now."""
         cl = dgx_v100(2)
-        ctx = PGASContext(cl)
-        ctx.put(0, 1, 100.0)
-        assert ctx.pending_puts(0) == 1
+        ctx = PGASContext(cl, PGASSpec(quiet_overhead_ns=3.0))
+        ev = cl.interconnect.transfer(0, 1, 100.0)
+        ctx.register_outstanding(0, ev)
         cl.engine.run()
-        assert ctx.pending_puts(0) == 0
+        landed = cl.engine.now
+        seq = cl.engine._seq
+        q = ctx.quiet([0])
+        assert ctx._outstanding[0] == []
+        assert cl.engine._seq == seq + 1
+        cl.engine.run()
+        assert q.triggered and cl.engine.now == landed + 3.0
 
     def test_barrier_all_drains_everyone(self):
         cl = dgx_v100(3)
@@ -311,15 +324,14 @@ class TestCompletion:
 
         elapsed = cl.run(host)
         assert elapsed >= 2e6 / 48.0 * 48.0 / 48.0  # at least the slowest drain
-        assert ctx.pending_puts(0) == 0
-        assert ctx.pending_puts(2) == 0
+        assert elapsed >= max(ctx._last_done.values())
 
     def test_register_outstanding_external_event(self):
         cl = dgx_v100(2)
         ctx = PGASContext(cl)
         ev = cl.interconnect.transfer(0, 1, 48.0 * 1e6)
         ctx.register_outstanding(0, ev)
-        assert ctx.pending_puts(0) == 1
+        assert ctx._outstanding[0] == [ev]
 
         def host(cluster):
             return ctx.quiet([0])
@@ -328,8 +340,10 @@ class TestCompletion:
         assert ev.triggered
 
     def test_pending_puts_counts_in_flight_and_external(self):
+        """Puts, atomics and a registered transfer all count; an already
+        triggered registered event does not, and neither does another PE."""
         cl = dgx_v100(3)
-        ctx = PGASContext(cl)
+        ctx = PGASContext(cl, PGASSpec(quiet_overhead_ns=0.0))
         ctx.put(0, 1, 100.0)
         ctx.put(0, 2, 100.0)
         ctx.atomic_add(0, 1, 4)
@@ -338,10 +352,14 @@ class TestCompletion:
         delivered = cl.engine.event()
         delivered.succeed()
         ctx.register_outstanding(0, delivered)  # already triggered: not pending
-        assert ctx.pending_puts(0) == 4
-        assert ctx.pending_puts(1) == 0
+        ctx.put(1, 2, 48.0 * 1e6)  # PE 1's traffic
+        landed = _fired_at(external)
+        fired = {pe: _fired_at(ctx.quiet([pe])) for pe in (0, 2)}
         cl.engine.run()
-        assert ctx.pending_puts(0) == 0
+        puts = [t for t, _ in cl.profiler.counter(PGASContext.COUNTER).events()]
+        assert len(puts) == 4
+        assert fired[0] == [max(max(puts[:3]), landed[0])] == landed
+        assert fired[2] == [0.0]
 
     def test_quiet_wakes_at_exactly_the_last_delivery(self):
         cl = dgx_v100(3)
@@ -399,7 +417,7 @@ class TestCompletion:
 
             def quiet_done():
                 seen["quiet_done"] = engine.now
-                seen["pending"] = ctx.pending_puts(0)
+                seen["pending"] = ctx._last_done[0] > engine.now
                 done.succeed()
 
             cluster.then(1.0, late_put)
@@ -409,7 +427,7 @@ class TestCompletion:
         cl.engine.run()  # deliver the late put too
         first, second = (t for t, _ in cl.profiler.counter(PGASContext.COUNTER).events())
         assert seen["quiet_done"] == first
-        assert seen["pending"] == 1
+        assert seen["pending"]  # the late put is still in flight
         assert second > 1e6
 
     def test_one_quiet_fires_at_the_latest_drain_of_its_pes(self):
@@ -447,7 +465,7 @@ class TestCompletion:
         drains = [fired[(pe,)] for pe in range(4)]
         assert len(set(drains)) == 4  # every PE drains at its own instant
         assert fired[(0, 1, 2, 3)] == max(drains) == fired[(3,)]
-        assert ctx.pending_puts(2) == 1  # the late put is still in flight
+        assert ctx._last_done[2] > engine.now  # the late put is still in flight
         engine.run()
         late = max(t for t, _ in cl.profiler.counter(PGASContext.COUNTER).events())
         assert late > fired[(0, 1, 2, 3)]
@@ -469,12 +487,12 @@ class TestUnknownPE:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda ctx: ctx.pending_puts(5),
+            lambda ctx: ctx.atomic_add(5, 1, 4),
             lambda ctx: ctx.quiet(5),
             lambda ctx: ctx.quiet([0, 5]),
             lambda ctx: ctx.register_outstanding(5, ctx.cluster.engine.event()),
         ],
-        ids=["pending_puts", "quiet", "quiet-set", "register_outstanding"],
+        ids=["atomic_add", "quiet", "quiet-set", "register_outstanding"],
     )
     def test_unknown_pe_is_a_value_error(self, call):
         cl = dgx_v100(2)
@@ -484,7 +502,7 @@ class TestUnknownPE:
         with pytest.raises(ValueError, match=r"src must be a device id in \[0, 2\), got 5"):
             call(ctx)
         assert cl.engine._seq == seq  # nothing scheduled
-        assert ctx.pending_puts(0) == 1
+        assert ctx.puts_issued == 1 and ctx._outstanding == {0: [], 1: []}
 
 
 class TestCounterOrder:
@@ -585,7 +603,6 @@ def _state(cl, ctx):
         "links": links,
         "counters": counters,
         "spans": list(cl.profiler.spans),
-        "booked": {pe: list(ts) for pe, ts in ctx._booked.items()},
         "last_done": dict(ctx._last_done),
         "seq": cl.engine._seq,
         "heap": heap,
@@ -646,7 +663,7 @@ class TestWave:
         wave_issued, wave_done, _ = self._run("atomic_add", self.COUNTS, True)
         assert wave_issued == one_issued
         assert wave_done == one_done
-        assert sum(len(ts) for ts in one_issued["booked"].values()) == 6
+        assert sum(len(ts) for ts, _ in one_issued["counters"].values()) == 6
 
     def test_one_call_per_wave(self):
         cl = dgx_v100(4)
@@ -654,7 +671,7 @@ class TestWave:
         ctx.put(0, [1, 2, 3], [256.0, 0.0, 512.0])
         assert ctx.puts_issued == 2
         assert ctx.payload_bytes_issued == 768.0
-        assert ctx.pending_puts(0) == 2
+        assert len(cl.profiler.counter(PGASContext.COUNTER).events()) == 2
 
     def test_empty_wave_books_nothing(self):
         cl = dgx_v100(4)
@@ -664,7 +681,7 @@ class TestWave:
         assert cl.engine._seq == 0
         assert cl.interconnect.links() == []
         assert cl.profiler.counters == {}
-        assert ctx.puts_issued == 0 and ctx.pending_puts(0) == 0
+        assert ctx.puts_issued == 0 and ctx._last_done[0] == float("-inf")
         with pytest.raises(ValueError, match="src"):
             ctx.put(9, [], [])
 
@@ -692,7 +709,7 @@ class TestWave:
         assert cl.engine._seq == 0
         assert cl.interconnect.links() == []
         assert cl.profiler.counters == {}
-        assert ctx.puts_issued == 0 and ctx._booked[0] == []
+        assert ctx.puts_issued == 0 and ctx._last_done[0] == float("-inf")
 
     @pytest.mark.parametrize("position", [0, 2])
     def test_bad_put_element_without_peer_access_books_nothing(self, position):

@@ -41,7 +41,10 @@ all-to-all wait fires in its delay's entry.  Every count fell once more
 when streams began booking closed-form ops at submit: a launch delay, a
 copy or a kernel on a fault-free device takes no entry of its own, a
 join over booked ops takes one at their latest end, and a fused kernel
-keeps only its wave-end entries.  No timing or counter moved.
+keeps only its wave-end entries.  Every pgas count fell once more when
+puts stopped scheduling a no-op at each rise of a PE's latest delivery
+instant: a put takes no entry, and ``quiet`` schedules its own wake-up
+at that instant.  No timing or counter moved.
 
 Every timing of a case fed by ``lengths_batch`` on a plain uniform range
 was re-captured once when that method began drawing each chunk's lookup
@@ -231,7 +234,7 @@ CASES = {
             "total_ns": 7110949.169590643,
             "batches": 1.0,
         },
-        70,
+        38,
     ),
     "baseline-g16": (
         lambda: _run(FLAT_G16, 16, "baseline"),
@@ -253,7 +256,7 @@ CASES = {
             "total_ns": 7038243.67251462,
             "batches": 1.0,
         },
-        134,
+        70,
     ),
     "baseline-g64": (
         lambda: _run(SCALE_G64, 64, "baseline"),
@@ -279,7 +282,7 @@ CASES = {
             "total_ns": 2143181.828814459,
             "batches": 1.0,
         },
-        359,
+        351,
     ),
     "train-pgas-g4": (
         lambda: _train(TRAIN_G4, 4, "pgas"),
@@ -303,7 +306,7 @@ CASES = {
             "emb_backward.batches": 1.0,
             "total_ns": 13040058.559565937,
         },
-        50,
+        42,
     ),
     "train-baseline-g4": (
         lambda: _train(TRAIN_G4, 4, "baseline"),
@@ -341,7 +344,7 @@ FEATURE_CASES = {
             "total_ns": 155571.40935672517,
             "batches": 1.0,
         },
-        34,
+        20,
         {
             "cache.evictions.dev0": 3791.0,
             "cache.evictions.dev1": 4313.0,
@@ -409,7 +412,7 @@ FEATURE_CASES = {
             "total_ns": 360723.85123195883,
             "batches": 1.0,
         },
-        52,
+        43,
         {
             "faults.rerouted_bytes": 524288.0,
             "faults.rerouted_bytes.delivered": 262144.0,
@@ -440,7 +443,7 @@ FEATURE_CASES = {
             "total_ns": 223086.90058479534,
             "batches": 1.0,
         },
-        176,
+        165,
         {
             "availability.batch_lookups": 65184.0,
             "availability.detection_ns": 5071.350877192977,
@@ -475,7 +478,7 @@ FEATURE_CASES = {
             "total_ns": 1512684.8654970762,
             "batches": 6.0,
         },
-        114,
+        90,
         {
             "pgas_bytes": 9437184.0,
             "pgas_bytes.dev0->dev1": 655360.0,
@@ -526,7 +529,7 @@ ROWWISE_CASES = {
             "total_ns": 1473233.1461988306,
             "batches": 1.0,
         },
-        22,
+        14,
         {"pgas_bytes": 50331648.0, **_pair_totals("pgas_bytes", 4, 4194304.0)},
     ),
     "rowwise-baseline-g3-ragged": (
@@ -558,7 +561,7 @@ ROWWISE_CASES = {
             "total_ns": 370438.48538011697,
             "batches": 1.0,
         },
-        12,
+        9,
         {
             "pgas_bytes": 3584000.0,
             "pgas_bytes.dev0->dev1": 596736.0,
@@ -657,10 +660,11 @@ def test_stream_ops_start_no_process():
     and waited on by joins of one entry each, and each ``quiet`` covers
     every PE with one event: the host programs are callback chains, so an
     entry per stream op, per PE or per stage start fails here without any
-    timing.  The batch took 87 entries while every op ran as callbacks."""
+    timing.  The batch took 87 entries while every op ran as callbacks,
+    and 35 while each put that raised its PE's horizon took one."""
     pipe = DLRMInferencePipeline(PipelineConfig(workload=TRAIN_G4), 8, backend="pgas")
     pipe.run_batch(SyntheticDataGenerator(TRAIN_G4).lengths_batch())
-    assert pipe.cluster.engine._seq == 35
+    assert pipe.cluster.engine._seq == 27
 
     got, seq = _train(TRAIN_G4, 4, "pgas")
     assert (got, seq) == (CASES["train-pgas-g4"][1], CASES["train-pgas-g4"][2])

@@ -133,7 +133,8 @@ def test_engine_event_count_is_pinned():
     entry of the completion or alarm that wakes it.  It fell from 303
     when streams began booking closed-form ops at submit: a launch delay
     or kernel takes no entry of its own, and a join over booked ops takes
-    one, at their latest end.
+    one, at their latest end.  It fell from 207 when puts stopped
+    scheduling a no-op at each rise of a PE's latest delivery instant.
     """
     _, pipe = _serve("hybrid", 2, *LOADS["window"])
-    assert pipe.cluster.engine._seq == 207
+    assert pipe.cluster.engine._seq == 191

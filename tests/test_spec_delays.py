@@ -21,9 +21,6 @@ NAN, INF = math.nan, math.inf
 
 #: (spec class, field, bad value)
 CASES = [
-    (PGASSpec, "issue_overhead_ns", NAN),
-    (PGASSpec, "issue_overhead_ns", INF),
-    (PGASSpec, "issue_overhead_ns", -1.0),
     (PGASSpec, "quiet_overhead_ns", NAN),
     (PGASSpec, "quiet_overhead_ns", INF),
     (PGASSpec, "quiet_overhead_ns", -1.0),
