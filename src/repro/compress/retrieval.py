@@ -100,7 +100,7 @@ class CompressionErrorStats:
         self.n_elements += other.n_elements
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _EncodeChargedWorkload(DeviceWorkload):
     """A workload whose kernel additionally streams the encode pass.
 

@@ -28,7 +28,10 @@ memoized, so backends running the same batch derive them once; each
 device's rows of it are indexed once per plan and batch layout.  The
 destination tile and its reductions depend only on the batch *shape*, so a
 small module cache (:func:`_dst_tile`) builds each shape once and hands the
-same read-only arrays to every device and every batch of that shape.
+same read-only arrays to every device and every batch of that shape.  A
+fixed batch (fixed pooling: its counts follow from its size) keeps its
+built workloads per plan and block size, so serving, which cuts one fixed
+sub-batch per size from its request pool, builds each size once.
 """
 
 from __future__ import annotations
@@ -142,7 +145,7 @@ def _dst_tile(
     return DstTile(np.tile(chunk_dst_counts * float(row_bytes), (n_tables, 1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeviceWorkload:
     """One device's share of an EMB forward pass, in byte terms.
 
@@ -152,7 +155,9 @@ class DeviceWorkload:
     totals cannot go stale.  ``tile`` (init-only) hands in totals and
     per-wave sums already reduced for ``block_dst_bytes``;
     ``dataclasses.replace`` drops it, so a replaced workload reduces its
-    own bytes again.
+    own bytes again.  Equality and hashing are by identity (its array
+    fields have no truth value), so a workload can key what is derived
+    from it, such as the PGAS kernel's launch plan.
 
     Attributes
     ----------
@@ -275,7 +280,7 @@ class DeviceWorkload:
         return _wave_sums(self.block_dst_bytes, concurrent_blocks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _RowWiseWorkload(DeviceWorkload):
     """One device's share of a row-wise forward: partial pools of all tables.
 
@@ -370,9 +375,23 @@ def build_device_workloads(
     other than a :class:`~repro.dlrm.data.LengthsBatch` is copied into one,
     which validates it; a ``LengthsBatch`` shares its chunk counts with
     every other build of the same batch, and its layout shares each
-    device's rows of them with every batch of that layout.
+    device's rows of them with every batch of that layout.  A fixed batch
+    keeps the workloads it builds per plan and ``samples_per_block``: a
+    later build returns a new list of the same frozen workloads.
     """
     lengths = _checked_lengths(plan, lengths_by_feature, samples_per_block)
+    return list(
+        lengths.memoized(
+            ("device_workloads", plan, samples_per_block),
+            lambda: _device_workloads(plan, lengths, samples_per_block),
+        )
+    )
+
+
+def _device_workloads(
+    plan: TableWiseSharding, lengths: LengthsBatch, samples_per_block: int
+) -> Tuple[DeviceWorkload, ...]:
+    """Every device's workload for ``lengths``, built."""
     B = lengths.batch_size
     G = plan.n_devices
     _, rows = _count_rows(plan, lengths.layout)
@@ -423,7 +442,7 @@ def build_device_workloads(
                 tile=tile,
             )
         )
-    return workloads
+    return tuple(workloads)
 
 
 def build_rowwise_workloads(

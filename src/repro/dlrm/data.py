@@ -29,6 +29,14 @@ pooling range allows.  Counts are memoized on the batch and shared by every
 backend that runs it.  Deriving them from blocks also validates the
 lengths, once per batch: a negative, fractional or NaN pooling factor
 raises :class:`InvalidLengthsError`.
+
+When every table's declared pooling range is one value (fixed pooling, as
+production inference runs), ``sample_lengths`` returns the batch's fixed
+form instead: one pooling factor per feature and the batch size, no sample
+arrays.  Such a draw takes nothing from the generator.  Its counts are the
+factors times the chunk sizes, and :meth:`LengthsBatch.take` hands out one
+fixed sub-batch per size, so what is derived from a sub-batch is derived
+once per size.
 """
 
 from __future__ import annotations
@@ -36,7 +44,18 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Dict, Iterator, List, Literal, Mapping, Optional, Sequence
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterator,
+    List,
+    Literal,
+    Mapping,
+    Optional,
+    Sequence,
+    TypeVar,
+)
 
 import numpy as np
 
@@ -236,6 +255,8 @@ _NARROW_DTYPES = tuple(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32))
 
 #: ``block(rng, lo, hi)``: features ``[lo, hi)`` of a batch, drawn from ``rng``
 BlockDraw = Callable[[np.random.Generator, int, int], np.ndarray]
+
+_T = TypeVar("_T")
 
 
 def _block_rows(batch_size: int) -> int:
@@ -442,24 +463,30 @@ class LengthsBatch(Mapping[str, np.ndarray]):
     samples, row = feature in :attr:`layout` order.  Its per-sample
     reads (mapping a feature, iterating values, :meth:`take`, or
     :meth:`chunk_counts` at any other block size) raise
-    :class:`CountsOnlyError`.  Any other batch holds ``(rows, B)`` row
-    blocks: a generator's ``sample_lengths`` in the narrowest unsigned type
-    the generator's range allows (uint8 for every paper preset), a copy of
-    a mapping in int64, and a cut by :meth:`take` in the source's type.
+    :class:`CountsOnlyError`.  A fixed batch (:meth:`fixed`, what
+    ``sample_lengths`` draws under fixed pooling) holds one pooling factor
+    per feature and reads as constant rows.  Any other
+    batch holds ``(rows, B)`` row blocks: a generator's ``sample_lengths``
+    in the narrowest unsigned type the generator's range allows (uint8 for
+    every paper preset), a copy of a mapping in int64, and a cut by
+    :meth:`take` in the source's type.
 
     Mapping a feature gives its ``(B,)`` int64 lengths, read-only: a row of
-    an int64 block, or an int64 copy of a narrow block's row.  Hot paths
-    read :meth:`chunk_counts` at :data:`EMB_SAMPLES_PER_BLOCK` instead.
-    Nothing the batch hands out can change its values, which is what makes
-    :meth:`chunk_counts` safe to memoize: every backend that runs the batch
-    reads the counts the first one derived.
+    an int64 block, an int64 copy of a narrow block's row, or a fixed
+    batch's ``np.full`` row.  Hot paths read :meth:`chunk_counts` at
+    :data:`EMB_SAMPLES_PER_BLOCK` instead.  Nothing the batch hands out can
+    change its values, which is what makes :meth:`chunk_counts` safe to
+    memoize: every backend that runs the batch reads the counts the first
+    one derived.
 
     Construction from any other mapping checks shapes and dtypes (1-D,
     integer, one batch size) and copies the values into the batch's own
     blocks; the first :meth:`chunk_counts` checks the values.
     """
 
-    __slots__ = ("_kept", "_counts", "layout", "batch_size")
+    __slots__ = (
+        "_kept", "_counts", "_pooling", "_derived", "layout", "batch_size", "__weakref__",
+    )
 
     def __init__(self, lengths_by_feature: Mapping[str, Sequence[int]]):
         names, arrays = [], []
@@ -499,10 +526,14 @@ class LengthsBatch(Mapping[str, np.ndarray]):
         self, layout: FeatureLayout, blocks: Optional[List[np.ndarray]], batch_size: int
     ) -> None:
         self.layout = layout
-        #: the row blocks, or None for a counts-only batch
+        #: the row blocks, or None for a counts-only or fixed batch
         self._kept = blocks
         #: samples_per_block -> read-only (T, n_chunks) counts
         self._counts: Dict[int, np.ndarray] = {}
+        #: a fixed batch's read-only (T,) int64 pooling factors, else None
+        self._pooling: Optional[np.ndarray] = None
+        #: what was derived from a fixed batch, by key (see memoized)
+        self._derived: Dict[Hashable, object] = {}
         #: samples per feature (0 for an empty batch)
         self.batch_size = batch_size
 
@@ -535,6 +566,37 @@ class LengthsBatch(Mapping[str, np.ndarray]):
         batch._setup(layout, blocks, batch_size)
         return batch
 
+    @classmethod
+    def fixed(
+        cls, layout: FeatureLayout, batch_size: int, pooling: np.ndarray
+    ) -> "LengthsBatch":
+        """A batch of ``layout``'s features, ``batch_size`` samples each, in
+        which feature *t* looks up ``pooling[t]`` rows in every sample.
+
+        ``pooling`` is a ``(T,)`` vector of non-negative integers, kept as
+        read-only int64 (shared, not copied, when it already is).  The
+        batch holds no sample arrays: its counts are the factors times the
+        chunk sizes, and a per-sample read builds a constant row.
+        """
+        batch = cls.__new__(cls)
+        batch._setup(layout, None, batch_size)
+        pooling = np.asarray(pooling, dtype=np.int64)
+        batch._pooling = pooling if not pooling.flags.writeable else _frozen(pooling.copy())
+        return batch
+
+    def memoized(self, key: Hashable, derive: Callable[[], _T]) -> _T:
+        """``derive()``, kept on a fixed batch under ``key`` and returned by
+        every later call with that key; any other batch derives it on
+        every call.  A fixed sub-batch lives as long as the batch it was
+        cut from (see :meth:`take`), so what is kept on it is derived once
+        per batch size, and dies with that batch."""
+        if self._pooling is None:
+            return derive()
+        out = self._derived.get(key)
+        if out is None:
+            out = self._derived[key] = derive()
+        return out
+
     @property
     def _blocks(self) -> List[np.ndarray]:
         """The row blocks; a counts-only batch has none."""
@@ -548,6 +610,8 @@ class LengthsBatch(Mapping[str, np.ndarray]):
 
     def __getitem__(self, name: str) -> np.ndarray:
         row = self.layout.rows[name]
+        if self._pooling is not None:
+            return _frozen(np.full(self.batch_size, self._pooling[row], dtype=np.int64))
         blocks = self._blocks
         rows = blocks[0].shape[0]
         return _frozen(blocks[row // rows][row % rows].astype(np.int64, copy=False))
@@ -569,7 +633,8 @@ class LengthsBatch(Mapping[str, np.ndarray]):
         shares this one's layout, in blocks of this one's dtype sized for
         its own batch size; each is gathered with one ``take`` per source
         block it overlaps.  Its values are checked when its counts are
-        derived.
+        derived.  A fixed batch's cut is the fixed batch of ``len(rows)``
+        samples, made once per size and kept on this batch.
         """
         rows = np.asarray(rows)
         if rows.ndim != 1:
@@ -583,6 +648,11 @@ class LengthsBatch(Mapping[str, np.ndarray]):
         B = self.batch_size
         if rows.size and not (-B <= rows.min() and rows.max() < B):
             raise IndexError(f"rows out of range for a batch of {B} samples")
+        if self._pooling is not None:
+            n = len(rows)
+            return self.memoized(
+                ("take", n), lambda: LengthsBatch.fixed(self.layout, n, self._pooling)
+            )
         blocks = self._blocks
         src = blocks[0].shape[0] if blocks else 1
 
@@ -609,8 +679,10 @@ class LengthsBatch(Mapping[str, np.ndarray]):
         blocks derives a count matrix, and validates the lengths, on the
         first call per block size with one ``min`` and one ``reduceat`` per
         block, which sums a narrow block in int64 because it writes into
-        the int64 matrix; later calls return the same read-only matrix.
-        ``samples_per_block`` must be an int >= 1.
+        the int64 matrix; a fixed batch multiplies its factors by the chunk
+        sizes, which equals reducing its constant rows.  Later calls return
+        the same read-only matrix.  ``samples_per_block`` must be an int
+        >= 1.
         """
         samples_per_block = checked_count(
             "LengthsBatch.chunk_counts", "samples_per_block", samples_per_block, 1
@@ -621,9 +693,13 @@ class LengthsBatch(Mapping[str, np.ndarray]):
         return counts
 
     def _reduced(self, samples_per_block: int) -> np.ndarray:
-        """The blocks' counts per ``samples_per_block`` samples, checked."""
-        blocks = self._blocks
+        """The blocks' counts per ``samples_per_block`` samples, checked; a
+        fixed batch's are its factors times the chunk sizes."""
         starts = np.arange(0, self.batch_size, samples_per_block)
+        if self._pooling is not None:
+            sizes = np.minimum(self.batch_size - starts, samples_per_block)
+            return _frozen(np.multiply.outer(self._pooling, sizes))
+        blocks = self._blocks
         counts = np.empty((len(self), len(starts)), dtype=np.int64)
         lo = 0
         for block in blocks:
@@ -735,11 +811,20 @@ class SyntheticDataGenerator:
         type that holds the largest factor the config allows:
         ``max_pooling``, scaled by the largest table multiplier under table
         skew (``rint`` of a product with a positive scale is monotone, so
-        no drawn value exceeds it).  ``batch_size=None`` draws the config's
-        batch size.
+        no drawn value exceeds it).  When ``min_pooling == max_pooling``
+        every sample of a table has one factor, the draw takes nothing from
+        the generator, and the batch is :meth:`LengthsBatch.fixed`: chosen
+        from the declared range, never from drawn values.
+        ``batch_size=None`` draws the config's batch size.
         """
         cfg = self.config
         B = _batch_size("SyntheticDataGenerator.sample_lengths", batch_size, cfg.batch_size)
+        if cfg.min_pooling == cfg.max_pooling:
+            pooling = np.full(cfg.num_tables, cfg.max_pooling, dtype=np.int64)
+            scales = cfg.table_skew_scales()
+            if scales is not None:
+                pooling = _skew_lengths(pooling, scales)
+            return LengthsBatch.fixed(self._layout, B, pooling)
         return LengthsBatch.drawn(self._layout, B, self._rng, self._block_draw(B))
 
     def _block_draw(self, batch_size: int) -> BlockDraw:

@@ -165,12 +165,18 @@ class HeterogeneousDataGenerator:
         One draw per table, since each has its own range, as
         :meth:`sparse_batch` draws its lengths, written into its row of
         blocks stored in the narrowest unsigned type that holds the largest
-        ``max_pooling`` of any table.  ``batch_size=None`` draws the
-        workload's batch size.
+        ``max_pooling`` of any table.  When every table's range is one
+        value the draw takes nothing from the generator and the batch is
+        :meth:`~repro.dlrm.data.LengthsBatch.fixed`.  ``batch_size=None``
+        draws the workload's batch size.
         """
         B = _batch_size(
             "HeterogeneousDataGenerator.sample_lengths", batch_size, self.workload.batch_size
         )
+        tables = self.workload.tables
+        if all(t.min_pooling == t.max_pooling for t in tables):
+            pooling = np.array([t.max_pooling for t in tables], dtype=np.int64)
+            return LengthsBatch.fixed(self._layout, B, pooling)
         return LengthsBatch.drawn(self._layout, B, self._rng, self._block_draw(B))
 
     def _block_draw(self, batch_size: int) -> BlockDraw:

@@ -11,7 +11,9 @@ it, and checks that a full collection finds nothing unreachable.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
+import weakref
 
 import pytest
 
@@ -19,7 +21,7 @@ from repro.core.pipeline import DLRMInferencePipeline, PipelineConfig
 from repro.core.retrieval import DistributedEmbedding, adapter_class, available_backends
 from repro.core.serving import InferenceServer, SchedulerSpec, ServingSpec
 from repro.core.train_pipeline import DLRMTrainingPipeline
-from repro.dlrm.data import SyntheticDataGenerator, WorkloadConfig
+from repro.dlrm.data import LengthsBatch, SyntheticDataGenerator, WorkloadConfig
 from repro.simgpu.units import ms
 
 WL = WorkloadConfig(
@@ -68,3 +70,33 @@ def test_inference_server_leaves_no_cycles():
         InferenceServer(pipe, spec).simulate(40)
 
     assert _unreachable_after(run) == 0
+
+
+def test_fixed_pooling_server_leaves_no_cycles_and_no_pool(monkeypatch):
+    """Under fixed pooling the request pool keeps one cut per batch size,
+    and each cut its built workloads, which key the fused kernel's launch
+    plans.  All of it dies with the pool, when ``simulate`` returns, while
+    the server and its pipeline live on."""
+    fixed = dataclasses.replace(WL, min_pooling=4, max_pooling=4)
+    cuts = []
+    take = LengthsBatch.take
+
+    def recording_take(self, rows):
+        cut = take(self, rows)
+        cuts.append(weakref.ref(cut))
+        return cut
+
+    monkeypatch.setattr(LengthsBatch, "take", recording_take)
+    pipe = DLRMInferencePipeline(PipelineConfig(workload=fixed), 2, backend="pgas")
+    spec = ServingSpec(
+        arrival_qps=200_000.0, max_batch=8, batch_window_ns=0.1 * ms,
+        scheduler=SchedulerSpec(max_in_flight=2),
+    )
+    server = InferenceServer(pipe, spec)
+
+    def run():
+        server.simulate(40)
+
+    assert _unreachable_after(run) == 0
+    assert cuts and all(ref() is None for ref in cuts)
+    assert len(pipe.backend_adapter("pgas").base._plans) == 0

@@ -361,7 +361,11 @@ class TestBlockDraws:
             11, [pooling] * 40, sizes, cfg.table_skew_scales()
         )
         for batch, arrays in zip(got, want):
-            assert len(batch._blocks) == -(-40 // data_mod._block_rows(batch.batch_size))
+            if pooling[0] == pooling[1]:
+                # A one-value range draws the fixed form: no blocks at all.
+                assert batch._pooling is not None and batch._kept is None
+            else:
+                assert len(batch._blocks) == -(-40 // data_mod._block_rows(batch.batch_size))
             for name, arr in zip(cfg.feature_names, arrays):
                 np.testing.assert_array_equal(batch[name], arr)
         assert gen._rng.bit_generator.state == rng.bit_generator.state
@@ -475,16 +479,20 @@ class CountingRng:
         return self.rng.integers(*args, size=size, **kwargs)
 
 
+#: the serve-prod-g8 pool's shape with a ranged pooling factor, so it keeps
+#: its uint8 blocks (52 of them); at fixed pooling 8 it is the fixed form
+RANGED_POOL = WorkloadConfig(
+    num_tables=308, batch_size=5000, min_pooling=0, max_pooling=8, seed=1
+)
+
+
 class TestCallsPerBlock:
     def test_a_308_table_sub_batch_costs_calls_per_block(self):
-        """The serve-prod-g8 shape: a 256-sample sub-batch of a 5000-sample
-        pool.  ``take`` gathers each source block once per destination
+        """A 256-sample sub-batch of a 5000-sample pool of the serve-prod-g8
+        shape.  ``take`` gathers each source block once per destination
         block it overlaps; ``chunk_counts`` checks and reduces each block
         with one call apiece."""
-        cfg = WorkloadConfig(
-            num_tables=308, batch_size=5000, min_pooling=8, max_pooling=8, seed=1
-        )
-        pool = SyntheticDataGenerator(cfg).sample_lengths()
+        pool = SyntheticDataGenerator(RANGED_POOL).sample_lengths()
         rows = np.sort(np.random.default_rng(0).choice(5000, 256, replace=False))
         sub, calls = numpy_calls(lambda: pool.take(rows))
         src, dst = len(pool._blocks), len(sub._blocks)
@@ -494,19 +502,38 @@ class TestCallsPerBlock:
         assert len(calls) - calls.count("take") - dst <= 3  # asarray, min, max
         counts, calls = numpy_calls(lambda: sub.chunk_counts(64))
         assert sorted(calls) == sorted(["arange", "empty"] + ["min", "reduceat"] * dst)
-        assert counts.shape == (308, 4) and (counts == 8 * 64).all()
+        assert counts.shape == (308, 4)
+        np.testing.assert_array_equal(counts, LengthsBatch(plain(sub)).chunk_counts(64))
         _, calls = numpy_calls(lambda: sub.chunk_counts(64))
         assert calls == []
 
     def test_sample_lengths_costs_one_draw_and_one_cast_per_block(self):
-        cfg = WorkloadConfig(
-            num_tables=308, batch_size=5000, min_pooling=8, max_pooling=8, seed=1
-        )
-        gen = SyntheticDataGenerator(cfg)
+        gen = SyntheticDataGenerator(RANGED_POOL)
         gen._rng = counting = CountingRng(gen._rng)
         blocks, calls = numpy_calls(lambda: gen.sample_lengths()._blocks)
         assert len(blocks) == 52
         assert len(counting.sizes) == 52 and calls == ["astype"] * 52
+
+    @pytest.mark.parametrize("num_tables", [1, 308, 4096])
+    def test_a_fixed_pool_costs_calls_per_batch_not_per_table(self, num_tables):
+        """At fixed pooling the pool is the fixed form: ``take`` checks the
+        rows and cuts the fixed sub-batch once per size, ``chunk_counts``
+        multiplies the factors by the chunk sizes.  Neither costs a call
+        per table or per block."""
+        cfg = dataclasses.replace(RANGED_POOL, num_tables=num_tables, min_pooling=8)
+        pool = SyntheticDataGenerator(cfg).sample_lengths()
+        assert pool._pooling is not None
+        rows = np.sort(np.random.default_rng(0).choice(5000, 256, replace=False))
+        sub, calls = numpy_calls(lambda: pool.take(rows))
+        # The rows' checks, and the cut sharing the pool's factors.
+        assert sorted(calls) == ["asarray", "asarray", "max", "min"]
+        counts, calls = numpy_calls(lambda: sub.chunk_counts(64))
+        assert sorted(calls) == ["arange", "outer"]
+        assert counts.shape == (num_tables, 4) and (counts == 8 * 64).all()
+        again, calls = numpy_calls(lambda: pool.take(rows[::-1]))
+        assert again is sub and sorted(calls) == ["asarray", "max", "min"]
+        _, calls = numpy_calls(lambda: sub.chunk_counts(64))
+        assert calls == []
 
 
 # -- narrow storage: the type comes from the declared range ---------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,6 +133,24 @@ class TestBuild:
         lengths = lengths_from_batch(batch)
         for name, f in batch:
             assert np.array_equal(lengths[name], f.lengths)
+
+
+class TestIdentity:
+    """A workload compares and hashes by identity: its array fields have no
+    truth value, so field equality used to raise numpy's "truth value of
+    an array ... is ambiguous" ValueError."""
+
+    @pytest.mark.parametrize("build", [build_device_workloads, build_rowwise_workloads])
+    def test_equal_only_to_itself(self, build):
+        cfg = WorkloadConfig(num_tables=4, rows_per_table=100, dim=8, batch_size=40, seed=3)
+        plan = (TableWiseSharding if build is build_device_workloads else RowWiseSharding)(
+            cfg.table_configs(), 2
+        )
+        wl = build(plan, SyntheticDataGenerator(cfg).sample_lengths())[0]
+        copy = dataclasses.replace(wl)
+        assert wl == wl and not (wl != wl)
+        assert wl != copy and not (wl == copy)
+        assert hash(wl) == hash(wl) and len({wl, copy, wl}) == 2
 
 
 class TestWaveDstBytes:

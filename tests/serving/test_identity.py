@@ -20,6 +20,7 @@ import pytest
 from repro.core.pipeline import DLRMInferencePipeline
 from repro.core.runspec import preset_runspec
 from repro.core.serving import InferenceServer, SchedulerSpec, ServingSpec
+from repro.dlrm.data import WorkloadConfig
 from repro.simgpu.units import ms, us
 
 N_REQUESTS = 48
@@ -138,3 +139,51 @@ def test_engine_event_count_is_pinned():
     """
     _, pipe = _serve("hybrid", 2, *LOADS["window"])
     assert pipe.cluster.engine._seq == 191
+
+
+# -- fixed pooling ------------------------------------------------------------------
+
+#: a tiny-shape workload whose every table looks up exactly 4 rows per
+#: sample, as production inference does: its request pool is the fixed
+#: form of ``LengthsBatch``, which no ranged case above reaches
+FIXED_WORKLOAD = WorkloadConfig(
+    num_tables=8, rows_per_table=4096, dim=16, batch_size=256,
+    min_pooling=4, max_pooling=4,
+)
+
+#: case -> (max_in_flight, arrival_qps, hedge_after_ns)
+FIXED_LOADS = {
+    "k1-100k": (1, 100_000.0, None),
+    "k2-100k": (2, 100_000.0, None),
+    "k1-400k": (1, 400_000.0, None),
+    "k2-400k": (2, 400_000.0, None),
+    "k2-100k-hedged": (2, 100_000.0, 20 * us),
+}
+
+#: case -> (digest, Engine._seq), captured before the fixed form existed
+FIXED_PINS = {
+    "k1-100k": ("4218c7f35f700b8f", 207),
+    "k1-400k": ("3417689110166182", 97),
+    "k2-100k": ("0cf30de0e4dcb069", 207),
+    "k2-100k-hedged": ("1406dbfa8a9b9e62", 399),
+    "k2-400k": ("d697d0ad3a304575", 147),
+}
+
+
+def _serve_fixed(k, qps, hedge_after_ns):
+    spec = ServingSpec(
+        arrival_qps=qps, max_batch=8, batch_window_ns=50 * us, deadline_ns=5 * ms,
+        queue_limit=16, hedge_after_ns=hedge_after_ns, seed=5,
+        scheduler=SchedulerSpec(max_in_flight=k, policy="hybrid"),
+    )
+    runspec = preset_runspec("tiny", n_devices=4, workload=FIXED_WORKLOAD)
+    pipe = DLRMInferencePipeline.from_spec(runspec)
+    return InferenceServer(pipe, spec).simulate(N_REQUESTS), pipe
+
+
+@pytest.mark.parametrize("case", sorted(FIXED_LOADS))
+def test_fixed_pooling_serving_is_pinned(case):
+    result, pipe = _serve_fixed(*FIXED_LOADS[case])
+    if FIXED_LOADS[case][2] is not None:
+        assert result.n_hedged > 0
+    assert (_digest(result, pipe), pipe.cluster.engine._seq) == FIXED_PINS[case]
