@@ -28,6 +28,13 @@ This module models that with two pieces:
   needs.  A put takes no engine entry: nothing waits on one write, and
   ``quiet`` schedules its own wake-up at that instant, so ``Engine.run()``
   with nothing else queued may return before the last put has landed.
+  A fused launch booked at its start does not even take one entry per
+  wave: :meth:`PGASContext.put_run` (and :meth:`PGASContext.atomic_run`)
+  defers every wave's put as one run on the source's links
+  (:meth:`~repro.simgpu.interconnect.Interconnect.defer_run`).  Its
+  retired waves are booked through ``put`` (``atomic_add``) with their
+  issue instants (``at``) when the source's links are next touched or
+  read, and by ``quiet`` over the source.
 
 The aggregator and the hierarchical staging router carry one-sided writes
 their own way, but validate each through :meth:`PGASContext.check_put`, so
@@ -42,8 +49,13 @@ from __future__ import annotations
 
 import numbers
 import operator
+import weakref
 from dataclasses import dataclass
+from functools import partial
+from itertools import compress
 from typing import Dict, Iterable, List, Optional, Union
+
+import numpy as np
 
 from ..checks import check_bytes, check_finite
 from ..simgpu.cluster import Cluster
@@ -59,7 +71,6 @@ _INF = float("inf")
 
 #: What makes a ``dst`` argument a wave rather than one device id.
 _WAVE = (list, tuple)
-
 
 def _check_payload(name: str, value) -> None:
     try:
@@ -126,6 +137,7 @@ class PGASContext:
         # PE -> its device's can_access_peers: one lookup checks a source,
         # one call screens a wave's destinations.
         self._reach = {d.id: d.can_access_peers for d in cluster.devices}
+        self._fabric = cluster.interconnect
         # Bound once: every put call uses it.
         self._book_wave = cluster.interconnect.book_wave
         # Completion state per PE.  A put is booked, not scheduled: quiet
@@ -134,12 +146,17 @@ class PGASContext:
         self._last_done: Dict[int, float] = dict.fromkeys(ids, float("-inf"))
         # Externally-created transfers (aggregator flushes, hier chains).
         self._outstanding: Dict[int, List[Event]] = {pe: [] for pe in ids}
+        # Writes booked so far and their payload bytes, summed wave by wave.
+        # A deferred run's waves count once booked: the fabric's settle()
+        # books every retired one.
         self.puts_issued = 0
         self.payload_bytes_issued = 0.0
+        # Deferred runs refer to the context weakly: the fabric holds them.
+        self._ref = weakref.ref(self)
 
     # -- one-sided ops ---------------------------------------------------------
 
-    def put(self, src: int, dst, payload_bytes) -> None:
+    def put(self, src: int, dst, payload_bytes, *, at: Optional[List[float]] = None) -> None:
         """Non-blocking one-sided write of ``payload_bytes`` from src to dst.
 
         The payload is carried as ``ceil(payload / message_bytes)`` small
@@ -152,8 +169,40 @@ class PGASContext:
         vectors).  A scalar call is a wave of one.  Every element is
         validated before any is booked.
 
+        ``at`` books several waves issued earlier, as a deferred run
+        (:meth:`put_run`) does once they retire: one issue instant per
+        wave, none later than now, and ``payload_bytes`` one list per wave,
+        each parallel to the list ``dst``.  The same writes as one wave
+        put per wave at its instant, booked in one pass; every wave is
+        validated first, each raising as its own put would.
+
         Requires peer access (NVLink-mapped memory), as on the testbed.
         """
+        if at is not None:
+            # One screen of the whole run, as of a wave above, plus one
+            # payload per destination in every wave and one instant per wave.
+            try:
+                totals = list(map(sum, payload_bytes))
+                ok = (
+                    self._reach[src](dst)
+                    and sum(totals) < _INF
+                    and min(map(min, payload_bytes)) >= 0
+                    and set(map(len, payload_bytes)) == {len(dst)}
+                    and len(at) == len(totals)
+                )
+            except (KeyError, TypeError, ValueError):
+                ok = False
+            if not ok:
+                self._check_run("put", src, dst, payload_bytes, at, "payload_bytes",
+                                _check_payload)
+                totals = list(map(sum, payload_bytes))
+            done = self._book_waves(src, dst, payload_bytes, at, self.spec.message_bytes)
+            if done:
+                self.puts_issued += len(done)
+                for total in totals:
+                    if total:  # a wave with bytes: its own put would have booked
+                        self.payload_bytes_issued += total
+            return
         wave = isinstance(dst, _WAVE)
         if not wave:
             dst, payload_bytes = [dst], [payload_bytes]
@@ -179,25 +228,84 @@ class PGASContext:
             self.puts_issued += len(done)
             self.payload_bytes_issued += total
 
-    def atomic_add(self, src: int, dst, n_elements) -> None:
+    def atomic_add(self, src: int, dst, n_elements, *, at: Optional[List[float]] = None) -> None:
         """``n_elements`` remote atomic adds (backward-pass gradient scatter).
 
         Takes a wave like :meth:`put`: parallel ``dst`` and ``n_elements``
-        lists or tuples.
+        lists or tuples, and with ``at`` several waves issued earlier (a
+        deferred :meth:`atomic_run`), one list of counts per wave.
         """
+        if at is not None:
+            self._check_run("atomic_add", src, dst, n_elements, at, "n_elements", None)
+            size = self.spec.atomic_payload_bytes
+            waves = [
+                [float(n * size) for n in self._checked_counts(src, dst, counts, True)]
+                for counts in n_elements
+            ]
+            self._book_waves(src, dst, waves, at, size)
+            return
         wave = isinstance(dst, _WAVE)
         if not wave:
             dst, n_elements = [dst], [n_elements]
-        try:
-            counts = list(map(operator.index, n_elements))
-            ok = self._reach[src](dst) and min(counts) >= 0 and len(counts) == len(dst)
-        except (KeyError, TypeError, ValueError):
-            ok = False
-        if not ok:
-            self._check_wave("atomic_add", src, dst, n_elements, wave, "n_elements", _check_count)
-            counts = list(map(operator.index, n_elements))
+        counts = self._checked_counts(src, dst, n_elements, wave)
         size = self.spec.atomic_payload_bytes
         self._book(src, dst, [float(n * size) for n in counts], size)
+
+    def _checked_counts(self, src: int, dst, n_elements, wave: bool) -> List[int]:
+        """One :meth:`atomic_add` wave's counts, once the wave passes its checks."""
+        try:
+            counts = list(map(operator.index, n_elements))
+            if self._reach[src](dst) and min(counts) >= 0 and len(counts) == len(dst):
+                return counts
+        except (KeyError, TypeError, ValueError):
+            pass
+        self._check_wave("atomic_add", src, dst, n_elements, wave, "n_elements", _check_count)
+        return list(map(operator.index, n_elements))
+
+    def put_run(
+        self, src: int, dsts: List[int], ends: List[float], waves: np.ndarray, skip: int
+    ) -> bool:
+        """Defer a fused launch's puts from ``src`` as one run.
+
+        Wave ``w`` writes row ``w`` of the 2-D ``waves`` (column ``skip``,
+        the source's own bytes, left out) to ``dsts``, issued at
+        ``ends[w]``: the same writes as one :meth:`put` per wave with
+        remote bytes.  Nothing is booked now.  Once retired, the waves are
+        booked through :meth:`put` with ``at`` when ``src``'s links are
+        next touched or read, or by :meth:`quiet` over ``src``
+        (:meth:`~repro.simgpu.interconnect.Interconnect.defer_run`).
+        ``puts_issued`` and ``payload_bytes_issued`` grow as the per-wave
+        puts would have grown them, as the waves are booked.
+
+        The caller has checked that every payload is finite and
+        non-negative.  Returns False, deferring nothing, unless ``src`` is
+        a PE and every destination a remote peer; the caller then puts
+        wave by wave, so a bad element raises at its wave's end.
+        """
+        reach = self._reach.get(src)
+        if reach is None or not reach(dsts):
+            return False
+        book = partial(_book_puts, self._ref, src, dsts, ends, waves, skip)
+        self._fabric.defer_run(src, ends, book)
+        return True
+
+    def atomic_run(
+        self, src: int, dsts: List[int], ends: List[float], counts: np.ndarray
+    ) -> bool:
+        """Defer a fused launch's remote atomics from ``src`` as one run.
+
+        Wave ``w`` adds the non-negative integer row ``w`` of ``counts``
+        to ``dsts`` at ``ends[w]``: one :meth:`atomic_add` per wave with
+        atomics, deferred like :meth:`put_run` and booked through
+        :meth:`atomic_add` with ``at``.  Returns False, deferring nothing,
+        unless ``src`` is a PE and every destination a remote peer.
+        """
+        reach = self._reach.get(src)
+        if reach is None or not reach(dsts):
+            return False
+        book = partial(_book_atomics, self._ref, src, dsts, ends, counts)
+        self._fabric.defer_run(src, ends, book)
+        return True
 
     def check_put(self, op: str, src: int, dst: int, payload_bytes: float) -> None:
         """Raise unless one write of ``payload_bytes`` from src to dst is valid.
@@ -221,6 +329,18 @@ class PGASContext:
         """Raise unless ``src`` is one of this context's PEs."""
         if src not in self._reach:
             raise ValueError(f"{op}: src must be a device id in [0, {len(self._reach)}), got {src!r}")
+
+    def _check_run(self, op, src, dsts, waves, at, name, check) -> None:
+        """Raise the typed error of a run's first bad wave (:meth:`_check_wave`,
+        by position in its wave), or of a missing or extra issue instant.
+        Without ``check`` only the instants are checked."""
+        if len(at) != len(waves):
+            raise ValueError(
+                f"{op}: at needs one issue instant per wave, got {len(at)} for {len(waves)}"
+            )
+        if check is not None:
+            for values in waves:
+                self._check_wave(op, src, dsts, values, True, name, check)
 
     def _check_wave(self, op, src, dsts, values, wave, name, check) -> None:
         """Raise the typed error of a wave's first bad argument, if any.
@@ -256,6 +376,35 @@ class PGASContext:
                 self._last_done[src] = last
         return done
 
+    def _book_waves(self, src: int, dst: List[int], waves: List[List[float]], at: List[float],
+                    message_bytes: int) -> List[float]:
+        """Book validated waves of payloads, wave ``w`` to ``dst`` at
+        ``at[w]``, as one list (what :meth:`_book` does for one wave); a
+        zero payload books nothing."""
+        to: List[int] = []
+        payloads: List[float] = []
+        nows: List[float] = []
+        for values, t in zip(waves, at):
+            if all(values):
+                to += dst
+                payloads += values
+                nows += [t] * len(values)
+            else:
+                kept = list(compress(values, values))
+                if kept:
+                    to += compress(dst, values)
+                    payloads += kept
+                    nows += [t] * len(kept)
+        if not payloads:
+            return []
+        done = self._book_wave(
+            src, to, payloads, message_bytes, self.spec.header_bytes, self.COUNTER, nows
+        )
+        last = max(done)
+        if last > self._last_done[src]:
+            self._last_done[src] = last
+        return done
+
     # -- completion --------------------------------------------------------------
 
     def quiet(self, pes: Union[int, Iterable[int]]) -> Event:
@@ -264,7 +413,8 @@ class PGASContext:
         NVSHMEM ``nvshmem_quiet`` semantics over a set of PEs (one id is a
         set of one).  The event fires ``quiet_overhead_ns`` after the later
         of the PEs' latest booked delivery instant and their still-pending
-        registered transfers.  The snapshot is taken here, so ops issued
+        registered transfers.  The snapshot is taken here, once the PEs'
+        deferred runs have booked their waves retired by now, so ops issued
         after the call are not waited for.  With no registered transfer the
         wake-up is one callback at an absolute instant (``now + (last -
         now)`` could round past it).  Every PE is checked before anything
@@ -273,6 +423,7 @@ class PGASContext:
         pes = [pes] if isinstance(pes, numbers.Integral) else list(pes)
         for pe in pes:
             self._check_pe("quiet", pe)
+        self._fabric.settle(pes)
         engine = self.cluster.engine
         last = engine.now
         waits: List[Event] = []
@@ -296,3 +447,24 @@ class PGASContext:
         self._outstanding[device_id] = [
             ev for ev in self._outstanding[device_id] if not ev.triggered
         ]
+
+
+def _book_puts(ref, src, dsts, ends, waves, skip, start, stop) -> None:
+    """Book waves ``start`` up to ``stop`` of a :meth:`PGASContext.put_run`
+    through :meth:`PGASContext.put`; a run whose context is gone books
+    nothing."""
+    ctx = ref()
+    if ctx is not None:
+        rows = waves[start:stop].tolist()
+        for row in rows:
+            del row[skip]
+        ctx.put(src, dsts, rows, at=ends[start:stop])
+
+
+def _book_atomics(ref, src, dsts, ends, counts, start, stop) -> None:
+    """Book waves ``start`` up to ``stop`` of a :meth:`PGASContext.atomic_run`
+    through :meth:`PGASContext.atomic_add`; a run whose context is gone
+    books nothing."""
+    ctx = ref()
+    if ctx is not None:
+        ctx.atomic_add(src, dsts, counts[start:stop].tolist(), at=ends[start:stop])

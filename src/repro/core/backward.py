@@ -23,7 +23,9 @@ mini-batch gradients; contributions to remote tables leave immediately as
 *remote atomic adds* per wave, local ones scatter-add in place.  No pack,
 no collective rounds — completion is a ``quiet`` + rendezvous, exactly the
 mechanism the paper proposes ("replacing multiple rounds of collective
-calls with atomic PGAS direct-GPU remote writes").
+calls with atomic PGAS direct-GPU remote writes").  A booked kernel defers
+its atomics as one run (:meth:`~repro.comm.pgas.PGASContext.atomic_run`);
+a stepped one adds them wave by wave.
 
 The functional layer (:func:`reference_backward` et al.) really computes
 and applies the row gradients so tests can check the two schemes agree
@@ -33,6 +35,7 @@ with a single-device oracle (to accumulation order).
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,6 +55,7 @@ from .calibration import (
     UNPACK_BANDWIDTH,
 )
 from .functional import ShardedEmbeddingTables
+from .pgas_retrieval import FirstHops, first_hop_bandwidth, first_hop_table
 from .sharding import minibatch_bounds
 from .workload import DeviceWorkload, alltoall_split_bytes, unpack_bytes_received
 
@@ -280,6 +284,44 @@ class BaselineBackward(TimedPass):
 
 
 
+#: below this, every float share rounds to the integer ``int(round(x))`` gives
+_EXACT = 2.0 ** 53
+
+
+class _GradientAtomics:
+    """One device's remote gradient atomics: the wave hook.
+
+    Each wave ships its share of the device's remote gradient bytes
+    (``remote``, one entry per destination in ``dsts``) as remote atomics,
+    one per ``atomic_payload_bytes``, the count rounded half to even.
+    Called per retiring wave in a stepped launch; a booked launch hands it
+    every wave at once (``take_run``), and the atomics become one deferred
+    run whose counts ``np.rint`` rounds the same way.
+    """
+
+    __slots__ = ("pgas", "src", "dsts", "remote")
+
+    def __init__(self, pgas: PGASContext, src: int, dsts: List[int], remote: List[float]):
+        self.pgas, self.src, self.dsts, self.remote = pgas, src, dsts, remote
+
+    def __call__(self, info: WaveInfo) -> None:
+        atomic_bytes = self.pgas.spec.atomic_payload_bytes
+        counts = [int(round(nbytes * info.fraction / atomic_bytes)) for nbytes in self.remote]
+        if any(counts):
+            self.pgas.atomic_add(self.src, self.dsts, counts)
+
+    def take_run(self, ends: List[float], fracs: List[float]) -> bool:
+        if not self.dsts:
+            return True  # nothing remote: no wave adds anything
+        atomic_bytes = self.pgas.spec.atomic_payload_bytes
+        shares = np.multiply.outer(fracs, self.remote) / atomic_bytes
+        # Whole numbers up to 2**53 round and scale exactly as int(round(x))
+        # does; a larger, infinite or NaN share is left to the per-wave path.
+        if not shares.max() < _EXACT:
+            return False
+        return self.pgas.atomic_run(self.src, self.dsts, ends, np.rint(shares).astype(np.int64))
+
+
 class PGASFusedBackward(TimedPass):
     """Timed one-sided backward: fused scatter-add + remote atomics."""
 
@@ -292,6 +334,12 @@ class PGASFusedBackward(TimedPass):
         self.cluster = cluster
         self.pgas = PGASContext(cluster, pgas_spec)
         self.remote_write_drag = remote_write_drag
+
+    @cached_property
+    def _first_hops(self) -> List[FirstHops]:
+        """The forward's :func:`~repro.core.pgas_retrieval.first_hop_table`
+        of this pass's fabric (gradients take direct links)."""
+        return first_hop_table(self.cluster.topology)
 
     def _start(
         self, cluster: Cluster, workloads: Sequence[DeviceWorkload], timing: PhaseTiming
@@ -308,28 +356,16 @@ class PGASFusedBackward(TimedPass):
             out_bytes = float(split[dev.id].sum())
             kspec = _backward_kernel_spec(wl, "pgas_emb_bwd", owner_side=False)
             if G > 1 and out_bytes > 0:
-                peer = (dev.id + 1) % G
-                link_bw = cluster.topology.link_spec(dev.id, peer).bandwidth
-                drag = self.remote_write_drag * out_bytes / link_bw
-                kspec = replace(kspec, stretch_ns=drag)
+                # Drag over the gradient's first hops, weighted by the bytes
+                # each destination gets, as the forward prices its writes.
+                link_bw = first_hop_bandwidth(self._first_hops[dev.id], split[dev.id])
+                if link_bw is not None:
+                    drag = self.remote_write_drag * out_bytes / link_bw
+                    kspec = replace(kspec, stretch_ns=drag)
 
             row = split[dev.id].tolist()
             dsts = [dst for dst, nbytes in enumerate(row) if dst != dev.id and nbytes > 0]
-
-            def on_wave(
-                info: WaveInfo,
-                dev_id: int = dev.id,
-                dsts: List[int] = dsts,
-                remote: List[float] = [row[dst] for dst in dsts],
-                atomic_bytes: int = self.pgas.spec.atomic_payload_bytes,
-                add=self.pgas.atomic_add,
-            ) -> None:
-                # Each wave ships its share of the gradient atomics: one
-                # remote atomic per atomic_payload_bytes of gradient.
-                counts = [int(round(nbytes * info.fraction / atomic_bytes)) for nbytes in remote]
-                if any(counts):
-                    add(dev_id, dsts, counts)
-
+            on_wave = _GradientAtomics(self.pgas, dev.id, dsts, [row[dst] for dst in dsts])
             dev.default_stream.submit_delay(dev.spec.kernel_launch_overhead_ns, name="launch")
             ops.append(dev.default_stream.launch(dev, kspec, on_wave))
         return self._fused_end(cluster, self.pgas, join(engine, ops), timing)

@@ -22,7 +22,10 @@ so breakdown plots can show PGAS as one bar, as the paper does.
 What a launch needs from its workload (the drag-stretched kernel spec
 and the per-wave destination bytes) is its launch plan, derived once per
 workload and kept while the workload lives: serving runs the same frozen
-workloads for every batch of one size under fixed pooling.
+workloads for every batch of one size under fixed pooling.  On the flat
+path a booked launch hands the plan's per-wave bytes to
+:meth:`~repro.comm.pgas.PGASContext.put_run` as one deferred run, so its
+waves take no engine entry; a stepped launch puts wave by wave.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from ..comm.pgas import PGASContext, PGASSpec
 from ..simgpu.cluster import Cluster
 from ..simgpu.engine import Event
-from ..simgpu.interconnect import wire_bytes
+from ..simgpu.interconnect import Topology, wire_bytes
 from ..simgpu.kernel import KernelSpec, WaveInfo
 from ..simgpu.stream import join
 from .baseline import PhaseTiming, TimedPass
@@ -49,9 +52,72 @@ from .workload import DeviceWorkload
 
 __all__ = ["PGASFusedRetrieval"]
 
+#: Per device: the remote destinations whose bytes pay first-hop drag, each
+#: one's first-hop bandwidth, and the one bandwidth they all share (None
+#: when they differ).
+FirstHops = Tuple[np.ndarray, List[float], Optional[float]]
+
+
+def first_hop_table(topology: Topology, hier: Optional["HierSpec"] = None) -> List[FirstHops]:
+    """Every device's :data:`FirstHops` on ``topology``.
+
+    The first hop is the direct link normally, and the fast-fabric hop to
+    the node leader when ``hier`` stages the write off-node.  A leader's
+    own staged writes start as local buffer appends, so they pay no
+    first-hop drag and are left out, and so is a destination with no
+    first hop (its first write raises for want of peer access).
+    """
+    G = topology.n_devices
+    out = []
+    for dev_id in range(G):
+        dsts, bws = [], []
+        for dst in range(G):
+            if dst == dev_id:
+                continue
+            hop = dst
+            if hier is not None and not hier.same_node(dev_id, dst):
+                hop = hier.leader_of(hier.node_of(dev_id))
+                if dev_id == hop:
+                    continue
+            link = topology.link_spec(dev_id, hop)
+            if link is None:
+                continue  # no peer access either: the first write there raises
+            dsts.append(dst)
+            bws.append(link.bandwidth)
+        shared = bws[0] if bws and all(bw == bws[0] for bw in bws) else None
+        out.append((np.array(dsts, dtype=np.intp), bws, shared))
+    return out
+
+
+def first_hop_bandwidth(hops: FirstHops, by_dst: np.ndarray) -> Optional[float]:
+    """Traffic-weighted first-hop bandwidth for the drag model.
+
+    Each destination's bytes (``by_dst``, indexed by device) leave the
+    kernel over that destination's first hop.  Weighting by them
+    (harmonic mean over destinations) replaces the old arbitrary-peer
+    sample, which mispriced the drag on heterogeneous multinode fabrics —
+    an NVLink neighbour masked the NIC cost or vice versa.  Where every
+    first hop shares one bandwidth, that value is returned exactly (no
+    floating-point drift); None means no destination gets bytes.
+    """
+    dsts, bws, shared = hops
+    if shared is not None:
+        return shared if (by_dst[dsts] > 0).any() else None
+    shares = [
+        (float(by_dst[dst]), bw) for dst, bw in zip(dsts.tolist(), bws) if by_dst[dst] > 0
+    ]
+    if not shares:
+        return None
+    first_bw = shares[0][1]
+    if all(bw == first_bw for _, bw in shares):
+        return first_bw
+    total = sum(nbytes for nbytes, _ in shares)
+    return total / sum(nbytes / bw for nbytes, bw in shares)
+
 
 class _LaunchPlan:
-    """One workload's fused launch on one pass's cluster.
+    """One workload's fused launch on one pass's cluster, and its wave hook
+    on the flat path.
 
     ``kspec`` is the kernel with its remote-write drag, ``waves_dst`` the
     read-only ``(n_waves, G)`` bytes each wave sends to each device when
@@ -59,14 +125,45 @@ class _LaunchPlan:
     wave's payload list is read when it retires: held for every wave of
     every device, the lists raised ``scale-g64``'s peak RSS by 3 %.
     Nothing here refers to the workload, which keys the plan weakly.
+
+    Called at a retiring wave's end (a stepped launch), the plan puts the
+    wave's remote vectors at once.  A booked launch instead hands it every
+    wave end (``take_run``), and the launch's puts become one deferred run
+    (:meth:`~repro.comm.pgas.PGASContext.put_run`).  ``deferrable`` is
+    the one screen of the bytes, made with the plan: a NaN, infinite or
+    negative byte count keeps the per-wave puts, whose checks raise at
+    the bad wave's end.
     """
 
-    __slots__ = ("kspec", "waves_dst", "others")
+    __slots__ = ("kspec", "waves_dst", "others", "pgas", "src", "deferrable")
 
-    def __init__(self, kspec: KernelSpec, waves_dst: np.ndarray, others: List[int]):
+    def __init__(
+        self, kspec: KernelSpec, waves_dst: np.ndarray, others: List[int],
+        pgas: PGASContext, src: int,
+    ):
         self.kspec = kspec
         self.waves_dst = waves_dst
         self.others = others
+        self.pgas = pgas
+        self.src = src
+        # Plain Python: a plan's matrix is small, and two numpy reductions
+        # cost more than the lists below a few hundred elements.  A NaN or
+        # an infinity fails the finite sum (an overflow only declines).
+        rows = waves_dst.tolist()
+        self.deferrable = not rows or (
+            sum(map(sum, rows)) < np.inf and min(map(min, rows)) >= 0.0
+        )
+
+    def __call__(self, info: WaveInfo) -> None:
+        payloads = self.waves_dst[info.index].tolist()
+        del payloads[self.src]
+        if any(payloads):
+            self.pgas.put(self.src, self.others, payloads)
+
+    def take_run(self, ends: List[float], fracs: List[float]) -> bool:
+        return self.deferrable and self.pgas.put_run(
+            self.src, self.others, ends, self.waves_dst, self.src
+        )
 
 
 class PGASFusedRetrieval(TimedPass):
@@ -125,65 +222,10 @@ class PGASFusedRetrieval(TimedPass):
         return self.remote_write_drag * wire / link_bandwidth
 
     @cached_property
-    def _first_hops(self) -> List[Tuple[np.ndarray, List[float], Optional[float]]]:
-        """Per device: the remote destinations whose bytes pay first-hop
-        drag, each one's first-hop bandwidth, and the one bandwidth they
-        all share (None when they differ).
-
-        The first hop is the direct link normally, and the fast-fabric hop
-        to the node leader when the hierarchical router stages the write
-        off-node.  A leader's own staged writes start as local buffer
-        appends, so they pay no first-hop drag and are left out.
-        """
-        topology = self.cluster.topology
+    def _first_hops(self) -> List[FirstHops]:
+        """:func:`first_hop_table` of this pass's fabric and router."""
         hier = self.router.hier if self.router is not None else None
-        G = self.cluster.n_devices
-        out = []
-        for dev_id in range(G):
-            dsts, bws = [], []
-            for dst in range(G):
-                if dst == dev_id:
-                    continue
-                hop = dst
-                if hier is not None and not hier.same_node(dev_id, dst):
-                    hop = hier.leader_of(hier.node_of(dev_id))
-                    if dev_id == hop:
-                        continue
-                link = topology.link_spec(dev_id, hop)
-                if link is None:
-                    continue  # no peer access either: the first put there raises
-                dsts.append(dst)
-                bws.append(link.bandwidth)
-            shared = bws[0] if bws and all(bw == bws[0] for bw in bws) else None
-            out.append((np.array(dsts, dtype=np.intp), bws, shared))
-        return out
-
-    def _effective_link_bandwidth(self, wl: DeviceWorkload) -> Optional[float]:
-        """Traffic-weighted first-hop bandwidth for the drag model.
-
-        Each destination's bytes leave the kernel over that destination's
-        first hop (:attr:`_first_hops`).  Weighting by
-        ``wl.output_bytes_by_dst`` (harmonic mean over destinations)
-        replaces the old arbitrary-peer sample, which mispriced the drag on
-        heterogeneous multinode fabrics — an NVLink neighbour masked the
-        NIC cost or vice versa.  Where every first hop shares one
-        bandwidth, that value is returned exactly (no floating-point
-        drift); None means no destination gets bytes.
-        """
-        dsts, bws, shared = self._first_hops[wl.device_id]
-        by_dst = wl.output_bytes_by_dst
-        if shared is not None:
-            return shared if (by_dst[dsts] > 0).any() else None
-        shares = [
-            (float(by_dst[dst]), bw) for dst, bw in zip(dsts.tolist(), bws) if by_dst[dst] > 0
-        ]
-        if not shares:
-            return None
-        first_bw = shares[0][1]
-        if all(bw == first_bw for _, bw in shares):
-            return first_bw
-        total = sum(nbytes for nbytes, _ in shares)
-        return total / sum(nbytes / bw for nbytes, bw in shares)
+        return first_hop_table(self.cluster.topology, hier)
 
     def _launch_plan(self, wl: DeviceWorkload, concurrent_blocks: int) -> _LaunchPlan:
         """``wl``'s launch plan on this pass's cluster, derived once per
@@ -193,12 +235,17 @@ class PGASFusedRetrieval(TimedPass):
             G = self.cluster.n_devices
             # Traffic-weighted first-hop bandwidth; used only for the drag
             # model (zero-traffic devices pay no drag).
-            link_bw = self._effective_link_bandwidth(wl) if G > 1 else None
+            link_bw = (
+                first_hop_bandwidth(self._first_hops[wl.device_id], wl.output_bytes_by_dst)
+                if G > 1 else None
+            )
             drag = self._kernel_drag_ns(wl, link_bw) if link_bw is not None else 0.0
             plan = self._plans[wl] = _LaunchPlan(
                 wl.kernel_spec("pgas_fused_emb", stretch_ns=drag),
                 wl.wave_dst_bytes(concurrent_blocks),
                 [d for d in range(G) if d != wl.device_id],
+                self.pgas,
+                wl.device_id,
             )
         return plan
 
@@ -217,12 +264,12 @@ class PGASFusedRetrieval(TimedPass):
         engine = cluster.engine
 
         # Where a remote write goes: one-sided small messages (Listing 2's
-        # sum.store(..., pe)), one put per retiring wave; or, one write at a
-        # time, the aggregator in the multi-node variant or the staging
-        # router for off-node writes.
-        put = self.pgas.put
+        # sum.store(..., pe)), one put per retiring wave or one deferred run
+        # per booked launch; or, one write at a time, the aggregator in the
+        # multi-node variant or the staging router for off-node writes.
         send = None
         if self.router is not None:
+            put = self.pgas.put
             router_put, same_node = self.router.put, self.router.hier.same_node
 
             def send(src: int, dst: int, payload: float) -> None:
@@ -246,17 +293,7 @@ class PGASFusedRetrieval(TimedPass):
         for dev, wl in zip(cluster.devices, workloads):
             plan = self._launch_plan(wl, dev.spec.concurrent_blocks)
             if send is None:
-
-                def on_wave(
-                    info: WaveInfo, dev_id: int = dev.id, wdst: np.ndarray = plan.waves_dst,
-                    others: List[int] = plan.others,
-                ) -> None:
-                    # Each retiring wave's remote vectors leave at once.
-                    payloads = wdst[info.index].tolist()
-                    del payloads[dev_id]
-                    if any(payloads):
-                        put(dev_id, others, payloads)
-
+                on_wave = plan
             else:
 
                 def on_wave(

@@ -31,6 +31,10 @@ Design notes
   made, and so does such a ``run`` horizon or ``run_until_event`` limit.
   Code run once per callback builds no strings and no closures: events
   schedule their bound ``_run_callbacks``.
+* ``Engine._current`` is the ``seq`` of the entry now running, and
+  ``Engine._exits`` counts the run loops that have returned.  A fabric's
+  deferred writes (DESIGN.md §17) use them to tell whether a write that
+  retires at the current instant would have run yet as its own entry.
 """
 
 from __future__ import annotations
@@ -123,6 +127,8 @@ class Engine:
         self._now: float = 0.0
         self._queue: List[Handle] = []
         self._seq = 0
+        self._current = 0  # seq of the entry now running, inside a loop
+        self._exits = 0  # run loops returned so far
         self._running = False
 
     # -- clock ---------------------------------------------------------------
@@ -173,7 +179,7 @@ class Engine:
         queue = self._queue
         try:
             while queue:
-                time, _, fn = queue[0]
+                time, seq, fn = queue[0]
                 if fn is None:
                     heapq.heappop(queue)
                     continue
@@ -182,10 +188,12 @@ class Engine:
                     return self._now
                 heapq.heappop(queue)
                 self._now = time
+                self._current = seq
                 fn()
             if until is not None and until > self._now:
                 self._now = until
         finally:
+            self._exits += 1
             self._running = False
         return self._now
 
@@ -210,14 +218,16 @@ class Engine:
                     raise SimulationError(
                         f"event queue emptied at t={self._now} but {event!r} never triggered"
                     )
-                time, _, fn = heapq.heappop(queue)
+                time, seq, fn = heapq.heappop(queue)
                 if fn is None:
                     continue
                 if limit is not None and time > limit:
                     raise SimulationError(f"simulation exceeded limit {limit} ns")
                 self._now = time
+                self._current = seq
                 fn()
         finally:
+            self._exits += 1
             self._running = False
 
     def _enter(self) -> None:

@@ -8,7 +8,9 @@ spread-out traffic (PGAS per-wave writes) does not.  The fabric keeps a
 source's links as one row of columns indexed by destination (static
 spec, fault state, accumulators) and books a whole wave on the row in
 one loop; a :class:`Link` is a view of one row entry, for fault
-injection and statistics.
+injection and statistics.  A fused kernel's one-sided writes wait on
+their source's row as one deferred run, booked with the same arithmetic
+when the row is next touched (:meth:`Interconnect.defer_run`).
 
 Topology presets mirror the paper's testbed (DGX-1 with four V100s, NVLink)
 plus PCIe and multi-node NIC variants for the §V extension studies.  On the
@@ -25,10 +27,12 @@ is modelled explicitly: a transfer of ``nbytes`` carried as messages of
 from __future__ import annotations
 
 import math
+import weakref
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..checks import check_bytes
 from .engine import Engine, Event
@@ -103,7 +107,7 @@ def wire_bytes(payload_bytes: float, message_bytes: int, header_bytes: int) -> f
 
 
 def _reserve(
-    now: float,
+    now: float | List[float],
     row: "_Row",
     dsts: Sequence[int],
     payloads: Sequence[float],
@@ -115,14 +119,17 @@ def _reserve(
     returns the delivery instants.
 
     The one copy of the reservation arithmetic.  Each payload occupies
-    its link from ``start`` (no earlier than ``now``, the link's previous
-    reservation or the end of a down window) and has landed at ``done``.
-    ``header_bytes`` is one header size for every payload or a sequence
-    of one per payload.  Each ``start`` is appended to ``starts`` when
-    one is given.  Schedules nothing; the caller checked the payloads
-    and that every pair is connected.
+    its link from ``start`` (no earlier than its issue instant, the
+    link's previous reservation or the end of a down window) and has
+    landed at ``done``.  ``now`` is one issue instant for every payload
+    or a list of one per payload (a deferred run's wave ends), and
+    ``header_bytes`` one header size for every payload or a sequence of
+    one per payload.  Each ``start`` is appended to ``starts`` when one
+    is given.  Schedules nothing; the caller checked the payloads and
+    that every pair is connected.
     """
     headers = header_bytes if isinstance(header_bytes, (list, tuple)) else repeat(header_bytes)
+    nows = now if type(now) is list else repeat(now)
     ceil = math.ceil
     free_at = row.free_at
     down_until = row.down_until
@@ -136,7 +143,7 @@ def _reserve(
     transfers = row.transfer_count
     messages = row.messages_sent
     dones: List[float] = []
-    for dst, payload, header in zip(dsts, payloads, headers):
+    for dst, payload, header, now in zip(dsts, payloads, headers, nows):
         if message_bytes > 0:
             n_messages = ceil(payload / message_bytes)
         else:
@@ -169,17 +176,19 @@ class _Row:
     source itself and for unreachable destinations); fault state and the
     accumulators start at the healthy, idle values.  ``reachable`` holds
     the destinations with a spec, ``touched`` those booked or faulted so
-    far.
+    far.  ``pending`` lists the source's deferred runs in registration
+    order, and ``fabric`` refers weakly to the :class:`Interconnect` that
+    books them.
     """
 
     __slots__ = (
         "spec", "bandwidth", "per_message_ns", "latency_ns",
         "bandwidth_scale", "extra_latency_ns", "down_until",
         "free_at", "busy_time", "bytes_carried", "transfer_count", "messages_sent",
-        "reachable", "touched",
+        "reachable", "touched", "src", "fabric", "pending",
     )
 
-    def __init__(self, specs: List[Optional[LinkSpec]]):
+    def __init__(self, specs: List[Optional[LinkSpec]], src: int, fabric: weakref.ref):
         n = len(specs)
         self.spec = specs
         self.bandwidth = [s.bandwidth if s is not None else math.nan for s in specs]
@@ -195,11 +204,62 @@ class _Row:
         self.messages_sent = [0] * n
         self.reachable = frozenset(dst for dst, spec in enumerate(specs) if spec is not None)
         self.touched: Set[int] = set()
+        self.src = src
+        self.fabric = fabric
+        self.pending: List[_Run] = []
+
+    def settled(self) -> "_Row":
+        """This row with every deferred write retired by now booked."""
+        if self.pending:
+            fabric = self.fabric()
+            if fabric is not None:
+                fabric._settle_row(self)
+        return self
+
+
+class _Run:
+    """One launch's deferred writes out of one source.
+
+    Wave ``w`` is issued at ``times[w]`` (non-decreasing), and
+    ``book(start, stop)`` books waves ``start`` up to ``stop`` through
+    the owner's own entry point; ``w`` is the first wave not booked yet.
+    ``seq`` and ``exits`` are the engine's ``_seq`` and ``_exits`` at
+    registration (the waves' own entries would have taken the next
+    sequence numbers), and ``order`` the registration's fabric-wide rank.
+    """
+
+    __slots__ = ("times", "book", "w", "seq", "exits", "order")
+
+    def __init__(self, times: List[float], book: Callable[[int, int], None], seq: int,
+                 exits: int, order: int):
+        self.times, self.book, self.w = times, book, 0
+        self.seq, self.exits, self.order = seq, exits, order
+
+
+def _retired_at_now(run: _Run, engine: Engine) -> bool:
+    """True when a wave of ``run`` that ends at the current instant has
+    retired: its entry would have run before the running entry, which
+    was scheduled after the registration, or, outside the run loops,
+    in a loop that has returned since."""
+    if engine._running:
+        return run.seq < engine._current
+    return run.exits < engine._exits
+
+
+def _next_key(run: _Run) -> Tuple[float, int]:
+    """Where ``run``'s next wave falls among its row's deferred waves."""
+    return run.times[run.w], run.order
 
 
 def _column(name: str, doc: str) -> property:
     """A read-only :class:`Link` attribute: this link's entry of a row column."""
     return property(lambda lk: getattr(lk._row, name)[lk.dst], doc=doc)
+
+
+def _booked(name: str, doc: str) -> property:
+    """A :class:`_column` that bookings change: read once the row's
+    deferred writes retired by now are booked."""
+    return property(lambda lk: getattr(lk._row.settled(), name)[lk.dst], doc=doc)
 
 
 class Link:
@@ -217,7 +277,9 @@ class Link:
     ``bandwidth_scale`` derates throughput, ``extra_latency_ns`` adds
     propagation delay, and a downed link holds all traffic until
     ``down_until``.  At the defaults (1.0 / 0.0 / -inf) the arithmetic is
-    bit-identical to the healthy model.
+    bit-identical to the healthy model.  A read of an accumulator and a
+    fault edge first book the source's deferred writes retired by now,
+    so a view always shows the state of the current instant.
     """
 
     __slots__ = ("src", "dst", "_row")
@@ -228,11 +290,11 @@ class Link:
         self._row = row
 
     spec = _column("spec", "The pair's static :class:`LinkSpec`.")
-    _free_at = _column("free_at", "When the link's last reservation ends.")
-    busy_time = _column("busy_time", "Nanoseconds of wire occupancy booked so far.")
-    bytes_carried = _column("bytes_carried", "Wire bytes (payload + headers) booked so far.")
-    transfer_count = _column("transfer_count", "Reservations booked so far.")
-    messages_sent = _column("messages_sent", "Messages booked so far.")
+    _free_at = _booked("free_at", "When the link's last reservation ends.")
+    busy_time = _booked("busy_time", "Nanoseconds of wire occupancy booked so far.")
+    bytes_carried = _booked("bytes_carried", "Wire bytes (payload + headers) booked so far.")
+    transfer_count = _booked("transfer_count", "Reservations booked so far.")
+    messages_sent = _booked("messages_sent", "Messages booked so far.")
     bandwidth_scale = _column("bandwidth_scale", "Current multiplicative bandwidth derate.")
     extra_latency_ns = _column("extra_latency_ns", "Current additive latency spike.")
     down_until = _column("down_until", "End of the current down window (-inf: up).")
@@ -245,7 +307,7 @@ class Link:
             raise ValueError(f"bandwidth_scale must be positive, got {bandwidth_scale}")
         if extra_latency_ns < 0:
             raise ValueError(f"extra_latency_ns must be non-negative, got {extra_latency_ns}")
-        row, dst = self._row, self.dst
+        row, dst = self._row.settled(), self.dst
         row.bandwidth_scale[dst] *= bandwidth_scale
         row.extra_latency_ns[dst] += extra_latency_ns
 
@@ -253,13 +315,14 @@ class Link:
         """Undo a matching :meth:`degrade` (fault window end)."""
         if bandwidth_scale <= 0:
             raise ValueError(f"bandwidth_scale must be positive, got {bandwidth_scale}")
-        row, dst = self._row, self.dst
+        row, dst = self._row.settled(), self.dst
         row.bandwidth_scale[dst] /= bandwidth_scale
         row.extra_latency_ns[dst] = max(row.extra_latency_ns[dst] - extra_latency_ns, 0.0)
 
     def set_down_until(self, t: float) -> None:
         """Down the link until absolute time ``t`` (extends, never shortens)."""
-        self._row.down_until[self.dst] = max(self._row.down_until[self.dst], t)
+        row = self._row.settled()
+        row.down_until[self.dst] = max(row.down_until[self.dst], t)
 
     def is_down(self, t: float) -> bool:
         """True while the link is inside a down window at time ``t``."""
@@ -343,9 +406,9 @@ class Interconnect:
     """The fabric: per-source link rows over a topology, plus comm accounting.
 
     A source's row (:class:`_Row`) is built in one step the first time
-    the source books or is faulted.  A pair is *touched* when it is first
-    booked or asked for with :meth:`link`; :meth:`links` lists the touched
-    pairs in that order.
+    the source books, defers a run or is faulted.  A pair is *touched*
+    when it is first booked or asked for with :meth:`link`; :meth:`links`
+    lists the touched pairs in that order.
     """
 
     #: profiler counter receiving every delivered payload byte
@@ -359,6 +422,20 @@ class Interconnect:
         # Touched pairs in first-touch order, and the views handed out.
         self._touched: List[Tuple[int, int]] = []
         self._views: Dict[Tuple[int, int], Link] = {}
+        # Source -> its row, while the row has deferred runs.  Rows and the
+        # profiler refer to the fabric weakly: nothing here is a cycle.
+        self._pending: Dict[int, _Row] = {}
+        self._registered = 0  # runs deferred so far: each run's order
+        self._ref = weakref.ref(self)
+        if profiler is not None:
+            profiler.before_read.fn = partial(_settle_weakly, self._ref)
+
+    def _row(self, src: int) -> Optional[_Row]:
+        """``src``'s row, built on first use; None for a source out of range."""
+        row = self._rows.get(src)
+        if row is None and 0 <= src < self.topology.n_devices:
+            row = self._rows[src] = _Row(self.topology.row_specs(src), src, self._ref)
+        return row
 
     def _touch(self, src: int, dsts: Sequence[int]) -> _Row:
         """``src``'s row with every ``(src, dst)`` pair touched, in order.
@@ -366,10 +443,8 @@ class Interconnect:
         Raises at the first unreachable pair, as :meth:`Topology.link_spec`
         or as unconnected; the pairs before it stay touched.
         """
-        row = self._rows.get(src)
+        row = self._row(src)
         topology = self.topology
-        if row is None and 0 <= src < topology.n_devices:
-            row = self._rows[src] = _Row(topology.row_specs(src))
         if row is not None and row.reachable.issuperset(dsts):
             touched = row.touched
             new = dict.fromkeys(dsts)
@@ -395,6 +470,9 @@ class Interconnect:
         key = (src, dst)
         lk = self._views.get(key)
         if lk is None:
+            row = self._rows.get(src)
+            if row is not None:
+                row.settled()  # the pairs its due writes touch come first
             lk = self._views[key] = Link(src, dst, self._touch(src, (dst,)))
         return lk
 
@@ -406,7 +484,7 @@ class Interconnect:
         add it to :meth:`links` (which would perturb bookkeeping).
         """
         row = self._rows.get(src)
-        if row is None or dst not in row.touched:
+        if row is None or dst not in row.settled().touched:
             return None
         return self.link(src, dst)
 
@@ -418,12 +496,19 @@ class Interconnect:
         message_bytes: int,
         header_bytes,
         counter: str,
+        at: Optional[List[float]] = None,
     ) -> List[float]:
         """Book every element now and stamp its delivery; returns the instants.
 
         The one booking path behind :meth:`book_wave` and :meth:`transfer`.
+        The row's deferred writes retired by now are booked first, unless
+        ``at`` gives the issue instants (a deferred run's own booking).
         """
         row = self._rows.get(src)
+        if at is None:
+            if row is not None and row.pending:
+                self._settle_row(row)
+            at = self.engine.now
         if row is None or not row.touched.issuperset(dsts):
             row = self._touch(src, dsts)
         prof = self.profiler
@@ -432,7 +517,7 @@ class Interconnect:
         # critical-path analyser sees individual wire time.  Guarded on an
         # active trace: untraced runs collect no starts and record no spans.
         starts = [] if enabled and prof.active_trace is not None else None
-        done = _reserve(self.engine.now, row, dsts, payloads, message_bytes, header_bytes, starts)
+        done = _reserve(at, row, dsts, payloads, message_bytes, header_bytes, starts)
         if enabled:
             if starts is not None:
                 for dst, start, done_at in zip(dsts, starts, done):
@@ -448,6 +533,7 @@ class Interconnect:
         message_bytes: int,
         header_bytes,
         counter: str,
+        at: Optional[List[float]] = None,
     ) -> List[float]:
         """Move a wave of payloads out of ``src`` and schedule nothing.
 
@@ -466,9 +552,15 @@ class Interconnect:
         Nothing waits on an individual element: a one-sided put's ``quiet``
         and a collective's completion only need the latest instant.
 
+        ``at`` books a deferred run's retired waves (:meth:`defer_run`):
+        a list of one issue instant per element, in issue order, none
+        later than now, and no zero payload.  The row's other deferred
+        writes are then not booked first: the run's ``book`` is called
+        while they are settled.
+
         The caller validates the wave.
         """
-        if not all(payloads):
+        if at is None and not all(payloads):
             keep = [i for i, payload in enumerate(payloads) if payload]
             dsts = [dsts[i] for i in keep]
             payloads = [payloads[i] for i in keep]
@@ -476,7 +568,7 @@ class Interconnect:
                 header_bytes = [header_bytes[i] for i in keep]
         if not payloads:
             return []
-        return self._book(src, dsts, payloads, message_bytes, header_bytes, counter)
+        return self._book(src, dsts, payloads, message_bytes, header_bytes, counter, at)
 
     def transfer(
         self,
@@ -504,6 +596,95 @@ class Interconnect:
         ev = Event(self.engine, "xfer")
         self.engine.call_at(done_at, ev.succeed)
         return ev
+
+    def defer_run(self, src: int, times: List[float], book: Callable[[int, int], None]) -> None:
+        """Defer a launch's writes out of ``src`` as one run of waves.
+
+        Wave ``w`` is issued at ``times[w]`` (non-decreasing, none before
+        now).  Nothing is booked or scheduled now: ``book(start, stop)``
+        books waves ``start`` up to ``stop`` (through :meth:`book_wave`
+        with ``at``) once they have retired, right before whatever comes
+        next on ``src``'s row: a booking, a fault edge on one of its
+        links, a read of a link accumulator or of profiler state, or
+        :meth:`settle`.
+
+        The run stands for one engine entry per wave end, all scheduled
+        now (as a launch with a per-wave hook schedules them), so a wave
+        has *retired* once its entry would have run: at an earlier
+        instant, or at this instant before the running entry (one
+        scheduled after the registration) or, between run loops, in a
+        loop that has returned since the registration
+        (:func:`_retired_at_now`).  Several runs on one row are booked
+        in the order those entries would run: by instant, a tie to the
+        earlier registration.
+        """
+        row = self._rows.get(src) or self._row(src)
+        engine = self.engine
+        self._registered += 1
+        row.pending.append(_Run(times, book, engine._seq, engine._exits, self._registered))
+        self._pending[src] = row
+
+    def settle(self, srcs: Optional[Iterable[int]] = None) -> None:
+        """Book the deferred writes retired by now out of ``srcs``, or of
+        every source.
+
+        Reads of link or profiler state settle every source first (the
+        profiler through a weak reference to the fabric), so they see
+        what the waves retired by now have written.
+        """
+        pending = self._pending
+        if pending:
+            if srcs is None:
+                rows = list(pending.values())
+            else:
+                rows = [pending[src] for src in srcs if src in pending]
+            for row in rows:
+                self._settle_row(row)
+
+    def _settle_row(self, row: _Row) -> None:
+        """Book ``row``'s deferred waves that retired by now (:meth:`defer_run`).
+
+        One run books its retired prefix in one ``book`` call.  Several
+        go by :func:`_next_key`: the first run books up to the next wave
+        of any other run, then the first run is chosen again.
+        """
+        engine = self.engine
+        now = engine._now
+        runs = row.pending
+        if len(runs) == 1:  # the common case, without the merge
+            run = runs[0]
+            times, start = run.times, run.w
+            stop = bisect_left(times, now, start)
+            if stop < len(times) and times[stop] == now and _retired_at_now(run, engine):
+                stop = bisect_right(times, now, stop)
+            if stop > start:
+                run.w = stop
+                if stop == len(times):
+                    runs.clear()
+                    del self._pending[row.src]
+                run.book(start, stop)
+            return
+        while runs:
+            run = runs[0] if len(runs) == 1 else min(runs, key=_next_key)
+            times, start = run.times, run.w
+            stop = bisect_left(times, now, start)
+            if stop < len(times) and times[stop] == now and _retired_at_now(run, engine):
+                stop = bisect_right(times, now, stop)
+            for other in runs:
+                if other is not run and stop > start:
+                    t = other.times[other.w]
+                    if run.order < other.order:
+                        stop = bisect_right(times, t, start, stop)
+                    else:
+                        stop = bisect_left(times, t, start, stop)
+            if stop == start:
+                break  # the first wave of all has not retired: none has
+            run.w = stop
+            if stop == len(times):
+                runs.remove(run)
+            run.book(start, stop)
+        if not runs:
+            del self._pending[row.src]
 
     def paced_copy(
         self, src: int, dst: int, nbytes: float, *, chunk_bytes: float, share: float,
@@ -540,9 +721,23 @@ class Interconnect:
 
     def total_wire_bytes(self) -> float:
         """Bytes (incl. headers) carried over all links so far."""
+        self.settle()
         rows = self._rows
         return sum(rows[src].bytes_carried[dst] for src, dst in self._touched)
 
     def links(self) -> List[Link]:
-        """A view of every touched link, in first-touch order."""
+        """A view of every touched link, in first-touch order.
+
+        A deferred run touches its pairs when it is booked, so a pair it
+        touches first can follow one another source touched later.
+        """
+        self.settle()
         return [self.link(src, dst) for src, dst in self._touched]
+
+
+def _settle_weakly(ref: weakref.ref) -> None:
+    """Have the fabric behind ``ref``, if alive, book its deferred writes
+    retired by now: the profiler's callback before every read."""
+    fabric = ref()
+    if fabric is not None and fabric._pending:
+        fabric.settle()

@@ -12,8 +12,10 @@ comm-volume-over-time curves of Figs. 7 and 10.
 
 :func:`_timeline` is the one wave model.  A launch on a fault-free device
 with no active trace is booked at its start (:func:`_book_launch`): it
-takes no engine entry, or one per wave end with a per-wave hook.  Any
-other launch is stepped by engine callbacks (:class:`_KernelRun`).
+takes no engine entry, or one per wave end with a per-wave hook, unless
+the hook takes every wave end at once as a *run* (``take_run``, see
+:data:`WaveCallback`).  Any other launch is stepped by engine callbacks
+(:class:`_KernelRun`), which call the hook at each wave end.
 
 Memory-bound kernels with an empty grid still cost ``min_kernel_ns``: the
 latency floor that makes the paper's strong-scaled partitions stop speeding
@@ -34,6 +36,11 @@ if TYPE_CHECKING:  # device.py imports this module (through stream.py) at load
 __all__ = ["KernelSpec", "WaveInfo", "roofline_time", "kernel_time"]
 
 #: Signature of the per-wave hook: called at each wave's retirement time.
+#: A hook object may also define ``take_run(ends, fracs)``: a booked launch
+#: hands it every wave's end and work fraction at its start, and when it
+#: returns True the launch schedules no wave ends (the PGAS fused kernels
+#: defer their writes this way); when it returns False, or in a stepped
+#: launch, the hook is called per wave.
 WaveCallback = Callable[["WaveInfo"], None]
 
 
@@ -209,13 +216,18 @@ def _book_launch(
 ) -> float:
     """Book a launch that starts at ``t0``; return its end.
 
-    Without ``on_wave`` this schedules nothing.  With it, each wave end is
-    one engine entry that runs ``on_wave``; the first is scheduled here,
-    each later one by the entry before it, as a stepped launch does.
+    Without ``on_wave``, or when its ``take_run`` takes the wave ends and
+    fractions, this schedules nothing.  Otherwise each wave end is one
+    engine entry that runs ``on_wave``, all scheduled here in wave order:
+    a write a wave issues then falls before or after another entry at
+    the same instant by that entry's ``seq`` alone, which is what lets a
+    deferred run (``take_run``) order its writes without entries.
     """
     fracs, _, ends, end = _timeline(device, kspec, t0)
     if on_wave is not None and fracs:
-        _Waves(device, kspec, on_wave, fracs, ends, t0).schedule()
+        take_run = getattr(on_wave, "take_run", None)
+        if take_run is None or not take_run(ends, fracs):
+            _Waves(device, kspec, on_wave, fracs, ends, t0).schedule()
     return end
 
 
@@ -230,15 +242,17 @@ class _Waves:
         self.on_wave, self.fracs, self.ends, self.t_start, self.w = on_wave, fracs, ends, t0, 0
 
     def schedule(self) -> None:
-        self.engine.call_at(self.ends[self.w], self._wave_end)
+        call_at, wave_end = self.engine.call_at, self._wave_end
+        for t in self.ends:
+            call_at(t, wave_end)
 
     def _wave_end(self) -> None:
+        # The entries run in wave order: the ends never decrease, and a tie
+        # goes by seq, which grows along the loop in schedule().
         w, conc, t_end = self.w, self.conc, self.ends[self.w]
         blocks = range(w * conc, min((w + 1) * conc, self.kspec.num_blocks))
         self.on_wave(WaveInfo(w, len(self.fracs), self.t_start, t_end, self.fracs[w], blocks))
         self.t_start, self.w = t_end, w + 1
-        if self.w < len(self.fracs):
-            self.schedule()
 
 
 class _KernelRun:

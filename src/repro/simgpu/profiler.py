@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,16 +72,18 @@ class Counter:
     time with one stable permutation, so ties keep their insertion order and
     sums run in time order whatever order the samples came in.  Samples live
     in two ``array('d')`` columns, 16 bytes per sample instead of a tuple
-    object each.
+    object each.  A counter of a :class:`Profiler` first runs the
+    profiler's :attr:`~Profiler.before_read` callback.
     """
 
-    def __init__(self, name: str, unit: str = "bytes"):
+    def __init__(self, name: str, unit: str = "bytes", before_read: Optional["_Hook"] = None):
         self.name = name
         self.unit = unit
         self._times = array("d")
         self._deltas = array("d")
         # The first _in_order samples are known to be in time order.
         self._in_order = 0
+        self._before_read = before_read
 
     def add(self, t: float, delta: float) -> None:
         """Record ``delta`` units at simulation time ``t``."""
@@ -100,6 +102,8 @@ class Counter:
         return sum(self._deltas)
 
     def _ensure_sorted(self) -> None:
+        if self._before_read is not None:
+            self._before_read()
         n = len(self._times)
         k = self._in_order
         if k == n:
@@ -168,6 +172,19 @@ class Counter:
         return f"<Counter {self.name!r} total={self.total:.0f}{self.unit}>"
 
 
+class _Hook:
+    """A callback slot: calling it calls ``fn``, when one is set."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self) -> None:
+        self.fn: Optional[Callable[[], None]] = None
+
+    def __call__(self) -> None:
+        if self.fn is not None:
+            self.fn()
+
+
 class _PairColumns:
     """One counter's per-pair samples, as four parallel columns in booking order."""
 
@@ -200,13 +217,22 @@ class PairSamples(NamedTuple):
 
 
 class Profiler:
-    """Collects spans and counters for one simulated run."""
+    """Collects spans and counters for one simulated run.
+
+    ``before_read`` is called before every read of a counter, of the
+    counter list or of the per-pair columns.  The fabric that books into
+    the profiler sets it to book its deferred writes retired by now
+    (:meth:`Interconnect.defer_run
+    <repro.simgpu.interconnect.Interconnect.defer_run>`), so a read never
+    misses a write that has landed.
+    """
 
     def __init__(self) -> None:
         self.spans: List[Span] = []
-        self.counters: Dict[str, Counter] = {}
+        self._counters: Dict[str, Counter] = {}
         # counter -> its per-pair sample columns.
         self._pairs: Dict[str, _PairColumns] = {}
+        self.before_read = _Hook()
         self.enabled = True
         # Trace context stamped onto every span recorded while set.  None
         # (the default) keeps record_span's output identical to a repo
@@ -264,12 +290,17 @@ class Profiler:
 
     # -- counters ----------------------------------------------------------------
 
+    @property
+    def counters(self) -> Dict[str, Counter]:
+        """Every named counter, in creation order."""
+        self.before_read()
+        return self._counters
+
     def counter(self, name: str, unit: str = "bytes") -> Counter:
         """Get (creating on first use) a named counter."""
-        c = self.counters.get(name)
+        c = self._counters.get(name)
         if c is None:
-            c = Counter(name, unit)
-            self.counters[name] = c
+            c = self._counters[name] = Counter(name, unit, self.before_read)
         return c
 
     def add_count(self, name: str, t: float, delta: float, unit: str = "bytes") -> None:
@@ -310,7 +341,17 @@ class Profiler:
         c._deltas.fromlist(deltas)
 
     def pair_samples(self, counter: str) -> PairSamples:
-        """Every :meth:`add_wave` sample of ``counter``, in booking order (copies)."""
+        """Every :meth:`add_wave` sample of ``counter``, in booking order (copies).
+
+        Each link's samples are in the order its writes were issued.  A
+        deferred run (:meth:`Interconnect.defer_run
+        <repro.simgpu.interconnect.Interconnect.defer_run>`) is booked
+        when its source is next touched or read, so across sources its
+        samples can follow samples of other sources' later writes: sums
+        per link (per source, per pair, per bin of one link) run in issue
+        order, sums across links in booking order.
+        """
+        self.before_read()
         cols = self._pairs.get(counter) or _PairColumns()
         return PairSamples(
             np.array(cols.src, dtype=np.int64),
@@ -346,5 +387,5 @@ class Profiler:
     def clear(self) -> None:
         """Drop all recorded spans, counters and per-pair columns."""
         self.spans.clear()
-        self.counters.clear()
+        self._counters.clear()
         self._pairs.clear()

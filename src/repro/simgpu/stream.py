@@ -11,8 +11,10 @@ the one way to wait for several things at once.
 An op whose duration is closed-form (a delay, or a launch on a
 fault-free device with no active trace) is booked when it reaches the
 head of the FIFO: its start and end are stamped at once and it takes no
-engine entry, except one per wave end for a launch with a per-wave hook.
-Any other launch is stepped by engine callbacks.  An op makes no event of
+engine entry, except one per wave end for a launch with a per-wave hook
+that does not take the launch's wave ends as one run (``take_run``, see
+:data:`~repro.simgpu.kernel.WaveCallback`).  Any other launch is stepped
+by engine callbacks.  An op makes no event of
 its own: :func:`join` waits on the booked ops among its waits with one
 entry at their latest end, and on stepped ops through their finish
 hooks, and fires one event when the last one ends.

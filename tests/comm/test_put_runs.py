@@ -1,0 +1,448 @@
+"""A deferred run of one-sided writes equals the same writes wave by wave.
+
+A booked fused launch hands its wave ends to its write hook once, and the
+hook registers one run on the source's link row
+(``PGASContext.put_run``/``atomic_run`` → ``Interconnect.defer_run``),
+booked lazily through ``put``/``atomic_add`` with ``at`` when the row is
+next touched or read.  The oracle is the per-wave path that a booked
+launch keeps when its hook declines the run: one engine entry per wave
+end, all scheduled at the launch, each issuing the wave's ``put`` or
+``atomic_add``.  Both must leave every row column, delivery instant,
+``quiet`` instant, put total, ``links()`` order, per-pair sample and
+counter event bit-for-bit equal, whatever foreign bookings, fault edges
+and reads fall between the waves or on them.
+
+Everything sits on a 1 ns grid and wave ends on a 4 ns grid, so runs tie
+with each other, with registrations and with every other kind of entry.
+An entry scheduled before a run's registration runs before the run's
+waves at a shared instant; a *late* one, scheduled after the first
+registration, runs after them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.comm.pgas import PGASContext
+from repro.core.backward import PGASFusedBackward, _GradientAtomics
+from repro.core.pgas_retrieval import PGASFusedRetrieval, _LaunchPlan
+from repro.core.retrieval import DistributedEmbedding
+from repro.core.workload import build_device_workloads
+from repro.dlrm.data import SyntheticDataGenerator, WorkloadConfig
+from repro.simgpu.cluster import Cluster, dgx_v100
+from repro.simgpu.interconnect import NVLINK_PAIR_SPEC, Topology
+from repro.simgpu.kernel import KernelSpec
+
+G = 4
+SRC = 1
+OTHERS = [d for d in range(G) if d != SRC]
+
+_payload = st.sampled_from([0.0, 0.0, 256.0, 100.5, 4096.0, 1e5 / 3])
+_count = st.integers(0, 5)
+
+
+@st.composite
+def _runs(draw):
+    """1-3 runs on ``SRC``'s row: registration, kind, wave ends, values."""
+    runs = []
+    for _ in range(draw(st.integers(1, 3))):
+        ends = [4.0 * n for n in sorted(draw(st.lists(st.integers(1, 6), min_size=1,
+                                                      max_size=4)))]
+        # Registered at any instant up to the first wave end, that one included.
+        at = float(draw(st.integers(0, int(ends[0]))))
+        kind = draw(st.sampled_from(["put", "atomic"]))
+        if kind == "put":
+            values = [draw(st.lists(_payload, min_size=G, max_size=G)) for _ in ends]
+        else:
+            values = [draw(st.lists(_count, min_size=G - 1, max_size=G - 1)) for _ in ends]
+        runs.append({"at": at, "kind": kind, "ends": ends, "values": values})
+    return runs
+
+
+_at = st.integers(0, 28).map(float)
+_late = st.booleans()
+_foreign = st.tuples(
+    _at, _late,
+    st.sampled_from(["book_wave", "transfer"]),
+    st.sampled_from(OTHERS),
+    st.sampled_from([0.0, 512.0, 3000.5]),
+)
+_fault = st.tuples(
+    _at, _late,
+    st.sampled_from(["degrade", "latency", "restore", "down"]),
+    st.sampled_from(OTHERS),
+)
+_read = st.tuples(_at, _late)
+
+
+def _snapshot(cl: Cluster, pgas: PGASContext):
+    """Everything a reader can see of the row and the profiler, now."""
+    ic, prof = cl.interconnect, cl.profiler
+    links = ic.links()
+    columns = [
+        (lk.src, lk.dst, lk._free_at, lk.busy_time, lk.bytes_carried, lk.transfer_count,
+         lk.messages_sent, lk.bandwidth_scale, lk.extra_latency_ns, lk.down_until)
+        for lk in links
+    ]
+    samples = {
+        name: tuple(column.tolist() for column in prof.pair_samples(name))
+        for name in (PGASContext.COUNTER, ic.COUNTER)
+    }
+    pairs = {
+        name: [c.events() for c in prof.pair_counters(name).values()]
+        for name in (PGASContext.COUNTER, ic.COUNTER)
+    }
+    events = {name: c.events() for name, c in prof.counters.items()}
+    return (
+        cl.engine.now, columns, ic.total_wire_bytes(), pgas.puts_issued,
+        pgas.payload_bytes_issued, dict(pgas._last_done), samples, pairs, events,
+    )
+
+
+def _simulate(runs, foreign, faults, reads, quiet_at, deferred: bool):
+    cl = dgx_v100(G)
+    eng, ic = cl.engine, cl.interconnect
+    pgas = PGASContext(cl)
+    seen = []
+    late = []  # entries scheduled right after the first registration
+
+    def per_wave(run, w):
+        values = run["values"][w]
+        if run["kind"] == "put":
+            payloads = [v for d, v in enumerate(values) if d != SRC]
+            if any(payloads):
+                pgas.put(SRC, OTHERS, payloads)
+        elif any(values):
+            pgas.atomic_add(SRC, OTHERS, values)
+
+    def register(run):
+        if not deferred:
+            for w, t in enumerate(run["ends"]):
+                eng.call_at(t, lambda w=w: per_wave(run, w))
+        elif run["kind"] == "put":
+            waves = np.array(run["values"], dtype=np.float64)
+            assert pgas.put_run(SRC, OTHERS, run["ends"], waves, SRC)
+        else:
+            counts = np.array(run["values"], dtype=np.int64)
+            assert pgas.atomic_run(SRC, OTHERS, run["ends"], counts)
+        while late:
+            t, fn = late.pop(0)
+            eng.call_at(max(t, eng.now), fn)
+
+    def book(kind, dst, payload):
+        if kind == "book_wave":
+            ic.book_wave(SRC, [dst], [payload], 0, 16, ic.COUNTER)
+        else:
+            ic.transfer(SRC, dst, payload, header_bytes=16).add_callback(
+                lambda: seen.append(("delivered", eng.now))
+            )
+
+    def fault(kind, dst):
+        lk = ic.link(SRC, dst)
+        if kind == "degrade":
+            lk.degrade(bandwidth_scale=0.25)
+        elif kind == "latency":
+            lk.degrade(extra_latency_ns=3.0)
+        elif kind == "restore":
+            lk.restore(bandwidth_scale=0.25)
+        else:
+            lk.set_down_until(eng.now + 5.0)
+
+    def quiet():
+        ev = pgas.quiet(SRC)
+        ev.add_callback(lambda: seen.append(("quiet", eng.now)))
+
+    def schedule(t, is_late, fn):
+        (late.append((t, fn)) if is_late else eng.call_at(t, fn))
+
+    first = min(range(len(runs)), key=lambda i: runs[i]["at"])
+    eng.call_at(runs[first]["at"], lambda: register(runs[first]))
+    for i, run in enumerate(runs):
+        if i != first:
+            eng.call_at(run["at"], lambda run=run: register(run))
+    for t, is_late, kind, dst, payload in foreign:
+        schedule(t, is_late, lambda kind=kind, dst=dst, payload=payload: book(kind, dst, payload))
+    for t, is_late, kind, dst in faults:
+        schedule(t, is_late, lambda kind=kind, dst=dst: fault(kind, dst))
+    for t, is_late in reads:
+        schedule(t, is_late, lambda: seen.append(_snapshot(cl, pgas)))
+    eng.call_at(quiet_at, quiet)
+    last = max(t for run in runs for t in run["ends"])
+    eng.call_at(last + 100.0, lambda: seen.append(_snapshot(cl, pgas)))
+    eng.run()
+    seen.append(_snapshot(cl, pgas))
+    return seen
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    runs=_runs(),
+    foreign=st.lists(_foreign, max_size=4),
+    faults=st.lists(_fault, max_size=4),
+    reads=st.lists(_read, max_size=3),
+    quiet_at=_at,
+)
+def test_a_deferred_run_books_as_its_waves(runs, foreign, faults, reads, quiet_at):
+    oracle = _simulate(runs, foreign, faults, reads, quiet_at, deferred=False)
+    deferred = _simulate(runs, foreign, faults, reads, quiet_at, deferred=True)
+    assert deferred == oracle
+
+
+def test_a_deferred_run_takes_no_engine_entry():
+    cl = dgx_v100(G)
+    pgas = PGASContext(cl)
+    waves = np.array([[1.0, 0.0, 256.0, 512.0], [0.0, 0.0, 0.0, 0.0], [3.0, 256.0, 0.0, 1.0]])
+    assert pgas.put_run(SRC, OTHERS, [10.0, 20.0, 30.0], waves, SRC)
+    assert cl.engine._seq == 0
+    cl.interconnect.settle()
+    assert pgas.puts_issued == 0  # nothing has retired at t = 0
+    cl.engine.run(until=25.0)
+    assert pgas.puts_issued == 0  # booked only at the next settle point
+    cl.interconnect.settle()
+    assert (pgas.puts_issued, pgas.payload_bytes_issued) == (3, 769.0)
+    cl.engine.run(until=30.0)
+    cl.interconnect.settle()
+    assert (pgas.puts_issued, pgas.payload_bytes_issued) == (5, 773.0)
+    assert [(lk.src, lk.dst) for lk in cl.interconnect.links()] == [(1, 0), (1, 2), (1, 3)]
+    assert cl.engine._seq == 0
+
+
+def test_a_fault_edge_on_a_wave_end_holds_the_wave_as_its_entry_would():
+    """A fault plan schedules its edges before any launch, so an edge at a
+    wave's end runs first and the wave sees the faulted link; an edge
+    scheduled after the launch runs after the wave."""
+    outcomes = []
+    for deferred in (False, True):
+        for edge_first in (True, False):
+            cl = dgx_v100(G)
+            eng, ic = cl.engine, cl.interconnect
+            pgas = PGASContext(cl)
+
+            def degrade():
+                ic.link(SRC, 0).degrade(bandwidth_scale=0.5)
+
+            def launch():
+                waves = np.array([[256.0, 0.0, 0.0, 0.0], [512.0, 0.0, 0.0, 0.0]])
+                if deferred:
+                    assert pgas.put_run(SRC, OTHERS, [4.0, 8.0], waves, SRC)
+                else:
+                    for t, row in zip((4.0, 8.0), waves.tolist()):
+                        del row[SRC]
+                        eng.call_at(t, lambda row=row: pgas.put(SRC, OTHERS, row))
+                if not edge_first:
+                    eng.call_at(8.0, degrade)
+
+            if edge_first:
+                eng.call_at(8.0, degrade)
+            eng.call_at(1.0, launch)
+            eng.run()
+            outcomes.append((edge_first, ic.link(SRC, 0)._free_at, pgas._last_done[SRC]))
+    per_wave, deferred = outcomes[:2], outcomes[2:]
+    assert deferred == per_wave
+    assert per_wave[0][1] > per_wave[1][1]  # the wave at 8 ns took the derated link
+
+
+def test_the_booking_goes_through_put():
+    """A deferred run is booked through ``PGASContext.put`` (with ``at``),
+    the one put entry point the perf tracer patches."""
+    calls = []
+    put = PGASContext.put
+
+    def counted(self, *args, **kwargs):
+        calls.append(kwargs.get("at"))
+        return put(self, *args, **kwargs)
+
+    cl = dgx_v100(G)
+    pgas = PGASContext(cl)
+    pgas.put = counted.__get__(pgas)
+    waves = np.array([[1.0, 0.0, 256.0, 512.0], [3.0, 256.0, 0.0, 1.0]])
+    assert pgas.put_run(SRC, OTHERS, [10.0, 20.0], waves, SRC)
+    cl.engine.run(until=15.0)
+    cl.interconnect.links()
+    assert pgas.puts_issued == 3 and calls == [[10.0]]
+    cl.engine.run(until=20.0)
+    cl.interconnect.links()
+    assert pgas.puts_issued == 5 and calls == [[10.0], [20.0]]
+
+
+class TestTypedErrors:
+    """``put``/``atomic_add`` with ``at`` check every wave before booking
+    any, each raising as its own wave put would; a plan whose bytes fail
+    the screen takes no run, so a stepped-like per-wave put raises at the
+    bad wave's end."""
+
+    def test_put_at_raises_the_wave_puts_error(self):
+        pgas = PGASContext(dgx_v100(G))
+        with pytest.raises(ValueError, match=r"payload_bytes\[2\]"):
+            pgas.put(SRC, OTHERS, [[1.0, 2.0, 3.0], [1.0, 2.0, -1.0]], at=[0.0, 0.0])
+        with pytest.raises(TypeError, match=r"n_elements\[0\] must be an integer"):
+            pgas.atomic_add(SRC, OTHERS, [[1.5, 0, 0]], at=[0.0])
+        with pytest.raises(ValueError, match="one issue instant per wave"):
+            pgas.put(SRC, OTHERS, [[1.0, 2.0, 3.0]], at=[0.0, 0.0])
+        assert pgas.puts_issued == 0 and not pgas.cluster.interconnect.links()
+
+    def test_a_bad_plan_takes_no_run(self):
+        pgas = PGASContext(dgx_v100(G))
+        for bad in (-1.0, np.nan, np.inf):
+            plan = _LaunchPlan(None, np.array([[0.0, 0.0, 256.0, bad]]), OTHERS, pgas, SRC)
+            assert not plan.deferrable and not plan.take_run([5.0], [1.0])
+        hook = _GradientAtomics(pgas, 0, [1, 2], [np.inf, 8.0])
+        assert not hook.take_run([5.0], [1.0])
+        assert not pgas.cluster.interconnect._pending
+
+    def test_a_source_without_peer_access_is_declined(self):
+        pgas = PGASContext(_no_pair_01())
+        assert not pgas.put_run(0, [1, 2], [5.0], np.array([[0.0, 1.0, 1.0]]), 0)
+        assert not pgas.put_run(7, [1, 2], [5.0], np.array([[0.0, 1.0, 1.0]]), 0)
+        assert pgas.put_run(0, [2], [5.0], np.array([[0.0, 1.0]]), 0)
+
+
+def _no_pair_01() -> Cluster:
+    """Three GPUs on NVLink, except that devices 0 and 1 are not joined."""
+    def spec(s, d):
+        return None if {s, d} == {0, 1} else NVLINK_PAIR_SPEC
+
+    return Cluster(3, topology=Topology(3, spec, name="no-0-1"))
+
+
+# -- the fused passes ----------------------------------------------------------------
+
+#: 1024 blocks per device at G=4: two waves per fused kernel
+TWO_WAVES = WorkloadConfig(num_tables=64, dim=32, batch_size=4096, max_pooling=8, seed=11)
+
+
+def _pass_outputs(pass_cls, stepped: bool):
+    emb = DistributedEmbedding(TWO_WAVES, 4, backend="pgas")
+    wls = build_device_workloads(emb.plan, SyntheticDataGenerator(TWO_WAVES).lengths_batch())
+    cl = dgx_v100(4)
+    for dev in cl.devices:
+        dev.fault_free = not stepped
+    engine = pass_cls(cl)
+    timing = engine.run_batch(wls)
+    prof = cl.profiler
+    samples = prof.pair_samples(PGASContext.COUNTER)
+    # Each source's samples in booking order: a deferred run is booked when
+    # its own row is next touched, so only the order across sources moves.
+    by_src = [[column[samples.src == src].tolist() for column in samples] for src in range(4)]
+    return (
+        timing.as_dict(), engine.pgas.puts_issued, engine.pgas.payload_bytes_issued,
+        dict(engine.pgas._last_done), by_src,
+        {name: c.events() for name, c in prof.counters.items()},
+        sorted((lk.src, lk.dst, lk._free_at, lk.busy_time, lk.bytes_carried)
+               for lk in cl.interconnect.links()),
+    ), cl.engine._seq
+
+
+@pytest.mark.parametrize("pass_cls", [PGASFusedRetrieval, PGASFusedBackward])
+def test_a_booked_pass_equals_its_stepped_pass(pass_cls):
+    """The forward's puts and the backward's atomics, deferred as runs by
+    booked kernels, equal the per-wave writes of stepped kernels."""
+    booked, booked_seq = _pass_outputs(pass_cls, stepped=False)
+    stepped, stepped_seq = _pass_outputs(pass_cls, stepped=True)
+    assert booked == stepped
+    assert booked_seq < stepped_seq
+
+
+# -- the backward's atomic counts ----------------------------------------------------
+
+
+class _Recorder:
+    """Stands in for a PGAS context: records the counts of a deferred run."""
+
+    class spec:
+        atomic_payload_bytes = 8
+
+    def __init__(self):
+        self.counts = None
+
+    def atomic_run(self, src, dsts, ends, counts):
+        self.counts = counts
+        return True
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    fracs=st.lists(
+        st.sampled_from([0.5, 0.25, 0.125, 1.0, 0.375]) | st.floats(0.0, 1.0),
+        min_size=1, max_size=5,
+    ),
+    remote=st.lists(
+        st.integers(0, 10_000).map(lambda k: (2 * k + 1) * 4.0)  # half an atomic: .5 shares
+        | st.floats(0.0, 1e9),
+        min_size=1, max_size=4,
+    ),
+)
+def test_run_counts_round_half_to_even_like_round(fracs, remote):
+    rec = _Recorder()
+    hook = _GradientAtomics(rec, 0, list(range(1, len(remote) + 1)), remote)
+    assert hook.take_run([1.0] * len(fracs), fracs)
+    expected = [[int(round(nbytes * frac / 8)) for nbytes in remote] for frac in fracs]
+    assert rec.counts.tolist() == expected
+
+
+def test_exact_half_shares_round_to_even():
+    rec = _Recorder()
+    # 12 / 8 = 1.5 -> 2 and 20 / 8 = 2.5 -> 2, as round() gives.
+    _GradientAtomics(rec, 0, [1, 2], [12.0, 20.0]).take_run([1.0], [1.0])
+    assert rec.counts.tolist() == [[2, 2]] == [[round(1.5), round(2.5)]]
+
+
+# -- the backward's drag -------------------------------------------------------------
+
+
+def test_backward_drag_weights_the_first_hops_and_raises_the_forwards_error():
+    """On three GPUs without the pair (0, 1), the backward prices its drag
+    from the first hops it has and raises the forward's typed error at the
+    first atomic to the missing peer, not an ``AttributeError``."""
+    cfg = WorkloadConfig(num_tables=6, dim=16, batch_size=256, max_pooling=4, seed=3)
+    emb = DistributedEmbedding(cfg, 3, backend="pgas")
+    wls = build_device_workloads(emb.plan, SyntheticDataGenerator(cfg).lengths_batch())
+    with pytest.raises(PermissionError, match="has no peer access to device"):
+        PGASFusedRetrieval(_no_pair_01()).run_batch(wls)
+    with pytest.raises(PermissionError, match="has no peer access to device"):
+        PGASFusedBackward(_no_pair_01()).run_batch(wls)
+
+
+# -- typed errors ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("pass_cls", [PGASFusedRetrieval, PGASFusedBackward])
+def test_a_declined_run_raises_the_per_wave_error_at_the_same_instant(pass_cls):
+    """A run to a device without peer access is declined, so the booked
+    launch raises the stepped launch's error, message and instant."""
+    cfg = WorkloadConfig(num_tables=6, dim=16, batch_size=256, max_pooling=4, seed=3)
+    emb = DistributedEmbedding(cfg, 3, backend="pgas")
+    wls = build_device_workloads(emb.plan, SyntheticDataGenerator(cfg).lengths_batch())
+    raised = []
+    for stepped in (False, True):
+        cl = _no_pair_01()
+        for dev in cl.devices:
+            dev.fault_free = not stepped
+        with pytest.raises(PermissionError) as err:
+            pass_cls(cl).run_batch(wls)
+        raised.append((str(err.value), cl.engine.now))
+    assert raised[0] == raised[1]
+
+
+def test_a_bad_payload_raises_puts_error_at_its_waves_end():
+    """A NaN in the second wave: the booked launch declines the run and
+    puts wave by wave, so the first wave books and the second raises
+    ``put``'s error, by position, at its end, as a stepped launch does."""
+    C = dgx_v100(1).devices[0].spec.concurrent_blocks
+    raised = []
+    for stepped in (False, True):
+        cl = dgx_v100(G)
+        dev = cl.devices[SRC]
+        dev.fault_free = not stepped
+        pgas = PGASContext(cl)
+        waves = np.array([[1.0, 0.0, 256.0, 512.0], [0.0, 5.0, 256.0, np.nan]])
+        plan = _LaunchPlan(None, waves, OTHERS, pgas, SRC)
+        dev.default_stream.launch(dev, KernelSpec("k", 2 * C, bytes_read=1e6), plan)
+        with pytest.raises(ValueError) as err:
+            cl.engine.run()
+        raised.append((str(err.value), cl.engine.now, pgas.puts_issued))
+    assert raised[0] == raised[1]
+    assert "payload_bytes[2]" in raised[0][0] and raised[0][2] == 3

@@ -44,7 +44,10 @@ join over booked ops takes one at their latest end, and a fused kernel
 keeps only its wave-end entries.  Every pgas count fell once more when
 puts stopped scheduling a no-op at each rise of a PE's latest delivery
 instant: a put takes no entry, and ``quiet`` schedules its own wake-up
-at that instant.  No timing or counter moved.
+at that instant.  Every pgas count fell once more when a booked fused
+kernel stopped taking an entry per wave end: its writes wait on the
+source's links as one deferred run, booked when those links are next
+touched or read.  No timing or counter moved.
 
 Every timing of a case fed by ``lengths_batch`` on a plain uniform range
 was re-captured once when that method began drawing each chunk's lookup
@@ -53,9 +56,10 @@ not the cost model, and no event count moved.  The cases fed by
 ``sparse_batch`` or a skewed config (``pgas+cache``, ``pgas+reshard``)
 did not move.
 
-``pgas-g64`` also pins how its writes are issued: one ``PGASContext.put``
-call per device-wave, next to the unchanged number of writes, so a return
-to one call per destination fails here.
+``pgas-g64`` also pins how its writes are issued: one deferred
+``PGASContext.put_run`` per device, booked by one ``put`` with ``at``,
+and no per-wave ``put``, next to the unchanged number of writes, so a
+return to one call per wave or per destination fails here.
 
 ``pgas-g64`` and ``baseline-g64`` run on one shared batch must also derive
 each table's chunk lookup counts once between them (1024 derivations; one
@@ -234,7 +238,7 @@ CASES = {
             "total_ns": 7110949.169590643,
             "batches": 1.0,
         },
-        38,
+        6,
     ),
     "baseline-g16": (
         lambda: _run(FLAT_G16, 16, "baseline"),
@@ -256,7 +260,7 @@ CASES = {
             "total_ns": 7038243.67251462,
             "batches": 1.0,
         },
-        70,
+        6,
     ),
     "baseline-g64": (
         lambda: _run(SCALE_G64, 64, "baseline"),
@@ -306,7 +310,7 @@ CASES = {
             "emb_backward.batches": 1.0,
             "total_ns": 13040058.559565937,
         },
-        42,
+        34,
     ),
     "train-baseline-g4": (
         lambda: _train(TRAIN_G4, 4, "baseline"),
@@ -344,7 +348,7 @@ FEATURE_CASES = {
             "total_ns": 155571.40935672517,
             "batches": 1.0,
         },
-        20,
+        12,
         {
             "cache.evictions.dev0": 3791.0,
             "cache.evictions.dev1": 4313.0,
@@ -412,7 +416,7 @@ FEATURE_CASES = {
             "total_ns": 360723.85123195883,
             "batches": 1.0,
         },
-        43,
+        35,
         {
             "faults.rerouted_bytes": 524288.0,
             "faults.rerouted_bytes.delivered": 262144.0,
@@ -443,7 +447,7 @@ FEATURE_CASES = {
             "total_ns": 223086.90058479534,
             "batches": 1.0,
         },
-        165,
+        155,
         {
             "availability.batch_lookups": 65184.0,
             "availability.detection_ns": 5071.350877192977,
@@ -478,7 +482,7 @@ FEATURE_CASES = {
             "total_ns": 1512684.8654970762,
             "batches": 6.0,
         },
-        90,
+        66,
         {
             "pgas_bytes": 9437184.0,
             "pgas_bytes.dev0->dev1": 655360.0,
@@ -529,7 +533,7 @@ ROWWISE_CASES = {
             "total_ns": 1473233.1461988306,
             "batches": 1.0,
         },
-        14,
+        6,
         {"pgas_bytes": 50331648.0, **_pair_totals("pgas_bytes", 4, 4194304.0)},
     ),
     "rowwise-baseline-g3-ragged": (
@@ -561,7 +565,7 @@ ROWWISE_CASES = {
             "total_ns": 370438.48538011697,
             "batches": 1.0,
         },
-        9,
+        6,
         {
             "pgas_bytes": 3584000.0,
             "pgas_bytes.dev0->dev1": 596736.0,
@@ -601,23 +605,33 @@ def test_rowwise_timing_events_and_counters_are_pinned(case):
     assert got_counters == counters
 
 
-def test_pgas_g64_issues_one_put_call_per_wave():
-    """The ``pgas-g64`` forward issues one ``PGASContext.put`` call per
-    device-wave with remote bytes (64 devices, one wave each at this
-    batch), carrying the same 4032 writes a call per destination issued."""
+def test_pgas_g64_defers_one_put_run_per_device():
+    """The ``pgas-g64`` forward defers one ``PGASContext.put_run`` per
+    device (64 devices, one wave each at this batch) and books each run
+    through one ``put`` with its issue instants (``at``), never a per-wave
+    ``put``; the runs carry the same 4032 writes that one put call per
+    device-wave carried, each source's in destination order."""
     emb = DistributedEmbedding(SCALE_G64, 64, backend="pgas")
     pgas = emb.backend_adapter().base.pgas
-    calls = []
-    put = pgas.put
+    runs, calls = [], []
+    put_run, put = pgas.put_run, pgas.put
 
-    def counted(src, dst, payload_bytes):
-        calls.append(src)
-        put(src, dst, payload_bytes)
+    def counted_run(src, dsts, ends, waves, skip):
+        runs.append((src, len(ends)))
+        return put_run(src, dsts, ends, waves, skip)
 
-    pgas.put = counted
+    def counted(src, dst, payload_bytes, at=None):
+        calls.append((src, None if at is None else len(at)))
+        put(src, dst, payload_bytes, at=at)
+
+    pgas.put_run, pgas.put = counted_run, counted
     emb.forward_timed(SyntheticDataGenerator(SCALE_G64).lengths_batch())
-    assert len(calls) == 64
+    assert sorted(runs) == [(src, 1) for src in range(64)]
+    assert sorted(calls) == [(src, 1) for src in range(64)]
     assert pgas.puts_issued == 4032
+    samples = emb.cluster.profiler.pair_samples("pgas_bytes")
+    for src in range(64):
+        assert samples.dst[samples.src == src].tolist() == [d for d in range(64) if d != src]
 
 
 def test_g64_backends_share_one_derivation_per_table(monkeypatch):
@@ -664,7 +678,85 @@ def test_stream_ops_start_no_process():
     and 35 while each put that raised its PE's horizon took one."""
     pipe = DLRMInferencePipeline(PipelineConfig(workload=TRAIN_G4), 8, backend="pgas")
     pipe.run_batch(SyntheticDataGenerator(TRAIN_G4).lengths_batch())
-    assert pipe.cluster.engine._seq == 27
+    assert pipe.cluster.engine._seq == 19
 
     got, seq = _train(TRAIN_G4, 4, "pgas")
     assert (got, seq) == (CASES["train-pgas-g4"][1], CASES["train-pgas-g4"][2])
+
+
+# -- link faults that open mid-kernel -------------------------------------------------
+
+#: a forward whose fused kernels retire two waves each (1024 blocks per device)
+TWO_WAVE_G4 = WorkloadConfig(num_tables=64, dim=32, batch_size=4096, max_pooling=8, seed=11)
+
+#: link windows on a plan that targets no device, so every kernel is booked;
+#: each edge falls between a source's two wave ends (about 702 and 1120 us)
+MID_KERNEL_LINK_FAULTS = (
+    FaultEvent("link_degrade", 900 * us, 2000 * us, src=0, dst=1, severity=0.25),
+    FaultEvent("link_degrade", 100 * us, 710 * us, src=3, dst=0, severity=0.5),
+    FaultEvent("link_latency", 710 * us, 3000 * us, src=1, dst=0, severity=5 * us),
+    FaultEvent("link_down", 800 * us, 1200 * us, src=2, dst=3),
+)
+
+#: (src, dst) -> (free_at, busy_time, bytes_carried, transfers, messages),
+#: captured while every wave end of a fused kernel was an engine entry
+MID_KERNEL_LINKS = {
+    (0, 1): (1192671.1578947369, 104448.0, 2359296.0, 2, 8192),
+    (0, 2): (1137375.1578947369, 49152.0, 2359296.0, 2, 8192),
+    (0, 3): (1137375.1578947369, 49152.0, 2359296.0, 2, 8192),
+    (1, 0): (1138202.2923976607, 49152.0, 2359296.0, 2, 8192),
+    (1, 2): (1138202.2923976607, 49152.0, 2359296.0, 2, 8192),
+    (1, 3): (1138202.2923976607, 49152.0, 2359296.0, 2, 8192),
+    (2, 0): (1141160.888888889, 49152.0, 2359296.0, 2, 8192),
+    (2, 1): (1141160.888888889, 49152.0, 2359296.0, 2, 8192),
+    (2, 3): (1218432.0, 49152.0, 2359296.0, 2, 8192),
+    (3, 0): (1141377.2163742692, 79872.0, 2359296.0, 2, 8192),
+    (3, 1): (1141377.2163742692, 49152.0, 2359296.0, 2, 8192),
+    (3, 2): (1141377.2163742692, 49152.0, 2359296.0, 2, 8192),
+}
+
+#: each link's delivery instants, one per wave
+MID_KERNEL_DELIVERIES = {
+    "pgas_bytes.dev0->dev1": [732947.1412979792, 1193371.1578947369],
+    "pgas_bytes.dev0->dev2": [732947.1412979792, 1138075.1578947369],
+    "pgas_bytes.dev0->dev3": [732947.1412979792, 1138075.1578947369],
+    "pgas_bytes.dev1->dev0": [734851.0613275872, 1143902.2923976607],
+    "pgas_bytes.dev1->dev2": [734851.0613275872, 1138902.2923976607],
+    "pgas_bytes.dev1->dev3": [734851.0613275872, 1138902.2923976607],
+    "pgas_bytes.dev2->dev0": [735565.5304588857, 1141860.888888889],
+    "pgas_bytes.dev2->dev1": [735565.5304588857, 1141860.888888889],
+    "pgas_bytes.dev2->dev3": [735565.5304588857, 1219132.0],
+    "pgas_bytes.dev3->dev0": [764566.8593491553, 1142077.2163742692],
+    "pgas_bytes.dev3->dev1": [733846.8593491553, 1142077.2163742692],
+    "pgas_bytes.dev3->dev2": [733846.8593491553, 1142077.2163742692],
+}
+
+
+def test_link_faults_opening_mid_kernel_are_pinned():
+    """Degrade, restore, latency and down edges between two wave ends of
+    a booked fused kernel: the waves before an edge see the old link
+    state and the waves after it the new one."""
+    emb = DistributedEmbedding(TWO_WAVE_G4, 4, backend="pgas")
+    FaultInjector(emb.cluster, FaultPlan(MID_KERNEL_LINK_FAULTS)).install()
+    timing = emb.forward_timed(SyntheticDataGenerator(TWO_WAVE_G4).lengths_batch())
+    assert timing.as_dict() == {
+        "compute_ns": 1229132.0,
+        "comm_ns": 0.0,
+        "sync_unpack_ns": 0.0,
+        "total_ns": 1229132.0,
+        "batches": 1.0,
+    }
+    assert emb.cluster.engine._seq == 13
+    pgas = emb.backend_adapter().base.pgas
+    assert (pgas.puts_issued, pgas.payload_bytes_issued) == (24, 25165824.0)
+    links = {
+        (lk.src, lk.dst): (
+            lk._free_at, lk.busy_time, lk.bytes_carried, lk.transfer_count, lk.messages_sent
+        )
+        for lk in emb.cluster.interconnect.links()
+    }
+    assert links == MID_KERNEL_LINKS
+    deliveries = emb.cluster.profiler.pair_counters("pgas_bytes")
+    assert {name: [t for t, _ in c.events()] for name, c in deliveries.items()} == (
+        MID_KERNEL_DELIVERIES
+    )

@@ -21,6 +21,9 @@ from repro.core.pipeline import DLRMInferencePipeline
 from repro.core.runspec import preset_runspec
 from repro.core.serving import InferenceServer, SchedulerSpec, ServingSpec
 from repro.dlrm.data import WorkloadConfig
+from repro.simgpu import kernel as kernel_mod
+from repro.simgpu.cluster import Cluster
+from repro.simgpu.device import DeviceSpec
 from repro.simgpu.units import ms, us
 
 N_REQUESTS = 48
@@ -135,10 +138,12 @@ def test_engine_event_count_is_pinned():
     when streams began booking closed-form ops at submit: a launch delay
     or kernel takes no entry of its own, and a join over booked ops takes
     one, at their latest end.  It fell from 207 when puts stopped
-    scheduling a no-op at each rise of a PE's latest delivery instant.
+    scheduling a no-op at each rise of a PE's latest delivery instant,
+    and from 191 when a booked fused kernel stopped taking an entry per
+    wave end (its writes wait as one deferred run).
     """
     _, pipe = _serve("hybrid", 2, *LOADS["window"])
-    assert pipe.cluster.engine._seq == 191
+    assert pipe.cluster.engine._seq == 175
 
 
 # -- fixed pooling ------------------------------------------------------------------
@@ -162,11 +167,11 @@ FIXED_LOADS = {
 
 #: case -> (digest, Engine._seq), captured before the fixed form existed
 FIXED_PINS = {
-    "k1-100k": ("4218c7f35f700b8f", 207),
-    "k1-400k": ("3417689110166182", 97),
-    "k2-100k": ("0cf30de0e4dcb069", 207),
-    "k2-100k-hedged": ("1406dbfa8a9b9e62", 399),
-    "k2-400k": ("d697d0ad3a304575", 147),
+    "k1-100k": ("4218c7f35f700b8f", 175),
+    "k1-400k": ("3417689110166182", 81),
+    "k2-100k": ("0cf30de0e4dcb069", 175),
+    "k2-100k-hedged": ("1406dbfa8a9b9e62", 335),
+    "k2-400k": ("d697d0ad3a304575", 123),
 }
 
 
@@ -187,3 +192,53 @@ def test_fixed_pooling_serving_is_pinned(case):
     if FIXED_LOADS[case][2] is not None:
         assert result.n_hedged > 0
     assert (_digest(result, pipe), pipe.cluster.engine._seq) == FIXED_PINS[case]
+
+
+# -- interleaved multi-wave kernels ---------------------------------------------------
+
+#: two resident blocks per device: the four local tables of a device run as
+#: two waves, so each batch's fused kernel writes twice
+TWO_BLOCK_SPEC = DeviceSpec(sm_count=1, max_blocks_per_sm=2)
+#: pooling long enough that a batch's EMB kernel outlasts the gap to the next
+LONG_POOLING = WorkloadConfig(
+    num_tables=8, rows_per_table=4096, dim=16, batch_size=256, max_pooling=256
+)
+
+#: case -> (hedge_after_ns, digest, Engine._seq); the digests were captured
+#: while every wave end of a fused kernel was an engine entry of its own
+INTERLEAVED_PINS = {
+    "k2-400k": (None, "f514f62079cf2ca1", 156),
+    "k2-400k-hedged": (20 * us, "d4bbca5ac13b086a", 326),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTERLEAVED_PINS))
+def test_interleaved_multi_wave_kernels_are_pinned(case, monkeypatch):
+    """K=2 batches whose fused kernels on one device each retire two waves,
+    and whose wave ends interleave: a later batch's first wave retires
+    before an earlier batch's last one."""
+    hedge, digest, seq = INTERLEAVED_PINS[case]
+    launches = []
+    timeline = kernel_mod._timeline
+
+    def recorded(device, kspec, t0):
+        fracs, body, ends, end = timeline(device, kspec, t0)
+        if kspec.name.startswith("pgas_fused"):
+            launches.append((device.id, ends))
+        return fracs, body, ends, end
+
+    monkeypatch.setattr(kernel_mod, "_timeline", recorded)
+    spec = ServingSpec(
+        arrival_qps=400_000.0, max_batch=8, batch_window_ns=0.0, deadline_ns=5 * ms,
+        hedge_after_ns=hedge, seed=5, scheduler=SchedulerSpec(max_in_flight=2, policy="hybrid"),
+    )
+    runspec = preset_runspec("tiny", n_devices=2, workload=LONG_POOLING)
+    pipe = DLRMInferencePipeline.from_spec(runspec, cluster=Cluster(2, device_spec=TWO_BLOCK_SPEC))
+    result = InferenceServer(pipe, spec).simulate(N_REQUESTS)
+    assert all(len(ends) == 2 for _, ends in launches)
+    assert any(
+        a[0] == b[0] and a[1][0] < b[1][0] < a[1][-1] for a in launches for b in launches
+    )
+    if hedge is not None:
+        assert result.n_hedged > 0
+    assert (_digest(result, pipe), pipe.cluster.engine._seq) == (digest, seq)
