@@ -23,9 +23,9 @@ mini-batch gradients; contributions to remote tables leave immediately as
 *remote atomic adds* per wave, local ones scatter-add in place.  No pack,
 no collective rounds — completion is a ``quiet`` + rendezvous, exactly the
 mechanism the paper proposes ("replacing multiple rounds of collective
-calls with atomic PGAS direct-GPU remote writes").  A booked kernel defers
-its atomics as one run (:meth:`~repro.comm.pgas.PGASContext.atomic_run`);
-a stepped one adds them wave by wave.
+calls with atomic PGAS direct-GPU remote writes").  A launch defers its
+atomics as one run (:meth:`~repro.comm.pgas.PGASContext.atomic_run`); a
+traced one adds them wave by wave.
 
 The functional layer (:func:`reference_backward` et al.) really computes
 and applies the row gradients so tests can check the two schemes agree
@@ -294,7 +294,7 @@ class _GradientAtomics:
     Each wave ships its share of the device's remote gradient bytes
     (``remote``, one entry per destination in ``dsts``) as remote atomics,
     one per ``atomic_payload_bytes``, the count rounded half to even.
-    Called per retiring wave in a stepped launch; a booked launch hands it
+    Called per retiring wave in a traced launch; any other launch hands it
     every wave at once (``take_run``), and the atomics become one deferred
     run whose counts ``np.rint`` rounds the same way.
     """

@@ -23,9 +23,9 @@ What a launch needs from its workload (the drag-stretched kernel spec
 and the per-wave destination bytes) is its launch plan, derived once per
 workload and kept while the workload lives: serving runs the same frozen
 workloads for every batch of one size under fixed pooling.  On the flat
-path a booked launch hands the plan's per-wave bytes to
+path an untraced launch hands the plan's per-wave bytes to
 :meth:`~repro.comm.pgas.PGASContext.put_run` as one deferred run, so its
-waves take no engine entry; a stepped launch puts wave by wave.
+waves take no engine entry; a traced launch puts wave by wave.
 """
 
 from __future__ import annotations
@@ -126,8 +126,8 @@ class _LaunchPlan:
     every device, the lists raised ``scale-g64``'s peak RSS by 3 %.
     Nothing here refers to the workload, which keys the plan weakly.
 
-    Called at a retiring wave's end (a stepped launch), the plan puts the
-    wave's remote vectors at once.  A booked launch instead hands it every
+    Called at a retiring wave's end (a traced launch), the plan puts the
+    wave's remote vectors at once.  Any other launch instead hands it every
     wave end (``take_run``), and the launch's puts become one deferred run
     (:meth:`~repro.comm.pgas.PGASContext.put_run`).  ``deferrable`` is
     the one screen of the bytes, made with the plan: a NaN, infinite or

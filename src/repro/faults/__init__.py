@@ -11,7 +11,8 @@ This package provides:
 * :mod:`repro.faults.injector` — :class:`FaultInjector`, which plays a
   plan onto a live cluster as engine callbacks, with every window
   recorded as a profiler span (category ``"fault"``) visible in Chrome
-  traces;
+  traces, and registers its device edges on their devices so that every
+  kernel booked after installation replays them;
 * :mod:`repro.faults.resilient` — :class:`ResilientRetrieval`, wrapping
   either base backend with per-batch deadlines, retries with exponential
   backoff, two-hop reroutes around downed links, and graceful

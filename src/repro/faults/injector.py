@@ -12,11 +12,17 @@ and behave correctly even when the simulation ends mid-window.
 Every window is recorded as a profiler span (category ``"fault"``) at
 apply time covering the whole planned extent, plus a ``faults.windows``
 counter tick — both visible in Chrome traces.
+
+Kernel launches are timed when they are booked, so each device slowdown
+and stall edge is also registered on its device at installation: a
+launch replays the edges registered by then, a window that opens
+mid-kernel included (:meth:`FaultInjector.install`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from functools import partial
+from typing import List, Optional, Tuple
 
 from ..simgpu.cluster import Cluster
 from .plan import DEVICE_KINDS, FaultEvent, FaultPlan
@@ -27,6 +33,18 @@ __all__ = ["FaultInjector", "SPAN_CATEGORY", "WINDOW_COUNTER", "pair_is_down"]
 SPAN_CATEGORY = "fault"
 #: profiler counter ticked once per applied window
 WINDOW_COUNTER = "faults.windows"
+
+
+def _slow(severity: float, slowdown: float, stalled_until: float) -> Tuple[float, float]:
+    return slowdown * severity, stalled_until
+
+
+def _heal(severity: float, slowdown: float, stalled_until: float) -> Tuple[float, float]:
+    return slowdown / severity, stalled_until
+
+
+def _stall(end: float, slowdown: float, stalled_until: float) -> Tuple[float, float]:
+    return slowdown, max(stalled_until, end)
 
 
 def pair_is_down(cluster: Cluster, src: int, dst: int) -> bool:
@@ -70,17 +88,32 @@ class FaultInjector:
         self.applied: List[FaultEvent] = []
 
     def install(self) -> "FaultInjector":
-        """Anchor the plan at the current simulated time; returns self."""
+        """Anchor the plan at the current simulated time; returns self.
+
+        Every window edge becomes an engine entry now, and each
+        ``device_slowdown`` and ``device_stall`` edge is also registered
+        on its device (:meth:`Device.add_edge
+        <repro.simgpu.device.Device.add_edge>`).  A launch is timed when
+        it is booked, by replaying the edges registered by then, so the
+        plan covers the launches booked after this call, a window that
+        opens mid-kernel included.  A launch booked earlier, even one
+        still waiting in its stream, keeps the timing it was booked with.
+        """
         if self.installed_at is not None:
             raise RuntimeError("FaultInjector.install() called twice")
         engine = self.cluster.engine
-        self.installed_at = engine.now
+        t0 = self.installed_at = engine.now
         for ev in self.plan.events:
-            if ev.kind in DEVICE_KINDS:
-                self.cluster.device(ev.device).fault_free = False
-            engine.call_at(self.installed_at + ev.t_start, lambda e=ev: self._apply(e))
+            start, end = t0 + ev.t_start, t0 + ev.t_end
+            apply = engine.call_at(start, lambda e=ev: self._apply(e))
             if ev.kind in ("link_degrade", "link_latency", "device_slowdown"):
-                engine.call_at(self.installed_at + ev.t_end, lambda e=ev: self._revert(e))
+                revert = engine.call_at(end, lambda e=ev: self._revert(e))
+            if ev.kind == "device_stall":
+                self.cluster.device(ev.device).add_edge((start, apply[1], partial(_stall, end)))
+            elif ev.kind == "device_slowdown":
+                device = self.cluster.device(ev.device)
+                device.add_edge((start, apply[1], partial(_slow, ev.severity)))
+                device.add_edge((end, revert[1], partial(_heal, ev.severity)))
         return self
 
     # -- window edges ------------------------------------------------------------
@@ -96,10 +129,8 @@ class FaultInjector:
             cluster.interconnect.link(ev.src, ev.dst).degrade(extra_latency_ns=ev.severity)
         elif ev.kind == "link_down":
             cluster.interconnect.link(ev.src, ev.dst).set_down_until(abs_end)
-        elif ev.kind == "device_slowdown":
-            cluster.device(ev.device).slowdown *= ev.severity
-        elif ev.kind == "device_stall":
-            cluster.device(ev.device).stall_until(abs_end)
+        elif ev.kind in ("device_slowdown", "device_stall"):
+            cluster.device(ev.device).run_edge()
         elif ev.kind == "device_down":
             # Permanent: marks the device dead from now on; no revert edge
             # is ever scheduled (install() excludes it, like device_stall).
@@ -119,7 +150,7 @@ class FaultInjector:
         elif ev.kind == "link_latency":
             cluster.interconnect.link(ev.src, ev.dst).restore(extra_latency_ns=ev.severity)
         elif ev.kind == "device_slowdown":
-            cluster.device(ev.device).slowdown /= ev.severity
+            cluster.device(ev.device).run_edge()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "installed" if self.installed_at is not None else "pending"

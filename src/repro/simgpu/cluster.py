@@ -68,7 +68,7 @@ class Cluster:
         if n_devices <= 0:
             raise ValueError(f"n_devices must be positive, got {n_devices}")
         self.engine = Engine()
-        self.profiler = Profiler()
+        self.profiler = Profiler(self.engine)
         self.topology = topology or nvlink_dgx1(n_devices)
         if self.topology.n_devices != n_devices:
             raise ValueError(

@@ -10,12 +10,18 @@ The default spec is the V100-SXM2-32GB of the paper's DGX testbed; the
 memory/compute efficiency factors come straight from the paper's ``ncu``
 measurements of the embedding-retrieval kernel (§IV-B: 57% memory
 throughput, 38% compute throughput).
+
+A device's fault state (kernel slowdown, stall window, permanent failure)
+is set by a fault plan's edges.  The slowdown and stall edges are also
+registered on the device when the plan is installed, so a launch booked
+afterwards replays them to time its waves (:func:`~repro.simgpu.kernel._replay`).
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .engine import Engine
 from .memory import MemoryPool
@@ -23,6 +29,11 @@ from .stream import Stream
 from .units import GiB, gbps, us
 
 __all__ = ["DeviceSpec", "Device", "V100_SPEC", "A100_SPEC", "H100_SPEC"]
+
+#: A fault edge: ``(instant, seq, op)``, ``seq`` being its engine entry's
+#: (so edges sort in the order their entries run) and ``op`` its effect,
+#: ``(slowdown, stalled_until)`` before -> after.
+Edge = Tuple[float, int, Callable[[float, float], Tuple[float, float]]]
 
 
 @dataclass(frozen=True)
@@ -147,20 +158,30 @@ class Device:
         #: transient-stall window end: kernels make no progress at wave
         #: boundaries before this absolute time (-inf when healthy)
         self.stalled_until = float("-inf")
+        # Registered fault edges whose entries have not run, in engine
+        # order; None until a fault plan targets the device.
+        self._edges: Optional[List[Edge]] = None
         #: absolute time of a permanent ``device_down`` failure (+inf when
         #: the device has never failed); unlike stalls this never reverts
         self.down_since = float("inf")
-        #: False once an installed fault plan targets it (kernels then step by wave)
-        self.fault_free = True
         #: cluster profiler, attached by Cluster so traced kernel launches
         #: can record per-kernel spans (None when running device-standalone)
         self.profiler = None
 
     # -- fault state -------------------------------------------------------------
 
-    def stall_until(self, t: float) -> None:
-        """Freeze kernel progress until absolute time ``t`` (extends only)."""
-        self.stalled_until = max(self.stalled_until, t)
+    def add_edge(self, edge: Edge) -> None:
+        """Register a fault edge, whose entry calls :meth:`run_edge`; a
+        launch booked from now on replays it (:func:`repro.simgpu.kernel._replay`)."""
+        if self._edges is None:
+            self._edges = []
+        insort(self._edges, edge)
+
+    def run_edge(self) -> None:
+        """Apply the earliest registered edge to the live state: its entry
+        is the one running."""
+        _, _, op = self._edges.pop(0)
+        self.slowdown, self.stalled_until = op(self.slowdown, self.stalled_until)
 
     def mark_down(self, t: float) -> None:
         """Record a permanent failure at absolute time ``t`` (first one wins)."""

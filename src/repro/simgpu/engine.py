@@ -32,9 +32,10 @@ Design notes
   Code run once per callback builds no strings and no closures: events
   schedule their bound ``_run_callbacks``.
 * ``Engine._current`` is the ``seq`` of the entry now running, and
-  ``Engine._exits`` counts the run loops that have returned.  A fabric's
-  deferred writes (DESIGN.md §17) use them to tell whether a write that
-  retires at the current instant would have run yet as its own entry.
+  ``Engine._exits`` counts the run loops that have returned.  Work that
+  stands for entries it did not schedule (a fabric's deferred writes, a
+  traced launch's kernel span, DESIGN.md §17) asks ``Engine._passed``
+  whether such an entry at the current instant would have run yet.
 """
 
 from __future__ import annotations
@@ -243,6 +244,15 @@ class Engine:
         """Raise unless ``time`` is ``None`` or a finite instant >= now."""
         if time is not None and not self._now <= time < math.inf:
             raise SimulationError(f"{name} must be a finite time >= now {self._now}, got {time}")
+
+    def _passed(self, seq: int, exits: int) -> bool:
+        """True when an entry at the current instant, scheduled when
+        ``_seq`` and ``_exits`` read ``seq`` and ``exits``, would have run:
+        before the running entry (one scheduled after it) or, outside the
+        run loops, in a loop that has returned since."""
+        if self._running:
+            return seq < self._current
+        return exits < self._exits
 
     def _pending_at_now(self) -> bool:
         """True if there are still queued callbacks at the current instant."""

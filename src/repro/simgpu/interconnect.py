@@ -236,16 +236,6 @@ class _Run:
         self.seq, self.exits, self.order = seq, exits, order
 
 
-def _retired_at_now(run: _Run, engine: Engine) -> bool:
-    """True when a wave of ``run`` that ends at the current instant has
-    retired: its entry would have run before the running entry, which
-    was scheduled after the registration, or, outside the run loops,
-    in a loop that has returned since."""
-    if engine._running:
-        return run.seq < engine._current
-    return run.exits < engine._exits
-
-
 def _next_key(run: _Run) -> Tuple[float, int]:
     """Where ``run``'s next wave falls among its row's deferred waves."""
     return run.times[run.w], run.order
@@ -614,7 +604,7 @@ class Interconnect:
         instant, or at this instant before the running entry (one
         scheduled after the registration) or, between run loops, in a
         loop that has returned since the registration
-        (:func:`_retired_at_now`).  Several runs on one row are booked
+        (``Engine._passed``).  Several runs on one row are booked
         in the order those entries would run: by instant, a tie to the
         earlier registration.
         """
@@ -655,7 +645,7 @@ class Interconnect:
             run = runs[0]
             times, start = run.times, run.w
             stop = bisect_left(times, now, start)
-            if stop < len(times) and times[stop] == now and _retired_at_now(run, engine):
+            if stop < len(times) and times[stop] == now and engine._passed(run.seq, run.exits):
                 stop = bisect_right(times, now, stop)
             if stop > start:
                 run.w = stop
@@ -668,7 +658,7 @@ class Interconnect:
             run = runs[0] if len(runs) == 1 else min(runs, key=_next_key)
             times, start = run.times, run.w
             stop = bisect_left(times, now, start)
-            if stop < len(times) and times[stop] == now and _retired_at_now(run, engine):
+            if stop < len(times) and times[stop] == now and engine._passed(run.seq, run.exits):
                 stop = bisect_right(times, now, stop)
             for other in runs:
                 if other is not run and stop > start:

@@ -10,12 +10,14 @@ not at kernel end.  That progressive availability is the mechanism behind
 the paper's fine-grained communication/computation overlap (§III-B) and the
 comm-volume-over-time curves of Figs. 7 and 10.
 
-:func:`_timeline` is the one wave model.  A launch on a fault-free device
-with no active trace is booked at its start (:func:`_book_launch`): it
-takes no engine entry, or one per wave end with a per-wave hook, unless
-the hook takes every wave end at once as a *run* (``take_run``, see
-:data:`WaveCallback`).  Any other launch is stepped by engine callbacks
-(:class:`_KernelRun`), which call the hook at each wave end.
+:func:`_timeline` is the one wave model, and every launch is booked at
+its start (:func:`_book_launch`): it takes no engine entry, or one per
+wave end with a per-wave hook, unless the hook takes every wave end at
+once as a *run* (``take_run``, see :data:`WaveCallback`).  On a device a
+fault plan targets, :func:`_replay` times the waves through the slowdown
+and stall edges the plan registered on the device, sampling the device
+where a wave-by-wave run would: a stall check at each wave boundary and
+the slowdown at each wave's start.
 
 Memory-bound kernels with an empty grid still cost ``min_kernel_ns``: the
 latency floor that makes the paper's strong-scaled partitions stop speeding
@@ -26,21 +28,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .profiler import Span
+
 if TYPE_CHECKING:  # device.py imports this module (through stream.py) at load
-    from .device import Device, DeviceSpec
+    from .device import Device, DeviceSpec, Edge
 
 __all__ = ["KernelSpec", "WaveInfo", "roofline_time", "kernel_time"]
 
 #: Signature of the per-wave hook: called at each wave's retirement time.
-#: A hook object may also define ``take_run(ends, fracs)``: a booked launch
-#: hands it every wave's end and work fraction at its start, and when it
-#: returns True the launch schedules no wave ends (the PGAS fused kernels
-#: defer their writes this way); when it returns False, or in a stepped
-#: launch, the hook is called per wave.
+#: A hook object may also define ``take_run(ends, fracs)``: a launch hands
+#: it every wave's end and work fraction at its start, and when it returns
+#: True the launch schedules no wave ends (the PGAS fused kernels defer
+#: their writes this way); when it returns False, or when the launch is
+#: traced, the hook is called per wave.
 WaveCallback = Callable[["WaveInfo"], None]
 
 
@@ -165,36 +170,40 @@ def _occupancy_derate(kspec: KernelSpec, device_spec: DeviceSpec) -> float:
     return min(1.0, n_waves / kspec.min_waves_for_peak)
 
 
+def _body_ns(kspec: KernelSpec, spec: DeviceSpec) -> float:
+    """The kernel body: roofline time, occupancy derate, then the stretch."""
+    body = roofline_time(kspec.total_bytes, kspec.flops, spec)
+    body /= _occupancy_derate(kspec, spec)
+    return body + kspec.stretch_ns
+
+
 def kernel_time(kspec: KernelSpec, device_spec: DeviceSpec) -> float:
     """Closed-form duration of a kernel (excluding launch overhead).
 
     What a launch charges on a healthy device, up to float rounding;
     exposed for analytical sanity checks and back-of-envelope calibration.
     """
-    body = roofline_time(kspec.total_bytes, kspec.flops, device_spec)
-    body /= _occupancy_derate(kspec, device_spec)
-    body += kspec.stretch_ns
-    return max(device_spec.min_kernel_ns, body + kspec.tail_ns)
+    return max(device_spec.min_kernel_ns, _body_ns(kspec, device_spec) + kspec.tail_ns)
 
 
 def _timeline(
     device: Device, kspec: KernelSpec, t0: float
-) -> Tuple[List[float], float, List[float], float]:
+) -> Tuple[List[float], Optional[List[float]], List[float], float]:
     """The one wave model: a launch on ``device`` that starts at ``t0``.
 
-    Returns ``(fracs, body, ends, end)``: each wave's work fraction, the
-    kernel body, each wave's end (``t = t + body*frac*slowdown``, in wave
-    order, at the device's current slowdown) and the launch's end after
-    the floor and the tail.  A booked launch uses all of it.  A stepped
-    one (:class:`_KernelRun`) that takes one callback ends at ``ends[-1]``
-    plus its epilogue; otherwise it takes each wave from ``fracs`` and
-    ``body`` at the wave's own start, at the slowdown of that moment.
+    Returns ``(fracs, starts, ends, end)``: each wave's work fraction,
+    where each wave starts and, last, where the epilogue starts (None
+    when each starts where the last ended, the first at ``t0``), each
+    wave's end (``t = t + body*frac*slowdown``, in wave order) and the
+    launch's end after the floor and the tail.  On a device with no fault
+    edges the slowdown is the device's current one; otherwise
+    :func:`_replay` walks the edges.
     """
     spec = device.spec
     fracs = _wave_fractions(kspec, spec)  # module lookup: the perf tracer patches it
-    body = roofline_time(kspec.total_bytes, kspec.flops, spec)
-    body /= _occupancy_derate(kspec, spec)
-    body += kspec.stretch_ns
+    body = _body_ns(kspec, spec)
+    if device._edges is not None:
+        return _replay(device, kspec, fracs, body, t0)
     slowdown = device.slowdown
     ends = []
     t = t0
@@ -202,7 +211,55 @@ def _timeline(
         t = t + body * frac * slowdown
         ends.append(t)
     remaining = _epilogue_ns(spec, kspec, t0, t)
-    return fracs, body, ends, t + remaining if remaining > 0 else t
+    return fracs, None, ends, t + remaining if remaining > 0 else t
+
+
+def _replay(
+    device: Device, kspec: KernelSpec, fracs: List[float], body: float, t0: float
+) -> Tuple[List[float], List[float], List[float], float]:
+    """:func:`_timeline` through the fault edges registered on ``device``.
+
+    The launch samples the device at each wave boundary ``b``: one stall
+    check (a wave held by ``stalled_until`` starts at
+    ``b + (stalled_until - b)``, with no second check there), then the
+    slowdown at the wave's start.  The last boundary gets the stall check
+    before the floor and the tail.  Each sample sees the device's state
+    with every edge at or before its instant applied, in ``(instant,
+    seq)`` order, as the edges' entries would have run by then; a sample
+    at ``t0`` taken now, in the entry that books the launch, sees the
+    live state alone.
+    """
+    slowdown, stalled_until = device.slowdown, device.stalled_until
+    edges = device._edges
+    i = 0
+    live = t0 == device.engine.now
+    starts, ends = [], []
+    t = t0
+    for w in range(len(fracs) + 1):
+        if not live:
+            i, slowdown, stalled_until = _catch_up(edges, i, t, slowdown, stalled_until)
+        if t < stalled_until:
+            t = t + (stalled_until - t)
+            i, slowdown, stalled_until = _catch_up(edges, i, t, slowdown, stalled_until)
+        live = False
+        starts.append(t)
+        if w == len(fracs):
+            break
+        t = t + body * fracs[w] * slowdown
+        ends.append(t)
+    remaining = _epilogue_ns(device.spec, kspec, t0, t)
+    return fracs, starts, ends, t + remaining if remaining > 0 else t
+
+
+def _catch_up(
+    edges: List[Edge], i: int, t: float, slowdown: float, stalled_until: float
+) -> Tuple[int, float, float]:
+    """Apply ``edges[i:]`` up to instant ``t`` to the state; return the
+    next edge's index and the state."""
+    while i < len(edges) and edges[i][0] <= t:
+        slowdown, stalled_until = edges[i][2](slowdown, stalled_until)
+        i += 1
+    return i, slowdown, stalled_until
 
 
 def _epilogue_ns(spec: DeviceSpec, kspec: KernelSpec, t0: float, t: float) -> float:
@@ -222,104 +279,62 @@ def _book_launch(
     a write a wave issues then falls before or after another entry at
     the same instant by that entry's ``seq`` alone, which is what lets a
     deferred run (``take_run``) order its writes without entries.
+
+    Under an active trace the launch records a ``"kernel"`` span under
+    the trace ref of now, deferred to its end
+    (:meth:`Profiler.defer_span <repro.simgpu.profiler.Profiler.defer_span>`)
+    from where the epilogue starts: here, in the last wave's entry or,
+    through fault edges, in one entry of its own.  Its hook is offered no
+    run, so each wave's writes record their link spans in the wave's
+    own entry.
     """
-    fracs, _, ends, end = _timeline(device, kspec, t0)
+    fracs, starts, ends, end = _timeline(device, kspec, t0)
+    prof = device.profiler
+    span = None
+    if prof is not None and prof.active_trace is not None:
+        span = Span(kspec.name, "kernel", device.id, t0, end, prof.active_trace)
+    waves = None
     if on_wave is not None and fracs:
         take_run = getattr(on_wave, "take_run", None)
-        if take_run is None or not take_run(ends, fracs):
-            _Waves(device, kspec, on_wave, fracs, ends, t0).schedule()
+        if span is not None or take_run is None or not take_run(ends, fracs):
+            waves = _Waves(device, kspec, on_wave, fracs, starts or [t0, *ends[:-1]], ends)
+            call_at = device.engine.call_at
+            for t in ends:
+                call_at(t, waves._wave_end)
+    if span is not None:
+        engine = device.engine
+        if starts is not None and starts[-1] > engine.now:
+            # Through fault edges the epilogue starts in an entry of its own.
+            engine.call_at(starts[-1], partial(prof.defer_span, span))
+        elif waves is not None:
+            waves.span = span
+        else:
+            prof.defer_span(span)
     return end
 
 
 class _Waves:
-    """The wave ends of a booked launch with a per-wave hook."""
+    """The wave ends of a booked launch with a per-wave hook.
 
-    __slots__ = ("engine", "kspec", "conc", "on_wave", "fracs", "ends", "t_start", "w")
+    A traced launch's kernel ``span``, if set, is deferred from the last
+    wave's entry, right after its hook.
+    """
+
+    __slots__ = ("prof", "conc", "kspec", "on_wave", "fracs", "starts", "ends", "span", "w")
 
     def __init__(self, device: Device, kspec: KernelSpec, on_wave: WaveCallback,
-                 fracs: List[float], ends: List[float], t0: float):
-        self.engine, self.kspec, self.conc = device.engine, kspec, device.spec.concurrent_blocks
-        self.on_wave, self.fracs, self.ends, self.t_start, self.w = on_wave, fracs, ends, t0, 0
-
-    def schedule(self) -> None:
-        call_at, wave_end = self.engine.call_at, self._wave_end
-        for t in self.ends:
-            call_at(t, wave_end)
+                 fracs: List[float], starts: List[float], ends: List[float]):
+        self.prof, self.conc = device.profiler, device.spec.concurrent_blocks
+        self.kspec, self.on_wave, self.fracs = kspec, on_wave, fracs
+        self.starts, self.ends, self.w = starts, ends, 0
+        self.span: Optional[Span] = None
 
     def _wave_end(self) -> None:
         # The entries run in wave order: the ends never decrease, and a tie
-        # goes by seq, which grows along the loop in schedule().
-        w, conc, t_end = self.w, self.conc, self.ends[self.w]
+        # goes by seq, which grows along the loop that scheduled them.
+        w, conc, n = self.w, self.conc, len(self.fracs)
         blocks = range(w * conc, min((w + 1) * conc, self.kspec.num_blocks))
-        self.on_wave(WaveInfo(w, len(self.fracs), self.t_start, t_end, self.fracs[w], blocks))
-        self.t_start, self.w = t_end, w + 1
-
-
-class _KernelRun:
-    """One stepped kernel launch, driven by engine callbacks (DESIGN.md §17).
-
-    A stream steps a launch instead of booking it on a device a fault plan
-    targets, and while a trace is active.  With ``on_wave``, or on a
-    targeted device, it steps wave by wave: ``device.slowdown`` is sampled
-    at each wave start, ``on_wave`` runs at each wave's retirement and a
-    ``device.stalled_until`` window holds wave boundaries.  Otherwise it
-    takes one callback, at the end :func:`_timeline` computes.  ``done()``
-    runs once the floor and the tail are charged.
-    """
-
-    __slots__ = ("device", "kspec", "on_wave", "done", "fracs", "body", "t0", "t_start", "w")
-
-    def __init__(self, device: Device, kspec: KernelSpec, on_wave: Optional[WaveCallback],
-                 done: Callable[[], object]):
-        self.device, self.kspec, self.on_wave, self.done = device, kspec, on_wave, done
-        self.t0 = t0 = device.engine.now
-        self.fracs, self.body, ends, _ = _timeline(device, kspec, t0)
-        self.w = 0
-        if on_wave is None and device.fault_free:
-            self._epilogue(ends[-1] if ends else t0)
-        else:
-            self._boundary()
-
-    def _boundary(self) -> None:
-        """Sit out any stall, then run the next wave or the epilogue."""
-        engine = self.device.engine
-        now = engine.now
-        if now < self.device.stalled_until:
-            engine.call_at(now + (self.device.stalled_until - now), self._resume)
-        else:
-            self._resume()
-
-    def _resume(self) -> None:
-        engine = self.device.engine
-        if self.w == len(self.fracs):
-            return self._epilogue(engine.now)
-        self.t_start = now = engine.now
-        engine.call_at(now + self.body * self.fracs[self.w] * self.device.slowdown, self._wave_end)
-
-    def _wave_end(self) -> None:
-        if self.on_wave is not None:
-            w, conc = self.w, self.device.spec.concurrent_blocks
-            blocks = range(w * conc, min((w + 1) * conc, self.kspec.num_blocks))
-            now = self.device.engine.now
-            self.on_wave(WaveInfo(w, len(self.fracs), self.t_start, now, self.fracs[w], blocks))
-        self.w += 1
-        self._boundary()
-
-    def _epilogue(self, t: float) -> None:
-        """Charge the floor and the tail after the last wave, which ended at ``t``."""
-        remaining = _epilogue_ns(self.device.spec, self.kspec, self.t0, t)
-        if remaining > 0:
-            t = t + remaining
-        elif t == self.device.engine.now:
-            return self._finish()
-        self.device.engine.call_at(t, self._finish)
-
-    def _finish(self) -> None:
-        device = self.device
-        now = device.engine.now
-        prof = device.profiler
-        if prof is not None and prof.active_trace is not None:
-            # Traced launches record a per-kernel span for critical-path detail.
-            # Guarded on an active trace so untraced runs stay span-identical.
-            prof.record_span(self.kspec.name, "kernel", device.id, self.t0, now)
-        self.done()
+        self.on_wave(WaveInfo(w, n, self.starts[w], self.ends[w], self.fracs[w], blocks))
+        self.w = w + 1
+        if self.w == n and self.span is not None:
+            self.prof.defer_span(self.span)

@@ -17,11 +17,16 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from heapq import heappop, heappush
+from itertools import count
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..checks import check_finite
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .engine import Engine
 
 __all__ = ["Span", "Counter", "PairSamples", "Profiler", "TraceRef"]
 
@@ -224,11 +229,16 @@ class Profiler:
     the profiler sets it to book its deferred writes retired by now
     (:meth:`Interconnect.defer_run
     <repro.simgpu.interconnect.Interconnect.defer_run>`), so a read never
-    misses a write that has landed.
+    misses a write that has landed.  ``engine`` is the clock that places
+    deferred spans (:meth:`defer_span`).
     """
 
-    def __init__(self) -> None:
-        self.spans: List[Span] = []
+    def __init__(self, engine: Optional["Engine"] = None) -> None:
+        self.engine = engine
+        self._spans: List[Span] = []
+        # Deferred spans: a heap of (t_end, seq, exits, order, span).
+        self._due: List[Tuple[float, int, int, int, Span]] = []
+        self._order = count()
         self._counters: Dict[str, Counter] = {}
         # counter -> its per-pair sample columns.
         self._pairs: Dict[str, _PairColumns] = {}
@@ -241,6 +251,14 @@ class Profiler:
 
     # -- spans -------------------------------------------------------------------
 
+    @property
+    def spans(self) -> List[Span]:
+        """Every recorded span, in recording order (a deferred one from
+        its end on, :meth:`defer_span`)."""
+        if self._due:
+            self._record_due()
+        return self._spans
+
     def record_span(
         self, name: str, category: str, device_id: int, t_start: float, t_end: float
     ) -> None:
@@ -252,6 +270,30 @@ class Profiler:
                 f"span {name!r} ends before it starts: t_start={t_start!r}, t_end={t_end!r}"
             )
         self.spans.append(Span(name, category, device_id, t_start, t_end, self.active_trace))
+
+    def defer_span(self, span: Span) -> None:
+        """Record ``span`` at its end, as an entry scheduled now would (a
+        no-op when disabled): now if it ends now, else before a span
+        recorded, or a read of :attr:`spans`, after that entry would have
+        run (``Engine._passed``).  A traced kernel launch records its span so."""
+        if not self.enabled:
+            return
+        engine = self.engine
+        if span.t_end > engine.now:
+            heappush(self._due, (span.t_end, engine._seq, engine._exits, next(self._order), span))
+        else:
+            self.spans.append(span)
+
+    def _record_due(self) -> None:
+        """Append the deferred spans whose entries would have run by now."""
+        engine, due = self.engine, self._due
+        now = engine.now
+        while due:
+            t_end, seq, exits, _, span = due[0]
+            if t_end > now or (t_end == now and not engine._passed(seq, exits)):
+                return
+            heappop(due)
+            self._spans.append(span)
 
     def spans_by_category(self, category: str, device_id: Optional[int] = None) -> List[Span]:
         """All spans of ``category`` (optionally restricted to one device)."""
@@ -385,7 +427,8 @@ class Profiler:
     # -- reset -------------------------------------------------------------------
 
     def clear(self) -> None:
-        """Drop all recorded spans, counters and per-pair columns."""
+        """Drop all recorded spans (not deferred ones yet to end), counters
+        and per-pair columns."""
         self.spans.clear()
         self._counters.clear()
         self._pairs.clear()

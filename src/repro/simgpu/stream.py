@@ -8,27 +8,25 @@ time, mirroring CUDA stream semantics.  Submitting returns a
 over every stream the ops ran on.  A join also waits on events, so it is
 the one way to wait for several things at once.
 
-An op whose duration is closed-form (a delay, or a launch on a
-fault-free device with no active trace) is booked when it reaches the
-head of the FIFO: its start and end are stamped at once and it takes no
-engine entry, except one per wave end for a launch with a per-wave hook
-that does not take the launch's wave ends as one run (``take_run``, see
-:data:`~repro.simgpu.kernel.WaveCallback`).  Any other launch is stepped
-by engine callbacks.  An op makes no event of
-its own: :func:`join` waits on the booked ops among its waits with one
-entry at their latest end, and on stepped ops through their finish
-hooks, and fires one event when the last one ends.
+Every op is booked when it is submitted: its start and end are stamped at
+once, from a delay or from the wave model of
+:func:`~repro.simgpu.kernel._timeline` (which replays the fault edges
+registered on the device), and it takes no engine entry, except one per
+wave end for a launch with a per-wave hook that does not take the
+launch's wave ends as one run (``take_run``, see
+:data:`~repro.simgpu.kernel.WaveCallback`).  An op makes no event of its
+own: :func:`join` waits on the ops among its waits with one entry at
+their latest end, and fires one event when the last wait ends.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Iterable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, List, Optional, Union
 
 from ..checks import checked_count
 from .engine import Engine, Event, SimulationError
-from .kernel import KernelSpec, WaveCallback, _book_launch, _KernelRun
+from .kernel import KernelSpec, WaveCallback, _book_launch
 
 if TYPE_CHECKING:  # pragma: no cover
     from .device import Device
@@ -39,32 +37,23 @@ __all__ = ["Stream", "StreamOp", "StreamLease", "StreamPool", "join"]
 class StreamOp:
     """Handle for one operation enqueued on a stream.
 
-    A booked op has its ``started_at`` and ``finished_at`` from the moment
-    it is booked; :attr:`completed` turns true when the clock reaches its
-    end.  A stepped op gets each stamp when its callback runs.
+    An op has its ``started_at`` and ``finished_at`` from the moment it is
+    submitted; :attr:`completed` turns true when the clock reaches its end.
     """
 
-    __slots__ = ("name", "engine", "enqueued_at", "started_at", "finished_at", "_hooks")
+    __slots__ = ("name", "engine", "enqueued_at", "started_at", "finished_at")
 
-    def __init__(self, name: str, engine: Engine):
+    def __init__(self, name: str, engine: Engine, started_at: float, finished_at: float):
         self.name = name
         self.engine = engine
         self.enqueued_at = engine.now
-        self.started_at: Optional[float] = None
-        self.finished_at: Optional[float] = None
-        # Finish hooks of the joins waiting on this op before it was booked
-        # or while it is stepped.
-        self._hooks: Optional[List[Callable[[], None]]] = None
+        self.started_at = started_at
+        self.finished_at = finished_at
 
     @property
     def completed(self) -> bool:
         """True once the operation has run to completion."""
-        return self.finished_at is not None and self.finished_at <= self.engine.now
-
-    def _run_hooks(self) -> None:
-        hooks, self._hooks = self._hooks, None
-        for hook in hooks:
-            hook()
+        return self.finished_at <= self.engine.now
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.completed else "pending"
@@ -96,12 +85,11 @@ def join(
 ) -> Event:
     """One event that fires ``after_ns`` after the last of ``ops`` finishes.
 
-    ``ops`` mixes stream ops and events.  The booked ops among them count
-    down together, from one engine entry at the latest of their ends; a
-    stepped op counts down from its stream's finish callback, an event
-    from its own callbacks.  ``after_ns`` folds a host-side cost that
-    follows the wait (a stream sync's ``sync_overhead_ns``) into the same
-    event.  Finished ops (booked ones ending now included) and triggered
+    ``ops`` mixes stream ops and events.  The ops among them count down
+    together, from one engine entry at the latest of their ends; an event
+    counts down from its own callbacks.  ``after_ns`` folds a host-side
+    cost that follows the wait (a stream sync's ``sync_overhead_ns``) into
+    the same event.  Finished ops (ones ending now included) and triggered
     events count as done, so a join over those, or over none, fires
     ``after_ns`` from now.
     """
@@ -114,8 +102,6 @@ def join(
         if type(op) is Event:
             if not op._triggered:
                 hooked.append(op)
-        elif op.finished_at is None:
-            hooked.append(op)
         elif op.finished_at > latest:
             latest = op.finished_at
     booked = latest > now
@@ -124,31 +110,17 @@ def join(
         countdown.fire()
     elif booked:
         engine.call_at(latest, countdown.op_done)
-    for op in hooked:
-        if type(op) is Event:
-            op.add_callback(countdown.op_done)
-        elif op._hooks is None:
-            op._hooks = [countdown.op_done]
-        else:
-            op._hooks.append(countdown.op_done)
+    for event in hooked:
+        event.add_callback(countdown.op_done)
     return countdown.event
-
-
-def _book_delay(delay_ns: float, start: float) -> float:
-    return start + delay_ns
 
 
 class Stream:
     """An in-order execution queue on one device.
 
-    An op whose duration is closed-form is *booked* when it reaches the
-    head of the queue: it starts at the end of the stream's last booked
-    op, or now if that has passed, and its end is computed at once.  A
-    delay is always booked; a launch is, on a fault-free device with no
-    active trace.  Any other launch is *stepped* (:class:`_KernelRun`):
-    it starts at the booked end (one engine entry if that is ahead) or
-    now, and the ops behind it wait in the queue until its finish
-    callback.
+    Each op is booked when it is submitted: it starts at the end of the
+    stream's last op, or now if that has passed, and its end is computed
+    at once.
 
     A stream keeps its device's id and spec, not the device itself: the
     device owns its streams, and a back-reference would make every
@@ -160,20 +132,19 @@ class Stream:
         self.spec = device.spec
         self.name = name
         self.engine: Engine = device.engine
-        # Ops behind the stepped op in ``_running``: (op, booking function
-        # or None for a stepped launch, its arguments).
-        self._queue: Deque[Tuple[StreamOp, Optional[Callable[..., float]], tuple]] = deque()
-        self._running: Optional[StreamOp] = None
-        self._stepped: tuple = ()  # the arguments of the stepped op waiting to start
-        self._booked_end = -math.inf  # end of the last booked op
+        self._booked_end = -math.inf  # end of the last op
 
-    # -- submission -------------------------------------------------------------
+    def _start(self) -> float:
+        now = self.engine.now
+        return self._booked_end if self._booked_end > now else now
 
     def submit_delay(self, delay_ns: float, name: str = "delay") -> StreamOp:
         """Enqueue a fixed-duration operation (e.g. a modelled memcpy)."""
         if not 0.0 <= delay_ns < math.inf:
             raise SimulationError(f"stream delay must be finite and >= 0, got {delay_ns}")
-        return self._enqueue(StreamOp(name, self.engine), _book_delay, (delay_ns,))
+        start = self._start()
+        self._booked_end = end = start + delay_ns
+        return StreamOp(name, self.engine, start, end)
 
     def launch(
         self, device: "Device", kspec: KernelSpec, on_wave: Optional[WaveCallback] = None
@@ -181,63 +152,9 @@ class Stream:
         """Enqueue kernel ``kspec`` on this stream's ``device``."""
         if device.id != self.device_id:
             raise ValueError(f"stream of device {self.device_id} cannot launch on device {device.id}")
-        prof = device.profiler
-        if device.fault_free and (prof is None or prof.active_trace is None):
-            book = _book_launch
-        else:
-            book = None
-        return self._enqueue(StreamOp(kspec.name, self.engine), book, (device, kspec, on_wave))
-
-    # -- the FIFO ---------------------------------------------------------------
-
-    def _enqueue(
-        self, op: StreamOp, book: Optional[Callable[..., float]], args: tuple
-    ) -> StreamOp:
-        if self._running is not None:
-            self._queue.append((op, book, args))
-        elif book is not None:
-            self._book(op, book, args)
-        else:
-            self._step(op, args)
-        return op
-
-    def _book(self, op: StreamOp, book: Callable[..., float], args: tuple) -> None:
-        """Start ``op`` at the booked end (or now) and book its end."""
-        now = self.engine.now
-        start = self._booked_end if self._booked_end > now else now
-        op.started_at = start
-        op.finished_at = self._booked_end = book(*args, start)
-        if op._hooks is not None:
-            # Joined while it waited behind a stepped op.
-            self.engine.call_at(op.finished_at, op._run_hooks)
-
-    def _step(self, op: StreamOp, args: tuple) -> None:
-        """Run stepped ``op`` from the booked end, or now if that has passed."""
-        self._running, self._stepped = op, args
-        if self._booked_end > self.engine.now:
-            self.engine.call_at(self._booked_end, self._start_stepped)
-        else:
-            self._start_stepped()
-
-    def _start_stepped(self) -> None:
-        op, args = self._running, self._stepped
-        self._stepped = ()
-        op.started_at = self.engine.now
-        _KernelRun(*args, self._finish)
-
-    def _finish(self) -> None:
-        """Complete the stepped op, then start what queued behind it."""
-        op = self._running
-        op.finished_at = self.engine.now
-        if op._hooks is not None:
-            op._run_hooks()
-        self._running = None
-        while self._running is None and self._queue:
-            op, book, args = self._queue.popleft()
-            if book is not None:
-                self._book(op, book, args)
-            else:
-                self._step(op, args)
+        start = self._start()
+        self._booked_end = end = _book_launch(device, kspec, on_wave, start)
+        return StreamOp(kspec.name, self.engine, start, end)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Stream dev={self.device_id} {self.name!r}>"

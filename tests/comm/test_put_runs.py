@@ -32,9 +32,11 @@ from repro.core.pgas_retrieval import PGASFusedRetrieval, _LaunchPlan
 from repro.core.retrieval import DistributedEmbedding
 from repro.core.workload import build_device_workloads
 from repro.dlrm.data import SyntheticDataGenerator, WorkloadConfig
+from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.simgpu.cluster import Cluster, dgx_v100
 from repro.simgpu.interconnect import NVLINK_PAIR_SPEC, Topology
 from repro.simgpu.kernel import KernelSpec
+from tests.simgpu import stepped
 
 G = 4
 SRC = 1
@@ -314,12 +316,18 @@ def _no_pair_01() -> Cluster:
 TWO_WAVES = WorkloadConfig(num_tables=64, dim=32, batch_size=4096, max_pooling=8, seed=11)
 
 
-def _pass_outputs(pass_cls, stepped: bool):
+def _pass_outputs(pass_cls, stepped_run: bool, windows=(), monkeypatch=None):
     emb = DistributedEmbedding(TWO_WAVES, 4, backend="pgas")
     wls = build_device_workloads(emb.plan, SyntheticDataGenerator(TWO_WAVES).lengths_batch())
     cl = dgx_v100(4)
-    for dev in cl.devices:
-        dev.fault_free = not stepped
+    if stepped_run:
+        stepped.step_launches(cl, monkeypatch)
+    events = [
+        FaultEvent(kind, start, start + length, device=dev,
+                   **({"severity": severity} if kind == "device_slowdown" else {}))
+        for kind, dev, start, length, severity in windows
+    ]
+    FaultInjector(cl, FaultPlan(tuple(events))).install()
     engine = pass_cls(cl)
     timing = engine.run_batch(wls)
     prof = cl.profiler
@@ -336,14 +344,42 @@ def _pass_outputs(pass_cls, stepped: bool):
     ), cl.engine._seq
 
 
+def _booked_and_stepped(pass_cls, windows=()):
+    booked = _pass_outputs(pass_cls, False, windows)
+    with pytest.MonkeyPatch.context() as mp:
+        return booked, _pass_outputs(pass_cls, True, windows, mp)
+
+
 @pytest.mark.parametrize("pass_cls", [PGASFusedRetrieval, PGASFusedBackward])
 def test_a_booked_pass_equals_its_stepped_pass(pass_cls):
     """The forward's puts and the backward's atomics, deferred as runs by
     booked kernels, equal the per-wave writes of stepped kernels."""
-    booked, booked_seq = _pass_outputs(pass_cls, stepped=False)
-    stepped, stepped_seq = _pass_outputs(pass_cls, stepped=True)
-    assert booked == stepped
+    (booked, booked_seq), (stepped_out, stepped_seq) = _booked_and_stepped(pass_cls)
+    assert booked == stepped_out
     assert booked_seq < stepped_seq
+
+
+#: a fused kernel's two waves end within about 1.2 ms of the start
+_fault_window = st.tuples(
+    st.sampled_from(["device_slowdown", "device_stall"]),
+    st.integers(0, 3),
+    st.integers(0, 1200).map(lambda n: n * 1e3),
+    st.integers(1, 400).map(lambda n: n * 1e3),
+    st.sampled_from([1.5, 2.0, 3.0]),
+)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    pass_cls=st.sampled_from([PGASFusedRetrieval, PGASFusedBackward]),
+    windows=st.lists(_fault_window, min_size=1, max_size=4),
+)
+def test_a_booked_pass_equals_its_stepped_pass_under_a_fault_plan(pass_cls, windows):
+    """Slowdown and stall windows on the devices time the booked launches
+    (and so the instants of their deferred writes) as they time the
+    stepped ones."""
+    (booked, _), (stepped_out, _) = _booked_and_stepped(pass_cls, windows)
+    assert booked == stepped_out
 
 
 # -- the backward's atomic counts ----------------------------------------------------
@@ -412,17 +448,18 @@ def test_backward_drag_weights_the_first_hops_and_raises_the_forwards_error():
 @pytest.mark.parametrize("pass_cls", [PGASFusedRetrieval, PGASFusedBackward])
 def test_a_declined_run_raises_the_per_wave_error_at_the_same_instant(pass_cls):
     """A run to a device without peer access is declined, so the booked
-    launch raises the stepped launch's error, message and instant."""
+    launch raises the stepped oracle's error, message and instant."""
     cfg = WorkloadConfig(num_tables=6, dim=16, batch_size=256, max_pooling=4, seed=3)
     emb = DistributedEmbedding(cfg, 3, backend="pgas")
     wls = build_device_workloads(emb.plan, SyntheticDataGenerator(cfg).lengths_batch())
     raised = []
-    for stepped in (False, True):
-        cl = _no_pair_01()
-        for dev in cl.devices:
-            dev.fault_free = not stepped
-        with pytest.raises(PermissionError) as err:
-            pass_cls(cl).run_batch(wls)
+    for stepped_run in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            cl = _no_pair_01()
+            if stepped_run:
+                stepped.step_launches(cl, mp)
+            with pytest.raises(PermissionError) as err:
+                pass_cls(cl).run_batch(wls)
         raised.append((str(err.value), cl.engine.now))
     assert raised[0] == raised[1]
 
@@ -430,19 +467,21 @@ def test_a_declined_run_raises_the_per_wave_error_at_the_same_instant(pass_cls):
 def test_a_bad_payload_raises_puts_error_at_its_waves_end():
     """A NaN in the second wave: the booked launch declines the run and
     puts wave by wave, so the first wave books and the second raises
-    ``put``'s error, by position, at its end, as a stepped launch does."""
+    ``put``'s error, by position, at its end, as the stepped oracle does."""
     C = dgx_v100(1).devices[0].spec.concurrent_blocks
     raised = []
-    for stepped in (False, True):
-        cl = dgx_v100(G)
-        dev = cl.devices[SRC]
-        dev.fault_free = not stepped
-        pgas = PGASContext(cl)
-        waves = np.array([[1.0, 0.0, 256.0, 512.0], [0.0, 5.0, 256.0, np.nan]])
-        plan = _LaunchPlan(None, waves, OTHERS, pgas, SRC)
-        dev.default_stream.launch(dev, KernelSpec("k", 2 * C, bytes_read=1e6), plan)
-        with pytest.raises(ValueError) as err:
-            cl.engine.run()
+    for stepped_run in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            cl = dgx_v100(G)
+            dev = cl.devices[SRC]
+            if stepped_run:
+                stepped.step_launches(cl, mp)
+            pgas = PGASContext(cl)
+            waves = np.array([[1.0, 0.0, 256.0, 512.0], [0.0, 5.0, 256.0, np.nan]])
+            plan = _LaunchPlan(None, waves, OTHERS, pgas, SRC)
+            dev.default_stream.launch(dev, KernelSpec("k", 2 * C, bytes_read=1e6), plan)
+            with pytest.raises(ValueError) as err:
+                cl.engine.run()
         raised.append((str(err.value), cl.engine.now, pgas.puts_issued))
     assert raised[0] == raised[1]
     assert "payload_bytes[2]" in raised[0][0] and raised[0][2] == 3

@@ -447,7 +447,7 @@ FEATURE_CASES = {
             "total_ns": 223086.90058479534,
             "batches": 1.0,
         },
-        155,
+        151,
         {
             "availability.batch_lookups": 65184.0,
             "availability.detection_ns": 5071.350877192977,

@@ -111,3 +111,28 @@ def test_serving_tracing_preserves_latencies_and_adds_attribution():
     assert batch_ids == set(res_on.request_batch.tolist())
     serve_spans = [s for s in traced if s.category == "serve"]
     assert len(serve_spans) == len(batch_ids)
+
+
+def test_traced_serving_records_a_kernel_span_per_launch(monkeypatch):
+    """Each dispatched batch records one kernel span per device launch,
+    under the batch's trace ref, though its kernels end in entries that
+    run outside the batch's scope.  Their waves write in such entries
+    too, so serving records no link spans."""
+    from collections import Counter
+
+    from repro.simgpu.stream import Stream
+
+    launches = []
+    launch = Stream.launch
+
+    def counted(self, device, kspec, on_wave=None):
+        launches.append((kspec.name, device.id, device.profiler.active_trace))
+        return launch(self, device, kspec, on_wave)
+
+    monkeypatch.setattr(Stream, "launch", counted)
+    res, spans = _serve(TraceSpec())
+    kernels = [(s.name, s.device_id, s.trace) for s in spans if s.category == "kernel"]
+    assert kernels and Counter(kernels) == Counter(launches)
+    batch_ids = {ref.batch_id for _, _, ref in kernels}
+    assert batch_ids == set(res.request_batch.tolist())
+    assert not [s for s in spans if s.category == "link"]

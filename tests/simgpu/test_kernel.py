@@ -15,6 +15,7 @@ from repro.simgpu.device import Device, DeviceSpec, V100_SPEC
 from repro.simgpu.engine import Engine
 from repro.simgpu.kernel import KernelSpec, kernel_time, roofline_time
 from repro.simgpu.stream import join
+from tests.simgpu import stepped
 
 
 def run_kernel(kspec, spec=V100_SPEC, on_wave=None):
@@ -182,20 +183,25 @@ def test_kernel_time_positive_and_monotone_in_bytes(num_blocks, bytes_read, flop
     assert kernel_time(bigger, V100_SPEC) >= t
 
 
-def launch_once(kspec, fault_targeted):
+def launch_once(kspec, how):
     """Launch ``kspec`` on a fresh device's stream; return the finished op.
 
-    A targeted device gets a plan whose only window opens long after the
-    kernel ends, so the launch steps wave by wave through a healthy run.
+    ``how`` is ``"booked"`` (a healthy device), ``"replayed"`` (a plan
+    whose only window opens long after the kernel ends, so the launch is
+    timed through the device's fault edges) or ``"stepped"`` (the
+    wave-by-wave oracle of ``stepped.py``).
     """
-    cl = dgx_v100(1)
-    dev = cl.device(0)
-    if fault_targeted:
-        plan = FaultPlan((FaultEvent("device_slowdown", 1e12, 2e12, device=0, severity=2.0),))
-        FaultInjector(cl, plan).install()
-    assert dev.fault_free is not fault_targeted
-    op = dev.default_stream.launch(dev, kspec)
-    cl.engine.run_until_event(join(cl.engine, [op]))
+    with pytest.MonkeyPatch.context() as mp:
+        cl = dgx_v100(1)
+        dev = cl.device(0)
+        if how == "stepped":
+            stepped.step_launches(cl, mp)
+        if how != "booked":
+            plan = FaultPlan((FaultEvent("device_slowdown", 1e12, 2e12, device=0, severity=2.0),))
+            FaultInjector(cl, plan).install()
+        assert (dev._edges is None) == (how == "booked")
+        op = dev.default_stream.launch(dev, kspec)
+        cl.engine.run_until_event(stepped.join(cl.engine, [op]))
     return op
 
 
@@ -216,8 +222,8 @@ C = V100_SPEC.concurrent_blocks
 def test_closed_form_equals_wave_stepping(
     waves, offset, weight_seed, integral, bytes_read, tail_ns, stretch_ns, min_waves_for_peak
 ):
-    """A fault-free device's one-callback launch ends bit-equal to the
-    per-wave steps a fault-targeted device takes through a healthy run."""
+    """A launch on a healthy device ends bit-equal to one timed through a
+    fault plan's edges and to the stepped oracle, through a healthy run."""
     n = max(waves * C + offset, 0)
     weights = None
     if weight_seed is not None:
@@ -227,9 +233,9 @@ def test_closed_form_equals_wave_stepping(
         "k", num_blocks=n, bytes_read=bytes_read, block_weights=weights, tail_ns=tail_ns,
         stretch_ns=stretch_ns, min_waves_for_peak=min_waves_for_peak,
     )
-    closed, stepped = launch_once(kspec, False), launch_once(kspec, True)
-    assert closed.finished_at == stepped.finished_at
-    assert closed.started_at == stepped.started_at == 0.0
+    ops = [launch_once(kspec, how) for how in ("booked", "replayed", "stepped")]
+    assert len({op.finished_at for op in ops}) == 1
+    assert {op.started_at for op in ops} == {0.0}
 
 
 class TestFaultWindowMidKernel:
