@@ -18,7 +18,6 @@ from .reporting import (
     render_comm_volume,
     render_scaling_figure,
     render_speedup_table,
-    to_csv,
 )
 from .overlap import OverlapReport, analyze_overlap, measure_overlap
 from .report_md import build_report, md_table
@@ -97,6 +96,5 @@ __all__ = [
     "run_strong_scaling",
     "run_weak_scaling",
     "scaled_config",
-    "to_csv",
     "trace_comm_volume",
 ]

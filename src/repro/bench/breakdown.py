@@ -59,18 +59,6 @@ class BreakdownResult:
     kind: str
     bars: List[BreakdownBar] = field(default_factory=list)
 
-    def bar(self, n_devices: int) -> BreakdownBar:
-        """Bar group for one GPU count."""
-        for b in self.bars:
-            if b.n_devices == n_devices:
-                return b
-        raise KeyError(f"no bar for {n_devices} devices")
-
-    @property
-    def device_counts(self) -> List[int]:
-        """GPU counts in order."""
-        return [b.n_devices for b in self.bars]
-
 
 def breakdown_from_scaling(result: ScalingResult) -> BreakdownResult:
     """Derive the Fig. 6/9 bars from a finished scaling sweep."""

@@ -8,7 +8,7 @@ from the same functions.
 from __future__ import annotations
 
 import io
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "render_scaling_figure",
     "render_breakdown",
     "render_comm_volume",
-    "to_csv",
     "ascii_series",
 ]
 
@@ -137,11 +136,3 @@ def render_comm_volume(traces: Sequence[CommVolumeTrace]) -> str:
             )
         )
     return "\n".join(parts)
-
-
-def to_csv(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    """Minimal CSV rendering (no quoting needs in our data)."""
-    lines = [",".join(str(h) for h in headers)]
-    for row in rows:
-        lines.append(",".join(str(c) for c in row))
-    return "\n".join(lines) + "\n"

@@ -15,7 +15,7 @@ above the latency floor).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..checks import check_finite, checked_count
 from ..dlrm.data import STRONG_SCALING_TOTAL, WEAK_SCALING_BASE, WorkloadConfig
@@ -170,7 +170,3 @@ class ExperimentRunner:
         if eid == "F10":
             return render_comm_volume(self.fig10())
         raise KeyError(f"unknown experiment id {experiment_id!r}; know {EXPERIMENT_IDS}")
-
-    def run_all(self) -> Dict[str, str]:
-        """Render every artifact: {experiment id: text}."""
-        return {eid: self.render(eid) for eid in EXPERIMENT_IDS}

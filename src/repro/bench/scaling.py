@@ -112,7 +112,6 @@ def _run_point(
             max_pooling=config.max_pooling,
             min_pooling=config.min_pooling,
             index_distribution=config.index_distribution,
-            pooling=config.pooling,
             seed=seed,
         )
     )

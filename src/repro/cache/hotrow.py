@@ -183,11 +183,6 @@ class HotRowCache:
     # -- queries -----------------------------------------------------------------
 
     @property
-    def resident_rows(self) -> int:
-        """Rows currently cached."""
-        return len(self._slot)
-
-    @property
     def nbytes(self) -> int:
         """HBM bytes the cache slab occupies."""
         return self._buffer.nbytes if self._buffer is not None else 0

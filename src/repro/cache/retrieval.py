@@ -88,11 +88,6 @@ class CacheBatchPlan:
         return float(sum(wl.remote_output_bytes for wl in self.workloads))
 
     @property
-    def uncached_remote_bytes(self) -> float:
-        """Wire bytes the same batch would move with no cache."""
-        return self.remote_bytes + float(self.saved_vectors) * self.row_bytes
-
-    @property
     def hits(self) -> int:
         """Cache hits across all devices this batch."""
         return sum(s.hits for s in self.stats)
@@ -188,7 +183,7 @@ class CachedRetrieval(BaseRetrieval):
                     continue
                 lo, hi = bounds[g]
                 sl = fld.slice_samples(lo, hi)
-                rows = hash_indices(sl.indices, t.num_rows, t.hash_kind)
+                rows = hash_indices(sl.indices, t.num_rows)
                 acc = self.caches[g].lookup_rows(t.name, rows, source=source)
                 if acc.values is not None:
                     hit_values[(g, t.name)] = acc.values
@@ -366,7 +361,7 @@ class CachedRetrieval(BaseRetrieval):
                 else:
                     vectors = plan.hit_values[(g, t.name)]
                     sl = fld.slice_samples(lo, hi)
-                    out[:, f, :] = segment_pool(vectors, sl.offsets, t.pooling)
+                    out[:, f, :] = segment_pool(vectors, sl.offsets)
             outputs.append(out)
         return outputs
 

@@ -158,11 +158,6 @@ class WorkHandle:
     def _on_done(self) -> None:
         self.completed_at = self._cluster.engine.now
 
-    @property
-    def is_completed(self) -> bool:
-        """True once every constituent transfer has been delivered."""
-        return self._done.triggered
-
     def wait(self) -> Event:
         """One event: completion, then the host's ``wait_overhead_ns``.
 

@@ -10,8 +10,9 @@ fast fabric): stage intra-node over NVLink, cross nodes once per ordered
 node pair.
 
 * :class:`HierSpec` — the routing policy: node geometry
-  (``devices_per_node``, ``leader_rank``), staging flush thresholds, and
-  the coalesced NIC framing.  ``devices_per_node == 1`` (or a single
+  (``devices_per_node``, ``leader_rank``) and staging flush thresholds.
+  A coalesced NIC transfer goes as one message with one
+  :data:`NIC_HEADER_BYTES` header.  ``devices_per_node == 1`` (or a single
   node) disables routing entirely: the flat path is recovered exactly,
   event for event.
 * :class:`TwoLevelAllToAll` — the baseline's collective, hierarchically:
@@ -77,6 +78,12 @@ NIC_COUNTER = "hier.nic_bytes"
 #: payload bytes scattered intra-node from the destination-side leader
 SCATTER_COUNTER = "hier.scatter_bytes"
 
+#: Wire framing of a coalesced leader→leader NIC transfer: ``0`` carries it
+#: as a single message (the maximal coalescing that pins the message-count
+#: invariant), with one header of ``NIC_HEADER_BYTES``
+NIC_MESSAGE_BYTES = 0
+NIC_HEADER_BYTES = 64
+
 
 @dataclass(frozen=True)
 class HierSpec:
@@ -98,21 +105,12 @@ class HierSpec:
     stage_max_wait_ns:
         PGAS staging time trigger: a buffer holding data flushes at most
         this long after its oldest pending byte arrived.
-    nic_message_bytes:
-        Wire framing of the coalesced inter-node transfer.  ``0`` (the
-        default) carries each leader→leader transfer as a *single*
-        message — the maximal coalescing that pins the message-count
-        invariant.
-    nic_header_bytes:
-        Framing bytes per coalesced NIC message.
     """
 
     devices_per_node: int = 4
     leader_rank: int = 0
     stage_flush_bytes: int = 64 * KiB
     stage_max_wait_ns: float = 50 * us
-    nic_message_bytes: int = 0
-    nic_header_bytes: int = 64
 
     def __post_init__(self) -> None:
         if self.devices_per_node <= 0:
@@ -129,8 +127,6 @@ class HierSpec:
             raise ValueError("stage_flush_bytes must be positive")
         if self.stage_max_wait_ns <= 0:
             raise ValueError("stage_max_wait_ns must be positive")
-        if self.nic_message_bytes < 0 or self.nic_header_bytes < 0:
-            raise ValueError("NIC framing must be non-negative")
 
     # -- node geometry --------------------------------------------------------
 
@@ -269,8 +265,8 @@ class TwoLevelAllToAll:
             total = float(split[s_lo:s_lo + P, d_lo:d_lo + P].sum())
             nic = self.cluster.interconnect.transfer(
                 s_leader, d_leader, total,
-                message_bytes=hier.nic_message_bytes,
-                header_bytes=hier.nic_header_bytes,
+                message_bytes=NIC_MESSAGE_BYTES,
+                header_bytes=NIC_HEADER_BYTES,
                 counter=NIC_COUNTER,
             )
             prof.add_count("hier.nic_transfers", engine.now, 1.0)
@@ -456,11 +452,6 @@ class NodeStagingRouter:
                 chains.append(chain)
         return chains
 
-    def pending_bytes(self, src_node: int, dst_node: int) -> float:
-        """Currently staged payload for a node pair."""
-        buf = self._pending.get((src_node, dst_node))
-        return buf.payload if buf is not None else 0.0
-
     # -- internals --------------------------------------------------------------
 
     def _flush_chain(self, key: Tuple[int, int], buf: _StageBuffer) -> Event:
@@ -489,8 +480,8 @@ class NodeStagingRouter:
         def nic_hop() -> None:
             nic = interconnect.transfer(
                 s_leader, d_leader, buf.payload,
-                message_bytes=hier.nic_message_bytes,
-                header_bytes=hier.nic_header_bytes,
+                message_bytes=NIC_MESSAGE_BYTES,
+                header_bytes=NIC_HEADER_BYTES,
                 counter=NIC_COUNTER,
             )
             prof.add_count("hier.flushes", engine.now, 1.0)

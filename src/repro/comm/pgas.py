@@ -18,7 +18,8 @@ This module models that with two pieces:
   call is a wave of one.  The whole wave is validated before anything is
   booked, with one screen over the wave and element-by-element checks
   only when it fails, so a bad element raises its typed error by
-  position and books nothing.
+  position and books nothing.  A device id is a Python or numpy integer:
+  a float that equals one (``1.0``) is rejected like an out-of-range id.
 * :meth:`PGASContext.quiet` — NVSHMEM completion semantics for a set of
   PEs: one event that fires once every put they issued has landed.  A put
   is *booked* at issue, not scheduled:
@@ -72,6 +73,15 @@ _INF = float("inf")
 #: What makes a ``dst`` argument a wave rather than one device id.
 _WAVE = (list, tuple)
 
+#: What a device id may be.  A float equal to an id finds it in every set
+#: and dict keyed by ids, so only the type tells it apart.
+_ID = (int, np.integer)
+
+
+def _are_ids(src, dsts) -> bool:
+    """True when ``src`` and every destination are integer device ids."""
+    return isinstance(src, _ID) and all(isinstance(dst, _ID) for dst in dsts)
+
 def _check_payload(name: str, value) -> None:
     try:
         check_bytes(name, value)
@@ -117,11 +127,6 @@ class PGASSpec:
         if self.header_bytes < 0:
             raise ValueError("header_bytes must be non-negative")
         check_finite("PGASSpec", "quiet_overhead_ns", self.quiet_overhead_ns, zero_ok=True)
-
-    @property
-    def wire_efficiency(self) -> float:
-        """payload / (payload + header) — fraction of wire carrying data."""
-        return self.message_bytes / (self.message_bytes + self.header_bytes)
 
 
 class PGASContext:
@@ -184,7 +189,8 @@ class PGASContext:
             try:
                 totals = list(map(sum, payload_bytes))
                 ok = (
-                    self._reach[src](dst)
+                    _are_ids(src, dst)
+                    and self._reach[src](dst)
                     and sum(totals) < _INF
                     and min(map(min, payload_bytes)) >= 0
                     and set(map(len, payload_bytes)) == {len(dst)}
@@ -213,7 +219,8 @@ class PGASContext:
             # element checks) and a non-negative minimum.
             total = sum(payload_bytes)
             ok = (
-                self._reach[src](dst)
+                _are_ids(src, dst)
+                and self._reach[src](dst)
                 and total < _INF
                 and min(payload_bytes) >= 0
                 and (not wave or len(payload_bytes) == len(dst))
@@ -255,7 +262,10 @@ class PGASContext:
         """One :meth:`atomic_add` wave's counts, once the wave passes its checks."""
         try:
             counts = list(map(operator.index, n_elements))
-            if self._reach[src](dst) and min(counts) >= 0 and len(counts) == len(dst):
+            if (
+                _are_ids(src, dst) and self._reach[src](dst)
+                and min(counts) >= 0 and len(counts) == len(dst)
+            ):
                 return counts
         except (KeyError, TypeError, ValueError):
             pass
@@ -283,7 +293,7 @@ class PGASContext:
         wave by wave, so a bad element raises at its wave's end.
         """
         reach = self._reach.get(src)
-        if reach is None or not reach(dsts):
+        if reach is None or not (_are_ids(src, dsts) and reach(dsts)):
             return False
         book = partial(_book_puts, self._ref, src, dsts, ends, waves, skip)
         self._fabric.defer_run(src, ends, book)
@@ -301,7 +311,7 @@ class PGASContext:
         unless ``src`` is a PE and every destination a remote peer.
         """
         reach = self._reach.get(src)
-        if reach is None or not reach(dsts):
+        if reach is None or not (_are_ids(src, dsts) and reach(dsts)):
             return False
         book = partial(_book_atomics, self._ref, src, dsts, ends, counts)
         self._fabric.defer_run(src, ends, book)
@@ -327,7 +337,7 @@ class PGASContext:
 
     def _check_pe(self, op: str, src) -> None:
         """Raise unless ``src`` is one of this context's PEs."""
-        if src not in self._reach:
+        if not isinstance(src, _ID) or src not in self._reach:
             raise ValueError(f"{op}: src must be a device id in [0, {len(self._reach)}), got {src!r}")
 
     def _check_run(self, op, src, dsts, waves, at, name, check) -> None:
@@ -355,7 +365,7 @@ class PGASContext:
         can_access_peer = self.cluster.device(src).can_access_peer
         for i, (dst, value) in enumerate(zip(dsts, values)):
             at = f"[{i}]" if wave else ""
-            if dst not in pes:
+            if not isinstance(dst, _ID) or dst not in pes:
                 raise ValueError(
                     f"{op}: dst{at} must be a device id in [0, {len(pes)}), got {dst!r}"
                 )
@@ -420,7 +430,7 @@ class PGASContext:
         now)`` could round past it).  Every PE is checked before anything
         is scheduled.
         """
-        pes = [pes] if isinstance(pes, numbers.Integral) else list(pes)
+        pes = [pes] if isinstance(pes, numbers.Number) else list(pes)
         for pe in pes:
             self._check_pe("quiet", pe)
         self._fabric.settle(pes)

@@ -64,21 +64,6 @@ class EncodedRows:
     n_rows: int
     dim: int
 
-    @property
-    def payload_nbytes(self) -> int:
-        """Exact bytes of the quantised values."""
-        return int(self.data.nbytes)
-
-    @property
-    def scale_nbytes(self) -> int:
-        """Exact bytes of the per-row scales riding alongside."""
-        return int(self.scales.nbytes) if self.scales is not None else 0
-
-    @property
-    def wire_nbytes(self) -> int:
-        """Payload + scale bytes this matrix occupies on the wire."""
-        return self.payload_nbytes + self.scale_nbytes
-
 
 def _check_rows(rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows)
@@ -118,10 +103,6 @@ class Codec(ABC):
         if n_rows < 0:
             raise ValueError("n_rows must be non-negative")
         return n_rows * (self.row_wire_bytes(dim) + header_bytes)
-
-    def compression_ratio(self, dim: int) -> float:
-        """fp32 bytes over wire bytes for one ``dim``-vector."""
-        return 4.0 * dim / self.row_wire_bytes(dim)
 
     # -- values -----------------------------------------------------------------
 

@@ -62,11 +62,6 @@ class CompressionSpec:
                 f"error_bound must be non-negative, got {self.error_bound}"
             )
 
-    @property
-    def lossless(self) -> bool:
-        """True when the configured codec reconstructs bit-identically."""
-        return self.codec_obj().lossless
-
     def codec_obj(self) -> Codec:
         """A (stateless) codec instance for this spec."""
         return make_codec(self.codec)

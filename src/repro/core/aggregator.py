@@ -12,7 +12,8 @@ waited too long.
 simulator: :meth:`store` accumulates payload bytes per destination;
 flushes happen on the size trigger, on the max-wait timer, or explicitly
 via :meth:`flush_all` (called before ``quiet``).  Flushed batches travel
-as a single large-framed transfer, amortising headers — the ablation bench
+as a single large-framed transfer (:data:`FLUSHED_MESSAGE_BYTES` frames,
+:data:`FLUSHED_HEADER_BYTES` each), amortising headers — the ablation bench
 shows the small-message vs. aggregated crossover as the link gets slower
 (NVLink → PCIe → NIC).
 """
@@ -28,6 +29,10 @@ from ..simgpu.units import KiB, us
 
 __all__ = ["AggregatorSpec", "AsyncAggregator"]
 
+#: Wire framing of an aggregated flush: large frames, one header each
+FLUSHED_MESSAGE_BYTES = 64 * KiB
+FLUSHED_HEADER_BYTES = 64
+
 
 @dataclass(frozen=True)
 class AggregatorSpec:
@@ -42,23 +47,14 @@ class AggregatorSpec:
         Time trigger: a buffer holding data flushes at most this long after
         its first (oldest) pending byte arrived — the paper's
         "user-defined aggregation size and maximum wait time".
-    flushed_message_bytes / flushed_header_bytes:
-        Wire framing of an aggregated flush (large frames, one header per
-        ``flushed_message_bytes``).
-    store_overhead_ns:
-        Local buffer-append cost per store call (tiny: a shared-memory
-        write, not a network op).
     """
 
     flush_bytes: int = 64 * KiB
     max_wait_ns: float = 50 * us
-    flushed_message_bytes: int = 64 * KiB
-    flushed_header_bytes: int = 64
-    store_overhead_ns: float = 0.05 * us
 
     def __post_init__(self) -> None:
-        if self.flush_bytes <= 0 or self.flushed_message_bytes <= 0:
-            raise ValueError("flush sizes must be positive")
+        if self.flush_bytes <= 0:
+            raise ValueError("flush_bytes must be positive")
         if self.max_wait_ns <= 0:
             raise ValueError("max_wait_ns must be positive")
 
@@ -121,8 +117,8 @@ class AsyncAggregator:
             src,
             dst,
             payload,
-            message_bytes=self.spec.flushed_message_bytes,
-            header_bytes=self.spec.flushed_header_bytes,
+            message_bytes=FLUSHED_MESSAGE_BYTES,
+            header_bytes=FLUSHED_HEADER_BYTES,
             counter=PGASContext.COUNTER,
         )
         # Register with the PGAS outstanding set so quiet() drains flushes.
@@ -138,10 +134,6 @@ class AsyncAggregator:
             if ev is not None:
                 events.append(ev)
         return events
-
-    def pending_bytes(self, src: int, dst: int) -> float:
-        """Currently buffered payload for a pair."""
-        return self._pending.get((src, dst), 0.0)
 
     # -- internals --------------------------------------------------------------------
 

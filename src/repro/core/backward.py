@@ -80,8 +80,8 @@ def table_row_gradients(
     """Per-lookup row gradients of one table.
 
     ``grad_out`` is the upstream gradient of the pooled output, shape
-    ``(B, d)``.  For sum pooling every index in sample *b*'s bag receives
-    ``grad_out[b]``; for mean pooling it is scaled by ``1 / len(bag)``.
+    ``(B, d)``.  Pooling is a sum, so every index in sample *b*'s bag
+    receives ``grad_out[b]``.
     Returns ``(rows, grads)`` with shape ``(nnz,)`` / ``(nnz, d)`` —
     duplicates *not* combined (that is the accumulator's job).
     """
@@ -89,18 +89,7 @@ def table_row_gradients(
         raise ValueError(
             f"grad batch {grad_out.shape[0]} != field batch {field.batch_size}"
         )
-    rows = table.hash(field.indices)
-    lengths = field.lengths
-    grads = np.repeat(grad_out, lengths, axis=0)
-    mode = table.config.pooling
-    if mode == "mean":
-        scale = np.repeat(
-            np.where(lengths > 0, 1.0 / np.maximum(lengths, 1), 0.0), lengths
-        )
-        grads = grads * scale[:, None].astype(grads.dtype)
-    elif mode != "sum":
-        raise NotImplementedError(f"backward for pooling {mode!r} is not supported")
-    return rows, grads
+    return table.hash(field.indices), np.repeat(grad_out, field.lengths, axis=0)
 
 
 def reference_backward(

@@ -142,13 +142,6 @@ class TimedPass:
             lambda: kernels, quiet, lambda: cluster.devices[0].spec.sync_overhead_ns, finish
         )
 
-    def run_batches(self, workloads_iter) -> PhaseTiming:
-        """Accumulate phases over an iterable of per-batch workload lists."""
-        total = PhaseTiming()
-        for workloads in workloads_iter:
-            total.add(self.run_batch(workloads))
-        return total
-
     def _check(self, workloads: Sequence[DeviceWorkload]) -> None:
         """Raise unless there is one workload per device, in device order."""
         if len(workloads) != self.cluster.n_devices:
@@ -267,4 +260,3 @@ class BaselineRetrieval(TimedPass):
             timing.total_ns = t3 - t0
 
         return cluster.chain(compute, all_to_all, unpack, finish)
-

@@ -280,22 +280,13 @@ def rowwise_functional_forward_partials(
         if field.nnz == 0:
             continue
         rows = table.hash(field.indices)
-        shard = plan.shard_on(table.name, device_id)
+        shard = plan.shards_of(table.name)[device_id]
         mask = (rows >= shard.row_lo) & (rows < shard.row_hi)
         vecs = np.zeros((field.nnz, ebc.dim), dtype=out.dtype)
         if mask.any():
             vecs[mask] = table.weights[rows[mask]]
-        out[:, f, :] = segment_pool(vecs, field.offsets, table.config.pooling)
+        out[:, f, :] = segment_pool(vecs, field.offsets)
     return out
-
-
-def _check_sum_pooling(ebc: EmbeddingBagCollection) -> None:
-    bad = [t.name for t in ebc.tables if t.config.pooling != "sum"]
-    if bad:
-        raise NotImplementedError(
-            f"row-wise sharding requires sum pooling (partials must add); "
-            f"tables with other pooling: {bad}"
-        )
 
 
 def rowwise_baseline_functional_forward(
@@ -305,7 +296,6 @@ def rowwise_baseline_functional_forward(
 
     Returns per-device ``(B_g, T, d)`` outputs.
     """
-    _check_sum_pooling(ebc)
     G = plan.n_devices
     bounds = minibatch_bounds(batch.batch_size, G)
     partials = [
@@ -324,7 +314,6 @@ def rowwise_pgas_functional_forward(
     ebc: EmbeddingBagCollection, plan: RowWiseSharding, batch: SparseBatch
 ) -> List[np.ndarray]:
     """One-sided path: partials atomically added into the owner's tensor."""
-    _check_sum_pooling(ebc)
     G = plan.n_devices
     bounds = minibatch_bounds(batch.batch_size, G)
     outputs = [

@@ -26,7 +26,7 @@ transform's) mean for whole-model latency (Amdahl).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Literal, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -62,7 +62,6 @@ class PipelineConfig:
     workload: WorkloadConfig
     bottom_mlp: Sequence[int] = (512, 256)
     top_mlp: Sequence[int] = (512, 256)
-    interaction: Literal["dot", "cat", "sum"] = "dot"
 
     def mlp_flops_per_sample(self, sizes: Sequence[int]) -> int:
         """2 × Σ in×out multiply-adds along a layer stack."""
@@ -79,9 +78,7 @@ class PipelineConfig:
     @property
     def top_sizes(self) -> List[int]:
         """Top MLP layer widths, interaction output → 1 logit."""
-        inter = interaction_output_dim(
-            self.workload.num_tables, self.workload.dim, self.interaction
-        )
+        inter = interaction_output_dim(self.workload.num_tables, self.workload.dim)
         return [inter, *self.top_mlp, 1]
 
 
@@ -238,15 +235,15 @@ class DLRMInferencePipeline(EmbeddingHost):
         )
 
     def _interaction_kernel(self, dev_id: int) -> KernelSpec:
-        """Interaction: pairwise dots / concat over the mini-batch."""
+        """Interaction: pairwise dots over the mini-batch."""
         cfg = self.config.workload
         G = self.cluster.n_devices
         lo, hi = minibatch_bounds(cfg.batch_size, G)[dev_id]
         B_g = hi - lo
         F1 = cfg.num_tables + 1
         in_bytes = 4.0 * B_g * F1 * cfg.dim
-        out_dim = interaction_output_dim(cfg.num_tables, cfg.dim, self.config.interaction)
-        flops = float(B_g) * (F1 * F1 * cfg.dim if self.config.interaction == "dot" else 0)
+        out_dim = interaction_output_dim(cfg.num_tables, cfg.dim)
+        flops = float(B_g) * (F1 * F1 * cfg.dim)
         return KernelSpec(
             name=f"interaction.dev{dev_id}",
             num_blocks=max(B_g // 32, 1),
@@ -322,17 +319,6 @@ class DLRMInferencePipeline(EmbeddingHost):
                 lambda cl: self._start_batch(cl, workloads, timing, emb_start, trace_ref=ref)
             )
         return timing
-
-    def run_batches(self, lengths_iter, backend: Optional[BackendName] = None) -> PipelineTiming:
-        """Accumulate over an iterable of per-batch length maps (or, for
-        cached backends, :class:`~repro.dlrm.batch.SparseBatch` objects)."""
-        total = PipelineTiming()
-        for lengths in lengths_iter:
-            if isinstance(lengths, SparseBatch):
-                total.add(self.run_batch(backend=backend, batch=lengths))
-            else:
-                total.add(self.run_batch(lengths, backend))
-        return total
 
     def batch_process(
         self,

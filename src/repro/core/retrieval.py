@@ -561,11 +561,6 @@ class DistributedEmbedding(EmbeddingHost):
         """Device count."""
         return self.cluster.n_devices
 
-    @property
-    def materialized(self) -> bool:
-        """Whether real weights (and functional outputs) are available."""
-        return self.sharded is not None
-
     def memory_bytes(self, device_id: int) -> int:
         """Accounted embedding-weight bytes on one device."""
         return self.plan.memory_bytes(device_id)
@@ -657,5 +652,5 @@ class DistributedEmbedding(EmbeddingHost):
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<DistributedEmbedding backend={self.backend} G={self.n_devices} "
-            f"T={self.plan.num_tables} materialized={self.materialized}>"
+            f"T={self.plan.num_tables} materialized={self.sharded is not None}>"
         )

@@ -30,7 +30,7 @@ import dataclasses
 import json
 import typing
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Literal, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..checks import checked_count
 from ..dlrm.data import STRONG_SCALING_TOTAL, WEAK_SCALING_BASE, WorkloadConfig
@@ -61,14 +61,19 @@ def _asdict(section: Optional[object]) -> Optional[Dict[str, Any]]:
     return None if section is None else dataclasses.asdict(section)
 
 
-def _build(cls, payload: Dict[str, Any]):
+def _build(cls, payload: Dict[str, Any], label: str):
     """``cls(**payload)``, rebuilding each nested config section from its dict.
 
-    A field whose value is a dict and whose annotation names a dataclass
+    A key that is not a field of ``cls`` raises ``ValueError`` naming the
+    section (``label``, e.g. ``RunSpec.serving.scheduler``).  A field whose
+    value is a dict and whose annotation names a dataclass
     (``Optional[CacheConfig]``, ``Optional[SchedulerSpec]``) gets that
     dataclass back, as :func:`dataclasses.asdict` flattened it; any other
     value goes to ``cls`` as is, which names a wrong type.
     """
+    unknown = set(payload).difference(f.name for f in fields(cls))
+    if unknown:
+        raise ValueError(f"unknown {label} keys: {sorted(unknown)}")
     hints = typing.get_type_hints(cls)
     kwargs = dict(payload)
     for name, value in payload.items():
@@ -76,14 +81,14 @@ def _build(cls, payload: Dict[str, Any]):
             hint = hints.get(name)
             nested = [t for t in (hint, *typing.get_args(hint)) if dataclasses.is_dataclass(t)]
             if nested:
-                kwargs[name] = _build(nested[0], value)
+                kwargs[name] = _build(nested[0], value, f"{label}.{name}")
     return cls(**kwargs)
 
 
 def _build_optional(cls, data: Dict[str, Any], key: str):
     """Rebuild optional section ``key`` of ``data`` as a ``cls``."""
     payload = _section(data, key)
-    return None if payload is None else _build(cls, payload)
+    return None if payload is None else _build(cls, payload, f"RunSpec.{key}")
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,6 @@ class RunSpec:
     backend: BackendName = "pgas"
     bottom_mlp: Tuple[int, ...] = (512, 256)
     top_mlp: Tuple[int, ...] = (512, 256)
-    interaction: Literal["dot", "cat", "sum"] = "dot"
     cache: Optional[object] = None
     resilience: Optional[object] = None
     compression: Optional[object] = None
@@ -125,8 +129,6 @@ class RunSpec:
         for attr in ("bottom_mlp", "top_mlp"):
             sizes = tuple(checked_count("RunSpec", attr, s) for s in getattr(self, attr))
             object.__setattr__(self, attr, sizes)
-        if self.interaction not in ("dot", "cat", "sum"):
-            raise ValueError(f"unknown interaction {self.interaction!r}")
         if self.serving is not None and not isinstance(self.serving, ServingSpec):
             raise TypeError(
                 f"RunSpec.serving must be a ServingSpec, "
@@ -147,10 +149,7 @@ class RunSpec:
     def pipeline_config(self) -> PipelineConfig:
         """The model-shape section as a :class:`PipelineConfig`."""
         return PipelineConfig(
-            workload=self.workload,
-            bottom_mlp=self.bottom_mlp,
-            top_mlp=self.top_mlp,
-            interaction=self.interaction,
+            workload=self.workload, bottom_mlp=self.bottom_mlp, top_mlp=self.top_mlp
         )
 
     def feature_spec(self) -> FeatureSpec:
@@ -178,7 +177,6 @@ class RunSpec:
             "model": {
                 "bottom_mlp": list(self.bottom_mlp),
                 "top_mlp": list(self.top_mlp),
-                "interaction": self.interaction,
             },
             **{f.name: _asdict(getattr(self, f.name)) for f in fields(FeatureSpec)},
             "serving": _asdict(self.serving),
@@ -186,24 +184,27 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunSpec":
-        """Inverse of :meth:`to_dict` (validates; unknown keys raise)."""
+        """Inverse of :meth:`to_dict` (validates; an unknown key in any
+        section raises ``ValueError`` naming the section and the key)."""
         if not isinstance(data, dict):
             raise TypeError(f"RunSpec payload must be a dict, got {type(data).__name__}")
         features = tuple(f.name for f in fields(FeatureSpec))
         known = ("name", "n_devices", "backend", "workload", "model", "serving") + features
-        unknown = set(data).difference(known)
-        if unknown:
-            raise ValueError(f"unknown RunSpec keys: {sorted(unknown)}")
+        model = _section(data, "model") or {}
+        for label, section, keys in (
+            ("RunSpec", data, known), ("RunSpec.model", model, ("bottom_mlp", "top_mlp"))
+        ):
+            unknown = set(section).difference(keys)
+            if unknown:
+                raise ValueError(f"unknown {label} keys: {sorted(unknown)}")
         if "workload" not in data:
             raise ValueError("RunSpec payload needs a 'workload' section")
-        model = _section(data, "model") or {}
         return cls(
             workload=_build_optional(WorkloadConfig, data, "workload"),
             n_devices=data.get("n_devices", 2),
             backend=data.get("backend", "pgas"),
             bottom_mlp=model.get("bottom_mlp", (512, 256)),
             top_mlp=model.get("top_mlp", (512, 256)),
-            interaction=model.get("interaction", "dot"),
             serving=_build_optional(ServingSpec, data, "serving"),
             name=data.get("name", ""),
             **{key: _build_optional(FEATURE_CONFIGS[key], data, key) for key in features},

@@ -90,18 +90,10 @@ class ShardingPlan:
         """Total number of tables in the plan."""
         return len(self.table_configs)
 
-    def feature_index(self, name: str) -> int:
-        """Global feature position of a table (output-tensor layout order)."""
-        return self._index[name]
-
     # abstract ----------------------------------------------------------------
 
     def tables_on(self, device_id: int) -> List[EmbeddingTableConfig]:
         """Table configs owned (fully or partially) by a device."""
-        raise NotImplementedError
-
-    def memory_bytes(self, device_id: int) -> int:
-        """Embedding-weight bytes resident on a device."""
         raise NotImplementedError
 
     def validate(self) -> None:
@@ -248,30 +240,9 @@ class RowWiseSharding(ShardingPlan):
         """All device shards of one table."""
         return list(self._table_shards(table_name))
 
-    def shard_on(self, table_name: str, device_id: int) -> RowShard:
-        """One device's shard of one table.
-
-        Raises :class:`ShardingError` (not ``KeyError``) for unknown
-        tables or out-of-range devices.
-        """
-        shards = self._table_shards(table_name)
-        if not (0 <= device_id < self.n_devices):
-            raise ShardingError(
-                f"device {device_id} out of range for the "
-                f"{self.n_devices}-device plan"
-            )
-        return shards[device_id]
-
     def tables_on(self, device_id: int) -> List[EmbeddingTableConfig]:
         """Row-wise: every device holds a slice of every table."""
         return list(self.table_configs)
-
-    def memory_bytes(self, device_id: int) -> int:
-        """Weight bytes of all this device's row slices."""
-        return sum(
-            self._shards[t.name][device_id].num_rows * t.row_bytes
-            for t in self.table_configs
-        )
 
     def validate(self) -> None:
         """Shards of each table tile ``[0, num_rows)`` exactly."""

@@ -190,10 +190,3 @@ class DLRMTrainingPipeline:
 
         self.cluster.run(step)
         return timing
-
-    def run_steps(self, lengths_iter, backend: Optional[BackendName] = None) -> TrainStepTiming:
-        """Accumulate over an iterable of per-step length maps."""
-        total = TrainStepTiming()
-        for lengths in lengths_iter:
-            total.add(self.run_step(lengths, backend))
-        return total

@@ -1,8 +1,8 @@
 """``repro.dlrm`` — numpy DLRM substrate.
 
-Embedding tables (hash / lookup / pool), jagged sparse batches, dense MLPs,
-the interaction layer, the full reference model, and synthetic workload
-generation matching the paper's experimental setup.
+Embedding tables (modulo hash / lookup / sum pool), jagged sparse batches,
+dense MLPs, the dot interaction layer, the full reference model, and
+synthetic workload generation matching the paper's experimental setup.
 """
 
 from .batch import JaggedField, SparseBatch
@@ -19,24 +19,16 @@ from .embedding import (
     EmbeddingBagCollection,
     EmbeddingTable,
     EmbeddingTableConfig,
-    PoolingMode,
     segment_pool,
 )
-from .hashing import HashKind, hash_indices, mod_hash, multiply_shift_hash
+from .hashing import hash_indices
 from .heterogeneous import (
     HeterogeneousDataGenerator,
     HeterogeneousWorkload,
     TableProfile,
     criteo_like,
 )
-from .interaction import (
-    InteractionMode,
-    cat_interaction,
-    dot_interaction,
-    interact,
-    interaction_output_dim,
-    sum_interaction,
-)
+from .interaction import dot_interaction, interaction_output_dim
 from .mlp import MLP, Linear, relu, sigmoid
 from .model import DLRM, DLRMConfig
 from .training import DLRMTrainer, TrainStepResult, bce_grad, bce_loss, interaction_backward
@@ -52,33 +44,25 @@ __all__ = [
     "EmbeddingBagCollection",
     "EmbeddingTable",
     "EmbeddingTableConfig",
-    "HashKind",
     "HeterogeneousDataGenerator",
     "HeterogeneousWorkload",
     "TableProfile",
     "criteo_like",
-    "InteractionMode",
     "CountsOnlyError",
     "InvalidLengthsError",
     "JaggedField",
     "LengthsBatch",
     "Linear",
     "MLP",
-    "PoolingMode",
     "STRONG_SCALING_TOTAL",
     "SparseBatch",
     "SyntheticDataGenerator",
     "WEAK_SCALING_BASE",
     "WorkloadConfig",
-    "cat_interaction",
     "dot_interaction",
     "hash_indices",
-    "interact",
     "interaction_output_dim",
-    "mod_hash",
-    "multiply_shift_hash",
     "relu",
     "segment_pool",
     "sigmoid",
-    "sum_interaction",
 ]

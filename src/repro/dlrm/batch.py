@@ -11,15 +11,14 @@ zero ("NULL" in the paper's Fig. 3).  We use the standard CSR-style
 * ``indices`` — int64 array of raw (pre-hash) sparse indices.
 
 :class:`SparseBatch` maps feature names to :class:`JaggedField` and supports
-the two partitionings of the distributed forward pass (paper Fig. 4):
-``select_features`` (model-parallel: a device takes the *full batch* for its
-local features) and ``slice_samples`` (data-parallel: a device's mini-batch).
+the data-parallel cut of the distributed forward pass (paper Fig. 4): a
+device's mini-batch is ``field.slice_samples(lo, hi)`` of every feature.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -122,13 +121,6 @@ class JaggedField:
             indices = np.empty(0, dtype=np.int64)
         return JaggedField.from_lengths(lengths, indices)
 
-    def concat(self, other: "JaggedField") -> "JaggedField":
-        """Append another batch of the same feature (inverse of slicing)."""
-        return JaggedField(
-            offsets=np.concatenate([self.offsets, other.offsets[1:] + self.offsets[-1]]),
-            indices=np.concatenate([self.indices, other.indices]),
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, JaggedField):
             return NotImplemented
@@ -163,21 +155,6 @@ class SparseBatch:
         """Samples per feature."""
         return self._batch_size
 
-    @property
-    def feature_names(self) -> List[str]:
-        """Feature names in layout order."""
-        return list(self._fields.keys())
-
-    @property
-    def num_features(self) -> int:
-        """Number of sparse features."""
-        return len(self._fields)
-
-    @property
-    def total_nnz(self) -> int:
-        """Sum of nnz over all features."""
-        return sum(f.nnz for f in self._fields.values())
-
     def field(self, name: str) -> JaggedField:
         """One feature's jagged data."""
         return self._fields[name]
@@ -188,42 +165,12 @@ class SparseBatch:
     def __iter__(self) -> Iterator[Tuple[str, JaggedField]]:
         return iter(self._fields.items())
 
-    # -- partitioning (paper Fig. 4) ------------------------------------------------
-
-    def select_features(self, names: Sequence[str]) -> "SparseBatch":
-        """Model-parallel cut: full batch restricted to ``names``."""
-        missing = [n for n in names if n not in self._fields]
-        if missing:
-            raise KeyError(f"unknown features: {missing}")
-        return SparseBatch({n: self._fields[n] for n in names})
-
-    def slice_samples(self, lo: int, hi: int) -> "SparseBatch":
-        """Data-parallel cut: samples ``[lo, hi)`` of every feature."""
-        return SparseBatch({n: f.slice_samples(lo, hi) for n, f in self._fields.items()})
-
     def take(self, rows: Sequence[int]) -> "SparseBatch":
         """Gather arbitrary samples of every feature (see JaggedField.take)."""
         return SparseBatch({n: f.take(rows) for n, f in self._fields.items()})
 
-    def minibatch_bounds(self, n_parts: int) -> List[Tuple[int, int]]:
-        """Even split of the batch dimension into ``n_parts`` ranges.
-
-        The remainder is spread over the leading parts, matching the
-        all-to-all splits used by the distributed forward pass.
-        """
-        if n_parts <= 0:
-            raise ValueError("n_parts must be positive")
-        base, rem = divmod(self._batch_size, n_parts)
-        bounds = []
-        lo = 0
-        for p in range(n_parts):
-            hi = lo + base + (1 if p < rem else 0)
-            bounds.append((lo, hi))
-            lo = hi
-        return bounds
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<SparseBatch B={self._batch_size} features={self.num_features} "
-            f"nnz={self.total_nnz}>"
+            f"<SparseBatch B={self._batch_size} features={len(self._fields)} "
+            f"nnz={sum(f.nnz for f in self._fields.values())}>"
         )

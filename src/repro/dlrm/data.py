@@ -61,7 +61,7 @@ import numpy as np
 
 from ..checks import check_finite, checked_count
 from .batch import JaggedField, SparseBatch
-from .embedding import EmbeddingTableConfig, PoolingMode
+from .embedding import EmbeddingTableConfig
 
 __all__ = [
     "WorkloadConfig",
@@ -111,7 +111,6 @@ class WorkloadConfig:
     index_distribution: IndexDistribution = "uniform"
     zipf_alpha: float = 1.05
     table_skew_alpha: Optional[float] = None  #: zipf skew of *per-table* traffic
-    pooling: PoolingMode = "sum"
     raw_cardinality: Optional[int] = None  #: pre-hash index space; default = rows
     seed: int = 2024
     num_dense_features: int = 13  #: Criteo-like dense width for the full model
@@ -136,20 +135,11 @@ class WorkloadConfig:
                 f"WorkloadConfig.index_distribution must be 'uniform' or 'zipf', "
                 f"got {self.index_distribution!r}"
             )
-        if self.pooling not in ("sum", "mean", "max"):
-            raise ValueError(
-                f"WorkloadConfig.pooling must be 'sum', 'mean' or 'max', got {self.pooling!r}"
-            )
         check_finite("WorkloadConfig", "zipf_alpha", self.zipf_alpha)
         if self.index_distribution == "zipf" and self.zipf_alpha <= 1.0:
             raise ValueError("WorkloadConfig.zipf_alpha must be > 1 for a proper Zipf law")
         if self.table_skew_alpha is not None:  # None: uniform table traffic
             check_finite("WorkloadConfig", "table_skew_alpha", self.table_skew_alpha)
-
-    @property
-    def mean_pooling(self) -> float:
-        """Expected bag size under the uniform pooling draw."""
-        return (self.min_pooling + self.max_pooling) / 2.0
 
     @property
     def table_bytes(self) -> int:
@@ -169,12 +159,7 @@ class WorkloadConfig:
     def table_configs(self) -> List[EmbeddingTableConfig]:
         """Embedding-table configs for this workload."""
         return [
-            EmbeddingTableConfig(
-                name=name,
-                num_rows=self.rows_per_table,
-                dim=self.dim,
-                pooling=self.pooling,
-            )
+            EmbeddingTableConfig(name=name, num_rows=self.rows_per_table, dim=self.dim)
             for name in self.feature_names
         ]
 

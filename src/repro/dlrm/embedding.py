@@ -6,8 +6,8 @@ for a jagged batch:
 
 1. **Hashing** — raw indices folded to ``[0, num_rows)``.
 2. **Lookup** — gather the embedding vectors for every index in every bag.
-3. **Pooling** — combine each bag's vectors (sum / mean / max) into one
-   output vector per sample; an empty bag ("NULL" input) pools to zeros.
+3. **Pooling** — sum each bag's vectors into one output vector per sample
+   (the paper's segment sum); an empty bag ("NULL" input) pools to zeros.
 
 :class:`EmbeddingBagCollection` groups many tables and produces the
 ``(batch, num_features, dim)`` activation the interaction layer consumes —
@@ -24,16 +24,14 @@ outputs — the equality tests rely on that.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Literal, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .batch import JaggedField, SparseBatch
-from .hashing import HashKind, hash_indices
+from .hashing import hash_indices
 
-__all__ = ["PoolingMode", "EmbeddingTableConfig", "EmbeddingTable", "EmbeddingBagCollection", "segment_pool"]
-
-PoolingMode = Literal["sum", "mean", "max"]
+__all__ = ["EmbeddingTableConfig", "EmbeddingTable", "EmbeddingBagCollection", "segment_pool"]
 
 
 @dataclass(frozen=True)
@@ -47,8 +45,6 @@ class EmbeddingTableConfig:
     name: str
     num_rows: int
     dim: int
-    pooling: PoolingMode = "sum"
-    hash_kind: HashKind = "mod"
     dtype: np.dtype = np.dtype(np.float32)
 
     def __post_init__(self) -> None:
@@ -56,8 +52,6 @@ class EmbeddingTableConfig:
             raise ValueError(f"table {self.name!r}: num_rows must be positive")
         if self.dim <= 0:
             raise ValueError(f"table {self.name!r}: dim must be positive")
-        if self.pooling not in ("sum", "mean", "max"):
-            raise ValueError(f"table {self.name!r}: unknown pooling {self.pooling!r}")
         object.__setattr__(self, "dtype", np.dtype(self.dtype))
 
     @property
@@ -71,10 +65,8 @@ class EmbeddingTableConfig:
         return self.dim * self.dtype.itemsize
 
 
-def segment_pool(
-    vectors: np.ndarray, offsets: np.ndarray, mode: PoolingMode = "sum"
-) -> np.ndarray:
-    """Pool gathered vectors per CSR segment; empty segments give zeros.
+def segment_pool(vectors: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Sum gathered vectors per CSR segment; empty segments give zeros.
 
     ``vectors`` has shape ``(nnz, dim)``; ``offsets`` has shape ``(B + 1,)``.
     Returns ``(B, dim)``.
@@ -83,25 +75,15 @@ def segment_pool(
     n_seg = offsets.size - 1
     dim = vectors.shape[1] if vectors.ndim == 2 else 0
     out = np.zeros((n_seg, dim), dtype=vectors.dtype)
-    lengths = np.diff(offsets)
-    nonempty = np.flatnonzero(lengths > 0)
+    nonempty = np.flatnonzero(np.diff(offsets) > 0)
     if nonempty.size == 0:
         return out
-    if mode in ("sum", "mean"):
-        # reduceat over the starts of non-empty segments; reduceat reduces
-        # [start[i], start[i+1]) so consecutive non-empty segments compose,
-        # and trailing elements of an empty-segment run never leak because
-        # empty segments are excluded from `starts`.
-        starts = offsets[nonempty]
-        pooled = np.add.reduceat(vectors, starts, axis=0)
-        out[nonempty] = pooled
-        if mode == "mean":
-            out[nonempty] /= lengths[nonempty, None].astype(vectors.dtype)
-        return out
-    if mode == "max":
-        out[nonempty] = np.maximum.reduceat(vectors, offsets[nonempty], axis=0)
-        return out
-    raise ValueError(f"unknown pooling mode {mode!r}")
+    # reduceat over the starts of non-empty segments; reduceat reduces
+    # [start[i], start[i+1]) so consecutive non-empty segments compose,
+    # and trailing elements of an empty-segment run never leak because
+    # empty segments are excluded from the starts.
+    out[nonempty] = np.add.reduceat(vectors, offsets[nonempty], axis=0)
+    return out
 
 
 class EmbeddingTable:
@@ -137,7 +119,7 @@ class EmbeddingTable:
 
     def hash(self, raw_indices: np.ndarray) -> np.ndarray:
         """Fold raw indices to row ids."""
-        return hash_indices(raw_indices, self.config.num_rows, self.config.hash_kind)
+        return hash_indices(raw_indices, self.config.num_rows)
 
     def lookup(self, raw_indices: np.ndarray) -> np.ndarray:
         """Hash + gather: ``(nnz, dim)`` embedding vectors."""
@@ -147,7 +129,7 @@ class EmbeddingTable:
     def forward(self, field: JaggedField) -> np.ndarray:
         """Full EMB step for one feature: returns ``(batch, dim)``."""
         vectors = self.lookup(field.indices)
-        return segment_pool(vectors, field.offsets, self.config.pooling)
+        return segment_pool(vectors, field.offsets)
 
     def apply_row_gradients(self, rows: np.ndarray, grads: np.ndarray, lr: float = 1.0) -> None:
         """SGD update with duplicate-row accumulation (backward §V).
@@ -162,7 +144,7 @@ class EmbeddingTable:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         c = self.config
-        return f"<EmbeddingTable {c.name!r} {c.num_rows}x{c.dim} {c.pooling}>"
+        return f"<EmbeddingTable {c.name!r} {c.num_rows}x{c.dim}>"
 
 
 class EmbeddingBagCollection:

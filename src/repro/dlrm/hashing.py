@@ -5,65 +5,21 @@ Sparse-feature cardinalities can be in the billions; a hash function
 (paper §II-A).  Collisions are expected and harmless for systems purposes —
 two raw indices landing on the same row simply share an embedding vector.
 
-Two hash families are provided:
-
-* ``"mod"`` — plain modulo; what the reference DLRM benchmark does and the
-  natural choice when the generator already produces indices in range.
-* ``"multiply_shift"`` — a 64-bit multiplicative (Fibonacci) hash that
-  decorrelates structured raw index spaces before the modulo; useful for
-  the Zipf-distributed extension workloads where low raw indices are hot.
-
-All functions are vectorised over numpy int64 arrays and pure.
+The hash is plain modulo, what the reference DLRM benchmark does and the
+natural choice when the generator already produces indices in range.  It is
+vectorised over numpy int64 arrays and pure.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Literal
-
 import numpy as np
 
-__all__ = ["hash_indices", "mod_hash", "multiply_shift_hash", "HashKind"]
-
-HashKind = Literal["mod", "multiply_shift"]
-
-#: 64-bit golden-ratio multiplier (Knuth's multiplicative hashing constant).
-_FIB_MULT = np.uint64(0x9E3779B97F4A7C15)
+__all__ = ["hash_indices"]
 
 
-def mod_hash(indices: np.ndarray, num_rows: int) -> np.ndarray:
+def hash_indices(indices: np.ndarray, num_rows: int) -> np.ndarray:
     """``index mod M``, mapped to non-negative row ids."""
     if num_rows <= 0:
         raise ValueError(f"num_rows must be positive, got {num_rows}")
     idx = np.asarray(indices, dtype=np.int64)
     return np.mod(idx, num_rows)
-
-
-def multiply_shift_hash(indices: np.ndarray, num_rows: int) -> np.ndarray:
-    """Fibonacci multiplicative hash then fold to ``[0, M)``.
-
-    Mixes the high bits down so structured inputs (sequential user ids,
-    power-law item ids) spread evenly over rows.
-    """
-    if num_rows <= 0:
-        raise ValueError(f"num_rows must be positive, got {num_rows}")
-    idx = np.asarray(indices, dtype=np.int64).astype(np.uint64)
-    with np.errstate(over="ignore"):
-        mixed = idx * _FIB_MULT
-    mixed ^= mixed >> np.uint64(29)
-    return (mixed % np.uint64(num_rows)).astype(np.int64)
-
-
-def hash_indices(indices: np.ndarray, num_rows: int, kind: HashKind = "mod") -> np.ndarray:
-    """Dispatch to the named hash family."""
-    if kind == "mod":
-        return mod_hash(indices, num_rows)
-    if kind == "multiply_shift":
-        return multiply_shift_hash(indices, num_rows)
-    raise ValueError(f"unknown hash kind: {kind!r}")
-
-
-def hasher(num_rows: int, kind: HashKind = "mod") -> Callable[[np.ndarray], np.ndarray]:
-    """Bind a hash family to a table size (partial application)."""
-    if kind not in ("mod", "multiply_shift"):
-        raise ValueError(f"unknown hash kind: {kind!r}")
-    return lambda idx: hash_indices(idx, num_rows, kind)

@@ -9,8 +9,9 @@ rows" (§II-A).  This module models that heterogeneity:
 * :class:`TableProfile` — per-table rows, hash cardinality, and pooling
   range (pooling "varies by features and by samples", §II);
 * :class:`HeterogeneousWorkload` — a set of profiles sharing one embedding
-  dim, usable everywhere a :class:`~repro.dlrm.data.WorkloadConfig` is
-  (same ``table_configs()`` / generator interface);
+  dim, with the ``table_configs()`` of a
+  :class:`~repro.dlrm.data.WorkloadConfig`, and
+  :class:`HeterogeneousDataGenerator`, which draws its lookup counts;
 * :func:`criteo_like` — a 26-sparse-feature profile with log-uniform
   cardinalities from tens to tens of millions, matching the shape of the
   public Criteo Kaggle/Terabyte datasets DLRM is benchmarked on.
@@ -22,12 +23,10 @@ Heterogeneous tables are what make non-trivial placement matter — see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..checks import checked_count
-from .batch import JaggedField, SparseBatch
 from .data import (
     BlockDraw,
     FeatureLayout,
@@ -36,7 +35,7 @@ from .data import (
     _counts_batch,
     _storage_dtype,
 )
-from .embedding import EmbeddingTableConfig, PoolingMode
+from .embedding import EmbeddingTableConfig
 
 __all__ = ["TableProfile", "HeterogeneousWorkload", "HeterogeneousDataGenerator", "criteo_like"]
 
@@ -62,11 +61,6 @@ class TableProfile:
         if self.raw_cardinality is not None and self.raw_cardinality <= 0:
             raise ValueError(f"table {self.name!r}: raw_cardinality must be positive")
 
-    @property
-    def mean_pooling(self) -> float:
-        """Expected bag size under the uniform draw."""
-        return (self.min_pooling + self.max_pooling) / 2.0
-
     def nbytes(self, dim: int, itemsize: int = 4) -> int:
         """Weight footprint at embedding dim ``dim``."""
         return self.num_rows * dim * itemsize
@@ -79,7 +73,6 @@ class HeterogeneousWorkload:
     tables: Tuple[TableProfile, ...]
     dim: int = 64
     batch_size: int = 16_384
-    pooling: PoolingMode = "sum"
     num_dense_features: int = 13
     seed: int = 2024
 
@@ -111,31 +104,18 @@ class HeterogeneousWorkload:
     def table_configs(self) -> List[EmbeddingTableConfig]:
         """Embedding-table configs (the sharding/retrieval interface)."""
         return [
-            EmbeddingTableConfig(
-                name=t.name, num_rows=t.num_rows, dim=self.dim, pooling=self.pooling
-            )
+            EmbeddingTableConfig(name=t.name, num_rows=t.num_rows, dim=self.dim)
             for t in self.tables
         ]
 
-    def profile(self, name: str) -> TableProfile:
-        """Profile by feature name."""
-        for t in self.tables:
-            if t.name == name:
-                return t
-        raise KeyError(name)
-
 
 class HeterogeneousDataGenerator:
-    """Draws batches honouring each table's own pooling range/cardinality."""
+    """Draws lookup counts honouring each table's own pooling range."""
 
     def __init__(self, workload: HeterogeneousWorkload):
         self.workload = workload
         self._rng = np.random.default_rng(workload.seed)
         self._layout = FeatureLayout(workload.feature_names)
-
-    def reset(self) -> None:
-        """Restart the stream."""
-        self._rng = np.random.default_rng(self.workload.seed)
 
     def lengths_batch(self, batch_size: Optional[int] = None) -> LengthsBatch:
         """Lookup counts only: a counts-only :class:`LengthsBatch`.
@@ -146,7 +126,7 @@ class HeterogeneousDataGenerator:
         per distinct range; a single-valued table draws nothing.  When any
         range is too wide for its law (see
         :meth:`SyntheticDataGenerator.lengths_batch`), every sample is
-        drawn as :meth:`sample_lengths` does and reduced.
+        drawn from its table's range and reduced.
         ``batch_size=None`` draws the workload's batch size.
         """
         B = _batch_size(
@@ -158,26 +138,6 @@ class HeterogeneousDataGenerator:
             np.array([t.max_pooling - t.min_pooling for t in tables], dtype=np.int64),
         )
         return _counts_batch(self._layout, B, self._rng, ranges, self._block_draw(B))
-
-    def sample_lengths(self, batch_size: Optional[int] = None) -> LengthsBatch:
-        """Per-sample pooling factors, each from its own range (read-only).
-
-        One draw per table, since each has its own range, as
-        :meth:`sparse_batch` draws its lengths, written into its row of
-        blocks stored in the narrowest unsigned type that holds the largest
-        ``max_pooling`` of any table.  When every table's range is one
-        value the draw takes nothing from the generator and the batch is
-        :meth:`~repro.dlrm.data.LengthsBatch.fixed`.  ``batch_size=None``
-        draws the workload's batch size.
-        """
-        B = _batch_size(
-            "HeterogeneousDataGenerator.sample_lengths", batch_size, self.workload.batch_size
-        )
-        tables = self.workload.tables
-        if all(t.min_pooling == t.max_pooling for t in tables):
-            pooling = np.array([t.max_pooling for t in tables], dtype=np.int64)
-            return LengthsBatch.fixed(self._layout, B, pooling)
-        return LengthsBatch.drawn(self._layout, B, self._rng, self._block_draw(B))
 
     def _block_draw(self, batch_size: int) -> BlockDraw:
         """The per-sample draw of a block of tables at ``batch_size``."""
@@ -193,41 +153,6 @@ class HeterogeneousDataGenerator:
             return block
 
         return draw
-
-    def sparse_batch(self, batch_size: Optional[int] = None) -> SparseBatch:
-        """Full jagged batch with per-feature cardinalities."""
-        B = _batch_size(
-            "HeterogeneousDataGenerator.sparse_batch", batch_size, self.workload.batch_size
-        )
-        fields = {}
-        for t in self.workload.tables:
-            lengths = self._rng.integers(
-                t.min_pooling, t.max_pooling + 1, size=B, dtype=np.int64
-            )
-            nnz = int(lengths.sum())
-            card = t.raw_cardinality or t.num_rows
-            indices = (
-                self._rng.integers(0, card, size=nnz, dtype=np.int64)
-                if nnz
-                else np.empty(0, dtype=np.int64)
-            )
-            fields[t.name] = JaggedField.from_lengths(lengths, indices)
-        return SparseBatch(fields)
-
-    def dense_batch(self, batch_size: Optional[int] = None) -> np.ndarray:
-        """Continuous features, uniform [0, 1)."""
-        B = _batch_size(
-            "HeterogeneousDataGenerator.dense_batch", batch_size, self.workload.batch_size
-        )
-        return self._rng.uniform(size=(B, self.workload.num_dense_features)).astype(
-            np.float32
-        )
-
-    def batches(self, n: int, batch_size: Optional[int] = None) -> Iterator[tuple]:
-        """``n`` (dense, sparse) pairs; ``n`` must be an int >= 0, checked
-        on the call."""
-        n = checked_count("HeterogeneousDataGenerator.batches", "n", n, 0)
-        return ((self.dense_batch(batch_size), self.sparse_batch(batch_size)) for _ in range(n))
 
 
 def criteo_like(

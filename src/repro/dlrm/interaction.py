@@ -1,27 +1,18 @@
 """Feature-interaction layer (paper Fig. 1, "interaction layer").
 
 Fuses the bottom-MLP dense embedding with the EMB-layer sparse embeddings
-into a single vector per sample.  DLRM's reference operators are provided:
-
-* ``dot`` — pairwise dot products between all embeddings (the DLRM paper's
-  default): with ``F`` sparse features plus the dense embedding, output is
-  the strictly-lower-triangular part of the Gram matrix, concatenated with
-  the dense embedding.
-* ``cat`` — plain concatenation of everything.
-* ``sum`` — elementwise sum of all embeddings (cheapest variant).
-
-All operators are vectorised over the batch.
+into a single vector per sample with DLRM's reference operator, the
+pairwise dot interaction: with ``F`` sparse features plus the dense
+embedding, the output is the strictly-lower-triangular part of the Gram
+matrix, concatenated after the dense embedding.  It is vectorised over the
+batch.
 """
 
 from __future__ import annotations
 
-from typing import Literal
-
 import numpy as np
 
-__all__ = ["InteractionMode", "interact", "dot_interaction", "cat_interaction", "sum_interaction", "interaction_output_dim"]
-
-InteractionMode = Literal["dot", "cat", "sum"]
+__all__ = ["dot_interaction", "interaction_output_dim"]
 
 
 def _stack(dense: np.ndarray, sparse: np.ndarray) -> np.ndarray:
@@ -53,36 +44,7 @@ def dot_interaction(dense: np.ndarray, sparse: np.ndarray) -> np.ndarray:
     return np.concatenate([dense, pairs.astype(dense.dtype, copy=False)], axis=1)
 
 
-def cat_interaction(dense: np.ndarray, sparse: np.ndarray) -> np.ndarray:
-    """Concatenation interaction: ``(B, (F+1) * d)`` output."""
-    stacked = _stack(dense, sparse)
-    return stacked.reshape(stacked.shape[0], -1)
-
-
-def sum_interaction(dense: np.ndarray, sparse: np.ndarray) -> np.ndarray:
-    """Elementwise-sum interaction: ``(B, d)`` output."""
-    stacked = _stack(dense, sparse)
-    return stacked.sum(axis=1)
-
-
-def interact(dense: np.ndarray, sparse: np.ndarray, mode: InteractionMode = "dot") -> np.ndarray:
-    """Dispatch to the named interaction operator."""
-    if mode == "dot":
-        return dot_interaction(dense, sparse)
-    if mode == "cat":
-        return cat_interaction(dense, sparse)
-    if mode == "sum":
-        return sum_interaction(dense, sparse)
-    raise ValueError(f"unknown interaction mode {mode!r}")
-
-
-def interaction_output_dim(num_sparse_features: int, dim: int, mode: InteractionMode = "dot") -> int:
-    """Output width of :func:`interact` for the given configuration."""
+def interaction_output_dim(num_sparse_features: int, dim: int) -> int:
+    """Output width of :func:`dot_interaction` for the given configuration."""
     n = num_sparse_features + 1
-    if mode == "dot":
-        return dim + n * (n - 1) // 2
-    if mode == "cat":
-        return n * dim
-    if mode == "sum":
-        return dim
-    raise ValueError(f"unknown interaction mode {mode!r}")
+    return dim + n * (n - 1) // 2

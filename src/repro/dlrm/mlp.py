@@ -82,11 +82,6 @@ class Linear:
             self.bias -= (lr * gb).astype(self.bias.dtype)
         return grad_in
 
-    @property
-    def flops_per_sample(self) -> int:
-        """Multiply-add count for one sample (2 * in * out)."""
-        return 2 * self.in_features * self.out_features
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Linear {self.in_features}->{self.out_features}>"
 
@@ -157,11 +152,6 @@ class MLP:
                 grad = grad * (pre_acts[i] > 0)  # ReLU mask
             grad = self.layers[i].backward(inputs[i], grad, lr=lr)
         return grad
-
-    @property
-    def flops_per_sample(self) -> int:
-        """Total multiply-add count per sample across layers."""
-        return sum(l.flops_per_sample for l in self.layers)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         arch = "-".join(str(s) for s in self.layer_sizes)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .batch import SparseBatch
 from .embedding import EmbeddingBagCollection, EmbeddingTableConfig
-from .interaction import InteractionMode, interact, interaction_output_dim
+from .interaction import dot_interaction, interaction_output_dim
 from .mlp import MLP
 
 __all__ = ["DLRMConfig", "DLRM"]
@@ -41,7 +41,6 @@ class DLRMConfig:
     table_configs: Sequence[EmbeddingTableConfig]
     bottom_mlp_sizes: Sequence[int] = (512, 256)
     top_mlp_sizes: Sequence[int] = (512, 256)
-    interaction: InteractionMode = "dot"
 
     def __post_init__(self) -> None:
         if self.num_dense_features <= 0:
@@ -65,9 +64,7 @@ class DLRMConfig:
     @property
     def interaction_dim(self) -> int:
         """Width of the interaction layer's output."""
-        return interaction_output_dim(
-            self.num_sparse_features, self.embedding_dim, self.interaction
-        )
+        return interaction_output_dim(self.num_sparse_features, self.embedding_dim)
 
 
 class DLRM:
@@ -103,7 +100,7 @@ class DLRM:
         self, dense_emb: np.ndarray, sparse_emb: np.ndarray
     ) -> np.ndarray:
         """Interaction + top MLP: the stages after the EMB all-to-all."""
-        fused = interact(dense_emb, sparse_emb, self.config.interaction)
+        fused = dot_interaction(dense_emb, sparse_emb)
         return self.top_mlp.forward(fused)
 
     def forward(self, dense: np.ndarray, sparse: SparseBatch) -> np.ndarray:
@@ -120,5 +117,5 @@ class DLRM:
         c = self.config
         return (
             f"<DLRM dense={c.num_dense_features} F={c.num_sparse_features} "
-            f"d={c.embedding_dim} interact={c.interaction}>"
+            f"d={c.embedding_dim}>"
         )

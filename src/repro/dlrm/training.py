@@ -8,19 +8,19 @@ layer, the bottom MLP, and the embedding tables — so the distributed
 backward schemes in :mod:`repro.core.backward` can be exercised with
 *real* gradients from a real loss rather than synthetic ones.
 
-Only what training needs is implemented (SGD, sum/mean pooling, the three
-interaction modes); this is a substrate, not a framework.
+Only what training needs is implemented (SGD, sum pooling, the dot
+interaction); this is a substrate, not a framework.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .batch import SparseBatch
-from .interaction import InteractionMode
+from .interaction import dot_interaction
 from .model import DLRM
 
 __all__ = ["bce_loss", "bce_grad", "interaction_backward", "DLRMTrainer", "TrainStepResult"]
@@ -50,42 +50,27 @@ def interaction_backward(
     grad_out: np.ndarray,
     dense_emb: np.ndarray,
     sparse_emb: np.ndarray,
-    mode: InteractionMode,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Backprop through :func:`repro.dlrm.interaction.interact`.
+    """Backprop through :func:`repro.dlrm.interaction.dot_interaction`.
 
     Returns ``(grad_dense, grad_sparse)`` with the forward input shapes
     ``(B, d)`` and ``(B, F, d)``.
     """
-    B, d = dense_emb.shape
-    F = sparse_emb.shape[1]
+    d = dense_emb.shape[1]
     stacked = np.concatenate([dense_emb[:, None, :], sparse_emb], axis=1)  # (B, F+1, d)
-    if mode == "dot":
-        n = F + 1
-        li, lj = np.tril_indices(n, k=-1)
-        g_dense_direct = grad_out[:, :d]
-        g_pairs = grad_out[:, d:]
-        if g_pairs.shape[1] != li.size:
-            raise ValueError(
-                f"grad width {grad_out.shape[1]} inconsistent with dot interaction "
-                f"({d} + {li.size})"
-            )
-        # d gram[:, i, j] contributes stacked[j] to i and stacked[i] to j.
-        g_stacked = np.zeros_like(stacked)
-        # scatter-add per pair, vectorised over the batch
-        np.add.at(
-            g_stacked, (slice(None), li), g_pairs[:, :, None] * stacked[:, lj]
+    li, lj = np.tril_indices(stacked.shape[1], k=-1)
+    g_pairs = grad_out[:, d:]
+    if g_pairs.shape[1] != li.size:
+        raise ValueError(
+            f"grad width {grad_out.shape[1]} inconsistent with dot interaction "
+            f"({d} + {li.size})"
         )
-        np.add.at(
-            g_stacked, (slice(None), lj), g_pairs[:, :, None] * stacked[:, li]
-        )
-        g_stacked[:, 0, :] += g_dense_direct
-    elif mode == "cat":
-        g_stacked = grad_out.reshape(B, F + 1, d)
-    elif mode == "sum":
-        g_stacked = np.repeat(grad_out[:, None, :], F + 1, axis=1)
-    else:
-        raise ValueError(f"unknown interaction mode {mode!r}")
+    # d gram[:, i, j] contributes stacked[j] to i and stacked[i] to j.
+    g_stacked = np.zeros_like(stacked)
+    # scatter-add per pair, vectorised over the batch
+    np.add.at(g_stacked, (slice(None), li), g_pairs[:, :, None] * stacked[:, lj])
+    np.add.at(g_stacked, (slice(None), lj), g_pairs[:, :, None] * stacked[:, li])
+    g_stacked[:, 0, :] += grad_out[:, :d]
     return g_stacked[:, 0, :].copy(), g_stacked[:, 1:, :].copy()
 
 
@@ -131,18 +116,14 @@ class DLRMTrainer:
         # ---- forward with caches -------------------------------------------------
         dense_emb, bottom_cache = model.bottom_mlp.forward_cached(dense)
         sparse_emb = model.emb_forward(sparse)
-        from .interaction import interact
-
-        fused = interact(dense_emb, sparse_emb, model.config.interaction)
+        fused = dot_interaction(dense_emb, sparse_emb)
         preds, top_cache = model.top_mlp.forward_cached(fused)
 
         # ---- backward --------------------------------------------------------------
         loss = bce_loss(preds, labels)
         g_logits = bce_grad(preds, labels)
         g_fused = model.top_mlp.backward(top_cache, g_logits, lr=self.lr)
-        g_dense_emb, g_sparse_emb = interaction_backward(
-            g_fused, dense_emb, sparse_emb, model.config.interaction
-        )
+        g_dense_emb, g_sparse_emb = interaction_backward(g_fused, dense_emb, sparse_emb)
         model.bottom_mlp.backward(bottom_cache, g_dense_emb, lr=self.lr)
 
         if apply_embedding_grads:
@@ -153,19 +134,3 @@ class DLRMTrainer:
         return TrainStepResult(
             loss=loss, grad_sparse=g_sparse_emb, grad_dense=g_dense_emb, preds=preds
         )
-
-    def fit(
-        self,
-        batches,
-        labels_fn,
-        *,
-        steps: Optional[int] = None,
-    ) -> list:
-        """Run a short training loop; returns the per-step losses."""
-        losses = []
-        for i, (dense, sparse) in enumerate(batches):
-            if steps is not None and i >= steps:
-                break
-            labels = labels_fn(dense, sparse)
-            losses.append(self.train_step(dense, sparse, labels).loss)
-        return losses

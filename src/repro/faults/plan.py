@@ -131,26 +131,8 @@ class FaultPlan:
         """A plan with no faults (the healthy reference)."""
         return cls()
 
-    @property
-    def is_empty(self) -> bool:
-        """True when the plan schedules nothing."""
-        return not self.events
-
     def __len__(self) -> int:
         return len(self.events)
-
-    def for_link(self, src: int, dst: int) -> List[FaultEvent]:
-        """Events targeting the directed pair ``(src, dst)``."""
-        return [
-            ev for ev in self.events
-            if ev.kind in LINK_KINDS and ev.src == src and ev.dst == dst
-        ]
-
-    def for_device(self, device: int) -> List[FaultEvent]:
-        """Device-kind events targeting ``device``."""
-        return [
-            ev for ev in self.events if ev.kind in DEVICE_KINDS and ev.device == device
-        ]
 
     def max_devices_referenced(self) -> int:
         """Smallest device count this plan is valid for."""

@@ -212,7 +212,7 @@ class ResilientRetrieval(BaseRetrieval):
                     sl = fld.slice_samples(*bounds[g])
                     if not sl.nnz:
                         continue
-                    rows = hash_indices(sl.indices, t.num_rows, t.hash_kind)
+                    rows = hash_indices(sl.indices, t.num_rows)
                     caches[g].lookup_rows(t.name, rows, source=source)
 
     # -- partition ---------------------------------------------------------------
@@ -302,14 +302,14 @@ class ResilientRetrieval(BaseRetrieval):
             for t in plan.tables_on(owner):
                 fld = batch.field(t.name)
                 sl = fld.slice_samples(lo, hi)
-                rows = hash_indices(sl.indices, t.num_rows, t.hash_kind)
+                rows = hash_indices(sl.indices, t.num_rows)
                 acc = caches[g].lookup_rows(t.name, rows, source=self._weights_of(t.name))
                 _, covered = acc.coverage(fld.lengths[lo:hi])
                 if not np.any(covered):
                     continue
                 pooled = None
                 if acc.values is not None:
-                    pooled = segment_pool(acc.values, sl.offsets, t.pooling)
+                    pooled = segment_pool(acc.values, sl.offsets)
                 served[(g, t.name)] = (covered, pooled)
         return served
 
@@ -475,28 +475,6 @@ class ResilientRetrieval(BaseRetrieval):
         """The most recent batch's outcome, consumed (None if already read)."""
         outcome, self.last_outcome = self.last_outcome, None
         return outcome
-
-    def ledger_totals(self) -> Dict[str, float]:
-        """Lifetime resilience totals across every batch, as a plain dict.
-
-        This is the fault-side payload of a telemetry
-        :class:`~repro.telemetry.RunReport` — it complements the
-        ``faults.*`` profiler counters (which only record *non-zero*
-        deltas) with exact per-ledger sums including healthy batches.
-        """
-        outcomes = self.outcomes
-        return {
-            "batches": float(len(outcomes)),
-            "attempts": float(sum(o.attempts for o in outcomes)),
-            "retries": float(sum(o.retries for o in outcomes)),
-            "rerouted_pairs": float(sum(o.rerouted_pairs for o in outcomes)),
-            "rerouted_bytes": float(sum(o.rerouted_bytes for o in outcomes)),
-            "degraded_bags": float(sum(o.degraded_bags for o in outcomes)),
-            "cache_served_bags": float(sum(o.cache_served_bags for o in outcomes)),
-            "total_bags": float(sum(o.total_bags for o in outcomes)),
-            "deadline_misses": float(sum(o.deadline_missed for o in outcomes)),
-            "healthy_batches": float(sum(o.healthy for o in outcomes)),
-        }
 
     # -- functional path ---------------------------------------------------------
 

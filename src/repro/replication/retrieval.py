@@ -431,9 +431,8 @@ class ReplicatedRetrieval(BaseRetrieval):
         outputs = functional_forward(
             self.base_name, self._materialized(assignment), batch
         )
-        for name, dev in owners.items():
-            if dev is None:
-                fidx = plan.feature_index(name)
+        for fidx, cfg in enumerate(plan.table_configs):
+            if owners[cfg.name] is None:
                 for out in outputs:
                     out[:, fidx, :] = 0.0
         return outputs

@@ -86,11 +86,6 @@ class ReplicationSpec:
         if self.recovery_chunk_bytes <= 0:
             raise ValueError("recovery_chunk_bytes must be positive")
 
-    @property
-    def detection_latency_bound_ns(self) -> float:
-        """Worst-case failure-detection latency of the heartbeat detector."""
-        return self.heartbeat_interval_ns * self.miss_threshold
-
     def replicas_for(self, owner: int, table_index: int, n_devices: int) -> Tuple[int, ...]:
         """Holder devices of one table: ``(primary, replica_1, ...)``.
 

@@ -6,8 +6,8 @@ the chunked, bandwidth-share-paced discipline the replication recovery
 stream also uses (:meth:`~repro.simgpu.interconnect.Interconnect.paced_copy`): each chunk
 occupies the link for its real simulated duration (so migration bytes
 compete with, and are visible next to, foreground retrieval traffic in
-Chrome traces), then idles long enough that the stream averages the
-configured bandwidth share.
+Chrome traces), then idles long enough that the stream averages
+:data:`MIGRATION_BANDWIDTH_SHARE` of the link.
 
 Cutover protocol
 ----------------
@@ -36,6 +36,7 @@ from ..simgpu.cluster import Cluster
 from ..simgpu.engine import Event
 from ..simgpu.memory import Buffer, OutOfDeviceMemory
 from ..simgpu.stream import join
+from ..simgpu.units import MiB
 from .planner import MigrationPlan, TableMove
 from .spec import ReshardSpec
 
@@ -64,6 +65,13 @@ MIGRATION_NS_COUNTER = "reshard.migration_ns"
 ADVISORIES_COUNTER = "reshard.advisories"
 #: profiler span category of migration extents
 SPAN_CATEGORY = "reshard"
+
+#: Fraction of link bandwidth one migration stream may consume: chunks
+#: pace themselves so foreground retrieval traffic keeps the rest, exactly
+#: like replication recovery
+MIGRATION_BANDWIDTH_SHARE = 0.25
+#: Granularity of migration transfers (the pacing quantum)
+MIGRATION_CHUNK_BYTES = 4 * MiB
 
 
 class ReshardExecutor:
@@ -155,8 +163,8 @@ class ReshardExecutor:
         # whose planning round submitted it.
         engine.call_at(t0, partial(
             self.cluster.interconnect.paced_copy, move.src, move.dst, move.nbytes,
-            chunk_bytes=self.spec.migration_chunk_bytes,
-            share=self.spec.migration_bandwidth_share,
+            chunk_bytes=MIGRATION_CHUNK_BYTES,
+            share=MIGRATION_BANDWIDTH_SHARE,
             counter=MIGRATION_BYTES_COUNTER,
             on_done=landed,
         ))
@@ -173,11 +181,6 @@ class ReshardExecutor:
             if old is not None and not old.freed:
                 self.cluster.device(old.device_id).memory.free(old)
             self._weight_buffers[move.table_name] = dst_buf
-
-    @property
-    def migrating(self) -> bool:
-        """True while any migration stream is in flight."""
-        return bool(self.in_flight)
 
     def wait_for_migrations(self, limit_ns: Optional[float] = None) -> None:
         """Run the simulated clock forward until pending streams finish.

@@ -78,11 +78,6 @@ class MigrationPlan:
         """True when the plan moves nothing (balance already acceptable)."""
         return not self.moves
 
-    @property
-    def total_bytes(self) -> int:
-        """Weight bytes the plan will stream."""
-        return sum(m.nbytes for m in self.moves)
-
 
 @dataclass
 class ReshardPlanner:

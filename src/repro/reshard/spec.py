@@ -1,19 +1,17 @@
-"""Resharding policy: when to re-balance and how fast to move shards.
+"""Resharding policy: when to re-balance and how much to move at once.
 
 A :class:`ReshardSpec` configures the skew-aware online load balancer:
 how much traffic history the :class:`~repro.reshard.tracker.LoadTracker`
 keeps, how lopsided the per-device traffic must get before the
-:class:`~repro.reshard.planner.ReshardPlanner` acts, how many tables one
-:class:`~repro.reshard.planner.MigrationPlan` may move, and how
-aggressively the :class:`~repro.reshard.executor.ReshardExecutor` may
-use the interconnect while foreground batches are running.
+:class:`~repro.reshard.planner.ReshardPlanner` acts, and how many tables one
+:class:`~repro.reshard.planner.MigrationPlan` may move.  How fast the
+:class:`~repro.reshard.executor.ReshardExecutor` streams a move is fixed
+by its module constants (bandwidth share and chunk size).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from ..simgpu.units import MiB
 
 __all__ = ["ReshardSpec"]
 
@@ -40,12 +38,6 @@ class ReshardSpec:
     max_moves_per_plan:
         Cap on table moves in one plan; remaining imbalance is left for
         the next planning round (keeps each migration burst bounded).
-    migration_bandwidth_share:
-        Fraction of link bandwidth one migration stream may consume, in
-        ``(0, 1]``.  Chunks pace themselves so foreground retrieval
-        traffic keeps the rest, exactly like replication recovery.
-    migration_chunk_bytes:
-        Granularity of migration transfers (pacing quantum).
     """
 
     window_batches: int = 8
@@ -53,8 +45,6 @@ class ReshardSpec:
     check_interval_batches: int = 4
     imbalance_threshold: float = 1.25
     max_moves_per_plan: int = 4
-    migration_bandwidth_share: float = 0.25
-    migration_chunk_bytes: int = 4 * MiB
 
     def __post_init__(self) -> None:
         if self.window_batches < 1:
@@ -75,10 +65,3 @@ class ReshardSpec:
             )
         if self.max_moves_per_plan < 1:
             raise ValueError("max_moves_per_plan must be >= 1")
-        if not (0.0 < self.migration_bandwidth_share <= 1.0):
-            raise ValueError(
-                f"migration_bandwidth_share must be in (0, 1], "
-                f"got {self.migration_bandwidth_share}"
-            )
-        if self.migration_chunk_bytes <= 0:
-            raise ValueError("migration_chunk_bytes must be positive")

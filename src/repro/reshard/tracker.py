@@ -6,8 +6,7 @@ per-table retrieval bytes implied by the jagged lengths, and (when a
 hot-row cache is layered underneath) the per-table hit rates that shrink
 a table's *effective* remote traffic — and maintains per-table exponents
 over a sliding window of recent batches.  The planner reads
-:meth:`table_traffic` / :meth:`device_traffic` and never touches raw
-batches.
+:meth:`table_traffic` and never touches raw batches.
 """
 
 from __future__ import annotations
@@ -80,18 +79,14 @@ class LoadTracker:
         # Guard against float drift from the incremental eviction updates.
         return {name: max(0.0, b) for name, b in self._totals.items()}
 
-    def device_traffic(self, owners: Mapping[str, int], n_devices: int) -> list:
-        """Window traffic aggregated per device under an ownership map."""
+    def imbalance(self, owners: Mapping[str, int], n_devices: int) -> float:
+        """Max/mean per-device traffic (1.0 = perfectly balanced), the
+        window's traffic folded onto each table's owner."""
         loads = [0.0] * n_devices
         for name, b in self.table_traffic().items():
             dev = owners.get(name)
             if dev is not None:
                 loads[dev] += b
-        return loads
-
-    def imbalance(self, owners: Mapping[str, int], n_devices: int) -> float:
-        """Max/mean per-device traffic (1.0 = perfectly balanced)."""
-        loads = self.device_traffic(owners, n_devices)
         mean = sum(loads) / len(loads) if loads else 0.0
         return max(loads) / mean if mean > 0 else 1.0
 

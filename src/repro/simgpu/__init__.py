@@ -7,7 +7,7 @@ contention, and a profiler producing the span breakdowns and
 comm-volume counters the paper's figures need.
 """
 
-from .cluster import Cluster, dgx_v100, multinode, pcie_node
+from .cluster import Cluster, dgx_v100, multinode
 from .device import A100_SPEC, Device, DeviceSpec, H100_SPEC, V100_SPEC
 from .engine import Engine, Event, SimulationError
 from .interconnect import (
@@ -64,7 +64,6 @@ __all__ = [
     "multinode",
     "multinode_topology",
     "nvlink_dgx1",
-    "pcie_node",
     "pcie_topology",
     "roofline_time",
     "chrome_trace",

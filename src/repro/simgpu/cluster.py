@@ -13,10 +13,10 @@ from typing import Callable, Iterator, List, Optional, Sequence, Union
 
 from .device import Device, DeviceSpec, V100_SPEC
 from .engine import Engine, Event, Handle, SimulationError
-from .interconnect import Interconnect, Topology, multinode_topology, nvlink_dgx1, pcie_topology
+from .interconnect import Interconnect, Topology, multinode_topology, nvlink_dgx1
 from .profiler import Profiler, TraceRef
 
-__all__ = ["Cluster", "dgx_v100", "pcie_node", "multinode"]
+__all__ = ["Cluster", "dgx_v100", "multinode"]
 
 #: What a host-program step waits for: an event, or a delay in ns.
 Wait = Union[Event, float]
@@ -172,10 +172,6 @@ class Cluster:
         for event in events:
             self.then(event, first)
 
-    def reset_profiler(self) -> None:
-        """Clear recorded spans/counters (keeps the clock and memory state)."""
-        self.profiler.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<Cluster {self.n_devices}x{self.devices[0].spec.name} "
@@ -186,11 +182,6 @@ class Cluster:
 def dgx_v100(n_devices: int = 4) -> Cluster:
     """The paper's testbed: up to 4 NVLink-connected V100s."""
     return Cluster(n_devices, topology=nvlink_dgx1(n_devices), device_spec=V100_SPEC)
-
-
-def pcie_node(n_devices: int = 4, device_spec: DeviceSpec = V100_SPEC) -> Cluster:
-    """A PCIe-only node (ablation: slower fabric)."""
-    return Cluster(n_devices, topology=pcie_topology(n_devices), device_spec=device_spec)
 
 
 def multinode(

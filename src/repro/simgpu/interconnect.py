@@ -318,11 +318,6 @@ class Link:
         """True while the link is inside a down window at time ``t``."""
         return t < self.down_until
 
-    @property
-    def effective_bandwidth(self) -> float:
-        """Bandwidth after the current fault derate."""
-        return self.spec.bandwidth * self.bandwidth_scale
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Link {self.src}->{self.dst} {self.spec.bandwidth:.0f}GB/s>"
 

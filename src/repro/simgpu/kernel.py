@@ -125,11 +125,6 @@ class WaveInfo:
     fraction: float  #: fraction of the kernel's work done by this wave
     blocks: range  #: grid block indices executed in this wave
 
-    @property
-    def is_last(self) -> bool:
-        """True for the final wave of the launch."""
-        return self.index == self.count - 1
-
 
 def roofline_time(bytes_total: float, flops: float, spec: DeviceSpec) -> float:
     """Roofline duration of a workload slice on ``spec`` (no floors)."""

@@ -69,11 +69,6 @@ class Buffer:
     label: str = ""
     freed: bool = False
 
-    @property
-    def materialized(self) -> bool:
-        """Whether the buffer carries real numpy storage."""
-        return self.data is not None
-
     def array(self) -> np.ndarray:
         """The backing array; raises if the buffer is metadata-only or freed."""
         if self.freed:
@@ -124,11 +119,6 @@ class MemoryPool:
     def free_bytes(self) -> int:
         """Bytes currently free."""
         return sum(size for _, size in self._holes)
-
-    @property
-    def num_allocations(self) -> int:
-        """Count of live buffers."""
-        return len(self._live)
 
     # -- alloc / free --------------------------------------------------------------
 

@@ -211,16 +211,6 @@ class StreamPool:
         self.n_slots = n_slots
         self._free: List[int] = list(range(n_slots))
 
-    @property
-    def n_free(self) -> int:
-        """Currently available slots."""
-        return len(self._free)
-
-    @property
-    def n_in_use(self) -> int:
-        """Currently leased slots."""
-        return self.n_slots - len(self._free)
-
     def try_acquire(self) -> Optional[StreamLease]:
         """Lease the lowest free slot, or ``None`` when all are in use."""
         if not self._free:

@@ -23,8 +23,6 @@ __all__ = [
     "gbps",
     "to_ms",
     "to_us",
-    "to_s",
-    "transfer_time",
 ]
 
 # -- time --------------------------------------------------------------------
@@ -45,11 +43,6 @@ def to_us(t_ns: float) -> float:
     return t_ns / us
 
 
-def to_s(t_ns: float) -> float:
-    """Convert nanoseconds to seconds."""
-    return t_ns / s
-
-
 # -- sizes ---------------------------------------------------------------------
 
 KiB = 1024
@@ -67,15 +60,3 @@ def gbps(x: float) -> float:
     to make call sites self-documenting (``gbps(25)`` reads as 25 GB/s).
     """
     return float(x)
-
-
-def transfer_time(nbytes: float, bandwidth_bpns: float, latency_ns: float = 0.0) -> float:
-    """Time to move ``nbytes`` at ``bandwidth_bpns`` with a fixed latency.
-
-    The classic alpha-beta model: ``t = alpha + n * beta``.
-    """
-    if bandwidth_bpns <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth_bpns}")
-    if nbytes < 0:
-        raise ValueError(f"negative transfer size: {nbytes}")
-    return latency_ns + nbytes / bandwidth_bpns

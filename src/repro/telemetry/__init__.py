@@ -50,7 +50,6 @@ from .timeline import (
     comm_rate_series,
     compute_occupancy_series,
     gauge_series,
-    link_utilization_series,
     merged_intervals,
     run_window,
     sample_edges,
@@ -79,7 +78,6 @@ __all__ = [
     "gini",
     "interconnect_idle_ns",
     "link_stats",
-    "link_utilization_series",
     "merged_intervals",
     "overlap_fraction",
     "peak_to_mean",

@@ -273,7 +273,7 @@ def link_stats(
     a topology is supplied, bytes/ns otherwise).  Every statistic is one
     reduction along the bins of all links at once.
     """
-    links, totals, rates, _ = _link_rates(profiler, edges, topology)
+    links, totals, rates = _link_rates(profiler, edges, topology)
     if not links:
         return {}
     columns = zip(

@@ -8,9 +8,6 @@ communication counter polled on a period (§IV-A2b) — and extending it:
 
 * :func:`comm_rate_series` — delivered payload bytes per nanosecond, per
   bin, summed over every comm counter (collective chunks + one-sided puts);
-* :func:`link_utilization_series` — the same, per directed device pair,
-  normalised to that link's bandwidth when a topology is supplied (a
-  dimensionless occupancy in ``[0, ~1]``);
 * :func:`compute_occupancy_series` — the fraction of each bin covered by a
   device's compute/fused spans (device ``-1`` spans count for everyone);
 * :func:`gauge_series` — a level gauge from a ±delta counter (e.g. the
@@ -39,7 +36,6 @@ __all__ = [
     "comm_rate_series",
     "compute_occupancy_series",
     "gauge_series",
-    "link_utilization_series",
     "merged_intervals",
     "run_window",
     "sample_edges",
@@ -170,13 +166,13 @@ def _comm_samples(profiler: Profiler) -> PairSamples:
 
 def _link_rates(
     profiler: Profiler, edges: np.ndarray, topology: Optional[Topology]
-) -> Tuple[List[Tuple[int, int]], np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[List[Tuple[int, int]], np.ndarray, np.ndarray]:
     """Every directed link's comm payload, binned in one pass.
 
-    Returns ``(links, totals, rates, normalised)``: the ``(src, dst)``
-    links in sorted order, each link's total bytes, its ``(links, bins)``
-    per-bin rate in bytes/ns, and whether that row was divided by the
-    link's bandwidth (a link the topology knows, when one is given).
+    Returns ``(links, totals, rates)``: the ``(src, dst)`` links in sorted
+    order, each link's total bytes, and its ``(links, bins)`` per-bin rate
+    in bytes/ns, divided by the link's bandwidth (a dimensionless occupancy
+    in ``[0, ~1]``) for a link the topology knows, when one is given.
     """
     samples = _comm_samples(profiler)
     links, rows, _ = samples.links()
@@ -190,32 +186,7 @@ def _link_rates(
                 bandwidth[i] = spec.bandwidth
     normalised = ~np.isnan(bandwidth)
     rates[normalised] /= bandwidth[normalised, None]
-    return links, totals, rates, normalised
-
-
-def link_utilization_series(
-    profiler: Profiler,
-    edges: np.ndarray,
-    *,
-    topology: Optional[Topology] = None,
-) -> Dict[Tuple[int, int], TimeSeries]:
-    """Per-link delivered-payload gauge over the bin grid.
-
-    With ``topology`` supplied, each pair's series is its payload rate
-    divided by that link's bandwidth — an occupancy fraction (headers are
-    excluded, so a saturated link reads slightly below 1).  Without a
-    topology the raw rate in bytes/ns is returned.
-    """
-    links, _, rates, normalised = _link_rates(profiler, edges, topology)
-    bin_ns = float(np.diff(edges)[0])
-    return {
-        (s, d): TimeSeries(
-            name=f"link_util.dev{s}->dev{d}",
-            unit="fraction" if normalised[i] else "bytes/ns",
-            times=edges[:-1], values=rates[i], bin_ns=bin_ns,
-        )
-        for i, (s, d) in enumerate(links)
-    }
+    return links, totals, rates
 
 
 def merged_intervals(

@@ -18,11 +18,14 @@ def weak_breakdown():
     )
 
 
+@pytest.fixture(scope="module")
+def bars(weak_breakdown):
+    return {b.n_devices: b for b in weak_breakdown.bars}
+
+
 class TestBreakdown:
     def test_one_bar_per_point(self, weak_breakdown):
-        assert weak_breakdown.device_counts == [1, 2, 4]
-        with pytest.raises(KeyError):
-            weak_breakdown.bar(3)
+        assert [b.n_devices for b in weak_breakdown.bars] == [1, 2, 4]
 
     def test_components_sum_to_total(self, weak_breakdown):
         for b in weak_breakdown.bars:
@@ -30,36 +33,36 @@ class TestBreakdown:
                 b.baseline_compute_ns + b.baseline_comm_ns + b.baseline_sync_unpack_ns
             )
 
-    def test_single_gpu_has_no_comm(self, weak_breakdown):
-        b1 = weak_breakdown.bar(1)
+    def test_single_gpu_has_no_comm(self, bars):
+        b1 = bars[1]
         assert b1.baseline_comm_ns == 0.0
 
-    def test_weak_compute_flat(self, weak_breakdown):
+    def test_weak_compute_flat(self, bars):
         """Weak scaling: per-GPU computation stays constant (paper §IV-A)."""
-        c1 = weak_breakdown.bar(1).baseline_compute_ns
+        c1 = bars[1].baseline_compute_ns
         for g in (2, 4):
-            assert weak_breakdown.bar(g).baseline_compute_ns == pytest.approx(c1, rel=0.05)
+            assert bars[g].baseline_compute_ns == pytest.approx(c1, rel=0.05)
 
-    def test_weak_comm_decreases(self, weak_breakdown):
+    def test_weak_comm_decreases(self, bars):
         """More GPUs → more parallel links → shorter comm phase."""
-        assert weak_breakdown.bar(4).baseline_comm_ns < weak_breakdown.bar(2).baseline_comm_ns
+        assert bars[4].baseline_comm_ns < bars[2].baseline_comm_ns
 
-    def test_weak_sync_unpack_increases(self, weak_breakdown):
+    def test_weak_sync_unpack_increases(self, bars):
         """More received data per GPU → more unpack work (paper §IV-A)."""
         assert (
-            weak_breakdown.bar(4).baseline_sync_unpack_ns
-            > weak_breakdown.bar(2).baseline_sync_unpack_ns
+            bars[4].baseline_sync_unpack_ns
+            > bars[2].baseline_sync_unpack_ns
         )
 
-    def test_pgas_total_near_baseline_compute(self, weak_breakdown):
+    def test_pgas_total_near_baseline_compute(self, bars):
         """The paper's key plot: PGAS bar ≈ baseline compute component."""
         for g in (2, 4):
-            b = weak_breakdown.bar(g)
+            b = bars[g]
             assert b.pgas_total_ns < 1.25 * b.baseline_compute_ns
             assert b.pgas_total_ns < 0.7 * b.baseline_total_ns
 
-    def test_as_dict_keys(self, weak_breakdown):
-        d = weak_breakdown.bar(2).as_dict()
+    def test_as_dict_keys(self, bars):
+        d = bars[2].as_dict()
         assert set(d) == {
             "n_devices",
             "baseline_compute_ns",

@@ -13,7 +13,6 @@ from repro.bench.reporting import (
     render_comm_volume,
     render_scaling_figure,
     render_speedup_table,
-    to_csv,
 )
 from repro.bench.commvolume import CommVolumeTrace
 from repro.bench.scaling import run_weak_scaling
@@ -81,8 +80,3 @@ class TestAsciiSeries:
         out = ascii_series(np.arange(5), np.ones(5))
         assert "*" in out
 
-
-class TestCsv:
-    def test_roundtrip(self):
-        out = to_csv(["a", "b"], [[1, 2], [3, 4]])
-        assert out == "a,b\n1,2\n3,4\n"

@@ -48,10 +48,6 @@ class TestRunner:
         assert runner.weak() is runner.weak()
         assert runner.strong() is runner.strong()
 
-    def test_run_all_covers_everything(self, runner):
-        rendered = runner.run_all()
-        assert set(rendered) == set(EXPERIMENT_IDS)
-
     def test_weak_speedup_above_one(self, runner):
         assert runner.weak().geomean_speedup > 1.0
 

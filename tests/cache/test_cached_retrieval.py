@@ -72,7 +72,7 @@ class TestHandComputedTrace:
         # (samples 2,3 of sparse_0; samples 0,1 of sparse_1).
         assert cplan.row_bytes == 16
         assert cplan.remote_bytes == 32.0
-        assert cplan.uncached_remote_bytes == 64.0
+        assert cplan.saved_vectors * cplan.row_bytes == 32.0  # uncached: 64 B
 
     def test_second_pass_all_hits(self):
         self.engine.plan_batch(self.batch)
@@ -132,10 +132,10 @@ class TestBitIdentity:
         for a, r in zip(got, ref):
             assert np.array_equal(a, r)
 
-    def test_mean_pooling_and_empty_bags(self):
+    def test_empty_bags(self):
         tables = [
-            EmbeddingTableConfig("sparse_0", num_rows=40, dim=8, pooling="mean"),
-            EmbeddingTableConfig("sparse_1", num_rows=40, dim=8, pooling="mean"),
+            EmbeddingTableConfig("sparse_0", num_rows=40, dim=8),
+            EmbeddingTableConfig("sparse_1", num_rows=40, dim=8),
         ]
         batch = SparseBatch({
             "sparse_0": JaggedField.from_lengths(

@@ -48,11 +48,6 @@ class TestSpec:
         assert spec.message_bytes == 256
         assert spec.header_bytes == 32
 
-    def test_wire_efficiency(self):
-        assert PGASSpec(message_bytes=256, header_bytes=32).wire_efficiency == pytest.approx(
-            256 / 288
-        )
-
     def test_validation(self):
         with pytest.raises(ValueError):
             PGASSpec(message_bytes=0)
@@ -503,6 +498,54 @@ class TestUnknownPE:
             call(ctx)
         assert cl.engine._seq == seq  # nothing scheduled
         assert ctx.puts_issued == 1 and ctx._outstanding == {0: [], 1: []}
+
+
+class TestFloatIds:
+    """A float equal to a device id is not one: it raises the typed error of
+    an out-of-range id before anything is touched, booked or scheduled."""
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda ctx: ctx.put(0, 1.0, 256.0), r"put: dst must be a device id in \[0, 4\), got 1\.0"),
+            (lambda ctx: ctx.put(0.0, 1, 256.0), r"put: src must be a device id in \[0, 4\), got 0\.0"),
+            (lambda ctx: ctx.put(0, [2, 1.0], [1.0, 2.0]), r"put: dst\[1\] must be a device id"),
+            (lambda ctx: ctx.put(0, [1.0], [[256.0]], at=[0.0]), r"put: dst\[0\] must be a device id"),
+            (lambda ctx: ctx.atomic_add(0, 1.0, 3), r"atomic_add: dst must be a device id"),
+            (lambda ctx: ctx.atomic_add(np.float64(0), [1], [3]), r"atomic_add: src must be"),
+            (lambda ctx: ctx.check_put("store", 0, 2.0, 5.0), r"store: dst must be a device id"),
+            (lambda ctx: ctx.quiet(1.0), r"quiet: src must be a device id in \[0, 4\), got 1\.0"),
+            (lambda ctx: ctx.quiet([0, 1.0]), r"quiet: src must be a device id"),
+        ],
+        ids=["put-dst", "put-src", "put-wave", "put-at", "atomic_add-dst", "atomic_add-src",
+             "check_put", "quiet", "quiet-set"],
+    )
+    def test_a_float_id_is_a_value_error_and_the_fabric_stays_readable(self, call, match):
+        cl = dgx_v100(4)
+        ctx = PGASContext(cl)
+        ctx.put(0, 1, 100.0)
+        seq = cl.engine._seq
+        with pytest.raises(ValueError, match=match):
+            call(ctx)
+        assert cl.engine._seq == seq and ctx.puts_issued == 1
+        ctx.put(2, 3, 256.0)
+        assert [(link.src, link.dst) for link in cl.interconnect.links()] == [(0, 1), (2, 3)]
+        assert cl.interconnect.total_wire_bytes() > 356.0
+
+    def test_a_float_run_is_declined(self):
+        ctx = PGASContext(dgx_v100(4))
+        waves = np.ones((1, 4))
+        assert not ctx.put_run(0, [1.0, 2, 3], [0.0], waves, 0)
+        assert not ctx.atomic_run(0, [1, 2.0, 3], [0.0], np.ones((1, 3), dtype=np.int64))
+
+    def test_numpy_integer_ids_keep_working(self):
+        cl = dgx_v100(4)
+        ctx = PGASContext(cl)
+        ctx.put(np.int64(0), np.int32(1), 256.0)
+        ctx.put(0, [np.int64(2), 3], [256.0, 512.0])
+        ctx.atomic_add(np.int16(1), 2, 4)
+        assert ctx.puts_issued == 3 and len(cl.interconnect.links()) == 4
+        cl.engine.run_until_event(ctx.quiet(np.int64(0)))
 
 
 class TestCounterOrder:

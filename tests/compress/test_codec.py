@@ -70,7 +70,6 @@ class TestWireAccounting:
         assert codec.wire_bytes(10, 64) == 10 * 68
         # one PGAS header per vector rides on top
         assert codec.wire_bytes(10, 64, header_bytes=32) == 10 * 100
-        assert codec.compression_ratio(64) == pytest.approx(256 / 68)
 
     def test_int4_odd_dim_rounds_up(self):
         codec = make_codec("int4")
@@ -90,9 +89,10 @@ class TestWireAccounting:
         for name in CODEC_NAMES:
             codec = make_codec(name)
             enc = codec.encode(rows)
-            assert enc.payload_nbytes == 9 * codec.payload_bytes(17)
-            assert enc.scale_nbytes == 9 * codec.scale_bytes_per_row
-            assert enc.wire_nbytes == codec.wire_bytes(9, 17)
+            scale_nbytes = 0 if enc.scales is None else enc.scales.nbytes
+            assert enc.data.nbytes == 9 * codec.payload_bytes(17)
+            assert scale_nbytes == 9 * codec.scale_bytes_per_row
+            assert enc.data.nbytes + scale_nbytes == codec.wire_bytes(9, 17)
 
 
 class TestLossyBounds:

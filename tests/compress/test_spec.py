@@ -12,7 +12,7 @@ from repro.simgpu.device import V100_SPEC
 class TestSpecValidation:
     def test_defaults(self):
         spec = CompressionSpec()
-        assert spec.codec == "fp32" and spec.lossless
+        assert spec.codec == "fp32" and spec.codec_obj().lossless
         assert spec.error_bound is None
 
     def test_unknown_codec_raises(self):
@@ -24,7 +24,7 @@ class TestSpecValidation:
             CompressionSpec(codec="int8", error_bound=-0.1)
 
     def test_lossy_flags(self):
-        assert not CompressionSpec(codec="int8").lossless
+        assert not CompressionSpec(codec="int8").codec_obj().lossless
         assert CompressionSpec(codec="int8").codec_obj().name == "int8"
 
 

@@ -25,8 +25,6 @@ class TestSpec:
             AggregatorSpec(flush_bytes=0)
         with pytest.raises(ValueError):
             AggregatorSpec(max_wait_ns=0)
-        with pytest.raises(ValueError):
-            AggregatorSpec(flushed_message_bytes=0)
 
 
 class TestStore:
@@ -34,15 +32,17 @@ class TestStore:
         cl, _, agg = make(flush_bytes=10_000)
         agg.store(0, 1, 3000)
         agg.store(0, 1, 3000)
-        assert agg.pending_bytes(0, 1) == 6000
         assert agg.flushes == 0
+        agg.flush_all()
+        cl.engine.run()
+        assert cl.profiler.counter(PGASContext.COUNTER).total == 6000
 
     def test_size_trigger_flushes(self):
         cl, _, agg = make(flush_bytes=10_000)
         agg.store(0, 1, 6000)
         agg.store(0, 1, 6000)  # 12000 >= threshold
         assert agg.flushes == 1
-        assert agg.pending_bytes(0, 1) == 0
+        assert agg.flush(0, 1) is None  # nothing left buffered
 
     def test_per_destination_buffers_independent(self):
         cl, _, agg = make(flush_bytes=10_000, n_devices=3)
@@ -51,7 +51,10 @@ class TestStore:
         assert agg.flushes == 0
         agg.store(0, 1, 6000)
         assert agg.flushes == 1
-        assert agg.pending_bytes(0, 2) == 6000
+        assert agg.flush(0, 1) is None
+        agg.flush(0, 2)
+        cl.engine.run()
+        assert cl.profiler.counter(PGASContext.COUNTER).total == 12_000 + 6000
 
     def test_local_store_rejected(self):
         _, _, agg = make()
@@ -62,7 +65,7 @@ class TestStore:
         _, _, agg = make()
         agg.store(0, 1, 0)
         assert agg.stores == 0
-        assert agg.pending_bytes(0, 1) == 0
+        assert agg.flush(0, 1) is None
 
     def test_negative_rejected(self):
         _, _, agg = make()
@@ -143,7 +146,9 @@ class TestFlush:
         agg.store(1, 0, 300)
         events = agg.flush_all(src=0)
         assert len(events) == 1
-        assert agg.pending_bytes(1, 0) == 300
+        assert len(agg.flush_all()) == 1  # source 1's buffer was kept
+        cl.engine.run()
+        assert cl.profiler.counter(PGASContext.COUNTER).total == pytest.approx(400)
 
     def test_flush_empty_returns_none(self):
         _, _, agg = make()

@@ -86,15 +86,12 @@ class TestBaselineRetrieval:
         with pytest.raises(ValueError):
             BaselineRetrieval(dgx_v100(1), unpack_bandwidth=0.0)
 
-    def test_run_batches_accumulates(self):
-        cl = dgx_v100(2)
+    def test_repeated_batches_take_equal_time(self):
         wls = make_workloads(G=2)
-        r = BaselineRetrieval(cl)
-        single = r.run_batch(wls)
-        cl2 = dgx_v100(2)
-        triple = BaselineRetrieval(cl2).run_batches([wls, wls, wls])
-        assert triple.batches == 3
-        assert triple.total_ns == pytest.approx(3 * single.total_ns, rel=1e-6)
+        single = BaselineRetrieval(dgx_v100(2)).run_batch(wls)
+        r = BaselineRetrieval(dgx_v100(2))
+        times = [r.run_batch(wls).total_ns for _ in range(3)]
+        assert times == pytest.approx([single.total_ns] * 3, rel=1e-6)
 
     def test_spans_recorded(self):
         cl = dgx_v100(2)

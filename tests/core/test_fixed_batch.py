@@ -6,7 +6,7 @@ pooling factor per feature and the batch size.  Its oracle is the blocks
 batch that ``LengthsBatch({name: np.full(B, p)})`` builds: counts at any
 block size, per-sample reads, cuts and every error must equal the
 oracle's.  The draw itself takes nothing from the generator, as the
-per-sample draw it replaces takes nothing, for both generators.
+per-sample draw it replaces takes nothing.
 
 What is derived from a fixed batch is derived once: its workloads per
 plan and block size, and the fused kernel's launch plan per workload.
@@ -26,12 +26,6 @@ from repro.core.pgas_retrieval import PGASFusedRetrieval
 from repro.core.sharding import TableWiseSharding
 from repro.core.workload import DeviceWorkload, build_device_workloads
 from repro.dlrm.data import FeatureLayout, LengthsBatch, SyntheticDataGenerator, WorkloadConfig
-from repro.dlrm.heterogeneous import (
-    HeterogeneousDataGenerator,
-    HeterogeneousWorkload,
-    TableProfile,
-    criteo_like,
-)
 from repro.simgpu.cluster import dgx_v100
 
 BATCH_SIZES = [0, 1, 63, 64, 65, 5000]
@@ -149,24 +143,7 @@ class TestDraw:
         )
         assert_draws_like_today(lambda: SyntheticDataGenerator(cfg))
 
-    def test_heterogeneous(self):
-        wl = HeterogeneousWorkload(
-            tables=tuple(
-                TableProfile(f"t{i}", 1000, max_pooling=p, min_pooling=p)
-                for i, p in enumerate([0, 1, 9, 64, 2**20])
-            ),
-            seed=13,
-        )
-        assert_draws_like_today(lambda: HeterogeneousDataGenerator(wl))
-
-    def test_all_one_hot_criteo_like(self):
-        wl = criteo_like(batch_size=512, multivalued_fraction=0.0)
-        assert {(t.min_pooling, t.max_pooling) for t in wl.tables} == {(1, 1)}
-        assert_draws_like_today(lambda: HeterogeneousDataGenerator(wl))
-
     def test_one_ranged_table_keeps_blocks(self):
-        wl = criteo_like(batch_size=512)  # a quarter multi-hot
-        assert HeterogeneousDataGenerator(wl).sample_lengths()._pooling is None
         cfg = WorkloadConfig(num_tables=4, min_pooling=7, max_pooling=8)
         assert SyntheticDataGenerator(cfg).sample_lengths()._pooling is None
 

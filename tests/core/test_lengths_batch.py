@@ -178,9 +178,6 @@ class TestFrozen:
         counted = gen.lengths_batch()
         assert isinstance(counted, LengthsBatch)
         assert not counted.chunk_counts(64).flags.writeable
-        lengths = gen.sample_lengths()
-        assert isinstance(lengths, LengthsBatch)
-        assert all(not arr.flags.writeable for arr in lengths.values())
 
     def test_wrapping_leaves_the_callers_arrays_writeable(self):
         mine = np.arange(8, dtype=np.int64)
@@ -372,6 +369,8 @@ class TestBlockDraws:
 
     @pytest.mark.parametrize("sizes", DRAW_SIZES, ids=str)
     def test_heterogeneous_blocks_equal_per_table_draws(self, sizes):
+        """Ranges past the law's cap make ``lengths_batch`` draw every
+        sample in row blocks and reduce them."""
         ranges = [(0, 64), (1, 1), (0, 2**31), (3, 9), (0, 2**33)] * 8
         wl = HeterogeneousWorkload(
             tables=tuple(
@@ -381,11 +380,12 @@ class TestBlockDraws:
             seed=13,
         )
         gen = HeterogeneousDataGenerator(wl)
-        got = [gen.sample_lengths(batch_size=B) for B in sizes]
+        got = [gen.lengths_batch(batch_size=B) for B in sizes]
         want, rng = per_table_reference(13, ranges, sizes)
         for batch, arrays in zip(got, want):
-            for name, arr in zip(wl.feature_names, arrays):
-                np.testing.assert_array_equal(batch[name], arr)
+            for counts, arr in zip(batch.chunk_counts(64), arrays):
+                chunks = np.arange(0, arr.size, 64)
+                np.testing.assert_array_equal(counts, np.add.reduceat(arr, chunks))
         assert gen._rng.bit_generator.state == rng.bit_generator.state
 
     def test_one_generator_shares_one_layout_with_its_takes(self):
@@ -432,7 +432,7 @@ class TestBlockBudget:
         limit = max(BLOCK_BUDGET, 8 * batch_size)
         gen = SyntheticDataGenerator(cfg)
         het = HeterogeneousDataGenerator(criteo_like(num_tables, batch_size=batch_size))
-        for draw in (gen.lengths_batch, gen.sample_lengths, het.lengths_batch, het.sample_lengths):
+        for draw in (het.lengths_batch, gen.lengths_batch, gen.sample_lengths):
             batch, largest, transient = numpy_allocations(draw)
             assert 0 < largest <= limit
             assert transient <= 4 * limit
@@ -622,19 +622,19 @@ class TestNarrowStorage:
             batch_size=1001,
             seed=13,
         )
-        batch = HeterogeneousDataGenerator(wl).sample_lengths()
-        assert block_dtypes(batch) == {np.dtype(dtype)}
+        draw = HeterogeneousDataGenerator(wl)._block_draw(1001)
+        block = draw(np.random.default_rng(13), 0, len(ranges))
+        assert block.dtype == np.dtype(dtype)
         (want,), _ = per_table_reference(13, ranges, [1001])
-        assert_reads_match(batch, want, wl.feature_names)
+        np.testing.assert_array_equal(block, want)
 
     def test_heterogeneous_past_uint32_is_int64(self):
         wl = HeterogeneousWorkload(
             tables=(TableProfile("a", 10, max_pooling=8), TableProfile("b", 10, max_pooling=2**33)),
             batch_size=64,
         )
-        assert block_dtypes(HeterogeneousDataGenerator(wl).sample_lengths()) == {
-            np.dtype(np.int64)
-        }
+        draw = HeterogeneousDataGenerator(wl)._block_draw(64)
+        assert draw(np.random.default_rng(0), 0, 2).dtype == np.dtype(np.int64)
 
     def test_a_copied_mapping_keeps_int64_blocks(self):
         batch = SyntheticDataGenerator(SMALL).sample_lengths()
@@ -925,7 +925,6 @@ class TestTakeArgument:
 
 GENERATORS = {
     "synthetic": lambda: SyntheticDataGenerator(SMALL),
-    "heterogeneous": lambda: HeterogeneousDataGenerator(criteo_like(num_tables=4, batch_size=64)),
 }
 
 
@@ -957,11 +956,12 @@ class TestBatchesCount:
 def generator_methods():
     syn = SyntheticDataGenerator(SMALL)
     het = HeterogeneousDataGenerator(criteo_like(num_tables=4, batch_size=64))
-    return {
-        f"{type(gen).__name__}.{name}": getattr(gen, name)
-        for gen in (syn, het)
+    methods = {
+        f"SyntheticDataGenerator.{name}": getattr(syn, name)
         for name in ("sparse_batch", "lengths_batch", "sample_lengths", "dense_batch")
     }
+    methods["HeterogeneousDataGenerator.lengths_batch"] = het.lengths_batch
+    return methods
 
 
 def batch_size_of(out):

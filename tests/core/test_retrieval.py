@@ -28,7 +28,7 @@ class TestConstruction:
         emb = DistributedEmbedding(small_cfg(), 2)
         assert emb.n_devices == 2
         assert emb.plan.num_tables == 6
-        assert not emb.materialized
+        assert emb.sharded is None
 
     def test_from_table_configs(self):
         cfgs = small_cfg().table_configs()

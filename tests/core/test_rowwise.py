@@ -52,7 +52,7 @@ class TestPartials:
         p0 = rowwise_functional_forward_partials(ebc, plan, batch, 0)
         # Zero out device 0's row slices: its partial must become zero.
         for t in ebc.tables:
-            shard = plan.shard_on(t.name, 0)
+            shard = plan.shards_of(t.name)[0]
             t.weights[shard.row_lo:shard.row_hi] = 0.0
         p0_after = rowwise_functional_forward_partials(ebc, plan, batch, 0)
         assert np.allclose(p0_after, 0.0)
@@ -85,18 +85,6 @@ class TestFunctionalEquivalence:
         ref = ebc.forward(batch)
         outs = rowwise_pgas_functional_forward(ebc, plan, batch)
         assert np.allclose(outs[0], ref, atol=1e-5)
-
-    def test_non_sum_pooling_rejected(self):
-        cfg, ebc, plan, batch = setup()
-        cfg2 = WorkloadConfig(
-            num_tables=2, rows_per_table=10, dim=4, batch_size=4,
-            max_pooling=2, pooling="mean",
-        )
-        ebc2 = EmbeddingBagCollection.from_configs(cfg2.table_configs())
-        plan2 = RowWiseSharding(cfg2.table_configs(), 2)
-        batch2 = SyntheticDataGenerator(cfg2).sparse_batch()
-        with pytest.raises(NotImplementedError, match="sum pooling"):
-            rowwise_baseline_functional_forward(ebc2, plan2, batch2)
 
     @settings(deadline=None, max_examples=15)
     @given(

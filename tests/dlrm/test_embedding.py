@@ -16,8 +16,8 @@ from repro.dlrm.embedding import (
 )
 
 
-def make_table(rows=10, dim=4, pooling="sum", name="t", **kw):
-    cfg = EmbeddingTableConfig(name=name, num_rows=rows, dim=dim, pooling=pooling, **kw)
+def make_table(rows=10, dim=4, name="t", **kw):
+    cfg = EmbeddingTableConfig(name=name, num_rows=rows, dim=dim, **kw)
     return EmbeddingTable(cfg, rng=np.random.default_rng(0))
 
 
@@ -32,45 +32,23 @@ class TestConfig:
             EmbeddingTableConfig("t", num_rows=0, dim=4)
         with pytest.raises(ValueError):
             EmbeddingTableConfig("t", num_rows=4, dim=0)
-        with pytest.raises(ValueError):
-            EmbeddingTableConfig("t", num_rows=4, dim=4, pooling="avg")  # type: ignore[arg-type]
 
 
 class TestSegmentPool:
     def test_sum(self):
         vecs = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], dtype=np.float32)
-        out = segment_pool(vecs, np.array([0, 2, 3]), "sum")
+        out = segment_pool(vecs, np.array([0, 2, 3]))
         assert np.allclose(out, [[4.0, 6.0], [5.0, 6.0]])
 
     def test_empty_segment_is_zero(self):
         vecs = np.array([[1.0], [2.0]], dtype=np.float32)
-        out = segment_pool(vecs, np.array([0, 0, 2, 2]), "sum")
+        out = segment_pool(vecs, np.array([0, 0, 2, 2]))
         assert np.allclose(out, [[0.0], [3.0], [0.0]])
 
-    def test_mean(self):
-        vecs = np.array([[2.0], [4.0], [9.0]], dtype=np.float32)
-        out = segment_pool(vecs, np.array([0, 2, 3]), "mean")
-        assert np.allclose(out, [[3.0], [9.0]])
-
-    def test_mean_empty_segment_zero_not_nan(self):
-        vecs = np.array([[2.0]], dtype=np.float32)
-        out = segment_pool(vecs, np.array([0, 0, 1]), "mean")
-        assert np.allclose(out, [[0.0], [2.0]])
-        assert not np.isnan(out).any()
-
-    def test_max(self):
-        vecs = np.array([[1.0, 9.0], [5.0, 2.0]], dtype=np.float32)
-        out = segment_pool(vecs, np.array([0, 2]), "max")
-        assert np.allclose(out, [[5.0, 9.0]])
-
     def test_all_segments_empty(self):
-        out = segment_pool(np.empty((0, 3), dtype=np.float32), np.array([0, 0, 0]), "sum")
+        out = segment_pool(np.empty((0, 3), dtype=np.float32), np.array([0, 0, 0]))
         assert out.shape == (2, 3)
         assert np.all(out == 0)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            segment_pool(np.ones((1, 1), dtype=np.float32), np.array([0, 1]), "median")  # type: ignore[arg-type]
 
     @given(
         lengths=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=20),
@@ -81,7 +59,7 @@ class TestSegmentPool:
         nnz = sum(lengths)
         vecs = rng.normal(size=(nnz, dim)).astype(np.float64)
         offsets = np.concatenate([[0], np.cumsum(lengths)])
-        out = segment_pool(vecs, offsets, "sum")
+        out = segment_pool(vecs, offsets)
         for i, l in enumerate(lengths):
             manual = vecs[offsets[i] : offsets[i + 1]].sum(axis=0) if l else np.zeros(dim)
             assert np.allclose(out[i], manual, atol=1e-9)
@@ -111,12 +89,6 @@ class TestEmbeddingTable:
         assert np.allclose(out[0], t.weights[0] + t.weights[1], atol=1e-6)
         assert np.allclose(out[1], t.weights[2])
         assert np.allclose(out[2], 0.0)
-
-    def test_forward_mean_pooling(self):
-        t = make_table(rows=10, dim=3, pooling="mean")
-        f = JaggedField.from_bags([[0, 1]])
-        out = t.forward(f)
-        assert np.allclose(out[0], (t.weights[0] + t.weights[1]) / 2, atol=1e-6)
 
     def test_explicit_weights(self):
         w = np.arange(12, dtype=np.float32).reshape(3, 4)

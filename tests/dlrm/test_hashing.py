@@ -7,75 +7,32 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.dlrm.hashing import hash_indices, hasher, mod_hash, multiply_shift_hash
+from repro.dlrm.hashing import hash_indices
 
 
 class TestModHash:
     def test_in_range_identity(self):
         idx = np.array([0, 5, 99])
-        assert np.array_equal(mod_hash(idx, 100), idx)
+        assert np.array_equal(hash_indices(idx, 100), idx)
 
     def test_wraps(self):
-        assert np.array_equal(mod_hash(np.array([100, 205]), 100), [0, 5])
+        assert np.array_equal(hash_indices(np.array([100, 205]), 100), [0, 5])
 
     def test_non_positive_rows_rejected(self):
         with pytest.raises(ValueError):
-            mod_hash(np.array([1]), 0)
+            hash_indices(np.array([1]), 0)
 
     def test_empty_input(self):
-        out = mod_hash(np.empty(0, dtype=np.int64), 10)
+        out = hash_indices(np.empty(0, dtype=np.int64), 10)
         assert out.size == 0
-
-
-class TestMultiplyShift:
-    def test_range(self):
-        idx = np.arange(10_000)
-        out = multiply_shift_hash(idx, 64)
-        assert out.min() >= 0 and out.max() < 64
-
-    def test_deterministic(self):
-        idx = np.arange(100)
-        assert np.array_equal(
-            multiply_shift_hash(idx, 50), multiply_shift_hash(idx, 50)
-        )
-
-    def test_spreads_sequential_inputs(self):
-        """Sequential ids should hit most buckets (unlike pathological hashes)."""
-        out = multiply_shift_hash(np.arange(10_000), 100)
-        counts = np.bincount(out, minlength=100)
-        assert (counts > 0).all()
-        # roughly uniform: no bucket more than 3x the mean
-        assert counts.max() < 3 * counts.mean()
-
-    def test_differs_from_mod(self):
-        idx = np.arange(1000)
-        assert not np.array_equal(mod_hash(idx, 100), multiply_shift_hash(idx, 100))
-
-
-class TestDispatch:
-    def test_kinds(self):
-        idx = np.array([123456789])
-        assert hash_indices(idx, 100, "mod") == mod_hash(idx, 100)
-        assert hash_indices(idx, 100, "multiply_shift") == multiply_shift_hash(idx, 100)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown hash kind"):
-            hash_indices(np.array([1]), 10, "fnv")  # type: ignore[arg-type]
-
-    def test_hasher_partial(self):
-        h = hasher(64, "mod")
-        assert np.array_equal(h(np.array([65])), [1])
-        with pytest.raises(ValueError):
-            hasher(10, "bad")  # type: ignore[arg-type]
 
 
 @given(
     idx=st.lists(st.integers(min_value=0, max_value=2**62), min_size=1, max_size=100),
     rows=st.integers(min_value=1, max_value=10_000),
-    kind=st.sampled_from(["mod", "multiply_shift"]),
 )
-def test_hash_always_in_range(idx, rows, kind):
-    out = hash_indices(np.array(idx, dtype=np.int64), rows, kind)
+def test_hash_always_in_range(idx, rows):
+    out = hash_indices(np.array(idx, dtype=np.int64), rows)
     assert out.dtype == np.int64
     assert (out >= 0).all() and (out < rows).all()
 
@@ -87,6 +44,6 @@ def test_hash_always_in_range(idx, rows, kind):
 def test_collisions_are_consistent(idx, rows):
     """Equal raw indices always collide to the same row (a pure function)."""
     arr = np.array(idx + idx, dtype=np.int64)
-    out = hash_indices(arr, rows, "multiply_shift")
+    out = hash_indices(arr, rows)
     n = len(idx)
     assert np.array_equal(out[:n], out[n:])

@@ -36,9 +36,6 @@ class TestTableProfile:
         with pytest.raises(ValueError):
             TableProfile("x", num_rows=1, max_pooling=1, raw_cardinality=0)
 
-    def test_mean_pooling(self):
-        assert TableProfile("x", 10, max_pooling=4, min_pooling=2).mean_pooling == 3.0
-
     def test_nbytes(self):
         assert TableProfile("x", 100, max_pooling=1).nbytes(dim=8) == 3200
 
@@ -55,12 +52,6 @@ class TestWorkload:
         wl = small_workload()
         assert wl.total_table_bytes == (50 + 5000 + 800) * 8 * 4
 
-    def test_profile_lookup(self):
-        wl = small_workload()
-        assert wl.profile("pages").max_pooling == 16
-        with pytest.raises(KeyError):
-            wl.profile("nope")
-
     def test_duplicate_names_rejected(self):
         t = TableProfile("a", 10, 1)
         with pytest.raises(ValueError):
@@ -72,51 +63,24 @@ class TestWorkload:
 
 
 class TestGenerator:
-    def test_per_table_pooling_ranges(self):
-        gen = HeterogeneousDataGenerator(small_workload())
-        batch = gen.sparse_batch()
-        states = batch.field("states")
-        assert (states.lengths == 1).all()  # single-valued feature
-        pages = batch.field("pages")
-        assert pages.lengths.max() <= 16
+    """Lookup counts: ``small_workload``'s 40 samples are one 64-sample chunk."""
 
-    def test_raw_cardinality_used(self):
-        gen = HeterogeneousDataGenerator(small_workload())
-        batch = gen.sparse_batch()
-        pages = batch.field("pages")
-        # raw indices exceed the hashed table size → hashing is exercised
-        assert pages.indices.max() >= 5000
+    def test_per_table_pooling_ranges(self):
+        counts = HeterogeneousDataGenerator(small_workload()).lengths_batch().chunk_counts(64)
+        assert counts.shape == (3, 1)
+        assert counts[0, 0] == 40  # single-valued feature: one lookup per sample
+        assert 0 <= counts[1, 0] <= 16 * 40
 
     def test_lengths_batch_matches_profiles(self):
-        gen = HeterogeneousDataGenerator(small_workload())
-        lengths = gen.sample_lengths()
-        assert set(lengths) == {"states", "pages", "items"}
-        assert (lengths["states"] == 1).all()
-        assert lengths["items"].max() <= 4
-        counts = gen.lengths_batch().chunk_counts(64)  # one 40-sample chunk
+        lengths = HeterogeneousDataGenerator(small_workload()).lengths_batch()
+        assert set(lengths.layout.names) == {"states", "pages", "items"}
+        counts = lengths.chunk_counts(64)
         assert counts[0].tolist() == [40] and 0 <= counts[2, 0] <= 4 * 40
 
     def test_deterministic(self):
-        a = HeterogeneousDataGenerator(small_workload()).sparse_batch()
-        b = HeterogeneousDataGenerator(small_workload()).sparse_batch()
-        for name, f in a:
-            assert f == b.field(name)
-
-    def test_reset(self):
-        gen = HeterogeneousDataGenerator(small_workload())
-        first = gen.sparse_batch()
-        gen.sparse_batch()
-        gen.reset()
-        again = gen.sparse_batch()
-        for name, f in first:
-            assert f == again.field(name)
-
-    def test_dense_and_batches(self):
-        gen = HeterogeneousDataGenerator(small_workload())
-        d = gen.dense_batch()
-        assert d.shape == (40, 13)
-        pairs = list(gen.batches(2))
-        assert len(pairs) == 2
+        a = HeterogeneousDataGenerator(small_workload()).lengths_batch()
+        b = HeterogeneousDataGenerator(small_workload()).lengths_batch()
+        assert np.array_equal(a.chunk_counts(64), b.chunk_counts(64))
 
 
 class TestCriteoLike:

@@ -5,13 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.dlrm.interaction import (
-    cat_interaction,
-    dot_interaction,
-    interact,
-    interaction_output_dim,
-    sum_interaction,
-)
+from repro.dlrm.interaction import dot_interaction, interaction_output_dim
 
 
 def make_inputs(B=3, F=4, d=8, seed=0):
@@ -25,7 +19,7 @@ class TestDot:
     def test_output_shape(self):
         dense, sparse = make_inputs(B=3, F=4, d=8)
         out = dot_interaction(dense, sparse)
-        assert out.shape == (3, interaction_output_dim(4, 8, "dot"))
+        assert out.shape == (3, interaction_output_dim(4, 8))
         assert out.shape == (3, 8 + 5 * 4 // 2)
 
     def test_dense_passthrough(self):
@@ -51,52 +45,23 @@ class TestDot:
         assert out.shape[1] == dense.shape[1] + 1
 
 
-class TestCatAndSum:
-    def test_cat_shape_and_content(self):
-        dense, sparse = make_inputs(B=2, F=3, d=4)
-        out = cat_interaction(dense, sparse)
-        assert out.shape == (2, 16)
-        assert np.array_equal(out[:, :4], dense)
-        assert np.array_equal(out[:, 4:8], sparse[:, 0, :])
-
-    def test_sum_shape_and_content(self):
-        dense, sparse = make_inputs(B=2, F=3, d=4)
-        out = sum_interaction(dense, sparse)
-        assert out.shape == (2, 4)
-        assert np.allclose(out, dense + sparse.sum(axis=1), atol=1e-6)
-
-
 class TestDispatchAndValidation:
-    def test_dispatch(self):
-        dense, sparse = make_inputs()
-        assert np.array_equal(interact(dense, sparse, "dot"), dot_interaction(dense, sparse))
-        assert np.array_equal(interact(dense, sparse, "cat"), cat_interaction(dense, sparse))
-        assert np.array_equal(interact(dense, sparse, "sum"), sum_interaction(dense, sparse))
-
-    def test_unknown_mode(self):
-        dense, sparse = make_inputs()
-        with pytest.raises(ValueError):
-            interact(dense, sparse, "hadamard")  # type: ignore[arg-type]
-        with pytest.raises(ValueError):
-            interaction_output_dim(3, 8, "hadamard")  # type: ignore[arg-type]
-
     def test_mismatched_batch(self):
         dense, sparse = make_inputs(B=3)
         with pytest.raises(ValueError):
-            interact(dense[:2], sparse)
+            dot_interaction(dense[:2], sparse)
 
     def test_mismatched_dim(self):
         dense, sparse = make_inputs(d=8)
         with pytest.raises(ValueError):
-            interact(dense[:, :4], sparse)
+            dot_interaction(dense[:, :4], sparse)
 
     def test_wrong_rank(self):
         dense, sparse = make_inputs()
         with pytest.raises(ValueError):
-            interact(dense, dense)  # sparse must be 3-D
+            dot_interaction(dense, dense)  # sparse must be 3-D
 
     def test_output_dims_consistent(self):
         dense, sparse = make_inputs(B=2, F=5, d=16)
-        for mode in ("dot", "cat", "sum"):
-            out = interact(dense, sparse, mode)  # type: ignore[arg-type]
-            assert out.shape[1] == interaction_output_dim(5, 16, mode)  # type: ignore[arg-type]
+        out = dot_interaction(dense, sparse)
+        assert out.shape[1] == interaction_output_dim(5, 16)

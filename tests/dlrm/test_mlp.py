@@ -55,9 +55,6 @@ class TestLinear:
         with pytest.raises(ValueError):
             Linear(0, 2)
 
-    def test_flops(self):
-        assert Linear(10, 20).flops_per_sample == 400
-
     def test_deterministic_init(self):
         a = Linear(4, 4, rng=np.random.default_rng(5))
         b = Linear(4, 4, rng=np.random.default_rng(5))
@@ -86,10 +83,6 @@ class TestMLP:
     def test_too_few_sizes_rejected(self):
         with pytest.raises(ValueError):
             MLP([4])
-
-    def test_flops_sum(self):
-        mlp = MLP([4, 8, 2])
-        assert mlp.flops_per_sample == 2 * 4 * 8 + 2 * 8 * 2
 
     def test_no_sigmoid_by_default(self):
         mlp = MLP([4, 4], rng=np.random.default_rng(0))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.dlrm import DLRM, DLRMConfig, EmbeddingTableConfig, SyntheticDataGenerator, WorkloadConfig
-from repro.dlrm.interaction import interact
+from repro.dlrm.interaction import dot_interaction
 from repro.dlrm.mlp import MLP, Linear
 from repro.dlrm.training import (
     DLRMTrainer,
@@ -16,11 +16,11 @@ from repro.dlrm.training import (
 )
 
 
-def make_model(F=3, d=6, dense=4, interaction="dot", seed=0):
+def make_model(F=3, d=6, dense=4, seed=0):
     cfgs = [EmbeddingTableConfig(f"sparse_{i}", 30, d) for i in range(F)]
     cfg = DLRMConfig(
         num_dense_features=dense, embedding_dim=d, table_configs=cfgs,
-        bottom_mlp_sizes=(8,), top_mlp_sizes=(8,), interaction=interaction,
+        bottom_mlp_sizes=(8,), top_mlp_sizes=(8,),
     )
     return DLRM(cfg, rng=np.random.default_rng(seed))
 
@@ -131,20 +131,19 @@ class TestMLPBackward:
 
 
 class TestInteractionBackward:
-    @pytest.mark.parametrize("mode", ["dot", "cat", "sum"])
-    def test_numerical_gradient(self, mode):
+    def test_numerical_gradient(self):
         rng = np.random.default_rng(5)
         B, F, d = 3, 2, 4
         dense = rng.normal(size=(B, d))
         sparse = rng.normal(size=(B, F, d))
-        out = interact(dense, sparse, mode)
+        out = dot_interaction(dense, sparse)
         g_out = rng.normal(size=out.shape)
-        g_dense, g_sparse = interaction_backward(g_out, dense, sparse, mode)
+        g_dense, g_sparse = interaction_backward(g_out, dense, sparse)
 
         eps = 1e-6
 
         def total(dn, sp):
-            return float((interact(dn, sp, mode) * g_out).sum())
+            return float((dot_interaction(dn, sp) * g_out).sum())
 
         for i in range(B):
             for k in range(d):
@@ -161,9 +160,9 @@ class TestInteractionBackward:
                 num = (total(dense, sp) - total(dense, sm)) / (2 * eps)
                 assert g_sparse[i, f, 0] == pytest.approx(num, rel=1e-4, abs=1e-7)
 
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            interaction_backward(np.zeros((1, 4)), np.zeros((1, 2)), np.zeros((1, 1, 2)), "x")  # type: ignore[arg-type]
+    def test_bad_grad_width(self):
+        with pytest.raises(ValueError, match="inconsistent with dot interaction"):
+            interaction_backward(np.zeros((1, 4)), np.zeros((1, 2)), np.zeros((1, 1, 2)))
 
 
 class TestTrainer:
@@ -232,27 +231,12 @@ class TestTrainer:
         for a, b in zip(dist_model.embeddings.tables, ref_model.embeddings.tables):
             assert np.allclose(a.weights, b.weights, atol=1e-4)
 
-    def test_fit_loop(self):
-        model = make_model()
-        wl = WorkloadConfig(num_tables=3, rows_per_table=30, dim=6, batch_size=12,
-                            max_pooling=3, num_dense_features=4, seed=2)
-        gen = SyntheticDataGenerator(wl)
-        rng = np.random.default_rng(0)
-        trainer = DLRMTrainer(model, lr=0.1)
-        losses = trainer.fit(
-            gen.batches(5),
-            labels_fn=lambda d, s: (rng.uniform(size=d.shape[0]) > 0.5).astype(np.float32),
-        )
-        assert len(losses) == 5
-        assert all(np.isfinite(l) for l in losses)
-
     def test_bad_lr(self):
         with pytest.raises(ValueError):
             DLRMTrainer(make_model(), lr=0.0)
 
-    @pytest.mark.parametrize("mode", ["dot", "cat", "sum"])
-    def test_all_interactions_trainable(self, mode):
-        model = make_model(interaction=mode)
+    def test_loss_decreases_over_repeated_steps(self):
+        model = make_model()
         dense, sparse = make_batch()
         labels = np.zeros(12, dtype=np.float32)
         trainer = DLRMTrainer(model, lr=0.5)

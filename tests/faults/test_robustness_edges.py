@@ -42,16 +42,6 @@ class TestResilientEdgeCases:
         adapter.release()
         adapter.release()
 
-    def test_ledger_totals_with_zero_batches(self):
-        totals = fresh_adapter().ledger_totals()
-        assert totals["batches"] == 0.0
-        assert set(totals) == {
-            "batches", "attempts", "retries", "rerouted_pairs",
-            "rerouted_bytes", "degraded_bags", "cache_served_bags",
-            "total_bags", "deadline_misses", "healthy_batches",
-        }
-        assert all(v == 0.0 for v in totals.values())
-
 
 class TestFaultPlanReplayDeterminism:
     def test_same_seed_same_plan_identical_schedule(self):

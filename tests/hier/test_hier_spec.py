@@ -51,8 +51,6 @@ class TestHierSpecGeometry:
         dict(devices_per_node=2, leader_rank=-1),
         dict(devices_per_node=2, stage_flush_bytes=0),
         dict(devices_per_node=2, stage_max_wait_ns=0.0),
-        dict(devices_per_node=2, nic_message_bytes=-1),
-        dict(devices_per_node=2, nic_header_bytes=-1),
     ])
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):

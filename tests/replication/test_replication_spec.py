@@ -28,10 +28,6 @@ class TestValidation:
         with pytest.raises(ValueError, match=msg):
             ReplicationSpec(**kw)
 
-    def test_detection_latency_bound(self):
-        spec = ReplicationSpec(heartbeat_interval_ns=100.0, miss_threshold=3)
-        assert spec.detection_latency_bound_ns == 300.0
-
 
 class TestPlacement:
     @pytest.mark.parametrize("placement", ["spread", "ring"])

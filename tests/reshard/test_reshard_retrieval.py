@@ -181,17 +181,6 @@ class TestForceCutover:
 
 
 class TestShardingErrors:
-    def test_shard_on_raises_typed_error(self):
-        from repro.core.sharding import RowWiseSharding
-
-        cfg = small_cfg()
-        plan = RowWiseSharding(cfg.table_configs(), 4)
-        with pytest.raises(ShardingError):
-            plan.shard_on("not_a_table", 0)
-        with pytest.raises(ShardingError):
-            plan.shard_on("sparse_0", 99)
-        assert issubclass(ShardingError, ValueError)
-
     def test_shards_of_raises_typed_error(self):
         from repro.core.sharding import RowWiseSharding
 

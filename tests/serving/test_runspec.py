@@ -28,7 +28,6 @@ def full_spec():
         backend="pgas+cache",
         bottom_mlp=(128, 64),
         top_mlp=(256,),
-        interaction="cat",
         cache=CacheConfig(capacity_rows=512, capacity_fraction=0.2),
         resilience=ResilienceSpec(deadline_ns=2 * ms, max_retries=3),
         serving=ServingSpec(
@@ -74,10 +73,6 @@ class TestValidation:
     def test_bad_devices(self):
         with pytest.raises(ValueError):
             RunSpec(workload=WL, n_devices=0)
-
-    def test_bad_interaction(self):
-        with pytest.raises(ValueError):
-            RunSpec(workload=WL, interaction="mlp-mixer")
 
     def test_bad_mlp_widths(self):
         with pytest.raises(ValueError):
@@ -208,6 +203,28 @@ class TestFromDictTypedErrors:
         payload = RunSpec(workload=WL).to_dict()
         payload["scheduler"] = {"max_in_flight": 2, "policy": "hybrid"}
         with pytest.raises(ValueError, match="scheduler"):
+            RunSpec.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "path, key",
+        [
+            ("workload", "bogus"),
+            ("model", "top_mlpp"),  # a typo once gave the default top MLP
+            ("serving", "bogus"),
+            ("serving.scheduler", "bogus"),
+            ("cache", "bogus"),
+            ("resilience", "bogus"),
+            ("model", "interaction"),  # removed knobs: older payloads fail by name
+            ("workload", "pooling"),
+        ],
+    )
+    def test_unknown_section_key_names_section_and_key(self, path, key):
+        payload = full_spec().to_dict()
+        section = payload
+        for name in path.split("."):
+            section = section[name]
+        section[key] = 1
+        with pytest.raises(ValueError, match=rf"unknown RunSpec\.{path} keys: \['{key}'\]"):
             RunSpec.from_dict(payload)
 
     def test_bad_nested_scheduler_names_it(self):

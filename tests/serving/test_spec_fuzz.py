@@ -102,7 +102,6 @@ class TestWorkloadConfigValidation:
             ("seed", -1, ValueError),
             ("raw_cardinality", 0, ValueError),
             ("index_distribution", "normal", ValueError),
-            ("pooling", "min", ValueError),
         ],
     )
     def test_each_error_names_its_field(self, field, bad, error):

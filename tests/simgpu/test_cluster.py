@@ -14,7 +14,7 @@ from repro.simgpu import (
     join,
     multinode,
     nvlink_dgx1,
-    pcie_node,
+    pcie_topology,
 )
 from repro.simgpu.units import GiB
 
@@ -102,14 +102,7 @@ class TestCluster:
         assert inter < intra
 
     def test_pcie_node(self):
-        cl = pcie_node(2)
-        assert cl.topology.link_spec(0, 1).bandwidth < 48.0
-
-    def test_reset_profiler(self):
-        cl = dgx_v100(2)
-        cl.profiler.add_count("x", 0.0, 1.0)
-        cl.reset_profiler()
-        assert cl.profiler.counters == {}
+        assert pcie_topology(2).link_spec(0, 1).bandwidth < 48.0
 
     def test_memory_isolated_per_device(self):
         cl = dgx_v100(2)

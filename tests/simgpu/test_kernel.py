@@ -121,7 +121,6 @@ class TestWaves:
         k = KernelSpec("w", num_blocks=conc * 3 + 1, bytes_read=1e9)
         run_kernel(k, on_wave=waves.append)
         assert len(waves) == 4
-        assert waves[-1].is_last
         assert [w.index for w in waves] == [0, 1, 2, 3]
         assert all(w.count == 4 for w in waves)
 

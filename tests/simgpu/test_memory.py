@@ -114,7 +114,8 @@ class TestFree:
         for _ in range(5):
             pool.alloc((10,), np.float32)
         pool.reset()
-        assert pool.used == 0 and pool.num_allocations == 0
+        assert pool.used == 0
+        assert pool.alloc((250,), np.float32).nbytes == 1000  # the whole pool is free
 
 
 class TestInvariants:

@@ -263,7 +263,8 @@ class TestStreamPool:
         a, b = pool.acquire(), pool.acquire()
         assert (a.suffix, b.suffix, pool.try_acquire()) == ("", "#1", None)
         a.release()
-        assert pool.n_free == 1
+        c = pool.try_acquire()  # the one free slot, then none
+        assert (c.suffix, pool.try_acquire()) == ("", None)
 
     @pytest.mark.parametrize("bad", [True, "2", 1.0])
     def test_non_int_slot_count_is_a_type_error(self, bad):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.simgpu.units import (
     GiB,
     KiB,
@@ -13,9 +11,7 @@ from repro.simgpu.units import (
     ns,
     s,
     to_ms,
-    to_s,
     to_us,
-    transfer_time,
     us,
 )
 
@@ -29,7 +25,6 @@ def test_time_scales():
 def test_conversions_roundtrip():
     assert to_ms(2.5 * ms) == 2.5
     assert to_us(3 * us) == 3.0
-    assert to_s(1.5 * s) == 1.5
 
 
 def test_binary_sizes():
@@ -43,19 +38,7 @@ def test_gbps_is_bytes_per_ns():
     assert gbps(25) == 25.0
 
 
-def test_transfer_time_alpha_beta():
-    # 1000 B at 10 B/ns + 50 ns latency
-    assert transfer_time(1000, 10.0, 50.0) == 150.0
-
-
-def test_transfer_time_validation():
-    with pytest.raises(ValueError):
-        transfer_time(100, 0.0)
-    with pytest.raises(ValueError):
-        transfer_time(-1, 1.0)
-
-
 def test_paper_scale_sanity():
     """134 MB over a 48 GB/s NVLink pair ≈ 2.9 ms — the overlap budget."""
-    t = transfer_time(134e6, gbps(48))
+    t = 134e6 / gbps(48)
     assert 2.5 * ms < t < 3.5 * ms

@@ -14,7 +14,8 @@ from repro.core.factory import FeatureSpec
 from repro.core.retrieval import DistributedEmbedding
 from repro.dlrm.data import SyntheticDataGenerator, WorkloadConfig
 from repro.faults import FaultEvent, FaultInjector, FaultPlan, ResilienceSpec
-from repro.simgpu.cluster import multinode, pcie_node
+from repro.simgpu.cluster import Cluster, multinode
+from repro.simgpu.interconnect import pcie_topology
 from repro.simgpu.profiler import Profiler
 from repro.simgpu.units import us
 from repro.telemetry import (
@@ -221,7 +222,7 @@ class TestSinglePassOverlap:
         # baseline batch (exposed all-to-all) on one profiler, so every
         # overlap figure is a non-trivial sum over both kinds of counter.
         cfg = WorkloadConfig(num_tables=32, dim=64, batch_size=1024, max_pooling=2, seed=3)
-        emb = DistributedEmbedding(cfg, 8, backend="pgas", cluster=pcie_node(8))
+        emb = DistributedEmbedding(cfg, 8, backend="pgas", cluster=Cluster(8, topology=pcie_topology(8)))
         gen = SyntheticDataGenerator(cfg)
         emb.forward_timed(gen.lengths_batch())
         small = SyntheticDataGenerator(replace(cfg, batch_size=600, seed=4))

@@ -11,7 +11,7 @@ from repro.telemetry import (
     comm_rate_series,
     compute_occupancy_series,
     gauge_series,
-    link_utilization_series,
+    link_stats,
     merged_intervals,
     run_window,
     sample_edges,
@@ -117,30 +117,29 @@ class TestSeries:
 
 
 class TestLinks:
+    EDGES = sample_edges(0.0, 2000.0, 10)  # 200 ns bins
+
     def test_per_pair_counters_parsed(self):
-        pairs = link_utilization_series(traffic_profiler(), sample_edges(0.0, 2000.0, 10))
-        assert set(pairs) == {(0, 1)}
+        stats = link_stats(traffic_profiler(), self.EDGES)
+        assert set(stats) == {"dev0->dev1"}
+        assert stats["dev0->dev1"]["bytes"] == 4 * 256.0
 
     def test_base_counter_not_a_pair(self):
         p = Profiler()
         p.add_count("comm_bytes", 0.0, 1.0)
-        assert link_utilization_series(p, sample_edges(0.0, 1.0, 4)) == {}
+        assert link_stats(p, sample_edges(0.0, 1.0, 4)) == {}
 
     def test_link_utilization_normalised_by_topology(self):
         from repro.simgpu.interconnect import nvlink_dgx1
 
-        p = traffic_profiler()
-        edges = sample_edges(0.0, 2000.0, 10)
-        series = link_utilization_series(p, edges, topology=nvlink_dgx1(2))
-        s = series[(0, 1)]
-        assert s.unit == "fraction"
-        assert np.all(s.values >= 0.0)
+        topology = nvlink_dgx1(2)
+        raw = link_stats(traffic_profiler(), self.EDGES)["dev0->dev1"]["peak"]
+        frac = link_stats(traffic_profiler(), self.EDGES, topology=topology)["dev0->dev1"]["peak"]
+        assert frac == pytest.approx(raw / topology.link_spec(0, 1).bandwidth)
 
     def test_link_utilization_raw_without_topology(self):
-        p = traffic_profiler()
-        edges = sample_edges(0.0, 2000.0, 10)
-        s = link_utilization_series(p, edges)[(0, 1)]
-        assert s.unit == "bytes/ns"
+        stats = link_stats(traffic_profiler(), self.EDGES)["dev0->dev1"]
+        assert stats["peak"] == pytest.approx(256.0 / 200.0)  # one write in a bin, bytes/ns
 
 
 class TestIntervals:

@@ -51,7 +51,8 @@ class TestThreeMechanisms:
         bd = breakdown_from_scaling(
             run_weak_scaling(WEAK, device_counts=(1, 2), n_batches=1)
         )
-        b2 = bd.bar(2)
+        b2 = bd.bars[1]
+        assert b2.n_devices == 2
         assert b2.pgas_total_ns < 1.2 * b2.baseline_compute_ns
 
     def test_smooth_network_usage(self):
