@@ -10,7 +10,11 @@ spec, fault state, accumulators) and books a whole wave on the row in
 one loop; a :class:`Link` is a view of one row entry, for fault
 injection and statistics.  A fused kernel's one-sided writes wait on
 their source's row as one deferred run, booked with the same arithmetic
-when the row is next touched (:meth:`Interconnect.defer_run`).
+when the row is next touched (:meth:`Interconnect.defer_run`); a wide
+run's retired waves are booked as one array pass over its waves ×
+destinations (:meth:`Interconnect.book_run`), bit for bit the loop's.
+Device ids are integers: a float equal to one is rejected before any
+pair is touched.
 
 Topology presets mirror the paper's testbed (DGX-1 with four V100s, NVLink)
 plus PCIe and multi-node NIC variants for the §V extension studies.  On the
@@ -33,6 +37,8 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..checks import check_bytes
 from .engine import Engine, Event
@@ -106,6 +112,30 @@ def wire_bytes(payload_bytes: float, message_bytes: int, header_bytes: int) -> f
     return payload_bytes + n_messages * header_bytes
 
 
+#: What a device id may be.  A float equal to an id finds it in every set
+#: and dict keyed by ids, so only the type tells it apart.
+_ID = (int, np.integer)
+
+_INT = frozenset((int,))
+
+
+def _are_ids(src, dsts: Iterable) -> bool:
+    """True when ``src`` and every destination are integer device ids
+    (Python or numpy); plain ints take one pass over the types."""
+    return isinstance(src, _ID) and (
+        _INT.issuperset(map(type, dsts)) or all(isinstance(dst, _ID) for dst in dsts)
+    )
+
+
+def _check_ids(src, dsts: Sequence) -> None:
+    """Raise ``ValueError`` unless ``src`` and every destination are
+    integer device ids."""
+    if not _are_ids(src, dsts):
+        for value in (src, *dsts):
+            if not isinstance(value, _ID):
+                raise ValueError(f"a device id must be an integer, got {value!r}")
+
+
 def _reserve(
     now: float | List[float],
     row: "_Row",
@@ -167,6 +197,64 @@ def _reserve(
             starts.append(start)
         dones.append(free + latency_ns[dst] + extra_latency_ns[dst])
     return dones
+
+
+def _reserve_run(
+    at: List[float], row: "_Row", payloads: np.ndarray, message_bytes: int, header_bytes
+) -> Optional[np.ndarray]:
+    """:func:`_reserve` of a run's payload matrix, as one array pass;
+    returns the delivery instants of the nonzero (booked) payloads in
+    row-major order, or None, changing nothing, when a write would queue
+    behind an earlier one of its own run.
+
+    Wave ``w`` of ``payloads`` is issued at ``at[w]``, and its column
+    ``d`` goes to destination ``d`` (the matrix spans the whole row).
+    The result is :func:`_reserve` over the nonzero payloads in row-major
+    order, bit for bit: each element's arithmetic is the loop's, in the
+    loop's order, and nothing else on the row changes within the run.  A
+    write starts at ``max(free_at, issue instant, down_until)`` taken
+    from the row as it was before the run, which is the loop's start
+    unless the write queues behind an earlier one of its own column; a
+    run where one does is left to :func:`_reserve`.  The accumulators add down
+    the waves with ``np.add.accumulate``, sequential as the loop.  The
+    caller checked the payloads (finite, non-negative, summing below
+    2**53) and that every booked pair is connected, and keeps the row's
+    columns finite.
+    """
+    booked = payloads != 0
+    if message_bytes > 0:
+        n_messages = np.ceil(payloads / message_bytes)
+    else:
+        n_messages = booked.astype(np.float64)
+    wire = payloads + n_messages * header_bytes
+    state = np.array((row.free_at, row.busy_time, row.bytes_carried))
+    free_at = state[0]
+    down_until = np.array(row.down_until)
+    # The source's own column and unreachable ones are NaN: never booked.
+    busy = wire / (np.array(row.bandwidth) * np.array(row.bandwidth_scale))
+    busy += n_messages * np.array(row.per_message_ns)
+    start = np.maximum(np.maximum(free_at, np.array(at)[:, None]), down_until)
+    free = start + busy
+    # A write queues behind its own run only when it starts before the
+    # latest earlier booked end of its column (0 of scale-g64's 28,224
+    # writes, 6 of paper's 7,570).  Such a run goes back to the loop.
+    ends = np.where(booked, free, -np.inf)
+    behind = start[1:] < np.maximum.accumulate(ends, axis=0)[:-1]
+    behind &= booked[1:]
+    if behind.any():
+        return None
+    added = np.where(booked, (busy, wire), 0.0)
+    added[:, 0] += state[1:]
+    # Booked ends rise down a column, so the last is the largest.
+    row.free_at[:] = np.maximum(free_at, ends.max(axis=0)).tolist()
+    row.busy_time[:], row.bytes_carried[:] = np.add.accumulate(added, axis=1)[:, -1].tolist()
+    counts = np.array((row.transfer_count, row.messages_sent))
+    counts[0] += booked.sum(axis=0)
+    counts[1] += n_messages.sum(axis=0).astype(np.int64)  # zero where not booked
+    row.transfer_count[:], row.messages_sent[:] = counts.tolist()
+    done = free + np.array(row.latency_ns)
+    done += np.array(row.extra_latency_ns)
+    return done[booked]
 
 
 class _Row:
@@ -241,6 +329,20 @@ def _next_key(run: _Run) -> Tuple[float, int]:
     return run.times[run.w], run.order
 
 
+def _check_fault(bandwidth_scale: float, extra_latency_ns: float) -> None:
+    """Raise ``ValueError`` naming the argument unless ``bandwidth_scale``
+    is finite and positive and ``extra_latency_ns`` finite and
+    non-negative: a NaN or an infinity would reach the engine as an
+    instant, and the array booking (:func:`_reserve_run`) needs finite
+    columns."""
+    if not 0 < bandwidth_scale < math.inf:
+        raise ValueError(f"bandwidth_scale must be positive and finite, got {bandwidth_scale}")
+    if not 0 <= extra_latency_ns < math.inf:
+        raise ValueError(
+            f"extra_latency_ns must be non-negative and finite, got {extra_latency_ns}"
+        )
+
+
 def _column(name: str, doc: str) -> property:
     """A read-only :class:`Link` attribute: this link's entry of a row column."""
     return property(lambda lk: getattr(lk._row, name)[lk.dst], doc=doc)
@@ -292,25 +394,30 @@ class Link:
     # -- fault state -------------------------------------------------------------
 
     def degrade(self, bandwidth_scale: float = 1.0, extra_latency_ns: float = 0.0) -> None:
-        """Apply a multiplicative bandwidth derate / additive latency spike."""
-        if bandwidth_scale <= 0:
-            raise ValueError(f"bandwidth_scale must be positive, got {bandwidth_scale}")
-        if extra_latency_ns < 0:
-            raise ValueError(f"extra_latency_ns must be non-negative, got {extra_latency_ns}")
+        """Apply a multiplicative bandwidth derate / additive latency spike.
+
+        Both must be finite, the derate positive and the spike
+        non-negative; a bad one raises ``ValueError`` before anything
+        changes.
+        """
+        _check_fault(bandwidth_scale, extra_latency_ns)
         row, dst = self._row.settled(), self.dst
         row.bandwidth_scale[dst] *= bandwidth_scale
         row.extra_latency_ns[dst] += extra_latency_ns
 
     def restore(self, bandwidth_scale: float = 1.0, extra_latency_ns: float = 0.0) -> None:
-        """Undo a matching :meth:`degrade` (fault window end)."""
-        if bandwidth_scale <= 0:
-            raise ValueError(f"bandwidth_scale must be positive, got {bandwidth_scale}")
+        """Undo a matching :meth:`degrade` (fault window end); takes the
+        values :meth:`degrade` takes."""
+        _check_fault(bandwidth_scale, extra_latency_ns)
         row, dst = self._row.settled(), self.dst
         row.bandwidth_scale[dst] /= bandwidth_scale
         row.extra_latency_ns[dst] = max(row.extra_latency_ns[dst] - extra_latency_ns, 0.0)
 
     def set_down_until(self, t: float) -> None:
-        """Down the link until absolute time ``t`` (extends, never shortens)."""
+        """Down the link until absolute time ``t`` (extends, never shortens);
+        a NaN or infinite ``t`` raises ``ValueError``."""
+        if not math.isfinite(t):
+            raise ValueError(f"set_down_until: t must be finite, got {t!r}")
         row = self._row.settled()
         row.down_until[self.dst] = max(row.down_until[self.dst], t)
 
@@ -426,8 +533,11 @@ class Interconnect:
         """``src``'s row with every ``(src, dst)`` pair touched, in order.
 
         Raises at the first unreachable pair, as :meth:`Topology.link_spec`
-        or as unconnected; the pairs before it stay touched.
+        or as unconnected; the pairs before it stay touched.  A device id
+        that is not an integer raises ``ValueError`` before any pair is
+        touched.
         """
+        _check_ids(src, dsts)
         row = self._row(src)
         topology = self.topology
         if row is not None and row.reachable.issuperset(dsts):
@@ -450,7 +560,8 @@ class Interconnect:
     def link(self, src: int, dst: int) -> Link:
         """The directed link for ``(src, dst)``; raises if unreachable.
 
-        The same view every time for the same pair.
+        The same view every time for the same pair.  Device ids are
+        integers: a float raises ``ValueError`` from :meth:`_touch`.
         """
         key = (src, dst)
         lk = self._views.get(key)
@@ -555,6 +666,57 @@ class Interconnect:
             return []
         return self._book(src, dsts, payloads, message_bytes, header_bytes, counter, at)
 
+    def book_run(
+        self,
+        src: int,
+        dsts: Sequence[int],
+        payloads: np.ndarray,
+        message_bytes: int,
+        header_bytes,
+        counter: str,
+        at: List[float],
+    ) -> Optional[np.ndarray]:
+        """:meth:`book_wave` with ``at`` for a whole run, as one array pass.
+
+        Wave ``w`` of the ``(len(at), len(dsts))`` float ``payloads``
+        moves row ``w`` to ``dsts`` (strictly increasing ids) at ``at[w]``: the same
+        bookings as one :meth:`book_wave` of the nonzero elements in
+        row-major order, bit for bit (:func:`_reserve_run`), touching the
+        pairs in that order and stamping ``counter`` and its per-pair
+        columns in that order.  Returns the booked elements' delivery
+        instants, row-major.  Returns None and books nothing while a
+        trace is active, as the ``xfer`` spans come from the list path,
+        and when a write would queue behind an earlier one of its own run
+        (:func:`_reserve_run`); the pairs may then be touched already, in
+        the order the list path touches them.
+
+        The caller validates the run, with a payload sum below 2**53.
+        """
+        prof = self.profiler
+        enabled = prof is not None and prof.enabled
+        if enabled and prof.active_trace is not None:
+            return None
+        booked = payloads != 0
+        if not booked.any():
+            return np.empty(0)
+        row = self._rows.get(src)
+        if row is None or not row.touched.issuperset(dsts):
+            # First touch in booking order: by each column's first booked
+            # wave, then by column.
+            hit = np.flatnonzero(booked.any(axis=0))
+            hit = hit[np.argsort(booked.argmax(axis=0)[hit], kind="stable")]
+            row = self._touch(src, [dsts[c] for c in hit.tolist()])
+        # The run as a matrix over the whole row: column d goes to device d.
+        cols = np.array(dsts, dtype=np.int64)
+        whole = np.zeros((len(at), len(row.free_at)))
+        whole[:, cols] = payloads
+        done = _reserve_run(at, row, whole, message_bytes, header_bytes)
+        if done is not None and enabled:
+            prof.add_columns(
+                counter, src, np.where(booked, cols, -1)[booked], done, payloads[booked]
+            )
+        return done
+
     def transfer(
         self,
         src: int,
@@ -572,8 +734,10 @@ class Interconnect:
         payload still reserves the link.  It schedules one callback, at
         the delivery instant, which succeeds the returned event.  A
         payload that is negative, NaN or infinite raises ``ValueError``
-        before any link changes.
+        before any link changes, and so does a device id that is not an
+        integer.
         """
+        _check_ids(src, (dst,))
         check_bytes(f"transfer {src}->{dst}: payload", payload_bytes)
         (done_at,) = self._book(
             src, [dst], [payload_bytes], message_bytes, header_bytes, counter or self.COUNTER

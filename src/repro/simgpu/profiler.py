@@ -230,7 +230,9 @@ class Profiler:
     (:meth:`Interconnect.defer_run
     <repro.simgpu.interconnect.Interconnect.defer_run>`), so a read never
     misses a write that has landed.  ``engine`` is the clock that places
-    deferred spans (:meth:`defer_span`).
+    deferred spans (:meth:`defer_span`).  Per-pair samples come in as
+    lists (:meth:`add_wave`) or, from a wide deferred run booked as one
+    array pass, as numpy columns (:meth:`add_columns`).
     """
 
     def __init__(self, engine: Optional["Engine"] = None) -> None:
@@ -381,6 +383,26 @@ class Profiler:
         c = self.counter(counter)
         c._times.fromlist(times)
         c._deltas.fromlist(deltas)
+
+    def add_columns(
+        self, counter: str, src: int, dsts: np.ndarray, times: np.ndarray, deltas: np.ndarray
+    ) -> None:
+        """:meth:`add_wave` with numpy columns (int64 ``dsts``, float64
+        ``times`` and ``deltas``), appended as raw bytes: a wide deferred
+        run's samples, with no per-sample list.  Honours ``enabled``."""
+        if not self.enabled:
+            return
+        cols = self._pairs.get(counter)
+        if cols is None:
+            cols = self._pairs[counter] = _PairColumns()
+        times, deltas = times.tobytes(), deltas.tobytes()
+        cols.src.extend(array("q", (src,)) * len(dsts))
+        cols.dst.frombytes(dsts.tobytes())
+        cols.times.frombytes(times)
+        cols.delta.frombytes(deltas)
+        c = self.counter(counter)
+        c._times.frombytes(times)
+        c._deltas.frombytes(deltas)
 
     def pair_samples(self, counter: str) -> PairSamples:
         """Every :meth:`add_wave` sample of ``counter``, in booking order (copies).

@@ -17,6 +17,11 @@ with each other, with registrations and with every other kind of entry.
 An entry scheduled before a run's registration runs before the run's
 waves at a shared instant; a *late* one, scheduled after the first
 registration, runs after them.
+
+A retired prefix of at least ``pgas._MATRIX_MIN_WRITES`` writes is booked
+as one matrix, a smaller one as lists; the small runs here take the
+matrix too once the threshold is patched to 1, and the 64-GPU runs take
+it at the default threshold.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.comm import pgas as pgas_module
 from repro.comm.pgas import PGASContext
 from repro.core.backward import PGASFusedBackward, _GradientAtomics
 from repro.core.pgas_retrieval import PGASFusedRetrieval, _LaunchPlan
@@ -34,7 +40,7 @@ from repro.core.workload import build_device_workloads
 from repro.dlrm.data import SyntheticDataGenerator, WorkloadConfig
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.simgpu.cluster import Cluster, dgx_v100
-from repro.simgpu.interconnect import NVLINK_PAIR_SPEC, Topology
+from repro.simgpu.interconnect import NVLINK_PAIR_SPEC, Interconnect, Topology
 from repro.simgpu.kernel import KernelSpec
 from tests.simgpu import stepped
 
@@ -193,6 +199,23 @@ def test_a_deferred_run_books_as_its_waves(runs, foreign, faults, reads, quiet_a
     assert deferred == oracle
 
 
+@settings(deadline=None, max_examples=200)
+@given(
+    runs=_runs(),
+    foreign=st.lists(_foreign, max_size=4),
+    faults=st.lists(_fault, max_size=4),
+    reads=st.lists(_read, max_size=3),
+    quiet_at=_at,
+)
+def test_a_deferred_run_books_as_its_waves_as_a_matrix(runs, foreign, faults, reads, quiet_at):
+    """The same oracle with every prefix, put or atomic, booked as a matrix."""
+    oracle = _simulate(runs, foreign, faults, reads, quiet_at, deferred=False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pgas_module, "_MATRIX_MIN_WRITES", 1)
+        deferred = _simulate(runs, foreign, faults, reads, quiet_at, deferred=True)
+    assert deferred == oracle
+
+
 def test_a_deferred_run_takes_no_engine_entry():
     cl = dgx_v100(G)
     pgas = PGASContext(cl)
@@ -269,6 +292,147 @@ def test_the_booking_goes_through_put():
     cl.interconnect.links()
     assert pgas.puts_issued == 5 and calls == [[10.0], [20.0]]
 
+    # A 64-GPU run of 7 waves: its 441 writes are one matrix, one put.
+    calls.clear()
+    cl = dgx_v100(WIDE_G)
+    pgas = PGASContext(cl)
+    pgas.put = counted.__get__(pgas)
+    ends = [1000.0 * (w + 1) for w in range(7)]
+    assert pgas.put_run(WIDE_SRC, WIDE_OTHERS, ends, np.full((7, WIDE_G), 256.0), WIDE_SRC)
+    cl.engine.run(until=ends[-1])
+    cl.interconnect.links()
+    assert pgas.puts_issued == 441 and calls == [ends]
+
+
+# -- wide runs: one matrix per prefix ----------------------------------------------
+
+WIDE_G = 64
+WIDE_SRC = 5
+WIDE_OTHERS = [d for d in range(WIDE_G) if d != WIDE_SRC]
+
+
+def _wide_values(kind: str, heavy: bool = True) -> np.ndarray:
+    """7 waves of a 64-GPU run: zeros, fractional bytes and, if ``heavy``,
+    one column large enough to queue behind its own earlier writes."""
+    rng = np.random.default_rng(44)
+    if kind == "put":
+        waves = rng.choice([0.0, 256.0, 100.5, 4096.0, 1e5 / 3], size=(7, WIDE_G))
+        if heavy:
+            waves[:, 11] = 3e6  # 62.5 µs of wire per wave on a 1 µs wave grid
+        return waves
+    counts = rng.integers(0, 6, size=(7, WIDE_G - 1))
+    if heavy:
+        counts[:, 10] = 400_000
+    return counts
+
+
+def _wide_simulate(kind: str, deferred: bool, heavy: bool = True):
+    """One 64-GPU run of 7 waves at 1 µs apart, with a derate and a down
+    window mid-run and reads between the waves; returns what each read
+    saw."""
+    cl = dgx_v100(WIDE_G)
+    eng, ic = cl.engine, cl.interconnect
+    pgas = PGASContext(cl)
+    values = _wide_values(kind, heavy)
+    ends = [1000.0 * (w + 1) for w in range(7)]
+    seen = []
+
+    def per_wave(w):
+        if kind == "put":
+            payloads = values[w].tolist()
+            del payloads[WIDE_SRC]
+            if any(payloads):
+                pgas.put(WIDE_SRC, WIDE_OTHERS, payloads)
+        else:
+            pgas.atomic_add(WIDE_SRC, WIDE_OTHERS, values[w].tolist())
+
+    def launch():
+        if not deferred:
+            for w, t in enumerate(ends):
+                eng.call_at(t, lambda w=w: per_wave(w))
+        elif kind == "put":
+            assert pgas.put_run(WIDE_SRC, WIDE_OTHERS, ends, values, WIDE_SRC)
+        else:
+            assert pgas.atomic_run(WIDE_SRC, WIDE_OTHERS, ends, values)
+
+    eng.call_at(0.0, launch)
+    # Three waves (189 writes) retire before the first edge: one prefix.
+    eng.call_at(3500.0, lambda: ic.link(WIDE_SRC, 7).degrade(bandwidth_scale=1e-3))
+    eng.call_at(3500.0, lambda: ic.link(WIDE_SRC, 9).set_down_until(6500.0))
+    eng.call_at(3600.0, lambda: seen.append(_snapshot(cl, pgas)))
+    eng.call_at(9000.0, lambda: seen.append(_snapshot(cl, pgas)))
+    eng.run()
+    return seen
+
+
+@pytest.mark.parametrize("heavy", [False, True])
+@pytest.mark.parametrize("kind", ["put", "atomic"])
+def test_a_wide_run_books_as_its_waves_at_the_default_threshold(kind, heavy):
+    """Both prefixes of a 441-write run go to ``book_run`` as matrices.  A
+    write that queues behind its own run makes ``book_run`` decline the
+    prefix, which is then booked as lists: the derated link and the down
+    window do so after the edges, the heavy column in every prefix.
+    Without it the first prefix is booked as a matrix."""
+    calls = []
+    book_run = Interconnect.book_run
+
+    def spy(self, *args, **kwargs):
+        done = book_run(self, *args, **kwargs)
+        calls.append((args[2].shape, done is None))
+        return done
+
+    oracle = _wide_simulate(kind, deferred=False, heavy=heavy)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Interconnect, "book_run", spy)
+        deferred = _wide_simulate(kind, deferred=True, heavy=heavy)
+    assert calls == [((3, WIDE_G - 1), heavy), ((4, WIDE_G - 1), True)]
+    assert deferred == oracle
+
+
+def test_numpy_integer_destinations_book_a_matrix_as_lists():
+    """A matrix put whose source and destinations are numpy int32 ids books
+    the samples, rows and totals the list form books with Python ids;
+    nothing queues, so the matrix books it."""
+    ends = [1000.0 * (w + 1) for w in range(7)]
+    waves = np.delete(_wide_values("put", heavy=False), WIDE_SRC, axis=1)
+    seen = []
+    for src, dsts, payloads in (
+        (WIDE_SRC, WIDE_OTHERS, waves.tolist()),
+        (np.int32(WIDE_SRC), [np.int32(d) for d in WIDE_OTHERS], waves),
+    ):
+        cl = dgx_v100(WIDE_G)
+        pgas = PGASContext(cl)
+        cl.engine.run(until=ends[-1])
+        pgas.put(src, dsts, payloads, at=ends)
+        seen.append(_snapshot(cl, pgas))
+    assert seen[1] == seen[0] and len(seen[0][6][PGASContext.COUNTER][0]) == pgas.puts_issued
+
+
+@pytest.mark.parametrize("kind", ["put", "atomic"])
+def test_the_prefix_size_selects_lists_or_a_matrix(kind):
+    """A 7-write prefix is booked as lists, a 441-write one as a matrix."""
+    seen = []
+    put, atomic_add = PGASContext.put, PGASContext.atomic_add
+
+    def spy(method):
+        def call(self, src, dst, values, *, at=None):
+            seen.append(type(values))
+            return method(self, src, dst, values, at=at)
+        return call
+
+    for n_devices, n_waves in ((8, 1), (WIDE_G, 7)):
+        pgas = PGASContext(dgx_v100(n_devices))
+        pgas.put, pgas.atomic_add = spy(put).__get__(pgas), spy(atomic_add).__get__(pgas)
+        others = list(range(1, n_devices))
+        ends = [10.0 * (w + 1) for w in range(n_waves)]
+        if kind == "put":
+            assert pgas.put_run(0, others, ends, np.ones((n_waves, n_devices)), 0)
+        else:
+            assert pgas.atomic_run(0, others, ends, np.ones((n_waves, n_devices - 1), np.int64))
+        pgas.cluster.engine.run(until=ends[-1])
+        pgas.cluster.interconnect.settle()
+    assert seen == [list, np.ndarray]
+
 
 class TestTypedErrors:
     """``put``/``atomic_add`` with ``at`` check every wave before booking
@@ -284,6 +448,20 @@ class TestTypedErrors:
             pgas.atomic_add(SRC, OTHERS, [[1.5, 0, 0]], at=[0.0])
         with pytest.raises(ValueError, match="one issue instant per wave"):
             pgas.put(SRC, OTHERS, [[1.0, 2.0, 3.0]], at=[0.0, 0.0])
+        assert pgas.puts_issued == 0 and not pgas.cluster.interconnect.links()
+
+    def test_a_matrix_raises_as_its_lists_would(self):
+        pgas = PGASContext(dgx_v100(G))
+        with pytest.raises(ValueError, match=r"payload_bytes\[2\]"):
+            pgas.put(SRC, OTHERS, np.array([[1.0, 2.0, 3.0], [1.0, 2.0, np.nan]]), at=[0.0, 0.0])
+        with pytest.raises(ValueError, match="one issue instant per wave"):
+            pgas.put(SRC, OTHERS, np.ones((1, 3)), at=[0.0, 0.0])
+        with pytest.raises(ValueError, match=r"dst\[1\] must be a device id"):
+            pgas.put(SRC, [0, 2.0, 3], np.ones((1, 3)), at=[0.0])
+        with pytest.raises(TypeError, match=r"n_elements\[0\] must be an integer"):
+            pgas.atomic_add(SRC, OTHERS, np.full((1, 3), 1.5), at=[0.0])
+        with pytest.raises(ValueError, match=r"n_elements\[1\] must be non-negative"):
+            pgas.atomic_add(SRC, OTHERS, np.array([[1, -1, 0]]), at=[0.0])
         assert pgas.puts_issued == 0 and not pgas.cluster.interconnect.links()
 
     def test_a_bad_plan_takes_no_run(self):

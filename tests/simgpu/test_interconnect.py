@@ -228,3 +228,78 @@ class TestNonFinitePayload:
         with pytest.raises(ValueError, match="transfer 0->1"):
             ic.transfer(0, 1, bad, message_bytes=256)
         assert (ic.peek_link(0, 1), ic.engine._seq) == (None, 0)
+
+
+class TestFloatDeviceIds:
+    """A float equal to a device id is not one: ``transfer``, ``link`` and
+    a first booking raise ``ValueError`` before any pair is touched, so
+    the fabric stays readable."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ic: ic.transfer(0, 1.0, 256.0),
+            lambda ic: ic.transfer(1.0, 0, 256.0),
+            lambda ic: ic.link(1.0, 2),
+            lambda ic: ic.link(0, np.float64(2)),
+            lambda ic: ic.book_wave(2, [3, 1.0], [8.0, 8.0], 0, 0, Interconnect.COUNTER),
+        ],
+        ids=["transfer-dst", "transfer-src", "link-src", "link-numpy-float", "first-booking"],
+    )
+    def test_a_float_id_raises_and_leaves_the_fabric_readable(self, call):
+        ic = Interconnect(Engine(), nvlink_dgx1(4), Profiler())
+        ic.transfer(0, 1, 100.0)
+        with pytest.raises(ValueError, match="a device id must be an integer, got"):
+            call(ic)
+        assert ic.engine._seq == 1
+        assert [(lk.src, lk.dst) for lk in ic.links()] == [(0, 1)]
+        assert ic.total_wire_bytes() == 100.0
+        assert sorted(ic._rows) == [0]
+
+    def test_numpy_integer_ids_keep_working(self):
+        ic = Interconnect(Engine(), nvlink_dgx1(4), Profiler())
+        ic.transfer(np.int64(0), np.int32(1), 100.0)
+        ic.book_wave(np.int16(2), [np.int64(3), 1], [8.0, 8.0], 0, 0, Interconnect.COUNTER)
+        assert ic.link(np.int64(2), np.int8(3)).transfer_count == 1
+        assert [(lk.src, lk.dst) for lk in ic.links()] == [(0, 1), (2, 3), (2, 1)]
+
+
+class TestNonFiniteFaultState:
+    """A NaN or infinite fault value raises a ``ValueError`` naming the
+    argument before the link changes, instead of failing later in the
+    engine (``cannot schedule at nan``) or being ignored."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda lk, bad: lk.degrade(bandwidth_scale=bad), "bandwidth_scale"),
+            (lambda lk, bad: lk.degrade(extra_latency_ns=bad), "extra_latency_ns"),
+            (lambda lk, bad: lk.restore(bandwidth_scale=bad), "bandwidth_scale"),
+            (lambda lk, bad: lk.restore(extra_latency_ns=bad), "extra_latency_ns"),
+            (lambda lk, bad: lk.set_down_until(bad), "t"),
+        ],
+        ids=["degrade-scale", "degrade-latency", "restore-scale", "restore-latency", "down"],
+    )
+    def test_a_non_finite_value_raises_before_the_link_changes(self, call, name, bad):
+        ic = one_link(bw=10.0, lat=100.0)
+        ic.transfer(0, 1, 1000.0)
+        lk = ic.link(0, 1)
+        before = (lk.bandwidth_scale, lk.extra_latency_ns, lk.down_until)
+        with pytest.raises(ValueError, match=rf"\b{name} must be"):
+            call(lk, bad)
+        assert (lk.bandwidth_scale, lk.extra_latency_ns, lk.down_until) == before
+        at = _fired_at(ic.transfer(0, 1, 1000.0))
+        ic.engine.run()
+        assert at == [300.0]
+
+    def test_finite_fault_values_still_apply(self):
+        ic = one_link(bw=10.0, lat=0.0)
+        lk = ic.link(0, 1)
+        lk.degrade(bandwidth_scale=0.5, extra_latency_ns=5.0)
+        lk.set_down_until(50.0)
+        at = _fired_at(ic.transfer(0, 1, 100.0))
+        ic.engine.run()
+        assert at == [50.0 + 20.0 + 5.0]
+        lk.restore(bandwidth_scale=0.5, extra_latency_ns=5.0)
+        assert (lk.bandwidth_scale, lk.extra_latency_ns) == (1.0, 0.0)
