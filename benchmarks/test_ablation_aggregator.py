@@ -14,13 +14,11 @@ from conftest import save_artifact
 from repro.bench.reporting import format_table
 from repro.bench.runner import scaled_config
 from repro.comm.pgas import PGASSpec
-from repro.core.aggregator import AggregatorSpec
 from repro.core.pgas_retrieval import PGASFusedRetrieval
 from repro.core.sharding import TableWiseSharding
 from repro.core.workload import build_device_workloads
 from repro.dlrm.data import SyntheticDataGenerator, WEAK_SCALING_BASE
 from repro.simgpu import Cluster, multinode_topology, nvlink_dgx1, pcie_topology
-from repro.simgpu.units import KiB
 
 FABRICS = {
     "nvlink": lambda: Cluster(2, topology=nvlink_dgx1(2)),
@@ -42,7 +40,7 @@ def sweep(runner_scale: float):
         aggregated = PGASFusedRetrieval(
             make_cluster(),
             pgas_spec=PGASSpec(message_bytes=256, header_bytes=32),
-            aggregator_spec=AggregatorSpec(flush_bytes=512 * KiB),
+            aggregate=True,
         ).run_batch(wls)
         results[fabric] = (plain.total_ns, aggregated.total_ns)
     return results

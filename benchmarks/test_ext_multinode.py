@@ -14,14 +14,12 @@ from __future__ import annotations
 from conftest import save_artifact
 from repro.bench.reporting import format_table
 from repro.bench.runner import scaled_config
-from repro.core.aggregator import AggregatorSpec
 from repro.core.baseline import BaselineRetrieval
 from repro.core.pgas_retrieval import PGASFusedRetrieval
 from repro.core.sharding import TableWiseSharding
 from repro.core.workload import build_device_workloads
 from repro.dlrm.data import SyntheticDataGenerator, WEAK_SCALING_BASE
 from repro.simgpu import Cluster, multinode, nvlink_dgx1
-from repro.simgpu.units import KiB
 
 
 def run_point(cluster_fn, n_devices: int, runner_scale: float):
@@ -32,9 +30,7 @@ def run_point(cluster_fn, n_devices: int, runner_scale: float):
     return {
         "baseline": BaselineRetrieval(cluster_fn()).run_batch(wls).total_ns,
         "pgas": PGASFusedRetrieval(cluster_fn()).run_batch(wls).total_ns,
-        "pgas+agg": PGASFusedRetrieval(
-            cluster_fn(), aggregator_spec=AggregatorSpec(flush_bytes=512 * KiB)
-        ).run_batch(wls).total_ns,
+        "pgas+agg": PGASFusedRetrieval(cluster_fn(), aggregate=True).run_batch(wls).total_ns,
     }
 
 

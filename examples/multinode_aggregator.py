@@ -17,11 +17,11 @@ Run:  python examples/multinode_aggregator.py
 from __future__ import annotations
 
 from repro.comm.pgas import PGASSpec
-from repro.core import AggregatorSpec, PGASFusedRetrieval, TableWiseSharding
+from repro.core import PGASFusedRetrieval, TableWiseSharding
 from repro.core.workload import build_device_workloads
 from repro.dlrm import SyntheticDataGenerator, WorkloadConfig
 from repro.simgpu import Cluster, multinode, nvlink_dgx1, pcie_topology
-from repro.simgpu.units import KiB, to_ms
+from repro.simgpu.units import to_ms
 
 
 def fabric_clusters():
@@ -50,7 +50,7 @@ def main() -> None:
         agg = PGASFusedRetrieval(
             make_cluster(),
             pgas_spec=PGASSpec(message_bytes=256, header_bytes=32),
-            aggregator_spec=AggregatorSpec(flush_bytes=512 * KiB),
+            aggregate=True,
         ).run_batch(workloads)
         print(f"{name:22s} {to_ms(small.total_ns):9.2f} ms {to_ms(agg.total_ns):9.2f} ms "
               f"{small.total_ns / agg.total_ns:8.2f}x")

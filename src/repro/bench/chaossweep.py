@@ -54,7 +54,6 @@ class ChaosSweepPoint:
 
     backend: str  #: base backend the "+replicated" wrapper fronted
     k: int
-    placement: str
     n_failures: int
     n_batches: int
     total_ns: float
@@ -76,6 +75,7 @@ class ChaosSweepPoint:
 
     def as_dict(self) -> Dict[str, Any]:
         payload = dataclasses.asdict(self)
+        payload["placement"] = "spread"
         payload["goodput_lookups_per_s"] = self.goodput_lookups_per_s
         return payload
 
@@ -177,9 +177,7 @@ def run_chaos_sweep(
     ks: Sequence[int] = (1, 2),
     failure_counts: Sequence[int] = (0, 1),
     bases: Sequence[str] = ("pgas", "baseline"),
-    placement: str = "spread",
     n_batches: int = 6,
-    recovery_bandwidth_share: float = 0.25,
     scale: float = 1.0,
     seed: Optional[int] = None,
 ) -> SweepResult:
@@ -215,12 +213,7 @@ def run_chaos_sweep(
     for base in bases:
         for k in ks:
             for n_failures in failure_counts:
-                spec = ReplicationSpec(
-                    k=k,
-                    placement=placement,
-                    recovery_bandwidth_share=recovery_bandwidth_share,
-                    heartbeat_interval_ns=_SWEEP_HEARTBEAT_NS,
-                )
+                spec = ReplicationSpec(k=k, heartbeat_interval_ns=_SWEEP_HEARTBEAT_NS)
                 emb = DistributedEmbedding(
                     cfg,
                     n_devices,
@@ -256,7 +249,6 @@ def run_chaos_sweep(
                     ChaosSweepPoint(
                         backend=base,
                         k=k,
-                        placement=placement,
                         n_failures=n_failures,
                         n_batches=n_batches,
                         total_ns=total.total_ns,

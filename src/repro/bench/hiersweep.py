@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Sequence
 
-from ..comm.collective import CollectiveSpec
+from ..comm.collective import NCCL_ALLTOALL_EFFICIENCY, PER_CHUNK_HEADER_BYTES, CollectiveSpec
 from ..comm.hier import HierSpec, inter_node_message_count, inter_node_wire_bytes
 from ..comm.pgas import PGASSpec
 from ..core.factory import build_backend
@@ -57,18 +57,17 @@ __all__ = ["HierSweepPoint", "run_hiersweep", "validate_hiersweep_json"]
 _BASES = ("pgas", "baseline")
 
 
-def _message_wire_bytes(base: str, message_bytes: int,
-                        collective: CollectiveSpec, pgas: PGASSpec) -> float:
+def _message_wire_bytes(base: str, message_bytes: int, pgas: PGASSpec) -> float:
     """Wire bytes one flat inter-node message carries, headers included.
 
     The baseline charges its protocol inefficiency as extra header on the
     wire, so a chunk of ``message_bytes`` costs ``message_bytes /
-    bandwidth_efficiency + per_chunk_header_bytes``; a PGAS put message
+    NCCL_ALLTOALL_EFFICIENCY + PER_CHUNK_HEADER_BYTES``; a PGAS put message
     costs its payload plus the fixed put header.
     """
     if base == "baseline":
-        extra = int(message_bytes * (1.0 / collective.bandwidth_efficiency - 1.0))
-        return float(message_bytes + extra + collective.per_chunk_header_bytes)
+        extra = int(message_bytes * (1.0 / NCCL_ALLTOALL_EFFICIENCY - 1.0))
+        return float(message_bytes + extra + PER_CHUNK_HEADER_BYTES)
     return float(message_bytes + pgas.header_bytes)
 
 
@@ -320,7 +319,7 @@ def run_hiersweep(
                                 for name, c in counters.items()
                                 if name.startswith("hier.")
                             }
-                    wire = _message_wire_bytes(base, msg, collective, pgas)
+                    wire = _message_wire_bytes(base, msg, pgas)
                     point_fields = {
                         "backend": base,
                         "n_nodes": n_nodes,

@@ -1,4 +1,4 @@
-"""Serving sweep: continuous-batching goodput across (backend, QPS, K, policy).
+"""Serving sweep: continuous-batching goodput across (backend, QPS, K).
 
 For each grid point the sweep builds a fresh pipeline from one
 :class:`~repro.core.runspec.RunSpec`, serves a Poisson request stream
@@ -11,7 +11,8 @@ The rendered table answers the scheduler's motivating question directly:
 at a saturating arrival rate, does keeping K=2 batches in flight raise
 goodput and shrink the inter-batch interconnect bubble relative to the
 sequential K=1 server — and by how much per backend?  ``write_json``
-emits ``BENCH_serving.json``.
+emits ``BENCH_serving.json``; every point records the one formation
+policy, ``"hybrid"``.
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ __all__ = ["ServeSweepPoint", "run_serve_sweep", "validate_servesweep_json"]
 
 @dataclass(frozen=True)
 class ServeSweepPoint:
-    """One (backend, QPS, max_in_flight, policy) serving measurement."""
+    """One (backend, QPS, max_in_flight) serving measurement."""
 
     backend: str
     arrival_qps: float
     max_in_flight: int
-    policy: str
     result: ServingResult
 
     @property
@@ -51,7 +51,7 @@ class ServeSweepPoint:
             "backend": self.backend,
             "arrival_qps": float(self.arrival_qps),
             "max_in_flight": self.max_in_flight,
-            "policy": self.policy,
+            "policy": "hybrid",
             "idle_share": self.idle_share,
             "result": self.result.as_dict(),
         }
@@ -61,7 +61,7 @@ _COLUMNS = (
     ("backend", lambda p: p.backend),
     ("qps", lambda p: f"{p.arrival_qps:,.0f}"),
     ("K", lambda p: f"{p.max_in_flight}"),
-    ("policy", lambda p: p.policy),
+    ("policy", lambda p: "hybrid"),
     ("served", lambda p: f"{p.result.n_requests}/{p.result.n_offered}"),
     ("batch", lambda p: f"{p.result.mean_batch_size:.1f}"),
     ("p50 (ms)", lambda p: f"{p.result.p50_ms:.3f}" if p.result.n_requests else "-"),
@@ -78,7 +78,7 @@ def validate_servesweep_json(data: Any) -> None:
     """Validate a ``BENCH_serving.json`` payload (raises ``ValueError``).
 
     Beyond shape, every point's ``max_in_flight`` must match its result,
-    and wherever pgas ran at K=1 and K=2 under the same rate and policy,
+    and wherever pgas ran at K=1 and K=2 under the same rate,
     keeping two batches in flight must not lose goodput.
     """
     points = check_artifact(
@@ -90,7 +90,7 @@ def validate_servesweep_json(data: Any) -> None:
             "max_batch", "batch_window_ns",
         ),
     )
-    pgas_goodput: Dict[tuple, Dict[int, float]] = {}
+    pgas_goodput: Dict[float, Dict[int, float]] = {}
     for i, point in enumerate(points):
         check_point(
             point, i, ("backend", "arrival_qps", "max_in_flight", "policy", "result")
@@ -104,14 +104,13 @@ def validate_servesweep_json(data: Any) -> None:
         if point["max_in_flight"] != result["max_in_flight"]:
             raise ValueError(f"point {i}: max_in_flight disagrees with its result")
         if point["backend"] == "pgas":
-            key = (point["arrival_qps"], point["policy"])
-            pgas_goodput.setdefault(key, {})[point["max_in_flight"]] = (
+            pgas_goodput.setdefault(point["arrival_qps"], {})[point["max_in_flight"]] = (
                 result["goodput_qps"]
             )
-    for (qps, policy), by_k in pgas_goodput.items():
+    for qps, by_k in pgas_goodput.items():
         if 1 in by_k and 2 in by_k and by_k[2] < by_k[1]:
             raise ValueError(
-                f"(pgas, {qps:,.0f} qps, {policy}): K=2 goodput {by_k[2]} "
+                f"(pgas, {qps:,.0f} qps): K=2 goodput {by_k[2]} "
                 f"below K=1 {by_k[1]}"
             )
 
@@ -123,7 +122,6 @@ def run_serve_sweep(
     backends: Sequence[str] = ("pgas", "baseline"),
     qps: Sequence[float] = (200_000.0,),
     max_in_flight: Sequence[int] = (1, 2),
-    policies: Sequence[str] = ("hybrid",),
     n_requests: int = 32,
     max_batch: int = 8,
     batch_window_ns: float = 0.1 * ms,
@@ -131,14 +129,14 @@ def run_serve_sweep(
     queue_limit: Optional[int] = None,
     seed: int = 0,
 ) -> SweepResult:
-    """Serve a request stream at every (backend, QPS, K, policy) point.
+    """Serve a request stream at every (backend, QPS, K) point.
 
     Every point gets a *fresh* pipeline (its own cluster, so profiler
     records and stream queues never leak between points) built from one
     :class:`RunSpec`, and identical seeds — the grid coordinates are the
     only thing changing between rows.
     """
-    if not backends or not qps or not max_in_flight or not policies:
+    if not backends or not qps or not max_in_flight:
         raise ValueError("every sweep axis needs at least one value")
     base_spec = preset_runspec(preset, n_devices)
     sweep = SweepResult(
@@ -148,7 +146,7 @@ def run_serve_sweep(
             f"window {batch_window_ns / ms:.2f} ms]"
         ),
         columns=_COLUMNS,
-        keys=("backend", "arrival_qps", "max_in_flight", "policy"),
+        keys=("backend", "arrival_qps", "max_in_flight"),
         header={
             "preset": preset,
             "n_devices": n_devices,
@@ -159,32 +157,27 @@ def run_serve_sweep(
     )
     for backend in backends:
         for rate in qps:
-            for policy in policies:
-                for k in max_in_flight:
-                    spec = RunSpec(
-                        workload=base_spec.workload,
-                        n_devices=n_devices,
-                        backend=backend,
-                        name=preset,
-                        serving=ServingSpec(
-                            arrival_qps=rate,
-                            max_batch=max_batch,
-                            batch_window_ns=batch_window_ns,
-                            seed=seed,
-                            deadline_ns=deadline_ns,
-                            queue_limit=queue_limit,
-                            scheduler=SchedulerSpec(max_in_flight=k, policy=policy),
-                        ),
+            for k in max_in_flight:
+                spec = RunSpec(
+                    workload=base_spec.workload,
+                    n_devices=n_devices,
+                    backend=backend,
+                    name=preset,
+                    serving=ServingSpec(
+                        arrival_qps=rate,
+                        max_batch=max_batch,
+                        batch_window_ns=batch_window_ns,
+                        seed=seed,
+                        deadline_ns=deadline_ns,
+                        queue_limit=queue_limit,
+                        scheduler=SchedulerSpec(max_in_flight=k),
+                    ),
+                )
+                server = InferenceServer.from_spec(spec)
+                result = server.simulate(n_requests)
+                sweep.points.append(
+                    ServeSweepPoint(
+                        backend=backend, arrival_qps=rate, max_in_flight=k, result=result
                     )
-                    server = InferenceServer.from_spec(spec)
-                    result = server.simulate(n_requests)
-                    sweep.points.append(
-                        ServeSweepPoint(
-                            backend=backend,
-                            arrival_qps=rate,
-                            max_in_flight=k,
-                            policy=policy,
-                            result=result,
-                        )
-                    )
+                )
     return sweep

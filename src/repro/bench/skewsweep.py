@@ -28,7 +28,7 @@ import dataclasses
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -41,28 +41,13 @@ from ..dlrm.data import SyntheticDataGenerator
 from ..obs import TraceSpec
 from ..obs.critpath import critical_path_report
 from ..reshard import ReshardSpec
+from ..reshard.planner import owner_loads
 from ..simgpu.units import to_ms
 from .sweeps import SweepResult
 from .telemetry import preset_workload
 from .validate import check_artifact, check_point
 
 __all__ = ["SkewSweepPoint", "run_skew_sweep", "validate_skewsweep_json"]
-
-
-def _device_traffic(
-    traffic: Mapping[str, float], owners: Mapping[str, int], n_devices: int
-) -> List[float]:
-    per_device = [0.0] * n_devices
-    for name, nbytes in traffic.items():
-        per_device[owners[name]] += nbytes
-    return per_device
-
-
-def _imbalance(per_device: Sequence[float]) -> float:
-    mean = sum(per_device) / len(per_device)
-    if mean <= 0.0:
-        return 1.0
-    return max(per_device) / mean
 
 
 @dataclass(frozen=True)
@@ -274,8 +259,8 @@ def run_skew_sweep(
                     limit_ns=emb.cluster.engine.now + 1e9
                 )
             final_owners = adapter.owners if resharded else static_owners
-            before = _device_traffic(traffic, static_owners, n_devices)
-            after = _device_traffic(traffic, final_owners, n_devices)
+            before, _, imbalance_before = owner_loads(traffic, static_owners, n_devices)
+            after, _, imbalance_after = owner_loads(traffic, final_owners, n_devices)
             counters = emb.cluster.profiler.counters
 
             def counter_total(name: str) -> float:
@@ -294,8 +279,8 @@ def run_skew_sweep(
                     critpath_comm_ns=float(
                         report["by_category"].get("comm", 0.0)
                     ),
-                    imbalance_before=_imbalance(before),
-                    imbalance_after=_imbalance(after),
+                    imbalance_before=imbalance_before,
+                    imbalance_after=imbalance_after,
                     max_device_bytes_before=max(before),
                     max_device_bytes_after=max(after),
                     plans=counter_total("reshard.plans"),

@@ -257,7 +257,7 @@ class HotRowCache:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<HotRowCache dev={self.device.id} {self.policy.name} "
-            f"{self.resident_rows}/{self.capacity_rows} rows d={self.dim}>"
+            f"{len(self._slot)}/{self.capacity_rows} rows d={self.dim}>"
         )
 
 

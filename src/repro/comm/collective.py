@@ -6,9 +6,12 @@ Bulk-synchronous semantics, faithfully reproduced:
   (separate compute / communicate phases);
 * the call itself costs a control-path overhead — NCCL enqueue, CUDA kernel
   synchronisation, rendezvous — before any byte moves (paper §III-A's
-  "false dependencies" and "communication control path" costs);
+  "false dependencies" and "communication control path" costs), and the
+  host's ``wait()`` one more: :data:`LAUNCH_OVERHEAD_NS` and
+  :data:`WAIT_OVERHEAD_NS`;
 * payloads move in large chunks that use bandwidth efficiently (per-chunk
-  protocol overhead is small relative to chunk size);
+  protocol overhead, :data:`PER_CHUNK_HEADER_BYTES`, is small relative to
+  chunk size), at :data:`NCCL_ALLTOALL_EFFICIENCY` of the raw link rate;
 * completion is observed via a :class:`WorkHandle` — the analogue of the
   request object returned by ``all_to_all_single(..., async_op=True)``,
   whose ``wait()`` the baseline calls to synchronise all GPUs.
@@ -33,48 +36,50 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..checks import check_bytes, check_finite_fields
+from ..checks import check_bytes
 from ..simgpu.cluster import Cluster
 from ..simgpu.engine import Event
 from ..simgpu.units import MiB, us
 
-__all__ = ["CollectiveSpec", "WorkHandle", "CollectiveContext", "chunk_waves"]
+__all__ = [
+    "CollectiveSpec",
+    "WorkHandle",
+    "CollectiveContext",
+    "chunk_waves",
+    "LAUNCH_OVERHEAD_NS",
+    "NCCL_ALLTOALL_EFFICIENCY",
+    "PER_CHUNK_HEADER_BYTES",
+    "WAIT_OVERHEAD_NS",
+]
+
+# The control path and framing of NCCL 2.x on an NVLink node.
+
+#: host-side control path per collective call: enqueue + kernel launch +
+#: rendezvous across ranks
+LAUNCH_OVERHEAD_NS = 30 * us
+#: protocol framing per chunk (negligible for MiB chunks, which is the
+#: point of collectives)
+PER_CHUNK_HEADER_BYTES = 512
+#: cost of the ``wait()`` observed by the host (CUDA event sync)
+WAIT_OVERHEAD_NS = 8 * us
+#: fraction of the raw link bandwidth the collective *algorithm* achieves
+#: end to end; its derivation is in :mod:`repro.core.calibration`, which
+#: re-exports it.  The PGAS layer does not pay it: bypassing it is the
+#: point of one-sided writes.
+NCCL_ALLTOALL_EFFICIENCY = 0.1875
 
 
 @dataclass(frozen=True)
 class CollectiveSpec:
     """Tunables of the collective layer.
 
-    Defaults model NCCL 2.x on an NVLink node.
-
     Attributes
     ----------
     chunk_bytes:
         Pipelining granularity of each pairwise transfer.
-    launch_overhead_ns:
-        Host-side control path per collective call: enqueue + kernel launch
-        + rendezvous across ranks.
-    per_chunk_header_bytes:
-        Protocol framing per chunk (negligible for MiB chunks — that is the
-        point of collectives).
-    wait_overhead_ns:
-        Cost of the ``wait()`` observed by the host (CUDA event sync).
-    bandwidth_efficiency:
-        Fraction of the raw link bandwidth the collective *algorithm*
-        achieves end-to-end.  Calibrated from the paper's baseline runtime
-        breakdown (Figs. 6/9): PyTorch ``all_to_all_single`` over NCCL on
-        the DGX-1 moves ~134 MB per GPU in a time comparable to the 30 ms
-        EMB kernel, i.e. an effective ~9 GB/s of the 48 GB/s pair links
-        (protocol handshakes, stream serialisation, and p2p chunk
-        scheduling).  The PGAS layer does not pay this — bypassing it is
-        the point of one-sided writes.
     """
 
     chunk_bytes: int = 4 * MiB
-    launch_overhead_ns: float = 30 * us
-    per_chunk_header_bytes: int = 512
-    wait_overhead_ns: float = 8 * us
-    bandwidth_efficiency: float = 0.1875
     #: all-to-all schedule: "direct" fires every pairwise transfer at once
     #: (NCCL's p2p schedule on NVLink); "pairwise" runs G-1 synchronised
     #: exchange rounds (partner = (rank ± r) mod G), the classic
@@ -85,13 +90,6 @@ class CollectiveSpec:
     def __post_init__(self) -> None:
         if self.chunk_bytes <= 0:
             raise ValueError("chunk_bytes must be positive")
-        check_finite_fields(self, "launch_overhead_ns", "wait_overhead_ns")
-        if min(self.launch_overhead_ns, self.per_chunk_header_bytes, self.wait_overhead_ns) < 0:
-            raise ValueError("overheads must be non-negative")
-        if not (0.0 < self.bandwidth_efficiency <= 1.0):
-            raise ValueError(
-                f"bandwidth_efficiency must be in (0, 1], got {self.bandwidth_efficiency}"
-            )
         if self.alltoall_algorithm not in ("direct", "pairwise"):
             raise ValueError(
                 f"unknown alltoall_algorithm {self.alltoall_algorithm!r}"
@@ -116,7 +114,7 @@ def chunk_waves(
     bit those of a sequential ``min(chunk, remaining)`` split.  Every
     pair's chunks go in order, then the next destination's; a zero-byte
     pair has no chunk, and a row with none is left out.  Each chunk pays
-    ``per_chunk_header_bytes``; with ``derate`` the algorithm-efficiency
+    :data:`PER_CHUNK_HEADER_BYTES`; with ``derate`` the algorithm-efficiency
     derate is charged as extra header bytes too, so it also stretches the
     link's busy window (which the comm-volume figures observe).  Negative
     or NaN byte counts are a caller bug and raise ``ValueError``.
@@ -130,8 +128,8 @@ def chunk_waves(
     sizes = np.full(int(flat.sum()), float(chunk))
     moved = flat > 0
     sizes[np.cumsum(flat)[moved] - 1] = nbytes.ravel()[moved] - (flat[moved] - 1) * chunk
-    extra = 1.0 / spec.bandwidth_efficiency - 1.0 if derate else 0.0
-    headers = (sizes * extra).astype(np.int64) + spec.per_chunk_header_bytes
+    extra = 1.0 / NCCL_ALLTOALL_EFFICIENCY - 1.0 if derate else 0.0
+    headers = (sizes * extra).astype(np.int64) + PER_CHUNK_HEADER_BYTES
     dst_col = np.repeat(np.asarray(dsts).ravel(), flat).tolist()
     size_col, header_col = sizes.tolist(), headers.tolist()
     waves = []
@@ -146,10 +144,9 @@ def chunk_waves(
 class WorkHandle:
     """Async handle for an in-flight collective (``async_op=True`` analogue)."""
 
-    def __init__(self, cluster: Cluster, done: Event, spec: CollectiveSpec, name: str):
+    def __init__(self, cluster: Cluster, done: Event, name: str):
         self._cluster = cluster
         self._done = done
-        self._spec = spec
         self.name = name
         self.issued_at = cluster.engine.now
         self.completed_at: Optional[float] = None
@@ -159,14 +156,14 @@ class WorkHandle:
         self.completed_at = self._cluster.engine.now
 
     def wait(self) -> Event:
-        """One event: completion, then the host's ``wait_overhead_ns``.
+        """One event: completion, then the host's :data:`WAIT_OVERHEAD_NS`.
 
         It fires in the entry the overhead's delay schedules, like a
         ``call_in`` continuation.
         """
         engine = self._cluster.engine
         waited = Event(engine, f"{self.name}.wait")
-        fire = partial(engine.call_in, self._spec.wait_overhead_ns, waited._run_callbacks)
+        fire = partial(engine.call_in, WAIT_OVERHEAD_NS, waited._run_callbacks)
         if self._done.triggered:
             fire()
         else:
@@ -221,8 +218,8 @@ class CollectiveContext:
             else:
                 engine.call_at(last, done.succeed)
 
-        engine.call_in(self.spec.launch_overhead_ns, control)
-        return WorkHandle(self.cluster, done, self.spec, name)
+        engine.call_in(LAUNCH_OVERHEAD_NS, control)
+        return WorkHandle(self.cluster, done, name)
 
     # -- collectives -------------------------------------------------------------
 
@@ -262,10 +259,8 @@ class CollectiveContext:
         """G-1 synchronised exchange rounds (round r: dst = (src + r) mod G)."""
         name = "all_to_all_single[pairwise]"
         done = self.cluster.engine.event(name)
-        self.cluster.engine.call_in(
-            self.spec.launch_overhead_ns, partial(self._round, split, 1, done)
-        )
-        return WorkHandle(self.cluster, done, self.spec, name)
+        self.cluster.engine.call_in(LAUNCH_OVERHEAD_NS, partial(self._round, split, 1, done))
+        return WorkHandle(self.cluster, done, name)
 
     def _round(self, split: np.ndarray, r: int, done: Event) -> None:
         """Book exchange round ``r`` and schedule the next at its barrier.

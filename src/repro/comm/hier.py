@@ -10,8 +10,8 @@ fast fabric): stage intra-node over NVLink, cross nodes once per ordered
 node pair.
 
 * :class:`HierSpec` — the routing policy: node geometry
-  (``devices_per_node``, ``leader_rank``) and staging flush thresholds.
-  A coalesced NIC transfer goes as one message with one
+  (``devices_per_node``).  Rank 0 of each node is its leader.  A
+  coalesced NIC transfer goes as one message with one
   :data:`NIC_HEADER_BYTES` header.  ``devices_per_node == 1`` (or a single
   node) disables routing entirely: the flat path is recovered exactly,
   event for event.
@@ -26,7 +26,8 @@ node pair.
 * :class:`NodeStagingRouter` — hierarchical PGAS: remote writes destined
   off-node land in a per-(source-node, destination-node) staging buffer
   (the :class:`~repro.core.aggregator.AsyncAggregator` flush policy —
-  size trigger or max-wait timer), forwarding non-leader payloads to the
+  :data:`STAGE_FLUSH_BYTES` size trigger or :data:`STAGE_MAX_WAIT_NS`
+  timer), forwarding non-leader payloads to the
   node leader over NVLink first; each flush crosses the NIC as one
   aggregated leader→leader message stream and scatters to the final
   destinations on arrival.  Every put registers a completion-chain event
@@ -51,13 +52,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..checks import check_finite_fields
 from ..simgpu.cluster import Cluster
 from ..simgpu.engine import Event
 from ..simgpu.interconnect import Interconnect
 from ..simgpu.stream import join
 from ..simgpu.units import KiB, us
-from .collective import CollectiveSpec, WorkHandle, chunk_waves
+from .collective import LAUNCH_OVERHEAD_NS, CollectiveSpec, WorkHandle, chunk_waves
 from .pgas import PGASContext
 
 __all__ = [
@@ -84,6 +84,13 @@ SCATTER_COUNTER = "hier.scatter_bytes"
 NIC_MESSAGE_BYTES = 0
 NIC_HEADER_BYTES = 64
 
+#: PGAS staging size trigger: a (source-node, destination-node) buffer
+#: flushes once it holds this much payload
+STAGE_FLUSH_BYTES = 64 * KiB
+#: PGAS staging time trigger: a buffer holding data flushes at most this
+#: long after its oldest pending byte arrived
+STAGE_MAX_WAIT_NS = 50 * us
+
 
 @dataclass(frozen=True)
 class HierSpec:
@@ -96,37 +103,15 @@ class HierSpec:
         divide the device count.  ``1`` means every device is its own
         node — hierarchical routing is a no-op and the flat path runs
         unchanged (the degenerate-identity invariant).
-    leader_rank:
-        Intra-node rank of the node leader that owns the NIC stream
-        (``leader = node * devices_per_node + leader_rank``).
-    stage_flush_bytes:
-        PGAS staging size trigger: a (source-node, destination-node)
-        buffer flushes once it holds this much payload.
-    stage_max_wait_ns:
-        PGAS staging time trigger: a buffer holding data flushes at most
-        this long after its oldest pending byte arrived.
     """
 
     devices_per_node: int = 4
-    leader_rank: int = 0
-    stage_flush_bytes: int = 64 * KiB
-    stage_max_wait_ns: float = 50 * us
 
     def __post_init__(self) -> None:
         if self.devices_per_node <= 0:
             raise ValueError(
                 f"devices_per_node must be positive, got {self.devices_per_node}"
             )
-        if not (0 <= self.leader_rank < self.devices_per_node):
-            raise ValueError(
-                f"leader_rank {self.leader_rank} outside node of "
-                f"{self.devices_per_node} devices"
-            )
-        check_finite_fields(self, "stage_flush_bytes", "stage_max_wait_ns")
-        if self.stage_flush_bytes <= 0:
-            raise ValueError("stage_flush_bytes must be positive")
-        if self.stage_max_wait_ns <= 0:
-            raise ValueError("stage_max_wait_ns must be positive")
 
     # -- node geometry --------------------------------------------------------
 
@@ -135,8 +120,8 @@ class HierSpec:
         return device_id // self.devices_per_node
 
     def leader_of(self, node: int) -> int:
-        """The device id of a node's leader."""
-        return node * self.devices_per_node + self.leader_rank
+        """The device id of a node's leader, its rank 0."""
+        return node * self.devices_per_node
 
     def same_node(self, a: int, b: int) -> bool:
         """True when both devices share a node (fast-fabric reachable)."""
@@ -337,8 +322,8 @@ class TwoLevelAllToAll:
             else:
                 done.succeed()
 
-        engine.call_in(self.spec.launch_overhead_ns, control)
-        return WorkHandle(self.cluster, done, self.spec, "two_level_all_to_all")
+        engine.call_in(LAUNCH_OVERHEAD_NS, control)
+        return WorkHandle(self.cluster, done, "two_level_all_to_all")
 
 
 # -- PGAS: node-leader staging ------------------------------------------------
@@ -424,7 +409,7 @@ class NodeStagingRouter:
         buf.chains.append(chain)
         self.stores += 1
         prof.add_count("hier.stores", engine.now, 1.0)
-        if buf.payload >= hier.stage_flush_bytes:
+        if buf.payload >= STAGE_FLUSH_BYTES:
             self.flush(key)
 
     # -- flushing --------------------------------------------------------------
@@ -520,7 +505,7 @@ class NodeStagingRouter:
             if k in self._pending:
                 self.flush(k)
 
-        self._timers[key] = engine.call_in(self.hier.stage_max_wait_ns, on_timer)
+        self._timers[key] = engine.call_in(STAGE_MAX_WAIT_NS, on_timer)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -61,15 +61,19 @@ from typing import Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
-from ..checks import check_bytes, check_finite
+from ..checks import check_bytes
 from ..simgpu.cluster import Cluster
 from ..simgpu.engine import Event
 from ..simgpu.interconnect import _ID, _are_ids
 from ..simgpu.stream import join
 from ..simgpu.units import us
 
-__all__ = ["PGASSpec", "PGASContext"]
+__all__ = ["PGASSpec", "PGASContext", "ATOMIC_PAYLOAD_BYTES", "QUIET_OVERHEAD_NS"]
 
+#: cost of the memory-fence/quiet operation at kernel end
+QUIET_OVERHEAD_NS = 2 * us
+#: payload of one remote atomic (gradient adds)
+ATOMIC_PAYLOAD_BYTES = 8
 
 _INF = float("inf")
 
@@ -119,23 +123,16 @@ class PGASSpec:
     header_bytes:
         Wire framing per message — the "message header takes a good portion
         of bandwidth" inefficiency of §IV-A2d.  32 B/256 B ⇒ 12.5% overhead.
-    quiet_overhead_ns:
-        Cost of the memory-fence/quiet operation at kernel end.
-    atomic_payload_bytes:
-        Payload of one remote atomic (for gradient adds / counters).
     """
 
     message_bytes: int = 256
     header_bytes: int = 32
-    quiet_overhead_ns: float = 2 * us
-    atomic_payload_bytes: int = 8
 
     def __post_init__(self) -> None:
         if self.message_bytes <= 0:
             raise ValueError("message_bytes must be positive")
         if self.header_bytes < 0:
             raise ValueError("header_bytes must be non-negative")
-        check_finite("PGASSpec", "quiet_overhead_ns", self.quiet_overhead_ns, zero_ok=True)
 
 
 class PGASContext:
@@ -266,7 +263,7 @@ class PGASContext:
         integer array, booked as :meth:`put` books an array.
         """
         if at is not None:
-            size = self.spec.atomic_payload_bytes
+            size = ATOMIC_PAYLOAD_BYTES
             if type(n_elements) is np.ndarray:
                 if n_elements.dtype.kind in "iu" and self._book_matrix(
                     src, dst, n_elements.astype(np.float64) * size, at, size
@@ -284,7 +281,7 @@ class PGASContext:
         if not wave:
             dst, n_elements = [dst], [n_elements]
         counts = self._checked_counts(src, dst, n_elements, wave)
-        size = self.spec.atomic_payload_bytes
+        size = ATOMIC_PAYLOAD_BYTES
         self._book(src, dst, [float(n * size) for n in counts], size)
 
     def _checked_counts(self, src: int, dst, n_elements, wave: bool) -> List[int]:
@@ -485,7 +482,7 @@ class PGASContext:
         """One event: every one-sided op issued so far from ``pes`` has landed.
 
         NVSHMEM ``nvshmem_quiet`` semantics over a set of PEs (one id is a
-        set of one).  The event fires ``quiet_overhead_ns`` after the later
+        set of one).  The event fires :data:`QUIET_OVERHEAD_NS` after the later
         of the PEs' latest booked delivery instant and their still-pending
         registered transfers.  The snapshot is taken here, once the PEs'
         deferred runs have booked their waves retired by now, so ops issued
@@ -506,7 +503,7 @@ class PGASContext:
             waits.extend(self._outstanding[pe])
             last = max(last, self._last_done[pe])
         done = Event(engine, "quiet")
-        overhead = self.spec.quiet_overhead_ns
+        overhead = QUIET_OVERHEAD_NS
         if not waits:
             engine.call_at(last + overhead, done.succeed)
             return done

@@ -6,7 +6,7 @@ beneath them, derived simulator workloads, and the §V extensions (backward
 pass, row-wise sharding, message aggregator).
 """
 
-from .aggregator import AggregatorSpec, AsyncAggregator
+from .aggregator import AsyncAggregator
 from .backward import (
     BaselineBackward,
     PGASFusedBackward,
@@ -73,7 +73,6 @@ from .workload import (
 )
 
 __all__ = [
-    "AggregatorSpec",
     "AsyncAggregator",
     "BackendName",
     "BaseRetrieval",

@@ -5,8 +5,8 @@ their headers and per-message latency dominate.  The paper proposes (citing
 its authors' SC'22 aggregator) replacing ``sum.store(outputs[idx], pe)``
 with ``aggregator.store(outputs[idx], sum, pe)``: writes land in a local
 per-destination staging buffer, and the buffer is flushed as one large
-message when it reaches a size threshold **or** when the oldest entry has
-waited too long.
+message when it reaches a size threshold (:data:`FLUSH_BYTES`) **or** when
+the oldest entry has waited too long (:data:`MAX_WAIT_NS`).
 
 :class:`AsyncAggregator` implements exactly that contract on the
 simulator: :meth:`store` accumulates payload bytes per destination;
@@ -20,51 +20,32 @@ shows the small-message vs. aggregated crossover as the link gets slower
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..comm.pgas import PGASContext
 from ..simgpu.engine import Event
 from ..simgpu.units import KiB, us
 
-__all__ = ["AggregatorSpec", "AsyncAggregator"]
+__all__ = ["AsyncAggregator", "FLUSH_BYTES", "MAX_WAIT_NS"]
 
 #: Wire framing of an aggregated flush: large frames, one header each
 FLUSHED_MESSAGE_BYTES = 64 * KiB
 FLUSHED_HEADER_BYTES = 64
 
-
-@dataclass(frozen=True)
-class AggregatorSpec:
-    """Flush policy of the aggregator.
-
-    Attributes
-    ----------
-    flush_bytes:
-        Size trigger: a destination's buffer flushes when it reaches this
-        many payload bytes.
-    max_wait_ns:
-        Time trigger: a buffer holding data flushes at most this long after
-        its first (oldest) pending byte arrived — the paper's
-        "user-defined aggregation size and maximum wait time".
-    """
-
-    flush_bytes: int = 64 * KiB
-    max_wait_ns: float = 50 * us
-
-    def __post_init__(self) -> None:
-        if self.flush_bytes <= 0:
-            raise ValueError("flush_bytes must be positive")
-        if self.max_wait_ns <= 0:
-            raise ValueError("max_wait_ns must be positive")
+# The paper's "user-defined aggregation size and maximum wait time".
+#: size trigger: a destination's buffer flushes when it holds this many
+#: payload bytes
+FLUSH_BYTES = 512 * KiB
+#: time trigger: a buffer holding data flushes at most this long after its
+#: first (oldest) pending byte arrived
+MAX_WAIT_NS = 50 * us
 
 
 class AsyncAggregator:
     """Per-source staging buffers that batch one-sided writes."""
 
-    def __init__(self, pgas: PGASContext, spec: Optional[AggregatorSpec] = None):
+    def __init__(self, pgas: PGASContext):
         self.pgas = pgas
-        self.spec = spec or AggregatorSpec()
         self.cluster = pgas.cluster
         # (src, dst) -> pending payload bytes
         self._pending: Dict[Tuple[int, int], float] = {}
@@ -97,7 +78,7 @@ class AsyncAggregator:
             self._oldest[key] = engine.now
             self._arm_timer(key)
         self._pending[key] += payload_bytes
-        if self._pending[key] >= self.spec.flush_bytes:
+        if self._pending[key] >= FLUSH_BYTES:
             self.flush(src, dst)
 
     # -- flushing --------------------------------------------------------------------
@@ -147,7 +128,7 @@ class AsyncAggregator:
             if k in self._pending:
                 self.flush(*k)
 
-        self._timers[key] = engine.call_in(self.spec.max_wait_ns, on_timer)
+        self._timers[key] = engine.call_in(MAX_WAIT_NS, on_timer)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

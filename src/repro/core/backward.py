@@ -40,8 +40,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..comm.collective import CollectiveContext, CollectiveSpec
-from ..comm.pgas import PGASContext, PGASSpec
+from ..comm.collective import (
+    LAUNCH_OVERHEAD_NS,
+    WAIT_OVERHEAD_NS,
+    CollectiveContext,
+    CollectiveSpec,
+)
+from ..comm.pgas import ATOMIC_PAYLOAD_BYTES, PGASContext, PGASSpec
 from ..dlrm.batch import JaggedField, SparseBatch
 from ..dlrm.embedding import EmbeddingTable
 from ..simgpu.cluster import Cluster
@@ -223,7 +228,6 @@ class BaselineBackward(TimedPass):
         engine = cluster.engine
         spec0 = cluster.devices[0].spec
         G = cluster.n_devices
-        coll_spec = self.collectives.spec
         t0 = engine.now
         t1 = t2 = 0.0
 
@@ -263,7 +267,7 @@ class BaselineBackward(TimedPass):
 
         def finish() -> None:
             t3 = engine.now
-            control = coll_spec.launch_overhead_ns + coll_spec.wait_overhead_ns
+            control = LAUNCH_OVERHEAD_NS + WAIT_OVERHEAD_NS
             timing.compute_ns = t3 - t2
             timing.comm_ns = max(t2 - t1 - control, 0.0) if G > 1 else 0.0
             timing.sync_unpack_ns = (t1 - t0) + (min(control, t2 - t1))
@@ -282,7 +286,7 @@ class _GradientAtomics:
 
     Each wave ships its share of the device's remote gradient bytes
     (``remote``, one entry per destination in ``dsts``) as remote atomics,
-    one per ``atomic_payload_bytes``, the count rounded half to even.
+    one per :data:`~repro.comm.pgas.ATOMIC_PAYLOAD_BYTES`, the count rounded half to even.
     Called per retiring wave in a traced launch; any other launch hands it
     every wave at once (``take_run``), and the atomics become one deferred
     run whose counts ``np.rint`` rounds the same way.
@@ -294,16 +298,16 @@ class _GradientAtomics:
         self.pgas, self.src, self.dsts, self.remote = pgas, src, dsts, remote
 
     def __call__(self, info: WaveInfo) -> None:
-        atomic_bytes = self.pgas.spec.atomic_payload_bytes
-        counts = [int(round(nbytes * info.fraction / atomic_bytes)) for nbytes in self.remote]
+        counts = [
+            int(round(nbytes * info.fraction / ATOMIC_PAYLOAD_BYTES)) for nbytes in self.remote
+        ]
         if any(counts):
             self.pgas.atomic_add(self.src, self.dsts, counts)
 
     def take_run(self, ends: List[float], fracs: List[float]) -> bool:
         if not self.dsts:
             return True  # nothing remote: no wave adds anything
-        atomic_bytes = self.pgas.spec.atomic_payload_bytes
-        shares = np.multiply.outer(fracs, self.remote) / atomic_bytes
+        shares = np.multiply.outer(fracs, self.remote) / ATOMIC_PAYLOAD_BYTES
         # Whole numbers up to 2**53 round and scale exactly as int(round(x))
         # does; a larger, infinite or NaN share is left to the per-wave path.
         if not shares.max() < _EXACT:

@@ -32,7 +32,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..comm.hier import HierSpec
     from ..comm.pgas import PGASContext
 
-from ..comm.collective import CollectiveContext, CollectiveSpec
+from ..comm.collective import (
+    LAUNCH_OVERHEAD_NS,
+    WAIT_OVERHEAD_NS,
+    CollectiveContext,
+    CollectiveSpec,
+)
 from ..simgpu.cluster import Cluster
 from ..simgpu.engine import Event
 from ..simgpu.stream import join
@@ -203,8 +208,7 @@ class BaselineRetrieval(TimedPass):
         engine = cluster.engine
         prof = cluster.profiler
         spec0 = cluster.devices[0].spec
-        coll_spec = self.collectives.spec
-        control_ns = coll_spec.launch_overhead_ns + coll_spec.wait_overhead_ns
+        control_ns = LAUNCH_OVERHEAD_NS + WAIT_OVERHEAD_NS
         G = cluster.n_devices
         t0 = engine.now
         t1 = t2 = comm_ns = 0.0
@@ -234,7 +238,7 @@ class BaselineRetrieval(TimedPass):
             t2 = engine.now
             # Pure transfer window, paper-style: subtract control path + wait.
             comm_ns = max(t2 - t1 - control_ns, 0.0) if G > 1 else 0.0
-            prof.record_span("alltoall", "comm", -1, t1 + coll_spec.launch_overhead_ns, t2 - coll_spec.wait_overhead_ns if G > 1 else t1 + coll_spec.launch_overhead_ns)
+            prof.record_span("alltoall", "comm", -1, t1 + LAUNCH_OVERHEAD_NS, t2 - WAIT_OVERHEAD_NS if G > 1 else t1 + LAUNCH_OVERHEAD_NS)
             if G == 1:
                 return None
             unpack_ops = []

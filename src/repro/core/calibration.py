@@ -24,8 +24,11 @@ flattening while leaving the ≥26-wave weak-scaling launches underated.
 ``NCCL_ALLTOALL_EFFICIENCY`` — from the baseline breakdown (Fig. 6): the
 communication phase for ~134 MB/GPU is comparable to the ~30 ms compute
 phase, i.e. PyTorch's ``all_to_all_single`` achieved ≈9 GB/s of the 48 GB/s
-NVLink pair — 0.1875 of raw.  (One-sided writes bypass this machinery;
-that asymmetry is the paper's thesis, not our assumption.)
+NVLink pair — 0.1875 of raw (protocol handshakes, stream serialisation
+and p2p chunk scheduling).  (One-sided writes bypass this machinery;
+that asymmetry is the paper's thesis, not our assumption.)  It is
+defined in :mod:`repro.comm.collective`, whose chunks charge it as extra
+header bytes, and re-exported here.
 
 ``UNPACK_BANDWIDTH`` — from the growth of the "Sync + Unpack" component
 with received volume (Figs. 6/9): ~0.11 ms per received MB ⇒ ≈18 GB/s
@@ -40,6 +43,7 @@ reproduces the few-percent slope.
 
 from __future__ import annotations
 
+from ..comm.collective import NCCL_ALLTOALL_EFFICIENCY
 from ..dlrm.data import EMB_SAMPLES_PER_BLOCK
 from ..simgpu.units import gbps
 
@@ -55,9 +59,6 @@ __all__ = [
 
 #: waves needed for the gather kernel to reach roofline throughput
 EMB_MIN_WAVES_FOR_PEAK = 24.0
-
-#: achieved fraction of raw link bandwidth for NCCL-style collectives
-NCCL_ALLTOALL_EFFICIENCY = 0.1875
 
 #: effective bandwidth of the baseline's unpack/rearrangement pass
 UNPACK_BANDWIDTH = gbps(18)

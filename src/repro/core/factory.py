@@ -27,7 +27,7 @@ refuses them and names this order in the error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 __all__ = [
@@ -75,8 +75,7 @@ class FeatureSpec:
         :class:`repro.reshard.ReshardSpec` for ``"+reshard"``.
     hier:
         :class:`repro.comm.hier.HierSpec` for the ``"+hier"`` backends
-        (topology-aware hierarchical routing: node geometry, staging
-        flush policy, coalesced NIC framing).
+        (topology-aware hierarchical routing over a node geometry).
     obs:
         :class:`repro.obs.TraceSpec`; enables trace-context propagation
         for every backend (None or disabled stays bit-identical).
@@ -89,10 +88,6 @@ class FeatureSpec:
     reshard: Optional[object] = None
     hier: Optional[object] = None
     obs: Optional[object] = None
-
-    def configured(self) -> Tuple[str, ...]:
-        """Names of the fields that are set, in declaration order."""
-        return tuple(f.name for f in fields(self) if getattr(self, f.name) is not None)
 
 
 def parse_backend_name(name: str) -> Tuple[str, Tuple[str, ...]]:

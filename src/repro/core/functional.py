@@ -130,12 +130,11 @@ class ShardedEmbeddingTables:
         configs: Sequence[EmbeddingTableConfig],
         n_devices: int,
         *,
-        strategy: str = "contiguous",
         rng: Optional[np.random.Generator] = None,
     ) -> "ShardedEmbeddingTables":
-        """Create fresh weights and shard them."""
+        """Create fresh weights and shard them contiguously."""
         ebc = EmbeddingBagCollection.from_configs(list(configs), rng=rng)
-        plan = TableWiseSharding(list(configs), n_devices, strategy=strategy)  # type: ignore[arg-type]
+        plan = TableWiseSharding(list(configs), n_devices)
         return cls.from_collection(ebc, plan)
 
     @property

@@ -38,7 +38,6 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..comm.hier import HierSpec
-    from .aggregator import AggregatorSpec
 
 from ..comm.pgas import PGASContext, PGASSpec
 from ..simgpu.cluster import Cluster
@@ -169,7 +168,7 @@ class _LaunchPlan:
 class PGASFusedRetrieval(TimedPass):
     """Timed EMB forward using fused one-sided communication.
 
-    With ``aggregator_spec`` set, remote writes route through the §V
+    With ``aggregate`` set, remote writes route through the §V
     :class:`~repro.core.aggregator.AsyncAggregator` instead of leaving as
     individual small messages — the multi-node variant
     (``aggregator.store(outputs[output_idx], sum, pe)``).
@@ -188,7 +187,7 @@ class PGASFusedRetrieval(TimedPass):
         cluster: Cluster,
         pgas_spec: Optional[PGASSpec] = None,
         remote_write_drag: float = REMOTE_WRITE_KERNEL_DRAG,
-        aggregator_spec: Optional["AggregatorSpec"] = None,
+        aggregate: bool = False,
         hier_spec: Optional["HierSpec"] = None,
     ):
         if remote_write_drag < 0:
@@ -197,10 +196,10 @@ class PGASFusedRetrieval(TimedPass):
         self.pgas = PGASContext(cluster, pgas_spec)
         self.remote_write_drag = remote_write_drag
         self.aggregator = None
-        if aggregator_spec is not None:
+        if aggregate:
             from .aggregator import AsyncAggregator
 
-            self.aggregator = AsyncAggregator(self.pgas, aggregator_spec)
+            self.aggregator = AsyncAggregator(self.pgas)
         self.router = None
         if hier_spec is not None:
             hier_spec.validate_for(cluster.n_devices)

@@ -74,7 +74,6 @@ from dataclasses import dataclass
 from typing import (
     Dict,
     List,
-    Literal,
     Mapping,
     Optional,
     Sequence,
@@ -519,7 +518,6 @@ class DistributedEmbedding(EmbeddingHost):
         n_devices: int,
         *,
         backend: BackendName = "pgas",
-        sharding_strategy: Literal["contiguous", "round_robin"] = "contiguous",
         cluster: Optional[Cluster] = None,
         materialize: bool = False,
         collective_spec: Optional[CollectiveSpec] = None,
@@ -545,7 +543,7 @@ class DistributedEmbedding(EmbeddingHost):
             table_configs = tables.table_configs()
         else:
             table_configs = list(tables)
-        self.plan = TableWiseSharding(table_configs, n_devices, strategy=sharding_strategy)
+        self.plan = TableWiseSharding(table_configs, n_devices)
         self.plan.validate()
         # Account every table's weights up front, so paper-scale shapes hit
         # the real per-device capacity wall at construction.
@@ -560,16 +558,6 @@ class DistributedEmbedding(EmbeddingHost):
     def n_devices(self) -> int:
         """Device count."""
         return self.cluster.n_devices
-
-    def memory_bytes(self, device_id: int) -> int:
-        """Accounted embedding-weight bytes on one device."""
-        return self.plan.memory_bytes(device_id)
-
-    @property
-    def cache(self) -> Optional[object]:
-        """The instance backend's cache engine, if it has one (else None)."""
-        adapter = self.backend_adapter(self.backend)
-        return adapter if getattr(adapter, "caches", None) is not None else None
 
     # -- forward ----------------------------------------------------------------
 

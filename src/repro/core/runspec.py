@@ -67,7 +67,7 @@ def _build(cls, payload: Dict[str, Any], label: str):
     A key that is not a field of ``cls`` raises ``ValueError`` naming the
     section (``label``, e.g. ``RunSpec.serving.scheduler``).  A field whose
     value is a dict and whose annotation names a dataclass
-    (``Optional[CacheConfig]``, ``Optional[SchedulerSpec]``) gets that
+    (``Optional[SchedulerSpec]``) gets that
     dataclass back, as :func:`dataclasses.asdict` flattened it; any other
     value goes to ``cls`` as is, which names a wrong type.
     """

@@ -10,11 +10,11 @@ communication sits directly on the tail.
 
 * requests arrive as a Poisson process at ``arrival_qps``, drawn up front
   and admitted lazily whenever the scheduler wakes;
-* a batch former seals batches per the :class:`SchedulerSpec` policy —
-  ``"size"`` (wait for ``max_batch``), ``"timeout"`` (wait
-  ``batch_window_ns`` after the head request), or ``"hybrid"``
-  (whichever fires first).  It sleeps until the instant its trigger
-  fires, so serving costs engine events per batch, not per request;
+* a batch former seals a batch once it holds ``max_batch`` requests or
+  ``batch_window_ns`` after its head request, whichever comes first (the
+  classic adaptive batcher, recorded as policy ``"hybrid"``).  It sleeps
+  until the instant its trigger fires, so serving costs engine events
+  per batch, not per request;
 * a continuous-batching dispatcher keeps up to ``max_in_flight`` batches
   executing concurrently, each on its own per-batch stream set (see
   :class:`~repro.simgpu.stream.StreamPool`): while batch k's EMB output
@@ -51,10 +51,9 @@ degraded under fault.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Literal, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -91,15 +90,10 @@ class SchedulerSpec:
     """Continuous-batching scheduler policy.
 
     ``max_in_flight`` is K, the number of batches that may execute on the
-    cluster concurrently (each on its own stream set).  ``policy`` picks
-    the batch-formation trigger: ``"size"`` waits for a full
-    ``max_batch``, ``"timeout"`` waits ``batch_window_ns`` after the head
-    request, ``"hybrid"`` fires on whichever comes first (the classic
-    adaptive batcher).
+    cluster concurrently (each on its own stream set).
     """
 
     max_in_flight: int = 1
-    policy: Literal["size", "timeout", "hybrid"] = "hybrid"
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -107,10 +101,6 @@ class SchedulerSpec:
             "max_in_flight",
             checked_count("SchedulerSpec", "max_in_flight", self.max_in_flight),
         )
-        if self.policy not in ("size", "timeout", "hybrid"):
-            raise ValueError(
-                f"unknown policy {self.policy!r} (use size, timeout, or hybrid)"
-            )
 
 
 @dataclass(frozen=True)
@@ -190,7 +180,6 @@ class ServingResult:
     execute_ns: Optional[np.ndarray] = None  #: dispatched → done, per request
     interconnect_idle_ns: float = 0.0  #: serving-window time with zero traffic
     max_in_flight: int = 1  #: the scheduler's K the run used
-    policy: str = "hybrid"  #: the batch-formation policy the run used
     formed_by: Dict[str, int] = field(default_factory=dict)  #: trigger → batches
     request_outputs: Optional[np.ndarray] = None  #: (served, F, d) when materialized
     request_batch: Optional[np.ndarray] = None  #: per-served-request batch seq (traced runs)
@@ -352,7 +341,7 @@ class ServingResult:
                 f"segments form {self.mean_form_ns / ms:.3f} / queue "
                 f"{self.mean_queue_ns / ms:.3f} / execute "
                 f"{self.mean_execute_ns / ms:.3f} ms "
-                f"(K={self.max_in_flight}, policy {self.policy})"
+                f"(K={self.max_in_flight}, policy hybrid)"
             )
         else:
             lines.append("no requests served")
@@ -389,7 +378,7 @@ class ServingResult:
             "emb_rerouted_bytes": float(self.emb_rerouted_bytes),
             "emb_deadline_misses": self.emb_deadline_misses,
             "max_in_flight": self.max_in_flight,
-            "policy": self.policy,
+            "policy": "hybrid",
             "formed_by": dict(self.formed_by),
             "mean_form_ns": self.mean_form_ns,
             "mean_queue_ns": self.mean_queue_ns,
@@ -535,8 +524,6 @@ class InferenceServer:
         # a chain of ``now + gap`` timeouts bit for bit.
         gaps = rng.exponential(spec.mean_interarrival_ns, size=n_requests)
         arrivals = np.cumsum(np.concatenate(([t_start], gaps)))[1:].tolist()
-        sized = sched.policy != "timeout"
-        timed = sched.policy != "size"
         max_batch = spec.max_batch
         window = spec.batch_window_ns
 
@@ -569,11 +556,11 @@ class InferenceServer:
             """The batch former's check at ``t``: what seals the head batch, if
             anything, with ``depth`` queued, ``seen`` arrivals so far and the
             head's window ending at ``deadline``."""
-            if sized and depth >= max_batch:
+            if depth >= max_batch:
                 return "size"
             if seen >= n_requests:
                 return "exhausted"
-            if timed and t >= deadline:
+            if t >= deadline:
                 return "timeout"
             return None
 
@@ -590,7 +577,7 @@ class InferenceServer:
             depth = len(queue)
             i = arrived
             t = now
-            timer = t + (deadline - t) if timed else math.inf
+            timer = t + (deadline - t)
             while True:
                 if i < n_requests and arrivals[i] <= timer:
                     t = arrivals[i]
@@ -601,8 +588,7 @@ class InferenceServer:
                     t = timer
                 if trigger(t, depth, i, deadline) is not None:
                     return t
-                if timed:
-                    timer = t + (deadline - t)
+                timer = t + (deadline - t)
 
         # Between steps the scheduler waits for a batch completion, or for
         # the ``alarm`` of a timed sleep, or (``blocked``) for a completion
@@ -780,7 +766,6 @@ class InferenceServer:
             execute_ns=execute,
             interconnect_idle_ns=idle,
             max_in_flight=sched.max_in_flight,
-            policy=sched.policy,
             formed_by=formed_by,
             request_outputs=request_outputs,
             request_batch=batch_of[served] if tracing else None,

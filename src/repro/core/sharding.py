@@ -6,7 +6,7 @@ Fig. 4):
 * **Tables over devices** (model parallelism) — a :class:`ShardingPlan`
   assigns each embedding table to an owning device.  The paper uses "a
   simple table sharding scheme (partitioning by tables)"; we implement that
-  (:class:`TableWiseSharding`, contiguous or round-robin) plus the
+  (:class:`TableWiseSharding`, contiguous or an explicit assignment) plus the
   row-wise scheme it cites as future work (:class:`RowWiseSharding`,
   RecShard-style).
 * **Samples over devices** (data parallelism) — the batch dimension is cut
@@ -106,20 +106,19 @@ class TableWiseSharding(ShardingPlan):
 
     ``strategy="contiguous"`` gives device *g* the block of tables
     ``[g * T/G, (g+1) * T/G)`` (so the unpack step is a plain feature-axis
-    concatenation); ``"round_robin"`` stripes tables over devices (better
-    balance for heterogeneous tables, needs a feature permutation on
-    unpack).  Both are exact partitions.
+    concatenation); ``"explicit"`` takes the ``owners`` map (see
+    :meth:`from_assignment`).  Both are exact partitions.
     """
 
     def __init__(
         self,
         table_configs: Sequence[EmbeddingTableConfig],
         n_devices: int,
-        strategy: Literal["contiguous", "round_robin", "explicit"] = "contiguous",
+        strategy: Literal["contiguous", "explicit"] = "contiguous",
         owners: Optional[Mapping[str, int]] = None,
     ):
         super().__init__(table_configs, n_devices)
-        if strategy not in ("contiguous", "round_robin", "explicit"):
+        if strategy not in ("contiguous", "explicit"):
             raise ValueError(f"unknown strategy {strategy!r}")
         if (strategy == "explicit") != (owners is not None):
             raise ValueError("owners must be given exactly when strategy='explicit'")
@@ -131,9 +130,6 @@ class TableWiseSharding(ShardingPlan):
             for dev, (lo, hi) in enumerate(bounds):
                 for i in range(lo, hi):
                     self._owner[self.table_configs[i].name] = dev
-        elif strategy == "round_robin":
-            for i, cfg in enumerate(self.table_configs):
-                self._owner[cfg.name] = i % n_devices
         else:
             assert owners is not None
             for cfg in self.table_configs:

@@ -111,7 +111,6 @@ class WorkloadConfig:
     index_distribution: IndexDistribution = "uniform"
     zipf_alpha: float = 1.05
     table_skew_alpha: Optional[float] = None  #: zipf skew of *per-table* traffic
-    raw_cardinality: Optional[int] = None  #: pre-hash index space; default = rows
     seed: int = 2024
     num_dense_features: int = 13  #: Criteo-like dense width for the full model
 
@@ -119,12 +118,6 @@ class WorkloadConfig:
         for name, minimum in _COUNT_FIELDS:
             value = checked_count("WorkloadConfig", name, getattr(self, name), minimum)
             object.__setattr__(self, name, value)
-        if self.raw_cardinality is not None:
-            object.__setattr__(
-                self,
-                "raw_cardinality",
-                checked_count("WorkloadConfig", "raw_cardinality", self.raw_cardinality),
-            )
         if self.min_pooling > self.max_pooling:
             raise ValueError(
                 f"WorkloadConfig needs min_pooling <= max_pooling, got "
@@ -729,7 +722,7 @@ class SyntheticDataGenerator:
         """One batch of jagged sparse inputs for every feature."""
         cfg = self.config
         B = _batch_size("SyntheticDataGenerator.sparse_batch", batch_size, cfg.batch_size)
-        cardinality = cfg.raw_cardinality or cfg.rows_per_table
+        cardinality = cfg.rows_per_table
         scales = cfg.table_skew_scales()
         fields = {}
         for t, name in enumerate(cfg.feature_names):

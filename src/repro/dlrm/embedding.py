@@ -181,19 +181,9 @@ class EmbeddingBagCollection:
         return cls([EmbeddingTable(c, rng=rng) for c in configs])
 
     @property
-    def feature_names(self) -> List[str]:
-        """Table names in collection order."""
-        return [t.name for t in self.tables]
-
-    @property
     def num_features(self) -> int:
         """Number of tables."""
         return len(self.tables)
-
-    @property
-    def nbytes(self) -> int:
-        """Total weight footprint."""
-        return sum(t.config.nbytes for t in self.tables)
 
     def table(self, name: str) -> EmbeddingTable:
         """Table by feature name."""

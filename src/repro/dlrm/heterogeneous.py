@@ -48,7 +48,6 @@ class TableProfile:
     num_rows: int  #: post-hash table size M_i
     max_pooling: int  #: largest bag for this feature
     min_pooling: int = 0  #: 0 allows NULL bags (paper Fig. 3)
-    raw_cardinality: Optional[int] = None  #: pre-hash index space
 
     def __post_init__(self) -> None:
         if self.num_rows <= 0:
@@ -58,8 +57,6 @@ class TableProfile:
                 f"table {self.name!r}: bad pooling range "
                 f"[{self.min_pooling}, {self.max_pooling}]"
             )
-        if self.raw_cardinality is not None and self.raw_cardinality <= 0:
-            raise ValueError(f"table {self.name!r}: raw_cardinality must be positive")
 
     def nbytes(self, dim: int, itemsize: int = 4) -> int:
         """Weight footprint at embedding dim ``dim``."""
@@ -73,7 +70,6 @@ class HeterogeneousWorkload:
     tables: Tuple[TableProfile, ...]
     dim: int = 64
     batch_size: int = 16_384
-    num_dense_features: int = 13
     seed: int = 2024
 
     def __post_init__(self) -> None:
@@ -184,8 +180,7 @@ def criteo_like(
     multi = set(rng.choice(num_tables, size=n_multi, replace=False).tolist())
     profiles = []
     for i in range(num_tables):
-        raw = int(cards[i])
-        hashed = min(raw, 10_000_000)
+        hashed = min(int(cards[i]), 10_000_000)
         if i in multi:
             lo_p, hi_p = 0, 64
         else:
@@ -196,7 +191,6 @@ def criteo_like(
                 num_rows=hashed,
                 max_pooling=hi_p,
                 min_pooling=lo_p,
-                raw_cardinality=raw,
             )
         )
     return HeterogeneousWorkload(

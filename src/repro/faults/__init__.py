@@ -14,10 +14,10 @@ This package provides:
   traces, and registers its device edges on their devices so that every
   kernel booked after installation replays them;
 * :mod:`repro.faults.resilient` — :class:`ResilientRetrieval`, wrapping
-  either base backend with per-batch deadlines, retries with exponential
-  backoff, two-hop reroutes around downed links, and graceful
-  degradation (hot-row fallback cache, then zero-fill) instead of
-  failure.
+  either base backend with per-batch deadlines, a fixed budget of
+  retries with exponential backoff (module constants; the spec sets only
+  the deadline and the jitter seed), two-hop reroutes around downed
+  links, and graceful zero-fill degradation instead of failure.
 
 Importing this package defines :class:`ResilientRetrieval`, the class the
 ``"pgas+resilient"`` and ``"baseline+resilient"`` backends resolve to, so

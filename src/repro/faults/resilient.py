@@ -15,9 +15,13 @@
    after exponential backoff with seeded jitter.
 3. **Graceful degradation** — once retries are exhausted, a final
    local-only pass (every remote byte stripped) always completes.
-   Degraded bags are served from the optional hot-row fallback cache when
-   fully covered, and zero-filled otherwise; the batch reports a
+   Degraded bags are zero-filled; the batch reports a
    ``degraded_fraction`` instead of failing.
+
+The retry policy is fixed: :data:`MAX_RETRIES` retries, the *k*-th
+(1-based) after ``BACKOFF_BASE_NS * BACKOFF_MULTIPLIER**(k-1)`` stretched
+by a seeded uniform jitter in ``[0, JITTER_FRACTION]``.  Only the
+deadline and the jitter seed are settable.
 
 With no deadline and a healthy fabric the wrapper adds *zero* simulated
 time and reproduces the wrapped backend's outputs, timings, and wire
@@ -33,15 +37,12 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..cache.hotrow import CacheConfig, HotRowCache, remote_row_caches
 from ..checks import check_finite_fields
 from ..core.baseline import BatchStart, PhaseTiming
 from ..core.retrieval import BaseRetrieval
-from ..core.sharding import minibatch_bounds
 from ..core.workload import DeviceWorkload
+from ..comm.collective import PER_CHUNK_HEADER_BYTES
 from ..dlrm.batch import SparseBatch
-from ..dlrm.embedding import segment_pool
-from ..dlrm.hashing import hash_indices
 from ..simgpu.cluster import Cluster
 from ..simgpu.engine import Event
 from ..simgpu.stream import join
@@ -55,7 +56,6 @@ __all__ = [
     "RETRY_COUNTER",
     "REROUTE_COUNTER",
     "DEGRADED_COUNTER",
-    "CACHE_SERVED_COUNTER",
 ]
 
 #: profiler counters stamped at batch completion (only when non-zero,
@@ -63,7 +63,14 @@ __all__ = [
 RETRY_COUNTER = "faults.retries"
 REROUTE_COUNTER = "faults.rerouted_bytes"
 DEGRADED_COUNTER = "faults.degraded_bags"
-CACHE_SERVED_COUNTER = "faults.cache_served_bags"
+
+#: retries after the first attempt before the local-only pass
+MAX_RETRIES = 2
+#: backoff before the first retry; each later one is BACKOFF_MULTIPLIER longer
+BACKOFF_BASE_NS = 50 * us
+BACKOFF_MULTIPLIER = 2.0
+#: each backoff is stretched by a seeded uniform share in [0, JITTER_FRACTION]
+JITTER_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -71,38 +78,17 @@ class ResilienceSpec:
     """Policy knobs of the resilient wrapper.
 
     ``deadline_ns`` is the per-attempt EMB deadline (None disables the
-    whole retry machinery — the zero-overhead healthy path).  Backoff
-    before retry *k* (1-based) is ``backoff_base_ns * multiplier**(k-1)``
-    stretched by a seeded uniform jitter in ``[0, jitter_fraction]``.
-    ``fallback_cache`` equips per-device hot-row caches that serve fully
-    covered degraded bags with real values instead of zeros.
+    whole retry machinery — the zero-overhead healthy path); ``seed``
+    seeds the backoff jitter.
     """
 
     deadline_ns: Optional[float] = None
-    max_retries: int = 2
-    backoff_base_ns: float = 50 * us
-    backoff_multiplier: float = 2.0
-    jitter_fraction: float = 0.25
-    reroute: bool = True
-    fallback_cache: Optional[CacheConfig] = None
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_finite_fields(self, "deadline_ns", "backoff_base_ns", "backoff_multiplier")
+        check_finite_fields(self, "deadline_ns")
         if self.deadline_ns is not None and self.deadline_ns <= 0:
             raise ValueError("deadline_ns must be positive (or None)")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff_base_ns < 0:
-            raise ValueError("backoff_base_ns must be >= 0")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff_multiplier must be >= 1")
-        if not (0.0 <= self.jitter_fraction <= 1.0):
-            raise ValueError("jitter_fraction must be in [0, 1]")
-        if self.fallback_cache is not None and not isinstance(self.fallback_cache, CacheConfig):
-            raise TypeError(
-                f"fallback_cache must be a CacheConfig, got {type(self.fallback_cache).__name__}"
-            )
 
 
 @dataclass
@@ -114,7 +100,6 @@ class BatchOutcome:
     rerouted_pairs: int = 0
     rerouted_bytes: float = 0.0
     degraded_bags: int = 0
-    cache_served_bags: int = 0
     total_bags: int = 0
     deadline_missed: bool = False
     emb_ns: float = 0.0
@@ -131,7 +116,6 @@ class BatchOutcome:
             self.retries == 0
             and self.rerouted_pairs == 0
             and self.degraded_bags == 0
-            and self.cache_served_bags == 0
             and not self.deadline_missed
         )
 
@@ -144,7 +128,6 @@ class _BatchState:
     forwards: List[Tuple[int, int, int, float]]  #: (src, via, dst, payload)
     degraded_pairs: Set[Tuple[int, int]]  #: (owner, dst) zero-filled pairs
     remote_bags: Dict[Tuple[int, int], int]
-    cache_served: Dict[Tuple[int, str], Tuple[np.ndarray, Optional[np.ndarray]]]
     outcome: BatchOutcome
     fully_degraded: bool = False
 
@@ -176,51 +159,14 @@ class ResilientRetrieval(BaseRetrieval):
 
     def _attach(self) -> None:
         self._rng = np.random.default_rng(self.spec.seed)
-        self._fallback: Optional[List[HotRowCache]] = None
         self._last_state: Optional[_BatchState] = None
         self.last_outcome: Optional[BatchOutcome] = None
         self.outcomes: List[BatchOutcome] = []
-
-    # -- fallback cache ----------------------------------------------------------
-
-    def _ensure_fallback(self) -> Optional[List[HotRowCache]]:
-        if self.spec.fallback_cache is None:
-            return None
-        if self._fallback is None:
-            self._fallback = remote_row_caches(
-                self.cluster, self.table_plan, self.spec.fallback_cache,
-                materialize=self.sharded is not None,
-            )
-        return self._fallback
-
-    def warm_fallback(self, batches: Sequence[SparseBatch]) -> None:
-        """Prime the fallback caches with the remote rows of ``batches``."""
-        caches = self._ensure_fallback()
-        if caches is None:
-            raise ValueError("warm_fallback needs spec.fallback_cache set")
-        plan = self.table_plan
-        G = plan.n_devices
-        for batch in batches:
-            bounds = minibatch_bounds(batch.batch_size, G)
-            for t in plan.table_configs:
-                owner = plan.owner_of(t.name)
-                source = self._weights_of(t.name)
-                fld = batch.field(t.name)
-                for g in range(G):
-                    if g == owner:
-                        continue
-                    sl = fld.slice_samples(*bounds[g])
-                    if not sl.nnz:
-                        continue
-                    rows = hash_indices(sl.indices, t.num_rows)
-                    caches[g].lookup_rows(t.name, rows, source=source)
 
     # -- partition ---------------------------------------------------------------
 
     def _route_via(self, src: int, dst: int) -> Optional[int]:
         """A healthy intermediate for two-hop forwarding, or None."""
-        if not self.spec.reroute:
-            return None
         for k in range(self.cluster.n_devices):
             if k == src or k == dst:
                 continue
@@ -230,9 +176,7 @@ class ResilientRetrieval(BaseRetrieval):
                 return k
         return None
 
-    def _partition(
-        self, workloads: Sequence[DeviceWorkload], batch: Optional[SparseBatch]
-    ) -> _BatchState:
+    def _partition(self, workloads: Sequence[DeviceWorkload]) -> _BatchState:
         """Strip unreachable destinations; decide reroute vs. degrade."""
         cluster = self.cluster
         G = cluster.n_devices
@@ -266,52 +210,14 @@ class ResilientRetrieval(BaseRetrieval):
             adjusted[i] = dataclasses.replace(wl, block_dst_bytes=block_dst)
         outcome.total_bags = total_bags
         outcome.rerouted_pairs = len(forwards)
-        cache_served = self._consult_cache(batch, degraded_pairs)
-        covered = sum(int(np.count_nonzero(m)) for m, _ in cache_served.values())
-        outcome.cache_served_bags = covered
-        outcome.degraded_bags = (
-            sum(remote_bags.get(p, 0) for p in degraded_pairs) - covered
-        )
+        outcome.degraded_bags = sum(remote_bags.get(p, 0) for p in degraded_pairs)
         return _BatchState(
             workloads=adjusted,
             forwards=forwards,
             degraded_pairs=degraded_pairs,
             remote_bags=remote_bags,
-            cache_served=cache_served,
             outcome=outcome,
         )
-
-    def _consult_cache(
-        self, batch: Optional[SparseBatch], degraded_pairs: Set[Tuple[int, int]]
-    ) -> Dict[Tuple[int, str], Tuple[np.ndarray, Optional[np.ndarray]]]:
-        """Serve fully covered bags of unreachable pairs from the caches.
-
-        Returns ``(dst, table) -> (covered_mask, pooled_values)``; pooled
-        values are None without materialised weights.
-        """
-        if not degraded_pairs or batch is None:
-            return {}
-        caches = self._ensure_fallback()
-        if caches is None:
-            return {}
-        plan = self.table_plan
-        bounds = minibatch_bounds(batch.batch_size, plan.n_devices)
-        served: Dict[Tuple[int, str], Tuple[np.ndarray, Optional[np.ndarray]]] = {}
-        for owner, g in sorted(degraded_pairs):
-            lo, hi = bounds[g]
-            for t in plan.tables_on(owner):
-                fld = batch.field(t.name)
-                sl = fld.slice_samples(lo, hi)
-                rows = hash_indices(sl.indices, t.num_rows)
-                acc = caches[g].lookup_rows(t.name, rows, source=self._weights_of(t.name))
-                _, covered = acc.coverage(fld.lengths[lo:hi])
-                if not np.any(covered):
-                    continue
-                pooled = None
-                if acc.values is not None:
-                    pooled = segment_pool(acc.values, sl.offsets)
-                served[(g, t.name)] = (covered, pooled)
-        return served
 
     def _strip_remote(
         self, workloads: Sequence[DeviceWorkload]
@@ -337,8 +243,7 @@ class ResilientRetrieval(BaseRetrieval):
         if self.base_name == "pgas":
             pspec = self.base.pgas.spec
             return pspec.message_bytes, pspec.header_bytes
-        cspec = self.base.collectives.spec
-        return 0, cspec.per_chunk_header_bytes
+        return 0, PER_CHUNK_HEADER_BYTES
 
     def _forward_route(
         self, cluster: Cluster, src: int, via: int, dst: int,
@@ -397,7 +302,7 @@ class ResilientRetrieval(BaseRetrieval):
 
         def start() -> Event:
             run = _BatchRun(
-                cluster, self._partition(workloads, batch), timing, stream_suffix,
+                cluster, self._partition(workloads), timing, stream_suffix,
                 t0=engine.now, done=engine.event("resilient_batch"),
             )
             self._try(run)
@@ -424,19 +329,15 @@ class ResilientRetrieval(BaseRetrieval):
 
     def _missed(self, run: _BatchRun) -> None:
         """Deadline breach: back off and retry, or serve what is local."""
-        spec = self.spec
         state, outcome = run.state, run.state.outcome
         outcome.retries += 1
         run.attempt += 1
-        if run.attempt > spec.max_retries:
+        if run.attempt > MAX_RETRIES:
             # Retries exhausted: abandon the wire entirely and serve
-            # whatever is local.  Every remote bag not already covered
-            # by the fallback cache is zero-filled.
+            # whatever is local.  Every remote bag is zero-filled.
             outcome.deadline_missed = True
             state.fully_degraded = True
-            outcome.degraded_bags = (
-                sum(state.remote_bags.values()) - outcome.cache_served_bags
-            )
+            outcome.degraded_bags = sum(state.remote_bags.values())
             run.sub = PhaseTiming(batches=1)
             ended = self._attempt(
                 run.cluster, self._strip_remote(state.workloads), [], run.sub, outcome,
@@ -444,8 +345,8 @@ class ResilientRetrieval(BaseRetrieval):
             )
             run.cluster.then(ended, partial(self._finish, run))
             return
-        backoff = spec.backoff_base_ns * spec.backoff_multiplier ** (run.attempt - 1)
-        backoff *= 1.0 + spec.jitter_fraction * float(self._rng.random())
+        backoff = BACKOFF_BASE_NS * BACKOFF_MULTIPLIER ** (run.attempt - 1)
+        backoff *= 1.0 + JITTER_FRACTION * float(self._rng.random())
         run.cluster.then(backoff, partial(self._try, run))
 
     def _finish(self, run: _BatchRun) -> None:
@@ -467,8 +368,6 @@ class ResilientRetrieval(BaseRetrieval):
             self._count(REROUTE_COUNTER + ".delivered", outcome.rerouted_bytes)
         if outcome.degraded_bags:
             self._count(DEGRADED_COUNTER, outcome.degraded_bags, "bags")
-        if outcome.cache_served_bags:
-            self._count(CACHE_SERVED_COUNTER, outcome.cache_served_bags, "bags")
         run.done.succeed()
 
     def pop_outcome(self) -> Optional[BatchOutcome]:
@@ -482,8 +381,7 @@ class ResilientRetrieval(BaseRetrieval):
         """Numpy forward honouring the last timed batch's degradation.
 
         Unaffected bags are bit-identical to the wrapped backend; degraded
-        (owner, dst) pairs are zero-filled except bags fully served from
-        the fallback cache.
+        (owner, dst) pairs are zero-filled.
         """
         outputs = super().functional_forward(batch)
         state = self._last_state
@@ -491,26 +389,11 @@ class ResilientRetrieval(BaseRetrieval):
             return outputs
         plan = self.table_plan
         G = plan.n_devices
-        bounds = minibatch_bounds(batch.batch_size, G)
         for f, t in enumerate(plan.table_configs):
             owner = plan.owner_of(t.name)
             for g in range(G):
                 if g == owner:
                     continue
-                if not state.fully_degraded and (owner, g) not in state.degraded_pairs:
-                    continue
-                out = outputs[g]
-                out[:, f, :] = 0.0
-                served = state.cache_served.get((g, t.name))
-                if served is not None:
-                    covered, pooled = served
-                    if pooled is not None:
-                        out[covered, f, :] = pooled[covered]
+                if state.fully_degraded or (owner, g) in state.degraded_pairs:
+                    outputs[g][:, f, :] = 0.0
         return outputs
-
-    def release(self) -> None:
-        """Free the fallback caches' slabs back to their memory pools."""
-        if self._fallback is not None:
-            for cache in self._fallback:
-                cache.release()
-            self._fallback = None

@@ -8,9 +8,8 @@ k-way shard replication with failover routing and bandwidth-charged
 re-replication:
 
 * :mod:`repro.replication.spec` — the frozen :class:`ReplicationSpec`
-  (replication factor, ``spread``/``ring`` placement, failure-detector
-  cadence, recovery bandwidth share) and its deterministic per-table
-  replica placement;
+  (replication factor, failure-detector cadence) and its deterministic
+  per-table spread placement;
 * :mod:`repro.replication.retrieval` — :class:`ReplicatedRetrieval`,
   which fronts either base backend: a heartbeat monitor on the engine
   clock detects ``device_down`` failures, lookup blocks of a dead
@@ -45,7 +44,7 @@ from .retrieval import (
     AvailabilityLedger,
     ReplicatedRetrieval,
 )
-from .spec import PLACEMENTS, ReplicationSpec
+from .spec import ReplicationSpec
 
 __all__ = [
     "AvailabilityLedger",
@@ -53,7 +52,6 @@ __all__ = [
     "DETECTION_COUNTER",
     "FAILOVER_COUNTER",
     "FAILURES_COUNTER",
-    "PLACEMENTS",
     "RECOVERY_COUNTER",
     "REPROTECT_COUNTER",
     "ReplicatedRetrieval",

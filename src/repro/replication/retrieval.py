@@ -13,8 +13,8 @@
 * **failure detection** — a heartbeat monitor on the engine clock probes
   every device each ``heartbeat_interval_ns``; a device whose permanent
   ``device_down`` fault has fired misses consecutive probes and is
-  declared failed after ``miss_threshold`` misses (detection latency is
-  bounded by ``interval * miss_threshold``);
+  declared failed after :data:`MISS_THRESHOLD` misses (detection latency
+  is bounded by ``interval * MISS_THRESHOLD``);
 * **failover routing** — once a primary is declared failed, its tables'
   lookup blocks are rerouted to the nearest live replica by rebuilding
   the per-device workloads under the effective ownership (which
@@ -24,7 +24,8 @@
 * **online recovery** — detection also starts a background engine
   process that re-replicates every shard the dead device held from a
   surviving holder to a fresh device, chunked over the real
-  interconnect at a configured bandwidth share.  Recovery bytes are
+  interconnect in :data:`RECOVERY_CHUNK_BYTES` chunks paced to
+  :data:`RECOVERY_BANDWIDTH_SHARE` of each link.  Recovery bytes are
   stamped on the ``availability.recovery_bytes`` counter *and* its
   per-link variants, so they show up on interconnect rows in Chrome
   traces next to the foreground traffic they compete with.
@@ -58,6 +59,7 @@ from ..simgpu.device import Device
 from ..simgpu.engine import Event
 from ..simgpu.memory import OutOfDeviceMemory
 from ..simgpu.stream import join
+from ..simgpu.units import MiB
 from .spec import ReplicationSpec
 
 __all__ = [
@@ -66,6 +68,9 @@ __all__ = [
     "DETECTION_COUNTER",
     "FAILOVER_COUNTER",
     "FAILURES_COUNTER",
+    "MISS_THRESHOLD",
+    "RECOVERY_BANDWIDTH_SHARE",
+    "RECOVERY_CHUNK_BYTES",
     "RECOVERY_COUNTER",
     "REPROTECT_COUNTER",
     "ReplicatedRetrieval",
@@ -89,6 +94,14 @@ REPROTECT_COUNTER = "availability.time_to_reprotect_ns"
 FAILURES_COUNTER = "availability.failures"
 #: profiler span category of detection/recovery extents
 SPAN_CATEGORY = "availability"
+
+#: consecutive missed heartbeats before a device is declared failed
+MISS_THRESHOLD = 2
+#: share of each link's bandwidth the re-replication stream may take;
+#: recovery chunks pace themselves so foreground traffic keeps the rest
+RECOVERY_BANDWIDTH_SHARE = 0.25
+#: granularity of the re-replication transfers (the pacing quantum)
+RECOVERY_CHUNK_BYTES = 4 * MiB
 
 
 @dataclass
@@ -189,11 +202,6 @@ class ReplicatedRetrieval(BaseRetrieval):
 
     # -- failure detection -------------------------------------------------------
 
-    @property
-    def failed_devices(self) -> Tuple[int, ...]:
-        """Devices the heartbeat detector has declared failed, sorted."""
-        return tuple(sorted(self._failed))
-
     def _heartbeat(self) -> None:
         engine = self.cluster.engine
         for dev in self.cluster.devices:
@@ -201,7 +209,7 @@ class ReplicatedRetrieval(BaseRetrieval):
                 continue
             if dev.is_down:
                 self._misses[dev.id] += 1
-                if self._misses[dev.id] >= self.spec.miss_threshold:
+                if self._misses[dev.id] >= MISS_THRESHOLD:
                     self._declare_failed(dev)
             else:
                 self._misses[dev.id] = 0
@@ -296,8 +304,8 @@ class ReplicatedRetrieval(BaseRetrieval):
 
         self.cluster.interconnect.paced_copy(
             src, target, self.table_plan.table_configs[f].nbytes,
-            chunk_bytes=self.spec.recovery_chunk_bytes,
-            share=self.spec.recovery_bandwidth_share,
+            chunk_bytes=RECOVERY_CHUNK_BYTES,
+            share=RECOVERY_BANDWIDTH_SHARE,
             counter=RECOVERY_COUNTER,
             on_done=copied,
         )

@@ -50,7 +50,7 @@ from .executor import (
     ReshardExecutor,
 )
 from .planner import MigrationPlan, ReshardPlanner, RowSplitAdvisory, TableMove
-from .retrieval import ReshardLedger, ReshardRetrieval
+from .retrieval import ReshardRetrieval
 from .spec import ReshardSpec
 from .tracker import LoadTracker
 
@@ -64,7 +64,6 @@ __all__ = [
     "MigrationPlan",
     "PLANS_COUNTER",
     "ReshardExecutor",
-    "ReshardLedger",
     "ReshardPlanner",
     "ReshardRetrieval",
     "ReshardSpec",

@@ -195,14 +195,6 @@ class ReshardExecutor:
             return
         engine.run_until_event(join(engine, pending), limit=limit_ns)
 
-    def totals(self) -> Dict[str, float]:
-        """Cross-run migration totals (Python-side ledger)."""
-        return {
-            "migrations_completed": float(len(self.completed)),
-            "migration_bytes": float(self.bytes_streamed),
-            "in_flight": float(len(self.in_flight)),
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<ReshardExecutor in_flight={sorted(self.in_flight)} "

@@ -2,10 +2,12 @@
 
 The :class:`ReshardPlanner` consumes the :class:`~repro.reshard.tracker.
 LoadTracker`'s windowed per-table traffic plus the current ownership and
-emits a :class:`MigrationPlan` — a bounded set of whole-table
-:class:`TableMove`\\ s that greedily shrinks the max/mean per-device
-traffic ratio, subject to destination
-:class:`~repro.simgpu.memory.MemoryPool` capacity.
+emits a :class:`MigrationPlan` — at most :data:`MAX_MOVES_PER_PLAN`
+whole-table :class:`TableMove`\\ s that greedily shrink the max/mean
+per-device traffic ratio (:func:`owner_loads`), subject to destination
+:class:`~repro.simgpu.memory.MemoryPool` capacity.  The remaining
+imbalance is left for the next planning round, which keeps each
+migration burst bounded.
 
 When a single table is so hot that *no* placement of whole tables can
 balance it (its window traffic alone exceeds the per-device mean), the
@@ -25,7 +27,35 @@ from typing import Dict, List, Mapping, Sequence, Set, Tuple
 from ..core.sharding import RowShard, RowWiseSharding, TableWiseSharding
 from .spec import ReshardSpec
 
-__all__ = ["MigrationPlan", "ReshardPlanner", "RowSplitAdvisory", "TableMove"]
+__all__ = [
+    "MAX_MOVES_PER_PLAN",
+    "MigrationPlan",
+    "ReshardPlanner",
+    "RowSplitAdvisory",
+    "TableMove",
+    "owner_loads",
+]
+
+#: cap on table moves in one plan
+MAX_MOVES_PER_PLAN = 4
+
+
+def owner_loads(
+    traffic: Mapping[str, float], owners: Mapping[str, int], n_devices: int
+) -> Tuple[List[float], float, float]:
+    """Per-table traffic folded onto each table's owner.
+
+    Returns the per-device ``loads``, their ``mean`` and the max/mean
+    ``imbalance`` (1.0 when nothing moved; 1.0 is perfect balance).  A
+    table with no owner in ``owners`` is left out.
+    """
+    loads = [0.0] * n_devices
+    for name, b in traffic.items():
+        dev = owners.get(name)
+        if dev is not None:
+            loads[dev] += float(b)
+    mean = sum(loads) / n_devices
+    return loads, mean, max(loads) / mean if mean > 0 else 1.0
 
 
 @dataclass(frozen=True)
@@ -116,14 +146,7 @@ class ReshardPlanner:
             )
         nbytes = {cfg.name: cfg.nbytes for cfg in self.plan.table_configs}
         cur: Dict[str, int] = dict(owners)
-        loads = [0.0] * G
-        for name, b in traffic.items():
-            dev = cur.get(name)
-            if dev is not None:
-                loads[dev] += float(b)
-        total = sum(loads)
-        mean = total / G
-        imbalance_before = max(loads) / mean if mean > 0 else 1.0
+        loads, mean, imbalance_before = owner_loads(traffic, cur, G)
         if imbalance_before <= self.spec.imbalance_threshold:
             return MigrationPlan(
                 imbalance_before=imbalance_before,
@@ -135,7 +158,7 @@ class ReshardPlanner:
         blocked: Set[str] = set(frozen)
         moves: List[TableMove] = []
         advisories: List[RowSplitAdvisory] = []
-        for _ in range(self.spec.max_moves_per_plan):
+        for _ in range(MAX_MOVES_PER_PLAN):
             src = max(range(G), key=lambda d: loads[d])
             dst = min(range(G), key=lambda d: loads[d])
             gap = loads[src] - loads[dst]

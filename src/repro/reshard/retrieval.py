@@ -30,7 +30,6 @@ base backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -38,7 +37,7 @@ import numpy as np
 from ..core.baseline import BatchStart, PhaseTiming
 from ..core.functional import functional_forward
 from ..core.retrieval import BaseRetrieval
-from ..core.sharding import ShardingError, TableWiseSharding
+from ..core.sharding import TableWiseSharding
 from ..core.workload import DeviceWorkload, rehome_workloads, table_segments
 from ..dlrm.batch import SparseBatch
 from ..simgpu.cluster import Cluster
@@ -53,26 +52,7 @@ from .planner import MigrationPlan, ReshardPlanner, TableMove
 from .spec import ReshardSpec
 from .tracker import LoadTracker
 
-__all__ = ["ReshardLedger", "ReshardRetrieval"]
-
-
-@dataclass
-class ReshardLedger:
-    """Python-side per-adapter resharding tally (never stamped on
-    no-migration batches, so it cannot perturb trace bit-identity)."""
-
-    batches: int = 0
-    plans_adopted: int = 0
-    moves_submitted: int = 0
-    advisories: int = 0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "batches": float(self.batches),
-            "plans_adopted": float(self.plans_adopted),
-            "moves_submitted": float(self.moves_submitted),
-            "advisories": float(self.advisories),
-        }
+__all__ = ["ReshardRetrieval"]
 
 
 class ReshardRetrieval(BaseRetrieval):
@@ -97,7 +77,7 @@ class ReshardRetrieval(BaseRetrieval):
         self._static_owners: Dict[str, int] = {
             cfg.name: plan.owner_of(cfg.name) for cfg in plan.table_configs
         }
-        #: current serving ownership; only cutover (or force_cutover) mutates it
+        #: current serving ownership; only cutover mutates it
         self._owners: Dict[str, int] = dict(self._static_owners)
         self._row_bytes = {cfg.name: cfg.row_bytes for cfg in plan.table_configs}
         self.tracker = LoadTracker(self.spec.window_batches)
@@ -110,7 +90,6 @@ class ReshardRetrieval(BaseRetrieval):
         self.hit_rates_fn: Optional[Callable[[], Mapping[str, float]]] = None
         #: most recent planner verdict (None until the first planning round)
         self.last_plan: Optional[MigrationPlan] = None
-        self.ledger = ReshardLedger()
 
     @classmethod
     def from_host(cls, host, base: str) -> "ReshardRetrieval":
@@ -131,25 +110,6 @@ class ReshardRetrieval(BaseRetrieval):
             for name, dev in self._owners.items()
             if dev != self._static_owners[name]
         }
-
-    def imbalance(self) -> float:
-        """Windowed max/mean device traffic under the current ownership."""
-        return self.tracker.imbalance(self._owners, self.table_plan.n_devices)
-
-    def force_cutover(self, table_name: str, dst: int) -> None:
-        """Test hook: flip a table's serving owner instantly, no streaming.
-
-        Exists so property tests can interleave ownership changes with
-        batches at arbitrary points; production cutover only ever happens
-        from the executor's migration stream.
-        """
-        if table_name not in self._owners:
-            raise ShardingError(f"unknown table {table_name!r}")
-        if not (0 <= dst < self.table_plan.n_devices):
-            raise ShardingError(
-                f"device {dst} outside 0..{self.table_plan.n_devices - 1}"
-            )
-        self._owners[table_name] = dst
 
     def _on_cutover(self, move: TableMove) -> None:
         self._owners[move.table_name] = move.dst
@@ -188,7 +148,6 @@ class ReshardRetrieval(BaseRetrieval):
 
     def _after_batch(self, workloads: List[DeviceWorkload]) -> None:
         """Feed the tracker and, on planning rounds, maybe start migrations."""
-        self.ledger.batches += 1
         segments = table_segments(self.table_plan, workloads)
         table_bytes = {
             name: float(seg[2]) * self._row_bytes[name]
@@ -218,15 +177,12 @@ class ReshardRetrieval(BaseRetrieval):
         # Only rounds that actually act stamp counters, so balanced runs
         # stay byte-identical to the bare base backend.
         if plan.advisories:
-            self.ledger.advisories += len(plan.advisories)
             self._count(ADVISORIES_COUNTER, len(plan.advisories), "advisories")
         if plan.empty:
             return
         started = self.executor.submit(plan, self._on_cutover)
         if not started:
             return
-        self.ledger.plans_adopted += 1
-        self.ledger.moves_submitted += len(started)
         self._count(PLANS_COUNTER, 1.0, "plans")
         self._count(MOVES_COUNTER, len(started), "moves")
 
@@ -246,13 +202,3 @@ class ReshardRetrieval(BaseRetrieval):
         moved = self._owners != self._static_owners
         sharded = self._materialized(dict(self._owners) if moved else None)
         return functional_forward(self.base_name, sharded, batch)
-
-    # -- reporting ---------------------------------------------------------------
-
-    def totals(self) -> Dict[str, float]:
-        """Cross-batch resharding totals (Python-side ledger)."""
-        d = self.ledger.as_dict()
-        d.update(self.executor.totals())
-        d["tables_moved"] = float(len(self.moved_tables()))
-        d["imbalance"] = self.imbalance()
-        return d

@@ -2,11 +2,12 @@
 
 A :class:`ReshardSpec` configures the skew-aware online load balancer:
 how much traffic history the :class:`~repro.reshard.tracker.LoadTracker`
-keeps, how lopsided the per-device traffic must get before the
-:class:`~repro.reshard.planner.ReshardPlanner` acts, and how many tables one
-:class:`~repro.reshard.planner.MigrationPlan` may move.  How fast the
-:class:`~repro.reshard.executor.ReshardExecutor` streams a move is fixed
-by its module constants (bandwidth share and chunk size).
+keeps and how lopsided the per-device traffic must get before the
+:class:`~repro.reshard.planner.ReshardPlanner` acts.  How many tables one
+:class:`~repro.reshard.planner.MigrationPlan` may move is fixed by
+:data:`~repro.reshard.planner.MAX_MOVES_PER_PLAN`, and how fast the
+:class:`~repro.reshard.executor.ReshardExecutor` streams a move by its
+module constants (bandwidth share and chunk size).
 """
 
 from __future__ import annotations
@@ -35,16 +36,12 @@ class ReshardSpec:
         Max/mean per-device traffic ratio above which a migration plan is
         drawn up.  ``1.0`` is perfect balance; must be ``>= 1.0``.  A
         uniform workload sits at ~1.0 and never triggers.
-    max_moves_per_plan:
-        Cap on table moves in one plan; remaining imbalance is left for
-        the next planning round (keeps each migration burst bounded).
     """
 
     window_batches: int = 8
     min_batches: int = 2
     check_interval_batches: int = 4
     imbalance_threshold: float = 1.25
-    max_moves_per_plan: int = 4
 
     def __post_init__(self) -> None:
         if self.window_batches < 1:
@@ -63,5 +60,3 @@ class ReshardSpec:
                 f"imbalance_threshold must be >= 1.0 (max/mean ratio), "
                 f"got {self.imbalance_threshold}"
             )
-        if self.max_moves_per_plan < 1:
-            raise ValueError("max_moves_per_plan must be >= 1")

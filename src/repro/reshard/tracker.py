@@ -79,17 +79,6 @@ class LoadTracker:
         # Guard against float drift from the incremental eviction updates.
         return {name: max(0.0, b) for name, b in self._totals.items()}
 
-    def imbalance(self, owners: Mapping[str, int], n_devices: int) -> float:
-        """Max/mean per-device traffic (1.0 = perfectly balanced), the
-        window's traffic folded onto each table's owner."""
-        loads = [0.0] * n_devices
-        for name, b in self.table_traffic().items():
-            dev = owners.get(name)
-            if dev is not None:
-                loads[dev] += b
-        mean = sum(loads) / len(loads) if loads else 0.0
-        return max(loads) / mean if mean > 0 else 1.0
-
     def reset(self) -> None:
         """Drop all observed history."""
         self._window.clear()

@@ -81,7 +81,7 @@ class Buffer:
         return self.data
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        kind = "mat" if self.materialized else "virt"
+        kind = "virt" if self.data is None else "mat"
         return (
             f"<Buffer dev={self.device_id} {self.label!r} {self.shape} "
             f"{np.dtype(self.dtype).name} {self.nbytes}B {kind}>"

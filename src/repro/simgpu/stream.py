@@ -229,4 +229,4 @@ class StreamPool:
         self._free.sort()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<StreamPool {self.n_in_use}/{self.n_slots} in use>"
+        return f"<StreamPool {self.n_slots - len(self._free)}/{self.n_slots} in use>"

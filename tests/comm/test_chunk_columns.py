@@ -16,15 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.comm import collective
 from repro.comm.collective import CollectiveContext, CollectiveSpec, chunk_waves
 from repro.simgpu import dgx_v100
 from repro.simgpu.interconnect import Interconnect
 from repro.simgpu.units import MiB
 
 
-def _sequential(spec, srcs, dsts, nbytes, derate):
+def _sequential(spec, header_bytes, efficiency, srcs, dsts, nbytes, derate):
     """The per-pair loop: each pair's chunks in order, ``min(chunk, remaining)``."""
-    extra = 1.0 / spec.bandwidth_efficiency - 1.0
+    extra = 1.0 / efficiency - 1.0
     waves = []
     for src, row_dsts, row_bytes in zip(srcs, dsts.tolist(), nbytes.tolist()):
         out_dsts, sizes, headers = [], [], []
@@ -35,7 +36,7 @@ def _sequential(spec, srcs, dsts, nbytes, derate):
                 remaining -= size
                 out_dsts.append(dst)
                 sizes.append(size)
-                header = spec.per_chunk_header_bytes
+                header = header_bytes
                 if derate:
                     header += int(size * extra)
                 headers.append(header)
@@ -50,13 +51,10 @@ efficiencies = st.sampled_from([1.0, 0.1875, 0.5, 1.0 / 3.0])
 
 @st.composite
 def splits(draw):
-    """``(spec, S, k, nbytes)``: zero pairs, exact multiples of the chunk,
-    fractional byte counts and multi-chunk pairs."""
-    spec = CollectiveSpec(
-        chunk_bytes=draw(chunks),
-        per_chunk_header_bytes=draw(st.integers(0, 512)),
-        bandwidth_efficiency=draw(efficiencies),
-    )
+    """``(spec, header_bytes, efficiency, S, k, nbytes)``: zero pairs, exact
+    multiples of the chunk, fractional byte counts and multi-chunk pairs."""
+    spec = CollectiveSpec(chunk_bytes=draw(chunks))
+    header_bytes, efficiency = draw(st.integers(0, 512)), draw(efficiencies)
     S, k = draw(st.integers(1, 5)), draw(st.integers(0, 5))
     chunk = spec.chunk_bytes
     pair = st.one_of(
@@ -66,17 +64,20 @@ def splits(draw):
         st.integers(1, 7 * chunk).map(float),
     )
     cells = draw(st.lists(pair, min_size=S * k, max_size=S * k))
-    return spec, S, k, np.array(cells, dtype=np.float64).reshape(S, k)
+    return spec, header_bytes, efficiency, S, k, np.array(cells, dtype=np.float64).reshape(S, k)
 
 
 @settings(deadline=None, max_examples=200)
 @given(case=splits(), derate=st.booleans())
 def test_columns_equal_the_sequential_split(case, derate):
-    spec, S, k, nbytes = case
+    spec, header_bytes, efficiency, S, k, nbytes = case
     srcs = list(range(10, 10 + S))
     dsts = np.arange(S * k).reshape(S, k) % 7
-    got = chunk_waves(spec, srcs, dsts, nbytes, derate=derate)
-    want = _sequential(spec, srcs, dsts, nbytes, derate)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(collective, "PER_CHUNK_HEADER_BYTES", header_bytes)
+        mp.setattr(collective, "NCCL_ALLTOALL_EFFICIENCY", efficiency)
+        got = chunk_waves(spec, srcs, dsts, nbytes, derate=derate)
+    want = _sequential(spec, header_bytes, efficiency, srcs, dsts, nbytes, derate)
     assert got == want
     for _, out_dsts, sizes, headers in got:
         assert all(type(d) is int for d in out_dsts)
@@ -89,8 +90,8 @@ def test_default_chunks_of_a_large_pair():
     ((src, dsts, sizes, headers),) = chunk_waves(spec, [3], np.array([[0, 1, 2]]), nbytes)
     assert src == 3 and dsts == [0, 0, 0, 1, 1]
     assert sizes == [4 * MiB, 4 * MiB, 2 * MiB + 0.5, 4 * MiB, 4 * MiB]
-    derate = 1.0 / spec.bandwidth_efficiency - 1.0
-    assert headers == [spec.per_chunk_header_bytes + int(s * derate) for s in sizes]
+    derate = 1.0 / collective.NCCL_ALLTOALL_EFFICIENCY - 1.0
+    assert headers == [collective.PER_CHUNK_HEADER_BYTES + int(s * derate) for s in sizes]
 
 
 @pytest.mark.parametrize("bad", [-1.0, float("nan")])
@@ -112,9 +113,13 @@ class TestSchedulePins:
 
     SPLIT = np.arange(16, dtype=float).reshape(4, 4) * 777.7 + 0.25
 
+    @pytest.fixture(autouse=True)
+    def _headers(self, monkeypatch):
+        monkeypatch.setattr(collective, "PER_CHUNK_HEADER_BYTES", 8)
+
     def _run(self, op, algo="direct"):
         cl = dgx_v100(4)
-        spec = CollectiveSpec(chunk_bytes=1000, per_chunk_header_bytes=8, alltoall_algorithm=algo)
+        spec = CollectiveSpec(chunk_bytes=1000, alltoall_algorithm=algo)
         ctx = CollectiveContext(cl, spec)
         split = self.SPLIT.copy()
         split[1, 2], split[2, 3] = 3000.0, 0.0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.comm import collective
 from repro.comm.collective import CollectiveContext, CollectiveSpec
 from repro.simgpu import dgx_v100
 from repro.simgpu.interconnect import Interconnect
@@ -17,35 +18,22 @@ def run_collective(cluster, start_fn):
 
 
 def fast_spec(**kw):
-    """A spec with zero control overheads for pure-transfer arithmetic."""
-    defaults = dict(
-        chunk_bytes=4 * MiB,
-        launch_overhead_ns=0.0,
-        per_chunk_header_bytes=0,
-        wait_overhead_ns=0.0,
-        bandwidth_efficiency=1.0,
-    )
-    defaults.update(kw)
-    return CollectiveSpec(**defaults)
+    """A spec for pure-transfer arithmetic (with the ``fast`` fixture)."""
+    return CollectiveSpec(**{"chunk_bytes": 4 * MiB, **kw})
 
 
 class TestSpec:
     def test_defaults_validated(self):
         with pytest.raises(ValueError):
             CollectiveSpec(chunk_bytes=0)
-        with pytest.raises(ValueError):
-            CollectiveSpec(bandwidth_efficiency=0.0)
-        with pytest.raises(ValueError):
-            CollectiveSpec(bandwidth_efficiency=1.5)
-        with pytest.raises(ValueError):
-            CollectiveSpec(launch_overhead_ns=-1.0)
 
     def test_default_efficiency_is_calibrated(self):
         from repro.core.calibration import NCCL_ALLTOALL_EFFICIENCY
 
-        assert CollectiveSpec().bandwidth_efficiency == NCCL_ALLTOALL_EFFICIENCY
+        assert collective.NCCL_ALLTOALL_EFFICIENCY == NCCL_ALLTOALL_EFFICIENCY == 0.1875
 
 
+@pytest.mark.usefixtures("fast")
 class TestAllToAll:
     def test_split_shape_validated(self):
         cl = dgx_v100(2)
@@ -65,10 +53,11 @@ class TestAllToAll:
         run_collective(cl, lambda: ctx.all_to_all_single(split))
         assert cl.engine.now == pytest.approx(nbytes / bw + lat)
 
-    def test_launch_and_wait_overheads_charged(self):
+    def test_launch_and_wait_overheads_charged(self, fast):
+        fast("LAUNCH_OVERHEAD_NS", 30 * us)
+        fast("WAIT_OVERHEAD_NS", 8 * us)
         cl = dgx_v100(2)
-        spec = fast_spec(launch_overhead_ns=30 * us, wait_overhead_ns=8 * us)
-        ctx = CollectiveContext(cl, spec)
+        ctx = CollectiveContext(cl, fast_spec())
         run_collective(cl, lambda: ctx.all_to_all_single(np.zeros((2, 2))))
         assert cl.engine.now == pytest.approx(38 * us)
 
@@ -87,7 +76,7 @@ class TestAllToAll:
         expected = split.sum() - np.trace(split)
         assert cl.profiler.counter(Interconnect.COUNTER).total == pytest.approx(expected)
 
-    def test_efficiency_derate_slows_transfer(self):
+    def test_efficiency_derate_slows_transfer(self, fast):
         nbytes = 4 * MiB
         split = np.array([[0.0, float(nbytes)], [0.0, 0.0]])
 
@@ -95,12 +84,10 @@ class TestAllToAll:
         run_collective(
             cl_fast, lambda: CollectiveContext(cl_fast, fast_spec()).all_to_all_single(split)
         )
+        fast("NCCL_ALLTOALL_EFFICIENCY", 0.25)
         cl_slow = dgx_v100(2)
         run_collective(
-            cl_slow,
-            lambda: CollectiveContext(
-                cl_slow, fast_spec(bandwidth_efficiency=0.25)
-            ).all_to_all_single(split),
+            cl_slow, lambda: CollectiveContext(cl_slow, fast_spec()).all_to_all_single(split)
         )
         # 4x less efficient → ~4x the wire time (latency charged once each)
         lat = cl_fast.topology.link_spec(0, 1).latency_ns
@@ -130,6 +117,7 @@ class TestAllToAll:
         assert handle.completed_at >= handle.issued_at
 
 
+@pytest.mark.usefixtures("fast")
 class TestOtherCollectives:
     def test_all_reduce_ring_volume(self):
         G = 4
@@ -147,6 +135,7 @@ class TestOtherCollectives:
             ctx.all_reduce(-1.0)
 
 
+@pytest.mark.usefixtures("fast")
 class TestAlltoallAlgorithms:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="alltoall_algorithm"):
@@ -200,6 +189,7 @@ class TestAlltoallAlgorithms:
         assert times["pairwise"] == pytest.approx(times["direct"], rel=1e-6)
 
 
+@pytest.mark.usefixtures("fast")
 class TestBookedChunks:
     """Chunks are booked at issue, one wave per source: a collective
     schedules nothing per chunk, only its launch and its completion."""
@@ -227,11 +217,13 @@ class TestBookedChunks:
                 # The launch, one barrier per round, and the done event.
                 assert self._entries(G, pair_bytes, alltoall_algorithm="pairwise")[0] == G + 1
 
-    def test_chunk_order_and_last_header(self):
+    def test_chunk_order_and_last_header(self, fast):
         """A pair's chunks go out in order, then the next destination's; the
         last, shorter chunk carries its own inefficiency header."""
+        fast("PER_CHUNK_HEADER_BYTES", 8)
+        fast("NCCL_ALLTOALL_EFFICIENCY", 0.5)
         cl = dgx_v100(3)
-        spec = fast_spec(chunk_bytes=1000, per_chunk_header_bytes=8, bandwidth_efficiency=0.5)
+        spec = fast_spec(chunk_bytes=1000)
         split = np.array([[0.0, 2500.0, 1000.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         run_collective(cl, lambda: CollectiveContext(cl, spec).all_to_all_single(split))
         pairs = cl.profiler.pair_counters("comm_bytes")

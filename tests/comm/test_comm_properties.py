@@ -51,7 +51,7 @@ def test_alltoall_conservation_any_split(G, seed, algo):
     cl = dgx_v100(G)
     ctx = CollectiveContext(
         cl,
-        CollectiveSpec(bandwidth_efficiency=1.0, alltoall_algorithm=algo),
+        CollectiveSpec(alltoall_algorithm=algo),
     )
 
     cl.run(lambda cluster: ctx.all_to_all_single(split).wait())

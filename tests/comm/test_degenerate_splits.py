@@ -22,18 +22,11 @@ def run_collective(cluster, start_fn):
 
 
 def fast_spec(**kw):
-    """A spec with zero control overheads for pure-transfer arithmetic."""
-    defaults = dict(
-        chunk_bytes=4 * MiB,
-        launch_overhead_ns=0.0,
-        per_chunk_header_bytes=0,
-        wait_overhead_ns=0.0,
-        bandwidth_efficiency=1.0,
-    )
-    defaults.update(kw)
-    return CollectiveSpec(**defaults)
+    """A spec for pure-transfer arithmetic (with the ``fast`` fixture)."""
+    return CollectiveSpec(**{"chunk_bytes": 4 * MiB, **kw})
 
 
+@pytest.mark.usefixtures("fast")
 class TestAllZeroSplits:
     @pytest.mark.parametrize("algo", ["direct", "pairwise"])
     def test_all_zero_completes_immediately(self, algo):
@@ -44,15 +37,12 @@ class TestAllZeroSplits:
         assert cl.profiler.counter(Interconnect.COUNTER).total == 0.0
 
     @pytest.mark.parametrize("algo", ["direct", "pairwise"])
-    def test_all_zero_still_charges_control_path(self, algo):
+    def test_all_zero_still_charges_control_path(self, algo, fast):
         """The call happened: launch + wait overheads are not skipped."""
+        fast("LAUNCH_OVERHEAD_NS", 30 * us)
+        fast("WAIT_OVERHEAD_NS", 8 * us)
         cl = dgx_v100(2)
-        spec = fast_spec(
-            launch_overhead_ns=30 * us,
-            wait_overhead_ns=8 * us,
-            alltoall_algorithm=algo,
-        )
-        ctx = CollectiveContext(cl, spec)
+        ctx = CollectiveContext(cl, fast_spec(alltoall_algorithm=algo))
         run_collective(cl, lambda: ctx.all_to_all_single(np.zeros((2, 2))))
         assert cl.engine.now == pytest.approx(38 * us)
 

@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.comm import pgas as pgas_mod
 from repro.comm.hier import HierSpec, NodeStagingRouter
 from repro.comm.pgas import PGASContext, PGASSpec
-from repro.core.aggregator import AggregatorSpec, AsyncAggregator
+from repro.core import aggregator
+from repro.core.aggregator import AsyncAggregator
 from repro.simgpu import dgx_v100, multinode
 from repro.simgpu.profiler import TraceRef
 from repro.simgpu.stream import join
@@ -73,11 +75,12 @@ class TestPut:
         ctx.put(0, 1, 1024.0)
         assert cl.engine._seq == seq0
 
-    def test_quiet_waits_for_the_horizon(self):
+    def test_quiet_waits_for_the_horizon(self, monkeypatch):
         """63 puts at one instant schedule nothing; ``_last_done`` is their
         latest delivery, and one ``quiet`` wakes there in one entry."""
+        monkeypatch.setattr(pgas_mod, "QUIET_OVERHEAD_NS", 0.0)
         cl = dgx_v100(64)
-        ctx = PGASContext(cl, PGASSpec(quiet_overhead_ns=0.0))
+        ctx = PGASContext(cl)
         payloads = [256.0 * (1 + (dst * 7) % 5) for dst in range(1, 64)]
         for dst, payload in zip(range(1, 64), payloads):
             ctx.put(0, dst, payload)
@@ -194,14 +197,15 @@ class TestPut:
 class TestAtomics:
     def test_atomic_add_volume(self):
         cl = dgx_v100(2)
-        ctx = PGASContext(cl, PGASSpec(atomic_payload_bytes=8))
+        ctx = PGASContext(cl)
         ctx.atomic_add(0, 1, 100)
         cl.engine.run()
         assert cl.profiler.counter(PGASContext.COUNTER).total == pytest.approx(800.0)
 
-    def test_atomic_add_is_awaited_by_quiet(self):
+    def test_atomic_add_is_awaited_by_quiet(self, monkeypatch):
+        monkeypatch.setattr(pgas_mod, "QUIET_OVERHEAD_NS", 0.0)
         cl = dgx_v100(2)
-        ctx = PGASContext(cl, PGASSpec(atomic_payload_bytes=8, quiet_overhead_ns=0.0))
+        ctx = PGASContext(cl)
         assert ctx.atomic_add(0, 1, 1_000_000) is None
         (delivered, _), = cl.profiler.counter(PGASContext.COUNTER).events()
         assert ctx._last_done[0] == delivered
@@ -239,7 +243,7 @@ class TestAtomics:
 
     def test_numpy_integer_count_accepted(self):
         cl = dgx_v100(2)
-        ctx = PGASContext(cl, PGASSpec(atomic_payload_bytes=8))
+        ctx = PGASContext(cl)
         ctx.atomic_add(0, 1, np.int64(3))
         cl.engine.run()
         assert cl.profiler.counter(PGASContext.COUNTER).total == 24.0
@@ -274,8 +278,7 @@ class TestCompletion:
 
     def test_quiet_with_nothing_outstanding_costs_only_overhead(self):
         cl = dgx_v100(2)
-        spec = PGASSpec(quiet_overhead_ns=2 * us)
-        ctx = PGASContext(cl, spec)
+        ctx = PGASContext(cl)
 
         def host(cluster):
             return ctx.quiet([0])
@@ -292,11 +295,12 @@ class TestCompletion:
 
         assert cl.run(host) < 10 * us
 
-    def test_pending_puts_gc(self):
+    def test_pending_puts_gc(self, monkeypatch):
         """A registered transfer that has landed is not waited on again: a
         later quiet is one callback, at its overhead from now."""
+        monkeypatch.setattr(pgas_mod, "QUIET_OVERHEAD_NS", 3.0)
         cl = dgx_v100(2)
-        ctx = PGASContext(cl, PGASSpec(quiet_overhead_ns=3.0))
+        ctx = PGASContext(cl)
         ev = cl.interconnect.transfer(0, 1, 100.0)
         ctx.register_outstanding(0, ev)
         cl.engine.run()
@@ -334,11 +338,12 @@ class TestCompletion:
         cl.run(host)
         assert ev.triggered
 
-    def test_pending_puts_counts_in_flight_and_external(self):
+    def test_pending_puts_counts_in_flight_and_external(self, monkeypatch):
         """Puts, atomics and a registered transfer all count; an already
         triggered registered event does not, and neither does another PE."""
+        monkeypatch.setattr(pgas_mod, "QUIET_OVERHEAD_NS", 0.0)
         cl = dgx_v100(3)
-        ctx = PGASContext(cl, PGASSpec(quiet_overhead_ns=0.0))
+        ctx = PGASContext(cl)
         ctx.put(0, 1, 100.0)
         ctx.put(0, 2, 100.0)
         ctx.atomic_add(0, 1, 4)
@@ -356,9 +361,10 @@ class TestCompletion:
         assert fired[0] == [max(max(puts[:3]), landed[0])] == landed
         assert fired[2] == [0.0]
 
-    def test_quiet_wakes_at_exactly_the_last_delivery(self):
+    def test_quiet_wakes_at_exactly_the_last_delivery(self, monkeypatch):
+        monkeypatch.setattr(pgas_mod, "QUIET_OVERHEAD_NS", 0.0)
         cl = dgx_v100(3)
-        ctx = PGASContext(cl, PGASSpec(quiet_overhead_ns=0.0))
+        ctx = PGASContext(cl)
         woke = []
 
         def host(cluster):
@@ -395,9 +401,10 @@ class TestCompletion:
         assert entered + (last - entered) != last  # the rounding case
         assert woke[1] == last
 
-    def test_put_issued_after_quiet_starts_is_not_awaited(self):
+    def test_put_issued_after_quiet_starts_is_not_awaited(self, monkeypatch):
+        monkeypatch.setattr(pgas_mod, "QUIET_OVERHEAD_NS", 0.0)
         cl = dgx_v100(2)
-        ctx = PGASContext(cl, PGASSpec(quiet_overhead_ns=0.0))
+        ctx = PGASContext(cl)
         seen = {}
 
         def host(cluster):
@@ -425,7 +432,7 @@ class TestCompletion:
         assert seen["pending"]  # the late put is still in flight
         assert second > 1e6
 
-    def test_one_quiet_fires_at_the_latest_drain_of_its_pes(self):
+    def test_one_quiet_fires_at_the_latest_drain_of_its_pes(self, monkeypatch):
         """One ``quiet`` over a set of PEs fires at the latest of each PE's
         own drain: a direct put (PE 0), an aggregator flush (PE 1), nothing
         (PE 2) and a hier staging chain (PE 3: forward to its leader, the
@@ -433,8 +440,10 @@ class TestCompletion:
         starts is not waited for."""
         cl = multinode(2, 2)
         engine = cl.engine
-        ctx = PGASContext(cl, PGASSpec(quiet_overhead_ns=2 * us))
-        agg = AsyncAggregator(ctx, AggregatorSpec(flush_bytes=10**9, max_wait_ns=1e9))
+        monkeypatch.setattr(aggregator, "FLUSH_BYTES", 10**9)
+        monkeypatch.setattr(aggregator, "MAX_WAIT_NS", 1e9)
+        ctx = PGASContext(cl)
+        agg = AsyncAggregator(ctx)
         router = NodeStagingRouter(ctx, HierSpec(devices_per_node=2))
         ctx.put(0, 1, 48.0 * 1e3)
         agg.store(1, 0, 4.8e5)
@@ -465,9 +474,10 @@ class TestCompletion:
         late = max(t for t, _ in cl.profiler.counter(PGASContext.COUNTER).events())
         assert late > fired[(0, 1, 2, 3)]
 
-    def test_quiet_over_no_pes_costs_only_overhead(self):
+    def test_quiet_over_no_pes_costs_only_overhead(self, monkeypatch):
+        monkeypatch.setattr(pgas_mod, "QUIET_OVERHEAD_NS", 3.0)
         cl = dgx_v100(2)
-        ctx = PGASContext(cl, PGASSpec(quiet_overhead_ns=3.0))
+        ctx = PGASContext(cl)
         ctx.put(0, 1, 48.0 * 1e6)
 
         def host(cluster):

@@ -566,9 +566,6 @@ def test_a_booked_pass_equals_its_stepped_pass_under_a_fault_plan(pass_cls, wind
 class _Recorder:
     """Stands in for a PGAS context: records the counts of a deferred run."""
 
-    class spec:
-        atomic_payload_bytes = 8
-
     def __init__(self):
         self.counts = None
 

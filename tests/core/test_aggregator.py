@@ -5,30 +5,29 @@ from __future__ import annotations
 import pytest
 
 from repro.comm.pgas import PGASContext, PGASSpec
-from repro.core.aggregator import AggregatorSpec, AsyncAggregator
+from repro.core import aggregator
+from repro.core.aggregator import AsyncAggregator
 from repro.simgpu import dgx_v100
-from repro.simgpu.units import KiB, us
+from repro.simgpu.units import us
 
 
-def make(flush_bytes=10_000, max_wait_ns=1e6, n_devices=2):
-    cl = dgx_v100(n_devices)
-    pgas = PGASContext(cl)
-    agg = AsyncAggregator(pgas, AggregatorSpec(
-        flush_bytes=flush_bytes, max_wait_ns=max_wait_ns,
-    ))
-    return cl, pgas, agg
+@pytest.fixture
+def make(monkeypatch):
+    """``make(flush_bytes, max_wait_ns, n_devices)``: an aggregator on a
+    fresh cluster, with its flush triggers set for the test."""
 
+    def build(flush_bytes=10_000, max_wait_ns=1e6, n_devices=2):
+        monkeypatch.setattr(aggregator, "FLUSH_BYTES", flush_bytes)
+        monkeypatch.setattr(aggregator, "MAX_WAIT_NS", max_wait_ns)
+        cl = dgx_v100(n_devices)
+        pgas = PGASContext(cl)
+        return cl, pgas, AsyncAggregator(pgas)
 
-class TestSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AggregatorSpec(flush_bytes=0)
-        with pytest.raises(ValueError):
-            AggregatorSpec(max_wait_ns=0)
+    return build
 
 
 class TestStore:
-    def test_accumulates_below_threshold(self):
+    def test_accumulates_below_threshold(self, make):
         cl, _, agg = make(flush_bytes=10_000)
         agg.store(0, 1, 3000)
         agg.store(0, 1, 3000)
@@ -37,14 +36,14 @@ class TestStore:
         cl.engine.run()
         assert cl.profiler.counter(PGASContext.COUNTER).total == 6000
 
-    def test_size_trigger_flushes(self):
+    def test_size_trigger_flushes(self, make):
         cl, _, agg = make(flush_bytes=10_000)
         agg.store(0, 1, 6000)
         agg.store(0, 1, 6000)  # 12000 >= threshold
         assert agg.flushes == 1
         assert agg.flush(0, 1) is None  # nothing left buffered
 
-    def test_per_destination_buffers_independent(self):
+    def test_per_destination_buffers_independent(self, make):
         cl, _, agg = make(flush_bytes=10_000, n_devices=3)
         agg.store(0, 1, 6000)
         agg.store(0, 2, 6000)
@@ -56,18 +55,18 @@ class TestStore:
         cl.engine.run()
         assert cl.profiler.counter(PGASContext.COUNTER).total == 12_000 + 6000
 
-    def test_local_store_rejected(self):
+    def test_local_store_rejected(self, make):
         _, _, agg = make()
         with pytest.raises(ValueError, match="local store"):
             agg.store(1, 1, 100)
 
-    def test_zero_store_is_noop(self):
+    def test_zero_store_is_noop(self, make):
         _, _, agg = make()
         agg.store(0, 1, 0)
         assert agg.stores == 0
         assert agg.flush(0, 1) is None
 
-    def test_negative_rejected(self):
+    def test_negative_rejected(self, make):
         _, _, agg = make()
         with pytest.raises(ValueError):
             agg.store(0, 1, -5)
@@ -84,7 +83,7 @@ class TestStore:
         ],
         ids=["nan", "inf", "non-numeric", "dst-past-end", "dst-negative", "src-past-end"],
     )
-    def test_put_typed_errors_store_nothing(self, args, error, match):
+    def test_put_typed_errors_store_nothing(self, args, error, match, make):
         """``store`` raises what ``PGASContext.put`` raises, and buffers nothing."""
         cl, _, agg = make(n_devices=4)
         with pytest.raises(error, match=match):
@@ -95,7 +94,7 @@ class TestStore:
 
 
 class TestTimeTrigger:
-    def test_max_wait_flushes_stale_buffer(self):
+    def test_max_wait_flushes_stale_buffer(self, make):
         cl, _, agg = make(flush_bytes=1_000_000, max_wait_ns=100 * us)
         agg.store(0, 1, 500)
         assert agg.flushes == 0
@@ -104,7 +103,7 @@ class TestTimeTrigger:
         cl.engine.run(until=101 * us)
         assert agg.flushes == 1
 
-    def test_timer_measures_from_oldest_byte(self):
+    def test_timer_measures_from_oldest_byte(self, make):
         cl, _, agg = make(flush_bytes=1_000_000, max_wait_ns=100 * us)
 
         def host(cluster):
@@ -121,7 +120,7 @@ class TestTimeTrigger:
         cl.run(host)
         assert agg.flushes == 1
 
-    def test_size_flush_cancels_timer(self):
+    def test_size_flush_cancels_timer(self, make):
         cl, _, agg = make(flush_bytes=1000, max_wait_ns=100 * us)
         agg.store(0, 1, 1500)  # immediate size flush
         assert agg.flushes == 1
@@ -130,7 +129,7 @@ class TestTimeTrigger:
 
 
 class TestFlush:
-    def test_flush_all_sends_everything(self):
+    def test_flush_all_sends_everything(self, make):
         cl, pgas, agg = make(flush_bytes=1_000_000, n_devices=3)
         agg.store(0, 1, 100)
         agg.store(0, 2, 200)
@@ -140,7 +139,7 @@ class TestFlush:
         cl.engine.run()
         assert cl.profiler.counter(PGASContext.COUNTER).total == pytest.approx(600)
 
-    def test_flush_all_single_source(self):
+    def test_flush_all_single_source(self, make):
         cl, _, agg = make(flush_bytes=1_000_000, n_devices=3)
         agg.store(0, 1, 100)
         agg.store(1, 0, 300)
@@ -150,11 +149,11 @@ class TestFlush:
         cl.engine.run()
         assert cl.profiler.counter(PGASContext.COUNTER).total == pytest.approx(400)
 
-    def test_flush_empty_returns_none(self):
+    def test_flush_empty_returns_none(self, make):
         _, _, agg = make()
         assert agg.flush(0, 1) is None
 
-    def test_quiet_drains_flushed_transfers(self):
+    def test_quiet_drains_flushed_transfers(self, make):
         cl, pgas, agg = make(flush_bytes=1_000_000)
         agg.store(0, 1, 48.0 * 1e6)  # 1 ms wire
         agg.flush_all()
@@ -164,7 +163,7 @@ class TestFlush:
 
 
 class TestBandwidthBenefit:
-    def test_fewer_headers_than_small_messages(self):
+    def test_fewer_headers_than_small_messages(self, monkeypatch):
         """The §V motivation: aggregated flushes amortise framing."""
         payload = 1_000_000.0
         # small messages: 256 B + 32 B header each
@@ -174,9 +173,9 @@ class TestBandwidthBenefit:
         small_wire = cl1.interconnect.total_wire_bytes()
 
         # aggregated: one 64 KiB-framed flush
+        monkeypatch.setattr(aggregator, "FLUSH_BYTES", 2_000_000)
         cl2 = dgx_v100(2)
-        pgas2 = PGASContext(cl2)
-        agg = AsyncAggregator(pgas2, AggregatorSpec(flush_bytes=2_000_000))
+        agg = AsyncAggregator(PGASContext(cl2))
         agg.store(0, 1, payload)
         agg.flush_all()
         cl2.engine.run()

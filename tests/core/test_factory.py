@@ -3,6 +3,7 @@ backend, and the removal of the legacy per-feature kwargs."""
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import pytest
@@ -122,13 +123,9 @@ class TestParseBackendName:
 class TestFeatureSpec:
     def test_frozen_and_default_empty(self):
         spec = FeatureSpec()
-        assert spec.configured() == ()
+        assert all(getattr(spec, f.name) is None for f in dataclasses.fields(spec))
         with pytest.raises(Exception):
             spec.cache = CacheConfig()  # type: ignore[misc]
-
-    def test_configured_lists_set_fields_in_order(self):
-        spec = FeatureSpec(reshard=ReshardSpec(), cache=CacheConfig())
-        assert spec.configured() == ("cache", "reshard")
 
 
 class TestBuildBackend:

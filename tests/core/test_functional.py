@@ -20,6 +20,8 @@ from repro.dlrm.embedding import EmbeddingBagCollection
 
 
 def setup(n_tables=6, G=3, B=33, dim=8, strategy="contiguous", seed=11, max_pool=5):
+    """``strategy`` is ``"contiguous"`` or ``"round_robin"`` (table ``i`` on
+    device ``i % G``, an explicit assignment)."""
     cfg = WorkloadConfig(
         num_tables=n_tables, rows_per_table=50, dim=dim, batch_size=B,
         max_pooling=max_pool, min_pooling=0, seed=seed,
@@ -27,7 +29,11 @@ def setup(n_tables=6, G=3, B=33, dim=8, strategy="contiguous", seed=11, max_pool
     ebc = EmbeddingBagCollection.from_configs(
         cfg.table_configs(), rng=np.random.default_rng(seed)
     )
-    plan = TableWiseSharding(cfg.table_configs(), G, strategy=strategy)
+    if strategy == "round_robin":
+        owners = {t.name: i % G for i, t in enumerate(cfg.table_configs())}
+        plan = TableWiseSharding.from_assignment(cfg.table_configs(), G, owners)
+    else:
+        plan = TableWiseSharding(cfg.table_configs(), G)
     sharded = ShardedEmbeddingTables.from_collection(ebc, plan)
     batch = SyntheticDataGenerator(cfg).sparse_batch()
     return ebc, plan, sharded, batch

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.comm.pgas import PGASContext, PGASSpec
-from repro.core.aggregator import AggregatorSpec
+from repro.core import aggregator
 from repro.core.baseline import BaselineRetrieval
 from repro.core.pgas_retrieval import PGASFusedRetrieval
 from repro.core.sharding import TableWiseSharding
@@ -122,16 +122,13 @@ class TestOverlap:
 
 
 class TestAggregatorVariant:
-    def test_aggregator_reduces_flush_count(self):
+    def test_aggregator_reduces_flush_count(self, monkeypatch):
         # ~13 waves/device, each storing ~2.6 MB per destination; a 6 MiB
         # threshold batches several stores into one flush.
+        monkeypatch.setattr(aggregator, "FLUSH_BYTES", 6 * 1024 * KiB)
+        monkeypatch.setattr(aggregator, "MAX_WAIT_NS", 1e9)
         wls = make_workloads(n_tables=64, G=2, B=16384)
-        retr = PGASFusedRetrieval(
-            dgx_v100(2),
-            aggregator_spec=AggregatorSpec(
-                flush_bytes=6 * 1024 * KiB, max_wait_ns=1e9
-            ),
-        )
+        retr = PGASFusedRetrieval(dgx_v100(2), aggregate=True)
         retr.run_batch(wls)
         assert retr.aggregator is not None
         assert 0 < retr.aggregator.flushes < retr.aggregator.stores
@@ -139,7 +136,7 @@ class TestAggregatorVariant:
     def test_aggregated_bytes_all_delivered(self):
         cl = dgx_v100(2)
         wls = make_workloads(n_tables=8, G=2)
-        retr = PGASFusedRetrieval(cl, aggregator_spec=AggregatorSpec())
+        retr = PGASFusedRetrieval(cl, aggregate=True)
         retr.run_batch(wls)
         total_remote = sum(wl.remote_output_bytes for wl in wls)
         assert cl.profiler.counter(PGASContext.COUNTER).total == pytest.approx(total_remote)
@@ -153,6 +150,6 @@ class TestAggregatorVariant:
         cl_agg = multinode(2, devices_per_node=1)
         t_agg = PGASFusedRetrieval(
             cl_agg, pgas_spec=spec_small,
-            aggregator_spec=AggregatorSpec(flush_bytes=256 * KiB),
+            aggregate=True,
         ).run_batch(wls)
         assert t_agg.total_ns < t_small.total_ns

@@ -76,11 +76,6 @@ class TestTableWise:
         assert [t.name for t in plan.tables_on(0)] == ["t0", "t1"]
         assert [t.name for t in plan.tables_on(2)] == ["t4", "t5"]
 
-    def test_round_robin_stripes(self):
-        plan = TableWiseSharding(configs(6), 3, strategy="round_robin")
-        assert [t.name for t in plan.tables_on(0)] == ["t0", "t3"]
-        assert plan.owner_of("t4") == 1
-
     def test_uneven_tables(self):
         plan = TableWiseSharding(configs(7), 3)
         sizes = [len(plan.tables_on(d)) for d in range(3)]
@@ -96,8 +91,9 @@ class TestTableWise:
         assert plan.memory_bytes(0) == 2 * 10 * 4 * 4
 
     def test_validate_passes(self):
-        for strat in ("contiguous", "round_robin"):
-            TableWiseSharding(configs(9), 4, strategy=strat).validate()
+        TableWiseSharding(configs(9), 4).validate()
+        striped = {f"t{i}": i % 4 for i in range(9)}
+        TableWiseSharding.from_assignment(configs(9), 4, striped).validate()
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
@@ -121,10 +117,14 @@ class TestTableWise:
     @given(
         n_tables=st.integers(min_value=1, max_value=30),
         n_devices=st.integers(min_value=1, max_value=8),
-        strategy=st.sampled_from(["contiguous", "round_robin"]),
+        striped=st.booleans(),
     )
-    def test_exact_partition_property(self, n_tables, n_devices, strategy):
-        plan = TableWiseSharding(configs(n_tables), n_devices, strategy=strategy)
+    def test_exact_partition_property(self, n_tables, n_devices, striped):
+        if striped:
+            owners = {f"t{i}": i % n_devices for i in range(n_tables)}
+            plan = TableWiseSharding.from_assignment(configs(n_tables), n_devices, owners)
+        else:
+            plan = TableWiseSharding(configs(n_tables), n_devices)
         plan.validate()
         all_tables = [t.name for d in range(n_devices) for t in plan.tables_on(d)]
         assert sorted(all_tables) == sorted(f"t{i}" for i in range(n_tables))

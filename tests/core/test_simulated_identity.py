@@ -100,6 +100,7 @@ from repro.core.workload import build_rowwise_workloads
 from repro.dlrm import data as data_mod
 from repro.dlrm.data import SyntheticDataGenerator, WorkloadConfig
 from repro.faults import FaultEvent, FaultInjector, FaultPlan, ResilienceSpec
+from repro.faults import resilient as resilient_mod
 from repro.replication import ReplicationSpec
 from repro.reshard import ReshardSpec
 from repro.simgpu.cluster import dgx_v100, multinode
@@ -168,14 +169,16 @@ def _compress():
 
 def _resilient():
     """A downed link forces a reroute; a degraded one misses the first
-    attempt's deadline, so the batch retries once and then completes."""
-    spec = ResilienceSpec(deadline_ns=200 * us, max_retries=2, backoff_base_ns=5 * us)
-    emb = _feature("pgas+resilient", resilience=spec)
+    attempt's deadline, so the batch retries once, after a 5 us backoff,
+    and then completes."""
+    emb = _feature("pgas+resilient", resilience=ResilienceSpec(deadline_ns=200 * us))
     FaultInjector(emb.cluster, FaultPlan((
         FaultEvent("link_down", 0.0, 1e9, src=1, dst=0),
         FaultEvent("link_degrade", 0.0, 150 * us, src=2, dst=3, severity=0.05),
     ))).install()
-    timing = emb.forward_timed(SyntheticDataGenerator(FEATURE_G4).lengths_batch())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resilient_mod, "BACKOFF_BASE_NS", 5 * us)
+        timing = emb.forward_timed(SyntheticDataGenerator(FEATURE_G4).lengths_batch())
     return timing.as_dict(), emb.cluster.engine._seq, _counter_totals(emb)
 
 
@@ -190,7 +193,7 @@ def _replicated():
         FaultEvent("device_down", 1.0, 1e9, device=1),
     ))).install()
     emb.forward_timed(gen.lengths_batch())
-    assert emb.backend_adapter().failed_devices == (1,)
+    assert emb.backend_adapter()._failed == {1}
     timing = emb.forward_timed(gen.lengths_batch())
     return timing.as_dict(), emb.cluster.engine._seq, _counter_totals(emb)
 

@@ -150,12 +150,6 @@ class TestSparseGeneration:
                 for other in batches[1:]:
                     assert f == other.field(name)
 
-    def test_raw_cardinality_above_rows(self):
-        gen = SyntheticDataGenerator(small(raw_cardinality=10_000))
-        b = gen.sparse_batch()
-        idx = np.concatenate([f.indices for _, f in b])
-        assert idx.max() >= 100  # exceeds table rows → exercises hashing
-
 
 class TestLengthsOnly:
     def test_lengths_batch_structure(self):

@@ -158,9 +158,3 @@ class TestCollection:
         with pytest.raises(ValueError):
             EmbeddingBagCollection([])
 
-    def test_nbytes(self):
-        ebc = self.make_collection(n=2, rows=10, dim=4)
-        assert ebc.nbytes == 2 * 10 * 4 * 4
-
-    def test_feature_names_in_order(self):
-        assert self.make_collection(4).feature_names == ["f0", "f1", "f2", "f3"]

@@ -17,8 +17,7 @@ def small_workload():
     return HeterogeneousWorkload(
         tables=(
             TableProfile("states", num_rows=50, max_pooling=1, min_pooling=1),
-            TableProfile("pages", num_rows=5000, max_pooling=16,
-                         raw_cardinality=1_000_000),
+            TableProfile("pages", num_rows=5000, max_pooling=16),
             TableProfile("items", num_rows=800, max_pooling=4),
         ),
         dim=8,
@@ -33,8 +32,6 @@ class TestTableProfile:
             TableProfile("x", num_rows=0, max_pooling=1)
         with pytest.raises(ValueError):
             TableProfile("x", num_rows=1, max_pooling=1, min_pooling=2)
-        with pytest.raises(ValueError):
-            TableProfile("x", num_rows=1, max_pooling=1, raw_cardinality=0)
 
     def test_nbytes(self):
         assert TableProfile("x", 100, max_pooling=1).nbytes(dim=8) == 3200
@@ -98,9 +95,7 @@ class TestCriteoLike:
 
     def test_hash_cap(self):
         wl = criteo_like(num_tables=40, max_rows=500_000_000, seed=1)
-        assert max(t.num_rows for t in wl.tables) <= 10_000_000
-        # but raw cardinalities can exceed the cap (hashing is real)
-        assert max(t.raw_cardinality for t in wl.tables) > 10_000_000
+        assert max(t.num_rows for t in wl.tables) == 10_000_000
 
     def test_multivalued_fraction(self):
         wl = criteo_like(num_tables=20, multivalued_fraction=0.5, seed=2)

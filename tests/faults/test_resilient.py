@@ -1,13 +1,12 @@
 """ResilientRetrieval: zero-overhead healthy path, hand-computed graceful
-degradation, reroutes around downed links, retry/backoff accounting, and
-the fallback-cache serving path."""
+degradation, reroutes around downed links, and retry/backoff accounting."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.cache import CacheConfig
+from repro.faults import resilient as resilient_mod
 from repro.faults import (
     FaultEvent,
     FaultInjector,
@@ -165,37 +164,21 @@ class TestReroute:
         dst_hop = next(n for n in hops if n.endswith("->dev0"))
         assert counters[via_hop].total == counters[dst_hop].total > 0
 
-    def test_reroute_disabled_degrades_instead(self):
-        cfg = self.cfg
-        gen = SyntheticDataGenerator(cfg)
-        batch = gen.sparse_batch()
-        emb = DistributedEmbedding(
-            cfg, 4, backend="pgas+resilient", materialize=True,
-            rng=np.random.default_rng(0),
-            features=FeatureSpec(resilience=ResilienceSpec(reroute=False)),
-        )
-        FaultInjector(emb.cluster, self.plan_down).install()
-        emb.forward(batch)
-        outcome = emb.backend_adapter().last_outcome
-        assert outcome.rerouted_pairs == 0
-        assert outcome.degraded_bags > 0
-
 
 class TestRetriesAndFinalDegrade:
-    def test_impossible_deadline_exhausts_retries_then_serves_locally(self):
+    def test_impossible_deadline_exhausts_retries_then_serves_locally(self, monkeypatch):
+        monkeypatch.setattr(resilient_mod, "BACKOFF_BASE_NS", 5 * us)
+        monkeypatch.setattr(resilient_mod, "JITTER_FRACTION", 0.0)
         cfg = small_cfg()
         cluster = dgx_v100(2)
         plan = TableWiseSharding(cfg.table_configs(), 2)
-        spec = ResilienceSpec(
-            deadline_ns=10.0, max_retries=2, backoff_base_ns=5 * us,
-            backoff_multiplier=2.0, jitter_fraction=0.0,
-        )
+        spec = ResilienceSpec(deadline_ns=10.0)
         engine = ResilientRetrieval(cluster, plan, spec, base="pgas")
         gen = SyntheticDataGenerator(cfg)
         workloads = build_device_workloads(plan, gen.lengths_batch())
         timing = engine.run_timed(workloads)
         outcome = engine.last_outcome
-        assert outcome.retries == 3  # initial + 2 retries all missed
+        assert outcome.retries == resilient_mod.MAX_RETRIES + 1 == 3  # all missed
         assert outcome.attempts == 4
         assert outcome.deadline_missed
         # Final local-only pass zero-fills every remote bag.
@@ -218,14 +201,14 @@ class TestRetriesAndFinalDegrade:
         engine.run_timed(workloads)
         assert engine.last_outcome.healthy
 
-    def test_backoff_jitter_is_seeded(self):
+    def test_backoff_jitter_is_seeded(self, monkeypatch):
+        monkeypatch.setattr(resilient_mod, "JITTER_FRACTION", 0.5)
+
         def run_once():
             cfg = small_cfg()
             cluster = dgx_v100(2)
             plan = TableWiseSharding(cfg.table_configs(), 2)
-            spec = ResilienceSpec(
-                deadline_ns=10.0, max_retries=2, jitter_fraction=0.5, seed=9
-            )
+            spec = ResilienceSpec(deadline_ns=10.0, seed=9)
             engine = ResilientRetrieval(cluster, plan, spec, base="pgas")
             gen = SyntheticDataGenerator(cfg)
             workloads = build_device_workloads(plan, gen.lengths_batch())
@@ -234,54 +217,10 @@ class TestRetriesAndFinalDegrade:
         assert run_once() == run_once()
 
 
-class TestFallbackCache:
-    def test_warmed_cache_serves_degraded_bags(self):
-        cfg = small_cfg()
-        gen = SyntheticDataGenerator(cfg)
-        batch = gen.sparse_batch()
-        spec = ResilienceSpec(fallback_cache=CacheConfig(capacity_fraction=1.0))
-        emb = DistributedEmbedding(
-            cfg, 2, backend="pgas+resilient", materialize=True,
-            rng=np.random.default_rng(0),
-            features=FeatureSpec(resilience=spec),
-        )
-        adapter = emb.backend_adapter()
-        adapter.warm_fallback([batch])  # every remote row now replicated
-        FaultInjector(emb.cluster, FaultPlan((
-            FaultEvent("link_down", 0.0, 1000 * ms, src=1, dst=0),
-        ))).install()
-        result = emb.forward(batch)
-        outcome = adapter.last_outcome
-        assert outcome.cache_served_bags > 0
-        assert outcome.degraded_bags < outcome.total_bags
-        # Cache-served bags carry real values, matching the healthy output.
-        healthy = DistributedEmbedding(
-            cfg, 2, backend="pgas", materialize=True, rng=np.random.default_rng(0)
-        ).forward(batch)
-        plan = emb.plan
-        bounds = minibatch_bounds(cfg.batch_size, 2)
-        lo, hi = bounds[0]
-        for f, t in enumerate(plan.table_configs):
-            if plan.owner_of(t.name) != 1:
-                continue
-            fld = batch.field(t.name)
-            lengths = fld.lengths[lo:hi]
-            served = result.outputs[0][:, f, :]
-            reference = healthy.outputs[0][:, f, :]
-            covered = lengths > 0  # fully warmed: every non-empty bag hits
-            assert np.array_equal(served[covered], reference[covered])
-
+class TestSpec:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             ResilienceSpec(deadline_ns=-1.0)
-        with pytest.raises(ValueError):
-            ResilienceSpec(max_retries=-1)
-        with pytest.raises(ValueError):
-            ResilienceSpec(backoff_multiplier=0.5)
-        with pytest.raises(ValueError):
-            ResilienceSpec(jitter_fraction=2.0)
-        with pytest.raises(TypeError):
-            ResilienceSpec(fallback_cache="big")
         with pytest.raises(TypeError):
             DistributedEmbedding(
                 small_cfg(), 2, backend="pgas+resilient",

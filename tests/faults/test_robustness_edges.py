@@ -6,9 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cache import CacheConfig
-from repro.faults import FaultPlan, ResilienceSpec
-from repro.core.factory import FeatureSpec
+from repro.faults import FaultPlan
 from repro.core.retrieval import DistributedEmbedding
 from repro.dlrm.data import WorkloadConfig
 
@@ -20,11 +18,10 @@ def small_cfg():
     )
 
 
-def fresh_adapter(spec=None):
+def fresh_adapter():
     emb = DistributedEmbedding(
         small_cfg(), 2, backend="pgas+resilient",
         materialize=True, rng=np.random.default_rng(0),
-        features=FeatureSpec(resilience=spec),
     )
     return emb.backend_adapter("pgas+resilient")
 
@@ -34,13 +31,6 @@ class TestResilientEdgeCases:
         adapter = fresh_adapter()
         adapter.release()   # nothing acquired yet — must not raise
         adapter.release()   # idempotent
-
-    def test_release_with_fallback_cache_before_any_batch(self):
-        adapter = fresh_adapter(
-            ResilienceSpec(fallback_cache=CacheConfig(capacity_fraction=0.1))
-        )
-        adapter.release()
-        adapter.release()
 
 
 class TestFaultPlanReplayDeterminism:

@@ -12,7 +12,9 @@ the chunk count.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
+from repro.comm import collective
 from repro.comm.collective import CollectiveSpec
 from repro.comm.hier import HierSpec, TwoLevelAllToAll
 from repro.simgpu import multinode
@@ -28,7 +30,7 @@ TOTALS = {
 
 def _run(chunk_bytes):
     cl = multinode(2, 2)
-    spec = CollectiveSpec(chunk_bytes=chunk_bytes, per_chunk_header_bytes=8)
+    spec = CollectiveSpec(chunk_bytes=chunk_bytes)
     a2a = TwoLevelAllToAll(cl, spec, HierSpec(devices_per_node=2))
     split = np.arange(16, dtype=float).reshape(4, 4) * 777.7 + 0.25
     split[1, 2] = 0.0
@@ -40,6 +42,12 @@ def _run(chunk_bytes):
     }
     totals = {name: c.total for name, c in cl.profiler.counters.items()}
     return cl.engine.now, cl.engine._seq, links, totals
+
+
+@pytest.fixture(autouse=True)
+def _headers(monkeypatch):
+    """The pins were captured with 8-byte chunk headers."""
+    monkeypatch.setattr(collective, "PER_CHUNK_HEADER_BYTES", 8)
 
 
 def test_multi_chunk_pairs_are_pinned():

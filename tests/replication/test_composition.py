@@ -53,8 +53,7 @@ class TestRunSpecReplication:
     def test_round_trip_bit_exact(self):
         spec = preset_runspec(
             "tiny", 2, backend="pgas+replicated",
-            replication=ReplicationSpec(k=2, placement="ring",
-                                        recovery_bandwidth_share=0.5),
+            replication=ReplicationSpec(k=2, heartbeat_interval_ns=123.0),
         )
         clone = RunSpec.from_json(spec.to_json())
         assert clone == spec

@@ -13,6 +13,7 @@ from repro.dlrm import EmbeddingBagCollection
 from repro.dlrm.data import SyntheticDataGenerator, WorkloadConfig
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.replication import ReplicatedRetrieval, ReplicationSpec
+from repro.replication.retrieval import MISS_THRESHOLD
 from repro.simgpu.cluster import Cluster
 from repro.simgpu.device import DeviceSpec
 from repro.simgpu.memory import OutOfDeviceMemory
@@ -98,7 +99,7 @@ class TestFailover:
     @pytest.mark.parametrize("base", ["pgas", "baseline"])
     def test_k2_outputs_bit_identical_to_reference(self, base):
         cfg, emb, ad, batch = self.run_with_failure(base, k=2)
-        assert ad.failed_devices == (1,)
+        assert ad._failed == {1}
         ebc = EmbeddingBagCollection.from_configs(
             cfg.table_configs(), rng=np.random.default_rng(0)
         )
@@ -112,7 +113,7 @@ class TestFailover:
 
     def test_k1_failure_drops_dead_tables_to_zero(self):
         cfg, emb, ad, batch = self.run_with_failure("pgas", k=1)
-        assert ad.failed_devices == (1,)
+        assert ad._failed == {1}
         totals = ad.totals()
         assert 0.0 < totals["availability"] < 1.0
         assert totals["failover_lookups"] == 0
@@ -148,8 +149,8 @@ class TestFailover:
         spec = ad.spec
         detect = emb.cluster.profiler.counters["availability.detection_ns"]
         (t, delta), = detect.events()
-        # miss_threshold missed heartbeats, plus the one in flight
-        assert delta <= (spec.miss_threshold + 1) * spec.heartbeat_interval_ns
+        # MISS_THRESHOLD missed heartbeats, plus the one in flight
+        assert delta <= (MISS_THRESHOLD + 1) * spec.heartbeat_interval_ns
 
 
 class TestCapacity:

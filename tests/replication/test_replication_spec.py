@@ -13,16 +13,10 @@ class TestValidation:
     def test_defaults_valid(self):
         spec = ReplicationSpec()
         assert spec.k == 1
-        assert spec.placement == "spread"
 
     @pytest.mark.parametrize("kw,msg", [
         (dict(k=0), "k"),
-        (dict(placement="mirror"), "placement"),
-        (dict(recovery_bandwidth_share=0.0), "share"),
-        (dict(recovery_bandwidth_share=1.5), "share"),
         (dict(heartbeat_interval_ns=0.0), "interval"),
-        (dict(miss_threshold=0), "threshold"),
-        (dict(recovery_chunk_bytes=0), "chunk"),
     ])
     def test_bad_values_rejected(self, kw, msg):
         with pytest.raises(ValueError, match=msg):
@@ -30,9 +24,8 @@ class TestValidation:
 
 
 class TestPlacement:
-    @pytest.mark.parametrize("placement", ["spread", "ring"])
-    def test_primary_first_and_devices_distinct(self, placement):
-        spec = ReplicationSpec(k=3, placement=placement)
+    def test_primary_first_and_devices_distinct(self):
+        spec = ReplicationSpec(k=3)
         for owner in range(4):
             for f in range(8):
                 replicas = spec.replicas_for(owner, f, 4)
@@ -41,13 +34,8 @@ class TestPlacement:
                 assert len(set(replicas)) == 3
                 assert all(0 <= r < 4 for r in replicas)
 
-    def test_ring_is_successive_neighbours(self):
-        spec = ReplicationSpec(k=2, placement="ring")
-        assert spec.replicas_for(3, 0, 4) == (3, 0)
-        assert spec.replicas_for(1, 7, 4) == (1, 2)
-
     def test_spread_varies_by_table(self):
-        spec = ReplicationSpec(k=2, placement="spread")
+        spec = ReplicationSpec(k=2)
         partners = {spec.replicas_for(0, f, 4)[1] for f in range(8)}
         assert len(partners) > 1  # not everything lands on one neighbour
 
@@ -58,10 +46,6 @@ class TestPlacement:
 
 class TestSerialisation:
     def test_asdict_round_trip_bit_exact(self):
-        spec = ReplicationSpec(k=2, placement="ring",
-                               recovery_bandwidth_share=0.5,
-                               heartbeat_interval_ns=123.0,
-                               miss_threshold=4,
-                               recovery_chunk_bytes=1024)
+        spec = ReplicationSpec(k=2, heartbeat_interval_ns=123.0)
         payload = dataclasses.asdict(spec)
         assert ReplicationSpec(**payload) == spec

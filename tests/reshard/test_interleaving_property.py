@@ -3,10 +3,11 @@ outputs bit-identical to the static-plan reference.
 
 The cutover protocol's whole claim is that serving correctness is
 independent of *when* tables move.  Hypothesis drives an arbitrary
-schedule of (run a batch | flip a table's owner) actions through
-``force_cutover`` — the test hook that models a cutover landing at an
-arbitrary point between batches — and every batch's functional outputs
-must equal the untouched static reference's, bitwise.
+schedule of (run a batch | flip a table's owner) actions, each flip
+through the adapter's cutover hook (what a migration stream calls when
+its last chunk lands) at an arbitrary point between batches, and every
+batch's functional outputs must equal the untouched static reference's,
+bitwise.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.factory import FeatureSpec
 from repro.core.retrieval import DistributedEmbedding
 from repro.dlrm.data import SyntheticDataGenerator, WorkloadConfig
-from repro.reshard import LoadTracker, ReshardPlanner, ReshardSpec
+from repro.reshard import LoadTracker, ReshardPlanner, ReshardSpec, TableMove
 
 N_DEVICES = 3
 CFG = WorkloadConfig(
@@ -66,7 +67,8 @@ def test_any_interleaving_is_bit_identical_to_static_reference(actions, seed):
                 assert np.array_equal(a, b)
         else:
             table, dst = action
-            adapter.force_cutover(table, dst)
+            src = adapter.owners[table]
+            adapter._on_cutover(TableMove(table, src, dst, nbytes=0, traffic_bytes=0.0))
 
 
 @settings(max_examples=25, deadline=None)

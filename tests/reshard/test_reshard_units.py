@@ -14,6 +14,8 @@ from repro.reshard import (
     ReshardPlanner,
     ReshardSpec,
 )
+from repro.reshard import planner as planner_mod
+from repro.reshard.planner import owner_loads
 
 
 def tables_plan(num_tables=8, n_devices=4, rows=1024, dim=16):
@@ -36,7 +38,6 @@ class TestReshardSpec:
         {"min_batches": 9, "window_batches": 8},
         {"check_interval_batches": 0},
         {"imbalance_threshold": 0.99},
-        {"max_moves_per_plan": 0},
     ])
     def test_rejects_bad_knobs(self, kw):
         with pytest.raises(ValueError):
@@ -77,10 +78,10 @@ class TestLoadTracker:
         tr = LoadTracker(4)
         tr.observe({"a": 300.0, "b": 100.0})
         owners = {"a": 0, "b": 1}
-        assert tr.imbalance(owners, 2) == pytest.approx(1.5)
+        assert owner_loads(tr.table_traffic(), owners, 2)[2] == pytest.approx(1.5)
         tr.reset()
         assert tr.window_fill == 0
-        assert tr.imbalance(owners, 2) == 1.0
+        assert owner_loads(tr.table_traffic(), owners, 2) == ([0.0, 0.0], 0.0, 1.0)
 
 
 class TestReshardPlanner:
@@ -156,11 +157,10 @@ class TestReshardPlanner:
         total_rows = sum(s.num_rows for s in adv.shards)
         assert total_rows == plan.table_configs[0].num_rows
 
-    def test_move_budget_respected(self):
+    def test_move_budget_respected(self, monkeypatch):
+        monkeypatch.setattr(planner_mod, "MAX_MOVES_PER_PLAN", 1)
         plan = tables_plan()
-        planner = ReshardPlanner(
-            plan, ReshardSpec(imbalance_threshold=1.0001, max_moves_per_plan=1)
-        )
+        planner = ReshardPlanner(plan, ReshardSpec(imbalance_threshold=1.0001))
         owners = self._owners(plan)
         traffic = {name: (5000.0 if dev == 0 else 100.0)
                    for name, dev in owners.items()}

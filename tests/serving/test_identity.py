@@ -43,11 +43,11 @@ LOADS = {
 }
 
 
-def _serve(policy, k, queue_limit, window, qps, seed, hedge_after_ns=None):
+def _serve(k, queue_limit, window, qps, seed, hedge_after_ns=None):
     spec = ServingSpec(
         arrival_qps=qps, max_batch=8, batch_window_ns=window, deadline_ns=5 * ms,
         queue_limit=queue_limit, hedge_after_ns=hedge_after_ns, seed=seed,
-        scheduler=SchedulerSpec(max_in_flight=k, policy=policy),
+        scheduler=SchedulerSpec(max_in_flight=k),
     )
     pipe = DLRMInferencePipeline.from_spec(preset_runspec("tiny", n_devices=2))
     server = InferenceServer(pipe, spec)
@@ -75,26 +75,6 @@ def _digest(result, pipe) -> str:
 
 
 DIGESTS = {
-    "size-k1-window": "c61b7a0336a0717d",
-    "size-k1-shed": "636d2c1833f4966d",
-    "size-k1-nowindow": "c61b7a0336a0717d",
-    "size-k1-idle": "4d8a32cd9dde7d89",
-    "size-k1-rounding": "894f882072b1c8a7",
-    "size-k2-window": "c61b7a0336a0717d",
-    "size-k2-shed": "636d2c1833f4966d",
-    "size-k2-nowindow": "c61b7a0336a0717d",
-    "size-k2-idle": "4d8a32cd9dde7d89",
-    "size-k2-rounding": "894f882072b1c8a7",
-    "timeout-k1-window": "6979400fb511e262",
-    "timeout-k1-shed": "96ba8b08e2603005",
-    "timeout-k1-nowindow": "fe202405bb037290",
-    "timeout-k1-idle": "31ad003d5f93dc1e",
-    "timeout-k1-rounding": "9bbce7bcfeef4518",
-    "timeout-k2-window": "efa9ee0acc268897",
-    "timeout-k2-shed": "9bf553caf61bddb1",
-    "timeout-k2-nowindow": "f99baa5237948e5a",
-    "timeout-k2-idle": "31ad003d5f93dc1e",
-    "timeout-k2-rounding": "9bbce7bcfeef4518",
     "hybrid-k1-window": "cd9c86b2fb291270",
     "hybrid-k1-shed": "96ba8b08e2603005",
     "hybrid-k1-nowindow": "fe202405bb037290",
@@ -111,13 +91,13 @@ HEDGED_DIGEST = "a69d16bc1a22c6ad"
 
 @pytest.mark.parametrize("case", sorted(DIGESTS))
 def test_serving_digest_is_pinned(case):
-    policy, k, load = case.split("-")
-    result, pipe = _serve(policy, int(k[1:]), *LOADS[load])
+    _, k, load = case.split("-")
+    result, pipe = _serve(int(k[1:]), *LOADS[load])
     assert _digest(result, pipe) == DIGESTS[case]
 
 
 def test_hedged_serving_digest_is_pinned():
-    result, pipe = _serve("hybrid", 2, *LOADS["window"], hedge_after_ns=20 * us)
+    result, pipe = _serve(2, *LOADS["window"], hedge_after_ns=20 * us)
     assert result.n_hedged > 0
     assert _digest(result, pipe) == HEDGED_DIGEST
 
@@ -142,7 +122,7 @@ def test_engine_event_count_is_pinned():
     and from 191 when a booked fused kernel stopped taking an entry per
     wave end (its writes wait as one deferred run).
     """
-    _, pipe = _serve("hybrid", 2, *LOADS["window"])
+    _, pipe = _serve(2, *LOADS["window"])
     assert pipe.cluster.engine._seq == 175
 
 
@@ -179,7 +159,7 @@ def _serve_fixed(k, qps, hedge_after_ns):
     spec = ServingSpec(
         arrival_qps=qps, max_batch=8, batch_window_ns=50 * us, deadline_ns=5 * ms,
         queue_limit=16, hedge_after_ns=hedge_after_ns, seed=5,
-        scheduler=SchedulerSpec(max_in_flight=k, policy="hybrid"),
+        scheduler=SchedulerSpec(max_in_flight=k),
     )
     runspec = preset_runspec("tiny", n_devices=4, workload=FIXED_WORKLOAD)
     pipe = DLRMInferencePipeline.from_spec(runspec)
@@ -230,7 +210,7 @@ def test_interleaved_multi_wave_kernels_are_pinned(case, monkeypatch):
     monkeypatch.setattr(kernel_mod, "_timeline", recorded)
     spec = ServingSpec(
         arrival_qps=400_000.0, max_batch=8, batch_window_ns=0.0, deadline_ns=5 * ms,
-        hedge_after_ns=hedge, seed=5, scheduler=SchedulerSpec(max_in_flight=2, policy="hybrid"),
+        hedge_after_ns=hedge, seed=5, scheduler=SchedulerSpec(max_in_flight=2),
     )
     runspec = preset_runspec("tiny", n_devices=2, workload=LONG_POOLING)
     pipe = DLRMInferencePipeline.from_spec(runspec, cluster=Cluster(2, device_spec=TWO_BLOCK_SPEC))

@@ -13,6 +13,7 @@ from repro.core.runspec import PRESETS, RunSpec, preset_runspec
 from repro.core.serving import SchedulerSpec, ServingSpec
 from repro.dlrm.data import WorkloadConfig
 from repro.faults import ResilienceSpec
+from repro.replication import ReplicationSpec
 from repro.simgpu.units import ms
 
 WL = WorkloadConfig(
@@ -29,13 +30,14 @@ def full_spec():
         bottom_mlp=(128, 64),
         top_mlp=(256,),
         cache=CacheConfig(capacity_rows=512, capacity_fraction=0.2),
-        resilience=ResilienceSpec(deadline_ns=2 * ms, max_retries=3),
+        resilience=ResilienceSpec(deadline_ns=2 * ms, seed=3),
+        replication=ReplicationSpec(k=2),
         serving=ServingSpec(
             arrival_qps=50_000.0,
             max_batch=16,
             batch_window_ns=0.2 * ms,
             deadline_ns=10 * ms,
-            scheduler=SchedulerSpec(max_in_flight=3, policy="size"),
+            scheduler=SchedulerSpec(max_in_flight=3),
         ),
         name="full",
     )
@@ -216,6 +218,9 @@ class TestFromDictTypedErrors:
             ("resilience", "bogus"),
             ("model", "interaction"),  # removed knobs: older payloads fail by name
             ("workload", "pooling"),
+            ("resilience", "max_retries"),
+            ("replication", "placement"),
+            ("serving.scheduler", "policy"),
         ],
     )
     def test_unknown_section_key_names_section_and_key(self, path, key):

@@ -30,13 +30,10 @@ class TestSchedulerSpec:
     def test_defaults(self):
         s = SchedulerSpec()
         assert s.max_in_flight == 1
-        assert s.policy == "hybrid"
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SchedulerSpec(max_in_flight=0)
-        with pytest.raises(ValueError):
-            SchedulerSpec(policy="fifo")
 
     def test_serving_spec_rejects_wrong_type(self):
         with pytest.raises(TypeError):
@@ -62,7 +59,7 @@ class TestContinuousBatching:
     def test_default_scheduler_matches_explicit_k1(self):
         """spec.scheduler=None is exactly the sequential hybrid scheduler."""
         a = make_server(None).simulate(48)
-        b = make_server(SchedulerSpec(max_in_flight=1, policy="hybrid")).simulate(48)
+        b = make_server(SchedulerSpec(max_in_flight=1)).simulate(48)
         assert np.array_equal(a.latencies_ns, b.latencies_ns)
         assert a.batch_sizes == b.batch_sizes
 
@@ -126,24 +123,9 @@ class TestFormationPolicies:
         res = make_server(SchedulerSpec(max_in_flight=2)).simulate(40)
         assert sum(res.formed_by.values()) == res.n_batches
 
-    def test_size_policy_fills_batches(self):
-        res = make_server(
-            SchedulerSpec(policy="size"), qps=500_000.0, max_batch=8
-        ).simulate(40)
-        # All batches full except possibly the exhausted tail.
-        assert res.formed_by["timeout"] == 0
-        assert all(b == 8 for b in res.batch_sizes[:-1])
-
-    def test_timeout_policy_never_triggers_on_size(self):
-        res = make_server(
-            SchedulerSpec(policy="timeout"), qps=2_000_000.0, max_batch=4
-        ).simulate(40)
-        assert res.formed_by["size"] == 0
-        assert max(res.batch_sizes) <= 4  # cap still applies at dispatch
-
     def test_hybrid_uses_window_at_low_load(self):
         res = make_server(
-            SchedulerSpec(policy="hybrid"), qps=10_000.0, window=0.05 * ms
+            SchedulerSpec(), qps=10_000.0, window=0.05 * ms
         ).simulate(24)
         assert res.formed_by["timeout"] > 0
 

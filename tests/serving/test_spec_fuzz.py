@@ -21,13 +21,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.cache import CacheConfig
 from repro.core.factory import FeatureSpec
 from repro.core.retrieval import FEATURE_CONFIGS, available_backends
 from repro.core.runspec import RunSpec
 from repro.core.serving import SchedulerSpec, ServingSpec
 from repro.dlrm.data import WorkloadConfig
-from repro.faults import ResilienceSpec
 
 WL = WorkloadConfig(
     num_tables=8, rows_per_table=2048, dim=16, batch_size=64, max_pooling=4, seed=3
@@ -100,7 +98,6 @@ class TestWorkloadConfigValidation:
             ("batch_size", 0, ValueError),
             ("num_tables", 2.0, TypeError),
             ("seed", -1, ValueError),
-            ("raw_cardinality", 0, ValueError),
             ("index_distribution", "normal", ValueError),
         ],
     )
@@ -144,7 +141,6 @@ SCHEDULER_KW = st.fixed_dictionaries(
     {},
     optional={
         "max_in_flight": _maybe(st.integers(min_value=1, max_value=4)),
-        "policy": _maybe(st.sampled_from(["size", "timeout", "hybrid"])),
     },
 )
 
@@ -193,7 +189,6 @@ WORKLOAD_KW = st.fixed_dictionaries(
         "zipf_alpha": _maybe(ALPHA),
         "table_skew_alpha": _maybe(st.one_of(st.none(), ALPHA)),
         "pooling": _maybe(st.sampled_from(["sum", "mean", "max"])),
-        "raw_cardinality": _maybe(st.one_of(st.none(), COUNT)),
         "seed": _maybe(st.integers(min_value=0, max_value=2**32)),
         "num_dense_features": _maybe(COUNT),
     },
@@ -214,17 +209,6 @@ RUNSPEC_KW = st.fixed_dictionaries(
             f.name: st.one_of(st.none(), st.just(FEATURE_CONFIGS[f.name]()), ANY)
             for f in fields(FeatureSpec)
         },
-        # A feature section with a nested config section of its own.
-        "resilience": st.one_of(
-            st.none(),
-            st.just(ResilienceSpec()),
-            st.builds(ResilienceSpec, fallback_cache=st.builds(
-                CacheConfig,
-                capacity_rows=st.one_of(st.none(), st.integers(0, 4096)),
-                capacity_fraction=st.sampled_from([0.0, 0.05, 1.0]),
-            )),
-            ANY,
-        ),
     },
 )
 
@@ -277,17 +261,5 @@ def test_fuzzed_workload_config_constructs_and_round_trips_or_raises(kw):
 
 @settings(max_examples=300, deadline=None)
 @given(RUNSPEC_KW)
-@example({"workload": WL, "resilience": ResilienceSpec(fallback_cache=CacheConfig())})
 def test_fuzzed_runspec_constructs_and_round_trips_or_raises(kw):
     _check(lambda: RunSpec(**kw))
-
-
-def test_resilience_fallback_cache_round_trips():
-    """The nested ``CacheConfig`` comes back as a ``CacheConfig``, not a dict."""
-    spec = RunSpec(
-        workload=WL, resilience=ResilienceSpec(fallback_cache=CacheConfig(capacity_rows=64))
-    )
-    again = RunSpec.from_dict(spec.to_dict())
-    assert again == spec
-    assert isinstance(again.resilience.fallback_cache, CacheConfig)
-    _round_trips(spec)

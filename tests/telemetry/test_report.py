@@ -14,6 +14,7 @@ from repro.core.factory import FeatureSpec
 from repro.core.retrieval import DistributedEmbedding
 from repro.dlrm.data import SyntheticDataGenerator, WorkloadConfig
 from repro.faults import FaultEvent, FaultInjector, FaultPlan, ResilienceSpec
+from repro.faults import resilient as resilient_mod
 from repro.simgpu.cluster import Cluster, multinode
 from repro.simgpu.interconnect import pcie_topology
 from repro.simgpu.profiler import Profiler
@@ -295,8 +296,9 @@ class TestReportDigests:
         assert any("->" in name for name in report.hier)
         assert _digest(report) == digest
 
-    def test_pgas_resilient_reroute(self):
-        spec = ResilienceSpec(deadline_ns=200 * us, max_retries=2, backoff_base_ns=5 * us)
+    def test_pgas_resilient_reroute(self, monkeypatch):
+        monkeypatch.setattr(resilient_mod, "BACKOFF_BASE_NS", 5 * us)
+        spec = ResilienceSpec(deadline_ns=200 * us)
         emb = DistributedEmbedding(
             RESILIENT_G4, 4, backend="pgas+resilient",
             features=FeatureSpec(resilience=spec),
