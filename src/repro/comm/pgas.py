@@ -31,14 +31,15 @@ This module models that with two pieces:
   with nothing else queued may return before the last put has landed.
   A fused launch booked at its start does not even take one entry per
   wave: :meth:`PGASContext.put_run` (and :meth:`PGASContext.atomic_run`)
-  defers every wave's put as one run on the source's links
-  (:meth:`~repro.simgpu.interconnect.Interconnect.defer_run`).  Its
-  retired waves are booked through ``put`` (``atomic_add``) with their
+  hands the fabric every wave's payloads as one run of data on the
+  source's links (:meth:`~repro.simgpu.interconnect.Interconnect.defer_run`).
+  Its retired waves are booked through ``put`` (``atomic_add``) with their
   issue instants (``at``) when the source's links are next touched or
-  read, and by ``quiet`` over the source: as one list per wave, or, for
-  a prefix of at least :data:`_MATRIX_MIN_WRITES` writes, as one
-  ``(waves, destinations)`` array booked in one pass
-  (:meth:`~repro.simgpu.interconnect.Interconnect.book_run`).
+  read, and by ``quiet`` over the source.  A settle of many sources books
+  them all in one ``put`` call, as one ``(sources, waves, devices)`` array
+  booked in one pass
+  (:meth:`~repro.simgpu.interconnect.Interconnect.book_runs`); the fabric
+  alone chooses that or one list per wave, per source.
 
 The aggregator and the hierarchical staging router carry one-sided writes
 their own way, but validate each through :meth:`PGASContext.check_put`, so
@@ -55,7 +56,6 @@ import numbers
 import operator
 import weakref
 from dataclasses import dataclass
-from functools import partial
 from itertools import compress
 from typing import Dict, Iterable, List, Optional, Union
 
@@ -64,7 +64,7 @@ import numpy as np
 from ..checks import check_bytes
 from ..simgpu.cluster import Cluster
 from ..simgpu.engine import Event
-from ..simgpu.interconnect import _ID, _are_ids
+from ..simgpu.interconnect import _ID, _are_ids, _is_id
 from ..simgpu.stream import join
 from ..simgpu.units import us
 
@@ -77,19 +77,10 @@ ATOMIC_PAYLOAD_BYTES = 8
 
 _INF = float("inf")
 
-#: Payload sums below this keep a run's message counts exact in int64 and
-#: its atomic bytes exact as float64 (:meth:`PGASContext._book_matrix`).
+#: Payload sums below this keep a stack's message counts exact in int64,
+#: its atomic bytes exact as float64 and, for whole numbers, its byte total
+#: equal to the per-wave sums (:meth:`PGASContext._book_stack`).
 _EXACT = 2.0 ** 53
-
-#: A deferred run's retired prefix with at least this many writes (waves ×
-#: destinations) is booked as one matrix (:meth:`PGASContext._book_matrix`),
-#: a smaller one as lists.  Measured per booking on one core of a 2-vCPU
-#: Xeon VM: a 7 × 63 prefix (every scale-g64 settle) costs 350 µs as lists
-#: and 150 µs as a matrix, but 14 × 3 costs 46 against 76 µs and 1 × 7 12
-#: against 68 µs; the matrix wins from about 100 writes (about 150 at 64
-#: GPUs, where it gathers longer rows).  The largest prefix of paper,
-#: train-strong-g4 and serve-prod-g8 is 78, 30 and 7 writes (seed 2024).
-_MATRIX_MIN_WRITES = 128
 
 #: What makes a ``dst`` argument a wave rather than one device id.
 _WAVE = (list, tuple)
@@ -167,7 +158,7 @@ class PGASContext:
 
     # -- one-sided ops ---------------------------------------------------------
 
-    def put(self, src: int, dst, payload_bytes, *, at: Optional[List[float]] = None) -> None:
+    def put(self, src: int, dst, payload_bytes, *, at=None) -> Optional[bool]:
         """Non-blocking one-sided write of ``payload_bytes`` from src to dst.
 
         The payload is carried as ``ceil(payload / message_bytes)`` small
@@ -184,26 +175,27 @@ class PGASContext:
         (:meth:`put_run`) does once they retire: one issue instant per
         wave, none later than now, and ``payload_bytes`` one list per wave,
         each parallel to the list ``dst``, or one ``(waves, len(dst))``
-        float64 array.  The same writes as one wave put per wave at its
-        instant, booked in one pass; every wave is validated first, each
-        raising as its own put would.  An array is booked in one array
-        pass (:meth:`_book_matrix`) unless it fails that method's screen
-        or a trace is active; it then goes as lists.
+        array.  The same writes as one wave put per wave at its instant,
+        booked in one pass; every wave is validated first, each raising as
+        its own put would.
+
+        With ``at``, ``src`` may also be a list of sources: a settle's
+        retired prefixes, stacked (:meth:`_book_stack`).  ``payload_bytes``
+        is then one ``(len(src), waves, G)`` float64 array whose column
+        ``d`` goes to device ``d`` (zero where nothing is written, shorter
+        prefixes padded with zero waves), ``at`` the ``(len(src), waves)``
+        issue instants and ``dst`` None.  It returns False, booking
+        nothing, when the stack fails its screen or a write would queue
+        behind its own run; the fabric then books each source's lists.
 
         Requires peer access (NVLink-mapped memory), as on the testbed.
         """
         if at is not None:
+            if type(src) is list:
+                return self._book_stack(src, payload_bytes, at, self.spec.message_bytes, True)
             if type(payload_bytes) is np.ndarray:
-                booked = self._book_matrix(src, dst, payload_bytes, at, self.spec.message_bytes)
                 payload_bytes = payload_bytes.tolist()
-                if booked is not None:
-                    if booked:
-                        self.puts_issued += booked
-                        for total in map(sum, payload_bytes):
-                            if total:
-                                self.payload_bytes_issued += total
-                    return
-            # One screen of the whole run, as of a wave above, plus one
+            # One screen of the whole run, as of a wave below, plus one
             # payload per destination in every wave and one instant per wave.
             try:
                 totals = list(map(sum, payload_bytes))
@@ -227,7 +219,7 @@ class PGASContext:
                 for total in totals:
                     if total:  # a wave with bytes: its own put would have booked
                         self.payload_bytes_issued += total
-            return
+            return None
         wave = isinstance(dst, _WAVE)
         if not wave:
             dst, payload_bytes = [dst], [payload_bytes]
@@ -253,22 +245,24 @@ class PGASContext:
         if done:
             self.puts_issued += len(done)
             self.payload_bytes_issued += total
+        return None
 
-    def atomic_add(self, src: int, dst, n_elements, *, at: Optional[List[float]] = None) -> None:
+    def atomic_add(self, src: int, dst, n_elements, *, at=None) -> Optional[bool]:
         """``n_elements`` remote atomic adds (backward-pass gradient scatter).
 
         Takes a wave like :meth:`put`: parallel ``dst`` and ``n_elements``
         lists or tuples, and with ``at`` several waves issued earlier (a
         deferred :meth:`atomic_run`), one list of counts per wave or one
-        integer array, booked as :meth:`put` books an array.
+        integer array, or, as :meth:`put` takes a stack, a list of sources
+        and one ``(sources, waves, G)`` integer array of counts.
         """
+        size = ATOMIC_PAYLOAD_BYTES
         if at is not None:
-            size = ATOMIC_PAYLOAD_BYTES
+            if type(src) is list:
+                if n_elements.dtype.kind not in "iu":
+                    return False
+                return self._book_stack(src, n_elements * float(size), at, size, False)
             if type(n_elements) is np.ndarray:
-                if n_elements.dtype.kind in "iu" and self._book_matrix(
-                    src, dst, n_elements.astype(np.float64) * size, at, size
-                ) is not None:
-                    return
                 n_elements = n_elements.tolist()
             self._check_run("atomic_add", src, dst, n_elements, at, "n_elements", None)
             waves = [
@@ -276,13 +270,13 @@ class PGASContext:
                 for counts in n_elements
             ]
             self._book_waves(src, dst, waves, at, size)
-            return
+            return None
         wave = isinstance(dst, _WAVE)
         if not wave:
             dst, n_elements = [dst], [n_elements]
         counts = self._checked_counts(src, dst, n_elements, wave)
-        size = ATOMIC_PAYLOAD_BYTES
         self._book(src, dst, [float(n * size) for n in counts], size)
+        return None
 
     def _checked_counts(self, src: int, dst, n_elements, wave: bool) -> List[int]:
         """One :meth:`atomic_add` wave's counts, once the wave passes its checks."""
@@ -306,12 +300,13 @@ class PGASContext:
         Wave ``w`` writes row ``w`` of the 2-D ``waves`` (column ``skip``,
         the source's own bytes, left out) to ``dsts``, issued at
         ``ends[w]``: the same writes as one :meth:`put` per wave with
-        remote bytes.  Nothing is booked now.  Once retired, the waves are
-        booked through :meth:`put` with ``at`` when ``src``'s links are
-        next touched or read, or by :meth:`quiet` over ``src``
-        (:meth:`~repro.simgpu.interconnect.Interconnect.defer_run`).
-        ``puts_issued`` and ``payload_bytes_issued`` grow as the per-wave
-        puts would have grown them, as the waves are booked.
+        remote bytes.  Nothing is booked now: the fabric holds the matrix
+        (:meth:`~repro.simgpu.interconnect.Interconnect.defer_run`) and,
+        once the waves have retired, books them through :meth:`put` with
+        ``at`` when ``src``'s links are next touched or read, or by
+        :meth:`quiet` over ``src``.  ``puts_issued`` and
+        ``payload_bytes_issued`` grow as the per-wave puts would have grown
+        them, as the waves are booked.
 
         The caller has checked that every payload is finite and
         non-negative.  Returns False, deferring nothing, unless ``src`` is
@@ -321,8 +316,7 @@ class PGASContext:
         reach = self._reach.get(src)
         if reach is None or not (_are_ids(src, dsts) and reach(dsts)):
             return False
-        book = partial(_book_puts, self._ref, src, dsts, ends, waves, skip)
-        self._fabric.defer_run(src, ends, book)
+        self._fabric.defer_run(src, ends, waves, dsts, skip, self._ref, "put")
         return True
 
     def atomic_run(
@@ -339,8 +333,7 @@ class PGASContext:
         reach = self._reach.get(src)
         if reach is None or not (_are_ids(src, dsts) and reach(dsts)):
             return False
-        book = partial(_book_atomics, self._ref, src, dsts, ends, counts)
-        self._fabric.defer_run(src, ends, book)
+        self._fabric.defer_run(src, ends, counts, dsts, None, self._ref, "atomic_add")
         return True
 
     def check_put(self, op: str, src: int, dst: int, payload_bytes: float) -> None:
@@ -363,7 +356,7 @@ class PGASContext:
 
     def _check_pe(self, op: str, src) -> None:
         """Raise unless ``src`` is one of this context's PEs."""
-        if not isinstance(src, _ID) or src not in self._reach:
+        if not isinstance(src, _ID) or type(src) is bool or src not in self._reach:
             raise ValueError(f"{op}: src must be a device id in [0, {len(self._reach)}), got {src!r}")
 
     def _check_run(self, op, src, dsts, waves, at, name, check) -> None:
@@ -391,7 +384,7 @@ class PGASContext:
         can_access_peer = self.cluster.device(src).can_access_peer
         for i, (dst, value) in enumerate(zip(dsts, values)):
             at = f"[{i}]" if wave else ""
-            if not isinstance(dst, _ID) or dst not in pes:
+            if not _is_id(dst) or dst not in pes:
                 raise ValueError(
                     f"{op}: dst{at} must be a device id in [0, {len(pes)}), got {dst!r}"
                 )
@@ -441,40 +434,59 @@ class PGASContext:
             self._last_done[src] = last
         return done
 
-    def _book_matrix(self, src: int, dst: List[int], payloads: np.ndarray, at: List[float],
-                     message_bytes: int) -> Optional[int]:
-        """Book a run given as one ``(len(at), len(dst))`` float64 matrix of
-        payloads in one array pass
-        (:meth:`~repro.simgpu.interconnect.Interconnect.book_run`): what
-        :meth:`_book_waves` does with its rows.  Returns the number of
-        writes booked, or None, booking nothing, when the run takes the
-        list path instead: it fails the one numpy screen (the list path
-        then raises its typed error), its destinations are not a list in
-        increasing order, or a trace is active."""
+    def _book_stack(self, srcs: List[int], payloads: np.ndarray, at: np.ndarray,
+                    message_bytes: int, counted: bool) -> bool:
+        """Book a settle's stacked prefixes (:meth:`put` with a list of
+        sources) in one array pass
+        (:meth:`~repro.simgpu.interconnect.Interconnect.book_runs`): what
+        :meth:`_book_waves` does with each source's lists, in order.  Moves
+        ``puts_issued`` and ``payload_bytes_issued`` when ``counted`` (puts,
+        not atomics).  Returns False, booking nothing, when the stack fails
+        the one numpy screen (a PE per row, one column per PE, matching
+        shapes, a non-negative payload sum below 2**53; each run's
+        destinations were checked when it was deferred, :meth:`put_run`)
+        or a write would queue behind its own run."""
         try:
             ok = (
                 payloads.dtype == np.float64
-                and payloads.shape == (len(at), len(dst))
-                and _are_ids(src, dst)
-                and self._reach[src](dst)
-                and sorted(set(dst)) == dst
-                and payloads.sum() < _EXACT
-                and payloads.min() >= 0
+                and payloads.ndim == 3
+                and payloads.shape[2] == len(self._reach)
+                and payloads.shape[:2] == at.shape == (len(srcs), payloads.shape[1])
+                and all(_is_id(src) and src in self._reach for src in srcs)
             )
-        except (KeyError, TypeError, ValueError):
+            total = payloads.sum() if ok else _INF
+            ok = ok and total < _EXACT and payloads.min() >= 0
+        except (AttributeError, TypeError, ValueError):
             ok = False
         if not ok:
-            return None
-        done = self._fabric.book_run(
-            src, dst, payloads, message_bytes, self.spec.header_bytes, self.COUNTER, at
+            return False
+        lasts = self._fabric.book_runs(
+            srcs, payloads, message_bytes, self.spec.header_bytes, self.COUNTER, at
         )
-        if done is None:
-            return None
-        if done.size:
-            last = done.max().item()
-            if last > self._last_done[src]:
-                self._last_done[src] = last
-        return done.size
+        if lasts is None:
+            return False
+        last_done = self._last_done
+        for src, last in zip(srcs, lasts.tolist()):
+            if last > last_done[src]:
+                last_done[src] = last
+        if counted:
+            self.puts_issued += int(np.count_nonzero(payloads))
+            issued = self.payload_bytes_issued
+            if (
+                float(issued).is_integer() and issued + total < _EXACT
+                and (np.trunc(payloads) == payloads).all()
+            ):
+                # Whole numbers below 2**53: every partial sum is exact, so
+                # the total equals the per-wave sums in any order.
+                if total:
+                    self.payload_bytes_issued = issued + total.item()
+            else:
+                for waves in payloads.tolist():
+                    for wave in waves:
+                        wave_total = sum(wave)
+                        if wave_total:
+                            self.payload_bytes_issued += wave_total
+        return True
 
     # -- completion --------------------------------------------------------------
 
@@ -519,30 +531,3 @@ class PGASContext:
             ev for ev in self._outstanding[device_id] if not ev.triggered
         ]
 
-
-def _book_puts(ref, src, dsts, ends, waves, skip, start, stop) -> None:
-    """Book waves ``start`` up to ``stop`` of a :meth:`PGASContext.put_run`
-    through :meth:`PGASContext.put`: as one matrix when the prefix has
-    :data:`_MATRIX_MIN_WRITES` writes or more, else as one list per wave.
-    A run whose context is gone books nothing."""
-    ctx = ref()
-    if ctx is not None:
-        if (stop - start) * len(dsts) >= _MATRIX_MIN_WRITES:
-            rows = np.delete(waves[start:stop], skip, axis=1)
-        else:
-            rows = waves[start:stop].tolist()
-            for row in rows:
-                del row[skip]
-        ctx.put(src, dsts, rows, at=ends[start:stop])
-
-
-def _book_atomics(ref, src, dsts, ends, counts, start, stop) -> None:
-    """Book waves ``start`` up to ``stop`` of a :meth:`PGASContext.atomic_run`
-    through :meth:`PGASContext.atomic_add`, as :func:`_book_puts` does;
-    a run whose context is gone books nothing."""
-    ctx = ref()
-    if ctx is not None:
-        counts = counts[start:stop]
-        if (stop - start) * len(dsts) < _MATRIX_MIN_WRITES:
-            counts = counts.tolist()
-        ctx.atomic_add(src, dsts, counts, at=ends[start:stop])

@@ -9,12 +9,13 @@ source's links as one row of columns indexed by destination (static
 spec, fault state, accumulators) and books a whole wave on the row in
 one loop; a :class:`Link` is a view of one row entry, for fault
 injection and statistics.  A fused kernel's one-sided writes wait on
-their source's row as one deferred run, booked with the same arithmetic
-when the row is next touched (:meth:`Interconnect.defer_run`); a wide
-run's retired waves are booked as one array pass over its waves ×
-destinations (:meth:`Interconnect.book_run`), bit for bit the loop's.
-Device ids are integers: a float equal to one is rejected before any
-pair is touched.
+their source's row as one deferred run of data (its payload matrix and
+issue instants, :meth:`Interconnect.defer_run`), booked with the same
+arithmetic when the row is next touched.  A settle of many rows books
+all their retired waves as one array pass over rows × waves ×
+destinations (:meth:`Interconnect.settle`, :meth:`Interconnect.book_runs`),
+bit for bit the loop's.  Device ids are integers: a float or a ``bool``
+equal to one is rejected before any pair is touched.
 
 Topology presets mirror the paper's testbed (DGX-1 with four V100s, NVLink)
 plus PCIe and multi-node NIC variants for the §V extension studies.  On the
@@ -35,7 +36,8 @@ import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
+from itertools import chain, groupby, repeat
+from operator import attrgetter, lt
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -113,17 +115,38 @@ def wire_bytes(payload_bytes: float, message_bytes: int, header_bytes: int) -> f
 
 
 #: What a device id may be.  A float equal to an id finds it in every set
-#: and dict keyed by ids, so only the type tells it apart.
+#: and dict keyed by ids, so only the type tells it apart; a ``bool`` is an
+#: ``int`` too, and is refused by :func:`_is_id`.
 _ID = (int, np.integer)
 
 _INT = frozenset((int,))
+
+#: A settle whose one-run rows retire at least this many writes (waves ×
+#: destinations) between them stacks them into one array pass
+#: (:meth:`Interconnect.settle`); fewer are booked row by row as lists.
+#: Measured per settle on one core of a 2-vCPU Xeon VM: lists cost about
+#: 1 µs per write plus 12 µs per row, a stack about 190 µs plus 0.1 µs per
+#: write.  8 one-wave rows of 7 writes (serve-prod-g8) take 105 µs as
+#: lists and 190 µs stacked, 4 rows of 26 × 3 (paper, G=4) 340 against
+#: 240 µs alone but the same within a paper round, where stacking them
+#: also raised peak RSS 0.3 MB; 8 rows of 7 × 7 (scale-g64's smoke shape)
+#: take 660 against 370 µs, and 64 rows of 7 × 63 (scale-g64) about 20
+#: against 4 ms.
+STACK_MIN_WRITES = 384
+
+
+def _is_id(value) -> bool:
+    """True when ``value`` is a device id: a Python or numpy integer, not a
+    ``bool``."""
+    return isinstance(value, _ID) and type(value) is not bool
 
 
 def _are_ids(src, dsts: Iterable) -> bool:
     """True when ``src`` and every destination are integer device ids
     (Python or numpy); plain ints take one pass over the types."""
-    return isinstance(src, _ID) and (
-        _INT.issuperset(map(type, dsts)) or all(isinstance(dst, _ID) for dst in dsts)
+    return (
+        isinstance(src, _ID) and type(src) is not bool
+        and (_INT.issuperset(map(type, dsts)) or all(map(_is_id, dsts)))
     )
 
 
@@ -132,7 +155,7 @@ def _check_ids(src, dsts: Sequence) -> None:
     integer device ids."""
     if not _are_ids(src, dsts):
         for value in (src, *dsts):
-            if not isinstance(value, _ID):
+            if not _is_id(value):
                 raise ValueError(f"a device id must be an integer, got {value!r}")
 
 
@@ -199,62 +222,87 @@ def _reserve(
     return dones
 
 
-def _reserve_run(
-    at: List[float], row: "_Row", payloads: np.ndarray, message_bytes: int, header_bytes
-) -> Optional[np.ndarray]:
-    """:func:`_reserve` of a run's payload matrix, as one array pass;
-    returns the delivery instants of the nonzero (booked) payloads in
-    row-major order, or None, changing nothing, when a write would queue
-    behind an earlier one of its own run.
+def _gather(rows: List["_Row"], dtype, *names: str) -> np.ndarray:
+    """Columns ``names`` (two or more) of every row, as one ``(rows,
+    len(names), G)`` array, read in one pass over the lists."""
+    width = len(rows[0].free_at)
+    values = chain.from_iterable(chain.from_iterable(map(attrgetter(*names), rows)))
+    return np.fromiter(values, dtype, len(rows) * len(names) * width).reshape(
+        len(rows), len(names), width
+    )
 
-    Wave ``w`` of ``payloads`` is issued at ``at[w]``, and its column
-    ``d`` goes to destination ``d`` (the matrix spans the whole row).
-    The result is :func:`_reserve` over the nonzero payloads in row-major
-    order, bit for bit: each element's arithmetic is the loop's, in the
-    loop's order, and nothing else on the row changes within the run.  A
-    write starts at ``max(free_at, issue instant, down_until)`` taken
-    from the row as it was before the run, which is the loop's start
-    unless the write queues behind an earlier one of its own column; a
-    run where one does is left to :func:`_reserve`.  The accumulators add down
-    the waves with ``np.add.accumulate``, sequential as the loop.  The
-    caller checked the payloads (finite, non-negative, summing below
-    2**53) and that every booked pair is connected, and keeps the row's
-    columns finite.
+
+def _reserve_runs(
+    at: np.ndarray, rows: List["_Row"], payloads: np.ndarray, booked: np.ndarray,
+    message_bytes: int, header_bytes,
+) -> Optional[np.ndarray]:
+    """:func:`_reserve` of a settle's retired prefixes, stacked, as one
+    array pass; returns the ``(rows, waves, G)`` delivery instants (read
+    them where ``booked``), or None, changing nothing, when a write would
+    queue behind an earlier one of its own run.
+
+    ``payloads[r, w, d]`` goes from ``rows[r]``'s source to device ``d``,
+    issued at ``at[r, w]``, and ``booked`` is ``payloads != 0``: a zero
+    books nothing, so shorter prefixes are padded with zero waves.  Rows
+    share no link state, and each row's result is :func:`_reserve` over
+    its nonzero payloads in (wave, destination) order, bit for bit: each
+    element's arithmetic is the loop's, in the loop's order, and nothing
+    else on the row changes within the pass.  A write starts at
+    ``max(free_at, issue instant, down_until)`` taken from the row as it
+    was before the pass, which is the loop's start unless the write
+    queues behind an earlier one of its own column; a pass where one does
+    is left to :func:`_reserve`.  The accumulators add one wave at a time,
+    as the loop does.  The caller checked the payloads (finite,
+    non-negative, summing below 2**53) and that every booked pair is
+    connected, and keeps the rows' columns finite.
     """
-    booked = payloads != 0
     if message_bytes > 0:
-        n_messages = np.ceil(payloads / message_bytes)
+        n_messages = payloads / message_bytes
+        np.ceil(n_messages, out=n_messages)
     else:
         n_messages = booked.astype(np.float64)
-    wire = payloads + n_messages * header_bytes
-    state = np.array((row.free_at, row.busy_time, row.bytes_carried))
-    free_at = state[0]
-    down_until = np.array(row.down_until)
+    messages = n_messages.sum(axis=1)  # zero where not booked
+    wire = n_messages * header_bytes
+    wire += payloads  # zero where nothing is booked
+    link = _gather(rows, np.float64, "bandwidth", "bandwidth_scale", "per_message_ns",
+                   "latency_ns", "extra_latency_ns", "down_until")
+    state = _gather(rows, np.float64, "free_at", "busy_time", "bytes_carried")
     # The source's own column and unreachable ones are NaN: never booked.
-    busy = wire / (np.array(row.bandwidth) * np.array(row.bandwidth_scale))
-    busy += n_messages * np.array(row.per_message_ns)
-    start = np.maximum(np.maximum(free_at, np.array(at)[:, None]), down_until)
-    free = start + busy
+    busy = np.divide(wire, (link[:, 0] * link[:, 1])[:, None])
+    busy += np.multiply(n_messages, link[:, None, 2], out=n_messages)
+    start = np.maximum(state[:, None, 0], at[:, :, None], out=n_messages)
+    np.maximum(start, link[:, None, 5], out=start)
+    idle = ~booked
+    np.copyto(busy, 0.0, where=idle)
+    end = start + busy
+    np.copyto(end, -np.inf, where=idle)
     # A write queues behind its own run only when it starts before the
     # latest earlier booked end of its column (0 of scale-g64's 28,224
-    # writes, 6 of paper's 7,570).  Such a run goes back to the loop.
-    ends = np.where(booked, free, -np.inf)
-    behind = start[1:] < np.maximum.accumulate(ends, axis=0)[:-1]
-    behind &= booked[1:]
+    # writes, 6 of paper's 7,570).  Such a pass goes back to the loop.
+    latest = np.maximum.accumulate(end, axis=1)
+    behind = start[:, 1:] < latest[:, :-1]
+    behind &= booked[:, 1:]
     if behind.any():
         return None
-    added = np.where(booked, (busy, wire), 0.0)
-    added[:, 0] += state[1:]
-    # Booked ends rise down a column, so the last is the largest.
-    row.free_at[:] = np.maximum(free_at, ends.max(axis=0)).tolist()
-    row.busy_time[:], row.bytes_carried[:] = np.add.accumulate(added, axis=1)[:, -1].tolist()
-    counts = np.array((row.transfer_count, row.messages_sent))
-    counts[0] += booked.sum(axis=0)
-    counts[1] += n_messages.sum(axis=0).astype(np.int64)  # zero where not booked
-    row.transfer_count[:], row.messages_sent[:] = counts.tolist()
-    done = free + np.array(row.latency_ns)
-    done += np.array(row.extra_latency_ns)
-    return done[booked]
+    busy_time, carried = state[:, 1], state[:, 2]
+    for w in range(payloads.shape[1]):  # wave by wave, as the loop adds
+        busy_time += busy[:, w]
+        carried += wire[:, w]
+    counts = _gather(rows, np.int64, "transfer_count", "messages_sent")
+    counts[:, 0] += booked.sum(axis=1)
+    counts[:, 1] += messages.astype(np.int64)
+    free_at = np.maximum(state[:, 0], latest[:, -1])
+    for row, free, busy_row, carried_row, (transfers, sent) in zip(
+        rows, free_at.tolist(), busy_time.tolist(), carried.tolist(), counts.tolist()
+    ):
+        row.free_at[:] = free
+        row.busy_time[:] = busy_row
+        row.bytes_carried[:] = carried_row
+        row.transfer_count[:] = transfers
+        row.messages_sent[:] = sent
+    end += link[:, None, 3]
+    end += link[:, None, 4]
+    return end
 
 
 class _Row:
@@ -306,22 +354,53 @@ class _Row:
 
 
 class _Run:
-    """One launch's deferred writes out of one source.
+    """One launch's deferred writes out of one source, as data.
 
-    Wave ``w`` is issued at ``times[w]`` (non-decreasing), and
-    ``book(start, stop)`` books waves ``start`` up to ``stop`` through
-    the owner's own entry point; ``w`` is the first wave not booked yet.
-    ``seq`` and ``exits`` are the engine's ``_seq`` and ``_exits`` at
-    registration (the waves' own entries would have taken the next
-    sequence numbers), and ``order`` the registration's fabric-wide rank.
+    Wave ``w`` is issued at ``times[w]`` (non-decreasing) and writes row
+    ``w`` of the 2-D ``payloads``, column ``skip`` left out when it is not
+    None, to ``dsts``.  ``op`` names the entry point of ``owner`` (a weak
+    reference to a :class:`~repro.comm.pgas.PGASContext`) that books the
+    waves: ``"put"`` for float bytes, ``"atomic_add"`` for integer counts.
+    ``w`` is the first wave not booked yet.  ``seq`` and ``exits`` are the
+    engine's ``_seq`` and ``_exits`` at registration (the waves' own
+    entries would have taken the next sequence numbers), and ``order`` the
+    registration's fabric-wide rank.
     """
 
-    __slots__ = ("times", "book", "w", "seq", "exits", "order")
+    __slots__ = ("times", "payloads", "dsts", "skip", "owner", "op", "w", "seq", "exits",
+                 "order")
 
-    def __init__(self, times: List[float], book: Callable[[int, int], None], seq: int,
-                 exits: int, order: int):
-        self.times, self.book, self.w = times, book, 0
+    def __init__(self, times: List[float], payloads: np.ndarray, dsts: List[int],
+                 skip: Optional[int], owner: weakref.ref, op: str, seq: int, exits: int,
+                 order: int):
+        self.times, self.payloads, self.dsts, self.skip = times, payloads, dsts, skip
+        self.owner, self.op, self.w = owner, op, 0
         self.seq, self.exits, self.order = seq, exits, order
+
+    def key(self):
+        """What the run may be stacked with: its owner, entry point and
+        payload type; None for a run booked only as lists, one whose
+        destinations do not rise or whose matrix does not match them."""
+        payloads, dsts = self.payloads, self.dsts
+        if (
+            payloads.ndim == 2 and payloads.shape[1] == len(dsts) + (self.skip is not None)
+            and payloads.dtype.kind in "fiu" and all(map(lt, dsts, dsts[1:]))
+        ):
+            return self.owner, self.op, payloads.dtype
+        return None
+
+    def gather(self, out: np.ndarray, src: int, start: int, stop: int) -> None:
+        """Copy waves ``start`` up to ``stop`` into ``out``, one row per wave
+        whose column ``d`` goes to device ``d``; a run whose matrix spans
+        the devices with ``src``'s own column skipped is copied whole (the
+        caller zeroes that column)."""
+        waves = self.payloads[start:stop]
+        if self.skip == src and waves.shape[1] == out.shape[1]:
+            out[:] = waves
+        else:
+            if self.skip is not None:
+                waves = np.delete(waves, self.skip, axis=1)
+            out[:, self.dsts] = waves
 
 
 def _next_key(run: _Run) -> Tuple[float, int]:
@@ -333,7 +412,7 @@ def _check_fault(bandwidth_scale: float, extra_latency_ns: float) -> None:
     """Raise ``ValueError`` naming the argument unless ``bandwidth_scale``
     is finite and positive and ``extra_latency_ns`` finite and
     non-negative: a NaN or an infinity would reach the engine as an
-    instant, and the array booking (:func:`_reserve_run`) needs finite
+    instant, and the array booking (:func:`_reserve_runs`) needs finite
     columns."""
     if not 0 < bandwidth_scale < math.inf:
         raise ValueError(f"bandwidth_scale must be positive and finite, got {bandwidth_scale}")
@@ -561,10 +640,14 @@ class Interconnect:
         """The directed link for ``(src, dst)``; raises if unreachable.
 
         The same view every time for the same pair.  Device ids are
-        integers: a float raises ``ValueError`` from :meth:`_touch`.
+        integers: a float or a ``bool``, which equals an id as a key,
+        raises ``ValueError`` before anything is settled or touched.
         """
         key = (src, dst)
         lk = self._views.get(key)
+        if lk is not None and type(src) is int and type(dst) is int:
+            return lk
+        _check_ids(src, (dst,))
         if lk is None:
             row = self._rows.get(src)
             if row is not None:
@@ -651,8 +734,8 @@ class Interconnect:
         ``at`` books a deferred run's retired waves (:meth:`defer_run`):
         a list of one issue instant per element, in issue order, none
         later than now, and no zero payload.  The row's other deferred
-        writes are then not booked first: the run's ``book`` is called
-        while they are settled.
+        writes are then not booked first: the booking is part of their
+        settle.
 
         The caller validates the wave.
         """
@@ -666,56 +749,67 @@ class Interconnect:
             return []
         return self._book(src, dsts, payloads, message_bytes, header_bytes, counter, at)
 
-    def book_run(
+    def book_runs(
         self,
-        src: int,
-        dsts: Sequence[int],
+        srcs: List[int],
         payloads: np.ndarray,
         message_bytes: int,
         header_bytes,
         counter: str,
-        at: List[float],
+        at: np.ndarray,
     ) -> Optional[np.ndarray]:
-        """:meth:`book_wave` with ``at`` for a whole run, as one array pass.
+        """:meth:`book_wave` with ``at`` for a settle's retired prefixes,
+        stacked, as one array pass.
 
-        Wave ``w`` of the ``(len(at), len(dsts))`` float ``payloads``
-        moves row ``w`` to ``dsts`` (strictly increasing ids) at ``at[w]``: the same
-        bookings as one :meth:`book_wave` of the nonzero elements in
-        row-major order, bit for bit (:func:`_reserve_run`), touching the
-        pairs in that order and stamping ``counter`` and its per-pair
-        columns in that order.  Returns the booked elements' delivery
-        instants, row-major.  Returns None and books nothing while a
-        trace is active, as the ``xfer`` spans come from the list path,
-        and when a write would queue behind an earlier one of its own run
-        (:func:`_reserve_run`); the pairs may then be touched already, in
-        the order the list path touches them.
+        ``payloads[r, w, d]`` (float, ``(len(srcs), waves, G)``) moves from
+        ``srcs[r]`` to device ``d`` at ``at[r, w]``; a zero books nothing.
+        Row ``r`` books what one :meth:`book_wave` of its nonzero elements
+        in (wave, destination) order books, bit for bit
+        (:func:`_reserve_runs`), the rows in order: pairs are first touched
+        by row, then by each column's first booked wave, then by column,
+        and ``counter`` and its per-pair columns are stamped in row-major
+        order with one :meth:`Profiler.add_columns`.  Returns each row's
+        latest delivery instant (``-inf`` for a row that books nothing), or
+        None, booking nothing, when a write would queue behind an earlier
+        one of its own run.  Records no ``xfer`` span: :meth:`settle` does
+        not stack under an active trace.
 
-        The caller validates the run, with a payload sum below 2**53.
+        The caller validates the prefixes, with a payload sum below 2**53;
+        every source deferred a run here, so it has a row, and reaches each
+        destination it books.
         """
-        prof = self.profiler
-        enabled = prof is not None and prof.enabled
-        if enabled and prof.active_trace is not None:
-            return None
         booked = payloads != 0
         if not booked.any():
-            return np.empty(0)
-        row = self._rows.get(src)
-        if row is None or not row.touched.issuperset(dsts):
+            return np.full(len(srcs), -np.inf)
+        rows = [self._rows[src] for src in srcs]
+        done = _reserve_runs(at, rows, payloads, booked, message_bytes, header_bytes)
+        if done is None:
+            return None
+        fresh = [i for i, row in enumerate(rows) if len(row.touched) < len(row.reachable)]
+        if fresh:
             # First touch in booking order: by each column's first booked
-            # wave, then by column.
-            hit = np.flatnonzero(booked.any(axis=0))
-            hit = hit[np.argsort(booked.argmax(axis=0)[hit], kind="stable")]
-            row = self._touch(src, [dsts[c] for c in hit.tolist()])
-        # The run as a matrix over the whole row: column d goes to device d.
-        cols = np.array(dsts, dtype=np.int64)
-        whole = np.zeros((len(at), len(row.free_at)))
-        whole[:, cols] = payloads
-        done = _reserve_run(at, row, whole, message_bytes, header_bytes)
-        if done is not None and enabled:
+            # wave, then by column.  Every booked pair is reachable (the
+            # runs were screened when deferred), so this is _touch's fast
+            # path without its checks.
+            hit = booked.any(axis=1)
+            first = booked.argmax(axis=1) * payloads.shape[2] + np.arange(payloads.shape[2])
+            order = np.argsort(np.where(hit, first, booked[0].size), axis=1).tolist()
+            n_hit = hit.sum(axis=1).tolist()
+            for i in fresh:
+                touched, new = rows[i].touched, order[i][:n_hit[i]]
+                if touched:
+                    new = [dst for dst in new if dst not in touched]
+                touched.update(new)
+                self._touched.extend(zip(repeat(srcs[i]), new))
+        prof = self.profiler
+        if prof is not None and prof.enabled:
+            shape = payloads.shape
+            src_of = np.broadcast_to(np.array(srcs, dtype=np.int64)[:, None, None], shape)
+            dst_of = np.broadcast_to(np.arange(shape[2], dtype=np.int64), shape)
             prof.add_columns(
-                counter, src, np.where(booked, cols, -1)[booked], done, payloads[booked]
+                counter, src_of[booked], dst_of[booked], done[booked], payloads[booked]
             )
-        return done
+        return np.max(done, axis=(1, 2), where=booked, initial=-np.inf)
 
     def transfer(
         self,
@@ -746,16 +840,21 @@ class Interconnect:
         self.engine.call_at(done_at, ev.succeed)
         return ev
 
-    def defer_run(self, src: int, times: List[float], book: Callable[[int, int], None]) -> None:
+    def defer_run(
+        self, src: int, times: List[float], payloads: np.ndarray, dsts: List[int],
+        skip: Optional[int], owner: weakref.ref, op: str,
+    ) -> None:
         """Defer a launch's writes out of ``src`` as one run of waves.
 
         Wave ``w`` is issued at ``times[w]`` (non-decreasing, none before
-        now).  Nothing is booked or scheduled now: ``book(start, stop)``
-        books waves ``start`` up to ``stop`` (through :meth:`book_wave`
-        with ``at``) once they have retired, right before whatever comes
-        next on ``src``'s row: a booking, a fault edge on one of its
-        links, a read of a link accumulator or of profiler state, or
-        :meth:`settle`.
+        now) and writes row ``w`` of the 2-D ``payloads`` (column ``skip``
+        left out, when not None) to ``dsts``, each a device ``src``
+        reaches, other than ``src`` (the caller checked).  Nothing is booked
+        or scheduled now.  Once the waves have retired they are booked
+        through ``owner``'s entry point ``op`` (:class:`_Run`), right before
+        whatever comes next on ``src``'s row: a booking, a fault edge on
+        one of its links, a read of a link accumulator or of profiler
+        state, or :meth:`settle`.  A run whose owner is gone books nothing.
 
         The run stands for one engine entry per wave end, all scheduled
         now (as a launch with a per-wave hook schedules them), so a wave
@@ -770,37 +869,51 @@ class Interconnect:
         row = self._rows.get(src) or self._row(src)
         engine = self.engine
         self._registered += 1
-        row.pending.append(_Run(times, book, engine._seq, engine._exits, self._registered))
+        row.pending.append(_Run(times, payloads, dsts, skip, owner, op, engine._seq,
+                                engine._exits, self._registered))
         self._pending[src] = row
 
     def settle(self, srcs: Optional[Iterable[int]] = None) -> None:
         """Book the deferred writes retired by now out of ``srcs``, or of
         every source.
 
+        The rows go in order (``srcs`` order, or the order they first
+        deferred a run).  When the rows with one run retire at least
+        :data:`STACK_MIN_WRITES` writes between them, consecutive ones
+        whose runs share a :meth:`_Run.key` are stacked: their prefixes go
+        to the owner's entry point as one ``(rows, waves, G)`` array,
+        booked in one pass (:meth:`book_runs`).  Fewer writes, a row with
+        several runs (:meth:`_settle_row` merges them), a run without a
+        key, an active trace (its ``xfer`` spans come from the lists) and
+        a stack in which a write queues behind its own run are booked row
+        by row, as lists.
+
         Reads of link or profiler state settle every source first (the
         profiler through a weak reference to the fabric), so they see
         what the waves retired by now have written.
         """
         pending = self._pending
-        if pending:
-            if srcs is None:
-                rows = list(pending.values())
-            else:
-                rows = [pending[src] for src in srcs if src in pending]
+        if not pending:
+            return
+        if srcs is None:
+            rows = list(pending.values())
+        else:
+            rows = [pending[src] for src in srcs if src in pending]
+        prof = self.profiler
+        if prof is not None and prof.enabled and prof.active_trace is not None:
             for row in rows:
                 self._settle_row(row)
-
-    def _settle_row(self, row: _Row) -> None:
-        """Book ``row``'s deferred waves that retired by now (:meth:`defer_run`).
-
-        One run books its retired prefix in one ``book`` call.  Several
-        go by :func:`_next_key`: the first run books up to the next wave
-        of any other run, then the first run is chosen again.
-        """
+            return
         engine = self.engine
         now = engine._now
-        runs = row.pending
-        if len(runs) == 1:  # the common case, without the merge
+        items = []  # (row, run, start, stop); run None: a row with several runs
+        writes = 0
+        for row in rows:
+            runs = row.pending
+            if len(runs) != 1:
+                items.append((row, None, 0, 0))
+                continue
+            # _retired and _take, inlined: this runs once per row per settle.
             run = runs[0]
             times, start = run.times, run.w
             stop = bisect_left(times, now, start)
@@ -810,30 +923,96 @@ class Interconnect:
                 run.w = stop
                 if stop == len(times):
                     runs.clear()
-                    del self._pending[row.src]
-                run.book(start, stop)
-            return
+                    del pending[row.src]
+                items.append((row, run, start, stop))
+                writes += (stop - start) * len(run.dsts)
+        if writes < STACK_MIN_WRITES:
+            groups = [(None, items)]
+        else:
+            groups = groupby(items, key=lambda item: item[1] and item[1].key())
+        for key, group in groups:
+            group = list(group)
+            if key is not None and self._book_stacked(group):
+                continue
+            for row, run, start, stop in group:
+                if run is None:
+                    self._settle_row(row)
+                else:
+                    self._book_prefix(row, run, start, stop)
+
+    def _retired(self, run: _Run, now: float) -> int:
+        """The end of ``run``'s waves that have retired by ``now`` (:meth:`defer_run`)."""
+        times = run.times
+        stop = bisect_left(times, now, run.w)
+        if stop < len(times) and times[stop] == now and self.engine._passed(run.seq, run.exits):
+            stop = bisect_right(times, now, stop)
+        return stop
+
+    def _take(self, row: _Row, run: _Run, stop: int) -> None:
+        """Mark ``run``'s waves up to ``stop`` booked, dropping a finished
+        run from its row and a row left without runs from the pending ones."""
+        run.w = stop
+        if stop == len(run.times):
+            row.pending.remove(run)
+            if not row.pending:
+                del self._pending[row.src]
+
+    def _book_prefix(self, row: _Row, run: _Run, start: int, stop: int) -> None:
+        """Book waves ``start`` up to ``stop`` of ``run`` as one list per
+        wave, through one call of its owner's entry point with ``at``."""
+        owner = run.owner()
+        if owner is not None:
+            waves = run.payloads[start:stop].tolist()
+            if run.skip is not None:
+                for wave in waves:
+                    del wave[run.skip]
+            getattr(owner, run.op)(row.src, run.dsts, waves, at=run.times[start:stop])
+
+    def _book_stacked(self, group: list) -> bool:
+        """Book ``group``'s prefixes (:meth:`settle` items of one key) as one
+        zero-padded ``(rows, waves, G)`` array, through one call of their
+        owner's entry point; False, booking nothing, when it declines."""
+        first = group[0][1]
+        owner = first.owner()
+        if owner is None:
+            return True  # a run whose owner is gone books nothing
+        n_waves = max(stop - start for _, _, start, stop in group)
+        payloads = np.zeros(
+            (len(group), n_waves, self.topology.n_devices), dtype=first.payloads.dtype
+        )
+        at = np.zeros((len(group), n_waves))
+        srcs = []
+        for i, (row, run, start, stop) in enumerate(group):
+            run.gather(payloads[i, :stop - start], row.src, start, stop)
+            at[i, :stop - start] = run.times[start:stop]
+            srcs.append(row.src)
+        payloads[np.arange(len(srcs)), :, srcs] = 0  # the sources' own bytes
+        return getattr(owner, first.op)(srcs, None, payloads, at=at) is not False
+
+    def _settle_row(self, row: _Row) -> None:
+        """Book ``row``'s deferred waves that retired by now (:meth:`defer_run`),
+        as lists.
+
+        One run books its retired prefix in one call.  Several go by
+        :func:`_next_key`: the first run books up to the next wave of any
+        other run, then the first run is chosen again.
+        """
+        now = self.engine._now
+        runs = row.pending
         while runs:
             run = runs[0] if len(runs) == 1 else min(runs, key=_next_key)
-            times, start = run.times, run.w
-            stop = bisect_left(times, now, start)
-            if stop < len(times) and times[stop] == now and engine._passed(run.seq, run.exits):
-                stop = bisect_right(times, now, stop)
+            start, stop = run.w, self._retired(run, now)
             for other in runs:
                 if other is not run and stop > start:
                     t = other.times[other.w]
                     if run.order < other.order:
-                        stop = bisect_right(times, t, start, stop)
+                        stop = bisect_right(run.times, t, start, stop)
                     else:
-                        stop = bisect_left(times, t, start, stop)
+                        stop = bisect_left(run.times, t, start, stop)
             if stop == start:
                 break  # the first wave of all has not retired: none has
-            run.w = stop
-            if stop == len(times):
-                runs.remove(run)
-            run.book(start, stop)
-        if not runs:
-            del self._pending[row.src]
+            self._take(row, run, stop)
+            self._book_prefix(row, run, start, stop)
 
     def paced_copy(
         self, src: int, dst: int, nbytes: float, *, chunk_bytes: float, share: float,

@@ -231,8 +231,8 @@ class Profiler:
     <repro.simgpu.interconnect.Interconnect.defer_run>`), so a read never
     misses a write that has landed.  ``engine`` is the clock that places
     deferred spans (:meth:`defer_span`).  Per-pair samples come in as
-    lists (:meth:`add_wave`) or, from a wide deferred run booked as one
-    array pass, as numpy columns (:meth:`add_columns`).
+    lists (:meth:`add_wave`) or, from a settle's deferred runs booked as
+    one array pass, as numpy columns (:meth:`add_columns`).
     """
 
     def __init__(self, engine: Optional["Engine"] = None) -> None:
@@ -385,19 +385,21 @@ class Profiler:
         c._deltas.fromlist(deltas)
 
     def add_columns(
-        self, counter: str, src: int, dsts: np.ndarray, times: np.ndarray, deltas: np.ndarray
+        self, counter: str, srcs: np.ndarray, dsts: np.ndarray, times: np.ndarray,
+        deltas: np.ndarray,
     ) -> None:
-        """:meth:`add_wave` with numpy columns (int64 ``dsts``, float64
-        ``times`` and ``deltas``), appended as raw bytes: a wide deferred
-        run's samples, with no per-sample list.  Honours ``enabled``."""
+        """:meth:`add_wave` with contiguous numpy columns (int64 ``srcs``
+        and ``dsts``, one source per sample, float64 ``times`` and
+        ``deltas``), appended as raw bytes: a settle's stacked deferred
+        runs, with no per-sample list and no copy.  Honours ``enabled``."""
         if not self.enabled:
             return
         cols = self._pairs.get(counter)
         if cols is None:
             cols = self._pairs[counter] = _PairColumns()
-        times, deltas = times.tobytes(), deltas.tobytes()
-        cols.src.extend(array("q", (src,)) * len(dsts))
-        cols.dst.frombytes(dsts.tobytes())
+        times, deltas = memoryview(times).cast("B"), memoryview(deltas).cast("B")
+        cols.src.frombytes(memoryview(srcs).cast("B"))
+        cols.dst.frombytes(memoryview(dsts).cast("B"))
         cols.times.frombytes(times)
         cols.delta.frombytes(deltas)
         c = self.counter(counter)

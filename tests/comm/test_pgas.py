@@ -558,6 +558,46 @@ class TestFloatIds:
         cl.engine.run_until_event(ctx.quiet(np.int64(0)))
 
 
+class TestBoolIds:
+    """A ``bool`` is an ``int`` equal to 0 or 1, but not a device id: each
+    entry point refuses it with the typed error a float id raises, before
+    anything is touched, booked or scheduled, and a run of one is
+    declined.  ``link`` refuses it even for a pair that has a view."""
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda ctx: ctx.put(0, True, 256.0), r"put: dst must be a device id in \[0, 4\), got True"),
+            (lambda ctx: ctx.put(True, [2, 3], [1.0, 2.0]), r"put: src must be a device id in \[0, 4\), got True"),
+            (lambda ctx: ctx.put(0, [2, False], [[1.0, 2.0]], at=[0.0]), r"put: dst\[1\] must be a device id"),
+            (lambda ctx: ctx.atomic_add(0, True, 3), r"atomic_add: dst must be a device id"),
+            (lambda ctx: ctx.check_put("store", 0, True, 5.0), r"store: dst must be a device id"),
+            (lambda ctx: ctx.quiet(True), r"quiet: src must be a device id in \[0, 4\), got True"),
+            (lambda ctx: ctx.cluster.interconnect.transfer(True, 2, 10.0), r"device id must be an integer, got True"),
+            (lambda ctx: ctx.cluster.interconnect.link(False, 1), r"device id must be an integer, got False"),
+            (lambda ctx: ctx.put_run(True, [0, 2, 3], [0.0], np.ones((1, 4)), 1), None),
+            (lambda ctx: ctx.atomic_run(0, [2, True], [0.0], np.ones((1, 2), np.int64)), None),
+        ],
+        ids=["put-dst", "put-src", "put-at", "atomic_add", "check_put", "quiet", "transfer",
+             "link", "put_run", "atomic_run"],
+    )
+    def test_a_bool_id_is_refused_as_a_float_id_is(self, call, match):
+        cl = dgx_v100(4)
+        ic = cl.interconnect
+        ctx = PGASContext(cl)
+        ctx.put(0, 1, 100.0)
+        ic.links()  # the pair (0, 1) has a view
+        seq = cl.engine._seq
+        if match is None:
+            assert call(ctx) is False
+        else:
+            with pytest.raises(ValueError, match=match):
+                call(ctx)
+        assert cl.engine._seq == seq and ctx.puts_issued == 1 and not ic._pending
+        links = [(lk.src, lk.dst) for lk in ic.links()]
+        assert links == [(0, 1)] and all(type(i) is int for pair in links for i in pair)
+
+
 class TestCounterOrder:
     """Counter samples read back in delivery order, ties in issue order.
 

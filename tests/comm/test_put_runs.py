@@ -18,10 +18,12 @@ An entry scheduled before a run's registration runs before the run's
 waves at a shared instant; a *late* one, scheduled after the first
 registration, runs after them.
 
-A retired prefix of at least ``pgas._MATRIX_MIN_WRITES`` writes is booked
-as one matrix, a smaller one as lists; the small runs here take the
-matrix too once the threshold is patched to 1, and the 64-GPU runs take
-it at the default threshold.
+A settle whose rows retire at least ``interconnect.STACK_MIN_WRITES``
+writes between them books them as one stacked array, a smaller one row by
+row as lists; the small runs here are stacked too once the threshold is
+patched to 1, and the 64-GPU runs are at the default threshold.  Settles
+of several sources, stacked, are checked against each row settled on its
+own, wave by wave.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm import pgas as pgas_module
+from repro.simgpu import interconnect as interconnect_module
 from repro.comm.pgas import PGASContext
 from repro.core.backward import PGASFusedBackward, _GradientAtomics
 from repro.core.pgas_retrieval import PGASFusedRetrieval, _LaunchPlan
@@ -208,10 +210,11 @@ def test_a_deferred_run_books_as_its_waves(runs, foreign, faults, reads, quiet_a
     quiet_at=_at,
 )
 def test_a_deferred_run_books_as_its_waves_as_a_matrix(runs, foreign, faults, reads, quiet_at):
-    """The same oracle with every prefix, put or atomic, booked as a matrix."""
+    """The same oracle with every prefix a settle books, put or atomic,
+    stacked as an array (the threshold patched to 1)."""
     oracle = _simulate(runs, foreign, faults, reads, quiet_at, deferred=False)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pgas_module, "_MATRIX_MIN_WRITES", 1)
+        mp.setattr(interconnect_module, "STACK_MIN_WRITES", 1)
         deferred = _simulate(runs, foreign, faults, reads, quiet_at, deferred=True)
     assert deferred == oracle
 
@@ -292,7 +295,7 @@ def test_the_booking_goes_through_put():
     cl.interconnect.links()
     assert pgas.puts_issued == 5 and calls == [[10.0], [20.0]]
 
-    # A 64-GPU run of 7 waves: its 441 writes are one matrix, one put.
+    # A 64-GPU run of 7 waves: its 441 writes are one stack, one put.
     calls.clear()
     cl = dgx_v100(WIDE_G)
     pgas = PGASContext(cl)
@@ -301,7 +304,7 @@ def test_the_booking_goes_through_put():
     assert pgas.put_run(WIDE_SRC, WIDE_OTHERS, ends, np.full((7, WIDE_G), 256.0), WIDE_SRC)
     cl.engine.run(until=ends[-1])
     cl.interconnect.links()
-    assert pgas.puts_issued == 441 and calls == [ends]
+    assert pgas.puts_issued == 441 and [at.tolist() for at in calls] == [[ends]]
 
 
 # -- wide runs: one matrix per prefix ----------------------------------------------
@@ -311,30 +314,31 @@ WIDE_SRC = 5
 WIDE_OTHERS = [d for d in range(WIDE_G) if d != WIDE_SRC]
 
 
-def _wide_values(kind: str, heavy: bool = True) -> np.ndarray:
-    """7 waves of a 64-GPU run: zeros, fractional bytes and, if ``heavy``,
-    one column large enough to queue behind its own earlier writes."""
+def _wide_values(kind: str, heavy: bool = True, n_waves: int = 7) -> np.ndarray:
+    """The waves of a 64-GPU run: zeros, fractional bytes and, if
+    ``heavy``, one column large enough to queue behind its own earlier
+    writes."""
     rng = np.random.default_rng(44)
     if kind == "put":
-        waves = rng.choice([0.0, 256.0, 100.5, 4096.0, 1e5 / 3], size=(7, WIDE_G))
+        waves = rng.choice([0.0, 256.0, 100.5, 4096.0, 1e5 / 3], size=(n_waves, WIDE_G))
         if heavy:
             waves[:, 11] = 3e6  # 62.5 µs of wire per wave on a 1 µs wave grid
         return waves
-    counts = rng.integers(0, 6, size=(7, WIDE_G - 1))
+    counts = rng.integers(0, 6, size=(n_waves, WIDE_G - 1))
     if heavy:
         counts[:, 10] = 400_000
     return counts
 
 
 def _wide_simulate(kind: str, deferred: bool, heavy: bool = True):
-    """One 64-GPU run of 7 waves at 1 µs apart, with a derate and a down
+    """One 64-GPU run of 14 waves at 1 µs apart, with a derate and a down
     window mid-run and reads between the waves; returns what each read
     saw."""
     cl = dgx_v100(WIDE_G)
     eng, ic = cl.engine, cl.interconnect
     pgas = PGASContext(cl)
-    values = _wide_values(kind, heavy)
-    ends = [1000.0 * (w + 1) for w in range(7)]
+    values = _wide_values(kind, heavy, n_waves=14)
+    ends = [1000.0 * (w + 1) for w in range(14)]
     seen = []
 
     def per_wave(w):
@@ -356,11 +360,14 @@ def _wide_simulate(kind: str, deferred: bool, heavy: bool = True):
             assert pgas.atomic_run(WIDE_SRC, WIDE_OTHERS, ends, values)
 
     eng.call_at(0.0, launch)
-    # Three waves (189 writes) retire before the first edge: one prefix.
-    eng.call_at(3500.0, lambda: ic.link(WIDE_SRC, 7).degrade(bandwidth_scale=1e-3))
-    eng.call_at(3500.0, lambda: ic.link(WIDE_SRC, 9).set_down_until(6500.0))
-    eng.call_at(3600.0, lambda: seen.append(_snapshot(cl, pgas)))
-    eng.call_at(9000.0, lambda: seen.append(_snapshot(cl, pgas)))
+    # Seven waves (441 writes) retire before the read ahead of the first
+    # edge: one prefix, settled by the read; the read after the last wave
+    # settles the other seven.
+    eng.call_at(7400.0, lambda: seen.append(_snapshot(cl, pgas)))
+    eng.call_at(7500.0, lambda: ic.link(WIDE_SRC, 7).degrade(bandwidth_scale=1e-3))
+    eng.call_at(7500.0, lambda: ic.link(WIDE_SRC, 9).set_down_until(10500.0))
+    eng.call_at(7600.0, lambda: seen.append(_snapshot(cl, pgas)))
+    eng.call_at(16000.0, lambda: seen.append(_snapshot(cl, pgas)))
     eng.run()
     return seen
 
@@ -368,49 +375,63 @@ def _wide_simulate(kind: str, deferred: bool, heavy: bool = True):
 @pytest.mark.parametrize("heavy", [False, True])
 @pytest.mark.parametrize("kind", ["put", "atomic"])
 def test_a_wide_run_books_as_its_waves_at_the_default_threshold(kind, heavy):
-    """Both prefixes of a 441-write run go to ``book_run`` as matrices.  A
-    write that queues behind its own run makes ``book_run`` decline the
-    prefix, which is then booked as lists: the derated link and the down
-    window do so after the edges, the heavy column in every prefix.
-    Without it the first prefix is booked as a matrix."""
+    """Both prefixes of an 882-write run, settled by reads, go to
+    ``book_runs`` as one-row stacks.  A write that queues behind its own
+    run makes ``book_runs`` decline the stack, which is then booked as
+    lists: the derated link and the down window do so after the edges,
+    the heavy column in every prefix.  Without it the first prefix is
+    booked as a stack."""
     calls = []
-    book_run = Interconnect.book_run
+    book_runs = Interconnect.book_runs
 
     def spy(self, *args, **kwargs):
-        done = book_run(self, *args, **kwargs)
-        calls.append((args[2].shape, done is None))
+        done = book_runs(self, *args, **kwargs)
+        calls.append((args[1].shape, done is None))
         return done
 
     oracle = _wide_simulate(kind, deferred=False, heavy=heavy)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Interconnect, "book_run", spy)
+        mp.setattr(Interconnect, "book_runs", spy)
         deferred = _wide_simulate(kind, deferred=True, heavy=heavy)
-    assert calls == [((3, WIDE_G - 1), heavy), ((4, WIDE_G - 1), True)]
+    assert calls == [((1, 7, WIDE_G), heavy), ((1, 7, WIDE_G), True)]
     assert deferred == oracle
 
 
-def test_numpy_integer_destinations_book_a_matrix_as_lists():
-    """A matrix put whose source and destinations are numpy int32 ids books
-    the samples, rows and totals the list form books with Python ids;
-    nothing queues, so the matrix books it."""
+def test_numpy_integer_destinations_book_a_matrix_as_lists(monkeypatch):
+    """A run deferred with numpy int32 source and destinations, settled as a
+    stack, books the samples, rows and totals that one list put with
+    Python ids books; nothing queues, so the stack books it."""
     ends = [1000.0 * (w + 1) for w in range(7)]
-    waves = np.delete(_wide_values("put", heavy=False), WIDE_SRC, axis=1)
+    waves = _wide_values("put", heavy=False)
+    stacked = []
+    book_runs = Interconnect.book_runs
+
+    def spy(self, *args, **kwargs):
+        done = book_runs(self, *args, **kwargs)
+        stacked.append(done is not None)
+        return done
+
+    monkeypatch.setattr(Interconnect, "book_runs", spy)
     seen = []
-    for src, dsts, payloads in (
-        (WIDE_SRC, WIDE_OTHERS, waves.tolist()),
-        (np.int32(WIDE_SRC), [np.int32(d) for d in WIDE_OTHERS], waves),
-    ):
+    for numpy_ids in (False, True):
         cl = dgx_v100(WIDE_G)
         pgas = PGASContext(cl)
-        cl.engine.run(until=ends[-1])
-        pgas.put(src, dsts, payloads, at=ends)
+        if numpy_ids:
+            dsts = [np.int32(d) for d in WIDE_OTHERS]
+            assert pgas.put_run(np.int32(WIDE_SRC), dsts, ends, waves, np.int32(WIDE_SRC))
+            cl.engine.run(until=ends[-1])
+        else:
+            cl.engine.run(until=ends[-1])
+            pgas.put(WIDE_SRC, WIDE_OTHERS, np.delete(waves, WIDE_SRC, axis=1).tolist(), at=ends)
         seen.append(_snapshot(cl, pgas))
+    assert stacked == [True]
     assert seen[1] == seen[0] and len(seen[0][6][PGASContext.COUNTER][0]) == pgas.puts_issued
 
 
 @pytest.mark.parametrize("kind", ["put", "atomic"])
 def test_the_prefix_size_selects_lists_or_a_matrix(kind):
-    """A 7-write prefix is booked as lists, a 441-write one as a matrix."""
+    """A settle of a 7-write prefix books it as lists, one of a 441-write
+    prefix as one stacked array."""
     seen = []
     put, atomic_add = PGASContext.put, PGASContext.atomic_add
 
@@ -432,6 +453,186 @@ def test_the_prefix_size_selects_lists_or_a_matrix(kind):
         pgas.cluster.engine.run(until=ends[-1])
         pgas.cluster.interconnect.settle()
     assert seen == [list, np.ndarray]
+
+
+# -- settles of many sources: one stacked pass ---------------------------------------
+
+MULTI_G = 5
+_light = st.sampled_from([0.0, 256.0, 100.5, 2048.0, 1000 / 3])
+
+
+@st.composite
+def _multi_runs(draw):
+    """Runs on two to four of devices 0-3 (device 4 only receives): per
+    source one or two runs of one to four waves on a 100 ns grid, puts or
+    atomics; at most one row has a heavy column, which queues behind its
+    own earlier writes."""
+    sources = draw(st.lists(st.integers(0, 3), min_size=2, max_size=4, unique=True))
+    heavy = draw(st.sampled_from([None, *sources]))
+    rows = []
+    for src in sources:
+        runs = []
+        for _ in range(draw(st.sampled_from([1, 1, 2]))):
+            ends = sorted(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
+            kind = draw(st.sampled_from(["put", "put", "atomic"]))
+            width = MULTI_G if kind == "put" else MULTI_G - 1
+            values = [draw(st.lists(_light if kind == "put" else _count, min_size=width,
+                                    max_size=width)) for _ in ends]
+            runs.append({"kind": kind, "ends": [100.0 * n for n in ends], "values": values})
+        if src == heavy:
+            for wave in runs[0]["values"]:
+                wave[-1] = 1e6 if runs[0]["kind"] == "put" else 100_000
+        rows.append((src, runs))
+    return rows
+
+
+_multi_at = st.integers(0, 700).map(float)
+_pair = st.tuples(st.integers(0, MULTI_G - 1), st.integers(1, MULTI_G - 1)).map(
+    lambda sd: (sd[0], (sd[0] + sd[1]) % MULTI_G)
+)
+
+
+def _multi_simulate(rows, foreign, faults, settle_at, quiet_at, quiet_pes, mode):
+    """The runs of ``rows`` registered at 0, foreign bookings, a downed and
+    a degraded link, one ``settle()`` and one ``quiet`` over a subset, then
+    a read; returns the ``quiet`` and transfer instants and what the read
+    saw.  ``mode`` is
+    ``"entries"`` (one engine entry per wave end, the per-wave oracle) or
+    ``"deferred"`` (runs, booked as the fabric chooses)."""
+    cl = dgx_v100(MULTI_G)
+    eng, ic = cl.engine, cl.interconnect
+    pgas = PGASContext(cl)
+    seen = []
+
+    def per_wave(src, run, w):
+        others = [d for d in range(MULTI_G) if d != src]
+        values = run["values"][w]
+        if run["kind"] == "put":
+            payloads = [v for d, v in enumerate(values) if d != src]
+            if any(payloads):
+                pgas.put(src, others, payloads)
+        elif any(values):
+            pgas.atomic_add(src, others, values)
+
+    def register():
+        for src, runs in rows:
+            others = [d for d in range(MULTI_G) if d != src]
+            for run in runs:
+                if mode == "entries":
+                    for w, t in enumerate(run["ends"]):
+                        eng.call_at(t, lambda src=src, run=run, w=w: per_wave(src, run, w))
+                elif run["kind"] == "put":
+                    waves = np.array(run["values"], dtype=np.float64)
+                    assert pgas.put_run(src, others, run["ends"], waves, src)
+                else:
+                    counts = np.array(run["values"], dtype=np.int64)
+                    assert pgas.atomic_run(src, others, run["ends"], counts)
+
+    def book(kind, src, dst, payload):
+        if kind == "book_wave":
+            ic.book_wave(src, [dst], [payload], 0, 16, ic.COUNTER)
+        else:
+            ic.transfer(src, dst, payload, header_bytes=16).add_callback(
+                lambda: seen.append(("delivered", eng.now))
+            )
+
+    for t, kind, (src, dst), payload in foreign:
+        eng.call_at(t, lambda kind=kind, src=src, dst=dst, p=payload: book(kind, src, dst, p))
+    (t, (src, dst)), (t2, (src2, dst2)) = faults
+    eng.call_at(t, lambda: ic.link(src, dst).set_down_until(eng.now + 150.0))
+    eng.call_at(t2, lambda: ic.link(src2, dst2).degrade(bandwidth_scale=0.25))
+    eng.call_at(settle_at, ic.settle)
+    eng.call_at(quiet_at, lambda: pgas.quiet(quiet_pes).add_callback(
+        lambda: seen.append(("quiet", eng.now))
+    ))
+    eng.call_at(0.0, register)
+    eng.call_at(5000.0, lambda: seen.append(_multi_snapshot(cl, pgas)))
+    eng.run()
+    return seen
+
+
+def _multi_snapshot(cl: Cluster, pgas: PGASContext):
+    """What a reader sees: every row column in ``links()`` order, the
+    per-pair samples in booking order, the counters and the PE totals."""
+    ic, prof = cl.interconnect, cl.profiler
+    columns = [
+        (lk.src, lk.dst, lk._free_at, lk.busy_time, lk.bytes_carried, lk.transfer_count,
+         lk.messages_sent, lk.bandwidth_scale, lk.extra_latency_ns, lk.down_until)
+        for lk in ic.links()
+    ]
+    samples = {
+        name: [column.tolist() for column in prof.pair_samples(name)]
+        for name in (PGASContext.COUNTER, ic.COUNTER)
+    }
+    events = {name: c.events() for name, c in prof.counters.items()}
+    return (columns, samples, events, ic.total_wire_bytes(), pgas.puts_issued,
+            pgas.payload_bytes_issued, dict(pgas._last_done))
+
+
+def _per_source(seen):
+    """The part of a run's record that does not depend on the order the
+    sources are booked in: links and per-pair samples grouped by source
+    (each source's in booking order), counter events as a multiset (a tie
+    across sources reads in booking order), writes and PE instants."""
+    out = []
+    for item in seen:
+        if item[0] in ("quiet", "delivered"):
+            out.append(item)
+            continue
+        columns, samples, events, _, puts, _, last_done = item
+        by_src = {
+            name: [[column[i] for i in range(len(cols[0])) if cols[0][i] == src]
+                   for column in cols for src in range(MULTI_G)]
+            for name, cols in samples.items()
+        }
+        events = {name: sorted(samples) for name, samples in events.items()}
+        out.append((sorted(columns), by_src, events, puts, last_done))
+    return out
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    rows=_multi_runs(),
+    foreign=st.lists(st.tuples(_multi_at, st.sampled_from(["book_wave", "transfer"]), _pair,
+                               st.sampled_from([512.0, 3000.5])), max_size=3),
+    faults=st.tuples(st.tuples(_multi_at, _pair), st.tuples(_multi_at, _pair)),
+    settle_at=_multi_at,
+    quiet_at=_multi_at,
+    quiet_pes=st.lists(st.integers(0, MULTI_G - 1), min_size=1, max_size=3, unique=True),
+)
+def test_a_settle_stacks_every_source_as_its_waves(rows, foreign, faults, settle_at, quiet_at,
+                                                   quiet_pes):
+    """Several sources' runs (ragged, puts and atomics mixed, a row with
+    two runs, a row that queues behind its own run), settled once by
+    ``settle()`` and once by ``quiet`` over a subset, with every stack
+    taken (the threshold patched to 1): equal bit for bit to each row
+    settled on its own, in the order the settle names the rows, with each
+    retired wave booked through its own ``put``/``atomic_add`` call, and,
+    in everything but the order across sources, to the per-wave engine
+    entries."""
+    args = (rows, foreign, faults, settle_at, quiet_at, quiet_pes)
+    entries = _multi_simulate(*args, mode="entries")
+    book_prefix = Interconnect._book_prefix
+
+    def wave_by_wave(self, row, run, start, stop):
+        for w in range(start, stop):
+            book_prefix(self, row, run, w, w + 1)
+
+    def row_by_row(self, srcs=None):
+        pending = self._pending
+        names = list(pending) if srcs is None else [src for src in srcs if src in pending]
+        for src in names:
+            self._settle_row(pending[src])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Interconnect, "settle", row_by_row)
+        mp.setattr(Interconnect, "_book_prefix", wave_by_wave)
+        per_wave = _multi_simulate(*args, mode="deferred")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interconnect_module, "STACK_MIN_WRITES", 1)
+        stacked = _multi_simulate(*args, mode="deferred")
+    assert stacked == per_wave
+    assert _per_source(stacked) == _per_source(entries)
 
 
 class TestTypedErrors:

@@ -57,9 +57,12 @@ not the cost model, and no event count moved.  The cases fed by
 did not move.
 
 ``pgas-g64`` also pins how its writes are issued: one deferred
-``PGASContext.put_run`` per device, booked by one ``put`` with ``at``,
-and no per-wave ``put``, next to the unchanged number of writes, so a
-return to one call per wave or per destination fails here.
+``PGASContext.put_run`` per device, and the settle that books them one
+``put`` call and one stacked array pass over every source, next to the
+unchanged number of writes, so a return to one call per source, per wave
+or per destination fails here.  The 8-GPU shape of the benchmark's smoke
+run pins the same, and a settle below the stacking threshold one list
+``put`` per source.
 
 ``pgas-g64`` and ``baseline-g64`` run on one shared batch must also derive
 each table's chunk lookup counts once between them (1024 derivations; one
@@ -83,6 +86,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.cache import CacheConfig
@@ -103,6 +107,7 @@ from repro.faults import FaultEvent, FaultInjector, FaultPlan, ResilienceSpec
 from repro.faults import resilient as resilient_mod
 from repro.replication import ReplicationSpec
 from repro.reshard import ReshardSpec
+from repro.simgpu import interconnect as interconnect_mod
 from repro.simgpu.cluster import dgx_v100, multinode
 from repro.simgpu.units import us
 
@@ -608,33 +613,77 @@ def test_rowwise_timing_events_and_counters_are_pinned(case):
     assert got_counters == counters
 
 
-def test_pgas_g64_defers_one_put_run_per_device():
-    """The ``pgas-g64`` forward defers one ``PGASContext.put_run`` per
-    device (64 devices, one wave each at this batch) and books each run
-    through one ``put`` with its issue instants (``at``), never a per-wave
-    ``put``; the runs carry the same 4032 writes that one put call per
-    device-wave carried, each source's in destination order."""
-    emb = DistributedEmbedding(SCALE_G64, 64, backend="pgas")
+def _put_calls(cfg, n_devices):
+    """One pgas forward of ``cfg``: the deferred runs ``(src, waves)``, the
+    ``put`` calls ``(src, payload type, shape of at)``, the stacked passes
+    ``(shape, booked)``, the writes and the per-source sample order."""
+    emb = DistributedEmbedding(cfg, n_devices, backend="pgas")
     pgas = emb.backend_adapter().base.pgas
-    runs, calls = [], []
-    put_run, put = pgas.put_run, pgas.put
+    fabric = emb.cluster.interconnect
+    runs, calls, passes = [], [], []
+    put_run, put, book_runs = pgas.put_run, pgas.put, fabric.book_runs
 
     def counted_run(src, dsts, ends, waves, skip):
         runs.append((src, len(ends)))
         return put_run(src, dsts, ends, waves, skip)
 
     def counted(src, dst, payload_bytes, at=None):
-        calls.append((src, None if at is None else len(at)))
-        put(src, dst, payload_bytes, at=at)
+        calls.append((src, type(payload_bytes).__name__, None if at is None else np.shape(at)))
+        return put(src, dst, payload_bytes, at=at)
 
-    pgas.put_run, pgas.put = counted_run, counted
-    emb.forward_timed(SyntheticDataGenerator(SCALE_G64).lengths_batch())
-    assert sorted(runs) == [(src, 1) for src in range(64)]
-    assert sorted(calls) == [(src, 1) for src in range(64)]
-    assert pgas.puts_issued == 4032
+    def counted_pass(srcs, payloads, *args):
+        done = book_runs(srcs, payloads, *args)
+        passes.append((payloads.shape, done is not None))
+        return done
+
+    pgas.put_run, pgas.put, fabric.book_runs = counted_run, counted, counted_pass
+    emb.forward_timed(SyntheticDataGenerator(cfg).lengths_batch())
     samples = emb.cluster.profiler.pair_samples("pgas_bytes")
-    for src in range(64):
-        assert samples.dst[samples.src == src].tolist() == [d for d in range(64) if d != src]
+    by_src = [samples.dst[samples.src == src].tolist() for src in range(n_devices)]
+    return runs, calls, passes, pgas.puts_issued, by_src
+
+
+def _others(n_devices):
+    return [[d for d in range(n_devices) if d != src] for src in range(n_devices)]
+
+
+def test_pgas_g64_defers_one_put_run_per_device():
+    """The ``pgas-g64`` forward defers one ``PGASContext.put_run`` per
+    device (64 devices, one wave each at this batch), and its one settle
+    books all 64 runs through one ``put`` with a list of sources and their
+    issue instants (``at``) as one ``(64, 1, 64)`` array pass, never a
+    per-source or per-wave ``put``; the runs carry the same 4032 writes
+    that one put call per device-wave carried, each source's in
+    destination order."""
+    runs, calls, passes, puts, by_src = _put_calls(SCALE_G64, 64)
+    assert runs == [(src, 1) for src in range(64)]
+    assert calls == [(list(range(64)), "ndarray", (64, 1))]
+    assert passes == [((64, 1, 64), True)]
+    assert puts == 4032 and by_src == _others(64)
+
+
+def test_pgas_g8_smoke_shape_books_one_stacked_put():
+    """The 8-GPU shape of the benchmark's ``scale-g64`` smoke run (128
+    tables, 16384 samples): eight runs of seven waves, booked by one
+    ``put`` as one ``(8, 7, 8)`` array pass, 392 writes."""
+    cfg = WorkloadConfig(num_tables=128, dim=64, batch_size=16_384, max_pooling=32, seed=11)
+    runs, calls, passes, puts, by_src = _put_calls(cfg, 8)
+    assert runs == [(src, 7) for src in range(8)]
+    assert calls == [(list(range(8)), "ndarray", (8, 7))]
+    assert passes == [((8, 7, 8), True)]
+    assert puts == 392 and by_src == [7 * dsts for dsts in _others(8)]
+
+
+def test_a_settle_below_the_threshold_books_each_source_as_lists():
+    """Eight one-wave runs of seven writes (56, below
+    ``interconnect.STACK_MIN_WRITES``): one list ``put`` per source, in
+    source order, and no array pass."""
+    assert 56 < interconnect_mod.STACK_MIN_WRITES
+    runs, calls, passes, puts, by_src = _put_calls(TRAIN_G4, 8)
+    assert runs == [(src, 1) for src in range(8)]
+    assert calls == [(src, "list", (1,)) for src in range(8)]
+    assert passes == []
+    assert puts == 56 and by_src == _others(8)
 
 
 def test_g64_backends_share_one_derivation_per_table(monkeypatch):
