@@ -64,11 +64,13 @@ def first_hop_table(topology: Topology, hier: Optional["HierSpec"] = None) -> Li
     the node leader when ``hier`` stages the write off-node.  A leader's
     own staged writes start as local buffer appends, so they pay no
     first-hop drag and are left out, and so is a destination with no
-    first hop (its first write raises for want of peer access).
+    first hop (its first write raises for want of peer access).  Each
+    source's links come from one :meth:`~Topology.row_specs` read.
     """
     G = topology.n_devices
     out = []
     for dev_id in range(G):
+        row = topology.row_specs(dev_id)
         dsts, bws = [], []
         for dst in range(G):
             if dst == dev_id:
@@ -78,7 +80,7 @@ def first_hop_table(topology: Topology, hier: Optional["HierSpec"] = None) -> Li
                 hop = hier.leader_of(hier.node_of(dev_id))
                 if dev_id == hop:
                     continue
-            link = topology.link_spec(dev_id, hop)
+            link = row[hop]
             if link is None:
                 continue  # no peer access either: the first write there raises
             dsts.append(dst)

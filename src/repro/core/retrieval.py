@@ -481,22 +481,23 @@ class EmbeddingHost:
         """Live table-name → weight :class:`~repro.simgpu.memory.Buffer` map.
 
         The first call registers every table's weights with its owner's
-        memory accountant.  The reshard executor mutates this map at
+        memory accountant, one :meth:`~repro.simgpu.memory.MemoryPool.alloc_many`
+        step per device.  The reshard executor mutates this map at
         migration cutover (frees the old owner's buffer, installs the
         destination's), so it always reflects where each table's weights
         are accounted *right now*.
         """
         if self._weight_buffers is None:
-            self._weight_buffers = {
-                cfg.name: dev.memory.alloc(
-                    (cfg.num_rows, cfg.dim),
-                    cfg.dtype,
-                    materialize=False,
-                    label=f"weights.{cfg.name}",
+            weights: Dict[str, Buffer] = {}
+            for dev in self.cluster.devices:
+                cfgs = self.plan.tables_on(dev.id)
+                bufs = dev.memory.alloc_many(
+                    [(cfg.num_rows, cfg.dim) for cfg in cfgs],
+                    [cfg.dtype for cfg in cfgs],
+                    [f"weights.{cfg.name}" for cfg in cfgs],
                 )
-                for dev in self.cluster.devices
-                for cfg in self.plan.tables_on(dev.id)
-            }
+                weights.update(zip((cfg.name for cfg in cfgs), bufs))
+            self._weight_buffers = weights
         return self._weight_buffers
 
     def _next_trace_ref(self) -> Optional[TraceRef]:

@@ -28,10 +28,13 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..checks import checked_count
 from .batch import JaggedField, SparseBatch
 from .hashing import hash_indices
 
 __all__ = ["EmbeddingTableConfig", "EmbeddingTable", "EmbeddingBagCollection", "segment_pool"]
+
+_FLOAT32 = np.dtype(np.float32)
 
 
 @dataclass(frozen=True)
@@ -45,14 +48,16 @@ class EmbeddingTableConfig:
     name: str
     num_rows: int
     dim: int
-    dtype: np.dtype = np.dtype(np.float32)
+    dtype: np.dtype = _FLOAT32
 
     def __post_init__(self) -> None:
-        if self.num_rows <= 0:
-            raise ValueError(f"table {self.name!r}: num_rows must be positive")
-        if self.dim <= 0:
-            raise ValueError(f"table {self.name!r}: dim must be positive")
-        object.__setattr__(self, "dtype", np.dtype(self.dtype))
+        rows, dim = self.num_rows, self.dim
+        if not (type(rows) is type(dim) is int and rows > 0 and dim > 0):
+            owner = f"EmbeddingTableConfig({self.name!r})"
+            for name in ("num_rows", "dim"):
+                object.__setattr__(self, name, checked_count(owner, name, getattr(self, name)))
+        if self.dtype is not _FLOAT32:  # the default needs no conversion
+            object.__setattr__(self, "dtype", np.dtype(self.dtype))
 
     @property
     def nbytes(self) -> int:

@@ -75,16 +75,18 @@ class Cluster:
                 f"topology is for {self.topology.n_devices} devices, cluster has {n_devices}"
             )
         self.interconnect = Interconnect(self.engine, self.topology, self.profiler)
+        # NVLink peers: one-sided access between every connected pair, read
+        # off the topology one source row at a time.
         self.devices: List[Device] = [
-            Device(self.engine, i, device_spec) for i in range(n_devices)
+            Device(self.engine, i, device_spec, peers=self._peers_of(i))
+            for i in range(n_devices)
         ]
         for dev in self.devices:
             dev.profiler = self.profiler
-        # NVLink peers: enable one-sided access between every connected pair.
-        for src in self.devices:
-            for dst in self.devices:
-                if src.id != dst.id and self.topology.connected(src.id, dst.id):
-                    src.enable_peer_access(dst.id)
+
+    def _peers_of(self, src: int) -> List[int]:
+        """The devices ``src`` reaches directly, from one topology row."""
+        return [dst for dst, spec in enumerate(self.topology.row_specs(src)) if spec is not None]
 
     @property
     def n_devices(self) -> int:

@@ -143,15 +143,25 @@ class Device:
     rarely instantiates them directly.
     """
 
-    def __init__(self, engine: Engine, device_id: int, spec: DeviceSpec = V100_SPEC):
+    def __init__(
+        self,
+        engine: Engine,
+        device_id: int,
+        spec: DeviceSpec = V100_SPEC,
+        peers: Iterable[int] = (),
+    ):
         if device_id < 0:
             raise ValueError(f"device_id must be non-negative, got {device_id}")
+        # the devices this one may load from and store to directly
+        # (the NVLink peer map); the cluster reads them off the topology
+        self._peers: Set[int] = set(peers)
+        if device_id in self._peers:
+            raise ValueError("a device is always its own peer")
         self.engine = engine
         self.id = device_id
         self.spec = spec
         self.memory = MemoryPool(capacity=spec.mem_bytes, device_id=device_id)
         self._streams: Dict[str, Stream] = {}
-        self._peers: Set[int] = set()
         #: multiplicative kernel service-time factor (>= 1 while a
         #: "straggler" fault window is active; exactly 1.0 when healthy)
         self.slowdown = 1.0
@@ -208,12 +218,6 @@ class Device:
         return self.stream("default")
 
     # -- peer access -------------------------------------------------------------
-
-    def enable_peer_access(self, other_id: int) -> None:
-        """Allow direct load/store to ``other_id``'s memory (NVLink peer map)."""
-        if other_id == self.id:
-            raise ValueError("a device is always its own peer")
-        self._peers.add(other_id)
 
     def can_access_peer(self, other_id: int) -> bool:
         """True if one-sided access to ``other_id`` has been enabled."""

@@ -14,16 +14,58 @@ The simulator tracks memory two ways at once:
 The allocator is a simple offset-bump with a free list merged by address —
 enough to model fragmentation-free CUDA caching-allocator behaviour while
 keeping invariants easy to property-test (see tests/simgpu/test_memory.py).
+
+Sizes are exact Python ints: a shape's byte count never wraps, so an
+absurd shape raises :class:`OutOfDeviceMemory` with its true size, and a
+dimension must be an integer (a float or a bool raises ``TypeError``
+naming its axis).  :meth:`MemoryPool.alloc_many` registers a sequence of
+metadata-only buffers — a device's table weights — in one accounting
+step, with exactly the result of one :meth:`~MemoryPool.alloc` each.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import accumulate
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 __all__ = ["OutOfDeviceMemory", "Buffer", "MemoryPool"]
+
+#: An array shape: a tuple of dimensions, or one int for a 1-D array.
+Shape = Union[int, Sequence[int]]
+
+
+def _dims(shape: Shape) -> Tuple[int, ...]:
+    """``shape`` as a tuple of Python ints >= 0.
+
+    A numpy integer is accepted; a float or a bool dimension raises
+    ``TypeError`` and a negative one ``ValueError``, each naming the axis.
+    """
+    if type(shape) is tuple:
+        for d in shape:
+            if type(d) is not int or d < 0:
+                break
+        else:
+            return shape  # already a tuple of ints >= 0
+    elif isinstance(shape, numbers.Integral):
+        shape = (shape,)
+    dims = []
+    for axis, d in enumerate(shape):
+        if type(d) is not int:
+            if isinstance(d, (bool, np.bool_)) or not isinstance(d, numbers.Integral):
+                raise TypeError(
+                    f"shape axis {axis} must be an int, got {type(d).__name__} {d!r}"
+                )
+            d = operator.index(d)
+        if d < 0:
+            raise ValueError(f"negative dimension in shape {tuple(shape)} (axis {axis})")
+        dims.append(d)
+    return tuple(dims)
 
 
 class OutOfDeviceMemory(MemoryError):
@@ -124,7 +166,7 @@ class MemoryPool:
 
     def alloc(
         self,
-        shape: Tuple[int, ...],
+        shape: Shape,
         dtype: np.dtype = np.dtype(np.float32),
         *,
         materialize: bool = False,
@@ -137,13 +179,9 @@ class MemoryPool:
         or ``fill``-initialised).  Raises :class:`OutOfDeviceMemory` when the
         accounting budget is exhausted.
         """
-        if isinstance(shape, int):
-            shape = (shape,)
-        shape = tuple(int(d) for d in shape)
-        if any(d < 0 for d in shape):
-            raise ValueError(f"negative dimension in shape {shape}")
+        shape = _dims(shape)
         dtype = np.dtype(dtype)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        nbytes = math.prod(shape) * dtype.itemsize
         offset = self._take_hole(nbytes)
         data: Optional[np.ndarray] = None
         if materialize:
@@ -162,6 +200,51 @@ class MemoryPool:
         self._live[offset] = buf
         self.peak_used = max(self.peak_used, self.used)
         return buf
+
+    def alloc_many(
+        self, shapes: Sequence[Shape], dtypes: Sequence[np.dtype], labels: Sequence[str]
+    ) -> List[Buffer]:
+        """Metadata-only buffers ``shapes[i]``/``dtypes[i]`` labelled
+        ``labels[i]``, in order: one accounting step for many.
+
+        When the first hole holds them all, it is carved once and the
+        buffers sit at consecutive offsets; otherwise each takes its own
+        :meth:`alloc`.  Either way the offsets, holes, ``used``,
+        ``peak_used``, live-map order and any :class:`OutOfDeviceMemory`
+        (raised with the buffers before it still allocated) equal one
+        ``alloc`` per buffer.  A malformed shape raises before anything is
+        allocated.
+        """
+        if not len(shapes) == len(dtypes) == len(labels):
+            raise ValueError(
+                f"alloc_many: {len(shapes)} shapes, {len(dtypes)} dtypes, {len(labels)} labels"
+            )
+        shapes = [_dims(shape) for shape in shapes]
+        dtypes = [np.dtype(dtype) for dtype in dtypes]
+        sizes = [math.prod(shape) * dtype.itemsize for shape, dtype in zip(shapes, dtypes)]
+        total = sum(sizes)
+        holes = self._holes
+        # A zero-size buffer's pseudo-offset depends on the buffers before
+        # it, so only all-positive sizes take the one carve.
+        if not holes or holes[0][1] < total or 0 in sizes:
+            return [
+                self.alloc(shape, dtype, label=label)
+                for shape, dtype, label in zip(shapes, dtypes, labels)
+            ]
+        start, size = holes[0]
+        if size == total:
+            del holes[0]
+        else:
+            holes[0] = (start + total, size - total)
+        live, device_id = self._live, self.device_id
+        bufs = []
+        for offset, nbytes, shape, dtype, label in zip(
+            accumulate(sizes, initial=start), sizes, shapes, dtypes, labels
+        ):
+            buf = live[offset] = Buffer(device_id, offset, nbytes, shape, dtype, None, label)
+            bufs.append(buf)
+        self.peak_used = max(self.peak_used, self.used)
+        return bufs
 
     def free(self, buf: Buffer) -> None:
         """Return a buffer's bytes to the pool; double-free raises."""

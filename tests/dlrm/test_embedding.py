@@ -33,6 +33,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             EmbeddingTableConfig("t", num_rows=4, dim=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("num_rows", 10.5), ("num_rows", 10.0), ("num_rows", True), ("dim", 4.0),
+         ("dim", False), ("dim", "4"), ("num_rows", np.float64(3))],
+    )
+    def test_non_integer_count_rejected(self, field, value):
+        kwargs = {"num_rows": 10, "dim": 4, field: value}
+        with pytest.raises(TypeError, match=rf"EmbeddingTableConfig\('t'\)\.{field} must be an int"):
+            EmbeddingTableConfig("t", **kwargs)
+
+    def test_numpy_integer_counts_become_ints(self):
+        cfg = EmbeddingTableConfig("t", num_rows=np.int64(10), dim=np.uint8(4))
+        assert (cfg.num_rows, cfg.dim) == (10, 4)
+        assert type(cfg.num_rows) is int and type(cfg.dim) is int
+
 
 class TestSegmentPool:
     def test_sum(self):

@@ -302,10 +302,11 @@ class TestDeviceBasics:
         dev = make_device()
         assert dev.can_access_peer(0)  # self
         assert not dev.can_access_peer(1)
-        dev.enable_peer_access(1)
-        assert dev.can_access_peer(1)
-        with pytest.raises(ValueError):
-            dev.enable_peer_access(0)
+        dev = Device(Engine(), 0, DeviceSpec(), peers=iter([1, 3]))
+        assert dev.can_access_peer(1) and dev.can_access_peers([1, 3])
+        assert not dev.can_access_peer(2)
+        with pytest.raises(ValueError, match="its own peer"):
+            Device(Engine(), 0, DeviceSpec(), peers=[1, 0])
 
     def test_negative_device_id_rejected(self):
         with pytest.raises(ValueError):

@@ -1,22 +1,73 @@
-"""Unused imports in ``src/``: pyproject's ruff ``F401`` rule, in tier 1.
+"""Pyproject's ruff rules, in tier 1.
 
 Ruff runs in CI's ``lint`` job but may be missing where tier 1 runs, so
-this stdlib ``ast`` pass repeats its ``F401`` check over ``src/``: an
-import whose bound name the module never reads is an error.  As the ruff
-config has it, ``__init__.py`` files are skipped (they re-export), names
-listed in ``__all__`` count as read, and so do names read only in quoted
-annotations; ``from __future__`` imports and lines marked ``noqa`` are
-left alone.  The check is module-wide, so it is no stricter than ruff's
-per-scope one.
+two stdlib passes repeat its checks here.
+
+* ``E9``/``F63``/``F7``: every ``.py`` file under ``src/``, ``tests/``,
+  ``examples/`` and ``benchmarks/`` compiles with compiler warnings made
+  errors.  That fails a syntax error, ``is`` with a literal, an ``assert``
+  on a tuple, a call of a literal, ``break``/``continue``/``return``
+  outside their blocks, and an invalid escape sequence (a
+  ``SyntaxWarning`` from Python 3.12 on, a ``DeprecationWarning`` before).
+* ``F401`` over ``src/``: an import whose bound name the module never
+  reads is an error.  As the ruff config has it, ``__init__.py`` files are
+  skipped (they re-export), names listed in ``__all__`` count as read, and
+  so do names read only in quoted annotations; ``from __future__`` imports
+  and lines marked ``noqa`` are left alone.  The check is module-wide, so
+  it is no stricter than ruff's per-scope one.
 """
 
 from __future__ import annotations
 
 import ast
+import warnings
 from pathlib import Path
 from typing import List, Set
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+#: every directory of Python sources the ruff config covers
+LINTED = ("src", "tests", "examples", "benchmarks")
+
+
+def compile_error(source: str, path: str = "<src>") -> str:
+    """The error compiling ``source`` with compiler warnings made errors,
+    as ``path:line: message``, or ``""`` when it compiles cleanly."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SyntaxWarning)
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            compile(source, path, "exec", dont_inherit=True)
+        except SyntaxError as exc:
+            return f"{path}:{exc.lineno}: {exc.msg}"
+    return ""
+
+
+def test_every_file_compiles_without_warnings():
+    paths = sorted(path for name in LINTED for path in (ROOT / name).rglob("*.py"))
+    assert len(paths) > 250
+    errors = [compile_error(p.read_text(), str(p.relative_to(ROOT))) for p in paths]
+    assert [e for e in errors if e] == []
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("def f(:\n    pass\n", ""),
+        ("x = 1\nif x is 1:\n    pass\n", '"is" with a literal'),
+        ("assert (1 > 2, 'never')\n", "assertion is always true"),
+        ("x = [1]()\n", "is not callable"),
+        ("break\n", "'break' outside loop"),
+        ("def f():\n    continue\n", "'continue' not properly in loop"),
+        ("return 1\n", "'return' outside function"),
+        ("pattern = '\\d+'\n", "invalid escape sequence"),
+    ],
+)
+def test_the_compile_check_fails_what_ruff_fails(source, message):
+    error = compile_error(source)
+    assert error.startswith("<src>:") and message in error
 
 
 def _bound(alias: ast.alias) -> str:
