@@ -42,7 +42,7 @@ def main() -> None:
     print(report.summary())
 
     # Naive contiguous placement on the same device count, for contrast.
-    naive = TableWiseSharding(configs, report.n_devices, strategy="contiguous")
+    naive = TableWiseSharding(configs, report.n_devices)
     naive_loads = [naive.memory_bytes(d) / GiB for d in range(report.n_devices)]
     mean = sum(naive_loads) / len(naive_loads)
     print(f"\nnaive contiguous placement imbalance (max/mean): "

@@ -14,7 +14,9 @@ Packages
     The substrate: devices, streams, kernel cost model, NVLink fabric,
     profiler.
 :mod:`repro.comm`
-    Collective and PGAS communication layers.
+    Collective and PGAS communication layers, and the two-level routing of
+    the ``"+hier"`` backends (:mod:`repro.comm.hier`): node-leader PGAS
+    staging and a two-level all-to-all.
 :mod:`repro.compress`
     Wire codecs (fp32/fp16/int8/int4) and the ``"+compress"`` backends.
 :mod:`repro.replication`
@@ -23,10 +25,6 @@ Packages
 :mod:`repro.reshard`
     Skew-aware online resharding: traffic tracking, migration planning,
     paced shard streaming — the ``"+reshard"`` backends.
-:mod:`repro.hier`
-    Topology-aware hierarchical communication: two-level all-to-all and
-    node-leader PGAS staging — the routing layer of the ``"+hier"``
-    backends.
 :mod:`repro.dlrm`
     Numpy DLRM: embedding tables, jagged batches, MLPs, interaction,
     synthetic data.
@@ -101,8 +99,7 @@ from .replication import ReplicatedRetrieval, ReplicationSpec
 from . import reshard
 from .reshard import ReshardRetrieval, ReshardSpec
 
-from . import hier
-from .hier import HierSpec
+from .comm.hier import HierSpec
 from .dlrm import (
     DLRM,
     DLRMConfig,
@@ -117,7 +114,7 @@ from .dlrm import (
 from . import obs
 from .obs import TraceSpec
 from .simgpu import Cluster, DeviceSpec, dgx_v100
-from .telemetry import MetricsRegistry, RunReport, collect_run_report
+from .telemetry import RunReport, collect_run_report
 
 __version__ = "0.1.0"
 
@@ -145,7 +142,6 @@ __all__ = [
     "ForwardResult",
     "HierSpec",
     "JaggedField",
-    "MetricsRegistry",
     "PGASFusedRetrieval",
     "PhaseTiming",
     "RunReport",
@@ -177,7 +173,6 @@ __all__ = [
     "dgx_v100",
     "dlrm",
     "faults",
-    "hier",
     "obs",
     "replication",
     "reshard",

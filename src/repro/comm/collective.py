@@ -36,7 +36,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..checks import check_bytes
+from ..checks import check_bytes, checked_count
 from ..simgpu.cluster import Cluster
 from ..simgpu.engine import Event
 from ..simgpu.units import MiB, us
@@ -88,8 +88,7 @@ class CollectiveSpec:
     alltoall_algorithm: str = "direct"
 
     def __post_init__(self) -> None:
-        if self.chunk_bytes <= 0:
-            raise ValueError("chunk_bytes must be positive")
+        checked_count("CollectiveSpec", "chunk_bytes", self.chunk_bytes)
         if self.alltoall_algorithm not in ("direct", "pairwise"):
             raise ValueError(
                 f"unknown alltoall_algorithm {self.alltoall_algorithm!r}"

@@ -52,6 +52,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..checks import checked_count
 from ..simgpu.cluster import Cluster
 from ..simgpu.engine import Event
 from ..simgpu.interconnect import Interconnect
@@ -108,10 +109,7 @@ class HierSpec:
     devices_per_node: int = 4
 
     def __post_init__(self) -> None:
-        if self.devices_per_node <= 0:
-            raise ValueError(
-                f"devices_per_node must be positive, got {self.devices_per_node}"
-            )
+        checked_count("HierSpec", "devices_per_node", self.devices_per_node)
 
     # -- node geometry --------------------------------------------------------
 

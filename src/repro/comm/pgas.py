@@ -41,6 +41,11 @@ This module models that with two pieces:
   (:meth:`~repro.simgpu.interconnect.Interconnect.book_runs`); the fabric
   alone chooses that or one list per wave, per source.
 
+Every booked write is one sample of the profiler's :attr:`PGASContext.COUNTER`
+(``pgas_bytes``, the paper's RDMA-write payload counter; atomics book there
+too), so that counter's sample count and ``total`` are the writes and the
+payload bytes issued: the context keeps no count of its own.
+
 The aggregator and the hierarchical staging router carry one-sided writes
 their own way, but validate each through :meth:`PGASContext.check_put`, so
 they raise the same typed errors as ``put``.
@@ -61,7 +66,7 @@ from typing import Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
-from ..checks import check_bytes
+from ..checks import check_bytes, checked_count
 from ..simgpu.cluster import Cluster
 from ..simgpu.engine import Event
 from ..simgpu.interconnect import _ID, _are_ids, _is_id
@@ -77,9 +82,8 @@ ATOMIC_PAYLOAD_BYTES = 8
 
 _INF = float("inf")
 
-#: Payload sums below this keep a stack's message counts exact in int64,
-#: its atomic bytes exact as float64 and, for whole numbers, its byte total
-#: equal to the per-wave sums (:meth:`PGASContext._book_stack`).
+#: Payload sums below this keep a stack's message counts exact in int64
+#: and its atomic bytes exact as float64 (:meth:`PGASContext._book_stack`).
 _EXACT = 2.0 ** 53
 
 #: What makes a ``dst`` argument a wave rather than one device id.
@@ -120,10 +124,8 @@ class PGASSpec:
     header_bytes: int = 32
 
     def __post_init__(self) -> None:
-        if self.message_bytes <= 0:
-            raise ValueError("message_bytes must be positive")
-        if self.header_bytes < 0:
-            raise ValueError("header_bytes must be non-negative")
+        checked_count("PGASSpec", "message_bytes", self.message_bytes)
+        checked_count("PGASSpec", "header_bytes", self.header_bytes, minimum=0)
 
 
 class PGASContext:
@@ -148,11 +150,6 @@ class PGASContext:
         self._last_done: Dict[int, float] = dict.fromkeys(ids, float("-inf"))
         # Externally-created transfers (aggregator flushes, hier chains).
         self._outstanding: Dict[int, List[Event]] = {pe: [] for pe in ids}
-        # Writes booked so far and their payload bytes, summed wave by wave.
-        # A deferred run's waves count once booked: the fabric's settle()
-        # books every retired one.
-        self.puts_issued = 0
-        self.payload_bytes_issued = 0.0
         # Deferred runs refer to the context weakly: the fabric holds them.
         self._ref = weakref.ref(self)
 
@@ -192,7 +189,7 @@ class PGASContext:
         """
         if at is not None:
             if type(src) is list:
-                return self._book_stack(src, payload_bytes, at, self.spec.message_bytes, True)
+                return self._book_stack(src, payload_bytes, at, self.spec.message_bytes)
             if type(payload_bytes) is np.ndarray:
                 payload_bytes = payload_bytes.tolist()
             # One screen of the whole run, as of a wave below, plus one
@@ -212,13 +209,7 @@ class PGASContext:
             if not ok:
                 self._check_run("put", src, dst, payload_bytes, at, "payload_bytes",
                                 _check_payload)
-                totals = list(map(sum, payload_bytes))
-            done = self._book_waves(src, dst, payload_bytes, at, self.spec.message_bytes)
-            if done:
-                self.puts_issued += len(done)
-                for total in totals:
-                    if total:  # a wave with bytes: its own put would have booked
-                        self.payload_bytes_issued += total
+            self._book_waves(src, dst, payload_bytes, at, self.spec.message_bytes)
             return None
         wave = isinstance(dst, _WAVE)
         if not wave:
@@ -240,11 +231,7 @@ class PGASContext:
             ok = False
         if not ok:
             self._check_wave("put", src, dst, payload_bytes, wave, "payload_bytes", _check_payload)
-            total = sum(payload_bytes)
-        done = self._book(src, dst, payload_bytes, self.spec.message_bytes)
-        if done:
-            self.puts_issued += len(done)
-            self.payload_bytes_issued += total
+        self._book(src, dst, payload_bytes, self.spec.message_bytes)
         return None
 
     def atomic_add(self, src: int, dst, n_elements, *, at=None) -> Optional[bool]:
@@ -261,7 +248,7 @@ class PGASContext:
             if type(src) is list:
                 if n_elements.dtype.kind not in "iu":
                     return False
-                return self._book_stack(src, n_elements * float(size), at, size, False)
+                return self._book_stack(src, n_elements * float(size), at, size)
             if type(n_elements) is np.ndarray:
                 n_elements = n_elements.tolist()
             self._check_run("atomic_add", src, dst, n_elements, at, "n_elements", None)
@@ -304,9 +291,7 @@ class PGASContext:
         (:meth:`~repro.simgpu.interconnect.Interconnect.defer_run`) and,
         once the waves have retired, books them through :meth:`put` with
         ``at`` when ``src``'s links are next touched or read, or by
-        :meth:`quiet` over ``src``.  ``puts_issued`` and
-        ``payload_bytes_issued`` grow as the per-wave puts would have grown
-        them, as the waves are booked.
+        :meth:`quiet` over ``src``.
 
         The caller has checked that every payload is finite and
         non-negative.  Returns False, deferring nothing, unless ``src`` is
@@ -394,8 +379,8 @@ class PGASContext:
                 raise PermissionError(f"device {src} has no peer access to device {dst}")
             check(name + at, value)
 
-    def _book(self, src: int, dsts, payloads, message_bytes: int) -> List[float]:
-        """Book a validated wave; returns its delivery instants."""
+    def _book(self, src: int, dsts, payloads, message_bytes: int) -> None:
+        """Book a validated wave."""
         done = self._book_wave(
             src, dsts, payloads, message_bytes, self.spec.header_bytes, self.COUNTER
         )
@@ -403,10 +388,9 @@ class PGASContext:
             last = max(done)
             if last > self._last_done[src]:
                 self._last_done[src] = last
-        return done
 
     def _book_waves(self, src: int, dst: List[int], waves: List[List[float]], at: List[float],
-                    message_bytes: int) -> List[float]:
+                    message_bytes: int) -> None:
         """Book validated waves of payloads, wave ``w`` to ``dst`` at
         ``at[w]``, as one list (what :meth:`_book` does for one wave); a
         zero payload books nothing."""
@@ -425,23 +409,20 @@ class PGASContext:
                     payloads += kept
                     nows += [t] * len(kept)
         if not payloads:
-            return []
-        done = self._book_wave(
+            return
+        last = max(self._book_wave(
             src, to, payloads, message_bytes, self.spec.header_bytes, self.COUNTER, nows
-        )
-        last = max(done)
+        ))
         if last > self._last_done[src]:
             self._last_done[src] = last
-        return done
 
     def _book_stack(self, srcs: List[int], payloads: np.ndarray, at: np.ndarray,
-                    message_bytes: int, counted: bool) -> bool:
+                    message_bytes: int) -> bool:
         """Book a settle's stacked prefixes (:meth:`put` with a list of
         sources) in one array pass
         (:meth:`~repro.simgpu.interconnect.Interconnect.book_runs`): what
-        :meth:`_book_waves` does with each source's lists, in order.  Moves
-        ``puts_issued`` and ``payload_bytes_issued`` when ``counted`` (puts,
-        not atomics).  Returns False, booking nothing, when the stack fails
+        :meth:`_book_waves` does with each source's lists, in order.
+        Returns False, booking nothing, when the stack fails
         the one numpy screen (a PE per row, one column per PE, matching
         shapes, a non-negative payload sum below 2**53; each run's
         destinations were checked when it was deferred, :meth:`put_run`)
@@ -469,23 +450,6 @@ class PGASContext:
         for src, last in zip(srcs, lasts.tolist()):
             if last > last_done[src]:
                 last_done[src] = last
-        if counted:
-            self.puts_issued += int(np.count_nonzero(payloads))
-            issued = self.payload_bytes_issued
-            if (
-                float(issued).is_integer() and issued + total < _EXACT
-                and (np.trunc(payloads) == payloads).all()
-            ):
-                # Whole numbers below 2**53: every partial sum is exact, so
-                # the total equals the per-wave sums in any order.
-                if total:
-                    self.payload_bytes_issued = issued + total.item()
-            else:
-                for waves in payloads.tolist():
-                    for wave in waves:
-                        wave_total = sum(wave)
-                        if wave_total:
-                            self.payload_bytes_issued += wave_total
         return True
 
     # -- completion --------------------------------------------------------------

@@ -34,17 +34,12 @@ reference collection's weight arrays, so no extra memory and exact parity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from ..dlrm.batch import SparseBatch
-from ..dlrm.embedding import (
-    EmbeddingBagCollection,
-    EmbeddingTable,
-    EmbeddingTableConfig,
-    segment_pool,
-)
+from ..dlrm.embedding import EmbeddingBagCollection, EmbeddingTable, segment_pool
 from .sharding import RowWiseSharding, TableWiseSharding, minibatch_bounds
 
 __all__ = [
@@ -123,19 +118,6 @@ class ShardedEmbeddingTables:
             plan,
             [[tables[cfg.name] for cfg in plan.tables_on(d)] for d in range(plan.n_devices)],
         )
-
-    @classmethod
-    def build(
-        cls,
-        configs: Sequence[EmbeddingTableConfig],
-        n_devices: int,
-        *,
-        rng: Optional[np.random.Generator] = None,
-    ) -> "ShardedEmbeddingTables":
-        """Create fresh weights and shard them contiguously."""
-        ebc = EmbeddingBagCollection.from_configs(list(configs), rng=rng)
-        plan = TableWiseSharding(list(configs), n_devices)
-        return cls.from_collection(ebc, plan)
 
     @property
     def n_devices(self) -> int:

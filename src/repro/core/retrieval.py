@@ -377,11 +377,6 @@ class HierRetrieval(BaseRetrieval):
     def checked_spec(cls, spec: Optional[object]) -> HierSpec:
         return super().checked_spec(HierSpec(devices_per_node=1) if spec is None else spec)
 
-    @property
-    def hier_spec(self) -> HierSpec:
-        """The routing spec the engine runs with."""
-        return self.spec
-
     def _engine(self, collective_spec, pgas_spec):
         return base_engine(self.base_name, self.cluster, collective_spec, pgas_spec, self.spec)
 
@@ -621,10 +616,10 @@ class DistributedEmbedding(EmbeddingHost):
         """Full :class:`~repro.telemetry.RunReport` of the batches run so far.
 
         Derives gauges and metrics from the cluster's profiler record (so
-        call it *after* the forward passes of interest; ``reset_profiler``
-        between phases isolates them).  ``timing`` attaches an accumulated
-        :class:`PhaseTiming`; extra ``kwargs`` pass to
-        :func:`repro.telemetry.collect_run_report`.
+        call it *after* the forward passes of interest;
+        ``cluster.profiler.clear()`` between phases isolates them).
+        ``timing`` attaches an accumulated :class:`PhaseTiming`; extra
+        ``kwargs`` pass to :func:`repro.telemetry.collect_run_report`.
         """
         from ..telemetry import collect_run_report
 

@@ -18,11 +18,12 @@ Fig. 4):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Literal, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..dlrm.embedding import EmbeddingTableConfig
+from ..simgpu.interconnect import _is_id
 
 __all__ = [
     "minibatch_bounds",
@@ -104,38 +105,37 @@ class ShardingPlan:
 class TableWiseSharding(ShardingPlan):
     """Whole tables assigned to devices (the paper's scheme).
 
-    ``strategy="contiguous"`` gives device *g* the block of tables
+    With no ``owners``, device *g* gets the contiguous block of tables
     ``[g * T/G, (g+1) * T/G)`` (so the unpack step is a plain feature-axis
-    concatenation); ``"explicit"`` takes the ``owners`` map (see
-    :meth:`from_assignment`).  Both are exact partitions.
+    concatenation); ``owners`` maps every table name to its device (see
+    :meth:`from_assignment`).  Both are exact partitions.  An owner is a
+    device id: a Python or numpy integer, not a ``bool``; anything else
+    raises ``TypeError`` naming the table.
     """
 
     def __init__(
         self,
         table_configs: Sequence[EmbeddingTableConfig],
         n_devices: int,
-        strategy: Literal["contiguous", "explicit"] = "contiguous",
         owners: Optional[Mapping[str, int]] = None,
     ):
         super().__init__(table_configs, n_devices)
-        if strategy not in ("contiguous", "explicit"):
-            raise ValueError(f"unknown strategy {strategy!r}")
-        if (strategy == "explicit") != (owners is not None):
-            raise ValueError("owners must be given exactly when strategy='explicit'")
-        self.strategy = strategy
         self._owner: Dict[str, int] = {}
-        T = self.num_tables
-        if strategy == "contiguous":
-            bounds = minibatch_bounds(T, n_devices)
-            for dev, (lo, hi) in enumerate(bounds):
-                for i in range(lo, hi):
-                    self._owner[self.table_configs[i].name] = dev
+        if owners is None:
+            for dev, (lo, hi) in enumerate(minibatch_bounds(self.num_tables, n_devices)):
+                for cfg in self.table_configs[lo:hi]:
+                    self._owner[cfg.name] = dev
         else:
-            assert owners is not None
             for cfg in self.table_configs:
                 if cfg.name not in owners:
                     raise ValueError(f"no owner for table {cfg.name!r}")
-                self._owner[cfg.name] = int(owners[cfg.name])
+                owner = owners[cfg.name]
+                if not _is_id(owner):
+                    raise TypeError(
+                        f"owner of table {cfg.name!r} must be a device id (an int), "
+                        f"got {owner!r}"
+                    )
+                self._owner[cfg.name] = int(owner)
             self.validate()
         # Per-device table lists in global feature order, built once: the
         # workload builder asks for every device on every batch.
@@ -151,7 +151,7 @@ class TableWiseSharding(ShardingPlan):
         owners: Mapping[str, int],
     ) -> "TableWiseSharding":
         """Plan from an explicit table→device map (e.g. a planner's output)."""
-        return cls(table_configs, n_devices, strategy="explicit", owners=owners)
+        return cls(table_configs, n_devices, owners)
 
     def owner_of(self, table_name: str) -> int:
         """Device owning a table."""
@@ -184,10 +184,7 @@ class TableWiseSharding(ShardingPlan):
             raise AssertionError("some tables are unowned")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<TableWiseSharding T={self.num_tables} G={self.n_devices} "
-            f"{self.strategy}>"
-        )
+        return f"<TableWiseSharding T={self.num_tables} G={self.n_devices}>"
 
 
 @dataclass(frozen=True)

@@ -712,10 +712,6 @@ class SyntheticDataGenerator:
         self._rng = np.random.default_rng(config.seed)
         self._layout = FeatureLayout(config.feature_names)
 
-    def reset(self) -> None:
-        """Restart the stream (same seed → same batches again)."""
-        self._rng = np.random.default_rng(self.config.seed)
-
     # -- sparse -----------------------------------------------------------------
 
     def sparse_batch(self, batch_size: Optional[int] = None) -> SparseBatch:

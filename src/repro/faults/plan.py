@@ -126,11 +126,6 @@ class FaultPlan:
                 raise TypeError(f"FaultPlan events must be FaultEvent, got {type(ev)}")
         object.__setattr__(self, "events", events)
 
-    @classmethod
-    def empty(cls) -> "FaultPlan":
-        """A plan with no faults (the healthy reference)."""
-        return cls()
-
     def __len__(self) -> int:
         return len(self.events)
 

@@ -50,10 +50,6 @@ class MetricCheck:
     def breached(self) -> bool:
         return self.fresh > self.bound
 
-    @property
-    def delta(self) -> float:
-        return self.fresh - self.base
-
 
 @dataclass
 class GateResult:
@@ -93,15 +89,15 @@ class GateResult:
             for c in bad:
                 lines.append(
                     f"    BREACH {c.metric}: {c.base:.0f} -> {c.fresh:.0f} ns "
-                    f"(+{c.delta:.0f}, bound {c.bound:.0f})"
+                    f"(+{c.fresh - c.base:.0f}, bound {c.bound:.0f})"
                 )
             # Explain via the critical-path delta: category growth sorted
             # largest-first tells *where* the extra time landed.
             cat_deltas = sorted(
                 (
-                    (c.metric, c.delta)
+                    (c.metric, c.fresh - c.base)
                     for c in checks
-                    if c.metric.startswith("path.") and c.delta > 0
+                    if c.metric.startswith("path.") and c.fresh > c.base
                 ),
                 key=lambda kv: -kv[1],
             )

@@ -79,12 +79,6 @@ class LoadTracker:
         # Guard against float drift from the incremental eviction updates.
         return {name: max(0.0, b) for name, b in self._totals.items()}
 
-    def reset(self) -> None:
-        """Drop all observed history."""
-        self._window.clear()
-        self._totals.clear()
-        self.batches_observed = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<LoadTracker window={self.window_fill}/{self.window_batches} "

@@ -20,7 +20,7 @@ afterwards replays them to time its waves (:func:`~repro.simgpu.kernel._replay`)
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .engine import Engine
@@ -109,10 +109,6 @@ class DeviceSpec:
     def effective_flops(self) -> float:
         """Achieved FP32 throughput."""
         return self.flops_per_ns * self.compute_efficiency
-
-    def with_memory(self, mem_bytes: int) -> "DeviceSpec":
-        """A copy of this spec with a different HBM capacity."""
-        return replace(self, mem_bytes=mem_bytes)
 
 
 V100_SPEC = DeviceSpec()

@@ -42,7 +42,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 
 import numpy as np
 
-from ..checks import check_bytes
+from ..checks import check_bytes, check_finite
 from .engine import Engine, Event
 from .profiler import Profiler
 from .units import gbps
@@ -78,12 +78,9 @@ class LinkSpec:
     per_message_ns: float = 0.0  #: injection cost per message (rate limit)
 
     def __post_init__(self) -> None:
-        if self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-        if self.latency_ns < 0:
-            raise ValueError(f"latency must be non-negative, got {self.latency_ns}")
-        if self.per_message_ns < 0:
-            raise ValueError(f"per_message_ns must be non-negative, got {self.per_message_ns}")
+        check_finite("LinkSpec", "bandwidth", self.bandwidth)
+        check_finite("LinkSpec", "latency_ns", self.latency_ns, zero_ok=True)
+        check_finite("LinkSpec", "per_message_ns", self.per_message_ns, zero_ok=True)
 
 
 #: Effective per-direction bandwidth between one V100 pair on a 4-GPU DGX-1

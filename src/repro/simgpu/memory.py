@@ -257,11 +257,6 @@ class MemoryPool:
         buf.data = None
         self._insert_hole(buf.offset, buf.nbytes)
 
-    def reset(self) -> None:
-        """Free everything (device reset)."""
-        for buf in list(self._live.values()):
-            self.free(buf)
-
     # -- internals ---------------------------------------------------------------
 
     def _take_hole(self, nbytes: int) -> int:

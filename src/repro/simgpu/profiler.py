@@ -122,10 +122,6 @@ class Counter:
             self._deltas = array("d", np.frombuffer(self._deltas)[order].tobytes())
         self._in_order = n
 
-    def value_at(self, t: float) -> float:
-        """Cumulative value at time ``t`` (inclusive)."""
-        return float(self.values_at(np.array([t]))[0])
-
     def events(self) -> List[Tuple[float, float]]:
         """Time-sorted ``(time, delta)`` events (a copy; safe to iterate)."""
         self._ensure_sorted()
@@ -137,7 +133,7 @@ class Counter:
         return np.array(self._times, dtype=np.float64), np.array(self._deltas, dtype=np.float64)
 
     def values_at(self, times: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`value_at` over an array of sample instants."""
+        """Cumulative value at each of ``times`` (inclusive)."""
         times = np.asarray(times, dtype=np.float64)
         self._ensure_sorted()
         if not self._times:

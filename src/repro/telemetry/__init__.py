@@ -5,8 +5,9 @@ Layers (see DESIGN.md §9):
 * :mod:`repro.telemetry.timeline` — fixed-grid gauges (link utilisation,
   compute occupancy, queue depth) derived from profiler spans/counters;
 * :mod:`repro.telemetry.metrics` — scalar metrics (overlap fraction,
-  exposed comm time, peak-to-mean / Gini burstiness, unpack share) and
-  the :class:`MetricsRegistry`;
+  exposed comm time, peak-to-mean / Gini burstiness, unpack share),
+  derived as one plain ``{name: {"value", "unit", "description"}}``
+  mapping by :func:`compute_metrics`;
 * :mod:`repro.telemetry.report` — the versioned :class:`RunReport` JSON
   artifact and its validator;
 * :mod:`repro.telemetry.export` — derived-gauge counter tracks for the
@@ -23,8 +24,6 @@ from .export import (
     write_chrome_trace_with_telemetry,
 )
 from .metrics import (
-    Metric,
-    MetricsRegistry,
     compute_metrics,
     exposed_comm_ns,
     gini,
@@ -60,8 +59,6 @@ __all__ = [
     "COMM_COUNTER_NAMES",
     "COMPUTE_CATEGORIES",
     "IN_FLIGHT_COUNTER",
-    "Metric",
-    "MetricsRegistry",
     "QUEUE_DEPTH_COUNTER",
     "ReportValidationError",
     "RunReport",

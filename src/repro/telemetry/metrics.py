@@ -15,13 +15,13 @@ Each metric quantifies one claim from the paper's evaluation:
 * **unpack share** — fraction of the run spent in the host-side
   sync/unpack staging phase the fused kernel eliminates.
 
-Values are registered in a :class:`MetricsRegistry`, a plain name→metric
-mapping with a stable dict form for the run report.
+:func:`compute_metrics` returns them as one plain mapping, ``{name:
+{"value", "unit", "description"}}`` in derivation order: what
+:attr:`RunReport.metrics <repro.telemetry.RunReport>` stores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -41,8 +41,6 @@ from .timeline import (
 
 __all__ = [
     "BURSTINESS_BINS",
-    "Metric",
-    "MetricsRegistry",
     "compute_metrics",
     "exposed_comm_ns",
     "gini",
@@ -60,74 +58,6 @@ __all__ = [
 #: dedicated burst stays concentrated while PGAS's per-wave writes spread
 #: across the whole kernel.
 BURSTINESS_BINS = 48
-
-
-@dataclass(frozen=True)
-class Metric:
-    """One named scalar with its unit and provenance."""
-
-    name: str
-    value: float
-    unit: str
-    description: str = ""
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "value": float(self.value),
-            "unit": self.unit,
-            "description": self.description,
-        }
-
-
-class MetricsRegistry:
-    """Ordered name → :class:`Metric` mapping with a stable dict form."""
-
-    def __init__(self) -> None:
-        self._metrics: Dict[str, Metric] = {}
-
-    def record(
-        self, name: str, value: float, unit: str, description: str = ""
-    ) -> Metric:
-        """Register (or overwrite) a metric and return it."""
-        metric = Metric(name, float(value), unit, description)
-        self._metrics[name] = metric
-        return metric
-
-    def get(self, name: str) -> Optional[Metric]:
-        return self._metrics.get(name)
-
-    def value(self, name: str, default: float = float("nan")) -> float:
-        """Value of ``name``, or ``default`` when absent."""
-        metric = self._metrics.get(name)
-        return metric.value if metric is not None else default
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
-    def __iter__(self):
-        return iter(self._metrics.values())
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def names(self) -> List[str]:
-        return list(self._metrics.keys())
-
-    def as_dict(self) -> Dict[str, Dict[str, object]]:
-        """Plain-dict view, insertion-ordered, JSON-ready."""
-        return {name: m.as_dict() for name, m in self._metrics.items()}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Dict[str, object]]) -> "MetricsRegistry":
-        reg = cls()
-        for name, payload in data.items():
-            reg.record(
-                name,
-                float(payload["value"]),
-                str(payload["unit"]),
-                str(payload.get("description", "")),
-            )
-        return reg
 
 
 # ---------------------------------------------------------------------------
@@ -299,83 +229,88 @@ def compute_metrics(
     *,
     topology: Optional[Topology] = None,
     n_bins: int = 240,
-) -> MetricsRegistry:
-    """Derive the full paper-facing metric set from one run's record."""
-    reg = MetricsRegistry()
+) -> Dict[str, Dict[str, object]]:
+    """Derive the full paper-facing metric set from one run's record, as
+    ``{name: {"value": float, "unit": str, "description": str}}``."""
+    metrics: Dict[str, Dict[str, object]] = {}
+
+    def record(name: str, value: float, unit: str, description: str = "") -> None:
+        metrics[name] = {"value": float(value), "unit": unit, "description": description}
+
     t0, t1 = run_window(profiler)
     wall = t1 - t0
     edges = sample_edges(t0, t1, n_bins)
 
-    reg.record("run_wall_ns", wall, "ns", "end-to-end run window")
+    record("run_wall_ns", wall, "ns", "end-to-end run window")
 
     # One pass over the comm samples yields the run-wide and every
     # per-device overlap (the same numbers as overlap_fraction(profiler, d)).
     overall, per_src = _overlap_sums(profiler)
     frac, hidden, total = _fraction(*overall)
-    reg.record(
+    record(
         "overlap_fraction", frac, "fraction",
         "share of delivered comm bytes hidden under compute",
     )
-    reg.record("comm_bytes_total", total, "bytes", "delivered comm payload")
-    reg.record("comm_bytes_hidden", hidden, "bytes", "payload delivered during compute")
+    record("comm_bytes_total", total, "bytes", "delivered comm payload")
+    record("comm_bytes_hidden", hidden, "bytes", "payload delivered during compute")
     for dev in range(n_devices):
         dfrac, _, dtotal = _fraction(*per_src.get(dev, (0.0, 0.0)))
         if dtotal > 0:
-            reg.record(
+            record(
                 f"overlap_fraction.dev{dev}", dfrac, "fraction",
                 f"overlap fraction for traffic sourced by device {dev}",
             )
 
     exposed = exposed_comm_ns(profiler, edges)
-    reg.record(
+    record(
         "exposed_comm_ns", exposed, "ns",
         "wall time with traffic moving but no compute running",
     )
     if wall > 0:
-        reg.record(
+        record(
             "exposed_comm_share", exposed / wall, "fraction",
             "exposed comm time / run wall time",
         )
 
     idle = interconnect_idle_ns(profiler, edges)
-    reg.record(
+    record(
         "interconnect_idle_ns", idle, "ns",
         "wall time with zero interconnect traffic (inter-batch bubbles)",
     )
     if wall > 0:
-        reg.record(
+        record(
             "interconnect_idle_share", idle / wall, "fraction",
             "interconnect idle time / run wall time",
         )
 
     burst_edges = sample_edges(t0, t1, min(BURSTINESS_BINS, n_bins))
     comm = comm_rate_series(profiler, burst_edges)
-    reg.record(
+    record(
         "link_peak_to_mean", peak_to_mean(comm.values), "ratio",
         "peak/mean of the aggregate comm-rate series (burstiness)",
     )
-    reg.record(
+    record(
         "link_gini", gini(comm.values), "ratio",
         "Gini coefficient of per-bin comm volume (0 smooth, 1 bursty)",
     )
-    reg.record(
+    record(
         "comm_rate_peak", comm.peak, "bytes/ns", "peak per-bin comm rate"
     )
-    reg.record(
+    record(
         "comm_rate_mean", comm.mean, "bytes/ns", "mean per-bin comm rate"
     )
 
     unpack_wall = profiler.category_wall_time("sync_unpack")
-    reg.record("unpack_wall_ns", unpack_wall, "ns", "sync/unpack staging wall time")
+    record("unpack_wall_ns", unpack_wall, "ns", "sync/unpack staging wall time")
     if wall > 0:
-        reg.record(
+        record(
             "unpack_share", unpack_wall / wall, "fraction",
             "sync/unpack staging share of the run",
         )
 
     # Per-phase wall breakdown: every recorded category, merged per phase.
     for category in sorted({s.category for s in profiler.spans}):
-        reg.record(
+        record(
             f"phase_wall_ns.{category}",
             profiler.category_wall_time(category),
             "ns",
@@ -385,7 +320,7 @@ def compute_metrics(
     # Per-device compute occupancy over the run window.
     for dev in range(n_devices):
         occ = compute_occupancy_series(profiler, edges, dev)
-        reg.record(
+        record(
             f"compute_occupancy.dev{dev}", occ.mean, "fraction",
             f"mean fraction of the run device {dev} spent computing",
         )
@@ -397,16 +332,16 @@ def compute_metrics(
         wire = float(wire_counter.total)
         raw_counter = profiler.counters.get("compress.bytes_uncompressed")
         raw = float(raw_counter.total) if raw_counter is not None else 0.0
-        reg.record(
+        record(
             "compression.bytes_on_wire", wire, "bytes",
             "remote payload bytes after codec compression",
         )
-        reg.record(
+        record(
             "compression.bytes_uncompressed", raw, "bytes",
             "remote payload bytes before codec compression (fp32)",
         )
         if wire > 0:
-            reg.record(
+            record(
                 "compression.ratio", raw / wire, "ratio",
                 "uncompressed / on-wire remote payload bytes",
             )
@@ -415,7 +350,7 @@ def compute_metrics(
             ("decode_ns", "modelled destination-side decode kernel time"),
         ):
             counter = profiler.counters.get(f"compress.{suffix}")
-            reg.record(
+            record(
                 f"compression.{suffix}",
                 float(counter.total) if counter is not None else 0.0,
                 "ns",
@@ -423,7 +358,7 @@ def compute_metrics(
             )
         err_counter = profiler.counters.get("compress.max_abs_error")
         if err_counter is not None:
-            reg.record(
+            record(
                 "compression.max_abs_error",
                 max((delta for _, delta in err_counter.events()), default=0.0),
                 "abs",
@@ -432,7 +367,7 @@ def compute_metrics(
         sq = profiler.counters.get("compress.sq_error")
         n_elems = profiler.counters.get("compress.error_elems")
         if sq is not None and n_elems is not None and n_elems.total > 0:
-            reg.record(
+            record(
                 "compression.rmse",
                 float(np.sqrt(sq.total / n_elems.total)),
                 "abs",
@@ -451,33 +386,33 @@ def compute_metrics(
         failover = total_of("availability.failover_lookups")
         unavailable = total_of("availability.unavailable_lookups")
         impaired_lookups = total_of("availability.batch_lookups")
-        reg.record(
+        record(
             "availability.failures", float(failures.total), "failures",
             "devices declared permanently failed by the heartbeat detector",
         )
-        reg.record(
+        record(
             "availability.failover_lookups", failover, "lookups",
             "lookups rerouted from a failed primary to a live replica",
         )
-        reg.record(
+        record(
             "availability.unavailable_fraction",
             unavailable / impaired_lookups if impaired_lookups > 0 else 0.0,
             "fraction",
             "lookups with no live replica / lookups of impaired batches",
         )
-        reg.record(
+        record(
             "availability.recovery_bytes",
             total_of("availability.recovery_bytes"), "bytes",
             "re-replication bytes streamed over the interconnect",
         )
-        reg.record(
+        record(
             "availability.detection_ns",
             total_of("availability.detection_ns"), "ns",
             "summed down-edge -> declared-failed latency",
         )
         reprotect = profiler.counters.get("availability.time_to_reprotect_ns")
         if reprotect is not None:
-            reg.record(
+            record(
                 "availability.time_to_reprotect_ns",
                 max((delta for _, delta in reprotect.events()), default=0.0),
                 "ns",
@@ -493,31 +428,31 @@ def compute_metrics(
             counter = profiler.counters.get(name)
             return float(counter.total) if counter is not None else 0.0
 
-        reg.record(
+        record(
             "reshard.plans", float(plans.total), "plans",
             "migration plans adopted by the skew-aware planner",
         )
-        reg.record(
+        record(
             "reshard.moves", reshard_total("reshard.moves"), "moves",
             "table moves submitted for background migration",
         )
-        reg.record(
+        record(
             "reshard.migrations", reshard_total("reshard.migrations"),
             "migrations", "table migrations completed (cutover reached)",
         )
-        reg.record(
+        record(
             "reshard.migration_bytes", reshard_total("reshard.migration_bytes"),
             "bytes", "migration bytes streamed over the interconnect",
         )
-        reg.record(
+        record(
             "reshard.migration_ns", reshard_total("reshard.migration_ns"),
             "ns", "summed per-migration stream durations",
         )
         advisories = profiler.counters.get("reshard.advisories")
         if advisories is not None:
-            reg.record(
+            record(
                 "reshard.advisories", float(advisories.total), "advisories",
                 "row-split advisories for tables too hot to balance table-wise",
             )
 
-    return reg
+    return metrics

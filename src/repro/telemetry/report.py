@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional
 from ..obs.critpath import critical_path_report
 from ..simgpu.interconnect import Topology
 from ..simgpu.profiler import Profiler
-from .metrics import BURSTINESS_BINS, MetricsRegistry, compute_metrics, link_stats
+from .metrics import BURSTINESS_BINS, compute_metrics, link_stats
 from .timeline import (
     comm_rate_series,
     compute_occupancy_series,
@@ -111,11 +111,6 @@ class RunReport:
     serving: Dict[str, Any] = field(default_factory=dict)
     faults: Dict[str, Any] = field(default_factory=dict)
     meta: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        """The metrics as a :class:`MetricsRegistry` view."""
-        return MetricsRegistry.from_dict(self.metrics)
 
     def metric(self, name: str, default: float = float("nan")) -> float:
         """Shortcut: one metric's value (``default`` when absent)."""
@@ -281,7 +276,7 @@ def collect_run_report(
             return dataclasses.asdict(obj)
         raise TypeError(f"cannot convert {type(obj).__name__} into report payload")
 
-    registry = compute_metrics(profiler, n_devices, topology=topology, n_bins=n_bins)
+    metrics = compute_metrics(profiler, n_devices, topology=topology, n_bins=n_bins)
     t0, t1 = run_window(profiler)
     edges = sample_edges(t0, t1, n_bins)
 
@@ -309,7 +304,7 @@ def collect_run_report(
         n_devices=n_devices,
         workload=to_dict(workload),
         timing=to_dict(timing),
-        metrics=registry.as_dict(),
+        metrics=metrics,
         links=link_stats(profiler, burst_edges, topology=topology),
         series=series,
         **{

@@ -23,6 +23,13 @@ def _fired_at(ev):
     return at
 
 
+def _writes(ctx):
+    """The writes booked so far and their payload bytes: the samples of
+    the ``pgas_bytes`` counter, which atomics book too."""
+    counter = ctx.cluster.profiler.counters.get(PGASContext.COUNTER)
+    return (0, 0.0) if counter is None else (len(counter.events()), counter.total)
+
+
 def _steps(cluster, steps):
     """A host program running each ``(delay, fn)`` step after its delay
     (a zero delay runs the step at once); it ends after the last step."""
@@ -120,7 +127,7 @@ class TestPut:
         assert cl.engine._seq == seq0  # schedules nothing
         assert cl.interconnect.links() == []
         assert ctx._last_done[0] == float("-inf")
-        assert ctx.puts_issued == 0
+        assert _writes(ctx) == (0, 0.0)
 
     def test_traced_put_records_link_span(self):
         cl = dgx_v100(2)
@@ -183,15 +190,14 @@ class TestPut:
                 ctx.put(*args)
         assert cl.engine._seq == 0
         assert cl.interconnect.links() == []
-        assert ctx.puts_issued == 0
+        assert _writes(ctx) == (0, 0.0)
 
     def test_put_statistics(self):
         cl = dgx_v100(2)
         ctx = PGASContext(cl)
         ctx.put(0, 1, 100.0)
         ctx.put(0, 1, 200.0)
-        assert ctx.puts_issued == 2
-        assert ctx.payload_bytes_issued == 300.0
+        assert _writes(ctx) == (2, 300.0)
 
 
 class TestAtomics:
@@ -507,7 +513,7 @@ class TestUnknownPE:
         with pytest.raises(ValueError, match=r"src must be a device id in \[0, 2\), got 5"):
             call(ctx)
         assert cl.engine._seq == seq  # nothing scheduled
-        assert ctx.puts_issued == 1 and ctx._outstanding == {0: [], 1: []}
+        assert _writes(ctx)[0] == 1 and ctx._outstanding == {0: [], 1: []}
 
 
 class TestFloatIds:
@@ -537,7 +543,7 @@ class TestFloatIds:
         seq = cl.engine._seq
         with pytest.raises(ValueError, match=match):
             call(ctx)
-        assert cl.engine._seq == seq and ctx.puts_issued == 1
+        assert cl.engine._seq == seq and _writes(ctx)[0] == 1
         ctx.put(2, 3, 256.0)
         assert [(link.src, link.dst) for link in cl.interconnect.links()] == [(0, 1), (2, 3)]
         assert cl.interconnect.total_wire_bytes() > 356.0
@@ -554,7 +560,7 @@ class TestFloatIds:
         ctx.put(np.int64(0), np.int32(1), 256.0)
         ctx.put(0, [np.int64(2), 3], [256.0, 512.0])
         ctx.atomic_add(np.int16(1), 2, 4)
-        assert ctx.puts_issued == 3 and len(cl.interconnect.links()) == 4
+        assert _writes(ctx)[0] == 4 and len(cl.interconnect.links()) == 4  # 3 puts, 1 atomic
         cl.engine.run_until_event(ctx.quiet(np.int64(0)))
 
 
@@ -593,7 +599,7 @@ class TestBoolIds:
         else:
             with pytest.raises(ValueError, match=match):
                 call(ctx)
-        assert cl.engine._seq == seq and ctx.puts_issued == 1 and not ic._pending
+        assert cl.engine._seq == seq and _writes(ctx)[0] == 1 and not ic._pending
         links = [(lk.src, lk.dst) for lk in ic.links()]
         assert links == [(0, 1)] and all(type(i) is int for pair in links for i in pair)
 
@@ -699,7 +705,6 @@ def _state(cl, ctx):
         "last_done": dict(ctx._last_done),
         "seq": cl.engine._seq,
         "heap": heap,
-        "puts_issued": ctx.puts_issued,
     }
 
 
@@ -744,12 +749,12 @@ class TestWave:
 
     @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
     def test_put_wave_equals_puts_one_at_a_time(self, traced):
-        one_issued, one_done, one = self._run("put", self.WAVES, False, traced)
-        wave_issued, wave_done, wave = self._run("put", self.WAVES, True, traced)
+        one_issued, one_done, _ = self._run("put", self.WAVES, False, traced)
+        wave_issued, wave_done, _ = self._run("put", self.WAVES, True, traced)
         assert wave_issued == one_issued
         assert wave_done == one_done
-        assert wave.payload_bytes_issued == pytest.approx(one.payload_bytes_issued)
-        assert one_issued["puts_issued"] == 13  # the zero payloads book nothing
+        # The zero payloads book nothing.
+        assert len(one_issued["counters"][PGASContext.COUNTER][0]) == 13
 
     def test_atomic_wave_equals_atomics_one_at_a_time(self):
         one_issued, one_done, _ = self._run("atomic_add", self.COUNTS, False)
@@ -762,9 +767,7 @@ class TestWave:
         cl = dgx_v100(4)
         ctx = PGASContext(cl)
         ctx.put(0, [1, 2, 3], [256.0, 0.0, 512.0])
-        assert ctx.puts_issued == 2
-        assert ctx.payload_bytes_issued == 768.0
-        assert len(cl.profiler.counter(PGASContext.COUNTER).events()) == 2
+        assert _writes(ctx) == (2, 768.0)
 
     def test_empty_wave_books_nothing(self):
         cl = dgx_v100(4)
@@ -774,7 +777,7 @@ class TestWave:
         assert cl.engine._seq == 0
         assert cl.interconnect.links() == []
         assert cl.profiler.counters == {}
-        assert ctx.puts_issued == 0 and ctx._last_done[0] == float("-inf")
+        assert ctx._last_done[0] == float("-inf")
         with pytest.raises(ValueError, match="src"):
             ctx.put(9, [], [])
 
@@ -802,7 +805,7 @@ class TestWave:
         assert cl.engine._seq == 0
         assert cl.interconnect.links() == []
         assert cl.profiler.counters == {}
-        assert ctx.puts_issued == 0 and ctx._last_done[0] == float("-inf")
+        assert ctx._last_done[0] == float("-inf")
 
     @pytest.mark.parametrize("position", [0, 2])
     def test_bad_put_element_without_peer_access_books_nothing(self, position):

@@ -107,9 +107,16 @@ def _snapshot(cl: Cluster, pgas: PGASContext):
     }
     events = {name: c.events() for name, c in prof.counters.items()}
     return (
-        cl.engine.now, columns, ic.total_wire_bytes(), pgas.puts_issued,
-        pgas.payload_bytes_issued, dict(pgas._last_done), samples, pairs, events,
+        cl.engine.now, columns, ic.total_wire_bytes(), dict(pgas._last_done), samples, pairs,
+        events,
     )
+
+
+def _writes(cl: Cluster):
+    """The writes booked so far and their payload bytes, as the
+    ``pgas_bytes`` counter holds them (reading it settles the fabric)."""
+    counter = cl.profiler.counters.get(PGASContext.COUNTER)
+    return (0, 0.0) if counter is None else (len(counter.events()), counter.total)
 
 
 def _simulate(runs, foreign, faults, reads, quiet_at, deferred: bool):
@@ -226,14 +233,14 @@ def test_a_deferred_run_takes_no_engine_entry():
     assert pgas.put_run(SRC, OTHERS, [10.0, 20.0, 30.0], waves, SRC)
     assert cl.engine._seq == 0
     cl.interconnect.settle()
-    assert pgas.puts_issued == 0  # nothing has retired at t = 0
+    assert _writes(cl) == (0, 0.0)  # nothing has retired at t = 0
     cl.engine.run(until=25.0)
-    assert pgas.puts_issued == 0  # booked only at the next settle point
+    assert pgas._last_done[SRC] == float("-inf")  # booked only at the next settle point
     cl.interconnect.settle()
-    assert (pgas.puts_issued, pgas.payload_bytes_issued) == (3, 769.0)
+    assert _writes(cl) == (3, 769.0)
     cl.engine.run(until=30.0)
     cl.interconnect.settle()
-    assert (pgas.puts_issued, pgas.payload_bytes_issued) == (5, 773.0)
+    assert _writes(cl) == (5, 773.0)
     assert [(lk.src, lk.dst) for lk in cl.interconnect.links()] == [(1, 0), (1, 2), (1, 3)]
     assert cl.engine._seq == 0
 
@@ -290,10 +297,10 @@ def test_the_booking_goes_through_put():
     assert pgas.put_run(SRC, OTHERS, [10.0, 20.0], waves, SRC)
     cl.engine.run(until=15.0)
     cl.interconnect.links()
-    assert pgas.puts_issued == 3 and calls == [[10.0]]
+    assert _writes(cl)[0] == 3 and calls == [[10.0]]
     cl.engine.run(until=20.0)
     cl.interconnect.links()
-    assert pgas.puts_issued == 5 and calls == [[10.0], [20.0]]
+    assert _writes(cl)[0] == 5 and calls == [[10.0], [20.0]]
 
     # A 64-GPU run of 7 waves: its 441 writes are one stack, one put.
     calls.clear()
@@ -304,7 +311,7 @@ def test_the_booking_goes_through_put():
     assert pgas.put_run(WIDE_SRC, WIDE_OTHERS, ends, np.full((7, WIDE_G), 256.0), WIDE_SRC)
     cl.engine.run(until=ends[-1])
     cl.interconnect.links()
-    assert pgas.puts_issued == 441 and [at.tolist() for at in calls] == [[ends]]
+    assert _writes(cl)[0] == 441 and [at.tolist() for at in calls] == [[ends]]
 
 
 # -- wide runs: one matrix per prefix ----------------------------------------------
@@ -425,7 +432,8 @@ def test_numpy_integer_destinations_book_a_matrix_as_lists(monkeypatch):
             pgas.put(WIDE_SRC, WIDE_OTHERS, np.delete(waves, WIDE_SRC, axis=1).tolist(), at=ends)
         seen.append(_snapshot(cl, pgas))
     assert stacked == [True]
-    assert seen[1] == seen[0] and len(seen[0][6][PGASContext.COUNTER][0]) == pgas.puts_issued
+    writes = np.count_nonzero(np.delete(waves, WIDE_SRC, axis=1))
+    assert seen[1] == seen[0] and len(seen[0][4][PGASContext.COUNTER][0]) == writes
 
 
 @pytest.mark.parametrize("kind", ["put", "atomic"])
@@ -553,7 +561,7 @@ def _multi_simulate(rows, foreign, faults, settle_at, quiet_at, quiet_pes, mode)
 
 def _multi_snapshot(cl: Cluster, pgas: PGASContext):
     """What a reader sees: every row column in ``links()`` order, the
-    per-pair samples in booking order, the counters and the PE totals."""
+    per-pair samples in booking order, the counters and the PE instants."""
     ic, prof = cl.interconnect, cl.profiler
     columns = [
         (lk.src, lk.dst, lk._free_at, lk.busy_time, lk.bytes_carried, lk.transfer_count,
@@ -565,28 +573,27 @@ def _multi_snapshot(cl: Cluster, pgas: PGASContext):
         for name in (PGASContext.COUNTER, ic.COUNTER)
     }
     events = {name: c.events() for name, c in prof.counters.items()}
-    return (columns, samples, events, ic.total_wire_bytes(), pgas.puts_issued,
-            pgas.payload_bytes_issued, dict(pgas._last_done))
+    return columns, samples, events, ic.total_wire_bytes(), dict(pgas._last_done)
 
 
 def _per_source(seen):
     """The part of a run's record that does not depend on the order the
     sources are booked in: links and per-pair samples grouped by source
     (each source's in booking order), counter events as a multiset (a tie
-    across sources reads in booking order), writes and PE instants."""
+    across sources reads in booking order) and PE instants."""
     out = []
     for item in seen:
         if item[0] in ("quiet", "delivered"):
             out.append(item)
             continue
-        columns, samples, events, _, puts, _, last_done = item
+        columns, samples, events, _, last_done = item
         by_src = {
             name: [[column[i] for i in range(len(cols[0])) if cols[0][i] == src]
                    for column in cols for src in range(MULTI_G)]
             for name, cols in samples.items()
         }
         events = {name: sorted(samples) for name, samples in events.items()}
-        out.append((sorted(columns), by_src, events, puts, last_done))
+        out.append((sorted(columns), by_src, events, last_done))
     return out
 
 
@@ -649,7 +656,7 @@ class TestTypedErrors:
             pgas.atomic_add(SRC, OTHERS, [[1.5, 0, 0]], at=[0.0])
         with pytest.raises(ValueError, match="one issue instant per wave"):
             pgas.put(SRC, OTHERS, [[1.0, 2.0, 3.0]], at=[0.0, 0.0])
-        assert pgas.puts_issued == 0 and not pgas.cluster.interconnect.links()
+        assert _writes(pgas.cluster) == (0, 0.0) and not pgas.cluster.interconnect.links()
 
     def test_a_matrix_raises_as_its_lists_would(self):
         pgas = PGASContext(dgx_v100(G))
@@ -663,7 +670,7 @@ class TestTypedErrors:
             pgas.atomic_add(SRC, OTHERS, np.full((1, 3), 1.5), at=[0.0])
         with pytest.raises(ValueError, match=r"n_elements\[1\] must be non-negative"):
             pgas.atomic_add(SRC, OTHERS, np.array([[1, -1, 0]]), at=[0.0])
-        assert pgas.puts_issued == 0 and not pgas.cluster.interconnect.links()
+        assert _writes(pgas.cluster) == (0, 0.0) and not pgas.cluster.interconnect.links()
 
     def test_a_bad_plan_takes_no_run(self):
         pgas = PGASContext(dgx_v100(G))
@@ -715,8 +722,7 @@ def _pass_outputs(pass_cls, stepped_run: bool, windows=(), monkeypatch=None):
     # its own row is next touched, so only the order across sources moves.
     by_src = [[column[samples.src == src].tolist() for column in samples] for src in range(4)]
     return (
-        timing.as_dict(), engine.pgas.puts_issued, engine.pgas.payload_bytes_issued,
-        dict(engine.pgas._last_done), by_src,
+        timing.as_dict(), dict(engine.pgas._last_done), by_src,
         {name: c.events() for name, c in prof.counters.items()},
         sorted((lk.src, lk.dst, lk._free_at, lk.busy_time, lk.bytes_carried)
                for lk in cl.interconnect.links()),
@@ -858,6 +864,6 @@ def test_a_bad_payload_raises_puts_error_at_its_waves_end():
             dev.default_stream.launch(dev, KernelSpec("k", 2 * C, bytes_read=1e6), plan)
             with pytest.raises(ValueError) as err:
                 cl.engine.run()
-        raised.append((str(err.value), cl.engine.now, pgas.puts_issued))
+        raised.append((str(err.value), cl.engine.now, _writes(cl)[0]))
     assert raised[0] == raised[1]
     assert "payload_bytes[2]" in raised[0][0] and raised[0][2] == 3

@@ -81,12 +81,12 @@ class TestBrokenFabric:
 class TestMemoryPressure:
     def test_retrieval_construction_oom_is_loud(self):
         from repro.core.retrieval import DistributedEmbedding
-        from repro.simgpu.device import V100_SPEC
+        from repro.simgpu.device import DeviceSpec
         from repro.simgpu.interconnect import nvlink_dgx1
         from repro.simgpu.units import MiB
 
         tiny = Cluster(2, topology=nvlink_dgx1(2),
-                       device_spec=V100_SPEC.with_memory(4 * MiB))
+                       device_spec=DeviceSpec(mem_bytes=4 * MiB))
         cfg = WorkloadConfig(num_tables=8, rows_per_table=100_000, dim=16,
                              batch_size=64, max_pooling=2)
         with pytest.raises(OutOfDeviceMemory):

@@ -60,10 +60,10 @@ class TestShardedTables:
             ShardedEmbeddingTables(plan, wrong)
 
     def test_build_creates_fresh_weights(self):
-        sh = ShardedEmbeddingTables.build(
-            WorkloadConfig(num_tables=4, rows_per_table=10, dim=4, batch_size=2,
-                           max_pooling=1).table_configs(),
-            2,
+        cfgs = WorkloadConfig(num_tables=4, rows_per_table=10, dim=4, batch_size=2,
+                              max_pooling=1).table_configs()
+        sh = ShardedEmbeddingTables.from_collection(
+            EmbeddingBagCollection.from_configs(cfgs), TableWiseSharding(cfgs, 2)
         )
         assert sh.n_devices == 2
         assert sh.dim == 4

@@ -46,7 +46,6 @@ class TestFusedTiming:
         retr = PGASFusedRetrieval(cl)
         t = retr.run_batch(make_workloads(G=1))
         assert cl.profiler.counters.get(PGASContext.COUNTER) is None
-        assert retr.pgas.puts_issued == 0
 
     def test_all_remote_bytes_leave_the_wire(self):
         cl = dgx_v100(3)
@@ -67,7 +66,7 @@ class TestFusedTiming:
         t = PGASFusedRetrieval(cl).run_batch(wls)
         counter = cl.profiler.counter(PGASContext.COUNTER)
         # Volume delivered by mid-run should be substantial.
-        mid = counter.value_at(t.total_ns * 0.6)
+        (mid,) = counter.values_at([t.total_ns * 0.6])
         assert 0.2 * counter.total < mid < counter.total
 
     def test_drag_increases_kernel_time(self):

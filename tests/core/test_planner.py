@@ -14,7 +14,7 @@ from repro.core.planner import (
 )
 from repro.dlrm.embedding import EmbeddingTableConfig
 from repro.dlrm.heterogeneous import criteo_like
-from repro.simgpu.device import DeviceSpec, V100_SPEC
+from repro.simgpu.device import DeviceSpec
 from repro.simgpu.units import GiB
 
 
@@ -23,7 +23,7 @@ def uniform_tables(n, rows=1_000_000, dim=64):
 
 
 def tiny_device(capacity_gib: float) -> DeviceSpec:
-    return V100_SPEC.with_memory(int(capacity_gib * GiB))
+    return DeviceSpec(mem_bytes=int(capacity_gib * GiB))
 
 
 class TestMinDevices:

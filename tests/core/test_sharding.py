@@ -72,7 +72,7 @@ class TestSampleOwner:
 
 class TestTableWise:
     def test_contiguous_blocks(self):
-        plan = TableWiseSharding(configs(6), 3, strategy="contiguous")
+        plan = TableWiseSharding(configs(6), 3)
         assert [t.name for t in plan.tables_on(0)] == ["t0", "t1"]
         assert [t.name for t in plan.tables_on(2)] == ["t4", "t5"]
 
@@ -95,9 +95,20 @@ class TestTableWise:
         striped = {f"t{i}": i % 4 for i in range(9)}
         TableWiseSharding.from_assignment(configs(9), 4, striped).validate()
 
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            TableWiseSharding(configs(2), 2, strategy="random")  # type: ignore[arg-type]
+    @pytest.mark.parametrize("owner", [1.5, 1.0, True, False, np.float64(1.0), "1", None])
+    def test_an_owner_that_is_not_a_device_id_names_its_table(self, owner):
+        with pytest.raises(TypeError, match=r"owner of table 't1' must be a device id"):
+            TableWiseSharding.from_assignment(configs(2), 2, {"t0": 0, "t1": owner})
+
+    def test_the_first_bad_owner_raises(self):
+        with pytest.raises(TypeError, match=r"table 't0'.*got 1\.5"):
+            TableWiseSharding.from_assignment(configs(2), 2, {"t0": 1.5, "t1": True})
+
+    def test_numpy_integer_owners_are_device_ids(self):
+        owners = {"t0": np.int64(1), "t1": np.int32(0)}
+        plan = TableWiseSharding.from_assignment(configs(2), 2, owners)
+        assert [plan.owner_of("t0"), plan.owner_of("t1")] == [1, 0]
+        assert all(type(plan.owner_of(name)) is int for name in owners)
 
     def test_duplicate_names_rejected(self):
         cfgs = [EmbeddingTableConfig("x", 10, 4)] * 2

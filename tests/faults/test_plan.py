@@ -60,7 +60,7 @@ class TestFaultEventValidation:
 
 class TestFaultPlan:
     def test_empty(self):
-        plan = FaultPlan.empty()
+        plan = FaultPlan()
         assert len(plan) == 0
         assert plan.max_devices_referenced() == 0
 

@@ -80,8 +80,8 @@ class TestFactoryWiring:
     def test_unconfigured_hier_defaults_to_flat_routing(self):
         emb = DistributedEmbedding(small_cfg(), 2, backend="pgas+hier")
         adapter = emb.backend_adapter()
-        assert adapter.hier_spec.devices_per_node == 1
-        assert not adapter.hier_spec.active(emb.n_devices)
+        assert adapter.spec.devices_per_node == 1
+        assert not adapter.spec.active(emb.n_devices)
 
     def test_wrong_hier_config_type_rejected(self):
         with pytest.raises(TypeError, match="HierSpec"):

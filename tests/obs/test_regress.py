@@ -111,4 +111,4 @@ class TestGateResult:
         c = MetricCheck(point="pgas", metric="wall_ns",
                         base=100.0, fresh=130.0, bound=110.0)
         assert c.breached
-        assert c.delta == 30.0
+        assert "BREACH wall_ns: 100 -> 130 ns (+30, bound 110)" in GateResult([c]).render()

@@ -158,7 +158,7 @@ class TestCapacity:
         cfg = small_cfg(num_tables=4, rows_per_table=200_000, dim=64)
         # replicas alone need ~102 MB/device (2 x 200k x 64 x 4 B); cap below
         cluster = Cluster(
-            2, device_spec=DeviceSpec().with_memory(90 * 1024 * 1024)
+            2, device_spec=DeviceSpec(mem_bytes=90 * 1024 * 1024)
         )
         emb = DistributedEmbedding(cfg, 2, backend="pgas")
         with pytest.raises(OutOfDeviceMemory):

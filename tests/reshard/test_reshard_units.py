@@ -79,9 +79,9 @@ class TestLoadTracker:
         tr.observe({"a": 300.0, "b": 100.0})
         owners = {"a": 0, "b": 1}
         assert owner_loads(tr.table_traffic(), owners, 2)[2] == pytest.approx(1.5)
-        tr.reset()
-        assert tr.window_fill == 0
-        assert owner_loads(tr.table_traffic(), owners, 2) == ([0.0, 0.0], 0.0, 1.0)
+        fresh = LoadTracker(4)  # a new tracker is the reset: no history
+        assert fresh.window_fill == 0
+        assert owner_loads(fresh.table_traffic(), owners, 2) == ([0.0, 0.0], 0.0, 1.0)
 
 
 class TestReshardPlanner:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.simgpu import (
@@ -34,7 +36,7 @@ class TestDeviceSpec:
         assert V100_SPEC.effective_mem_bandwidth == pytest.approx(900 * 0.57)
 
     def test_with_memory(self):
-        small = V100_SPEC.with_memory(1 * GiB)
+        small = replace(V100_SPEC, mem_bytes=1 * GiB)
         assert small.mem_bytes == GiB
         assert small.sm_count == V100_SPEC.sm_count
 

@@ -136,14 +136,6 @@ class TestFree:
         big = pool.alloc((300,), np.uint8)
         assert big.nbytes == 300
 
-    def test_reset_frees_everything(self):
-        pool = MemoryPool(capacity=1000)
-        for _ in range(5):
-            pool.alloc((10,), np.float32)
-        pool.reset()
-        assert pool.used == 0
-        assert pool.alloc((250,), np.float32).nbytes == 1000  # the whole pool is free
-
 
 class TestInvariants:
     @given(

@@ -63,16 +63,13 @@ class TestCounter:
         c.add(10.0, 100.0)
         c.add(20.0, 50.0)
         assert c.total == 150.0
-        assert c.value_at(5.0) == 0.0
-        assert c.value_at(10.0) == 100.0
-        assert c.value_at(15.0) == 100.0
-        assert c.value_at(25.0) == 150.0
+        assert c.values_at([5.0, 10.0, 15.0, 25.0]).tolist() == [0.0, 100.0, 100.0, 150.0]
 
     def test_out_of_order_adds_merge_on_read(self):
         c = Counter("bytes")
         c.add(20.0, 5.0)
         c.add(10.0, 7.0)  # from another device, earlier stamp
-        assert c.value_at(15.0) == 7.0
+        assert c.values_at([15.0]).tolist() == [7.0]
         assert c.total == 12.0
 
     def test_sample_grid(self):

@@ -9,7 +9,6 @@ from repro.core.retrieval import DistributedEmbedding
 from repro.dlrm.data import SyntheticDataGenerator, WEAK_SCALING_BASE, WorkloadConfig
 from repro.simgpu.profiler import Profiler
 from repro.telemetry import (
-    MetricsRegistry,
     compute_metrics,
     gini,
     overlap_fraction,
@@ -112,66 +111,49 @@ class TestWeakScalingInvariants:
     """The acceptance-criteria invariants, on the paper's weak workload."""
 
     @pytest.fixture(scope="class")
-    def registries(self):
+    def values(self):
+        """Each backend's metric values by name."""
         cfg = WEAK_SCALING_BASE.scaled_tables(64 * 2)
         out = {}
         for backend in ("pgas", "baseline"):
             emb = run_backend(cfg, backend)
-            out[backend] = compute_metrics(
-                emb.cluster.profiler, 2, topology=emb.cluster.topology
-            )
+            metrics = compute_metrics(emb.cluster.profiler, 2, topology=emb.cluster.topology)
+            out[backend] = {name: m["value"] for name, m in metrics.items()}
         return out
 
-    def test_overlap_pgas_exceeds_baseline(self, registries):
-        pgas = registries["pgas"].value("overlap_fraction")
-        base = registries["baseline"].value("overlap_fraction")
+    def test_overlap_pgas_exceeds_baseline(self, values):
+        pgas = values["pgas"]["overlap_fraction"]
+        base = values["baseline"]["overlap_fraction"]
         assert pgas > base
         assert pgas <= 1.0 and base <= 1.0
 
-    def test_baseline_burstier_peak_to_mean(self, registries):
-        pgas = registries["pgas"].value("link_peak_to_mean")
-        base = registries["baseline"].value("link_peak_to_mean")
+    def test_baseline_burstier_peak_to_mean(self, values):
+        pgas = values["pgas"]["link_peak_to_mean"]
+        base = values["baseline"]["link_peak_to_mean"]
         assert base > pgas
 
-    def test_baseline_burstier_gini(self, registries):
-        assert registries["baseline"].value("link_gini") > registries["pgas"].value(
-            "link_gini"
-        )
+    def test_baseline_burstier_gini(self, values):
+        assert values["baseline"]["link_gini"] > values["pgas"]["link_gini"]
 
-    def test_only_baseline_pays_unpack(self, registries):
-        assert registries["baseline"].value("unpack_share") > 0.0
-        assert registries["pgas"].value("unpack_share") == 0.0
+    def test_only_baseline_pays_unpack(self, values):
+        assert values["baseline"]["unpack_share"] > 0.0
+        assert values["pgas"]["unpack_share"] == 0.0
 
-    def test_exposed_comm_only_on_baseline(self, registries):
-        assert registries["baseline"].value("exposed_comm_ns") > 0.0
-        assert registries["pgas"].value("exposed_comm_ns") == pytest.approx(0.0)
+    def test_exposed_comm_only_on_baseline(self, values):
+        assert values["baseline"]["exposed_comm_ns"] > 0.0
+        assert values["pgas"]["exposed_comm_ns"] == pytest.approx(0.0)
 
-    def test_same_comm_volume_both_backends(self, registries):
-        pgas = registries["pgas"].value("comm_bytes_total")
-        base = registries["baseline"].value("comm_bytes_total")
+    def test_same_comm_volume_both_backends(self, values):
+        pgas = values["pgas"]["comm_bytes_total"]
+        base = values["baseline"]["comm_bytes_total"]
         assert pgas == pytest.approx(base)
 
 
 class TestRegistry:
-    def test_record_and_lookup(self):
-        reg = MetricsRegistry()
-        reg.record("x", 1.5, "ns", "desc")
-        assert "x" in reg
-        assert reg.value("x") == 1.5
-        assert reg.get("x").unit == "ns"
-        assert reg.value("missing", default=-1.0) == -1.0
-
-    def test_dict_round_trip(self):
-        reg = MetricsRegistry()
-        reg.record("a", 1.0, "ns", "first")
-        reg.record("b", 2.0, "fraction")
-        back = MetricsRegistry.from_dict(reg.as_dict())
-        assert back.as_dict() == reg.as_dict()
-        assert back.names() == ["a", "b"]
-
     def test_compute_metrics_has_per_device_occupancy(self):
         emb = run_backend(SMALL, "pgas")
-        reg = compute_metrics(emb.cluster.profiler, 2)
+        metrics = compute_metrics(emb.cluster.profiler, 2)
         for dev in range(2):
-            occ = reg.value(f"compute_occupancy.dev{dev}")
-            assert 0.0 < occ <= 1.0
+            occ = metrics[f"compute_occupancy.dev{dev}"]
+            assert occ["unit"] == "fraction"
+            assert 0.0 < occ["value"] <= 1.0

@@ -203,10 +203,6 @@ class TestCollection:
         r = collect_run_report(p, backend="pgas", n_devices=1)
         assert r.cache == {"cache.hits": 7.0, "cache.misses": 3.0}
 
-    def test_registry_view(self, real_report):
-        reg = real_report.registry
-        assert reg.value("overlap_fraction") == real_report.metric("overlap_fraction")
-
     def test_bad_payload_type_raises(self):
         p = Profiler()
         p.record_span("k", "compute", 0, 0.0, 100.0)
@@ -243,12 +239,13 @@ class TestSinglePassOverlap:
 
     def test_metrics_equal_public_overlap_fraction(self, mixed_run):
         prof = mixed_run.profiler
-        reg = compute_metrics(prof, 8, topology=mixed_run.topology)
+        metrics = compute_metrics(prof, 8, topology=mixed_run.topology)
+        value = {name: m["value"] for name, m in metrics.items()}
         frac, hidden, total = overlap_fraction(prof)
-        assert (reg.value("overlap_fraction"), reg.value("comm_bytes_hidden"),
-                reg.value("comm_bytes_total")) == (frac, hidden, total)
+        assert (value["overlap_fraction"], value["comm_bytes_hidden"],
+                value["comm_bytes_total"]) == (frac, hidden, total)
         for dev in range(8):
-            assert reg.value(f"overlap_fraction.dev{dev}") == overlap_fraction(prof, dev)[0]
+            assert value[f"overlap_fraction.dev{dev}"] == overlap_fraction(prof, dev)[0]
         assert overlap_fraction(prof, 99) == (0.0, 0.0, 0.0)
 
 

@@ -15,14 +15,22 @@ two stdlib passes repeat its checks here.
   so do names read only in quoted annotations; ``from __future__`` imports
   and lines marked ``noqa`` are left alone.  The check is module-wide, so
   it is no stricter than ruff's per-scope one.
+* ``F821`` over the same directories as the compile check: a global name
+  that some scope reads (the module body, a function, a class body or a
+  comprehension) but that the module never binds (an assignment, an
+  import, a ``def``/``class``, or a ``global`` name assigned in a
+  function) and that is not a builtin is an error.  Names read only in
+  quoted annotations are not checked.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
+import symtable
 import warnings
 from pathlib import Path
-from typing import List, Set
+from typing import Iterator, List, Set
 
 import pytest
 
@@ -146,3 +154,72 @@ def test_the_check_finds_what_ruff_finds():
         "    return [sys.maxsize]\n"
     )
     assert unused_imports(source) == ["<src>:2: os", "<src>:3: numpy"]
+
+
+#: names every module can read without binding them
+BUILTIN_NAMES = frozenset(dir(builtins)) | {"__file__", "__builtins__", "__path__", "__cached__"}
+
+
+def _tables(table: symtable.SymbolTable) -> Iterator[symtable.SymbolTable]:
+    """``table`` and every scope nested in it."""
+    yield table
+    for child in table.get_children():
+        yield from _tables(child)
+
+
+def undefined_names(source: str, path: str = "<src>") -> List[str]:
+    """``path: name`` for every global name ``source`` reads and never binds,
+    builtins aside, sorted."""
+    module = symtable.symtable(source, path, "exec")
+    bound = {s.get_name() for s in module.get_symbols() if s.is_assigned() or s.is_imported()}
+    read: Set[str] = set()
+    for table in _tables(module):
+        for sym in table.get_symbols():
+            if table is module:
+                if sym.is_referenced():
+                    read.add(sym.get_name())
+            elif sym.is_global():
+                if sym.is_referenced():
+                    read.add(sym.get_name())
+                if sym.is_declared_global() and sym.is_assigned():
+                    bound.add(sym.get_name())
+    return [f"{path}: {name}" for name in sorted(read - bound - BUILTIN_NAMES)]
+
+
+def test_no_undefined_names():
+    found = []
+    for path in sorted(path for name in LINTED for path in (ROOT / name).rglob("*.py")):
+        found += undefined_names(path.read_text(), str(path.relative_to(ROOT)))
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "print(missing)\n",
+        "def f(x):\n    return x + missing\n",
+        "class C:\n    size = missing\n",
+        "squares = [missing * i for i in range(3)]\n",
+    ],
+    ids=["module", "function", "class-body", "comprehension"],
+)
+def test_the_name_check_finds_a_missing_name(source):
+    assert undefined_names(source) == ["<src>: missing"]
+
+
+def test_the_name_check_passes_bound_names():
+    source = (
+        "import os\n"
+        "from math import pi as PI\n"
+        "def setup():\n"
+        "    global ready\n"
+        "    ready = True\n"
+        "def area(r):\n"
+        "    scale = 2\n"
+        "    inner = lambda: scale * PI * r * r\n"
+        "    return [inner() for _ in range(len(os.sep))], ready, __file__\n"
+        "class Shape:\n"
+        "    sides = 0\n"
+        "    names = [str(i) for i in range(sides)]\n"
+    )
+    assert undefined_names(source) == []
